@@ -6,6 +6,9 @@
 // and the serving-capacity headline (sharded-pump aggregate throughput over
 // the single-pump baseline) from ncload's BenchmarkServeLoad ladder.
 //
+// A benchmark name that appears more than once on stdin (-count N, or several
+// runs concatenated) keeps its fastest run.
+//
 // With -check it additionally compares the fresh run's derived ratios
 // against a committed artifact and exits non-zero when a gate regressed.
 // Only relative keys (speedup multiples `_x` and percentages `_pct`) are
@@ -25,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -98,6 +102,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 
 func parse(sc *bufio.Scanner) (*Document, error) {
 	doc := &Document{}
+	index := map[string]int{} // benchmark name → position in doc.Benchmarks
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -109,12 +114,26 @@ func parse(sc *bufio.Scanner) (*Document, error) {
 		case strings.HasPrefix(line, "cpu: "):
 			doc.CPU = strings.TrimPrefix(line, "cpu: ")
 		case strings.HasPrefix(line, "pkg: "):
-			doc.Packages = append(doc.Packages, strings.TrimPrefix(line, "pkg: "))
+			if pkg := strings.TrimPrefix(line, "pkg: "); !slices.Contains(doc.Packages, pkg) {
+				doc.Packages = append(doc.Packages, pkg)
+			}
 		case strings.HasPrefix(line, "Benchmark"):
 			b, ok := parseLine(line)
-			if ok {
-				doc.Benchmarks = append(doc.Benchmarks, b)
+			if !ok {
+				continue
 			}
+			// A name that repeats (-count N, or several `go test` rounds
+			// concatenated) keeps its fastest run: on a shared host the
+			// minimum is the measurement least disturbed by the neighbours,
+			// and rounds spread over time let every rung see a quiet moment.
+			if i, seen := index[b.Name]; seen {
+				if b.NsPerOp < doc.Benchmarks[i].NsPerOp {
+					doc.Benchmarks[i] = b
+				}
+				continue
+			}
+			index[b.Name] = len(doc.Benchmarks)
+			doc.Benchmarks = append(doc.Benchmarks, b)
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -176,13 +195,25 @@ func derive(doc *Document) {
 	for _, b := range doc.Benchmarks {
 		byName[b.Name] = b
 	}
+	// Each derived ratio is next over base, as a percentage gain (`_pct`) or
+	// a multiple (`_x`). The multiples: the SIMD rung over the portable kernel
+	// it replaces; each fused shape that kept a SIMD body of its own over the
+	// single-source SIMD rung — ladder throughput counts source bytes per
+	// destination, so that ratio is the fused body's gain over composing
+	// single-source passes, which must stay ≥ 1.15× for the body to earn its
+	// keep; and the GF(2) repair-encode rung over the widest GF(2^8) rung at
+	// the same k (3.2× against the table-gather kernels; the SIMD rung closed
+	// most of that gap, and what is gated now is that XOR stays ahead).
 	ratios := [][3]string{
 		{"encode_batch_over_single_ref_pct", "BenchmarkEncodeBatch/single-ref", "BenchmarkEncodeBatch/batch"},
 		{"encode_pool_full_block_over_single_ref_pct", "BenchmarkEncodeBatch/single-ref", "BenchmarkEncodeBatch/pool-full-block"},
-		{"table_wide_over_scalar_k4096_pct", "BenchmarkMulAddLadder/table-scalar/k=4096", "BenchmarkMulAddLadder/table-wide/k=4096"},
-		{"fused4x2_over_scalar_k4096_pct", "BenchmarkMulAddLadder/table-scalar/k=4096", "BenchmarkMulAddLadder/fused4x2/k=4096"},
+		{"portable_wide_over_scalar_k4096_pct", "BenchmarkMulAddLadder/table-scalar/k=4096", "BenchmarkMulAddLadder/portable-wide/k=4096"},
 		{"decode_batched_over_progressive_pct", "BenchmarkDecodeLadder/progressive-scalar", "BenchmarkDecodeLadder/progressive-batched/b=8"},
 		{"decode_two_stage_over_progressive_pct", "BenchmarkDecodeLadder/progressive-scalar", "BenchmarkDecodeLadder/two-stage"},
+		{"avx2_over_portable_k4096_x", "BenchmarkMulAddLadder/portable-wide/k=4096", "BenchmarkMulAddLadder/avx2/k=4096"},
+		{"fused1x2_over_avx2_k4096_x", "BenchmarkMulAddLadder/avx2/k=4096", "BenchmarkMulAddLadder/fused1x2/k=4096"},
+		{"fused4x2_over_avx2_k4096_x", "BenchmarkMulAddLadder/avx2/k=4096", "BenchmarkMulAddLadder/fused4x2/k=4096"},
+		{"xor_repair_encode_over_fused4x2_k4096_x", "BenchmarkMulAddLadder/fused4x2/k=4096", "BenchmarkXorLadder/xor-repair-encode/k=4096"},
 	}
 	set := func(key string, v float64) {
 		if doc.Derived == nil {
@@ -196,25 +227,19 @@ func derive(doc *Document) {
 		if !okB || !okN || next.NsPerOp == 0 {
 			continue
 		}
-		var pct float64
+		// Throughput-based where available: fused rungs process more bytes
+		// per op, so ns/op alone would mislead.
+		mult := base.NsPerOp / next.NsPerOp
 		if base.MBPerS > 0 && next.MBPerS > 0 {
-			// Throughput-based where available: fused rungs process more
-			// bytes per op, so ns/op alone would mislead.
-			pct = (next.MBPerS/base.MBPerS - 1) * 100
-		} else {
-			pct = (base.NsPerOp/next.NsPerOp - 1) * 100
+			mult = next.MBPerS / base.MBPerS
 		}
-		set(r[0], pct)
+		if strings.HasSuffix(r[0], "_pct") {
+			set(r[0], (mult-1)*100)
+		} else {
+			set(r[0], mult)
+		}
 	}
 
-	// XOR fast-path headlines. The systematic-mode acceptance bar is a
-	// multiple, not a percentage: the GF(2) repair-encode rung must run at
-	// ≥ 3× the fused GF(2^8) rung at the same k.
-	if base, ok := byName["BenchmarkMulAddLadder/fused4x2/k=4096"]; ok && base.MBPerS > 0 {
-		if xor, ok := byName["BenchmarkXorLadder/xor-repair-encode/k=4096"]; ok && xor.MBPerS > 0 {
-			set("xor_repair_encode_over_fused4x2_k4096_x", xor.MBPerS/base.MBPerS)
-		}
-	}
 	// Blended systematic+XOR session recovery rates at simulated loss,
 	// surfaced as headline numbers beside the ratio they contextualize.
 	for key, name := range map[string]string{

@@ -19,8 +19,11 @@ goarch: amd64
 pkg: extremenc/internal/gf256
 cpu: Test CPU
 BenchmarkMulAddLadder/table-scalar/k=4096-8   1000   1000 ns/op   1000.00 MB/s
-BenchmarkMulAddLadder/fused4x2/k=4096-8       1000    500 ns/op   1700.00 MB/s
-BenchmarkXorLadder/xor-repair-encode/k=4096-8 1000    100 ns/op   5950.00 MB/s
+BenchmarkMulAddLadder/portable-wide/k=4096-8  1000    800 ns/op   1250.00 MB/s
+BenchmarkMulAddLadder/avx2/k=4096-8           1000     80 ns/op  12500.00 MB/s
+BenchmarkMulAddLadder/fused4x2/k=4096-8       1000    500 ns/op  17000.00 MB/s
+BenchmarkXorLadder/xor-repair-encode/k=4096-8 1000    100 ns/op  59500.00 MB/s
+BenchmarkMulAddLadder/avx2/k=4096-8           1000    160 ns/op   6250.00 MB/s
 garbage line that is not a benchmark
 BenchmarkBroken   not-a-number   10 ns/op
 `
@@ -36,18 +39,31 @@ func parseText(t *testing.T, text string) *Document {
 
 func TestParseAndDerive(t *testing.T) {
 	doc := parseText(t, benchText)
-	if len(doc.Benchmarks) != 3 {
-		t.Fatalf("parsed %d benchmarks, want 3", len(doc.Benchmarks))
+	if len(doc.Benchmarks) != 5 {
+		t.Fatalf("parsed %d benchmarks, want 5", len(doc.Benchmarks))
 	}
 	if doc.GOOS != "linux" || doc.CPU != "Test CPU" {
 		t.Fatalf("host fields: %q %q", doc.GOOS, doc.CPU)
+	}
+	// The repeated avx2 line is a slower rerun: the fastest run is kept.
+	if b := doc.Benchmarks[2]; b.Name != "BenchmarkMulAddLadder/avx2/k=4096" || b.NsPerOp != 80 {
+		t.Fatalf("repeated name did not keep its fastest run: %+v", b)
 	}
 	if doc.Benchmarks[0].Name != "BenchmarkMulAddLadder/table-scalar/k=4096" {
 		t.Fatalf("GOMAXPROCS suffix not stripped: %q", doc.Benchmarks[0].Name)
 	}
 	derive(doc)
-	if got := doc.Derived["fused4x2_over_scalar_k4096_pct"]; got < 69 || got > 71 {
-		t.Fatalf("fused4x2 pct = %v, want ~70", got)
+	if got := doc.Derived["portable_wide_over_scalar_k4096_pct"]; got < 24 || got > 26 {
+		t.Fatalf("portable-wide pct = %v, want ~25", got)
+	}
+	if got := doc.Derived["avx2_over_portable_k4096_x"]; got < 9.9 || got > 10.1 {
+		t.Fatalf("avx2 multiple = %v, want ~10", got)
+	}
+	if got := doc.Derived["fused4x2_over_avx2_k4096_x"]; got < 1.35 || got > 1.37 {
+		t.Fatalf("fused4x2 multiple = %v, want ~1.36", got)
+	}
+	if _, ok := doc.Derived["fused1x2_over_avx2_k4096_x"]; ok {
+		t.Fatal("fused1x2 multiple derived without its rung")
 	}
 	if got := doc.Derived["xor_repair_encode_over_fused4x2_k4096_x"]; got < 3.4 || got > 3.6 {
 		t.Fatalf("xor multiple = %v, want ~3.5", got)
@@ -106,7 +122,7 @@ func TestCheckGates(t *testing.T) {
 	derive(fresh)
 	committed := &Document{Derived: map[string]float64{
 		"xor_repair_encode_over_fused4x2_k4096_x": 3.2,
-		"fused4x2_over_scalar_k4096_pct":          65,
+		"portable_wide_over_scalar_k4096_pct":     22,
 		"xor_blended_loss_1pct_mb_s":              99999, // absolute: never gated
 	}}
 
@@ -153,7 +169,7 @@ func TestRunCheckMode(t *testing.T) {
 
 	// Degrade the fresh XOR rung 10×: the gate must fail even at a wide
 	// tolerance, and pass when the tolerance admits anything.
-	degraded := strings.Replace(benchText, "5950.00", "595.00", 1)
+	degraded := strings.Replace(benchText, "59500.00", "5950.00", 1)
 	err := run([]string{"-check", artifact, "-tolerance", "0.5"}, strings.NewReader(degraded), &bytes.Buffer{})
 	if err == nil || !strings.Contains(err.Error(), "derived-ratio gate failed") {
 		t.Fatalf("degraded run passed the gate: %v", err)

@@ -14,6 +14,7 @@ import (
 	"os"
 
 	"extremenc/internal/experiments"
+	"extremenc/internal/gf256"
 )
 
 func main() {
@@ -42,6 +43,8 @@ func run(args []string) error {
 	if *format != "table" && *format != "csv" {
 		return fmt.Errorf("unknown format %q", *format)
 	}
+	// On stderr, so table and CSV output stay machine-readable.
+	fmt.Fprintf(os.Stderr, "ncbench: host gf256 kernel: %s\n", gf256.Kernel())
 	if *fig != "all" {
 		runner, ok := experiments.Lookup(*fig)
 		if !ok {

@@ -52,6 +52,7 @@ import (
 	"time"
 
 	"extremenc/internal/faultnet"
+	"extremenc/internal/gf256"
 	"extremenc/internal/netio"
 	"extremenc/internal/obs"
 	"extremenc/internal/obs/trace"
@@ -258,8 +259,8 @@ func runServe(args []string) error {
 		go obs.LogEvery(ctx, os.Stderr, *logEvery, reg)
 	}
 
-	fmt.Printf("serving %d bytes as %d segments (n=%d, k=%d, mode=%s) on %s\n",
-		len(media), srv.Segments(), sf.n, sf.k, srv.Mode(), l.Addr())
+	fmt.Printf("serving %d bytes as %d segments (n=%d, k=%d, mode=%s, kernel=%s) on %s\n",
+		len(media), srv.Segments(), sf.n, sf.k, srv.Mode(), gf256.Kernel(), l.Addr())
 	err = srv.Serve(ctx, l)
 	if snap := srv.Snapshot(); ctx.Err() != nil || snap.Draining {
 		// Interrupted: the server already shut down — gracefully when a

@@ -16,9 +16,10 @@
 //     events from the chaos run
 //   - disabled-path cost: with tracing and the span sink off, Begin/End,
 //     Emit, and stage spans allocate nothing (testing.AllocsPerRun == 0)
-//   - overhead budget: the encode-batch/single-ref ratio stays within
-//     -benchtol of the committed BENCH_host.json derived value, so the
-//     tracing seams cannot silently tax the codec hot path
+//   - overhead budget: the batched encoder's speedup over the single-block
+//     reference stays within -benchtol of the committed BENCH_host.json
+//     derived value, so the tracing seams cannot silently tax the codec hot
+//     path
 //
 // On any gate failure the flight-recorder dump is written to -flight for
 // postmortem and upload as a CI artifact.
@@ -93,7 +94,7 @@ func run(args []string, stdout io.Writer) error {
 	out := fs.String("out", "", "write the breakdown + evidence JSON here")
 	flight := fs.String("flight", "flight-trace.json", "write the flight dump here on gate failure")
 	benchPath := fs.String("bench", "BENCH_host.json", "committed benchmark baseline for the overhead gate")
-	benchTol := fs.Float64("benchtol", 0.75, "relative tolerance on the encode-batch ratio")
+	benchTol := fs.Float64("benchtol", 0.35, "how far the encode-batch speedup multiple may fall below the committed one")
 	exq := fs.Float64("exq", 0.99, "exemplar capture quantile")
 	verbose := fs.Bool("v", false, "narrate the run")
 	if err := fs.Parse(args); err != nil {
@@ -421,10 +422,12 @@ func disabledPathAllocs() float64 {
 	})
 }
 
-// benchGate re-measures the encode-batch/single-ref time ratio at the
-// paper's streaming shape and compares it against the committed derived
-// value, with a wide relative tolerance (machines and race builds vary) —
-// the backstop ensuring the tracing seams never tax the codec hot path.
+// benchGate re-measures the batched encoder's speedup over the single-block
+// reference at the paper's streaming shape, in the units BENCH_host.json
+// commits (encode_batch_over_single_ref_pct), and fails when the multiple
+// falls more than tol below the committed one — cmd/benchjson's floor rule,
+// loose enough for other machines and race builds — the backstop ensuring
+// the tracing seams never tax the codec hot path.
 // Returns a failure message, or "" when the gate passes or no baseline file
 // is available to compare against.
 func benchGate(path string, tol float64, stdout io.Writer) string {
@@ -480,12 +483,16 @@ func benchGate(path string, tol float64, stdout io.Writer) string {
 	if single.NsPerOp() <= 0 {
 		return "bench gate: degenerate single-ref measurement"
 	}
-	pct := 100 * float64(batched.NsPerOp()) / float64(single.NsPerOp())
-	lo, hi := ref*(1-tol), ref*(1+tol)
-	fmt.Fprintf(stdout, "bench gate: encode batch/single = %.1f%% (committed %.1f%%, accept %.1f–%.1f%%)\n",
-		pct, ref, lo, hi)
-	if pct < lo || pct > hi {
-		return fmt.Sprintf("encode batch/single ratio %.1f%% outside %.1f–%.1f%% (committed %.1f%%)", pct, lo, hi, ref)
+	if batched.NsPerOp() <= 0 {
+		return "bench gate: degenerate batch measurement"
+	}
+	mult := float64(single.NsPerOp()) / float64(batched.NsPerOp())
+	floor := (1 + ref/100) * (1 - tol)
+	fmt.Fprintf(stdout, "bench gate: encode batch over single-ref = %+.1f%% (committed %+.1f%%, floor %+.1f%%)\n",
+		(mult-1)*100, ref, (floor-1)*100)
+	if mult < floor {
+		return fmt.Sprintf("encode batch over single-ref %+.1f%% below floor %+.1f%% (committed %+.1f%%)",
+			(mult-1)*100, (floor-1)*100, ref)
 	}
 	return ""
 }

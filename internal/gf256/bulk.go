@@ -5,53 +5,50 @@ import "encoding/binary"
 // Bulk row operations. These are the host codec's hot path: every encode,
 // recode and Gauss–Jordan row operation reduces to dst ⊕= c·src over k-byte
 // rows. Mirroring the paper's TB-0…5 ladder (Sec. 4.2), the package keeps a
-// measured progression of kernels:
+// measured progression of kernels, and BenchmarkMulAddLadder runs every rung:
 //
-//   - a loop-based, bit-sliced form that processes 8 byte-lanes per uint64
-//     (the SSE2/AltiVec analogue from the authors' IWQoS'07 work),
-//   - a scalar table-row form that indexes the 256-entry product row of the
-//     coefficient one byte at a time (kept as the ladder baseline),
-//   - a wide table-row form that gathers 8 products per 64-bit destination
-//     word, so each dst word is loaded and stored exactly once, and
-//   - fused 2- and 4-source kernels (MulAddSlice2 / MulAddSlice4) that apply
-//     several coefficient·source pairs per destination pass — the host
-//     analogue of the paper's register-blocked accumulation.
+//   - the scalar reference (one table lookup and one dst read-modify-write
+//     per byte; lives in the tests),
+//   - the portable wide-word kernels in this file, which gather 8 table
+//     products per 64-bit destination word — the fallback on hosts without a
+//     SIMD rung and the oracle the SIMD rung is tested against, and
+//   - the SIMD rung (kernels_amd64.s): AVX2 split-nibble VPSHUFB kernels, 32
+//     products per instruction — the analogue of the paper's SSE2 CPU codec.
 //
-// MulAddSlice picks a strategy by row length; BenchmarkMulAddLadder
-// exercises every rung directly.
+// Every entry point below runs the SIMD kernel over the whole 32-byte steps
+// of a row and the portable kernel over what is left (all of it when the host
+// has no SIMD rung), so output is byte-identical on every host. Kernel names
+// the rung in use.
+//
+// Contracts shared by all entry points: any length and any alignment; a
+// source longer than the destination panics before any byte is written; a
+// source may be the very same row as a destination (dst == src means
+// dst ^= c·dst per byte) but rows may not partially overlap.
 
-const (
-	loMask  = 0x7f7f7f7f7f7f7f7f
-	hiMask  = 0x8080808080808080
-	polyRed = 0x1b // Poly's low byte, the per-lane reduction constant
-
-	// tableRowThreshold is the row length above which loading the 256-entry
-	// product row beats bit-sliced math. Recalibrated with
-	// BenchmarkMulAddLadder after the table path went wide-word: the wide
-	// gather amortizes the row-load cost much earlier than the old scalar
-	// path did (the previous threshold was 64).
-	tableRowThreshold = 16
-)
-
-// xtimes8 multiplies each of the 8 byte-lanes of v by x (i.e. by 0x02) in
-// Rijndael's field.
-func xtimes8(v uint64) uint64 {
-	hi := v & hiMask
-	return ((v &^ hiMask) << 1) ^ ((hi >> 7) * polyRed)
+// Kernel names the widest kernel rung this process dispatches to: "avx2" or
+// "portable". It is fixed at package init from the CPU and the build (see
+// kernels_amd64.go); nothing configures it.
+func Kernel() string {
+	if useAVX2 {
+		return "avx2"
+	}
+	return "portable"
 }
 
-// mulLanes multiplies each byte-lane of v by the scalar coefficient c using
-// the loop-based algorithm: at most 8 shift/test/xor iterations.
-func mulLanes(v uint64, c byte) uint64 {
-	var acc uint64
-	for c != 0 {
-		if c&1 != 0 {
-			acc ^= v
-		}
-		c >>= 1
-		v = xtimes8(v)
+// sameRow reports whether a and b start at the same byte, which under the
+// no-partial-overlap contract means they are the same row.
+func sameRow(a, b []byte) bool {
+	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
+}
+
+// vecLen is the prefix of an n-byte row the SIMD kernels take: its whole
+// 32-byte steps, or nothing on a host without a SIMD rung. The portable code
+// finishes the rest, so rows shorter than one step never leave it.
+func vecLen(n int) int {
+	if !useAVX2 {
+		return 0
 	}
-	return acc
+	return n &^ 31
 }
 
 // AddSlice computes dst[i] ^= src[i] for every i. len(src) must not exceed
@@ -63,11 +60,19 @@ func AddSlice(dst, src []byte) {
 }
 
 // XorSlice computes dst[i] ^= src[i] for every i — the pure GF(2) row
-// operation of the systematic/XOR fast path. It needs no log/exp or product
-// tables: four 64-bit words per iteration, with 8-byte and scalar tails.
-// len(src) must not exceed len(dst); rows may not partially alias (identical
-// slices are fine and zero the row).
+// operation of the systematic/XOR fast path; it needs no log/exp or product
+// tables. len(src) must not exceed len(dst); rows may not partially alias
+// (identical slices are fine and zero the row).
 func XorSlice(dst, src []byte) {
+	dst = dst[:len(src)] // a longer src panics here, before any write
+	if done := xorVec(dst, src); done < len(src) {
+		xorPortable(dst[done:], src[done:])
+	}
+}
+
+// xorPortable is the wide-word XOR kernel over equal-length rows: four 64-bit
+// words per iteration, with 8-byte and scalar tails.
+func xorPortable(dst, src []byte) {
 	n := len(src)
 	dst = dst[:n] // equal lengths: the first in-loop bounds check proves away the rest
 	i := 0
@@ -93,11 +98,21 @@ func XorSlice(dst, src []byte) {
 
 // XorSlice4 computes dst[i] ^= s1[i] ^ s2[i] ^ s3[i] ^ s4[i] in a single
 // destination pass: the GF(2) analogue of MulAddSlice4, four sources per dst
-// word load/store, 16 bytes per iteration. It is the inner kernel of the
-// XOR-repair encoder, where a bitmask coefficient vector selects source
-// blocks to fold together. The kernel runs over len(dst) bytes; all sources
-// must be at least that long. Sources may not partially alias dst.
+// load/store. It is the inner kernel of the XOR-repair encoder, where a
+// bitmask coefficient vector selects source blocks to fold together. The
+// kernel runs over len(dst) bytes; all sources must be at least that long.
+// Sources may not partially alias dst.
 func XorSlice4(dst, s1, s2, s3, s4 []byte) {
+	n := len(dst)
+	s1, s2, s3, s4 = s1[:n], s2[:n], s3[:n], s4[:n]
+	if done := xor4Vec(dst, s1, s2, s3, s4); done < n {
+		xor4Portable(dst[done:], s1[done:], s2[done:], s3[done:], s4[done:])
+	}
+}
+
+// xor4Portable is the wide-word four-source XOR kernel, 16 bytes per
+// iteration.
+func xor4Portable(dst, s1, s2, s3, s4 []byte) {
 	n := len(dst)
 	s1 = s1[:n] // equal lengths: the first in-loop bounds check
 	s2 = s2[:n] // proves away the rest
@@ -129,67 +144,27 @@ func XorSlice4(dst, s1, s2, s3, s4 []byte) {
 }
 
 // MulAddSlice computes dst[i] ^= c·src[i] — the fundamental network-coding
-// row operation. It dispatches on row length between the bit-sliced and
-// table-row strategies.
+// row operation.
 func MulAddSlice(dst, src []byte, c byte) {
 	switch c {
 	case 0:
 		return
 	case 1:
-		AddSlice(dst, src)
+		XorSlice(dst, src)
 		return
 	}
-	if len(src) >= tableRowThreshold {
-		mulAddTable(dst, src, c)
-		return
-	}
-	mulAddBitSliced(dst, src, c)
-}
-
-// MulAddSliceLoop is the always-bit-sliced variant, exported for ablation
-// benchmarks and for tests that pin the strategy.
-func MulAddSliceLoop(dst, src []byte, c byte) {
-	switch c {
-	case 0:
-		return
-	case 1:
-		AddSlice(dst, src)
-		return
-	}
-	mulAddBitSliced(dst, src, c)
-}
-
-// MulAddSliceTable is the always-table-row variant.
-func MulAddSliceTable(dst, src []byte, c byte) {
-	switch c {
-	case 0:
-		return
-	case 1:
-		AddSlice(dst, src)
-		return
-	}
-	mulAddTable(dst, src, c)
-}
-
-func mulAddBitSliced(dst, src []byte, c byte) {
-	n := len(src)
-	dst = dst[:n] // one length for every operand: the first in-loop bounds
-	i := 0        // check proves the rest away
-	for ; i+8 <= n; i += 8 {
-		s := binary.LittleEndian.Uint64(src[i:])
-		d := binary.LittleEndian.Uint64(dst[i:])
-		binary.LittleEndian.PutUint64(dst[i:], d^mulLanes(s, c))
-	}
-	for ; i < n; i++ {
-		dst[i] ^= mulSlow(src[i], c)
+	dst = dst[:len(src)] // a longer src panics here, before any write
+	if done := mulAddVec(dst, src, c); done < len(src) {
+		mulAddPortable(dst[done:], src[done:], c)
 	}
 }
 
-// mulAddTable gathers 8 table products per 64-bit word: one src load, eight
+// mulAddPortable gathers 8 table products per 64-bit word: one src load, eight
 // row lookups, one dst load and one dst store per 8 bytes. Compared to the
-// scalar rung it eliminates seven of every eight dst read-modify-writes and
-// their bounds checks.
-func mulAddTable(dst, src []byte, c byte) {
+// scalar reference it eliminates seven of every eight dst read-modify-writes
+// and their bounds checks. (A bit-sliced kernel used to take rows under 16
+// bytes; re-measured against a warm table it loses at every length.)
+func mulAddPortable(dst, src []byte, c byte) {
 	row := &_tables.mul[c]
 	n := len(src)
 	dst = dst[:n] // equal lengths let one bounds check dominate the loop body
@@ -233,38 +208,41 @@ func mulAddTable(dst, src []byte, c byte) {
 	}
 }
 
-// mulAddTableScalar is the pre-wide-word rung — one dst read-modify-write
-// per table lookup. Kept so BenchmarkMulAddLadder can measure the wide
-// gather against the exact kernel it replaced.
-func mulAddTableScalar(dst, src []byte, c byte) {
-	row := &_tables.mul[c]
-	n := len(src)
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		dst[i] ^= row[src[i]]
-		dst[i+1] ^= row[src[i+1]]
-		dst[i+2] ^= row[src[i+2]]
-		dst[i+3] ^= row[src[i+3]]
-	}
-	for ; i < n; i++ {
-		dst[i] ^= row[src[i]]
-	}
-}
-
-// MulAddSlice2 computes dst[i] ^= c1·src1[i] ^ c2·src2[i] in a single pass:
-// each destination word is loaded and stored once for both sources. The
-// kernel runs over len(dst) bytes; both sources must be at least that long.
-// Zero coefficients degrade to the single-source kernel; coefficient 1 flows
-// through the table's identity row unchanged.
+// MulAddSlice2 computes dst[i] ^= c1·src1[i] ^ c2·src2[i]. The kernel runs
+// over len(dst) bytes; both sources must be at least that long. Zero
+// coefficients degrade to the single-source kernel.
+//
+// On the SIMD rung this is two single-source passes. Fusing sources into one
+// destination saves only destination loads and stores — every source still
+// pays its own nibble split, shuffles and XORs, which is what the vector
+// units run out of — and a fused two-source body measured 1.12× (a
+// four-source one 1.16×) over the passes at k=4096, under the 1.15× a fused
+// body has to show to be kept. A source that is dst itself must be read
+// before dst changes, so that case (and rows under one SIMD step) takes the
+// portable kernel, which reads every source byte before each store.
 func MulAddSlice2(dst, src1, src2 []byte, c1, c2 byte) {
+	n := len(dst)
+	src1, src2 = src1[:n], src2[:n]
 	if c1 == 0 {
-		MulAddSlice(dst, src2[:len(dst)], c2)
+		MulAddSlice(dst, src2, c2)
 		return
 	}
 	if c2 == 0 {
-		MulAddSlice(dst, src1[:len(dst)], c1)
+		MulAddSlice(dst, src1, c1)
 		return
 	}
+	if vecLen(n) == 0 || sameRow(dst, src1) || sameRow(dst, src2) {
+		mulAdd2Portable(dst, src1, src2, c1, c2)
+		return
+	}
+	MulAddSlice(dst, src1, c1)
+	MulAddSlice(dst, src2, c2)
+}
+
+// mulAdd2Portable is the wide-word two-source kernel: each destination word
+// is loaded and stored once for both sources. Coefficient 1 flows through the
+// table's identity row unchanged.
+func mulAdd2Portable(dst, src1, src2 []byte, c1, c2 byte) {
 	r1 := &_tables.mul[c1]
 	r2 := &_tables.mul[c2]
 	n := len(dst)
@@ -289,12 +267,29 @@ func MulAddSlice2(dst, src1, src2 []byte, c1, c2 byte) {
 	}
 }
 
-// MulAddSlice4 computes dst[i] ^= c1·s1[i] ^ c2·s2[i] ^ c3·s3[i] ^ c4·s4[i]
-// in a single destination pass — four coefficient·source pairs per dst word
-// load/store. It is the innermost kernel of the tiled batch encoder. Zero
-// coefficients degrade to narrower kernels.
+// MulAddSlice4 computes dst[i] ^= c1·s1[i] ^ c2·s2[i] ^ c3·s3[i] ^ c4·s4[i].
+// The kernel runs over len(dst) bytes; all sources must be at least that
+// long. Zero coefficients are skipped. Like MulAddSlice2 it is single-source
+// passes on the SIMD rung, and the portable kernel for sources that are dst
+// itself and for rows under one SIMD step.
 func MulAddSlice4(dst, s1, s2, s3, s4 []byte, c1, c2, c3, c4 byte) {
-	// Compact out zero coefficients so the wide loop runs branch-free.
+	n := len(dst)
+	s1, s2, s3, s4 = s1[:n], s2[:n], s3[:n], s4[:n]
+	if vecLen(n) == 0 || sameRow(dst, s1) || sameRow(dst, s2) || sameRow(dst, s3) || sameRow(dst, s4) {
+		mulAdd4Portable(dst, s1, s2, s3, s4, c1, c2, c3, c4)
+		return
+	}
+	MulAddSlice(dst, s1, c1)
+	MulAddSlice(dst, s2, c2)
+	MulAddSlice(dst, s3, c3)
+	MulAddSlice(dst, s4, c4)
+}
+
+// mulAdd4Portable is the wide-word four-source kernel: four coefficient·source
+// pairs per dst word load/store. One or two live coefficients drop to the
+// narrower kernels; three run the four-wide loop with the dead source on the
+// table's zero row, so every source byte is still read before each store.
+func mulAdd4Portable(dst, s1, s2, s3, s4 []byte, c1, c2, c3, c4 byte) {
 	if c1 == 0 || c2 == 0 || c3 == 0 || c4 == 0 {
 		srcs := [4][]byte{s1, s2, s3, s4}
 		cs := [4]byte{c1, c2, c3, c4}
@@ -307,15 +302,14 @@ func MulAddSlice4(dst, s1, s2, s3, s4 []byte, c1, c2, c3, c4 byte) {
 		}
 		switch live {
 		case 0:
+			return
 		case 1:
-			MulAddSlice(dst, srcs[0][:len(dst)], cs[0])
+			MulAddSlice(dst, srcs[0], cs[0])
+			return
 		case 2:
 			MulAddSlice2(dst, srcs[0], srcs[1], cs[0], cs[1])
-		case 3:
-			MulAddSlice2(dst, srcs[0], srcs[1], cs[0], cs[1])
-			MulAddSlice(dst, srcs[2][:len(dst)], cs[2])
+			return
 		}
-		return
 	}
 	r1 := &_tables.mul[c1]
 	r2 := &_tables.mul[c2]
@@ -380,11 +374,11 @@ func MulAddSlice4(dst, s1, s2, s3, s4 []byte, c1, c2, c3, c4 byte) {
 //	d1[i] ^= c1·src[i]
 //	d2[i] ^= c2·src[i]
 //
-// Each source word is loaded and byte-extracted once for both destinations —
-// the shape of Gauss–Jordan elimination, where one pivot row is eliminated
-// out of many rows with per-row factors. Both destinations must be the same
-// length; src must be at least that long. A zero coefficient drops to the
-// single-destination kernel.
+// Each source word is loaded and split (into nibbles on the SIMD rung, bytes
+// on the portable one) once for both destinations — the shape of Gauss–Jordan
+// elimination, where one pivot row is eliminated out of many rows with
+// per-row factors. Both destinations must be the same length; src must be at
+// least that long. A zero coefficient drops to the single-destination kernel.
 func MulAddSlice1x2(d1, d2, src []byte, c1, c2 byte) {
 	if c1 == 0 {
 		MulAddSlice(d2, src[:len(d2)], c2)
@@ -394,6 +388,15 @@ func MulAddSlice1x2(d1, d2, src []byte, c1, c2 byte) {
 		MulAddSlice(d1, src[:len(d1)], c1)
 		return
 	}
+	n := len(d1)
+	d2, src = d2[:n], src[:n]
+	if done := mulAdd1x2Vec(d1, d2, src, c1, c2); done < n {
+		mulAdd1x2Portable(d1[done:], d2[done:], src[done:], c1, c2)
+	}
+}
+
+// mulAdd1x2Portable is the wide-word one-source, two-destination kernel.
+func mulAdd1x2Portable(d1, d2, src []byte, c1, c2 byte) {
 	r1 := &_tables.mul[c1]
 	r2 := &_tables.mul[c2]
 	n := len(d1)
@@ -441,19 +444,37 @@ func MulAddSlice1x2(d1, d2, src []byte, c1, c2 byte) {
 //	d1[i] ^= ca[0]·s1[i] ^ ca[1]·s2[i] ^ ca[2]·s3[i] ^ ca[3]·s4[i]
 //	d2[i] ^= cb[0]·s1[i] ^ cb[1]·s2[i] ^ cb[2]·s3[i] ^ cb[3]·s4[i]
 //
-// This is the widest rung of the ladder: the four source words and the 32
-// extracted source bytes are loaded and shifted once, then feed both
-// destinations' table lookups — the per-byte extraction cost is halved
-// relative to two MulAddSlice4 passes. Both destinations must be the same
-// length; sources must be at least that long. Any zero coefficient drops to
-// the narrower kernels, which compact zeros out.
+// This is the widest rung of the ladder and the inner kernel of the tiled
+// batch encoder: every source is split once for both destinations. Both
+// destinations must be the same length; sources must be at least that long.
+// Any zero coefficient drops to MulAddSlice4, which skips zeros. The SIMD
+// body is two 2-source passes, so a source that is also a destination takes
+// the portable kernel, which reads every source byte before each store.
 func MulAddSlice4x2(d1, d2, s1, s2, s3, s4 []byte, ca, cb [4]byte) {
+	n := len(d1)
+	d2, s1, s2, s3, s4 = d2[:n], s1[:n], s2[:n], s3[:n], s4[:n]
+	for _, s := range [4][]byte{s1, s2, s3, s4} {
+		if sameRow(d1, s) || sameRow(d2, s) {
+			mulAdd4x2Portable(d1, d2, s1, s2, s3, s4, ca, cb)
+			return
+		}
+	}
 	if ca[0] == 0 || ca[1] == 0 || ca[2] == 0 || ca[3] == 0 ||
 		cb[0] == 0 || cb[1] == 0 || cb[2] == 0 || cb[3] == 0 {
 		MulAddSlice4(d1, s1, s2, s3, s4, ca[0], ca[1], ca[2], ca[3])
 		MulAddSlice4(d2, s1, s2, s3, s4, cb[0], cb[1], cb[2], cb[3])
 		return
 	}
+	if done := mulAdd4x2Vec(d1, d2, s1, s2, s3, s4, ca, cb); done < n {
+		mulAdd4x2Portable(d1[done:], d2[done:], s1[done:], s2[done:], s3[done:], s4[done:], ca, cb)
+	}
+}
+
+// mulAdd4x2Portable is the wide-word four-source, two-destination kernel: the
+// four source words and the 32 extracted source bytes are loaded and shifted
+// once, then feed both destinations' table lookups. Zero coefficients flow
+// through the table's zero row.
+func mulAdd4x2Portable(d1, d2, s1, s2, s3, s4 []byte, ca, cb [4]byte) {
 	ra1 := &_tables.mul[ca[0]]
 	ra2 := &_tables.mul[ca[1]]
 	ra3 := &_tables.mul[ca[2]]
@@ -573,19 +594,21 @@ func MulAddSlice4x2(d1, d2, s1, s2, s3, s4 []byte, ca, cb [4]byte) {
 	}
 }
 
-// MulSlice computes dst[i] = c·src[i] (no accumulation).
+// MulSlice computes dst[i] = c·src[i] (no accumulation). dst may be src.
 func MulSlice(dst, src []byte, c byte) {
+	dst = dst[:len(src)] // a longer src panics here, before any write
 	if c == 0 {
-		clear(dst[:len(src)])
+		clear(dst)
 		return
 	}
 	if c == 1 {
 		copy(dst, src)
 		return
 	}
+	done := mulVec(dst, src, c)
 	row := &_tables.mul[c]
-	for i, v := range src {
-		dst[i] = row[v]
+	for i, v := range src[done:] {
+		dst[done+i] = row[v]
 	}
 }
 
@@ -597,8 +620,8 @@ func ScaleSlice(dst []byte, c byte) {
 // DotProduct returns the GF(2^8) inner product of coefficient vector coeffs
 // with the byte columns of rows: out[j] = Σ_i coeffs[i]·rows[i][j].
 // All rows must be at least len(out) long. out is overwritten. Rows are
-// consumed four at a time through the fused kernel so each out word is
-// loaded/stored once per quadruple instead of once per row.
+// consumed four at a time through MulAddSlice4, which the portable rung fuses
+// into one out load/store per quadruple.
 func DotProduct(out []byte, coeffs []byte, rows [][]byte) {
 	clear(out)
 	w := len(out)

@@ -6,69 +6,227 @@ import (
 	"testing"
 )
 
-// Differential coverage for the wide-word kernels: every new path is pinned
-// against the mulSlow reference over lengths 0–257 so both the 8-byte main
-// loops and every odd tail shape are exercised.
+// Differential coverage for the bulk kernels. Every entry point is pinned
+// three ways: against a byte-at-a-time mulSlow reference, against its portable
+// wide-word kernel called directly, and — through the entry point itself —
+// against whatever rung Kernel() dispatches to. Lengths 0–257 plus
+// 4095/4096/4097 exercise every SIMD step count and every odd tail; rows start
+// at offsets 0–31 from their allocation so no kernel can lean on alignment.
 
-func TestMulAddTableWideMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	coeffs := []byte{2, 3, 0x53, 0x80, 0xA7, 0xFF}
+// kernelLengths is the row-length sweep of the differential tests.
+func kernelLengths() []int {
+	ls := make([]int, 0, 261)
 	for n := 0; n <= 257; n++ {
-		src := randomBytes(rng, n)
-		base := randomBytes(rng, n)
-		for _, c := range coeffs {
-			want := append([]byte(nil), base...)
-			for i := range want {
-				want[i] ^= mulSlow(src[i], c)
-			}
-			got := append([]byte(nil), base...)
-			mulAddTable(got, src, c)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("mulAddTable len %d c %#x mismatch at %d: got %#x want %#x",
-						n, c, i, got[i], want[i])
-				}
-			}
-			// The scalar rung must stay equivalent (it anchors the ladder).
-			scalar := append([]byte(nil), base...)
-			mulAddTableScalar(scalar, src, c)
-			for i := range want {
-				if scalar[i] != want[i] {
-					t.Fatalf("mulAddTableScalar len %d c %#x mismatch at %d", n, c, i)
-				}
+		ls = append(ls, n)
+	}
+	return append(ls, 4095, 4096, 4097)
+}
+
+// offsetRow returns n random bytes that start off bytes into a fresh
+// allocation, with capacity clipped so an overrun faults instead of landing in
+// slack.
+func offsetRow(rng *rand.Rand, n, off int) []byte {
+	buf := make([]byte, off+n)
+	rng.Read(buf)
+	return buf[off : off+n : off+n]
+}
+
+// offsetCopy is offsetRow with the bytes of row instead of random ones.
+func offsetCopy(row []byte, off int) []byte {
+	buf := make([]byte, off+len(row))
+	copy(buf[off:], row)
+	return buf[off : off+len(row) : off+len(row)]
+}
+
+// mulAddTableScalar is the scalar reference rung — one dst read-modify-write
+// per table lookup — that BenchmarkMulAddLadder measures the wide and SIMD
+// kernels against.
+func mulAddTableScalar(dst, src []byte, c byte) {
+	row := &_tables.mul[c]
+	n := len(src)
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		dst[i] ^= row[src[i]]
+		dst[i+1] ^= row[src[i+1]]
+		dst[i+2] ^= row[src[i+2]]
+		dst[i+3] ^= row[src[i+3]]
+	}
+	for ; i < n; i++ {
+		dst[i] ^= row[src[i]]
+	}
+}
+
+// kernelShape describes one multiply-accumulate entry point: nd destinations
+// each accumulating ns coefficient·source products, with the coefficient of
+// source j into destination i at c[i*ns+j]. entry is the exported entry point
+// (whatever rung it dispatches to) and portable the wide-word kernel under it.
+// The entry points run over the destination length and accept longer sources;
+// the portable kernels take equal-length rows. The XOR shapes take no
+// coefficients: the harness checks them as all-ones whatever it is handed.
+type kernelShape struct {
+	name     string
+	nd, ns   int
+	entry    func(d, s [][]byte, c []byte)
+	portable func(d, s [][]byte, c []byte)
+	xor      bool
+}
+
+var (
+	shapeMulAdd = kernelShape{"MulAddSlice", 1, 1,
+		func(d, s [][]byte, c []byte) { MulAddSlice(d[0], s[0][:len(d[0])], c[0]) },
+		func(d, s [][]byte, c []byte) { mulAddPortable(d[0], s[0], c[0]) }, false}
+	shapeMulAdd2 = kernelShape{"MulAddSlice2", 1, 2,
+		func(d, s [][]byte, c []byte) { MulAddSlice2(d[0], s[0], s[1], c[0], c[1]) },
+		func(d, s [][]byte, c []byte) { mulAdd2Portable(d[0], s[0], s[1], c[0], c[1]) }, false}
+	shapeMulAdd4 = kernelShape{"MulAddSlice4", 1, 4,
+		func(d, s [][]byte, c []byte) { MulAddSlice4(d[0], s[0], s[1], s[2], s[3], c[0], c[1], c[2], c[3]) },
+		func(d, s [][]byte, c []byte) { mulAdd4Portable(d[0], s[0], s[1], s[2], s[3], c[0], c[1], c[2], c[3]) }, false}
+	shapeMulAdd1x2 = kernelShape{"MulAddSlice1x2", 2, 1,
+		func(d, s [][]byte, c []byte) { MulAddSlice1x2(d[0], d[1], s[0], c[0], c[1]) },
+		func(d, s [][]byte, c []byte) { mulAdd1x2Portable(d[0], d[1], s[0], c[0], c[1]) }, false}
+	shapeMulAdd4x2 = kernelShape{"MulAddSlice4x2", 2, 4,
+		func(d, s [][]byte, c []byte) {
+			MulAddSlice4x2(d[0], d[1], s[0], s[1], s[2], s[3], [4]byte(c[:4]), [4]byte(c[4:]))
+		},
+		func(d, s [][]byte, c []byte) {
+			mulAdd4x2Portable(d[0], d[1], s[0], s[1], s[2], s[3], [4]byte(c[:4]), [4]byte(c[4:]))
+		}, false}
+	shapeXor = kernelShape{"XorSlice", 1, 1,
+		func(d, s [][]byte, c []byte) { XorSlice(d[0], s[0][:len(d[0])]) },
+		func(d, s [][]byte, c []byte) { xorPortable(d[0], s[0]) }, true}
+	shapeXor4 = kernelShape{"XorSlice4", 1, 4,
+		func(d, s [][]byte, c []byte) { XorSlice4(d[0], s[0], s[1], s[2], s[3]) },
+		func(d, s [][]byte, c []byte) { xor4Portable(d[0], s[0], s[1], s[2], s[3]) }, true}
+
+	allShapes = []kernelShape{shapeMulAdd, shapeMulAdd2, shapeMulAdd4, shapeMulAdd1x2, shapeMulAdd4x2, shapeXor, shapeXor4}
+)
+
+// ones is the coefficient vector of the XOR shapes.
+var ones = []byte{1, 1, 1, 1}
+
+func cloneRows(rows [][]byte) [][]byte {
+	out := make([][]byte, len(rows))
+	for i, r := range rows {
+		out[i] = append([]byte(nil), r...)
+	}
+	return out
+}
+
+// checkRows runs the shape's entry point and its portable kernel over the
+// given rows and compares both with the mulSlow reference. A source may be
+// the same slice as a destination: the reference then reads the destination's
+// original bytes, the per-byte meaning of an aliased call.
+func (k kernelShape) checkRows(t *testing.T, d, s [][]byte, c []byte) {
+	t.Helper()
+	if k.xor {
+		c = ones
+	}
+	n := len(d[0])
+	want := cloneRows(d)
+	for i := range want {
+		for b := 0; b < n; b++ {
+			for j := range s {
+				want[i][b] ^= mulSlow(s[j][b], c[i*k.ns+j])
 			}
 		}
 	}
+	srcCopy := cloneRows(s)
+
+	// The portable kernel works on equal-length copies that reproduce the
+	// aliasing.
+	pd := cloneRows(d)
+	ps := make([][]byte, len(s))
+	for j := range s {
+		ps[j] = srcCopy[j][:n]
+		for i := range d {
+			if sameRow(s[j], d[i]) {
+				ps[j] = pd[i]
+			}
+		}
+	}
+	k.portable(pd, ps, c)
+	k.entry(d, s, c)
+
+	for i := range want {
+		for b := 0; b < n; b++ {
+			if d[i][b] != want[i][b] {
+				t.Fatalf("%s (%s) len %d c=%#x: dst %d byte %d = %#x, want %#x",
+					k.name, Kernel(), n, c, i, b, d[i][b], want[i][b])
+			}
+			if pd[i][b] != want[i][b] {
+				t.Fatalf("%s (portable) len %d c=%#x: dst %d byte %d = %#x, want %#x",
+					k.name, n, c, i, b, pd[i][b], want[i][b])
+			}
+		}
+	}
+	for j := range s {
+		aliased := false
+		for i := range d {
+			aliased = aliased || sameRow(s[j], d[i])
+		}
+		if !aliased && string(s[j]) != string(srcCopy[j]) {
+			t.Fatalf("%s len %d: source %d was written", k.name, n, j)
+		}
+	}
+}
+
+// check builds fresh rows of n bytes at random offsets 0–31 from their
+// allocations — sources srcExtra bytes longer than the destinations — and
+// runs checkRows. alias[j] ≥ 0 makes source j the very same row as
+// destination alias[j].
+func (k kernelShape) check(t *testing.T, rng *rand.Rand, n, srcExtra int, c []byte, alias []int) {
+	t.Helper()
+	d := make([][]byte, k.nd)
+	for i := range d {
+		d[i] = offsetRow(rng, n, rng.Intn(32))
+	}
+	s := make([][]byte, k.ns)
+	for j := range s {
+		if alias != nil && alias[j] >= 0 {
+			s[j] = d[alias[j]]
+			continue
+		}
+		s[j] = offsetRow(rng, n+srcExtra, rng.Intn(32))
+	}
+	k.checkRows(t, d, s, c)
+}
+
+// sweep checks every length in kernelLengths against every coefficient set,
+// alternating between sources exactly as long as the destination and longer.
+func (k kernelShape) sweep(t *testing.T, seed int64, coeffSets [][]byte) {
+	rng := rand.New(rand.NewSource(seed))
+	for _, n := range kernelLengths() {
+		for i, c := range coeffSets {
+			k.check(t, rng, n, (n+i)%2*5, c, nil)
+		}
+	}
+}
+
+func TestMulAddSliceEveryCoefficient(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, n := range kernelLengths() {
+		for c := 0; c < 256; c++ {
+			shapeMulAdd.check(t, rng, n, 0, []byte{byte(c)}, nil)
+		}
+	}
+}
+
+// TestMulAddTableWideMatchesReference pins the portable wide-word kernel, and
+// the scalar rung that anchors the ladder, against mulSlow.
+func TestMulAddTableWideMatchesReference(t *testing.T) {
+	shapeMulAdd.sweep(t, 10, [][]byte{{2}, {3}, {0x53}, {0x80}, {0xA7}, {0xFF}})
+	scalar := kernelShape{"mulAddTableScalar", 1, 1,
+		func(d, s [][]byte, c []byte) { mulAddTableScalar(d[0], s[0][:len(d[0])], c[0]) },
+		shapeMulAdd.portable, false}
+	scalar.sweep(t, 10, [][]byte{{2}, {0xA7}, {0xFF}})
 }
 
 func TestMulAddSlice2MatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	coeffPairs := [][2]byte{{2, 3}, {0, 0x57}, {0x57, 0}, {1, 0xFF}, {0xA7, 0x1D}, {0, 0}}
-	for n := 0; n <= 257; n++ {
-		s1 := randomBytes(rng, n)
-		s2 := randomBytes(rng, n)
-		base := randomBytes(rng, n)
-		for _, cp := range coeffPairs {
-			c1, c2 := cp[0], cp[1]
-			want := append([]byte(nil), base...)
-			for i := range want {
-				want[i] ^= mulSlow(s1[i], c1) ^ mulSlow(s2[i], c2)
-			}
-			got := append([]byte(nil), base...)
-			MulAddSlice2(got, s1, s2, c1, c2)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("MulAddSlice2 len %d c=(%#x,%#x) mismatch at %d: got %#x want %#x",
-						n, c1, c2, i, got[i], want[i])
-				}
-			}
-		}
-	}
+	shapeMulAdd2.sweep(t, 11, [][]byte{{2, 3}, {0, 0x57}, {0x57, 0}, {1, 0xFF}, {0xA7, 0x1D}, {0, 0}})
 }
 
 func TestMulAddSlice4MatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	coeffSets := [][4]byte{
+	shapeMulAdd4.sweep(t, 12, [][]byte{
 		{2, 3, 4, 5},
 		{0, 1, 0xFF, 0x80},
 		{0x57, 0, 0, 0x13},
@@ -76,140 +234,143 @@ func TestMulAddSlice4MatchesReference(t *testing.T) {
 		{1, 1, 1, 1},
 		{0xA7, 0x1D, 0x53, 0xCA},
 		{0, 0, 0, 0x29},
-	}
-	for n := 0; n <= 257; n++ {
-		s1 := randomBytes(rng, n)
-		s2 := randomBytes(rng, n)
-		s3 := randomBytes(rng, n)
-		s4 := randomBytes(rng, n)
-		base := randomBytes(rng, n)
-		for _, cs := range coeffSets {
-			want := append([]byte(nil), base...)
-			for i := range want {
-				want[i] ^= mulSlow(s1[i], cs[0]) ^ mulSlow(s2[i], cs[1]) ^
-					mulSlow(s3[i], cs[2]) ^ mulSlow(s4[i], cs[3])
-			}
-			got := append([]byte(nil), base...)
-			MulAddSlice4(got, s1, s2, s3, s4, cs[0], cs[1], cs[2], cs[3])
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("MulAddSlice4 len %d cs=%v mismatch at %d: got %#x want %#x",
-						n, cs, i, got[i], want[i])
-				}
-			}
-		}
-	}
+	})
 }
 
 func TestMulAddSlice1x2MatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	coeffPairs := [][2]byte{{2, 3}, {0, 0x57}, {0x57, 0}, {1, 0xFF}, {0xA7, 0x1D}, {0, 0}, {1, 1}}
-	for n := 0; n <= 257; n++ {
-		src := randomBytes(rng, n)
-		base1 := randomBytes(rng, n)
-		base2 := randomBytes(rng, n)
-		for _, cp := range coeffPairs {
-			c1, c2 := cp[0], cp[1]
-			want1 := append([]byte(nil), base1...)
-			want2 := append([]byte(nil), base2...)
-			for i := range want1 {
-				want1[i] ^= mulSlow(src[i], c1)
-				want2[i] ^= mulSlow(src[i], c2)
-			}
-			got1 := append([]byte(nil), base1...)
-			got2 := append([]byte(nil), base2...)
-			MulAddSlice1x2(got1, got2, src, c1, c2)
-			for i := range want1 {
-				if got1[i] != want1[i] {
-					t.Fatalf("MulAddSlice1x2 len %d c=(%#x,%#x) d1 mismatch at %d: got %#x want %#x",
-						n, c1, c2, i, got1[i], want1[i])
-				}
-				if got2[i] != want2[i] {
-					t.Fatalf("MulAddSlice1x2 len %d c=(%#x,%#x) d2 mismatch at %d: got %#x want %#x",
-						n, c1, c2, i, got2[i], want2[i])
-				}
-			}
-		}
-	}
+	shapeMulAdd1x2.sweep(t, 19, [][]byte{{2, 3}, {0, 0x57}, {0x57, 0}, {1, 0xFF}, {0xA7, 0x1D}, {0, 0}, {1, 1}})
 }
 
 func TestMulAddSlice4x2MatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(18))
-	coeffSets := [][2][4]byte{
-		{{2, 3, 4, 5}, {6, 7, 8, 9}},
-		{{0xA7, 0x1D, 0x53, 0xCA}, {0x29, 0x77, 0xFE, 0x02}},
-		{{1, 1, 1, 1}, {0xFF, 0x80, 0x40, 0x20}},
-		{{0, 3, 4, 5}, {6, 7, 8, 9}}, // zero in first set → fallback path
-		{{2, 3, 4, 5}, {6, 0, 8, 9}}, // zero in second set
-		{{0, 0, 0, 0}, {0, 0, 0, 0}}, // fully zero
-		{{1, 0, 0xFF, 0}, {0, 0x57, 0, 1}},
-	}
-	for n := 0; n <= 257; n++ {
-		s1 := randomBytes(rng, n)
-		s2 := randomBytes(rng, n)
-		s3 := randomBytes(rng, n)
-		s4 := randomBytes(rng, n)
-		base1 := randomBytes(rng, n)
-		base2 := randomBytes(rng, n)
-		for _, cs := range coeffSets {
-			ca, cb := cs[0], cs[1]
-			want1 := append([]byte(nil), base1...)
-			want2 := append([]byte(nil), base2...)
-			for i := range want1 {
-				want1[i] ^= mulSlow(s1[i], ca[0]) ^ mulSlow(s2[i], ca[1]) ^
-					mulSlow(s3[i], ca[2]) ^ mulSlow(s4[i], ca[3])
-				want2[i] ^= mulSlow(s1[i], cb[0]) ^ mulSlow(s2[i], cb[1]) ^
-					mulSlow(s3[i], cb[2]) ^ mulSlow(s4[i], cb[3])
+	shapeMulAdd4x2.sweep(t, 18, [][]byte{
+		{2, 3, 4, 5, 6, 7, 8, 9},
+		{0xA7, 0x1D, 0x53, 0xCA, 0x29, 0x77, 0xFE, 0x02},
+		{1, 1, 1, 1, 0xFF, 0x80, 0x40, 0x20},
+		{0, 3, 4, 5, 6, 7, 8, 9}, // zero in first set → narrower kernels
+		{2, 3, 4, 5, 6, 0, 8, 9}, // zero in second set
+		{0, 0, 0, 0, 0, 0, 0, 0}, // fully zero
+		{1, 0, 0xFF, 0, 0, 0x57, 0, 1},
+	})
+}
+
+// TestKernelMisalignment walks dst and src through every pair of offsets 0–31
+// from their allocations at lengths around one and two SIMD steps.
+func TestKernelMisalignment(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	coeffs := []byte{0xA7, 0x1D, 0x53, 0xCA, 0x29, 0x77, 0xFE, 0x02}
+	for _, k := range []kernelShape{shapeMulAdd, shapeXor} {
+		for _, n := range []int{31, 32, 33, 64, 95, 257} {
+			for do := 0; do < 32; do++ {
+				for so := 0; so < 32; so++ {
+					d := [][]byte{offsetRow(rng, n, do)}
+					s := [][]byte{offsetRow(rng, n, so)}
+					k.checkRows(t, d, s, coeffs)
+				}
 			}
-			got1 := append([]byte(nil), base1...)
-			got2 := append([]byte(nil), base2...)
-			MulAddSlice4x2(got1, got2, s1, s2, s3, s4, ca, cb)
-			for i := range want1 {
-				if got1[i] != want1[i] {
-					t.Fatalf("MulAddSlice4x2 len %d ca=%v d1 mismatch at %d: got %#x want %#x",
-						n, ca, i, got1[i], want1[i])
-				}
-				if got2[i] != want2[i] {
-					t.Fatalf("MulAddSlice4x2 len %d cb=%v d2 mismatch at %d: got %#x want %#x",
-						n, cb, i, got2[i], want2[i])
-				}
+		}
+	}
+	// The fused shapes draw every row's offset at random; enough draws cover
+	// the residues of each operand.
+	for _, k := range []kernelShape{shapeMulAdd1x2, shapeMulAdd4x2, shapeXor4} {
+		for trial := 0; trial < 400; trial++ {
+			k.check(t, rng, 64+trial%70, 0, coeffs, nil)
+		}
+	}
+}
+
+// TestMulAddAliasedDst pins the aliasing contract of every entry point: a
+// source that is the destination row itself contributes the destination's
+// original bytes, so MulAddSlice(d, d, c) is d ^= c·d per byte and
+// MulAddSlice4(d, d, d, d, d, …) is d ^= (c1⊕c2⊕c3⊕c4)·d.
+func TestMulAddAliasedDst(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	cases := []struct {
+		shape kernelShape
+		c     []byte
+		alias []int
+	}{
+		{shapeMulAdd, []byte{0}, []int{0}},
+		{shapeMulAdd, []byte{1}, []int{0}},
+		{shapeMulAdd, []byte{2}, []int{0}},
+		{shapeMulAdd, []byte{0xA7}, []int{0}},
+		{shapeMulAdd, []byte{0xFF}, []int{0}},
+		{shapeMulAdd2, []byte{2, 3}, []int{0, 0}},
+		{shapeMulAdd2, []byte{0xA7, 0x1D}, []int{-1, 0}},
+		{shapeMulAdd2, []byte{0xA7, 0}, []int{0, -1}},
+		{shapeMulAdd4, []byte{2, 3, 0x10, 0x80}, []int{0, 0, 0, 0}},
+		{shapeMulAdd4, []byte{2, 3, 0x10, 0x80}, []int{-1, 0, -1, 0}},
+		{shapeMulAdd4, []byte{2, 0, 0x10, 0x80}, []int{0, -1, -1, 0}}, // three live, two aliased
+		{shapeMulAdd4, []byte{0, 0, 0x10, 0x80}, []int{-1, -1, 0, 0}},
+		{shapeMulAdd1x2, []byte{0xA7, 0x1D}, []int{0}},
+		{shapeMulAdd1x2, []byte{0xA7, 0x1D}, []int{1}},
+		{shapeMulAdd1x2, []byte{0, 0x1D}, []int{0}},
+		{shapeMulAdd4x2, []byte{2, 3, 4, 5, 6, 7, 8, 9}, []int{0, -1, 1, -1}},
+		{shapeMulAdd4x2, []byte{2, 3, 4, 5, 6, 7, 8, 9}, []int{-1, -1, -1, 0}},
+		{shapeMulAdd4x2, []byte{2, 0, 4, 5, 6, 7, 0, 9}, []int{1, -1, -1, 0}}, // zeros and aliases together
+		{shapeXor, ones, []int{0}},
+		{shapeXor4, ones, []int{0, 0, 0, 0}},
+		{shapeXor4, ones, []int{-1, 0, -1, -1}},
+	}
+	for _, n := range []int{0, 1, 7, 8, 9, 31, 32, 33, 64, 129, 257, 4097} {
+		for _, tc := range cases {
+			tc.shape.check(t, rng, n, 0, tc.c, tc.alias)
+		}
+	}
+}
+
+// TestLongSourcePanicsBeforeWriting: the single-source entry points take their
+// length from src, and a src longer than dst must fail before any byte moves.
+func TestLongSourcePanicsBeforeWriting(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for name, fn := range map[string]func(dst, src []byte){
+		"MulAddSlice": func(dst, src []byte) { MulAddSlice(dst, src, 0xA7) },
+		"MulSlice":    func(dst, src []byte) { MulSlice(dst, src, 0xA7) },
+		"XorSlice":    XorSlice,
+		"AddSlice":    AddSlice,
+	} {
+		for _, n := range []int{5, 64, 200} {
+			dst := randomBytes(rng, n)
+			orig := append([]byte(nil), dst...)
+			src := randomBytes(rng, n+40)
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%s len(dst)=%d len(src)=%d did not panic", name, n, n+40)
+					}
+				}()
+				fn(dst, src)
+			}()
+			if string(dst) != string(orig) {
+				t.Fatalf("%s wrote to dst before panicking", name)
 			}
 		}
 	}
 }
 
-// TestMulAddAliasedDst pins the dst==src aliasing contract: c·x ^ x is the
-// per-byte result (x + c·x = (c+1)·x in the field).
-func TestMulAddAliasedDst(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for _, n := range []int{0, 1, 7, 8, 9, 64, 129, 257} {
-		for _, c := range []byte{0, 1, 2, 0xA7, 0xFF} {
-			orig := randomBytes(rng, n)
-			want := make([]byte, n)
-			for i := range want {
-				want[i] = orig[i] ^ mulSlow(orig[i], c)
-			}
-			got := append([]byte(nil), orig...)
-			MulAddSlice(got, got, c)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("aliased MulAddSlice len %d c %#x mismatch at %d", n, c, i)
+// TestMulSliceMatchesReference covers the no-accumulate kernel and its
+// in-place form over every length, with dst longer than src left untouched
+// past len(src).
+func TestMulSliceMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for _, n := range kernelLengths() {
+		for _, c := range []byte{0, 1, 2, 0x1D, 0xA7, 0xFF} {
+			src := offsetRow(rng, n, rng.Intn(32))
+			dst := offsetRow(rng, n+3, rng.Intn(32))
+			tail := append([]byte(nil), dst[n:]...)
+			MulSlice(dst, src, c)
+			scaled := append(offsetRow(rng, 0, rng.Intn(32)), src...)
+			ScaleSlice(scaled, c)
+			for i := range src {
+				want := mulSlow(src[i], c)
+				if dst[i] != want {
+					t.Fatalf("MulSlice len %d c %#x at %d: got %#x want %#x", n, c, i, dst[i], want)
+				}
+				if scaled[i] != want {
+					t.Fatalf("ScaleSlice len %d c %#x at %d: got %#x want %#x", n, c, i, scaled[i], want)
 				}
 			}
-		}
-		// Fused kernels with every source aliased to dst:
-		// dst ^= (c1+c2+c3+c4)·dst.
-		orig := randomBytes(rng, n)
-		c1, c2, c3, c4 := byte(2), byte(3), byte(0x10), byte(0x80)
-		want := make([]byte, n)
-		for i := range want {
-			want[i] = orig[i] ^ mulSlow(orig[i], c1^c2^c3^c4)
-		}
-		got := append([]byte(nil), orig...)
-		MulAddSlice4(got, got, got, got, got, c1, c2, c3, c4)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("aliased MulAddSlice4 len %d mismatch at %d", n, i)
+			if string(dst[n:]) != string(tail) {
+				t.Fatalf("MulSlice len %d wrote past len(src)", n)
 			}
 		}
 	}
@@ -266,58 +427,124 @@ func TestDotProductFusedTails(t *testing.T) {
 	}
 }
 
-// BenchmarkMulAddLadder measures every rung of the host kernel ladder at the
-// paper's reference block size (k=4096) and around the dispatch threshold.
-// Fused rungs report throughput in source bytes processed per second, so the
-// MB/s column is directly comparable across rungs.
+// TestKernelsDoNotAllocate: the entry points run per record on the hot path;
+// none may touch the heap, on the SIMD rung or the portable one, in the SIMD
+// steps or the tail.
+func TestKernelsDoNotAllocate(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	c := []byte{0xA7, 0x1D, 0x53, 0xCA, 0x29, 0x77, 0xFE, 0x02}
+	for _, n := range []int{17, 4099} {
+		rows := make([][]byte, 6)
+		for i := range rows {
+			rows[i] = randomBytes(rng, n)
+		}
+		for _, k := range allShapes {
+			d, s := rows[:k.nd], rows[2:2+k.ns]
+			if a := testing.AllocsPerRun(20, func() { k.entry(d, s, c) }); a != 0 {
+				t.Errorf("%s len %d: %v allocs per run", k.name, n, a)
+			}
+		}
+		for name, fn := range map[string]func(){
+			"MulSlice":   func() { MulSlice(rows[0], rows[1], 0xA7) },
+			"ScaleSlice": func() { ScaleSlice(rows[0], 0xA7) },
+			"AddSlice":   func() { AddSlice(rows[0], rows[1]) },
+			"DotProduct": func() { DotProduct(rows[0], c[:5], rows[1:]) },
+		} {
+			if a := testing.AllocsPerRun(20, fn); a != 0 {
+				t.Errorf("%s len %d: %v allocs per run", name, n, a)
+			}
+		}
+	}
+}
+
+// FuzzMulAddKernels drives every multiply-accumulate entry point with
+// fuzzer-chosen lengths, coefficients and misalignments, comparing the
+// dispatched rung, the portable kernel and the scalar reference.
+func FuzzMulAddKernels(f *testing.F) {
+	f.Add([]byte{}, uint64(0), uint32(0))
+	f.Add([]byte{1, 2, 3, 4, 5, 6}, uint64(0x0102030405060708), uint32(1))
+	f.Add(make([]byte, 6*97), uint64(0xA71D53CA2977FE02), uint32(0x3FFFFFFF))
+	f.Add(make([]byte, 6*4097), uint64(0xFF00010080A70000), uint32(0x12345678))
+	f.Fuzz(func(t *testing.T, data []byte, coeffs uint64, offs uint32) {
+		n := len(data) / 6
+		c := make([]byte, 8)
+		for i := range c {
+			c[i] = byte(coeffs >> (8 * i))
+		}
+		// Six rows carved from data, each copied to its own offset 0–31.
+		off := func(i int) int { return int(offs>>(5*i)) & 31 }
+		rows := make([][]byte, 6)
+		for i := range rows {
+			rows[i] = offsetCopy(data[i*n:(i+1)*n], off(i))
+		}
+		for _, k := range allShapes {
+			d := make([][]byte, k.nd)
+			for i := range d {
+				d[i] = offsetCopy(rows[i], off(i))
+			}
+			k.checkRows(t, d, rows[2:2+k.ns], c)
+		}
+		dst := append([]byte(nil), rows[0]...)
+		MulSlice(dst, rows[2], c[0])
+		for i, v := range rows[2] {
+			if want := mulSlow(v, c[0]); dst[i] != want {
+				t.Fatalf("MulSlice len %d c %#x at %d: got %#x want %#x", n, c[0], i, dst[i], want)
+			}
+		}
+	})
+}
+
+// BenchmarkMulAddLadder measures the rungs of the host kernel ladder at the
+// paper's reference block size (k=4096) and at short rows: the scalar
+// reference, the portable wide-word kernel, the SIMD rung, and the fused
+// shapes that share source work across destinations. Throughput is source
+// bytes per destination processed per second, so the MB/s column is directly
+// comparable across rungs: a fused rung's ratio to the single-source rung is
+// its gain over composing single-source passes.
 func BenchmarkMulAddLadder(b *testing.B) {
 	rng := rand.New(rand.NewSource(16))
-	for _, k := range []int{16, 64, 1024, 4096} {
+	for _, k := range []int{16, 64, 256, 1024, 4096} {
 		s1 := randomBytes(rng, k)
 		s2 := randomBytes(rng, k)
 		s3 := randomBytes(rng, k)
 		s4 := randomBytes(rng, k)
 		dst := randomBytes(rng, k)
-		b.Run(fmt.Sprintf("bitsliced/k=%d", k), func(b *testing.B) {
-			b.SetBytes(int64(k))
-			for i := 0; i < b.N; i++ {
-				mulAddBitSliced(dst, s1, 0xA7)
-			}
-		})
+		dst2 := randomBytes(rng, k)
 		b.Run(fmt.Sprintf("table-scalar/k=%d", k), func(b *testing.B) {
 			b.SetBytes(int64(k))
 			for i := 0; i < b.N; i++ {
 				mulAddTableScalar(dst, s1, 0xA7)
 			}
 		})
-		b.Run(fmt.Sprintf("table-wide/k=%d", k), func(b *testing.B) {
+		b.Run(fmt.Sprintf("portable-wide/k=%d", k), func(b *testing.B) {
 			b.SetBytes(int64(k))
 			for i := 0; i < b.N; i++ {
-				mulAddTable(dst, s1, 0xA7)
+				mulAddPortable(dst, s1, 0xA7)
 			}
 		})
-		dst1x2 := randomBytes(rng, k)
+		b.Run(fmt.Sprintf("avx2/k=%d", k), func(b *testing.B) {
+			if Kernel() != "avx2" {
+				b.Skip("no AVX2 rung on this host or build")
+			}
+			b.SetBytes(int64(k))
+			for i := 0; i < b.N; i++ {
+				MulAddSlice(dst, s1, 0xA7)
+			}
+		})
+		b.Run(fmt.Sprintf("scale/k=%d", k), func(b *testing.B) {
+			b.SetBytes(int64(k))
+			for i := 0; i < b.N; i++ {
+				ScaleSlice(dst, 0xA7)
+			}
+		})
 		b.Run(fmt.Sprintf("fused1x2/k=%d", k), func(b *testing.B) {
 			// Two source·destination lanes per call (one source row feeding
 			// two rows under elimination — the Gauss–Jordan shape).
 			b.SetBytes(int64(2 * k))
 			for i := 0; i < b.N; i++ {
-				MulAddSlice1x2(dst, dst1x2, s1, 0xA7, 0x1D)
+				MulAddSlice1x2(dst, dst2, s1, 0xA7, 0x1D)
 			}
 		})
-		b.Run(fmt.Sprintf("fused2/k=%d", k), func(b *testing.B) {
-			b.SetBytes(int64(2 * k))
-			for i := 0; i < b.N; i++ {
-				MulAddSlice2(dst, s1, s2, 0xA7, 0x1D)
-			}
-		})
-		b.Run(fmt.Sprintf("fused4/k=%d", k), func(b *testing.B) {
-			b.SetBytes(int64(4 * k))
-			for i := 0; i < b.N; i++ {
-				MulAddSlice4(dst, s1, s2, s3, s4, 0xA7, 0x1D, 0x53, 0xCA)
-			}
-		})
-		dst2 := randomBytes(rng, k)
 		b.Run(fmt.Sprintf("fused4x2/k=%d", k), func(b *testing.B) {
 			// Eight source·destination lanes per call.
 			b.SetBytes(int64(8 * k))

@@ -38,6 +38,13 @@ type tables struct {
 	// source of per-coefficient row tables for bulk operations.
 	mul [256][256]byte
 
+	// nib holds the split-nibble form of every product row for the SIMD
+	// kernels: nib[c][i] = c·i and nib[c][16+i] = c·(i<<4) for i in [0,16).
+	// A byte product is then c·x = nib[c][x&15] ^ nib[c][16+(x>>4)] — two
+	// 16-entry lookups, the shape a byte-shuffle instruction executes 32
+	// lanes at a time.
+	nib [256][32]byte
+
 	inv [256]byte // multiplicative inverses; inv[0] = 0 by convention
 }
 
@@ -72,6 +79,10 @@ func buildTables() *tables {
 	for a := 0; a < 256; a++ {
 		for b := 0; b < 256; b++ {
 			t.mul[a][b] = mulSlow(byte(a), byte(b))
+		}
+		for i := 0; i < 16; i++ {
+			t.nib[a][i] = t.mul[a][i]
+			t.nib[a][16+i] = t.mul[a][i<<4]
 		}
 	}
 	for a := 1; a < 256; a++ {

@@ -66,23 +66,6 @@ func TestMulVariantsAgreeExhaustive(t *testing.T) {
 	}
 }
 
-func TestMulLanesMatchesScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 2000; trial++ {
-		v := rng.Uint64()
-		c := byte(rng.Intn(256))
-		got := mulLanes(v, c)
-		for lane := 0; lane < 8; lane++ {
-			b := byte(v >> (8 * lane))
-			want := mulSlow(b, c)
-			if byte(got>>(8*lane)) != want {
-				t.Fatalf("mulLanes lane %d: %#x·%#x = %#x, want %#x",
-					lane, b, c, byte(got>>(8*lane)), want)
-			}
-		}
-	}
-}
-
 func TestFieldAxioms(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 3000}
 	t.Run("commutativity", func(t *testing.T) {
@@ -272,9 +255,9 @@ func TestMulAddSliceStrategiesAgree(t *testing.T) {
 			}
 
 			for name, fn := range map[string]func(dst, src []byte, c byte){
-				"auto":  MulAddSlice,
-				"loop":  MulAddSliceLoop,
-				"table": MulAddSliceTable,
+				"dispatched": MulAddSlice,
+				"portable":   mulAddPortable,
+				"scalar":     mulAddTableScalar,
 			} {
 				got := append([]byte(nil), base...)
 				fn(got, src, c)
@@ -383,38 +366,4 @@ func BenchmarkGF256MulVariants(b *testing.B) {
 			_ = acc
 		})
 	}
-}
-
-func BenchmarkMulAddStrategies(b *testing.B) {
-	rng := rand.New(rand.NewSource(6))
-	for _, k := range []int{128, 1024, 4096, 16384} {
-		src := randomBytes(rng, k)
-		dst := randomBytes(rng, k)
-		b.Run("loop/"+itoa(k), func(b *testing.B) {
-			b.SetBytes(int64(k))
-			for i := 0; i < b.N; i++ {
-				MulAddSliceLoop(dst, src, 0xA7)
-			}
-		})
-		b.Run("table/"+itoa(k), func(b *testing.B) {
-			b.SetBytes(int64(k))
-			for i := 0; i < b.N; i++ {
-				MulAddSliceTable(dst, src, 0xA7)
-			}
-		})
-	}
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }

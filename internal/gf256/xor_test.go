@@ -7,35 +7,24 @@ import (
 )
 
 // Differential coverage for the GF(2) XOR kernels of the systematic fast
-// path, pinned against a plain byte loop over lengths 0–257 so the 32- and
-// 16-byte main loops, the 8-byte loops, and every odd tail are exercised.
+// path, through the same harness as the GF(2^8) kernels (bulk_test.go): the
+// dispatched rung and the portable kernel against a byte loop, over lengths
+// 0–257 and 4095–4097 at every misalignment.
 
 func TestXorSliceMatchesReference(t *testing.T) {
+	shapeXor.sweep(t, 40, [][]byte{ones})
+	// dst longer than src: only the src prefix may change.
 	rng := rand.New(rand.NewSource(40))
-	for n := 0; n <= 257; n++ {
+	for _, n := range kernelLengths() {
 		src := randomBytes(rng, n)
-		base := randomBytes(rng, n)
-		want := append([]byte(nil), base...)
-		for i := range want {
+		long := append(randomBytes(rng, n), 0x5A, 0x5A)
+		want := append([]byte(nil), long...)
+		for i := range src {
 			want[i] ^= src[i]
 		}
-		got := append([]byte(nil), base...)
-		XorSlice(got, src)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("XorSlice len %d mismatch at %d: got %#x want %#x", n, i, got[i], want[i])
-			}
-		}
-		// dst longer than src: only the src prefix may change.
-		long := append(append([]byte(nil), base...), 0x5A, 0x5A)
 		XorSlice(long, src)
-		for i := range want {
-			if long[i] != want[i] {
-				t.Fatalf("XorSlice long-dst len %d mismatch at %d", n, i)
-			}
-		}
-		if long[n] != 0x5A || long[n+1] != 0x5A {
-			t.Fatalf("XorSlice len %d wrote past len(src)", n)
+		if string(long) != string(want) {
+			t.Fatalf("XorSlice long-dst len %d: wrong prefix or wrote past len(src)", n)
 		}
 	}
 }
@@ -54,25 +43,7 @@ func TestXorSliceSelfZeroes(t *testing.T) {
 }
 
 func TestXorSlice4MatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for n := 0; n <= 257; n++ {
-		s1 := randomBytes(rng, n)
-		s2 := randomBytes(rng, n)
-		s3 := randomBytes(rng, n)
-		s4 := randomBytes(rng, n)
-		base := randomBytes(rng, n)
-		want := append([]byte(nil), base...)
-		for i := range want {
-			want[i] ^= s1[i] ^ s2[i] ^ s3[i] ^ s4[i]
-		}
-		got := append([]byte(nil), base...)
-		XorSlice4(got, s1, s2, s3, s4)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("XorSlice4 len %d mismatch at %d: got %#x want %#x", n, i, got[i], want[i])
-			}
-		}
-	}
+	shapeXor4.sweep(t, 42, [][]byte{ones})
 }
 
 // TestXorSlice4Aliased pins the fully-aliased contract: folding a row into

@@ -491,6 +491,10 @@ func (f *Fetcher) session(ctx context.Context, conn net.Conn) (done, fatal bool,
 	var lenBuf [4]byte
 	var preBuf [recordPreludeLen]byte
 	var curRound trace.SpanID
+	// One record buffer per session: the unmarshalers copy coefficients and
+	// payload out of it into a fresh CodedBlock (which the record tap may
+	// retain), so nothing refers to it once absorb returns.
+	recBuf := make([]byte, max(expect, expectXor))
 	for f.remaining() > 0 {
 		if traced {
 			// Traced framing: a CRC-guarded round prelude precedes every
@@ -519,7 +523,7 @@ func (f *Fetcher) session(ctx context.Context, conn net.Conn) (done, fatal bool,
 			f.stats.bytesDiscarded.Add(4)
 			return f.streamErr(ctx, fmt.Errorf("%w: %d, want %d: resynchronizing", ErrRecordLength, n, expect))
 		}
-		rec := make([]byte, n)
+		rec := recBuf[:n]
 		if m, err := io.ReadFull(conn, rec); err != nil {
 			f.stats.bytesDiscarded.Add(int64(m) + 4)
 			return f.streamErr(ctx, fmt.Errorf("%w: truncated record: %v", ErrStreamTruncated, err))

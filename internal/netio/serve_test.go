@@ -357,7 +357,11 @@ func TestServeAfterShutdown(t *testing.T) {
 }
 
 // TestServeContextCancel: cancelling the Serve context shuts the server
-// down and live fetches fail instead of hanging.
+// down and live fetches fail instead of hanging. The sequence runs on events,
+// not the clock: the first record to reach the fetcher cancels Serve, and the
+// tap holds the fetcher on that record until Serve has returned — so the
+// session is provably live at the cancel and the fetch provably unfinished
+// after it, however fast the codec is.
 func TestServeContextCancel(t *testing.T) {
 	p := rlnc.Params{BlockCount: 64, BlockSize: 4096}
 	media := testMedia(t, 4*p.SegmentSize(), 11)
@@ -370,26 +374,40 @@ func TestServeContextCancel(t *testing.T) {
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- srv.Serve(ctx, l) }()
 
+	serveErr := make(chan error, 1)
+	var first sync.Once
+	tap := func(*rlnc.CodedBlock) {
+		first.Do(func() {
+			cancel()
+			select {
+			case err := <-serveDone:
+				serveErr <- err
+			case <-time.After(5 * time.Second):
+				serveErr <- errors.New("Serve did not return after cancel")
+			}
+		})
+	}
+	conn := l.Dial()
+	f := NewFetcher(func(context.Context) (net.Conn, error) { return conn, nil },
+		WithMaxAttempts(1), WithRecordTap(tap))
 	fetchDone := make(chan error, 1)
 	go func() {
-		_, _, err := Fetch(context.Background(), l.Dial())
+		_, err := f.Fetch(context.Background())
 		fetchDone <- err
 	}()
-	// Let the session start moving, then pull the plug.
-	time.Sleep(20 * time.Millisecond)
-	cancel()
+
 	select {
-	case err := <-serveDone:
+	case err := <-serveErr:
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("Serve: %v, want context.Canceled", err)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Serve did not return after cancel")
+	case <-time.After(10 * time.Second):
+		t.Fatal("no record reached the fetcher")
 	}
 	select {
 	case err := <-fetchDone:
 		if err == nil {
-			t.Fatal("fetch succeeded against a cancelled server on a huge object")
+			t.Fatal("fetch succeeded against a server cancelled at its first record")
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("fetch did not unblock after server cancel")

@@ -152,10 +152,12 @@ func (d *Decoder) AddBlock(b *CodedBlock) (innovative bool, err error) {
 		gf256.ScaleSlice(row, gf256.Inv(pv))
 	}
 	// Back-substitute the new pivot out of every existing row to maintain
-	// full reduced row-echelon form, one scalar row operation per stored row.
-	// This per-arrival path is deliberately kept in the seed's unfused shape:
-	// it is the "progressive scalar" rung of the decode ladder that the fused
-	// batched path (AddBlocks) is measured against.
+	// full reduced row-echelon form, one single-source row operation per
+	// stored row. This per-arrival path is what the fetcher runs for every
+	// record; each row operation is the gf256 kernel rung in use (AVX2 where
+	// the host has it), but none of them is fused across rows — that is the
+	// batched path (AddBlocks), which the decode ladder measures against this
+	// one as its "progressive-scalar" rung.
 	for c := 0; c < n; c++ {
 		pr := d.rowForPivot[c]
 		if pr == nil {

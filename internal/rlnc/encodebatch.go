@@ -8,23 +8,28 @@ import (
 )
 
 // stageEncodeBatch times one batch-encode call (not one gf256 kernel call:
-// the wide-word kernels run thousands of times per batch and are benched,
-// not spanned). Free when no obs sink is installed.
+// the kernels run thousands of times per batch and are benched, not
+// spanned). Free when no obs sink is installed.
 var stageEncodeBatch = obs.StageOf("rlnc.encode_batch")
 
 // Tiled batch encoding: the host-codec analogue of the paper's full-block
 // streaming-server scheme (Sec. 5.3), made cache-aware. Producing B coded
 // payloads in one pass over the source blocks lets every source tile loaded
-// from memory be reused B times, and the fused gf256 kernels apply four
-// coefficient·source pairs per destination word load/store. Together these
-// replace the seed path's one-block-at-a-time Σ cᵢ·bᵢ loop, which streamed
-// the whole segment from memory once per coded block.
+// from memory be reused B times, and the fused gf256 kernel splits each
+// source byte once for a pair of destinations and loads and stores each
+// destination once per source pair. Together these replace the seed path's
+// one-block-at-a-time Σ cᵢ·bᵢ loop, which streamed the whole segment from
+// memory once per coded block.
+//
+// Both constants were re-measured on the AVX2 kernels (n=128 at k=4096 and
+// k=16384, n=32 at k=256, batches of 4 and 32) and kept: tiles of 1–2 KiB lose
+// 5–10 % to per-call set-up, 8 KiB ties, and groups of 8–32 destinations are
+// within 2 % of each other until k=16384, where 4 and 8 lose 10–25 %.
 
 const (
 	// encodeTile is the column-tile width in bytes. A fused inner step
-	// touches four source tiles plus one destination tile (5 × encodeTile =
-	// 20 KiB), which fits comfortably in a 32 KiB L1d alongside the 256-byte
-	// product rows.
+	// touches four source tiles plus two destination tiles (6 × encodeTile =
+	// 24 KiB), which fits a 32 KiB L1d.
 	encodeTile = 4096
 
 	// encodeBatchGroup caps how many destinations a single tiled pass
@@ -72,9 +77,9 @@ func encodeBatchRange(dsts, srcs, coeffs [][]byte, lo, hi int) {
 // batchMulAdd accumulates dsts[b] ^= Σ_j coeffs[b][j]·srcs[j] over the
 // column range [lo, hi), walking cache-sized column tiles. Within a tile the
 // source rows are consumed four at a time: a quadruple of source tiles stays
-// resident in L1 while it is applied to every destination, and the fused
-// kernel touches each destination word once per quadruple. Zero coefficients
-// (sparse vectors) are skipped. Destinations must not alias sources.
+// resident in L1 while it is applied to every destination pair through the
+// fused kernel. Zero coefficients (sparse vectors) are skipped. Destinations
+// must not alias sources.
 func batchMulAdd(dsts, srcs, coeffs [][]byte, lo, hi int) {
 	n := len(srcs)
 	for tlo := lo; tlo < hi; tlo += encodeTile {
@@ -86,7 +91,7 @@ func batchMulAdd(dsts, srcs, coeffs [][]byte, lo, hi int) {
 			s3 := srcs[j+2][tlo:thi]
 			s4 := srcs[j+3][tlo:thi]
 			// Destinations in pairs: the dual-destination kernel loads and
-			// extracts each source byte once for both outputs.
+			// splits each source byte once for both outputs.
 			b := 0
 			for ; b+2 <= len(coeffs); b += 2 {
 				csA, csB := coeffs[b], coeffs[b+1]
