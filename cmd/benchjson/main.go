@@ -3,8 +3,8 @@
 // diffed as machine-readable artifacts. It also derives the headline
 // host-codec ratios — most importantly the tiled batch encoder's speedup
 // over the single-block path — when the relevant benchmarks are present,
-// and the serving-capacity headline (sharded-pump aggregate throughput over
-// the single-pump baseline) from ncload's BenchmarkServeLoad ladder.
+// and the serving-capacity peak (best aggregate throughput at the deepest
+// session count) from ncload's BenchmarkServeLoad ladder.
 //
 // A benchmark name that appears more than once on stdin (-count N, or several
 // runs concatenated) keeps its fastest run.
@@ -252,76 +252,41 @@ func derive(doc *Document) {
 		}
 	}
 
-	deriveServe(doc, set, byName)
+	deriveServe(set, byName)
 }
 
-// deriveServe records the serving-capacity headline from ncload's ladder:
-// at the deepest session count measured by both rungs, the sharded amortized
-// server's aggregate MB/s over the single-pump per-record baseline (the
-// pre-refactor cost profile, kept as a selectable rung exactly so this ratio
-// is a measurement rather than a changelog claim). The gated key is the `_x`
-// multiple; peak absolutes ride along ungated for the docs.
-func deriveServe(doc *Document, set func(string, float64), byName map[string]Benchmark) {
-	type wave struct {
-		fanout   string
-		shards   int
-		sessions int
-	}
-	waves := map[wave]Benchmark{}
+// deriveServe records the serving-capacity peak from ncload's ladder: the
+// best dense wave's aggregate MB/s at the deepest session count measured,
+// with its depth and p99 record latency. All three are absolutes, so none is
+// gated by -check; they ride along for the docs.
+func deriveServe(set func(string, float64), byName map[string]Benchmark) {
 	deepest := 0
+	var best Benchmark
 	for name, b := range byName {
 		rest, ok := strings.CutPrefix(name, "BenchmarkServeLoad/")
 		if !ok {
 			continue
 		}
-		var w wave
-		fields := strings.Split(rest, "/")
-		if len(fields) != 3 {
+		// Dense waves are named shards=N/sessions=M; the systematic-wire wave
+		// carries a third element and is not part of the peak.
+		var shards, sessions int
+		if strings.Count(rest, "/") != 1 {
 			continue
 		}
-		bad := false
-		for _, f := range fields {
-			k, v, found := strings.Cut(f, "=")
-			if !found {
-				bad = true
-				break
-			}
-			switch k {
-			case "fanout":
-				w.fanout = v
-			case "shards":
-				w.shards, _ = strconv.Atoi(v)
-			case "sessions":
-				w.sessions, _ = strconv.Atoi(v)
-			default:
-				bad = true
-			}
-		}
-		if bad || w.fanout == "" || w.shards <= 0 || w.sessions <= 0 {
+		if _, err := fmt.Sscanf(rest, "shards=%d/sessions=%d", &shards, &sessions); err != nil {
 			continue
 		}
-		waves[w] = b
-		if w.sessions > deepest {
-			deepest = w.sessions
+		if sessions > deepest || (sessions == deepest && b.MBPerS > best.MBPerS) {
+			deepest, best = sessions, b
 		}
 	}
-	if deepest == 0 {
+	if best.MBPerS <= 0 {
 		return
 	}
-	base, okBase := waves[wave{"record", 1, deepest}]
-	var best Benchmark
-	for w, b := range waves {
-		if w.sessions == deepest && w.fanout == "amortized" && w.shards > 1 && b.MBPerS > best.MBPerS {
-			best = b
-		}
-	}
-	if okBase && base.MBPerS > 0 && best.MBPerS > 0 {
-		set("serve_sharded_over_single_x", best.MBPerS/base.MBPerS)
-		set("serve_peak_sessions", float64(deepest))
-		set("serve_peak_agg_mb_s", best.MBPerS)
-		if p99, ok := best.Extra["p99-ns"]; ok {
-			set("serve_peak_p99_ms", p99/1e6)
-		}
+	set("serve_peak_sessions", float64(deepest))
+	set("serve_peak_agg_mb_s", best.MBPerS)
+	if p99, ok := best.Extra["p99-ns"]; ok {
+		set("serve_peak_p99_ms", p99/1e6)
 	}
 }
 

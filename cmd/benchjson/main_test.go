@@ -72,31 +72,26 @@ func TestParseAndDerive(t *testing.T) {
 
 const serveText = `goos: linux
 pkg: extremenc/cmd/ncload
-BenchmarkServeLoad/fanout=record/shards=1/sessions=1024        1  900000 ns/op  120.00 MB/s  40000 p50-ns  900000 p99-ns  1.25 shed-pct
-BenchmarkServeLoad/fanout=amortized/shards=1/sessions=1024     1  800000 ns/op  160.00 MB/s  30000 p50-ns  700000 p99-ns  0.50 shed-pct
-BenchmarkServeLoad/fanout=record/shards=1/sessions=4096        1  950000 ns/op  110.00 MB/s  50000 p50-ns  990000 p99-ns  2.00 shed-pct
-BenchmarkServeLoad/fanout=amortized/shards=2/sessions=4096     1  700000 ns/op  150.00 MB/s  35000 p50-ns  750000 p99-ns  0.75 shed-pct
-BenchmarkServeLoad/fanout=amortized/shards=4/sessions=4096     1  600000 ns/op  176.00 MB/s  30000 p50-ns  650000 p99-ns  0.60 shed-pct
+BenchmarkServeLoad/shards=1/sessions=1024     1  800000 ns/op  190.00 MB/s  30000 p50-ns  700000 p99-ns  0.50 shed-pct
+BenchmarkServeLoad/shards=2/sessions=4096     1  700000 ns/op  150.00 MB/s  35000 p50-ns  750000 p99-ns  0.75 shed-pct
+BenchmarkServeLoad/shards=4/sessions=4096     1  600000 ns/op  176.00 MB/s  30000 p50-ns  650000 p99-ns  0.60 shed-pct
+BenchmarkServeLoad/shards=4/sessions=4096/wire=systematic  1  600000 ns/op  200.00 MB/s  30000 p50-ns  640000 p99-ns  0.60 shed-pct
 `
 
 // TestDeriveServe pins the serving-ladder schema: extra value/unit columns
-// land in Extra, and the gated multiple compares the best sharded amortized
-// wave against the single-pump per-record baseline at the deepest session
-// count (4096 here — the shallower 1024-session waves must not be compared).
+// land in Extra, and the peak keys describe the best dense wave at the
+// deepest session count (4096 here — neither the faster but shallower
+// 1024-session wave nor the systematic-wire wave may be taken for the peak).
 func TestDeriveServe(t *testing.T) {
 	doc := parseText(t, serveText)
-	if len(doc.Benchmarks) != 5 {
-		t.Fatalf("parsed %d serve waves, want 5", len(doc.Benchmarks))
+	if len(doc.Benchmarks) != 4 {
+		t.Fatalf("parsed %d serve waves, want 4", len(doc.Benchmarks))
 	}
 	b := doc.Benchmarks[0]
-	if b.Extra["p99-ns"] != 900000 || b.Extra["p50-ns"] != 40000 || b.Extra["shed-pct"] != 1.25 {
+	if b.Extra["p99-ns"] != 700000 || b.Extra["p50-ns"] != 30000 || b.Extra["shed-pct"] != 0.5 {
 		t.Fatalf("extra columns not captured: %+v", b.Extra)
 	}
 	derive(doc)
-	got := doc.Derived["serve_sharded_over_single_x"]
-	if got < 1.59 || got > 1.61 { // 176 / 110
-		t.Fatalf("serve_sharded_over_single_x = %v, want 1.6", got)
-	}
 	if doc.Derived["serve_peak_sessions"] != 4096 {
 		t.Fatalf("serve_peak_sessions = %v, want 4096", doc.Derived["serve_peak_sessions"])
 	}
@@ -106,14 +101,18 @@ func TestDeriveServe(t *testing.T) {
 	if doc.Derived["serve_peak_p99_ms"] != 0.65 {
 		t.Fatalf("serve_peak_p99_ms = %v, want 0.65", doc.Derived["serve_peak_p99_ms"])
 	}
+	// Every serve key is an absolute: none may end in a gated suffix.
+	for key := range doc.Derived {
+		if strings.HasPrefix(key, "serve_") && (strings.HasSuffix(key, "_x") || strings.HasSuffix(key, "_pct")) {
+			t.Fatalf("serve key %q would be gated by -check", key)
+		}
+	}
 
-	// Without the single-pump baseline at the deepest depth, no serve keys
-	// are derived at all: a half-measured ladder must not invent a gate.
-	partial := parseText(t, strings.Replace(serveText,
-		"BenchmarkServeLoad/fanout=record/shards=1/sessions=4096", "BenchmarkSomethingElse", 1))
-	derive(partial)
-	if _, ok := partial.Derived["serve_sharded_over_single_x"]; ok {
-		t.Fatal("serve ratio derived without its baseline wave")
+	// No dense serve wave, no serve keys.
+	none := parseText(t, strings.ReplaceAll(serveText, "BenchmarkServeLoad/shards", "BenchmarkSomethingElse/shards"))
+	derive(none)
+	if _, ok := none.Derived["serve_peak_agg_mb_s"]; ok {
+		t.Fatal("serve peak derived without a dense serve wave")
 	}
 }
 

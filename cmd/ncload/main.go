@@ -6,13 +6,10 @@
 // lines on stdout, ready for `cmd/benchjson`.
 //
 // The ladder ramps session depth in doubling waves and, at every depth,
-// measures each serving rung: the per-record single-pump baseline (the
-// pre-refactor cost profile, kept selectable exactly so the committed
-// speedup is a measurement) and the amortized fan-out at each configured
-// shard count. Every wave gets a fresh server, listener, and metrics
-// registry; MB/s comes from the BytesSent delta over a settled measurement
-// window, latency quantiles from the windowed difference of two
-// netio.record_send histogram snapshots.
+// measures the server at each configured pump-shard count. Every wave gets a
+// fresh server, listener, and metrics registry; MB/s comes from the
+// BytesSent delta over a settled measurement window, latency quantiles from
+// the windowed difference of two netio.record_send histogram snapshots.
 //
 //	go run ./cmd/ncload -sessions 5120 | go run ./cmd/benchjson > BENCH_serve.json
 //
@@ -65,17 +62,15 @@ type options struct {
 	maxP99     time.Duration
 }
 
-// waveCfg is one rung × depth point of the ladder.
+// waveCfg is one shard-count × depth point of the ladder.
 type waveCfg struct {
-	fanout   netio.FanoutMode
 	wire     netio.WireMode
 	shards   int
 	sessions int
 }
 
 func (w waveCfg) benchName() string {
-	name := fmt.Sprintf("BenchmarkServeLoad/fanout=%s/shards=%d/sessions=%d",
-		w.fanout, w.shards, w.sessions)
+	name := fmt.Sprintf("BenchmarkServeLoad/shards=%d/sessions=%d", w.shards, w.sessions)
 	if w.wire != netio.ModeDense {
 		name += "/wire=" + w.wire.String()
 	}
@@ -102,8 +97,8 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("ncload", flag.ContinueOnError)
 	var (
 		sessions   = fs.Int("sessions", 5120, "peak concurrent raw sessions per wave")
-		steps      = fs.Int("steps", 3, "ramp depths per rung (each doubling up to -sessions)")
-		shardsFlag = fs.String("shards", "1,2,4", "comma-separated pump shard counts for the amortized rung")
+		steps      = fs.Int("steps", 3, "ramp depths per shard count (each doubling up to -sessions)")
+		shardsFlag = fs.String("shards", "1,2,4", "comma-separated pump shard counts")
 		systematic = fs.Bool("systematic", true, "add one systematic-wire wave at peak depth")
 		window     = fs.Duration("window", 3*time.Second, "measurement window per wave")
 		settle     = fs.Duration("settle", 500*time.Millisecond, "post-ramp settle before the window opens")
@@ -248,8 +243,7 @@ func parseShards(s string) ([]int, error) {
 	return out, nil
 }
 
-// buildWaves lays out the ladder: at every depth, the per-record single-pump
-// baseline first, then the amortized rung at each shard count; finally one
+// buildWaves lays out the ladder: every depth at each shard count, then one
 // systematic-wire wave at peak depth and max shards so the curve records the
 // XOR fast path's serving profile too.
 func buildWaves(opt options) []waveCfg {
@@ -263,17 +257,14 @@ func buildWaves(opt options) []waveCfg {
 	}
 	var waves []waveCfg
 	for _, d := range depths {
-		if !opt.smoke {
-			waves = append(waves, waveCfg{netio.FanoutPerRecord, netio.ModeDense, 1, d})
-		}
 		for _, s := range opt.shards {
-			waves = append(waves, waveCfg{netio.FanoutAmortized, netio.ModeDense, s, d})
+			waves = append(waves, waveCfg{netio.ModeDense, s, d})
 		}
 	}
 	if opt.systematic {
 		peak := depths[len(depths)-1]
 		maxShards := opt.shards[len(opt.shards)-1]
-		waves = append(waves, waveCfg{netio.FanoutAmortized, netio.ModeSystematic, maxShards, peak})
+		waves = append(waves, waveCfg{netio.ModeSystematic, maxShards, peak})
 	}
 	return waves
 }
@@ -303,7 +294,6 @@ func runWave(wave waveCfg, opt options) (waveResult, error) {
 	scfg.WriteDeadline = 30 * time.Second
 	scfg.WriteRetries = 4
 	scfg.PumpShards = wave.shards
-	scfg.Fanout = wave.fanout
 	scfg.Mode = wave.wire
 	scfg.Metrics = reg
 	srv, err := netio.NewServerFromConfig(media, p, scfg)
@@ -412,7 +402,11 @@ func runWave(wave waveCfg, opt options) (waveResult, error) {
 	canaryErrs := make(chan error, opt.canaries)
 	for i := 0; i < opt.canaries; i++ {
 		go func(i int) {
-			f := netio.NewFetcher(dial)
+			f, err := netio.NewFetcherFromConfig(dial, netio.DefaultFetcherConfig())
+			if err != nil {
+				canaryErrs <- fmt.Errorf("canary %d: %w", i, err)
+				return
+			}
 			fres, err := f.Fetch(canaryCtx)
 			if err != nil {
 				canaryErrs <- fmt.Errorf("canary %d: %w", i, err)
@@ -674,10 +668,14 @@ func runBrownoutWave(opt options, out io.Writer, lg *log.Logger, sum *loadSummar
 	canaryDone := make(chan canaryResult, opt.canaries)
 	for i := 0; i < opt.canaries; i++ {
 		go func(i int) {
-			f := netio.NewFetcher(dial,
-				netio.WithMaxAttempts(0),
-				netio.WithBackoff(10*time.Millisecond, 250*time.Millisecond),
-				netio.WithBackoffSeed(opt.seed+int64(i)))
+			fcfg := netio.DefaultFetcherConfig()
+			fcfg.BackoffBase, fcfg.BackoffMax = 10*time.Millisecond, 250*time.Millisecond
+			fcfg.Seed = opt.seed + int64(i)
+			f, err := netio.NewFetcherFromConfig(dial, fcfg)
+			if err != nil {
+				canaryDone <- canaryResult{err: fmt.Errorf("canary %d: %w", i, err)}
+				return
+			}
 			fres, err := f.Fetch(canaryCtx)
 			if err != nil {
 				canaryDone <- canaryResult{err: fmt.Errorf("canary %d: %w", i, err)}

@@ -185,7 +185,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	if *warm {
-		if err := waitWarm(ctx, m, *n); err != nil {
+		if err := m.WaitWarm(ctx); err != nil {
 			return err
 		}
 	}
@@ -255,26 +255,4 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "snapshot written to %s\n", *snapshotPath)
 	}
 	return nil
-}
-
-// waitWarm blocks until every live relay holds the origin's full rank, so
-// the leaf wave measures relay fan-out rather than relay warm-up.
-func waitWarm(ctx context.Context, m *mesh.Mesh, blockCount int) error {
-	full := m.Origin().Segments() * blockCount
-	for {
-		warm := 0
-		for _, r := range m.Relays() {
-			if r.TotalRank() == full {
-				warm++
-			}
-		}
-		if warm == len(m.Relays()) {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("relays never warmed (%d/%d at full rank): %w", warm, len(m.Relays()), ctx.Err())
-		case <-time.After(2 * time.Millisecond):
-		}
-	}
 }

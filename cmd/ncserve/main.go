@@ -95,7 +95,6 @@ type serveFlags struct {
 	maxSess  int
 	mode     string
 	shards   int
-	fanout   string
 }
 
 func (sf *serveFlags) register(fs *flag.FlagSet) {
@@ -106,7 +105,6 @@ func (sf *serveFlags) register(fs *flag.FlagSet) {
 	fs.IntVar(&sf.retries, "retries", 1, "extra deadline windows before a timed-out session is dropped")
 	fs.IntVar(&sf.maxSess, "max-sessions", 0, "concurrent session cap (0 = unlimited)")
 	fs.IntVar(&sf.shards, "shards", 1, "independent encoder-pump shards")
-	fs.StringVar(&sf.fanout, "fanout", netio.FanoutAmortized.String(), "pump fan-out rung: amortized or record")
 	sf.registerMode(fs)
 }
 
@@ -114,29 +112,21 @@ func (sf *serveFlags) registerMode(fs *flag.FlagSet) {
 	fs.StringVar(&sf.mode, "mode", "dense", "wire mode: dense or systematic (systematic sweep + GF(2) XOR repair + dense tail)")
 }
 
-func (sf *serveFlags) options() ([]netio.ServerOption, error) {
+func (sf *serveFlags) config() (netio.ServerConfig, error) {
+	cfg := netio.DefaultServerConfig()
 	mode, err := netio.ParseWireMode(sf.mode)
 	if err != nil {
-		return nil, err
+		return cfg, err
 	}
-	opts := []netio.ServerOption{
-		netio.WithQueueDepth(sf.queue),
-		netio.WithWriteDeadline(sf.deadline),
-		netio.WithWriteRetries(sf.retries),
-		netio.WithMaxSessions(sf.maxSess),
-		netio.WithWireMode(mode),
-	}
+	cfg.QueueDepth = sf.queue
+	cfg.WriteDeadline = sf.deadline
+	cfg.WriteRetries = sf.retries
+	cfg.MaxSessions = sf.maxSess
+	cfg.Mode = mode
 	if sf.shards > 0 {
-		opts = append(opts, netio.WithPumpShards(sf.shards))
+		cfg.PumpShards = sf.shards
 	}
-	if sf.fanout != "" {
-		fanout, err := netio.ParseFanoutMode(sf.fanout)
-		if err != nil {
-			return nil, err
-		}
-		opts = append(opts, netio.WithFanout(fanout))
-	}
-	return opts, nil
+	return cfg, nil
 }
 
 func runServe(args []string) error {
@@ -172,14 +162,14 @@ func runServe(args []string) error {
 	if err := obs.RegisterRuntime(reg); err != nil {
 		return err
 	}
-	opts, err := sf.options()
+	cfg, err := sf.config()
 	if err != nil {
 		return err
 	}
-	opts = append(opts, netio.WithMetricsRegistry(reg))
+	cfg.Metrics = reg
 	if *flight > 0 {
 		trace.Enable(*flight)
-		opts = append(opts, netio.WithServerTrace("ncserve"))
+		cfg.TraceNode = "ncserve"
 		// SIGQUIT dumps the flight ring to stderr without stopping the
 		// server — the classic in-flight postmortem signal.
 		quits := make(chan os.Signal, 1)
@@ -192,14 +182,14 @@ func runServe(args []string) error {
 		}()
 	}
 	if *brownout > 0 {
-		opts = append(opts, netio.WithBrownout(netio.BrownoutConfig{
+		cfg.Brownout = netio.BrownoutConfig{
 			Interval: *brownout,
 			OnTransition: func(from, to netio.BrownoutRung, pressure float64) {
 				fmt.Fprintf(os.Stderr, "ncserve: brownout %s -> %s (pressure %.2f)\n", from, to, pressure)
 			},
-		}))
+		}
 	}
-	srv, err := netio.NewServer(media, rlnc.Params{BlockCount: sf.n, BlockSize: sf.k}, opts...)
+	srv, err := netio.NewServerFromConfig(media, rlnc.Params{BlockCount: sf.n, BlockSize: sf.k}, cfg)
 	if err != nil {
 		return err
 	}
@@ -346,22 +336,24 @@ func runFetch(args []string) error {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	opts := []netio.FetcherOption{
-		netio.WithMaxAttempts(*attempts),
-		netio.WithBackoff(*backoff, *backoffMax),
-	}
+	cfg := netio.DefaultFetcherConfig()
+	cfg.MaxAttempts = *attempts
+	cfg.BackoffBase, cfg.BackoffMax = *backoff, *backoffMax
 	if *resumePath != "" {
 		if state, err := os.ReadFile(*resumePath); err == nil {
-			opts = append(opts, netio.WithResumeState(state))
+			cfg.ResumeState = state
 			fmt.Printf("resuming from %s (%d bytes of saved rank)\n", *resumePath, len(state))
 		} else if !os.IsNotExist(err) {
 			return err
 		}
 	}
-	f := netio.NewFetcher(func(ctx context.Context) (net.Conn, error) {
+	f, err := netio.NewFetcherFromConfig(func(ctx context.Context) (net.Conn, error) {
 		var d net.Dialer
 		return d.DialContext(ctx, "tcp", *addr)
-	}, opts...)
+	}, cfg)
+	if err != nil {
+		return err
+	}
 	res, err := f.Fetch(ctx)
 	stats := res.Stats
 	if err != nil {
@@ -418,11 +410,11 @@ func runSmoke(args []string) error {
 	media := make([]byte, *size)
 	rand.New(rand.NewSource(42)).Read(media)
 	sf.deadline, sf.retries = 2*time.Second, 1
-	opts, err := sf.options()
+	cfg, err := sf.config()
 	if err != nil {
 		return err
 	}
-	srv, err := netio.NewServer(media, rlnc.Params{BlockCount: sf.n, BlockSize: sf.k}, opts...)
+	srv, err := netio.NewServerFromConfig(media, rlnc.Params{BlockCount: sf.n, BlockSize: sf.k}, cfg)
 	if err != nil {
 		return err
 	}
@@ -504,8 +496,9 @@ func runMetricsSmoke(args []string) error {
 
 	media := make([]byte, *size)
 	rand.New(rand.NewSource(43)).Read(media)
-	srv, err := netio.NewServer(media, rlnc.Params{BlockCount: 16, BlockSize: 1024},
-		netio.WithMetricsRegistry(reg))
+	cfg := netio.DefaultServerConfig()
+	cfg.Metrics = reg
+	srv, err := netio.NewServerFromConfig(media, rlnc.Params{BlockCount: 16, BlockSize: 1024}, cfg)
 	if err != nil {
 		return err
 	}
@@ -525,10 +518,15 @@ func runMetricsSmoke(args []string) error {
 		return snapshotJSON(srv.Snapshot())
 	}))
 
-	f := netio.NewFetcher(func(ctx context.Context) (net.Conn, error) {
+	fcfg := netio.DefaultFetcherConfig()
+	fcfg.Metrics = reg
+	f, err := netio.NewFetcherFromConfig(func(ctx context.Context) (net.Conn, error) {
 		var d net.Dialer
 		return d.DialContext(ctx, "tcp", l.Addr().String())
-	}, netio.WithMetrics(reg))
+	}, fcfg)
+	if err != nil {
+		return err
+	}
 	res, err := f.Fetch(ctx)
 	if err != nil {
 		return fmt.Errorf("loopback fetch: %w", err)
@@ -617,8 +615,10 @@ func runXorSmoke(args []string) error {
 
 	media := make([]byte, *size)
 	rand.New(rand.NewSource(44)).Read(media)
-	srv, err := netio.NewServer(media, rlnc.Params{BlockCount: 16, BlockSize: 1024},
-		netio.WithWireMode(netio.ModeSystematic), netio.WithMetricsRegistry(reg))
+	cfg := netio.DefaultServerConfig()
+	cfg.Mode = netio.ModeSystematic
+	cfg.Metrics = reg
+	srv, err := netio.NewServerFromConfig(media, rlnc.Params{BlockCount: 16, BlockSize: 1024}, cfg)
 	if err != nil {
 		return err
 	}
@@ -630,10 +630,14 @@ func runXorSmoke(args []string) error {
 	go func() { serveDone <- srv.Serve(ctx, l) }()
 
 	// Leg 1: clean loopback — the systematic sweep should dominate.
-	clean := netio.NewFetcher(func(ctx context.Context) (net.Conn, error) {
+	fcfg := netio.DefaultFetcherConfig()
+	clean, err := netio.NewFetcherFromConfig(func(ctx context.Context) (net.Conn, error) {
 		var d net.Dialer
 		return d.DialContext(ctx, "tcp", l.Addr().String())
-	})
+	}, fcfg)
+	if err != nil {
+		return err
+	}
 	res, err := clean.Fetch(ctx)
 	if err != nil {
 		return fmt.Errorf("clean systematic fetch: %w", err)
@@ -656,7 +660,11 @@ func runXorSmoke(args []string) error {
 		var d net.Dialer
 		return d.DialContext(ctx, "tcp", l.Addr().String())
 	})
-	lossy := netio.NewFetcher(dial, netio.WithBackoff(time.Millisecond, 20*time.Millisecond))
+	fcfg.BackoffBase, fcfg.BackoffMax = time.Millisecond, 20*time.Millisecond
+	lossy, err := netio.NewFetcherFromConfig(dial, fcfg)
+	if err != nil {
+		return err
+	}
 	lres, err := lossy.Fetch(ctx)
 	if err != nil {
 		return fmt.Errorf("lossy systematic fetch: %w (faults %+v)", err, ctr.View())

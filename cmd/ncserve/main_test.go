@@ -53,7 +53,7 @@ func TestXorSmokeSubcommand(t *testing.T) {
 func TestFetchAgainstInProcessServer(t *testing.T) {
 	media := make([]byte, 50000)
 	rand.New(rand.NewSource(3)).Read(media)
-	srv, err := netio.NewServer(media, rlnc.Params{BlockCount: 8, BlockSize: 512})
+	srv, err := netio.NewServerFromConfig(media, rlnc.Params{BlockCount: 8, BlockSize: 512}, netio.DefaultServerConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestFetchAgainstInProcessServer(t *testing.T) {
 func TestFetchResumeFlow(t *testing.T) {
 	media := make([]byte, 50000)
 	rand.New(rand.NewSource(4)).Read(media)
-	srv, err := netio.NewServer(media, rlnc.Params{BlockCount: 8, BlockSize: 512})
+	srv, err := netio.NewServerFromConfig(media, rlnc.Params{BlockCount: 8, BlockSize: 512}, netio.DefaultServerConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

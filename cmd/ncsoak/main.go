@@ -186,12 +186,6 @@ func soakMain(seedV int64, eventsV, relaysV, nV, kV, sizeV int, timeoutV time.Du
 		// engage the ladder in milliseconds, plus a mild pace so drains land
 		// mid-transfer rather than after the wave has already finished.
 		RelayServerOpts: func(relay int) []netio.ServerOption {
-			opts := []netio.ServerOption{
-				netio.WithServePace(2 * time.Millisecond),
-				netio.WithEncodeBatch(2),
-				netio.WithQueueDepth(4),
-				netio.WithRetryAfter(5 * time.Millisecond),
-			}
 			bo := netio.BrownoutConfig{
 				Interval: 10 * time.Millisecond,
 				StepUp:   0.5,
@@ -203,7 +197,13 @@ func soakMain(seedV int64, eventsV, relaysV, nV, kV, sizeV int, timeoutV time.Du
 					fmt.Fprintf(stdout, "  brownout relay-%d: %s -> %s (pressure %.2f)\n", relay, from, to, p)
 				}
 			}
-			return append(opts, netio.WithBrownout(bo))
+			return []netio.ServerOption{func(c *netio.ServerConfig) {
+				c.Pace = 2 * time.Millisecond
+				c.EncodeBatch = 2
+				c.QueueDepth = 4
+				c.RetryAfter = 5 * time.Millisecond
+				c.Brownout = bo
+			}}
 		},
 	}
 	m, err := mesh.New(topo)
@@ -219,7 +219,7 @@ func soakMain(seedV int64, eventsV, relaysV, nV, kV, sizeV int, timeoutV time.Du
 		m: m, media: media, rng: rng, stdout: stdout, verbose: *verbose,
 		maxKills: *relays - 2,
 	}
-	if err := s.warm(ctx, *n); err != nil {
+	if err := m.WaitWarm(ctx); err != nil {
 		return err
 	}
 
@@ -307,26 +307,6 @@ type soak struct {
 	leavesDone int
 	redirects  int
 	peakRung   int
-}
-
-func (s *soak) warm(ctx context.Context, blockCount int) error {
-	full := s.m.Origin().Segments() * blockCount
-	for {
-		warm := 0
-		for _, r := range s.m.Relays() {
-			if r.TotalRank() == full {
-				warm++
-			}
-		}
-		if warm == len(s.m.Relays()) {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("relays never warmed: %w", ctx.Err())
-		case <-time.After(2 * time.Millisecond):
-		}
-	}
 }
 
 func (s *soak) step(ctx context.Context, ev event) error {

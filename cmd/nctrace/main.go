@@ -144,18 +144,18 @@ func run(args []string, stdout io.Writer) error {
 		// Small queues, tiny batches, and a twitchy brownout controller so the
 		// stall wave engages the ladder in milliseconds.
 		RelayServerOpts: func(relay int) []netio.ServerOption {
-			return []netio.ServerOption{
-				netio.WithServePace(2 * time.Millisecond),
-				netio.WithEncodeBatch(2),
-				netio.WithQueueDepth(4),
-				netio.WithRetryAfter(5 * time.Millisecond),
-				netio.WithBrownout(netio.BrownoutConfig{
+			return []netio.ServerOption{func(c *netio.ServerConfig) {
+				c.Pace = 2 * time.Millisecond
+				c.EncodeBatch = 2
+				c.QueueDepth = 4
+				c.RetryAfter = 5 * time.Millisecond
+				c.Brownout = netio.BrownoutConfig{
 					Interval: 10 * time.Millisecond,
 					StepUp:   0.5,
 					StepDown: 0.05,
 					Hold:     2,
-				}),
-			}
+				}
+			}}
 		},
 	}
 	m, err := mesh.New(topo)
@@ -167,7 +167,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 	defer m.Close()
 
-	if err := warm(ctx, m, *n); err != nil {
+	if err := m.WaitWarm(ctx); err != nil {
 		return err
 	}
 	if *verbose {
@@ -325,27 +325,6 @@ func run(args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "trace smoke ok (seed %d): %d generations, %d spans, 0 orphans, %d exemplars, flight %v\n",
 		*seed, len(asm.Generations), asm.Spans, len(exemplars), flightKinds)
 	return nil
-}
-
-// warm blocks until every relay holds full upstream rank.
-func warm(ctx context.Context, m *mesh.Mesh, blockCount int) error {
-	full := m.Origin().Segments() * blockCount
-	for {
-		ready := 0
-		for _, r := range m.Relays() {
-			if r.TotalRank() == full {
-				ready++
-			}
-		}
-		if ready == len(m.Relays()) {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("relays never warmed: %w", ctx.Err())
-		case <-time.After(2 * time.Millisecond):
-		}
-	}
 }
 
 // stallWave pins the first relay with non-reading raw clients until its

@@ -67,25 +67,14 @@ type (
 	// CodedBlock is a coefficient vector plus coded payload, with a
 	// checksummed binary wire format.
 	CodedBlock = rlnc.CodedBlock
-	// Encoder emits random linear combinations of a segment's blocks.
-	Encoder = rlnc.Encoder
-	// Decoder recovers a segment by progressive Gauss–Jordan elimination.
-	Decoder = rlnc.Decoder
-	// BatchDecoder recovers a segment by matrix inversion plus multiply.
-	BatchDecoder = rlnc.BatchDecoder
 	// Recoder emits fresh combinations of received blocks without decoding.
 	Recoder = rlnc.Recoder
-	// Object is a payload split into consecutive segments.
-	Object = rlnc.Object
 	// EncodeMode selects full-block or partitioned-block parallelism.
 	EncodeMode = rlnc.EncodeMode
 )
 
-// Encode partitioning modes (paper Sec. 5.3).
-const (
-	PartitionedBlock = rlnc.PartitionedBlock
-	FullBlock        = rlnc.FullBlock
-)
+// FullBlock is the full-block parallel-encode partitioning (paper Sec. 5.3).
+const FullBlock = rlnc.FullBlock
 
 // NewSegment returns a zero-filled segment.
 func NewSegment(id uint32, p Params) (*Segment, error) { return rlnc.NewSegment(id, p) }
@@ -96,50 +85,29 @@ func SegmentFromData(id uint32, p Params, data []byte) (*Segment, error) {
 }
 
 // NewEncoder returns a random linear encoder over seg.
-func NewEncoder(seg *Segment, rng *rand.Rand, opts ...rlnc.EncoderOption) *Encoder {
+func NewEncoder(seg *Segment, rng *rand.Rand, opts ...rlnc.EncoderOption) *rlnc.Encoder {
 	return rlnc.NewEncoder(seg, rng, opts...)
 }
 
-// WithDensity makes the encoder draw sparse coefficient vectors.
-func WithDensity(d float64) rlnc.EncoderOption { return rlnc.WithDensity(d) }
-
-// CodecOption configures the block-consuming codec constructors
-// (NewDecoder, NewBatchDecoder, NewRecoder); see rlnc.Option.
-type CodecOption = rlnc.Option
-
-// WithScratch pins a codec to a caller-owned workspace.
-func WithScratch(s *rlnc.Scratch) CodecOption { return rlnc.WithScratch(s) }
-
 // WithSeed gives a codec a private deterministic random source (Recoder.Emit).
-func WithSeed(seed int64) CodecOption { return rlnc.WithSeed(seed) }
+func WithSeed(seed int64) rlnc.Option { return rlnc.WithSeed(seed) }
 
 // NewDecoder returns a progressive Gauss–Jordan decoder.
-func NewDecoder(p Params, opts ...CodecOption) (*Decoder, error) { return rlnc.NewDecoder(p, opts...) }
-
-// NewBatchDecoder returns an invert-then-multiply decoder.
-func NewBatchDecoder(p Params, opts ...CodecOption) (*BatchDecoder, error) {
-	return rlnc.NewBatchDecoder(p, opts...)
+func NewDecoder(p Params, opts ...rlnc.Option) (*rlnc.Decoder, error) {
+	return rlnc.NewDecoder(p, opts...)
 }
 
 // NewRecoder returns a recoder for intermediate nodes.
-func NewRecoder(p Params, opts ...CodecOption) (*Recoder, error) {
+func NewRecoder(p Params, opts ...rlnc.Option) (*Recoder, error) {
 	return rlnc.NewRecoder(p, opts...)
 }
 
 // Split divides data into coding segments.
-func Split(data []byte, p Params) (*Object, error) { return rlnc.Split(data, p) }
+func Split(data []byte, p Params) (*rlnc.Object, error) { return rlnc.Split(data, p) }
 
 // ReassembleSegments rebuilds a payload from decoded segments.
 func ReassembleSegments(segs []*Segment, length int, p Params) ([]byte, error) {
 	return rlnc.ReassembleSegments(segs, length, p)
-}
-
-// EncodeBatchInto computes dsts[b] = Σᵢ coeffs[b][i]·seg.Block(i) for every
-// b in one cache-tiled pass over the source blocks — the batch-shaped encode
-// primitive behind the parallel workers. Producing many payloads per sweep
-// amortizes source-block memory traffic across the whole batch.
-func EncodeBatchInto(dsts [][]byte, seg *Segment, coeffs [][]byte) error {
-	return rlnc.EncodeBatchInto(dsts, seg, coeffs)
 }
 
 // XorSlice computes dst ^= src with wide-word XOR — the table-free GF(2)
@@ -155,43 +123,15 @@ func NewParallelEncoder(workers int, mode EncodeMode) (*rlnc.ParallelEncoder, er
 	return rlnc.NewParallelEncoder(workers, mode)
 }
 
-// DecodeSegmentsParallel batch-decodes independent segments with worker
-// goroutines; each worker runs the two-stage pipeline. Cancelling ctx stops
-// the sweep at segment granularity and returns ctx.Err().
-func DecodeSegmentsParallel(ctx context.Context, p Params, sets [][]*CodedBlock, workers int) ([]*Segment, error) {
-	return rlnc.DecodeSegmentsParallel(ctx, p, sets, workers)
-}
-
-// DecodeTwoStage recovers one segment with the paper's explicit two-stage
-// pipeline (Sec. 5.2): invert the n×n coefficient matrix on [C | I] — no
-// payload bytes drag through the elimination — then recover all source
-// blocks in one tiled b = C⁻¹·x multiply.
-func DecodeTwoStage(p Params, blocks []*CodedBlock) (*Segment, error) {
-	return rlnc.DecodeTwoStage(p, blocks)
-}
-
 // Simulated hardware (see internal/gpu and internal/cpusim).
-type (
-	// GPUDevice is a simulated CUDA-class GPU with a calibrated cost model.
-	GPUDevice = gpu.Device
-	// GPUSpec describes a simulated GPU.
-	GPUSpec = gpu.DeviceSpec
-	// GPUScheme identifies a GPU multiplication kernel (LoopBased,
-	// TableBased0…TableBased5).
-	GPUScheme = gpu.Scheme
-	// CPUMachine is a simulated multicore host.
-	CPUMachine = cpusim.Machine
-	// CPUSpec describes a simulated multicore host.
-	CPUSpec = cpusim.CPUSpec
-	// CPUScheme identifies a CPU multiplication strategy.
-	CPUScheme = cpusim.Scheme
-)
 
-// CPU multiplication strategies (paper Secs. 4.1 and 5.1.3).
-const (
-	CPULoopSIMD   = cpusim.LoopSIMD
-	CPUTableBased = cpusim.TableBased
-)
+// GPUScheme identifies a GPU multiplication kernel (LoopBased,
+// TableBased0…TableBased5).
+type GPUScheme = gpu.Scheme
+
+// CPULoopSIMD is the loop-based SIMD CPU multiplication strategy (paper
+// Secs. 4.1 and 5.1.3).
+const CPULoopSIMD = cpusim.LoopSIMD
 
 // GPU kernel schemes in the paper's Fig. 7 ladder.
 const (
@@ -205,45 +145,27 @@ const (
 )
 
 // GTX280 returns the paper's primary GPU testbed spec.
-func GTX280() GPUSpec { return gpu.GTX280() }
-
-// GeForce8800GT returns the prior-generation GPU baseline spec.
-func GeForce8800GT() GPUSpec { return gpu.GeForce8800GT() }
+func GTX280() gpu.DeviceSpec { return gpu.GTX280() }
 
 // MacPro returns the paper's 8-core Xeon CPU baseline spec.
-func MacPro() CPUSpec { return cpusim.MacPro() }
-
-// NewGPUDevice creates a simulated device.
-func NewGPUDevice(spec GPUSpec) (*GPUDevice, error) { return gpu.NewDevice(spec) }
-
-// NewCPUMachine creates a simulated multicore host.
-func NewCPUMachine(spec CPUSpec) (*CPUMachine, error) { return cpusim.NewMachine(spec) }
+func MacPro() cpusim.CPUSpec { return cpusim.MacPro() }
 
 // Engines (see internal/core).
 type (
 	// EncodeEngine produces coded blocks at an engine-specific rate.
 	EncodeEngine = core.Encoder
-	// DecodeEngine recovers segments from coded block sets.
-	DecodeEngine = core.Decoder
-	// EngineReport describes one engine run.
-	EngineReport = core.Report
 	// StreamScenario is a streaming-server configuration.
 	StreamScenario = core.StreamScenario
 )
 
 // NewGPUEncoder returns an encode engine on a fresh simulated device.
-func NewGPUEncoder(spec GPUSpec, scheme GPUScheme) (*core.GPUEncoder, error) {
+func NewGPUEncoder(spec gpu.DeviceSpec, scheme GPUScheme) (*core.GPUEncoder, error) {
 	return core.NewGPUEncoder(spec, scheme)
 }
 
 // NewCPUEncoder returns a simulated multicore encode engine.
-func NewCPUEncoder(spec CPUSpec, mode EncodeMode, scheme CPUScheme) (*core.CPUEncoder, error) {
+func NewCPUEncoder(spec cpusim.CPUSpec, mode EncodeMode, scheme cpusim.Scheme) (*core.CPUEncoder, error) {
 	return core.NewCPUEncoder(spec, mode, scheme)
-}
-
-// NewHostEncoder returns an engine measuring the real local machine.
-func NewHostEncoder(workers int, mode EncodeMode) (*core.HostEncoder, error) {
-	return core.NewHostEncoder(workers, mode)
 }
 
 // NewCombinedEncoder pairs a GPU and a CPU engine (paper Sec. 5.4.1).
@@ -257,24 +179,14 @@ type GPUDecodeOptions = gpu.DecodeOptions
 
 // NewGPUSingleDecoder returns the paper's progressive single-segment GPU
 // decoder (Sec. 4.2.2).
-func NewGPUSingleDecoder(spec GPUSpec, opts GPUDecodeOptions) (*core.GPUSingleDecoder, error) {
+func NewGPUSingleDecoder(spec gpu.DeviceSpec, opts GPUDecodeOptions) (*core.GPUSingleDecoder, error) {
 	return core.NewGPUSingleDecoder(spec, opts)
 }
 
 // NewGPUMultiDecoder returns the paper's multi-segment GPU decoder
 // (Sec. 5.2); segmentsPerSM 1 = 30-segment mode, 2 = 60-segment mode.
-func NewGPUMultiDecoder(spec GPUSpec, segmentsPerSM int) (*core.GPUMultiDecoder, error) {
+func NewGPUMultiDecoder(spec gpu.DeviceSpec, segmentsPerSM int) (*core.GPUMultiDecoder, error) {
 	return core.NewGPUMultiDecoder(spec, segmentsPerSM)
-}
-
-// NewCPUCooperativeDecoder returns the Fig. 4(b) CPU baseline decoder.
-func NewCPUCooperativeDecoder(spec CPUSpec) (*core.CPUCooperativeDecoder, error) {
-	return core.NewCPUCooperativeDecoder(spec)
-}
-
-// NewCPUMultiDecoder returns the one-thread-per-segment CPU decoder.
-func NewCPUMultiDecoder(spec CPUSpec) (*core.CPUMultiDecoder, error) {
-	return core.NewCPUMultiDecoder(spec)
 }
 
 // NewHostDecoder returns a decode engine measuring the real local machine.
@@ -286,17 +198,9 @@ func NewHostDecoder(workers int) *core.HostDecoder {
 // streaming configuration (Sec. 5.1.1).
 func DefaultStreamScenario() StreamScenario { return core.DefaultStreamScenario() }
 
-// Streaming server (see internal/stream).
-type (
-	// StreamServer serves coded blocks to downstream peers.
-	StreamServer = stream.Server
-	// StreamMetrics reports one serving run.
-	StreamMetrics = stream.Metrics
-)
-
-// NewStreamServer builds a streaming server over media with the given
-// engine.
-func NewStreamServer(scenario StreamScenario, enc EncodeEngine, media []byte) (*StreamServer, error) {
+// NewStreamServer builds a streaming server (see internal/stream) over media
+// with the given engine.
+func NewStreamServer(scenario StreamScenario, enc EncodeEngine, media []byte) (*stream.Server, error) {
 	return stream.NewServer(scenario, enc, media)
 }
 
@@ -304,8 +208,6 @@ func NewStreamServer(scenario StreamScenario, enc EncodeEngine, media []byte) (*
 type (
 	// P2PConfig describes an Avalanche-style distribution session.
 	P2PConfig = p2p.Config
-	// P2PResult summarizes a session.
-	P2PResult = p2p.Result
 	// P2PMode selects the distribution strategy.
 	P2PMode = p2p.Mode
 )
@@ -318,219 +220,69 @@ const (
 )
 
 // RunP2P executes one distribution session.
-func RunP2P(cfg P2PConfig) (*P2PResult, error) { return p2p.Run(cfg) }
-
-// Extended codec types.
-type (
-	// SeededBlock carries an 8-byte coefficient seed instead of an n-byte
-	// vector (compact headers for source-generated blocks).
-	SeededBlock = rlnc.SeededBlock
-	// SystematicEncoder emits source blocks verbatim before coding.
-	SystematicEncoder = rlnc.SystematicEncoder
-	// GaussianDecoder defers back-substitution to a single final pass —
-	// the "traditional Gaussian elimination" alternative of paper Sec. 3.
-	GaussianDecoder = rlnc.GaussianDecoder
-)
-
-// SystematicOption tunes a SystematicEncoder's repair schedule.
-type SystematicOption = rlnc.SystematicOption
+func RunP2P(cfg P2PConfig) (*p2p.Result, error) { return p2p.Run(cfg) }
 
 // NewSystematicEncoder wraps seg in a systematic encoder: one verbatim
 // sweep of the source blocks, then GF(2) bitmask XOR repair blocks, then a
 // dense GF(2^8) tail for the stubborn final ranks.
-func NewSystematicEncoder(seg *Segment, rng *rand.Rand, opts ...SystematicOption) *SystematicEncoder {
+func NewSystematicEncoder(seg *Segment, rng *rand.Rand, opts ...rlnc.SystematicOption) *rlnc.SystematicEncoder {
 	return rlnc.NewSystematicEncoder(seg, rng, opts...)
 }
 
 // WithXorRepair sets how many GF(2) bitmask repair blocks follow each
 // verbatim sweep before the encoder falls back to dense coding.
-func WithXorRepair(r int) SystematicOption { return rlnc.WithXorRepair(r) }
+func WithXorRepair(r int) rlnc.SystematicOption { return rlnc.WithXorRepair(r) }
 
 // WithDenseTail sets how many dense GF(2^8) blocks close each cycle.
-func WithDenseTail(t int) SystematicOption { return rlnc.WithDenseTail(t) }
+func WithDenseTail(t int) rlnc.SystematicOption { return rlnc.WithDenseTail(t) }
 
-// NewGaussianDecoder returns the forward-elimination-only decoder.
-func NewGaussianDecoder(p Params) (*GaussianDecoder, error) {
+// NewGaussianDecoder returns the forward-elimination-only decoder: it defers
+// back-substitution to a single final pass — the "traditional Gaussian
+// elimination" alternative of paper Sec. 3.
+func NewGaussianDecoder(p Params) (*rlnc.GaussianDecoder, error) {
 	return rlnc.NewGaussianDecoder(p)
 }
 
 // CoeffsFromSeed regenerates a seeded block's coefficient vector.
 func CoeffsFromSeed(seed int64, n int) []byte { return rlnc.CoeffsFromSeed(seed, n) }
 
-// Network transport (see internal/netio).
+// Network transport (see internal/netio). A server or fetcher is configured
+// by one struct: start from the Default*Config value, assign the fields that
+// differ, and hand it to the FromConfig constructor.
 type (
 	// NetServer streams coded blocks to TCP (or any net.Conn) clients:
-	// concurrent sessions fed from one shared encoder, bounded per-client
+	// concurrent sessions fed from sharded encoder pumps, bounded per-client
 	// queues with shedding, write deadlines, and a metrics snapshot.
 	NetServer = netio.Server
-	// NetServerOption configures a NetServer.
-	NetServerOption = netio.ServerOption
-	// NetSnapshot is the server-wide observability surface.
-	NetSnapshot = netio.Snapshot
-	// NetSessionSnapshot describes one live serving session.
-	NetSessionSnapshot = netio.SessionSnapshot
-	// NetCounters is the shared atomic serving-counter set (also used by
-	// the stream.Server engine driver).
-	NetCounters = netio.Counters
-	// FetchStats reports a network download.
-	FetchStats = netio.FetchStats
-)
-
-// NewNetServer builds a push-streaming server over media split at p.
-func NewNetServer(media []byte, p Params, opts ...NetServerOption) (*NetServer, error) {
-	return netio.NewServer(media, p, opts...)
-}
-
-// NetServer options (see internal/netio for full documentation).
-var (
-	// WithQueueDepth bounds each session's send queue.
-	WithQueueDepth = netio.WithQueueDepth
-	// WithWriteDeadline bounds every record write.
-	WithWriteDeadline = netio.WithWriteDeadline
-	// WithWriteRetries sets the retry budget of a timed-out write.
-	WithWriteRetries = netio.WithWriteRetries
-	// WithEncodeBatch sets blocks encoded per segment per pump round.
-	WithEncodeBatch = netio.WithEncodeBatch
-	// WithMaxSessions caps concurrent sessions.
-	WithMaxSessions = netio.WithMaxSessions
-	// WithEncoderWorkers sets the shared encoder's worker count.
-	WithEncoderWorkers = netio.WithEncoderWorkers
-	// WithServerSeed fixes the pump's coefficient-stream seed.
-	WithServerSeed = netio.WithServerSeed
-	// WithWireMode selects the serving wire discipline (dense or
-	// systematic + XOR); the negotiated mode rides the session handshake.
-	WithWireMode = netio.WithWireMode
-	// WithServePace floors the interval between pump rounds, modeling a
-	// capacity-constrained origin uplink.
-	WithServePace = netio.WithServePace
-	// WithPumpShards splits serving across independent encoder pumps;
-	// sessions join the least-loaded shard at handshake.
-	WithPumpShards = netio.WithPumpShards
-	// WithFanout selects the pump-to-queue hand-off rung (amortized bulk
-	// offers + vectored writes, or the per-record baseline).
-	WithFanout = netio.WithFanout
-	// WithRetryAfter sets the retry hint carried by BUSY admission
-	// decisions.
-	WithRetryAfter = netio.WithRetryAfter
-	// WithBrownout enables the overload degradation ladder (pace → lean
-	// schedule → reject) driven by the server's pressure signal.
-	WithBrownout = netio.WithBrownout
-)
-
-// Graceful degradation (see internal/netio): a server under pressure climbs
-// a deterministic brownout ladder, and a retiring server drains — new
-// handshakes get structured BUSY/REDIRECT decisions while in-flight sessions
-// run to rank completion (NetServer.Drain).
-type (
-	// BrownoutConfig tunes the overload degradation ladder.
-	BrownoutConfig = netio.BrownoutConfig
-	// BrownoutRung is a position on the ladder.
-	BrownoutRung = netio.BrownoutRung
-	// DegradableSource is a RecordSource with a cheaper degraded schedule
-	// the brownout controller can toggle.
-	DegradableSource = netio.DegradableSource
-)
-
-// Brownout ladder rungs, in escalation order.
-const (
-	BrownoutOff    = netio.BrownoutOff
-	BrownoutPaced  = netio.BrownoutPaced
-	BrownoutLean   = netio.BrownoutLean
-	BrownoutReject = netio.BrownoutReject
-)
-
-// Literal serving configuration (see internal/netio). The functional options
-// above and these structs are two spellings of one configuration path: both
-// run the same Validate/normalize pipeline, so a config that passes
-// Validate behaves identically however it was assembled.
-type (
 	// NetServerConfig is the complete serving configuration.
 	NetServerConfig = netio.ServerConfig
 	// NetFetcherConfig is the complete resilient-fetcher configuration.
 	NetFetcherConfig = netio.FetcherConfig
-	// FanoutMode selects how the encoder pump hands records to session
-	// queues — the serving-side optimization ladder.
-	FanoutMode = netio.FanoutMode
-	// NetShardSnapshot is one encoder pump's slice of a NetSnapshot.
-	NetShardSnapshot = netio.ShardSnapshot
-	// ShardedRecordSource is a RecordSource that can partition itself
-	// across pump shards instead of being serialized behind one lock.
-	ShardedRecordSource = netio.ShardedRecordSource
 )
 
-// Fan-out rungs.
-const (
-	// FanoutAmortized (default): bulk offers, batched counters, vectored
-	// writes.
-	FanoutAmortized = netio.FanoutAmortized
-	// FanoutPerRecord: the original one-offer-one-write-per-record cost
-	// profile, kept selectable so capacity ladders can measure the delta.
-	FanoutPerRecord = netio.FanoutPerRecord
+// NetSnapshotVersion identifies the NetServer.Snapshot schema.
+const NetSnapshotVersion = netio.SnapshotVersion
 
-	// NetSnapshotVersion identifies the NetSnapshot schema.
-	NetSnapshotVersion = netio.SnapshotVersion
-)
-
-// ParseFanoutMode parses a FanoutMode from its flag spelling ("amortized",
-// "record").
-func ParseFanoutMode(s string) (FanoutMode, error) { return netio.ParseFanoutMode(s) }
-
-// DefaultNetServerConfig returns the serving defaults the option-based
-// constructors start from.
+// DefaultNetServerConfig returns the serving defaults.
 func DefaultNetServerConfig() NetServerConfig { return netio.DefaultServerConfig() }
 
-// DefaultNetFetcherConfig returns the fetcher defaults the option-based
-// constructor starts from.
+// DefaultNetFetcherConfig returns the fetcher defaults.
 func DefaultNetFetcherConfig() NetFetcherConfig { return netio.DefaultFetcherConfig() }
 
-// NewNetServerFromConfig builds a push-streaming server from a literal
-// config; cfg.Validate failures are returned.
+// NewNetServerFromConfig builds a push-streaming server over media split at
+// p; cfg.Validate failures are returned.
 func NewNetServerFromConfig(media []byte, p Params, cfg NetServerConfig) (*NetServer, error) {
 	return netio.NewServerFromConfig(media, p, cfg)
 }
 
-// NewSourceServerFromConfig builds a RecordSource-backed server from a
-// literal config.
-func NewSourceServerFromConfig(src RecordSource, cfg NetServerConfig) (*NetServer, error) {
-	return netio.NewSourceServerFromConfig(src, cfg)
-}
-
-// NewFetcherFromConfig builds a resilient Fetcher from a literal config;
-// cfg.Validate failures are returned.
-func NewFetcherFromConfig(dial DialFunc, cfg NetFetcherConfig) (*Fetcher, error) {
+// NewFetcherFromConfig builds a resilient Fetcher — a reconnecting download
+// client that owns a dial function rather than a connection and carries
+// per-segment decoders across reconnects, so a reset or server restart costs
+// only the bytes in flight, never accumulated rank. cfg.Validate failures
+// are returned.
+func NewFetcherFromConfig(dial netio.DialFunc, cfg NetFetcherConfig) (*netio.Fetcher, error) {
 	return netio.NewFetcherFromConfig(dial, cfg)
 }
-
-// Pluggable serving sources (see internal/netio): a NetServer normally
-// serves a media object, but any RecordSource — most notably a mesh relay's
-// recoder bank — can sit behind the same pump, queues, and shed machinery.
-type (
-	// RecordSource supplies framed records for one declared session shape.
-	RecordSource = netio.RecordSource
-	// SessionInfo is the session shape a RecordSource declares: coding
-	// params, segment count, payload length, and wire mode.
-	SessionInfo = netio.SessionInfo
-)
-
-// NewSourceServer builds a push-streaming server over an arbitrary
-// RecordSource instead of a media object.
-func NewSourceServer(src RecordSource, opts ...NetServerOption) (*NetServer, error) {
-	return netio.NewSourceServer(src, opts...)
-}
-
-// FrameRecord marshals one coded block into the record framing for mode —
-// the helper RecordSource implementations use to produce wire records.
-func FrameRecord(b *CodedBlock, mode WireMode) ([]byte, error) {
-	return netio.FrameRecord(b, mode)
-}
-
-// Redirector is a mutable dial target: it satisfies DialFunc while letting
-// a control plane re-point the next reconnect at a different server — the
-// leaf-side half of mesh remediation.
-type Redirector = netio.Redirector
-
-// NewRedirector returns a Redirector dialing target until re-pointed.
-func NewRedirector(target string) *Redirector { return netio.NewRedirector(target) }
 
 // WireMode is the wire discipline a serving session negotiates in its
 // handshake: classic dense GF(2^8) records, or the systematic schedule
@@ -554,90 +306,23 @@ func ParseWireMode(s string) (WireMode, error) { return netio.ParseWireMode(s) }
 // Fetch downloads and decodes a served object from conn. Cancelling ctx
 // unblocks any pending read and returns ctx.Err(). Fetch is the one-shot
 // path: any stream failure is final. For a client that survives resets,
-// framing loss, and server restarts without losing decoder rank, use a
-// Fetcher.
-func Fetch(ctx context.Context, conn net.Conn) ([]byte, *FetchStats, error) {
+// framing loss, and server restarts without losing decoder rank, use
+// NewFetcherFromConfig.
+func Fetch(ctx context.Context, conn net.Conn) ([]byte, *netio.FetchStats, error) {
 	return netio.Fetch(ctx, conn)
 }
-
-// Resilient fetch client (see internal/netio).
-type (
-	// Fetcher is a reconnecting download client: it owns a dial function
-	// rather than a connection and carries per-segment decoders across
-	// reconnects, so a reset or server restart costs only the bytes in
-	// flight, never accumulated rank.
-	Fetcher = netio.Fetcher
-	// FetcherOption configures a Fetcher.
-	FetcherOption = netio.FetcherOption
-	// FetchResult carries a fetch's payload, decoded segments, per-segment
-	// ranks, and stats — returned even when the fetch failed.
-	FetchResult = netio.FetchResult
-	// DialFunc opens one connection to the serving peer.
-	DialFunc = netio.DialFunc
-)
-
-// NewFetcher returns a resilient Fetcher that downloads through dial.
-func NewFetcher(dial DialFunc, opts ...FetcherOption) *Fetcher {
-	return netio.NewFetcher(dial, opts...)
-}
-
-// Fetcher options (see internal/netio for full documentation).
-var (
-	// WithMaxAttempts caps total connection attempts (0 = unlimited).
-	WithMaxAttempts = netio.WithMaxAttempts
-	// WithBackoff sets the reconnect backoff base and cap.
-	WithBackoff = netio.WithBackoff
-	// WithBackoffJitter sets the backoff jitter fraction in [0, 1].
-	WithBackoffJitter = netio.WithBackoffJitter
-	// WithBackoffSeed makes the backoff schedule reproducible.
-	WithBackoffSeed = netio.WithBackoffSeed
-	// WithReconnectHook observes every reconnect and the ranks carried.
-	WithReconnectHook = netio.WithReconnectHook
-	// WithResumeState preloads decoders from a Fetcher.State blob.
-	WithResumeState = netio.WithResumeState
-	// WithRecordTap observes every accepted record; taps compose and run
-	// in installation order.
-	WithRecordTap = netio.WithRecordTap
-	// WithSessionHook observes each session's outcome; hooks compose and
-	// run in installation order.
-	WithSessionHook = netio.WithSessionHook
-	// WithFetchTimeout bounds the whole fetch wall clock; on expiry the
-	// partial FetchResult is returned with ErrFetchTimeout.
-	WithFetchTimeout = netio.WithFetchTimeout
-	// WithRedirector lets the fetcher honor REDIRECT admission decisions
-	// by re-pointing the given Redirector at the named survivor.
-	WithRedirector = netio.WithRedirector
-)
 
 // Deterministic fault injection (see internal/faultnet): a seeded chaos
 // net.Conn layer for testing transports under byte corruption, short
 // reads/writes, read stalls, and mid-stream resets on a reproducible
 // schedule.
-type (
-	// FaultConfig schedules the injected faults for one seed.
-	FaultConfig = faultnet.Config
-	// FaultCounters aggregates injected-fault counts across connections.
-	FaultCounters = faultnet.Counters
-	// FaultCounterView is a consistent snapshot of FaultCounters.
-	FaultCounterView = faultnet.CounterView
-	// FaultConn is a net.Conn with scheduled fault injection.
-	FaultConn = faultnet.Conn
-	// FaultListener wraps every accepted conn in fault injection.
-	FaultListener = faultnet.Listener
-)
 
-// WrapFaulty wraps conn in a deterministic fault-injection layer.
-func WrapFaulty(conn net.Conn, cfg FaultConfig) *FaultConn { return faultnet.Wrap(conn, cfg) }
-
-// NewFaultListener wraps l so every accepted conn injects faults on a
-// per-connection deterministic schedule.
-func NewFaultListener(l net.Listener, cfg FaultConfig) *FaultListener {
-	return faultnet.NewListener(l, cfg)
-}
+// FaultConfig schedules the injected faults for one seed.
+type FaultConfig = faultnet.Config
 
 // FaultyDialer wraps dial so every dialed conn injects faults on a
 // per-connection deterministic schedule, sharing the returned counters.
-func FaultyDialer(cfg FaultConfig, dial DialFunc) (DialFunc, *FaultCounters) {
+func FaultyDialer(cfg FaultConfig, dial netio.DialFunc) (netio.DialFunc, *faultnet.Counters) {
 	d, ctr := faultnet.Dialer(cfg, dial)
 	return d, ctr
 }
@@ -647,45 +332,28 @@ func FaultyDialer(cfg FaultConfig, dial DialFunc) (DialFunc, *FaultCounters) {
 // them to a wave of leaf fetchers, with a control plane — membership pool,
 // heartbeat/rank health detection, least-loaded coordinator, remediator —
 // that re-points leaves off dead relays mid-transfer.
-type (
-	// MeshTopology describes an in-process mesh: media, coding params,
-	// relay/leaf counts, wire mode, chaos configs, and health cadence.
-	MeshTopology = mesh.Topology
-	// Mesh is a running origin + relay tier + leaf wave with its control
-	// plane.
-	Mesh = mesh.Mesh
-	// MeshLeaf is one leaf fetcher in the wave.
-	MeshLeaf = mesh.Leaf
-	// MeshHealthConfig sets the suspect/dead failure-detection windows.
-	MeshHealthConfig = mesh.HealthConfig
-	// MeshMemberView is one relay's state in a snapshot.
-	MeshMemberView = mesh.MemberView
-	// MeshSnapshot is a consistent JSON-taggable view of the whole mesh.
-	MeshSnapshot = mesh.MeshSnapshot
-)
 
-// NewMesh builds (but does not start) a mesh for the topology.
-func NewMesh(topo MeshTopology) (*Mesh, error) { return mesh.New(topo) }
+// MeshTopology describes an in-process mesh: media, coding params,
+// relay/leaf counts, wire mode, chaos configs, and health cadence.
+type MeshTopology = mesh.Topology
 
-// Coded file containers (see internal/ncfile).
-type (
-	// FileEncodeOptions tunes EncodeFile.
-	FileEncodeOptions = ncfile.EncodeOptions
-	// FileEncodeSummary reports an EncodeFile run.
-	FileEncodeSummary = ncfile.EncodeSummary
-	// FileDecodeSummary reports a DecodeFile run.
-	FileDecodeSummary = ncfile.DecodeSummary
-)
+// NewMesh builds (but does not start) a mesh — a running origin + relay tier
+// + leaf wave with its control plane — for the topology.
+func NewMesh(topo MeshTopology) (*mesh.Mesh, error) { return mesh.New(topo) }
+
+// FileEncodeOptions tunes EncodeFile (coded file containers; see
+// internal/ncfile).
+type FileEncodeOptions = ncfile.EncodeOptions
 
 // EncodeFile writes payload bytes from r as a loss-tolerant coded container
 // on w.
-func EncodeFile(w io.Writer, r io.Reader, p Params, opts FileEncodeOptions) (*FileEncodeSummary, error) {
+func EncodeFile(w io.Writer, r io.Reader, p Params, opts FileEncodeOptions) (*ncfile.EncodeSummary, error) {
 	return ncfile.Encode(w, r, p, opts)
 }
 
 // DecodeFile recovers the payload of a coded container, skipping corrupt
 // records.
-func DecodeFile(w io.Writer, r io.Reader) (*FileDecodeSummary, error) {
+func DecodeFile(w io.Writer, r io.Reader) (*ncfile.DecodeSummary, error) {
 	return ncfile.Decode(w, r)
 }
 
@@ -714,18 +382,14 @@ func RunExperiment(id string, w io.Writer) error {
 	return fig.Render(w)
 }
 
-// Playback modeling (see internal/stream).
-type (
-	// PlaybackConfig describes a live viewing session to simulate.
-	PlaybackConfig = stream.PlaybackConfig
-	// PlaybackMetrics reports the viewer experience.
-	PlaybackMetrics = stream.PlaybackMetrics
-)
+// PlaybackConfig describes a live viewing session to simulate (playback
+// modeling; see internal/stream).
+type PlaybackConfig = stream.PlaybackConfig
 
 // SimulatePlayback models viewer startup delay and stalls for a peer
 // population against a server's coding and NIC capacity (Sec. 5.1.2's
 // buffering analysis).
-func SimulatePlayback(cfg PlaybackConfig) (*PlaybackMetrics, error) {
+func SimulatePlayback(cfg PlaybackConfig) (*stream.PlaybackMetrics, error) {
 	return stream.SimulatePlayback(cfg)
 }
 
@@ -735,48 +399,30 @@ func MaxSmoothPeers(s StreamScenario, encodeMBps float64) int {
 	return stream.MaxSmoothPeers(s, encodeMBps)
 }
 
-// Observability (see internal/obs). One MetricsRegistry collects every
-// counter, gauge, and stage-latency histogram the library produces; the
-// session server attaches via WithMetricsRegistry, the resilient fetcher
-// via WithMetrics, the chaos link via FaultCounters.Register, and the
-// stream server via Server.RegisterMetrics. SetMetricsSink additionally
+// Observability (see internal/obs). One registry collects every counter,
+// gauge, and stage-latency histogram the library produces; the session
+// server attaches via NetServerConfig.Metrics, the resilient fetcher via
+// NetFetcherConfig.Metrics, the chaos link via its counters' Register, and
+// the stream server via Server.RegisterMetrics. SetMetricsSink additionally
 // enables the stage-timing spans on the codec and transport hot paths —
 // without a sink they cost one atomic load and zero allocations.
-type (
-	// MetricsRegistry is a registry of named lock-free metrics with
-	// Prometheus-text (WriteText) and JSON (SnapshotJSON) exposition.
-	MetricsRegistry = obs.Registry
-	// MetricsSample is one parsed series from a Prometheus text scrape.
-	MetricsSample = obs.TextSample
-)
 
-// NewMetricsRegistry creates an empty metrics registry.
-func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
+// NewMetricsRegistry creates an empty registry of named lock-free metrics
+// with Prometheus-text (WriteText) and JSON (SnapshotJSON) exposition.
+func NewMetricsRegistry() *obs.Registry { return obs.NewRegistry() }
 
 // SetMetricsSink installs reg as the process-wide span sink, turning on the
 // stage-latency histograms (rlnc.encode_batch, rlnc.absorb, netio.*,
 // fetch.*). Passing nil disables spans again, returning the hot paths to
 // their free no-op form.
-func SetMetricsSink(reg *MetricsRegistry) { obs.SetSink(reg) }
+func SetMetricsSink(reg *obs.Registry) { obs.SetSink(reg) }
 
 // MetricsHandler serves reg over HTTP: Prometheus text on /metrics, a JSON
 // snapshot on /metrics.json (merged with extra() when non-nil), and the
 // pprof profiles under /debug/pprof/; every other path is a 404.
-func MetricsHandler(reg *MetricsRegistry, extra func() map[string]any) http.Handler {
+func MetricsHandler(reg *obs.Registry, extra func() map[string]any) http.Handler {
 	return obs.Handler(reg, extra)
 }
-
-// ParseMetricsText parses a Prometheus text exposition (as produced by
-// MetricsRegistry.WriteText or scraped from /metrics) with the in-repo
-// minimal parser.
-func ParseMetricsText(r io.Reader) ([]MetricsSample, error) { return obs.ParseText(r) }
-
-var (
-	// WithMetricsRegistry attaches a server's counters to a registry.
-	WithMetricsRegistry = netio.WithMetricsRegistry
-	// WithFetchMetrics attaches a fetcher's counters to a registry.
-	WithFetchMetrics = netio.WithMetrics
-)
 
 // Sentinel errors, re-exported from the codec and transport layers so
 // callers can branch with errors.Is against the facade alone.
@@ -785,66 +431,21 @@ var (
 	ErrInvalidParams = rlnc.ErrInvalidParams
 	// ErrNotReady reports a Segment call before full rank.
 	ErrNotReady = rlnc.ErrNotReady
-	// ErrWrongSegment reports a block for a different segment.
-	ErrWrongSegment = rlnc.ErrWrongSegment
-	// ErrRankDeficient reports blocks that do not span the segment.
-	ErrRankDeficient = rlnc.ErrRankDeficient
 	// ErrWorkerCount reports a non-positive worker count.
 	ErrWorkerCount = rlnc.ErrWorkerCount
 	// ErrEncodeMode reports an unknown parallel-encode mode.
 	ErrEncodeMode = rlnc.ErrEncodeMode
-	// ErrBlockCountInvalid reports a non-positive coded-block request.
-	ErrBlockCountInvalid = rlnc.ErrBlockCountInvalid
 	// ErrCoeffsMismatch reports a mis-sized coefficient vector.
 	ErrCoeffsMismatch = rlnc.ErrCoeffsMismatch
 	// ErrBlockShape reports a mis-shaped coded block.
 	ErrBlockShape = rlnc.ErrBlockShape
-	// ErrBatchShape reports inconsistent batch-encode shapes.
-	ErrBatchShape = rlnc.ErrBatchShape
 	// ErrNoBlocks reports a recombination request with no input.
 	ErrNoBlocks = rlnc.ErrNoBlocks
 	// ErrNoSeed reports Recoder.Emit without WithSeed.
 	ErrNoSeed = rlnc.ErrNoSeed
 	// ErrDataTooLarge reports payload bytes exceeding the segment size.
 	ErrDataTooLarge = rlnc.ErrDataTooLarge
-	// ErrParamsMismatch reports segments with disagreeing parameters.
-	ErrParamsMismatch = rlnc.ErrParamsMismatch
-	// ErrBadHandshake reports a malformed transport session header.
-	ErrBadHandshake = netio.ErrBadHandshake
-	// ErrRecordLength reports an implausible record length prefix.
-	ErrRecordLength = netio.ErrRecordLength
-	// ErrStreamTruncated reports a coded stream that ended early.
-	ErrStreamTruncated = netio.ErrStreamTruncated
-	// ErrFetchBudget reports a Fetcher that ran out of attempts; the
-	// FetchResult alongside it still carries all accumulated progress.
-	ErrFetchBudget = netio.ErrFetchBudget
-	// ErrHeaderMismatch reports a reconnect answered with a different
-	// session header.
-	ErrHeaderMismatch = netio.ErrHeaderMismatch
-	// ErrBadResumeState reports an unusable WithResumeState blob.
+	// ErrBadResumeState reports an unusable NetFetcherConfig.ResumeState
+	// blob.
 	ErrBadResumeState = netio.ErrBadResumeState
-	// ErrBadDecoderState reports an unusable serialized decoder.
-	ErrBadDecoderState = rlnc.ErrBadDecoderState
-	// ErrNotBinary reports a GF(2) wire encoding request for a block whose
-	// coefficients are not all 0/1.
-	ErrNotBinary = rlnc.ErrNotBinary
-	// ErrBadBitmask reports an XNC2 record with bits set past the block
-	// count.
-	ErrBadBitmask = rlnc.ErrBadBitmask
-	// ErrInjectedReset reports a fault-injected connection reset.
-	ErrInjectedReset = faultnet.ErrInjectedReset
-	// ErrServerClosed reports an operation on a shut-down server.
-	ErrServerClosed = netio.ErrServerClosed
-	// ErrShortWrite reports a record write that missed its deadline budget.
-	ErrShortWrite = netio.ErrShortWrite
-	// ErrAdmissionBusy reports a handshake answered with a BUSY admission
-	// decision: the server is at its session cap or shedding load.
-	ErrAdmissionBusy = netio.ErrAdmissionBusy
-	// ErrAdmissionRedirect reports a handshake answered with a REDIRECT
-	// admission decision: the server is draining toward a named survivor.
-	ErrAdmissionRedirect = netio.ErrAdmissionRedirect
-	// ErrFetchTimeout reports a fetch that exhausted its WithFetchTimeout
-	// wall-clock budget; the partial FetchResult alongside it still carries
-	// all accumulated progress.
-	ErrFetchTimeout = netio.ErrFetchTimeout
 )

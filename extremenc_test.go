@@ -329,14 +329,20 @@ func TestSystematicXorFacade(t *testing.T) {
 	}
 
 	// Systematic-mode serving negotiated through the facade.
-	srv, err := extremenc.NewNetServer(payload, params,
-		extremenc.WithWireMode(extremenc.ModeSystematic))
+	scfg := extremenc.DefaultNetServerConfig()
+	scfg.Mode = extremenc.ModeSystematic
+	srv, err := extremenc.NewNetServerFromConfig(payload, params, scfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dialPipe := pipeServer(t, srv)
-	f := extremenc.NewFetcher(func(context.Context) (net.Conn, error) { return dialPipe(), nil },
-		extremenc.WithMaxAttempts(1))
+	fcfg := extremenc.DefaultNetFetcherConfig()
+	fcfg.MaxAttempts = 1
+	f, err := extremenc.NewFetcherFromConfig(
+		func(context.Context) (net.Conn, error) { return dialPipe(), nil }, fcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := f.Fetch(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -368,7 +374,7 @@ func TestFileAndNetFacade(t *testing.T) {
 		t.Fatal("file container roundtrip differs")
 	}
 
-	srv, err := extremenc.NewNetServer(payload, params)
+	srv, err := extremenc.NewNetServerFromConfig(payload, params, extremenc.DefaultNetServerConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,15 +514,17 @@ func TestCodecOptionsFacade(t *testing.T) {
 }
 
 // TestServingFacade runs the session server end to end through the facade:
-// ctx-driven Serve, options, Fetch with context, and the metrics snapshot.
+// ctx-driven Serve, a tuned config, Fetch with context, and the metrics
+// snapshot.
 func TestServingFacade(t *testing.T) {
 	p := extremenc.Params{BlockCount: 8, BlockSize: 256}
 	payload := make([]byte, 2*p.SegmentSize()-31)
 	rand.New(rand.NewSource(23)).Read(payload)
-	srv, err := extremenc.NewNetServer(payload, p,
-		extremenc.WithQueueDepth(32),
-		extremenc.WithWriteDeadline(2*time.Second),
-		extremenc.WithServerSeed(99))
+	scfg := extremenc.DefaultNetServerConfig()
+	scfg.QueueDepth = 32
+	scfg.WriteDeadline = 2 * time.Second
+	scfg.Seed = 99
+	srv, err := extremenc.NewNetServerFromConfig(payload, p, scfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -559,26 +567,17 @@ func TestServingFacade(t *testing.T) {
 	}
 }
 
-// TestConfigAPIFacade exercises the literal-config construction surface
+// TestConfigAPIFacade exercises the config-struct construction surface
 // through the facade: a sharded server and a fetcher built from config
-// structs, the versioned shard-aware snapshot, and the fanout-mode spelling
-// round-trip.
+// structs, the versioned shard-aware snapshot, and Validate failures
+// surfacing through the constructors.
 func TestConfigAPIFacade(t *testing.T) {
 	p := extremenc.Params{BlockCount: 8, BlockSize: 256}
 	payload := make([]byte, 2*p.SegmentSize()-19)
 	rand.New(rand.NewSource(41)).Read(payload)
 
-	fanout, err := extremenc.ParseFanoutMode("amortized")
-	if err != nil || fanout != extremenc.FanoutAmortized {
-		t.Fatalf("ParseFanoutMode(amortized) = %v, %v", fanout, err)
-	}
-	if fanout.String() != "amortized" || extremenc.FanoutPerRecord.String() != "record" {
-		t.Fatal("fanout spellings do not round-trip")
-	}
-
 	scfg := extremenc.DefaultNetServerConfig()
 	scfg.PumpShards = 2
-	scfg.Fanout = fanout
 	scfg.Seed = 7
 	scfg.WriteDeadline = 2 * time.Second
 	if err := scfg.Validate(); err != nil {
@@ -645,7 +644,7 @@ func TestResilientFetchFacade(t *testing.T) {
 	p := extremenc.Params{BlockCount: 8, BlockSize: 64}
 	payload := make([]byte, 3*p.SegmentSize()-5)
 	rand.New(rand.NewSource(31)).Read(payload)
-	srv, err := extremenc.NewNetServer(payload, p)
+	srv, err := extremenc.NewNetServerFromConfig(payload, p, extremenc.DefaultNetServerConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -665,9 +664,13 @@ func TestResilientFetchFacade(t *testing.T) {
 		var d net.Dialer
 		return d.DialContext(ctx, "tcp", l.Addr().String())
 	})
-	f := extremenc.NewFetcher(dial,
-		extremenc.WithBackoff(time.Millisecond, 5*time.Millisecond),
-		extremenc.WithBackoffSeed(1))
+	fcfg := extremenc.DefaultNetFetcherConfig()
+	fcfg.BackoffBase, fcfg.BackoffMax = time.Millisecond, 5*time.Millisecond
+	fcfg.Seed = 1
+	f, err := extremenc.NewFetcherFromConfig(dial, fcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	fetchCtx, cancelFetch := context.WithTimeout(context.Background(), time.Minute)
 	defer cancelFetch()
 	res, err := f.Fetch(fetchCtx)
@@ -685,8 +688,12 @@ func TestResilientFetchFacade(t *testing.T) {
 	}
 
 	// A damaged resume blob is rejected with the facade sentinel.
-	if _, err := extremenc.NewFetcher(dial,
-		extremenc.WithResumeState([]byte("junk"))).Fetch(context.Background()); !errors.Is(err, extremenc.ErrBadResumeState) {
+	fcfg.ResumeState = []byte("junk")
+	junk, err := extremenc.NewFetcherFromConfig(dial, fcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := junk.Fetch(context.Background()); !errors.Is(err, extremenc.ErrBadResumeState) {
 		t.Fatalf("err = %v, want ErrBadResumeState", err)
 	}
 }

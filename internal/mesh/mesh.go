@@ -37,7 +37,7 @@ type Topology struct {
 	// their origin slots, and fan out in parallel.
 	OriginMaxSessions int
 	// OriginPace floors the origin's pump-round interval, modeling a
-	// capacity-constrained origin uplink (see netio.WithServePace). Warm
+	// capacity-constrained origin uplink (see netio.ServerConfig.Pace). Warm
 	// relays serve unpaced, so this is the constraint a relay tier
 	// overcomes.
 	OriginPace time.Duration
@@ -68,14 +68,17 @@ type Topology struct {
 	// (via the process sink), and faultnet injection totals.
 	Registry *obs.Registry
 
-	// LeafFetchOpts, when non-nil, appends extra fetcher options for each
-	// leaf (test hooks, attempt budgets).
+	// LeafFetchOpts, when non-nil, returns mutations applied to each leaf's
+	// fetcher config after the mesh has filled it in (test hooks, attempt
+	// budgets). Add hooks with netio.WithRecordTap / WithSessionHook so the
+	// mesh's own keep running.
 	LeafFetchOpts func(leaf int) []netio.FetcherOption
 
-	// RelayServerOpts, when non-nil, appends extra server options for each
-	// relay's downstream server (queue tuning, brownout, retry-after hints).
-	// The options are reapplied to every replacement server a Restart builds,
-	// so they must not bind single-use resources like a metrics registry.
+	// RelayServerOpts, when non-nil, returns mutations applied to each
+	// relay's downstream server config (queue tuning, brownout, retry-after
+	// hints). The resulting config is reused for every replacement server a
+	// Restart builds, so it must not bind single-use resources like a
+	// metrics registry.
 	RelayServerOpts func(relay int) []netio.ServerOption
 }
 
@@ -175,23 +178,16 @@ func New(topo Topology) (*Mesh, error) {
 	if topo.Leaves < 0 {
 		return nil, errors.New("mesh: negative leaf count")
 	}
-	originOpts := []netio.ServerOption{
-		netio.WithServerSeed(topo.Seed),
-		netio.WithWireMode(topo.OriginMode),
-	}
-	if topo.OriginMaxSessions > 0 {
-		originOpts = append(originOpts, netio.WithMaxSessions(topo.OriginMaxSessions))
-	}
-	if topo.OriginPace > 0 {
-		originOpts = append(originOpts, netio.WithServePace(topo.OriginPace))
-	}
-	if topo.Registry != nil {
-		originOpts = append(originOpts, netio.WithMetricsRegistry(topo.Registry))
-	}
+	ocfg := netio.DefaultServerConfig()
+	ocfg.Seed = topo.Seed
+	ocfg.Mode = topo.OriginMode
+	ocfg.MaxSessions = topo.OriginMaxSessions
+	ocfg.Pace = topo.OriginPace
+	ocfg.Metrics = topo.Registry
 	if topo.Traced {
-		originOpts = append(originOpts, netio.WithServerTrace("origin"))
+		ocfg.TraceNode = "origin"
 	}
-	origin, err := netio.NewServer(topo.Media, topo.Params, originOpts...)
+	origin, err := netio.NewServerFromConfig(topo.Media, topo.Params, ocfg)
 	if err != nil {
 		return nil, err
 	}
@@ -299,10 +295,10 @@ func (m *Mesh) Start(ctx context.Context) error {
 			Listener:  rln,
 			XorRecode: m.topo.XorRecode,
 			Seed:      m.topo.Seed + int64(i+1)*104729,
-			FetchOpts: []netio.FetcherOption{
-				netio.WithBackoff(2*time.Millisecond, 50*time.Millisecond),
-				netio.WithBackoffSeed(m.topo.Seed + int64(i)),
-			},
+			FetchOpts: []netio.FetcherOption{func(c *netio.FetcherConfig) {
+				c.BackoffBase, c.BackoffMax = 2*time.Millisecond, 50*time.Millisecond
+				c.Seed = m.topo.Seed + int64(i)
+			}},
 			ServerOpts: srvOpts,
 			Tapped:     &m.tapped,
 			Emitted:    &m.emitted,
@@ -388,45 +384,52 @@ func (m *Mesh) AddLeaf(ctx context.Context) (*Leaf, error) {
 	if _, err := m.coord.Assign(leaf.ID, leaf.rd); err != nil {
 		return nil, err
 	}
+	if err := m.startLeafFetch(ctx, leaf); err != nil {
+		m.coord.Release(leaf.ID)
+		return nil, err
+	}
 	m.leaves = append(m.leaves, leaf)
-	m.startLeafFetch(ctx, leaf)
 	return leaf, nil
 }
 
 // startLeafFetch runs one leaf's resilient fetch in a goroutine, wiring the
 // mesh's taps: record counting, reconnect counting, and the monotone-rank
 // check (any regression lands in mesh.rank_regressions_total).
-func (m *Mesh) startLeafFetch(ctx context.Context, leaf *Leaf) {
+func (m *Mesh) startLeafFetch(ctx context.Context, leaf *Leaf) error {
 	prev := map[uint32]int{}
-	opts := []netio.FetcherOption{
-		netio.WithBackoff(2*time.Millisecond, 50*time.Millisecond),
-		netio.WithBackoffSeed(m.topo.Seed + int64(1000+leaf.ID)),
-		// A draining relay's REDIRECT decision walks the leaf straight to the
-		// named survivor — the protocol-level fast path; remediation's route
-		// sweep remains the control-plane backstop for leaves that were not
-		// connected during the drain window.
-		netio.WithRedirector(leaf.rd),
-		netio.WithFetchTrace(fmt.Sprintf("leaf-%d", leaf.ID)),
-		netio.WithRecordTap(func(*rlnc.CodedBlock) { leaf.records.Add(1) }),
-		netio.WithReconnectHook(func(reconnect int, ranks map[uint32]int) {
-			leaf.reconnects.Store(int64(reconnect))
-			// The hook runs in the fetch goroutine, so prev needs no lock.
-			for id, r := range ranks {
-				if r < prev[id] {
-					m.rankRegressions.Inc()
-				}
-				prev[id] = r
+	cfg := netio.DefaultFetcherConfig()
+	cfg.BackoffBase, cfg.BackoffMax = 2*time.Millisecond, 50*time.Millisecond
+	cfg.Seed = m.topo.Seed + int64(1000+leaf.ID)
+	// A draining relay's REDIRECT decision walks the leaf straight to the
+	// named survivor — the protocol-level fast path; remediation's route
+	// sweep remains the control-plane backstop for leaves that were not
+	// connected during the drain window.
+	cfg.Redirector = leaf.rd
+	cfg.TraceNode = fmt.Sprintf("leaf-%d", leaf.ID)
+	cfg.RecordTap = func(*rlnc.CodedBlock) { leaf.records.Add(1) }
+	cfg.ReconnectHook = func(reconnect int, ranks map[uint32]int) {
+		leaf.reconnects.Store(int64(reconnect))
+		// The hook runs in the fetch goroutine, so prev needs no lock.
+		for id, r := range ranks {
+			if r < prev[id] {
+				m.rankRegressions.Inc()
 			}
-		}),
+			prev[id] = r
+		}
 	}
 	if m.topo.LeafFetchOpts != nil {
-		opts = append(opts, m.topo.LeafFetchOpts(leaf.ID)...)
+		for _, opt := range m.topo.LeafFetchOpts(leaf.ID) {
+			opt(&cfg)
+		}
 	}
 	dial := leaf.rd.Dial
 	if m.topo.DownstreamFaults != nil {
 		dial = chaosDial(*m.topo.DownstreamFaults, m.downCtr, &m.downSeq, dial)
 	}
-	f := netio.NewFetcher(dial, opts...)
+	f, err := netio.NewFetcherFromConfig(dial, cfg)
+	if err != nil {
+		return fmt.Errorf("mesh: leaf %d: %w", leaf.ID, err)
+	}
 	leaf.f = f
 	leaf.started = time.Now()
 	go func() {
@@ -437,6 +440,7 @@ func (m *Mesh) startLeafFetch(ctx context.Context, leaf *Leaf) {
 		m.leafCompletions.Inc()
 		close(leaf.done)
 	}()
+	return nil
 }
 
 // WaitLeaves blocks until the given leaves' fetches finish (all of the
@@ -459,6 +463,29 @@ func (m *Mesh) WaitLeaves(ctx context.Context, leaves ...*Leaf) error {
 		}
 	}
 	return nil
+}
+
+// WaitWarm blocks until every relay holds full upstream rank for every
+// segment — from then on leaves never depend on the origin — or ctx ends; the
+// error says how many relays got there.
+func (m *Mesh) WaitWarm(ctx context.Context) error {
+	full := m.origin.Segments() * m.topo.Params.BlockCount
+	for {
+		warm := 0
+		for _, r := range m.relays {
+			if r.TotalRank() == full {
+				warm++
+			}
+		}
+		if warm == len(m.relays) {
+			return nil
+		}
+		select {
+		case <-ctx.Done():
+			return fmt.Errorf("mesh: relays never warmed (%d/%d at full rank): %w", warm, len(m.relays), ctx.Err())
+		case <-time.After(2 * time.Millisecond):
+		}
+	}
 }
 
 // KillRelay simulates the abrupt death of relay id: heartbeats stop and the

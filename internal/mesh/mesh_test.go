@@ -50,9 +50,9 @@ func flightDumpOnFailure(t *testing.T) {
 
 // startOrigin brings up a plain origin server on loopback for single-relay
 // tests.
-func startOrigin(t *testing.T, media []byte, p rlnc.Params, opts ...netio.ServerOption) (*netio.Server, net.Listener) {
+func startOrigin(t *testing.T, media []byte, p rlnc.Params, cfg netio.ServerConfig) (*netio.Server, net.Listener) {
 	t.Helper()
-	srv, err := netio.NewServer(media, p, opts...)
+	srv, err := netio.NewServerFromConfig(media, p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,9 @@ func startOrigin(t *testing.T, media []byte, p rlnc.Params, opts ...netio.Server
 func TestRelayServesRecodedBlocks(t *testing.T) {
 	p := rlnc.Params{BlockCount: 8, BlockSize: 128}
 	media := testMedia(t, 3*p.SegmentSize()-11, 5)
-	_, ol := startOrigin(t, media, p, netio.WithServerSeed(2))
+	ocfg := netio.DefaultServerConfig()
+	ocfg.Seed = 2
+	_, ol := startOrigin(t, media, p, ocfg)
 
 	rln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -94,7 +96,10 @@ func TestRelayServesRecodedBlocks(t *testing.T) {
 		t.Fatalf("dense relay declares mode %v", relay.Info().Mode)
 	}
 
-	f := netio.NewFetcher(tcpDial(relay.Addr()))
+	f, err := netio.NewFetcherFromConfig(tcpDial(relay.Addr()), netio.DefaultFetcherConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := f.Fetch(ctx)
 	if err != nil {
 		t.Fatalf("fetch through relay: %v (stats %+v)", err, res.Stats)
@@ -115,8 +120,10 @@ func TestRelayServesRecodedBlocks(t *testing.T) {
 func TestRelayXorRecode(t *testing.T) {
 	p := rlnc.Params{BlockCount: 8, BlockSize: 128}
 	media := testMedia(t, 2*p.SegmentSize()-7, 31)
-	_, ol := startOrigin(t, media, p,
-		netio.WithServerSeed(3), netio.WithWireMode(netio.ModeSystematic))
+	ocfg := netio.DefaultServerConfig()
+	ocfg.Seed = 3
+	ocfg.Mode = netio.ModeSystematic
+	_, ol := startOrigin(t, media, p, ocfg)
 
 	rln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -136,7 +143,10 @@ func TestRelayXorRecode(t *testing.T) {
 		t.Fatalf("xor relay declares mode %v, want systematic", relay.Info().Mode)
 	}
 
-	f := netio.NewFetcher(tcpDial(relay.Addr()))
+	f, err := netio.NewFetcherFromConfig(tcpDial(relay.Addr()), netio.DefaultFetcherConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := f.Fetch(ctx)
 	if err != nil {
 		t.Fatalf("fetch through xor relay: %v (stats %+v)", err, res.Stats)
@@ -144,6 +154,81 @@ func TestRelayXorRecode(t *testing.T) {
 	if !bytes.Equal(res.Payload, media) {
 		t.Fatal("payload not byte-identical through the xor relay")
 	}
+}
+
+// TestRelayRestartKeepsOwnTrace: two traced relays configured from one shared
+// ServerOpts slice with spare capacity must not see each other's trace
+// context. StartRelay applies the options to a server config the relay owns,
+// so the server a Restart builds is still labelled as its own relay, joins its
+// own upstream's trace, and parents under its own upstream's root span.
+func TestRelayRestartKeepsOwnTrace(t *testing.T) {
+	trace.Enable(1 << 12)
+	defer trace.Disable()
+	p := rlnc.Params{BlockCount: 8, BlockSize: 128}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+
+	shared := make([]netio.ServerOption, 1, 4)
+	shared[0] = func(c *netio.ServerConfig) { c.QueueDepth = 32 }
+
+	var relays [2]*Relay
+	for i := range relays {
+		ocfg := netio.DefaultServerConfig()
+		ocfg.Seed = int64(i + 1)
+		ocfg.TraceNode = fmt.Sprintf("origin-%d", i)
+		_, ol := startOrigin(t, testMedia(t, p.SegmentSize(), int64(70+i)), p, ocfg)
+		rln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		relays[i], err = StartRelay(ctx, RelayConfig{
+			ID: fmt.Sprintf("relay-%d", i), Upstream: tcpDial(ol.Addr().String()),
+			Listener: rln, Seed: 9, ServerOpts: shared,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer relays[i].Close()
+	}
+	upTrace, upRoot, ok := relays[0].upFetch.TraceContext()
+	if !ok {
+		t.Fatal("relay-0 upstream handshake was not traced")
+	}
+	if otherTrace, _, _ := relays[1].upFetch.TraceContext(); otherTrace == upTrace {
+		t.Fatal("the two origins minted the same trace ID")
+	}
+
+	addr, err := relays[0].Restart(ctx, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := netio.NewFetcherFromConfig(tcpDial(addr), netio.DefaultFetcherConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Fetch(ctx); err != nil {
+		t.Fatalf("fetch from restarted relay-0: %v", err)
+	}
+	downTrace, downRoot, ok := f.TraceContext()
+	if !ok {
+		t.Fatal("restarted relay-0 serves untraced")
+	}
+	if downTrace != upTrace {
+		t.Fatalf("restarted relay-0 declares trace %x, want its own upstream's %x", downTrace, upTrace)
+	}
+	// The server's root span is published when it shuts down.
+	relays[0].Close()
+	for _, e := range trace.Dump() {
+		if e.Span != downRoot {
+			continue
+		}
+		if e.Node != "relay-0" || e.Parent != upRoot {
+			t.Fatalf("restarted relay-0 root span: node %q parent %x, want node relay-0 parent %x",
+				e.Node, e.Parent, upRoot)
+		}
+		return
+	}
+	t.Fatal("restarted relay-0 published no root span")
 }
 
 // TestMeshSmoke is the end-to-end CI gate for the relay mesh: origin → 3
@@ -248,22 +333,11 @@ func TestMeshSmoke(t *testing.T) {
 	// Warm the relay tier: every relay holds the full object before the
 	// measured wave starts (their fetches released the origin's only
 	// session slot on completion).
-	full := m.Origin().Segments() * p.BlockCount
-	warmDeadline := time.Now().Add(time.Minute)
-	for {
-		warm := 0
-		for _, r := range m.Relays() {
-			if r.TotalRank() == full {
-				warm++
-			}
-		}
-		if warm == len(m.Relays()) {
-			break
-		}
-		if time.Now().After(warmDeadline) {
-			t.Fatalf("relays never warmed: %+v", m.Pool().Snapshot())
-		}
-		time.Sleep(2 * time.Millisecond)
+	warmCtx, warmCancel := context.WithTimeout(ctx, time.Minute)
+	err = m.WaitWarm(warmCtx)
+	warmCancel()
+	if err != nil {
+		t.Fatalf("%v: %+v", err, m.Pool().Snapshot())
 	}
 
 	// Leg 1a: the mesh wave.
@@ -297,9 +371,14 @@ func TestMeshSmoke(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			dial := chaosDial(*topo.DownstreamFaults, &baseCtr, &baseSeq, tcpDial(m.OriginAddr()))
-			f := netio.NewFetcher(dial,
-				netio.WithBackoff(2*time.Millisecond, 50*time.Millisecond),
-				netio.WithBackoffSeed(int64(9000+i)))
+			fcfg := netio.DefaultFetcherConfig()
+			fcfg.BackoffBase, fcfg.BackoffMax = 2*time.Millisecond, 50*time.Millisecond
+			fcfg.Seed = int64(9000 + i)
+			f, err := netio.NewFetcherFromConfig(dial, fcfg)
+			if err != nil {
+				baseErr[i] = err
+				return
+			}
 			res, err := f.Fetch(ctx)
 			if err != nil {
 				baseErr[i] = err
@@ -464,11 +543,11 @@ func TestMeshRollingRestart(t *testing.T) {
 		// a relay mid-transfer; the retry-after hint exercises the
 		// RelayServerOpts plumbing end to end.
 		RelayServerOpts: func(relay int) []netio.ServerOption {
-			return []netio.ServerOption{
-				netio.WithServePace(3 * time.Millisecond),
-				netio.WithEncodeBatch(1),
-				netio.WithRetryAfter(5 * time.Millisecond),
-			}
+			return []netio.ServerOption{func(c *netio.ServerConfig) {
+				c.Pace = 3 * time.Millisecond
+				c.EncodeBatch = 1
+				c.RetryAfter = 5 * time.Millisecond
+			}}
 		},
 	}
 	m, err := New(topo)
@@ -483,21 +562,11 @@ func TestMeshRollingRestart(t *testing.T) {
 	defer m.Close()
 
 	// Warm every relay so leaves never depend on the origin.
-	full := m.Origin().Segments() * p.BlockCount
-	for deadline := time.Now().Add(time.Minute); ; {
-		warm := 0
-		for _, r := range m.Relays() {
-			if r.TotalRank() == full {
-				warm++
-			}
-		}
-		if warm == len(m.Relays()) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("relays never warmed: %+v", m.Pool().Snapshot())
-		}
-		time.Sleep(2 * time.Millisecond)
+	warmCtx, warmCancel := context.WithTimeout(ctx, time.Minute)
+	err = m.WaitWarm(warmCtx)
+	warmCancel()
+	if err != nil {
+		t.Fatalf("%v: %+v", err, m.Pool().Snapshot())
 	}
 
 	redirected := func(leaves []*Leaf) int {

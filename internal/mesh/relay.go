@@ -36,8 +36,12 @@ type RelayConfig struct {
 	XorRecode bool
 	// Seed drives the relay's recombination coefficient streams.
 	Seed int64
-	// FetchOpts / ServerOpts extend the relay's upstream fetcher and
-	// downstream server (chaos injection, metrics, queue tuning).
+	// FetchOpts / ServerOpts are mutations StartRelay applies, once, to the
+	// upstream fetcher's and downstream server's configs (chaos injection,
+	// metrics, queue tuning). FetchOpts run after the relay has installed
+	// its own session hook and record tap; add more with
+	// netio.WithSessionHook / WithRecordTap so the relay's keep running
+	// first. The slices are only read.
 	FetchOpts  []netio.FetcherOption
 	ServerOpts []netio.ServerOption
 	// Tapped / Emitted, when non-nil, accumulate upstream records absorbed
@@ -56,6 +60,9 @@ type RelayConfig struct {
 type Relay struct {
 	id  string
 	cfg RelayConfig
+	// srvCfg configures every downstream server the relay builds: cfg's
+	// ServerOpts applied once in StartRelay, plus the inherited trace context.
+	srvCfg netio.ServerConfig
 
 	mu       sync.Mutex
 	ln       net.Listener  // current downstream listener; swapped by Restart
@@ -87,21 +94,30 @@ func StartRelay(ctx context.Context, cfg RelayConfig) (*Relay, error) {
 	r := &Relay{
 		id:        cfg.ID,
 		cfg:       cfg,
+		srvCfg:    netio.DefaultServerConfig(),
 		ln:        cfg.Listener,
 		serveCtx:  ctx,
 		ready:     make(chan struct{}),
 		fetchDone: make(chan struct{}),
 	}
+	for _, opt := range cfg.ServerOpts {
+		opt(&r.srvCfg)
+	}
+	fcfg := netio.DefaultFetcherConfig()
+	fcfg.SessionHook = r.onSession
+	fcfg.RecordTap = r.onRecord
+	fcfg.TraceNode = cfg.ID + ".fetch"
+	for _, opt := range cfg.FetchOpts {
+		opt(&fcfg)
+	}
+	f, err := netio.NewFetcherFromConfig(cfg.Upstream, fcfg)
+	if err != nil {
+		return nil, fmt.Errorf("mesh: relay %q: %w", cfg.ID, err)
+	}
+	r.upFetch = f
 
 	fctx, cancel := context.WithCancel(ctx)
 	r.fetchCancel = cancel
-	opts := append([]netio.FetcherOption{
-		netio.WithSessionHook(r.onSession),
-		netio.WithRecordTap(r.onRecord),
-		netio.WithFetchTrace(cfg.ID + ".fetch"),
-	}, cfg.FetchOpts...)
-	f := netio.NewFetcher(cfg.Upstream, opts...)
-	r.upFetch = f
 	go func() {
 		defer close(r.fetchDone)
 		// The fetch ends when the relay holds full rank for every segment
@@ -120,11 +136,11 @@ func StartRelay(ctx context.Context, cfg RelayConfig) (*Relay, error) {
 	// A traced upstream handshake propagates through the relay: the
 	// downstream server inherits the transfer's trace ID (its root span
 	// parenting under the origin's), and every server a later Restart builds
-	// inherits it too, because the option joins the retained ServerOpts.
+	// inherits it too, because Restart reuses srvCfg.
 	if tr, root, ok := f.TraceContext(); ok {
-		r.cfg.ServerOpts = append(r.cfg.ServerOpts, netio.WithInheritedTrace(cfg.ID, tr, root))
+		r.srvCfg.TraceNode, r.srvCfg.TraceID, r.srvCfg.TraceParent = cfg.ID, tr, root
 	}
-	srv, err := netio.NewSourceServer((*relaySource)(r), r.cfg.ServerOpts...)
+	srv, err := netio.NewSourceServerFromConfig((*relaySource)(r), r.srvCfg)
 	if err != nil {
 		r.Close()
 		return nil, err
@@ -256,7 +272,7 @@ func (r *Relay) Restart(ctx context.Context, redirectAddr string) (string, error
 	if err != nil {
 		return "", fmt.Errorf("mesh: relay %q relisten: %w", r.id, err)
 	}
-	srv, err := netio.NewSourceServer((*relaySource)(r), r.cfg.ServerOpts...)
+	srv, err := netio.NewSourceServerFromConfig((*relaySource)(r), r.srvCfg)
 	if err != nil {
 		ln.Close()
 		return "", fmt.Errorf("mesh: relay %q restart: %w", r.id, err)

@@ -41,7 +41,9 @@ func TestChaosFetch(t *testing.T) {
 	obs.SetSink(reg)
 	defer obs.SetSink(nil)
 
-	srv, err := NewServer(media, p, WithMetricsRegistry(reg))
+	cfg := DefaultServerConfig()
+	cfg.Metrics = reg
+	srv, err := NewServerFromConfig(media, p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,19 +72,20 @@ func TestChaosFetch(t *testing.T) {
 	}
 
 	prev := map[uint32]int{}
-	f := NewFetcher(dial,
-		WithBackoff(time.Millisecond, 10*time.Millisecond),
-		WithBackoffSeed(7),
-		WithMetrics(reg),
-		WithReconnectHook(func(reconnect int, ranks map[uint32]int) {
-			for id, r := range ranks {
-				if r < prev[id] {
-					panic(fmt.Sprintf("reconnect %d lost rank on segment %d: %d -> %d", reconnect, id, prev[id], r))
-				}
-				prev[id] = r
+	fcfg := DefaultFetcherConfig()
+	fcfg.BackoffBase = time.Millisecond
+	fcfg.BackoffMax = 10 * time.Millisecond
+	fcfg.Seed = 7
+	fcfg.Metrics = reg
+	fcfg.ReconnectHook = func(reconnect int, ranks map[uint32]int) {
+		for id, r := range ranks {
+			if r < prev[id] {
+				panic(fmt.Sprintf("reconnect %d lost rank on segment %d: %d -> %d", reconnect, id, prev[id], r))
 			}
-		}),
-	)
+			prev[id] = r
+		}
+	}
+	f := newTestFetcher(t, dial, fcfg)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	res, err := f.Fetch(ctx)
@@ -142,7 +145,10 @@ func TestChaosFetchSystematic(t *testing.T) {
 	obs.SetSink(reg)
 	defer obs.SetSink(nil)
 
-	srv, err := NewServer(media, p, WithWireMode(ModeSystematic), WithMetricsRegistry(reg))
+	cfg := DefaultServerConfig()
+	cfg.Mode = ModeSystematic
+	cfg.Metrics = reg
+	srv, err := NewServerFromConfig(media, p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,11 +176,12 @@ func TestChaosFetchSystematic(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f := NewFetcher(dial,
-		WithBackoff(time.Millisecond, 10*time.Millisecond),
-		WithBackoffSeed(8),
-		WithMetrics(reg),
-	)
+	fcfg := DefaultFetcherConfig()
+	fcfg.BackoffBase = time.Millisecond
+	fcfg.BackoffMax = 10 * time.Millisecond
+	fcfg.Seed = 8
+	fcfg.Metrics = reg
+	f := newTestFetcher(t, dial, fcfg)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	res, err := f.Fetch(ctx)

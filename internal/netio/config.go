@@ -10,57 +10,15 @@ import (
 	"extremenc/internal/rlnc"
 )
 
-// FanoutMode selects how the encoder pump hands records to session queues —
-// the serving-side optimization ladder, kept as selectable rungs so the load
-// harness can measure each against the next (the serving analogue of the
-// host-codec kernel rungs).
-type FanoutMode uint8
-
-const (
-	// FanoutAmortized (the default) offers each pump round to a session in
-	// one bulk operation — one lock and one batched counter update per
-	// session per round instead of per record — and lets writers drain their
-	// queue in vectored batches (one writev-style flush for many records).
-	FanoutAmortized FanoutMode = iota
-	// FanoutPerRecord is the baseline rung: one offer per record per session
-	// and one wire write per record, the original single-pump cost profile.
-	// It exists so capacity ladders can measure what amortization buys.
-	FanoutPerRecord
-)
-
-func (m FanoutMode) String() string {
-	switch m {
-	case FanoutAmortized:
-		return "amortized"
-	case FanoutPerRecord:
-		return "record"
-	default:
-		return fmt.Sprintf("FanoutMode(%d)", uint8(m))
-	}
-}
-
-// ParseFanoutMode is the inverse of FanoutMode.String.
-func ParseFanoutMode(s string) (FanoutMode, error) {
-	switch s {
-	case "amortized":
-		return FanoutAmortized, nil
-	case "record":
-		return FanoutPerRecord, nil
-	default:
-		return 0, fmt.Errorf("netio: unknown fanout mode %q", s)
-	}
-}
-
-// ServerConfig is the complete serving configuration. NewServer and
-// NewSourceServer build one from DefaultServerConfig plus functional options;
-// NewServerFromConfig and NewSourceServerFromConfig accept a literal struct.
-// Both construction paths share the same Validate/normalize pipeline, so a
-// config that passes Validate behaves identically however it was assembled.
+// ServerConfig is the complete serving configuration, and the only way to
+// configure a Server: start from DefaultServerConfig, assign the fields that
+// differ, and pass the value to NewServerFromConfig or
+// NewSourceServerFromConfig.
 //
 // Zero fields marked "0 → default" are replaced during normalization; the
 // other zero values are meaningful (no write deadline, no session cap, no
-// pacing) and taken literally — start from DefaultServerConfig to get the
-// option-path defaults.
+// pacing) and taken literally, which is why callers start from
+// DefaultServerConfig rather than a bare literal.
 type ServerConfig struct {
 	// QueueDepth bounds each session's send queue, in records (0 → 64,
 	// negative → 1). When a client drains slower than the pump produces,
@@ -78,7 +36,10 @@ type ServerConfig struct {
 	// sets 1).
 	WriteRetries int
 	// EncodeBatch is how many coded blocks each pump generates per segment
-	// per round (0 → max(4, blockCount/4)).
+	// per round (0 → max(4, blockCount/4)); for a source-backed server it
+	// sizes the per-round Records request. Larger batches amortize encoder
+	// dispatch; smaller ones tighten the round-robin interleave across
+	// segments.
 	EncodeBatch int
 	// MaxSessions caps concurrent sessions across all shards; connections
 	// beyond the cap are closed immediately and counted in
@@ -89,33 +50,46 @@ type ServerConfig struct {
 	EncoderWorkers int
 	// Seed is the base seed of the coefficient stream (0 → 1). Shard i
 	// derives its stream from Seed and i, so a single-shard server
-	// reproduces the unsharded block sequence exactly.
+	// reproduces the unsharded block sequence exactly; a fixed Seed makes the
+	// served block sequence reproducible.
 	Seed int64
 	// Mode is the session coding discipline declared in every handshake
-	// (default ModeDense). NewSourceServer overrides it with the source's
+	// (default ModeDense). In ModeSystematic the pumps cycle each segment
+	// through the systematic + GF(2) XOR repair + dense tail schedule of
+	// rlnc.SystematicEncoder, framing binary blocks in the compact XNC2
+	// encoding; queueing, shedding, deadlines, and reconnect semantics are
+	// unchanged. NewSourceServerFromConfig overrides it with the source's
 	// declared mode.
 	Mode WireMode
 	// Pace floors the interval between pump rounds, bounding each shard's
 	// emission rate at EncodeBatch records per Pace regardless of CPU
-	// headroom. It models a capacity-constrained coding engine; with S
-	// shards the server models S engines. Zero leaves pumps unpaced.
+	// headroom. It models a capacity-constrained coding engine or origin
+	// uplink — the regime where a recoding relay tier multiplies effective
+	// serving capacity — and keeps capacity comparisons meaningful on
+	// machines where every tier is otherwise compute-bound; with S shards
+	// the server models S engines. Zero leaves pumps unpaced.
 	Pace time.Duration
 	// PumpShards is the number of independent encoder pumps; sessions are
 	// assigned to the least-loaded shard at handshake (0 → 1). Each shard
 	// owns its sessions, its record source, and its slice of the
 	// accounting, rolled up in Snapshot.
 	PumpShards int
-	// Fanout selects the pump-to-queue hand-off rung; see FanoutMode.
-	Fanout FanoutMode
 	// RetryAfter is the hint carried in BUSY admission decisions (session
 	// cap, brownout reject, address-less drain): how long the client should
-	// wait before redialing (0 → 250ms).
+	// wait before redialing (0 → 250ms). The resilient Fetcher floors its
+	// next backoff sleep at this hint.
 	RetryAfter time.Duration
-	// Brownout enables the overload controller when Interval > 0; see
-	// BrownoutConfig. Zero disables brownout entirely.
+	// Brownout enables the overload controller when Interval > 0: every
+	// Interval the server samples its pressure signal (pump stall fraction,
+	// aggregate queue occupancy, shed fraction) and walks the degradation
+	// ladder — pace the pumps, thin the systematic schedule, reject new
+	// sessions with BUSY — with hysteresis on the way down. See
+	// BrownoutConfig and BrownoutRung. Zero disables brownout entirely.
 	Brownout BrownoutConfig
 	// Metrics, when non-nil, registers the server's counters and session
-	// gauges under the "netio" prefix. Each registry admits one server.
+	// gauges under the "netio" prefix, so the server scrapes alongside every
+	// other obs surface. Each registry admits one server: construction fails
+	// on a second registration with the same names.
 	Metrics *obs.Registry
 	// TraceNode, when non-empty, labels this server's spans and flight
 	// events and — if the process-global trace recorder is enabled at
@@ -132,9 +106,8 @@ type ServerConfig struct {
 	TraceParent trace.SpanID
 }
 
-// DefaultServerConfig returns the defaults the functional-option path starts
-// from: queue depth 64, a 5s write deadline with one retry, base seed 1,
-// dense mode, one pump shard, amortized fan-out.
+// DefaultServerConfig returns the serving defaults: queue depth 64, a 5s
+// write deadline with one retry, base seed 1, dense mode, one pump shard.
 func DefaultServerConfig() ServerConfig {
 	return ServerConfig{
 		QueueDepth:    64,
@@ -145,16 +118,12 @@ func DefaultServerConfig() ServerConfig {
 	}
 }
 
-// Validate rejects a configuration no construction path would accept:
-// an unknown wire or fanout mode, or a negative shard count. Out-of-range
-// numeric fields are not errors — normalization clamps or defaults them,
-// matching the historical option behavior.
+// Validate rejects a configuration the constructors refuse: an unknown wire
+// mode or a negative shard count. Out-of-range numeric fields are not errors
+// — normalization clamps or defaults them.
 func (c *ServerConfig) Validate() error {
 	if c.Mode > ModeSystematic {
 		return fmt.Errorf("netio: unknown wire mode %d", c.Mode)
-	}
-	if c.Fanout > FanoutPerRecord {
-		return fmt.Errorf("netio: unknown fanout mode %d", c.Fanout)
 	}
 	if c.PumpShards < 0 {
 		return fmt.Errorf("netio: negative pump shards %d", c.PumpShards)
@@ -198,146 +167,27 @@ func (c ServerConfig) normalized(blockCount int) ServerConfig {
 	return c
 }
 
-// ServerOption configures a Server built through the functional-option
-// constructors. Options mutate a ServerConfig, so the two construction
-// styles compose: an option-built server is exactly a
-// DefaultServerConfig-plus-mutations FromConfig server.
+// ServerOption is a mutation applied on top of a ServerConfig someone else
+// owns: mesh.RelayConfig.ServerOpts and mesh.Topology.RelayServerOpts take a
+// list of them so a caller can adjust the downstream server a relay builds.
+// Code that builds its own server assigns the fields directly.
 type ServerOption func(*ServerConfig)
 
-// WithQueueDepth bounds each session's send queue to n coded-block records;
-// see ServerConfig.QueueDepth.
-func WithQueueDepth(n int) ServerOption {
-	return func(c *ServerConfig) { c.QueueDepth = n }
-}
-
-// WithWriteDeadline bounds every record flush to d; see
-// ServerConfig.WriteDeadline. Zero disables deadlines.
-func WithWriteDeadline(d time.Duration) ServerOption {
-	return func(c *ServerConfig) { c.WriteDeadline = d }
-}
-
-// WithWriteRetries sets how many extra deadline windows a timed-out flush
-// gets before the session is dropped (default 1: retry once, then drop).
-func WithWriteRetries(n int) ServerOption {
-	return func(c *ServerConfig) { c.WriteRetries = n }
-}
-
-// WithEncodeBatch sets how many coded blocks each pump generates per segment
-// per round. Larger batches amortize encoder dispatch; smaller ones tighten
-// the round-robin interleave across segments. The default adapts to the
-// segment's block count.
-func WithEncodeBatch(n int) ServerOption {
-	return func(c *ServerConfig) { c.EncodeBatch = n }
-}
-
-// WithMaxSessions caps concurrent sessions; see ServerConfig.MaxSessions.
-func WithMaxSessions(n int) ServerOption {
-	return func(c *ServerConfig) { c.MaxSessions = n }
-}
-
-// WithServePace floors the interval between pump rounds at d, bounding each
-// shard's aggregate emission rate at batch-size records per d regardless of
-// CPU headroom. It models a capacity-constrained origin uplink — the regime
-// where a recoding relay tier multiplies effective serving capacity — and
-// keeps capacity comparisons meaningful on machines where every tier is
-// otherwise compute-bound. Zero (the default) leaves the pumps unpaced.
-func WithServePace(d time.Duration) ServerOption {
-	return func(c *ServerConfig) { c.Pace = d }
-}
-
-// WithEncoderWorkers sets the worker count of each shard's parallel encoder
-// (default: the SharedPool's worker count).
-func WithEncoderWorkers(n int) ServerOption {
-	return func(c *ServerConfig) { c.EncoderWorkers = n }
-}
-
-// WithServerSeed fixes the base seed of the pump coefficient streams, making
-// the served block sequence reproducible; see ServerConfig.Seed.
-func WithServerSeed(seed int64) ServerOption {
-	return func(c *ServerConfig) { c.Seed = seed }
-}
-
-// WithWireMode sets the session coding discipline the server declares in
-// every handshake (default ModeDense). In ModeSystematic the pumps cycle
-// each segment through the systematic + GF(2) XOR repair + dense tail
-// schedule of rlnc.SystematicEncoder, framing binary blocks in the compact
-// XNC2 encoding; queueing, shedding, deadlines, and reconnect semantics are
-// unchanged.
-func WithWireMode(m WireMode) ServerOption {
-	return func(c *ServerConfig) { c.Mode = m }
-}
-
-// WithPumpShards splits the serving load across n independent encoder pumps;
-// see ServerConfig.PumpShards.
-func WithPumpShards(n int) ServerOption {
-	return func(c *ServerConfig) { c.PumpShards = n }
-}
-
-// WithFanout selects the pump-to-queue hand-off rung; see FanoutMode.
-func WithFanout(m FanoutMode) ServerOption {
-	return func(c *ServerConfig) { c.Fanout = m }
-}
-
-// WithRetryAfter sets the hint carried in BUSY admission decisions; see
-// ServerConfig.RetryAfter. The resilient Fetcher floors its next backoff
-// sleep at this hint.
-func WithRetryAfter(d time.Duration) ServerOption {
-	return func(c *ServerConfig) { c.RetryAfter = d }
-}
-
-// WithBrownout enables the overload controller: every cfg.Interval the
-// server samples its pressure signal (pump stall fraction, aggregate queue
-// occupancy, shed fraction) and walks the degradation ladder — pace the
-// pumps, thin the systematic schedule, reject new sessions with BUSY — with
-// hysteresis on the way down. See BrownoutConfig and BrownoutRung.
-func WithBrownout(cfg BrownoutConfig) ServerOption {
-	return func(c *ServerConfig) { c.Brownout = cfg }
-}
-
-// WithMetricsRegistry registers the server's counters and session gauges
-// into reg under the "netio" prefix, so the server scrapes alongside every
-// other obs surface. Each registry admits one server: NewServer fails on a
-// second registration with the same names.
-func WithMetricsRegistry(reg *obs.Registry) ServerOption {
-	return func(c *ServerConfig) { c.Metrics = reg }
-}
-
-// WithServerTrace labels the server's spans and flight events with node
-// and enables trace propagation when the process-global trace recorder
-// (obs/trace) is enabled at construction: a fresh trace is minted and
-// declared to every client through the handshake.
-func WithServerTrace(node string) ServerOption {
-	return func(c *ServerConfig) { c.TraceNode = node }
-}
-
-// WithInheritedTrace is WithServerTrace for a mid-tier server (a mesh
-// relay): instead of minting a fresh trace it joins tr, and its root span
-// is parented under the upstream server's root, so one generation's spans
-// link origin → relay → leaf.
-func WithInheritedTrace(node string, tr trace.TraceID, parent trace.SpanID) ServerOption {
-	return func(c *ServerConfig) {
-		c.TraceNode = node
-		c.TraceID = tr
-		c.TraceParent = parent
-	}
-}
-
-// FetcherConfig is the complete download-client configuration. NewFetcher
-// builds one from DefaultFetcherConfig plus functional options;
-// NewFetcherFromConfig accepts a literal struct. Both paths share the same
-// validation, so a config that passes Validate behaves identically however
-// it was assembled.
+// FetcherConfig is the complete download-client configuration, and the only
+// way to configure a Fetcher: start from DefaultFetcherConfig, assign the
+// fields that differ, and pass the value to NewFetcherFromConfig.
 //
 // Zero backoff fields default during normalization; a zero Jitter is taken
-// literally (no jitter) — start from DefaultFetcherConfig to get the
-// option-path defaults.
+// literally (no jitter), which is why callers start from
+// DefaultFetcherConfig rather than a bare literal.
 type FetcherConfig struct {
 	// MaxAttempts caps total connection attempts (dials), counting the
 	// first. Zero means unlimited: the fetch is bounded only by its context.
 	MaxAttempts int
 	// FetchTimeout bounds the whole fetch in wall-clock time, independent
-	// of the per-attempt budget: when it expires the fetch degrades to a
-	// partial FetchResult and ErrFetchTimeout. Zero means no overall
+	// of the attempt budget (MaxAttempts bounds dials, this bounds elapsed
+	// time): when it expires the fetch degrades to a partial FetchResult and
+	// ErrFetchTimeout instead of discarding rank. Zero means no overall
 	// timeout.
 	FetchTimeout time.Duration
 	// Redirector, when non-nil, is re-pointed at the address carried in
@@ -354,24 +204,34 @@ type FetcherConfig struct {
 	BackoffMax  time.Duration
 	// Jitter is the backoff jitter fraction in [0, 1]: each delay d is drawn
 	// uniformly from [d·(1−Jitter), d·(1+Jitter)], still capped at
-	// BackoffMax. DefaultFetcherConfig sets 0.5.
+	// BackoffMax. Jitter keeps a fleet of clients that lost the same server
+	// from reconnecting in lockstep. DefaultFetcherConfig sets 0.5.
 	Jitter float64
 	// Seed fixes the jitter's random source for reproducible schedules
 	// (0 → a random seed).
 	Seed int64
 	// ReconnectHook, when non-nil, runs after every successful reconnect
 	// handshake with the 1-based reconnect number and the per-segment
-	// decoder ranks carried into the new session.
+	// decoder ranks carried into the new session. Observability only: the
+	// fetch blocks until it returns.
 	ReconnectHook func(reconnect int, ranks map[uint32]int)
 	// SessionHook, when non-nil, runs with the declared SessionInfo after
-	// every successful handshake, before any record of that session is read.
+	// every successful handshake (the first connection and each reconnect),
+	// before any record of that session is read. The fetch blocks until it
+	// returns. Use WithSessionHook to add one to a config that may already
+	// carry another.
 	SessionHook func(SessionInfo)
 	// RecordTap, when non-nil, runs with every structurally valid coded
-	// block the fetch receives, before (and regardless of) decoder
-	// absorption. Each block is freshly allocated; the tap may retain it.
+	// block the fetch receives — after checksum, shape, and segment-range
+	// checks, before (and regardless of) decoder absorption, so it also sees
+	// blocks that are linearly dependent for this fetcher's decoders. Each
+	// block is freshly allocated; the tap may retain it. The fetch blocks
+	// until it returns. Use WithRecordTap to add one to a config that may
+	// already carry another.
 	RecordTap func(*rlnc.CodedBlock)
 	// ResumeState preloads the decoders from a Fetcher.State blob saved by
-	// an earlier fetch of the same object.
+	// an earlier (possibly failed) fetch of the same object, so the new
+	// fetch starts from the saved per-segment rank instead of zero.
 	ResumeState []byte
 	// Metrics, when non-nil, registers the fetch ledger under the "fetch"
 	// prefix. Each registry admits one fetcher; a second registration is
@@ -383,9 +243,8 @@ type FetcherConfig struct {
 	TraceNode string
 }
 
-// DefaultFetcherConfig returns the defaults the functional-option path
-// starts from: unlimited attempts, 50ms backoff doubling to a 2s cap with
-// 0.5 jitter.
+// DefaultFetcherConfig returns the fetch defaults: unlimited attempts, 50ms
+// backoff doubling to a 2s cap with 0.5 jitter.
 func DefaultFetcherConfig() FetcherConfig {
 	return FetcherConfig{
 		BackoffBase: 50 * time.Millisecond,
@@ -431,68 +290,17 @@ func (c FetcherConfig) normalized() (FetcherConfig, *rand.Rand) {
 	return c, rand.New(rand.NewSource(seed))
 }
 
-// FetcherOption configures a Fetcher built through NewFetcher. Options
-// mutate a FetcherConfig, so the two construction styles compose.
+// FetcherOption is a mutation applied on top of a FetcherConfig someone
+// else owns: mesh.RelayConfig.FetchOpts and mesh.Topology.LeafFetchOpts take
+// a list of them so a caller can extend the fetcher a relay or leaf builds.
+// Code that builds its own fetcher assigns the fields directly. The two
+// helpers below exist because they append a hook instead of assigning one.
 type FetcherOption func(*FetcherConfig)
 
-// WithMaxAttempts caps the total number of connection attempts (dials),
-// counting the first. Zero, the default, means unlimited.
-func WithMaxAttempts(n int) FetcherOption {
-	return func(c *FetcherConfig) { c.MaxAttempts = n }
-}
-
-// WithFetchTimeout bounds the whole fetch in wall-clock time; see
-// FetcherConfig.FetchTimeout. Distinct from WithMaxAttempts: the attempt
-// budget bounds dials, this bounds elapsed time, and either limit degrades
-// the fetch to a partial result instead of discarding rank.
-func WithFetchTimeout(d time.Duration) FetcherOption {
-	return func(c *FetcherConfig) { c.FetchTimeout = d }
-}
-
-// WithRedirector makes the fetch honor REDIRECT admission decisions by
-// re-pointing r at the address a draining server names; see
-// FetcherConfig.Redirector. Pass the same Redirector whose Dial the fetcher
-// uses to have the very next reconnect land on the survivor.
-func WithRedirector(r *Redirector) FetcherOption {
-	return func(c *FetcherConfig) { c.Redirector = r }
-}
-
-// WithBackoff sets the reconnect backoff schedule; see
-// FetcherConfig.BackoffBase. The defaults are 50ms doubling to a 2s cap.
-func WithBackoff(base, max time.Duration) FetcherOption {
-	return func(c *FetcherConfig) {
-		c.BackoffBase = base
-		c.BackoffMax = max
-	}
-}
-
-// WithBackoffJitter sets the jitter fraction j ∈ [0, 1], clamping
-// out-of-range values. Jitter (default 0.5) keeps a fleet of clients that
-// lost the same server from reconnecting in lockstep.
-func WithBackoffJitter(j float64) FetcherOption {
-	return func(c *FetcherConfig) {
-		c.Jitter = min(max(j, 0), 1)
-	}
-}
-
-// WithBackoffSeed fixes the jitter's random source, making the backoff
-// schedule reproducible.
-func WithBackoffSeed(seed int64) FetcherOption {
-	return func(c *FetcherConfig) { c.Seed = seed }
-}
-
-// WithReconnectHook installs fn; see FetcherConfig.ReconnectHook.
-// Observability only: the fetch blocks until fn returns.
-func WithReconnectHook(fn func(reconnect int, ranks map[uint32]int)) FetcherOption {
-	return func(c *FetcherConfig) { c.ReconnectHook = fn }
-}
-
-// WithSessionHook installs fn, called with the declared SessionInfo after
-// every successful handshake (the first connection and each reconnect),
-// before any record of that session is read. A mesh relay uses it to learn
-// the upstream object's shape so it can re-declare the same object
-// downstream. Hooks compose: each WithSessionHook appends, and hooks run
-// in installation order. The fetch blocks until fn returns.
+// WithSessionHook appends fn to the config's SessionHook: hooks already
+// installed keep running, in installation order, before fn. A mesh relay
+// uses it to learn the upstream object's shape so it can re-declare the same
+// object downstream without displacing a caller's own hook.
 func WithSessionHook(fn func(SessionInfo)) FetcherOption {
 	return func(c *FetcherConfig) {
 		if prev := c.SessionHook; prev != nil {
@@ -503,13 +311,10 @@ func WithSessionHook(fn func(SessionInfo)) FetcherOption {
 	}
 }
 
-// WithRecordTap installs fn, called with every structurally valid coded
-// block the fetch receives — after checksum, shape, and segment-range
-// checks, before (and regardless of) decoder absorption, so the tap also
-// sees blocks that are linearly dependent for this fetcher's decoders.
-// This is the relay feed: a mesh relay taps its upstream fetch straight into
-// per-segment recoders. Taps compose: each WithRecordTap appends, and taps
-// run in installation order. The fetch blocks until fn returns.
+// WithRecordTap appends fn to the config's RecordTap: taps already installed
+// keep running, in installation order, before fn. This is the relay feed — a
+// mesh relay taps its upstream fetch straight into per-segment recoders —
+// and it composes with whatever tap the relay's caller supplied.
 func WithRecordTap(fn func(*rlnc.CodedBlock)) FetcherOption {
 	return func(c *FetcherConfig) {
 		if prev := c.RecordTap; prev != nil {
@@ -518,23 +323,4 @@ func WithRecordTap(fn func(*rlnc.CodedBlock)) FetcherOption {
 		}
 		c.RecordTap = fn
 	}
-}
-
-// WithResumeState preloads the decoders from a Fetcher.State blob saved by
-// an earlier (possibly failed) fetch of the same object, so the new fetch
-// starts from the saved per-segment rank instead of zero.
-func WithResumeState(state []byte) FetcherOption {
-	return func(c *FetcherConfig) { c.ResumeState = state }
-}
-
-// WithMetrics registers the fetcher's stat counters into reg under the
-// "fetch" prefix; see FetcherConfig.Metrics.
-func WithMetrics(reg *obs.Registry) FetcherOption {
-	return func(c *FetcherConfig) { c.Metrics = reg }
-}
-
-// WithFetchTrace labels the fetcher's spans and flight events with node;
-// see FetcherConfig.TraceNode.
-func WithFetchTrace(node string) FetcherOption {
-	return func(c *FetcherConfig) { c.TraceNode = node }
 }

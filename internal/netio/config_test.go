@@ -11,10 +11,13 @@ import (
 	"extremenc/internal/rlnc"
 )
 
-// TestServerConfigValidate pins exactly what the shared validation path
-// rejects: unknown wire and fanout modes and negative shard counts. Numeric
-// fields outside their range are normalization's job, not errors.
+// TestServerConfigValidate pins exactly what validation rejects — unknown
+// wire modes and negative shard counts; numeric fields outside their range
+// are normalization's job, not errors — and that NewServerFromConfig gives
+// the same verdict as Validate.
 func TestServerConfigValidate(t *testing.T) {
+	p := rlnc.Params{BlockCount: 8, BlockSize: 128}
+	media := testMedia(t, 2*p.SegmentSize()-7, 61)
 	cases := []struct {
 		name    string
 		mutate  func(*ServerConfig)
@@ -23,7 +26,6 @@ func TestServerConfigValidate(t *testing.T) {
 		{"default", func(c *ServerConfig) {}, ""},
 		{"zero value", func(c *ServerConfig) { *c = ServerConfig{} }, ""},
 		{"bad wire mode", func(c *ServerConfig) { c.Mode = WireMode(9) }, "wire mode"},
-		{"bad fanout", func(c *ServerConfig) { c.Fanout = FanoutMode(7) }, "fanout"},
 		{"negative shards", func(c *ServerConfig) { c.PumpShards = -1 }, "pump shards"},
 		{"negative queue ok", func(c *ServerConfig) { c.QueueDepth = -5 }, ""},
 		{"negative retries ok", func(c *ServerConfig) { c.WriteRetries = -1 }, ""},
@@ -33,21 +35,24 @@ func TestServerConfigValidate(t *testing.T) {
 			cfg := DefaultServerConfig()
 			tc.mutate(&cfg)
 			err := cfg.Validate()
+			_, ctorErr := NewServerFromConfig(media, p, cfg)
 			if tc.wantErr == "" {
-				if err != nil {
-					t.Fatalf("Validate() = %v, want nil", err)
+				if err != nil || ctorErr != nil {
+					t.Fatalf("Validate() = %v, NewServerFromConfig = %v, want nil", err, ctorErr)
 				}
 				return
 			}
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("Validate() = %v, want error containing %q", err, tc.wantErr)
 			}
+			if ctorErr == nil {
+				t.Fatal("NewServerFromConfig accepted a config Validate rejects")
+			}
 		})
 	}
 }
 
-// TestServerConfigNormalized pins the zero-to-default resolution both
-// construction paths share.
+// TestServerConfigNormalized pins the zero-to-default resolution.
 func TestServerConfigNormalized(t *testing.T) {
 	got := (ServerConfig{QueueDepth: 0, WriteRetries: -2, Seed: 0}).normalized(16)
 	if got.QueueDepth != 64 {
@@ -81,8 +86,19 @@ func TestServerConfigNormalized(t *testing.T) {
 	}
 }
 
-// TestFetcherConfigValidate pins the fetcher-side rejections.
+// TestFetcherConfigValidate pins the fetcher-side rejections — jitter
+// outside [0, 1] included: nothing clamps it — and that NewFetcherFromConfig
+// gives the same verdict as Validate: a rejected config builds no fetcher, an
+// accepted one fetches end to end.
 func TestFetcherConfigValidate(t *testing.T) {
+	p := rlnc.Params{BlockCount: 8, BlockSize: 128}
+	media := testMedia(t, 2*p.SegmentSize()-7, 61)
+	srv, err := NewServerFromConfig(media, p, DefaultServerConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := startPipeServer(t, srv)
+	dial := func(context.Context) (net.Conn, error) { return l.Dial(), nil }
 	cases := []struct {
 		name    string
 		mutate  func(*FetcherConfig)
@@ -104,86 +120,26 @@ func TestFetcherConfigValidate(t *testing.T) {
 			cfg := DefaultFetcherConfig()
 			tc.mutate(&cfg)
 			err := cfg.Validate()
+			f, ctorErr := NewFetcherFromConfig(dial, cfg)
 			if tc.wantErr == "" {
+				if err != nil || ctorErr != nil {
+					t.Fatalf("Validate() = %v, NewFetcherFromConfig = %v, want nil", err, ctorErr)
+				}
+				res, err := f.Fetch(context.Background())
 				if err != nil {
-					t.Fatalf("Validate() = %v, want nil", err)
+					t.Fatalf("config-built fetcher: %v", err)
+				}
+				if !bytes.Equal(res.Payload, media) {
+					t.Fatal("config-built fetcher payload differs")
 				}
 				return
 			}
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("Validate() = %v, want error containing %q", err, tc.wantErr)
 			}
+			if ctorErr == nil {
+				t.Fatal("NewFetcherFromConfig accepted a config Validate rejects")
+			}
 		})
-	}
-}
-
-// TestFromConfigMatchesOptions proves the two construction styles are one
-// path: a literal-config server and an option-built server with the same
-// settings serve identical block streams, and the FromConfig constructors
-// reject what Validate rejects.
-func TestFromConfigMatchesOptions(t *testing.T) {
-	p := rlnc.Params{BlockCount: 8, BlockSize: 128}
-	media := testMedia(t, 2*p.SegmentSize()-7, 61)
-
-	cfg := DefaultServerConfig()
-	cfg.QueueDepth = 16
-	cfg.WriteDeadline = 2 * time.Second
-	cfg.Seed = 42
-	cfg.PumpShards = 2
-	byConfig, err := NewServerFromConfig(media, p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byOptions, err := NewServer(media, p,
-		WithQueueDepth(16),
-		WithWriteDeadline(2*time.Second),
-		WithServerSeed(42),
-		WithPumpShards(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, srv := range map[string]*Server{"config": byConfig, "options": byOptions} {
-		if srv.Shards() != 2 {
-			t.Fatalf("%s-built server shards = %d, want 2", name, srv.Shards())
-		}
-		l := startPipeServer(t, srv)
-		payload, _, err := Fetch(context.Background(), l.Dial())
-		if err != nil {
-			t.Fatalf("%s-built server fetch: %v", name, err)
-		}
-		if !bytes.Equal(payload, media) {
-			t.Fatalf("%s-built server payload differs", name)
-		}
-	}
-
-	if _, err := NewServerFromConfig(media, p, ServerConfig{PumpShards: -2}); err == nil {
-		t.Fatal("NewServerFromConfig accepted a config Validate rejects")
-	}
-	if _, err := NewFetcherFromConfig(
-		func(context.Context) (net.Conn, error) { return nil, context.Canceled },
-		FetcherConfig{Jitter: 2},
-	); err == nil {
-		t.Fatal("NewFetcherFromConfig accepted a config Validate rejects")
-	}
-
-	// And the valid literal-config fetcher path works end to end.
-	srv, err := NewServerFromConfig(media, p, DefaultServerConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := startPipeServer(t, srv)
-	fcfg := DefaultFetcherConfig()
-	fcfg.MaxAttempts = 1
-	f, err := NewFetcherFromConfig(
-		func(context.Context) (net.Conn, error) { return l.Dial(), nil }, fcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := f.Fetch(context.Background())
-	if err != nil {
-		t.Fatalf("config-built fetcher: %v", err)
-	}
-	if !bytes.Equal(res.Payload, media) {
-		t.Fatal("config-built fetcher payload differs")
 	}
 }

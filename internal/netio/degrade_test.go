@@ -134,10 +134,11 @@ func TestDecisionRejectsForged(t *testing.T) {
 func TestServeBusyHonoredByFetcher(t *testing.T) {
 	p := rlnc.Params{BlockCount: 8, BlockSize: 128}
 	media := testMedia(t, p.SegmentSize(), 21)
-	srv, err := NewServer(media, p,
-		WithMaxSessions(1),
-		WithWriteDeadline(time.Second),
-		WithRetryAfter(5*time.Millisecond))
+	cfg := DefaultServerConfig()
+	cfg.MaxSessions = 1
+	cfg.WriteDeadline = time.Second
+	cfg.RetryAfter = 5 * time.Millisecond
+	srv, err := NewServerFromConfig(media, p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,10 +159,22 @@ func TestServeBusyHonoredByFetcher(t *testing.T) {
 			}
 		}
 	}()
+	// The server counts a session against the cap only after its handshake
+	// write returns, which the client can observe first.
+	for deadline := time.Now().Add(10 * time.Second); srv.Snapshot().Sessions == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("pinned session never registered")
+		}
+	}
 
-	f := NewFetcher(func(ctx context.Context) (net.Conn, error) {
+	fcfg := DefaultFetcherConfig()
+	fcfg.BackoffBase = time.Millisecond
+	fcfg.BackoffMax = 20 * time.Millisecond
+	fcfg.Jitter = 0
+	fcfg.Seed = 1
+	f := newTestFetcher(t, func(ctx context.Context) (net.Conn, error) {
 		return l.Dial(), nil
-	}, WithBackoff(time.Millisecond, 20*time.Millisecond), WithBackoffJitter(0), WithBackoffSeed(1))
+	}, fcfg)
 
 	fetchDone := make(chan error, 1)
 	var res *FetchResult
@@ -208,7 +221,10 @@ func TestDrainRedirectFollowed(t *testing.T) {
 	media := testMedia(t, 4*p.SegmentSize(), 22)
 	newTCPServer := func(seed int64) (*Server, net.Listener, chan error) {
 		t.Helper()
-		srv, err := NewServer(media, p, WithWriteDeadline(time.Second), WithServerSeed(seed))
+		cfg := DefaultServerConfig()
+		cfg.WriteDeadline = time.Second
+		cfg.Seed = seed
+		srv, err := NewServerFromConfig(media, p, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,10 +269,12 @@ func TestDrainRedirectFollowed(t *testing.T) {
 	// reconnect passes through admission again.
 	rd := NewRedirector(lA.Addr().String())
 	dial, _ := faultnet.Dialer(faultnet.Config{Seed: 23, ResetEvery: 24 << 10}, rd.Dial)
-	f := NewFetcher(dial,
-		WithRedirector(rd),
-		WithBackoff(time.Millisecond, 50*time.Millisecond),
-		WithBackoffSeed(2))
+	fcfg := DefaultFetcherConfig()
+	fcfg.Redirector = rd
+	fcfg.BackoffBase = time.Millisecond
+	fcfg.BackoffMax = 50 * time.Millisecond
+	fcfg.Seed = 2
+	f := newTestFetcher(t, dial, fcfg)
 
 	fetchDone := make(chan error, 1)
 	var res *FetchResult
@@ -334,7 +352,9 @@ func TestDrainRedirectFollowed(t *testing.T) {
 func TestShutdownDrainRace(t *testing.T) {
 	p := rlnc.Params{BlockCount: 8, BlockSize: 256}
 	media := testMedia(t, p.SegmentSize(), 24)
-	srv, err := NewServer(media, p, WithWriteDeadline(time.Second))
+	cfg := DefaultServerConfig()
+	cfg.WriteDeadline = time.Second
+	srv, err := NewServerFromConfig(media, p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,15 +446,16 @@ func TestBrownoutControllerHysteresis(t *testing.T) {
 func TestBrownoutLadderEngages(t *testing.T) {
 	p := rlnc.Params{BlockCount: 8, BlockSize: 256}
 	media := testMedia(t, p.SegmentSize(), 25)
-	srv, err := NewServer(media, p,
-		WithQueueDepth(2),
-		WithWriteDeadline(0), // never drop the staller: pressure stays pinned
-		WithBrownout(BrownoutConfig{
-			Interval: 10 * time.Millisecond,
-			StepUp:   0.5,
-			StepDown: 0.05,
-			Hold:     2,
-		}))
+	cfg := DefaultServerConfig()
+	cfg.QueueDepth = 2
+	cfg.WriteDeadline = 0 // never drop the staller: pressure stays pinned
+	cfg.Brownout = BrownoutConfig{
+		Interval: 10 * time.Millisecond,
+		StepUp:   0.5,
+		StepDown: 0.05,
+		Hold:     2,
+	}
+	srv, err := NewServerFromConfig(media, p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,18 +506,21 @@ func TestFetchTimeoutPartialResult(t *testing.T) {
 	media := testMedia(t, p.SegmentSize(), 26)
 	// One record per 20ms: full rank needs ≥ 1.28s, far past the 250ms budget,
 	// but the first records land well inside it.
-	srv, err := NewServer(media, p,
-		WithEncodeBatch(1),
-		WithServePace(20*time.Millisecond),
-		WithWriteDeadline(time.Second))
+	cfg := DefaultServerConfig()
+	cfg.EncodeBatch = 1
+	cfg.Pace = 20 * time.Millisecond
+	cfg.WriteDeadline = time.Second
+	srv, err := NewServerFromConfig(media, p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	l := startPipeServer(t, srv)
 
-	f := NewFetcher(func(ctx context.Context) (net.Conn, error) {
+	fcfg := DefaultFetcherConfig()
+	fcfg.FetchTimeout = 250 * time.Millisecond
+	f := newTestFetcher(t, func(ctx context.Context) (net.Conn, error) {
 		return l.Dial(), nil
-	}, WithFetchTimeout(250*time.Millisecond))
+	}, fcfg)
 	res, err := f.Fetch(context.Background())
 	if !errors.Is(err, ErrFetchTimeout) {
 		t.Fatalf("err = %v, want ErrFetchTimeout", err)
@@ -515,9 +539,10 @@ func TestFetchTimeoutPartialResult(t *testing.T) {
 		t.Fatal("no partial rank survived the timeout")
 	}
 	// The caller's own cancellation must NOT be rebranded as ErrFetchTimeout.
-	f2 := NewFetcher(func(ctx context.Context) (net.Conn, error) {
+	fcfg.FetchTimeout = time.Hour
+	f2 := newTestFetcher(t, func(ctx context.Context) (net.Conn, error) {
 		return l.Dial(), nil
-	}, WithFetchTimeout(time.Hour))
+	}, fcfg)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := f2.Fetch(ctx); errors.Is(err, ErrFetchTimeout) || !errors.Is(err, context.Canceled) {
@@ -529,9 +554,13 @@ func TestFetchTimeoutPartialResult(t *testing.T) {
 // immediately when its context ends instead of serving out the delay.
 func TestBackoffCtxInterruptible(t *testing.T) {
 	dialErr := errors.New("nope")
-	f := NewFetcher(func(ctx context.Context) (net.Conn, error) {
+	fcfg := DefaultFetcherConfig()
+	fcfg.BackoffBase = time.Hour
+	fcfg.BackoffMax = time.Hour
+	fcfg.Jitter = 0
+	f := newTestFetcher(t, func(ctx context.Context) (net.Conn, error) {
 		return nil, dialErr
-	}, WithBackoff(time.Hour, time.Hour), WithBackoffJitter(0))
+	}, fcfg)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {

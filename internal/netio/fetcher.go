@@ -37,12 +37,12 @@ var (
 	// different session header: the server is no longer serving the same
 	// object, so accumulated rank cannot be extended.
 	ErrHeaderMismatch = errors.New("netio: session header changed across reconnects")
-	// ErrBadResumeState reports an unusable WithResumeState blob.
+	// ErrBadResumeState reports an unusable FetcherConfig.ResumeState blob.
 	ErrBadResumeState = errors.New("netio: bad fetch resume state")
-	// ErrFetchTimeout reports a fetch that ran out of its WithFetchTimeout
-	// wall-clock budget before every segment reached full rank. Like
-	// ErrFetchBudget, the FetchResult returned alongside it still carries
-	// all accumulated progress.
+	// ErrFetchTimeout reports a fetch that ran out of its
+	// FetcherConfig.FetchTimeout wall-clock budget before every segment
+	// reached full rank. Like ErrFetchBudget, the FetchResult returned
+	// alongside it still carries all accumulated progress.
 	ErrFetchTimeout = errors.New("netio: fetch timeout")
 )
 
@@ -201,17 +201,9 @@ func (m *fetcherMetrics) register(reg *obs.Registry, prefix string) error {
 	return nil
 }
 
-// NewFetcher returns a Fetcher that downloads through dial.
-func NewFetcher(dial DialFunc, opts ...FetcherOption) *Fetcher {
-	cfg := DefaultFetcherConfig()
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	return newFetcher(dial, cfg)
-}
-
-// NewFetcherFromConfig is NewFetcher with a literal, validated
-// configuration; see FetcherConfig for the zero-value semantics.
+// NewFetcherFromConfig returns a Fetcher that downloads through dial, or the
+// error cfg.Validate reports; see FetcherConfig for the zero-value
+// semantics.
 func NewFetcherFromConfig(dial DialFunc, cfg FetcherConfig) (*Fetcher, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -231,11 +223,11 @@ func newFetcher(dial DialFunc, cfg FetcherConfig) *Fetcher {
 }
 
 // Fetch runs the download until every segment reaches full rank, the
-// attempt budget runs out, the WithFetchTimeout wall-clock budget expires,
-// or ctx ends. The FetchResult is never nil and always carries the stats
-// plus whatever segments and ranks were decoded, even alongside an error — a
-// budget-exhausted or timed-out fetch degrades to a partial result instead
-// of discarding progress.
+// attempt budget runs out, the FetcherConfig.FetchTimeout wall-clock budget
+// expires, or ctx ends. The FetchResult is never nil and always carries the
+// stats plus whatever segments and ranks were decoded, even alongside an
+// error — a budget-exhausted or timed-out fetch degrades to a partial result
+// instead of discarding progress.
 func (f *Fetcher) Fetch(ctx context.Context) (*FetchResult, error) {
 	outer := ctx
 	if f.cfg.FetchTimeout > 0 {
@@ -700,7 +692,7 @@ const (
 
 // State serializes every segment decoder — partial and complete — so a
 // later Fetcher (even in a new process) can resume this fetch's rank with
-// WithResumeState. Not safe to call concurrently with Fetch.
+// FetcherConfig.ResumeState. Not safe to call concurrently with Fetch.
 func (f *Fetcher) State() ([]byte, error) {
 	buf := make([]byte, 12, 64)
 	copy(buf, stateMagic)

@@ -72,22 +72,22 @@ func TestFetcherSurvivesServerRestarts(t *testing.T) {
 	}
 	var snaps []rankSnap
 	prev := map[uint32]int{}
-	f := NewFetcher(
-		func(context.Context) (net.Conn, error) { return l.Dial(), nil },
-		WithBackoff(time.Millisecond, 4*time.Millisecond),
-		WithBackoffSeed(1),
-		WithReconnectHook(func(reconnect int, ranks map[uint32]int) {
-			total := 0
-			for id, r := range ranks {
-				if r < prev[id] {
-					panic(fmt.Sprintf("segment %d rank fell %d -> %d across reconnect", id, prev[id], r))
-				}
-				prev[id] = r
-				total += r
+	fcfg := DefaultFetcherConfig()
+	fcfg.BackoffBase = time.Millisecond
+	fcfg.BackoffMax = 4 * time.Millisecond
+	fcfg.Seed = 1
+	fcfg.ReconnectHook = func(reconnect int, ranks map[uint32]int) {
+		total := 0
+		for id, r := range ranks {
+			if r < prev[id] {
+				panic(fmt.Sprintf("segment %d rank fell %d -> %d across reconnect", id, prev[id], r))
 			}
-			snaps = append(snaps, rankSnap{reconnect, total})
-		}),
-	)
+			prev[id] = r
+			total += r
+		}
+		snaps = append(snaps, rankSnap{reconnect, total})
+	}
+	f := newTestFetcher(t, func(context.Context) (net.Conn, error) { return l.Dial(), nil }, fcfg)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	res, err := f.Fetch(ctx)
@@ -134,11 +134,11 @@ func TestFetcherBudgetReturnsPartialProgress(t *testing.T) {
 		return true
 	})
 
-	f := NewFetcher(
-		func(context.Context) (net.Conn, error) { return l.Dial(), nil },
-		WithMaxAttempts(3),
-		WithBackoff(time.Millisecond, time.Millisecond),
-	)
+	fcfg := DefaultFetcherConfig()
+	fcfg.MaxAttempts = 3
+	fcfg.BackoffBase = time.Millisecond
+	fcfg.BackoffMax = time.Millisecond
+	f := newTestFetcher(t, func(context.Context) (net.Conn, error) { return l.Dial(), nil }, fcfg)
 	res, err := f.Fetch(context.Background())
 	if !errors.Is(err, ErrFetchBudget) {
 		t.Fatalf("err = %v, want ErrFetchBudget", err)
@@ -175,10 +175,9 @@ func TestFetcherResumeState(t *testing.T) {
 	// Sessions deliver 5 records: never enough for rank 8 in one attempt.
 	flakyServer(t, l, media, p, 5, nil)
 
-	first := NewFetcher(
-		func(context.Context) (net.Conn, error) { return l.Dial(), nil },
-		WithMaxAttempts(1),
-	)
+	fcfg := DefaultFetcherConfig()
+	fcfg.MaxAttempts = 1
+	first := newTestFetcher(t, func(context.Context) (net.Conn, error) { return l.Dial(), nil }, fcfg)
 	res, err := first.Fetch(context.Background())
 	if err == nil {
 		t.Fatal("single truncated session unexpectedly completed")
@@ -191,11 +190,11 @@ func TestFetcherResumeState(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	second := NewFetcher(
-		func(context.Context) (net.Conn, error) { return l.Dial(), nil },
-		WithResumeState(state),
-		WithBackoff(time.Millisecond, time.Millisecond),
-	)
+	fcfg = DefaultFetcherConfig()
+	fcfg.ResumeState = state
+	fcfg.BackoffBase = time.Millisecond
+	fcfg.BackoffMax = time.Millisecond
+	second := newTestFetcher(t, func(context.Context) (net.Conn, error) { return l.Dial(), nil }, fcfg)
 	res2, err := second.Fetch(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -212,10 +211,9 @@ func TestFetcherResumeState(t *testing.T) {
 	// Damaged state is rejected up front, with the error.
 	bad := append([]byte(nil), state...)
 	bad[len(bad)/2] ^= 1
-	res3, err := NewFetcher(
-		func(context.Context) (net.Conn, error) { return l.Dial(), nil },
-		WithResumeState(bad),
-	).Fetch(context.Background())
+	fcfg = DefaultFetcherConfig()
+	fcfg.ResumeState = bad
+	res3, err := newTestFetcher(t, func(context.Context) (net.Conn, error) { return l.Dial(), nil }, fcfg).Fetch(context.Background())
 	if !errors.Is(err, ErrBadResumeState) {
 		t.Fatalf("err = %v, want ErrBadResumeState", err)
 	}
@@ -262,10 +260,10 @@ func TestFetcherRejectClassification(t *testing.T) {
 		return false // continue with the honest stream
 	})
 
-	f := NewFetcher(
-		func(context.Context) (net.Conn, error) { return l.Dial(), nil },
-		WithBackoff(time.Millisecond, time.Millisecond),
-	)
+	fcfg := DefaultFetcherConfig()
+	fcfg.BackoffBase = time.Millisecond
+	fcfg.BackoffMax = time.Millisecond
+	f := newTestFetcher(t, func(context.Context) (net.Conn, error) { return l.Dial(), nil }, fcfg)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	res, err := f.Fetch(ctx)
@@ -317,11 +315,11 @@ func TestFetcherHeaderMismatch(t *testing.T) {
 			conn.Close() // truncate: force a reconnect
 		}
 	}()
-	f := NewFetcher(
-		func(context.Context) (net.Conn, error) { return l.Dial(), nil },
-		WithMaxAttempts(4),
-		WithBackoff(time.Millisecond, time.Millisecond),
-	)
+	fcfg := DefaultFetcherConfig()
+	fcfg.MaxAttempts = 4
+	fcfg.BackoffBase = time.Millisecond
+	fcfg.BackoffMax = time.Millisecond
+	f := newTestFetcher(t, func(context.Context) (net.Conn, error) { return l.Dial(), nil }, fcfg)
 	res, err := f.Fetch(context.Background())
 	if !errors.Is(err, ErrHeaderMismatch) {
 		t.Fatalf("err = %v, want ErrHeaderMismatch", err)
@@ -370,10 +368,10 @@ func TestBackoffSchedule(t *testing.T) {
 // fetch immediately with the context error and the partial result.
 func TestBackoffCtxCancel(t *testing.T) {
 	dialErr := errors.New("refused")
-	f := NewFetcher(
-		func(context.Context) (net.Conn, error) { return nil, dialErr },
-		WithBackoff(time.Hour, time.Hour), // without cancellation this never returns
-	)
+	fcfg := DefaultFetcherConfig()
+	fcfg.BackoffBase = time.Hour // without cancellation this never returns
+	fcfg.BackoffMax = time.Hour
+	f := newTestFetcher(t, func(context.Context) (net.Conn, error) { return nil, dialErr }, fcfg)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	start := time.Now()
@@ -403,11 +401,11 @@ func TestBackoffCtxCancel(t *testing.T) {
 // the budget sentinel and the dial error.
 func TestFetcherDialBudget(t *testing.T) {
 	dialErr := errors.New("connection refused")
-	f := NewFetcher(
-		func(context.Context) (net.Conn, error) { return nil, dialErr },
-		WithMaxAttempts(3),
-		WithBackoff(time.Microsecond, time.Microsecond),
-	)
+	fcfg := DefaultFetcherConfig()
+	fcfg.MaxAttempts = 3
+	fcfg.BackoffBase = time.Microsecond
+	fcfg.BackoffMax = time.Microsecond
+	f := newTestFetcher(t, func(context.Context) (net.Conn, error) { return nil, dialErr }, fcfg)
 	res, err := f.Fetch(context.Background())
 	if !errors.Is(err, ErrFetchBudget) || !errors.Is(err, dialErr) {
 		t.Fatalf("err = %v, want ErrFetchBudget wrapping the dial error", err)

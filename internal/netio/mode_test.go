@@ -53,8 +53,10 @@ func TestHandshakeCarriesMode(t *testing.T) {
 // first handshake.
 func TestNewServerRejectsUnknownMode(t *testing.T) {
 	p := rlnc.Params{BlockCount: 4, BlockSize: 32}
-	if _, err := NewServer(testMedia(t, p.SegmentSize(), 3), p, WithWireMode(WireMode(9))); err == nil {
-		t.Fatal("NewServer accepted an unknown wire mode")
+	cfg := DefaultServerConfig()
+	cfg.Mode = WireMode(9)
+	if _, err := NewServerFromConfig(testMedia(t, p.SegmentSize(), 3), p, cfg); err == nil {
+		t.Fatal("NewServerFromConfig accepted an unknown wire mode")
 	}
 }
 
@@ -64,7 +66,9 @@ func TestNewServerRejectsUnknownMode(t *testing.T) {
 func TestSystematicFetchOverPipe(t *testing.T) {
 	p := rlnc.Params{BlockCount: 16, BlockSize: 512}
 	media := testMedia(t, 3*p.SegmentSize()-99, 21)
-	srv, err := NewServer(media, p, WithWireMode(ModeSystematic))
+	cfg := DefaultServerConfig()
+	cfg.Mode = ModeSystematic
+	srv, err := NewServerFromConfig(media, p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,8 +77,9 @@ func TestSystematicFetchOverPipe(t *testing.T) {
 	}
 
 	l := startPipeServer(t, srv)
-	f := NewFetcher(func(context.Context) (net.Conn, error) { return l.Dial(), nil },
-		WithMaxAttempts(1))
+	fcfg := DefaultFetcherConfig()
+	fcfg.MaxAttempts = 1
+	f := newTestFetcher(t, func(context.Context) (net.Conn, error) { return l.Dial(), nil }, fcfg)
 	res, err := f.Fetch(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +104,10 @@ func TestModeDifferentialSessionPath(t *testing.T) {
 	media := testMedia(t, 3*p.SegmentSize()-41, 22)
 
 	fetchVia := func(mode WireMode) []byte {
-		srv, err := NewServer(media, p, WithWireMode(mode), WithServerSeed(5))
+		cfg := DefaultServerConfig()
+		cfg.Mode = mode
+		cfg.Seed = 5
+		srv, err := NewServerFromConfig(media, p, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,8 +123,9 @@ func TestModeDifferentialSessionPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f := NewFetcher(func(context.Context) (net.Conn, error) { return conn, nil },
-			WithMaxAttempts(1))
+		fcfg := DefaultFetcherConfig()
+		fcfg.MaxAttempts = 1
+		f := newTestFetcher(t, func(context.Context) (net.Conn, error) { return conn, nil }, fcfg)
 		res, err := f.Fetch(context.Background())
 		if err != nil {
 			t.Fatalf("mode %v: %v", mode, err)

@@ -261,9 +261,11 @@ type FetchStats struct {
 // restarts without losing decoder rank, use a Fetcher with a dial function.
 func Fetch(ctx context.Context, conn net.Conn) ([]byte, *FetchStats, error) {
 	defer conn.Close()
-	f := NewFetcher(func(context.Context) (net.Conn, error) {
+	cfg := DefaultFetcherConfig()
+	cfg.MaxAttempts = 1
+	f := newFetcher(func(context.Context) (net.Conn, error) {
 		return conn, nil
-	}, WithMaxAttempts(1))
+	}, cfg)
 	res, err := f.Fetch(ctx)
 	return res.Payload, res.Stats, err
 }

@@ -24,7 +24,7 @@ func testMedia(t testing.TB, size int, seed int64) []byte {
 func TestFetchOverPipe(t *testing.T) {
 	p := rlnc.Params{BlockCount: 16, BlockSize: 512}
 	media := testMedia(t, 3*p.SegmentSize()-99, 1)
-	srv, err := NewServer(media, p)
+	srv, err := NewServerFromConfig(media, p, DefaultServerConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestFetchOverPipe(t *testing.T) {
 func TestFetchOverTCP(t *testing.T) {
 	p := rlnc.Params{BlockCount: 8, BlockSize: 256}
 	media := testMedia(t, 2*p.SegmentSize(), 2)
-	srv, err := NewServer(media, p)
+	srv, err := NewServerFromConfig(media, p, DefaultServerConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestFetchBadHandshake(t *testing.T) {
 func TestFetchSkipsCorruptRecords(t *testing.T) {
 	p := rlnc.Params{BlockCount: 8, BlockSize: 128}
 	media := testMedia(t, p.SegmentSize(), 3)
-	srv, err := NewServer(media, p)
+	srv, err := NewServerFromConfig(media, p, DefaultServerConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func readFull(c net.Conn, buf []byte) (int, error) {
 }
 
 func TestServerValidation(t *testing.T) {
-	if _, err := NewServer(nil, rlnc.Params{}); err == nil {
+	if _, err := NewServerFromConfig(nil, rlnc.Params{}, DefaultServerConfig()); err == nil {
 		t.Fatal("invalid params accepted")
 	}
 }
@@ -204,7 +204,7 @@ func TestServerValidation(t *testing.T) {
 func BenchmarkFetchPipe(b *testing.B) {
 	p := rlnc.Params{BlockCount: 32, BlockSize: 4096}
 	media := testMedia(b, 4*p.SegmentSize(), 9)
-	srv, err := NewServer(media, p)
+	srv, err := NewServerFromConfig(media, p, DefaultServerConfig())
 	if err != nil {
 		b.Fatal(err)
 	}

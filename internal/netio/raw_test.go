@@ -13,7 +13,9 @@ import (
 func TestRawClientDrains(t *testing.T) {
 	p := rlnc.Params{BlockCount: 8, BlockSize: 128}
 	media := testMedia(t, 2*p.SegmentSize()-9, 58)
-	srv, err := NewServer(media, p, WithWriteDeadline(2*time.Second))
+	cfg := DefaultServerConfig()
+	cfg.WriteDeadline = 2 * time.Second
+	srv, err := NewServerFromConfig(media, p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

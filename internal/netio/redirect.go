@@ -66,7 +66,7 @@ func (r *Redirector) Redirects() int64 { return r.redirects.Load() }
 func (r *Redirector) Dials() int64 { return r.dials.Load() }
 
 // Dial connects to the current target. It is a DialFunc: pass r.Dial to
-// NewFetcher. The target snapshot and the dial count share one critical
+// NewFetcherFromConfig. The target snapshot and the dial count share one critical
 // section, so a SetTarget racing an in-flight Dial either lands entirely
 // before the attempt (which then dials the new target) or entirely after —
 // never a dial accounted against a target it did not use.

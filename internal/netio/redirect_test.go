@@ -72,7 +72,9 @@ func TestRedirectorReroutesMidFetch(t *testing.T) {
 	dribbleServer(t, la, obj, 4)
 
 	// Server B: a full pump server over the same object.
-	srvB, err := NewServer(media, p, WithServerSeed(9))
+	cfg := DefaultServerConfig()
+	cfg.Seed = 9
+	srvB, err := NewServerFromConfig(media, p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,22 +91,23 @@ func TestRedirectorReroutesMidFetch(t *testing.T) {
 	var tapped atomic.Int64
 	rerouted := make(chan struct{})
 	var rerouteOnce atomic.Bool
-	f := NewFetcher(rd.Dial,
-		WithBackoff(time.Millisecond, 20*time.Millisecond),
-		WithBackoffSeed(3),
-		WithRecordTap(func(b *rlnc.CodedBlock) {
-			if b.Validate(p) != nil {
-				t.Error("tap saw a block that does not validate")
-			}
-			// Once the leaf has real progress against A, kill A and hand the
-			// fetcher a fresh dial target — the remediation path in miniature.
-			if tapped.Add(1) == 6 && rerouteOnce.CompareAndSwap(false, true) {
-				la.Close()
-				rd.SetTarget(lb.Addr().String())
-				close(rerouted)
-			}
-		}),
-	)
+	fcfg := DefaultFetcherConfig()
+	fcfg.BackoffBase = time.Millisecond
+	fcfg.BackoffMax = 20 * time.Millisecond
+	fcfg.Seed = 3
+	fcfg.RecordTap = func(b *rlnc.CodedBlock) {
+		if b.Validate(p) != nil {
+			t.Error("tap saw a block that does not validate")
+		}
+		// Once the leaf has real progress against A, kill A and hand the
+		// fetcher a fresh dial target — the remediation path in miniature.
+		if tapped.Add(1) == 6 && rerouteOnce.CompareAndSwap(false, true) {
+			la.Close()
+			rd.SetTarget(lb.Addr().String())
+			close(rerouted)
+		}
+	}
+	f := newTestFetcher(t, rd.Dial, fcfg)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	res, err := f.Fetch(ctx)
@@ -215,7 +218,10 @@ func TestRedirectorConcurrentSetAndDial(t *testing.T) {
 func TestSessionHookSeesDeclaredInfo(t *testing.T) {
 	p := rlnc.Params{BlockCount: 8, BlockSize: 128}
 	media := testMedia(t, 2*p.SegmentSize()-9, 17)
-	srv, err := NewServer(media, p, WithWireMode(ModeSystematic), WithServerSeed(5))
+	cfg := DefaultServerConfig()
+	cfg.Mode = ModeSystematic
+	cfg.Seed = 5
+	srv, err := NewServerFromConfig(media, p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,11 +233,10 @@ func TestSessionHookSeesDeclaredInfo(t *testing.T) {
 	}()
 
 	var infos []SessionInfo
-	f := NewFetcher(
-		func(ctx context.Context) (net.Conn, error) { return l.Dial(), nil },
-		WithSessionHook(func(si SessionInfo) { infos = append(infos, si) }),
-		WithMaxAttempts(1),
-	)
+	fcfg := DefaultFetcherConfig()
+	fcfg.SessionHook = func(si SessionInfo) { infos = append(infos, si) }
+	fcfg.MaxAttempts = 1
+	f := newTestFetcher(t, func(ctx context.Context) (net.Conn, error) { return l.Dial(), nil }, fcfg)
 	res, err := f.Fetch(context.Background())
 	if err != nil {
 		t.Fatalf("fetch: %v (stats %+v)", err, res.Stats)
@@ -299,7 +304,7 @@ func TestSourceServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewSourceServer(newPoolSource(t, obj, 2*p.BlockCount))
+	srv, err := NewSourceServerFromConfig(newPoolSource(t, obj, 2*p.BlockCount), DefaultServerConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,6 +77,17 @@ func startPipeServer(t testing.TB, srv *Server) *pipeListener {
 	return l
 }
 
+// newTestFetcher builds a Fetcher from cfg, failing the test on a config
+// NewFetcherFromConfig rejects.
+func newTestFetcher(t testing.TB, dial DialFunc, cfg FetcherConfig) *Fetcher {
+	t.Helper()
+	f, err := NewFetcherFromConfig(dial, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 // checkAccounting asserts the snapshot's core invariant once all sessions
 // have ended: every offered block was either fully written or shed.
 func checkAccounting(t *testing.T, snap Snapshot) {
@@ -99,11 +110,12 @@ func checkAccounting(t *testing.T, snap Snapshot) {
 func TestServeSlowAndFailingClients(t *testing.T) {
 	p := rlnc.Params{BlockCount: 8, BlockSize: 256}
 	media := testMedia(t, 2*p.SegmentSize()-17, 7)
-	srv, err := NewServer(media, p,
-		WithQueueDepth(8),
-		WithWriteDeadline(50*time.Millisecond),
-		WithWriteRetries(1),
-		WithServerSeed(1234))
+	cfg := DefaultServerConfig()
+	cfg.QueueDepth = 8
+	cfg.WriteDeadline = 50 * time.Millisecond
+	cfg.WriteRetries = 1
+	cfg.Seed = 1234
+	srv, err := NewServerFromConfig(media, p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,10 +221,11 @@ func TestServeAcceptance64Clients(t *testing.T) {
 	}
 	p := rlnc.Params{BlockCount: 8, BlockSize: 256}
 	media := testMedia(t, 2*p.SegmentSize(), 8)
-	srv, err := NewServer(media, p,
-		WithQueueDepth(32),
-		WithWriteDeadline(200*time.Millisecond),
-		WithWriteRetries(1))
+	cfg := DefaultServerConfig()
+	cfg.QueueDepth = 32
+	cfg.WriteDeadline = 200 * time.Millisecond
+	cfg.WriteRetries = 1
+	srv, err := NewServerFromConfig(media, p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,12 +306,15 @@ func TestServeAcceptance64Clients(t *testing.T) {
 	}
 }
 
-// TestServeSessionCap: connections beyond WithMaxSessions are rejected and
+// TestServeSessionCap: connections beyond MaxSessions are rejected and
 // counted, while the admitted session still completes.
 func TestServeSessionCap(t *testing.T) {
 	p := rlnc.Params{BlockCount: 8, BlockSize: 128}
 	media := testMedia(t, p.SegmentSize(), 9)
-	srv, err := NewServer(media, p, WithMaxSessions(1), WithWriteDeadline(time.Second))
+	cfg := DefaultServerConfig()
+	cfg.MaxSessions = 1
+	cfg.WriteDeadline = time.Second
+	srv, err := NewServerFromConfig(media, p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +360,7 @@ func TestServeSessionCap(t *testing.T) {
 // ErrServerClosed.
 func TestServeAfterShutdown(t *testing.T) {
 	p := rlnc.Params{BlockCount: 4, BlockSize: 64}
-	srv, err := NewServer(testMedia(t, p.SegmentSize(), 10), p)
+	srv, err := NewServerFromConfig(testMedia(t, p.SegmentSize(), 10), p, DefaultServerConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +381,9 @@ func TestServeAfterShutdown(t *testing.T) {
 func TestServeContextCancel(t *testing.T) {
 	p := rlnc.Params{BlockCount: 64, BlockSize: 4096}
 	media := testMedia(t, 4*p.SegmentSize(), 11)
-	srv, err := NewServer(media, p, WithWriteDeadline(time.Second))
+	cfg := DefaultServerConfig()
+	cfg.WriteDeadline = time.Second
+	srv, err := NewServerFromConfig(media, p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,8 +406,10 @@ func TestServeContextCancel(t *testing.T) {
 		})
 	}
 	conn := l.Dial()
-	f := NewFetcher(func(context.Context) (net.Conn, error) { return conn, nil },
-		WithMaxAttempts(1), WithRecordTap(tap))
+	fcfg := DefaultFetcherConfig()
+	fcfg.MaxAttempts = 1
+	fcfg.RecordTap = tap
+	f := newTestFetcher(t, func(context.Context) (net.Conn, error) { return conn, nil }, fcfg)
 	fetchDone := make(chan error, 1)
 	go func() {
 		_, err := f.Fetch(context.Background())
@@ -454,7 +474,10 @@ func TestFetchSentinels(t *testing.T) {
 func TestSnapshotDuringTraffic(t *testing.T) {
 	p := rlnc.Params{BlockCount: 16, BlockSize: 1024}
 	media := testMedia(t, 2*p.SegmentSize(), 12)
-	srv, err := NewServer(media, p, WithQueueDepth(4), WithWriteDeadline(time.Second))
+	cfg := DefaultServerConfig()
+	cfg.QueueDepth = 4
+	cfg.WriteDeadline = time.Second
+	srv, err := NewServerFromConfig(media, p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

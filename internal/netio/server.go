@@ -17,10 +17,8 @@ import (
 
 // Serving-stage spans. Free when no obs sink is installed; with one, each
 // records a latency sample per operation (not per byte): one handshake span
-// per session, one queue-offer span per fan-out operation (per record in
-// FanoutPerRecord, per pump round in FanoutAmortized), one record-send span
-// per wire flush (per record in FanoutPerRecord, per vectored batch in
-// FanoutAmortized).
+// per session, one queue-offer span per pump round, one record-send span per
+// vectored wire flush.
 var (
 	stageHandshake  = obs.StageOf("netio.handshake")
 	stageQueueOffer = obs.StageOf("netio.queue_offer")
@@ -36,8 +34,7 @@ var (
 	ErrShortWrite = errors.New("netio: short record write")
 )
 
-// writerBatch caps how many queued records one vectored flush covers in the
-// amortized fan-out rung; FanoutPerRecord always flushes one.
+// writerBatch caps how many queued records one vectored flush covers.
 const writerBatch = 16
 
 // Server pushes coded blocks for one object to every connection. Sessions
@@ -146,17 +143,8 @@ func (c *shardCounters) view() CounterView {
 	}
 }
 
-// NewServer builds a media-backed server over media split at p: the server
-// encodes fresh coded blocks from the source segments.
-func NewServer(media []byte, p rlnc.Params, opts ...ServerOption) (*Server, error) {
-	cfg := DefaultServerConfig()
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	return NewServerFromConfig(media, p, cfg)
-}
-
-// NewServerFromConfig is NewServer with a literal configuration; see
+// NewServerFromConfig builds a media-backed server over media split at p:
+// the server encodes fresh coded blocks from the source segments. See
 // ServerConfig for the zero-value semantics.
 func NewServerFromConfig(media []byte, p rlnc.Params, cfg ServerConfig) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
@@ -183,25 +171,16 @@ func NewServerFromConfig(media []byte, p rlnc.Params, cfg ServerConfig) (*Server
 	return newServer(srcs[0].Info(), cfg, pool, srcs, pooled)
 }
 
-// NewSourceServer builds a server over an arbitrary RecordSource: the
-// serving half of a mesh relay, which recodes upstream blocks instead of
+// NewSourceServerFromConfig builds a server over an arbitrary RecordSource:
+// the serving half of a mesh relay, which recodes upstream blocks instead of
 // encoding source media it does not have. The session machinery — pump
 // fan-out, bounded queues with shed-don't-stall, write deadlines, session
 // caps, metrics — is identical to a media-backed server; only where records
-// come from differs. The handshake is declared by src.Info(), so the
-// WithWireMode option is ignored here; WithEncodeBatch sizes the per-round
-// Records request. With more than one pump shard, a source implementing
-// ShardedRecordSource provides one sub-source per shard; any other source is
-// shared behind a lock, serializing Records calls across the shards.
-func NewSourceServer(src RecordSource, opts ...ServerOption) (*Server, error) {
-	cfg := DefaultServerConfig()
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	return NewSourceServerFromConfig(src, cfg)
-}
-
-// NewSourceServerFromConfig is NewSourceServer with a literal configuration.
+// come from differs. The handshake is declared by src.Info(), so cfg.Mode is
+// ignored here; cfg.EncodeBatch sizes the per-round Records request. With
+// more than one pump shard, a source implementing ShardedRecordSource
+// provides one sub-source per shard; any other source is shared behind a
+// lock, serializing Records calls across the shards.
 func NewSourceServerFromConfig(src RecordSource, cfg ServerConfig) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -590,13 +569,9 @@ func (s *Server) shedResidue(ss *session) {
 }
 
 // writeLoop drains the session queue onto the connection, flushing up to
-// writerBatch records per vectored write in the amortized rung and exactly
-// one in the per-record rung.
+// writerBatch records per vectored write.
 func (s *Server) writeLoop(ss *session) {
-	batchCap := 1
-	if s.cfg.Fanout == FanoutAmortized {
-		batchCap = min(writerBatch, s.cfg.QueueDepth)
-	}
+	batchCap := min(writerBatch, s.cfg.QueueDepth)
 	batch := make([]*frameRef, batchCap)
 	// Traced sessions interleave a 12-byte prelude buffer before every frame
 	// in the vectored write, so bufs holds two entries per record.
@@ -870,38 +845,11 @@ func (sh *pumpShard) run() {
 }
 
 // fanOut offers the round's frames to every live session and reports whether
-// any session accepted at least one record. FanoutAmortized takes one bulk
-// offer (one lock, one batched counter update) per session per round;
-// FanoutPerRecord replays the original per-record cost profile.
+// any session accepted at least one record: one bulk offer (one lock, one
+// batched counter update) per session per round.
 func (sh *pumpShard) fanOut(frames []*frameRef, live []*session) bool {
 	s := sh.s
 	delivered := false
-	if s.cfg.Fanout == FanoutPerRecord {
-		one := make([]*frameRef, 1)
-		var shedTotal int64
-		for _, fr := range frames {
-			one[0] = fr
-			osp := stageQueueOffer.Start()
-			for _, ss := range live {
-				ss.offered.Add(1)
-				s.counters.AddOffered(1)
-				sh.c.offered.Add(1)
-				if ss.q.offerBatch(one) == 1 {
-					delivered = true
-				} else {
-					ss.shed.Add(1)
-					s.counters.AddShed(1)
-					sh.c.shed.Add(1)
-					shedTotal++
-				}
-			}
-			osp.End()
-		}
-		if shedTotal > 0 {
-			trace.Emit(trace.KindShed, s.traceNodeName(), "queue_full", -1, shedTotal)
-		}
-		return delivered
-	}
 	nf := int64(len(frames))
 	var roundOffered, roundShed int64
 	osp := stageQueueOffer.Start()

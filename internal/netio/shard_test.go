@@ -23,11 +23,12 @@ func TestShardedServeAccounting(t *testing.T) {
 	const shards = 4
 	p := rlnc.Params{BlockCount: 8, BlockSize: 256}
 	media := testMedia(t, 2*p.SegmentSize()-17, 55)
-	srv, err := NewServer(media, p,
-		WithPumpShards(shards),
-		WithQueueDepth(16),
-		WithWriteDeadline(2*time.Second),
-		WithServerSeed(77))
+	cfg := DefaultServerConfig()
+	cfg.PumpShards = shards
+	cfg.QueueDepth = 16
+	cfg.WriteDeadline = 2 * time.Second
+	cfg.Seed = 77
+	srv, err := NewServerFromConfig(media, p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,32 +137,45 @@ func TestShardedServeAccounting(t *testing.T) {
 	}
 }
 
-// TestFanoutDifferential serves the same media through both fan-out rungs and
-// demands byte-identical recovery with an exact ledger from each: the
-// amortized rung is an optimization of the hand-off cost, never of the bytes
-// or the accounting.
+// TestFanoutDifferential serves the same media at the default queue depth and
+// at QueueDepth 1 — where writeLoop's batch capacity min(writerBatch,
+// QueueDepth) is 1, so every flush carries a single record — and demands
+// byte-identical recovery with an exact ledger, per shard and in aggregate,
+// from each: batching is an optimization of the hand-off cost, never of the
+// bytes or the accounting.
 func TestFanoutDifferential(t *testing.T) {
 	p := rlnc.Params{BlockCount: 16, BlockSize: 256}
 	media := testMedia(t, 3*p.SegmentSize()-41, 56)
-	for _, mode := range []FanoutMode{FanoutPerRecord, FanoutAmortized} {
-		t.Run(mode.String(), func(t *testing.T) {
-			srv, err := NewServer(media, p,
-				WithFanout(mode),
-				WithServerSeed(5),
-				WithWriteDeadline(2*time.Second))
+	for _, tc := range []struct {
+		name  string
+		depth int
+	}{{"amortized", 64}, {"queue_depth_1", 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultServerConfig()
+			cfg.QueueDepth = tc.depth
+			cfg.Seed = 5
+			cfg.WriteDeadline = 2 * time.Second
+			srv, err := NewServerFromConfig(media, p, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			l := startPipeServer(t, srv)
 			payload, stats, err := Fetch(context.Background(), l.Dial())
 			if err != nil {
-				t.Fatalf("fetch via %v fan-out: %v (stats %+v)", mode, err, stats)
+				t.Fatalf("fetch at queue depth %d: %v (stats %+v)", tc.depth, err, stats)
 			}
 			if !bytes.Equal(payload, media) {
-				t.Fatalf("payload differs via %v fan-out", mode)
+				t.Fatalf("payload differs at queue depth %d", tc.depth)
 			}
 			srv.Shutdown()
-			checkAccounting(t, srv.Snapshot())
+			snap := srv.Snapshot()
+			checkAccounting(t, snap)
+			for _, sh := range snap.Shards {
+				if !sh.Consistent() {
+					t.Fatalf("shard %d ledger: offered %d != sent %d + shed %d",
+						sh.Shard, sh.BlocksOffered, sh.BlocksSent, sh.BlocksShed)
+				}
+			}
 		})
 	}
 }
@@ -176,8 +190,10 @@ func TestSourceServerSharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewSourceServer(newPoolSource(t, obj, 2*p.BlockCount),
-		WithPumpShards(3), WithWriteDeadline(2*time.Second))
+	cfg := DefaultServerConfig()
+	cfg.PumpShards = 3
+	cfg.WriteDeadline = 2 * time.Second
+	srv, err := NewSourceServerFromConfig(newPoolSource(t, obj, 2*p.BlockCount), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +247,10 @@ func TestChaosFetchSharded(t *testing.T) {
 	obs.SetSink(reg)
 	defer obs.SetSink(nil)
 
-	srv, err := NewServer(media, p, WithPumpShards(4), WithMetricsRegistry(reg))
+	cfg := DefaultServerConfig()
+	cfg.PumpShards = 4
+	cfg.Metrics = reg
+	srv, err := NewServerFromConfig(media, p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,11 +278,12 @@ func TestChaosFetchSharded(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f := NewFetcher(dial,
-		WithBackoff(time.Millisecond, 10*time.Millisecond),
-		WithBackoffSeed(9),
-		WithMetrics(reg),
-	)
+	fcfg := DefaultFetcherConfig()
+	fcfg.BackoffBase = time.Millisecond
+	fcfg.BackoffMax = 10 * time.Millisecond
+	fcfg.Seed = 9
+	fcfg.Metrics = reg
+	f := newTestFetcher(t, dial, fcfg)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	res, err := f.Fetch(ctx)

@@ -41,9 +41,9 @@ func (si SessionInfo) Validate() error {
 
 // RecordSource produces the framed records a Server's pump fans out. It
 // abstracts where coded blocks come from: a media-backed server encodes
-// fresh blocks from source segments (NewServer), while a mesh relay emits
-// recombinations of blocks it received upstream without ever decoding
-// (NewSourceServer). The pump is a single goroutine, so Records is never
+// fresh blocks from source segments (NewServerFromConfig), while a mesh relay
+// emits recombinations of blocks it received upstream without ever decoding
+// (NewSourceServerFromConfig). The pump is a single goroutine, so Records is never
 // called concurrently by one server; a source shared across servers must
 // synchronize internally.
 type RecordSource interface {
@@ -126,10 +126,11 @@ func FrameRecord(b *rlnc.CodedBlock, mode WireMode) ([]byte, error) {
 	return frameRecord(b, nil)
 }
 
-// objectSource is the media-backed RecordSource behind NewServer: dense
-// batches through the shared parallel encoder, or the systematic sweep →
-// XOR repair → dense tail schedule per segment in ModeSystematic. A sharded
-// server builds one objectSource per shard, each with its own seed lane.
+// objectSource is the media-backed RecordSource behind NewServerFromConfig:
+// dense batches through the shared parallel encoder, or the systematic sweep
+// → XOR repair → dense tail schedule per segment in ModeSystematic. A
+// sharded server builds one objectSource per shard, each with its own seed
+// lane.
 type objectSource struct {
 	obj  *rlnc.Object
 	mode WireMode

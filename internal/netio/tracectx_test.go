@@ -129,7 +129,9 @@ func TestTracedSessionEndToEnd(t *testing.T) {
 
 	p := rlnc.Params{BlockCount: 8, BlockSize: 256}
 	media := testMedia(t, 2*p.SegmentSize(), 7)
-	srv, err := NewServer(media, p, WithServerTrace("origin"))
+	cfg := DefaultServerConfig()
+	cfg.TraceNode = "origin"
+	srv, err := NewServerFromConfig(media, p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,8 +140,10 @@ func TestTracedSessionEndToEnd(t *testing.T) {
 	}
 	l := startPipeServer(t, srv)
 
-	f := NewFetcher(func(context.Context) (net.Conn, error) { return l.Dial(), nil },
-		WithFetchTrace("leaf"), WithMaxAttempts(1))
+	fcfg := DefaultFetcherConfig()
+	fcfg.TraceNode = "leaf"
+	fcfg.MaxAttempts = 1
+	f := newTestFetcher(t, func(context.Context) (net.Conn, error) { return l.Dial(), nil }, fcfg)
 	res, err := f.Fetch(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +190,9 @@ func TestRawClientTracedSession(t *testing.T) {
 
 	p := rlnc.Params{BlockCount: 4, BlockSize: 128}
 	media := testMedia(t, p.SegmentSize(), 11)
-	srv, err := NewServer(media, p, WithServerTrace("origin"))
+	cfg := DefaultServerConfig()
+	cfg.TraceNode = "origin"
+	srv, err := NewServerFromConfig(media, p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
