@@ -28,8 +28,8 @@ vet:
 
 # The second and third lines keep the non-SIMD builds honest on an amd64
 # runner. `purego` is a build tag — it compiles the gf256 assembly out so the
-# portable kernels (the fallback on hosts without AVX2, and the oracle the
-# SIMD kernels are tested against) run the codec's own tests — not a runtime
+# portable kernels (the fallback on hosts without a SIMD rung, and the oracle
+# the SIMD kernels are tested against) run the codec's own tests — not a runtime
 # switch: a built binary picks its kernel from the CPU alone. The arm64
 # cross-build (offline; stdlib only) proves the non-amd64 stubs exist. The
 # last line vets and tests benchmark/: it is a nested module, so `./...`
@@ -181,9 +181,10 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Host-codec optimization-ladder benchmarks, captured as a committed JSON
-# artifact: kernel rungs (scalar reference / portable wide / AVX2 and its
-# fused shapes), batch-vs-single encode, and the decode ladder (progressive
-# scalar / batched absorb / two-stage), all at n=128, k=4096.
+# artifact: kernel rungs (scalar reference / portable wide / AVX2 / GFNI and
+# the fused shapes of the dispatched rung), batch-vs-single encode, and the
+# decode ladder (the progressive [C | x] reference / the two-stage decoder),
+# all at n=128, k=4096.
 # The kernel rungs are sub-microsecond, so they get a high iteration count;
 # the macro encode/decode benches are fractions of a millisecond per op and
 # keep a modest one. Every command runs BENCH_ROUNDS times, spread over the

@@ -24,6 +24,8 @@ BenchmarkMulAddLadder/avx2/k=4096-8           1000     80 ns/op  12500.00 MB/s
 BenchmarkMulAddLadder/fused4x2/k=4096-8       1000    500 ns/op  17000.00 MB/s
 BenchmarkXorLadder/xor-repair-encode/k=4096-8 1000    100 ns/op  59500.00 MB/s
 BenchmarkMulAddLadder/avx2/k=4096-8           1000    160 ns/op   6250.00 MB/s
+BenchmarkDecodeLadder/reference-8             100  2000000 ns/op   262.00 MB/s
+BenchmarkDecodeLadder/two-stage-8             100  1000000 ns/op   524.00 MB/s
 garbage line that is not a benchmark
 BenchmarkBroken   not-a-number   10 ns/op
 `
@@ -39,8 +41,8 @@ func parseText(t *testing.T, text string) *Document {
 
 func TestParseAndDerive(t *testing.T) {
 	doc := parseText(t, benchText)
-	if len(doc.Benchmarks) != 5 {
-		t.Fatalf("parsed %d benchmarks, want 5", len(doc.Benchmarks))
+	if len(doc.Benchmarks) != 7 {
+		t.Fatalf("parsed %d benchmarks, want 7", len(doc.Benchmarks))
 	}
 	if doc.GOOS != "linux" || doc.CPU != "Test CPU" {
 		t.Fatalf("host fields: %q %q", doc.GOOS, doc.CPU)
@@ -59,11 +61,26 @@ func TestParseAndDerive(t *testing.T) {
 	if got := doc.Derived["avx2_over_portable_k4096_x"]; got < 9.9 || got > 10.1 {
 		t.Fatalf("avx2 multiple = %v, want ~10", got)
 	}
-	if got := doc.Derived["fused4x2_over_avx2_k4096_x"]; got < 1.35 || got > 1.37 {
+	// No gfni rung in this run: the fused shapes are measured against avx2.
+	if got := doc.Derived["fused4x2_over_single_k4096_x"]; got < 1.35 || got > 1.37 {
 		t.Fatalf("fused4x2 multiple = %v, want ~1.36", got)
 	}
-	if _, ok := doc.Derived["fused1x2_over_avx2_k4096_x"]; ok {
-		t.Fatal("fused1x2 multiple derived without its rung")
+	for _, key := range []string{"fused4_over_single_k4096_x", "gfni_over_avx2_k4096_x"} {
+		if _, ok := doc.Derived[key]; ok {
+			t.Fatalf("%s derived without its rung", key)
+		}
+	}
+	if got := doc.Derived["two_stage_over_reference_pct"]; got < 99 || got > 101 {
+		t.Fatalf("two-stage pct = %v, want ~100", got)
+	}
+	// With a gfni rung the fused shapes are measured against it instead.
+	wide := parseText(t, benchText+"BenchmarkMulAddLadder/gfni/k=4096-8 1000 40 ns/op 25000.00 MB/s\n")
+	derive(wide)
+	if got := wide.Derived["gfni_over_avx2_k4096_x"]; got < 1.99 || got > 2.01 {
+		t.Fatalf("gfni multiple = %v, want ~2", got)
+	}
+	if got := wide.Derived["fused4x2_over_single_k4096_x"]; got < 0.67 || got > 0.69 {
+		t.Fatalf("fused4x2 multiple over the gfni rung = %v, want ~0.68", got)
 	}
 	if got := doc.Derived["xor_repair_encode_over_fused4x2_k4096_x"]; got < 3.4 || got > 3.6 {
 		t.Fatalf("xor multiple = %v, want ~3.5", got)

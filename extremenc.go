@@ -92,7 +92,9 @@ func NewEncoder(seg *Segment, rng *rand.Rand, opts ...rlnc.EncoderOption) *rlnc.
 // WithSeed gives a codec a private deterministic random source (Recoder.Emit).
 func WithSeed(seed int64) rlnc.Option { return rlnc.WithSeed(seed) }
 
-// NewDecoder returns a progressive Gauss–Jordan decoder.
+// NewDecoder returns a decoder for one segment: rank and dependence are
+// decided per arriving block, and the payload is recovered by one two-stage
+// multiply when rank n is reached.
 func NewDecoder(p Params, opts ...rlnc.Option) (*rlnc.Decoder, error) {
 	return rlnc.NewDecoder(p, opts...)
 }
@@ -235,13 +237,6 @@ func WithXorRepair(r int) rlnc.SystematicOption { return rlnc.WithXorRepair(r) }
 
 // WithDenseTail sets how many dense GF(2^8) blocks close each cycle.
 func WithDenseTail(t int) rlnc.SystematicOption { return rlnc.WithDenseTail(t) }
-
-// NewGaussianDecoder returns the forward-elimination-only decoder: it defers
-// back-substitution to a single final pass — the "traditional Gaussian
-// elimination" alternative of paper Sec. 3.
-func NewGaussianDecoder(p Params) (*rlnc.GaussianDecoder, error) {
-	return rlnc.NewGaussianDecoder(p)
-}
 
 // CoeffsFromSeed regenerates a seeded block's coefficient vector.
 func CoeffsFromSeed(seed int64, n int) []byte { return rlnc.CoeffsFromSeed(seed, n) }

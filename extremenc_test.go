@@ -218,8 +218,8 @@ func TestStreamAndP2PFacade(t *testing.T) {
 	}
 }
 
-// TestExtendedCodecFacade exercises the systematic, seeded and Gaussian
-// paths through the public API.
+// TestExtendedCodecFacade exercises the systematic and seeded paths through
+// the public API.
 func TestExtendedCodecFacade(t *testing.T) {
 	params := extremenc.Params{BlockCount: 8, BlockSize: 64}
 	rng := rand.New(rand.NewSource(20))
@@ -230,9 +230,9 @@ func TestExtendedCodecFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Systematic encoder feeding a Gaussian decoder.
+	// Systematic encoder feeding the decoder.
 	se := extremenc.NewSystematicEncoder(seg, rng)
-	ge, err := extremenc.NewGaussianDecoder(params)
+	ge, err := extremenc.NewDecoder(params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestExtendedCodecFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !got.Equal(seg) {
-		t.Fatal("systematic + Gaussian roundtrip differs")
+		t.Fatal("systematic roundtrip differs")
 	}
 
 	// Seeded coefficients regenerate deterministically.

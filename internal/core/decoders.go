@@ -215,11 +215,10 @@ func (d *HostDecoder) DecodeSegments(sets [][]*rlnc.CodedBlock, p rlnc.Params) (
 	}, nil
 }
 
-// HostProgressiveDecoder decodes on the real machine with the progressive
-// Gauss–Jordan decoder, absorbing arrivals through the batched AddBlocks
-// path. It is the streaming-shaped host rung of the decode ladder — blocks
-// become deliverable as the matrix reduces — and the wall-clock baseline the
-// two-stage HostDecoder is measured against.
+// HostProgressiveDecoder decodes on the real machine the way a streaming
+// client does: each worker feeds one rlnc.Decoder its arrivals a batch at a
+// time, so rank and dependence are known as blocks arrive. It is the same
+// two-stage decoder HostDecoder runs offline; what differs is the feeding.
 type HostProgressiveDecoder struct {
 	workers int
 	batch   int

@@ -3,52 +3,57 @@ package gf256
 import "encoding/binary"
 
 // Bulk row operations. These are the host codec's hot path: every encode,
-// recode and Gauss–Jordan row operation reduces to dst ⊕= c·src over k-byte
-// rows. Mirroring the paper's TB-0…5 ladder (Sec. 4.2), the package keeps a
-// measured progression of kernels, and BenchmarkMulAddLadder runs every rung:
+// recode and decode row operation reduces to dst ⊕= c·src over k-byte rows.
+// Mirroring the paper's TB-0…5 ladder (Sec. 4.2), the package keeps a measured
+// progression of kernels, and BenchmarkMulAddLadder runs every rung:
 //
 //   - the scalar reference (one table lookup and one dst read-modify-write
 //     per byte; lives in the tests),
 //   - the portable wide-word kernels in this file, which gather 8 table
 //     products per 64-bit destination word — the fallback on hosts without a
-//     SIMD rung and the oracle the SIMD rung is tested against, and
-//   - the SIMD rung (kernels_amd64.s): AVX2 split-nibble VPSHUFB kernels, 32
-//     products per instruction — the analogue of the paper's SSE2 CPU codec.
+//     SIMD rung and the oracle the SIMD rungs are tested against,
+//   - the AVX2 rung (kernels_amd64.s): split-nibble VPSHUFB kernels, 32
+//     products per instruction — the analogue of the paper's SSE2 CPU codec,
+//     and
+//   - the GFNI rung (same file): the field's reduction polynomial is the one
+//     VGF2P8MULB hard-wires, so a product is one instruction over 64 bytes
+//     with no table at all.
 //
-// Every entry point below runs the SIMD kernel over the whole 32-byte steps
-// of a row and the portable kernel over what is left (all of it when the host
-// has no SIMD rung), so output is byte-identical on every host. Kernel names
-// the rung in use.
+// Every entry point below runs the widest rung the CPU has over as much of a
+// row as that rung takes (all of it on GFNI, the whole 32-byte steps on AVX2)
+// and the portable kernel over what is left, so output is byte-identical on
+// every host. Kernel names the rung in use.
 //
 // Contracts shared by all entry points: any length and any alignment; a
 // source longer than the destination panics before any byte is written; a
 // source may be the very same row as a destination (dst == src means
 // dst ^= c·dst per byte) but rows may not partially overlap.
 
-// Kernel names the widest kernel rung this process dispatches to: "avx2" or
-// "portable". It is fixed at package init from the CPU and the build (see
-// kernels_amd64.go); nothing configures it.
-func Kernel() string {
-	if useAVX2 {
-		return "avx2"
-	}
-	return "portable"
+// rung is one step of the kernel ladder. The package dispatches to exactly
+// one, active, fixed at init from the CPU and the build (kernels_amd64.go,
+// kernels_generic.go); the *Vec wrappers take the rung as an argument only so
+// the tests can run the rungs dispatch passes over.
+type rung uint8
+
+const (
+	rungPortable rung = iota
+	rungAVX2
+	rungGFNI
+)
+
+func (r rung) String() string {
+	return [...]string{"portable", "avx2", "gfni"}[r]
 }
+
+// Kernel names the kernel rung this process dispatches to: "gfni", "avx2" or
+// "portable". It is fixed at package init from the CPU and the build; nothing
+// configures it.
+func Kernel() string { return active.String() }
 
 // sameRow reports whether a and b start at the same byte, which under the
 // no-partial-overlap contract means they are the same row.
 func sameRow(a, b []byte) bool {
 	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
-}
-
-// vecLen is the prefix of an n-byte row the SIMD kernels take: its whole
-// 32-byte steps, or nothing on a host without a SIMD rung. The portable code
-// finishes the rest, so rows shorter than one step never leave it.
-func vecLen(n int) int {
-	if !useAVX2 {
-		return 0
-	}
-	return n &^ 31
 }
 
 // AddSlice computes dst[i] ^= src[i] for every i. len(src) must not exceed
@@ -65,7 +70,7 @@ func AddSlice(dst, src []byte) {
 // (identical slices are fine and zero the row).
 func XorSlice(dst, src []byte) {
 	dst = dst[:len(src)] // a longer src panics here, before any write
-	if done := xorVec(dst, src); done < len(src) {
+	if done := xorVec(active, dst, src); done < len(src) {
 		xorPortable(dst[done:], src[done:])
 	}
 }
@@ -105,7 +110,7 @@ func xorPortable(dst, src []byte) {
 func XorSlice4(dst, s1, s2, s3, s4 []byte) {
 	n := len(dst)
 	s1, s2, s3, s4 = s1[:n], s2[:n], s3[:n], s4[:n]
-	if done := xor4Vec(dst, s1, s2, s3, s4); done < n {
+	if done := xor4Vec(active, dst, s1, s2, s3, s4); done < n {
 		xor4Portable(dst[done:], s1[done:], s2[done:], s3[done:], s4[done:])
 	}
 }
@@ -154,7 +159,7 @@ func MulAddSlice(dst, src []byte, c byte) {
 		return
 	}
 	dst = dst[:len(src)] // a longer src panics here, before any write
-	if done := mulAddVec(dst, src, c); done < len(src) {
+	if done := mulAddVec(active, dst, src, c); done < len(src) {
 		mulAddPortable(dst[done:], src[done:], c)
 	}
 }
@@ -212,14 +217,14 @@ func mulAddPortable(dst, src []byte, c byte) {
 // over len(dst) bytes; both sources must be at least that long. Zero
 // coefficients degrade to the single-source kernel.
 //
-// On the SIMD rung this is two single-source passes. Fusing sources into one
-// destination saves only destination loads and stores — every source still
-// pays its own nibble split, shuffles and XORs, which is what the vector
-// units run out of — and a fused two-source body measured 1.12× (a
-// four-source one 1.16×) over the passes at k=4096, under the 1.15× a fused
-// body has to show to be kept. A source that is dst itself must be read
-// before dst changes, so that case (and rows under one SIMD step) takes the
-// portable kernel, which reads every source byte before each store.
+// The GFNI rung has a fused body: each destination word is loaded and stored
+// once for both sources. The AVX2 rung composes two single-source passes —
+// fusing saves only destination traffic while every source still pays its own
+// nibble split, shuffles and XORs, which is what the vector units run out of,
+// and a fused body measured 1.12× there, under the 1.15× one has to show to be
+// kept. A source that is dst itself must be read before dst changes, so with
+// passes that case (and rows under one SIMD step) takes the portable kernel,
+// which reads every source byte before each store.
 func MulAddSlice2(dst, src1, src2 []byte, c1, c2 byte) {
 	n := len(dst)
 	src1, src2 = src1[:n], src2[:n]
@@ -231,7 +236,10 @@ func MulAddSlice2(dst, src1, src2 []byte, c1, c2 byte) {
 		MulAddSlice(dst, src1, c1)
 		return
 	}
-	if vecLen(n) == 0 || sameRow(dst, src1) || sameRow(dst, src2) {
+	if mulAdd2Vec(active, dst, src1, src2, c1, c2) == n {
+		return
+	}
+	if active.vecLen(n) == 0 || sameRow(dst, src1) || sameRow(dst, src2) {
 		mulAdd2Portable(dst, src1, src2, c1, c2)
 		return
 	}
@@ -269,27 +277,13 @@ func mulAdd2Portable(dst, src1, src2 []byte, c1, c2 byte) {
 
 // MulAddSlice4 computes dst[i] ^= c1·s1[i] ^ c2·s2[i] ^ c3·s3[i] ^ c4·s4[i].
 // The kernel runs over len(dst) bytes; all sources must be at least that
-// long. Zero coefficients are skipped. Like MulAddSlice2 it is single-source
-// passes on the SIMD rung, and the portable kernel for sources that are dst
+// long. With two or fewer live coefficients it drops to the narrower kernels.
+// Like MulAddSlice2 it is one fused pass on the GFNI rung, single-source
+// passes on the AVX2 rung, and the portable kernel for sources that are dst
 // itself and for rows under one SIMD step.
 func MulAddSlice4(dst, s1, s2, s3, s4 []byte, c1, c2, c3, c4 byte) {
 	n := len(dst)
 	s1, s2, s3, s4 = s1[:n], s2[:n], s3[:n], s4[:n]
-	if vecLen(n) == 0 || sameRow(dst, s1) || sameRow(dst, s2) || sameRow(dst, s3) || sameRow(dst, s4) {
-		mulAdd4Portable(dst, s1, s2, s3, s4, c1, c2, c3, c4)
-		return
-	}
-	MulAddSlice(dst, s1, c1)
-	MulAddSlice(dst, s2, c2)
-	MulAddSlice(dst, s3, c3)
-	MulAddSlice(dst, s4, c4)
-}
-
-// mulAdd4Portable is the wide-word four-source kernel: four coefficient·source
-// pairs per dst word load/store. One or two live coefficients drop to the
-// narrower kernels; three run the four-wide loop with the dead source on the
-// table's zero row, so every source byte is still read before each store.
-func mulAdd4Portable(dst, s1, s2, s3, s4 []byte, c1, c2, c3, c4 byte) {
 	if c1 == 0 || c2 == 0 || c3 == 0 || c4 == 0 {
 		srcs := [4][]byte{s1, s2, s3, s4}
 		cs := [4]byte{c1, c2, c3, c4}
@@ -311,6 +305,23 @@ func mulAdd4Portable(dst, s1, s2, s3, s4 []byte, c1, c2, c3, c4 byte) {
 			return
 		}
 	}
+	if mulAdd4Vec(active, dst, s1, s2, s3, s4, c1, c2, c3, c4) == n {
+		return
+	}
+	if active.vecLen(n) == 0 || sameRow(dst, s1) || sameRow(dst, s2) || sameRow(dst, s3) || sameRow(dst, s4) {
+		mulAdd4Portable(dst, s1, s2, s3, s4, c1, c2, c3, c4)
+		return
+	}
+	MulAddSlice(dst, s1, c1)
+	MulAddSlice(dst, s2, c2)
+	MulAddSlice(dst, s3, c3)
+	MulAddSlice(dst, s4, c4)
+}
+
+// mulAdd4Portable is the wide-word four-source kernel: four coefficient·source
+// pairs per dst word load/store. A zero coefficient runs on the table's zero
+// row, so every source byte is still read before each store.
+func mulAdd4Portable(dst, s1, s2, s3, s4 []byte, c1, c2, c3, c4 byte) {
 	r1 := &_tables.mul[c1]
 	r2 := &_tables.mul[c2]
 	r3 := &_tables.mul[c3]
@@ -369,76 +380,6 @@ func mulAdd4Portable(dst, s1, s2, s3, s4 []byte, c1, c2, c3, c4 byte) {
 	}
 }
 
-// MulAddSlice1x2 applies one source to two destinations at once:
-//
-//	d1[i] ^= c1·src[i]
-//	d2[i] ^= c2·src[i]
-//
-// Each source word is loaded and split (into nibbles on the SIMD rung, bytes
-// on the portable one) once for both destinations — the shape of Gauss–Jordan
-// elimination, where one pivot row is eliminated out of many rows with
-// per-row factors. Both destinations must be the same length; src must be at
-// least that long. A zero coefficient drops to the single-destination kernel.
-func MulAddSlice1x2(d1, d2, src []byte, c1, c2 byte) {
-	if c1 == 0 {
-		MulAddSlice(d2, src[:len(d2)], c2)
-		return
-	}
-	if c2 == 0 {
-		MulAddSlice(d1, src[:len(d1)], c1)
-		return
-	}
-	n := len(d1)
-	d2, src = d2[:n], src[:n]
-	if done := mulAdd1x2Vec(d1, d2, src, c1, c2); done < n {
-		mulAdd1x2Portable(d1[done:], d2[done:], src[done:], c1, c2)
-	}
-}
-
-// mulAdd1x2Portable is the wide-word one-source, two-destination kernel.
-func mulAdd1x2Portable(d1, d2, src []byte, c1, c2 byte) {
-	r1 := &_tables.mul[c1]
-	r2 := &_tables.mul[c2]
-	n := len(d1)
-	d2 = d2[:n]   // equal lengths: the first in-loop bounds check
-	src = src[:n] // proves away the rest
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		s := binary.LittleEndian.Uint64(src[i:])
-		x := byte(s)
-		v := uint64(r1[x])
-		u := uint64(r2[x])
-		x = byte(s >> 8)
-		v |= uint64(r1[x]) << 8
-		u |= uint64(r2[x]) << 8
-		x = byte(s >> 16)
-		v |= uint64(r1[x]) << 16
-		u |= uint64(r2[x]) << 16
-		x = byte(s >> 24)
-		v |= uint64(r1[x]) << 24
-		u |= uint64(r2[x]) << 24
-		x = byte(s >> 32)
-		v |= uint64(r1[x]) << 32
-		u |= uint64(r2[x]) << 32
-		x = byte(s >> 40)
-		v |= uint64(r1[x]) << 40
-		u |= uint64(r2[x]) << 40
-		x = byte(s >> 48)
-		v |= uint64(r1[x]) << 48
-		u |= uint64(r2[x]) << 48
-		x = byte(s >> 56)
-		v |= uint64(r1[x]) << 56
-		u |= uint64(r2[x]) << 56
-		binary.LittleEndian.PutUint64(d1[i:], binary.LittleEndian.Uint64(d1[i:])^v)
-		binary.LittleEndian.PutUint64(d2[i:], binary.LittleEndian.Uint64(d2[i:])^u)
-	}
-	for ; i < n; i++ {
-		x := src[i]
-		d1[i] ^= r1[x]
-		d2[i] ^= r2[x]
-	}
-}
-
 // MulAddSlice4x2 applies the same four sources to two destinations at once:
 //
 //	d1[i] ^= ca[0]·s1[i] ^ ca[1]·s2[i] ^ ca[2]·s3[i] ^ ca[3]·s4[i]
@@ -447,7 +388,7 @@ func mulAdd1x2Portable(d1, d2, src []byte, c1, c2 byte) {
 // This is the widest rung of the ladder and the inner kernel of the tiled
 // batch encoder: every source is split once for both destinations. Both
 // destinations must be the same length; sources must be at least that long.
-// Any zero coefficient drops to MulAddSlice4, which skips zeros. The SIMD
+// Any zero coefficient drops to MulAddSlice4, which skips zeros. The AVX2
 // body is two 2-source passes, so a source that is also a destination takes
 // the portable kernel, which reads every source byte before each store.
 func MulAddSlice4x2(d1, d2, s1, s2, s3, s4 []byte, ca, cb [4]byte) {
@@ -465,7 +406,7 @@ func MulAddSlice4x2(d1, d2, s1, s2, s3, s4 []byte, ca, cb [4]byte) {
 		MulAddSlice4(d2, s1, s2, s3, s4, cb[0], cb[1], cb[2], cb[3])
 		return
 	}
-	if done := mulAdd4x2Vec(d1, d2, s1, s2, s3, s4, ca, cb); done < n {
+	if done := mulAdd4x2Vec(active, d1, d2, s1, s2, s3, s4, ca, cb); done < n {
 		mulAdd4x2Portable(d1[done:], d2[done:], s1[done:], s2[done:], s3[done:], s4[done:], ca, cb)
 	}
 }
@@ -605,7 +546,7 @@ func MulSlice(dst, src []byte, c byte) {
 		copy(dst, src)
 		return
 	}
-	done := mulVec(dst, src, c)
+	done := mulVec(active, dst, src, c)
 	row := &_tables.mul[c]
 	for i, v := range src[done:] {
 		dst[done+i] = row[v]
@@ -620,8 +561,8 @@ func ScaleSlice(dst []byte, c byte) {
 // DotProduct returns the GF(2^8) inner product of coefficient vector coeffs
 // with the byte columns of rows: out[j] = Σ_i coeffs[i]·rows[i][j].
 // All rows must be at least len(out) long. out is overwritten. Rows are
-// consumed four at a time through MulAddSlice4, which the portable rung fuses
-// into one out load/store per quadruple.
+// consumed four at a time through MulAddSlice4, which the portable and GFNI
+// rungs fuse into one out load/store per quadruple.
 func DotProduct(out []byte, coeffs []byte, rows [][]byte) {
 	clear(out)
 	w := len(out)

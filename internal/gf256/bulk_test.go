@@ -7,11 +7,14 @@ import (
 )
 
 // Differential coverage for the bulk kernels. Every entry point is pinned
-// three ways: against a byte-at-a-time mulSlow reference, against its portable
-// wide-word kernel called directly, and — through the entry point itself —
-// against whatever rung Kernel() dispatches to. Lengths 0–257 plus
-// 4095/4096/4097 exercise every SIMD step count and every odd tail; rows start
-// at offsets 0–31 from their allocation so no kernel can lean on alignment.
+// against a byte-at-a-time mulSlow reference three ways: through the entry
+// point itself (whatever rung Kernel() dispatches to), through its portable
+// wide-word kernel called directly, and through the kernels of every rung
+// this CPU has, called directly — dispatch picks one rung per host, and the
+// narrower ones must not go dark on the hosts CI happens to run on. Lengths
+// 0–257 plus 4095/4096/4097 exercise every SIMD step count and every odd
+// tail; rows start at offsets 0–31 from their allocation so no kernel can
+// lean on alignment.
 
 // kernelLengths is the row-length sweep of the differential tests.
 func kernelLengths() []int {
@@ -59,46 +62,81 @@ func mulAddTableScalar(dst, src []byte, c byte) {
 // kernelShape describes one multiply-accumulate entry point: nd destinations
 // each accumulating ns coefficient·source products, with the coefficient of
 // source j into destination i at c[i*ns+j]. entry is the exported entry point
-// (whatever rung it dispatches to) and portable the wide-word kernel under it.
-// The entry points run over the destination length and accept longer sources;
-// the portable kernels take equal-length rows. The XOR shapes take no
+// (whatever rung it dispatches to), portable the wide-word kernel under it,
+// and vec the wrapper that runs one named rung's kernel over as much of the
+// rows as that rung takes, returning how much that was. The entry points run
+// over the destination length and accept longer sources; the portable kernels
+// and the wrappers take equal-length rows. The XOR shapes take no
 // coefficients: the harness checks them as all-ones whatever it is handed.
 type kernelShape struct {
 	name     string
 	nd, ns   int
 	entry    func(d, s [][]byte, c []byte)
 	portable func(d, s [][]byte, c []byte)
+	vec      func(r rung, d, s [][]byte, c []byte) int
 	xor      bool
+}
+
+// onRung is what an entry point does once dispatch has picked rung r: the
+// rung's kernel over the prefix it takes, the portable kernel over the rest.
+func (k kernelShape) onRung(r rung, d, s [][]byte, c []byte) {
+	n := len(d[0])
+	done := k.vec(r, d, s, c)
+	if done == n {
+		return
+	}
+	dt, st := make([][]byte, len(d)), make([][]byte, len(s))
+	for i := range d {
+		dt[i] = d[i][done:]
+	}
+	for j := range s {
+		st[j] = s[j][done:n]
+	}
+	k.portable(dt, st, c)
 }
 
 var (
 	shapeMulAdd = kernelShape{"MulAddSlice", 1, 1,
 		func(d, s [][]byte, c []byte) { MulAddSlice(d[0], s[0][:len(d[0])], c[0]) },
-		func(d, s [][]byte, c []byte) { mulAddPortable(d[0], s[0], c[0]) }, false}
+		func(d, s [][]byte, c []byte) { mulAddPortable(d[0], s[0], c[0]) },
+		func(r rung, d, s [][]byte, c []byte) int { return mulAddVec(r, d[0], s[0], c[0]) }, false}
 	shapeMulAdd2 = kernelShape{"MulAddSlice2", 1, 2,
 		func(d, s [][]byte, c []byte) { MulAddSlice2(d[0], s[0], s[1], c[0], c[1]) },
-		func(d, s [][]byte, c []byte) { mulAdd2Portable(d[0], s[0], s[1], c[0], c[1]) }, false}
+		func(d, s [][]byte, c []byte) { mulAdd2Portable(d[0], s[0], s[1], c[0], c[1]) },
+		func(r rung, d, s [][]byte, c []byte) int { return mulAdd2Vec(r, d[0], s[0], s[1], c[0], c[1]) }, false}
 	shapeMulAdd4 = kernelShape{"MulAddSlice4", 1, 4,
 		func(d, s [][]byte, c []byte) { MulAddSlice4(d[0], s[0], s[1], s[2], s[3], c[0], c[1], c[2], c[3]) },
-		func(d, s [][]byte, c []byte) { mulAdd4Portable(d[0], s[0], s[1], s[2], s[3], c[0], c[1], c[2], c[3]) }, false}
-	shapeMulAdd1x2 = kernelShape{"MulAddSlice1x2", 2, 1,
-		func(d, s [][]byte, c []byte) { MulAddSlice1x2(d[0], d[1], s[0], c[0], c[1]) },
-		func(d, s [][]byte, c []byte) { mulAdd1x2Portable(d[0], d[1], s[0], c[0], c[1]) }, false}
+		func(d, s [][]byte, c []byte) { mulAdd4Portable(d[0], s[0], s[1], s[2], s[3], c[0], c[1], c[2], c[3]) },
+		func(r rung, d, s [][]byte, c []byte) int {
+			return mulAdd4Vec(r, d[0], s[0], s[1], s[2], s[3], c[0], c[1], c[2], c[3])
+		}, false}
 	shapeMulAdd4x2 = kernelShape{"MulAddSlice4x2", 2, 4,
 		func(d, s [][]byte, c []byte) {
 			MulAddSlice4x2(d[0], d[1], s[0], s[1], s[2], s[3], [4]byte(c[:4]), [4]byte(c[4:]))
 		},
 		func(d, s [][]byte, c []byte) {
 			mulAdd4x2Portable(d[0], d[1], s[0], s[1], s[2], s[3], [4]byte(c[:4]), [4]byte(c[4:]))
+		},
+		func(r rung, d, s [][]byte, c []byte) int {
+			// The AVX2 body is two passes: as in the entry point, a source
+			// that is also a destination stays off it.
+			for _, src := range s {
+				if r == rungAVX2 && (sameRow(d[0], src) || sameRow(d[1], src)) {
+					return 0
+				}
+			}
+			return mulAdd4x2Vec(r, d[0], d[1], s[0], s[1], s[2], s[3], [4]byte(c[:4]), [4]byte(c[4:]))
 		}, false}
 	shapeXor = kernelShape{"XorSlice", 1, 1,
 		func(d, s [][]byte, c []byte) { XorSlice(d[0], s[0][:len(d[0])]) },
-		func(d, s [][]byte, c []byte) { xorPortable(d[0], s[0]) }, true}
+		func(d, s [][]byte, c []byte) { xorPortable(d[0], s[0]) },
+		func(r rung, d, s [][]byte, c []byte) int { return xorVec(r, d[0], s[0]) }, true}
 	shapeXor4 = kernelShape{"XorSlice4", 1, 4,
 		func(d, s [][]byte, c []byte) { XorSlice4(d[0], s[0], s[1], s[2], s[3]) },
-		func(d, s [][]byte, c []byte) { xor4Portable(d[0], s[0], s[1], s[2], s[3]) }, true}
+		func(d, s [][]byte, c []byte) { xor4Portable(d[0], s[0], s[1], s[2], s[3]) },
+		func(r rung, d, s [][]byte, c []byte) int { return xor4Vec(r, d[0], s[0], s[1], s[2], s[3]) }, true}
 
-	allShapes = []kernelShape{shapeMulAdd, shapeMulAdd2, shapeMulAdd4, shapeMulAdd1x2, shapeMulAdd4x2, shapeXor, shapeXor4}
+	allShapes = []kernelShape{shapeMulAdd, shapeMulAdd2, shapeMulAdd4, shapeMulAdd4x2, shapeXor, shapeXor4}
 )
 
 // ones is the coefficient vector of the XOR shapes.
@@ -112,10 +150,11 @@ func cloneRows(rows [][]byte) [][]byte {
 	return out
 }
 
-// checkRows runs the shape's entry point and its portable kernel over the
-// given rows and compares both with the mulSlow reference. A source may be
-// the same slice as a destination: the reference then reads the destination's
-// original bytes, the per-byte meaning of an aliased call.
+// checkRows runs the shape's entry point, its portable kernel and every
+// rung's kernels over the given rows and compares each with the mulSlow
+// reference. A source may be the same slice as a destination: the reference
+// then reads the destination's original bytes, the per-byte meaning of an
+// aliased call.
 func (k kernelShape) checkRows(t *testing.T, d, s [][]byte, c []byte) {
 	t.Helper()
 	if k.xor {
@@ -132,33 +171,44 @@ func (k kernelShape) checkRows(t *testing.T, d, s [][]byte, c []byte) {
 	}
 	srcCopy := cloneRows(s)
 
-	// The portable kernel works on equal-length copies that reproduce the
-	// aliasing.
-	pd := cloneRows(d)
-	ps := make([][]byte, len(s))
-	for j := range s {
-		ps[j] = srcCopy[j][:n]
-		for i := range d {
-			if sameRow(s[j], d[i]) {
-				ps[j] = pd[i]
+	// equalLen returns equal-length copies of the rows that reproduce the
+	// aliasing, for the kernels that take their rows that way.
+	equalLen := func() (cd, cs [][]byte) {
+		cd = cloneRows(d)
+		cs = make([][]byte, len(s))
+		for j := range s {
+			cs[j] = append([]byte(nil), srcCopy[j][:n]...)
+			for i := range d {
+				if sameRow(s[j], d[i]) {
+					cs[j] = cd[i]
+				}
+			}
+		}
+		return cd, cs
+	}
+	verify := func(how string, got [][]byte) {
+		t.Helper()
+		for i := range want {
+			for b := 0; b < n; b++ {
+				if got[i][b] != want[i][b] {
+					t.Fatalf("%s (%s) len %d c=%#x: dst %d byte %d = %#x, want %#x",
+						k.name, how, n, c, i, b, got[i][b], want[i][b])
+				}
 			}
 		}
 	}
-	k.portable(pd, ps, c)
-	k.entry(d, s, c)
 
-	for i := range want {
-		for b := 0; b < n; b++ {
-			if d[i][b] != want[i][b] {
-				t.Fatalf("%s (%s) len %d c=%#x: dst %d byte %d = %#x, want %#x",
-					k.name, Kernel(), n, c, i, b, d[i][b], want[i][b])
-			}
-			if pd[i][b] != want[i][b] {
-				t.Fatalf("%s (portable) len %d c=%#x: dst %d byte %d = %#x, want %#x",
-					k.name, n, c, i, b, pd[i][b], want[i][b])
-			}
-		}
+	pd, ps := equalLen()
+	k.portable(pd, ps, c)
+	verify("portable kernel", pd)
+	for _, r := range rungs() {
+		rd, rs := equalLen()
+		k.onRung(r, rd, rs, c)
+		verify(r.String()+" rung", rd)
 	}
+	k.entry(d, s, c)
+	verify("entry point on "+Kernel(), d)
+
 	for j := range s {
 		aliased := false
 		for i := range d {
@@ -217,7 +267,7 @@ func TestMulAddTableWideMatchesReference(t *testing.T) {
 	shapeMulAdd.sweep(t, 10, [][]byte{{2}, {3}, {0x53}, {0x80}, {0xA7}, {0xFF}})
 	scalar := kernelShape{"mulAddTableScalar", 1, 1,
 		func(d, s [][]byte, c []byte) { mulAddTableScalar(d[0], s[0][:len(d[0])], c[0]) },
-		shapeMulAdd.portable, false}
+		shapeMulAdd.portable, shapeMulAdd.vec, false}
 	scalar.sweep(t, 10, [][]byte{{2}, {0xA7}, {0xFF}})
 }
 
@@ -235,10 +285,6 @@ func TestMulAddSlice4MatchesReference(t *testing.T) {
 		{0xA7, 0x1D, 0x53, 0xCA},
 		{0, 0, 0, 0x29},
 	})
-}
-
-func TestMulAddSlice1x2MatchesReference(t *testing.T) {
-	shapeMulAdd1x2.sweep(t, 19, [][]byte{{2, 3}, {0, 0x57}, {0x57, 0}, {1, 0xFF}, {0xA7, 0x1D}, {0, 0}, {1, 1}})
 }
 
 func TestMulAddSlice4x2MatchesReference(t *testing.T) {
@@ -271,7 +317,7 @@ func TestKernelMisalignment(t *testing.T) {
 	}
 	// The fused shapes draw every row's offset at random; enough draws cover
 	// the residues of each operand.
-	for _, k := range []kernelShape{shapeMulAdd1x2, shapeMulAdd4x2, shapeXor4} {
+	for _, k := range []kernelShape{shapeMulAdd4x2, shapeXor4} {
 		for trial := 0; trial < 400; trial++ {
 			k.check(t, rng, 64+trial%70, 0, coeffs, nil)
 		}
@@ -301,9 +347,6 @@ func TestMulAddAliasedDst(t *testing.T) {
 		{shapeMulAdd4, []byte{2, 3, 0x10, 0x80}, []int{-1, 0, -1, 0}},
 		{shapeMulAdd4, []byte{2, 0, 0x10, 0x80}, []int{0, -1, -1, 0}}, // three live, two aliased
 		{shapeMulAdd4, []byte{0, 0, 0x10, 0x80}, []int{-1, -1, 0, 0}},
-		{shapeMulAdd1x2, []byte{0xA7, 0x1D}, []int{0}},
-		{shapeMulAdd1x2, []byte{0xA7, 0x1D}, []int{1}},
-		{shapeMulAdd1x2, []byte{0, 0x1D}, []int{0}},
 		{shapeMulAdd4x2, []byte{2, 3, 4, 5, 6, 7, 8, 9}, []int{0, -1, 1, -1}},
 		{shapeMulAdd4x2, []byte{2, 3, 4, 5, 6, 7, 8, 9}, []int{-1, -1, -1, 0}},
 		{shapeMulAdd4x2, []byte{2, 0, 4, 5, 6, 7, 0, 9}, []int{1, -1, -1, 0}}, // zeros and aliases together
@@ -367,6 +410,21 @@ func TestMulSliceMatchesReference(t *testing.T) {
 				}
 				if scaled[i] != want {
 					t.Fatalf("ScaleSlice len %d c %#x at %d: got %#x want %#x", n, c, i, scaled[i], want)
+				}
+			}
+			// Every rung's no-accumulate kernel, out of place and in place.
+			for _, r := range rungs() {
+				out := offsetRow(rng, n, rng.Intn(32))
+				inPlace := offsetCopy(src, rng.Intn(32))
+				done := mulVec(r, out, src, c)
+				if mulVec(r, inPlace, inPlace, c) != done || done > n {
+					t.Fatalf("mulVec on %s len %d: handled %d bytes", r, n, done)
+				}
+				for i := 0; i < done; i++ {
+					if want := mulSlow(src[i], c); out[i] != want || inPlace[i] != want {
+						t.Fatalf("mulVec on %s len %d c %#x at %d: got %#x / %#x in place, want %#x",
+							r, n, c, i, out[i], inPlace[i], want)
+					}
 				}
 			}
 			if string(dst[n:]) != string(tail) {
@@ -443,6 +501,11 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 			if a := testing.AllocsPerRun(20, func() { k.entry(d, s, c) }); a != 0 {
 				t.Errorf("%s len %d: %v allocs per run", k.name, n, a)
 			}
+			for _, r := range rungs() {
+				if a := testing.AllocsPerRun(20, func() { k.vec(r, d, s, c) }); a != 0 {
+					t.Errorf("%s on %s len %d: %v allocs per run", k.name, r, n, a)
+				}
+			}
 		}
 		for name, fn := range map[string]func(){
 			"MulSlice":   func() { MulSlice(rows[0], rows[1], 0xA7) },
@@ -496,11 +559,14 @@ func FuzzMulAddKernels(f *testing.F) {
 
 // BenchmarkMulAddLadder measures the rungs of the host kernel ladder at the
 // paper's reference block size (k=4096) and at short rows: the scalar
-// reference, the portable wide-word kernel, the SIMD rung, and the fused
-// shapes that share source work across destinations. Throughput is source
-// bytes per destination processed per second, so the MB/s column is directly
-// comparable across rungs: a fused rung's ratio to the single-source rung is
-// its gain over composing single-source passes.
+// reference, the portable wide-word kernel, each SIMD rung this CPU has —
+// called directly, so "avx2" means AVX2 on a host that dispatches to GFNI —
+// and, through the entry points (the dispatched rung), the no-accumulate
+// kernel and the fused shapes that share work across sources or destinations.
+// Throughput is source bytes per destination processed per second, so the MB/s
+// column is directly comparable across rungs: a fused rung's ratio to the
+// dispatched single-source rung is its gain over composing single-source
+// passes.
 func BenchmarkMulAddLadder(b *testing.B) {
 	rng := rand.New(rand.NewSource(16))
 	for _, k := range []int{16, 64, 256, 1024, 4096} {
@@ -522,27 +588,38 @@ func BenchmarkMulAddLadder(b *testing.B) {
 				mulAddPortable(dst, s1, 0xA7)
 			}
 		})
-		b.Run(fmt.Sprintf("avx2/k=%d", k), func(b *testing.B) {
-			if Kernel() != "avx2" {
-				b.Skip("no AVX2 rung on this host or build")
-			}
-			b.SetBytes(int64(k))
-			for i := 0; i < b.N; i++ {
-				MulAddSlice(dst, s1, 0xA7)
-			}
-		})
+		for _, r := range []rung{rungAVX2, rungGFNI} {
+			b.Run(fmt.Sprintf("%s/k=%d", r, k), func(b *testing.B) {
+				if r > active {
+					b.Skipf("no %s rung on this host or build", r)
+				}
+				b.SetBytes(int64(k))
+				for i := 0; i < b.N; i++ {
+					if done := mulAddVec(r, dst, s1, 0xA7); done < k {
+						mulAddPortable(dst[done:], s1[done:], 0xA7)
+					}
+				}
+			})
+		}
 		b.Run(fmt.Sprintf("scale/k=%d", k), func(b *testing.B) {
 			b.SetBytes(int64(k))
 			for i := 0; i < b.N; i++ {
 				ScaleSlice(dst, 0xA7)
 			}
 		})
-		b.Run(fmt.Sprintf("fused1x2/k=%d", k), func(b *testing.B) {
-			// Two source·destination lanes per call (one source row feeding
-			// two rows under elimination — the Gauss–Jordan shape).
+		b.Run(fmt.Sprintf("fused2/k=%d", k), func(b *testing.B) {
+			// Two sources into one destination.
 			b.SetBytes(int64(2 * k))
 			for i := 0; i < b.N; i++ {
-				MulAddSlice1x2(dst, dst2, s1, 0xA7, 0x1D)
+				MulAddSlice2(dst, s1, s2, 0xA7, 0x1D)
+			}
+		})
+		b.Run(fmt.Sprintf("fused4/k=%d", k), func(b *testing.B) {
+			// Four sources into one destination (the back-substitution and
+			// single-block encode shape).
+			b.SetBytes(int64(4 * k))
+			for i := 0; i < b.N; i++ {
+				MulAddSlice4(dst, s1, s2, s3, s4, 0xA7, 0x1D, 0x53, 0xCA)
 			}
 		})
 		b.Run(fmt.Sprintf("fused4x2/k=%d", k), func(b *testing.B) {

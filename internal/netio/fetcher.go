@@ -1,6 +1,7 @@
 package netio
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -9,6 +10,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -45,6 +47,14 @@ var (
 	// alongside it still carries all accumulated progress.
 	ErrFetchTimeout = errors.New("netio: fetch timeout")
 )
+
+// sessionReaders recycles the per-session read buffers. A session reads its
+// handshake and every record through one buffered reader, so a record costs at
+// most one read call on the connection (several records per call once the
+// socket runs ahead of the decoder) instead of one per framing field. 64 KiB
+// is a few records of the paper's streaming shape (k = 4 KiB) and a few
+// hundred of the smallest.
+var sessionReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 64<<10) }}
 
 // DialFunc opens one connection to the serving peer. The Fetcher calls it
 // for the initial connection and again for every reconnect.
@@ -407,7 +417,16 @@ func (f *Fetcher) session(ctx context.Context, conn net.Conn) (done, fatal bool,
 	})
 	defer unhook()
 
-	hs, err := readHandshake(conn)
+	// The deadline above still unblocks a read parked inside the buffered
+	// reader: it is the connection's Read that fails.
+	br := sessionReaders.Get().(*bufio.Reader)
+	br.Reset(conn)
+	defer func() {
+		br.Reset(nil)
+		sessionReaders.Put(br)
+	}()
+
+	hs, err := readHandshake(br)
 	if err != nil {
 		if ctx.Err() != nil {
 			return false, true, cancelErr(ctx)
@@ -483,17 +502,20 @@ func (f *Fetcher) session(ctx context.Context, conn net.Conn) (done, fatal bool,
 	var lenBuf [4]byte
 	var preBuf [recordPreludeLen]byte
 	var curRound trace.SpanID
-	// One record buffer per session: the unmarshalers copy coefficients and
-	// payload out of it into a fresh CodedBlock (which the record tap may
-	// retain), so nothing refers to it once absorb returns.
+	// One record buffer and one CodedBlock per session: the unmarshalers copy
+	// coefficients and payload out of the buffer into the block, and the
+	// decoder copies what it keeps out of the block, so nothing refers to
+	// either once absorb returns — except a record tap, which may retain the
+	// block and so gets a fresh one per record.
 	recBuf := make([]byte, max(expect, expectXor))
+	var sessionBlk rlnc.CodedBlock
 	for f.remaining() > 0 {
 		if traced {
 			// Traced framing: a CRC-guarded round prelude precedes every
 			// length prefix. A damaged prelude is framing loss exactly like a
 			// damaged length — resynchronize by reconnecting, keeping rank —
 			// rather than a license to attribute records to a phantom round.
-			if _, err := io.ReadFull(conn, preBuf[:]); err != nil {
+			if _, err := io.ReadFull(br, preBuf[:]); err != nil {
 				return f.streamErr(ctx, fmt.Errorf("%w: %v", ErrStreamTruncated, err))
 			}
 			round, perr := parseRecordPrelude(preBuf[:])
@@ -506,7 +528,7 @@ func (f *Fetcher) session(ctx context.Context, conn net.Conn) (done, fatal bool,
 			f.lastRound.Store(uint64(round))
 			f.stats.bytes.Add(recordPreludeLen)
 		}
-		if _, err := io.ReadFull(conn, lenBuf[:]); err != nil {
+		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
 			return f.streamErr(ctx, fmt.Errorf("%w: %v", ErrStreamTruncated, err))
 		}
 		n := binary.BigEndian.Uint32(lenBuf[:])
@@ -516,14 +538,18 @@ func (f *Fetcher) session(ctx context.Context, conn net.Conn) (done, fatal bool,
 			return f.streamErr(ctx, fmt.Errorf("%w: %d, want %d: resynchronizing", ErrRecordLength, n, expect))
 		}
 		rec := recBuf[:n]
-		if m, err := io.ReadFull(conn, rec); err != nil {
+		if m, err := io.ReadFull(br, rec); err != nil {
 			f.stats.bytesDiscarded.Add(int64(m) + 4)
 			return f.streamErr(ctx, fmt.Errorf("%w: truncated record: %v", ErrStreamTruncated, err))
 		}
 		f.stats.records.Inc()
 		f.stats.bytes.Add(int64(n) + 4)
 		asp := stageFetchDecode.Start()
-		err := f.absorb(rec, tr, curRound)
+		blk := &sessionBlk
+		if f.cfg.RecordTap != nil {
+			blk = new(rlnc.CodedBlock)
+		}
+		err := f.absorb(blk, rec, tr, curRound)
 		if traced {
 			asp.EndTraced(uint64(tr), uint64(curRound))
 		} else {
@@ -553,7 +579,7 @@ func (f *Fetcher) streamErr(ctx context.Context, err error) (bool, bool, error) 
 	return false, false, err
 }
 
-// absorb parses one record and feeds it to the owning segment decoder,
+// absorb parses one record into blk and feeds it to the owning segment decoder,
 // classifying rejects: Corrupt (bit damage caught by magic or checksum),
 // Malformed (checksummed but the wrong shape for the session — a server
 // bug, not line noise), BadSegment (checksummed but an out-of-range
@@ -561,9 +587,8 @@ func (f *Fetcher) streamErr(ctx context.Context, err error) (bool, bool, error) 
 // internal decoder failure is an error. On a traced session tr names the
 // transfer and round the pump-round span this record rode in on; the absorb
 // span parents under the round, linking origin encode work to leaf decode.
-func (f *Fetcher) absorb(rec []byte, tr trace.TraceID, round trace.SpanID) error {
+func (f *Fetcher) absorb(blk *rlnc.CodedBlock, rec []byte, tr trace.TraceID, round trace.SpanID) error {
 	discard := func() { f.stats.bytesDiscarded.Add(int64(len(rec)) + 4) }
-	var blk rlnc.CodedBlock
 	unmarshal := blk.UnmarshalBinary
 	if f.hdr.mode == ModeSystematic {
 		// Systematic sessions interleave both encodings; dispatch on the
@@ -591,7 +616,7 @@ func (f *Fetcher) absorb(rec []byte, tr trace.TraceID, round trace.SpanID) error
 		return nil
 	}
 	if f.cfg.RecordTap != nil {
-		f.cfg.RecordTap(&blk)
+		f.cfg.RecordTap(blk)
 	}
 	dec := f.decoders[blk.SegmentID]
 	if dec == nil {
@@ -609,7 +634,7 @@ func (f *Fetcher) absorb(rec []byte, tr trace.TraceID, round trace.SpanID) error
 	if tr != 0 {
 		sp = trace.Begin(f.traceNode(), "absorb", tr, round, int32(blk.SegmentID))
 	}
-	innovative, err := dec.AddBlock(&blk)
+	innovative, err := dec.AddBlock(blk)
 	sp.End()
 	if err != nil {
 		return err

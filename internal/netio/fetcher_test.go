@@ -7,9 +7,11 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"runtime/debug"
 	"testing"
 	"time"
 
+	"extremenc/internal/faultnet"
 	"extremenc/internal/rlnc"
 )
 
@@ -412,5 +414,226 @@ func TestFetcherDialBudget(t *testing.T) {
 	}
 	if res.Stats.Attempts != 3 {
 		t.Fatalf("attempts = %d, want 3", res.Stats.Attempts)
+	}
+}
+
+// TestFetcherTwoStageUnderFaults drives the two-stage decoder through the
+// record path under everything a link and a sender can do to a stream at
+// once: a faultnet link that corrupts records (loss: the CRC rejects them) and
+// resets the connection (reconnects), and a sender that duplicates and
+// reorders its records. The fetch is cut short mid-segment, its state saved —
+// coefficient planes and payload slabs serialized as reduced rows — and a
+// second fetcher resumes from the blob to a byte-identical payload without
+// ever losing rank.
+func TestFetcherTwoStageUnderFaults(t *testing.T) {
+	p := rlnc.Params{BlockCount: 16, BlockSize: 96}
+	media := testMedia(t, 3*p.SegmentSize()-7, 31)
+	obj, err := rlnc.Split(media, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := newPipeListener()
+	defer l.Close()
+	go func() {
+		for session := 0; ; session++ {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			h := sessionHeader{params: p, segments: len(obj.Segments), length: int64(obj.Length)}
+			if err := writeSessionHeader(conn, h); err != nil {
+				conn.Close()
+				continue
+			}
+			rng := rand.New(rand.NewSource(int64(session) + 500))
+			encoders := make([]*rlnc.Encoder, len(obj.Segments))
+			for i, seg := range obj.Segments {
+				encoders[i] = rlnc.NewEncoder(seg, rng)
+			}
+			// Windows of six records round-robin over the segments, each
+			// window sent shuffled and with one record repeated.
+		stream:
+			for w := 0; w < 5; w++ {
+				var window [][]byte
+				for r := 0; r < 6; r++ {
+					rec, err := frameRecord(encoders[(6*w+r)%len(encoders)].NextBlock(), nil)
+					if err != nil {
+						break stream
+					}
+					window = append(window, rec)
+				}
+				window = append(window, window[rng.Intn(len(window))])
+				rng.Shuffle(len(window), func(i, j int) { window[i], window[j] = window[j], window[i] })
+				for _, rec := range window {
+					if _, err := conn.Write(rec); err != nil {
+						break stream
+					}
+				}
+			}
+			conn.Close()
+		}
+	}()
+
+	dial, faults := faultnet.Dialer(faultnet.Config{
+		Seed:         77,
+		CorruptEvery: 900,
+		ResetEvery:   2600,
+		MaxReadChunk: 300,
+	}, func(context.Context) (net.Conn, error) { return l.Dial(), nil })
+	prev := map[uint32]int{}
+	noRegress := func(_ int, ranks map[uint32]int) {
+		for id, r := range ranks {
+			if r < prev[id] {
+				panic(fmt.Sprintf("segment %d lost rank: %d -> %d", id, prev[id], r))
+			}
+			prev[id] = r
+		}
+	}
+
+	fcfg := DefaultFetcherConfig()
+	fcfg.MaxAttempts = 2
+	fcfg.BackoffBase, fcfg.BackoffMax = time.Millisecond, time.Millisecond
+	fcfg.ReconnectHook = noRegress
+	first := newTestFetcher(t, dial, fcfg)
+	res, err := first.Fetch(context.Background())
+	if err == nil {
+		t.Fatal("two short sessions unexpectedly completed the fetch")
+	}
+	partial := 0
+	for _, r := range res.Ranks {
+		if r > 0 && r < p.BlockCount {
+			partial++
+		}
+	}
+	if partial == 0 {
+		t.Fatalf("cut landed on no partly decoded segment: ranks %v", res.Ranks)
+	}
+	state, err := first.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	noRegress(0, res.Ranks)
+
+	fcfg = DefaultFetcherConfig()
+	fcfg.ResumeState = state
+	fcfg.BackoffBase, fcfg.BackoffMax = time.Millisecond, time.Millisecond
+	fcfg.ReconnectHook = noRegress
+	second := newTestFetcher(t, dial, fcfg)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	res2, err := second.Fetch(ctx)
+	if err != nil {
+		t.Fatalf("resumed fetch: %v (stats %+v, faults %+v)", err, res2.Stats, faults.View())
+	}
+	if !bytes.Equal(res2.Payload, media) {
+		t.Fatal("payload not byte-identical after faults and a resume")
+	}
+	for id, r := range res.Ranks {
+		if res2.Ranks[id] < r {
+			t.Fatalf("segment %d resumed below its saved rank", id)
+		}
+	}
+	total := res.Stats.Dependent + res2.Stats.Dependent
+	if total == 0 {
+		t.Fatal("duplicated records never showed up as dependent")
+	}
+	if res.Stats.Corrupt+res2.Stats.Corrupt+res.Stats.FramingResyncs+res2.Stats.FramingResyncs == 0 {
+		t.Fatalf("no corruption reached the ledgers: faults %+v", faults.View())
+	}
+	if res.Stats.Reconnects+res2.Stats.Reconnects == 0 || faults.View().Resets == 0 {
+		t.Fatalf("no reconnect happened: faults %+v", faults.View())
+	}
+}
+
+// streamConn is a connection whose read side replays a byte stream; the
+// record path's allocation test has no use for a peer.
+type streamConn struct {
+	net.Conn // nil: only the methods below are called
+	r        bytes.Reader
+}
+
+func (c *streamConn) Read(p []byte) (int, error)      { return c.r.Read(p) }
+func (c *streamConn) Close() error                    { return nil }
+func (c *streamConn) SetReadDeadline(time.Time) error { return nil }
+
+// TestFetcherRecordPathDoesNotAllocate: without a record tap a dense session
+// parses every record into one reused CodedBlock out of one reused buffer, and
+// the decoder copies what it keeps into pooled storage — so a fetch of one
+// segment allocates the same whether the segment arrives as 16 records or as
+// 16 plus 48 more dependent ones. That is zero allocations per record.
+func TestFetcherRecordPathDoesNotAllocate(t *testing.T) {
+	p := rlnc.Params{BlockCount: 16, BlockSize: 512}
+	media := testMedia(t, p.SegmentSize(), 41)
+	obj, err := rlnc.Split(media, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// extra dependent records — recombinations of the first ones — arrive
+	// before the last innovative one, so every one of them is parsed, offered
+	// to a decoder below full rank and reduced.
+	stream := func(extra int) []byte {
+		rng := rand.New(rand.NewSource(42))
+		enc := rlnc.NewEncoder(obj.Segments[0], rng)
+		var buf bytes.Buffer
+		if err := writeSessionHeader(&buf, sessionHeader{params: p, segments: 1, length: int64(obj.Length)}); err != nil {
+			t.Fatal(err)
+		}
+		held := make([]*rlnc.CodedBlock, 0, p.BlockCount)
+		emit := func(b *rlnc.CodedBlock) {
+			rec, err := frameRecord(b, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf.Write(rec)
+		}
+		for len(held) < p.BlockCount-1 {
+			b := enc.NextBlock()
+			held = append(held, b)
+			emit(b)
+		}
+		rc, err := rlnc.NewRecoder(p, rlnc.WithSeed(43))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range held {
+			if err := rc.Add(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < extra; i++ {
+			b, err := rc.Emit()
+			if err != nil {
+				t.Fatal(err)
+			}
+			emit(b)
+		}
+		emit(enc.NextBlock())
+		return buf.Bytes()
+	}
+	fetchAllocs := func(wire []byte, records int) float64 {
+		conn := &streamConn{}
+		return testing.AllocsPerRun(20, func() {
+			conn.r.Reset(wire)
+			fcfg := DefaultFetcherConfig()
+			fcfg.MaxAttempts = 1
+			res, err := newTestFetcher(t, func(context.Context) (net.Conn, error) { return conn, nil }, fcfg).Fetch(context.Background())
+			if err != nil || !bytes.Equal(res.Payload, media) {
+				t.Fatalf("fetch: %v", err)
+			}
+			if res.Stats.Records != records || res.Stats.Dependent != records-p.BlockCount {
+				t.Fatalf("records %d dependent %d, want %d and %d", res.Stats.Records, res.Stats.Dependent, records, records-p.BlockCount)
+			}
+		})
+	}
+	// A GC in the middle of a run empties the pools the steady state relies
+	// on and would charge the refill to whichever run it hit.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	short := fetchAllocs(stream(0), p.BlockCount)
+	long := fetchAllocs(stream(48), p.BlockCount+48)
+	// One allocation per record would show as 48 more; the race detector's
+	// sync.Pool, which drops Puts at random, shows as one or two either way.
+	if perRecord := (long - short) / 48; perRecord > 0.25 || perRecord < -0.25 {
+		t.Fatalf("a fetch allocates %v times over %d records and %v over %d: %.2f allocations per extra record, want 0",
+			short, p.BlockCount, long, p.BlockCount+48, perRecord)
 	}
 }

@@ -1,38 +1,59 @@
 package rlnc
 
-import "errors"
+import (
+	"errors"
+	"fmt"
+
+	"extremenc/internal/obs"
+)
 
 // ErrRankDeficient reports that a batch of coded blocks does not span the
 // segment.
 var ErrRankDeficient = errors.New("rlnc: coded blocks are rank deficient")
 
-// BatchDecoder implements the two-stage offline decoder of the paper's
-// multi-segment scheme (Sec. 5.2): collect coded blocks, compute C⁻¹ by
-// Gauss–Jordan elimination on [C | I] (stage 1), then recover the source
-// blocks with a dense GF multiplication b = C⁻¹·x (stage 2). Compared to
-// the progressive Decoder it defers all work to Decode, which is the shape
-// that parallelizes across segments. Decode routes through DecodeTwoStage
-// (twostage.go), so all stage work runs on the fused kernels.
+// stageTwoStage times one whole-segment offline decode. Free when no obs sink
+// is installed.
+var stageTwoStage = obs.StageOf("rlnc.decode_two_stage")
+
+// DecodeTwoStage recovers one segment from coded blocks held all at once —
+// the offline shape of the paper's multi-segment scheme (Sec. 5.2). It is
+// Decoder fed in arrival order, which is the two-stage pipeline: invert the
+// coefficients of the first spanning subset on [C | I], then one multiply
+// b = C⁻¹·x. It fails with ErrRankDeficient when the blocks do not span the
+// segment; extra blocks beyond rank n cost nothing, so over-collection is
+// harmless.
+func DecodeTwoStage(p Params, blocks []*CodedBlock) (*Segment, error) {
+	defer stageTwoStage.Start().End()
+	d, err := NewDecoder(p)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := d.AddBlocks(blocks); err != nil {
+		return nil, err
+	}
+	if !d.Ready() {
+		d.releaseScratch()
+		return nil, fmt.Errorf("%w: rank %d of %d from %d blocks",
+			ErrRankDeficient, d.Rank(), p.BlockCount, len(blocks))
+	}
+	return d.Segment()
+}
+
+// BatchDecoder collects coded blocks and defers all decoding work to Decode,
+// which is the shape that parallelizes across segments.
 type BatchDecoder struct {
 	params  Params
 	segID   uint32
 	haveSeg bool
 	blocks  []*CodedBlock
-
-	// scr, when set via WithScratch, is the workspace Decode runs the
-	// two-stage pipeline against; otherwise one is drawn from the shared
-	// scratch pool per Decode call.
-	scr *Scratch
 }
 
-// NewBatchDecoder returns an empty batch decoder. WithScratch makes Decode
-// run against a caller-owned workspace.
+// NewBatchDecoder returns an empty batch decoder.
 func NewBatchDecoder(p Params, opts ...DecoderOption) (*BatchDecoder, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	cfg := applyOptions(opts)
-	return &BatchDecoder{params: p, scr: cfg.scratch}, nil
+	return &BatchDecoder{params: p}, nil
 }
 
 // Add stores one coded block for later decoding. Blocks beyond the first n
@@ -54,11 +75,7 @@ func (d *BatchDecoder) Add(b *CodedBlock) error {
 func (d *BatchDecoder) Count() int { return len(d.blocks) }
 
 // Decode recovers the segment, or ErrRankDeficient when the stored blocks
-// do not span it. Subset selection (the first spanning subset in arrival
-// order) happens inside the two-stage pipeline's forward sweep.
+// do not span it.
 func (d *BatchDecoder) Decode() (*Segment, error) {
-	if d.scr != nil {
-		return decodeTwoStageWith(d.scr, d.params, d.blocks)
-	}
 	return DecodeTwoStage(d.params, d.blocks)
 }

@@ -4,15 +4,19 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"extremenc/internal/gf256"
 )
 
-// Differential coverage for the decode ladder: the batched absorb path and
-// the two-stage pipeline must recover byte-identical segments to the
-// progressive scalar Decoder for any arrival order, with dependent arrivals
-// injected, across degenerate and paper-sized shapes.
+// Differential coverage for the two-stage Decoder against refDecoder, the
+// progressive [C | x] Gauss–Jordan decoder it replaced: for any arrival order
+// — shuffled, duplicated, with dependent combinations injected, sparse, or
+// handed over from the GF(2) path at any rank — both must give the same
+// verdict per arrival, the same rank sequence, byte-identical state blobs at
+// every rank and byte-identical segments, across degenerate and paper-sized
+// shapes.
 
 // dependentMix returns a coded block that is a random GF combination of two
 // already-sent blocks — linearly dependent by construction.
@@ -48,109 +52,310 @@ func ladderArrivals(rng *rand.Rand, seg *Segment, extra, dependents int) []*Code
 	return blocks
 }
 
-// TestDecodeLadderDifferential drives every decode rung over the same
-// arrival streams and demands byte-identical recovered segments — and, for
-// the two progressive paths, identical internal RREF state and dependence
-// accounting.
-func TestDecodeLadderDifferential(t *testing.T) {
-	for _, n := range []int{1, 2, 60, 128} {
-		for trial := 0; trial < 3; trial++ {
-			p := Params{BlockCount: n, BlockSize: 72 + trial}
-			rng := rand.New(rand.NewSource(int64(1000*n + trial)))
-			data := make([]byte, p.SegmentSize())
-			rng.Read(data)
-			seg, err := SegmentFromData(7, p, data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			blocks := ladderArrivals(rng, seg, 2, 1+n/16)
+// sparseArrivals draws blocks from a sparse encoder until they span the
+// segment: sparse vectors give out-of-order pivots and plenty of dependent
+// arrivals on their own.
+func sparseArrivals(t *testing.T, rng *rand.Rand, seg *Segment) []*CodedBlock {
+	t.Helper()
+	enc := NewEncoder(seg, rng, WithDensity(0.25))
+	probe := newRefDecoder(seg.Params())
+	var blocks []*CodedBlock
+	for !probe.Ready() {
+		b := enc.NextBlock()
+		if _, err := probe.AddBlock(b); err != nil {
+			t.Fatal(err)
+		}
+		blocks = append(blocks, b)
+		if len(blocks) > 200*seg.Params().BlockCount {
+			t.Fatal("sparse stream failed to reach full rank")
+		}
+	}
+	return append(blocks, enc.NextBlock())
+}
 
-			// Reference: progressive scalar AddBlock, one arrival at a time.
-			ref, err := NewDecoder(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			refInnov := 0
-			for _, b := range blocks {
-				innov, err := ref.AddBlock(b)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if innov {
-					refInnov++
-				}
-			}
-			refSeg, err := ref.Segment()
-			if err != nil {
-				t.Fatalf("n=%d trial=%d: reference decode: %v", n, trial, err)
-			}
-			if !refSeg.Equal(seg) {
-				t.Fatalf("n=%d trial=%d: reference decoded corrupt segment", n, trial)
-			}
+// handoverArrivals is a stream that stays binary for its first r arrivals —
+// shuffled unit vectors and XORs of a few source blocks, the shapes a
+// systematic session sends — and is dense from there on.
+func handoverArrivals(t *testing.T, rng *rand.Rand, seg *Segment, r int) []*CodedBlock {
+	t.Helper()
+	n := seg.Params().BlockCount
+	enc := NewEncoder(seg, rng)
+	blocks := make([]*CodedBlock, 0, r+n+2)
+	for _, i := range rng.Perm(n)[:min(r, n)] {
+		coeffs := make([]byte, n)
+		coeffs[i] = 1
+		if len(blocks)%3 == 2 { // every third one an XOR repair block
+			coeffs[rng.Intn(n)] = 1
+			coeffs[rng.Intn(n)] = 1
+		}
+		b, err := enc.BlockFor(coeffs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks = append(blocks, b)
+	}
+	for i := 0; i < n+2; i++ {
+		blocks = append(blocks, enc.NextBlock())
+	}
+	return blocks
+}
 
-			// Batched absorb at several chunk sizes, including chunks larger
-			// than the remaining stream.
-			for _, chunk := range []int{1, 2, 5, len(blocks)} {
-				dec, err := NewDecoder(p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				gotInnov := 0
-				for lo := 0; lo < len(blocks); lo += chunk {
-					hi := min(lo+chunk, len(blocks))
-					innov, err := dec.AddBlocks(blocks[lo:hi])
-					if err != nil {
-						t.Fatal(err)
-					}
-					gotInnov += innov
-				}
-				if gotInnov != refInnov || dec.Rank() != ref.Rank() ||
-					dec.Dependent() != ref.Dependent() || dec.Received() != ref.Received() {
-					t.Fatalf("n=%d trial=%d chunk=%d: accounting diverges: innovative %d/%d rank %d/%d dependent %d/%d received %d/%d",
-						n, trial, chunk, gotInnov, refInnov, dec.Rank(), ref.Rank(),
-						dec.Dependent(), ref.Dependent(), dec.Received(), ref.Received())
-				}
-				// The batched schedule must land on the exact same RREF rows,
-				// not merely an equivalent basis.
-				for c := 0; c < n; c++ {
-					if !bytes.Equal(dec.rowForPivot[c], ref.rowForPivot[c]) {
-						t.Fatalf("n=%d trial=%d chunk=%d: RREF row %d diverges from scalar path", n, trial, chunk, c)
-					}
-				}
-				got, err := dec.Segment()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !got.Equal(refSeg) {
-					t.Fatalf("n=%d trial=%d chunk=%d: batched absorb segment diverges", n, trial, chunk)
-				}
-			}
+// heldBytes is the storage a decoder pins: GF(2) rows, plane and slab, and
+// the decoded segment.
+func heldBytes(d *Decoder) int {
+	held := len(d.plane) + len(d.slab)
+	if d.xorOnly {
+		for _, row := range d.rowForPivot {
+			held += len(row)
+		}
+	}
+	if d.seg != nil {
+		held += len(d.seg.data)
+	}
+	return held
+}
 
-			// Two-stage pipeline, directly and through BatchDecoder.
-			twoStage, err := DecodeTwoStage(p, blocks)
-			if err != nil {
-				t.Fatalf("n=%d trial=%d: two-stage decode: %v", n, trial, err)
+// lockstep feeds blocks to a Decoder and a refDecoder together and fails on
+// the first divergence. The state blob is compared after every blobEvery-th
+// arrival and after the last one.
+func lockstep(t *testing.T, what string, seg *Segment, blocks []*CodedBlock, blobEvery int) {
+	t.Helper()
+	p := seg.Params()
+	n, k := p.BlockCount, p.BlockSize
+	dec, err := NewDecoder(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := newRefDecoder(p)
+	var accepted []*CodedBlock
+	for i, b := range blocks {
+		want, err := ref.AddBlock(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := dec.AddBlock(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want || dec.Rank() != ref.rank || dec.Received() != ref.received || dec.Dependent() != ref.dependent {
+			t.Fatalf("%s arrival %d: innovative %v/%v rank %d/%d received %d/%d dependent %d/%d", what, i,
+				got, want, dec.Rank(), ref.rank, dec.Received(), ref.received, dec.Dependent(), ref.dependent)
+		}
+		if held, bound := heldBytes(dec), n*k+2*n*n+n*k; held > bound {
+			t.Fatalf("%s arrival %d: decoder holds %d bytes, bound %d", what, i, held, bound)
+		}
+		// Before rank n the dense path must not have touched a payload: the
+		// slab holds the accepted arrivals' payloads exactly as received.
+		if got && !dec.xorOnly {
+			accepted = append(accepted, b)
+		}
+		if dec.plane != nil {
+			if dec.xorOnly || dec.Ready() {
+				t.Fatalf("%s arrival %d: plane held outside the dense path", what, i)
 			}
-			if !twoStage.Equal(refSeg) {
-				t.Fatalf("n=%d trial=%d: two-stage segment diverges", n, trial)
-			}
-			bd, err := NewBatchDecoder(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, b := range blocks {
-				if err := bd.Add(b); err != nil {
-					t.Fatal(err)
+			base := dec.Rank() - len(accepted) // rows the GF(2) path handed over
+			for j, a := range accepted {
+				if !bytes.Equal(dec.slab[(base+j)*k:(base+j+1)*k], a.Payload) {
+					t.Fatalf("%s arrival %d: slab row %d is not the payload as received", what, i, base+j)
 				}
-			}
-			bdSeg, err := bd.Decode()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bdSeg.Equal(refSeg) {
-				t.Fatalf("n=%d trial=%d: BatchDecoder segment diverges", n, trial)
 			}
 		}
+		if dec.Ready() && (dec.scr != nil || dec.plane != nil || dec.slab != nil) {
+			t.Fatalf("%s arrival %d: plane and slab not released at rank n", what, i)
+		}
+		if i%blobEvery == 0 || i == len(blocks)-1 {
+			blob, err := dec.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(blob, ref.MarshalBinary()) {
+				t.Fatalf("%s arrival %d (rank %d): state blob diverges from the reference", what, i, dec.Rank())
+			}
+		}
+	}
+	want, err := ref.Segment()
+	if err != nil {
+		t.Fatalf("%s: reference decode: %v", what, err)
+	}
+	got, err := dec.Segment()
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	if !got.Equal(want) || !got.Equal(seg) {
+		t.Fatalf("%s: decoded segment diverges from the reference or the source", what)
+	}
+	if again, _ := dec.Segment(); again != got {
+		t.Fatalf("%s: Segment returned a second copy", what)
+	}
+	for i := 0; i < n; i++ {
+		if blk, ok := dec.Block(i); !ok || !bytes.Equal(blk, seg.Block(i)) {
+			t.Fatalf("%s: Block(%d) unavailable or wrong at rank n", what, i)
+		}
+	}
+}
+
+// resumeFrom cuts the stream at every cut-th arrival: the decoder is
+// serialized there, restored into a fresh one, and the restored decoder must
+// finish the stream on the same segment and the same final blob.
+func resumeFrom(t *testing.T, what string, seg *Segment, blocks []*CodedBlock, cut int) {
+	t.Helper()
+	p := seg.Params()
+	dec, err := NewDecoder(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range blocks {
+		if i%cut == 0 {
+			blob, err := dec.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			back := new(Decoder)
+			if err := back.UnmarshalBinary(blob); err != nil {
+				t.Fatalf("%s cut %d: %v", what, i, err)
+			}
+			if back.Rank() != dec.Rank() {
+				t.Fatalf("%s cut %d: restored rank %d, want %d", what, i, back.Rank(), dec.Rank())
+			}
+			if _, err := back.AddBlocks(blocks[i:]); err != nil {
+				t.Fatal(err)
+			}
+			got, err := back.Segment()
+			if err != nil {
+				t.Fatalf("%s cut %d: %v", what, i, err)
+			}
+			if !got.Equal(seg) {
+				t.Fatalf("%s cut %d: resumed decode diverges from the source", what, i)
+			}
+		}
+		if _, err := dec.AddBlock(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func TestDecodeLadderDifferential(t *testing.T) {
+	for _, n := range []int{1, 2, 32, 60, 128} {
+		p := Params{BlockCount: n, BlockSize: 72 + n%5}
+		rng := rand.New(rand.NewSource(int64(1000 * n)))
+		data := make([]byte, p.SegmentSize())
+		rng.Read(data)
+		seg, err := SegmentFromData(7, p, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Dense, shuffled, with duplicates and dependent combinations.
+		dense := ladderArrivals(rng, seg, 2, 1+n/16)
+		for i := 0; i < 1+n/16; i++ {
+			at := rng.Intn(len(dense))
+			dense = append(dense[:at+1], dense[at:]...)
+			dense[at+1] = dense[at].Clone()
+		}
+		sparse := sparseArrivals(t, rng, seg)
+		cut := 1
+		if n > 60 {
+			cut = 5
+		}
+		lockstep(t, fmt.Sprintf("n=%d dense", n), seg, dense, 1)
+		lockstep(t, fmt.Sprintf("n=%d sparse", n), seg, sparse, 1)
+		resumeFrom(t, fmt.Sprintf("n=%d dense", n), seg, dense, cut)
+		resumeFrom(t, fmt.Sprintf("n=%d sparse", n), seg, sparse, cut)
+
+		// GF(2) → dense hand-over at every rank, the blob checked around the
+		// hand-over and every few arrivals after it.
+		for r := 0; r <= n; r++ {
+			blocks := handoverArrivals(t, rng, seg, r)
+			what := fmt.Sprintf("n=%d handover at %d", n, r)
+			lockstep(t, what, seg, blocks, 1+n/8)
+			if r%cut == 0 {
+				resumeFrom(t, what, seg, blocks, max(r, 1))
+			}
+		}
+
+		// AddBlocks is AddBlock in a loop, whatever the chunking, and the
+		// offline entry points are the same decoder.
+		for _, chunk := range []int{1, 5, len(dense)} {
+			dec, err := NewDecoder(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for lo := 0; lo < len(dense); lo += chunk {
+				if _, err := dec.AddBlocks(dense[lo:min(lo+chunk, len(dense))]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got, err := dec.Segment(); err != nil || !got.Equal(seg) {
+				t.Fatalf("n=%d chunk=%d: AddBlocks decode diverges (%v)", n, chunk, err)
+			}
+		}
+		if got, err := DecodeTwoStage(p, dense); err != nil || !got.Equal(seg) {
+			t.Fatalf("n=%d: DecodeTwoStage diverges (%v)", n, err)
+		}
+		bd, err := NewBatchDecoder(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range dense {
+			if err := bd.Add(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, err := bd.Decode(); err != nil || !got.Equal(seg) {
+			t.Fatalf("n=%d: BatchDecoder diverges (%v)", n, err)
+		}
+	}
+}
+
+// TestDecoderDoneCostsNothing: a block offered after rank n is counted
+// dependent without any work or allocation, and the slab a decoder drew is
+// back in the scratch pool by then — decoding segment after segment allocates
+// each output segment and little else.
+func TestDecoderDoneCostsNothing(t *testing.T) {
+	p := Params{BlockCount: 32, BlockSize: 1024}
+	rng := rand.New(rand.NewSource(77))
+	data := make([]byte, p.SegmentSize())
+	rng.Read(data)
+	seg, err := SegmentFromData(1, p, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := ladderArrivals(rng, seg, 0, 0)
+	decode := func() *Decoder {
+		dec, err := NewDecoder(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := dec.AddBlocks(blocks); err != nil || !dec.Ready() {
+			t.Fatalf("decode: ready %v, %v", dec.Ready(), err)
+		}
+		return dec
+	}
+	dec := decode()
+	late := blocks[3]
+	if a := testing.AllocsPerRun(50, func() {
+		if innov, err := dec.AddBlock(late); innov || err != nil {
+			t.Fatalf("late block: innovative %v, %v", innov, err)
+		}
+	}); a != 0 {
+		t.Fatalf("a block after rank n allocates %v times", a)
+	}
+	if dec.Dependent() != 51 || dec.Received() != len(blocks)+51 {
+		t.Fatalf("late blocks miscounted: dependent %d received %d", dec.Dependent(), dec.Received())
+	}
+
+	const rounds = 40
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		decode()
+	}
+	runtime.ReadMemStats(&after)
+	perDecode := float64(after.TotalAlloc-before.TotalAlloc) / rounds
+	// Without the pool every decode would allocate its slab and plane on top
+	// of the output: more than twice the segment. (The race detector makes
+	// sync.Pool drop a quarter of its Puts, hence the slack.)
+	if limit := 1.6 * float64(p.SegmentSize()); perDecode > limit {
+		t.Fatalf("a decode allocates %.0f bytes, want under %.0f: slab not reused from the pool", perDecode, limit)
 	}
 }
 
@@ -216,12 +421,11 @@ func TestDecodeTwoStageRankDeficient(t *testing.T) {
 	}
 }
 
-// BenchmarkDecodeLadder measures the decode-side optimization ladder at the
-// paper's streaming configuration (n=128, k=4096): the progressive scalar
-// decoder (seed shape), the batched fused absorb, the Gaussian decoder with
-// deferred back-substitution, and the two-stage invert-then-multiply
-// pipeline. Throughput is decoded source bytes per second, so rungs are
-// directly comparable.
+// BenchmarkDecodeLadder measures the decoder against the one it replaced at
+// the paper's streaming configuration (n=128, k=4096): "reference" is
+// refDecoder, progressive Gauss–Jordan on [C | x] rows, and "two-stage" is
+// Decoder fed the same arrivals one AddBlock at a time. Throughput is decoded
+// source bytes per second, so the rungs are directly comparable.
 func BenchmarkDecodeLadder(b *testing.B) {
 	p := Params{BlockCount: 128, BlockSize: 4096}
 	rng := rand.New(rand.NewSource(51))
@@ -244,53 +448,10 @@ func BenchmarkDecodeLadder(b *testing.B) {
 		}
 	}
 
-	b.Run("progressive-scalar", func(b *testing.B) {
+	b.Run("reference", func(b *testing.B) {
 		b.SetBytes(segBytes)
 		for i := 0; i < b.N; i++ {
-			dec, err := NewDecoder(p)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, blk := range blocks {
-				if _, err := dec.AddBlock(blk); err != nil {
-					b.Fatal(err)
-				}
-				if dec.Ready() {
-					break
-				}
-			}
-			got, err := dec.Segment()
-			check(b, got, err)
-		}
-	})
-	for _, chunk := range []int{8, 32} {
-		// Named b=<chunk> (not a -<chunk> suffix): benchjson strips a trailing
-		// -<int> as the GOMAXPROCS tag.
-		b.Run(fmt.Sprintf("progressive-batched/b=%d", chunk), func(b *testing.B) {
-			b.SetBytes(segBytes)
-			for i := 0; i < b.N; i++ {
-				dec, err := NewDecoder(p)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for lo := 0; lo < len(blocks) && !dec.Ready(); lo += chunk {
-					hi := min(lo+chunk, len(blocks))
-					if _, err := dec.AddBlocks(blocks[lo:hi]); err != nil {
-						b.Fatal(err)
-					}
-				}
-				got, err := dec.Segment()
-				check(b, got, err)
-			}
-		})
-	}
-	b.Run("gaussian-deferred", func(b *testing.B) {
-		b.SetBytes(segBytes)
-		for i := 0; i < b.N; i++ {
-			dec, err := NewGaussianDecoder(p)
-			if err != nil {
-				b.Fatal(err)
-			}
+			dec := newRefDecoder(p)
 			for _, blk := range blocks {
 				if _, err := dec.AddBlock(blk); err != nil {
 					b.Fatal(err)
@@ -306,7 +467,19 @@ func BenchmarkDecodeLadder(b *testing.B) {
 	b.Run("two-stage", func(b *testing.B) {
 		b.SetBytes(segBytes)
 		for i := 0; i < b.N; i++ {
-			got, err := DecodeTwoStage(p, blocks)
+			dec, err := NewDecoder(p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, blk := range blocks {
+				if _, err := dec.AddBlock(blk); err != nil {
+					b.Fatal(err)
+				}
+				if dec.Ready() {
+					break
+				}
+			}
+			got, err := dec.Segment()
 			check(b, got, err)
 		}
 	})

@@ -8,10 +8,18 @@ import (
 	"extremenc/internal/obs"
 )
 
-// stageXorAbsorb times one XOR-only (GF(2) fast path) absorb. Free when no
-// obs sink is installed; its sample count is how operators confirm the fast
-// path is actually running (see cmd/ncserve xor-smoke).
-var stageXorAbsorb = obs.StageOf("rlnc.xor_absorb")
+var (
+	// stageXorAbsorb times one XOR-only (GF(2) fast path) absorb. Free when no
+	// obs sink is installed; its sample count is how operators confirm the
+	// fast path is actually running (see cmd/ncserve xor-smoke).
+	stageXorAbsorb = obs.StageOf("rlnc.xor_absorb")
+
+	// stageAbsorb times the payload work of one dense decode — the inversion's
+	// back-substitution plus the b = C⁻¹·x multiply, run once per segment by
+	// the AddBlock that reaches rank n. Its sample count is the number of
+	// segments decoded on the dense path.
+	stageAbsorb = obs.StageOf("rlnc.absorb")
+)
 
 // Decoding errors.
 var (
@@ -19,66 +27,87 @@ var (
 	ErrWrongSegment = errors.New("rlnc: coded block belongs to a different segment")
 )
 
-// Decoder recovers a segment from coded blocks by progressive Gauss–Jordan
-// elimination (paper Sec. 3). Each arriving block is reduced against the
-// rows held so far; a block that reduces to all zeros is linearly dependent
-// and is discarded — no explicit dependence check is needed. Rows are kept
-// in reduced row-echelon form over the aggregate [C | x] matrix, so once
-// rank reaches n the payload columns already hold the source blocks.
+// planeStep is the granularity row operations on the coefficient plane are
+// widened to. Plane rows are zero outside their live span, so widening is
+// free, and it keeps every operation in whole SIMD steps: a span-trimmed
+// slice a few bytes long would otherwise run a byte loop.
+const planeStep = 32
+
+// Decoder recovers a segment from coded blocks. Decoding *is* encoding (paper
+// Sec. 5.2): the dense path inverts the n×n coefficient matrix on rows of 2n
+// bytes and recovers the payload with one encode-shaped multiply, so the
+// k-byte payloads are touched exactly once. The decoder moves through three
+// states:
+//
+//  1. GF(2) rows. While every arrival has a 0/1 coefficient vector (a
+//     systematic sweep, XOR repair blocks) the decoder keeps [C | x] rows in
+//     reduced row-echelon form by pure XOR elimination (addBlockXor). Source
+//     blocks whose row has collapsed to a unit vector are deliverable early
+//     through Block.
+//  2. [C | T] plane + payload slab. From the first dense arrival on, each
+//     arrival's coefficients are forward-reduced against the pivots held —
+//     on a 2n-byte row [C | T], where T records the combination of accepted
+//     arrivals the row has become — and an innovative arrival's payload is
+//     copied, as received, into an n·k slab. Innovation, rank and dependence
+//     are decided per arrival on the plane alone; a dependent arrival's
+//     payload is never read. Rows held by state 1 are valid coded blocks and
+//     enter the plane as such.
+//  3. Segment. The arrival that reaches rank n back-substitutes the plane to
+//     [I | C⁻¹] and multiplies C⁻¹ into the slab with the tiled batch-encode
+//     kernel, straight into the segment Segment returns; plane and slab go
+//     back to the scratch pool.
+//
+// A Decoder is not safe for concurrent use.
 type Decoder struct {
 	params  Params
 	segID   uint32
 	haveSeg bool
 
-	// rowForPivot[c] is the aggregate row (n coefficient bytes followed by k
-	// payload bytes) whose pivot is column c, or nil.
-	rowForPivot [][]byte
-	rank        int
-
+	rank      int
 	received  int
 	dependent int
 
-	// xorOnly gates the GF(2) elimination fast path: true while every
-	// absorbed block has had a 0/1 coefficient vector. XOR-eliminating
-	// binary rows against binary rows keeps every stored row binary (GF(2^8)
-	// addition is XOR), so the invariant survives arbitrarily many fast-path
-	// absorbs; the first dense arrival clears it permanently and the decoder
-	// drops into the general table-driven machinery.
+	// xorOnly is true while the decoder is in state 1: every absorbed block
+	// has had a 0/1 coefficient vector. XOR-eliminating binary rows against
+	// binary rows keeps every stored row binary (GF(2^8) addition is XOR), so
+	// the invariant survives arbitrarily many fast-path absorbs; the first
+	// dense arrival clears it for good.
 	xorOnly bool
 
-	// scr is the decoder's reusable workspace for the batched absorb path,
-	// drawn lazily from the shared scratch pool.
-	scr *Scratch
+	// rowForPivot[c] is the row whose pivot is column c, or nil. In state 1
+	// it is an n+k byte [C | x] row in reduced row-echelon form; in state 2 a
+	// 2n-byte [C | T] row of plane in echelon form only — zero left of c, 1
+	// at c, not yet eliminated from the other rows.
+	rowForPivot [][]byte
+
+	// State 2 storage, both carved from scr: plane holds the [C | T] row of
+	// the i-th accepted arrival at [i·2n, (i+1)·2n), slab its payload at
+	// [i·k, (i+1)·k).
+	scr   *Scratch
+	plane []byte
+	slab  []byte
+
+	// seg is the decoded segment: set by the completing AddBlock on the dense
+	// path, by the first Segment call when state 1 ran to rank n.
+	seg *Segment
 }
 
-// NewDecoder returns an empty decoder for the given configuration. Options
-// follow the unified constructor-option shape: WithScratch pins the batched
-// absorb path to a caller-owned workspace instead of the shared pool.
+// NewDecoder returns an empty decoder for the given configuration. Decoders
+// are deterministic; options are accepted for constructor symmetry and
+// ignored.
 func NewDecoder(p Params, opts ...DecoderOption) (*Decoder, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	cfg := applyOptions(opts)
 	return &Decoder{
 		params:      p,
 		rowForPivot: make([][]byte, p.BlockCount),
 		xorOnly:     true,
-		scr:         cfg.scratch,
 	}, nil
 }
 
 // Params returns the coding configuration.
 func (d *Decoder) Params() Params { return d.params }
-
-// scratch returns the decoder's workspace, drawing one from the shared pool
-// on first use. It is held for the decoder's lifetime, so repeated AddBlocks
-// calls reuse the same staging storage.
-func (d *Decoder) scratch() *Scratch {
-	if d.scr == nil {
-		d.scr = GetScratch()
-	}
-	return d.scr
-}
 
 func wrongSegmentError(have, got uint32) error {
 	return fmt.Errorf("%w: have %d, got %d", ErrWrongSegment, have, got)
@@ -98,7 +127,14 @@ func (d *Decoder) Dependent() int { return d.dependent }
 
 // AddBlock absorbs one coded block. It returns true when the block was
 // innovative (increased rank) and false when it was linearly dependent with
-// blocks already held. Blocks for a different segment are rejected.
+// blocks already held. Blocks for a different segment are rejected. The
+// decoder copies what it keeps, so the caller may reuse b afterwards.
+//
+// On the dense path the cost of an arrival is a forward reduction of 2n
+// coefficient bytes plus, when innovative, one k-byte copy — except for the
+// arrival that reaches rank n, which runs the whole payload multiply (about
+// n² row operations of k bytes) before it returns. Blocks offered after that
+// are counted dependent and cost nothing.
 func (d *Decoder) AddBlock(b *CodedBlock) (innovative bool, err error) {
 	if err := b.Validate(d.params); err != nil {
 		return false, err
@@ -106,89 +142,77 @@ func (d *Decoder) AddBlock(b *CodedBlock) (innovative bool, err error) {
 	if d.haveSeg && b.SegmentID != d.segID {
 		return false, wrongSegmentError(d.segID, b.SegmentID)
 	}
+	return d.absorb(b), nil
+}
+
+// absorb is AddBlock for a block already checked against the decoder's shape
+// and segment.
+func (d *Decoder) absorb(b *CodedBlock) (innovative bool) {
 	d.segID, d.haveSeg = b.SegmentID, true
 	d.received++
-
+	if d.Ready() {
+		d.dependent++
+		return false
+	}
 	if d.xorOnly {
 		if b.IsBinary() {
 			return d.addBlockXor(b)
 		}
-		// First dense arrival: leave the GF(2) fast path for good.
+		// First dense arrival: leave the GF(2) fast path for good. The rows
+		// it holds are coded blocks like any other.
 		d.xorOnly = false
+		d.enterDense(d.rowForPivot)
 	}
+	return d.addBlockDense(b)
+}
 
-	n, k := d.params.BlockCount, d.params.BlockSize
-	row := make([]byte, n+k)
-	copy(row, b.Coeffs)
-	copy(row[n:], b.Payload)
-
-	// Forward-reduce against every existing pivot and find this row's pivot
-	// (the first non-zero entry in a pivot-free column). The sweep must
-	// continue past the pivot: with out-of-order pivots (sparse vectors) the
-	// row can still hold entries in later columns that are already pivoted,
-	// and full RREF requires those eliminated too. Stored pivot rows are
-	// normalized (pivot entry 1), so adding f·pivotRow cancels column c.
-	pivot := -1
-	for c := 0; c < n; c++ {
-		f := row[c]
-		if f == 0 {
-			continue
+// AddBlocks absorbs a batch of coded blocks in order and returns how many of
+// them were innovative. The batch is validated up front and rejected as a
+// whole on the first invalid or wrong-segment block, absorbing nothing.
+func (d *Decoder) AddBlocks(blocks []*CodedBlock) (innovative int, err error) {
+	if len(blocks) == 0 {
+		return 0, nil
+	}
+	segID := d.segID
+	if !d.haveSeg {
+		segID = blocks[0].SegmentID
+	}
+	for _, b := range blocks {
+		if err := b.Validate(d.params); err != nil {
+			return 0, err
 		}
-		if pr := d.rowForPivot[c]; pr != nil {
-			gf256.MulAddSlice(row, pr, f)
-			continue
-		}
-		if pivot < 0 {
-			pivot = c
+		if b.SegmentID != segID {
+			return 0, wrongSegmentError(segID, b.SegmentID)
 		}
 	}
-	if pivot < 0 {
-		// Reduced to a zero coefficient row: linearly dependent (Sec. 3).
-		d.dependent++
-		return false, nil
-	}
-
-	if pv := row[pivot]; pv != 1 {
-		gf256.ScaleSlice(row, gf256.Inv(pv))
-	}
-	// Back-substitute the new pivot out of every existing row to maintain
-	// full reduced row-echelon form, one single-source row operation per
-	// stored row. This per-arrival path is what the fetcher runs for every
-	// record; each row operation is the gf256 kernel rung in use (AVX2 where
-	// the host has it), but none of them is fused across rows — that is the
-	// batched path (AddBlocks), which the decode ladder measures against this
-	// one as its "progressive-scalar" rung.
-	for c := 0; c < n; c++ {
-		pr := d.rowForPivot[c]
-		if pr == nil {
-			continue
-		}
-		if f := pr[pivot]; f != 0 {
-			gf256.MulAddSlice(pr, row, f)
+	for _, b := range blocks {
+		if d.absorb(b) {
+			innovative++
 		}
 	}
-	d.rowForPivot[pivot] = row
-	d.rank++
-	return true, nil
+	return innovative, nil
 }
 
 // addBlockXor is the GF(2) elimination fast path: the arriving block and
 // every stored row are binary (xorOnly invariant), so every elimination
-// factor is 1 and the whole absorb is pure wide-word XOR — no log/exp or
-// product tables, no MulAddSlice, no pivot normalization (a binary pivot
-// entry is already 1). The resulting rows are byte-identical to what the
-// general path would produce, because MulAddSlice with coefficient 1 *is*
-// XorSlice; only the arithmetic dispatched differs. The caller has already
+// factor is 1 and the whole absorb is pure wide-word XOR — no product tables,
+// no multiply kernel, no pivot normalization (a binary pivot entry is already
+// 1). Rows are kept in full reduced row-echelon form, so once rank reaches n
+// the payload columns hold the source blocks. The caller has already
 // validated the block and counted it received.
-func (d *Decoder) addBlockXor(b *CodedBlock) (innovative bool, err error) {
+func (d *Decoder) addBlockXor(b *CodedBlock) (innovative bool) {
 	defer stageXorAbsorb.Start().End()
 	n, k := d.params.BlockCount, d.params.BlockSize
 	row := make([]byte, n+k)
 	copy(row, b.Coeffs)
 	copy(row[n:], b.Payload)
 
-	// Forward-reduce: any non-zero entry in a pivoted column is 1, so the
-	// row operation is a plain XOR of the stored pivot row.
+	// Forward-reduce against every existing pivot and find this row's pivot
+	// (the first non-zero entry in a pivot-free column). The sweep continues
+	// past the pivot: with out-of-order pivots (sparse vectors) the row can
+	// still hold entries in later columns that are already pivoted, and full
+	// RREF requires those eliminated too. Any non-zero entry is 1, so the row
+	// operation is a plain XOR of the stored pivot row.
 	pivot := -1
 	for c := 0; c < n; c++ {
 		if row[c] == 0 {
@@ -203,8 +227,9 @@ func (d *Decoder) addBlockXor(b *CodedBlock) (innovative bool, err error) {
 		}
 	}
 	if pivot < 0 {
+		// Reduced to a zero coefficient row: linearly dependent (Sec. 3).
 		d.dependent++
-		return false, nil
+		return false
 	}
 	// Back-substitute the new pivot out of every stored row; stored entries
 	// at the pivot column are 0 or 1, so again each operation is one XOR.
@@ -219,32 +244,197 @@ func (d *Decoder) addBlockXor(b *CodedBlock) (innovative bool, err error) {
 	}
 	d.rowForPivot[pivot] = row
 	d.rank++
-	return true, nil
+	return true
+}
+
+// enterDense draws the plane and the slab from the scratch pool and installs
+// rows — [C | x] rows in reduced row-echelon form, indexed by pivot column —
+// as the arrivals accepted so far: row c becomes the plane row [C | eᵢ] and
+// the slab payload x of arrival i, counting in ascending pivot order. A
+// reduced row is in particular an echelon row, so nothing needs reducing.
+// rows may be d.rowForPivot itself.
+func (d *Decoder) enterDense(rows [][]byte) {
+	n, k := d.params.BlockCount, d.params.BlockSize
+	w := 2 * n
+	d.scr = GetScratch()
+	buf := d.scr.Bytes(n * (w + k))
+	d.plane, d.slab = buf[:n*w], buf[n*w:]
+	i := 0
+	for c, row := range rows {
+		if row == nil {
+			continue
+		}
+		d.rowForPivot[c] = d.stageRow(i, row[:n])
+		copy(d.slab[i*k:(i+1)*k], row[n:])
+		i++
+	}
+}
+
+// stageRow writes [coeffs | eᵢ] into plane row i and returns the row.
+func (d *Decoder) stageRow(i int, coeffs []byte) []byte {
+	n := d.params.BlockCount
+	row := d.plane[i*2*n : (i+1)*2*n : (i+1)*2*n]
+	copy(row, coeffs)
+	clear(row[n:])
+	row[n+i] = 1
+	return row
+}
+
+// addBlockDense is stage 1 of the two-stage decode for one arrival: stage its
+// coefficients as the plane row [C | eᵢ], forward-reduce that row against the
+// pivots held, and keep it — with the payload, as received — if a pivot-free
+// column survives. The caller has validated the block and counted it
+// received, and rank is below n.
+func (d *Decoder) addBlockDense(b *CodedBlock) (innovative bool) {
+	n, k := d.params.BlockCount, d.params.BlockSize
+	w := 2 * n
+	i := d.rank
+	row := d.stageRow(i, b.Coeffs)
+
+	// Row operations run over the live span only: a pivot row is zero left of
+	// its pivot, and the T half of accepted row j reaches no further than its
+	// own seed at column n+j. Stored pivot rows are normalized, so adding
+	// f·pivotRow cancels column c; they are not reduced against each other, so
+	// each factor is read only after the operations before it.
+	hi := min((n+i+planeStep)&^(planeStep-1), w)
+	pivot := -1
+	for c := 0; c < n; c++ {
+		f := row[c]
+		if f == 0 {
+			continue
+		}
+		pr := d.rowForPivot[c]
+		if pr == nil {
+			pivot = c
+			break
+		}
+		lo := c &^ (planeStep - 1)
+		gf256.MulAddSlice(row[lo:hi], pr[lo:hi], f)
+	}
+	if pivot < 0 {
+		// Reduced to a zero coefficient row: linearly dependent (Sec. 3). The
+		// plane row is simply staged over by the next arrival.
+		d.dependent++
+		return false
+	}
+	if pv := row[pivot]; pv != 1 {
+		gf256.ScaleSlice(row[pivot&^(planeStep-1):hi], gf256.Inv(pv))
+	}
+	copy(d.slab[i*k:(i+1)*k], b.Payload)
+	d.rowForPivot[pivot] = row
+	d.rank++
+	if d.rank == n {
+		d.finish()
+	}
+	return true
+}
+
+// finish is stage 2, run by the AddBlock that reaches rank n: reduce the plane
+// to [I | C⁻¹], then recover every source block with one encode-shaped
+// multiply b = C⁻¹·x over the slab, and hand plane and slab back to the pool.
+// It runs here rather than lazily in Segment so that Ready means decoded: a
+// caller that feeds AddBlock until Ready has paid for the whole decode, and
+// the rlnc.absorb stage times it.
+func (d *Decoder) finish() {
+	defer stageAbsorb.Start().End()
+	n, k := d.params.BlockCount, d.params.BlockSize
+	jordanReduce(d.rowForPivot)
+
+	seg := newSegment(d.segID, d.params)
+	payloads, inv := d.scr.rowViews(n)
+	for i := range payloads {
+		payloads[i] = d.slab[i*k : (i+1)*k : (i+1)*k]
+		inv[i] = d.rowForPivot[i][n:]
+	}
+	accumulateBatch(seg.rows, payloads, inv, 0, k)
+	d.seg = seg
+
+	clear(d.rowForPivot) // the rows live in the plane, which goes back to the pool
+	d.releaseScratch()
+}
+
+// releaseScratch returns the dense-path storage to the pool.
+func (d *Decoder) releaseScratch() {
+	if d.scr != nil {
+		PutScratch(d.scr)
+	}
+	d.scr, d.plane, d.slab = nil, nil, nil
+}
+
+// jordanReduce turns echelon rows into reduced ones. rows[c] is the row with
+// pivot column c — zero left of c, 1 at c — or nil; on return every row is
+// also zero at every other pivot column. Columns past len(rows) ride along,
+// which is how [C | I] becomes [I | C⁻¹]. Rows are finished bottom-up: every
+// pivot row below the current one is already final, hence zero at every other
+// pivot column, so the current row's factors can all be read up front and
+// applied four at a time; and a pivot row is zero left of its pivot, so each
+// operation starts at the lowest pivot it applies.
+func jordanReduce(rows [][]byte) {
+	for r := len(rows) - 2; r >= 0; r-- {
+		row := rows[r]
+		if row == nil {
+			continue
+		}
+		var src [4][]byte
+		var f [4]byte
+		m := 0
+		for c := len(rows) - 1; c > r; c-- {
+			if rows[c] != nil && row[c] != 0 {
+				src[m], f[m] = rows[c], row[c]
+				m++
+			}
+			if m == 4 || (m > 0 && c == r+1) {
+				for ; m < 4; m++ {
+					src[m], f[m] = src[0], 0
+				}
+				// Gathered in descending order, so every gathered row's pivot
+				// is at or right of column c.
+				lo := c &^ (planeStep - 1)
+				gf256.MulAddSlice4(row[lo:], src[0][lo:], src[1][lo:], src[2][lo:], src[3][lo:], f[0], f[1], f[2], f[3])
+				m = 0
+			}
+		}
+	}
 }
 
 // Segment returns the recovered segment. It fails with ErrNotReady until
-// rank n is reached.
+// rank n is reached. Every call returns the same *Segment; the decoder keeps
+// no other copy of the data.
 func (d *Decoder) Segment() (*Segment, error) {
 	if !d.Ready() {
 		return nil, fmt.Errorf("%w: rank %d of %d", ErrNotReady, d.rank, d.params.BlockCount)
 	}
-	seg, err := NewSegment(d.segID, d.params)
-	if err != nil {
-		return nil, err
+	if d.seg == nil {
+		// The GF(2) path ran to rank n: its reduced rows are [eᵢ | bᵢ].
+		seg, err := NewSegment(d.segID, d.params)
+		if err != nil {
+			return nil, err
+		}
+		n := d.params.BlockCount
+		for i, row := range d.rowForPivot {
+			copy(seg.Block(i), row[n:])
+		}
+		d.seg = seg
+		clear(d.rowForPivot)
 	}
-	n := d.params.BlockCount
-	for i := 0; i < n; i++ {
-		copy(seg.Block(i), d.rowForPivot[i][n:])
-	}
-	return seg, nil
+	return d.seg, nil
 }
 
-// Block returns decoded source block i once available. With full RREF rows,
-// source block i is recoverable as soon as row i's coefficient part has
-// collapsed to the unit vector — useful for early delivery in streaming.
+// Block returns decoded source block i once available. On the GF(2) path the
+// rows are kept fully reduced, so source block i is deliverable as soon as
+// row i's coefficient part has collapsed to the unit vector — a systematic
+// sweep delivers every block on arrival. Once a dense block has been absorbed
+// the payloads stay as received until rank n, and every block becomes
+// available together.
 func (d *Decoder) Block(i int) ([]byte, bool) {
 	n := d.params.BlockCount
 	if i < 0 || i >= n {
+		return nil, false
+	}
+	if d.seg != nil {
+		return d.seg.Block(i), true
+	}
+	if !d.xorOnly {
 		return nil, false
 	}
 	row := d.rowForPivot[i]

@@ -26,7 +26,8 @@ import (
 //
 // Serializing mid-decode progress is what makes a fetch resumable across
 // process restarts: rank, not bytes, is the unit of progress in RLNC, and
-// the RREF rows are exactly the rank held so far.
+// the RREF rows are exactly the rank held so far. The rows are the wire
+// contract; how a live decoder holds that rank (decoder.go) is not.
 const (
 	decoderStateMagic   = "XNCD"
 	decoderStateVersion = 1
@@ -42,8 +43,12 @@ var (
 )
 
 // MarshalBinary serializes the decoder's progress — parameters, counters,
-// and the reduced rows held so far — so decoding can resume later, in
-// another process, from the same rank.
+// and the rank held so far as [C | x] rows in reduced row-echelon form — so
+// decoding can resume later, in another process, from the same rank. The
+// reduced form of a row space is unique, so the blob depends only on what was
+// absorbed, not on which state the decoder holds it in: on the dense path the
+// rows are materialized here, from a copy of the plane, and the decoder itself
+// is left as it was.
 func (d *Decoder) MarshalBinary() ([]byte, error) {
 	n, k := d.params.BlockCount, d.params.BlockSize
 	bitmapLen := (n + 7) / 8
@@ -60,25 +65,78 @@ func (d *Decoder) MarshalBinary() ([]byte, error) {
 	binary.BigEndian.PutUint32(out[25:], uint32(d.received))
 	binary.BigEndian.PutUint32(out[29:], uint32(d.dependent))
 	bitmap := out[decoderStateFixed : decoderStateFixed+bitmapLen]
-	off := decoderStateFixed + bitmapLen
-	for c := 0; c < n; c++ {
-		row := d.rowForPivot[c]
+	rows := out[decoderStateFixed+bitmapLen : len(out)-4]
+	switch {
+	case d.seg != nil:
+		// Decoded: row c is [e_c | source block c].
+		for c := 0; c < n; c++ {
+			bitmap[c/8] |= 1 << (c % 8)
+			row := rows[c*(n+k) : (c+1)*(n+k)]
+			row[c] = 1
+			copy(row[n:], d.seg.Block(c))
+		}
+	case d.xorOnly:
+		i := 0
+		for c, row := range d.rowForPivot {
+			if row == nil {
+				continue
+			}
+			bitmap[c/8] |= 1 << (c % 8)
+			copy(rows[i*(n+k):], row)
+			i++
+		}
+	default:
+		d.reducedRows(rows, bitmap)
+	}
+	binary.BigEndian.PutUint32(out[len(out)-4:], crc32.ChecksumIEEE(out[:len(out)-4]))
+	return out, nil
+}
+
+// reducedRows writes the dense path's rank as [C | x] rows in reduced
+// row-echelon form, ascending pivot order, into rows, and marks the pivots in
+// bitmap. It Jordan-reduces a copy of the plane — the T half then says which
+// combination of the received payloads each reduced row is — and multiplies T
+// into the slab, straight into rows.
+func (d *Decoder) reducedRows(rows, bitmap []byte) {
+	n, k := d.params.BlockCount, d.params.BlockSize
+	w := 2 * n
+	work := append([]byte(nil), d.plane[:d.rank*w]...)
+	byPivot := make([][]byte, n)
+	for i := 0; i < d.rank; i++ {
+		row := work[i*w : (i+1)*w]
+		// An echelon row's pivot is its leading entry.
+		c := 0
+		for row[c] == 0 {
+			c++
+		}
+		byPivot[c] = row
+	}
+	jordanReduce(byPivot)
+
+	dsts := make([][]byte, 0, d.rank)
+	coeffs := make([][]byte, 0, d.rank)
+	srcs := make([][]byte, d.rank)
+	for i := range srcs {
+		srcs[i] = d.slab[i*k : (i+1)*k]
+	}
+	for c, row := range byPivot {
 		if row == nil {
 			continue
 		}
 		bitmap[c/8] |= 1 << (c % 8)
-		copy(out[off:], row)
-		off += n + k
+		out := rows[len(dsts)*(n+k):][:n+k]
+		copy(out, row[:n])
+		dsts = append(dsts, out[n:])
+		coeffs = append(coeffs, row[n:n+d.rank])
 	}
-	binary.BigEndian.PutUint32(out[off:], crc32.ChecksumIEEE(out[:off]))
-	return out, nil
+	accumulateBatch(dsts, srcs, coeffs, 0, k)
 }
 
 // UnmarshalBinary restores a decoder from MarshalBinary output, replacing
 // any existing state. Beyond the checksum it verifies the structural
-// invariant the elimination depends on: every stored row is normalized
-// (entry 1 at its own pivot) and eliminated against every other pivot
-// column, i.e. the rows really are in reduced row-echelon form.
+// invariant the elimination depends on: every stored row leads with a 1 at
+// its own pivot and is eliminated against every other pivot column, i.e. the
+// rows really are in reduced row-echelon form.
 func (d *Decoder) UnmarshalBinary(data []byte) error {
 	if len(data) < decoderStateFixed+4 {
 		return fmt.Errorf("%w: %d bytes", ErrBadDecoderState, len(data))
@@ -121,48 +179,53 @@ func (d *Decoder) UnmarshalBinary(data []byte) error {
 	if len(pivots) != rank {
 		return fmt.Errorf("%w: bitmap holds %d pivots, rank says %d", ErrBadDecoderState, len(pivots), rank)
 	}
+	// rows[c] views the blob's row with pivot c. The GF(2) fast-path gate is
+	// recomputed from the rows: all-binary coefficients are exactly the
+	// invariant the XOR-only elimination requires, so a resumed systematic
+	// session picks the fast path back up.
 	rows := make([][]byte, n)
+	binaryRows := true
 	off := decoderStateFixed + bitmapLen
 	for _, c := range pivots {
-		row := make([]byte, n+k)
-		copy(row, data[off:off+n+k])
+		row := data[off : off+n+k]
 		off += n + k
 		if row[c] != 1 {
 			return fmt.Errorf("%w: pivot %d not normalized", ErrBadDecoderState, c)
+		}
+		for c2, v := range row[:c] {
+			if v != 0 {
+				return fmt.Errorf("%w: row %d has an entry at column %d, left of its pivot", ErrBadDecoderState, c, c2)
+			}
 		}
 		for _, c2 := range pivots {
 			if c2 != c && row[c2] != 0 {
 				return fmt.Errorf("%w: pivot %d not eliminated from row %d", ErrBadDecoderState, c2, c)
 			}
 		}
+		for _, v := range row[:n] {
+			binaryRows = binaryRows && v <= 1
+		}
 		rows[c] = row
 	}
 
-	d.params = p
-	d.segID = binary.BigEndian.Uint32(data[16:])
-	d.haveSeg = data[20]&1 != 0
-	d.rowForPivot = rows
-	d.rank = rank
-	d.received = int(binary.BigEndian.Uint32(data[25:]))
-	d.dependent = int(binary.BigEndian.Uint32(data[29:]))
-	// Recompute the GF(2) fast-path gate from the restored rows: the state
-	// blob predates the xorOnly flag, and the stored rows are the ground
-	// truth anyway — all-binary rows are exactly the invariant the XOR-only
-	// elimination path requires, so a resumed systematic session picks the
-	// fast path back up. (A decoder that went dense then back to rank 0 is
-	// unrepresentable: dense rows persist until decode completes.)
-	d.xorOnly = true
-	for _, c := range pivots {
-		for _, v := range rows[c][:n] {
-			if v > 1 {
-				d.xorOnly = false
-				break
-			}
-		}
-		if !d.xorOnly {
-			break
-		}
+	d.releaseScratch()
+	*d = Decoder{
+		params:      p,
+		segID:       binary.BigEndian.Uint32(data[16:]),
+		haveSeg:     data[20]&1 != 0,
+		rank:        rank,
+		received:    int(binary.BigEndian.Uint32(data[25:])),
+		dependent:   int(binary.BigEndian.Uint32(data[29:])),
+		xorOnly:     binaryRows,
+		rowForPivot: rows,
 	}
-	d.scr = nil
+	if binaryRows {
+		// The GF(2) path owns its rows.
+		for _, c := range pivots {
+			rows[c] = append([]byte(nil), rows[c]...)
+		}
+	} else {
+		d.enterDense(rows)
+	}
 	return nil
 }

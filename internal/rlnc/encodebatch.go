@@ -41,8 +41,8 @@ const (
 // EncodeBatchInto computes dsts[b] = Σ_i coeffs[b][i]·seg.Block(i) for every
 // b in one tiled pass over the source blocks. Each dsts[b] must be at least
 // BlockSize long and each coeffs[b] exactly BlockCount long. It is the
-// batch-shaped primitive behind the encoder, the parallel workers and the
-// batch decoder's reconstruction stage.
+// batch-shaped primitive behind the encoder and the parallel workers; the
+// decoder's reconstruction stage runs the same kernel over received payloads.
 func EncodeBatchInto(dsts [][]byte, seg *Segment, coeffs [][]byte) error {
 	defer stageEncodeBatch.Start().End()
 	p := seg.params
@@ -61,13 +61,19 @@ func EncodeBatchInto(dsts [][]byte, seg *Segment, coeffs [][]byte) error {
 	return nil
 }
 
-// encodeBatchRange clears the [lo, hi) column range of every destination and
-// accumulates Σ_j coeffs[b][j]·srcs[j] into it, in destination groups that
-// keep the hot working set cache-sized.
+// encodeBatchRange sets the [lo, hi) column range of every destination to
+// Σ_j coeffs[b][j]·srcs[j].
 func encodeBatchRange(dsts, srcs, coeffs [][]byte, lo, hi int) {
 	for _, d := range dsts {
 		clear(d[lo:hi])
 	}
+	accumulateBatch(dsts, srcs, coeffs, lo, hi)
+}
+
+// accumulateBatch adds Σ_j coeffs[b][j]·srcs[j] into the [lo, hi) column range
+// of every destination, in destination groups that keep the hot working set
+// cache-sized.
+func accumulateBatch(dsts, srcs, coeffs [][]byte, lo, hi int) {
 	for g := 0; g < len(dsts); g += encodeBatchGroup {
 		ge := min(g+encodeBatchGroup, len(dsts))
 		batchMulAdd(dsts[g:ge], srcs, coeffs[g:ge], lo, hi)

@@ -265,159 +265,6 @@ func TestRecoderDropsDependentInput(t *testing.T) {
 	}
 }
 
-// TestGaussianDecoderMatchesGaussJordan: same blocks, same recovery,
-// same dependence detection.
-func TestGaussianDecoderMatchesGaussJordan(t *testing.T) {
-	p := Params{BlockCount: 24, BlockSize: 96}
-	seg := randomSegment(t, 6, p, 120)
-	rng := rand.New(rand.NewSource(121))
-	enc := NewEncoder(seg, rng)
-
-	gj, err := NewDecoder(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ge, err := NewGaussianDecoder(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var dup *CodedBlock
-	for !gj.Ready() {
-		b := enc.NextBlock()
-		if dup == nil {
-			dup = b
-		}
-		i1, err := gj.AddBlock(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		i2, err := ge.AddBlock(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i1 != i2 {
-			t.Fatalf("innovativeness disagrees: GJ %v, GE %v", i1, i2)
-		}
-	}
-	// Both must flag the duplicate as dependent.
-	if innov, _ := ge.AddBlock(dup.Clone()); innov {
-		t.Fatal("Gaussian decoder accepted a duplicate as innovative")
-	}
-	if ge.Dependent() != 1 || ge.Received() != p.BlockCount+1 {
-		t.Fatalf("GE stats: dep=%d recv=%d", ge.Dependent(), ge.Received())
-	}
-
-	want, err := gj.Segment()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ge.Segment()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want) || !got.Equal(seg) {
-		t.Fatal("Gaussian decode differs from Gauss-Jordan or source")
-	}
-}
-
-func TestGaussianDecoderValidation(t *testing.T) {
-	p := Params{BlockCount: 8, BlockSize: 32}
-	ge, err := NewGaussianDecoder(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ge.Segment(); !errors.Is(err, ErrNotReady) {
-		t.Fatalf("early Segment err = %v", err)
-	}
-	segA := randomSegment(t, 1, p, 122)
-	segB := randomSegment(t, 2, p, 123)
-	rng := rand.New(rand.NewSource(124))
-	if _, err := ge.AddBlock(NewEncoder(segA, rng).NextBlock()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ge.AddBlock(NewEncoder(segB, rng).NextBlock()); !errors.Is(err, ErrWrongSegment) {
-		t.Fatalf("wrong segment err = %v", err)
-	}
-	if _, err := NewGaussianDecoder(Params{}); err == nil {
-		t.Fatal("invalid params accepted")
-	}
-}
-
-// TestGaussianOutOfOrderPivots: sparse vectors create out-of-order pivots;
-// the deferred back-substitution must still produce the identity.
-func TestGaussianOutOfOrderPivots(t *testing.T) {
-	p := Params{BlockCount: 16, BlockSize: 32}
-	seg := randomSegment(t, 0, p, 125)
-	rng := rand.New(rand.NewSource(126))
-	enc := NewEncoder(seg, rng, WithDensity(0.3))
-	ge, err := NewGaussianDecoder(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for !ge.Ready() {
-		if _, err := ge.AddBlock(enc.NextBlock()); err != nil {
-			t.Fatal(err)
-		}
-		if ge.Received() > 50*p.BlockCount {
-			t.Fatal("sparse stream failed to reach full rank")
-		}
-	}
-	got, err := ge.Segment()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(seg) {
-		t.Fatal("sparse Gaussian decode differs")
-	}
-}
-
-// BenchmarkDecoderStyles is the Gauss-Jordan vs Gaussian ablation from
-// DESIGN.md §6: per-arrival progressive reduction versus deferred
-// back-substitution.
-func BenchmarkDecoderStyles(b *testing.B) {
-	p := Params{BlockCount: 128, BlockSize: 4096}
-	seg := randomSegment(b, 0, p, 127)
-	enc := NewEncoder(seg, rand.New(rand.NewSource(128)))
-	blocks := make([]*CodedBlock, p.BlockCount)
-	for i := range blocks {
-		blocks[i] = enc.NextBlock()
-	}
-	b.Run("gauss-jordan", func(b *testing.B) {
-		b.SetBytes(int64(p.SegmentSize()))
-		for i := 0; i < b.N; i++ {
-			dec, err := NewDecoder(p)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, blk := range blocks {
-				if _, err := dec.AddBlock(blk); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if _, err := dec.Segment(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("gaussian", func(b *testing.B) {
-		b.SetBytes(int64(p.SegmentSize()))
-		for i := 0; i < b.N; i++ {
-			dec, err := NewGaussianDecoder(p)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, blk := range blocks {
-				if _, err := dec.AddBlock(blk); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if _, err := dec.Segment(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // TestWireFormatGolden pins the exact wire bytes of both block formats so
 // the formats cannot change silently — they are compatibility contracts.
 func TestWireFormatGolden(t *testing.T) {

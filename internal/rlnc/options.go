@@ -14,7 +14,6 @@ type DecoderOption = Option
 
 // config collects the settings an Option can carry.
 type config struct {
-	scratch   *Scratch
 	rng       *rand.Rand
 	xorRecode bool
 }
@@ -25,14 +24,6 @@ func applyOptions(opts []Option) config {
 		opt(&c)
 	}
 	return c
-}
-
-// WithScratch makes the constructed codec use the caller-provided workspace
-// instead of drawing one from the process-wide scratch pool on first use.
-// Useful when the caller manages scratch lifetimes itself (e.g. one warm
-// Scratch per worker goroutine); the caller must not share s concurrently.
-func WithScratch(s *Scratch) Option {
-	return func(c *config) { c.scratch = s }
 }
 
 // WithSeed gives the constructed codec a private deterministic random source.

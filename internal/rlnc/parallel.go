@@ -141,8 +141,7 @@ func (pe *ParallelEncoder) encodePartitioned(seg *Segment, blocks []*CodedBlock)
 // DecodeSegmentsParallel batch-decodes independent segments with the given
 // worker count — the paper's parallel multi-segment decoding (Sec. 5.2):
 // each worker owns whole segments, so no cross-worker synchronization is
-// needed, and runs the explicit two-stage pipeline (twostage.go) against its
-// own warm scratch. blocksPerSegment[i] must span segment i. Work executes
+// needed, and runs the two-stage decoder (DecodeTwoStage) over each. blocksPerSegment[i] must span segment i. Work executes
 // on the process-wide SharedPool.
 //
 // Cancelling ctx stops the sweep at segment granularity: workers finish the
@@ -157,12 +156,12 @@ func DecodeSegmentsParallel(ctx context.Context, p Params, blocksPerSegment [][]
 	}
 	segs := make([]*Segment, len(blocksPerSegment))
 	errs := make([]error, len(blocksPerSegment))
-	SharedPool().Dispatch(workers, func(w int, s *Scratch) {
+	SharedPool().Dispatch(workers, func(w int, _ *Scratch) {
 		for i := w; i < len(blocksPerSegment); i += workers {
 			if ctx.Err() != nil {
 				return
 			}
-			segs[i], errs[i] = decodeTwoStageWith(s, p, blocksPerSegment[i])
+			segs[i], errs[i] = DecodeTwoStage(p, blocksPerSegment[i])
 		}
 	})
 	if err := ctx.Err(); err != nil {

@@ -2,10 +2,10 @@
 // codec the paper accelerates. Data is divided into segments (generations)
 // of n blocks of k bytes each; coded blocks carry a random coefficient
 // vector and the corresponding linear combination of the source blocks
-// (paper Sec. 3, Eq. 1). Decoding is progressive Gauss–Jordan elimination
-// (Eq. 2), which detects linearly dependent arrivals for free; a batch
-// invert-then-multiply decoder mirrors the two-stage multi-segment pipeline
-// of Sec. 5.2. Recoding — the defining capability of network coding —
+// (paper Sec. 3, Eq. 1). Decoding reduces each arrival's coefficients as it
+// comes (Eq. 2), which detects linearly dependent arrivals for free, and
+// recovers the payload the way the two-stage multi-segment pipeline of
+// Sec. 5.2 does: invert the coefficients, then one dense multiply. Recoding — the defining capability of network coding —
 // produces fresh combinations from received coded blocks without decoding.
 //
 // This package is the real, host-native implementation; the GPU and CPU

@@ -34,8 +34,6 @@ type Scratch struct {
 	buf    []byte
 	dsts   [][]byte
 	coeffs [][]byte
-	aug    [][]byte // matrix row views for the two-stage inverter
-	cols   []int    // pivot-column gather list for the batched absorb
 }
 
 // Bytes returns an n-byte workspace, growing the backing array as needed.
@@ -48,31 +46,14 @@ func (s *Scratch) Bytes(n int) []byte {
 }
 
 // rowViews returns two reusable row-header slices of length n, used by the
-// encode paths to assemble batch views without per-dispatch allocation.
+// encode paths and the decoder's reconstruction multiply to assemble batch
+// views without per-dispatch allocation.
 func (s *Scratch) rowViews(n int) (dsts, coeffs [][]byte) {
 	if cap(s.dsts) < n {
 		s.dsts = make([][]byte, n)
 		s.coeffs = make([][]byte, n)
 	}
 	return s.dsts[:n], s.coeffs[:n]
-}
-
-// augRows returns a third reusable row-header slice of length n, used by the
-// two-stage decoder for its [C | I] working matrix alongside rowViews.
-func (s *Scratch) augRows(n int) [][]byte {
-	if cap(s.aug) < n {
-		s.aug = make([][]byte, n)
-	}
-	return s.aug[:n]
-}
-
-// colBuf returns a reusable int slice of capacity ≥ n, length 0 — the
-// pivot-column gather list of the batched absorb path.
-func (s *Scratch) colBuf(n int) []int {
-	if cap(s.cols) < n {
-		s.cols = make([]int, 0, n)
-	}
-	return s.cols[:0]
 }
 
 // NewPool starts a pool with the given worker count; workers ≤ 0 selects
@@ -138,10 +119,11 @@ func SharedPool() *Pool {
 	return sharedPool
 }
 
-// scratchPool recycles Scratch values across decoders and the one-shot
-// decode entry points, complementing the per-worker Scratch that pool
-// workers own: a decoder absorbing batches between pool dispatches reuses a
-// warm workspace instead of growing a fresh one.
+// scratchPool recycles Scratch values across decoders, complementing the
+// per-worker Scratch that pool workers own: a decoder draws its coefficient
+// plane and payload slab from here at its first dense arrival and returns
+// them at rank n, so a fetch decoding segment after segment reuses one warm
+// workspace instead of allocating n·k bytes per segment.
 var scratchPool = sync.Pool{New: func() any { return &Scratch{} }}
 
 // GetScratch draws a reusable workspace from the process-wide scratch pool.

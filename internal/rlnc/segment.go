@@ -19,9 +19,14 @@ func NewSegment(id uint32, p Params) (*Segment, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	return newSegment(id, p), nil
+}
+
+// newSegment is NewSegment for parameters already validated.
+func newSegment(id uint32, p Params) *Segment {
 	s := &Segment{id: id, params: p, data: make([]byte, p.SegmentSize())}
 	s.blockRows()
-	return s, nil
+	return s
 }
 
 // SegmentFromData builds a segment from up to SegmentSize bytes, copying the
@@ -34,9 +39,8 @@ func SegmentFromData(id uint32, p Params, data []byte) (*Segment, error) {
 	if len(data) > p.SegmentSize() {
 		return nil, fmt.Errorf("%w: %d bytes exceed segment size %d", ErrDataTooLarge, len(data), p.SegmentSize())
 	}
-	s := &Segment{id: id, params: p, data: make([]byte, p.SegmentSize())}
+	s := newSegment(id, p)
 	copy(s.data, data)
-	s.blockRows()
 	return s, nil
 }
 

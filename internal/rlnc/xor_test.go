@@ -319,9 +319,9 @@ func TestXorFastPathDenseFallbackBoundary(t *testing.T) {
 	}
 }
 
-// TestXorFastPathBatchedAbsorb: AddBlocks routes all-binary batches through
-// the per-row XOR path and mixed batches through the fused machinery, with
-// byte-identical results.
+// TestXorFastPathBatchedAbsorb: AddBlocks keeps an all-binary batch on the
+// XOR path and leaves it at the first dense block of a mixed one, with state
+// byte-identical to feeding the same blocks one AddBlock at a time.
 func TestXorFastPathBatchedAbsorb(t *testing.T) {
 	p := Params{BlockCount: 20, BlockSize: 80}
 	seg := testSegment(t, 17, p, 190)

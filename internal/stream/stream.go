@@ -222,8 +222,7 @@ func (s *Server) verifySampleClient(seed int64) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	// The sample client holds its whole download, so the batched absorb path
-	// eliminates all arrivals in one fused sweep.
+	// The sample client holds its whole download.
 	if _, err := dec.AddBlocks(rep.Blocks); err != nil {
 		return false, err
 	}
