@@ -88,9 +88,11 @@ staticcheck:
 
 # End-to-end serving gate: boot the session server against a loopback
 # listener, fetch with concurrent clients, and check payloads and metrics
-# accounting.
+# accounting — once pushing dense blocks, once in systematic mode, where every
+# session is written its own sweep.
 serve-smoke:
 	$(GO) run ./cmd/ncserve smoke -clients 4
+	$(GO) run ./cmd/ncserve smoke -clients 4 -mode systematic
 
 # Observability end-to-end gate: serve with the metrics endpoint on, fetch
 # over loopback with a registry-attached client, scrape /metrics over HTTP,
@@ -100,9 +102,11 @@ metrics-smoke:
 	$(GO) run ./cmd/ncserve metrics-smoke
 
 # Systematic + XOR fast-path end-to-end gate: a systematic-mode server and a
-# client fetch over loopback (clean, then through a lossy faultnet link), with
-# the run rejected unless the rlnc.xor_absorb stage histogram recorded spans —
-# the observable proof that the GF(2) XOR-only decode path actually engaged.
+# client fetch over loopback (clean, then through a lossy faultnet link). The
+# clean fetch must read exactly one sweep with nothing encoded or shed, the
+# lossy one must have sent a need record or reconnected, and the run is
+# rejected unless the rlnc.xor_absorb stage histogram recorded spans — the
+# observable proof that the GF(2) XOR-only decode path actually engaged.
 xor-smoke:
 	$(GO) run ./cmd/ncserve xor-smoke
 

@@ -23,12 +23,13 @@
 //	ncserve xor-smoke
 //
 // -mode selects the wire discipline the server declares in every handshake:
-// dense (default) streams dense GF(2^8) blocks; systematic streams each
-// segment as a systematic sweep, GF(2) XOR repair blocks in the compact XNC2
-// encoding, and a dense tail — the receiver decodes the binary prefix on an
-// XOR-only fast path. xor-smoke is the end-to-end gate for that mode: a
-// systematic serve, a clean fetch plus a lossy faultnet fetch, and a scrape
-// asserting the rlnc.xor_absorb stage actually saw traffic.
+// dense (default) streams dense GF(2^8) blocks; systematic writes every
+// session the source blocks once, in the compact XNC2 encoding, and then GF(2)
+// XOR repair blocks and a dense tail only to a client that says it still lacks
+// rank — the receiver decodes the binary prefix on an XOR-only fast path.
+// xor-smoke is the end-to-end gate for that mode: a systematic serve, a clean
+// fetch that must cost exactly one sweep plus a lossy faultnet fetch, and a
+// scrape asserting the rlnc.xor_absorb stage actually saw traffic.
 //
 // The fetch client reconnects on resets and framing loss with capped
 // exponential backoff, carrying decoder rank across connections; -resume
@@ -109,7 +110,7 @@ func (sf *serveFlags) register(fs *flag.FlagSet) {
 }
 
 func (sf *serveFlags) registerMode(fs *flag.FlagSet) {
-	fs.StringVar(&sf.mode, "mode", "dense", "wire mode: dense or systematic (systematic sweep + GF(2) XOR repair + dense tail)")
+	fs.StringVar(&sf.mode, "mode", "dense", "wire mode: dense or systematic (one sweep of the source blocks per session, then GF(2) XOR repair + dense tail on request)")
 }
 
 func (sf *serveFlags) config() (netio.ServerConfig, error) {
@@ -595,9 +596,12 @@ func runMetricsSmoke(args []string) error {
 
 // runXorSmoke is the end-to-end gate for the systematic + XOR wire mode
 // (`make xor-smoke`): a systematic server, one clean loopback fetch and one
-// through a lossy faultnet link, both byte-verified — then a registry scrape
-// that must show the rlnc.xor_absorb stage with nonzero traffic, proving the
-// decoders actually rode the GF(2) fast path instead of silently falling
+// through a lossy faultnet link, both byte-verified. The clean leg must cost
+// exactly one sweep — n × segments records read, nothing encoded, nothing
+// shed; the lossy leg must have gone through loss handling — a need record
+// answered with repair, or a reconnect that resumed rank. Then a registry
+// scrape must show the rlnc.xor_absorb stage with nonzero traffic, proving
+// the decoders actually rode the GF(2) fast path instead of silently falling
 // back to dense elimination.
 func runXorSmoke(args []string) error {
 	fs := flag.NewFlagSet("ncserve xor-smoke", flag.ContinueOnError)
@@ -618,7 +622,8 @@ func runXorSmoke(args []string) error {
 	cfg := netio.DefaultServerConfig()
 	cfg.Mode = netio.ModeSystematic
 	cfg.Metrics = reg
-	srv, err := netio.NewServerFromConfig(media, rlnc.Params{BlockCount: 16, BlockSize: 1024}, cfg)
+	p := rlnc.Params{BlockCount: 16, BlockSize: 1024}
+	srv, err := netio.NewServerFromConfig(media, p, cfg)
 	if err != nil {
 		return err
 	}
@@ -629,7 +634,7 @@ func runXorSmoke(args []string) error {
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- srv.Serve(ctx, l) }()
 
-	// Leg 1: clean loopback — the systematic sweep should dominate.
+	// Leg 1: clean loopback — one sweep and nothing else.
 	fcfg := netio.DefaultFetcherConfig()
 	clean, err := netio.NewFetcherFromConfig(func(ctx context.Context) (net.Conn, error) {
 		var d net.Dialer
@@ -648,8 +653,14 @@ func runXorSmoke(args []string) error {
 	if !bytes.Equal(res.Payload, media) {
 		return fmt.Errorf("clean systematic fetch: payload differs")
 	}
+	if sweep := p.BlockCount * srv.Segments(); res.Stats.Records != sweep {
+		return fmt.Errorf("clean systematic fetch read %d records, want one sweep of %d", res.Stats.Records, sweep)
+	}
+	if snap := srv.Snapshot(); snap.BlocksEncoded != 0 || snap.BlocksShed != 0 {
+		return fmt.Errorf("clean systematic fetch cost %d encoded and %d shed blocks, want none", snap.BlocksEncoded, snap.BlocksShed)
+	}
 
-	// Leg 2: the loss sweep — corruption and resets force the XOR repair and
+	// Leg 2: the loss sweep — corruption and resets force the repair and
 	// reconnect machinery through the same negotiated mode.
 	dial, ctr := faultnet.Dialer(faultnet.Config{
 		Seed:         45,
@@ -691,17 +702,23 @@ func runXorSmoke(args []string) error {
 	if err != nil {
 		return err
 	}
-	count := 0.0
+	count, needs := 0.0, 0.0
 	for _, s := range samples {
-		if s.Key() == "rlnc_xor_absorb_count" {
+		switch s.Key() {
+		case "rlnc_xor_absorb_count":
 			count = s.Value
+		case "netio_need_records":
+			needs = s.Value
 		}
 	}
 	if count <= 0 {
 		return fmt.Errorf("scrape: rlnc_xor_absorb_count = %v, want > 0", count)
 	}
-	fmt.Printf("xor-smoke ok: mode %s, %d xor absorbs, clean %d records, lossy %d records (%d corrupt, %d resyncs, faults %+v)\n",
-		srv.Mode(), v.Count, res.Stats.Records, lres.Stats.Records,
+	if needs == 0 && lres.Stats.Reconnects == 0 {
+		return fmt.Errorf("lossy systematic fetch met no loss handling: no need record, no reconnect (faults %+v)", ctr.View())
+	}
+	fmt.Printf("xor-smoke ok: mode %s, %d xor absorbs, clean %d records, lossy %d records (%d need records, %d reconnects, %d corrupt, %d resyncs, faults %+v)\n",
+		srv.Mode(), v.Count, res.Stats.Records, lres.Stats.Records, int(needs), lres.Stats.Reconnects,
 		lres.Stats.Corrupt, lres.Stats.FramingResyncs, ctr.View())
 	return nil
 }

@@ -280,17 +280,18 @@ func NewFetcherFromConfig(dial netio.DialFunc, cfg NetFetcherConfig) (*netio.Fet
 }
 
 // WireMode is the wire discipline a serving session negotiates in its
-// handshake: classic dense GF(2^8) records, or the systematic schedule
-// (source blocks verbatim, GF(2) bitmask XOR repair, dense tail).
+// handshake: classic dense GF(2^8) records, or the systematic discipline
+// (source blocks verbatim, once per session, then GF(2) bitmask XOR repair
+// and a dense tail for a client that asks).
 type WireMode = netio.WireMode
 
 // Wire disciplines.
 const (
 	// ModeDense streams dense GF(2^8) coded records only.
 	ModeDense = netio.ModeDense
-	// ModeSystematic streams the systematic + XOR schedule, letting
-	// clients decode on the table-free XOR fast path until a dense
-	// record arrives.
+	// ModeSystematic writes each session the source blocks once and
+	// serves XOR and dense repair on request, letting clients decode on
+	// the table-free XOR fast path until a dense record arrives.
 	ModeSystematic = netio.ModeSystematic
 )
 

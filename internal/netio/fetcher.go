@@ -487,18 +487,11 @@ func (f *Fetcher) session(ctx context.Context, conn net.Conn) (done, fatal bool,
 		f.cfg.SessionHook(h.info())
 	}
 
-	// Every record of a session is a marshaled CodedBlock for the
-	// handshake's (n, k), so its framed length is a constant — two constants
-	// in systematic mode, where compact XNC2 GF(2) records interleave with
-	// XNC1 dense-tail records. A prefix that matches neither is framing loss
-	// — a corrupted length, not a record to allocate — and the stream beyond
-	// it is unparseable; the fetcher resynchronizes by reconnecting, keeping
-	// all rank.
-	expect := uint32(wireSize(f.hdr.params))
-	expectXor := expect
-	if f.hdr.mode == ModeSystematic {
-		expectXor = uint32(rlnc.XorWireSize(f.hdr.params))
-	}
+	// A prefix that matches neither of the session's record sizes is framing
+	// loss — a corrupted length, not a record to allocate — and the stream
+	// beyond it is unparseable; the fetcher resynchronizes by reconnecting,
+	// keeping all rank.
+	expect, expectXor := f.hdr.recordSizes()
 	var lenBuf [4]byte
 	var preBuf [recordPreludeLen]byte
 	var curRound trace.SpanID
@@ -509,6 +502,15 @@ func (f *Fetcher) session(ctx context.Context, conn net.Conn) (done, fatal bool,
 	// block and so gets a fresh one per record.
 	recBuf := make([]byte, max(expect, expectXor))
 	var sessionBlk rlnc.CodedBlock
+	// On a sweep session the server falls silent after n × segments records —
+	// one of every source block — until asked for more. A fetch still short of
+	// rank after reading that many here (some arrived damaged, or repeated what
+	// earlier sessions had brought) asks, once. The server is in its read by
+	// then, so the write cannot wait on it. Zero: no sweep, never ask.
+	sweepLeft := 0
+	if hs.flags&hsFlagSweep != 0 {
+		sweepLeft = h.params.BlockCount * h.segments
+	}
 	for f.remaining() > 0 {
 		if traced {
 			// Traced framing: a CRC-guarded round prelude precedes every
@@ -558,16 +560,13 @@ func (f *Fetcher) session(ctx context.Context, conn net.Conn) (done, fatal bool,
 		if err != nil {
 			return false, true, err
 		}
+		if sweepLeft--; sweepLeft == 0 && f.remaining() > 0 {
+			if _, err := conn.Write(needRecord[:]); err != nil {
+				return f.streamErr(ctx, fmt.Errorf("%w: need record: %v", ErrStreamTruncated, err))
+			}
+		}
 	}
 	return true, false, nil
-}
-
-// wireSize returns the marshaled size of a coded block for p.
-func wireSize(p rlnc.Params) int {
-	return (&rlnc.CodedBlock{
-		Coeffs:  make([]byte, p.BlockCount),
-		Payload: make([]byte, p.BlockSize),
-	}).WireSize()
 }
 
 // streamErr classifies a mid-stream failure: fatal if the context ended,

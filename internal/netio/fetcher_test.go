@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"extremenc/internal/faultnet"
+	"extremenc/internal/gf256"
 	"extremenc/internal/rlnc"
 )
 
@@ -556,11 +557,12 @@ func (c *streamConn) Read(p []byte) (int, error)      { return c.r.Read(p) }
 func (c *streamConn) Close() error                    { return nil }
 func (c *streamConn) SetReadDeadline(time.Time) error { return nil }
 
-// TestFetcherRecordPathDoesNotAllocate: without a record tap a dense session
-// parses every record into one reused CodedBlock out of one reused buffer, and
-// the decoder copies what it keeps into pooled storage — so a fetch of one
-// segment allocates the same whether the segment arrives as 16 records or as
-// 16 plus 48 more dependent ones. That is zero allocations per record.
+// TestFetcherRecordPathDoesNotAllocate: without a record tap a session parses
+// every record into one reused CodedBlock out of one reused buffer, and the
+// decoder copies what it keeps into pooled storage — the plane and slab on the
+// dense path, the row slab on the GF(2) path — so a fetch of one segment
+// allocates the same whether the segment arrives as 16 records or as 16 plus
+// 48 more dependent ones. That is zero allocations per record, in both modes.
 func TestFetcherRecordPathDoesNotAllocate(t *testing.T) {
 	p := rlnc.Params{BlockCount: 16, BlockSize: 512}
 	media := testMedia(t, p.SegmentSize(), 41)
@@ -568,12 +570,13 @@ func TestFetcherRecordPathDoesNotAllocate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	seg := obj.Segments[0]
 	// extra dependent records — recombinations of the first ones — arrive
 	// before the last innovative one, so every one of them is parsed, offered
 	// to a decoder below full rank and reduced.
-	stream := func(extra int) []byte {
+	dense := func(extra int) []byte {
 		rng := rand.New(rand.NewSource(42))
-		enc := rlnc.NewEncoder(obj.Segments[0], rng)
+		enc := rlnc.NewEncoder(seg, rng)
 		var buf bytes.Buffer
 		if err := writeSessionHeader(&buf, sessionHeader{params: p, segments: 1, length: int64(obj.Length)}); err != nil {
 			t.Fatal(err)
@@ -610,6 +613,40 @@ func TestFetcherRecordPathDoesNotAllocate(t *testing.T) {
 		emit(enc.NextBlock())
 		return buf.Bytes()
 	}
+	// The systematic session: all source blocks but the last, then XOR repair
+	// over those same blocks — binary, so the decoder stays on its GF(2) path,
+	// and dependent — then the last source block.
+	systematic := func(extra int) []byte {
+		var buf bytes.Buffer
+		if err := writeSessionHeader(&buf, sessionHeader{params: p, segments: 1, length: int64(obj.Length), mode: ModeSystematic}); err != nil {
+			t.Fatal(err)
+		}
+		emit := func(b *rlnc.CodedBlock) {
+			rec, err := frameSystematicRecord(b, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf.Write(rec)
+		}
+		se := rlnc.NewSystematicEncoder(seg, rand.New(rand.NewSource(44)))
+		for i := 0; i < p.BlockCount-1; i++ {
+			emit(se.Block())
+		}
+		last := se.Block().Clone()
+		rng := rand.New(rand.NewSource(45))
+		for i := 0; i < extra; i++ {
+			repair := &rlnc.CodedBlock{SegmentID: seg.ID(), Coeffs: make([]byte, p.BlockCount), Payload: make([]byte, p.BlockSize)}
+			for c := 0; c < p.BlockCount-1; c++ {
+				if rng.Intn(2) == 1 {
+					repair.Coeffs[c] = 1
+					gf256.XorSlice(repair.Payload, seg.Block(c))
+				}
+			}
+			emit(repair)
+		}
+		emit(last)
+		return buf.Bytes()
+	}
 	fetchAllocs := func(wire []byte, records int) float64 {
 		conn := &streamConn{}
 		return testing.AllocsPerRun(20, func() {
@@ -628,12 +665,17 @@ func TestFetcherRecordPathDoesNotAllocate(t *testing.T) {
 	// A GC in the middle of a run empties the pools the steady state relies
 	// on and would charge the refill to whichever run it hit.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	short := fetchAllocs(stream(0), p.BlockCount)
-	long := fetchAllocs(stream(48), p.BlockCount+48)
-	// One allocation per record would show as 48 more; the race detector's
-	// sync.Pool, which drops Puts at random, shows as one or two either way.
-	if perRecord := (long - short) / 48; perRecord > 0.25 || perRecord < -0.25 {
-		t.Fatalf("a fetch allocates %v times over %d records and %v over %d: %.2f allocations per extra record, want 0",
-			short, p.BlockCount, long, p.BlockCount+48, perRecord)
+	for _, mode := range []struct {
+		name   string
+		stream func(extra int) []byte
+	}{{"dense", dense}, {"systematic", systematic}} {
+		short := fetchAllocs(mode.stream(0), p.BlockCount)
+		long := fetchAllocs(mode.stream(48), p.BlockCount+48)
+		// One allocation per record would show as 48 more; the race detector's
+		// sync.Pool, which drops Puts at random, shows as one or two either way.
+		if perRecord := (long - short) / 48; perRecord > 0.25 || perRecord < -0.25 {
+			t.Fatalf("%s: a fetch allocates %v times over %d records and %v over %d: %.2f allocations per extra record, want 0",
+				mode.name, short, p.BlockCount, long, p.BlockCount+48, perRecord)
+		}
 	}
 }

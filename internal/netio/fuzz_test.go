@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"math/rand"
 	"net"
@@ -168,6 +169,41 @@ func FuzzDecisionRecord(f *testing.F) {
 			if verr := hs.hdr.params.Validate(); verr != nil {
 				t.Fatalf("accepted handshake with bad params: %v", verr)
 			}
+		}
+	})
+}
+
+// FuzzNeedRecord feeds arbitrary bytes to the parser of the protocol's one
+// client→server record. There is exactly one valid need record — the reserved
+// word is zero — so the parser must accept that and nothing else: no other
+// magic, no reserved bit (checksummed or not), no stale checksum, no other
+// length.
+func FuzzNeedRecord(f *testing.F) {
+	mutated := func(mutate func(rec []byte), refreshCRC bool) []byte {
+		rec := append([]byte(nil), needRecord[:]...)
+		mutate(rec)
+		if refreshCRC {
+			binary.BigEndian.PutUint32(rec[8:], crc32.ChecksumIEEE(rec[:8]))
+		}
+		return rec
+	}
+	f.Add(needRecord[:])
+	f.Add(mutated(func(rec []byte) { copy(rec, decisionMagic) }, true)) // another record's magic
+	f.Add(mutated(func(rec []byte) { rec[7] = 1 }, true))               // reserved word set, checksum good
+	f.Add(mutated(func(rec []byte) { rec[7] = 1 }, false))              // reserved word set, checksum stale
+	f.Add(mutated(func(rec []byte) { rec[11] ^= 0x80 }, false))         // flipped checksum bit
+	for _, cut := range []int{0, 3, 4, 8, needRecordLen - 1} {
+		f.Add(needRecord[:cut])
+	}
+	f.Add(append(needRecord[:], 0)) // one byte too many
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		err := parseNeedRecord(data)
+		if valid := bytes.Equal(data, needRecord[:]); (err == nil) != valid {
+			t.Fatalf("parseNeedRecord(%x) = %v, the one valid record is %x", data, err, needRecord)
+		}
+		if err != nil && !errors.Is(err, ErrBadNeedRecord) {
+			t.Fatalf("parseNeedRecord(%x) failed with %v, want ErrBadNeedRecord", data, err)
 		}
 	})
 }

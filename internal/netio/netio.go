@@ -4,6 +4,9 @@
 // for every segment of an object; a client decodes progressively and hangs
 // up as soon as it holds full rank for everything — no acknowledgements,
 // retransmissions, or block scheduling needed, because any blocks work.
+// The one exception is the cheapest stream: a media-backed systematic server
+// writes each session the source blocks once and then stops until the client
+// says it still lacks rank (the need record below).
 //
 // The Server (server.go) multiplexes many concurrent sessions over one
 // shared encoder with bounded per-client queues, write deadlines, and a
@@ -44,6 +47,22 @@ import (
 // are rejected: a client that cannot parse a feature's framing must not
 // guess at record boundaries.
 //
+// With hsFlagSweep set, the records after the handshake are one systematic
+// sweep — every source block of every segment exactly once, as XNC2 records,
+// n × segments of them — and then nothing: the server sends no more until the
+// client writes the protocol's one client→server record,
+//
+//	need: magic "XNCN" | u32 reserved (zero) | u32 CRC-32 (IEEE) over the
+//	      eight bytes above
+//
+// after which repair records (XNC2 XOR repair, XNC1 dense) follow until the
+// client closes, as on any other session. A client that decoded everything
+// from the sweep just closes. The server reads nothing before its sweep is
+// written and at most these 12 bytes after it; a peer that sends anything
+// else, or stays silent past the server's write-deadline budget, is dropped.
+// The reserved word is where a client will one day say what it already holds.
+// Without the flag the client must send nothing, ever.
+//
 // The wire mode is the server's declaration of the coding discipline for the
 // whole session; the client adapts its record parser to it. In ModeDense
 // every record is an XNC1 dense block. In ModeSystematic records interleave
@@ -54,9 +73,6 @@ const (
 	protoMagic     = "XNCP"
 	protoVersion   = 3
 	protoHeaderLen = 4 + 4 + 4 + 4 + 4 + 8 + 4 + 4 + 4
-
-	// maxRecordLen bounds a record claim before allocation.
-	maxRecordLen = 64 << 20
 )
 
 // Session flag bits (the u32 flags word of the session header).
@@ -65,9 +81,48 @@ const (
 	// record carries a round-span prelude.
 	hsFlagTrace uint32 = 1 << 0
 
+	// hsFlagSweep: the session opens with one systematic sweep and then waits
+	// for the client's need record before sending repair.
+	hsFlagSweep uint32 = 1 << 1
+
 	// hsFlagKnown masks the bits this implementation understands.
-	hsFlagKnown = hsFlagTrace
+	hsFlagKnown = hsFlagTrace | hsFlagSweep
 )
+
+// The need record: what a client on an hsFlagSweep session writes, once, when
+// the sweep left it short of rank.
+const (
+	needMagic     = "XNCN"
+	needRecordLen = 4 + 4 + 4
+)
+
+// ErrBadNeedRecord reports client→server bytes that are not a need record.
+var ErrBadNeedRecord = errors.New("netio: bad need record")
+
+// needRecord is the one need record there is: the reserved word is zero.
+var needRecord = func() [needRecordLen]byte {
+	var rec [needRecordLen]byte
+	copy(rec[:], needMagic)
+	binary.BigEndian.PutUint32(rec[8:], crc32.ChecksumIEEE(rec[:8]))
+	return rec
+}()
+
+// parseNeedRecord validates a need record. A non-zero reserved word is
+// refused, like an unknown handshake flag: it will mean something one day, and
+// a server that does not know what must not guess.
+func parseNeedRecord(rec []byte) error {
+	switch {
+	case len(rec) != needRecordLen:
+		return fmt.Errorf("%w: %d bytes", ErrBadNeedRecord, len(rec))
+	case string(rec[:4]) != needMagic:
+		return fmt.Errorf("%w: magic", ErrBadNeedRecord)
+	case crc32.ChecksumIEEE(rec[:8]) != binary.BigEndian.Uint32(rec[8:]):
+		return fmt.Errorf("%w: checksum", ErrBadNeedRecord)
+	case binary.BigEndian.Uint32(rec[4:]) != 0:
+		return fmt.Errorf("%w: reserved word %#x", ErrBadNeedRecord, binary.BigEndian.Uint32(rec[4:]))
+	}
+	return nil
+}
 
 // WireMode selects the session's coding discipline, negotiated in the
 // handshake (declared by the server, adopted by the client).
@@ -78,9 +133,11 @@ const (
 	// maximum-innovation discipline (dependence probability ≈ 1/256 per
 	// missing rank) at full table-driven arithmetic cost.
 	ModeDense WireMode = 0
-	// ModeSystematic streams each segment as a systematic sweep (source
-	// blocks verbatim), then GF(2) XOR repair blocks, then a dense GF(2^8)
-	// tail — the wire-speed discipline for lightly-lossy links.
+	// ModeSystematic streams source blocks verbatim, GF(2) XOR repair blocks
+	// and a dense GF(2^8) tail — the wire-speed discipline for lightly-lossy
+	// links. A media-backed server sends each session the source blocks once
+	// and repair only on request (hsFlagSweep); a relay has no source blocks
+	// to sweep and pushes its GF(2) recombinations as in ModeDense.
 	ModeSystematic WireMode = 1
 )
 
@@ -125,6 +182,19 @@ type sessionHeader struct {
 	segments int
 	length   int64
 	mode     WireMode
+}
+
+// recordSizes returns the marshaled record lengths a session of h can carry.
+// Every record is a CodedBlock for the handshake's (n, k), so its framed
+// length is a constant — two constants in systematic mode, where compact XNC2
+// GF(2) records interleave with XNC1 dense ones; in dense mode both are the
+// XNC1 size. A length prefix that matches neither is framing loss.
+func (h sessionHeader) recordSizes() (dense, xor uint32) {
+	dense = uint32(rlnc.WireSize(h.params))
+	if h.mode == ModeSystematic {
+		return dense, uint32(rlnc.XorWireSize(h.params))
+	}
+	return dense, dense
 }
 
 // writeSessionHeader writes a header with no optional features — the

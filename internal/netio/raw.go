@@ -15,23 +15,33 @@ import (
 // their payloads. It exists for capacity measurement — the ncload harness
 // drives thousands of these against one server so the saturation curve
 // reflects server-side coding and framing cost, not client decode speed.
-// Records are framing-checked only (plausible length prefix); checksum and
-// shape validation are the decoding client's job.
+// Records are framing-checked only (the length prefix must be one of the
+// session's record sizes); checksum and shape validation are the decoding
+// client's job.
+//
+// A drain client wants every record a server can produce, so on a sweep
+// session (a media-backed systematic server, which otherwise falls silent
+// after one pass over the source blocks) it asks for repair up front: the
+// stream it reads is the sweep followed by the pump's output, without end.
 //
 // A RawClient is not safe for concurrent use. Close unblocks a pending Next.
 type RawClient struct {
-	conn    net.Conn
-	br      *bufio.Reader
-	hdr     sessionHeader
-	traced  bool // session negotiated round preludes before every record
-	records int64
-	bytes   int64
+	conn              net.Conn
+	br                *bufio.Reader
+	hdr               sessionHeader
+	traced            bool   // session negotiated round preludes before every record
+	expect, expectXor uint32 // sessionHeader.recordSizes
+	records           int64
+	bytes             int64
 }
 
 // NewRawClient performs the client side of the handshake on conn and returns
 // a reader positioned at the first record. A BUSY or REDIRECT admission
 // decision is returned as its sentinel error (ErrAdmissionBusy,
 // ErrAdmissionRedirect); on any handshake failure the connection is closed.
+// On a sweep session it writes the need record before returning; the server
+// reads it when its sweep is written, so conn must buffer those 12 bytes, as
+// any socket does.
 func NewRawClient(conn net.Conn) (*RawClient, error) {
 	br := bufio.NewReaderSize(conn, 32<<10)
 	hs, err := readHandshake(br)
@@ -43,7 +53,15 @@ func NewRawClient(conn net.Conn) (*RawClient, error) {
 		conn.Close()
 		return nil, hs.dec.Err()
 	}
-	return &RawClient{conn: conn, br: br, hdr: hs.hdr, traced: hs.traced()}, nil
+	if hs.flags&hsFlagSweep != 0 {
+		if _, err := conn.Write(needRecord[:]); err != nil {
+			conn.Close()
+			return nil, fmt.Errorf("netio: need record: %w", err)
+		}
+	}
+	c := &RawClient{conn: conn, br: br, hdr: hs.hdr, traced: hs.traced()}
+	c.expect, c.expectXor = hs.hdr.recordSizes()
+	return c, nil
 }
 
 // Params returns the coding parameters declared in the handshake.
@@ -81,8 +99,8 @@ func (c *RawClient) Next() (int, error) {
 		return 0, err
 	}
 	n := binary.BigEndian.Uint32(lenBuf[:])
-	if n == 0 || n > maxRecordLen {
-		return 0, fmt.Errorf("%w: %d", ErrRecordLength, n)
+	if n != c.expect && n != c.expectXor {
+		return 0, fmt.Errorf("%w: %d, want %d", ErrRecordLength, n, c.expect)
 	}
 	if _, err := c.br.Discard(int(n)); err != nil {
 		return 0, err

@@ -62,11 +62,10 @@ func (pipeListenerAddr) String() string  { return "pipe" }
 
 func (l *pipeListener) Addr() net.Addr { return pipeListenerAddr{} }
 
-// startPipeServer serves srv on a fresh in-memory listener for the lifetime
-// of the test, shutting both down at cleanup. Sessions come from l.Dial().
-func startPipeServer(t testing.TB, srv *Server) *pipeListener {
+// serveOn serves srv on l for the lifetime of the test, shutting both down at
+// cleanup.
+func serveOn(t testing.TB, srv *Server, l net.Listener) {
 	t.Helper()
-	l := newPipeListener()
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(context.Background(), l) }()
 	t.Cleanup(func() {
@@ -74,6 +73,14 @@ func startPipeServer(t testing.TB, srv *Server) *pipeListener {
 		l.Close()
 		<-done
 	})
+}
+
+// startPipeServer serves srv on a fresh in-memory listener for the lifetime
+// of the test. Sessions come from l.Dial().
+func startPipeServer(t testing.TB, srv *Server) *pipeListener {
+	t.Helper()
+	l := newPipeListener()
+	serveOn(t, srv, l)
 	return l
 }
 
@@ -446,7 +453,7 @@ func TestFetchSentinels(t *testing.T) {
 			length:   256,
 		})
 		var lenBuf [4]byte
-		binary.BigEndian.PutUint32(lenBuf[:], maxRecordLen+1)
+		binary.BigEndian.PutUint32(lenBuf[:], 64<<20+1)
 		server1.Write(lenBuf[:])
 		server1.Close()
 	}()

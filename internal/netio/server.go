@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
+	"math/bits"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -46,16 +48,30 @@ const writerBatch = 16
 // session only, and per-connection write deadlines with retry-then-drop
 // semantics bound the cost of a stuck peer. Metrics accumulate both in the
 // aggregate counters and per shard, exposed via Snapshot.
+//
+// A media-backed ModeSystematic server does not push its source blocks. Each
+// session moves through three states on its own goroutine: sweep — it writes
+// every source block of the object once, from a table of framed records all
+// sessions share, as fast as its connection takes them, through no queue;
+// wait — it blocks in one read, which ends when the peer hangs up (it decoded
+// from the sweep: the common case, and the pump never woke), sends a need
+// record, sends anything else, or outlasts the write-deadline budget; repair
+// — only a session that sent the need record joins the pump's fan-out above,
+// whose source emits XOR repair and dense blocks. The session is in its
+// shard's set from the handshake on, so the session cap, Snapshot, Drain and
+// Shutdown see it in every state.
 type Server struct {
 	cfg  ServerConfig // normalized
 	info SessionInfo
 
 	frames *framePool
 	shards []*pumpShard
+	sweep  *sweepTable // media-backed ModeSystematic only; shared by every shard
 
 	counters         Counters
 	sessionsTotal    obs.Counter
 	sessionsRejected obs.Counter
+	needRecords      obs.Counter  // sessions that asked for repair after their sweep
 	sessionSecs      atomic.Int64 // summed finished-session durations, in ns
 
 	// Admission and degradation surface: decisions written to rejected
@@ -168,7 +184,11 @@ func NewServerFromConfig(media []byte, p rlnc.Params, cfg ServerConfig) (*Server
 		srcs[i] = osrc
 		pooled[i] = true
 	}
-	return newServer(srcs[0].Info(), cfg, pool, srcs, pooled)
+	s, err := newServer(srcs[0].Info(), cfg, pool, srcs, pooled)
+	if err == nil && cfg.Mode == ModeSystematic {
+		s.sweep = newSweepTable(obj)
+	}
+	return s, err
 }
 
 // NewSourceServerFromConfig builds a server over an arbitrary RecordSource:
@@ -277,6 +297,10 @@ func (s *Server) registerMetrics(reg *obs.Registry) error {
 		"connections refused by the session cap or brownout", &s.sessionsRejected); err != nil {
 		return err
 	}
+	if err := reg.RegisterCounter("netio.need_records",
+		"systematic sessions that asked for repair after their sweep: the leaves that saw loss", &s.needRecords); err != nil {
+		return err
+	}
 	if err := reg.RegisterCounter("netio.admission_busy",
 		"BUSY admission decisions written to new connections", &s.admissionBusy); err != nil {
 		return err
@@ -341,6 +365,11 @@ type session struct {
 	sent    atomic.Int64
 	shed    atomic.Int64
 	bytes   atomic.Int64
+
+	// pumped marks a session the shard's pump feeds: every session of a
+	// pushing server from the moment it joins, a sweep session only once it
+	// has asked for repair.
+	pumped atomic.Bool
 
 	stop chan struct{} // closed on server shutdown
 }
@@ -476,30 +505,36 @@ func (s *Server) rejectSession(conn net.Conn, d admissionDecision) {
 	}()
 }
 
-// runSession writes the handshake, joins the least-loaded shard's fan-out
-// set, and streams queued records until the peer hangs up, a write fails its
-// deadline budget, or the server shuts down.
+// runSession writes the handshake, joins the least-loaded shard's session
+// set, and streams records — the sweep first on a sweep server, then, for a
+// session the pump feeds, whatever the pump queues — until the peer hangs up,
+// a write fails its deadline budget, or the server shuts down.
 func (s *Server) runSession(ss *session) {
 	defer s.wg.Done()
 	defer ss.conn.Close()
 
-	h := s.info.header()
+	var flags uint32
+	size := protoHeaderLen
+	if s.traced {
+		flags |= hsFlagTrace
+		size += traceFixedLen + traceCtxMax + traceCRCLen
+	}
+	if s.sweep != nil {
+		flags |= hsFlagSweep
+	}
+	// One write covers header and trace context so a slow peer cannot split
+	// the handshake across deadline windows.
+	buf := appendSessionHeader(make([]byte, 0, size), s.info.header(), flags)
+	if s.traced {
+		buf = appendTraceContext(buf, traceContext{trace: s.traceID, root: s.rootSpan.ID()})
+	}
 	// The handshake gets one deadline window and no retry: a peer that
 	// connects and never reads must not pin the session goroutine.
 	if s.cfg.WriteDeadline > 0 {
 		ss.conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteDeadline))
 	}
 	hsp := stageHandshake.Start()
-	var err error
-	if s.traced {
-		// One write covers header and trace context so a slow peer cannot
-		// split the handshake across deadline windows.
-		buf := appendSessionHeader(make([]byte, 0, protoHeaderLen+traceFixedLen+traceCtxMax+traceCRCLen), h, hsFlagTrace)
-		buf = appendTraceContext(buf, traceContext{trace: s.traceID, root: s.rootSpan.ID()})
-		_, err = ss.conn.Write(buf)
-	} else {
-		err = writeSessionHeader(ss.conn, h)
-	}
+	_, err := ss.conn.Write(buf)
 	hsp.End()
 	if err == nil {
 		s.mu.Lock()
@@ -507,6 +542,7 @@ func (s *Server) runSession(ss *session) {
 		if joined {
 			sh := s.leastLoadedShard()
 			ss.shard = sh
+			ss.pumped.Store(s.sweep == nil)
 			sh.mu.Lock()
 			sh.sessions[ss] = struct{}{}
 			sh.mu.Unlock()
@@ -514,8 +550,10 @@ func (s *Server) runSession(ss *session) {
 		}
 		s.mu.Unlock()
 		if joined {
-			ss.shard.signalWake()
-			s.writeLoop(ss)
+			if s.sweep == nil || s.sweepSession(ss) {
+				ss.shard.signalWake()
+				s.writeLoop(ss)
+			}
 			s.mu.Lock()
 			ss.shard.mu.Lock()
 			delete(ss.shard.sessions, ss)
@@ -526,6 +564,83 @@ func (s *Server) runSession(ss *session) {
 	}
 	s.shedResidue(ss)
 	s.sessionSecs.Add(int64(time.Since(ss.started)))
+}
+
+// sweepStart is where session id's sweep begins in the flattened (segment,
+// block) index of total records: frac(id·φ)·total, φ the golden ratio.
+// Successive sessions start as far from all earlier ones as any fixed rule
+// can put them, so a client whose sessions are cut short — a lossy link resets
+// long before a sweep ends — still covers the object across its reconnects
+// without telling the server what it holds. (A start at zero re-reads the
+// object's first blocks forever; a server-wide cursor wraps to where it
+// began, because a small sweep vanishes whole into the socket buffer.)
+func sweepStart(id int64, total int) int {
+	const fracPhi = 0x9E3779B97F4A7C15 // 2^64·(φ−1)
+	hi, _ := bits.Mul64(uint64(id)*fracPhi, uint64(total))
+	return int(hi)
+}
+
+// sweepSession runs the sweep and wait states of a systematic session and
+// reports whether the peer asked for repair, in which case the session is the
+// pump's from here on. Nothing is read during the sweep, so what a peer writes
+// meanwhile costs nothing. The wait is a single read of at most one need
+// record under a deadline of the whole write budget: end of stream is a peer
+// that has what it came for, and anything but a need record — garbage, a
+// flood, silence — ends the session.
+func (s *Server) sweepSession(ss *session) (repair bool) {
+	if s.writeSweep(ss) != nil {
+		return false
+	}
+	if s.cfg.WriteDeadline > 0 {
+		ss.conn.SetReadDeadline(time.Now().Add(s.cfg.WriteDeadline * time.Duration(1+s.cfg.WriteRetries)))
+	}
+	var rec [needRecordLen]byte
+	if _, err := io.ReadFull(ss.conn, rec[:]); err != nil || parseNeedRecord(rec[:]) != nil {
+		return false
+	}
+	s.needRecords.Inc()
+	ss.pumped.Store(true)
+	return true
+}
+
+// writeSweep writes the shared table's records straight to the connection, at
+// most writerBatch per vectored write, under the same deadline, retry and
+// short-write rules as any flush. Every record is offered, and then sent or
+// shed, in the session's ledger; none is encoded — that counter is the pump's.
+func (s *Server) writeSweep(ss *session) error {
+	total := len(s.sweep.records)
+	n := s.info.Params.BlockCount
+	start := sweepStart(ss.id, total)
+	// Private headers over the shared records, so the batch goes through the
+	// same flush as a queued one; nothing retains or releases them.
+	var refs [writerBatch]frameRef
+	batch := make([]*frameRef, 0, writerBatch)
+	bufs := make(net.Buffers, 0, 2*writerBatch)
+	var preludes []byte
+	var sp trace.Span
+	if s.traced {
+		preludes = make([]byte, writerBatch*recordPreludeLen)
+		sp = trace.Begin(s.cfg.TraceNode, "sweep", s.traceID, s.rootSpan.ID(), -1)
+		defer sp.End()
+	}
+	for done := 0; done < total; done += len(batch) {
+		batch = batch[:min(writerBatch, total-done)]
+		for i := range batch {
+			idx := (start + done + i) % total
+			refs[i].buf = s.sweep.record(idx)
+			refs[i].round = uint64(sp.ID())
+			refs[i].seg = int32(idx / n)
+			batch[i] = &refs[i]
+		}
+		offered := int64(len(batch))
+		ss.offered.Add(offered)
+		s.counters.AddOffered(offered)
+		ss.shard.c.offered.Add(offered)
+		if err := s.flush(ss, batch, &bufs, preludes); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // leastLoadedShard picks the shard with the fewest sessions (ties go to the
@@ -591,34 +706,7 @@ func (s *Server) writeLoop(ss *session) {
 			}
 		}
 		ss.shard.signalConsumed()
-		wsp := stageRecordSend.Start()
-		var fsp trace.Span
-		if s.traced {
-			// The flush span parents under the first frame's round — batches
-			// usually drain in round order, so the attribution error is at
-			// most one round boundary per flush.
-			fsp = trace.Begin(s.cfg.TraceNode, "flush", s.traceID, trace.SpanID(batch[0].round), batch[0].seg)
-		}
-		sentN, sentBytes, err := s.writeFrames(ss, batch[:n], &bufs, preludes)
-		fsp.End()
-		if s.traced {
-			wsp.EndTraced(uint64(s.traceID), uint64(fsp.ID()))
-		} else {
-			wsp.End()
-		}
-		if sentN > 0 {
-			ss.sent.Add(int64(sentN))
-			ss.bytes.Add(sentBytes)
-			s.counters.AddSent(int64(sentN), sentBytes)
-			ss.shard.c.sent.Add(int64(sentN))
-			ss.shard.c.bytes.Add(sentBytes)
-		}
-		if dropped := int64(n - sentN); dropped > 0 {
-			ss.shed.Add(dropped)
-			s.counters.AddShed(dropped)
-			ss.shard.c.shed.Add(dropped)
-			trace.Emit(trace.KindShed, s.traceNodeName(), "write_failed", -1, dropped)
-		}
+		err := s.flush(ss, batch[:n], &bufs, preludes)
 		for i := 0; i < n; i++ {
 			batch[i].release()
 			batch[i] = nil
@@ -627,6 +715,41 @@ func (s *Server) writeLoop(ss *session) {
 			return
 		}
 	}
+}
+
+// flush writes batch to the session's connection and settles the ledger for
+// it: what reached the wire whole is sent, the rest — on a failed write — is
+// shed.
+func (s *Server) flush(ss *session, batch []*frameRef, bufs *net.Buffers, preludes []byte) error {
+	wsp := stageRecordSend.Start()
+	var fsp trace.Span
+	if s.traced {
+		// The flush span parents under the first frame's round — batches
+		// usually drain in round order, so the attribution error is at
+		// most one round boundary per flush.
+		fsp = trace.Begin(s.cfg.TraceNode, "flush", s.traceID, trace.SpanID(batch[0].round), batch[0].seg)
+	}
+	sentN, sentBytes, err := s.writeFrames(ss, batch, bufs, preludes)
+	fsp.End()
+	if s.traced {
+		wsp.EndTraced(uint64(s.traceID), uint64(fsp.ID()))
+	} else {
+		wsp.End()
+	}
+	if sentN > 0 {
+		ss.sent.Add(int64(sentN))
+		ss.bytes.Add(sentBytes)
+		s.counters.AddSent(int64(sentN), sentBytes)
+		ss.shard.c.sent.Add(int64(sentN))
+		ss.shard.c.bytes.Add(sentBytes)
+	}
+	if dropped := int64(len(batch) - sentN); dropped > 0 {
+		ss.shed.Add(dropped)
+		s.counters.AddShed(dropped)
+		ss.shard.c.shed.Add(dropped)
+		trace.Emit(trace.KindShed, s.traceNodeName(), "write_failed", -1, dropped)
+	}
+	return err
 }
 
 // writeFrames flushes frs in one vectored write (TCP connections use a
@@ -732,11 +855,12 @@ func (s *Server) effectivePace() time.Duration {
 }
 
 // run is one shard's record loop: it pulls a batch from the shard's source
-// for each segment in turn and fans the framed records out to every shard
-// session's queue without ever blocking on a client. When no session can
-// take a block (every queue full) the pump parks briefly and the wait is
-// charged to the encode-stall counters; when no session exists at all it
-// sleeps until one arrives, with nothing charged. A dry source (a relay
+// for each segment in turn and fans the framed records out to the queue of
+// every shard session it feeds (on a sweep server, the ones that asked for
+// repair) without ever blocking on a client. When no session can take a
+// block (every queue full) the pump parks briefly and the wait is charged to
+// the encode-stall counters; when there is no session to feed it sleeps until
+// one arrives, with nothing charged. A dry source (a relay
 // whose recoders have no rank yet) parks the pump briefly without charging
 // a stall.
 func (sh *pumpShard) run() {
@@ -756,7 +880,9 @@ func (sh *pumpShard) run() {
 		sh.mu.Lock()
 		live = live[:0]
 		for ss := range sh.sessions {
-			live = append(live, ss)
+			if ss.pumped.Load() {
+				live = append(live, ss)
+			}
 		}
 		sh.mu.Unlock()
 		if len(live) == 0 {
@@ -887,7 +1013,7 @@ func frameRecord(b *rlnc.CodedBlock, alloc func(int) []byte) ([]byte, error) {
 
 // frameSystematicRecord marshals a coded block in the systematic session's
 // per-block encoding: the compact XNC2 GF(2) format for binary blocks
-// (systematic sweep and XOR repair), XNC1 for the dense tail.
+// (source blocks and XOR repair), XNC1 for dense ones.
 func frameSystematicRecord(b *rlnc.CodedBlock, alloc func(int) []byte) ([]byte, error) {
 	var body []byte
 	var err error
@@ -905,10 +1031,12 @@ func frameSystematicRecord(b *rlnc.CodedBlock, alloc func(int) []byte) ([]byte, 
 // frameBody prefixes body with its length, writing into a buffer from alloc
 // (pooled for the server's own sources, plain make elsewhere).
 func frameBody(body []byte, alloc func(int) []byte) []byte {
-	if alloc == nil {
-		alloc = func(n int) []byte { return make([]byte, n) }
+	var rec []byte
+	if alloc != nil {
+		rec = alloc(4 + len(body))
+	} else {
+		rec = make([]byte, 4+len(body))
 	}
-	rec := alloc(4 + len(body))
 	binary.BigEndian.PutUint32(rec, uint32(len(body)))
 	copy(rec[4:], body)
 	return rec

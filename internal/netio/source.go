@@ -65,7 +65,7 @@ type RecordSource interface {
 // contract is only that lean output stays protocol-valid and that SetLean is
 // safe to call concurrently with Records (the server calls it from the
 // brownout goroutine while the pumps run). The media-backed systematic
-// source drops its dense tail and halves its XOR repair rate when lean;
+// source drops its dense tail and halves its XOR repair per cycle when lean;
 // dense sources have no cheaper schedule and treat SetLean as a no-op.
 type DegradableSource interface {
 	RecordSource
@@ -126,10 +126,48 @@ func FrameRecord(b *rlnc.CodedBlock, mode WireMode) ([]byte, error) {
 	return frameRecord(b, nil)
 }
 
+// sweepTable holds the systematic sweep of a media-backed ModeSystematic
+// server, framed: entry seg·n + i is the XNC2 record of source block i of
+// segment seg, length prefix included. The record is a constant, so it is
+// framed once — two k-byte copies, an allocation and a CRC that the pump used
+// to repeat every cycle — and every session of every shard writes the same
+// bytes. Entries are built on first use: server bring-up is a gated metric, and
+// a server nobody has fetched from yet should not have paid to frame its object.
+type sweepTable struct {
+	obj     *rlnc.Object
+	records []atomic.Pointer[[]byte]
+}
+
+func newSweepTable(obj *rlnc.Object) *sweepTable {
+	return &sweepTable{obj: obj, records: make([]atomic.Pointer[[]byte], len(obj.Segments)*obj.Params.BlockCount)}
+}
+
+// record returns entry idx, framing it if no session has yet. Two sessions
+// racing for one entry frame identical bytes; the first to publish wins.
+func (t *sweepTable) record(idx int) []byte {
+	if rec := t.records[idx].Load(); rec != nil {
+		return *rec
+	}
+	n := t.obj.Params.BlockCount
+	seg := t.obj.Segments[idx/n]
+	coeffs := make([]byte, n)
+	coeffs[idx%n] = 1
+	rec, err := frameSystematicRecord(&rlnc.CodedBlock{SegmentID: seg.ID(), Coeffs: coeffs, Payload: seg.Block(idx % n)}, nil)
+	if err != nil {
+		// A unit vector over a validated segment marshals.
+		panic("netio: framing a source block: " + err.Error())
+	}
+	if !t.records[idx].CompareAndSwap(nil, &rec) {
+		return *t.records[idx].Load()
+	}
+	return rec
+}
+
 // objectSource is the media-backed RecordSource behind NewServerFromConfig:
-// dense batches through the shared parallel encoder, or the systematic sweep
-// → XOR repair → dense tail schedule per segment in ModeSystematic. A
-// sharded server builds one objectSource per shard, each with its own seed
+// dense batches through the shared parallel encoder, or, in ModeSystematic,
+// the XOR repair → dense tail part of the systematic schedule per segment —
+// the sweep reaches each session from the server's sweepTable, not from here.
+// A sharded server builds one objectSource per shard, each with its own seed
 // lane.
 type objectSource struct {
 	obj  *rlnc.Object
@@ -155,6 +193,10 @@ type objectSource struct {
 	leanApplied bool // pump-goroutine local
 	defXor      int
 	defTail     int
+
+	// recs is the slice Records returns, reused round after round: the pump is
+	// the only caller and is done with a round's records before it asks again.
+	recs [][]byte
 }
 
 func newObjectSource(obj *rlnc.Object, mode WireMode, penc *rlnc.ParallelEncoder, seed int64) *objectSource {
@@ -205,22 +247,26 @@ func (o *objectSource) Info() SessionInfo {
 	}
 }
 
+// Records implements RecordSource. The returned slice is valid until the next
+// call.
 func (o *objectSource) Records(seg, batch int) [][]byte {
+	recs := o.recs[:0]
 	if o.mode == ModeSystematic {
-		// Systematic schedule: the per-segment encoder cycles sweep → XOR
-		// repair → dense tail; binary blocks go out in the compact GF(2)
-		// encoding. Block is the non-retaining emit — the record is
-		// marshaled before the next call reuses its storage.
+		// Repair only: the sessions the pump feeds have had the sweep and
+		// asked for more. The per-segment encoder cycles XOR repair → dense
+		// tail; binary blocks go out in the compact GF(2) encoding.
+		// RepairBlock is a non-retaining emit — the record is marshaled
+		// before the next call reuses its storage.
 		o.applyLean()
 		se := o.sysEncs[seg]
-		recs := make([][]byte, 0, batch)
 		for i := 0; i < batch; i++ {
-			rec, err := frameSystematicRecord(se.Block(), o.alloc)
+			rec, err := frameSystematicRecord(se.RepairBlock(), o.alloc)
 			if err != nil {
 				continue
 			}
 			recs = append(recs, rec)
 		}
+		o.recs = recs
 		return recs
 	}
 	blocks, err := o.penc.Encode(o.obj.Segments[seg], batch, o.seed)
@@ -229,7 +275,6 @@ func (o *objectSource) Records(seg, batch int) [][]byte {
 		// Unreachable for a validated object; drop the batch.
 		return nil
 	}
-	recs := make([][]byte, 0, len(blocks))
 	for _, blk := range blocks {
 		rec, err := frameRecord(blk, o.alloc)
 		if err != nil {
@@ -237,6 +282,7 @@ func (o *objectSource) Records(seg, batch int) [][]byte {
 		}
 		recs = append(recs, rec)
 	}
+	o.recs = recs
 	return recs
 }
 

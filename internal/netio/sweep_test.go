@@ -1,0 +1,813 @@
+package netio
+
+import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
+	"io"
+	"math/rand"
+	"net"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"extremenc/internal/faultnet"
+	"extremenc/internal/obs"
+	"extremenc/internal/obs/trace"
+	"extremenc/internal/rlnc"
+)
+
+// The systematic session: sweep → wait → repair. These tests run over
+// net.Pipe wherever a state has to be held still — a pipe write returns only
+// when the peer has read it, so "the client has read r records" pins the
+// server mid-sweep exactly.
+
+// readCountListener counts what the server reads from the connections it
+// accepts: the whole inbound cost of a peer.
+type readCountListener struct {
+	net.Listener
+	calls, bytes atomic.Int64
+}
+
+func (l *readCountListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &readCountConn{Conn: c, l: l}, nil
+}
+
+type readCountConn struct {
+	net.Conn
+	l *readCountListener
+}
+
+func (c *readCountConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.l.calls.Add(1)
+	c.l.bytes.Add(int64(n))
+	return n, err
+}
+
+// writeCountConn counts what a client writes.
+type writeCountConn struct {
+	net.Conn
+	bytes atomic.Int64
+}
+
+func (c *writeCountConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	c.bytes.Add(int64(n))
+	return n, err
+}
+
+func newSweepServer(t testing.TB, media []byte, p rlnc.Params, mutate func(*ServerConfig)) *Server {
+	t.Helper()
+	cfg := DefaultServerConfig()
+	cfg.Mode = ModeSystematic
+	if mutate != nil {
+		mutate(&cfg)
+	}
+	srv, err := NewServerFromConfig(media, p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv
+}
+
+// sweepClient is a hand-driven peer: it reads the handshake and then records,
+// one at a time, on request.
+type sweepClient struct {
+	t    testing.TB
+	conn net.Conn
+	hs   handshake
+	size int
+}
+
+func dialSweep(t testing.TB, conn net.Conn) *sweepClient {
+	t.Helper()
+	hs, err := readHandshake(conn)
+	if err != nil {
+		t.Fatalf("handshake: %v", err)
+	}
+	if hs.dec != nil || hs.flags&hsFlagSweep == 0 {
+		t.Fatalf("not a sweep session: decision %+v, flags %#x", hs.dec, hs.flags)
+	}
+	return &sweepClient{t: t, conn: conn, hs: hs, size: 4 + rlnc.XorWireSize(hs.hdr.params)}
+}
+
+// read consumes r sweep records and returns the source-block index each one
+// carries, flattened as segment·n + block.
+func (c *sweepClient) read(r int) []int {
+	c.t.Helper()
+	n := c.hs.hdr.params.BlockCount
+	idx := make([]int, 0, r)
+	rec := make([]byte, c.size)
+	var blk rlnc.CodedBlock
+	for i := 0; i < r; i++ {
+		if _, err := io.ReadFull(c.conn, rec); err != nil {
+			c.t.Fatalf("sweep record %d: %v", i, err)
+		}
+		if err := blk.UnmarshalBinaryXor(rec[4:]); err != nil {
+			c.t.Fatalf("sweep record %d: %v", i, err)
+		}
+		at := bytes.IndexByte(blk.Coeffs, 1)
+		if at < 0 || bytes.Count(blk.Coeffs, []byte{1}) != 1 {
+			c.t.Fatalf("sweep record %d is not a source block: %v", i, blk.Coeffs)
+		}
+		idx = append(idx, int(blk.SegmentID)*n+at)
+	}
+	return idx
+}
+
+func (c *sweepClient) total() int { return c.hs.hdr.params.BlockCount * c.hs.hdr.segments }
+
+// awaitClosed fails unless the server ends the session within the limit, and
+// reports how long it took.
+func (c *sweepClient) awaitClosed(limit time.Duration) time.Duration {
+	c.t.Helper()
+	t0 := time.Now()
+	c.conn.SetReadDeadline(t0.Add(limit))
+	var one [1]byte
+	if n, err := c.conn.Read(one[:]); n != 0 || err == nil || isTimeout(err) {
+		c.t.Fatalf("session still open after %v (read %d, %v)", limit, n, err)
+	}
+	return time.Since(t0)
+}
+
+func isTimeout(err error) bool {
+	var ne net.Error
+	return errors.As(err, &ne) && ne.Timeout()
+}
+
+func awaitSessions(t testing.TB, srv *Server, want int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); srv.Snapshot().Sessions != want; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("live sessions = %d, want %d", srv.Snapshot().Sessions, want)
+		}
+	}
+}
+
+// TestSweepTableMatchesEncoder: every table entry is, byte for byte, the
+// record the systematic encoder's sweep phase produces for that block through
+// FrameRecord — what the pump used to put on the wire — and nothing is framed
+// before a session wants it.
+func TestSweepTableMatchesEncoder(t *testing.T) {
+	p := rlnc.Params{BlockCount: 12, BlockSize: 100}
+	media := testMedia(t, 2*p.SegmentSize()-7, 61)
+	srv := newSweepServer(t, media, p, nil)
+	if srv.sweep == nil || len(srv.sweep.records) != 2*p.BlockCount {
+		t.Fatalf("sweep table: %+v", srv.sweep)
+	}
+	for i := range srv.sweep.records {
+		if srv.sweep.records[i].Load() != nil {
+			t.Fatalf("entry %d framed at construction", i)
+		}
+	}
+	obj, err := rlnc.Split(media, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s, seg := range obj.Segments {
+		se := rlnc.NewSystematicEncoder(seg, rand.New(rand.NewSource(1)))
+		for i := 0; i < p.BlockCount; i++ {
+			want, err := FrameRecord(se.Block(), ModeSystematic)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := srv.sweep.record(s*p.BlockCount + i)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("segment %d block %d: table record differs from the encoder's", s, i)
+			}
+			if again := srv.sweep.record(s*p.BlockCount + i); &again[0] != &got[0] {
+				t.Fatalf("segment %d block %d framed twice", s, i)
+			}
+		}
+	}
+	// Dense and source-backed servers have no table and announce no sweep.
+	dense, err := NewServerFromConfig(media, p, DefaultServerConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dense.sweep != nil {
+		t.Fatal("dense server built a sweep table")
+	}
+}
+
+// TestSweepStartSpreads: successive sessions start their sweeps far apart, and
+// never outside the table.
+func TestSweepStartSpreads(t *testing.T) {
+	for _, total := range []int{1, 2, 32, 256, 1000} {
+		seen := make(map[int]bool)
+		for id := int64(1); id <= 8; id++ {
+			s := sweepStart(id, total)
+			if s < 0 || s >= total {
+				t.Fatalf("sweepStart(%d, %d) = %d", id, total, s)
+			}
+			seen[s] = true
+		}
+		if total >= 32 && len(seen) != 8 {
+			t.Fatalf("total %d: 8 sessions share %d start points", total, len(seen))
+		}
+	}
+	// Any four consecutive sessions, each cut after a quarter of the sweep,
+	// overlap little: together they cover at least six tenths of the object.
+	const total = 256
+	for first := int64(1); first < 200; first++ {
+		covered := make([]bool, total)
+		for id := first; id < first+4; id++ {
+			for i, s := 0, sweepStart(id, total); i < total/4; i++ {
+				covered[(s+i)%total] = true
+			}
+		}
+		n := 0
+		for _, c := range covered {
+			if c {
+				n++
+			}
+		}
+		if n < total*6/10 {
+			t.Fatalf("sessions %d..%d cover %d of %d blocks", first, first+3, n, total)
+		}
+	}
+}
+
+// TestSweepLosslessFetch: on a clean link a leaf reads exactly n × segments
+// records and hangs up; the server encodes nothing, sheds nothing, hears no
+// need record, and its ledger balances — on every shard, which all write from
+// the one table.
+func TestSweepLosslessFetch(t *testing.T) {
+	p := rlnc.Params{BlockCount: 16, BlockSize: 256}
+	media := testMedia(t, 3*p.SegmentSize()-11, 62)
+	reg := obs.NewRegistry()
+	srv := newSweepServer(t, media, p, func(c *ServerConfig) {
+		c.PumpShards = 2
+		c.Metrics = reg
+	})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Skipf("loopback listen unavailable: %v", err)
+	}
+	serveOn(t, srv, l)
+
+	total := 3 * p.BlockCount
+	// Two hand-driven peers first, held open until both have joined, so the
+	// least-loaded rule has put one on each shard.
+	var held []*sweepClient
+	for i := 0; i < 2; i++ {
+		conn, err := net.Dial("tcp", l.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, dialSweep(t, conn))
+		awaitSessions(t, srv, i+1)
+	}
+	for _, c := range held {
+		c.read(total)
+		c.conn.Close()
+	}
+	const clients = 4 + 2
+	var wg sync.WaitGroup
+	for i := 0; i < clients-len(held); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			conn, err := net.Dial("tcp", l.Addr().String())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			payload, stats, err := Fetch(context.Background(), conn)
+			if err != nil || !bytes.Equal(payload, media) {
+				t.Errorf("fetch: %v (stats %+v)", err, stats)
+				return
+			}
+			if stats.Records != total || stats.Dependent != 0 || stats.BytesDiscarded != 0 {
+				t.Errorf("records %d dependent %d discarded %d, want %d, 0, 0", stats.Records, stats.Dependent, stats.BytesDiscarded, total)
+			}
+		}()
+	}
+	wg.Wait()
+	awaitSessions(t, srv, 0)
+	srv.Shutdown()
+
+	snap := srv.Snapshot()
+	checkAccounting(t, snap)
+	if snap.BlocksEncoded != 0 || snap.BlocksShed != 0 || snap.BlocksSent != int64(clients*total) {
+		t.Fatalf("encoded %d shed %d sent %d, want 0, 0, %d", snap.BlocksEncoded, snap.BlocksShed, snap.BlocksSent, clients*total)
+	}
+	if got := srv.needRecords.Load(); got != 0 {
+		t.Fatalf("need_records = %d on a clean link", got)
+	}
+	for _, sh := range snap.Shards {
+		if sh.BlocksSent == 0 || !sh.Consistent() {
+			t.Fatalf("shard %d: %+v", sh.Shard, sh.CounterView)
+		}
+	}
+	for i := range srv.sweep.records {
+		if srv.sweep.records[i].Load() == nil {
+			t.Fatalf("entry %d never framed", i)
+		}
+	}
+	found := false
+	for _, name := range reg.Names() {
+		found = found || name == "netio.need_records"
+	}
+	if !found {
+		t.Fatal("netio.need_records is not in the registry")
+	}
+}
+
+// TestSweepTracedSession: on a traced server every sweep record's prelude
+// names that session's own "sweep" span, a child of the server's root.
+func TestSweepTracedSession(t *testing.T) {
+	trace.Enable(1 << 12)
+	defer trace.Disable()
+
+	p := rlnc.Params{BlockCount: 8, BlockSize: 64}
+	media := testMedia(t, 2*p.SegmentSize(), 63)
+	srv := newSweepServer(t, media, p, func(c *ServerConfig) { c.TraceNode = "origin" })
+	l := startPipeServer(t, srv)
+
+	var rounds []trace.SpanID
+	for i := 0; i < 2; i++ {
+		fcfg := DefaultFetcherConfig()
+		fcfg.TraceNode = "leaf"
+		fcfg.MaxAttempts = 1
+		f := newTestFetcher(t, func(context.Context) (net.Conn, error) { return l.Dial(), nil }, fcfg)
+		res, err := f.Fetch(context.Background())
+		if err != nil || !bytes.Equal(res.Payload, media) {
+			t.Fatalf("traced fetch %d: %v", i, err)
+		}
+		if res.Stats.Records != 2*p.BlockCount {
+			t.Fatalf("traced fetch %d read %d records", i, res.Stats.Records)
+		}
+		rounds = append(rounds, f.LastRoundSpan())
+	}
+	if rounds[0] == 0 || rounds[0] == rounds[1] {
+		t.Fatalf("sessions share a sweep span: %v", rounds)
+	}
+	awaitSessions(t, srv, 0)
+	root := srv.rootSpan.ID()
+	srv.Shutdown()
+
+	events := trace.Dump()
+	for _, round := range rounds {
+		found := false
+		for _, e := range events {
+			if e.Kind == trace.KindSpan && e.Span == round {
+				found = true
+				if e.Stage != "sweep" || e.Node != "origin" || e.Parent != root || e.Trace != srv.traceID {
+					t.Fatalf("prelude names span %+v, want origin's sweep under root %d", e, root)
+				}
+			}
+		}
+		if !found {
+			t.Fatalf("prelude span %d is not in the dump", round)
+		}
+	}
+	if asm := trace.Assemble(events); asm.Orphans != 0 {
+		t.Fatalf("%d orphan spans", asm.Orphans)
+	}
+}
+
+// TestSweepSessionLifecycle holds one session mid-sweep and one waiting after
+// its sweep, and checks that the session cap counts both, that Snapshot shows
+// both, and that Shutdown and Drain end both with the ledger balanced. Run
+// under -race: the pump, the session goroutines and the teardown all touch
+// the session set.
+func TestSweepSessionLifecycle(t *testing.T) {
+	p := rlnc.Params{BlockCount: 8, BlockSize: 64}
+	media := testMedia(t, 2*p.SegmentSize(), 64)
+
+	hold := func(t *testing.T) (*Server, *pipeListener, *sweepClient, *sweepClient) {
+		srv := newSweepServer(t, media, p, func(c *ServerConfig) {
+			c.MaxSessions = 2
+			c.WriteDeadline = time.Minute // neither state may time out under the test
+		})
+		l := startPipeServer(t, srv)
+		mid := dialSweep(t, l.Dial())
+		mid.read(3)
+		waiting := dialSweep(t, l.Dial())
+		waiting.read(waiting.total())
+		awaitSessions(t, srv, 2)
+
+		hs, err := readHandshake(l.Dial())
+		if err != nil || hs.dec == nil || hs.dec.code != admissionBusy {
+			t.Fatalf("third connection past a cap of 2: %+v, %v", hs.dec, err)
+		}
+		snap := srv.Snapshot()
+		if len(snap.PerSession) != 2 || snap.BlocksEncoded != 0 {
+			t.Fatalf("snapshot: %d sessions listed, %d encoded", len(snap.PerSession), snap.BlocksEncoded)
+		}
+		return srv, l, mid, waiting
+	}
+	settled := func(t *testing.T, srv *Server, mid, waiting *sweepClient) {
+		t.Helper()
+		mid.awaitClosed(10 * time.Second)
+		waiting.awaitClosed(10 * time.Second)
+		snap := srv.Snapshot()
+		checkAccounting(t, snap)
+		if snap.BlocksEncoded != 0 || snap.BlocksShed == 0 {
+			t.Fatalf("encoded %d, shed %d: the cut sweep's unsent records must be shed, and nothing encoded", snap.BlocksEncoded, snap.BlocksShed)
+		}
+	}
+
+	t.Run("shutdown", func(t *testing.T) {
+		srv, _, mid, waiting := hold(t)
+		done := make(chan struct{})
+		go func() { srv.Shutdown(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("Shutdown blocked on a sweeping or waiting session")
+		}
+		settled(t, srv, mid, waiting)
+	})
+	t.Run("drain deadline", func(t *testing.T) {
+		srv, _, mid, waiting := hold(t)
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		defer cancel()
+		if err := srv.Drain(ctx, ""); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("Drain past its deadline = %v", err)
+		}
+		settled(t, srv, mid, waiting)
+	})
+	t.Run("drain waits", func(t *testing.T) {
+		srv, _, mid, waiting := hold(t)
+		drained := make(chan error, 1)
+		go func() { drained <- srv.Drain(context.Background(), "") }()
+		// The waiting peer hangs up: done. The mid-sweep peer reads on to the
+		// end and hangs up too.
+		waiting.conn.Close()
+		select {
+		case err := <-drained:
+			t.Fatalf("Drain returned (%v) with a session mid-sweep", err)
+		case <-time.After(20 * time.Millisecond):
+		}
+		mid.read(mid.total() - 3)
+		mid.conn.Close()
+		select {
+		case err := <-drained:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("Drain never finished")
+		}
+		snap := srv.Snapshot()
+		checkAccounting(t, snap)
+		if snap.BlocksShed != 0 || snap.BlocksSent != int64(2*mid.total()) {
+			t.Fatalf("sent %d shed %d, want %d and 0", snap.BlocksSent, snap.BlocksShed, 2*mid.total())
+		}
+	})
+}
+
+// TestSweepResetMidSweep: a connection reset inside the sweep's vectored write
+// sheds exactly the records that did not reach the wire whole.
+func TestSweepResetMidSweep(t *testing.T) {
+	p := rlnc.Params{BlockCount: 16, BlockSize: 128}
+	media := testMedia(t, 2*p.SegmentSize(), 65)
+	srv := newSweepServer(t, media, p, nil)
+	// The server's side of every connection resets about 2000 bytes in: a
+	// dozen records into a 32-record sweep.
+	l := faultnet.NewListener(newPipeListener(), faultnet.Config{Seed: 5, ResetEvery: 2000})
+	serveOn(t, srv, l)
+	pl := l.Listener.(*pipeListener)
+
+	fcfg := DefaultFetcherConfig()
+	fcfg.BackoffBase, fcfg.BackoffMax = time.Millisecond, 5*time.Millisecond
+	f := newTestFetcher(t, func(context.Context) (net.Conn, error) { return pl.Dial(), nil }, fcfg)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	res, err := f.Fetch(ctx)
+	if err != nil || !bytes.Equal(res.Payload, media) {
+		t.Fatalf("fetch through resets: %v (stats %+v)", err, res.Stats)
+	}
+	if res.Stats.Reconnects == 0 {
+		t.Fatal("no sweep was cut: ResetEvery too large for the object?")
+	}
+	awaitSessions(t, srv, 0)
+	srv.Shutdown()
+	snap := srv.Snapshot()
+	checkAccounting(t, snap)
+	if snap.BlocksShed == 0 {
+		t.Fatal("cut sweeps shed nothing")
+	}
+	if snap.BlocksEncoded != 0 {
+		t.Fatalf("%d blocks encoded: no session lived to ask for repair", snap.BlocksEncoded)
+	}
+}
+
+// TestSweepLossyFetchRepairs: corruption without resets. The leaf reads the
+// whole sweep, is short by the records that arrived damaged, asks once, and
+// finishes on repair records — with about as many dependent ones as a GF(2)
+// repair code must cost, not a second sweep's worth.
+func TestSweepLossyFetchRepairs(t *testing.T) {
+	p := rlnc.Params{BlockCount: 32, BlockSize: 256}
+	const segments = 2
+	media := testMedia(t, segments*p.SegmentSize()-9, 66)
+	srv := newSweepServer(t, media, p, nil)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Skipf("loopback listen unavailable: %v", err)
+	}
+	serveOn(t, srv, l)
+
+	// One damaged byte per ~2400 read: roughly one record in eight.
+	dial, faults := faultnet.Dialer(faultnet.Config{Seed: 9, CorruptEvery: 2400}, func(ctx context.Context) (net.Conn, error) {
+		var d net.Dialer
+		return d.DialContext(ctx, "tcp", l.Addr().String())
+	})
+	sources := 0
+	fcfg := DefaultFetcherConfig()
+	fcfg.MaxAttempts = 1
+	fcfg.RecordTap = func(b *rlnc.CodedBlock) {
+		if b.IsBinary() && bytes.Count(b.Coeffs, []byte{1}) == 1 {
+			sources++
+		}
+	}
+	f := newTestFetcher(t, dial, fcfg)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	res, err := f.Fetch(ctx)
+	if err != nil || !bytes.Equal(res.Payload, media) {
+		t.Fatalf("lossy fetch: %v (stats %+v, faults %+v)", err, res.Stats, faults.View())
+	}
+	deficit := segments*p.BlockCount - sources
+	if deficit == 0 || res.Stats.Corrupt == 0 {
+		t.Fatalf("the sweep arrived whole (faults %+v): nothing to repair", faults.View())
+	}
+	if res.Stats.Reconnects != 0 || res.Stats.FramingResyncs != 0 {
+		t.Fatalf("the session did not survive to repair: %+v", res.Stats)
+	}
+	if got := srv.needRecords.Load(); got != 1 {
+		t.Fatalf("need_records = %d, want 1", got)
+	}
+	if limit := deficit + 4*segments; res.Stats.Dependent > limit {
+		t.Fatalf("%d dependent records to repair a deficit of %d, want at most %d", res.Stats.Dependent, deficit, limit)
+	}
+	awaitSessions(t, srv, 0)
+	srv.Shutdown()
+	snap := srv.Snapshot()
+	checkAccounting(t, snap)
+	if snap.BlocksEncoded == 0 {
+		t.Fatal("repair came from nowhere: the pump encoded nothing")
+	}
+	t.Logf("deficit %d, %d records read, %d dependent, %d corrupt; pump encoded %d", deficit, res.Stats.Records, res.Stats.Dependent, res.Stats.Corrupt, snap.BlocksEncoded)
+}
+
+// TestPushSessionsUnchanged: dense-mode and source-backed servers set no new
+// flag and put the bytes on the wire they always did — the digests are of the
+// handshake and what follows, 1 KiB in all, taken at the commit before the
+// sweep existed — and neither client writes a byte to them. The source-backed
+// server declares ModeSystematic: it is the object source, not the mode, that
+// makes a sweep.
+func TestPushSessionsUnchanged(t *testing.T) {
+	p := rlnc.Params{BlockCount: 4, BlockSize: 32}
+	media := testMedia(t, 2*p.SegmentSize()-5, 91)
+	obj, err := rlnc.Split(media, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, digest string
+		server       func() (*Server, error)
+	}{
+		{"dense", "9a5a85cb2224a0603147c5baa0bef7977c2bb28cf6c4cf707359efa32fcdb567", func() (*Server, error) {
+			cfg := DefaultServerConfig()
+			cfg.Seed = 17
+			return NewServerFromConfig(media, p, cfg)
+		}},
+		{"source", "65c6e37dec98f2cbe1da3ab0e5b59d9f34ad685412f3cc47db3a67318ab6c5ed", func() (*Server, error) {
+			src := newPoolSource(t, obj, 2*p.BlockCount)
+			src.info.Mode = ModeSystematic
+			return NewSourceServerFromConfig(src, DefaultServerConfig())
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, err := tc.server()
+			if err != nil {
+				t.Fatal(err)
+			}
+			counted := &readCountListener{Listener: newPipeListener()}
+			serveOn(t, srv, counted)
+			pl := counted.Listener.(*pipeListener)
+
+			conn := pl.Dial()
+			head := make([]byte, 1024)
+			if _, err := io.ReadFull(conn, head); err != nil {
+				t.Fatal(err)
+			}
+			conn.Close()
+			if sum := sha256.Sum256(head); hex.EncodeToString(sum[:]) != tc.digest {
+				t.Fatalf("first KiB of the stream changed: digest %x", sum)
+			}
+			if hs, err := readHandshake(bytes.NewReader(head)); err != nil || hs.flags != 0 {
+				t.Fatalf("handshake flags %#x, %v", hs.flags, err)
+			}
+
+			fetchConn := &writeCountConn{Conn: pl.Dial()}
+			if payload, _, err := Fetch(context.Background(), fetchConn); err != nil || !bytes.Equal(payload, media) {
+				t.Fatalf("fetch: %v", err)
+			}
+			rawConn := &writeCountConn{Conn: pl.Dial()}
+			rc, err := NewRawClient(rawConn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 3*p.BlockCount; i++ {
+				if _, err := rc.Next(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rc.Close()
+			if fetchConn.bytes.Load() != 0 || rawConn.bytes.Load() != 0 {
+				t.Fatalf("clients wrote %d and %d bytes to a server that announced no sweep", fetchConn.bytes.Load(), rawConn.bytes.Load())
+			}
+			if counted.calls.Load() != 0 {
+				t.Fatalf("a pushing server read from its peers %d times", counted.calls.Load())
+			}
+		})
+	}
+}
+
+// TestRawClientAsksUpFront: a drain client on a sweep session gets the sweep
+// and then the pump's repair stream, without end.
+func TestRawClientAsksUpFront(t *testing.T) {
+	p := rlnc.Params{BlockCount: 8, BlockSize: 64}
+	media := testMedia(t, 2*p.SegmentSize(), 67)
+	srv := newSweepServer(t, media, p, nil)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Skipf("loopback listen unavailable: %v", err)
+	}
+	serveOn(t, srv, l)
+	conn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc, err := NewRawClient(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	for i := 0; i < 5*2*p.BlockCount; i++ {
+		if _, err := rc.Next(); err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+	}
+	if got := srv.needRecords.Load(); got != 1 {
+		t.Fatalf("need_records = %d, want 1", got)
+	}
+	if srv.Snapshot().BlocksEncoded == 0 {
+		t.Fatal("records past the sweep did not come from the pump")
+	}
+}
+
+// What a peer can cost a sweep server: one sweep, at most 12 bytes read, and
+// one goroutine until the write-deadline budget runs out.
+
+// TestSweepPeerWritesGarbage: anything but a need record after the sweep ends
+// the session, after at most needRecordLen bytes read, without waking the pump.
+func TestSweepPeerWritesGarbage(t *testing.T) {
+	p := rlnc.Params{BlockCount: 8, BlockSize: 64}
+	media := testMedia(t, 2*p.SegmentSize(), 68)
+	bad := needRecord
+	bad[5] = 1 // reserved word set, checksum stale
+	for name, junk := range map[string][]byte{
+		"junk":       bytes.Repeat([]byte{0xA5}, 64),
+		"short":      []byte("XNC"),
+		"bad crc":    bad[:],
+		"magic only": append([]byte(needMagic), make([]byte, 60)...),
+	} {
+		t.Run(name, func(t *testing.T) {
+			srv := newSweepServer(t, media, p, func(c *ServerConfig) { c.WriteDeadline = time.Minute })
+			counted := &readCountListener{Listener: newPipeListener()}
+			serveOn(t, srv, counted)
+			c := dialSweep(t, counted.Listener.(*pipeListener).Dial())
+			c.read(c.total())
+			go func() {
+				c.conn.Write(junk) //nolint:errcheck // cut short by the server's close
+				if len(junk) < needRecordLen {
+					c.conn.Close() // a short record only ends with the stream
+				}
+			}()
+			if len(junk) >= needRecordLen {
+				c.awaitClosed(10 * time.Second)
+			}
+			awaitSessions(t, srv, 0)
+			if got := counted.bytes.Load(); got > needRecordLen {
+				t.Fatalf("server read %d bytes of garbage, want at most %d", got, needRecordLen)
+			}
+			if srv.needRecords.Load() != 0 || srv.Snapshot().BlocksEncoded != 0 {
+				t.Fatalf("garbage woke the pump: need_records %d, encoded %d", srv.needRecords.Load(), srv.Snapshot().BlocksEncoded)
+			}
+		})
+	}
+}
+
+// TestSweepPeerGoesSilent: a peer that neither hangs up nor asks holds its
+// slot and its goroutine for the write-deadline budget and no longer.
+func TestSweepPeerGoesSilent(t *testing.T) {
+	p := rlnc.Params{BlockCount: 8, BlockSize: 64}
+	media := testMedia(t, 2*p.SegmentSize(), 69)
+	const deadline, retries = 40 * time.Millisecond, 2
+	budget := deadline * (1 + retries)
+	srv := newSweepServer(t, media, p, func(c *ServerConfig) {
+		c.MaxSessions = 1
+		c.WriteDeadline = deadline
+		c.WriteRetries = retries
+	})
+	counted := &readCountListener{Listener: newPipeListener()}
+	serveOn(t, srv, counted)
+	pl := counted.Listener.(*pipeListener)
+
+	c := dialSweep(t, pl.Dial())
+	c.read(c.total())
+	waiting := runtime.NumGoroutine() // the session's goroutine is parked in its read
+	if took := c.awaitClosed(10 * time.Second); took < budget/2 {
+		t.Fatalf("silent peer dropped after %v, budget %v", took, budget)
+	}
+	awaitSessions(t, srv, 0)
+	if counted.bytes.Load() != 0 || srv.needRecords.Load() != 0 {
+		t.Fatalf("silence read as %d bytes, %d need records", counted.bytes.Load(), srv.needRecords.Load())
+	}
+	// The slot is free again: the cap of one admits the next peer.
+	next := dialSweep(t, pl.Dial())
+	next.conn.Close()
+	awaitSessions(t, srv, 0)
+	for limit := time.Now().Add(5 * time.Second); runtime.NumGoroutine() >= waiting; time.Sleep(time.Millisecond) {
+		if time.Now().After(limit) {
+			t.Fatalf("goroutines: %d with the session waiting, %d after it was dropped", waiting, runtime.NumGoroutine())
+		}
+	}
+}
+
+// TestSweepPeerFloods: the server reads nothing while it sweeps, so a peer that
+// writes throughout is heard only at the one post-sweep read — which finds no
+// need record and ends the session.
+func TestSweepPeerFloods(t *testing.T) {
+	p := rlnc.Params{BlockCount: 8, BlockSize: 64}
+	media := testMedia(t, 2*p.SegmentSize(), 70)
+	srv := newSweepServer(t, media, p, func(c *ServerConfig) { c.WriteDeadline = time.Minute })
+	counted := &readCountListener{Listener: newPipeListener()}
+	serveOn(t, srv, counted)
+	c := dialSweep(t, counted.Listener.(*pipeListener).Dial())
+
+	flooded := make(chan int64, 1)
+	go func() {
+		var n int64
+		for chunk := bytes.Repeat([]byte{0xEE}, 4096); ; {
+			w, err := c.conn.Write(chunk)
+			n += int64(w)
+			if err != nil {
+				flooded <- n
+				return
+			}
+		}
+	}()
+	c.read(c.total() - 1)
+	if calls := counted.calls.Load(); calls != 0 {
+		t.Fatalf("server read %d times during its sweep", calls)
+	}
+	c.read(1)
+	c.awaitClosed(10 * time.Second)
+	awaitSessions(t, srv, 0)
+	if got, sent := counted.bytes.Load(), <-flooded; got > needRecordLen || sent > needRecordLen {
+		t.Fatalf("server read %d bytes of a flood (peer got %d through), want at most %d", got, sent, needRecordLen)
+	}
+	snap := srv.Snapshot()
+	if snap.BlocksEncoded != 0 || snap.BlocksSent != int64(c.total()) || srv.needRecords.Load() != 0 {
+		t.Fatalf("flood cost more than a sweep: encoded %d sent %d need %d", snap.BlocksEncoded, snap.BlocksSent, srv.needRecords.Load())
+	}
+}
+
+// TestSweepCoversAcrossCutSessions: a client whose every session is cut after a
+// handful of records still sees every source block within a bounded number of
+// reconnects — the property a start-at-zero sweep lacks.
+func TestSweepCoversAcrossCutSessions(t *testing.T) {
+	p := rlnc.Params{BlockCount: 8, BlockSize: 64}
+	media := testMedia(t, 4*p.SegmentSize(), 71)
+	srv := newSweepServer(t, media, p, nil)
+	l := startPipeServer(t, srv)
+	seen := make(map[int]bool)
+	const perSession, limit = 7, 40
+	sessions := 0
+	for ; len(seen) < 4*p.BlockCount && sessions < limit; sessions++ {
+		c := dialSweep(t, l.Dial())
+		for _, idx := range c.read(perSession) {
+			seen[idx] = true
+		}
+		c.conn.Close()
+	}
+	if len(seen) < 4*p.BlockCount {
+		t.Fatalf("%d sessions of %d records covered %d of %d blocks", sessions, perSession, len(seen), 4*p.BlockCount)
+	}
+	t.Logf("%d blocks covered in %d sessions of %d records", len(seen), sessions, perSession)
+}

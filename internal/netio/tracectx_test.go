@@ -206,7 +206,7 @@ func TestRawClientTracedSession(t *testing.T) {
 	if !rc.traced {
 		t.Fatal("raw client did not negotiate tracing")
 	}
-	want := wireSize(p) + 4 + recordPreludeLen
+	want := rlnc.WireSize(p) + 4 + recordPreludeLen
 	for i := 0; i < 8; i++ {
 		n, err := rc.Next()
 		if err != nil {

@@ -70,8 +70,11 @@ func (b *CodedBlock) Clone() *CodedBlock {
 }
 
 // WireSize returns the marshaled length of the block.
-func (b *CodedBlock) WireSize() int {
-	return wireHeaderLen + len(b.Coeffs) + len(b.Payload) + wireTrailerLen
+func (b *CodedBlock) WireSize() int { return WireSize(b.Params()) }
+
+// WireSize returns the marshaled length of a dense coded block for p.
+func WireSize(p Params) int {
+	return wireHeaderLen + p.BlockCount + p.BlockSize + wireTrailerLen
 }
 
 // MarshalBinary encodes the block in the wire format above.

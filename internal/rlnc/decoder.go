@@ -41,9 +41,11 @@ const planeStep = 32
 //
 //  1. GF(2) rows. While every arrival has a 0/1 coefficient vector (a
 //     systematic sweep, XOR repair blocks) the decoder keeps [C | x] rows in
-//     reduced row-echelon form by pure XOR elimination (addBlockXor). Source
-//     blocks whose row has collapsed to a unit vector are deliverable early
-//     through Block.
+//     reduced row-echelon form by pure XOR elimination (addBlockXor), in a
+//     slab drawn from the scratch pool at the first arrival. Source blocks
+//     whose row has collapsed to a unit vector are deliverable early through
+//     Block; at rank n the rows are copied out as the segment and the slab
+//     goes back to the pool.
 //  2. [C | T] plane + payload slab. From the first dense arrival on, each
 //     arrival's coefficients are forward-reduced against the pivots held —
 //     on a 2n-byte row [C | T], where T records the combination of accepted
@@ -75,20 +77,22 @@ type Decoder struct {
 	xorOnly bool
 
 	// rowForPivot[c] is the row whose pivot is column c, or nil. In state 1
-	// it is an n+k byte [C | x] row in reduced row-echelon form; in state 2 a
-	// 2n-byte [C | T] row of plane in echelon form only — zero left of c, 1
-	// at c, not yet eliminated from the other rows.
+	// it is an n+k byte [C | x] row of xorRows in reduced row-echelon form; in
+	// state 2 a 2n-byte [C | T] row of plane in echelon form only — zero left
+	// of c, 1 at c, not yet eliminated from the other rows.
 	rowForPivot [][]byte
 
-	// State 2 storage, both carved from scr: plane holds the [C | T] row of
+	// Row storage, carved from scr, which the decoder holds from its first
+	// arrival until rank n. State 1: xorRows holds the i-th accepted arrival's
+	// row at [i·(n+k), (i+1)·(n+k)). State 2: plane holds the [C | T] row of
 	// the i-th accepted arrival at [i·2n, (i+1)·2n), slab its payload at
 	// [i·k, (i+1)·k).
-	scr   *Scratch
-	plane []byte
-	slab  []byte
+	scr     *Scratch
+	xorRows []byte
+	plane   []byte
+	slab    []byte
 
-	// seg is the decoded segment: set by the completing AddBlock on the dense
-	// path, by the first Segment call when state 1 ran to rank n.
+	// seg is the decoded segment, set by the AddBlock that reaches rank n.
 	seg *Segment
 }
 
@@ -202,10 +206,10 @@ func (d *Decoder) AddBlocks(blocks []*CodedBlock) (innovative int, err error) {
 // validated the block and counted it received.
 func (d *Decoder) addBlockXor(b *CodedBlock) (innovative bool) {
 	defer stageXorAbsorb.Start().End()
-	n, k := d.params.BlockCount, d.params.BlockSize
-	row := make([]byte, n+k)
-	copy(row, b.Coeffs)
-	copy(row[n:], b.Payload)
+	n := d.params.BlockCount
+	// Stage the arrival in the first free slot; a dependent arrival is simply
+	// staged over by the next one.
+	row := d.stageXorRow(d.rank, b.Coeffs, b.Payload)
 
 	// Forward-reduce against every existing pivot and find this row's pivot
 	// (the first non-zero entry in a pivot-free column). The sweep continues
@@ -244,7 +248,37 @@ func (d *Decoder) addBlockXor(b *CodedBlock) (innovative bool) {
 	}
 	d.rowForPivot[pivot] = row
 	d.rank++
+	if d.rank == n {
+		d.finishXor()
+	}
 	return true
+}
+
+// stageXorRow writes [coeffs | payload] into slot i of the GF(2) row slab,
+// drawing the slab from the scratch pool on first use, and returns the row.
+func (d *Decoder) stageXorRow(i int, coeffs, payload []byte) []byte {
+	n, k := d.params.BlockCount, d.params.BlockSize
+	if d.xorRows == nil {
+		d.scr = GetScratch()
+		d.xorRows = d.scr.Bytes(n * (n + k))
+	}
+	row := d.xorRows[i*(n+k) : (i+1)*(n+k) : (i+1)*(n+k)]
+	copy(row, coeffs)
+	copy(row[n:], payload)
+	return row
+}
+
+// finishXor ends state 1 at rank n: the reduced rows are [eᵢ | bᵢ], so the
+// segment is their payload halves, and the row slab goes back to the pool.
+func (d *Decoder) finishXor() {
+	n := d.params.BlockCount
+	seg := newSegment(d.segID, d.params)
+	for i, row := range d.rowForPivot {
+		copy(seg.Block(i), row[n:])
+	}
+	d.seg = seg
+	clear(d.rowForPivot) // the rows live in the slab, which goes back to the pool
+	d.releaseScratch()
 }
 
 // enterDense draws the plane and the slab from the scratch pool and installs
@@ -252,10 +286,12 @@ func (d *Decoder) addBlockXor(b *CodedBlock) (innovative bool) {
 // as the arrivals accepted so far: row c becomes the plane row [C | eᵢ] and
 // the slab payload x of arrival i, counting in ascending pivot order. A
 // reduced row is in particular an echelon row, so nothing needs reducing.
-// rows may be d.rowForPivot itself.
+// rows may be d.rowForPivot itself, in which case they live in state 1's row
+// slab: that goes back to the pool once they are copied out.
 func (d *Decoder) enterDense(rows [][]byte) {
 	n, k := d.params.BlockCount, d.params.BlockSize
 	w := 2 * n
+	xorScr := d.scr
 	d.scr = GetScratch()
 	buf := d.scr.Bytes(n * (w + k))
 	d.plane, d.slab = buf[:n*w], buf[n*w:]
@@ -267,6 +303,10 @@ func (d *Decoder) enterDense(rows [][]byte) {
 		d.rowForPivot[c] = d.stageRow(i, row[:n])
 		copy(d.slab[i*k:(i+1)*k], row[n:])
 		i++
+	}
+	if xorScr != nil {
+		PutScratch(xorScr)
+		d.xorRows = nil
 	}
 }
 
@@ -353,12 +393,12 @@ func (d *Decoder) finish() {
 	d.releaseScratch()
 }
 
-// releaseScratch returns the dense-path storage to the pool.
+// releaseScratch returns the row storage to the pool.
 func (d *Decoder) releaseScratch() {
 	if d.scr != nil {
 		PutScratch(d.scr)
 	}
-	d.scr, d.plane, d.slab = nil, nil, nil
+	d.scr, d.xorRows, d.plane, d.slab = nil, nil, nil, nil
 }
 
 // jordanReduce turns echelon rows into reduced ones. rows[c] is the row with
@@ -403,19 +443,6 @@ func jordanReduce(rows [][]byte) {
 func (d *Decoder) Segment() (*Segment, error) {
 	if !d.Ready() {
 		return nil, fmt.Errorf("%w: rank %d of %d", ErrNotReady, d.rank, d.params.BlockCount)
-	}
-	if d.seg == nil {
-		// The GF(2) path ran to rank n: its reduced rows are [eᵢ | bᵢ].
-		seg, err := NewSegment(d.segID, d.params)
-		if err != nil {
-			return nil, err
-		}
-		n := d.params.BlockCount
-		for i, row := range d.rowForPivot {
-			copy(seg.Block(i), row[n:])
-		}
-		d.seg = seg
-		clear(d.rowForPivot)
 	}
 	return d.seg, nil
 }

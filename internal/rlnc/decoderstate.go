@@ -220,9 +220,12 @@ func (d *Decoder) UnmarshalBinary(data []byte) error {
 		rowForPivot: rows,
 	}
 	if binaryRows {
-		// The GF(2) path owns its rows.
-		for _, c := range pivots {
-			rows[c] = append([]byte(nil), rows[c]...)
+		// The GF(2) path owns its rows: into the slab, ascending pivot order.
+		for i, c := range pivots {
+			rows[c] = d.stageXorRow(i, rows[c][:n], rows[c][n:])
+		}
+		if rank == n {
+			d.finishXor()
 		}
 	} else {
 		d.enterDense(rows)

@@ -20,10 +20,14 @@ import (
 //     but a dense one only ≈ 1/256 ("Linear-Complexity Overhead-Optimized
 //     RLNC", PAPERS.md).
 //
-// then restarts, so late-joining receivers on a push stream catch a full
-// systematic sweep within one cycle. The progressive Decoder consumes all
-// three phases transparently and stays on its XOR-only elimination fast path
-// until the first dense block arrives.
+// then restarts: a receiver that joins a broadcast late, with no back channel
+// to say so, still sees a full sweep within one cycle. Where the receiver can
+// be handed the sweep some other way, RepairBlock runs the cycle without it: netio's
+// systematic server writes each session its own sweep from a table of
+// pre-framed source blocks and draws only repair from this encoder, and only
+// for the sessions that ask. The progressive Decoder consumes all three phases
+// transparently and stays on its XOR-only elimination fast path until the
+// first dense block arrives.
 type SystematicEncoder struct {
 	enc    *Encoder
 	next   int // next source block to emit verbatim
@@ -109,21 +113,40 @@ func (s *SystematicEncoder) SetSchedule(xorRepair, denseTail int) {
 // Block emits the next block of the cycle without allocating: the returned
 // block is a view over the encoder's reusable storage (and, for systematic
 // blocks, over the segment itself) and is valid only until the next Block,
-// NextBlock, or Reset call. Callers that retain blocks use NextBlock.
+// RepairBlock, NextBlock, or Reset call. Callers that retain blocks use
+// NextBlock.
 func (s *SystematicEncoder) Block() *CodedBlock {
-	seg := s.enc.seg
-	n := seg.params.BlockCount
 	// Cycle-complete check up front rather than after the last repair emit,
 	// so a schedule with a zero dense tail (or one shrunk mid-cycle by
 	// SetSchedule) rolls straight into the next sweep without emitting a
 	// stray dense block.
-	if s.next >= n && s.repair >= s.xorRepair+s.denseTail {
+	if s.next >= s.enc.seg.params.BlockCount && s.repair >= s.xorRepair+s.denseTail {
 		s.next, s.repair = 0, 0
 	}
+	return s.emit()
+}
+
+// RepairBlock is Block for receivers that already hold the sweep: it emits the
+// cycle's XorRepair GF(2) blocks, then its DenseTail dense blocks, then starts
+// the next cycle past its sweep, never emitting a source block verbatim. A
+// schedule with no repair at all emits dense blocks — a caller asking for
+// repair needs rank, and a dense block is the surest way to raise it. Called
+// mid-sweep, it abandons the sweep. The returned block has Block's lifetime.
+func (s *SystematicEncoder) RepairBlock() *CodedBlock {
+	n := s.enc.seg.params.BlockCount
+	if s.next < n || s.repair >= s.xorRepair+s.denseTail {
+		s.next, s.repair = n, 0
+	}
+	return s.emit()
+}
+
+// emit produces the block the phase counters name and advances them.
+func (s *SystematicEncoder) emit() *CodedBlock {
+	seg := s.enc.seg
 	s.blk.SegmentID = seg.id
 	s.blk.Coeffs = s.coeffs
 	switch {
-	case s.next < n:
+	case s.next < seg.params.BlockCount:
 		// Phase 1: source block verbatim. The payload aliases the segment —
 		// a systematic emit is free of both arithmetic and copying.
 		clear(s.coeffs)

@@ -418,3 +418,156 @@ func TestDecoderStateXorOnlyRoundTrip(t *testing.T) {
 		t.Fatal("restored dense-row decoder claims the fast path")
 	}
 }
+
+// TestSystematicRepairBlock: RepairBlock runs cycles past the sweep — XorRepair
+// GF(2) blocks then DenseTail dense ones, never a verbatim source block — from
+// wherever the encoder stood, leaves Block's own cycle meaning alone, and with
+// an empty schedule emits dense blocks.
+func TestSystematicRepairBlock(t *testing.T) {
+	p := Params{BlockCount: 16, BlockSize: 96}
+	seg := testSegment(t, 7, p, 150)
+	se := NewSystematicEncoder(seg, rand.New(rand.NewSource(151)), WithXorRepair(3), WithDenseTail(2))
+	se.Block() // mid-sweep: RepairBlock abandons it
+	for cycle := 0; cycle < 3; cycle++ {
+		for i := 0; i < 5; i++ {
+			b := se.RepairBlock()
+			if binary := b.IsBinary(); binary != (i < 3) {
+				t.Fatalf("cycle %d repair block %d: binary = %v", cycle, i, binary)
+			}
+			bits := 0
+			for _, v := range b.Coeffs {
+				if v != 0 {
+					bits++
+				}
+			}
+			if bits < 2 {
+				t.Fatalf("cycle %d repair block %d selects %d sources: a source block verbatim", cycle, i, bits)
+			}
+			if !consistentWithSource(seg, b) {
+				t.Fatalf("cycle %d repair block %d inconsistent with the source", cycle, i)
+			}
+		}
+	}
+	// A finished repair cycle is a finished cycle: Block starts the next sweep.
+	if got := se.SystematicRemaining(); got != p.BlockCount {
+		t.Fatalf("after a repair cycle SystematicRemaining = %d, want %d", got, p.BlockCount)
+	}
+	if b := se.Block(); b.Coeffs[0] != 1 || !bytes.Equal(b.Payload, seg.Block(0)) {
+		t.Fatal("Block after a repair cycle did not start a sweep")
+	}
+
+	se.SetSchedule(0, 0)
+	for i := 0; i < 4; i++ {
+		b := se.RepairBlock()
+		if b.IsBinary() || !consistentWithSource(seg, b) {
+			t.Fatalf("empty schedule: repair block %d is not a consistent dense block", i)
+		}
+	}
+	if avg := testing.AllocsPerRun(50, func() { _ = se.RepairBlock() }); avg != 0 {
+		t.Fatalf("RepairBlock allocates %.2f per emit, want 0", avg)
+	}
+}
+
+// TestWireSizes: the per-parameter sizes agree with what the marshalers
+// produce, for byte-aligned and ragged block counts.
+func TestWireSizes(t *testing.T) {
+	for _, p := range []Params{{BlockCount: 1, BlockSize: 1}, {BlockCount: 9, BlockSize: 33}, {BlockCount: 128, BlockSize: 4096}} {
+		seg := testSegment(t, 1, p, 152)
+		se := NewSystematicEncoder(seg, rand.New(rand.NewSource(153)))
+		b := se.Block()
+		dense, err := b.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		xor, err := b.MarshalBinaryXor()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if WireSize(p) != len(dense) || b.WireSize() != len(dense) || XorWireSize(p) != len(xor) {
+			t.Fatalf("%v: WireSize %d / %d, XorWireSize %d; marshaled %d and %d",
+				p, WireSize(p), b.WireSize(), XorWireSize(p), len(dense), len(xor))
+		}
+	}
+}
+
+// TestXorPathRowsArePooled: the GF(2) path stages every arrival in a slab from
+// the scratch pool — no allocation per record, dependent ones included — hands
+// the slab back at rank n and at the hand-over to the dense path, and decodes
+// the same bytes either way.
+func TestXorPathRowsArePooled(t *testing.T) {
+	p := Params{BlockCount: 32, BlockSize: 512}
+	seg := testSegment(t, 4, p, 154)
+	se := NewSystematicEncoder(seg, rand.New(rand.NewSource(155)), WithXorRepair(8), WithDenseTail(4))
+	sweep := make([]*CodedBlock, p.BlockCount)
+	for i := range sweep {
+		sweep[i], _ = se.NextBlock()
+	}
+	repair := make([]*CodedBlock, 8)
+	for i := range repair {
+		repair[i], _ = se.NextBlock()
+	}
+	dense, _ := se.NextBlock()
+
+	dec, err := NewDecoder(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Source blocks, each offered twice: the duplicate is dependent, and staged
+	// in the slab all the same.
+	i := 0
+	if a := testing.AllocsPerRun(p.BlockCount-3, func() {
+		if _, err := dec.AddBlock(sweep[i]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := dec.AddBlock(sweep[i]); err != nil { // a duplicate: dependent
+			t.Fatal(err)
+		}
+		i++
+	}); a != 0 {
+		t.Fatalf("a GF(2) arrival allocates %v times, want 0", a)
+	}
+	if dec.scr == nil || dec.xorRows == nil {
+		t.Fatal("GF(2) rows are not in a pooled slab")
+	}
+	blob, err := dec.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	finish := func(d *Decoder, rest []*CodedBlock) *Segment {
+		t.Helper()
+		for _, b := range rest {
+			if _, err := d.AddBlock(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !d.Ready() || d.scr != nil || d.xorRows != nil || d.plane != nil {
+			t.Fatalf("ready %v with storage still held (scr %v)", d.Ready(), d.scr != nil)
+		}
+		got, err := d.Segment()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	// A resumed copy finishes on GF(2); the original goes dense first.
+	resumed := new(Decoder)
+	if err := resumed.UnmarshalBinary(blob); err != nil {
+		t.Fatal(err)
+	}
+	if !resumed.xorOnly || resumed.xorRows == nil {
+		t.Fatal("resumed decoder left the GF(2) path")
+	}
+	if got := finish(resumed, append(repair, sweep[i:]...)); !got.Equal(seg) {
+		t.Fatal("GF(2) finish decoded different bytes")
+	}
+	if _, err := dec.AddBlock(dense); err != nil {
+		t.Fatal(err)
+	}
+	if dec.xorRows != nil || dec.plane == nil {
+		t.Fatal("hand-over to the dense path kept the GF(2) slab")
+	}
+	if got := finish(dec, sweep[i:]); !got.Equal(seg) {
+		t.Fatal("dense finish decoded different bytes")
+	}
+}
