@@ -6,7 +6,7 @@ GO ?= go
 # gf256 kernels, decode pipelines) plus everything that moves blocks across
 # goroutines. One list, shared by `vet`'s quick pass and the `race` target,
 # and mirrored by the CI workflow.
-RACE_PKGS = ./internal/gf256/ ./internal/rlnc/ ./internal/netio/ ./internal/core/ ./internal/stream/ ./internal/obs/ ./internal/obs/trace/ .
+RACE_PKGS = ./internal/gf256/ ./internal/rlnc/ ./internal/netio/ ./internal/harness/ ./internal/core/ ./internal/stream/ ./internal/obs/ ./internal/obs/trace/ .
 
 .PHONY: all build fmt-check vet test loc race fuzz-regress chaos staticcheck serve-smoke metrics-smoke xor-smoke mesh-smoke load-smoke drain-chaos soak-smoke trace-smoke loadtest bench bench-host bench-smoke bench-check ci figures figures-csv examples clean
 
@@ -232,7 +232,7 @@ bench-check:
 		| $(GO) run ./cmd/benchjson -check BENCH_host.json
 
 # Everything the CI workflow runs, reproducible locally with one command.
-ci: build fmt-check vet staticcheck test race fuzz-regress chaos bench-smoke serve-smoke metrics-smoke xor-smoke mesh-smoke load-smoke drain-chaos soak-smoke trace-smoke
+ci: build fmt-check vet staticcheck test loc race fuzz-regress chaos bench-smoke serve-smoke metrics-smoke xor-smoke mesh-smoke load-smoke drain-chaos soak-smoke trace-smoke
 
 # Run every example program.
 examples:

@@ -20,24 +20,20 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"log"
-	"math/rand"
-	"net"
 	"os"
 	"runtime"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"extremenc/internal/faultnet"
+	"extremenc/internal/harness"
 	"extremenc/internal/netio"
 	"extremenc/internal/obs"
 	"extremenc/internal/rlnc"
@@ -112,7 +108,6 @@ func run(args []string, out io.Writer) error {
 		rampChunk  = fs.Int("ramp-chunk", 256, "sessions dialed per ramp chunk")
 		smoke      = fs.Bool("smoke", false, "one gated 1k-session wave (CI mode, -race friendly)")
 		maxP99     = fs.Duration("max-p99", 2*time.Second, "smoke gate: max windowed p99 record latency")
-		brownout   = fs.Bool("brownout", false, "run the gated brownout wave instead of the ladder: slow readers push past saturation, the degradation ladder must engage and step back, canaries must still decode byte-identical")
 		summary    = fs.String("summary", "", "write a machine-readable JSON run summary to this path")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -143,43 +138,16 @@ func run(args []string, out io.Writer) error {
 	raiseFDLimit()
 
 	lg := log.New(os.Stderr, "ncload: ", log.Ltime)
-	sum := &loadSummary{Seed: opt.seed, Smoke: opt.smoke, Invariants: map[string]bool{}}
-	var runErr error
-	if *brownout {
-		runErr = runBrownoutWave(opt, out, lg, sum)
-	} else {
-		runErr = runLadder(opt, out, lg, sum)
-	}
-	sum.OK = runErr == nil
-	if runErr != nil {
-		sum.Error = runErr.Error()
-	}
-	if *summary != "" {
-		b, err := json.MarshalIndent(sum, "", " ")
-		if err != nil {
-			return fmt.Errorf("%w (summary: %v)", runErr, err)
-		}
-		b = append(b, '\n')
-		if err := os.WriteFile(*summary, b, 0o644); err != nil {
-			return fmt.Errorf("%w (summary: %v)", runErr, err)
-		}
-	}
-	return runErr
+	sum := &loadSummary{Smoke: opt.smoke}
+	verdict := harness.Verdict{Seed: opt.seed, Fields: sum, Invariants: map[string]bool{}, SummaryPath: *summary}
+	return verdict.Finish(runLadder(opt, out, lg, sum, verdict.Invariants), os.Stderr)
 }
 
-// loadSummary is the machine-readable outcome of one ncload run: the seed,
-// every measured saturation point, the gate verdicts, and — in -brownout
-// mode — the degradation-ladder headline numbers.
+// loadSummary is what one ncload run adds to its -summary verdict: every
+// measured saturation point.
 type loadSummary struct {
-	OK         bool            `json:"ok"`
-	Seed       int64           `json:"seed"`
-	Smoke      bool            `json:"smoke"`
-	Waves      []waveSummary   `json:"waves,omitempty"`
-	PeakRung   int             `json:"brownout_peak_rung,omitempty"`
-	Transits   int64           `json:"brownout_transitions,omitempty"`
-	RecoveryNs int64           `json:"brownout_recovery_ns,omitempty"`
-	Invariants map[string]bool `json:"invariants"`
-	Error      string          `json:"error,omitempty"`
+	Smoke bool          `json:"smoke"`
+	Waves []waveSummary `json:"waves,omitempty"`
 }
 
 // waveSummary is one saturation-curve point in the JSON summary.
@@ -193,7 +161,7 @@ type waveSummary struct {
 }
 
 // runLadder drives the ramp ladder and emits the go-bench result lines.
-func runLadder(opt options, out io.Writer, lg *log.Logger, sum *loadSummary) error {
+func runLadder(opt options, out io.Writer, lg *log.Logger, sum *loadSummary, invariants map[string]bool) error {
 	fmt.Fprintf(out, "goos: %s\ngoarch: %s\npkg: extremenc/cmd/ncload\n", runtime.GOOS, runtime.GOARCH)
 	for _, wave := range buildWaves(opt) {
 		lg.Printf("wave %s: ramping %d sessions", wave.benchName(), wave.sessions)
@@ -215,10 +183,10 @@ func runLadder(opt options, out io.Writer, lg *log.Logger, sum *loadSummary) err
 	}
 	// Every wave that completed passed its internal gates: ledger exactness
 	// and byte-identical canaries always, plus the p99 bound under -smoke.
-	sum.Invariants["ledgers_balanced"] = true
-	sum.Invariants["canaries_identical"] = true
+	invariants["ledgers_balanced"] = true
+	invariants["canaries_identical"] = true
 	if opt.smoke {
-		sum.Invariants["p99_within_gate"] = true
+		invariants["p99_within_gate"] = true
 	}
 	return nil
 }
@@ -269,20 +237,13 @@ func buildWaves(opt options) []waveCfg {
 	return waves
 }
 
-func makeMedia(size int, seed int64) []byte {
-	media := make([]byte, size)
-	rand.New(rand.NewSource(seed)).Read(media)
-	return media
-}
-
 func runWave(wave waveCfg, opt options) (waveResult, error) {
 	var res waveResult
-	reg := obs.NewRegistry()
-	obs.SetSink(reg)
-	defer obs.SetSink(nil)
+	reg, stopObserve := harness.Observe()
+	defer stopObserve()
 
 	p := rlnc.Params{BlockCount: opt.blockCount, BlockSize: opt.blockSize}
-	media := makeMedia(opt.segments*p.SegmentSize()-13, opt.seed)
+	media := harness.Media(opt.segments*p.SegmentSize()-13, opt.seed)
 
 	scfg := netio.DefaultServerConfig()
 	scfg.QueueDepth = opt.queueDepth
@@ -300,77 +261,20 @@ func runWave(wave waveCfg, opt options) (waveResult, error) {
 	if err != nil {
 		return res, err
 	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	addr, stop, err := harness.Serve(srv)
 	if err != nil {
 		return res, err
 	}
-	serveCtx, stopServe := context.WithCancel(context.Background())
-	serveDone := make(chan struct{})
-	go func() { defer close(serveDone); srv.Serve(serveCtx, l) }()
-	defer func() {
-		srv.Shutdown()
-		stopServe()
-		l.Close()
-		<-serveDone
-	}()
-	addr := l.Addr().String()
+	defer stop()
 
-	// Ramp the raw fleet in chunks: each session dials, handshakes, and then
-	// drains records at wire speed until closed. Chunked dialing paces the
-	// accept queue, and waiting on each chunk's handshakes is the natural
-	// ramp throttle: later chunks join while earlier sessions are already
-	// being served, so deep waves ramp slowly but arrive at a steady state.
-	var (
-		fleetMu sync.Mutex
-		fleet   []*netio.RawClient
-		drain   sync.WaitGroup
-	)
-	defer func() {
-		fleetMu.Lock()
-		for _, rc := range fleet {
-			rc.Close()
-		}
-		fleetMu.Unlock()
-		drain.Wait()
-	}()
-	for off := 0; off < wave.sessions; off += opt.rampChunk {
-		n := min(opt.rampChunk, wave.sessions-off)
-		errc := make(chan error, n)
-		var chunk sync.WaitGroup
-		for i := 0; i < n; i++ {
-			chunk.Add(1)
-			go func() {
-				defer chunk.Done()
-				conn, err := net.DialTimeout("tcp", addr, 10*time.Second)
-				if err != nil {
-					errc <- err
-					return
-				}
-				rc, err := netio.NewRawClient(conn)
-				if err != nil {
-					errc <- err
-					return
-				}
-				fleetMu.Lock()
-				fleet = append(fleet, rc)
-				fleetMu.Unlock()
-				drain.Add(1)
-				go func() {
-					defer drain.Done()
-					for {
-						if _, err := rc.Next(); err != nil {
-							return
-						}
-					}
-				}()
-			}()
-		}
-		chunk.Wait()
-		close(errc)
-		for err := range errc {
-			return res, fmt.Errorf("ramp: %w", err)
-		}
+	// The raw fleet: each session dials, handshakes, and then drains records
+	// at wire speed until closed. Deep waves ramp slowly but arrive at a
+	// steady state.
+	fleet, err := harness.RampFleet(addr, wave.sessions, opt.rampChunk, 0)
+	if err != nil {
+		return res, fmt.Errorf("ramp: %w", err)
 	}
+	defer fleet.Close()
 	for deadline := time.Now().Add(5 * time.Minute); ; time.Sleep(10 * time.Millisecond) {
 		if srv.Snapshot().Sessions >= wave.sessions {
 			break
@@ -387,10 +291,7 @@ func runWave(wave waveCfg, opt options) (waveResult, error) {
 	canaryCtx, cancelCanaries := context.WithTimeout(context.Background(),
 		opt.settle+opt.window+2*time.Minute)
 	defer cancelCanaries()
-	dial := func(ctx context.Context) (net.Conn, error) {
-		var d net.Dialer
-		return d.DialContext(ctx, "tcp", addr)
-	}
+	dial := harness.Dial(addr)
 	if opt.chaos {
 		dial, _ = faultnet.Dialer(faultnet.Config{
 			Seed:         opt.seed,
@@ -401,23 +302,13 @@ func runWave(wave waveCfg, opt options) (waveResult, error) {
 	}
 	canaryErrs := make(chan error, opt.canaries)
 	for i := 0; i < opt.canaries; i++ {
-		go func(i int) {
-			f, err := netio.NewFetcherFromConfig(dial, netio.DefaultFetcherConfig())
+		go func() {
+			_, err := harness.Fetch(canaryCtx, dial, netio.DefaultFetcherConfig(), media)
 			if err != nil {
-				canaryErrs <- fmt.Errorf("canary %d: %w", i, err)
-				return
+				err = fmt.Errorf("canary %d: %w", i, err)
 			}
-			fres, err := f.Fetch(canaryCtx)
-			if err != nil {
-				canaryErrs <- fmt.Errorf("canary %d: %w", i, err)
-				return
-			}
-			if !bytes.Equal(fres.Payload, media) {
-				canaryErrs <- fmt.Errorf("canary %d: payload differs", i)
-				return
-			}
-			canaryErrs <- nil
-		}(i)
+			canaryErrs <- err
+		}()
 	}
 
 	// The measurement window: throughput from the BytesSent delta, latency
@@ -440,15 +331,8 @@ func runWave(wave waveCfg, opt options) (waveResult, error) {
 
 	// Teardown, then the exactness gates: the fleet hangs up, the server
 	// drains, and the ledger must balance per shard and in aggregate.
-	fleetMu.Lock()
-	for _, rc := range fleet {
-		rc.Close()
-	}
-	fleet = nil
-	fleetMu.Unlock()
-	drain.Wait()
-	srv.Shutdown()
-	final := srv.Snapshot()
+	fleet.Close()
+	final := stop()
 	if final.BlocksOffered != final.BlocksSent+final.BlocksShed {
 		return res, fmt.Errorf("aggregate ledger: offered %d != sent %d + shed %d",
 			final.BlocksOffered, final.BlocksSent, final.BlocksShed)
@@ -486,19 +370,9 @@ func smokeGates(reg *obs.Registry, wave waveCfg, window obs.HistogramView, maxP9
 	if window.P99 > maxP99 {
 		return fmt.Errorf("windowed p99 record latency %v exceeds gate %v", window.P99, maxP99)
 	}
-	var sb bytes.Buffer
-	if err := reg.WriteText(&sb); err != nil {
-		return err
-	}
-	samples, err := obs.ParseText(bytes.NewReader(sb.Bytes()))
+	vals, err := harness.Series(reg.WriteText)
 	if err != nil {
 		return err
-	}
-	vals := map[string]float64{}
-	for _, s := range samples {
-		if len(s.Labels) == 0 {
-			vals[s.Key()] = s.Value
-		}
 	}
 	for _, key := range []string{"netio_blocks_offered", "netio_blocks_sent", "netio_blocks_shed", "netio_pump_shards"} {
 		if _, ok := vals[key]; !ok {
@@ -512,247 +386,5 @@ func smokeGates(reg *obs.Registry, wave waveCfg, window obs.HistogramView, maxP9
 	if got := int(vals["netio_pump_shards"]); got != wave.shards {
 		return fmt.Errorf("scraped netio_pump_shards = %d, want %d", got, wave.shards)
 	}
-	return nil
-}
-
-// runBrownoutWave is the graceful-degradation gate (`ncload -brownout`): a
-// fleet of deliberately slow readers pushes one server well past saturation
-// and holds it there, and the brownout ladder must visibly engage — at least
-// one rung up, with transitions observable — then step all the way back down
-// once the fleet hangs up. Canary fetchers launched at peak pressure must
-// still finish byte-identical: they absorb BUSY refusals while the ladder
-// sits at reject and are admitted as it unwinds, which is the whole point of
-// lossless degradation. The run is reproducible from -seed; exact
-// offered == sent + shed accounting is re-checked after teardown.
-func runBrownoutWave(opt options, out io.Writer, lg *log.Logger, sum *loadSummary) error {
-	fleetSize := opt.sessions
-	if opt.smoke {
-		fleetSize = 128
-	}
-	reg := obs.NewRegistry()
-	obs.SetSink(reg)
-	defer obs.SetSink(nil)
-
-	p := rlnc.Params{BlockCount: opt.blockCount, BlockSize: opt.blockSize}
-	media := makeMedia(opt.segments*p.SegmentSize()-13, opt.seed)
-
-	var transitions int
-	scfg := netio.DefaultServerConfig()
-	// A shallow queue and wide write deadlines: slow readers must saturate
-	// the queues (occupancy and pump stalls are the pressure signal), not be
-	// evicted as hostile peers.
-	scfg.QueueDepth = 8
-	scfg.WriteDeadline = 30 * time.Second
-	scfg.WriteRetries = 4
-	scfg.Seed = opt.seed
-	scfg.Metrics = reg
-	scfg.RetryAfter = 20 * time.Millisecond
-	scfg.Brownout = netio.BrownoutConfig{
-		Interval: 25 * time.Millisecond,
-		StepUp:   0.5,
-		StepDown: 0.1,
-		Hold:     3,
-		OnTransition: func(from, to netio.BrownoutRung, pressure float64) {
-			transitions++
-			lg.Printf("brownout: %s -> %s (pressure %.2f)", from, to, pressure)
-		},
-	}
-	srv, err := netio.NewServerFromConfig(media, p, scfg)
-	if err != nil {
-		return err
-	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	serveCtx, stopServe := context.WithCancel(context.Background())
-	serveDone := make(chan struct{})
-	go func() { defer close(serveDone); srv.Serve(serveCtx, l) }()
-	defer func() {
-		srv.Shutdown()
-		stopServe()
-		l.Close()
-		<-serveDone
-	}()
-	addr := l.Addr().String()
-
-	// The overload: every session reads one record then naps, so the queues
-	// stay pinned full no matter how fast the pumps produce.
-	lg.Printf("brownout wave: ramping %d slow readers", fleetSize)
-	var (
-		fleetMu sync.Mutex
-		fleet   []*netio.RawClient
-		drain   sync.WaitGroup
-	)
-	closeFleet := func() {
-		fleetMu.Lock()
-		for _, rc := range fleet {
-			rc.Close()
-		}
-		fleet = nil
-		fleetMu.Unlock()
-		drain.Wait()
-	}
-	defer closeFleet()
-	for off := 0; off < fleetSize; off += opt.rampChunk {
-		n := min(opt.rampChunk, fleetSize-off)
-		errc := make(chan error, n)
-		var chunk sync.WaitGroup
-		for i := 0; i < n; i++ {
-			chunk.Add(1)
-			go func() {
-				defer chunk.Done()
-				conn, err := net.DialTimeout("tcp", addr, 10*time.Second)
-				if err != nil {
-					errc <- err
-					return
-				}
-				rc, err := netio.NewRawClient(conn)
-				if err != nil {
-					errc <- err
-					return
-				}
-				fleetMu.Lock()
-				fleet = append(fleet, rc)
-				fleetMu.Unlock()
-				drain.Add(1)
-				go func() {
-					defer drain.Done()
-					for {
-						if _, err := rc.Next(); err != nil {
-							return
-						}
-						time.Sleep(5 * time.Millisecond)
-					}
-				}()
-			}()
-		}
-		chunk.Wait()
-		close(errc)
-		for err := range errc {
-			return fmt.Errorf("ramp: %w", err)
-		}
-	}
-
-	// Gate 1: the ladder engages under sustained pressure.
-	engageStart := time.Now()
-	peak := netio.BrownoutOff
-	for deadline := time.Now().Add(time.Minute); ; time.Sleep(5 * time.Millisecond) {
-		if r := srv.Rung(); r > peak {
-			peak = r
-		}
-		if peak > netio.BrownoutOff {
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("ladder never engaged under %d slow readers (snapshot %+v)",
-				fleetSize, srv.Snapshot().CounterView)
-		}
-	}
-	lg.Printf("ladder engaged (rung %s) %v after ramp", srv.Rung(), time.Since(engageStart).Round(time.Millisecond))
-	sum.Invariants["ladder_engaged"] = true
-
-	// Canaries launch at peak pressure: BUSY refusals while the ladder sits
-	// at reject, admission as it unwinds, and a byte-identical payload
-	// regardless.
-	canaryCtx, cancelCanaries := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancelCanaries()
-	dial := func(ctx context.Context) (net.Conn, error) {
-		var d net.Dialer
-		return d.DialContext(ctx, "tcp", addr)
-	}
-	type canaryResult struct {
-		err  error
-		busy int
-	}
-	canaryDone := make(chan canaryResult, opt.canaries)
-	for i := 0; i < opt.canaries; i++ {
-		go func(i int) {
-			fcfg := netio.DefaultFetcherConfig()
-			fcfg.BackoffBase, fcfg.BackoffMax = 10*time.Millisecond, 250*time.Millisecond
-			fcfg.Seed = opt.seed + int64(i)
-			f, err := netio.NewFetcherFromConfig(dial, fcfg)
-			if err != nil {
-				canaryDone <- canaryResult{err: fmt.Errorf("canary %d: %w", i, err)}
-				return
-			}
-			fres, err := f.Fetch(canaryCtx)
-			if err != nil {
-				canaryDone <- canaryResult{err: fmt.Errorf("canary %d: %w", i, err)}
-				return
-			}
-			if !bytes.Equal(fres.Payload, media) {
-				canaryDone <- canaryResult{err: fmt.Errorf("canary %d: payload differs", i)}
-				return
-			}
-			canaryDone <- canaryResult{busy: f.Stats().AdmissionBusy}
-		}(i)
-	}
-
-	// Hold the saturation plateau, tracking the peak rung, then release.
-	holdUntil := time.Now().Add(opt.settle + 500*time.Millisecond)
-	for time.Now().Before(holdUntil) {
-		if r := srv.Rung(); r > peak {
-			peak = r
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	closeFleet()
-
-	// Gate 2: with the pressure lifted the ladder steps all the way back.
-	releaseStart := time.Now()
-	for deadline := time.Now().Add(time.Minute); srv.Rung() != netio.BrownoutOff; time.Sleep(5 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("ladder never stepped back down after release (rung %s)", srv.Rung())
-		}
-	}
-	recovery := time.Since(releaseStart)
-	lg.Printf("ladder back to off %v after release", recovery.Round(time.Millisecond))
-	sum.Invariants["ladder_released"] = true
-	sum.RecoveryNs = recovery.Nanoseconds()
-
-	// Gate 3: every canary decodes byte-identical despite the brownout.
-	busyTotal := 0
-	for i := 0; i < opt.canaries; i++ {
-		res := <-canaryDone
-		if res.err != nil {
-			return res.err
-		}
-		busyTotal += res.busy
-	}
-
-	// The canaries are load too — with shallow queues their own decode churn
-	// can tick the ladder back up — so wait for the controller to settle at
-	// off again now that every client is gone before freezing the snapshot.
-	for deadline := time.Now().Add(time.Minute); srv.Rung() != netio.BrownoutOff; time.Sleep(5 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("ladder never settled at off after the canaries (rung %s)", srv.Rung())
-		}
-	}
-
-	// Gate 4: exactness after teardown, scraped from the snapshot the
-	// controller was driving.
-	srv.Shutdown()
-	final := srv.Snapshot()
-	if !final.Consistent() {
-		return fmt.Errorf("ledger after brownout wave: offered %d != sent %d + shed %d",
-			final.BlocksOffered, final.BlocksSent, final.BlocksShed)
-	}
-	if final.BrownoutTransitions < 2 || transitions < 2 {
-		return fmt.Errorf("only %d ladder transitions observed (callback saw %d), want >= 2",
-			final.BrownoutTransitions, transitions)
-	}
-	if final.BrownoutRung != int(netio.BrownoutOff) {
-		return fmt.Errorf("final snapshot rung %d, want off", final.BrownoutRung)
-	}
-
-	sum.Invariants["canaries_identical"] = true
-	sum.Invariants["ledgers_balanced"] = true
-	sum.PeakRung = int(peak)
-	sum.Transits = final.BrownoutTransitions
-	lg.Printf("brownout wave ok: peak rung %s, %d transitions, %d canary BUSY refusals honored, %d blocks shed",
-		peak, final.BrownoutTransitions, busyTotal, final.BlocksShed)
-	fmt.Fprintf(out, "BenchmarkServeBrownout/sessions=%d \t%8d\t%12d peak-rung\t%12d transitions\t%12d recover-ns\t%8d busy\n",
-		fleetSize, 1, int(peak), final.BrownoutTransitions, recovery.Nanoseconds(), busyTotal)
 	return nil
 }

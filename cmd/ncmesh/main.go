@@ -20,27 +20,20 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"extremenc/internal/faultnet"
+	"extremenc/internal/harness"
 	"extremenc/internal/mesh"
 	"extremenc/internal/netio"
-	"extremenc/internal/obs"
-	"extremenc/internal/obs/trace"
 	"extremenc/internal/rlnc"
 )
 
@@ -86,27 +79,11 @@ func run(args []string, stdout io.Writer) error {
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
 
-	media := make([]byte, *size)
-	rand.New(rand.NewSource(*seed)).Read(media)
-
-	reg := obs.NewRegistry()
-	obs.SetSink(reg)
-	defer obs.SetSink(nil)
-	if err := obs.RegisterRuntime(reg); err != nil {
-		return err
-	}
+	media := harness.Media(*size, *seed)
+	reg, stopObserve := harness.Observe()
+	defer stopObserve()
 	if *flight > 0 {
-		trace.Enable(*flight)
-		defer trace.Disable()
-		quits := make(chan os.Signal, 1)
-		signal.Notify(quits, syscall.SIGQUIT)
-		defer signal.Stop(quits)
-		go func() {
-			for range quits {
-				os.Stderr.Write(trace.DumpJSON()) //nolint:errcheck — best-effort dump
-				fmt.Fprintln(os.Stderr)
-			}
-		}()
+		defer harness.Flight(*flight, os.Stderr)()
 	}
 
 	// The kill trigger rides the leaves' record taps: once the wave has
@@ -173,15 +150,14 @@ func run(args []string, stdout io.Writer) error {
 		m.OriginAddr(), mode, *originSessions, *relays, *leaves)
 
 	if *metricsAddr != "" {
-		ml, err := net.Listen("tcp", *metricsAddr)
-		if err != nil {
-			return fmt.Errorf("metrics listener: %w", err)
-		}
-		defer ml.Close()
-		go http.Serve(ml, obs.Handler(reg, func() map[string]any { //nolint:errcheck — exits with the process
+		bound, stopMetrics, err := harness.ServeMetrics(*metricsAddr, reg, func() map[string]any {
 			return map[string]any{"mesh": m.Snapshot()}
-		}))
-		fmt.Fprintf(stdout, "metrics on http://%s/metrics (JSON on /metrics.json, profiles on /debug/pprof/)\n", ml.Addr())
+		})
+		if err != nil {
+			return err
+		}
+		defer stopMetrics()
+		fmt.Fprintf(stdout, "metrics on http://%s/metrics (JSON on /metrics.json, profiles on /debug/pprof/)\n", bound)
 	}
 
 	if *warm {
@@ -199,14 +175,10 @@ func run(args []string, stdout io.Writer) error {
 	}
 	elapsed := time.Since(start)
 
+	if err := harness.VerifyLeaves(media, m.Leaves()...); err != nil {
+		return err
+	}
 	for _, leaf := range m.Leaves() {
-		res, err := leaf.Result()
-		if err != nil {
-			return fmt.Errorf("leaf %d: %w", leaf.ID, err)
-		}
-		if !bytes.Equal(res.Payload, media) {
-			return fmt.Errorf("leaf %d: payload differs from origin media", leaf.ID)
-		}
 		fmt.Fprintf(stdout, "leaf %d ok: %d records, %d reconnects, %d redirects, %v\n",
 			leaf.ID, leaf.Records(), leaf.Reconnects(), leaf.Redirector().Redirects(), leaf.Duration())
 	}

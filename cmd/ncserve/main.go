@@ -38,11 +38,11 @@
 package main
 
 import (
-	"bytes"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
-	"math/rand"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -54,9 +54,9 @@ import (
 
 	"extremenc/internal/faultnet"
 	"extremenc/internal/gf256"
+	"extremenc/internal/harness"
 	"extremenc/internal/netio"
 	"extremenc/internal/obs"
-	"extremenc/internal/obs/trace"
 	"extremenc/internal/rlnc"
 )
 
@@ -69,7 +69,7 @@ func main() {
 
 func run(args []string) error {
 	if len(args) < 1 {
-		return fmt.Errorf("usage: ncserve serve|fetch|smoke [flags]")
+		return fmt.Errorf("usage: ncserve serve|fetch|smoke|metrics-smoke|xor-smoke [flags]")
 	}
 	switch args[0] {
 	case "serve":
@@ -156,31 +156,19 @@ func runServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	// One registry carries every metric the process produces; installing it
-	// as the span sink turns on the stage-latency histograms.
-	reg := obs.NewRegistry()
-	obs.SetSink(reg)
-	if err := obs.RegisterRuntime(reg); err != nil {
-		return err
-	}
+	// One registry carries every metric the process produces.
+	reg, stopObserve := harness.Observe()
+	defer stopObserve()
 	cfg, err := sf.config()
 	if err != nil {
 		return err
 	}
 	cfg.Metrics = reg
 	if *flight > 0 {
-		trace.Enable(*flight)
-		cfg.TraceNode = "ncserve"
 		// SIGQUIT dumps the flight ring to stderr without stopping the
 		// server — the classic in-flight postmortem signal.
-		quits := make(chan os.Signal, 1)
-		signal.Notify(quits, syscall.SIGQUIT)
-		go func() {
-			for range quits {
-				os.Stderr.Write(trace.DumpJSON()) //nolint:errcheck — best-effort dump
-				fmt.Fprintln(os.Stderr)
-			}
-		}()
+		defer harness.Flight(*flight, os.Stderr)()
+		cfg.TraceNode = "ncserve"
 	}
 	if *brownout > 0 {
 		cfg.Brownout = netio.BrownoutConfig{
@@ -236,15 +224,14 @@ func runServe(args []string) error {
 	}()
 
 	if *metricsAddr != "" {
-		ml, err := net.Listen("tcp", *metricsAddr)
-		if err != nil {
-			return fmt.Errorf("metrics listener: %w", err)
-		}
-		defer ml.Close()
-		go http.Serve(ml, obs.Handler(reg, func() map[string]any { //nolint:errcheck — exits with the process
+		bound, stopMetrics, err := harness.ServeMetrics(*metricsAddr, reg, func() map[string]any {
 			return snapshotJSON(srv.Snapshot())
-		}))
-		fmt.Printf("metrics on http://%s/metrics (JSON on /metrics.json, profiles on /debug/pprof/)\n", ml.Addr())
+		})
+		if err != nil {
+			return err
+		}
+		defer stopMetrics()
+		fmt.Printf("metrics on http://%s/metrics (JSON on /metrics.json, profiles on /debug/pprof/)\n", bound)
 	}
 	if *logEvery > 0 {
 		go obs.LogEvery(ctx, os.Stderr, *logEvery, reg)
@@ -348,10 +335,7 @@ func runFetch(args []string) error {
 			return err
 		}
 	}
-	f, err := netio.NewFetcherFromConfig(func(ctx context.Context) (net.Conn, error) {
-		var d net.Dialer
-		return d.DialContext(ctx, "tcp", *addr)
-	}, cfg)
+	f, err := netio.NewFetcherFromConfig(harness.Dial(*addr), cfg)
 	if err != nil {
 		return err
 	}
@@ -408,8 +392,7 @@ func runSmoke(args []string) error {
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
 
-	media := make([]byte, *size)
-	rand.New(rand.NewSource(42)).Read(media)
+	media := harness.Media(*size, 42)
 	sf.deadline, sf.retries = 2*time.Second, 1
 	cfg, err := sf.config()
 	if err != nil {
@@ -419,45 +402,32 @@ func runSmoke(args []string) error {
 	if err != nil {
 		return err
 	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	addr, stop, err := harness.Serve(srv)
 	if err != nil {
 		return err
 	}
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve(ctx, l) }()
+	defer stop()
 
+	// One-shot clients: a stream failure is final, as with netio.Fetch.
+	fcfg := netio.DefaultFetcherConfig()
+	fcfg.MaxAttempts = 1
 	var wg sync.WaitGroup
 	errs := make([]error, *clients)
-	for i := 0; i < *clients; i++ {
+	for i := range errs {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			conn, err := net.Dial("tcp", l.Addr().String())
-			if err != nil {
-				errs[i] = err
-				return
+			if _, err := harness.Fetch(ctx, harness.Dial(addr), fcfg, media); err != nil {
+				errs[i] = fmt.Errorf("client %d: %w", i, err)
 			}
-			payload, _, err := netio.Fetch(ctx, conn)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			if !bytes.Equal(payload, media) {
-				errs[i] = fmt.Errorf("client %d: payload differs", i)
-			}
-		}(i)
+		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	if err := errors.Join(errs...); err != nil {
+		return err
 	}
-	srv.Shutdown()
-	l.Close()
-	<-serveDone
 
-	snap := srv.Snapshot()
+	snap := stop()
 	// All sessions have ended, so the strict ledger equality must hold.
 	if !snap.Consistent() {
 		return fmt.Errorf("accounting mismatch: offered %d != sent %d + shed %d",
@@ -488,73 +458,50 @@ func runMetricsSmoke(args []string) error {
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
 
-	reg := obs.NewRegistry()
-	obs.SetSink(reg)
-	defer obs.SetSink(nil)
-	if err := obs.RegisterRuntime(reg); err != nil {
-		return err
-	}
-
-	media := make([]byte, *size)
-	rand.New(rand.NewSource(43)).Read(media)
+	reg, stopObserve := harness.Observe()
+	defer stopObserve()
+	media := harness.Media(*size, 43)
 	cfg := netio.DefaultServerConfig()
 	cfg.Metrics = reg
 	srv, err := netio.NewServerFromConfig(media, rlnc.Params{BlockCount: 16, BlockSize: 1024}, cfg)
 	if err != nil {
 		return err
 	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	addr, stop, err := harness.Serve(srv)
 	if err != nil {
 		return err
 	}
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve(ctx, l) }()
-
-	ml, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	defer ml.Close()
-	go http.Serve(ml, obs.Handler(reg, func() map[string]any { //nolint:errcheck — exits with the process
+	defer stop()
+	bound, stopMetrics, err := harness.ServeMetrics("127.0.0.1:0", reg, func() map[string]any {
 		return snapshotJSON(srv.Snapshot())
-	}))
+	})
+	if err != nil {
+		return err
+	}
+	defer stopMetrics()
 
 	fcfg := netio.DefaultFetcherConfig()
 	fcfg.Metrics = reg
-	f, err := netio.NewFetcherFromConfig(func(ctx context.Context) (net.Conn, error) {
-		var d net.Dialer
-		return d.DialContext(ctx, "tcp", l.Addr().String())
-	}, fcfg)
-	if err != nil {
-		return err
-	}
-	res, err := f.Fetch(ctx)
-	if err != nil {
+	if _, err := harness.Fetch(ctx, harness.Dial(addr), fcfg, media); err != nil {
 		return fmt.Errorf("loopback fetch: %w", err)
 	}
-	if !bytes.Equal(res.Payload, media) {
-		return fmt.Errorf("loopback fetch: payload differs")
-	}
-	srv.Shutdown()
-	l.Close()
-	<-serveDone
+	stop()
 
-	base := "http://" + ml.Addr().String()
-	samples, err := scrapeMetrics(ctx, base+"/metrics")
+	base := "http://" + bound
+	// The scrape itself: 200, text/plain, and a body the in-repo parser takes.
+	series, err := harness.Series(func(w io.Writer) error {
+		return checkRoute(ctx, http.MethodGet, base+"/metrics", http.StatusOK, "Content-Type", "text/plain", w)
+	})
 	if err != nil {
 		return err
 	}
-	byKey := map[string]float64{}
-	for _, s := range samples {
-		byKey[s.Key()] = s.Value
-	}
-	for _, series := range []string{
+	for _, name := range []string{
 		"netio_blocks_encoded", "netio_blocks_sent", "netio_bytes_sent",
 		"netio_sessions_total", "fetch_attempts", "fetch_records", "fetch_bytes",
 		"runtime_goroutines", "runtime_heap_alloc_bytes", "runtime_uptime_seconds",
 	} {
-		if byKey[series] <= 0 {
-			return fmt.Errorf("scrape: series %s = %v, want > 0", series, byKey[series])
+		if series[name] <= 0 {
+			return fmt.Errorf("scrape: series %s = %v, want > 0", name, series[name])
 		}
 	}
 	histograms := 0
@@ -572,25 +519,25 @@ func runMetricsSmoke(args []string) error {
 		"/debug/pprof/":             "text/html",
 		"/debug/pprof/heap?debug=1": "text/plain",
 	} {
-		if err := checkRoute(ctx, base+path, wantType); err != nil {
+		if err := checkRoute(ctx, http.MethodGet, base+path, http.StatusOK, "Content-Type", wantType, nil); err != nil {
 			return err
 		}
 	}
-	if err := checkRouteStatus(ctx, base+"/nope", http.StatusNotFound); err != nil {
+	if err := checkRoute(ctx, http.MethodGet, base+"/nope", http.StatusNotFound, "", "", nil); err != nil {
 		return err
 	}
 	// The exposition routes must refuse mutations with a correct 405 (not the
 	// catch-all 404) and stamp nosniff on every response.
 	for _, path := range []string{"/metrics", "/metrics.json", "/debug/flight"} {
-		if err := checkMethodStatus(ctx, http.MethodPost, base+path, http.StatusMethodNotAllowed); err != nil {
+		if err := checkRoute(ctx, http.MethodPost, base+path, http.StatusMethodNotAllowed, "", "", nil); err != nil {
 			return err
 		}
 	}
-	if err := checkHeader(ctx, base+"/metrics", "X-Content-Type-Options", "nosniff"); err != nil {
+	if err := checkRoute(ctx, http.MethodGet, base+"/metrics", http.StatusOK, "X-Content-Type-Options", "nosniff", nil); err != nil {
 		return err
 	}
 	fmt.Printf("metrics-smoke ok: %d series scraped, %d populated histograms, blocks sent %.0f, fetch records %.0f\n",
-		len(samples), histograms, byKey["netio_blocks_sent"], byKey["fetch_records"])
+		len(series), histograms, series["netio_blocks_sent"], series["fetch_records"])
 	return nil
 }
 
@@ -613,12 +560,9 @@ func runXorSmoke(args []string) error {
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
 
-	reg := obs.NewRegistry()
-	obs.SetSink(reg)
-	defer obs.SetSink(nil)
-
-	media := make([]byte, *size)
-	rand.New(rand.NewSource(44)).Read(media)
+	reg, stopObserve := harness.Observe()
+	defer stopObserve()
+	media := harness.Media(*size, 44)
 	cfg := netio.DefaultServerConfig()
 	cfg.Mode = netio.ModeSystematic
 	cfg.Metrics = reg
@@ -627,31 +571,20 @@ func runXorSmoke(args []string) error {
 	if err != nil {
 		return err
 	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	addr, stop, err := harness.Serve(srv)
 	if err != nil {
 		return err
 	}
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve(ctx, l) }()
+	defer stop()
 
 	// Leg 1: clean loopback — one sweep and nothing else.
 	fcfg := netio.DefaultFetcherConfig()
-	clean, err := netio.NewFetcherFromConfig(func(ctx context.Context) (net.Conn, error) {
-		var d net.Dialer
-		return d.DialContext(ctx, "tcp", l.Addr().String())
-	}, fcfg)
-	if err != nil {
-		return err
-	}
-	res, err := clean.Fetch(ctx)
+	res, err := harness.Fetch(ctx, harness.Dial(addr), fcfg, media)
 	if err != nil {
 		return fmt.Errorf("clean systematic fetch: %w", err)
 	}
 	if res.Mode != netio.ModeSystematic {
 		return fmt.Errorf("clean fetch negotiated %s, want systematic", res.Mode)
-	}
-	if !bytes.Equal(res.Payload, media) {
-		return fmt.Errorf("clean systematic fetch: payload differs")
 	}
 	if sweep := p.BlockCount * srv.Segments(); res.Stats.Records != sweep {
 		return fmt.Errorf("clean systematic fetch read %d records, want one sweep of %d", res.Stats.Records, sweep)
@@ -667,25 +600,13 @@ func runXorSmoke(args []string) error {
 		CorruptEvery: 4000,
 		ResetEvery:   60000,
 		MaxReadChunk: 512,
-	}, func(ctx context.Context) (net.Conn, error) {
-		var d net.Dialer
-		return d.DialContext(ctx, "tcp", l.Addr().String())
-	})
+	}, harness.Dial(addr))
 	fcfg.BackoffBase, fcfg.BackoffMax = time.Millisecond, 20*time.Millisecond
-	lossy, err := netio.NewFetcherFromConfig(dial, fcfg)
-	if err != nil {
-		return err
-	}
-	lres, err := lossy.Fetch(ctx)
+	lres, err := harness.Fetch(ctx, dial, fcfg, media)
 	if err != nil {
 		return fmt.Errorf("lossy systematic fetch: %w (faults %+v)", err, ctr.View())
 	}
-	if !bytes.Equal(lres.Payload, media) {
-		return fmt.Errorf("lossy systematic fetch: payload differs")
-	}
-	srv.Shutdown()
-	l.Close()
-	<-serveDone
+	stop()
 
 	// The proof obligation: the GF(2) fast path must have absorbed records.
 	v, ok := reg.HistogramView("rlnc.xor_absorb")
@@ -694,88 +615,27 @@ func runXorSmoke(args []string) error {
 	}
 	// And it must survive the text exposition round trip, where the CI
 	// scrape reads it.
-	var sb strings.Builder
-	if err := reg.WriteText(&sb); err != nil {
-		return err
-	}
-	samples, err := obs.ParseText(strings.NewReader(sb.String()))
+	series, err := harness.Series(reg.WriteText)
 	if err != nil {
 		return err
 	}
-	count, needs := 0.0, 0.0
-	for _, s := range samples {
-		switch s.Key() {
-		case "rlnc_xor_absorb_count":
-			count = s.Value
-		case "netio_need_records":
-			needs = s.Value
-		}
-	}
-	if count <= 0 {
+	needs := int(series["netio_need_records"])
+	if count := series["rlnc_xor_absorb_count"]; count <= 0 {
 		return fmt.Errorf("scrape: rlnc_xor_absorb_count = %v, want > 0", count)
 	}
 	if needs == 0 && lres.Stats.Reconnects == 0 {
 		return fmt.Errorf("lossy systematic fetch met no loss handling: no need record, no reconnect (faults %+v)", ctr.View())
 	}
 	fmt.Printf("xor-smoke ok: mode %s, %d xor absorbs, clean %d records, lossy %d records (%d need records, %d reconnects, %d corrupt, %d resyncs, faults %+v)\n",
-		srv.Mode(), v.Count, res.Stats.Records, lres.Stats.Records, int(needs), lres.Stats.Reconnects,
+		srv.Mode(), v.Count, res.Stats.Records, lres.Stats.Records, needs, lres.Stats.Reconnects,
 		lres.Stats.Corrupt, lres.Stats.FramingResyncs, ctr.View())
 	return nil
 }
 
-// scrapeMetrics GETs a /metrics URL and parses the Prometheus text format
-// with the in-repo parser.
-func scrapeMetrics(ctx context.Context, url string) ([]obs.TextSample, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("scrape %s: %w", url, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("scrape %s: status %s", url, resp.Status)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		return nil, fmt.Errorf("scrape %s: Content-Type %q, want text/plain", url, ct)
-	}
-	samples, err := obs.ParseText(resp.Body)
-	if err != nil {
-		return nil, fmt.Errorf("scrape %s: %w", url, err)
-	}
-	return samples, nil
-}
-
-// checkRoute GETs url and verifies a 200 with the expected Content-Type
-// prefix.
-func checkRoute(ctx context.Context, url, wantType string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return fmt.Errorf("GET %s: %w", url, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET %s: status %s", url, resp.Status)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, wantType) {
-		return fmt.Errorf("GET %s: Content-Type %q, want %s", url, ct, wantType)
-	}
-	return nil
-}
-
-// checkRouteStatus GETs url and verifies the response status code.
-func checkRouteStatus(ctx context.Context, url string, want int) error {
-	return checkMethodStatus(ctx, http.MethodGet, url, want)
-}
-
-// checkMethodStatus issues method against url and verifies the status code.
-func checkMethodStatus(ctx context.Context, method, url string, want int) error {
+// checkRoute issues method against url and verifies the status code and, when
+// header is named, that its value (up to any ";parameter") is want. A non-nil
+// body receives the response body.
+func checkRoute(ctx context.Context, method, url string, status int, header, want string, body io.Writer) error {
 	req, err := http.NewRequestWithContext(ctx, method, url, nil)
 	if err != nil {
 		return err
@@ -784,26 +644,15 @@ func checkMethodStatus(ctx context.Context, method, url string, want int) error 
 	if err != nil {
 		return fmt.Errorf("%s %s: %w", method, url, err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != want {
-		return fmt.Errorf("%s %s: status %d, want %d", method, url, resp.StatusCode, want)
+	defer resp.Body.Close()
+	if resp.StatusCode != status {
+		return fmt.Errorf("%s %s: status %d, want %d", method, url, resp.StatusCode, status)
 	}
-	return nil
-}
-
-// checkHeader GETs url and verifies one response header value.
-func checkHeader(ctx context.Context, url, header, want string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return err
+	if got, _, _ := strings.Cut(resp.Header.Get(header), ";"); header != "" && got != want {
+		return fmt.Errorf("%s %s: header %s = %q, want %s", method, url, header, resp.Header.Get(header), want)
 	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return fmt.Errorf("GET %s: %w", url, err)
+	if body != nil {
+		_, err = io.Copy(body, resp.Body)
 	}
-	resp.Body.Close()
-	if got := resp.Header.Get(header); got != want {
-		return fmt.Errorf("GET %s: header %s = %q, want %q", url, header, got, want)
-	}
-	return nil
+	return err
 }

@@ -27,21 +27,19 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"math/rand"
-	"net"
 	"os"
 	"runtime"
 	"strings"
 	"time"
 
 	"extremenc/internal/faultnet"
+	"extremenc/internal/harness"
 	"extremenc/internal/mesh"
 	"extremenc/internal/netio"
 	"extremenc/internal/obs"
@@ -87,11 +85,16 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *smoke {
-		*seed, *events, *relays = 1, 12, 3
+	cfg := soakConfig{
+		seed: *seed, events: *events, relays: *relays,
+		params: rlnc.Params{BlockCount: *n, BlockSize: *k}, size: *size,
+		timeout: *timeout, verbose: *verbose,
 	}
-	if *relays < 3 {
-		return fmt.Errorf("-relays %d: the soak needs at least 3 (drains redirect to a survivor)", *relays)
+	if *smoke {
+		cfg.seed, cfg.events, cfg.relays = 1, 12, 3
+	}
+	if cfg.relays < 3 {
+		return fmt.Errorf("-relays %d: the soak needs at least 3 (drains redirect to a survivor)", cfg.relays)
 	}
 
 	// The flight ring records admission, brownout, shed, reconnect, and fault
@@ -101,109 +104,86 @@ func run(args []string, stdout io.Writer) error {
 		trace.Enable(*flightRing)
 		defer trace.Disable()
 	}
-	sum := &runSummary{Seed: *seed, Invariants: map[string]bool{}}
-	err := soakMain(*seed, *events, *relays, *n, *k, *size, *timeout, *verbose, stdout, sum)
-	sum.OK = err == nil
-	if err != nil {
-		sum.Error = err.Error()
-		if *flightRing > 0 && *flightPath != "" {
-			if werr := os.WriteFile(*flightPath, trace.DumpJSON(), 0o644); werr == nil {
-				fmt.Fprintf(stdout, "flight dump written to %s\n", *flightPath)
-			}
-		}
+	sum := &soakSummary{}
+	verdict := harness.Verdict{
+		Seed: cfg.seed, Fields: sum, Invariants: map[string]bool{},
+		SummaryPath: *summaryPath, FlightPath: *flightPath,
 	}
-	if *summaryPath != "" {
-		b, merr := json.MarshalIndent(sum, "", " ")
-		if merr != nil {
-			return errors.Join(err, merr)
-		}
-		b = append(b, '\n')
-		if werr := os.WriteFile(*summaryPath, b, 0o644); werr != nil {
-			return errors.Join(err, werr)
-		}
-	}
-	return err
+	return verdict.Finish(soakMain(cfg, stdout, sum, verdict.Invariants), stdout)
 }
 
-// runSummary is the machine-readable outcome of one soak: the reproducing
-// seed, the schedule shape, the per-invariant verdicts, and the degradation
-// headline numbers — written to -summary and uploaded as a CI artifact.
-type runSummary struct {
-	OK         bool            `json:"ok"`
-	Seed       int64           `json:"seed"`
-	Events     int             `json:"events"`
-	ElapsedS   float64         `json:"elapsed_s"`
-	LeavesDone int             `json:"leaves_done"`
-	Drains     int             `json:"drains"`
-	Kills      int             `json:"kills"`
-	Stalls     int             `json:"stall_waves"`
-	Redirects  int             `json:"redirects_honored"`
-	PeakRung   int             `json:"brownout_peak_rung"`
-	Invariants map[string]bool `json:"invariants"`
-	Error      string          `json:"error,omitempty"`
+// soakConfig is one soak's shape, as the flags (or -smoke) fix it.
+type soakConfig struct {
+	seed    int64
+	events  int
+	relays  int
+	params  rlnc.Params
+	size    int
+	timeout time.Duration
+	verbose bool
 }
 
-func soakMain(seedV int64, eventsV, relaysV, nV, kV, sizeV int, timeoutV time.Duration, verboseV bool, stdout io.Writer, sum *runSummary) error {
-	seed, events, relays, n, k, size := &seedV, &eventsV, &relaysV, &nV, &kV, &sizeV
-	timeout, verbose := &timeoutV, &verboseV
+// soakSummary is what one soak adds to its -summary verdict — the schedule
+// shape and the degradation headline numbers — uploaded as a CI artifact.
+type soakSummary struct {
+	Events     int     `json:"events"`
+	ElapsedS   float64 `json:"elapsed_s"`
+	LeavesDone int     `json:"leaves_done"`
+	Drains     int     `json:"drains"`
+	Kills      int     `json:"kills"`
+	Stalls     int     `json:"stall_waves"`
+	Redirects  int     `json:"redirects_honored"`
+	PeakRung   int     `json:"brownout_peak_rung"`
+}
 
-	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
+func soakMain(cfg soakConfig, stdout io.Writer, sum *soakSummary, invariants map[string]bool) error {
+	ctx, cancel := context.WithTimeout(context.Background(), cfg.timeout)
 	defer cancel()
 
-	rng := rand.New(rand.NewSource(*seed))
-	media := make([]byte, *size)
+	// One stream seeds media and schedule, so both reproduce from -seed.
+	rng := rand.New(rand.NewSource(cfg.seed))
+	media := make([]byte, cfg.size)
 	rng.Read(media)
-	schedule := makeSchedule(rng, *events)
+	schedule := makeSchedule(rng, cfg.events)
 	sum.Events = len(schedule)
 
 	// The leak check brackets the whole mesh lifetime.
 	runtime.GC()
 	baseGoroutines := runtime.NumGoroutine()
 
-	reg := obs.NewRegistry()
-	obs.SetSink(reg)
-	defer obs.SetSink(nil)
+	reg, stopObserve := harness.Observe()
+	defer stopObserve()
 
 	topo := mesh.Topology{
 		Media:      media,
-		Params:     rlnc.Params{BlockCount: *n, BlockSize: *k},
-		Relays:     *relays,
+		Params:     cfg.params,
+		Relays:     cfg.relays,
 		OriginMode: netio.ModeSystematic,
 		XorRecode:  true,
-		Seed:       *seed,
+		Seed:       cfg.seed,
 		Registry:   reg,
 		Heartbeat:  10 * time.Millisecond,
 		Sweep:      25 * time.Millisecond,
 		Health:     mesh.HealthConfig{SuspectAfter: 500 * time.Millisecond, DeadAfter: 2 * time.Second},
 		UpstreamFaults: &faultnet.Config{
-			Seed: *seed + 1, CorruptEvery: 9000, ResetEvery: 6000, MaxReadChunk: 2048,
+			Seed: cfg.seed + 1, CorruptEvery: 9000, ResetEvery: 6000, MaxReadChunk: 2048,
 		},
 		DownstreamFaults: &faultnet.Config{
-			Seed: *seed + 2, CorruptEvery: 9000, ResetEvery: 5000, MaxReadChunk: 2048,
+			Seed: cfg.seed + 2, CorruptEvery: 9000, ResetEvery: 5000, MaxReadChunk: 2048,
 		},
 		// Every relay (and every replacement server a drain installs) runs
-		// the brownout controller with a twitchy interval so stall waves
-		// engage the ladder in milliseconds, plus a mild pace so drains land
-		// mid-transfer rather than after the wave has already finished.
+		// the twitchy brownout controller, so stall waves engage the ladder
+		// in milliseconds.
 		RelayServerOpts: func(relay int) []netio.ServerOption {
-			bo := netio.BrownoutConfig{
-				Interval: 10 * time.Millisecond,
-				StepUp:   0.5,
-				StepDown: 0.05,
-				Hold:     2,
+			opts := []netio.ServerOption{harness.Twitchy}
+			if cfg.verbose {
+				opts = append(opts, func(c *netio.ServerConfig) {
+					c.Brownout.OnTransition = func(from, to netio.BrownoutRung, p float64) {
+						fmt.Fprintf(stdout, "  brownout relay-%d: %s -> %s (pressure %.2f)\n", relay, from, to, p)
+					}
+				})
 			}
-			if *verbose {
-				bo.OnTransition = func(from, to netio.BrownoutRung, p float64) {
-					fmt.Fprintf(stdout, "  brownout relay-%d: %s -> %s (pressure %.2f)\n", relay, from, to, p)
-				}
-			}
-			return []netio.ServerOption{func(c *netio.ServerConfig) {
-				c.Pace = 2 * time.Millisecond
-				c.EncodeBatch = 2
-				c.QueueDepth = 4
-				c.RetryAfter = 5 * time.Millisecond
-				c.Brownout = bo
-			}}
+			return opts
 		},
 	}
 	m, err := mesh.New(topo)
@@ -216,8 +196,8 @@ func soakMain(seedV int64, eventsV, relaysV, nV, kV, sizeV int, timeoutV time.Du
 	defer m.Close()
 
 	s := &soak{
-		m: m, media: media, rng: rng, stdout: stdout, verbose: *verbose,
-		maxKills: *relays - 2,
+		m: m, media: media, rng: rng, stdout: stdout, verbose: cfg.verbose,
+		maxKills: cfg.relays - 2,
 	}
 	if err := m.WaitWarm(ctx); err != nil {
 		return err
@@ -225,36 +205,36 @@ func soakMain(seedV int64, eventsV, relaysV, nV, kV, sizeV int, timeoutV time.Du
 
 	start := time.Now()
 	for i, ev := range schedule {
-		if *verbose {
+		if cfg.verbose {
 			fmt.Fprintf(stdout, "event %d/%d: %s\n", i+1, len(schedule), ev)
 		}
 		if err := s.step(ctx, ev); err != nil {
-			return fmt.Errorf("event %d (%s, seed %d): %w", i+1, ev, *seed, err)
+			return fmt.Errorf("event %d (%s, seed %d): %w", i+1, ev, cfg.seed, err)
 		}
 	}
 	elapsed := time.Since(start)
 	sum.ElapsedS = elapsed.Seconds()
 	sum.LeavesDone, sum.Drains, sum.Kills = s.leavesDone, s.drains, s.kills
 	sum.Stalls, sum.Redirects, sum.PeakRung = s.stalls, s.redirects, s.peakRung
-	sum.Invariants["payloads_identical"] = true // every wave byte-verified in step
+	invariants["payloads_identical"] = true // every wave byte-verified in step
 
-	if err := s.checkInvariants(ctx, reg, sum); err != nil {
-		return fmt.Errorf("invariant (seed %d): %w", *seed, err)
+	if err := s.checkInvariants(ctx, reg, invariants); err != nil {
+		return fmt.Errorf("invariant (seed %d): %w", cfg.seed, err)
 	}
 
 	// Teardown, then the goroutine count must settle back to baseline. The
 	// sink is detached first so registry closures don't pin the mesh.
 	m.Close()
-	obs.SetSink(nil)
+	stopObserve()
 	if err := waitGoroutines(baseGoroutines+3, 10*time.Second); err != nil {
-		sum.Invariants["no_goroutine_leak"] = false
-		return fmt.Errorf("leak (seed %d): %w", *seed, err)
+		invariants["no_goroutine_leak"] = false
+		return fmt.Errorf("leak (seed %d): %w", cfg.seed, err)
 	}
-	sum.Invariants["no_goroutine_leak"] = true
+	invariants["no_goroutine_leak"] = true
 
 	fmt.Fprintf(stdout,
 		"soak ok (seed %d): %d events in %v — %d leaves byte-identical, %d drains, %d kills, %d stall waves, %d redirects honored, brownout peak rung %d\n",
-		*seed, len(schedule), elapsed.Round(time.Millisecond), s.leavesDone, s.drains, s.kills, s.stalls, s.redirects, s.peakRung)
+		cfg.seed, len(schedule), elapsed.Round(time.Millisecond), s.leavesDone, s.drains, s.kills, s.stalls, s.redirects, s.peakRung)
 	return nil
 }
 
@@ -322,7 +302,7 @@ func (s *soak) step(ctx context.Context, ev event) error {
 		return s.leafWave(ctx, 2, id)
 	case evStall:
 		s.stalls++
-		return s.stallWave(ctx)
+		return s.stallRelay(ctx)
 	case evKill:
 		if s.kills >= s.maxKills {
 			return s.leafWave(ctx, 2, "") // kill budget spent; keep soaking
@@ -391,17 +371,18 @@ func (s *soak) leafWave(ctx context.Context, count int, drainID string) error {
 	if err := s.m.WaitLeaves(ctx, wave...); err != nil {
 		return err
 	}
-	for _, leaf := range wave {
-		res, err := leaf.Result()
-		if err != nil {
-			return fmt.Errorf("leaf %d: %w", leaf.ID, err)
-		}
-		if !bytes.Equal(res.Payload, s.media) {
-			return fmt.Errorf("leaf %d: payload differs from origin media", leaf.ID)
-		}
-		s.redirects += leaf.FetchStats().AdmissionRedirected
-		s.leavesDone++
+	return s.verify(wave)
+}
+
+// verify byte-checks a finished wave and tallies it.
+func (s *soak) verify(wave []*mesh.Leaf) error {
+	if err := harness.VerifyLeaves(s.media, wave...); err != nil {
+		return err
 	}
+	for _, leaf := range wave {
+		s.redirects += leaf.FetchStats().AdmissionRedirected
+	}
+	s.leavesDone += len(wave)
 	return nil
 }
 
@@ -440,26 +421,12 @@ func (s *soak) killWave(ctx context.Context, id string) error {
 	if err := s.m.WaitLeaves(ctx, wave...); err != nil {
 		return err
 	}
-	for _, leaf := range wave {
-		res, err := leaf.Result()
-		if err != nil {
-			return fmt.Errorf("leaf %d: %w", leaf.ID, err)
-		}
-		if !bytes.Equal(res.Payload, s.media) {
-			return fmt.Errorf("leaf %d: payload differs from origin media", leaf.ID)
-		}
-		s.redirects += leaf.FetchStats().AdmissionRedirected
-		s.leavesDone++
-	}
-	return nil
+	return s.verify(wave)
 }
 
-// stallWave aims slow clients at one relay until its brownout ladder climbs
-// at least one rung, then releases them and waits for the ladder to step all
-// the way back down. The clients hold raw sessions open without reading, so
-// pressure comes from queue occupancy and pump stalls — exactly the signal
-// the controller samples.
-func (s *soak) stallWave(ctx context.Context) error {
+// stallRelay runs the harness stall wave against one random active relay:
+// slow readers until its brownout ladder climbs, release, wait for off.
+func (s *soak) stallRelay(ctx context.Context) error {
 	id, ok := s.pickRelay(mesh.StateActive)
 	if !ok {
 		return errors.New("no active relay to stall")
@@ -471,68 +438,14 @@ func (s *soak) stallWave(ctx context.Context) error {
 			break
 		}
 	}
-	srv := target.Server()
-
-	var stallers []*netio.RawClient
-	defer func() {
-		for _, c := range stallers {
-			c.Close()
-		}
-	}()
-	for i := 0; i < 4; i++ {
-		conn, err := net.Dial("tcp", target.Addr())
-		if err != nil {
-			return err
-		}
-		raw, err := netio.NewRawClient(conn)
-		if err != nil {
-			conn.Close()
-			return err
-		}
-		stallers = append(stallers, raw)
-		// Drain a handful of records, then stop reading: the session stays
-		// live while the server's queue backs up behind the dead socket.
-		go func() {
-			for i := 0; i < 8; i++ {
-				if _, err := raw.Next(); err != nil {
-					return
-				}
-			}
-		}()
-	}
-
-	for deadline := time.Now().Add(20 * time.Second); ; {
-		if r := int(srv.Rung()); r > int(netio.BrownoutOff) {
-			if r > s.peakRung {
-				s.peakRung = r
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("brownout on %s never engaged under stall (snapshot %+v)", id, srv.Snapshot().CounterView)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// Hold the pressure briefly — the ladder may climb further — then
-	// release.
-	time.Sleep(100 * time.Millisecond)
-	if r := int(srv.Rung()); r > s.peakRung {
-		s.peakRung = r
-	}
-	for _, c := range stallers {
-		c.Close()
-	}
-	stallers = nil
-
-	for deadline := time.Now().Add(20 * time.Second); srv.Rung() != netio.BrownoutOff; {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("brownout on %s never stepped back down after release (rung %s)", id, srv.Rung())
-		}
-		time.Sleep(time.Millisecond)
+	peak, err := harness.Stall(ctx, target.Server(), target.Addr())
+	s.peakRung = max(s.peakRung, int(peak))
+	if err != nil {
+		return fmt.Errorf("%s: %w", id, err)
 	}
 	if s.verbose {
 		fmt.Fprintf(s.stdout, "  stalled %s: peak rung %d, transitions %d, back to off\n",
-			id, s.peakRung, srv.Snapshot().BrownoutTransitions)
+			id, s.peakRung, target.Server().Snapshot().BrownoutTransitions)
 	}
 	return nil
 }
@@ -544,13 +457,13 @@ func (s *soak) addrOf(id string) string {
 
 // checkInvariants asserts the soak's promises after the schedule completes,
 // recording each verdict into sum for the machine-readable summary.
-func (s *soak) checkInvariants(ctx context.Context, reg *obs.Registry, sum *runSummary) error {
+func (s *soak) checkInvariants(ctx context.Context, reg *obs.Registry, invariants map[string]bool) error {
 	v, _ := reg.CounterValue("mesh.rank_regressions_total")
-	sum.Invariants["rank_monotone"] = v == 0
+	invariants["rank_monotone"] = v == 0
 	if v != 0 {
 		return fmt.Errorf("rank regressed %d times", v)
 	}
-	sum.Invariants["brownout_engaged"] = s.peakRung > 0
+	invariants["brownout_engaged"] = s.peakRung > 0
 	if s.peakRung == 0 {
 		return errors.New("brownout ladder never engaged")
 	}
@@ -567,16 +480,16 @@ func (s *soak) checkInvariants(ctx context.Context, reg *obs.Registry, sum *runS
 			}
 		}
 		if len(unbalanced) == 0 {
-			sum.Invariants["ledgers_balanced"] = true
+			invariants["ledgers_balanced"] = true
 			return nil
 		}
 		if time.Now().After(deadline) {
-			sum.Invariants["ledgers_balanced"] = false
+			invariants["ledgers_balanced"] = false
 			return fmt.Errorf("ledgers never balanced: %s", strings.Join(unbalanced, "; "))
 		}
 		select {
 		case <-ctx.Done():
-			sum.Invariants["ledgers_balanced"] = false
+			invariants["ledgers_balanced"] = false
 			return fmt.Errorf("ledgers never balanced: %w", ctx.Err())
 		case <-time.After(5 * time.Millisecond):
 		}

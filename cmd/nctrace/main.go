@@ -31,15 +31,12 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"math/rand"
-	"net"
 	"os"
 	"strings"
 	"testing"
@@ -47,6 +44,7 @@ import (
 
 	"extremenc/internal/faultnet"
 	"extremenc/internal/gf256"
+	"extremenc/internal/harness"
 	"extremenc/internal/mesh"
 	"extremenc/internal/netio"
 	"extremenc/internal/obs"
@@ -109,9 +107,8 @@ func run(args []string, stdout io.Writer) error {
 
 	rec := trace.Enable(*ring)
 	defer trace.Disable()
-	reg := obs.NewRegistry()
-	obs.SetSink(reg)
-	defer obs.SetSink(nil)
+	reg, stopObserve := harness.Observe()
+	defer stopObserve()
 
 	// The two tail histograms the exemplar gate watches: origin/relay writev
 	// flushes and leaf record decodes. SetSink already resolved the stages
@@ -121,9 +118,7 @@ func run(args []string, stdout io.Writer) error {
 	sendH.EnableExemplars(*exq)
 	decodeH.EnableExemplars(*exq)
 
-	rng := rand.New(rand.NewSource(*seed))
-	media := make([]byte, *size)
-	rng.Read(media)
+	media := harness.Media(*size, *seed)
 
 	topo := mesh.Topology{
 		Media:    media,
@@ -141,22 +136,9 @@ func run(args []string, stdout io.Writer) error {
 		DownstreamFaults: &faultnet.Config{
 			Seed: *seed + 2, ResetEvery: 5000, MaxReadChunk: 2048,
 		},
-		// Small queues, tiny batches, and a twitchy brownout controller so the
-		// stall wave engages the ladder in milliseconds.
-		RelayServerOpts: func(relay int) []netio.ServerOption {
-			return []netio.ServerOption{func(c *netio.ServerConfig) {
-				c.Pace = 2 * time.Millisecond
-				c.EncodeBatch = 2
-				c.QueueDepth = 4
-				c.RetryAfter = 5 * time.Millisecond
-				c.Brownout = netio.BrownoutConfig{
-					Interval: 10 * time.Millisecond,
-					StepUp:   0.5,
-					StepDown: 0.05,
-					Hold:     2,
-				}
-			}}
-		},
+		// A twitchy brownout controller, so the stall wave engages the ladder
+		// in milliseconds.
+		RelayServerOpts: func(int) []netio.ServerOption { return []netio.ServerOption{harness.Twitchy} },
 	}
 	m, err := mesh.New(topo)
 	if err != nil {
@@ -174,7 +156,10 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "mesh warm: %d relays at full rank\n", *relays)
 	}
 
-	if err := stallWave(ctx, m); err != nil {
+	// Pin the first relay until its ladder engages, release, wait for off:
+	// brownout transitions both ways land in the flight ring.
+	first := m.Relays()[0]
+	if _, err := harness.Stall(ctx, first.Server(), first.Addr()); err != nil {
 		return err
 	}
 	if *verbose {
@@ -192,14 +177,8 @@ func run(args []string, stdout io.Writer) error {
 	if err := m.WaitLeaves(ctx, wave...); err != nil {
 		return err
 	}
-	for _, leaf := range wave {
-		res, err := leaf.Result()
-		if err != nil {
-			return fmt.Errorf("leaf %d: %w", leaf.ID, err)
-		}
-		if !bytes.Equal(res.Payload, media) {
-			return fmt.Errorf("leaf %d: payload differs from origin media", leaf.ID)
-		}
+	if err := harness.VerifyLeaves(media, wave...); err != nil {
+		return err
 	}
 	if *verbose {
 		fmt.Fprintf(stdout, "leaf wave: %d transfers byte-identical\n", *leaves)
@@ -270,7 +249,7 @@ func run(args []string, stdout io.Writer) error {
 	// Gates run with tracing and the sink disabled — the last two measure
 	// exactly the state every untraced production process runs in.
 	trace.Disable()
-	obs.SetSink(nil)
+	stopObserve()
 
 	var fails []string
 	if asm.Spans == 0 || len(asm.Generations) == 0 {
@@ -317,73 +296,11 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	if len(fails) > 0 {
-		if err := os.WriteFile(*flight, flightJSON, 0o644); err == nil {
-			fmt.Fprintf(stdout, "flight dump written to %s\n", *flight)
-		}
+		harness.WriteFlight(*flight, flightJSON, stdout)
 		return fmt.Errorf("trace smoke failed (seed %d):\n  - %s", *seed, strings.Join(fails, "\n  - "))
 	}
 	fmt.Fprintf(stdout, "trace smoke ok (seed %d): %d generations, %d spans, 0 orphans, %d exemplars, flight %v\n",
 		*seed, len(asm.Generations), asm.Spans, len(exemplars), flightKinds)
-	return nil
-}
-
-// stallWave pins the first relay with non-reading raw clients until its
-// brownout ladder engages, then releases them and waits for it to step back
-// to off — seeding the flight ring with brownout transitions both ways.
-func stallWave(ctx context.Context, m *mesh.Mesh) error {
-	target := m.Relays()[0]
-	srv := target.Server()
-
-	var stallers []*netio.RawClient
-	defer func() {
-		for _, c := range stallers {
-			c.Close()
-		}
-	}()
-	for i := 0; i < 4; i++ {
-		conn, err := net.Dial("tcp", target.Addr())
-		if err != nil {
-			return err
-		}
-		raw, err := netio.NewRawClient(conn)
-		if err != nil {
-			conn.Close()
-			return err
-		}
-		stallers = append(stallers, raw)
-		go func() {
-			for i := 0; i < 8; i++ {
-				if _, err := raw.Next(); err != nil {
-					return
-				}
-			}
-		}()
-	}
-	for deadline := time.Now().Add(20 * time.Second); srv.Rung() == netio.BrownoutOff; {
-		if time.Now().After(deadline) {
-			return errors.New("brownout never engaged under stall")
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(time.Millisecond):
-		}
-	}
-	time.Sleep(50 * time.Millisecond)
-	for _, c := range stallers {
-		c.Close()
-	}
-	stallers = nil
-	for deadline := time.Now().Add(20 * time.Second); srv.Rung() != netio.BrownoutOff; {
-		if time.Now().After(deadline) {
-			return errors.New("brownout never released after stall")
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(time.Millisecond):
-		}
-	}
 	return nil
 }
 

@@ -57,7 +57,7 @@ func TestDecisionRoundTrip(t *testing.T) {
 	if err := writeDecision(&buf, admissionDecision{code: admissionAccept}); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeSessionHeader(&buf, hdr); err != nil {
+	if _, err := buf.Write(appendSessionHeader(nil, hdr, 0)); err != nil {
 		t.Fatal(err)
 	}
 	hs, err = readHandshake(&buf)
@@ -70,7 +70,7 @@ func TestDecisionRoundTrip(t *testing.T) {
 
 	// A bare session header is an implied ACCEPT: nil decision.
 	buf.Reset()
-	if err := writeSessionHeader(&buf, hdr); err != nil {
+	if _, err := buf.Write(appendSessionHeader(nil, hdr, 0)); err != nil {
 		t.Fatal(err)
 	}
 	hs, err = readHandshake(&buf)

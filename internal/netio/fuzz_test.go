@@ -27,7 +27,7 @@ func fuzzSession(f *testing.F, mutate func(stream []byte) []byte) []byte {
 	}
 	var buf bytes.Buffer
 	h := sessionHeader{params: p, segments: 1, length: int64(len(media))}
-	if err := writeSessionHeader(&buf, h); err != nil {
+	if _, err := buf.Write(appendSessionHeader(nil, h, 0)); err != nil {
 		f.Fatal(err)
 	}
 	enc := rlnc.NewEncoder(obj.Segments[0], rand.New(rand.NewSource(4)))
@@ -139,12 +139,12 @@ func FuzzDecisionRecord(f *testing.F) {
 	if err := writeDecision(&accept, admissionDecision{code: admissionAccept}); err != nil {
 		f.Fatal(err)
 	}
-	if err := writeSessionHeader(&accept, hdr); err != nil {
+	if _, err := accept.Write(appendSessionHeader(nil, hdr, 0)); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(append([]byte(nil), accept.Bytes()...))
 	var bare bytes.Buffer
-	if err := writeSessionHeader(&bare, hdr); err != nil {
+	if _, err := bare.Write(appendSessionHeader(nil, hdr, 0)); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(append([]byte(nil), bare.Bytes()...))

@@ -3,6 +3,7 @@ package netio
 import (
 	"bytes"
 	"context"
+	"errors"
 	"net"
 	"testing"
 
@@ -29,22 +30,22 @@ func TestHandshakeCarriesMode(t *testing.T) {
 	for _, m := range []WireMode{ModeDense, ModeSystematic} {
 		var buf bytes.Buffer
 		h := sessionHeader{params: p, segments: 2, length: 999, mode: m}
-		if err := writeSessionHeader(&buf, h); err != nil {
+		if _, err := buf.Write(appendSessionHeader(nil, h, 0)); err != nil {
 			t.Fatal(err)
 		}
-		got, err := readSessionHeader(&buf)
+		hs, err := readHandshake(&buf)
 		if err != nil {
 			t.Fatalf("mode %v: %v", m, err)
 		}
-		if got != h {
-			t.Fatalf("header round trip: got %+v, want %+v", got, h)
+		if hs.hdr != h {
+			t.Fatalf("header round trip: got %+v, want %+v", hs.hdr, h)
 		}
 	}
 	var buf bytes.Buffer
-	if err := writeSessionHeader(&buf, sessionHeader{params: p, segments: 1, mode: WireMode(7)}); err != nil {
+	if _, err := buf.Write(appendSessionHeader(nil, sessionHeader{params: p, segments: 1, mode: WireMode(7)}, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := readSessionHeader(&buf); err == nil {
+	if _, err := readHandshake(&buf); err == nil {
 		t.Fatal("unknown wire mode accepted in handshake")
 	}
 }
@@ -146,5 +147,28 @@ func TestModeDifferentialSessionPath(t *testing.T) {
 	}
 	if !bytes.Equal(systematic, dense) {
 		t.Fatal("systematic and dense sessions are not byte-identical")
+	}
+}
+
+// TestSessionInfoValidate: Validate rejects what the handshake parser would,
+// through the same sessionHeader.validate — including a negative segment
+// count, which the old marshal-and-reparse check let through as 2^32 − 1.
+func TestSessionInfoValidate(t *testing.T) {
+	ok := SessionInfo{Params: rlnc.Params{BlockCount: 8, BlockSize: 64}, Segments: 2, Length: 999, Mode: ModeSystematic}
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("valid info rejected: %v", err)
+	}
+	for name, mutate := range map[string]func(*SessionInfo){
+		"zero block count":  func(si *SessionInfo) { si.Params.BlockCount = 0 },
+		"no segments":       func(si *SessionInfo) { si.Segments = 0 },
+		"negative segments": func(si *SessionInfo) { si.Segments = -1 },
+		"negative length":   func(si *SessionInfo) { si.Length = -1 },
+		"unknown mode":      func(si *SessionInfo) { si.Mode = WireMode(7) },
+	} {
+		si := ok
+		mutate(&si)
+		if err := si.Validate(); !errors.Is(err, ErrBadHandshake) {
+			t.Errorf("%s: Validate() = %v, want ErrBadHandshake", name, err)
+		}
 	}
 }

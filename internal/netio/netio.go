@@ -197,23 +197,11 @@ func (h sessionHeader) recordSizes() (dense, xor uint32) {
 	return dense, dense
 }
 
-// writeSessionHeader writes a header with no optional features — the
-// common path for untraced servers, tests, and the codec round trip.
-func writeSessionHeader(w io.Writer, h sessionHeader) error {
-	return writeSessionHeaderFlags(w, h, 0)
-}
-
-// writeSessionHeaderFlags writes the v3 header with the given feature
-// flags. The flags word is deliberately NOT part of sessionHeader: feature
+// appendSessionHeader marshals the v3 header with the given feature flags
+// onto dst, so a traced server's handshake (header + XNCT context) is one
+// write. The flags word is deliberately NOT part of sessionHeader: feature
 // negotiation is per-connection (a redirect may land on a server with
 // different features), while sessionHeader identity gates reconnect safety.
-func writeSessionHeaderFlags(w io.Writer, h sessionHeader, flags uint32) error {
-	_, err := w.Write(appendSessionHeader(make([]byte, 0, protoHeaderLen), h, flags))
-	return err
-}
-
-// appendSessionHeader marshals the v3 header onto dst — the building block
-// for a traced server's single handshake write (header + XNCT context).
 func appendSessionHeader(dst []byte, h sessionHeader, flags uint32) []byte {
 	start := len(dst)
 	dst = append(dst, make([]byte, protoHeaderLen)...)
@@ -230,13 +218,19 @@ func appendSessionHeader(dst []byte, h sessionHeader, flags uint32) []byte {
 	return dst
 }
 
-func readSessionHeader(r io.Reader) (sessionHeader, error) {
-	var magic [4]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return sessionHeader{}, fmt.Errorf("%w: %v", ErrBadHandshake, err)
+// validate rejects a header no handshake would accept; SessionInfo.Validate
+// and the handshake parser share it.
+func (h sessionHeader) validate() error {
+	if err := h.params.Validate(); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadHandshake, err)
 	}
-	h, _, err := readSessionHeaderTail(r, magic)
-	return h, err
+	if h.segments <= 0 || h.length < 0 {
+		return fmt.Errorf("%w: shape", ErrBadHandshake)
+	}
+	if h.mode > ModeSystematic {
+		return fmt.Errorf("%w: %v", ErrBadHandshake, h.mode)
+	}
+	return nil
 }
 
 // readSessionHeaderTail parses a session header whose magic has already been
@@ -267,14 +261,8 @@ func readSessionHeaderTail(r io.Reader, magic [4]byte) (sessionHeader, uint32, e
 		mode:     WireMode(binary.BigEndian.Uint32(buf[28:])),
 	}
 	flags := binary.BigEndian.Uint32(buf[32:])
-	if err := h.params.Validate(); err != nil {
-		return sessionHeader{}, 0, fmt.Errorf("%w: %v", ErrBadHandshake, err)
-	}
-	if h.segments <= 0 || h.length < 0 {
-		return sessionHeader{}, 0, fmt.Errorf("%w: shape", ErrBadHandshake)
-	}
-	if h.mode > ModeSystematic {
-		return sessionHeader{}, 0, fmt.Errorf("%w: %v", ErrBadHandshake, h.mode)
+	if err := h.validate(); err != nil {
+		return sessionHeader{}, 0, err
 	}
 	if flags&^hsFlagKnown != 0 {
 		// An unknown feature may change record framing; guessing at stream

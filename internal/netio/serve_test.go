@@ -447,11 +447,11 @@ func TestFetchSentinels(t *testing.T) {
 	// Implausible record length after a valid header.
 	client1, server1 := net.Pipe()
 	go func() {
-		writeSessionHeader(server1, sessionHeader{
+		server1.Write(appendSessionHeader(nil, sessionHeader{
 			params:   rlnc.Params{BlockCount: 4, BlockSize: 64},
 			segments: 1,
 			length:   256,
-		})
+		}, 0))
 		var lenBuf [4]byte
 		binary.BigEndian.PutUint32(lenBuf[:], 64<<20+1)
 		server1.Write(lenBuf[:])
@@ -464,11 +464,11 @@ func TestFetchSentinels(t *testing.T) {
 	// Stream cut before full rank.
 	client2, server2 := net.Pipe()
 	go func() {
-		writeSessionHeader(server2, sessionHeader{
+		server2.Write(appendSessionHeader(nil, sessionHeader{
 			params:   rlnc.Params{BlockCount: 4, BlockSize: 64},
 			segments: 1,
 			length:   256,
-		})
+		}, 0))
 		server2.Close()
 	}()
 	if _, _, err := Fetch(context.Background(), client2); !errors.Is(err, ErrStreamTruncated) {

@@ -173,7 +173,6 @@ func NewServerFromConfig(media []byte, p rlnc.Params, cfg ServerConfig) (*Server
 	cfg = cfg.normalized(p.BlockCount)
 	pool := &framePool{}
 	srcs := make([]RecordSource, cfg.PumpShards)
-	pooled := make([]bool, cfg.PumpShards)
 	for i := range srcs {
 		penc, err := rlnc.NewParallelEncoder(cfg.EncoderWorkers, rlnc.FullBlock)
 		if err != nil {
@@ -182,9 +181,8 @@ func NewServerFromConfig(media []byte, p rlnc.Params, cfg ServerConfig) (*Server
 		osrc := newObjectSource(obj, cfg.Mode, penc, shardSeed(cfg.Seed, i))
 		osrc.alloc = pool.allocBuf
 		srcs[i] = osrc
-		pooled[i] = true
 	}
-	s, err := newServer(srcs[0].Info(), cfg, pool, srcs, pooled)
+	s, err := newServer(srcs[0].Info(), cfg, pool, srcs, true)
 	if err == nil && cfg.Mode == ModeSystematic {
 		s.sweep = newSweepTable(obj)
 	}
@@ -197,13 +195,15 @@ func NewServerFromConfig(media []byte, p rlnc.Params, cfg ServerConfig) (*Server
 // fan-out, bounded queues with shed-don't-stall, write deadlines, session
 // caps, metrics — is identical to a media-backed server; only where records
 // come from differs. The handshake is declared by src.Info(), so cfg.Mode is
-// ignored here; cfg.EncodeBatch sizes the per-round Records request. With
-// more than one pump shard, a source implementing ShardedRecordSource
-// provides one sub-source per shard; any other source is shared behind a
-// lock, serializing Records calls across the shards.
+// ignored here; cfg.EncodeBatch sizes the per-round Records request. A source
+// is one stream of records, so such a server runs one pump: PumpShards > 1 is
+// refused.
 func NewSourceServerFromConfig(src RecordSource, cfg ServerConfig) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if cfg.PumpShards > 1 {
+		return nil, fmt.Errorf("netio: %d pump shards: source-backed servers run one pump", cfg.PumpShards)
 	}
 	info := src.Info()
 	if err := info.Validate(); err != nil {
@@ -211,23 +211,7 @@ func NewSourceServerFromConfig(src RecordSource, cfg ServerConfig) (*Server, err
 	}
 	cfg = cfg.normalized(info.Params.BlockCount)
 	cfg.Mode = info.Mode
-	srcs := make([]RecordSource, cfg.PumpShards)
-	switch {
-	case cfg.PumpShards == 1:
-		srcs[0] = src
-	default:
-		if sh, ok := src.(ShardedRecordSource); ok {
-			for i := range srcs {
-				srcs[i] = sh.ShardSource(i, cfg.PumpShards)
-			}
-		} else {
-			shared := &lockedSource{src: src}
-			for i := range srcs {
-				srcs[i] = shared
-			}
-		}
-	}
-	return newServer(info, cfg, &framePool{}, srcs, make([]bool, cfg.PumpShards))
+	return newServer(info, cfg, &framePool{}, []RecordSource{src}, false)
 }
 
 // shardSeed derives shard i's coefficient-stream seed. Shard 0 keeps the
@@ -238,7 +222,9 @@ func shardSeed(seed int64, i int) int64 {
 	return seed + int64(i)*lane
 }
 
-func newServer(info SessionInfo, cfg ServerConfig, pool *framePool, srcs []RecordSource, pooled []bool) (*Server, error) {
+// newServer builds the server over one source per pump shard; pooled says
+// whether those sources allocate their records from pool.
+func newServer(info SessionInfo, cfg ServerConfig, pool *framePool, srcs []RecordSource, pooled bool) (*Server, error) {
 	s := &Server{
 		cfg:       cfg,
 		info:      info,
@@ -247,23 +233,18 @@ func newServer(info SessionInfo, cfg ServerConfig, pool *framePool, srcs []Recor
 		listeners: make(map[net.Listener]struct{}),
 	}
 	s.shards = make([]*pumpShard, len(srcs))
-	seen := make(map[DegradableSource]struct{})
 	for i, src := range srcs {
 		s.shards[i] = &pumpShard{
 			id:       i,
 			s:        s,
 			src:      src,
-			pooled:   pooled[i],
+			pooled:   pooled,
 			sessions: make(map[*session]struct{}),
 			wake:     make(chan struct{}, 1),
 			consumed: make(chan struct{}, 1),
 		}
-		// Dedupe: a lockedSource shared across shards appears once.
 		if deg, ok := src.(DegradableSource); ok {
-			if _, dup := seen[deg]; !dup {
-				seen[deg] = struct{}{}
-				s.degradable = append(s.degradable, deg)
-			}
+			s.degradable = append(s.degradable, deg)
 		}
 	}
 	if cfg.Metrics != nil {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -180,57 +181,27 @@ func TestFanoutDifferential(t *testing.T) {
 	}
 }
 
-// TestSourceServerSharded: a sharded source server over a plain (non-sharded)
-// RecordSource serializes it behind a lock and still drives fetchers to a
-// byte-identical object with an exact per-shard ledger.
-func TestSourceServerSharded(t *testing.T) {
+// TestSourceServerRunsOnePump: a source is one stream of records, so a
+// source-backed server refuses more than one pump shard at construction —
+// and still takes the default and the zero-value shard counts.
+func TestSourceServerRunsOnePump(t *testing.T) {
 	p := rlnc.Params{BlockCount: 8, BlockSize: 64}
-	media := testMedia(t, 2*p.SegmentSize()-3, 57)
-	obj, err := rlnc.Split(media, p)
+	obj, err := rlnc.Split(testMedia(t, 2*p.SegmentSize()-3, 57), p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultServerConfig()
-	cfg.PumpShards = 3
-	cfg.WriteDeadline = 2 * time.Second
-	srv, err := NewSourceServerFromConfig(newPoolSource(t, obj, 2*p.BlockCount), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if srv.Shards() != 3 {
-		t.Fatalf("Shards() = %d, want 3", srv.Shards())
-	}
-	l := startPipeServer(t, srv)
-
-	var wg sync.WaitGroup
-	errs := make([]error, 3)
-	for i := range errs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			payload, _, err := Fetch(context.Background(), l.Dial())
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			if !bytes.Equal(payload, media) {
-				errs[i] = io.ErrUnexpectedEOF
-			}
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("fetcher %d through sharded source server: %v", i, err)
-		}
-	}
-	srv.Shutdown()
-	snap := srv.Snapshot()
-	checkAccounting(t, snap)
-	for _, sh := range snap.Shards {
-		if !sh.Consistent() {
-			t.Fatalf("shard %d ledger: offered %d != sent %d + shed %d",
-				sh.Shard, sh.BlocksOffered, sh.BlocksSent, sh.BlocksShed)
+	src := newPoolSource(t, obj, 2*p.BlockCount)
+	for shards, wantErr := range map[int]bool{0: false, 1: false, 2: true, 3: true} {
+		cfg := DefaultServerConfig()
+		cfg.PumpShards = shards
+		srv, err := NewSourceServerFromConfig(src, cfg)
+		switch {
+		case wantErr && (err == nil || !strings.Contains(err.Error(), "one pump")):
+			t.Fatalf("PumpShards %d: err = %v, want a one-pump refusal", shards, err)
+		case !wantErr && err != nil:
+			t.Fatalf("PumpShards %d: %v", shards, err)
+		case !wantErr && srv.Shards() != 1:
+			t.Fatalf("PumpShards %d: Shards() = %d, want 1", shards, srv.Shards())
 		}
 	}
 }

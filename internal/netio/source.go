@@ -1,9 +1,7 @@
 package netio
 
 import (
-	"io"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 
 	"extremenc/internal/rlnc"
@@ -32,12 +30,7 @@ func (h sessionHeader) info() SessionInfo {
 }
 
 // Validate rejects a SessionInfo no handshake would accept.
-func (si SessionInfo) Validate() error {
-	if _, err := (sessionHeaderCodec{}).roundTrip(si.header()); err != nil {
-		return err
-	}
-	return nil
-}
+func (si SessionInfo) Validate() error { return si.header().validate() }
 
 // RecordSource produces the framed records a Server's pump fans out. It
 // abstracts where coded blocks come from: a media-backed server encodes
@@ -73,44 +66,6 @@ type DegradableSource interface {
 	// SetLean switches between the full (false) and degraded (true)
 	// schedule. Redundant calls are cheap and idempotent.
 	SetLean(bool)
-}
-
-// ShardedRecordSource is a RecordSource that can split itself into
-// independent per-shard sub-sources. A server configured with more than one
-// pump shard asks for one sub-source per shard, each called only from that
-// shard's pump goroutine; a plain RecordSource is instead shared behind a
-// lock, serializing Records across the shards.
-type ShardedRecordSource interface {
-	RecordSource
-
-	// ShardSource returns the sub-source for shard (0 ≤ shard < shards).
-	// Every sub-source must declare the same Info as the parent.
-	ShardSource(shard, shards int) RecordSource
-}
-
-// lockedSource shares one RecordSource across several pump shards by
-// serializing Records; Info stays lock-free (it must be constant anyway).
-type lockedSource struct {
-	mu  sync.Mutex
-	src RecordSource
-}
-
-func (l *lockedSource) Info() SessionInfo { return l.src.Info() }
-
-func (l *lockedSource) Records(seg, batch int) [][]byte {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.src.Records(seg, batch)
-}
-
-// SetLean forwards the brownout lever to the wrapped source when it has one;
-// the Records lock keeps the schedule change ordered against emits.
-func (l *lockedSource) SetLean(lean bool) {
-	if deg, ok := l.src.(DegradableSource); ok {
-		l.mu.Lock()
-		defer l.mu.Unlock()
-		deg.SetLean(lean)
-	}
 }
 
 // FrameRecord marshals one coded block as a length-prefixed wire record in
@@ -284,30 +239,4 @@ func (o *objectSource) Records(seg, batch int) [][]byte {
 	}
 	o.recs = recs
 	return recs
-}
-
-// sessionHeaderCodec bounces a header through the wire marshal/parse pair so
-// SessionInfo.Validate rejects exactly what a real handshake would.
-type sessionHeaderCodec struct{}
-
-func (sessionHeaderCodec) roundTrip(h sessionHeader) (sessionHeader, error) {
-	var buf headerBuffer
-	if err := writeSessionHeader(&buf, h); err != nil {
-		return sessionHeader{}, err
-	}
-	return readSessionHeader(&buf)
-}
-
-// headerBuffer is a minimal in-memory io.ReadWriter for the round trip.
-type headerBuffer struct{ b []byte }
-
-func (h *headerBuffer) Write(p []byte) (int, error) { h.b = append(h.b, p...); return len(p), nil }
-
-func (h *headerBuffer) Read(p []byte) (int, error) {
-	if len(h.b) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(p, h.b)
-	h.b = h.b[n:]
-	return n, nil
 }
