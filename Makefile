@@ -34,9 +34,12 @@ vet:
 # cross-build (offline; stdlib only) proves the non-amd64 stubs exist. The
 # last line vets and tests benchmark/: it is a nested module, so `./...`
 # never reaches it, yet it imports internal/netio and internal/mesh and
-# breaks when their API moves.
+# breaks when their API moves. The repeat of the rolling-restart gate (≈ 3.5 s
+# green) is there because it once failed every other run on a drain that
+# answered BUSY: one pass cannot show that a flake is gone.
 test:
 	$(GO) test ./...
+	$(GO) test -count=5 -run 'TestMeshRollingRestart$$' ./internal/mesh/
 	$(GO) test -tags purego ./internal/gf256/ ./internal/rlnc/
 	GOARCH=arm64 $(GO) build ./...
 	$(GO) vet -C benchmark . && $(GO) test -C benchmark .
@@ -208,10 +211,16 @@ bench-host:
 
 # One-iteration pass over the ladder benchmarks, piped through benchjson: a
 # cheap CI check that every rung still runs and parses. The parsed artifact
-# is kept (untracked) so CI can upload it.
+# is kept (untracked) so CI can upload it. BenchmarkDenseRecords — a pump round
+# of the dense send path at origin and relay, per record — gets enough
+# iterations to fill its pools, so every run also prints that path's ns and
+# allocations per record (benchjson passes the names through; nothing gates
+# them).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkMulAddLadder|BenchmarkXorLadder|BenchmarkEncodeBatch|BenchmarkDecodeLadder' \
-		-benchtime 1x -count 1 ./internal/gf256/ ./internal/rlnc/ \
+	{ $(GO) test -run '^$$' -bench 'BenchmarkMulAddLadder|BenchmarkXorLadder|BenchmarkEncodeBatch|BenchmarkDecodeLadder' \
+		-benchtime 1x -count 1 ./internal/gf256/ ./internal/rlnc/ ; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkDenseRecords' \
+		-benchtime 2000x -count 1 ./internal/netio/ ./internal/mesh/ ; } \
 		| $(GO) run ./cmd/benchjson > BENCH_smoke.json
 	@cat BENCH_smoke.json
 

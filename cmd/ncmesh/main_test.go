@@ -40,8 +40,12 @@ func TestRunCleanMesh(t *testing.T) {
 
 func TestRunChaosKill(t *testing.T) {
 	var out bytes.Buffer
+	// 16 segments: a relay needs dozens of pump rounds to serve a leaf, so
+	// the kill at the wave's tenth record lands mid-transfer by construction.
+	// (At 4 segments a relay could have written a leaf's whole object before
+	// the leaves had parsed ten records, and then nothing needed remediating.)
 	err := run([]string{
-		"-relays", "3", "-leaves", "3", "-n", "8", "-k", "128", "-size", "4083",
+		"-relays", "3", "-leaves", "3", "-n", "8", "-k", "128", "-size", "16300",
 		"-chaos", "-kill", "1", "-kill-at", "10",
 	}, &out)
 	if err != nil {

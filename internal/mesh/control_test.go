@@ -2,6 +2,7 @@ package mesh
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -43,6 +44,30 @@ func TestPoolLifecycle(t *testing.T) {
 	}
 	if _, ok := p.StateOf("ghost"); ok {
 		t.Fatal("unknown member reported present")
+	}
+}
+
+// TestPoolUsable: the one rule for where a leaf may be pointed — active
+// members, else joining ones with the warm first, never the excluded one.
+func TestPoolUsable(t *testing.T) {
+	p := NewPool()
+	rank := map[string]int{"a": 0, "b": 8, "c": 8, "d": 8}
+	for _, id := range []string{"a", "b", "c", "d"} {
+		id := id
+		if err := p.Add(id, id+":1", func() int { return rank[id] }, 8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.SetDraining("d")
+	if got := p.Usable("c"); !reflect.DeepEqual(got, []string{"b", "a"}) {
+		t.Fatalf("nothing active: usable = %v, want the warm joiner before the cold one, c excluded, d draining", got)
+	}
+	p.Heartbeat("a")
+	if got := p.Usable(""); !reflect.DeepEqual(got, []string{"a"}) {
+		t.Fatalf("one active: usable = %v, want only it", got)
+	}
+	if got := p.Usable("a"); !reflect.DeepEqual(got, []string{"b", "c"}) {
+		t.Fatalf("the only active member excluded: usable = %v, want the joiners", got)
 	}
 }
 

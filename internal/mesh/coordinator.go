@@ -123,22 +123,13 @@ func (c *Coordinator) Routes() map[int]string {
 // pick chooses the least-loaded usable relay, excluding the named one.
 // Callers hold c.mu (the load count reads c.routes).
 func (c *Coordinator) pick(exclude string) (id, addr string, err error) {
-	candidates := c.pool.InState(StateActive)
-	if len(candidates) == 0 {
-		candidates = c.pool.InState(StateJoining)
-	}
-	load := make(map[string]int, len(candidates))
-	for _, rt := range c.routes {
-		load[rt.relayID]++
-	}
-	usable := candidates[:0]
-	for _, cand := range candidates {
-		if cand != exclude {
-			usable = append(usable, cand)
-		}
-	}
+	usable := c.pool.Usable(exclude)
 	if len(usable) == 0 {
 		return "", "", ErrNoRelays
+	}
+	load := make(map[string]int, len(usable))
+	for _, rt := range c.routes {
+		load[rt.relayID]++
 	}
 	sort.SliceStable(usable, func(i, j int) bool { return load[usable[i]] < load[usable[j]] })
 	id = usable[0]

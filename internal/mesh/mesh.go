@@ -466,14 +466,15 @@ func (m *Mesh) WaitLeaves(ctx context.Context, leaves ...*Leaf) error {
 }
 
 // WaitWarm blocks until every relay holds full upstream rank for every
-// segment — from then on leaves never depend on the origin — or ctx ends; the
-// error says how many relays got there.
+// segment — from then on leaves never depend on the origin — and its first
+// heartbeat has put it in the active rotation, or ctx ends; the error says how
+// many relays got there.
 func (m *Mesh) WaitWarm(ctx context.Context) error {
 	full := m.origin.Segments() * m.topo.Params.BlockCount
 	for {
 		warm := 0
 		for _, r := range m.relays {
-			if r.TotalRank() == full {
+			if st, _ := m.pool.StateOf(r.ID()); st == StateActive && r.TotalRank() == full {
 				warm++
 			}
 		}
@@ -482,7 +483,7 @@ func (m *Mesh) WaitWarm(ctx context.Context) error {
 		}
 		select {
 		case <-ctx.Done():
-			return fmt.Errorf("mesh: relays never warmed (%d/%d at full rank): %w", warm, len(m.relays), ctx.Err())
+			return fmt.Errorf("mesh: relays never warmed (%d/%d active at full rank): %w", warm, len(m.relays), ctx.Err())
 		case <-time.After(2 * time.Millisecond):
 		}
 	}
@@ -513,7 +514,7 @@ func (m *Mesh) KillRelay(id string) error {
 // RestartRelay gracefully cycles relay id with zero loss: the pool marks it
 // draining (the coordinator stops assigning to it and remediation walks
 // routed leaves off), the relay's server drains — REDIRECT pointing
-// connected leaves at a surviving active relay, in-flight sessions running
+// connected leaves at a surviving relay, in-flight sessions running
 // to completion within ctx — and a fresh server over the same recoders
 // rejoins the rotation at a new address. Rank never regresses: the recoders
 // survive, and every redirected leaf carries its decoder state to the
@@ -532,14 +533,12 @@ func (m *Mesh) RestartRelay(ctx context.Context, id string) error {
 	if !m.pool.SetDraining(id) {
 		return fmt.Errorf("mesh: relay %q is not eligible to drain", id)
 	}
-	// The redirect target is the least-loaded active survivor; with none
-	// available the drain answers BUSY and leaves fall back on remediation.
+	// The redirect target is a survivor the coordinator would assign to — an
+	// active one, or a warm one whose first heartbeat is still due; with none
+	// the drain answers BUSY and leaves fall back on remediation.
 	redirect := ""
-	for _, cand := range m.pool.InState(StateActive) {
-		if addr, ok := m.pool.Addr(cand); ok {
-			redirect = addr
-			break
-		}
+	if survivors := m.pool.Usable(id); len(survivors) > 0 {
+		redirect, _ = m.pool.Addr(survivors[0])
 	}
 	addr, err := target.Restart(ctx, redirect)
 	if err != nil {

@@ -3,6 +3,7 @@ package mesh
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -50,7 +51,7 @@ func flightDumpOnFailure(t *testing.T) {
 
 // startOrigin brings up a plain origin server on loopback for single-relay
 // tests.
-func startOrigin(t *testing.T, media []byte, p rlnc.Params, cfg netio.ServerConfig) (*netio.Server, net.Listener) {
+func startOrigin(t testing.TB, media []byte, p rlnc.Params, cfg netio.ServerConfig) (*netio.Server, net.Listener) {
 	t.Helper()
 	srv, err := netio.NewServerFromConfig(media, p, cfg)
 	if err != nil {
@@ -111,6 +112,103 @@ func TestRelayServesRecodedBlocks(t *testing.T) {
 	if relay.TotalRank() != full {
 		t.Fatalf("relay rank %d, want %d (leaf finished before relay?)", relay.TotalRank(), full)
 	}
+}
+
+// warmDenseRelay starts a dense origin and one relay over it and returns the
+// relay once it holds full rank for every segment. Nobody dials the relay, so
+// its own pump never runs and the caller may drive its record source.
+func warmDenseRelay(t testing.TB, p rlnc.Params, segments int) *Relay {
+	t.Helper()
+	ocfg := netio.DefaultServerConfig()
+	ocfg.Seed = 3
+	_, ol := startOrigin(t, testMedia(t, segments*p.SegmentSize(), 6), p, ocfg)
+	rln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	t.Cleanup(cancel)
+	relay, err := StartRelay(ctx, RelayConfig{ID: "r0", Upstream: tcpDial(ol.Addr().String()), Listener: rln, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(relay.Close)
+	for relay.TotalRank() < segments*p.BlockCount {
+		if ctx.Err() != nil {
+			t.Fatalf("relay stuck at rank %d", relay.TotalRank())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return relay
+}
+
+// frameStock stands in for the server's frame pool: a fixed stock of buffers
+// handed out round-robin, each long recycled by the time it comes round again.
+type frameStock struct {
+	bufs [][]byte
+	next int
+}
+
+func (s *frameStock) alloc(n int) []byte {
+	if s.next == len(s.bufs) {
+		s.next = 0
+	}
+	if s.bufs[s.next] == nil {
+		s.bufs[s.next] = make([]byte, n)
+	}
+	s.next++
+	return s.bufs[s.next-1][:n]
+}
+
+// TestRelayRecordsDoNotAllocate: a warm dense relay's Records — frames laid
+// out, one batch recombination written into them, sealed — allocates nothing
+// once its scratch has seen a batch, and every record it returns is a valid
+// dense block of the segment asked for.
+func TestRelayRecordsDoNotAllocate(t *testing.T) {
+	p := rlnc.Params{BlockCount: 16, BlockSize: 256}
+	relay := warmDenseRelay(t, p, 2)
+	src := (*relaySource)(relay)
+	const batch = 8
+	stock := &frameStock{bufs: make([][]byte, batch)}
+	alloc := stock.alloc
+	seg := 0
+	round := func() {
+		recs := src.Records(seg, batch, alloc)
+		if len(recs) != batch {
+			t.Fatalf("%d records for a batch of %d", len(recs), batch)
+		}
+		seg = 1 - seg
+	}
+	if got := testing.AllocsPerRun(100, round); got != 0 {
+		t.Errorf("%.2f allocations per batch of %d recoded records, want 0", got, batch)
+	}
+	for _, rec := range src.Records(1, batch, alloc) {
+		var b rlnc.CodedBlock
+		if err := b.UnmarshalBinary(rec[4:]); err != nil || b.SegmentID != 1 || b.Params() != p {
+			t.Fatalf("recoded record: %v (segment %d, %+v)", err, b.SegmentID, b.Params())
+		}
+	}
+}
+
+// BenchmarkDenseRecords: one pump round of a relay at full rank — a batch of
+// recombinations recoded straight into frames — per record.
+func BenchmarkDenseRecords(b *testing.B) {
+	p := rlnc.Params{BlockCount: 128, BlockSize: 4096}
+	b.Run(fmt.Sprintf("relay/n=%d/k=%d", p.BlockCount, p.BlockSize), func(b *testing.B) {
+		relay := warmDenseRelay(b, p, 2)
+		src := (*relaySource)(relay)
+		batch := p.BlockCount / 4 // the pump's default EncodeBatch
+		stock := &frameStock{bufs: make([][]byte, batch)}
+		alloc := stock.alloc
+		b.SetBytes(int64(p.BlockSize))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for done, seg := 0, 0; done < b.N; done, seg = done+batch, 1-seg {
+			if len(src.Records(seg, batch, alloc)) != batch {
+				b.Fatal("short batch from a warm relay")
+			}
+		}
+	})
 }
 
 // TestRelayXorRecode: a systematic origin feeding an XOR-recode relay. The
@@ -496,6 +594,84 @@ var errFetchDiffers = errDiff{}
 type errDiff struct{}
 
 func (errDiff) Error() string { return "payload differs" }
+
+// TestRestartRelayRedirectsBeforeFirstHeartbeat: a drain that starts in the
+// beat between the survivors reaching full rank and their first heartbeat —
+// they are still joining — must name one of them in its REDIRECT, as the
+// coordinator would assign to it, not answer BUSY until remediation notices.
+// The heartbeat here never fires, so the window stays open.
+func TestRestartRelayRedirectsBeforeFirstHeartbeat(t *testing.T) {
+	p := rlnc.Params{BlockCount: 8, BlockSize: 128}
+	m, err := New(Topology{
+		Media: testMedia(t, 2*p.SegmentSize(), 93), Params: p, Relays: 2, Seed: 23,
+		Heartbeat: time.Hour, Sweep: time.Hour,
+		Health: HealthConfig{SuspectAfter: time.Hour, DeadAfter: 2 * time.Hour},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := m.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	for full := 2 * p.BlockCount; ; time.Sleep(time.Millisecond) {
+		if m.Relays()[0].TotalRank() == full && m.Relays()[1].TotalRank() == full {
+			break
+		}
+		if ctx.Err() != nil {
+			t.Fatalf("relays never reached full rank: %+v", m.Pool().Snapshot())
+		}
+	}
+	if st, _ := m.Pool().StateOf("relay-1"); st != StateJoining {
+		t.Fatalf("relay-1 is %v without a heartbeat, want joining", st)
+	}
+	oldAddr := m.Relays()[0].Addr()
+	survivor := m.Relays()[1].Addr()
+
+	// A pinned session holds the drain window open.
+	pinConn, err := net.Dial("tcp", oldAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned, err := netio.NewRawClient(pinConn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		for {
+			if _, err := pinned.Next(); err != nil {
+				return
+			}
+		}
+	}()
+	restartDone := make(chan error, 1)
+	go func() { restartDone <- m.RestartRelay(ctx, "relay-0") }()
+
+	// Dials that beat the drain are ordinary sessions; the first one refused
+	// must be redirected to the survivor.
+	for {
+		conn, err := net.Dial("tcp", oldAddr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rc, err := netio.NewRawClient(conn)
+		if err == nil {
+			rc.Close()
+			time.Sleep(time.Millisecond)
+			continue
+		}
+		if !errors.Is(err, netio.ErrAdmissionRedirect) || !strings.Contains(err.Error(), survivor) {
+			t.Fatalf("draining relay-0 answered %q, want a REDIRECT to %s (pool %+v)", err, survivor, m.Pool().Snapshot())
+		}
+		break
+	}
+	pinned.Close()
+	if err := <-restartDone; err != nil {
+		t.Fatal(err)
+	}
+}
 
 // TestMeshRollingRestart is the drain gate: relays are restarted in sequence
 // under faultnet chaos while leaves fetch through them, and nothing may be

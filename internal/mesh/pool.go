@@ -224,6 +224,38 @@ func (p *Pool) InState(s State) []string {
 	return ids
 }
 
+// Usable returns the members a leaf may be pointed at, exclude never among
+// them: the active ones, or, when none is active — mesh start-up, or the beat
+// between a relay's registration and its first heartbeat — the joining ones,
+// those already at full rank first. Each group is sorted by ID.
+func (p *Pool) Usable(exclude string) []string {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var active, warm, cold []string
+	for id, m := range p.members {
+		if id == exclude {
+			continue
+		}
+		switch m.state {
+		case StateActive:
+			active = append(active, id)
+		case StateJoining:
+			if m.rankFn != nil && m.rankFn() >= m.fullRank {
+				warm = append(warm, id)
+			} else {
+				cold = append(cold, id)
+			}
+		}
+	}
+	if len(active) > 0 {
+		sort.Strings(active)
+		return active
+	}
+	sort.Strings(warm)
+	sort.Strings(cold)
+	return append(warm, cold...)
+}
+
 // Snapshot copies every member, sorted by ID.
 func (p *Pool) Snapshot() []MemberView {
 	p.mu.Lock()

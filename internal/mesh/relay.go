@@ -70,6 +70,9 @@ type Relay struct {
 	retired  netio.CounterView
 	info     netio.SessionInfo // learned from the upstream handshake
 	recoders []*rlnc.Recoder
+	// recs and rows are the downstream pump's batch — the records Records
+	// returns and their [C | x] rows — reused round after round under mu.
+	recs, rows [][]byte
 
 	// serveCtx bounds every downstream server the relay ever starts,
 	// including post-Restart replacements.
@@ -336,13 +339,14 @@ func (r *Relay) Close() {
 }
 
 // relaySource adapts a Relay to netio.RecordSource: each Records call draws
-// fresh recombinations from the segment's recoder. A segment with no rank
-// yet returns nothing and the server pump backs off briefly.
+// fresh recombinations from the segment's recoder, straight into the server's
+// frames. A segment with no rank yet returns nothing and the server pump backs
+// off briefly.
 type relaySource Relay
 
 func (rs *relaySource) Info() netio.SessionInfo { return (*Relay)(rs).Info() }
 
-func (rs *relaySource) Records(seg, batch int) [][]byte {
+func (rs *relaySource) Records(seg, batch int, alloc func(int) []byte) [][]byte {
 	r := (*Relay)(rs)
 	sp := stageRelayRecode.Start()
 	defer sp.End()
@@ -360,20 +364,41 @@ func (rs *relaySource) Records(seg, batch int) [][]byte {
 		defer tsp.End()
 	}
 	rec := r.recoders[seg]
-	out := make([][]byte, 0, batch)
-	for i := 0; i < batch; i++ {
-		blk, err := rec.Emit()
-		if err != nil {
-			break
+	recs := r.recs[:0]
+	if r.cfg.XorRecode {
+		// GF(2) emissions travel in the compact XNC2 encoding when binary,
+		// which is decided block by block.
+		for i := 0; i < batch; i++ {
+			blk, err := rec.Emit()
+			if err != nil {
+				break
+			}
+			framed, err := netio.FrameRecordInto(blk, r.info.Mode, alloc)
+			if err != nil {
+				continue
+			}
+			recs = append(recs, framed)
 		}
-		framed, err := netio.FrameRecord(blk, r.info.Mode)
-		if err != nil {
-			continue
+	} else {
+		// A dense record is a [C | x] row, and so is every input the recoder
+		// holds: the batch is one multiply from its rows into the frames'.
+		rows := r.rows[:0]
+		for i := 0; i < batch; i++ {
+			framed, row := netio.LayDenseRecord(uint32(seg), r.info.Params, alloc)
+			recs = append(recs, framed)
+			rows = append(rows, row)
 		}
-		out = append(out, framed)
+		r.rows = rows
+		if err := rec.EmitInto(rows); err != nil {
+			recs = recs[:0]
+		}
+		for _, framed := range recs {
+			netio.SealDenseRecord(framed)
+		}
 	}
+	r.recs = recs
 	if r.cfg.Emitted != nil {
-		r.cfg.Emitted.Add(int64(len(out)))
+		r.cfg.Emitted.Add(int64(len(recs)))
 	}
-	return out
+	return recs
 }

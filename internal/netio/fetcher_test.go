@@ -47,7 +47,7 @@ func flakyServer(t *testing.T, l *pipeListener, media []byte, p rlnc.Params, rec
 				encoders[i] = rlnc.NewEncoder(seg, rng)
 			}
 			for r := 0; r < recordsPerSession; r++ {
-				rec, err := frameRecord(encoders[r%len(encoders)].NextBlock(), nil)
+				rec, err := FrameRecord(encoders[r%len(encoders)].NextBlock(), ModeDense)
 				if err != nil {
 					break
 				}
@@ -129,7 +129,7 @@ func TestFetcherBudgetReturnsPartialProgress(t *testing.T) {
 		obj, _ := rlnc.Split(media, p)
 		enc := rlnc.NewEncoder(obj.Segments[0], rand.New(rand.NewSource(int64(session))))
 		for i := 0; i < p.BlockCount+2; i++ {
-			rec, _ := frameRecord(enc.NextBlock(), nil)
+			rec, _ := FrameRecord(enc.NextBlock(), ModeDense)
 			if _, err := conn.Write(rec); err != nil {
 				return true
 			}
@@ -246,7 +246,7 @@ func TestFetcherRejectClassification(t *testing.T) {
 			Payload:   make([]byte, p.BlockSize),
 		}
 		hostile.Coeffs[0] = 1
-		rec, err := frameRecord(hostile, nil)
+		rec, err := FrameRecord(hostile, ModeDense)
 		if err != nil || writeAll(conn, rec) != nil {
 			return true
 		}
@@ -256,7 +256,7 @@ func TestFetcherRejectClassification(t *testing.T) {
 			Payload:   make([]byte, p.BlockSize-1),
 		}
 		shape.Coeffs[0] = 1
-		rec, err = frameRecord(shape, nil)
+		rec, err = FrameRecord(shape, ModeDense)
 		if err != nil || writeAll(conn, rec) != nil {
 			return true
 		}
@@ -457,7 +457,7 @@ func TestFetcherTwoStageUnderFaults(t *testing.T) {
 			for w := 0; w < 5; w++ {
 				var window [][]byte
 				for r := 0; r < 6; r++ {
-					rec, err := frameRecord(encoders[(6*w+r)%len(encoders)].NextBlock(), nil)
+					rec, err := FrameRecord(encoders[(6*w+r)%len(encoders)].NextBlock(), ModeDense)
 					if err != nil {
 						break stream
 					}
@@ -583,7 +583,7 @@ func TestFetcherRecordPathDoesNotAllocate(t *testing.T) {
 		}
 		held := make([]*rlnc.CodedBlock, 0, p.BlockCount)
 		emit := func(b *rlnc.CodedBlock) {
-			rec, err := frameRecord(b, nil)
+			rec, err := FrameRecord(b, ModeDense)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -622,7 +622,7 @@ func TestFetcherRecordPathDoesNotAllocate(t *testing.T) {
 			t.Fatal(err)
 		}
 		emit := func(b *rlnc.CodedBlock) {
-			rec, err := frameSystematicRecord(b, nil)
+			rec, err := FrameRecord(b, ModeSystematic)
 			if err != nil {
 				t.Fatal(err)
 			}

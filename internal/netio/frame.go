@@ -6,18 +6,17 @@ import (
 )
 
 // frameRef is one framed record on its way through the fan-out: the pump
-// frames a record once, wraps it in a frameRef holding one reference, and
-// offers the same buffer to every session in the shard — zero-copy fan-out.
-// Each successful enqueue retains the frame; writers (and teardown drains)
-// release after the wire write or the shed. When the count hits zero the
-// buffer returns to the server's frame pool, so a steady-state server
-// recycles its frame storage instead of churning the GC at queue depth ×
-// session count.
+// hands the source a recycled frame's buffer to build the record in, and offers
+// that one frame — holding one reference — to every session in the shard:
+// zero-copy fan-out. Each successful enqueue retains the frame; writers (and
+// teardown drains) release after the wire write or the shed. When the count
+// hits zero the frame, buffer and all, returns to the server's frame pool, so
+// a steady-state server recycles its frame storage instead of churning the GC
+// at queue depth × session count.
 type frameRef struct {
-	buf    []byte
-	refs   atomic.Int32
-	pooled bool // buf came from pool and may be recycled
-	pool   *framePool
+	buf  []byte
+	refs atomic.Int32
+	pool *framePool
 
 	// Trace attribution, stamped by a traced pump: the round span that
 	// encoded this record (written as the wire prelude) and its segment.
@@ -33,59 +32,36 @@ func (f *frameRef) retain() { f.refs.Add(1) }
 func (f *frameRef) release() {
 	switch n := f.refs.Add(-1); {
 	case n == 0:
-		f.pool.recycle(f)
+		f.pool.frames.Put(f)
 	case n < 0:
 		panic("netio: frame released more often than retained")
 	}
 }
 
-// framePool recycles frame buffers and their frameRef headers. Buffers are a
-// single size class: a recycled buffer too small for the next record is
-// simply dropped for the GC (systematic sessions mix compact XNC2 records
-// with larger dense-tail records, so capacities converge to the largest).
+// framePool recycles frames: one object in the pool is the frameRef header and the
+// buffer it owns, so neither taking nor returning one allocates. Buffers are a
+// single size class: a recycled buffer too small for the next record is simply
+// dropped for the GC (systematic sessions mix compact XNC2 records with larger
+// dense-tail records, so capacities converge to the largest).
 type framePool struct {
-	bufs   sync.Pool // *[]byte, len reset, cap preserved
-	frames sync.Pool // *frameRef, cleared
+	frames sync.Pool // *frameRef, buf capacity preserved
 }
 
-// allocBuf returns a length-n buffer, reusing a recycled one when its
-// capacity suffices. It is the allocator handed to pooled record sources.
-func (p *framePool) allocBuf(n int) []byte {
-	if v := p.bufs.Get(); v != nil {
-		b := *(v.(*[]byte))
-		if cap(b) >= n {
-			return b[:n]
-		}
+// get returns a single-reference frame whose buffer is n bytes long, contents
+// unspecified, reusing a recycled buffer when its capacity suffices.
+func (p *framePool) get(n int) *frameRef {
+	fr, _ := p.frames.Get().(*frameRef)
+	if fr == nil {
+		fr = &frameRef{pool: p}
 	}
-	return make([]byte, n)
-}
-
-// wrap adopts buf as a new single-reference frame. pooled marks whether buf
-// came from allocBuf and may be recycled on release.
-func (p *framePool) wrap(buf []byte, pooled bool) *frameRef {
-	var fr *frameRef
-	if v := p.frames.Get(); v != nil {
-		fr = v.(*frameRef)
-	} else {
-		fr = &frameRef{}
+	if cap(fr.buf) < n {
+		fr.buf = make([]byte, n)
 	}
-	fr.buf = buf
-	fr.pooled = pooled
-	fr.pool = p
+	fr.buf = fr.buf[:n]
 	fr.round = 0
 	fr.seg = -1
 	fr.refs.Store(1)
 	return fr
-}
-
-func (p *framePool) recycle(f *frameRef) {
-	if f.pooled {
-		buf := f.buf[:0]
-		p.bufs.Put(&buf)
-	}
-	f.buf = nil
-	f.pool = nil
-	p.frames.Put(f)
 }
 
 // frameQueue is a session's bounded send queue: a mutex-guarded ring of

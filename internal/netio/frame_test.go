@@ -15,7 +15,8 @@ func TestFrameQueueOfferPopDrain(t *testing.T) {
 	}
 	frames := make([]*frameRef, 6)
 	for i := range frames {
-		frames[i] = pool.wrap([]byte{byte(i)}, true)
+		frames[i] = pool.get(1)
+		frames[i].buf[0] = byte(i)
 	}
 	if k := q.offerBatch(frames); k != 4 {
 		t.Fatalf("offerBatch accepted %d of 6 into depth 4, want 4", k)
@@ -61,30 +62,35 @@ func TestFrameQueueOfferPopDrain(t *testing.T) {
 	}
 }
 
-// TestFramePoolRecycles: a released pooled frame's storage is reused by the
-// next allocation of equal-or-smaller size, and wrap hands back cleared
-// headers.
+// TestFramePoolRecycles: a released frame's storage is reused by the next
+// frame of equal-or-smaller size, header and buffer together, and get hands
+// back cleared headers.
 func TestFramePoolRecycles(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops Puts at random")
+	}
 	pool := &framePool{}
-	buf := pool.allocBuf(64)
-	buf[0] = 0xEE
-	fr := pool.wrap(buf, true)
+	fr := pool.get(64)
+	fr.buf[0] = 0xEE
+	fr.round, fr.seg = 7, 3
 	fr.release()
 
-	again := pool.allocBuf(16)
-	if cap(again) < 64 {
-		t.Fatalf("recycled capacity %d, want the original 64", cap(again))
+	again := pool.get(16)
+	if cap(again.buf) < 64 {
+		t.Fatalf("recycled capacity %d, want the original 64", cap(again.buf))
 	}
-	if len(again) != 16 {
-		t.Fatalf("recycled length %d, want requested 16", len(again))
+	if len(again.buf) != 16 {
+		t.Fatalf("recycled length %d, want requested 16", len(again.buf))
 	}
+	if again.round != 0 || again.seg != -1 || again.refs.Load() != 1 {
+		t.Fatalf("recycled header not cleared: round %d seg %d refs %d", again.round, again.seg, again.refs.Load())
+	}
+	again.release()
 
 	// A too-small recycled buffer is dropped, never resliced past cap.
-	small := pool.wrap(pool.allocBuf(8), true)
-	small.release()
-	big := pool.allocBuf(1 << 16)
-	if len(big) != 1<<16 {
-		t.Fatalf("oversized alloc length %d", len(big))
+	big := pool.get(1 << 16)
+	if len(big.buf) != 1<<16 {
+		t.Fatalf("oversized frame length %d", len(big.buf))
 	}
 }
 
@@ -92,7 +98,7 @@ func TestFramePoolRecycles(t *testing.T) {
 // fan-out accounting bug and must fail loudly, not corrupt a recycled buffer.
 func TestFrameReleaseUnderflowPanics(t *testing.T) {
 	pool := &framePool{}
-	fr := pool.wrap(make([]byte, 8), false)
+	fr := pool.get(8)
 	fr.retain()
 	fr.release()
 	fr.release() // refcount hits zero: frame recycled

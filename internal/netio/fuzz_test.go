@@ -32,7 +32,7 @@ func fuzzSession(f *testing.F, mutate func(stream []byte) []byte) []byte {
 	}
 	enc := rlnc.NewEncoder(obj.Segments[0], rand.New(rand.NewSource(4)))
 	for i := 0; i < p.BlockCount+2; i++ {
-		rec, err := frameRecord(enc.NextBlock(), nil)
+		rec, err := FrameRecord(enc.NextBlock(), ModeDense)
 		if err != nil {
 			f.Fatal(err)
 		}

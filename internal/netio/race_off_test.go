@@ -1,0 +1,5 @@
+//go:build !race
+
+package netio
+
+const raceEnabled = false

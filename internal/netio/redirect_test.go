@@ -36,7 +36,7 @@ func dribbleServer(t *testing.T, l net.Listener, obj *rlnc.Object, recordsPerSes
 				encs[i] = rlnc.NewEncoder(seg, rng)
 			}
 			for r := 0; r < recordsPerSession; r++ {
-				rec, err := frameRecord(encs[r%len(encs)].NextBlock(), nil)
+				rec, err := FrameRecord(encs[r%len(encs)].NextBlock(), ModeDense)
 				if err != nil {
 					break
 				}
@@ -286,10 +286,11 @@ func newPoolSource(t *testing.T, obj *rlnc.Object, perSeg int) *poolSource {
 
 func (s *poolSource) Info() SessionInfo { return s.info }
 
-func (s *poolSource) Records(seg, batch int) [][]byte {
+func (s *poolSource) Records(seg, batch int, alloc func(int) []byte) [][]byte {
 	out := make([][]byte, 0, batch)
 	for i := 0; i < batch; i++ {
-		out = append(out, s.recs[seg][s.next[seg]%len(s.recs[seg])])
+		rec := s.recs[seg][s.next[seg]%len(s.recs[seg])]
+		out = append(out, append(alloc(len(rec))[:0], rec...))
 		s.next[seg]++
 	}
 	return out

@@ -114,10 +114,13 @@ type Server struct {
 // number of independent fan-out loops, and the per-shard counters make the
 // offered == sent + shed ledger checkable shard by shard.
 type pumpShard struct {
-	id     int
-	s      *Server
-	src    RecordSource
-	pooled bool // src allocates its frames from s.frames
+	id  int
+	s   *Server
+	src RecordSource
+
+	// laid is the frames whose buffers alloc has handed the source this round,
+	// in order; wrap matches the records the source returns against it.
+	laid []*frameRef
 
 	mu       sync.Mutex
 	sessions map[*session]struct{}
@@ -171,18 +174,15 @@ func NewServerFromConfig(media []byte, p rlnc.Params, cfg ServerConfig) (*Server
 		return nil, err
 	}
 	cfg = cfg.normalized(p.BlockCount)
-	pool := &framePool{}
 	srcs := make([]RecordSource, cfg.PumpShards)
 	for i := range srcs {
 		penc, err := rlnc.NewParallelEncoder(cfg.EncoderWorkers, rlnc.FullBlock)
 		if err != nil {
 			return nil, err
 		}
-		osrc := newObjectSource(obj, cfg.Mode, penc, shardSeed(cfg.Seed, i))
-		osrc.alloc = pool.allocBuf
-		srcs[i] = osrc
+		srcs[i] = newObjectSource(obj, cfg.Mode, penc, shardSeed(cfg.Seed, i))
 	}
-	s, err := newServer(srcs[0].Info(), cfg, pool, srcs, true)
+	s, err := newServer(srcs[0].Info(), cfg, srcs)
 	if err == nil && cfg.Mode == ModeSystematic {
 		s.sweep = newSweepTable(obj)
 	}
@@ -211,24 +211,22 @@ func NewSourceServerFromConfig(src RecordSource, cfg ServerConfig) (*Server, err
 	}
 	cfg = cfg.normalized(info.Params.BlockCount)
 	cfg.Mode = info.Mode
-	return newServer(info, cfg, &framePool{}, []RecordSource{src}, false)
+	return newServer(info, cfg, []RecordSource{src})
 }
 
 // shardSeed derives shard i's coefficient-stream seed. Shard 0 keeps the
-// base seed unchanged, so a single-shard server reproduces the historical
-// block sequence exactly.
+// base seed unchanged.
 func shardSeed(seed int64, i int) int64 {
 	const lane = int64(0x5851F42D4C957F2D) // odd multiplier: distinct lanes per shard
 	return seed + int64(i)*lane
 }
 
-// newServer builds the server over one source per pump shard; pooled says
-// whether those sources allocate their records from pool.
-func newServer(info SessionInfo, cfg ServerConfig, pool *framePool, srcs []RecordSource, pooled bool) (*Server, error) {
+// newServer builds the server over one source per pump shard.
+func newServer(info SessionInfo, cfg ServerConfig, srcs []RecordSource) (*Server, error) {
 	s := &Server{
 		cfg:       cfg,
 		info:      info,
-		frames:    pool,
+		frames:    &framePool{},
 		stop:      make(chan struct{}),
 		listeners: make(map[net.Listener]struct{}),
 	}
@@ -238,7 +236,6 @@ func newServer(info SessionInfo, cfg ServerConfig, pool *framePool, srcs []Recor
 			id:       i,
 			s:        s,
 			src:      src,
-			pooled:   pooled,
 			sessions: make(map[*session]struct{}),
 			wake:     make(chan struct{}, 1),
 			consumed: make(chan struct{}, 1),
@@ -755,13 +752,17 @@ func (s *Server) writeFrames(ss *session, frs []*frameRef, scratch *net.Buffers,
 		bufs = append(bufs, fr.buf)
 		total += preludeLen + len(fr.buf)
 	}
+	// Written through the caller's header (a local one would escape on every
+	// flush), which WriteTo consumes: hand the backing array back.
+	*scratch = bufs
+	defer func() { *scratch = bufs[:0] }()
 	written := 0
 	retries := s.cfg.WriteRetries
 	for written < total {
 		if s.cfg.WriteDeadline > 0 {
 			ss.conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteDeadline))
 		}
-		n, err := bufs.WriteTo(ss.conn)
+		n, err := scratch.WriteTo(ss.conn)
 		written += int(n)
 		if err == nil {
 			continue
@@ -851,6 +852,7 @@ func (sh *pumpShard) run() {
 	segIdx := sh.id % segments // stagger shards across segments
 	live := make([]*session, 0, 16)
 	frames := make([]*frameRef, 0, s.cfg.EncodeBatch)
+	alloc := sh.alloc // bound once: evaluating a method value allocates
 	for {
 		select {
 		case <-s.stop:
@@ -885,9 +887,9 @@ func (sh *pumpShard) run() {
 			round = trace.Begin(s.cfg.TraceNode, "round", s.traceID, s.rootSpan.ID(), int32(seg))
 			enc = trace.Begin(s.cfg.TraceNode, "encode", s.traceID, round.ID(), int32(seg))
 		}
-		recs := sh.src.Records(seg, s.cfg.EncodeBatch)
+		frames = sh.wrap(frames[:0], sh.src.Records(seg, s.cfg.EncodeBatch, alloc))
 		segIdx = (segIdx + 1) % segments
-		if len(recs) == 0 {
+		if len(frames) == 0 {
 			// Nothing to say for this segment yet. Park briefly — this is
 			// source starvation, not client backpressure, so no stall is
 			// charged.
@@ -899,15 +901,12 @@ func (sh *pumpShard) run() {
 			continue
 		}
 		enc.End()
-		s.counters.AddEncoded(int64(len(recs)))
-		sh.c.encoded.Add(int64(len(recs)))
+		s.counters.AddEncoded(int64(len(frames)))
+		sh.c.encoded.Add(int64(len(frames)))
 
-		frames = frames[:0]
-		for _, rec := range recs {
-			fr := s.frames.wrap(rec, sh.pooled)
+		for _, fr := range frames {
 			fr.round = uint64(round.ID())
 			fr.seg = int32(seg)
-			frames = append(frames, fr)
 		}
 		var offer trace.Span
 		if s.traced {
@@ -951,6 +950,41 @@ func (sh *pumpShard) run() {
 	}
 }
 
+// alloc is the allocator the shard's source builds its records in: the buffer
+// of a frame from the pool, which wrap finds again when the record comes back.
+func (sh *pumpShard) alloc(n int) []byte {
+	fr := sh.s.frames.get(n)
+	sh.laid = append(sh.laid, fr)
+	return fr.buf
+}
+
+// wrap appends to frames the frame behind each of recs, which the source built
+// in buffers from this round's alloc calls and returns in that order; a buffer
+// it took and did not return is recycled. Anything else in recs is a bug in
+// the source — the server would recycle memory it does not own — and panics.
+func (sh *pumpShard) wrap(frames []*frameRef, recs [][]byte) []*frameRef {
+	next := 0
+	for _, rec := range recs {
+		// Frames are never empty: the smallest record is a header and a CRC.
+		for ; next < len(sh.laid) && (len(rec) == 0 || &sh.laid[next].buf[0] != &rec[0]); next++ {
+			sh.laid[next].release()
+		}
+		if next == len(sh.laid) {
+			panic("netio: RecordSource returned a record it did not build in a buffer from alloc")
+		}
+		fr := sh.laid[next]
+		next++
+		fr.buf = rec
+		frames = append(frames, fr)
+	}
+	for _, fr := range sh.laid[next:] {
+		fr.release()
+	}
+	clear(sh.laid)
+	sh.laid = sh.laid[:0]
+	return frames
+}
+
 // fanOut offers the round's frames to every live session and reports whether
 // any session accepted at least one record: one bulk offer (one lock, one
 // batched counter update) per session per round.
@@ -983,45 +1017,22 @@ func (sh *pumpShard) fanOut(frames []*frameRef, live []*session) bool {
 	return delivered
 }
 
-// frameRecord marshals a coded block with its length prefix.
-func frameRecord(b *rlnc.CodedBlock, alloc func(int) []byte) ([]byte, error) {
-	body, err := b.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	return frameBody(body, alloc), nil
+// recordLenLen is the length prefix every wire record starts with.
+const recordLenLen = 4
+
+// LayDenseRecord lays out one dense (XNC1) wire record of segment segID at p
+// in a buffer from alloc — length prefix and block header written — and
+// returns the record with its [C | x] row: BlockCount coefficient bytes, then
+// BlockSize payload bytes, for the producer to fill in place. SealDenseRecord
+// finishes the record once the row is final.
+func LayDenseRecord(segID uint32, p rlnc.Params, alloc func(int) []byte) (rec, row []byte) {
+	rec = alloc(recordLenLen + rlnc.WireSize(p))
+	binary.BigEndian.PutUint32(rec, uint32(len(rec)-recordLenLen))
+	return rec, rlnc.PutWireHeader(rec[recordLenLen:], segID, p)
 }
 
-// frameSystematicRecord marshals a coded block in the systematic session's
-// per-block encoding: the compact XNC2 GF(2) format for binary blocks
-// (source blocks and XOR repair), XNC1 for dense ones.
-func frameSystematicRecord(b *rlnc.CodedBlock, alloc func(int) []byte) ([]byte, error) {
-	var body []byte
-	var err error
-	if b.IsBinary() {
-		body, err = b.MarshalBinaryXor()
-	} else {
-		body, err = b.MarshalBinary()
-	}
-	if err != nil {
-		return nil, err
-	}
-	return frameBody(body, alloc), nil
-}
-
-// frameBody prefixes body with its length, writing into a buffer from alloc
-// (pooled for the server's own sources, plain make elsewhere).
-func frameBody(body []byte, alloc func(int) []byte) []byte {
-	var rec []byte
-	if alloc != nil {
-		rec = alloc(4 + len(body))
-	} else {
-		rec = make([]byte, 4+len(body))
-	}
-	binary.BigEndian.PutUint32(rec, uint32(len(body)))
-	copy(rec[4:], body)
-	return rec
-}
+// SealDenseRecord writes the checksum of a record from LayDenseRecord.
+func SealDenseRecord(rec []byte) { rlnc.SealWire(rec[recordLenLen:]) }
 
 // Snapshot copies the server's aggregate counters, each shard's slice of
 // them, and the state of every live session.

@@ -1,6 +1,7 @@
 package netio
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"sync/atomic"
 
@@ -45,12 +46,20 @@ type RecordSource interface {
 	// across reconnects as fatal.
 	Info() SessionInfo
 
-	// Records returns up to batch framed records (length prefix included —
-	// use FrameRecord) for segment index seg. Returning fewer, or none, is
-	// allowed: a relay that has not yet accumulated rank for seg simply has
-	// nothing to say, and the pump backs off briefly instead of treating it
-	// as an error.
-	Records(seg, batch int) [][]byte
+	// Records returns up to batch framed records (length prefix included) for
+	// segment index seg. Returning fewer, or none, is allowed: a relay that has
+	// not yet accumulated rank for seg simply has nothing to say, and the pump
+	// backs off briefly instead of treating it as an error.
+	//
+	// Every record is built in a buffer obtained from alloc during this call —
+	// alloc(n) returns n bytes of unspecified content from the server's frame
+	// pool — and the records come back in the order their buffers were
+	// obtained. A returned buffer is the server's from that moment: it is
+	// written to every session that takes it and goes back to the pool when the
+	// last of them has sent or shed it, so the source must not touch it again.
+	// A buffer obtained and not returned goes straight back. The slice itself
+	// stays the source's and need only remain valid until the next call.
+	Records(seg, batch int, alloc func(int) []byte) [][]byte
 }
 
 // DegradableSource is a RecordSource with a cheaper degraded schedule the
@@ -72,14 +81,30 @@ type DegradableSource interface {
 // the given mode's encoding: ModeSystematic frames binary blocks in the
 // compact XNC2 format and dense blocks as XNC1; ModeDense frames everything
 // as XNC1. This is the framing the Server pumps use internally, exported so
-// RecordSource implementations outside this package (mesh relays) produce
-// bit-identical records.
+// code outside this package produces bit-identical records.
 func FrameRecord(b *rlnc.CodedBlock, mode WireMode) ([]byte, error) {
-	if mode == ModeSystematic {
-		return frameSystematicRecord(b, nil)
-	}
-	return frameRecord(b, nil)
+	return FrameRecordInto(b, mode, heapAlloc)
 }
+
+// FrameRecordInto is FrameRecord into a buffer from alloc: how a RecordSource
+// frames a block it holds as a CodedBlock into the server's frame pool.
+func FrameRecordInto(b *rlnc.CodedBlock, mode WireMode, alloc func(int) []byte) ([]byte, error) {
+	marshal := b.MarshalBinary
+	if mode == ModeSystematic && b.IsBinary() {
+		marshal = b.MarshalBinaryXor
+	}
+	body, err := marshal()
+	if err != nil {
+		return nil, err
+	}
+	rec := alloc(recordLenLen + len(body))
+	binary.BigEndian.PutUint32(rec, uint32(len(body)))
+	copy(rec[recordLenLen:], body)
+	return rec, nil
+}
+
+// heapAlloc is the record allocator of framing done outside a pump.
+func heapAlloc(n int) []byte { return make([]byte, n) }
 
 // sweepTable holds the systematic sweep of a media-backed ModeSystematic
 // server, framed: entry seg·n + i is the XNC2 record of source block i of
@@ -107,7 +132,7 @@ func (t *sweepTable) record(idx int) []byte {
 	seg := t.obj.Segments[idx/n]
 	coeffs := make([]byte, n)
 	coeffs[idx%n] = 1
-	rec, err := frameSystematicRecord(&rlnc.CodedBlock{SegmentID: seg.ID(), Coeffs: coeffs, Payload: seg.Block(idx % n)}, nil)
+	rec, err := FrameRecord(&rlnc.CodedBlock{SegmentID: seg.ID(), Coeffs: coeffs, Payload: seg.Block(idx % n)}, ModeSystematic)
 	if err != nil {
 		// A unit vector over a validated segment marshals.
 		panic("netio: framing a source block: " + err.Error())
@@ -119,24 +144,25 @@ func (t *sweepTable) record(idx int) []byte {
 }
 
 // objectSource is the media-backed RecordSource behind NewServerFromConfig:
-// dense batches through the shared parallel encoder, or, in ModeSystematic,
-// the XOR repair → dense tail part of the systematic schedule per segment —
-// the sweep reaches each session from the server's sweepTable, not from here.
-// A sharded server builds one objectSource per shard, each with its own seed
-// lane.
+// dense batches encoded straight into wire frames by the shared parallel
+// encoder, or, in ModeSystematic, the XOR repair → dense tail part of the
+// systematic schedule per segment — the sweep reaches each session from the
+// server's sweepTable, not from here. A sharded server builds one objectSource
+// per shard, each with its own seed lane.
 type objectSource struct {
 	obj  *rlnc.Object
 	mode WireMode
 
-	// alloc supplies record buffers; the server points it at its frame pool
-	// so fan-out frames recycle instead of churning the GC. Nil means plain
-	// allocation.
-	alloc func(int) []byte
+	// rng is the source's one coefficient stream, seeded once from the shard's
+	// seed lane and drawn from for as long as the source lives (each pump is
+	// single-goroutine, so it needs no lock): two sources built alike emit the
+	// same records for the same sequence of Records calls.
+	rng *rand.Rand
 
-	// Dense path: the shared parallel encoder plus a per-batch seed
-	// counter (each pump is single-goroutine, so plain increments suffice).
-	penc *rlnc.ParallelEncoder
-	seed int64
+	// Dense path: the parallel encoder, and the batch's coefficient and
+	// payload rows — views into the frames under construction.
+	penc             *rlnc.ParallelEncoder
+	coeffs, payloads [][]byte
 
 	// Systematic path: one cycling schedule encoder per segment, plus the
 	// brownout lever: lean is flipped by the controller goroutine, observed
@@ -155,12 +181,11 @@ type objectSource struct {
 }
 
 func newObjectSource(obj *rlnc.Object, mode WireMode, penc *rlnc.ParallelEncoder, seed int64) *objectSource {
-	src := &objectSource{obj: obj, mode: mode, penc: penc, seed: seed}
+	src := &objectSource{obj: obj, mode: mode, penc: penc, rng: rand.New(rand.NewSource(seed))}
 	if mode == ModeSystematic {
-		rng := rand.New(rand.NewSource(seed))
 		src.sysEncs = make([]*rlnc.SystematicEncoder, len(obj.Segments))
 		for i, seg := range obj.Segments {
-			src.sysEncs[i] = rlnc.NewSystematicEncoder(seg, rng)
+			src.sysEncs[i] = rlnc.NewSystematicEncoder(seg, src.rng)
 		}
 		src.defXor = src.sysEncs[0].XorRepair()
 		src.defTail = src.sysEncs[0].DenseTail()
@@ -202,9 +227,8 @@ func (o *objectSource) Info() SessionInfo {
 	}
 }
 
-// Records implements RecordSource. The returned slice is valid until the next
-// call.
-func (o *objectSource) Records(seg, batch int) [][]byte {
+// Records implements RecordSource.
+func (o *objectSource) Records(seg, batch int, alloc func(int) []byte) [][]byte {
 	recs := o.recs[:0]
 	if o.mode == ModeSystematic {
 		// Repair only: the sessions the pump feeds have had the sweep and
@@ -215,7 +239,7 @@ func (o *objectSource) Records(seg, batch int) [][]byte {
 		o.applyLean()
 		se := o.sysEncs[seg]
 		for i := 0; i < batch; i++ {
-			rec, err := frameSystematicRecord(se.RepairBlock(), o.alloc)
+			rec, err := FrameRecordInto(se.RepairBlock(), ModeSystematic, alloc)
 			if err != nil {
 				continue
 			}
@@ -224,19 +248,26 @@ func (o *objectSource) Records(seg, batch int) [][]byte {
 		o.recs = recs
 		return recs
 	}
-	blocks, err := o.penc.Encode(o.obj.Segments[seg], batch, o.seed)
-	o.seed++
-	if err != nil {
-		// Unreachable for a validated object; drop the batch.
+	// The XNC1 record is a [C | x] row between a header and a CRC: lay the
+	// batch's frames out, draw each C where it will travel, let one batch
+	// multiply write every x where it will travel, seal.
+	p := o.obj.Params
+	segment := o.obj.Segments[seg]
+	coeffs, payloads := o.coeffs[:0], o.payloads[:0]
+	for i := 0; i < batch; i++ {
+		rec, row := LayDenseRecord(segment.ID(), p, alloc)
+		rlnc.DrawCoeffs(row[:p.BlockCount], o.rng)
+		recs = append(recs, rec)
+		coeffs = append(coeffs, row[:p.BlockCount])
+		payloads = append(payloads, row[p.BlockCount:])
+	}
+	o.recs, o.coeffs, o.payloads = recs, coeffs, payloads
+	if err := o.penc.EncodeBatchInto(payloads, segment, coeffs); err != nil {
+		// Unreachable: the rows were cut to the segment's own shape.
 		return nil
 	}
-	for _, blk := range blocks {
-		rec, err := frameRecord(blk, o.alloc)
-		if err != nil {
-			continue
-		}
-		recs = append(recs, rec)
+	for _, rec := range recs {
+		SealDenseRecord(rec)
 	}
-	o.recs = recs
 	return recs
 }

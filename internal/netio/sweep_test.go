@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"io"
@@ -564,10 +565,19 @@ func TestSweepLossyFetchRepairs(t *testing.T) {
 
 // TestPushSessionsUnchanged: dense-mode and source-backed servers set no new
 // flag and put the bytes on the wire they always did — the digests are of the
-// handshake and what follows, 1 KiB in all, taken at the commit before the
-// sweep existed — and neither client writes a byte to them. The source-backed
-// server declares ModeSystematic: it is the object source, not the mode, that
-// makes a sweep.
+// handshake and what follows, 1 KiB in all — and neither client writes a byte
+// to them. The source-backed server declares ModeSystematic: it is the object
+// source, not the mode, that makes a sweep.
+//
+// The source digest was taken at the commit before the sweep existed. The
+// dense one was re-pinned once, when the origin stopped re-seeding its
+// coefficient generator every pump round and began drawing from one stream for
+// the life of the source: from the second round on the coefficients — and so
+// the payloads and checksums — are different random bytes. Nothing else about
+// the stream may change, and so that the digest cannot hide it if something
+// does, what it stood for is also asserted field by field below: the
+// handshake is the plain session header, and every record after it is a dense
+// XNC1 record of the declared shape with no zero coefficient and a valid CRC.
 func TestPushSessionsUnchanged(t *testing.T) {
 	p := rlnc.Params{BlockCount: 4, BlockSize: 32}
 	media := testMedia(t, 2*p.SegmentSize()-5, 91)
@@ -579,7 +589,7 @@ func TestPushSessionsUnchanged(t *testing.T) {
 		name, digest string
 		server       func() (*Server, error)
 	}{
-		{"dense", "9a5a85cb2224a0603147c5baa0bef7977c2bb28cf6c4cf707359efa32fcdb567", func() (*Server, error) {
+		{"dense", "55e1854856dbd4ac176ab6e746843147a57291c008d070894969aeadc496dea3", func() (*Server, error) {
 			cfg := DefaultServerConfig()
 			cfg.Seed = 17
 			return NewServerFromConfig(media, p, cfg)
@@ -610,6 +620,22 @@ func TestPushSessionsUnchanged(t *testing.T) {
 			}
 			if hs, err := readHandshake(bytes.NewReader(head)); err != nil || hs.flags != 0 {
 				t.Fatalf("handshake flags %#x, %v", hs.flags, err)
+			}
+			rest, ok := bytes.CutPrefix(head, appendSessionHeader(nil, srv.Info().header(), 0))
+			if !ok {
+				t.Fatalf("the stream does not open with the plain session header: % x", head[:protoHeaderLen])
+			}
+			for recLen := recordLenLen + rlnc.WireSize(p); len(rest) >= recLen; rest = rest[recLen:] {
+				var b rlnc.CodedBlock
+				if got := int(binary.BigEndian.Uint32(rest)); got != rlnc.WireSize(p) {
+					t.Fatalf("record length prefix %d, want %d", got, rlnc.WireSize(p))
+				}
+				if err := b.UnmarshalBinary(rest[recordLenLen:recLen]); err != nil || b.Params() != p {
+					t.Fatalf("record is not an XNC1 block at %+v: %v (% x)", p, err, rest[:recLen])
+				}
+				if int(b.SegmentID) >= len(obj.Segments) || bytes.IndexByte(b.Coeffs, 0) >= 0 {
+					t.Fatalf("record of segment %d with coefficients % x", b.SegmentID, b.Coeffs)
+				}
 			}
 
 			fetchConn := &writeCountConn{Conn: pl.Dial()}

@@ -77,20 +77,35 @@ func WireSize(p Params) int {
 	return wireHeaderLen + p.BlockCount + p.BlockSize + wireTrailerLen
 }
 
+// PutWireHeader writes the 16-byte header of a segment-segID record at p into
+// rec, which must be WireSize(p) long, and returns the record's [C | x] row:
+// its n coefficient bytes and k payload bytes, contiguous. A producer fills
+// the row in place — an encoder multiplies straight into it — and then calls
+// SealWire; nothing is staged anywhere else.
+func PutWireHeader(rec []byte, segID uint32, p Params) (row []byte) {
+	copy(rec, wireMagic)
+	binary.BigEndian.PutUint32(rec[4:], segID)
+	binary.BigEndian.PutUint32(rec[8:], uint32(p.BlockCount))
+	binary.BigEndian.PutUint32(rec[12:], uint32(p.BlockSize))
+	return rec[wireHeaderLen : len(rec)-wireTrailerLen]
+}
+
+// SealWire writes the trailing CRC of a record laid out by PutWireHeader, over
+// everything before it.
+func SealWire(rec []byte) {
+	body := rec[:len(rec)-wireTrailerLen]
+	binary.BigEndian.PutUint32(rec[len(body):], crc32.ChecksumIEEE(body))
+}
+
 // MarshalBinary encodes the block in the wire format above.
 func (b *CodedBlock) MarshalBinary() ([]byte, error) {
 	if err := b.Params().Validate(); err != nil {
 		return nil, err
 	}
 	out := make([]byte, b.WireSize())
-	copy(out, wireMagic)
-	binary.BigEndian.PutUint32(out[4:], b.SegmentID)
-	binary.BigEndian.PutUint32(out[8:], uint32(len(b.Coeffs)))
-	binary.BigEndian.PutUint32(out[12:], uint32(len(b.Payload)))
-	copy(out[wireHeaderLen:], b.Coeffs)
-	copy(out[wireHeaderLen+len(b.Coeffs):], b.Payload)
-	sum := crc32.ChecksumIEEE(out[:len(out)-wireTrailerLen])
-	binary.BigEndian.PutUint32(out[len(out)-wireTrailerLen:], sum)
+	row := PutWireHeader(out, b.SegmentID, b.Params())
+	copy(row[copy(row, b.Coeffs):], b.Payload)
+	SealWire(out)
 	return out, nil
 }
 

@@ -1,8 +1,6 @@
 package rlnc
 
 import (
-	"fmt"
-
 	"extremenc/internal/gf256"
 	"extremenc/internal/obs"
 )
@@ -44,22 +42,11 @@ const (
 // batch-shaped primitive behind the encoder and the parallel workers; the
 // decoder's reconstruction stage runs the same kernel over received payloads.
 func EncodeBatchInto(dsts [][]byte, seg *Segment, coeffs [][]byte) error {
-	defer stageEncodeBatch.Start().End()
-	p := seg.params
-	if len(dsts) != len(coeffs) {
-		return fmt.Errorf("%w: %d destinations for %d coefficient vectors", ErrBatchShape, len(dsts), len(coeffs))
-	}
-	for b := range dsts {
-		if len(coeffs[b]) != p.BlockCount {
-			return fmt.Errorf("%w: batch row %d has %d coefficients, want %d", ErrBatchShape, b, len(coeffs[b]), p.BlockCount)
-		}
-		if len(dsts[b]) < p.BlockSize {
-			return fmt.Errorf("%w: batch row %d destination %d bytes, want ≥ %d", ErrBatchShape, b, len(dsts[b]), p.BlockSize)
-		}
-	}
-	encodeBatchRange(dsts, seg.Blocks(), coeffs, 0, p.BlockSize)
-	return nil
+	return serialEncoder.EncodeBatchInto(dsts, seg, coeffs)
 }
+
+// serialEncoder encodes on its caller: a single worker dispatches nothing.
+var serialEncoder = &ParallelEncoder{workers: 1}
 
 // encodeBatchRange sets the [lo, hi) column range of every destination to
 // Σ_j coeffs[b][j]·srcs[j].

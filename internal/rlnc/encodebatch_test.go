@@ -2,6 +2,7 @@ package rlnc
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -73,19 +74,27 @@ func TestEncodeBatchValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pe, err := NewParallelEncoder(3, FullBlock)
+	if err != nil {
+		t.Fatal(err)
+	}
 	good := [][]byte{make([]byte, 4)}
 	dst := [][]byte{make([]byte, 16)}
-	if err := EncodeBatchInto(dst, seg, nil); err == nil {
-		t.Fatal("mismatched batch sizes accepted")
-	}
-	if err := EncodeBatchInto(dst, seg, [][]byte{make([]byte, 3)}); err == nil {
-		t.Fatal("short coefficient vector accepted")
-	}
-	if err := EncodeBatchInto([][]byte{make([]byte, 15)}, seg, good); err == nil {
-		t.Fatal("short destination accepted")
-	}
-	if err := EncodeBatchInto(dst, seg, good); err != nil {
-		t.Fatalf("valid batch rejected: %v", err)
+	for name, encode := range map[string]func(dsts [][]byte, seg *Segment, coeffs [][]byte) error{
+		"serial": EncodeBatchInto, "pool": pe.EncodeBatchInto,
+	} {
+		if err := encode(dst, seg, nil); !errors.Is(err, ErrBatchShape) {
+			t.Fatalf("%s: mismatched batch sizes: %v", name, err)
+		}
+		if err := encode(dst, seg, [][]byte{make([]byte, 3)}); !errors.Is(err, ErrBatchShape) {
+			t.Fatalf("%s: short coefficient vector: %v", name, err)
+		}
+		if err := encode([][]byte{make([]byte, 15)}, seg, good); !errors.Is(err, ErrBatchShape) {
+			t.Fatalf("%s: short destination: %v", name, err)
+		}
+		if err := encode(dst, seg, good); err != nil {
+			t.Fatalf("%s: valid batch rejected: %v", name, err)
+		}
 	}
 }
 
@@ -162,6 +171,17 @@ func BenchmarkEncodeBatch(b *testing.B) {
 			b.SetBytes(bytesPerOp)
 			for i := 0; i < b.N; i++ {
 				if _, err := pe.Encode(seg, batch, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		// The same dispatch into rows the caller owns: what is left of the
+		// rung above once nothing is drawn or allocated per call.
+		b.Run(fmt.Sprintf("pool-%s-into", mode), func(b *testing.B) {
+			b.SetBytes(bytesPerOp)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := pe.EncodeBatchInto(dsts, seg, coeffs); err != nil {
 					b.Fatal(err)
 				}
 			}

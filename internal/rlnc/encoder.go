@@ -94,6 +94,15 @@ func EncodeInto(dst []byte, seg *Segment, coeffs []byte) {
 	gf256.DotProduct(dst[:k], coeffs, seg.Blocks())
 }
 
+// DrawCoeffs fills dst with dense coefficients from rng: each byte uniform on
+// [1, 255], one Intn draw per byte — the stream Encoder.NextCoeffs produces at
+// density 1.
+func DrawCoeffs(dst []byte, rng *rand.Rand) {
+	for i := range dst {
+		dst[i] = byte(1 + rng.Intn(255))
+	}
+}
+
 // Recoder regenerates fresh coded blocks from previously received ones
 // without decoding — the capability that distinguishes network coding from
 // end-to-end erasure codes ("can be recoded without affecting the guarantee
@@ -101,17 +110,23 @@ func EncodeInto(dst []byte, seg *Segment, coeffs []byte) {
 // terms of the original source blocks so downstream decoders are oblivious
 // to the number of recoding hops.
 type Recoder struct {
-	params   Params
-	segID    uint32
-	received []*CodedBlock
+	params Params
+	segID  uint32
 
-	// probe tracks the rank of the received coefficient vectors so
-	// linearly dependent input is dropped at the door: storing it would
-	// waste memory and recombination work without enlarging the spanned
-	// subspace. At most BlockCount blocks are ever held, so a relay's
-	// memory is bounded no matter how long the upstream stream runs.
-	probe [][]byte
-	rank  int
+	// rows holds each innovative input as one [coeffs | payload] row of n+k
+	// bytes — the shape of the record it arrived in and of every record
+	// emitted from it, so a recombination is one batch multiply over whole
+	// rows. Linearly dependent input is dropped at the door (it would cost
+	// memory and recombination work without enlarging the span), so at most
+	// BlockCount rows are ever held and a relay's memory is bounded no matter
+	// how long the upstream stream runs.
+	rows [][]byte
+
+	// probe is the reduced basis that decides innovation: probe[c] is the
+	// vector with pivot c, kept in the tail of its input's row allocation.
+	// scratch is where an arrival is reduced before it has earned a row.
+	probe   [][]byte
+	scratch []byte
 
 	// rng, when set via WithSeed, drives Emit so the caller does not have
 	// to thread a random source through every recombination.
@@ -121,6 +136,11 @@ type Recoder struct {
 	// recombinations through the XOR kernels: binary coefficients, no
 	// table multiplies.
 	xorRecode bool
+
+	// mix is a batch's recombination coefficients, one len(rows) vector per
+	// emission, and mixRows its per-emission views; both are reused.
+	mix     []byte
+	mixRows [][]byte
 }
 
 // NewRecoder returns a recoder for the given configuration. WithSeed gives
@@ -132,14 +152,22 @@ func NewRecoder(p Params, opts ...Option) (*Recoder, error) {
 		return nil, err
 	}
 	cfg := applyOptions(opts)
-	return &Recoder{params: p, probe: make([][]byte, p.BlockCount), rng: cfg.rng, xorRecode: cfg.xorRecode}, nil
+	return &Recoder{
+		params:    p,
+		rows:      make([][]byte, 0, p.BlockCount),
+		probe:     make([][]byte, p.BlockCount),
+		scratch:   make([]byte, p.BlockCount),
+		rng:       cfg.rng,
+		xorRecode: cfg.xorRecode,
+	}, nil
 }
 
 // Add registers a received coded block as recoding input. Blocks that are
 // linearly dependent with input already held are discarded (they cannot
-// change any recombination); Rank reports the span. The block is cloned, so
-// the caller may keep mutating or reusing b — a relay can feed Add straight
-// from a receive loop that recycles its record storage.
+// change any recombination) at no allocation; Rank reports the span. An
+// innovative block is copied into one row of its own, so the caller may keep
+// mutating or reusing b — a relay can feed Add straight from a receive loop
+// that recycles its record storage.
 //
 // Binary blocks — a systematic sweep or GF(2) XOR repair stream, including
 // records parsed from the compact XNC2 encoding — are ordinary input: their
@@ -151,21 +179,32 @@ func (r *Recoder) Add(b *CodedBlock) error {
 	if err := b.Validate(r.params); err != nil {
 		return err
 	}
-	if len(r.received) > 0 && b.SegmentID != r.segID {
+	if len(r.rows) > 0 && b.SegmentID != r.segID {
 		return wrongSegmentError(r.segID, b.SegmentID)
 	}
-	if !r.absorb(b.Coeffs) {
+	pivot := r.reduce(b.Coeffs)
+	if pivot < 0 {
 		return nil
 	}
+	// One allocation per innovative input: the [coeffs | payload] row, then
+	// its reduced coefficient vector for the probe.
+	n, k := r.params.BlockCount, r.params.BlockSize
+	buf := make([]byte, n+k+n)
+	copy(buf, b.Coeffs)
+	copy(buf[n:], b.Payload)
+	copy(buf[n+k:], r.scratch)
+	r.probe[pivot] = buf[n+k:]
+	r.rows = append(r.rows, buf[:n+k:n+k])
 	r.segID = b.SegmentID
-	r.received = append(r.received, b.Clone())
 	return nil
 }
 
-// absorb reduces coeffs against the probe basis; it reports whether the
-// vector was innovative (and if so, extends the basis).
-func (r *Recoder) absorb(coeffs []byte) bool {
-	row := append([]byte(nil), coeffs...)
+// reduce eliminates coeffs against the probe basis in r.scratch, normalised
+// to a leading 1, and returns its pivot column, or -1 when the vector is
+// dependent on input already held.
+func (r *Recoder) reduce(coeffs []byte) int {
+	row := r.scratch
+	copy(row, coeffs)
 	pivot := -1
 	for c := range row {
 		f := row[c]
@@ -180,33 +219,93 @@ func (r *Recoder) absorb(coeffs []byte) bool {
 			pivot = c
 		}
 	}
-	if pivot < 0 {
-		return false
+	if pivot >= 0 && row[pivot] != 1 {
+		gf256.ScaleSlice(row, gf256.Inv(row[pivot]))
 	}
-	if pv := row[pivot]; pv != 1 {
-		gf256.ScaleSlice(row, gf256.Inv(pv))
-	}
-	r.probe[pivot] = row
-	r.rank++
-	return true
+	return pivot
 }
 
 // Count returns the number of innovative blocks held for recombination.
-func (r *Recoder) Count() int { return len(r.received) }
+func (r *Recoder) Count() int { return len(r.rows) }
 
-// Rank returns the dimension of the subspace the recoder can emit from.
-func (r *Recoder) Rank() int { return r.rank }
+// Rank returns the dimension of the subspace the recoder can emit from: only
+// innovative blocks are held, so it is their count.
+func (r *Recoder) Rank() int { return len(r.rows) }
 
 // Emit is NextBlock against the recoder's own random source (set with
 // WithSeed). It fails with ErrNoBlocks when nothing has been received (a
 // rank-0 recoder has no subspace to emit from — callers poll Rank and hold
 // off until input arrives) and with ErrNoSeed when the recoder was built
 // without one. Both failures leave the recoder unchanged and usable.
-func (r *Recoder) Emit() (*CodedBlock, error) {
-	if r.rng == nil {
-		return nil, fmt.Errorf("%w: build the recoder with WithSeed or call NextBlock", ErrNoSeed)
+func (r *Recoder) Emit() (*CodedBlock, error) { return r.NextBlock(r.rng) }
+
+// EmitInto is a batch of Emits written where the caller wants them: each
+// dsts[i], at least BlockCount+BlockSize bytes, receives one recombination
+// as a [coeffs | payload] row — a wire record's middle, see PutWireHeader.
+// Coefficients are drawn emission by emission, so a batch of B is byte for
+// byte B successive Emits; one tiled batch multiply over the held rows then
+// writes them all, allocating nothing once a batch this large has been seen.
+// Errors are Emit's, plus ErrBatchShape for a short destination; all leave
+// the recoder and its random source unchanged.
+func (r *Recoder) EmitInto(dsts [][]byte) error { return r.emitInto(dsts, r.rng) }
+
+func (r *Recoder) emitInto(dsts [][]byte, rng *rand.Rand) error {
+	if rng == nil {
+		return fmt.Errorf("%w: build the recoder with WithSeed or call NextBlock", ErrNoSeed)
 	}
-	return r.NextBlock(r.rng)
+	if len(r.rows) == 0 {
+		return fmt.Errorf("%w: recoder received nothing", ErrNoBlocks)
+	}
+	width := r.params.BlockCount + r.params.BlockSize
+	for i, d := range dsts {
+		if len(d) < width {
+			return fmt.Errorf("%w: emission %d destination %d bytes, want ≥ %d", ErrBatchShape, i, len(d), width)
+		}
+	}
+	if r.xorRecode {
+		// GF(2) discipline: each input is either folded in whole (XOR) or
+		// skipped. The selector is redrawn until non-zero, so the emission
+		// is never the zero vector; the ops are the wide-word XOR kernels —
+		// no multiply tables touched.
+		sel := r.mixFor(1)[0]
+		for _, d := range dsts {
+			for any := false; !any; {
+				for i := range sel {
+					sel[i] = byte(rng.Intn(2))
+					any = any || sel[i] == 1
+				}
+			}
+			clear(d[:width])
+			for i, row := range r.rows {
+				if sel[i] == 1 {
+					gf256.XorSlice(d[:width], row)
+				}
+			}
+		}
+		return nil
+	}
+	mix := r.mixFor(len(dsts))
+	for _, cs := range mix {
+		DrawCoeffs(cs, rng)
+	}
+	encodeBatchRange(dsts, r.rows, mix, 0, width)
+	return nil
+}
+
+// mixFor returns count reusable coefficient vectors, one entry per held row.
+func (r *Recoder) mixFor(count int) [][]byte {
+	held := len(r.rows)
+	if cap(r.mix) < count*held {
+		r.mix = make([]byte, count*r.params.BlockCount)
+	}
+	if cap(r.mixRows) < count {
+		r.mixRows = make([][]byte, count)
+	}
+	rows := r.mixRows[:count]
+	for i := range rows {
+		rows[i] = r.mix[i*held : (i+1)*held]
+	}
+	return rows
 }
 
 // NextBlock emits a random linear recombination of everything received.
@@ -216,53 +315,10 @@ func (r *Recoder) Emit() (*CodedBlock, error) {
 // block for the original source, so a relay can start serving after its
 // very first upstream record.
 func (r *Recoder) NextBlock(rng *rand.Rand) (*CodedBlock, error) {
-	if len(r.received) == 0 {
-		return nil, fmt.Errorf("%w: recoder received nothing", ErrNoBlocks)
+	n := r.params.BlockCount
+	row := make([]byte, n+r.params.BlockSize)
+	if err := r.emitInto([][]byte{row}, rng); err != nil {
+		return nil, err
 	}
-	out := &CodedBlock{
-		SegmentID: r.segID,
-		Coeffs:    make([]byte, r.params.BlockCount),
-		Payload:   make([]byte, r.params.BlockSize),
-	}
-	if r.xorRecode {
-		// GF(2) discipline: each input is either folded in whole (XOR) or
-		// skipped. The selector is redrawn until non-zero, so the emission
-		// is never the zero vector; the ops are the wide-word XOR kernels —
-		// no multiply tables touched.
-		for {
-			any := false
-			cs := make([]bool, len(r.received))
-			for i := range cs {
-				if rng.Intn(2) == 1 {
-					cs[i] = true
-					any = true
-				}
-			}
-			if !any {
-				continue
-			}
-			for i, in := range r.received {
-				if !cs[i] {
-					continue
-				}
-				gf256.XorSlice(out.Coeffs, in.Coeffs)
-				gf256.XorSlice(out.Payload, in.Payload)
-			}
-			return out, nil
-		}
-	}
-	// Draw the recombination coefficients first, then apply them through the
-	// fused dot-product kernel: both the coefficient and payload rows are
-	// consumed four sources per destination pass.
-	cs := make([]byte, len(r.received))
-	crows := make([][]byte, len(r.received))
-	prows := make([][]byte, len(r.received))
-	for i, in := range r.received {
-		cs[i] = byte(1 + rng.Intn(255))
-		crows[i] = in.Coeffs
-		prows[i] = in.Payload
-	}
-	gf256.DotProduct(out.Coeffs, cs, crows)
-	gf256.DotProduct(out.Payload, cs, prows)
-	return out, nil
+	return &CodedBlock{SegmentID: r.segID, Coeffs: row[:n:n], Payload: row[n:]}, nil
 }

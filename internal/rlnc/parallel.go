@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sync"
 )
 
 // EncodeMode selects how a multi-worker encoder partitions work — the
@@ -36,11 +37,20 @@ func (m EncodeMode) String() string {
 // ParallelEncoder produces batches of coded blocks with the persistent
 // worker pool. Output is deterministic for a given seed regardless of worker
 // count or scheduling: the coefficient matrix is drawn up front and workers
-// write disjoint regions.
+// write disjoint regions. It is safe for concurrent use; batches run one at a
+// time.
 type ParallelEncoder struct {
 	workers int
-	mode    EncodeMode
 	pool    *Pool
+
+	// The batch in flight and what its dispatch needs, kept on the encoder so
+	// that a steady-state batch allocates nothing: task is bound once and wg
+	// is the dispatch's group. mu makes a batch exclusive.
+	mu           sync.Mutex
+	wg           sync.WaitGroup
+	task         func(w int, s *Scratch)
+	dsts, coeffs [][]byte
+	seg          *Segment
 }
 
 // NewParallelEncoder returns an encoder with the given worker count and
@@ -50,10 +60,16 @@ func NewParallelEncoder(workers int, mode EncodeMode) (*ParallelEncoder, error) 
 	if workers <= 0 {
 		return nil, fmt.Errorf("%w: got %d", ErrWorkerCount, workers)
 	}
-	if mode != PartitionedBlock && mode != FullBlock {
+	pe := &ParallelEncoder{workers: workers, pool: SharedPool()}
+	switch mode {
+	case FullBlock:
+		pe.task = pe.fullBlockTask
+	case PartitionedBlock:
+		pe.task = pe.partitionedTask
+	default:
 		return nil, fmt.Errorf("%w: %d", ErrEncodeMode, int(mode))
 	}
-	return &ParallelEncoder{workers: workers, mode: mode, pool: SharedPool()}, nil
+	return pe, nil
 }
 
 // Encode produces count coded blocks from seg using coefficients drawn from
@@ -62,80 +78,84 @@ func (pe *ParallelEncoder) Encode(seg *Segment, count int, seed int64) ([]*Coded
 	if count <= 0 {
 		return nil, fmt.Errorf("%w: got %d", ErrBlockCountInvalid, count)
 	}
-	// Same stage as EncodeBatchInto: one batch-encode call, whichever entry
-	// point produced it (the workers call encodeBatchRange directly, so the
-	// span is never double-counted).
-	defer stageEncodeBatch.Start().End()
 	p := seg.Params()
 	rng := rand.New(rand.NewSource(seed))
 	enc := NewEncoder(seg, rng)
 	blocks := make([]*CodedBlock, count)
+	dsts := make([][]byte, count)
+	coeffs := make([][]byte, count)
 	for i := range blocks {
 		blocks[i] = &CodedBlock{
 			SegmentID: seg.ID(),
 			Coeffs:    enc.NextCoeffs(),
 			Payload:   make([]byte, p.BlockSize),
 		}
+		dsts[i], coeffs[i] = blocks[i].Payload, blocks[i].Coeffs
 	}
-
-	switch pe.mode {
-	case FullBlock:
-		pe.encodeFullBlock(seg, blocks)
-	case PartitionedBlock:
-		pe.encodePartitioned(seg, blocks)
+	if err := pe.EncodeBatchInto(dsts, seg, coeffs); err != nil {
+		return nil, err
 	}
 	return blocks, nil
 }
 
-// encodeFullBlock hands whole coded blocks to workers round-robin; each
-// worker batch-encodes all of its blocks in one tiled pass using its scratch
-// row views.
-func (pe *ParallelEncoder) encodeFullBlock(seg *Segment, blocks []*CodedBlock) {
-	srcs := seg.Blocks()
-	k := seg.Params().BlockSize
-	stride := pe.workers
-	pe.pool.Dispatch(stride, func(w int, s *Scratch) {
-		cnt := 0
-		for i := w; i < len(blocks); i += stride {
-			cnt++
+// EncodeBatchInto computes dsts[b] = Σ_i coeffs[b][i]·seg.Block(i) through the
+// encoder's workers and partitioning mode. The caller supplies (and owns) the
+// destinations — a wire frame's payload bytes, say — so the multiply is the
+// only thing that touches them. Nothing is allocated; the single-worker case
+// runs on the caller.
+func (pe *ParallelEncoder) EncodeBatchInto(dsts [][]byte, seg *Segment, coeffs [][]byte) error {
+	// One span per batch: the workers call encodeBatchRange directly.
+	defer stageEncodeBatch.Start().End()
+	p := seg.params
+	if len(dsts) != len(coeffs) {
+		return fmt.Errorf("%w: %d destinations for %d coefficient vectors", ErrBatchShape, len(dsts), len(coeffs))
+	}
+	for b := range dsts {
+		if len(coeffs[b]) != p.BlockCount {
+			return fmt.Errorf("%w: batch row %d has %d coefficients, want %d", ErrBatchShape, b, len(coeffs[b]), p.BlockCount)
 		}
-		if cnt == 0 {
-			return
+		if len(dsts[b]) < p.BlockSize {
+			return fmt.Errorf("%w: batch row %d destination %d bytes, want ≥ %d", ErrBatchShape, b, len(dsts[b]), p.BlockSize)
 		}
-		dsts, coeffs := s.rowViews(cnt)
-		j := 0
-		for i := w; i < len(blocks); i += stride {
-			dsts[j] = blocks[i].Payload
-			coeffs[j] = blocks[i].Coeffs
-			j++
-		}
-		encodeBatchRange(dsts, srcs, coeffs, 0, k)
-	})
+	}
+	if pe.workers == 1 {
+		encodeBatchRange(dsts, seg.Blocks(), coeffs, 0, p.BlockSize)
+		return nil
+	}
+	pe.mu.Lock()
+	pe.dsts, pe.coeffs, pe.seg = dsts, coeffs, seg
+	pe.pool.dispatch(&pe.wg, pe.workers, pe.task)
+	pe.dsts, pe.coeffs, pe.seg = nil, nil, nil
+	pe.mu.Unlock()
+	return nil
 }
 
-// encodePartitioned gives every worker a contiguous column stripe of all
-// coded blocks. Unlike the seed implementation — which launched a fresh
-// goroutine set per coded block — the whole batch runs under one dispatch:
-// worker w clears and accumulates columns [w·stripe, (w+1)·stripe) of every
-// payload in a single tiled pass.
-func (pe *ParallelEncoder) encodePartitioned(seg *Segment, blocks []*CodedBlock) {
-	srcs := seg.Blocks()
-	k := seg.Params().BlockSize
-	stripe := (k + pe.workers - 1) / pe.workers
-	dsts := make([][]byte, len(blocks))
-	coeffs := make([][]byte, len(blocks))
-	for i, b := range blocks {
-		dsts[i] = b.Payload
-		coeffs[i] = b.Coeffs
+// fullBlockTask is worker w's share of a FullBlock batch: whole coded blocks,
+// dealt round-robin, batch-encoded in one tiled pass through the worker's
+// scratch row views.
+func (pe *ParallelEncoder) fullBlockTask(w int, s *Scratch) {
+	stride := pe.workers
+	if w >= len(pe.dsts) {
+		return
 	}
-	pe.pool.Dispatch(pe.workers, func(w int, _ *Scratch) {
-		lo := w * stripe
-		if lo >= k {
-			return
-		}
-		hi := min(lo+stripe, k)
-		encodeBatchRange(dsts, srcs, coeffs, lo, hi)
-	})
+	dsts, coeffs := s.rowViews((len(pe.dsts) - w + stride - 1) / stride)
+	for i, j := w, 0; i < len(pe.dsts); i, j = i+stride, j+1 {
+		dsts[j], coeffs[j] = pe.dsts[i], pe.coeffs[i]
+	}
+	encodeBatchRange(dsts, pe.seg.Blocks(), coeffs, 0, pe.seg.params.BlockSize)
+}
+
+// partitionedTask is worker w's share of a PartitionedBlock batch: a
+// contiguous column stripe of every coded block. Unlike the seed
+// implementation — which launched a fresh goroutine set per coded block — the
+// whole batch runs under one dispatch: worker w clears and accumulates columns
+// [w·stripe, (w+1)·stripe) of every payload in a single tiled pass.
+func (pe *ParallelEncoder) partitionedTask(w int, _ *Scratch) {
+	k := pe.seg.params.BlockSize
+	stripe := (k + pe.workers - 1) / pe.workers
+	if lo := w * stripe; lo < k {
+		encodeBatchRange(pe.dsts, pe.seg.Blocks(), pe.coeffs, lo, min(lo+stripe, k))
+	}
 }
 
 // DecodeSegmentsParallel batch-decodes independent segments with the given

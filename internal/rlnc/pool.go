@@ -93,9 +93,16 @@ func (p *Pool) Dispatch(n int, fn func(i int, s *Scratch)) {
 		return
 	}
 	var wg sync.WaitGroup
+	p.dispatch(&wg, n, fn)
+}
+
+// dispatch is Dispatch on the workers alone, waiting on the caller's group: a
+// caller that dispatches batch after batch keeps one instead of allocating one
+// per call.
+func (p *Pool) dispatch(wg *sync.WaitGroup, n int, fn func(i int, s *Scratch)) {
 	wg.Add(n)
 	for i := 0; i < n; i++ {
-		p.jobs <- poolJob{fn: fn, i: i, wg: &wg}
+		p.jobs <- poolJob{fn: fn, i: i, wg: wg}
 	}
 	wg.Wait()
 }

@@ -381,6 +381,154 @@ func TestRecoderClonesInput(t *testing.T) {
 	}
 }
 
+// recoderAt returns a seeded recoder holding rank inputs of seg: source blocks
+// (binary) or fresh dense blocks.
+func recoderAt(t *testing.T, seg *Segment, rank int, binary bool, opts ...Option) *Recoder {
+	t.Helper()
+	p := seg.Params()
+	rec, err := NewRecoder(p, append([]Option{WithSeed(77)}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := NewEncoder(seg, rand.New(rand.NewSource(78)))
+	for i := 0; rec.Rank() < rank; i++ {
+		b := enc.NextBlock()
+		if binary {
+			b = &CodedBlock{SegmentID: seg.ID(), Coeffs: make([]byte, p.BlockCount), Payload: seg.Block(i)}
+			b.Coeffs[i] = 1
+		}
+		if err := rec.Add(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return rec
+}
+
+// TestRecoderEmitIntoMatchesEmit: a batch written into caller rows is byte for
+// byte the same emissions, in order, as Emit one at a time on the same seed —
+// at rank 1, n/2 and n, over binary and dense input, dense and GF(2) recoding,
+// and with the batch starting mid-stream.
+func TestRecoderEmitIntoMatchesEmit(t *testing.T) {
+	p := Params{BlockCount: 16, BlockSize: 96}
+	seg := randomSegment(t, 3, p, 601)
+	width := p.BlockCount + p.BlockSize
+	for _, binary := range []bool{true, false} {
+		for _, xor := range []bool{false, true} {
+			for _, rank := range []int{1, p.BlockCount / 2, p.BlockCount} {
+				var opts []Option
+				if xor {
+					opts = append(opts, WithXorRecode())
+				}
+				one, batched := recoderAt(t, seg, rank, binary, opts...), recoderAt(t, seg, rank, binary, opts...)
+				for _, batch := range []int{1, 2, 7, 32} {
+					rows := make([][]byte, batch)
+					for i := range rows {
+						rows[i] = bytes.Repeat([]byte{0xA5}, width+i%2) // dirty, and some longer than needed
+					}
+					if err := batched.EmitInto(rows); err != nil {
+						t.Fatal(err)
+					}
+					for i, row := range rows {
+						want, err := one.Emit()
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !bytes.Equal(row[:p.BlockCount], want.Coeffs) || !bytes.Equal(row[p.BlockCount:width], want.Payload) {
+							t.Fatalf("binary=%v xor=%v rank %d: emission %d of a batch of %d differs from Emit", binary, xor, rank, i, batch)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRecoderEmitIntoErrors: a short row is ErrBatchShape, an empty recoder
+// ErrNoBlocks, a seedless one ErrNoSeed — and none of them costs the recoder a
+// draw: what it emits afterwards is what an undisturbed twin emits.
+func TestRecoderEmitIntoErrors(t *testing.T) {
+	p := Params{BlockCount: 8, BlockSize: 32}
+	seg := randomSegment(t, 1, p, 611)
+	width := p.BlockCount + p.BlockSize
+	row := func() []byte { return make([]byte, width) }
+
+	empty, err := NewRecoder(p, WithSeed(77))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := empty.EmitInto([][]byte{row()}); !errors.Is(err, ErrNoBlocks) {
+		t.Fatalf("EmitInto on an empty recoder: %v, want ErrNoBlocks", err)
+	}
+	seedless, err := NewRecoder(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := seedless.EmitInto([][]byte{row()}); !errors.Is(err, ErrNoSeed) {
+		t.Fatalf("EmitInto on a seedless recoder: %v, want ErrNoSeed", err)
+	}
+
+	rec, twin := recoderAt(t, seg, 4, false), recoderAt(t, seg, 4, false)
+	if err := rec.EmitInto([][]byte{row(), make([]byte, width-1)}); !errors.Is(err, ErrBatchShape) {
+		t.Fatalf("EmitInto with a short row: %v, want ErrBatchShape", err)
+	}
+	got, want := [][]byte{row(), row()}, [][]byte{row(), row()}
+	if err := rec.EmitInto(got); err != nil {
+		t.Fatal(err)
+	}
+	if err := twin.EmitInto(want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got[0], want[0]) || !bytes.Equal(got[1], want[1]) {
+		t.Fatal("a refused batch advanced the recoder's coefficient stream")
+	}
+}
+
+// TestRecoderAddAllocations: a dependent arrival costs nothing, an innovative
+// one exactly its row — and a full batch emit, once sized, nothing either.
+func TestRecoderAddAllocations(t *testing.T) {
+	p := Params{BlockCount: 16, BlockSize: 64}
+	seg := randomSegment(t, 0, p, 621)
+	rec, err := NewRecoder(p, WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := 0
+	b := &CodedBlock{SegmentID: seg.ID(), Coeffs: make([]byte, p.BlockCount)}
+	addSource := func() {
+		clear(b.Coeffs)
+		b.Coeffs[next], b.Payload = 1, seg.Block(next)
+		if err := rec.Add(b); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	if got := testing.AllocsPerRun(p.BlockCount-1, addSource); got != 1 || rec.Rank() != p.BlockCount {
+		t.Fatalf("%.2f allocations per innovative Add (rank %d), want exactly 1", got, rec.Rank())
+	}
+	dependent, err := rec.Emit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(20, func() {
+		if err := rec.Add(dependent); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 || rec.Count() != p.BlockCount {
+		t.Fatalf("%.2f allocations per dependent Add (count %d), want 0", got, rec.Count())
+	}
+	rows := make([][]byte, 8)
+	for i := range rows {
+		rows[i] = make([]byte, p.BlockCount+p.BlockSize)
+	}
+	if got := testing.AllocsPerRun(20, func() {
+		if err := rec.EmitInto(rows); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Fatalf("%.2f allocations per batch emit, want 0", got)
+	}
+}
+
 // gfDiv is a tiny GF(2^8) division helper over the package's arithmetic,
 // used only to verify scalar proportionality in tests.
 func gfDiv(t *testing.T, a, b byte) byte {

@@ -42,9 +42,7 @@ type SeededBlock struct {
 func CoeffsFromSeed(seed int64, n int) []byte {
 	rng := rand.New(rand.NewSource(seed))
 	coeffs := make([]byte, n)
-	for i := range coeffs {
-		coeffs[i] = byte(1 + rng.Intn(255))
-	}
+	DrawCoeffs(coeffs, rng)
 	return coeffs
 }
 
