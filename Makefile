@@ -68,10 +68,13 @@ loc:
 race:
 	$(GO) test -race -count=1 $(RACE_PKGS)
 
-# Replay the committed fuzz seed corpora as regression tests (no fuzzing
-# time budget — just every F.Add case plus any checked-in corpus files).
+# Replay the committed fuzz seed corpora as regression tests (every F.Add
+# case plus any checked-in corpus files), then spend a short, time-boxed live
+# budget on the control-record readers: the handshake, the need record and the
+# resume state are what a peer or a disk hands the code unchecked.
 fuzz-regress:
 	$(GO) test -run 'Fuzz' -count=1 ./internal/gf256/ ./internal/rlnc/ ./internal/netio/
+	$(GO) test -run '^$$' -fuzz=FuzzControlRecord -fuzztime=10s ./internal/netio/
 
 # Chaos acceptance gate: a full fetch through the deterministic
 # fault-injection link (corruption, stalls, repeated resets) must complete

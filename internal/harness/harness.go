@@ -241,7 +241,12 @@ func AwaitRung(ctx context.Context, srv *netio.Server, pred func(netio.BrownoutR
 // for the ladder to step all the way back down; it returns the peak rung. The
 // pressure is four readers that take a record, then sleep: sessions stay live
 // while their queues back up, which the controller samples. ctx is the deadline.
+// The wave starts from off: a ladder still at reject from earlier load would
+// answer the readers BUSY.
 func Stall(ctx context.Context, srv *netio.Server, addr string) (peak netio.BrownoutRung, err error) {
+	if _, err := AwaitRung(ctx, srv, func(r netio.BrownoutRung) bool { return r == netio.BrownoutOff }); err != nil {
+		return 0, fmt.Errorf("brownout never settled before the stall: %w", err)
+	}
 	fleet, err := RampFleet(addr, 4, 4, 50*time.Millisecond)
 	if err != nil {
 		return 0, err

@@ -224,6 +224,22 @@ func TestStall(t *testing.T) {
 	if r := srv.Rung(); r != netio.BrownoutOff {
 		t.Fatalf("Stall returned at rung %v, want off", r)
 	}
+
+	// A wave begun while earlier load holds the ladder at reject waits for
+	// off: ramped at once, its readers would be answered BUSY.
+	earlier, err := RampFleet(addr, 4, 4, 50*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer earlier.Close()
+	if _, err := AwaitRung(ctx, srv, func(r netio.BrownoutRung) bool { return r == netio.BrownoutReject }); err != nil {
+		t.Fatal(err)
+	}
+	release := time.AfterFunc(50*time.Millisecond, earlier.Close)
+	defer release.Stop()
+	if _, err := Stall(ctx, srv, addr); err != nil {
+		t.Fatalf("stall begun at reject: %v", err)
+	}
 	snap := stop()
 	if snap.BrownoutTransitions < 2 || !snap.Consistent() || snap.Sessions != 0 {
 		t.Fatalf("after the wave: %d transitions, consistent=%v, %d live sessions", snap.BrownoutTransitions, snap.Consistent(), snap.Sessions)

@@ -4,30 +4,23 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"time"
 )
 
 // Admission decision record: the structured answer a server gives a new
-// connection before (or instead of) the session header, making session-cap
-// rejects, brownout sheds, and drains protocol events rather than silent
-// hang-ups.
+// connection instead of the session header, making session-cap rejects,
+// brownout sheds, and drains protocol events rather than silent hang-ups. It
+// is a control record (control.go) with magic "XNCD" and body
 //
-//	decision: magic "XNCD" | u8 code | u8 addr length | u32 retry-after ms |
-//	          addr bytes | u32 CRC-32 (IEEE) over everything above
+//	u8 code | u32 retry-after ms | addr bytes (the rest of the body)
 //
-// Codes: 0 ACCEPT (a full session header follows), 1 BUSY (retry-after hint,
-// no addr), 2 REDIRECT (addr of a surviving server, no hint). A server that
-// admits a session may write the bare "XNCP" header with no decision record
-// at all — the compact ACCEPT spelling, and the only one servers predating
-// the decision record ever produced — so the client dispatches on the first
-// four magic bytes and accepts both.
+// Codes: 1 BUSY (retry-after hint, no addr), 2 REDIRECT (addr of a surviving
+// server, no hint). The server closes the connection after it; a server that
+// admits a session writes the session header instead.
 const (
-	decisionMagic    = "XNCD"
-	decisionFixedLen = 4 + 1 + 1 + 4 // magic | code | addr length | retry-after ms
-	decisionCRCLen   = 4
-	// maxRedirectAddr bounds a redirect target; addr length rides in one byte.
+	decisionMagic = "XNCD"
+	// maxRedirectAddr bounds a redirect target.
 	maxRedirectAddr = 255
 )
 
@@ -35,8 +28,7 @@ const (
 type admissionCode uint8
 
 const (
-	admissionAccept admissionCode = iota
-	admissionBusy
+	admissionBusy admissionCode = iota + 1
 	admissionRedirect
 )
 
@@ -59,31 +51,24 @@ type admissionDecision struct {
 	addr       string        // REDIRECT only
 }
 
-// Err maps a non-ACCEPT decision onto its sentinel; nil for ACCEPT.
+// Err maps the decision onto its sentinel.
 func (d admissionDecision) Err() error {
-	switch d.code {
-	case admissionBusy:
+	if d.code == admissionBusy {
 		return fmt.Errorf("%w (retry after %v)", ErrAdmissionBusy, d.retryAfter)
-	case admissionRedirect:
-		return fmt.Errorf("%w to %s", ErrAdmissionRedirect, d.addr)
 	}
-	return nil
+	return fmt.Errorf("%w to %s", ErrAdmissionRedirect, d.addr)
 }
 
 // validate rejects a decision no server would write.
 func (d admissionDecision) validate() error {
 	switch d.code {
-	case admissionAccept:
-		if d.retryAfter != 0 || d.addr != "" {
-			return fmt.Errorf("%w: ACCEPT carries payload", ErrBadHandshake)
-		}
 	case admissionBusy:
 		if d.addr != "" {
 			return fmt.Errorf("%w: BUSY carries an address", ErrBadHandshake)
 		}
 	case admissionRedirect:
-		if d.addr == "" {
-			return fmt.Errorf("%w: REDIRECT without an address", ErrBadHandshake)
+		if d.addr == "" || len(d.addr) > maxRedirectAddr {
+			return fmt.Errorf("%w: REDIRECT to a %d-byte address", ErrBadHandshake, len(d.addr))
 		}
 		if d.retryAfter != 0 {
 			return fmt.Errorf("%w: REDIRECT carries a retry hint", ErrBadHandshake)
@@ -94,63 +79,26 @@ func (d admissionDecision) validate() error {
 	return nil
 }
 
-// appendDecision marshals d onto buf.
-func appendDecision(buf []byte, d admissionDecision) ([]byte, error) {
+// appendDecision marshals d onto dst.
+func appendDecision(dst []byte, d admissionDecision) ([]byte, error) {
 	if err := d.validate(); err != nil {
 		return nil, err
 	}
-	if len(d.addr) > maxRedirectAddr {
-		return nil, fmt.Errorf("%w: redirect address %d bytes long", ErrBadHandshake, len(d.addr))
-	}
-	ms := d.retryAfter.Milliseconds()
-	if ms < 0 {
-		ms = 0
-	}
-	if ms > int64(^uint32(0)) {
-		ms = int64(^uint32(0))
-	}
-	start := len(buf)
-	buf = append(buf, decisionMagic...)
-	buf = append(buf, byte(d.code), byte(len(d.addr)))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(ms))
-	buf = append(buf, d.addr...)
-	return binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:])), nil
+	ms := min(max(d.retryAfter.Milliseconds(), 0), int64(^uint32(0)))
+	var b [1 + 4 + maxRedirectAddr]byte
+	body := binary.BigEndian.AppendUint32(append(b[:0], byte(d.code)), uint32(ms))
+	return appendControl(dst, decisionMagic, append(body, d.addr...)), nil
 }
 
-// writeDecision marshals d and writes it in one call.
-func writeDecision(w io.Writer, d admissionDecision) error {
-	buf, err := appendDecision(make([]byte, 0, decisionFixedLen+len(d.addr)+decisionCRCLen), d)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(buf)
-	return err
-}
-
-// readDecisionTail parses a decision record whose magic has already been
-// consumed (and is passed in so the CRC covers the full record).
-func readDecisionTail(r io.Reader, magic [4]byte) (admissionDecision, error) {
-	buf := make([]byte, decisionFixedLen, decisionFixedLen+maxRedirectAddr)
-	copy(buf, magic[:])
-	if _, err := io.ReadFull(r, buf[4:]); err != nil {
-		return admissionDecision{}, fmt.Errorf("%w: %v", ErrBadHandshake, err)
-	}
-	addrLen := int(buf[5])
-	buf = buf[:decisionFixedLen+addrLen]
-	if _, err := io.ReadFull(r, buf[decisionFixedLen:]); err != nil {
-		return admissionDecision{}, fmt.Errorf("%w: %v", ErrBadHandshake, err)
-	}
-	var crc [decisionCRCLen]byte
-	if _, err := io.ReadFull(r, crc[:]); err != nil {
-		return admissionDecision{}, fmt.Errorf("%w: %v", ErrBadHandshake, err)
-	}
-	if crc32.ChecksumIEEE(buf) != binary.BigEndian.Uint32(crc[:]) {
-		return admissionDecision{}, fmt.Errorf("%w: decision checksum", ErrBadHandshake)
+// parseDecision parses an XNCD body.
+func parseDecision(body []byte) (admissionDecision, error) {
+	if len(body) < 1+4 {
+		return admissionDecision{}, fmt.Errorf("%w: %d-byte decision", ErrBadHandshake, len(body))
 	}
 	d := admissionDecision{
-		code:       admissionCode(buf[4]),
-		retryAfter: time.Duration(binary.BigEndian.Uint32(buf[6:])) * time.Millisecond,
-		addr:       string(buf[decisionFixedLen:]),
+		code:       admissionCode(body[0]),
+		retryAfter: time.Duration(binary.BigEndian.Uint32(body[1:])) * time.Millisecond,
+		addr:       string(body[5:]),
 	}
 	if err := d.validate(); err != nil {
 		return admissionDecision{}, err
@@ -159,54 +107,34 @@ func readDecisionTail(r io.Reader, magic [4]byte) (admissionDecision, error) {
 }
 
 // handshake is everything a server's opening declares: the session header,
-// its feature flags, the trace context (when hsFlagTrace negotiated), and
-// the admission decision (nil for an implied ACCEPT).
+// its feature flags and trace context — or, instead, the admission decision.
 type handshake struct {
 	hdr   sessionHeader
 	flags uint32
-	tctx  *traceContext
-	dec   *admissionDecision
+	tctx  traceContext
+	dec   *admissionDecision // non-nil: BUSY or REDIRECT, and no session
 }
 
-// traced reports whether the session negotiated trace framing.
+// traced reports whether the session negotiated round preludes.
 func (hs *handshake) traced() bool { return hs.flags&hsFlagTrace != 0 }
 
-// readHandshake reads the server's opening: either a bare session header
-// (implied ACCEPT) or a decision record, dispatched on the first four magic
-// bytes. For ACCEPT — explicit or implied — the returned header is valid
-// and, when the flags negotiate tracing, the trace context has been read;
-// for BUSY and REDIRECT the decision alone is populated.
+// readHandshake reads the server's opening — exactly one control record —
+// and dispatches on its magic: a session header, or a BUSY or REDIRECT
+// decision.
 func readHandshake(r io.Reader) (handshake, error) {
-	var hs handshake
-	var magic [4]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return hs, fmt.Errorf("%w: %v", ErrBadHandshake, err)
-	}
-	if string(magic[:]) == decisionMagic {
-		d, err := readDecisionTail(r, magic)
-		if err != nil {
-			return hs, err
-		}
-		hs.dec = &d
-		if d.code != admissionAccept {
-			return hs, nil
-		}
-		// An explicit ACCEPT promises a full session header next.
-		if _, err := io.ReadFull(r, magic[:]); err != nil {
-			return hs, fmt.Errorf("%w: %v", ErrBadHandshake, err)
-		}
-	}
-	h, flags, err := readSessionHeaderTail(r, magic)
+	magic, body, err := readControl(r, make([]byte, controlOverhead+handshakeBodyMax))
 	if err != nil {
-		return hs, err
+		return handshake{}, fmt.Errorf("%w: %v", ErrBadHandshake, err)
 	}
-	hs.hdr, hs.flags = h, flags
-	if hs.traced() {
-		tc, err := readTraceContext(r)
+	switch magic {
+	case protoMagic:
+		return parseSessionHeader(body)
+	case decisionMagic:
+		d, err := parseDecision(body)
 		if err != nil {
-			return hs, err
+			return handshake{}, err
 		}
-		hs.tctx = &tc
+		return handshake{dec: &d}, nil
 	}
-	return hs, nil
+	return handshake{}, fmt.Errorf("%w: magic %q", ErrBadHandshake, magic)
 }

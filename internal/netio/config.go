@@ -104,8 +104,8 @@ type ServerConfig struct {
 	// TraceNode, when non-empty, labels this server's spans and flight
 	// events and — if the process-global trace recorder is enabled at
 	// construction — turns on trace propagation: the handshake negotiates
-	// hsFlagTrace, an XNCT record declares the transfer's trace context,
-	// and every record carries its pump round's span ID.
+	// hsFlagTrace, the session header declares the transfer's trace
+	// context, and every record carries its pump round's span ID.
 	TraceNode string
 	// TraceID is the transfer trace to join (0 → mint a fresh one). A relay
 	// sets this to its upstream's trace so spans link across tiers.

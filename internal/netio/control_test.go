@@ -1,0 +1,258 @@
+package netio
+
+import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"io"
+	"math/rand"
+	"net"
+	"reflect"
+	"runtime"
+	"testing"
+	"time"
+
+	"extremenc/internal/rlnc"
+)
+
+// countReader counts the bytes a reader under test consumed.
+type countReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
+// resealControl recomputes a control record's trailing CRC, so a test can
+// forge a record whose every check but the one under test passes.
+func resealControl(rec []byte) {
+	end := len(rec) - 4
+	binary.BigEndian.PutUint32(rec[end:], crc32.ChecksumIEEE(rec[:end]))
+}
+
+// rebody rebuilds a control record around an edited copy of its body.
+func rebody(rec []byte, edit func(body []byte) []byte) []byte {
+	return appendControl(nil, string(rec[:4]), edit(bytes.Clone(rec[8:len(rec)-4])))
+}
+
+// stateFetcher returns a Fetcher holding progress on segs segments of p:
+// segment i at rank i mod (n+1), so partial, empty and complete decoders all
+// appear in its State.
+func stateFetcher(tb testing.TB, p rlnc.Params, segs int) *Fetcher {
+	tb.Helper()
+	obj, err := rlnc.Split(testMedia(tb, segs*p.SegmentSize(), 5), p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	f := newFetcher(nil, DefaultFetcherConfig())
+	f.decoders = make(map[uint32]*rlnc.Decoder, segs)
+	for i, seg := range obj.Segments {
+		dec, err := rlnc.NewDecoder(p)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		enc := rlnc.NewEncoder(seg, rand.New(rand.NewSource(int64(i))))
+		for dec.Rank() < i%(p.BlockCount+1) {
+			if _, err := dec.AddBlock(enc.NextBlock()); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		f.decoders[uint32(i)] = dec
+	}
+	return f
+}
+
+// readAny hands rec to the reader its magic names: the need record and the
+// resume state to theirs, anything else to readHandshake. It returns what
+// the reader parsed, and how many bytes of rec it consumed.
+func readAny(rec []byte) (got any, read int, err error) {
+	cr := &countReader{r: bytes.NewReader(rec)}
+	switch {
+	case bytes.HasPrefix(rec, []byte(needMagic)):
+		got, err = "need", readNeedRecord(cr)
+	case bytes.HasPrefix(rec, []byte(stateMagic)):
+		var f Fetcher
+		if err = f.restoreState(rec); err == nil {
+			got = f.Ranks()
+		}
+		cr.n = len(rec)
+	default:
+		var hs handshake
+		hs, err = readHandshake(cr)
+		got = hs
+	}
+	if err != nil {
+		got = nil
+	}
+	return got, cr.n, err
+}
+
+// TestControlRecords drives the control-record readers — readHandshake, the
+// need record's and restoreState — over one table of what a peer or a disk
+// can hand them: every record well formed, then damaged in each field the
+// codec or the body parser checks.
+func TestControlRecords(t *testing.T) {
+	p := rlnc.Params{BlockCount: 4, BlockSize: 64}
+	hdr := sessionHeader{params: p, segments: 1, length: 100}
+	plain := appendSessionHeader(nil, hdr, 0, traceContext{})
+	tc := traceContext{trace: 0xDEADBEEFCAFE, root: 42}
+	traced := appendSessionHeader(nil, hdr, hsFlagTrace, tc)
+	tlv := func(fields ...byte) []byte {
+		return rebody(plain, func(b []byte) []byte { return append(b, fields...) })
+	}
+	busy := admissionDecision{code: admissionBusy, retryAfter: 1500 * time.Millisecond}
+	redirect := admissionDecision{code: admissionRedirect, addr: "10.0.0.7:9000"}
+	decision := func(d admissionDecision) []byte {
+		rec, err := appendDecision(nil, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec
+	}
+	sf := stateFetcher(t, p, 6)
+	state, err := sf.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	setU32 := func(rec []byte, off int, v uint32) []byte {
+		return rebody(rec, func(b []byte) []byte { binary.BigEndian.PutUint32(b[off:], v); return b })
+	}
+	over := func(magic string) []byte { // declares a body of ~4 GiB
+		return append(binary.BigEndian.AppendUint32([]byte(magic), 0xFFFFFFF0), make([]byte, 64)...)
+	}
+
+	for _, c := range []struct {
+		name string
+		rec  []byte
+		want any   // what the reader parsed
+		err  error // or the error class it refused with
+	}{
+		{"plain header", plain, handshake{hdr: hdr}, nil},
+		{"traced header", traced, handshake{hdr: hdr, flags: hsFlagTrace, tctx: tc}, nil},
+		{"unknown TLVs are skipped", tlv(
+			9, 3, 0xAA, 0xBB, 0xCC,
+			tlvTrace, 8, 0, 0, 0, 0, 0, 0, 0, 7,
+			250, 0,
+			tlvRootSpan, 8, 0, 0, 0, 0, 0, 0, 0, 9,
+		), handshake{hdr: hdr, tctx: traceContext{trace: 7, root: 9}}, nil},
+		{"TLV overruns the header", tlv(tlvTrace, 200, 1, 2), nil, ErrBadHandshake},
+		{"TLV truncated to its type", tlv(tlvTrace), nil, ErrBadHandshake},
+		{"trace TLV of 4 bytes", tlv(tlvTrace, 4, 0, 0, 0, 7), nil, ErrBadHandshake},
+		{"unknown TLV overruns", tlv(9, 1), nil, ErrBadHandshake},
+		{"header checksum", append(bytes.Clone(plain[:len(plain)-1]), plain[len(plain)-1]^1), nil, ErrBadHandshake},
+		{"unknown magic", append([]byte("YNCP"), plain[4:]...), nil, ErrBadHandshake},
+		{"header truncated", plain[:len(plain)-1], nil, ErrBadHandshake},
+		{"header body short", rebody(plain, func(b []byte) []byte { return b[:headerFixedLen-1] }), nil, ErrBadHandshake},
+		{"protocol v3", setU32(plain, 0, 3), nil, ErrBadHandshake},
+		{"unknown flag", appendSessionHeader(nil, hdr, 1<<9, traceContext{}), nil, ErrBadHandshake},
+		{"length of 2^50 in one segment", appendSessionHeader(nil, sessionHeader{params: p, segments: 1, length: 1 << 50}, 0, traceContext{}), nil, ErrBadHandshake},
+		{"header body over bound", over(protoMagic), nil, ErrBadHandshake},
+		{"busy", decision(busy), handshake{dec: &busy}, nil},
+		{"redirect", decision(redirect), handshake{dec: &redirect}, nil},
+		{"v3 explicit accept", rebody(decision(busy), func(b []byte) []byte { b[0] = 0; return b }), nil, ErrBadHandshake},
+		{"decision truncated", rebody(decision(busy), func(b []byte) []byte { return b[:4] }), nil, ErrBadHandshake},
+		{"need", needRecord, "need", nil},
+		{"need reserved word", setU32(needRecord, 0, 1), nil, ErrBadNeedRecord},
+		{"need body short", appendControl(nil, needMagic, make([]byte, 3)), nil, ErrBadNeedRecord},
+		{"need body long", appendControl(nil, needMagic, make([]byte, 5)), nil, ErrBadNeedRecord},
+		{"need checksum", append(bytes.Clone(needRecord[:needRecordLen-1]), needRecord[needRecordLen-1]^1), nil, ErrBadNeedRecord},
+		{"need body over bound", over(needMagic), nil, ErrBadNeedRecord},
+		{"state", state, sf.Ranks(), nil},
+		{"state trailing byte", append(bytes.Clone(state), 0), nil, ErrBadResumeState},
+		{"state version 1", setU32(state, 0, 1), nil, ErrBadResumeState},
+		{"state count over entries", setU32(state, 4, 1<<31), nil, ErrBadResumeState},
+		{"state entry overruns", setU32(state, 12, 1<<20), nil, ErrBadResumeState},
+		{"state body over bound", over(stateMagic), nil, ErrBadResumeState},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			got, read, err := readAny(c.rec)
+			if !errors.Is(err, c.err) || (c.err == nil) != (err == nil) {
+				t.Fatalf("err = %v, want %v", err, c.err)
+			}
+			if !reflect.DeepEqual(got, c.want) {
+				t.Fatalf("parsed %+v, want %+v", got, c.want)
+			}
+			if err == nil {
+				if read != len(c.rec) {
+					t.Fatalf("read %d bytes of a %d-byte record", read, len(c.rec))
+				}
+				return
+			}
+			if bytes.Equal(c.rec[4:8], []byte{0xFF, 0xFF, 0xFF, 0xF0}) {
+				// Refused after the prefix, with nothing sized by it.
+				if !bytes.HasPrefix(c.rec, []byte(stateMagic)) && read != 8 {
+					t.Fatalf("read %d bytes, want the 8-byte prefix", read)
+				}
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for i := 0; i < 100; i++ {
+					readAny(c.rec) //nolint:errcheck
+				}
+				runtime.ReadMemStats(&after)
+				if per := (after.TotalAlloc - before.TotalAlloc) / 100; per > 64<<10 {
+					t.Fatalf("%d bytes allocated per refused read", per)
+				}
+			}
+		})
+	}
+}
+
+// TestFetcherStateDeterministic: the same progress serializes to the same
+// bytes, call after call, and restores to the same ranks.
+func TestFetcherStateDeterministic(t *testing.T) {
+	f := stateFetcher(t, rlnc.Params{BlockCount: 4, BlockSize: 32}, 16)
+	first, err := f.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		again, err := f.State()
+		if err != nil || !bytes.Equal(again, first) {
+			t.Fatalf("call %d: State() differs from the first call (%v)", i+2, err)
+		}
+	}
+	var g Fetcher
+	if err := g.restoreState(first); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(g.Ranks(), f.Ranks()) {
+		t.Fatalf("restored ranks %v, want %v", g.Ranks(), f.Ranks())
+	}
+}
+
+// TestFetchRefusesHostileLength: a checksummed session header declaring 2^50
+// bytes in one segment used to be accepted, and Fetch panicked sizing the
+// reassembled object once the segment decoded. It is a bad handshake now,
+// refused before any record is read.
+func TestFetchRefusesHostileLength(t *testing.T) {
+	p := rlnc.Params{BlockCount: 4, BlockSize: 16}
+	obj, err := rlnc.Split(testMedia(t, p.SegmentSize(), 8), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, server := net.Pipe()
+	go func() {
+		defer server.Close()
+		h := sessionHeader{params: p, segments: 1, length: 1 << 50}
+		if _, err := server.Write(appendSessionHeader(nil, h, 0, traceContext{})); err != nil {
+			return
+		}
+		enc := rlnc.NewEncoder(obj.Segments[0], rand.New(rand.NewSource(9)))
+		for i := 0; i < 2*p.BlockCount; i++ {
+			rec, _ := FrameRecord(enc.NextBlock(), ModeDense)
+			if _, err := server.Write(rec); err != nil {
+				return
+			}
+		}
+	}()
+	_, stats, err := Fetch(context.Background(), client)
+	if !errors.Is(err, ErrBadHandshake) || stats.Records != 0 {
+		t.Fatalf("Fetch = %v after %d records, want ErrBadHandshake before any", err, stats.Records)
+	}
+}

@@ -3,9 +3,7 @@ package netio
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"io"
 	"net"
 	"sync"
@@ -19,71 +17,42 @@ import (
 // TestDecisionRoundTrip: the admission decision codec round-trips every legal
 // decision form and rejects every illegal one.
 func TestDecisionRoundTrip(t *testing.T) {
-	// BUSY with a retry hint.
-	var buf bytes.Buffer
-	if err := writeDecision(&buf, admissionDecision{code: admissionBusy, retryAfter: 750 * time.Millisecond}); err != nil {
-		t.Fatal(err)
-	}
-	hs, err := readHandshake(&buf)
-	if err != nil || hs.dec == nil {
-		t.Fatalf("busy readHandshake: dec=%v err=%v", hs.dec, err)
-	}
-	if hs.dec.code != admissionBusy || hs.dec.retryAfter != 750*time.Millisecond {
-		t.Fatalf("busy round trip: %+v", hs.dec)
-	}
-	if !errors.Is(hs.dec.Err(), ErrAdmissionBusy) {
-		t.Fatalf("busy Err: %v", hs.dec.Err())
-	}
-
-	// REDIRECT with a survivor address.
-	buf.Reset()
-	if err := writeDecision(&buf, admissionDecision{code: admissionRedirect, addr: "10.1.2.3:9999"}); err != nil {
-		t.Fatal(err)
-	}
-	hs, err = readHandshake(&buf)
-	if err != nil || hs.dec == nil {
-		t.Fatalf("redirect readHandshake: dec=%v err=%v", hs.dec, err)
-	}
-	if hs.dec.code != admissionRedirect || hs.dec.addr != "10.1.2.3:9999" {
-		t.Fatalf("redirect round trip: %+v", hs.dec)
-	}
-	if !errors.Is(hs.dec.Err(), ErrAdmissionRedirect) {
-		t.Fatalf("redirect Err: %v", hs.dec.Err())
+	for _, d := range []admissionDecision{
+		{code: admissionBusy, retryAfter: 750 * time.Millisecond},
+		{code: admissionBusy},
+		{code: admissionRedirect, addr: "10.1.2.3:9999"},
+	} {
+		rec, err := appendDecision(nil, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs, err := readHandshake(bytes.NewReader(rec))
+		if err != nil || hs.dec == nil || *hs.dec != d {
+			t.Fatalf("round trip of %+v: dec=%+v err=%v", d, hs.dec, err)
+		}
+		want := ErrAdmissionBusy
+		if d.code == admissionRedirect {
+			want = ErrAdmissionRedirect
+		}
+		if !errors.Is(hs.dec.Err(), want) {
+			t.Fatalf("%+v: Err() = %v, want %v", d, hs.dec.Err(), want)
+		}
 	}
 
-	// Explicit ACCEPT followed by a session header parses as a handshake.
+	// A session header is the only ACCEPT: no decision.
 	hdr := sessionHeader{params: rlnc.Params{BlockCount: 4, BlockSize: 64}, segments: 2, length: 512}
-	buf.Reset()
-	if err := writeDecision(&buf, admissionDecision{code: admissionAccept}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := buf.Write(appendSessionHeader(nil, hdr, 0)); err != nil {
-		t.Fatal(err)
-	}
-	hs, err = readHandshake(&buf)
-	if err != nil {
-		t.Fatalf("explicit accept: %v", err)
-	}
-	if hs.dec == nil || hs.dec.code != admissionAccept || hs.hdr != hdr {
-		t.Fatalf("explicit accept: dec=%+v h=%+v", hs.dec, hs.hdr)
-	}
-
-	// A bare session header is an implied ACCEPT: nil decision.
-	buf.Reset()
-	if _, err := buf.Write(appendSessionHeader(nil, hdr, 0)); err != nil {
-		t.Fatal(err)
-	}
-	hs, err = readHandshake(&buf)
+	hs, err := readHandshake(bytes.NewReader(appendSessionHeader(nil, hdr, 0, traceContext{})))
 	if err != nil || hs.dec != nil || hs.hdr != hdr {
-		t.Fatalf("implied accept: h=%+v dec=%v err=%v", hs.hdr, hs.dec, err)
+		t.Fatalf("accept: h=%+v dec=%v err=%v", hs.hdr, hs.dec, err)
 	}
 
 	// Decisions no server writes are rejected at marshal time.
 	for _, bad := range []admissionDecision{
-		{code: admissionAccept, retryAfter: time.Second},
+		{code: 0}, // the explicit ACCEPT of protocol v3
 		{code: admissionBusy, addr: "x"},
 		{code: admissionRedirect},
 		{code: admissionRedirect, addr: "x", retryAfter: time.Second},
+		{code: admissionRedirect, addr: string(make([]byte, maxRedirectAddr+1))},
 		{code: 9},
 	} {
 		if _, err := appendDecision(nil, bad); !errors.Is(err, ErrBadHandshake) {
@@ -92,15 +61,9 @@ func TestDecisionRoundTrip(t *testing.T) {
 	}
 }
 
-// rewriteDecisionCRC recomputes the trailing CRC of a marshaled decision
-// record so tests can forge otherwise-valid records with illegal fields.
-func rewriteDecisionCRC(rec []byte) {
-	body := rec[:len(rec)-decisionCRCLen]
-	binary.BigEndian.PutUint32(rec[len(rec)-decisionCRCLen:], crc32.ChecksumIEEE(body))
-}
-
-// TestDecisionRejectsForged: an unknown decision code and a bad CRC are both
-// ErrBadHandshake, even when the rest of the record is plausible.
+// TestDecisionRejectsForged: an unknown decision code — the v3 explicit
+// ACCEPT among them, even followed by a session header — and a bad CRC are
+// all ErrBadHandshake, even when the rest of the record is plausible.
 func TestDecisionRejectsForged(t *testing.T) {
 	rec, err := appendDecision(nil, admissionDecision{code: admissionBusy, retryAfter: time.Second})
 	if err != nil {
@@ -108,23 +71,29 @@ func TestDecisionRejectsForged(t *testing.T) {
 	}
 
 	// Unknown code with a correct CRC: structurally sound, semantically not.
-	forged := bytes.Clone(rec)
-	forged[4] = 3
-	rewriteDecisionCRC(forged)
-	if _, err := readHandshake(bytes.NewReader(forged)); !errors.Is(err, ErrBadHandshake) {
-		t.Fatalf("unknown code: %v, want ErrBadHandshake", err)
+	for _, code := range []byte{0, 3} {
+		forged := bytes.Clone(rec)
+		forged[8] = code
+		resealControl(forged)
+		hdr := sessionHeader{params: rlnc.Params{BlockCount: 4, BlockSize: 64}, segments: 1, length: 256}
+		forged = appendSessionHeader(forged, hdr, 0, traceContext{})
+		if _, err := readHandshake(bytes.NewReader(forged)); !errors.Is(err, ErrBadHandshake) {
+			t.Fatalf("code %d: %v, want ErrBadHandshake", code, err)
+		}
 	}
 
 	// Flipped CRC bit.
-	forged = bytes.Clone(rec)
+	forged := bytes.Clone(rec)
 	forged[len(forged)-1] ^= 0x01
 	if _, err := readHandshake(bytes.NewReader(forged)); !errors.Is(err, ErrBadHandshake) {
 		t.Fatalf("bad CRC: %v, want ErrBadHandshake", err)
 	}
 
 	// Truncated record.
-	if _, err := readHandshake(bytes.NewReader(rec[:6])); !errors.Is(err, ErrBadHandshake) {
-		t.Fatalf("truncated: %v, want ErrBadHandshake", err)
+	for _, cut := range []int{6, len(rec) - 1} {
+		if _, err := readHandshake(bytes.NewReader(rec[:cut])); !errors.Is(err, ErrBadHandshake) {
+			t.Fatalf("truncated to %d bytes: %v, want ErrBadHandshake", cut, err)
+		}
 	}
 }
 

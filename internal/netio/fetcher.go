@@ -2,14 +2,16 @@ package netio
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
+	"maps"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -110,7 +112,7 @@ type Fetcher struct {
 	// failed attempt's span is simply dropped when the next one starts.
 	reconnSpan obs.Span
 
-	// Inherited trace context from the server's XNCT record, and the round
+	// Inherited trace context from the server's session header, and the round
 	// span named by the latest record prelude. Atomics: the fetch loop is
 	// single-goroutine, but a relay's serving side reads these concurrently
 	// (TraceContext, LastRoundSpan) to parent its own spans.
@@ -433,7 +435,7 @@ func (f *Fetcher) session(ctx context.Context, conn net.Conn) (done, fatal bool,
 		}
 		return false, false, err
 	}
-	if hs.dec != nil && hs.dec.code != admissionAccept {
+	if hs.dec != nil {
 		// A structured rejection, not a stream failure: non-fatal, so the
 		// retry loop keeps going, shaped by the server's own guidance.
 		switch hs.dec.code {
@@ -475,9 +477,9 @@ func (f *Fetcher) session(ctx context.Context, conn net.Conn) (done, fatal bool,
 		}
 	}
 	f.established = true
-	traced := hs.traced() && hs.tctx != nil
+	traced := hs.traced()
 	var tr trace.TraceID
-	if traced {
+	if traced && hs.tctx != (traceContext{}) {
 		tr = hs.tctx.trace
 		f.trTrace.Store(uint64(hs.tctx.trace))
 		f.trRoot.Store(uint64(hs.tctx.root))
@@ -561,7 +563,7 @@ func (f *Fetcher) session(ctx context.Context, conn net.Conn) (done, fatal bool,
 			return false, true, err
 		}
 		if sweepLeft--; sweepLeft == 0 && f.remaining() > 0 {
-			if _, err := conn.Write(needRecord[:]); err != nil {
+			if _, err := conn.Write(needRecord); err != nil {
 				return f.streamErr(ctx, fmt.Errorf("%w: need record: %v", ErrStreamTruncated, err))
 			}
 		}
@@ -706,55 +708,57 @@ func backoffDelay(retry int, base, max time.Duration, jitter float64, rng *rand.
 	return d
 }
 
-// Fetch-state blob: magic "XNCF" | u32 version | u32 entry count |
-// per entry: u32 segment ID, u32 length, Decoder.MarshalBinary bytes |
-// u32 CRC-32 (IEEE) over everything above.
+// Fetch-state blob: a control record (control.go) with magic "XNCF" and body
+// u32 version | u32 entry count | per entry, in ascending segment ID:
+// u32 segment ID, u32 length, Decoder.MarshalBinary bytes.
 const (
 	stateMagic   = "XNCF"
-	stateVersion = 1
+	stateVersion = 2
 )
 
 // State serializes every segment decoder — partial and complete — so a
 // later Fetcher (even in a new process) can resume this fetch's rank with
-// FetcherConfig.ResumeState. Not safe to call concurrently with Fetch.
+// FetcherConfig.ResumeState. The same progress always serializes to the same
+// bytes. Not safe to call concurrently with Fetch.
 func (f *Fetcher) State() ([]byte, error) {
-	buf := make([]byte, 12, 64)
-	copy(buf, stateMagic)
-	binary.BigEndian.PutUint32(buf[4:], stateVersion)
-	binary.BigEndian.PutUint32(buf[8:], uint32(len(f.decoders)))
-	var entry [8]byte
-	for id, dec := range f.decoders {
-		body, err := dec.MarshalBinary()
+	ids := slices.Sorted(maps.Keys(f.decoders))
+	body := binary.BigEndian.AppendUint32(nil, stateVersion)
+	body = binary.BigEndian.AppendUint32(body, uint32(len(ids)))
+	for _, id := range ids {
+		dec, err := f.decoders[id].MarshalBinary()
 		if err != nil {
 			return nil, err
 		}
-		binary.BigEndian.PutUint32(entry[:4], id)
-		binary.BigEndian.PutUint32(entry[4:], uint32(len(body)))
-		buf = append(buf, entry[:]...)
-		buf = append(buf, body...)
+		body = binary.BigEndian.AppendUint32(body, id)
+		body = binary.BigEndian.AppendUint32(body, uint32(len(dec)))
+		body = append(body, dec...)
 	}
-	var crc [4]byte
-	binary.BigEndian.PutUint32(crc[:], crc32.ChecksumIEEE(buf))
-	return append(buf, crc[:]...), nil
+	return appendControl(nil, stateMagic, body), nil
 }
 
 // restoreState rebuilds the decoder map from a State blob. The header is
 // not known yet, so cross-checks against the session happen at the first
 // handshake (validateResumed).
 func (f *Fetcher) restoreState(data []byte) error {
-	if len(data) < 16 || string(data[:4]) != stateMagic {
-		return fmt.Errorf("%w: bad magic or size", ErrBadResumeState)
+	rd := bytes.NewReader(data)
+	magic, body, err := readControl(rd, make([]byte, max(len(data), controlOverhead)))
+	switch {
+	case err != nil:
+		return fmt.Errorf("%w: %v", ErrBadResumeState, err)
+	case magic != stateMagic:
+		return fmt.Errorf("%w: magic %q", ErrBadResumeState, magic)
+	case rd.Len() != 0:
+		return fmt.Errorf("%w: %d trailing bytes", ErrBadResumeState, rd.Len())
+	case len(body) < 8:
+		return fmt.Errorf("%w: %d-byte body", ErrBadResumeState, len(body))
 	}
-	if v := binary.BigEndian.Uint32(data[4:]); v != stateVersion {
+	if v := binary.BigEndian.Uint32(body); v != stateVersion {
 		return fmt.Errorf("%w: version %d", ErrBadResumeState, v)
 	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(tail) {
-		return fmt.Errorf("%w: checksum", ErrBadResumeState)
-	}
-	count := int(binary.BigEndian.Uint32(data[8:]))
-	decoders := make(map[uint32]*rlnc.Decoder, count)
-	off := 12
+	count := int(binary.BigEndian.Uint32(body[4:]))
+	// Every entry takes at least 8 bytes: the count cannot size the map.
+	decoders := make(map[uint32]*rlnc.Decoder, min(count, len(body)/8))
+	off := 8
 	ready := 0
 	for i := 0; i < count; i++ {
 		if off+8 > len(body) {

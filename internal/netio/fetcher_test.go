@@ -33,7 +33,7 @@ func flakyServer(t *testing.T, l *pipeListener, media []byte, p rlnc.Params, rec
 				return
 			}
 			h := sessionHeader{params: p, segments: len(obj.Segments), length: int64(obj.Length)}
-			if _, err := conn.Write(appendSessionHeader(nil, h, 0)); err != nil {
+			if _, err := conn.Write(appendSessionHeader(nil, h, 0, traceContext{})); err != nil {
 				conn.Close()
 				continue
 			}
@@ -314,7 +314,7 @@ func TestFetcherHeaderMismatch(t *testing.T) {
 				h.segments = 2
 				h.length = 512
 			}
-			conn.Write(appendSessionHeader(nil, h, 0))
+			conn.Write(appendSessionHeader(nil, h, 0, traceContext{}))
 			conn.Close() // truncate: force a reconnect
 		}
 	}()
@@ -442,7 +442,7 @@ func TestFetcherTwoStageUnderFaults(t *testing.T) {
 				return
 			}
 			h := sessionHeader{params: p, segments: len(obj.Segments), length: int64(obj.Length)}
-			if _, err := conn.Write(appendSessionHeader(nil, h, 0)); err != nil {
+			if _, err := conn.Write(appendSessionHeader(nil, h, 0, traceContext{})); err != nil {
 				conn.Close()
 				continue
 			}
@@ -578,7 +578,7 @@ func TestFetcherRecordPathDoesNotAllocate(t *testing.T) {
 		rng := rand.New(rand.NewSource(42))
 		enc := rlnc.NewEncoder(seg, rng)
 		var buf bytes.Buffer
-		if _, err := buf.Write(appendSessionHeader(nil, sessionHeader{params: p, segments: 1, length: int64(obj.Length)}, 0)); err != nil {
+		if _, err := buf.Write(appendSessionHeader(nil, sessionHeader{params: p, segments: 1, length: int64(obj.Length)}, 0, traceContext{})); err != nil {
 			t.Fatal(err)
 		}
 		held := make([]*rlnc.CodedBlock, 0, p.BlockCount)
@@ -618,7 +618,7 @@ func TestFetcherRecordPathDoesNotAllocate(t *testing.T) {
 	// and dependent — then the last source block.
 	systematic := func(extra int) []byte {
 		var buf bytes.Buffer
-		if _, err := buf.Write(appendSessionHeader(nil, sessionHeader{params: p, segments: 1, length: int64(obj.Length), mode: ModeSystematic}, 0)); err != nil {
+		if _, err := buf.Write(appendSessionHeader(nil, sessionHeader{params: p, segments: 1, length: int64(obj.Length), mode: ModeSystematic}, 0, traceContext{})); err != nil {
 			t.Fatal(err)
 		}
 		emit := func(b *rlnc.CodedBlock) {

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"math/rand"
 	"net"
+	"reflect"
 	"testing"
 	"time"
 
@@ -27,7 +28,7 @@ func fuzzSession(f *testing.F, mutate func(stream []byte) []byte) []byte {
 	}
 	var buf bytes.Buffer
 	h := sessionHeader{params: p, segments: 1, length: int64(len(media))}
-	if _, err := buf.Write(appendSessionHeader(nil, h, 0)); err != nil {
+	if _, err := buf.Write(appendSessionHeader(nil, h, 0, traceContext{})); err != nil {
 		f.Fatal(err)
 	}
 	enc := rlnc.NewEncoder(obj.Segments[0], rand.New(rand.NewSource(4)))
@@ -75,6 +76,10 @@ func FuzzFetchRecords(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(protoMagic))
 	f.Add(bytes.Repeat([]byte{0xFF}, protoHeaderLen+8))
+	f.Add(fuzzSession(f, func(s []byte) []byte { // a length of 2^50 bytes in the one segment
+		h := sessionHeader{params: rlnc.Params{BlockCount: 4, BlockSize: 16}, segments: 1, length: 1 << 50}
+		return append(appendSessionHeader(nil, h, 0, traceContext{}), s[protoHeaderLen:]...)
+	}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, b := net.Pipe()
@@ -100,110 +105,166 @@ func FuzzFetchRecords(f *testing.F) {
 	})
 }
 
-// fuzzDecision marshals a decision record for seeding, optionally mutated.
-func fuzzDecision(f *testing.F, d admissionDecision, mutate func([]byte) []byte) []byte {
-	f.Helper()
-	rec, err := appendDecision(nil, d)
-	if err != nil {
-		f.Fatal(err)
-	}
-	if mutate != nil {
-		rec = mutate(rec)
-	}
-	return rec
+// The control-record fuzz targets share one property check and differ only in
+// the seeds they start from. FuzzDecisionRecord and FuzzNeedRecord keep the
+// admission and need-record corpora they always had; FuzzControlRecord starts
+// from every family, header TLVs and resume state included, and is the one
+// target the live fuzz budget runs.
+func FuzzDecisionRecord(f *testing.F) { fuzzControl(f, decisionSeeds) }
+func FuzzNeedRecord(f *testing.F)     { fuzzControl(f, needSeeds) }
+func FuzzControlRecord(f *testing.F) {
+	fuzzControl(f, decisionSeeds, needSeeds, headerSeeds, stateSeeds)
 }
 
-// FuzzDecisionRecord feeds arbitrary bytes to the handshake dispatcher.
-// Whatever arrives — forged decision records, flipped CRCs, unknown codes,
-// truncated streams, or decision-then-header sequences — readHandshake must
-// never panic, and any decision it does accept must itself be valid and
-// re-marshalable: the parser admits exactly what a real server could write.
-func FuzzDecisionRecord(f *testing.F) {
-	f.Add(fuzzDecision(f, admissionDecision{code: admissionBusy, retryAfter: 250 * time.Millisecond}, nil))
-	f.Add(fuzzDecision(f, admissionDecision{code: admissionRedirect, addr: "127.0.0.1:9999"}, nil))
-	f.Add(fuzzDecision(f, admissionDecision{code: admissionBusy}, func(rec []byte) []byte {
+var fuzzHeader = sessionHeader{params: rlnc.Params{BlockCount: 4, BlockSize: 16}, segments: 1, length: 64}
+
+// decisionSeeds are admission decisions, and what used to precede a header.
+func decisionSeeds(f *testing.F) {
+	decision := func(d admissionDecision, mutate func([]byte) []byte) []byte {
+		rec, err := appendDecision(nil, d)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if mutate != nil {
+			rec = mutate(rec)
+		}
+		return rec
+	}
+	plain := appendSessionHeader(nil, fuzzHeader, 0, traceContext{})
+	f.Add(decision(admissionDecision{code: admissionBusy, retryAfter: 250 * time.Millisecond}, nil))
+	f.Add(decision(admissionDecision{code: admissionRedirect, addr: "127.0.0.1:9999"}, nil))
+	f.Add(decision(admissionDecision{code: admissionBusy}, func(rec []byte) []byte {
 		rec[len(rec)-1] ^= 0x01 // flipped CRC bit
 		return rec
 	}))
-	f.Add(fuzzDecision(f, admissionDecision{code: admissionBusy}, func(rec []byte) []byte {
-		rec[4] = 7 // unknown code, CRC refreshed
-		binary.BigEndian.PutUint32(rec[len(rec)-4:], crc32.ChecksumIEEE(rec[:len(rec)-4]))
+	f.Add(decision(admissionDecision{code: admissionBusy}, func(rec []byte) []byte {
+		rec[8] = 7 // unknown code, CRC refreshed
+		resealControl(rec)
 		return rec
 	}))
-	f.Add(fuzzDecision(f, admissionDecision{code: admissionRedirect, addr: "x"}, func(rec []byte) []byte {
+	f.Add(decision(admissionDecision{code: admissionRedirect, addr: "x"}, func(rec []byte) []byte {
 		return rec[:6] // truncated mid-record
 	}))
-	// Explicit ACCEPT followed by a full session header, and a bare header.
-	var accept bytes.Buffer
-	hdr := sessionHeader{params: rlnc.Params{BlockCount: 4, BlockSize: 16}, segments: 1, length: 64}
-	if err := writeDecision(&accept, admissionDecision{code: admissionAccept}); err != nil {
-		f.Fatal(err)
-	}
-	if _, err := accept.Write(appendSessionHeader(nil, hdr, 0)); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(append([]byte(nil), accept.Bytes()...))
-	var bare bytes.Buffer
-	if _, err := bare.Write(appendSessionHeader(nil, hdr, 0)); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(append([]byte(nil), bare.Bytes()...))
+	f.Add(decision(admissionDecision{code: admissionBusy}, func(rec []byte) []byte {
+		rec[8] = 0 // the v3 explicit ACCEPT, then a header
+		resealControl(rec)
+		return append(rec, plain...)
+	}))
+	f.Add(plain)
 	f.Add([]byte(decisionMagic))
 	f.Add([]byte{})
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		hs, err := readHandshake(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		if hs.dec != nil {
-			if verr := hs.dec.validate(); verr != nil {
-				t.Fatalf("accepted invalid decision %+v: %v", hs.dec, verr)
-			}
-			if _, merr := appendDecision(nil, *hs.dec); merr != nil {
-				t.Fatalf("accepted unmarshalable decision %+v: %v", hs.dec, merr)
-			}
-		}
-		if hs.dec == nil || hs.dec.code == admissionAccept {
-			// ACCEPT paths must have produced a header a client could serve.
-			if verr := hs.hdr.params.Validate(); verr != nil {
-				t.Fatalf("accepted handshake with bad params: %v", verr)
-			}
-		}
-	})
 }
 
-// FuzzNeedRecord feeds arbitrary bytes to the parser of the protocol's one
-// client→server record. There is exactly one valid need record — the reserved
-// word is zero — so the parser must accept that and nothing else: no other
-// magic, no reserved bit (checksummed or not), no stale checksum, no other
-// length.
-func FuzzNeedRecord(f *testing.F) {
-	mutated := func(mutate func(rec []byte), refreshCRC bool) []byte {
-		rec := append([]byte(nil), needRecord[:]...)
+// needSeeds are the one valid need record and its near misses.
+func needSeeds(f *testing.F) {
+	need := func(mutate func(rec []byte), reseal bool) []byte {
+		rec := bytes.Clone(needRecord)
 		mutate(rec)
-		if refreshCRC {
-			binary.BigEndian.PutUint32(rec[8:], crc32.ChecksumIEEE(rec[:8]))
+		if reseal {
+			resealControl(rec)
 		}
 		return rec
 	}
-	f.Add(needRecord[:])
-	f.Add(mutated(func(rec []byte) { copy(rec, decisionMagic) }, true)) // another record's magic
-	f.Add(mutated(func(rec []byte) { rec[7] = 1 }, true))               // reserved word set, checksum good
-	f.Add(mutated(func(rec []byte) { rec[7] = 1 }, false))              // reserved word set, checksum stale
-	f.Add(mutated(func(rec []byte) { rec[11] ^= 0x80 }, false))         // flipped checksum bit
+	f.Add(bytes.Clone(needRecord))
+	f.Add(need(func(rec []byte) { copy(rec, decisionMagic) }, true)) // another record's magic
+	f.Add(need(func(rec []byte) { rec[11] = 1 }, true))              // reserved word set, checksum good
+	f.Add(need(func(rec []byte) { rec[11] = 1 }, false))             // reserved word set, checksum stale
+	f.Add(need(func(rec []byte) { rec[15] ^= 0x80 }, false))         // flipped checksum bit
 	for _, cut := range []int{0, 3, 4, 8, needRecordLen - 1} {
-		f.Add(needRecord[:cut])
+		f.Add(bytes.Clone(needRecord[:cut]))
 	}
-	f.Add(append(needRecord[:], 0)) // one byte too many
+	f.Add(append(bytes.Clone(needRecord), 0)) // one byte too many
+}
+
+// headerSeeds are session headers: TLVs, and fields the reader must refuse.
+func headerSeeds(f *testing.F) {
+	plain := appendSessionHeader(nil, fuzzHeader, 0, traceContext{})
+	tlv := func(fields ...byte) []byte {
+		return rebody(plain, func(b []byte) []byte { return append(b, fields...) })
+	}
+	f.Add(appendSessionHeader(nil, fuzzHeader, hsFlagTrace, traceContext{trace: 0xDEADBEEFCAFE, root: 42}))
+	f.Add(tlv(9, 3, 0xAA, 0xBB, 0xCC, tlvTrace, 8, 0, 0, 0, 0, 0, 0, 0, 7, 250, 0)) // unknown fields skipped
+	f.Add(tlv(tlvTrace, 200, 1, 2))                                                 // field overruns the header
+	f.Add(tlv(tlvRootSpan))                                                         // field truncated to its type
+	f.Add(tlv(tlvTrace, 4, 0, 0, 0, 7))                                             // known field, wrong size
+	f.Add(append(binary.BigEndian.AppendUint32([]byte(protoMagic), 0xFFFFFFF0), plain[8:]...))
+	f.Add(appendSessionHeader(nil, sessionHeader{params: fuzzHeader.params, segments: 1, length: 1 << 50}, 0, traceContext{}))
+}
+
+// stateSeeds are resume-state blobs.
+func stateSeeds(f *testing.F) {
+	state, err := stateFetcher(f, fuzzHeader.params, 5).State()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(bytes.Clone(state))
+	f.Add(append(bytes.Clone(state), 0))
+	f.Add(rebody(state, func(b []byte) []byte { binary.BigEndian.PutUint32(b[4:], 1<<31); return b }))
+}
+
+// fuzzControl seeds f from each family and feeds arbitrary bytes to every
+// control-record reader at once: readHandshake (the server's one opening
+// record), the need record's reader and restoreState. Whatever arrives, none
+// may panic; each refuses with its own error class; a declared body over a
+// reader's bound is refused after the 8-byte prefix; the handshake and the need
+// record are read to their last byte and no further; and whatever a reader
+// accepts re-marshals to a record that parses to the same value.
+func fuzzControl(f *testing.F, families ...func(*testing.F)) {
+	for _, seed := range families {
+		seed(f)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		err := parseNeedRecord(data)
-		if valid := bytes.Equal(data, needRecord[:]); (err == nil) != valid {
-			t.Fatalf("parseNeedRecord(%x) = %v, the one valid record is %x", data, err, needRecord)
+		declared := -1
+		if len(data) >= 8 {
+			declared = int(binary.BigEndian.Uint32(data[4:]))
 		}
-		if err != nil && !errors.Is(err, ErrBadNeedRecord) {
-			t.Fatalf("parseNeedRecord(%x) failed with %v, want ErrBadNeedRecord", data, err)
+
+		cr := &countReader{r: bytes.NewReader(data)}
+		hs, err := readHandshake(cr)
+		switch {
+		case declared > handshakeBodyMax && (err == nil || cr.n != 8):
+			t.Fatalf("%d-byte body over the bound: %v after %d bytes", declared, err, cr.n)
+		case err != nil && !errors.Is(err, ErrBadHandshake):
+			t.Fatalf("readHandshake failed with %v, want ErrBadHandshake", err)
+		case err == nil:
+			if cr.n != controlOverhead+declared {
+				t.Fatalf("read %d bytes of a %d-byte record", cr.n, controlOverhead+declared)
+			}
+			rec := appendSessionHeader(nil, hs.hdr, hs.flags, hs.tctx)
+			if hs.dec != nil {
+				if rec, err = appendDecision(nil, *hs.dec); err != nil {
+					t.Fatalf("accepted a decision no server writes: %+v: %v", *hs.dec, err)
+				}
+			}
+			if again, err := readHandshake(bytes.NewReader(rec)); err != nil || !reflect.DeepEqual(again, hs) {
+				t.Fatalf("re-marshaled %+v parses as %+v, %v", hs, again, err)
+			}
+		}
+
+		cr = &countReader{r: bytes.NewReader(data)}
+		err = readNeedRecord(cr)
+		if cr.n > needRecordLen {
+			t.Fatalf("need reader took %d bytes", cr.n)
+		}
+		if (err == nil) != bytes.HasPrefix(data, needRecord) || (err != nil && !errors.Is(err, ErrBadNeedRecord)) {
+			t.Fatalf("readNeedRecord(%x) = %v, the one valid record is %x", data, err, needRecord)
+		}
+
+		var st Fetcher
+		if err := st.restoreState(data); err != nil {
+			if !errors.Is(err, ErrBadResumeState) {
+				t.Fatalf("restoreState failed with %v, want ErrBadResumeState", err)
+			}
+			return
+		}
+		blob, err := st.State()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var again Fetcher
+		if err := again.restoreState(blob); err != nil || !reflect.DeepEqual(again.Ranks(), st.Ranks()) {
+			t.Fatalf("re-marshaled state restores to %v, want %v (%v)", again.Ranks(), st.Ranks(), err)
 		}
 	})
 }

@@ -30,7 +30,7 @@ func TestHandshakeCarriesMode(t *testing.T) {
 	for _, m := range []WireMode{ModeDense, ModeSystematic} {
 		var buf bytes.Buffer
 		h := sessionHeader{params: p, segments: 2, length: 999, mode: m}
-		if _, err := buf.Write(appendSessionHeader(nil, h, 0)); err != nil {
+		if _, err := buf.Write(appendSessionHeader(nil, h, 0, traceContext{})); err != nil {
 			t.Fatal(err)
 		}
 		hs, err := readHandshake(&buf)
@@ -42,7 +42,7 @@ func TestHandshakeCarriesMode(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if _, err := buf.Write(appendSessionHeader(nil, sessionHeader{params: p, segments: 1, mode: WireMode(7)}, 0)); err != nil {
+	if _, err := buf.Write(appendSessionHeader(nil, sessionHeader{params: p, segments: 1, mode: WireMode(7)}, 0, traceContext{})); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := readHandshake(&buf); err == nil {
@@ -152,7 +152,8 @@ func TestModeDifferentialSessionPath(t *testing.T) {
 
 // TestSessionInfoValidate: Validate rejects what the handshake parser would,
 // through the same sessionHeader.validate — including a negative segment
-// count, which the old marshal-and-reparse check let through as 2^32 − 1.
+// count, which the old marshal-and-reparse check let through as 2^32 − 1, and
+// a segment count that is not the one rlnc.Split makes of the length.
 func TestSessionInfoValidate(t *testing.T) {
 	ok := SessionInfo{Params: rlnc.Params{BlockCount: 8, BlockSize: 64}, Segments: 2, Length: 999, Mode: ModeSystematic}
 	if err := ok.Validate(); err != nil {
@@ -164,6 +165,11 @@ func TestSessionInfoValidate(t *testing.T) {
 		"negative segments": func(si *SessionInfo) { si.Segments = -1 },
 		"negative length":   func(si *SessionInfo) { si.Length = -1 },
 		"unknown mode":      func(si *SessionInfo) { si.Mode = WireMode(7) },
+		"too few segments":  func(si *SessionInfo) { si.Segments = 1 },
+		"too many segments": func(si *SessionInfo) { si.Segments = 3 },
+		"length past 2^32 segments": func(si *SessionInfo) {
+			si.Segments, si.Length = 1<<32-1, 1<<62
+		},
 	} {
 		si := ok
 		mutate(&si)

@@ -18,50 +18,45 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net"
 
+	"extremenc/internal/obs/trace"
 	"extremenc/internal/rlnc"
 )
 
-// Protocol:
+// Protocol (DESIGN.md §23 tabulates every record):
 //
-//	session header: magic "XNCP" | u32 version | u32 n | u32 k |
-//	                u32 segment count | u64 payload length | u32 wire mode |
-//	                u32 flags | u32 CRC
-//	then records:   u32 length | marshaled rlnc.CodedBlock, round-robin
-//	                across segments, until the client closes.
+//	the server opens with exactly one control record (control.go):
+//	  session header  XNCP body: u32 version | u32 n | u32 k | u32 segment count |
+//	                  u64 payload length | u32 wire mode | u32 flags | TLV fields
+//	  or a decision   XNCD body (admission.go): BUSY or REDIRECT, then close
+//	then records:     u32 length | marshaled rlnc.CodedBlock, round-robin
+//	                  across segments, until the client closes.
 //
-// A server may instead open with an admission decision record (magic "XNCD",
-// see admission.go): BUSY and REDIRECT end the connection with a structured
-// reason; an explicit ACCEPT is followed by the session header above. A bare
-// session header is an implied ACCEPT.
+// A TLV field is u8 type | u8 length | value: type 1 is the transfer's 8-byte
+// trace ID, type 2 the server's 8-byte root span. Unknown types are skipped,
+// so a server may add context an older client ignores.
 //
 // The flags word declares optional stream features. With hsFlagTrace set,
-// the header is followed by a trace-context record (magic "XNCT", see
-// tracectx.go) carrying the transfer's trace ID and the server's root span,
-// and every record is preceded by a CRC-guarded 12-byte prelude naming the
-// pump round (span ID) that encoded it — the causal link that lets one
-// generation's records be attributed across mesh tiers. Unknown flag bits
-// are rejected: a client that cannot parse a feature's framing must not
-// guess at record boundaries.
+// every record is preceded by a CRC-guarded 12-byte prelude naming the pump
+// round (span ID) that encoded it (tracectx.go) — the causal link that lets
+// one generation's records be attributed across mesh tiers. Unknown flag bits
+// are rejected: a client that cannot parse a feature's framing must not guess
+// at record boundaries.
 //
 // With hsFlagSweep set, the records after the handshake are one systematic
 // sweep — every source block of every segment exactly once, as XNC2 records,
 // n × segments of them — and then nothing: the server sends no more until the
-// client writes the protocol's one client→server record,
-//
-//	need: magic "XNCN" | u32 reserved (zero) | u32 CRC-32 (IEEE) over the
-//	      eight bytes above
-//
-// after which repair records (XNC2 XOR repair, XNC1 dense) follow until the
-// client closes, as on any other session. A client that decoded everything
-// from the sweep just closes. The server reads nothing before its sweep is
-// written and at most these 12 bytes after it; a peer that sends anything
-// else, or stays silent past the server's write-deadline budget, is dropped.
-// The reserved word is where a client will one day say what it already holds.
-// Without the flag the client must send nothing, ever.
+// client writes the protocol's one client→server record, the need record
+// (XNCN, body u32 reserved = 0), after which repair records (XNC2 XOR repair,
+// XNC1 dense) follow until the client closes, as on any other session. A
+// client that decoded everything from the sweep just closes. The server reads
+// nothing before its sweep is written and at most needRecordLen bytes after
+// it; a peer that sends anything else, or stays silent past the server's
+// write-deadline budget, is dropped. The reserved word is where a client will
+// one day say what it already holds. Without the flag the client must send
+// nothing, ever.
 //
 // The wire mode is the server's declaration of the coding discipline for the
 // whole session; the client adapts its record parser to it. In ModeDense
@@ -71,14 +66,21 @@ import (
 // first dense record arrives.
 const (
 	protoMagic     = "XNCP"
-	protoVersion   = 3
-	protoHeaderLen = 4 + 4 + 4 + 4 + 4 + 8 + 4 + 4 + 4
+	protoVersion   = 4
+	headerFixedLen = 4 + 4 + 4 + 4 + 8 + 4 + 4
+	// protoHeaderLen is an untraced session header on the wire.
+	protoHeaderLen = controlOverhead + headerFixedLen
+
+	// handshakeBodyMax bounds the body of the server's opening record.
+	handshakeBodyMax = 512
+
+	tlvTrace    = 1
+	tlvRootSpan = 2
 )
 
 // Session flag bits (the u32 flags word of the session header).
 const (
-	// hsFlagTrace: an XNCT trace-context record follows the header and every
-	// record carries a round-span prelude.
+	// hsFlagTrace: every record carries a round-span prelude.
 	hsFlagTrace uint32 = 1 << 0
 
 	// hsFlagSweep: the session opens with one systematic sweep and then waits
@@ -93,33 +95,30 @@ const (
 // the sweep left it short of rank.
 const (
 	needMagic     = "XNCN"
-	needRecordLen = 4 + 4 + 4
+	needRecordLen = controlOverhead + 4
 )
 
 // ErrBadNeedRecord reports client→server bytes that are not a need record.
 var ErrBadNeedRecord = errors.New("netio: bad need record")
 
 // needRecord is the one need record there is: the reserved word is zero.
-var needRecord = func() [needRecordLen]byte {
-	var rec [needRecordLen]byte
-	copy(rec[:], needMagic)
-	binary.BigEndian.PutUint32(rec[8:], crc32.ChecksumIEEE(rec[:8]))
-	return rec
-}()
+var needRecord = appendControl(nil, needMagic, make([]byte, 4))
 
-// parseNeedRecord validates a need record. A non-zero reserved word is
-// refused, like an unknown handshake flag: it will mean something one day, and
-// a server that does not know what must not guess.
-func parseNeedRecord(rec []byte) error {
+// readNeedRecord reads and validates a need record, reading at most
+// needRecordLen bytes. A non-zero reserved word is refused, like an unknown
+// handshake flag: it will mean something one day, and a server that does not
+// know what must not guess.
+func readNeedRecord(r io.Reader) error {
+	magic, body, err := readControl(r, make([]byte, needRecordLen))
 	switch {
-	case len(rec) != needRecordLen:
-		return fmt.Errorf("%w: %d bytes", ErrBadNeedRecord, len(rec))
-	case string(rec[:4]) != needMagic:
-		return fmt.Errorf("%w: magic", ErrBadNeedRecord)
-	case crc32.ChecksumIEEE(rec[:8]) != binary.BigEndian.Uint32(rec[8:]):
-		return fmt.Errorf("%w: checksum", ErrBadNeedRecord)
-	case binary.BigEndian.Uint32(rec[4:]) != 0:
-		return fmt.Errorf("%w: reserved word %#x", ErrBadNeedRecord, binary.BigEndian.Uint32(rec[4:]))
+	case err != nil:
+		return fmt.Errorf("%w: %v", ErrBadNeedRecord, err)
+	case magic != needMagic:
+		return fmt.Errorf("%w: magic %q", ErrBadNeedRecord, magic)
+	case len(body) != 4:
+		return fmt.Errorf("%w: %d-byte body", ErrBadNeedRecord, len(body))
+	case binary.BigEndian.Uint32(body) != 0:
+		return fmt.Errorf("%w: reserved word %#x", ErrBadNeedRecord, binary.BigEndian.Uint32(body))
 	}
 	return nil
 }
@@ -197,29 +196,39 @@ func (h sessionHeader) recordSizes() (dense, xor uint32) {
 	return dense, dense
 }
 
-// appendSessionHeader marshals the v3 header with the given feature flags
-// onto dst, so a traced server's handshake (header + XNCT context) is one
-// write. The flags word is deliberately NOT part of sessionHeader: feature
-// negotiation is per-connection (a redirect may land on a server with
-// different features), while sessionHeader identity gates reconnect safety.
-func appendSessionHeader(dst []byte, h sessionHeader, flags uint32) []byte {
-	start := len(dst)
-	dst = append(dst, make([]byte, protoHeaderLen)...)
-	buf := dst[start:]
-	copy(buf, protoMagic)
-	binary.BigEndian.PutUint32(buf[4:], protoVersion)
-	binary.BigEndian.PutUint32(buf[8:], uint32(h.params.BlockCount))
-	binary.BigEndian.PutUint32(buf[12:], uint32(h.params.BlockSize))
-	binary.BigEndian.PutUint32(buf[16:], uint32(h.segments))
-	binary.BigEndian.PutUint64(buf[20:], uint64(h.length))
-	binary.BigEndian.PutUint32(buf[28:], uint32(h.mode))
-	binary.BigEndian.PutUint32(buf[32:], flags)
-	binary.BigEndian.PutUint32(buf[36:], crc32.ChecksumIEEE(buf[:36]))
-	return dst
+// traceContext is the causal identity a server hands its clients in the
+// header's TLV fields: the transfer's trace ID and the server's root span,
+// which downstream spans reference as their parent. Zero: none declared.
+type traceContext struct {
+	trace trace.TraceID
+	root  trace.SpanID
+}
+
+// appendSessionHeader marshals the header with the given feature flags and
+// trace context (TLV fields, omitted when zero) onto dst. The flags word is
+// deliberately NOT part of sessionHeader: feature negotiation is
+// per-connection (a redirect may land on a server with different features),
+// while sessionHeader identity gates reconnect safety.
+func appendSessionHeader(dst []byte, h sessionHeader, flags uint32, tc traceContext) []byte {
+	var b [headerFixedLen + 2*(2+8)]byte
+	body := binary.BigEndian.AppendUint32(b[:0], protoVersion)
+	body = binary.BigEndian.AppendUint32(body, uint32(h.params.BlockCount))
+	body = binary.BigEndian.AppendUint32(body, uint32(h.params.BlockSize))
+	body = binary.BigEndian.AppendUint32(body, uint32(h.segments))
+	body = binary.BigEndian.AppendUint64(body, uint64(h.length))
+	body = binary.BigEndian.AppendUint32(body, uint32(h.mode))
+	body = binary.BigEndian.AppendUint32(body, flags)
+	if tc != (traceContext{}) {
+		body = binary.BigEndian.AppendUint64(append(body, tlvTrace, 8), uint64(tc.trace))
+		body = binary.BigEndian.AppendUint64(append(body, tlvRootSpan, 8), uint64(tc.root))
+	}
+	return appendControl(dst, protoMagic, body)
 }
 
 // validate rejects a header no handshake would accept; SessionInfo.Validate
-// and the handshake parser share it.
+// and the handshake parser share it. The segment count must be the one
+// rlnc.Split makes of length bytes — at least one — or a client would size
+// the reassembled object from a length its segments cannot hold.
 func (h sessionHeader) validate() error {
 	if err := h.params.Validate(); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadHandshake, err)
@@ -227,49 +236,64 @@ func (h sessionHeader) validate() error {
 	if h.segments <= 0 || h.length < 0 {
 		return fmt.Errorf("%w: shape", ErrBadHandshake)
 	}
+	seg := int64(h.params.SegmentSize())
+	if want := max(1, h.length/seg+min(1, h.length%seg)); int64(h.segments) != want {
+		return fmt.Errorf("%w: %d bytes are %d segments of %v, not %d", ErrBadHandshake, h.length, want, h.params, h.segments)
+	}
 	if h.mode > ModeSystematic {
 		return fmt.Errorf("%w: %v", ErrBadHandshake, h.mode)
 	}
 	return nil
 }
 
-// readSessionHeaderTail parses a session header whose magic has already been
-// consumed — the tail of readHandshake's dispatch between bare headers and
-// admission decision records. It returns the header and the feature flags.
-func readSessionHeaderTail(r io.Reader, magic [4]byte) (sessionHeader, uint32, error) {
-	if string(magic[:]) != protoMagic {
-		return sessionHeader{}, 0, fmt.Errorf("%w: wrong magic", ErrBadHandshake)
+// parseSessionHeader parses an XNCP body: the header, its feature flags and
+// the trace context its TLV fields declare.
+func parseSessionHeader(body []byte) (handshake, error) {
+	if len(body) < headerFixedLen {
+		return handshake{}, fmt.Errorf("%w: %d-byte header", ErrBadHandshake, len(body))
 	}
-	buf := make([]byte, protoHeaderLen)
-	copy(buf, magic[:])
-	if _, err := io.ReadFull(r, buf[4:]); err != nil {
-		return sessionHeader{}, 0, fmt.Errorf("%w: %v", ErrBadHandshake, err)
+	if v := binary.BigEndian.Uint32(body); v != protoVersion {
+		return handshake{}, fmt.Errorf("%w: version %d", ErrBadHandshake, v)
 	}
-	if v := binary.BigEndian.Uint32(buf[4:]); v != protoVersion {
-		return sessionHeader{}, 0, fmt.Errorf("%w: version %d", ErrBadHandshake, v)
-	}
-	if crc32.ChecksumIEEE(buf[:36]) != binary.BigEndian.Uint32(buf[36:]) {
-		return sessionHeader{}, 0, fmt.Errorf("%w: checksum", ErrBadHandshake)
-	}
-	h := sessionHeader{
-		params: rlnc.Params{
-			BlockCount: int(binary.BigEndian.Uint32(buf[8:])),
-			BlockSize:  int(binary.BigEndian.Uint32(buf[12:])),
+	hs := handshake{
+		hdr: sessionHeader{
+			params: rlnc.Params{
+				BlockCount: int(binary.BigEndian.Uint32(body[4:])),
+				BlockSize:  int(binary.BigEndian.Uint32(body[8:])),
+			},
+			segments: int(binary.BigEndian.Uint32(body[12:])),
+			length:   int64(binary.BigEndian.Uint64(body[16:])),
+			mode:     WireMode(binary.BigEndian.Uint32(body[24:])),
 		},
-		segments: int(binary.BigEndian.Uint32(buf[16:])),
-		length:   int64(binary.BigEndian.Uint64(buf[20:])),
-		mode:     WireMode(binary.BigEndian.Uint32(buf[28:])),
+		flags: binary.BigEndian.Uint32(body[28:]),
 	}
-	flags := binary.BigEndian.Uint32(buf[32:])
-	if err := h.validate(); err != nil {
-		return sessionHeader{}, 0, err
+	if err := hs.hdr.validate(); err != nil {
+		return handshake{}, err
 	}
-	if flags&^hsFlagKnown != 0 {
+	if unknown := hs.flags &^ hsFlagKnown; unknown != 0 {
 		// An unknown feature may change record framing; guessing at stream
 		// boundaries would corrupt every downstream decoder.
-		return sessionHeader{}, 0, fmt.Errorf("%w: unknown flags %#x", ErrBadHandshake, flags&^hsFlagKnown)
+		return handshake{}, fmt.Errorf("%w: unknown flags %#x", ErrBadHandshake, unknown)
 	}
-	return h, flags, nil
+	for tlv := body[headerFixedLen:]; len(tlv) > 0; {
+		if len(tlv) < 2 || len(tlv)-2 < int(tlv[1]) {
+			return handshake{}, fmt.Errorf("%w: TLV field overruns the header", ErrBadHandshake)
+		}
+		typ, val := tlv[0], tlv[2:2+int(tlv[1])]
+		tlv = tlv[2+len(val):]
+		if typ != tlvTrace && typ != tlvRootSpan {
+			continue // unknown: skipped
+		}
+		if len(val) != 8 {
+			return handshake{}, fmt.Errorf("%w: %d-byte TLV field %d", ErrBadHandshake, len(val), typ)
+		}
+		if id := binary.BigEndian.Uint64(val); typ == tlvTrace {
+			hs.tctx.trace = trace.TraceID(id)
+		} else {
+			hs.tctx.root = trace.SpanID(id)
+		}
+	}
+	return hs, nil
 }
 
 // FetchStats reports a client download, including its fault history. The

@@ -40,8 +40,8 @@ type RawClient struct {
 // decision is returned as its sentinel error (ErrAdmissionBusy,
 // ErrAdmissionRedirect); on any handshake failure the connection is closed.
 // On a sweep session it writes the need record before returning; the server
-// reads it when its sweep is written, so conn must buffer those 12 bytes, as
-// any socket does.
+// reads it when its sweep is written, so conn must buffer those needRecordLen
+// bytes, as any socket does.
 func NewRawClient(conn net.Conn) (*RawClient, error) {
 	br := bufio.NewReaderSize(conn, 32<<10)
 	hs, err := readHandshake(br)
@@ -49,12 +49,12 @@ func NewRawClient(conn net.Conn) (*RawClient, error) {
 		conn.Close()
 		return nil, err
 	}
-	if hs.dec != nil && hs.dec.code != admissionAccept {
+	if hs.dec != nil {
 		conn.Close()
 		return nil, hs.dec.Err()
 	}
 	if hs.flags&hsFlagSweep != 0 {
-		if _, err := conn.Write(needRecord[:]); err != nil {
+		if _, err := conn.Write(needRecord); err != nil {
 			conn.Close()
 			return nil, fmt.Errorf("netio: need record: %w", err)
 		}

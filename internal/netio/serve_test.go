@@ -451,7 +451,7 @@ func TestFetchSentinels(t *testing.T) {
 			params:   rlnc.Params{BlockCount: 4, BlockSize: 64},
 			segments: 1,
 			length:   256,
-		}, 0))
+		}, 0, traceContext{}))
 		var lenBuf [4]byte
 		binary.BigEndian.PutUint32(lenBuf[:], 64<<20+1)
 		server1.Write(lenBuf[:])
@@ -468,7 +468,7 @@ func TestFetchSentinels(t *testing.T) {
 			params:   rlnc.Params{BlockCount: 4, BlockSize: 64},
 			segments: 1,
 			length:   256,
-		}, 0))
+		}, 0, traceContext{}))
 		server2.Close()
 	}()
 	if _, _, err := Fetch(context.Background(), client2); !errors.Is(err, ErrStreamTruncated) {

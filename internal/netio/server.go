@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math/bits"
 	"net"
 	"sync"
@@ -102,8 +101,8 @@ type Server struct {
 	// cfg.TraceNode set AND the process-global recorder enabled — so every
 	// session of one server negotiates the same framing. rootSpan opens at
 	// construction and closes in Shutdown; pump rounds and flushes parent
-	// under it, and its (traceID, ID) pair is the XNCT context every client
-	// receives.
+	// under it, and its (traceID, ID) pair is the trace context every
+	// client's session header carries.
 	traced   bool
 	traceID  trace.TraceID
 	rootSpan trace.Span
@@ -479,7 +478,9 @@ func (s *Server) rejectSession(conn net.Conn, d admissionDecision) {
 		if s.cfg.WriteDeadline > 0 {
 			conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteDeadline))
 		}
-		writeDecision(conn, d) //nolint:errcheck — best effort; the peer may already be gone
+		if rec, err := appendDecision(nil, d); err == nil {
+			conn.Write(rec) //nolint:errcheck — best effort; the peer may already be gone
+		}
 	}()
 }
 
@@ -492,20 +493,15 @@ func (s *Server) runSession(ss *session) {
 	defer ss.conn.Close()
 
 	var flags uint32
-	size := protoHeaderLen
+	var tc traceContext
 	if s.traced {
 		flags |= hsFlagTrace
-		size += traceFixedLen + traceCtxMax + traceCRCLen
+		tc = traceContext{trace: s.traceID, root: s.rootSpan.ID()}
 	}
 	if s.sweep != nil {
 		flags |= hsFlagSweep
 	}
-	// One write covers header and trace context so a slow peer cannot split
-	// the handshake across deadline windows.
-	buf := appendSessionHeader(make([]byte, 0, size), s.info.header(), flags)
-	if s.traced {
-		buf = appendTraceContext(buf, traceContext{trace: s.traceID, root: s.rootSpan.ID()})
-	}
+	buf := appendSessionHeader(nil, s.info.header(), flags, tc)
 	// The handshake gets one deadline window and no retry: a peer that
 	// connects and never reads must not pin the session goroutine.
 	if s.cfg.WriteDeadline > 0 {
@@ -572,8 +568,7 @@ func (s *Server) sweepSession(ss *session) (repair bool) {
 	if s.cfg.WriteDeadline > 0 {
 		ss.conn.SetReadDeadline(time.Now().Add(s.cfg.WriteDeadline * time.Duration(1+s.cfg.WriteRetries)))
 	}
-	var rec [needRecordLen]byte
-	if _, err := io.ReadFull(ss.conn, rec[:]); err != nil || parseNeedRecord(rec[:]) != nil {
+	if readNeedRecord(ss.conn) != nil {
 		return false
 	}
 	s.needRecords.Inc()

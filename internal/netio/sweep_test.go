@@ -565,19 +565,17 @@ func TestSweepLossyFetchRepairs(t *testing.T) {
 
 // TestPushSessionsUnchanged: dense-mode and source-backed servers set no new
 // flag and put the bytes on the wire they always did — the digests are of the
-// handshake and what follows, 1 KiB in all — and neither client writes a byte
-// to them. The source-backed server declares ModeSystematic: it is the object
-// source, not the mode, that makes a sweep.
+// first KiB after the handshake — and neither client writes a byte to them.
+// The source-backed server declares ModeSystematic: it is the object source,
+// not the mode, that makes a sweep.
 //
-// The source digest was taken at the commit before the sweep existed. The
-// dense one was re-pinned once, when the origin stopped re-seeding its
-// coefficient generator every pump round and began drawing from one stream for
-// the life of the source: from the second round on the coefficients — and so
-// the payloads and checksums — are different random bytes. Nothing else about
-// the stream may change, and so that the digest cannot hide it if something
-// does, what it stood for is also asserted field by field below: the
-// handshake is the plain session header, and every record after it is a dense
-// XNC1 record of the declared shape with no zero coefficient and a valid CRC.
+// Both digests were taken at f2b4679, the last protocol-v3 commit: protocol v4
+// moved the handshake onto the control-record codec (a body length field, 40 →
+// 44 bytes) and changed nothing after it. The handshake is pinned field by
+// field instead — it is the plain session header — and so that a digest cannot
+// hide a format change, what it stands for is asserted too: every record after
+// the handshake is a dense XNC1 record of the declared shape with no zero
+// coefficient and a valid CRC.
 func TestPushSessionsUnchanged(t *testing.T) {
 	p := rlnc.Params{BlockCount: 4, BlockSize: 32}
 	media := testMedia(t, 2*p.SegmentSize()-5, 91)
@@ -589,12 +587,12 @@ func TestPushSessionsUnchanged(t *testing.T) {
 		name, digest string
 		server       func() (*Server, error)
 	}{
-		{"dense", "55e1854856dbd4ac176ab6e746843147a57291c008d070894969aeadc496dea3", func() (*Server, error) {
+		{"dense", "0c588286b6ab0156d37376eee7b51e4a2e5e8086f75f1d9a995b38b2ce51da26", func() (*Server, error) {
 			cfg := DefaultServerConfig()
 			cfg.Seed = 17
 			return NewServerFromConfig(media, p, cfg)
 		}},
-		{"source", "65c6e37dec98f2cbe1da3ab0e5b59d9f34ad685412f3cc47db3a67318ab6c5ed", func() (*Server, error) {
+		{"source", "c7053344ab93e6e4642e67de313f7aeb3f79fedb65ba5c9f4f14fd2582baa15f", func() (*Server, error) {
 			src := newPoolSource(t, obj, 2*p.BlockCount)
 			src.info.Mode = ModeSystematic
 			return NewSourceServerFromConfig(src, DefaultServerConfig())
@@ -610,20 +608,20 @@ func TestPushSessionsUnchanged(t *testing.T) {
 			pl := counted.Listener.(*pipeListener)
 
 			conn := pl.Dial()
-			head := make([]byte, 1024)
+			head := make([]byte, protoHeaderLen+1024)
 			if _, err := io.ReadFull(conn, head); err != nil {
 				t.Fatal(err)
 			}
 			conn.Close()
-			if sum := sha256.Sum256(head); hex.EncodeToString(sum[:]) != tc.digest {
-				t.Fatalf("first KiB of the stream changed: digest %x", sum)
+			if hs, err := readHandshake(bytes.NewReader(head)); err != nil || hs.flags != 0 || hs.tctx != (traceContext{}) {
+				t.Fatalf("handshake flags %#x, trace %+v, %v", hs.flags, hs.tctx, err)
 			}
-			if hs, err := readHandshake(bytes.NewReader(head)); err != nil || hs.flags != 0 {
-				t.Fatalf("handshake flags %#x, %v", hs.flags, err)
-			}
-			rest, ok := bytes.CutPrefix(head, appendSessionHeader(nil, srv.Info().header(), 0))
+			rest, ok := bytes.CutPrefix(head, appendSessionHeader(nil, srv.Info().header(), 0, traceContext{}))
 			if !ok {
 				t.Fatalf("the stream does not open with the plain session header: % x", head[:protoHeaderLen])
+			}
+			if sum := sha256.Sum256(rest); hex.EncodeToString(sum[:]) != tc.digest {
+				t.Fatalf("first KiB after the handshake changed: digest %x", sum)
 			}
 			for recLen := recordLenLen + rlnc.WireSize(p); len(rest) >= recLen; rest = rest[recLen:] {
 				var b rlnc.CodedBlock
@@ -696,21 +694,22 @@ func TestRawClientAsksUpFront(t *testing.T) {
 	}
 }
 
-// What a peer can cost a sweep server: one sweep, at most 12 bytes read, and
-// one goroutine until the write-deadline budget runs out.
+// What a peer can cost a sweep server: one sweep, at most needRecordLen bytes
+// read, and one goroutine until the write-deadline budget runs out.
 
 // TestSweepPeerWritesGarbage: anything but a need record after the sweep ends
 // the session, after at most needRecordLen bytes read, without waking the pump.
 func TestSweepPeerWritesGarbage(t *testing.T) {
 	p := rlnc.Params{BlockCount: 8, BlockSize: 64}
 	media := testMedia(t, 2*p.SegmentSize(), 68)
-	bad := needRecord
-	bad[5] = 1 // reserved word set, checksum stale
+	bad := bytes.Clone(needRecord)
+	bad[9] = 1 // reserved word set, checksum stale
 	for name, junk := range map[string][]byte{
 		"junk":       bytes.Repeat([]byte{0xA5}, 64),
 		"short":      []byte("XNC"),
-		"bad crc":    bad[:],
+		"bad crc":    bad,
 		"magic only": append([]byte(needMagic), make([]byte, 60)...),
+		"long body":  append(appendControl(nil, needMagic, make([]byte, 64)), make([]byte, 64)...),
 	} {
 		t.Run(name, func(t *testing.T) {
 			srv := newSweepServer(t, media, p, func(c *ServerConfig) { c.WriteDeadline = time.Minute })

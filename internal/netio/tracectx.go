@@ -4,25 +4,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 
 	"extremenc/internal/obs/trace"
 )
 
-// Trace-context record (magic "XNCT"), sent by a server directly after a
-// session header whose flags carry hsFlagTrace:
-//
-//	magic "XNCT" | u8 body length | body | u32 CRC over magic+len+body
-//
-// The body is a sequence of type-length-value fields (u8 type, u8 length,
-// bytes), mirroring the XNCD admission record's CRC discipline while
-// staying extensible: unknown field types are skipped, so an old client
-// keeps linking spans when a newer server adds context. Known fields:
-//
-//	1  trace ID  (8 bytes, big endian) — the transfer's end-to-end trace
-//	2  root span (8 bytes, big endian) — the sending server's root span
-//
-// Traced sessions additionally prefix every record with a 12-byte round
+// Traced sessions (hsFlagTrace) prefix every record with a 12-byte round
 // prelude:
 //
 //	u64 round span ID | u32 CRC over the 8 ID bytes
@@ -30,94 +16,8 @@ import (
 // naming the pump round that encoded the record. The prelude has its own
 // CRC so line damage to the causal link is detected exactly like a damaged
 // length prefix (framing loss → reconnect) instead of silently attributing
-// records to a phantom round.
-const (
-	traceMagic    = "XNCT"
-	traceCtxMax   = 255
-	traceFixedLen = 4 + 1 // magic + body length
-	traceCRCLen   = 4
-
-	traceFieldTrace    = 1
-	traceFieldRootSpan = 2
-
-	// recordPreludeLen is the per-record framing overhead of a traced
-	// session: 8 bytes of round span ID plus its CRC.
-	recordPreludeLen = 8 + 4
-)
-
-// traceContext is the causal identity a server hands its clients: the
-// transfer's trace ID and the server's root span, which downstream spans
-// reference as their parent.
-type traceContext struct {
-	trace trace.TraceID
-	root  trace.SpanID
-}
-
-// appendTraceContext appends the wire form of tc to dst.
-func appendTraceContext(dst []byte, tc traceContext) []byte {
-	start := len(dst)
-	dst = append(dst, traceMagic...)
-	body := []byte{
-		traceFieldTrace, 8, 0, 0, 0, 0, 0, 0, 0, 0,
-		traceFieldRootSpan, 8, 0, 0, 0, 0, 0, 0, 0, 0,
-	}
-	binary.BigEndian.PutUint64(body[2:], uint64(tc.trace))
-	binary.BigEndian.PutUint64(body[12:], uint64(tc.root))
-	dst = append(dst, byte(len(body)))
-	dst = append(dst, body...)
-	crc := crc32.ChecksumIEEE(dst[start:])
-	return binary.BigEndian.AppendUint32(dst, crc)
-}
-
-// readTraceContext reads and validates an XNCT record from r.
-func readTraceContext(r io.Reader) (traceContext, error) {
-	var fixed [traceFixedLen]byte
-	if _, err := io.ReadFull(r, fixed[:]); err != nil {
-		return traceContext{}, fmt.Errorf("%w: trace context: %v", ErrBadHandshake, err)
-	}
-	if string(fixed[:4]) != traceMagic {
-		return traceContext{}, fmt.Errorf("%w: trace context magic", ErrBadHandshake)
-	}
-	bodyLen := int(fixed[4])
-	rest := make([]byte, bodyLen+traceCRCLen)
-	if _, err := io.ReadFull(r, rest); err != nil {
-		return traceContext{}, fmt.Errorf("%w: trace context: %v", ErrBadHandshake, err)
-	}
-	crc := crc32.ChecksumIEEE(fixed[:])
-	crc = crc32.Update(crc, crc32.IEEETable, rest[:bodyLen])
-	if crc != binary.BigEndian.Uint32(rest[bodyLen:]) {
-		return traceContext{}, fmt.Errorf("%w: trace context checksum", ErrBadHandshake)
-	}
-	var tc traceContext
-	body := rest[:bodyLen]
-	for len(body) > 0 {
-		if len(body) < 2 {
-			return traceContext{}, fmt.Errorf("%w: trace context field truncated", ErrBadHandshake)
-		}
-		typ, n := body[0], int(body[1])
-		body = body[2:]
-		if len(body) < n {
-			return traceContext{}, fmt.Errorf("%w: trace context field truncated", ErrBadHandshake)
-		}
-		val := body[:n]
-		body = body[n:]
-		switch typ {
-		case traceFieldTrace:
-			if n != 8 {
-				return traceContext{}, fmt.Errorf("%w: trace context field size", ErrBadHandshake)
-			}
-			tc.trace = trace.TraceID(binary.BigEndian.Uint64(val))
-		case traceFieldRootSpan:
-			if n != 8 {
-				return traceContext{}, fmt.Errorf("%w: trace context field size", ErrBadHandshake)
-			}
-			tc.root = trace.SpanID(binary.BigEndian.Uint64(val))
-		default:
-			// Unknown field: skip. Forward compatibility mirrors XNCD.
-		}
-	}
-	return tc, nil
-}
+// records to a phantom round. It is per-record framing, not a control record.
+const recordPreludeLen = 8 + 4
 
 // putRecordPrelude fills a 12-byte round prelude for a traced record.
 func putRecordPrelude(dst []byte, round trace.SpanID) {

@@ -3,89 +3,13 @@ package netio
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"net"
 	"testing"
 
 	"extremenc/internal/obs/trace"
 	"extremenc/internal/rlnc"
 )
-
-// TestTraceContextRoundTrip: the XNCT record carries the trace ID and root
-// span through a marshal/parse cycle intact.
-func TestTraceContextRoundTrip(t *testing.T) {
-	want := traceContext{trace: 0xDEADBEEFCAFE, root: 42}
-	rec := appendTraceContext(nil, want)
-	got, err := readTraceContext(bytes.NewReader(rec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("round trip: got %+v want %+v", got, want)
-	}
-}
-
-// buildTraceRecord assembles an XNCT record from a raw TLV body, CRC included
-// — the forgery helper for tolerance and rejection tests.
-func buildTraceRecord(body []byte) []byte {
-	rec := append([]byte(traceMagic), byte(len(body)))
-	rec = append(rec, body...)
-	return binary.BigEndian.AppendUint32(rec, crc32.ChecksumIEEE(rec))
-}
-
-// TestTraceContextSkipsUnknownFields: a newer server adding TLV fields must
-// not break an old client — unknown types are skipped, known ones still land.
-func TestTraceContextSkipsUnknownFields(t *testing.T) {
-	body := []byte{
-		9, 3, 0xAA, 0xBB, 0xCC, // unknown type 9: skipped
-		traceFieldTrace, 8, 0, 0, 0, 0, 0, 0, 0, 7,
-		250, 0, // unknown zero-length type: skipped
-		traceFieldRootSpan, 8, 0, 0, 0, 0, 0, 0, 0, 9,
-	}
-	got, err := readTraceContext(bytes.NewReader(buildTraceRecord(body)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.trace != 7 || got.root != 9 {
-		t.Fatalf("tolerant parse: %+v", got)
-	}
-}
-
-// TestTraceContextRejectsDamage: CRC flips, magic damage, truncated TLVs,
-// and wrong-size known fields are all ErrBadHandshake.
-func TestTraceContextRejectsDamage(t *testing.T) {
-	good := appendTraceContext(nil, traceContext{trace: 1, root: 2})
-
-	flipped := bytes.Clone(good)
-	flipped[len(flipped)-1] ^= 0x01
-	if _, err := readTraceContext(bytes.NewReader(flipped)); !errors.Is(err, ErrBadHandshake) {
-		t.Fatalf("bad CRC: %v", err)
-	}
-
-	badMagic := bytes.Clone(good)
-	badMagic[0] = 'Y'
-	if _, err := readTraceContext(bytes.NewReader(badMagic)); !errors.Is(err, ErrBadHandshake) {
-		t.Fatalf("bad magic: %v", err)
-	}
-
-	if _, err := readTraceContext(bytes.NewReader(good[:7])); !errors.Is(err, ErrBadHandshake) {
-		t.Fatalf("truncated: %v", err)
-	}
-
-	// A known field with the wrong size is a framing bug, not tolerable.
-	wrongSize := buildTraceRecord([]byte{traceFieldTrace, 4, 0, 0, 0, 7})
-	if _, err := readTraceContext(bytes.NewReader(wrongSize)); !errors.Is(err, ErrBadHandshake) {
-		t.Fatalf("wrong field size: %v", err)
-	}
-
-	// A TLV whose declared length overruns the body.
-	overrun := buildTraceRecord([]byte{traceFieldTrace, 200, 1, 2})
-	if _, err := readTraceContext(bytes.NewReader(overrun)); !errors.Is(err, ErrBadHandshake) {
-		t.Fatalf("overrun field: %v", err)
-	}
-}
 
 // TestRecordPreludeRoundTrip: the per-record round prelude survives a cycle
 // and any single corrupted byte is detected as framing loss.
@@ -111,7 +35,7 @@ func TestRecordPreludeRoundTrip(t *testing.T) {
 func TestUnknownHeaderFlagsRejected(t *testing.T) {
 	h := sessionHeader{params: rlnc.Params{BlockCount: 4, BlockSize: 64}, segments: 1, length: 100}
 	var buf bytes.Buffer
-	if _, err := buf.Write(appendSessionHeader(nil, h, hsFlagTrace|1<<9)); err != nil {
+	if _, err := buf.Write(appendSessionHeader(nil, h, hsFlagTrace|1<<9, traceContext{})); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := readHandshake(&buf); !errors.Is(err, ErrBadHandshake) {

@@ -81,7 +81,8 @@ func WireSize(p Params) int {
 // rec, which must be WireSize(p) long, and returns the record's [C | x] row:
 // its n coefficient bytes and k payload bytes, contiguous. A producer fills
 // the row in place — an encoder multiplies straight into it — and then calls
-// SealWire; nothing is staged anywhere else.
+// SealWire; nothing is staged anywhere else. MarshalBinaryXor lays XNC2
+// records out with it too: the same header but for the magic, a bitmask for C.
 func PutWireHeader(rec []byte, segID uint32, p Params) (row []byte) {
 	copy(rec, wireMagic)
 	binary.BigEndian.PutUint32(rec[4:], segID)
@@ -112,28 +113,44 @@ func (b *CodedBlock) MarshalBinary() ([]byte, error) {
 // UnmarshalBinary decodes a block from the wire format, validating magic,
 // lengths and checksum.
 func (b *CodedBlock) UnmarshalBinary(data []byte) error {
-	if len(data) < wireHeaderLen+wireTrailerLen {
-		return ErrTruncated
-	}
-	if string(data[:4]) != wireMagic {
-		return ErrBadMagic
-	}
-	n := int(binary.BigEndian.Uint32(data[8:]))
-	k := int(binary.BigEndian.Uint32(data[12:]))
-	p := Params{BlockCount: n, BlockSize: k}
-	if err := p.Validate(); err != nil {
+	seg, p, row, err := openWire(data, wireMagic)
+	if err != nil {
 		return err
 	}
-	want := wireHeaderLen + n + k + wireTrailerLen
-	if len(data) != want {
-		return fmt.Errorf("%w: have %d bytes, want %d", ErrTruncated, len(data), want)
-	}
-	sum := crc32.ChecksumIEEE(data[:len(data)-wireTrailerLen])
-	if sum != binary.BigEndian.Uint32(data[len(data)-wireTrailerLen:]) {
-		return ErrBadChecksum
-	}
-	b.SegmentID = binary.BigEndian.Uint32(data[4:])
-	b.Coeffs = append(b.Coeffs[:0], data[wireHeaderLen:wireHeaderLen+n]...)
-	b.Payload = append(b.Payload[:0], data[wireHeaderLen+n:wireHeaderLen+n+k]...)
+	b.SegmentID = seg
+	b.Coeffs = append(b.Coeffs[:0], row[:p.BlockCount]...)
+	b.Payload = append(b.Payload[:0], row[p.BlockCount:]...)
 	return nil
+}
+
+// openWire checks what the XNC1 and XNC2 records share — magic, header shape,
+// total length and checksum — and returns the record's segment ID, shape and
+// [C | x] row, C being n coefficient bytes (XNC1) or a ceil(n/8)-byte bitmask
+// (XNC2).
+func openWire(data []byte, magic string) (seg uint32, p Params, row []byte, err error) {
+	if len(data) < wireHeaderLen+wireTrailerLen {
+		return 0, p, nil, ErrTruncated
+	}
+	if string(data[:4]) != magic {
+		return 0, p, nil, ErrBadMagic
+	}
+	p = Params{
+		BlockCount: int(binary.BigEndian.Uint32(data[8:])),
+		BlockSize:  int(binary.BigEndian.Uint32(data[12:])),
+	}
+	if err := p.Validate(); err != nil {
+		return 0, p, nil, err
+	}
+	c := p.BlockCount
+	if magic == xorWireMagic {
+		c = BitmaskLen(c)
+	}
+	if want := wireHeaderLen + c + p.BlockSize + wireTrailerLen; len(data) != want {
+		return 0, p, nil, fmt.Errorf("%w: have %d bytes, want %d", ErrTruncated, len(data), want)
+	}
+	body := data[:len(data)-wireTrailerLen]
+	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(data[len(body):]) {
+		return 0, p, nil, ErrBadChecksum
+	}
+	return binary.BigEndian.Uint32(data[4:]), p, body[wireHeaderLen:], nil
 }

@@ -1,10 +1,8 @@
 package rlnc
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 )
 
 // GF(2) (XOR-repair) wire encoding: the systematic fast path's packet shape.
@@ -70,22 +68,17 @@ func (b *CodedBlock) MarshalBinaryXor() ([]byte, error) {
 	if !b.IsBinary() {
 		return nil, ErrNotBinary
 	}
-	n := len(b.Coeffs)
-	m := BitmaskLen(n)
 	out := make([]byte, XorWireSize(b.Params()))
-	copy(out, xorWireMagic)
-	binary.BigEndian.PutUint32(out[4:], b.SegmentID)
-	binary.BigEndian.PutUint32(out[8:], uint32(n))
-	binary.BigEndian.PutUint32(out[12:], uint32(len(b.Payload)))
-	mask := out[wireHeaderLen : wireHeaderLen+m]
+	row := PutWireHeader(out, b.SegmentID, b.Params())
+	copy(out, xorWireMagic) // the XNC1 header but for its magic
+	mask := row[:BitmaskLen(len(b.Coeffs))]
 	for i, c := range b.Coeffs {
 		if c != 0 {
 			mask[i/8] |= 1 << (i % 8)
 		}
 	}
-	copy(out[wireHeaderLen+m:], b.Payload)
-	sum := crc32.ChecksumIEEE(out[:len(out)-wireTrailerLen])
-	binary.BigEndian.PutUint32(out[len(out)-wireTrailerLen:], sum)
+	copy(row[len(mask):], b.Payload)
+	SealWire(out)
 	return out, nil
 }
 
@@ -94,32 +87,16 @@ func (b *CodedBlock) MarshalBinaryXor() ([]byte, error) {
 // a byte coefficient vector so the decoded block is interchangeable with a
 // dense one.
 func (b *CodedBlock) UnmarshalBinaryXor(data []byte) error {
-	if len(data) < wireHeaderLen+wireTrailerLen {
-		return ErrTruncated
-	}
-	if string(data[:4]) != xorWireMagic {
-		return ErrBadMagic
-	}
-	n := int(binary.BigEndian.Uint32(data[8:]))
-	k := int(binary.BigEndian.Uint32(data[12:]))
-	p := Params{BlockCount: n, BlockSize: k}
-	if err := p.Validate(); err != nil {
+	seg, p, row, err := openWire(data, xorWireMagic)
+	if err != nil {
 		return err
 	}
-	m := BitmaskLen(n)
-	want := wireHeaderLen + m + k + wireTrailerLen
-	if len(data) != want {
-		return fmt.Errorf("%w: have %d bytes, want %d", ErrTruncated, len(data), want)
-	}
-	sum := crc32.ChecksumIEEE(data[:len(data)-wireTrailerLen])
-	if sum != binary.BigEndian.Uint32(data[len(data)-wireTrailerLen:]) {
-		return ErrBadChecksum
-	}
-	mask := data[wireHeaderLen : wireHeaderLen+m]
+	n, m := p.BlockCount, BitmaskLen(p.BlockCount)
+	mask := row[:m]
 	if n%8 != 0 && mask[m-1]>>(n%8) != 0 {
 		return fmt.Errorf("%w: %d blocks, trailing byte %#x", ErrBadBitmask, n, mask[m-1])
 	}
-	b.SegmentID = binary.BigEndian.Uint32(data[4:])
+	b.SegmentID = seg
 	if cap(b.Coeffs) < n {
 		b.Coeffs = make([]byte, n)
 	}
@@ -127,7 +104,7 @@ func (b *CodedBlock) UnmarshalBinaryXor(data []byte) error {
 	for i := range b.Coeffs {
 		b.Coeffs[i] = (mask[i/8] >> (i % 8)) & 1
 	}
-	b.Payload = append(b.Payload[:0], data[wireHeaderLen+m:wireHeaderLen+m+k]...)
+	b.Payload = append(b.Payload[:0], row[m:]...)
 	return nil
 }
 
