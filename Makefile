@@ -70,11 +70,14 @@ race:
 
 # Replay the committed fuzz seed corpora as regression tests (every F.Add
 # case plus any checked-in corpus files), then spend a short, time-boxed live
-# budget on the control-record readers: the handshake, the need record and the
-# resume state are what a peer or a disk hands the code unchecked.
+# budget on every reader of what a peer or a disk hands the code unchecked: the
+# control records (handshake, need record, resume state), the XNC1/XNC2 record
+# readers, and the fetcher's record loop into decoders and into a recoder sink.
 fuzz-regress:
 	$(GO) test -run 'Fuzz' -count=1 ./internal/gf256/ ./internal/rlnc/ ./internal/netio/
 	$(GO) test -run '^$$' -fuzz=FuzzControlRecord -fuzztime=10s ./internal/netio/
+	$(GO) test -run '^$$' -fuzz=FuzzRecordDispatch -fuzztime=10s ./internal/rlnc/
+	$(GO) test -run '^$$' -fuzz=FuzzFetchRecords -fuzztime=10s ./internal/netio/
 
 # Chaos acceptance gate: a full fetch through the deterministic
 # fault-injection link (corruption, stalls, repeated resets) must complete

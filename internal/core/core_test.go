@@ -252,32 +252,6 @@ func TestHostDecoder(t *testing.T) {
 	}
 }
 
-func TestHostProgressiveDecoder(t *testing.T) {
-	p := rlnc.Params{BlockCount: 8, BlockSize: 128}
-	seg := testSegment(t, p, 17)
-	set := CodedSet(seg, p.BlockCount+2, 18)
-	sets := [][]*rlnc.CodedBlock{set, set, set}
-
-	// Batch size 3 does not divide the set size, so the last absorb chunk is
-	// short — both chunk paths run.
-	dec := NewHostProgressiveDecoder(2, 3)
-	rep, err := dec.DecodeSegments(sets, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Segments) != 3 {
-		t.Fatalf("progressive decoder returned %d segments, want 3", len(rep.Segments))
-	}
-	for _, s := range rep.Segments {
-		if !s.Equal(seg) {
-			t.Fatal("progressive host decode differs")
-		}
-	}
-	if got := dec.Name(); got != "host/progressive-2w-b3" {
-		t.Fatalf("name = %q", got)
-	}
-}
-
 func TestStreamScenarioArithmetic(t *testing.T) {
 	s := DefaultStreamScenario()
 

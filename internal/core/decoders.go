@@ -214,71 +214,3 @@ func (d *HostDecoder) DecodeSegments(sets [][]*rlnc.CodedBlock, p rlnc.Params) (
 		Seconds:  time.Since(start).Seconds(),
 	}, nil
 }
-
-// HostProgressiveDecoder decodes on the real machine the way a streaming
-// client does: each worker feeds one rlnc.Decoder its arrivals a batch at a
-// time, so rank and dependence are known as blocks arrive. It is the same
-// two-stage decoder HostDecoder runs offline; what differs is the feeding.
-type HostProgressiveDecoder struct {
-	workers int
-	batch   int
-}
-
-var _ Decoder = (*HostProgressiveDecoder)(nil)
-
-// NewHostProgressiveDecoder creates a progressive host decoder; workers ≤ 0
-// selects GOMAXPROCS and batch ≤ 0 selects a default absorb-batch size.
-func NewHostProgressiveDecoder(workers, batch int) *HostProgressiveDecoder {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if batch <= 0 {
-		batch = 16
-	}
-	return &HostProgressiveDecoder{workers: workers, batch: batch}
-}
-
-// Name implements Decoder.
-func (d *HostProgressiveDecoder) Name() string {
-	return fmt.Sprintf("host/progressive-%dw-b%d", d.workers, d.batch)
-}
-
-// DecodeSegments implements Decoder: workers own whole segments; each
-// segment decodes progressively, absorbing arrivals batch blocks at a time.
-func (d *HostProgressiveDecoder) DecodeSegments(sets [][]*rlnc.CodedBlock, p rlnc.Params) (*DecodeReport, error) {
-	start := time.Now()
-	segs := make([]*rlnc.Segment, len(sets))
-	errs := make([]error, len(sets))
-	rlnc.SharedPool().Dispatch(d.workers, func(w int, _ *rlnc.Scratch) {
-		for i := w; i < len(sets); i += d.workers {
-			segs[i], errs[i] = decodeProgressive(p, sets[i], d.batch)
-		}
-	})
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("core: segment %d: %w", i, err)
-		}
-	}
-	return &DecodeReport{
-		Engine:   d.Name(),
-		Segments: segs,
-		Bytes:    int64(len(sets)) * int64(p.SegmentSize()),
-		Seconds:  time.Since(start).Seconds(),
-	}, nil
-}
-
-// decodeProgressive runs one segment through the progressive decoder in
-// absorb batches.
-func decodeProgressive(p rlnc.Params, set []*rlnc.CodedBlock, batch int) (*rlnc.Segment, error) {
-	dec, err := rlnc.NewDecoder(p)
-	if err != nil {
-		return nil, err
-	}
-	for lo := 0; lo < len(set) && !dec.Ready(); lo += batch {
-		hi := min(lo+batch, len(set))
-		if _, err := dec.AddBlocks(set[lo:hi]); err != nil {
-			return nil, err
-		}
-	}
-	return dec.Segment()
-}

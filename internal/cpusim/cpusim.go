@@ -369,16 +369,7 @@ func (m *Machine) DecodeSegmentsParallel(sets [][]*rlnc.CodedBlock, p rlnc.Param
 	}
 	segments := make([]*rlnc.Segment, 0, materialize)
 	for i := 0; i < materialize; i++ {
-		bd, err := rlnc.NewBatchDecoder(p)
-		if err != nil {
-			return nil, err
-		}
-		for _, b := range sets[i] {
-			if err := bd.Add(b); err != nil {
-				return nil, fmt.Errorf("cpusim: segment %d: %w", i, err)
-			}
-		}
-		seg, err := bd.Decode()
+		seg, err := rlnc.DecodeTwoStage(p, sets[i])
 		if err != nil {
 			return nil, fmt.Errorf("cpusim: segment %d: %w", i, err)
 		}

@@ -70,8 +70,8 @@ type Topology struct {
 
 	// LeafFetchOpts, when non-nil, returns mutations applied to each leaf's
 	// fetcher config after the mesh has filled it in (test hooks, attempt
-	// budgets). Add hooks with netio.WithRecordTap / WithSessionHook so the
-	// mesh's own keep running.
+	// budgets). Add a session hook with netio.WithSessionHook so the mesh's
+	// own keeps running.
 	LeafFetchOpts func(leaf int) []netio.FetcherOption
 
 	// RelayServerOpts, when non-nil, returns mutations applied to each
@@ -104,10 +104,8 @@ func (t Topology) withDefaults() Topology {
 type Leaf struct {
 	ID int
 
-	rd         *netio.Redirector
-	f          *netio.Fetcher
-	records    atomic.Int64
-	reconnects atomic.Int64
+	rd *netio.Redirector
+	f  *netio.Fetcher
 
 	done chan struct{}
 	res  *netio.FetchResult
@@ -123,12 +121,12 @@ func (l *Leaf) Done() <-chan struct{} { return l.done }
 // Result returns the fetch outcome; valid only after Done is closed.
 func (l *Leaf) Result() (*netio.FetchResult, error) { return l.res, l.err }
 
-// Records returns how many valid records the leaf has received so far —
-// safe during the fetch (it is fed by the record tap).
-func (l *Leaf) Records() int64 { return l.records.Load() }
+// Records returns how many complete records the leaf has received so far —
+// safe during the fetch.
+func (l *Leaf) Records() int64 { return int64(l.f.Stats().Records) }
 
 // Reconnects returns how many reconnects the leaf's fetch has performed.
-func (l *Leaf) Reconnects() int64 { return l.reconnects.Load() }
+func (l *Leaf) Reconnects() int64 { return int64(l.f.Stats().Reconnects) }
 
 // Redirector exposes the leaf's dial target for inspection.
 func (l *Leaf) Redirector() *netio.Redirector { return l.rd }
@@ -393,8 +391,9 @@ func (m *Mesh) AddLeaf(ctx context.Context) (*Leaf, error) {
 }
 
 // startLeafFetch runs one leaf's resilient fetch in a goroutine, wiring the
-// mesh's taps: record counting, reconnect counting, and the monotone-rank
-// check (any regression lands in mesh.rank_regressions_total).
+// mesh's monotone-rank check: at every handshake the leaf's ranks must be at
+// least what they were at the one before (any regression lands in
+// mesh.rank_regressions_total).
 func (m *Mesh) startLeafFetch(ctx context.Context, leaf *Leaf) error {
 	prev := map[uint32]int{}
 	cfg := netio.DefaultFetcherConfig()
@@ -406,11 +405,10 @@ func (m *Mesh) startLeafFetch(ctx context.Context, leaf *Leaf) error {
 	// connected during the drain window.
 	cfg.Redirector = leaf.rd
 	cfg.TraceNode = fmt.Sprintf("leaf-%d", leaf.ID)
-	cfg.RecordTap = func(*rlnc.CodedBlock) { leaf.records.Add(1) }
-	cfg.ReconnectHook = func(reconnect int, ranks map[uint32]int) {
-		leaf.reconnects.Store(int64(reconnect))
-		// The hook runs in the fetch goroutine, so prev needs no lock.
-		for id, r := range ranks {
+	cfg.SessionHook = func(netio.SessionInfo) {
+		// The hook runs in the fetch goroutine, so Ranks is safe and prev
+		// needs no lock.
+		for id, r := range leaf.f.Ranks() {
 			if r < prev[id] {
 				m.rankRegressions.Inc()
 			}

@@ -254,6 +254,143 @@ func TestRelayXorRecode(t *testing.T) {
 	}
 }
 
+// TestRelayKeepsOneBasis: a relay filled from an origin, with no leaf
+// attached, decodes nothing — neither the dense decoder's nor the GF(2)
+// absorb's stage records a sample — while each structurally valid upstream
+// record is absorbed once, into the recoders. Its upstream fetch ends at full
+// rank with no payload and no segments. Once from a dense origin, once from a
+// systematic origin into an XOR-recode relay.
+func TestRelayKeepsOneBasis(t *testing.T) {
+	p := rlnc.Params{BlockCount: 16, BlockSize: 256}
+	const segments = 3
+	for _, tc := range []struct {
+		name string
+		mode netio.WireMode
+	}{{"dense", netio.ModeDense}, {"systematic", netio.ModeSystematic}} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			obs.SetSink(reg)
+			defer obs.SetSink(nil)
+			ocfg := netio.DefaultServerConfig()
+			ocfg.Mode = tc.mode
+			_, ol := startOrigin(t, testMedia(t, segments*p.SegmentSize()-9, 17), p, ocfg)
+			rln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			var tapped obs.Counter
+			relay, err := StartRelay(ctx, RelayConfig{
+				ID: "r0", Upstream: tcpDial(ol.Addr().String()), Listener: rln, Seed: 5,
+				XorRecode: tc.mode == netio.ModeSystematic, Tapped: &tapped,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer relay.Close()
+			select {
+			case <-relay.fetchDone:
+			case <-ctx.Done():
+				t.Fatalf("relay stuck at rank %d", relay.TotalRank())
+			}
+			if relay.fetchErr != nil {
+				t.Fatal(relay.fetchErr)
+			}
+			res := relay.fetched
+			if res.Payload != nil || len(res.Segments) != 0 {
+				t.Fatalf("the upstream fetch built a %d-byte payload and %d segments", len(res.Payload), len(res.Segments))
+			}
+			if got := relay.TotalRank(); got != segments*p.BlockCount {
+				t.Fatalf("relay rank %d, want %d", got, segments*p.BlockCount)
+			}
+			count := func(stage string) int64 {
+				v, _ := reg.HistogramView(stage)
+				return v.Count
+			}
+			if dense, xor := count("rlnc.absorb"), count("rlnc.xor_absorb"); dense+xor != 0 {
+				t.Fatalf("the relay decoded: rlnc.absorb %d samples, rlnc.xor_absorb %d", dense, xor)
+			}
+			st := res.Stats
+			valid := int64(st.Records - st.Corrupt - st.Malformed - st.BadSegment)
+			if got := count("mesh.relay_absorb"); got != valid || tapped.Load() != valid || valid < segments*int64(p.BlockCount) {
+				t.Fatalf("mesh.relay_absorb %d samples, %d tapped, for %d valid upstream records", got, tapped.Load(), valid)
+			}
+		})
+	}
+}
+
+// TestRelayRankMonotoneUnderUpstreamChaos: a relay whose upstream link
+// corrupts records and resets the connection keeps its recoders' rank across
+// every reconnect — the bank is all the fetch keeps — and still fills. Rank is
+// read at every handshake and after every absorbed record.
+func TestRelayRankMonotoneUnderUpstreamChaos(t *testing.T) {
+	p := rlnc.Params{BlockCount: 16, BlockSize: 256}
+	const segments = 4
+	_, ol := startOrigin(t, testMedia(t, segments*p.SegmentSize(), 19), p, netio.DefaultServerConfig())
+	var faults faultnet.Counters
+	var seq atomic.Int64
+	up := chaosDial(faultnet.Config{Seed: 29, CorruptEvery: 1500, ResetEvery: 4000, MaxReadChunk: 2048},
+		&faults, &seq, tcpDial(ol.Addr().String()))
+	rln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+
+	// Both hooks run on the relay's fetch goroutine; the relay is published
+	// once StartRelay returns, which may be after the first records.
+	var started atomic.Pointer[Relay]
+	var prev []int
+	checks := 0
+	check := func() {
+		r := started.Load()
+		if r == nil {
+			return
+		}
+		ranks := r.SegmentRanks()
+		for seg := range prev {
+			if ranks[seg] < prev[seg] {
+				t.Errorf("segment %d rank fell %d -> %d", seg, prev[seg], ranks[seg])
+			}
+		}
+		prev = ranks
+		checks++
+	}
+	relay, err := StartRelay(ctx, RelayConfig{
+		ID: "r0", Upstream: up, Listener: rln, Seed: 3,
+		FetchOpts: []netio.FetcherOption{
+			func(c *netio.FetcherConfig) { c.BackoffBase, c.BackoffMax = time.Millisecond, 10*time.Millisecond },
+			netio.WithSessionHook(func(netio.SessionInfo) { check() }),
+			netio.WithRecordTap(func(*rlnc.CodedBlock) { check() }),
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer relay.Close()
+	started.Store(relay)
+	select {
+	case <-relay.fetchDone:
+	case <-ctx.Done():
+		t.Fatalf("relay stuck at rank %d (faults %+v)", relay.TotalRank(), faults.View())
+	}
+	if relay.fetchErr != nil {
+		t.Fatal(relay.fetchErr)
+	}
+	if got := relay.TotalRank(); got != segments*p.BlockCount {
+		t.Fatalf("relay rank %d, want %d", got, segments*p.BlockCount)
+	}
+	st, view := relay.fetched.Stats, faults.View()
+	if st.Reconnects < 2 || view.Resets < 2 || view.Corruptions == 0 {
+		t.Fatalf("the upstream link barely misbehaved: stats %+v, faults %+v", st, view)
+	}
+	if checks == 0 {
+		t.Fatal("rank was never checked")
+	}
+}
+
 // TestRelayRestartKeepsOwnTrace: two traced relays configured from one shared
 // ServerOpts slice with spare capacity must not see each other's trace
 // context. StartRelay applies the options to a server config the relay owns,

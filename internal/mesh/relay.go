@@ -12,7 +12,7 @@ import (
 	"extremenc/internal/rlnc"
 )
 
-// Relay stage spans: one absorb span per upstream record fed to a recoder,
+// Relay stage spans: one absorb span per structurally valid upstream record,
 // one recode span per batch of emissions. Free with no obs sink installed.
 var (
 	stageRelayAbsorb = obs.StageOf("mesh.relay_absorb")
@@ -39,24 +39,26 @@ type RelayConfig struct {
 	// FetchOpts / ServerOpts are mutations StartRelay applies, once, to the
 	// upstream fetcher's and downstream server's configs (chaos injection,
 	// metrics, queue tuning). FetchOpts run after the relay has installed
-	// its own session hook and record tap; add more with
-	// netio.WithSessionHook / WithRecordTap so the relay's keep running
-	// first. The slices are only read.
+	// its own session hook and its recoder bank as the fetch's sink; add a
+	// hook with netio.WithSessionHook so the relay's keeps running first. A
+	// record tap sees each record after the bank has absorbed it. The slices
+	// are only read.
 	FetchOpts  []netio.FetcherOption
 	ServerOpts []netio.ServerOption
-	// Tapped / Emitted, when non-nil, accumulate upstream records absorbed
-	// and downstream blocks recoded — shared mesh-wide counters.
+	// Tapped / Emitted, when non-nil, accumulate structurally valid upstream
+	// records and downstream blocks recoded — shared mesh-wide counters.
 	Tapped, Emitted *obs.Counter
 }
 
-// Relay is one recoding node: a resilient upstream fetch whose record tap
-// feeds per-segment rlnc.Recoders, and a downstream netio source server
-// whose records are fresh recombinations drawn from them. The relay never
-// decodes — emitted coefficients are already re-expressed in terms of the
-// original source blocks, so leaves are oblivious to the hop (paper
-// Sec. 2). It starts serving a segment after the very first upstream record
-// for it lands, and keeps serving from accumulated rank even if its
-// upstream dies.
+// Relay is one recoding node: a resilient upstream fetch whose sink is a bank
+// of per-segment rlnc.Recoders, and a downstream netio source server whose
+// records are fresh recombinations drawn from them. The recoder is the
+// relay's one basis for a segment: each upstream record is reduced and kept
+// once, and the relay never decodes — emitted coefficients are already
+// re-expressed in terms of the original source blocks, so leaves are
+// oblivious to the hop (paper Sec. 2). It starts serving a segment after the
+// very first upstream record for it lands, and keeps serving from accumulated
+// rank even if its upstream dies.
 type Relay struct {
 	id  string
 	cfg RelayConfig
@@ -82,8 +84,11 @@ type Relay struct {
 	upFetch     *netio.Fetcher
 	fetchCancel context.CancelFunc
 	fetchDone   chan struct{}
-	fetchErr    error
-	closeOnce   sync.Once
+	// fetched and fetchErr are the upstream fetch's outcome once fetchDone
+	// is closed: ranks and stats only, the records are in the recoders.
+	fetched   *netio.FetchResult
+	fetchErr  error
+	closeOnce sync.Once
 }
 
 // StartRelay launches a relay: it begins the upstream fetch, waits for the
@@ -108,7 +113,7 @@ func StartRelay(ctx context.Context, cfg RelayConfig) (*Relay, error) {
 	}
 	fcfg := netio.DefaultFetcherConfig()
 	fcfg.SessionHook = r.onSession
-	fcfg.RecordTap = r.onRecord
+	fcfg.Sink = (*relayBank)(r)
 	fcfg.TraceNode = cfg.ID + ".fetch"
 	for _, opt := range cfg.FetchOpts {
 		opt(&fcfg)
@@ -126,7 +131,7 @@ func StartRelay(ctx context.Context, cfg RelayConfig) (*Relay, error) {
 		// The fetch ends when the relay holds full rank for every segment
 		// (or fctx is cancelled); the relay then keeps serving from its
 		// recoders with the upstream connection released.
-		_, r.fetchErr = f.Fetch(fctx)
+		r.fetched, r.fetchErr = f.Fetch(fctx)
 	}()
 
 	select {
@@ -186,20 +191,40 @@ func (r *Relay) onSession(si netio.SessionInfo) {
 	close(r.ready)
 }
 
-// onRecord feeds one upstream record into its segment's recoder. Dependent
-// blocks are dropped at the recoder's door; Add clones, so the fetcher may
-// reuse the block.
-func (r *Relay) onRecord(b *rlnc.CodedBlock) {
+// relayBank adapts a Relay to netio.Sink: the upstream fetch absorbs straight
+// into the recoders onSession built. Dependent blocks are dropped at the
+// recoder's door, and one for a segment at full rank is not reduced at all;
+// Add copies what it keeps, so the fetcher reuses the block.
+type relayBank Relay
+
+func (rb *relayBank) Absorb(b *rlnc.CodedBlock) (bool, error) {
+	r := (*Relay)(rb)
 	sp := stageRelayAbsorb.Start()
 	r.mu.Lock()
-	if int(b.SegmentID) < len(r.recoders) {
-		r.recoders[b.SegmentID].Add(b) //nolint:errcheck // validated upstream
+	rec := r.recoders[b.SegmentID]
+	before := rec.Rank()
+	var err error
+	if before < r.info.Params.BlockCount {
+		err = rec.Add(b)
 	}
+	innovative := rec.Rank() > before
 	r.mu.Unlock()
 	sp.End()
 	if r.cfg.Tapped != nil {
 		r.cfg.Tapped.Inc()
 	}
+	return innovative, err
+}
+
+// Rank is 0 for every segment until onSession has built the recoders.
+func (rb *relayBank) Rank(seg uint32) int {
+	r := (*Relay)(rb)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if int(seg) >= len(r.recoders) {
+		return 0
+	}
+	return r.recoders[seg].Rank()
 }
 
 // ID returns the relay's control-plane name.

@@ -72,20 +72,21 @@ func TestChaosFetch(t *testing.T) {
 	}
 
 	prev := map[uint32]int{}
+	var f *Fetcher
 	fcfg := DefaultFetcherConfig()
 	fcfg.BackoffBase = time.Millisecond
 	fcfg.BackoffMax = 10 * time.Millisecond
 	fcfg.Seed = 7
 	fcfg.Metrics = reg
-	fcfg.ReconnectHook = func(reconnect int, ranks map[uint32]int) {
-		for id, r := range ranks {
+	fcfg.SessionHook = func(SessionInfo) {
+		for id, r := range f.Ranks() {
 			if r < prev[id] {
-				panic(fmt.Sprintf("reconnect %d lost rank on segment %d: %d -> %d", reconnect, id, prev[id], r))
+				panic(fmt.Sprintf("reconnect %d lost rank on segment %d: %d -> %d", f.Stats().Reconnects, id, prev[id], r))
 			}
 			prev[id] = r
 		}
 	}
-	f := newTestFetcher(t, dial, fcfg)
+	f = newTestFetcher(t, dial, fcfg)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	res, err := f.Fetch(ctx)

@@ -220,25 +220,29 @@ type FetcherConfig struct {
 	// Seed fixes the jitter's random source for reproducible schedules
 	// (0 → a random seed).
 	Seed int64
-	// ReconnectHook, when non-nil, runs after every successful reconnect
-	// handshake with the 1-based reconnect number and the per-segment
-	// decoder ranks carried into the new session. Observability only: the
-	// fetch blocks until it returns.
-	ReconnectHook func(reconnect int, ranks map[uint32]int)
 	// SessionHook, when non-nil, runs with the declared SessionInfo after
 	// every successful handshake (the first connection and each reconnect),
-	// before any record of that session is read. The fetch blocks until it
-	// returns. Use WithSessionHook to add one to a config that may already
-	// carry another.
+	// before any record of that session is read. It runs on the fetch
+	// goroutine, so it may call Fetcher.Ranks; Fetcher.Stats().Reconnects is
+	// the number of the reconnect it follows (0 on the first connection). The
+	// fetch blocks until it returns. Use WithSessionHook to add one to a
+	// config that may already carry another.
 	SessionHook func(SessionInfo)
 	// RecordTap, when non-nil, runs with every structurally valid coded
 	// block the fetch receives — after checksum, shape, and segment-range
-	// checks, before (and regardless of) decoder absorption, so it also sees
-	// blocks that are linearly dependent for this fetcher's decoders. Each
-	// block is freshly allocated; the tap may retain it. The fetch blocks
-	// until it returns. Use WithRecordTap to add one to a config that may
-	// already carry another.
+	// checks, and after the sink (or the fetcher's own decoder) has absorbed
+	// it, so Fetcher.Ranks already counts the block in hand. It also sees
+	// blocks that were linearly dependent. The block is the session's reused
+	// one, valid only during the call: a tap that keeps it must Clone it. The
+	// fetch blocks until the tap returns. Use WithRecordTap to add one to a
+	// config that may already carry another.
 	RecordTap func(*rlnc.CodedBlock)
+	// Sink, when non-nil, is where the fetch's records go instead of the
+	// fetcher's own per-segment decoders — a relay's recoder bank. The fetch
+	// is complete when Sink.Rank reaches the generation size for every
+	// segment; it builds no decoder, segment or payload (FetchResult.Payload
+	// and Segments stay empty), and State and ResumeState are refused.
+	Sink Sink
 	// ResumeState preloads the decoders from a Fetcher.State blob saved by
 	// an earlier (possibly failed) fetch of the same object, so the new
 	// fetch starts from the saved per-segment rank instead of zero.
@@ -264,9 +268,12 @@ func DefaultFetcherConfig() FetcherConfig {
 }
 
 // Validate rejects a configuration NewFetcherFromConfig would refuse:
-// negative attempt budget, negative backoff, an inverted backoff range, or
-// jitter outside [0, 1].
+// negative attempt budget, negative backoff, an inverted backoff range,
+// jitter outside [0, 1], or a resume state for a sink fetch.
 func (c *FetcherConfig) Validate() error {
+	if c.Sink != nil && c.ResumeState != nil {
+		return errSinkState
+	}
 	if c.MaxAttempts < 0 {
 		return fmt.Errorf("netio: negative attempt budget %d", c.MaxAttempts)
 	}
@@ -322,9 +329,7 @@ func WithSessionHook(fn func(SessionInfo)) FetcherOption {
 }
 
 // WithRecordTap appends fn to the config's RecordTap: taps already installed
-// keep running, in installation order, before fn. This is the relay feed — a
-// mesh relay taps its upstream fetch straight into per-segment recoders —
-// and it composes with whatever tap the relay's caller supplied.
+// keep running, in installation order, before fn.
 func WithRecordTap(fn func(*rlnc.CodedBlock)) FetcherOption {
 	return func(c *FetcherConfig) {
 		if prev := c.RecordTap; prev != nil {

@@ -114,6 +114,10 @@ func TestFetcherConfigValidate(t *testing.T) {
 		}, "exceeds max"},
 		{"jitter too big", func(c *FetcherConfig) { c.Jitter = 1.5 }, "jitter"},
 		{"jitter negative", func(c *FetcherConfig) { c.Jitter = -0.1 }, "jitter"},
+		{"sink with resume state", func(c *FetcherConfig) {
+			c.Sink = recoderBank{}
+			c.ResumeState = []byte(stateMagic)
+		}, "sink fetch"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -50,6 +50,51 @@ var (
 	ErrFetchTimeout = errors.New("netio: fetch timeout")
 )
 
+// errSinkState refuses State and ResumeState on a sink fetch: its rank lives
+// in the sink, not in decoders the fetcher could serialize.
+var errSinkState = errors.New("netio: a sink fetch keeps no decoder state to save or resume")
+
+// Sink absorbs a fetch's records in place of the fetcher's own per-segment
+// decoders (FetcherConfig.Sink). Both methods run on the fetch goroutine, the
+// only writer: a segment's rank changes only through Absorb. Rank is asked per
+// record, and for every declared segment at each handshake and at the end.
+type Sink interface {
+	// Absorb takes one block that passed the checksum, shape and
+	// segment-range checks, and reports whether it raised its segment's
+	// rank — by exactly one. b is the session's reused block, valid only
+	// during the call. An error ends the fetch.
+	Absorb(b *rlnc.CodedBlock) (innovative bool, err error)
+	// Rank reports segment seg's rank.
+	Rank(seg uint32) int
+}
+
+// decoders is the leaf's sink: one rlnc.Decoder per segment, built at the
+// segment's first record.
+type decoders map[uint32]*rlnc.Decoder
+
+func (d decoders) Absorb(b *rlnc.CodedBlock) (bool, error) {
+	dec := d[b.SegmentID]
+	if dec == nil {
+		var err error
+		if dec, err = rlnc.NewDecoder(b.Params()); err != nil {
+			return false, err
+		}
+		d[b.SegmentID] = dec
+	}
+	if dec.Ready() {
+		// Round-robin overshoot for an already-finished segment.
+		return false, nil
+	}
+	return dec.AddBlock(b)
+}
+
+func (d decoders) Rank(seg uint32) int {
+	if dec := d[seg]; dec != nil {
+		return dec.Rank()
+	}
+	return 0
+}
+
 // sessionReaders recycles the per-session read buffers. A session reads its
 // handshake and every record through one buffered reader, so a record costs at
 // most one read call on the connection (several records per call once the
@@ -66,12 +111,13 @@ type DialFunc func(ctx context.Context) (net.Conn, error)
 // failed: RLNC progress is rank, and rank is never worth discarding.
 type FetchResult struct {
 	// Payload is the complete reassembled object, nil unless every segment
-	// reached full rank.
+	// reached full rank — and always nil on a sink fetch.
 	Payload []byte
-	// Segments holds the segments that reached full rank, keyed by ID.
+	// Segments holds the segments that reached full rank, keyed by ID; empty
+	// on a sink fetch.
 	Segments map[uint32]*rlnc.Segment
 	// Ranks maps every segment with at least one innovative block to its
-	// decoder rank, including partial ones.
+	// rank, including partial ones.
 	Ranks map[uint32]int
 	// Mode is the session coding discipline the server declared in the
 	// handshake; meaningful once at least one handshake succeeded.
@@ -82,10 +128,14 @@ type FetchResult struct {
 
 // Fetcher is a resilient download client for the push protocol. Unlike the
 // one-shot Fetch it owns a dial function rather than a connection, and it
-// carries its per-segment decoders across reconnects: a connection reset, a
+// carries its per-segment rank across reconnects: a connection reset, a
 // framing loss, or a server restart costs only the bytes in flight, never
 // accumulated rank — the property that makes a coded transport need no
 // retransmission protocol (paper Sec. 5.1).
+//
+// A leaf's rank lives in the fetcher's own per-segment decoders, which
+// reassemble the object. A relay's lives in the Sink it configures: records
+// go straight into its recoders and nothing is decoded (paper Sec. 2).
 //
 // A Fetcher is single-use and not safe for concurrent use: construct, call
 // Fetch once, then optionally State.
@@ -96,9 +146,12 @@ type Fetcher struct {
 
 	hdr         *sessionHeader
 	established bool
-	decoders    map[uint32]*rlnc.Decoder
-	ready       int
-	stats       fetcherMetrics
+	// sink absorbs every record: cfg.Sink, or decoders (a leaf's), set at the
+	// first handshake. ready counts the segments at full rank in it.
+	sink     Sink
+	decoders decoders
+	ready    int
+	stats    fetcherMetrics
 
 	// Admission-decision carry-over between attempts: busyHint floors the
 	// next backoff sleep at a BUSY decision's retry-after, promptRetry skips
@@ -322,6 +375,9 @@ func (f *Fetcher) fetch(ctx context.Context) (*FetchResult, error) {
 	}
 
 	res := f.result()
+	if f.cfg.Sink != nil {
+		return res, nil
+	}
 	segs := make([]*rlnc.Segment, 0, len(res.Segments))
 	for _, seg := range res.Segments {
 		segs = append(segs, seg)
@@ -359,11 +415,11 @@ func (f *Fetcher) remaining() int {
 	return f.hdr.segments - f.ready
 }
 
-// totalRank sums the decoder ranks across all segments.
+// totalRank sums the ranks across all segments.
 func (f *Fetcher) totalRank() int {
 	total := 0
-	for _, dec := range f.decoders {
-		total += dec.Rank()
+	for _, r := range f.Ranks() {
+		total += r
 	}
 	return total
 }
@@ -375,12 +431,24 @@ func (f *Fetcher) Stats() *FetchStats {
 	return f.stats.view()
 }
 
-// Ranks returns the current per-segment decoder ranks. Not safe to call
-// concurrently with Fetch.
+// Ranks returns the current per-segment ranks — the decoders', or on a sink
+// fetch the sink's for every segment above rank 0. Not safe to call
+// concurrently with Fetch; a SessionHook or RecordTap may call it.
 func (f *Fetcher) Ranks() map[uint32]int {
-	ranks := make(map[uint32]int, len(f.decoders))
-	for id, dec := range f.decoders {
-		ranks[id] = dec.Rank()
+	if f.cfg.Sink == nil {
+		ranks := make(map[uint32]int, len(f.decoders))
+		for id, dec := range f.decoders {
+			ranks[id] = dec.Rank()
+		}
+		return ranks
+	}
+	ranks := make(map[uint32]int)
+	if f.hdr != nil {
+		for seg := range uint32(f.hdr.segments) {
+			if r := f.cfg.Sink.Rank(seg); r > 0 {
+				ranks[seg] = r
+			}
+		}
 	}
 	return ranks
 }
@@ -457,10 +525,18 @@ func (f *Fetcher) session(ctx context.Context, conn net.Conn) (done, fatal bool,
 	case f.hdr == nil:
 		hh := h
 		f.hdr = &hh
-		if f.decoders == nil {
-			f.decoders = make(map[uint32]*rlnc.Decoder, h.segments)
-		} else if err := f.validateResumed(); err != nil {
-			return false, true, err
+		if f.sink = f.cfg.Sink; f.sink == nil {
+			if f.decoders == nil {
+				f.decoders = make(decoders, h.segments)
+			} else if err := f.validateResumed(); err != nil {
+				return false, true, err
+			}
+			f.sink = f.decoders
+		}
+		for _, r := range f.Ranks() {
+			if r == h.params.BlockCount {
+				f.ready++
+			}
 		}
 	case h != *f.hdr:
 		return false, true, fmt.Errorf("%w: had %v/%d segments/%d bytes, got %v/%d segments/%d bytes",
@@ -472,9 +548,6 @@ func (f *Fetcher) session(ctx context.Context, conn net.Conn) (done, fatal bool,
 		f.reconnSpan.End()
 		f.reconnSpan = obs.Span{}
 		trace.Emit(trace.KindReconnect, f.traceNode(), "resumed", -1, int64(f.totalRank()))
-		if f.cfg.ReconnectHook != nil {
-			f.cfg.ReconnectHook(int(f.stats.reconnects.Load()), f.Ranks())
-		}
 	}
 	f.established = true
 	traced := hs.traced()
@@ -498,12 +571,11 @@ func (f *Fetcher) session(ctx context.Context, conn net.Conn) (done, fatal bool,
 	var preBuf [recordPreludeLen]byte
 	var curRound trace.SpanID
 	// One record buffer and one CodedBlock per session: the unmarshalers copy
-	// coefficients and payload out of the buffer into the block, and the
-	// decoder copies what it keeps out of the block, so nothing refers to
-	// either once absorb returns — except a record tap, which may retain the
-	// block and so gets a fresh one per record.
+	// coefficients and payload out of the buffer into the block, and the sink
+	// copies what it keeps out of the block, so nothing refers to either once
+	// absorb returns.
 	recBuf := make([]byte, max(expect, expectXor))
-	var sessionBlk rlnc.CodedBlock
+	var blk rlnc.CodedBlock
 	// On a sweep session the server falls silent after n × segments records —
 	// one of every source block — until asked for more. A fetch still short of
 	// rank after reading that many here (some arrived damaged, or repeated what
@@ -549,11 +621,7 @@ func (f *Fetcher) session(ctx context.Context, conn net.Conn) (done, fatal bool,
 		f.stats.records.Inc()
 		f.stats.bytes.Add(int64(n) + 4)
 		asp := stageFetchDecode.Start()
-		blk := &sessionBlk
-		if f.cfg.RecordTap != nil {
-			blk = new(rlnc.CodedBlock)
-		}
-		err := f.absorb(blk, rec, tr, curRound)
+		err := f.absorb(&blk, rec, tr, curRound)
 		if traced {
 			asp.EndTraced(uint64(tr), uint64(curRound))
 		} else {
@@ -580,14 +648,15 @@ func (f *Fetcher) streamErr(ctx context.Context, err error) (bool, bool, error) 
 	return false, false, err
 }
 
-// absorb parses one record into blk and feeds it to the owning segment decoder,
-// classifying rejects: Corrupt (bit damage caught by magic or checksum),
-// Malformed (checksummed but the wrong shape for the session — a server
-// bug, not line noise), BadSegment (checksummed but an out-of-range
-// segment ID — rejected before it can allocate a stray decoder). Only an
-// internal decoder failure is an error. On a traced session tr names the
-// transfer and round the pump-round span this record rode in on; the absorb
-// span parents under the round, linking origin encode work to leaf decode.
+// absorb parses one record into blk and feeds it to the sink, classifying
+// rejects: Corrupt (bit damage caught by magic or checksum), Malformed
+// (checksummed but the wrong shape for the session — a server bug, not line
+// noise), BadSegment (checksummed but an out-of-range segment ID — rejected
+// before it can reach the sink). Only a sink failure is an error. The record
+// tap runs last, on every record the sink was offered. On a traced session tr
+// names the transfer and round the pump-round span this record rode in on;
+// the absorb span parents under the round, linking origin encode work to leaf
+// decode.
 func (f *Fetcher) absorb(blk *rlnc.CodedBlock, rec []byte, tr trace.TraceID, round trace.SpanID) error {
 	discard := func() { f.stats.bytesDiscarded.Add(int64(len(rec)) + 4) }
 	unmarshal := blk.UnmarshalBinary
@@ -616,35 +685,28 @@ func (f *Fetcher) absorb(blk *rlnc.CodedBlock, rec []byte, tr trace.TraceID, rou
 		discard()
 		return nil
 	}
-	if f.cfg.RecordTap != nil {
-		f.cfg.RecordTap(blk)
-	}
-	dec := f.decoders[blk.SegmentID]
-	if dec == nil {
-		var err error
-		if dec, err = rlnc.NewDecoder(f.hdr.params); err != nil {
-			return err
-		}
-		f.decoders[blk.SegmentID] = dec
-	}
-	if dec.Ready() {
-		// Round-robin overshoot for an already-finished segment.
-		return nil
-	}
+	// A record for a segment already at full rank is overshoot, not a
+	// dependent record, and opens no absorb span.
+	n := f.hdr.params.BlockCount
+	before := f.sink.Rank(blk.SegmentID)
 	var sp trace.Span
-	if tr != 0 {
+	if tr != 0 && before < n {
 		sp = trace.Begin(f.traceNode(), "absorb", tr, round, int32(blk.SegmentID))
 	}
-	innovative, err := dec.AddBlock(blk)
+	innovative, err := f.sink.Absorb(blk)
 	sp.End()
 	if err != nil {
 		return err
 	}
-	if !innovative {
-		f.stats.dependent.Inc()
-	} else if dec.Ready() {
+	switch {
+	case innovative && before+1 == n:
 		f.ready++
-		trace.Emit(trace.KindRank, f.traceNode(), "segment_ready", int32(blk.SegmentID), int64(dec.Rank()))
+		trace.Emit(trace.KindRank, f.traceNode(), "segment_ready", int32(blk.SegmentID), int64(n))
+	case !innovative && before < n:
+		f.stats.dependent.Inc()
+	}
+	if f.cfg.RecordTap != nil {
+		f.cfg.RecordTap(blk)
 	}
 	return nil
 }
@@ -719,8 +781,12 @@ const (
 // State serializes every segment decoder — partial and complete — so a
 // later Fetcher (even in a new process) can resume this fetch's rank with
 // FetcherConfig.ResumeState. The same progress always serializes to the same
-// bytes. Not safe to call concurrently with Fetch.
+// bytes. A sink fetch has no decoders and is refused. Not safe to call
+// concurrently with Fetch.
 func (f *Fetcher) State() ([]byte, error) {
+	if f.cfg.Sink != nil {
+		return nil, errSinkState
+	}
 	ids := slices.Sorted(maps.Keys(f.decoders))
 	body := binary.BigEndian.AppendUint32(nil, stateVersion)
 	body = binary.BigEndian.AppendUint32(body, uint32(len(ids)))
@@ -757,9 +823,8 @@ func (f *Fetcher) restoreState(data []byte) error {
 	}
 	count := int(binary.BigEndian.Uint32(body[4:]))
 	// Every entry takes at least 8 bytes: the count cannot size the map.
-	decoders := make(map[uint32]*rlnc.Decoder, min(count, len(body)/8))
+	decs := make(decoders, min(count, len(body)/8))
 	off := 8
-	ready := 0
 	for i := 0; i < count; i++ {
 		if off+8 > len(body) {
 			return fmt.Errorf("%w: truncated entry %d", ErrBadResumeState, i)
@@ -774,20 +839,16 @@ func (f *Fetcher) restoreState(data []byte) error {
 		if err := dec.UnmarshalBinary(body[off : off+n]); err != nil {
 			return fmt.Errorf("%w: segment %d: %v", ErrBadResumeState, id, err)
 		}
-		if _, dup := decoders[id]; dup {
+		if _, dup := decs[id]; dup {
 			return fmt.Errorf("%w: duplicate segment %d", ErrBadResumeState, id)
 		}
-		decoders[id] = dec
-		if dec.Ready() {
-			ready++
-		}
+		decs[id] = dec
 		off += n
 	}
 	if off != len(body) {
 		return fmt.Errorf("%w: %d trailing bytes", ErrBadResumeState, len(body)-off)
 	}
-	f.decoders = decoders
-	f.ready = ready
+	f.decoders = decs
 	return nil
 }
 

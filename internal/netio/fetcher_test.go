@@ -75,13 +75,18 @@ func TestFetcherSurvivesServerRestarts(t *testing.T) {
 	}
 	var snaps []rankSnap
 	prev := map[uint32]int{}
+	var f *Fetcher
 	fcfg := DefaultFetcherConfig()
 	fcfg.BackoffBase = time.Millisecond
 	fcfg.BackoffMax = 4 * time.Millisecond
 	fcfg.Seed = 1
-	fcfg.ReconnectHook = func(reconnect int, ranks map[uint32]int) {
+	fcfg.SessionHook = func(SessionInfo) {
+		reconnect := f.Stats().Reconnects
+		if reconnect == 0 {
+			return
+		}
 		total := 0
-		for id, r := range ranks {
+		for id, r := range f.Ranks() {
 			if r < prev[id] {
 				panic(fmt.Sprintf("segment %d rank fell %d -> %d across reconnect", id, prev[id], r))
 			}
@@ -90,7 +95,7 @@ func TestFetcherSurvivesServerRestarts(t *testing.T) {
 		}
 		snaps = append(snaps, rankSnap{reconnect, total})
 	}
-	f := newTestFetcher(t, func(context.Context) (net.Conn, error) { return l.Dial(), nil }, fcfg)
+	f = newTestFetcher(t, func(context.Context) (net.Conn, error) { return l.Dial(), nil }, fcfg)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	res, err := f.Fetch(ctx)
@@ -113,6 +118,120 @@ func TestFetcherSurvivesServerRestarts(t *testing.T) {
 	// from scratch.
 	if last := snaps[len(snaps)-1]; last.total == 0 {
 		t.Fatal("final reconnect carried zero rank")
+	}
+}
+
+// recoderBank is a relay's upstream sink in miniature: one rlnc.Recoder per
+// segment, built at the segment's first record, innovative when Add raised
+// its rank.
+type recoderBank map[uint32]*rlnc.Recoder
+
+func (b recoderBank) Absorb(blk *rlnc.CodedBlock) (bool, error) {
+	rec := b[blk.SegmentID]
+	if rec == nil {
+		var err error
+		if rec, err = rlnc.NewRecoder(blk.Params()); err != nil {
+			return false, err
+		}
+		b[blk.SegmentID] = rec
+	}
+	before := rec.Rank()
+	err := rec.Add(blk)
+	return rec.Rank() > before, err
+}
+
+func (b recoderBank) Rank(seg uint32) int {
+	if rec := b[seg]; rec != nil {
+		return rec.Rank()
+	}
+	return 0
+}
+
+// TestSinkFetch: a fetch into a recoder bank runs the leaf's session loop —
+// here against a server that hangs up every 7 records — keeps the bank's rank
+// across every reconnect, and is done when every segment's rank in the bank
+// is full. It builds nothing a leaf would: no decoder, no segment, no payload,
+// and it has no state to save.
+func TestSinkFetch(t *testing.T) {
+	p := rlnc.Params{BlockCount: 8, BlockSize: 128}
+	media := testMedia(t, 3*p.SegmentSize()-37, 21)
+	l := newPipeListener()
+	defer l.Close()
+	flakyServer(t, l, media, p, 7, nil)
+
+	bank := recoderBank{}
+	prev := map[uint32]int{}
+	var f *Fetcher
+	fcfg := DefaultFetcherConfig()
+	fcfg.BackoffBase, fcfg.BackoffMax = time.Millisecond, 4*time.Millisecond
+	fcfg.Seed = 1
+	fcfg.Sink = bank
+	fcfg.SessionHook = func(SessionInfo) {
+		for id, r := range f.Ranks() {
+			if r < prev[id] {
+				panic(fmt.Sprintf("segment %d rank fell %d -> %d across reconnect", id, prev[id], r))
+			}
+			prev[id] = r
+		}
+	}
+	f = newTestFetcher(t, func(context.Context) (net.Conn, error) { return l.Dial(), nil }, fcfg)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	res, err := f.Fetch(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Payload != nil || len(res.Segments) != 0 || f.decoders != nil {
+		t.Fatalf("a sink fetch built a %d-byte payload, %d segments or decoders (%v)", len(res.Payload), len(res.Segments), f.decoders)
+	}
+	for seg := range uint32(3) {
+		if bank.Rank(seg) != p.BlockCount || res.Ranks[seg] != p.BlockCount {
+			t.Fatalf("segment %d: bank rank %d, result rank %d, want %d", seg, bank.Rank(seg), res.Ranks[seg], p.BlockCount)
+		}
+	}
+	if res.Stats.Reconnects < 3 || res.Stats.ResumedRank == 0 || len(prev) == 0 {
+		t.Fatalf("reconnects = %d carrying rank %d, want >= 3 carrying some", res.Stats.Reconnects, res.Stats.ResumedRank)
+	}
+	if _, err := f.State(); !errors.Is(err, errSinkState) {
+		t.Fatalf("State of a sink fetch: %v, want %v", err, errSinkState)
+	}
+}
+
+// TestRecordTapSeesAbsorbedRecord: the tap runs once the record in hand has
+// been absorbed, so the ranks it reads count that record — a segment's first
+// record shows it at rank 1, and the record that completes the fetch shows
+// full rank. A relay's fill wait reads rank from a tap and relies on this.
+func TestRecordTapSeesAbsorbedRecord(t *testing.T) {
+	p := rlnc.Params{BlockCount: 8, BlockSize: 64}
+	media := testMedia(t, 3*p.SegmentSize()-5, 26)
+	full := 3 * p.BlockCount
+	for _, sink := range []Sink{nil, recoderBank{}} {
+		l := newPipeListener()
+		defer l.Close()
+		flakyServer(t, l, media, p, 4*full, nil)
+		var f *Fetcher
+		seen, last := map[uint32]bool{}, 0
+		fcfg := DefaultFetcherConfig()
+		fcfg.MaxAttempts = 1
+		fcfg.Sink = sink
+		fcfg.RecordTap = func(b *rlnc.CodedBlock) {
+			ranks := f.Ranks()
+			if !seen[b.SegmentID] && ranks[b.SegmentID] != 1 {
+				t.Errorf("sink %T: the tap of segment %d's first record reads rank %d, want 1", sink, b.SegmentID, ranks[b.SegmentID])
+			}
+			seen[b.SegmentID] = true
+			last = 0
+			for _, r := range ranks {
+				last += r
+			}
+		}
+		f = newTestFetcher(t, func(context.Context) (net.Conn, error) { return l.Dial(), nil }, fcfg)
+		if _, err := f.Fetch(context.Background()); err != nil {
+			t.Fatalf("sink %T: %v", sink, err)
+		}
+		if last != full {
+			t.Fatalf("sink %T: the last record's tap reads total rank %d, want %d", sink, last, full)
+		}
 	}
 }
 
@@ -482,7 +601,7 @@ func TestFetcherTwoStageUnderFaults(t *testing.T) {
 		MaxReadChunk: 300,
 	}, func(context.Context) (net.Conn, error) { return l.Dial(), nil })
 	prev := map[uint32]int{}
-	noRegress := func(_ int, ranks map[uint32]int) {
+	noRegress := func(ranks map[uint32]int) {
 		for id, r := range ranks {
 			if r < prev[id] {
 				panic(fmt.Sprintf("segment %d lost rank: %d -> %d", id, prev[id], r))
@@ -490,12 +609,13 @@ func TestFetcherTwoStageUnderFaults(t *testing.T) {
 			prev[id] = r
 		}
 	}
+	var first, second *Fetcher
 
 	fcfg := DefaultFetcherConfig()
 	fcfg.MaxAttempts = 2
 	fcfg.BackoffBase, fcfg.BackoffMax = time.Millisecond, time.Millisecond
-	fcfg.ReconnectHook = noRegress
-	first := newTestFetcher(t, dial, fcfg)
+	fcfg.SessionHook = func(SessionInfo) { noRegress(first.Ranks()) }
+	first = newTestFetcher(t, dial, fcfg)
 	res, err := first.Fetch(context.Background())
 	if err == nil {
 		t.Fatal("two short sessions unexpectedly completed the fetch")
@@ -513,13 +633,13 @@ func TestFetcherTwoStageUnderFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	noRegress(0, res.Ranks)
+	noRegress(res.Ranks)
 
 	fcfg = DefaultFetcherConfig()
 	fcfg.ResumeState = state
 	fcfg.BackoffBase, fcfg.BackoffMax = time.Millisecond, time.Millisecond
-	fcfg.ReconnectHook = noRegress
-	second := newTestFetcher(t, dial, fcfg)
+	fcfg.SessionHook = func(SessionInfo) { noRegress(second.Ranks()) }
+	second = newTestFetcher(t, dial, fcfg)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	res2, err := second.Fetch(ctx)
@@ -557,12 +677,14 @@ func (c *streamConn) Read(p []byte) (int, error)      { return c.r.Read(p) }
 func (c *streamConn) Close() error                    { return nil }
 func (c *streamConn) SetReadDeadline(time.Time) error { return nil }
 
-// TestFetcherRecordPathDoesNotAllocate: without a record tap a session parses
-// every record into one reused CodedBlock out of one reused buffer, and the
-// decoder copies what it keeps into pooled storage — the plane and slab on the
-// dense path, the row slab on the GF(2) path — so a fetch of one segment
-// allocates the same whether the segment arrives as 16 records or as 16 plus
-// 48 more dependent ones. That is zero allocations per record, in both modes.
+// TestFetcherRecordPathDoesNotAllocate: a session parses every record into one
+// reused CodedBlock out of one reused buffer — the record tap gets that same
+// block — and the decoder copies what it keeps into pooled storage — the plane
+// and slab on the dense path, the row slab on the GF(2) path — so a fetch of
+// one segment allocates the same whether the segment arrives as 16 records or
+// as 16 plus 48 more dependent ones. That is zero allocations per record, in
+// both modes, and on a sink fetch into recoders, which allocate only for an
+// innovative record.
 func TestFetcherRecordPathDoesNotAllocate(t *testing.T) {
 	p := rlnc.Params{BlockCount: 16, BlockSize: 512}
 	media := testMedia(t, p.SegmentSize(), 41)
@@ -647,14 +769,20 @@ func TestFetcherRecordPathDoesNotAllocate(t *testing.T) {
 		emit(last)
 		return buf.Bytes()
 	}
-	fetchAllocs := func(wire []byte, records int) float64 {
+	tapped := 0
+	fetchAllocs := func(wire []byte, records int, sink bool) float64 {
 		conn := &streamConn{}
 		return testing.AllocsPerRun(20, func() {
 			conn.r.Reset(wire)
 			fcfg := DefaultFetcherConfig()
 			fcfg.MaxAttempts = 1
+			fcfg.RecordTap = func(b *rlnc.CodedBlock) { tapped += len(b.Payload) }
+			want := media
+			if sink {
+				fcfg.Sink, want = recoderBank{}, nil
+			}
 			res, err := newTestFetcher(t, func(context.Context) (net.Conn, error) { return conn, nil }, fcfg).Fetch(context.Background())
-			if err != nil || !bytes.Equal(res.Payload, media) {
+			if err != nil || !bytes.Equal(res.Payload, want) {
 				t.Fatalf("fetch: %v", err)
 			}
 			if res.Stats.Records != records || res.Stats.Dependent != records-p.BlockCount {
@@ -669,13 +797,18 @@ func TestFetcherRecordPathDoesNotAllocate(t *testing.T) {
 		name   string
 		stream func(extra int) []byte
 	}{{"dense", dense}, {"systematic", systematic}} {
-		short := fetchAllocs(mode.stream(0), p.BlockCount)
-		long := fetchAllocs(mode.stream(48), p.BlockCount+48)
-		// One allocation per record would show as 48 more; the race detector's
-		// sync.Pool, which drops Puts at random, shows as one or two either way.
-		if perRecord := (long - short) / 48; perRecord > 0.25 || perRecord < -0.25 {
-			t.Fatalf("%s: a fetch allocates %v times over %d records and %v over %d: %.2f allocations per extra record, want 0",
-				mode.name, short, p.BlockCount, long, p.BlockCount+48, perRecord)
+		for _, sink := range []bool{false, true} {
+			short := fetchAllocs(mode.stream(0), p.BlockCount, sink)
+			long := fetchAllocs(mode.stream(48), p.BlockCount+48, sink)
+			// One allocation per record would show as 48 more; the race detector's
+			// sync.Pool, which drops Puts at random, shows as one or two either way.
+			if perRecord := (long - short) / 48; perRecord > 0.25 || perRecord < -0.25 {
+				t.Fatalf("%s (sink %v): a fetch allocates %v times over %d records and %v over %d: %.2f allocations per extra record, want 0",
+					mode.name, sink, short, p.BlockCount, long, p.BlockCount+48, perRecord)
+			}
 		}
+	}
+	if tapped == 0 {
+		t.Fatal("the record tap never ran")
 	}
 }

@@ -46,11 +46,27 @@ func fuzzSession(f *testing.F, mutate func(stream []byte) []byte) []byte {
 	return stream
 }
 
+// pipeFetch runs a single-attempt fetch of data, written into a net.Pipe.
+func pipeFetch(t *testing.T, data []byte, cfg FetcherConfig) (*FetchResult, error) {
+	a, b := net.Pipe()
+	go func() {
+		b.Write(data)
+		b.Close()
+	}()
+	defer a.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	cfg.MaxAttempts = 1
+	return newTestFetcher(t, func(context.Context) (net.Conn, error) { return a, nil }, cfg).Fetch(ctx)
+}
+
 // FuzzFetchRecords feeds arbitrary bytes to the client record loop through
-// a real net.Pipe. Whatever the stream claims — hostile length prefixes,
-// truncated records, out-of-range segment IDs, corrupted handshakes — the
-// client must neither panic nor over-allocate, must always produce stats,
-// and must only report success with an intact payload.
+// a real net.Pipe, once into the fetcher's decoders and once into a recoder
+// bank sink. Whatever the stream claims — hostile length prefixes, truncated
+// records, out-of-range segment IDs, corrupted handshakes — the client must
+// neither panic nor over-allocate, must always produce stats, must only
+// report success with an intact payload, and a sink fetch must never report a
+// payload or a rank above the generation size.
 func FuzzFetchRecords(f *testing.F) {
 	// A complete healthy session (the only seed that decodes), then
 	// targeted damage to each protocol layer.
@@ -82,25 +98,36 @@ func FuzzFetchRecords(f *testing.F) {
 	}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		a, b := net.Pipe()
-		go func() {
-			b.Write(data)
-			b.Close()
-		}()
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		payload, stats, err := Fetch(ctx, a)
-		if stats == nil {
-			t.Fatal("fetch returned nil stats")
+		ledger := func(stats *FetchStats) {
+			if stats == nil {
+				t.Fatal("fetch returned nil stats")
+			}
+			if rejected := stats.Corrupt + stats.Malformed + stats.BadSegment; rejected > stats.Records {
+				t.Fatalf("rejected %d records but only %d arrived", rejected, stats.Records)
+			}
 		}
-		if err == nil && payload == nil {
+		res, err := pipeFetch(t, data, DefaultFetcherConfig())
+		ledger(res.Stats)
+		if err == nil && res.Payload == nil {
 			t.Fatal("fetch reported success without a payload")
 		}
-		if err != nil && payload != nil {
+		if err != nil && res.Payload != nil {
 			t.Fatal("fetch reported failure with a payload")
 		}
-		if rejected := stats.Corrupt + stats.Malformed + stats.BadSegment; rejected > stats.Records {
-			t.Fatalf("rejected %d records but only %d arrived", rejected, stats.Records)
+
+		bank, n := recoderBank{}, 0
+		cfg := DefaultFetcherConfig()
+		cfg.Sink = bank
+		cfg.SessionHook = func(si SessionInfo) { n = si.Params.BlockCount }
+		res, _ = pipeFetch(t, data, cfg)
+		ledger(res.Stats)
+		if res.Payload != nil || len(res.Segments) != 0 {
+			t.Fatalf("a sink fetch reported a %d-byte payload and %d segments", len(res.Payload), len(res.Segments))
+		}
+		for seg, rec := range bank {
+			if rec.Rank() > n || res.Ranks[seg] != rec.Rank() {
+				t.Fatalf("segment %d: bank rank %d, result rank %d, generation size %d", seg, rec.Rank(), res.Ranks[seg], n)
+			}
 		}
 	})
 }

@@ -209,16 +209,7 @@ func TestMultiSegmentSession(t *testing.T) {
 		if len(set) != cfg.Params.BlockCount {
 			t.Fatalf("segment %d: %d innovative blocks, want %d", sg, len(set), cfg.Params.BlockCount)
 		}
-		dec, err := rlnc.NewBatchDecoder(cfg.Params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, b := range set {
-			if err := dec.Add(b); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := dec.Decode(); err != nil {
+		if _, err := rlnc.DecodeTwoStage(cfg.Params, set); err != nil {
 			t.Fatalf("segment %d offline decode: %v", sg, err)
 		}
 	}

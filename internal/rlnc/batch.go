@@ -38,44 +38,3 @@ func DecodeTwoStage(p Params, blocks []*CodedBlock) (*Segment, error) {
 	}
 	return d.Segment()
 }
-
-// BatchDecoder collects coded blocks and defers all decoding work to Decode,
-// which is the shape that parallelizes across segments.
-type BatchDecoder struct {
-	params  Params
-	segID   uint32
-	haveSeg bool
-	blocks  []*CodedBlock
-}
-
-// NewBatchDecoder returns an empty batch decoder.
-func NewBatchDecoder(p Params, opts ...DecoderOption) (*BatchDecoder, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return &BatchDecoder{params: p}, nil
-}
-
-// Add stores one coded block for later decoding. Blocks beyond the first n
-// are retained (Decode uses the first linearly independent spanning subset),
-// so over-collection is harmless.
-func (d *BatchDecoder) Add(b *CodedBlock) error {
-	if err := b.Validate(d.params); err != nil {
-		return err
-	}
-	if d.haveSeg && b.SegmentID != d.segID {
-		return wrongSegmentError(d.segID, b.SegmentID)
-	}
-	d.segID, d.haveSeg = b.SegmentID, true
-	d.blocks = append(d.blocks, b)
-	return nil
-}
-
-// Count returns the number of stored blocks.
-func (d *BatchDecoder) Count() int { return len(d.blocks) }
-
-// Decode recovers the segment, or ErrRankDeficient when the stored blocks
-// do not span it.
-func (d *BatchDecoder) Decode() (*Segment, error) {
-	return DecodeTwoStage(d.params, d.blocks)
-}

@@ -2,6 +2,7 @@ package rlnc
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -272,9 +273,10 @@ func TestDecodeLadderDifferential(t *testing.T) {
 			}
 		}
 
-		// AddBlocks is AddBlock in a loop, whatever the chunking, and the
-		// offline entry points are the same decoder.
-		for _, chunk := range []int{1, 5, len(dense)} {
+		// AddBlocks is AddBlock in a loop, whatever the chunking — a short last
+		// chunk included — and the offline entry point is the same decoder.
+		// dense over-collects: extras past rank n are harmless.
+		for _, chunk := range []int{1, 3, 5, len(dense)} {
 			dec, err := NewDecoder(p)
 			if err != nil {
 				t.Fatal(err)
@@ -290,18 +292,6 @@ func TestDecodeLadderDifferential(t *testing.T) {
 		}
 		if got, err := DecodeTwoStage(p, dense); err != nil || !got.Equal(seg) {
 			t.Fatalf("n=%d: DecodeTwoStage diverges (%v)", n, err)
-		}
-		bd, err := NewBatchDecoder(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, b := range dense {
-			if err := bd.Add(b); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if got, err := bd.Decode(); err != nil || !got.Equal(seg) {
-			t.Fatalf("n=%d: BatchDecoder diverges (%v)", n, err)
 		}
 	}
 }
@@ -403,7 +393,7 @@ func TestAddBlocksRejectsBatchAtomically(t *testing.T) {
 }
 
 // TestDecodeTwoStageRankDeficient pins the error path when blocks cannot
-// span the segment.
+// span the segment: a dependent mix, and n copies of one block.
 func TestDecodeTwoStageRankDeficient(t *testing.T) {
 	p := Params{BlockCount: 8, BlockSize: 16}
 	rng := rand.New(rand.NewSource(42))
@@ -416,8 +406,15 @@ func TestDecodeTwoStageRankDeficient(t *testing.T) {
 	enc := NewEncoder(seg, rng)
 	blocks := []*CodedBlock{enc.NextBlock(), enc.NextBlock()}
 	blocks = append(blocks, dependentMix(rng, blocks[0], blocks[1]))
-	if _, err := DecodeTwoStage(p, blocks); err == nil {
-		t.Fatal("rank-deficient block set decoded")
+	if _, err := DecodeTwoStage(p, blocks); !errors.Is(err, ErrRankDeficient) {
+		t.Fatalf("rank-deficient block set: %v, want %v", err, ErrRankDeficient)
+	}
+	copies := make([]*CodedBlock, p.BlockCount)
+	for i := range copies {
+		copies[i] = blocks[0].Clone()
+	}
+	if _, err := DecodeTwoStage(p, copies); !errors.Is(err, ErrRankDeficient) {
+		t.Fatalf("%d copies of one block: %v, want %v", p.BlockCount, err, ErrRankDeficient)
 	}
 }
 

@@ -2,14 +2,14 @@ package rlnc
 
 import "math/rand"
 
-// Option configures the codec constructors that consume blocks — NewDecoder,
-// NewBatchDecoder and NewRecoder — mirroring the variadic EncoderOption shape
-// NewEncoder already has. Zero-option calls are unchanged, so existing code
-// keeps compiling; options that do not apply to a constructor are ignored
-// (e.g. a seed on the deterministic progressive decoder).
+// Option configures the codec constructors that consume blocks — NewDecoder
+// and NewRecoder — mirroring the variadic EncoderOption shape NewEncoder
+// already has. Zero-option calls are unchanged, so existing code keeps
+// compiling; options that do not apply to a constructor are ignored (e.g. a
+// seed on the deterministic progressive decoder).
 type Option func(*config)
 
-// DecoderOption is Option under the name the decoder constructors document.
+// DecoderOption is Option under the name the decoder constructor documents.
 type DecoderOption = Option
 
 // config collects the settings an Option can carry.

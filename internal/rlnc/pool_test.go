@@ -117,16 +117,7 @@ func TestParallelEncoderReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Every round must decode back to the source segment.
-		dec, err := NewBatchDecoder(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, b := range blocks {
-			if err := dec.Add(b); err != nil {
-				t.Fatal(err)
-			}
-		}
-		got, err := dec.Decode()
+		got, err := DecodeTwoStage(p, blocks)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}

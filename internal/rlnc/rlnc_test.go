@@ -224,62 +224,6 @@ func TestDecoderEarlyBlockDelivery(t *testing.T) {
 	}
 }
 
-func TestBatchDecoderMatchesProgressive(t *testing.T) {
-	p := Params{BlockCount: 24, BlockSize: 96}
-	seg := randomSegment(t, 4, p, 13)
-	rng := rand.New(rand.NewSource(14))
-	enc := NewEncoder(seg, rng)
-
-	batch, err := NewBatchDecoder(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := NewDecoder(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < p.BlockCount+4; i++ { // over-collect: extras must be harmless
-		b := enc.NextBlock()
-		if err := batch.Add(b); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := prog.AddBlock(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := batch.Decode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := prog.Segment()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want) || !got.Equal(seg) {
-		t.Fatal("batch decode differs from progressive decode or source")
-	}
-}
-
-func TestBatchDecoderRankDeficient(t *testing.T) {
-	p := Params{BlockCount: 8, BlockSize: 16}
-	seg := randomSegment(t, 0, p, 15)
-	rng := rand.New(rand.NewSource(16))
-	enc := NewEncoder(seg, rng)
-	batch, err := NewBatchDecoder(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	one := enc.NextBlock()
-	for i := 0; i < p.BlockCount; i++ { // n copies of the same block
-		if err := batch.Add(one.Clone()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := batch.Decode(); !errors.Is(err, ErrRankDeficient) {
-		t.Fatalf("rank-deficient decode err = %v", err)
-	}
-}
-
 func TestRecoderPreservesDecodability(t *testing.T) {
 	p := Params{BlockCount: 12, BlockSize: 48}
 	seg := randomSegment(t, 9, p, 17)
@@ -696,16 +640,7 @@ func BenchmarkHostDecodeBatch(b *testing.B) {
 	b.SetBytes(int64(p.SegmentSize()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dec, err := NewBatchDecoder(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, blk := range blocks {
-			if err := dec.Add(blk); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if _, err := dec.Decode(); err != nil {
+		if _, err := DecodeTwoStage(p, blocks); err != nil {
 			b.Fatal(err)
 		}
 	}
