@@ -71,8 +71,9 @@ race:
 # Replay the committed fuzz seed corpora as regression tests (every F.Add
 # case plus any checked-in corpus files), then spend a short, time-boxed live
 # budget on every reader of what a peer or a disk hands the code unchecked: the
-# control records (handshake, need record, resume state), the XNC1/XNC2 record
-# readers, and the fetcher's record loop into decoders and into a recoder sink.
+# control records (handshake, need record, resume state), the XNC1/XNC2/XNC3
+# record readers, and the fetcher's record loop into decoders and into a
+# recoder sink.
 fuzz-regress:
 	$(GO) test -run 'Fuzz' -count=1 ./internal/gf256/ ./internal/rlnc/ ./internal/netio/
 	$(GO) test -run '^$$' -fuzz=FuzzControlRecord -fuzztime=10s ./internal/netio/

@@ -62,7 +62,7 @@ func runEncode(args []string) error {
 	n := fs.Int("n", 32, "blocks per segment")
 	k := fs.Int("k", 4096, "bytes per block")
 	redundancy := fs.Float64("redundancy", 1.15, "coded blocks per source block (≥ 1)")
-	seeded := fs.Bool("seeded", false, "store 8-byte coefficient seeds instead of full vectors")
+	seeded := fs.Bool("seeded", false, "store a 4-byte record index instead of each n-byte coefficient vector")
 	seed := fs.Int64("seed", 1, "PRNG seed")
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -238,9 +238,6 @@ func WithXorRepair(r int) rlnc.SystematicOption { return rlnc.WithXorRepair(r) }
 // WithDenseTail sets how many dense GF(2^8) blocks close each cycle.
 func WithDenseTail(t int) rlnc.SystematicOption { return rlnc.WithDenseTail(t) }
 
-// CoeffsFromSeed regenerates a seeded block's coefficient vector.
-func CoeffsFromSeed(seed int64, n int) []byte { return rlnc.CoeffsFromSeed(seed, n) }
-
 // Network transport (see internal/netio). A server or fetcher is configured
 // by one struct: start from the Default*Config value, assign the fields that
 // differ, and hand it to the FromConfig constructor.

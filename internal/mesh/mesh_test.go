@@ -3,6 +3,7 @@ package mesh
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -251,6 +252,120 @@ func TestRelayXorRecode(t *testing.T) {
 	}
 	if !bytes.Equal(res.Payload, media) {
 		t.Fatal("payload not byte-identical through the xor relay")
+	}
+}
+
+// tapConn records every byte read from the connection it wraps.
+type tapConn struct {
+	net.Conn
+	mu  sync.Mutex
+	buf []byte
+}
+
+func (c *tapConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.mu.Lock()
+	c.buf = append(c.buf, p[:n]...)
+	c.mu.Unlock()
+	return n, err
+}
+
+// tapDial dials through base and records every connection it opened.
+func tapDial(base netio.DialFunc, taps *[]*tapConn, mu *sync.Mutex) netio.DialFunc {
+	return func(ctx context.Context) (net.Conn, error) {
+		c, err := base(ctx)
+		if err != nil {
+			return nil, err
+		}
+		tc := &tapConn{Conn: c}
+		mu.Lock()
+		*taps = append(*taps, tc)
+		mu.Unlock()
+		return tc, nil
+	}
+}
+
+// hopRecords parses what a client read on one connection: the session
+// header's flags word and the magic of every complete record after it.
+func hopRecords(t *testing.T, wire []byte) (flags uint32, magics map[string]int) {
+	t.Helper()
+	if len(wire) < 8 || string(wire[:4]) != "XNCP" {
+		t.Fatalf("connection opened with % x, not a session header", wire[:min(len(wire), 8)])
+	}
+	body := int(binary.BigEndian.Uint32(wire[4:]))
+	flags = binary.BigEndian.Uint32(wire[8+28:])
+	magics = make(map[string]int)
+	for rest := wire[8+body+4:]; len(rest) >= 4; {
+		n := int(binary.BigEndian.Uint32(rest))
+		if len(rest) < 4+n {
+			break // the connection closed mid-record
+		}
+		magics[string(rest[4:8])]++
+		rest = rest[4+n:]
+	}
+	return flags, magics
+}
+
+// TestRelayHopsCarryTheirRecords: origin → relay → leaf, tapped on both hops.
+// The origin→relay hop is a counter session — the flag set and every record
+// an XNC3 counter record, absorbed by the relay's recoders — and the
+// relay→leaf hop is a plain dense session of XNC1 records, because a
+// recombination has no index to send. The leaf decodes byte for byte.
+func TestRelayHopsCarryTheirRecords(t *testing.T) {
+	p := rlnc.Params{BlockCount: 8, BlockSize: 128}
+	media := testMedia(t, 3*p.SegmentSize()-11, 21)
+	_, ol := startOrigin(t, media, p, netio.DefaultServerConfig())
+	rln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	var mu sync.Mutex
+	var up, down []*tapConn
+	relay, err := StartRelay(ctx, RelayConfig{
+		ID: "r0", Upstream: tapDial(tcpDial(ol.Addr().String()), &up, &mu), Listener: rln, Seed: 9,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer relay.Close()
+	f, err := netio.NewFetcherFromConfig(tapDial(tcpDial(relay.Addr()), &down, &mu), netio.DefaultFetcherConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := f.Fetch(ctx)
+	if err != nil || !bytes.Equal(res.Payload, media) {
+		t.Fatalf("fetch through relay: %v", err)
+	}
+	select {
+	case <-relay.fetchDone:
+	case <-ctx.Done():
+		t.Fatalf("relay stuck at rank %d", relay.TotalRank())
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, hop := range []struct {
+		name  string
+		taps  []*tapConn
+		flag  uint32
+		magic string
+	}{{"origin→relay", up, 1 << 2, "XNC3"}, {"relay→leaf", down, 0, "XNC1"}} {
+		if len(hop.taps) == 0 {
+			t.Fatalf("%s: no connection was tapped", hop.name)
+		}
+		for _, tc := range hop.taps {
+			tc.mu.Lock()
+			flags, magics := hopRecords(t, tc.buf)
+			tc.mu.Unlock()
+			if flags != hop.flag || len(magics) != 1 || magics[hop.magic] == 0 {
+				t.Fatalf("%s: flags %#x and records %v, want flags %#x and %s records only", hop.name, flags, magics, hop.flag, hop.magic)
+			}
+			t.Logf("%s: flags %#x, %v", hop.name, flags, magics)
+		}
+	}
+	if st := relay.fetched.Stats; st.Corrupt+st.Malformed+st.BadSegment != 0 {
+		t.Fatalf("the relay rejected upstream records: %+v", st)
 	}
 }
 

@@ -23,13 +23,20 @@ import (
 // Container format:
 //
 //	header:  magic "XNCF" | u32 version | u64 payload length |
-//	         u32 n | u32 k | u32 segment count | u32 CRC of the above
-//	records: u32 record length | record bytes (a marshaled rlnc.CodedBlock
-//	         or rlnc.SeededBlock), repeated until EOF.
+//	         u32 n | u32 k | u32 segment count | [u64 key] | u32 CRC of the above
+//	records: u32 record length | record bytes, repeated until EOF.
+//
+// A version 1 container holds XNC1 records (rlnc.CodedBlock), each carrying
+// its n-byte coefficient vector. A version 2 container — a seeded one — adds
+// the 8-byte key to the header and holds XNC3 counter records, whose
+// coefficients the reader regenerates from the key, the record's segment and
+// its u32 index: 4 bytes per record where version 1 spends n.
 const (
-	containerMagic   = "XNCF"
-	containerVersion = 1
-	headerLen        = 4 + 4 + 8 + 4 + 4 + 4 + 4
+	containerMagic = "XNCF"
+	plainVersion   = 1
+	seededVersion  = 2
+	headerLen      = 4 + 4 + 8 + 4 + 4 + 4 + 4
+	keyLen         = 8
 )
 
 // Container errors.
@@ -43,6 +50,9 @@ type Header struct {
 	Length   int64
 	Params   rlnc.Params
 	Segments int
+	// Seeded marks a version 2 container of counter records under Key.
+	Seeded bool
+	Key    uint64
 }
 
 func (h Header) validate() error {
@@ -59,39 +69,57 @@ func (h Header) validate() error {
 }
 
 func writeHeader(w io.Writer, h Header) error {
-	buf := make([]byte, headerLen)
-	copy(buf, containerMagic)
-	binary.BigEndian.PutUint32(buf[4:], containerVersion)
-	binary.BigEndian.PutUint64(buf[8:], uint64(h.Length))
-	binary.BigEndian.PutUint32(buf[16:], uint32(h.Params.BlockCount))
-	binary.BigEndian.PutUint32(buf[20:], uint32(h.Params.BlockSize))
-	binary.BigEndian.PutUint32(buf[24:], uint32(h.Segments))
-	binary.BigEndian.PutUint32(buf[28:], crc32.ChecksumIEEE(buf[:28]))
+	buf := make([]byte, 0, headerLen+keyLen)
+	buf = append(buf, containerMagic...)
+	if h.Seeded {
+		buf = binary.BigEndian.AppendUint32(buf, seededVersion)
+	} else {
+		buf = binary.BigEndian.AppendUint32(buf, plainVersion)
+	}
+	buf = binary.BigEndian.AppendUint64(buf, uint64(h.Length))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(h.Params.BlockCount))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(h.Params.BlockSize))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(h.Segments))
+	if h.Seeded {
+		buf = binary.BigEndian.AppendUint64(buf, h.Key)
+	}
+	buf = binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 	_, err := w.Write(buf)
 	return err
 }
 
 func readHeader(r io.Reader) (Header, error) {
-	buf := make([]byte, headerLen)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	buf := make([]byte, headerLen+keyLen)
+	if _, err := io.ReadFull(r, buf[:8]); err != nil {
 		return Header{}, fmt.Errorf("%w: %v", ErrBadHeader, err)
 	}
 	if string(buf[:4]) != containerMagic {
 		return Header{}, fmt.Errorf("%w: wrong magic", ErrBadHeader)
 	}
-	if v := binary.BigEndian.Uint32(buf[4:]); v != containerVersion {
+	var h Header
+	switch v := binary.BigEndian.Uint32(buf[4:]); v {
+	case plainVersion:
+		buf = buf[:headerLen]
+	case seededVersion:
+		h.Seeded = true
+	default:
 		return Header{}, fmt.Errorf("%w: unsupported version %d", ErrBadHeader, v)
 	}
-	if crc32.ChecksumIEEE(buf[:28]) != binary.BigEndian.Uint32(buf[28:]) {
+	if _, err := io.ReadFull(r, buf[8:]); err != nil {
+		return Header{}, fmt.Errorf("%w: %v", ErrBadHeader, err)
+	}
+	body := buf[:len(buf)-4]
+	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(buf[len(body):]) {
 		return Header{}, fmt.Errorf("%w: checksum mismatch", ErrBadHeader)
 	}
-	h := Header{
-		Length: int64(binary.BigEndian.Uint64(buf[8:])),
-		Params: rlnc.Params{
-			BlockCount: int(binary.BigEndian.Uint32(buf[16:])),
-			BlockSize:  int(binary.BigEndian.Uint32(buf[20:])),
-		},
-		Segments: int(binary.BigEndian.Uint32(buf[24:])),
+	h.Length = int64(binary.BigEndian.Uint64(buf[8:]))
+	h.Params = rlnc.Params{
+		BlockCount: int(binary.BigEndian.Uint32(buf[16:])),
+		BlockSize:  int(binary.BigEndian.Uint32(buf[20:])),
+	}
+	h.Segments = int(binary.BigEndian.Uint32(buf[24:]))
+	if h.Seeded {
+		h.Key = binary.BigEndian.Uint64(buf[28:])
 	}
 	return h, h.validate()
 }
@@ -131,9 +159,10 @@ type EncodeOptions struct {
 	// Redundancy is coded blocks emitted per source block (≥ 1); the
 	// default 1.15 tolerates ~13% record loss.
 	Redundancy float64
-	// Seeded stores 8-byte coefficient seeds instead of n-byte vectors.
+	// Seeded writes a version 2 container: each record carries a 4-byte
+	// index instead of its n-byte coefficient vector.
 	Seeded bool
-	// Seed drives the coefficient stream.
+	// Seed drives the coefficient stream; a seeded container's key is Seed.
 	Seed int64
 }
 
@@ -161,7 +190,10 @@ func Encode(w io.Writer, r io.Reader, p rlnc.Params, opts EncodeOptions) (*Encod
 	if err != nil {
 		return nil, err
 	}
-	h := Header{Length: int64(len(payload)), Params: p, Segments: len(obj.Segments)}
+	h := Header{Length: int64(len(payload)), Params: p, Segments: len(obj.Segments), Seeded: opts.Seeded}
+	if h.Seeded {
+		h.Key = uint64(opts.Seed)
+	}
 	if err := writeHeader(w, h); err != nil {
 		return nil, err
 	}
@@ -173,20 +205,10 @@ func Encode(w io.Writer, r io.Reader, p rlnc.Params, opts EncodeOptions) (*Encod
 		enc := rlnc.NewEncoder(seg, rng)
 		for i := 0; i < perSegment; i++ {
 			var rec []byte
-			if opts.Seeded {
-				sb, err := enc.NextSeededBlock()
-				if err != nil {
-					return nil, err
-				}
-				rec, err = sb.MarshalBinary()
-				if err != nil {
-					return nil, err
-				}
-			} else {
-				rec, err = enc.NextBlock().MarshalBinary()
-				if err != nil {
-					return nil, err
-				}
+			if h.Seeded {
+				rec = rlnc.CounterRecord(seg, h.Key, uint32(i))
+			} else if rec, err = enc.NextBlock().MarshalBinary(); err != nil {
+				return nil, err
 			}
 			if err := writeRecord(w, rec); err != nil {
 				return nil, err
@@ -216,6 +238,7 @@ func Decode(w io.Writer, r io.Reader) (*DecodeSummary, error) {
 	}
 	decoders := make(map[uint32]*rlnc.Decoder, h.Segments)
 	sum := &DecodeSummary{Header: h}
+	var blk rlnc.CodedBlock
 
 	for {
 		rec, err := readRecord(r)
@@ -226,8 +249,7 @@ func Decode(w io.Writer, r io.Reader) (*DecodeSummary, error) {
 			return nil, err
 		}
 		sum.Records++
-		blk, ok := parseRecord(rec, h.Params)
-		if !ok {
+		if !parseRecord(&blk, rec, h) {
 			sum.CorruptRecords++
 			continue
 		}
@@ -241,7 +263,7 @@ func Decode(w io.Writer, r io.Reader) (*DecodeSummary, error) {
 		if dec.Ready() {
 			continue // segment already solved; skip elimination work
 		}
-		innovative, err := dec.AddBlock(blk)
+		innovative, err := dec.AddBlock(&blk)
 		if err != nil {
 			return nil, err
 		}
@@ -269,25 +291,14 @@ func Decode(w io.Writer, r io.Reader) (*DecodeSummary, error) {
 	return sum, nil
 }
 
-// parseRecord decodes a plain or seeded coded-block record, reporting ok =
-// false for corrupt or unrecognized bytes.
-func parseRecord(rec []byte, p rlnc.Params) (*rlnc.CodedBlock, bool) {
-	var blk rlnc.CodedBlock
-	if err := blk.UnmarshalBinary(rec); err == nil {
-		if blk.Validate(p) != nil {
-			return nil, false
-		}
-		return &blk, true
+// parseRecord decodes one record of the container h into blk, reporting false
+// for corrupt, unrecognized or mis-shaped bytes.
+func parseRecord(blk *rlnc.CodedBlock, rec []byte, h Header) bool {
+	if h.Seeded {
+		_, err := blk.UnmarshalCounter(rec, h.Key, h.Params)
+		return err == nil
 	}
-	var sb rlnc.SeededBlock
-	if err := sb.UnmarshalBinary(rec); err == nil {
-		expanded := sb.Expand()
-		if expanded.Validate(p) != nil {
-			return nil, false
-		}
-		return expanded, true
-	}
-	return nil, false
+	return blk.UnmarshalBinary(rec) == nil && blk.Validate(h.Params) == nil
 }
 
 // CorruptOptions tunes Corrupt.

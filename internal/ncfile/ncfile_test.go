@@ -2,6 +2,8 @@ package ncfile
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"math/rand"
 	"testing"
@@ -55,8 +57,30 @@ func TestSeededContainerIsSmaller(t *testing.T) {
 	if _, err := Encode(&seeded, bytes.NewReader(payload), p, EncodeOptions{Seeded: true, Seed: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if seeded.Len() >= plain.Len() {
-		t.Fatalf("seeded container %d B not smaller than plain %d B", seeded.Len(), plain.Len())
+	// Every record carries a 4-byte index in place of its 64 coefficients;
+	// the header carries the 8-byte key once.
+	records := (plain.Len() - headerLen) / (4 + rlnc.WireSize(p))
+	if want := plain.Len() - records*(p.BlockCount-4) + keyLen; seeded.Len() != want {
+		t.Fatalf("seeded container %d B, want %d B (plain %d B, %d records)", seeded.Len(), want, plain.Len(), records)
+	}
+}
+
+// TestPlainContainerUnchanged: an unseeded container is still a version 1
+// container of XNC1 records, byte for byte, and it decodes.
+func TestPlainContainerUnchanged(t *testing.T) {
+	p := rlnc.Params{BlockCount: 8, BlockSize: 64}
+	payload := testPayload(t, 2*p.SegmentSize()-3, 13)
+	var container bytes.Buffer
+	if _, err := Encode(&container, bytes.NewReader(payload), p, EncodeOptions{Seed: 14}); err != nil {
+		t.Fatal(err)
+	}
+	const want = "39efc3896fb8490a9dd656675d44bc26951096f838b9a5651d949cc21e1b0aad"
+	if sum := sha256.Sum256(container.Bytes()); hex.EncodeToString(sum[:]) != want {
+		t.Fatalf("version 1 container bytes changed: digest %x", sum)
+	}
+	var out bytes.Buffer
+	if _, err := Decode(&out, bytes.NewReader(container.Bytes())); err != nil || !bytes.Equal(out.Bytes(), payload) {
+		t.Fatalf("version 1 container does not decode: %v", err)
 	}
 }
 
@@ -165,10 +189,15 @@ func FuzzDecodeContainer(f *testing.F) {
 	if _, err := Encode(&good, bytes.NewReader(payload), p, EncodeOptions{Seed: 2}); err != nil {
 		f.Fatal(err)
 	}
+	var seeded bytes.Buffer
+	if _, err := Encode(&seeded, bytes.NewReader(payload), p, EncodeOptions{Seeded: true, Seed: 3}); err != nil {
+		f.Fatal(err)
+	}
 	f.Add(good.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte("XNCF"))
 	f.Add(good.Bytes()[:headerLen])
+	f.Add(seeded.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var out bytes.Buffer
 		sum, err := Decode(&out, bytes.NewReader(data))

@@ -107,16 +107,21 @@ func parseDecision(body []byte) (admissionDecision, error) {
 }
 
 // handshake is everything a server's opening declares: the session header,
-// its feature flags and trace context — or, instead, the admission decision.
+// its feature flags, trace context and coefficient key — or, instead, the
+// admission decision.
 type handshake struct {
 	hdr   sessionHeader
 	flags uint32
 	tctx  traceContext
+	key   uint64             // a counter session's coefficient key (TLV type 3)
 	dec   *admissionDecision // non-nil: BUSY or REDIRECT, and no session
 }
 
 // traced reports whether the session negotiated round preludes.
 func (hs *handshake) traced() bool { return hs.flags&hsFlagTrace != 0 }
+
+// counter reports whether the session's records are XNC3 counter records.
+func (hs *handshake) counter() bool { return hs.flags&hsFlagCounter != 0 }
 
 // readHandshake reads the server's opening — exactly one control record —
 // and dispatches on its magic: a session header, or a BUSY or REDIRECT

@@ -51,12 +51,13 @@ type ServerConfig struct {
 	// Snapshot.SessionsRejected. Zero means unlimited.
 	MaxSessions int
 	// EncoderWorkers is the worker count of each shard's parallel encoder
-	// (0 → the SharedPool's worker count). Media-backed servers only.
+	// (0 → the SharedPool's worker count). Media-backed dense servers only.
 	EncoderWorkers int
-	// Seed is the base seed of the coefficient stream (0 → 1). Shard i
-	// derives its stream from Seed and i, so a single-shard server
-	// reproduces the unsharded block sequence exactly; a fixed Seed makes the
-	// served block sequence reproducible.
+	// Seed fixes what a media-backed server sends (0 → 1). In ModeDense it
+	// is the key of the counter records every shard frames, declared in each
+	// session header; in ModeSystematic shard i derives its repair stream
+	// from Seed and i. Either way a fixed Seed makes the served block
+	// sequence reproducible.
 	Seed int64
 	// Mode is the session coding discipline declared in every handshake
 	// (default ModeDense). In ModeSystematic every session is first written

@@ -100,9 +100,10 @@ func readAny(rec []byte) (got any, read int, err error) {
 func TestControlRecords(t *testing.T) {
 	p := rlnc.Params{BlockCount: 4, BlockSize: 64}
 	hdr := sessionHeader{params: p, segments: 1, length: 100}
-	plain := appendSessionHeader(nil, hdr, 0, traceContext{})
+	plain := appendSessionHeader(nil, handshake{hdr: hdr})
 	tc := traceContext{trace: 0xDEADBEEFCAFE, root: 42}
-	traced := appendSessionHeader(nil, hdr, hsFlagTrace, tc)
+	traced := appendSessionHeader(nil, handshake{hdr: hdr, flags: hsFlagTrace, tctx: tc})
+	counter := appendSessionHeader(nil, handshake{hdr: hdr, flags: hsFlagCounter, key: 0xC0FFEE})
 	tlv := func(fields ...byte) []byte {
 		return rebody(plain, func(b []byte) []byte { return append(b, fields...) })
 	}
@@ -141,6 +142,11 @@ func TestControlRecords(t *testing.T) {
 			250, 0,
 			tlvRootSpan, 8, 0, 0, 0, 0, 0, 0, 0, 9,
 		), handshake{hdr: hdr, tctx: traceContext{trace: 7, root: 9}}, nil},
+		{"counter header", counter, handshake{hdr: hdr, flags: hsFlagCounter, key: 0xC0FFEE}, nil},
+		{"key without the counter flag is dropped", tlv(tlvCoeffKey, 8, 0, 0, 0, 0, 0, 0, 0, 5), handshake{hdr: hdr}, nil},
+		{"counter flag without a key", setU32(plain, 28, hsFlagCounter), nil, ErrBadHandshake},
+		{"counter key of 4 bytes", rebody(setU32(plain, 28, hsFlagCounter), func(b []byte) []byte { return append(b, tlvCoeffKey, 4, 0, 0, 0, 5) }), nil, ErrBadHandshake},
+		{"counter flag in systematic mode", appendSessionHeader(nil, handshake{hdr: sessionHeader{params: p, segments: 1, length: 100, mode: ModeSystematic}, flags: hsFlagCounter, key: 1}), nil, ErrBadHandshake},
 		{"TLV overruns the header", tlv(tlvTrace, 200, 1, 2), nil, ErrBadHandshake},
 		{"TLV truncated to its type", tlv(tlvTrace), nil, ErrBadHandshake},
 		{"trace TLV of 4 bytes", tlv(tlvTrace, 4, 0, 0, 0, 7), nil, ErrBadHandshake},
@@ -150,8 +156,8 @@ func TestControlRecords(t *testing.T) {
 		{"header truncated", plain[:len(plain)-1], nil, ErrBadHandshake},
 		{"header body short", rebody(plain, func(b []byte) []byte { return b[:headerFixedLen-1] }), nil, ErrBadHandshake},
 		{"protocol v3", setU32(plain, 0, 3), nil, ErrBadHandshake},
-		{"unknown flag", appendSessionHeader(nil, hdr, 1<<9, traceContext{}), nil, ErrBadHandshake},
-		{"length of 2^50 in one segment", appendSessionHeader(nil, sessionHeader{params: p, segments: 1, length: 1 << 50}, 0, traceContext{}), nil, ErrBadHandshake},
+		{"unknown flag", appendSessionHeader(nil, handshake{hdr: hdr, flags: 1 << 9}), nil, ErrBadHandshake},
+		{"length of 2^50 in one segment", appendSessionHeader(nil, handshake{hdr: sessionHeader{params: p, segments: 1, length: 1 << 50}}), nil, ErrBadHandshake},
 		{"header body over bound", over(protoMagic), nil, ErrBadHandshake},
 		{"busy", decision(busy), handshake{dec: &busy}, nil},
 		{"redirect", decision(redirect), handshake{dec: &redirect}, nil},
@@ -240,7 +246,7 @@ func TestFetchRefusesHostileLength(t *testing.T) {
 	go func() {
 		defer server.Close()
 		h := sessionHeader{params: p, segments: 1, length: 1 << 50}
-		if _, err := server.Write(appendSessionHeader(nil, h, 0, traceContext{})); err != nil {
+		if _, err := server.Write(appendSessionHeader(nil, handshake{hdr: h})); err != nil {
 			return
 		}
 		enc := rlnc.NewEncoder(obj.Segments[0], rand.New(rand.NewSource(9)))

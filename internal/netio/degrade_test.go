@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"io"
 	"net"
 	"sync"
 	"testing"
@@ -41,7 +40,7 @@ func TestDecisionRoundTrip(t *testing.T) {
 
 	// A session header is the only ACCEPT: no decision.
 	hdr := sessionHeader{params: rlnc.Params{BlockCount: 4, BlockSize: 64}, segments: 2, length: 512}
-	hs, err := readHandshake(bytes.NewReader(appendSessionHeader(nil, hdr, 0, traceContext{})))
+	hs, err := readHandshake(bytes.NewReader(appendSessionHeader(nil, handshake{hdr: hdr})))
 	if err != nil || hs.dec != nil || hs.hdr != hdr {
 		t.Fatalf("accept: h=%+v dec=%v err=%v", hs.hdr, hs.dec, err)
 	}
@@ -76,7 +75,7 @@ func TestDecisionRejectsForged(t *testing.T) {
 		forged[8] = code
 		resealControl(forged)
 		hdr := sessionHeader{params: rlnc.Params{BlockCount: 4, BlockSize: 64}, segments: 1, length: 256}
-		forged = appendSessionHeader(forged, hdr, 0, traceContext{})
+		forged = appendSessionHeader(forged, handshake{hdr: hdr})
 		if _, err := readHandshake(bytes.NewReader(forged)); !errors.Is(err, ErrBadHandshake) {
 			t.Fatalf("code %d: %v, want ErrBadHandshake", code, err)
 		}
@@ -432,8 +431,7 @@ func TestBrownoutLadderEngages(t *testing.T) {
 
 	// The overload: a session whose queue never drains.
 	staller := l.Dial()
-	hdr := make([]byte, protoHeaderLen)
-	if _, err := io.ReadFull(staller, hdr); err != nil {
+	if _, err := readHandshake(staller); err != nil {
 		t.Fatal(err)
 	}
 

@@ -153,6 +153,12 @@ type Fetcher struct {
 	ready    int
 	stats    fetcherMetrics
 
+	// counter and key: the current session's records are XNC3 counter
+	// records, their coefficients regenerated under key. Per session — a
+	// reconnect may land on a relay, or on an origin with another key.
+	counter bool
+	key     uint64
+
 	// Admission-decision carry-over between attempts: busyHint floors the
 	// next backoff sleep at a BUSY decision's retry-after, promptRetry skips
 	// the backoff entirely after a REDIRECT (the new target deserves an
@@ -566,7 +572,8 @@ func (f *Fetcher) session(ctx context.Context, conn net.Conn) (done, fatal bool,
 	// loss — a corrupted length, not a record to allocate — and the stream
 	// beyond it is unparseable; the fetcher resynchronizes by reconnecting,
 	// keeping all rank.
-	expect, expectXor := f.hdr.recordSizes()
+	expect, expectXor := hs.recordSizes()
+	f.counter, f.key = hs.counter(), hs.key
 	var lenBuf [4]byte
 	var preBuf [recordPreludeLen]byte
 	var curRound trace.SpanID
@@ -659,14 +666,21 @@ func (f *Fetcher) streamErr(ctx context.Context, err error) (bool, bool, error) 
 // decode.
 func (f *Fetcher) absorb(blk *rlnc.CodedBlock, rec []byte, tr trace.TraceID, round trace.SpanID) error {
 	discard := func() { f.stats.bytesDiscarded.Add(int64(len(rec)) + 4) }
-	unmarshal := blk.UnmarshalBinary
-	if f.hdr.mode == ModeSystematic {
+	var err error
+	switch {
+	case f.counter:
+		// The vector is regenerated into blk; a record of another shape is
+		// refused before it can size one.
+		_, err = blk.UnmarshalCounter(rec, f.key, f.hdr.params)
+	case f.hdr.mode == ModeSystematic:
 		// Systematic sessions interleave both encodings; dispatch on the
-		// record magic. Dense sessions stay strict: an XNC2 record there is
-		// a server bug, rejected below as bad magic.
-		unmarshal = blk.UnmarshalRecord
+		// record magic. Dense sessions stay strict: a record of another
+		// encoding there is a server bug, rejected below as bad magic.
+		err = blk.UnmarshalRecord(rec)
+	default:
+		err = blk.UnmarshalBinary(rec)
 	}
-	if err := unmarshal(rec); err != nil {
+	if err != nil {
 		if errors.Is(err, rlnc.ErrBadChecksum) || errors.Is(err, rlnc.ErrBadMagic) {
 			f.stats.corrupt.Inc()
 		} else {

@@ -3,6 +3,7 @@ package netio
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -33,7 +34,7 @@ func flakyServer(t *testing.T, l *pipeListener, media []byte, p rlnc.Params, rec
 				return
 			}
 			h := sessionHeader{params: p, segments: len(obj.Segments), length: int64(obj.Length)}
-			if _, err := conn.Write(appendSessionHeader(nil, h, 0, traceContext{})); err != nil {
+			if _, err := conn.Write(appendSessionHeader(nil, handshake{hdr: h})); err != nil {
 				conn.Close()
 				continue
 			}
@@ -433,7 +434,7 @@ func TestFetcherHeaderMismatch(t *testing.T) {
 				h.segments = 2
 				h.length = 512
 			}
-			conn.Write(appendSessionHeader(nil, h, 0, traceContext{}))
+			conn.Write(appendSessionHeader(nil, handshake{hdr: h}))
 			conn.Close() // truncate: force a reconnect
 		}
 	}()
@@ -561,7 +562,7 @@ func TestFetcherTwoStageUnderFaults(t *testing.T) {
 				return
 			}
 			h := sessionHeader{params: p, segments: len(obj.Segments), length: int64(obj.Length)}
-			if _, err := conn.Write(appendSessionHeader(nil, h, 0, traceContext{})); err != nil {
+			if _, err := conn.Write(appendSessionHeader(nil, handshake{hdr: h})); err != nil {
 				conn.Close()
 				continue
 			}
@@ -677,14 +678,88 @@ func (c *streamConn) Read(p []byte) (int, error)      { return c.r.Read(p) }
 func (c *streamConn) Close() error                    { return nil }
 func (c *streamConn) SetReadDeadline(time.Time) error { return nil }
 
+// counterStream is a counter session of obj's one segment under key: records
+// of indices 0 … n−2, then extra records that reuse an index already sent —
+// even ones verbatim, odd ones forged with another payload under a valid CRC
+// — then index n−1.
+func counterStream(t testing.TB, obj *rlnc.Object, key uint64, extra int) []byte {
+	t.Helper()
+	p, seg := obj.Params, obj.Segments[0]
+	h := sessionHeader{params: p, segments: 1, length: int64(obj.Length)}
+	buf := appendSessionHeader(nil, handshake{hdr: h, flags: hsFlagCounter, key: key})
+	frame := func(rec []byte) {
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(rec)))
+		buf = append(buf, rec...)
+	}
+	n := uint32(p.BlockCount)
+	for index := range n - 1 {
+		frame(rlnc.CounterRecord(seg, key, index))
+	}
+	for i := range extra {
+		rec := rlnc.CounterRecord(seg, key, uint32(i)%(n-1))
+		if i%2 == 1 {
+			payload := rec[20 : len(rec)-4]
+			for j := range payload {
+				payload[j] ^= byte(i + j)
+			}
+			rlnc.SealWire(rec)
+		}
+		frame(rec)
+	}
+	frame(rlnc.CounterRecord(seg, key, n-1))
+	return buf
+}
+
+// TestCounterSessionRepeatedIndex: what a repeated or forged index costs a
+// leaf on a counter session — a record whose index the leaf already holds,
+// verbatim or with another payload under a valid CRC — is exactly one
+// dependent record: rank does not move, the forged payload never reaches the
+// decoder, and the object decodes intact. (That it costs no allocation either
+// is TestFetcherRecordPathDoesNotAllocate's counter leg.)
+func TestCounterSessionRepeatedIndex(t *testing.T) {
+	p := rlnc.Params{BlockCount: 16, BlockSize: 512}
+	media := testMedia(t, p.SegmentSize(), 46)
+	obj, err := rlnc.Split(media, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const extra = 10
+	fcfg := DefaultFetcherConfig()
+	var ranks []int
+	var f *Fetcher
+	fcfg.RecordTap = func(b *rlnc.CodedBlock) { ranks = append(ranks, f.Ranks()[b.SegmentID]) }
+	conn := &streamConn{}
+	conn.r.Reset(counterStream(t, obj, 0xFACE, extra))
+	fcfg.MaxAttempts = 1
+	f = newTestFetcher(t, func(context.Context) (net.Conn, error) { return conn, nil }, fcfg)
+	res, err := f.Fetch(context.Background())
+	if err != nil || !bytes.Equal(res.Payload, media) {
+		t.Fatalf("fetch: %v", err)
+	}
+	if st := res.Stats; st.Records != p.BlockCount+extra || st.Dependent != extra || st.Corrupt+st.Malformed+st.BadSegment != 0 {
+		t.Fatalf("records %d, dependent %d, rejected %d: want %d, %d, 0", st.Records, st.Dependent, st.Corrupt+st.Malformed+st.BadSegment, p.BlockCount+extra, extra)
+	}
+	for i, r := range ranks {
+		if want := min(i+1, p.BlockCount-1); i == len(ranks)-1 {
+			if r != p.BlockCount {
+				t.Fatalf("rank %d after the last record", r)
+			}
+		} else if r != want {
+			t.Fatalf("rank %d after record %d, want %d: a reused index moved rank", r, i, want)
+		}
+	}
+}
+
 // TestFetcherRecordPathDoesNotAllocate: a session parses every record into one
 // reused CodedBlock out of one reused buffer — the record tap gets that same
 // block — and the decoder copies what it keeps into pooled storage — the plane
 // and slab on the dense path, the row slab on the GF(2) path — so a fetch of
 // one segment allocates the same whether the segment arrives as 16 records or
 // as 16 plus 48 more dependent ones. That is zero allocations per record, in
-// both modes, and on a sink fetch into recoders, which allocate only for an
-// innovative record.
+// both modes and on a counter session — whose extra records reuse indices
+// already held, verbatim or forged, and whose vectors are regenerated into
+// the reused block — and on a sink fetch into recoders, which allocate only
+// for an innovative record.
 func TestFetcherRecordPathDoesNotAllocate(t *testing.T) {
 	p := rlnc.Params{BlockCount: 16, BlockSize: 512}
 	media := testMedia(t, p.SegmentSize(), 41)
@@ -700,7 +775,7 @@ func TestFetcherRecordPathDoesNotAllocate(t *testing.T) {
 		rng := rand.New(rand.NewSource(42))
 		enc := rlnc.NewEncoder(seg, rng)
 		var buf bytes.Buffer
-		if _, err := buf.Write(appendSessionHeader(nil, sessionHeader{params: p, segments: 1, length: int64(obj.Length)}, 0, traceContext{})); err != nil {
+		if _, err := buf.Write(appendSessionHeader(nil, handshake{hdr: sessionHeader{params: p, segments: 1, length: int64(obj.Length)}})); err != nil {
 			t.Fatal(err)
 		}
 		held := make([]*rlnc.CodedBlock, 0, p.BlockCount)
@@ -740,7 +815,7 @@ func TestFetcherRecordPathDoesNotAllocate(t *testing.T) {
 	// and dependent — then the last source block.
 	systematic := func(extra int) []byte {
 		var buf bytes.Buffer
-		if _, err := buf.Write(appendSessionHeader(nil, sessionHeader{params: p, segments: 1, length: int64(obj.Length), mode: ModeSystematic}, 0, traceContext{})); err != nil {
+		if _, err := buf.Write(appendSessionHeader(nil, handshake{hdr: sessionHeader{params: p, segments: 1, length: int64(obj.Length), mode: ModeSystematic}})); err != nil {
 			t.Fatal(err)
 		}
 		emit := func(b *rlnc.CodedBlock) {
@@ -769,6 +844,7 @@ func TestFetcherRecordPathDoesNotAllocate(t *testing.T) {
 		emit(last)
 		return buf.Bytes()
 	}
+	counter := func(extra int) []byte { return counterStream(t, obj, 0xFACE, extra) }
 	tapped := 0
 	fetchAllocs := func(wire []byte, records int, sink bool) float64 {
 		conn := &streamConn{}
@@ -796,7 +872,7 @@ func TestFetcherRecordPathDoesNotAllocate(t *testing.T) {
 	for _, mode := range []struct {
 		name   string
 		stream func(extra int) []byte
-	}{{"dense", dense}, {"systematic", systematic}} {
+	}{{"dense", dense}, {"systematic", systematic}, {"counter", counter}} {
 		for _, sink := range []bool{false, true} {
 			short := fetchAllocs(mode.stream(0), p.BlockCount, sink)
 			long := fetchAllocs(mode.stream(48), p.BlockCount+48, sink)

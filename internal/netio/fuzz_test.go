@@ -28,7 +28,7 @@ func fuzzSession(f *testing.F, mutate func(stream []byte) []byte) []byte {
 	}
 	var buf bytes.Buffer
 	h := sessionHeader{params: p, segments: 1, length: int64(len(media))}
-	if _, err := buf.Write(appendSessionHeader(nil, h, 0, traceContext{})); err != nil {
+	if _, err := buf.Write(appendSessionHeader(nil, handshake{hdr: h})); err != nil {
 		f.Fatal(err)
 	}
 	enc := rlnc.NewEncoder(obj.Segments[0], rand.New(rand.NewSource(4)))
@@ -94,8 +94,22 @@ func FuzzFetchRecords(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xFF}, protoHeaderLen+8))
 	f.Add(fuzzSession(f, func(s []byte) []byte { // a length of 2^50 bytes in the one segment
 		h := sessionHeader{params: rlnc.Params{BlockCount: 4, BlockSize: 16}, segments: 1, length: 1 << 50}
-		return append(appendSessionHeader(nil, h, 0, traceContext{}), s[protoHeaderLen:]...)
+		return append(appendSessionHeader(nil, handshake{hdr: h}), s[protoHeaderLen:]...)
 	}))
+
+	// A counter session — XNC3 records, two of them reusing an index, one of
+	// those forged — whole, and with the first record's index damaged.
+	media := make([]byte, 64)
+	rand.New(rand.NewSource(5)).Read(media)
+	obj, err := rlnc.Split(media, rlnc.Params{BlockCount: 4, BlockSize: 16})
+	if err != nil {
+		f.Fatal(err)
+	}
+	counter := counterStream(f, obj, 0xC0FFEE, 2)
+	f.Add(counter)
+	damaged := bytes.Clone(counter)
+	damaged[protoHeaderLen+tlvLen+4+16] ^= 0x01
+	f.Add(damaged)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ledger := func(stats *FetchStats) {
@@ -157,7 +171,7 @@ func decisionSeeds(f *testing.F) {
 		}
 		return rec
 	}
-	plain := appendSessionHeader(nil, fuzzHeader, 0, traceContext{})
+	plain := appendSessionHeader(nil, handshake{hdr: fuzzHeader})
 	f.Add(decision(admissionDecision{code: admissionBusy, retryAfter: 250 * time.Millisecond}, nil))
 	f.Add(decision(admissionDecision{code: admissionRedirect, addr: "127.0.0.1:9999"}, nil))
 	f.Add(decision(admissionDecision{code: admissionBusy}, func(rec []byte) []byte {
@@ -205,17 +219,20 @@ func needSeeds(f *testing.F) {
 
 // headerSeeds are session headers: TLVs, and fields the reader must refuse.
 func headerSeeds(f *testing.F) {
-	plain := appendSessionHeader(nil, fuzzHeader, 0, traceContext{})
+	plain := appendSessionHeader(nil, handshake{hdr: fuzzHeader})
 	tlv := func(fields ...byte) []byte {
 		return rebody(plain, func(b []byte) []byte { return append(b, fields...) })
 	}
-	f.Add(appendSessionHeader(nil, fuzzHeader, hsFlagTrace, traceContext{trace: 0xDEADBEEFCAFE, root: 42}))
+	f.Add(appendSessionHeader(nil, handshake{hdr: fuzzHeader, flags: hsFlagTrace, tctx: traceContext{trace: 0xDEADBEEFCAFE, root: 42}}))
 	f.Add(tlv(9, 3, 0xAA, 0xBB, 0xCC, tlvTrace, 8, 0, 0, 0, 0, 0, 0, 0, 7, 250, 0)) // unknown fields skipped
 	f.Add(tlv(tlvTrace, 200, 1, 2))                                                 // field overruns the header
 	f.Add(tlv(tlvRootSpan))                                                         // field truncated to its type
 	f.Add(tlv(tlvTrace, 4, 0, 0, 0, 7))                                             // known field, wrong size
 	f.Add(append(binary.BigEndian.AppendUint32([]byte(protoMagic), 0xFFFFFFF0), plain[8:]...))
-	f.Add(appendSessionHeader(nil, sessionHeader{params: fuzzHeader.params, segments: 1, length: 1 << 50}, 0, traceContext{}))
+	f.Add(appendSessionHeader(nil, handshake{hdr: sessionHeader{params: fuzzHeader.params, segments: 1, length: 1 << 50}}))
+	counter := appendSessionHeader(nil, handshake{hdr: fuzzHeader, flags: hsFlagCounter, key: 0xC0FFEE})
+	f.Add(counter)
+	f.Add(rebody(counter, func(b []byte) []byte { return b[:headerFixedLen] })) // the flag without its key
 }
 
 // stateSeeds are resume-state blobs.
@@ -258,7 +275,7 @@ func fuzzControl(f *testing.F, families ...func(*testing.F)) {
 			if cr.n != controlOverhead+declared {
 				t.Fatalf("read %d bytes of a %d-byte record", cr.n, controlOverhead+declared)
 			}
-			rec := appendSessionHeader(nil, hs.hdr, hs.flags, hs.tctx)
+			rec := appendSessionHeader(nil, hs)
 			if hs.dec != nil {
 				if rec, err = appendDecision(nil, *hs.dec); err != nil {
 					t.Fatalf("accepted a decision no server writes: %+v: %v", *hs.dec, err)

@@ -30,7 +30,7 @@ func TestHandshakeCarriesMode(t *testing.T) {
 	for _, m := range []WireMode{ModeDense, ModeSystematic} {
 		var buf bytes.Buffer
 		h := sessionHeader{params: p, segments: 2, length: 999, mode: m}
-		if _, err := buf.Write(appendSessionHeader(nil, h, 0, traceContext{})); err != nil {
+		if _, err := buf.Write(appendSessionHeader(nil, handshake{hdr: h})); err != nil {
 			t.Fatal(err)
 		}
 		hs, err := readHandshake(&buf)
@@ -42,7 +42,7 @@ func TestHandshakeCarriesMode(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if _, err := buf.Write(appendSessionHeader(nil, sessionHeader{params: p, segments: 1, mode: WireMode(7)}, 0, traceContext{})); err != nil {
+	if _, err := buf.Write(appendSessionHeader(nil, handshake{hdr: sessionHeader{params: p, segments: 1, mode: WireMode(7)}})); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := readHandshake(&buf); err == nil {

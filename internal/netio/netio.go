@@ -31,12 +31,14 @@ import (
 //	  session header  XNCP body: u32 version | u32 n | u32 k | u32 segment count |
 //	                  u64 payload length | u32 wire mode | u32 flags | TLV fields
 //	  or a decision   XNCD body (admission.go): BUSY or REDIRECT, then close
-//	then records:     u32 length | marshaled rlnc.CodedBlock, round-robin
-//	                  across segments, until the client closes.
+//	then records:     u32 length | coded block (XNC1, XNC2 or XNC3, package
+//	                  rlnc), round-robin across segments, until the client
+//	                  closes.
 //
 // A TLV field is u8 type | u8 length | value: type 1 is the transfer's 8-byte
-// trace ID, type 2 the server's 8-byte root span. Unknown types are skipped,
-// so a server may add context an older client ignores.
+// trace ID, type 2 the server's 8-byte root span, type 3 the 8-byte key of a
+// counter session's coefficients. Unknown types are skipped, so a server may
+// add context an older client ignores.
 //
 // The flags word declares optional stream features. With hsFlagTrace set,
 // every record is preceded by a CRC-guarded 12-byte prelude naming the pump
@@ -44,6 +46,13 @@ import (
 // one generation's records be attributed across mesh tiers. Unknown flag bits
 // are rejected: a client that cannot parse a feature's framing must not guess
 // at record boundaries.
+//
+// With hsFlagCounter set — a media-backed ModeDense server sets it — every
+// record is an XNC3 counter record (rlnc/counter.go): a u32 index where XNC1
+// carries the n-byte coefficient vector, which the client regenerates as
+// rlnc.CounterCoeffs of the header's key (TLV type 3, required with the flag),
+// the record's segment and its index. The flag is refused on a ModeSystematic
+// header: sweep, repair and dense-tail records keep their own encodings.
 //
 // With hsFlagSweep set, the records after the handshake are one systematic
 // sweep — every source block of every segment exactly once, as XNC2 records,
@@ -60,15 +69,16 @@ import (
 //
 // The wire mode is the server's declaration of the coding discipline for the
 // whole session; the client adapts its record parser to it. In ModeDense
-// every record is an XNC1 dense block. In ModeSystematic records interleave
-// XNC2 GF(2) blocks (systematic sweep + XOR repair) with XNC1 dense-tail
-// blocks, and the receiver's decoder rides its XOR-only fast path until the
-// first dense record arrives.
+// every record is a dense block — XNC3 from a media-backed origin, XNC1 from
+// a recoding relay. In ModeSystematic records interleave XNC2 GF(2) blocks
+// (systematic sweep + XOR repair) with XNC1 dense-tail blocks, and the
+// receiver's decoder rides its XOR-only fast path until the first dense
+// record arrives.
 const (
 	protoMagic     = "XNCP"
 	protoVersion   = 4
 	headerFixedLen = 4 + 4 + 4 + 4 + 8 + 4 + 4
-	// protoHeaderLen is an untraced session header on the wire.
+	// protoHeaderLen is a session header without TLV fields on the wire.
 	protoHeaderLen = controlOverhead + headerFixedLen
 
 	// handshakeBodyMax bounds the body of the server's opening record.
@@ -76,6 +86,8 @@ const (
 
 	tlvTrace    = 1
 	tlvRootSpan = 2
+	tlvCoeffKey = 3
+	tlvLen      = 2 + 8 // every TLV field this implementation writes
 )
 
 // Session flag bits (the u32 flags word of the session header).
@@ -87,8 +99,12 @@ const (
 	// for the client's need record before sending repair.
 	hsFlagSweep uint32 = 1 << 1
 
+	// hsFlagCounter: every record is an XNC3 counter record under the key of
+	// TLV type 3.
+	hsFlagCounter uint32 = 1 << 2
+
 	// hsFlagKnown masks the bits this implementation understands.
-	hsFlagKnown = hsFlagTrace | hsFlagSweep
+	hsFlagKnown = hsFlagTrace | hsFlagSweep | hsFlagCounter
 )
 
 // The need record: what a client on an hsFlagSweep session writes, once, when
@@ -183,15 +199,21 @@ type sessionHeader struct {
 	mode     WireMode
 }
 
-// recordSizes returns the marshaled record lengths a session of h can carry.
-// Every record is a CodedBlock for the handshake's (n, k), so its framed
-// length is a constant — two constants in systematic mode, where compact XNC2
-// GF(2) records interleave with XNC1 dense ones; in dense mode both are the
-// XNC1 size. A length prefix that matches neither is framing loss.
-func (h sessionHeader) recordSizes() (dense, xor uint32) {
-	dense = uint32(rlnc.WireSize(h.params))
-	if h.mode == ModeSystematic {
-		return dense, uint32(rlnc.XorWireSize(h.params))
+// recordSizes returns the marshaled record lengths a session of hs can
+// carry. Every record is a block of the handshake's (n, k), so its framed
+// length is a constant: the XNC3 size on a counter session, the XNC1 size on
+// any other dense one, and in systematic mode two constants, compact XNC2
+// GF(2) records interleaving with XNC1 dense ones. A length prefix that
+// matches neither is framing loss.
+func (hs handshake) recordSizes() (dense, xor uint32) {
+	p := hs.hdr.params
+	if hs.counter() {
+		dense = uint32(rlnc.CounterWireSize(p))
+		return dense, dense
+	}
+	dense = uint32(rlnc.WireSize(p))
+	if hs.hdr.mode == ModeSystematic {
+		return dense, uint32(rlnc.XorWireSize(p))
 	}
 	return dense, dense
 }
@@ -204,23 +226,28 @@ type traceContext struct {
 	root  trace.SpanID
 }
 
-// appendSessionHeader marshals the header with the given feature flags and
-// trace context (TLV fields, omitted when zero) onto dst. The flags word is
-// deliberately NOT part of sessionHeader: feature negotiation is
-// per-connection (a redirect may land on a server with different features),
-// while sessionHeader identity gates reconnect safety.
-func appendSessionHeader(dst []byte, h sessionHeader, flags uint32, tc traceContext) []byte {
-	var b [headerFixedLen + 2*(2+8)]byte
+// appendSessionHeader marshals hs onto dst: the header, its feature flags,
+// and as TLV fields the trace context (omitted when zero) and, on a counter
+// session, the coefficient key. The flags word is deliberately NOT part of
+// sessionHeader: feature negotiation is per-connection (a redirect may land on
+// a server with different features, or another key), while sessionHeader
+// identity gates reconnect safety.
+func appendSessionHeader(dst []byte, hs handshake) []byte {
+	h := hs.hdr
+	var b [headerFixedLen + 3*tlvLen]byte
 	body := binary.BigEndian.AppendUint32(b[:0], protoVersion)
 	body = binary.BigEndian.AppendUint32(body, uint32(h.params.BlockCount))
 	body = binary.BigEndian.AppendUint32(body, uint32(h.params.BlockSize))
 	body = binary.BigEndian.AppendUint32(body, uint32(h.segments))
 	body = binary.BigEndian.AppendUint64(body, uint64(h.length))
 	body = binary.BigEndian.AppendUint32(body, uint32(h.mode))
-	body = binary.BigEndian.AppendUint32(body, flags)
-	if tc != (traceContext{}) {
-		body = binary.BigEndian.AppendUint64(append(body, tlvTrace, 8), uint64(tc.trace))
-		body = binary.BigEndian.AppendUint64(append(body, tlvRootSpan, 8), uint64(tc.root))
+	body = binary.BigEndian.AppendUint32(body, hs.flags)
+	if hs.tctx != (traceContext{}) {
+		body = binary.BigEndian.AppendUint64(append(body, tlvTrace, 8), uint64(hs.tctx.trace))
+		body = binary.BigEndian.AppendUint64(append(body, tlvRootSpan, 8), uint64(hs.tctx.root))
+	}
+	if hs.counter() {
+		body = binary.BigEndian.AppendUint64(append(body, tlvCoeffKey, 8), hs.key)
 	}
 	return appendControl(dst, protoMagic, body)
 }
@@ -275,23 +302,40 @@ func parseSessionHeader(body []byte) (handshake, error) {
 		// boundaries would corrupt every downstream decoder.
 		return handshake{}, fmt.Errorf("%w: unknown flags %#x", ErrBadHandshake, unknown)
 	}
+	var key uint64
+	keyed := false
 	for tlv := body[headerFixedLen:]; len(tlv) > 0; {
 		if len(tlv) < 2 || len(tlv)-2 < int(tlv[1]) {
 			return handshake{}, fmt.Errorf("%w: TLV field overruns the header", ErrBadHandshake)
 		}
 		typ, val := tlv[0], tlv[2:2+int(tlv[1])]
 		tlv = tlv[2+len(val):]
-		if typ != tlvTrace && typ != tlvRootSpan {
+		if typ != tlvTrace && typ != tlvRootSpan && typ != tlvCoeffKey {
 			continue // unknown: skipped
 		}
 		if len(val) != 8 {
 			return handshake{}, fmt.Errorf("%w: %d-byte TLV field %d", ErrBadHandshake, len(val), typ)
 		}
-		if id := binary.BigEndian.Uint64(val); typ == tlvTrace {
+		switch id := binary.BigEndian.Uint64(val); typ {
+		case tlvTrace:
 			hs.tctx.trace = trace.TraceID(id)
-		} else {
+		case tlvRootSpan:
 			hs.tctx.root = trace.SpanID(id)
+		default:
+			key, keyed = id, true
 		}
+	}
+	if hs.counter() {
+		// Without its key a counter record is a payload with no coefficients,
+		// and the feature belongs to dense sessions alone. A key without the
+		// flag declares nothing and is dropped.
+		if !keyed {
+			return handshake{}, fmt.Errorf("%w: counter session without a key", ErrBadHandshake)
+		}
+		if hs.hdr.mode != ModeDense {
+			return handshake{}, fmt.Errorf("%w: counter records in %v mode", ErrBadHandshake, hs.hdr.mode)
+		}
+		hs.key = key
 	}
 	return hs, nil
 }

@@ -3,6 +3,7 @@ package netio
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"net"
@@ -141,13 +142,17 @@ func TestFetchSkipsCorruptRecords(t *testing.T) {
 			}
 			n := int(buf[0])<<24 | int(buf[1])<<16 | int(buf[2])<<8 | int(buf[3])
 			if n <= 0 || n > 1<<20 {
-				// First read is the session header (not length-prefixed):
-				// forward its remaining bytes verbatim.
-				rest := make([]byte, protoHeaderLen-4)
+				// First read is the session header's magic (a control
+				// record, not length-prefixed): forward the record verbatim.
+				body := make([]byte, 4)
+				if _, err := readFull(upstreamClient, body); err != nil {
+					return
+				}
+				rest := make([]byte, int(binary.BigEndian.Uint32(body))+4)
 				if _, err := readFull(upstreamClient, rest); err != nil {
 					return
 				}
-				if _, err := mangler.Write(append(buf, rest...)); err != nil {
+				if _, err := mangler.Write(append(append(buf, body...), rest...)); err != nil {
 					return
 				}
 				continue

@@ -30,7 +30,7 @@ type RawClient struct {
 	br                *bufio.Reader
 	hdr               sessionHeader
 	traced            bool   // session negotiated round preludes before every record
-	expect, expectXor uint32 // sessionHeader.recordSizes
+	expect, expectXor uint32 // handshake.recordSizes
 	records           int64
 	bytes             int64
 }
@@ -60,7 +60,7 @@ func NewRawClient(conn net.Conn) (*RawClient, error) {
 		}
 	}
 	c := &RawClient{conn: conn, br: br, hdr: hs.hdr, traced: hs.traced()}
-	c.expect, c.expectXor = hs.hdr.recordSizes()
+	c.expect, c.expectXor = hs.recordSizes()
 	return c, nil
 }
 

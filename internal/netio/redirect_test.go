@@ -26,7 +26,7 @@ func dribbleServer(t *testing.T, l net.Listener, obj *rlnc.Object, recordsPerSes
 				return
 			}
 			h := sessionHeader{params: obj.Params, segments: len(obj.Segments), length: int64(obj.Length)}
-			if _, err := conn.Write(appendSessionHeader(nil, h, 0, traceContext{})); err != nil {
+			if _, err := conn.Write(appendSessionHeader(nil, handshake{hdr: h})); err != nil {
 				conn.Close()
 				continue
 			}

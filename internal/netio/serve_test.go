@@ -158,8 +158,7 @@ func TestServeSlowAndFailingClients(t *testing.T) {
 		defer wg.Done()
 		conn := l.Dial()
 		defer conn.Close()
-		hdr := make([]byte, protoHeaderLen)
-		if _, err := io.ReadFull(conn, hdr); err != nil {
+		if _, err := readHandshake(conn); err != nil {
 			t.Errorf("staller handshake: %v", err)
 			return
 		}
@@ -182,8 +181,7 @@ func TestServeSlowAndFailingClients(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		conn := l.Dial()
-		hdr := make([]byte, protoHeaderLen)
-		io.ReadFull(conn, hdr)
+		readHandshake(conn) //nolint:errcheck
 		conn.Close()
 	}()
 
@@ -280,8 +278,7 @@ func TestServeAcceptance64Clients(t *testing.T) {
 			t.Fatal(err)
 		}
 		slowConns = append(slowConns, conn)
-		hdr := make([]byte, protoHeaderLen)
-		if _, err := io.ReadFull(conn, hdr); err != nil {
+		if _, err := readHandshake(conn); err != nil {
 			t.Fatalf("slow reader %d handshake: %v", i, err)
 		}
 	}
@@ -332,8 +329,7 @@ func TestServeSessionCap(t *testing.T) {
 	// First client holds its session open mid-fetch while the second tries
 	// to join and must be rejected at the door.
 	first := l.Dial()
-	hdr := make([]byte, protoHeaderLen)
-	if _, err := io.ReadFull(first, hdr); err != nil {
+	if _, err := readHandshake(first); err != nil {
 		t.Fatal(err)
 	}
 	// The session joins the fan-out set just after its handshake write
@@ -447,11 +443,11 @@ func TestFetchSentinels(t *testing.T) {
 	// Implausible record length after a valid header.
 	client1, server1 := net.Pipe()
 	go func() {
-		server1.Write(appendSessionHeader(nil, sessionHeader{
+		server1.Write(appendSessionHeader(nil, handshake{hdr: sessionHeader{
 			params:   rlnc.Params{BlockCount: 4, BlockSize: 64},
 			segments: 1,
 			length:   256,
-		}, 0, traceContext{}))
+		}}))
 		var lenBuf [4]byte
 		binary.BigEndian.PutUint32(lenBuf[:], 64<<20+1)
 		server1.Write(lenBuf[:])
@@ -464,11 +460,11 @@ func TestFetchSentinels(t *testing.T) {
 	// Stream cut before full rank.
 	client2, server2 := net.Pipe()
 	go func() {
-		server2.Write(appendSessionHeader(nil, sessionHeader{
+		server2.Write(appendSessionHeader(nil, handshake{hdr: sessionHeader{
 			params:   rlnc.Params{BlockCount: 4, BlockSize: 64},
 			segments: 1,
 			length:   256,
-		}, 0, traceContext{}))
+		}}))
 		server2.Close()
 	}()
 	if _, _, err := Fetch(context.Background(), client2); !errors.Is(err, ErrStreamTruncated) {
@@ -496,8 +492,7 @@ func TestSnapshotDuringTraffic(t *testing.T) {
 	// then records one at a time, so the session stays live for exactly as
 	// long as the test wants to observe it.
 	conn := l.Dial()
-	hdr := make([]byte, protoHeaderLen)
-	if _, err := io.ReadFull(conn, hdr); err != nil {
+	if _, err := readHandshake(conn); err != nil {
 		t.Fatal(err)
 	}
 	readRecord := func() {

@@ -48,6 +48,10 @@ const writerBatch = 16
 // semantics bound the cost of a stuck peer. Metrics accumulate both in the
 // aggregate counters and per shard, exposed via Snapshot.
 //
+// A media-backed ModeDense server sends XNC3 counter records: each carries a
+// record index instead of its coefficient vector, which the client derives
+// from the index and the key in the session header (hsFlagCounter).
+//
 // A media-backed ModeSystematic server does not push its source blocks. Each
 // session moves through three states on its own goroutine: sweep — it writes
 // every source block of the object once, from a table of framed records all
@@ -66,6 +70,11 @@ type Server struct {
 	frames *framePool
 	shards []*pumpShard
 	sweep  *sweepTable // media-backed ModeSystematic only; shared by every shard
+
+	// counter marks a media-backed ModeDense server: its records are XNC3
+	// counter records under key, which every session header declares.
+	counter bool
+	key     uint64
 
 	counters         Counters
 	sessionsTotal    obs.Counter
@@ -173,19 +182,33 @@ func NewServerFromConfig(media []byte, p rlnc.Params, cfg ServerConfig) (*Server
 		return nil, err
 	}
 	cfg = cfg.normalized(p.BlockCount)
+	// The dense shards share one key and one record index per segment, so no
+	// two of them ever frame the same (segment, index): a record is unique
+	// server-wide until a segment has sent 2^32 of them.
+	key := uint64(cfg.Seed)
+	next := make([]atomic.Uint32, len(obj.Segments))
 	srcs := make([]RecordSource, cfg.PumpShards)
 	for i := range srcs {
+		if cfg.Mode == ModeSystematic {
+			srcs[i] = newSystematicSource(obj, shardSeed(cfg.Seed, i))
+			continue
+		}
 		penc, err := rlnc.NewParallelEncoder(cfg.EncoderWorkers, rlnc.FullBlock)
 		if err != nil {
 			return nil, err
 		}
-		srcs[i] = newObjectSource(obj, cfg.Mode, penc, shardSeed(cfg.Seed, i))
+		srcs[i] = &counterSource{obj: obj, key: key, next: next, penc: penc}
 	}
 	s, err := newServer(srcs[0].Info(), cfg, srcs)
-	if err == nil && cfg.Mode == ModeSystematic {
-		s.sweep = newSweepTable(obj)
+	if err != nil {
+		return nil, err
 	}
-	return s, err
+	if cfg.Mode == ModeSystematic {
+		s.sweep = newSweepTable(obj)
+	} else {
+		s.counter, s.key = true, key
+	}
+	return s, nil
 }
 
 // NewSourceServerFromConfig builds a server over an arbitrary RecordSource:
@@ -492,16 +515,18 @@ func (s *Server) runSession(ss *session) {
 	defer s.wg.Done()
 	defer ss.conn.Close()
 
-	var flags uint32
-	var tc traceContext
+	hs := handshake{hdr: s.info.header(), key: s.key}
 	if s.traced {
-		flags |= hsFlagTrace
-		tc = traceContext{trace: s.traceID, root: s.rootSpan.ID()}
+		hs.flags |= hsFlagTrace
+		hs.tctx = traceContext{trace: s.traceID, root: s.rootSpan.ID()}
 	}
 	if s.sweep != nil {
-		flags |= hsFlagSweep
+		hs.flags |= hsFlagSweep
 	}
-	buf := appendSessionHeader(nil, s.info.header(), flags, tc)
+	if s.counter {
+		hs.flags |= hsFlagCounter
+	}
+	buf := appendSessionHeader(nil, hs)
 	// The handshake gets one deadline window and no retry: a peer that
 	// connects and never reads must not pin the session goroutine.
 	if s.cfg.WriteDeadline > 0 {

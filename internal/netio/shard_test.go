@@ -45,8 +45,7 @@ func TestShardedServeAccounting(t *testing.T) {
 	conns := make([]net.Conn, pinned)
 	for i := range conns {
 		conns[i] = l.Dial()
-		hdr := make([]byte, protoHeaderLen)
-		if _, err := io.ReadFull(conns[i], hdr); err != nil {
+		if _, err := readHandshake(conns[i]); err != nil {
 			t.Fatalf("pinned session %d handshake: %v", i, err)
 		}
 	}

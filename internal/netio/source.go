@@ -80,8 +80,10 @@ type DegradableSource interface {
 // FrameRecord marshals one coded block as a length-prefixed wire record in
 // the given mode's encoding: ModeSystematic frames binary blocks in the
 // compact XNC2 format and dense blocks as XNC1; ModeDense frames everything
-// as XNC1. This is the framing the Server pumps use internally, exported so
-// code outside this package produces bit-identical records.
+// as XNC1. This is the framing of every block a source holds as a CodedBlock
+// — systematic repair, a GF(2) relay's recombinations — exported so code
+// outside this package produces bit-identical records. (A media-backed dense
+// origin lays XNC3 counter records out in place instead.)
 func FrameRecord(b *rlnc.CodedBlock, mode WireMode) ([]byte, error) {
 	return FrameRecordInto(b, mode, heapAlloc)
 }
@@ -143,15 +145,78 @@ func (t *sweepTable) record(idx int) []byte {
 	return rec
 }
 
-// objectSource is the media-backed RecordSource behind NewServerFromConfig:
-// dense batches encoded straight into wire frames by the shared parallel
-// encoder, or, in ModeSystematic, the XOR repair → dense tail part of the
-// systematic schedule per segment — the sweep reaches each session from the
-// server's sweepTable, not from here. A sharded server builds one objectSource
-// per shard, each with its own seed lane.
-type objectSource struct {
+// counterSource is the media-backed ModeDense RecordSource behind
+// NewServerFromConfig: batches of XNC3 counter records encoded straight into
+// wire frames by the shard's parallel encoder. A record's coefficients are
+// rlnc.CounterCoeffs(key, segment, index), so nothing random is drawn and
+// nothing but the index travels. Every shard of a server has its own
+// counterSource over one shared key and one shared index counter per segment.
+type counterSource struct {
 	obj  *rlnc.Object
-	mode WireMode
+	key  uint64
+	next []atomic.Uint32 // per segment, shared by every shard of the server
+
+	// penc encodes a batch; coeffBuf holds its coefficient vectors, coeffs
+	// views them, and payloads views the payloads of the frames under
+	// construction.
+	penc             *rlnc.ParallelEncoder
+	coeffBuf         []byte
+	coeffs, payloads [][]byte
+
+	// recs is the slice Records returns, reused round after round: the pump is
+	// the only caller and is done with a round's records before it asks again.
+	recs [][]byte
+}
+
+func (c *counterSource) Info() SessionInfo { return objectInfo(c.obj, ModeDense) }
+
+// Records implements RecordSource: claim batch indices of seg, lay the
+// batch's frames out, write each vector F(key, seg, index) once into scratch,
+// let one batch multiply write every payload where it will travel, seal.
+func (c *counterSource) Records(seg, batch int, alloc func(int) []byte) [][]byte {
+	p := c.obj.Params
+	segment := c.obj.Segments[seg]
+	n, id := p.BlockCount, segment.ID()
+	if len(c.coeffBuf) < batch*n {
+		c.coeffBuf = make([]byte, batch*n)
+	}
+	// One atomic add claims the whole batch: no other shard frames these
+	// (segment, index) pairs until the counter wraps at 2^32.
+	first := c.next[seg].Add(uint32(batch)) - uint32(batch)
+	recs, coeffs, payloads := c.recs[:0], c.coeffs[:0], c.payloads[:0]
+	for i := range batch {
+		index := first + uint32(i)
+		rec := alloc(recordLenLen + rlnc.CounterWireSize(p))
+		binary.BigEndian.PutUint32(rec, uint32(len(rec)-recordLenLen))
+		cs := c.coeffBuf[i*n : (i+1)*n]
+		rlnc.CounterCoeffs(cs, c.key, id, index)
+		recs = append(recs, rec)
+		coeffs = append(coeffs, cs)
+		payloads = append(payloads, rlnc.PutCounterHeader(rec[recordLenLen:], id, index, p))
+	}
+	c.recs, c.coeffs, c.payloads = recs, coeffs, payloads
+	if err := c.penc.EncodeBatchInto(payloads, segment, coeffs); err != nil {
+		// Unreachable: the rows were cut to the segment's own shape.
+		return nil
+	}
+	for _, rec := range recs {
+		SealDenseRecord(rec)
+	}
+	return recs
+}
+
+// objectInfo is the session a media-backed server of obj declares.
+func objectInfo(obj *rlnc.Object, mode WireMode) SessionInfo {
+	return SessionInfo{Params: obj.Params, Segments: len(obj.Segments), Length: int64(obj.Length), Mode: mode}
+}
+
+// systematicSource is the media-backed ModeSystematic RecordSource behind
+// NewServerFromConfig: the XOR repair → dense tail part of the systematic
+// schedule per segment — the sweep reaches each session from the server's
+// sweepTable, not from here. A sharded server builds one per shard, each
+// with its own seed lane.
+type systematicSource struct {
+	obj *rlnc.Object
 
 	// rng is the source's one coefficient stream, seeded once from the shard's
 	// seed lane and drawn from for as long as the source lives (each pump is
@@ -159,51 +224,41 @@ type objectSource struct {
 	// same records for the same sequence of Records calls.
 	rng *rand.Rand
 
-	// Dense path: the parallel encoder, and the batch's coefficient and
-	// payload rows — views into the frames under construction.
-	penc             *rlnc.ParallelEncoder
-	coeffs, payloads [][]byte
-
-	// Systematic path: one cycling schedule encoder per segment, plus the
-	// brownout lever: lean is flipped by the controller goroutine, observed
-	// by the pump, and applied to the encoders lazily (they are not safe to
-	// retune from another goroutine). defXor/defTail remember the configured
-	// schedule so leaving lean restores it exactly.
+	// One cycling schedule encoder per segment, plus the brownout lever: lean
+	// is flipped by the controller goroutine, observed by the pump, and
+	// applied to the encoders lazily (they are not safe to retune from
+	// another goroutine). defXor/defTail remember the configured schedule so
+	// leaving lean restores it exactly.
 	sysEncs     []*rlnc.SystematicEncoder
 	lean        atomic.Bool
 	leanApplied bool // pump-goroutine local
 	defXor      int
 	defTail     int
 
-	// recs is the slice Records returns, reused round after round: the pump is
-	// the only caller and is done with a round's records before it asks again.
-	recs [][]byte
+	recs [][]byte // as counterSource.recs
 }
 
-func newObjectSource(obj *rlnc.Object, mode WireMode, penc *rlnc.ParallelEncoder, seed int64) *objectSource {
-	src := &objectSource{obj: obj, mode: mode, penc: penc, rng: rand.New(rand.NewSource(seed))}
-	if mode == ModeSystematic {
-		src.sysEncs = make([]*rlnc.SystematicEncoder, len(obj.Segments))
-		for i, seg := range obj.Segments {
-			src.sysEncs[i] = rlnc.NewSystematicEncoder(seg, src.rng)
-		}
-		src.defXor = src.sysEncs[0].XorRepair()
-		src.defTail = src.sysEncs[0].DenseTail()
+func newSystematicSource(obj *rlnc.Object, seed int64) *systematicSource {
+	src := &systematicSource{obj: obj, rng: rand.New(rand.NewSource(seed))}
+	src.sysEncs = make([]*rlnc.SystematicEncoder, len(obj.Segments))
+	for i, seg := range obj.Segments {
+		src.sysEncs[i] = rlnc.NewSystematicEncoder(seg, src.rng)
 	}
+	src.defXor = src.sysEncs[0].XorRepair()
+	src.defTail = src.sysEncs[0].DenseTail()
 	return src
 }
 
 // SetLean flips the systematic schedule between the configured full cycle and
 // a degraded one — half the XOR repair rate (floor 2), no dense tail — that
 // trades repair margin for encode CPU under brownout. Safe to call from the
-// controller goroutine while the pump runs; a dense-mode source has no
-// cheaper schedule and ignores the flip.
-func (o *objectSource) SetLean(lean bool) { o.lean.Store(lean) }
+// controller goroutine while the pump runs.
+func (o *systematicSource) SetLean(lean bool) { o.lean.Store(lean) }
 
 // applyLean retunes the segment encoders when the lean flag changed since the
 // last pump round. Runs only on the pump goroutine, which is the sole caller
 // of the encoders.
-func (o *objectSource) applyLean() {
+func (o *systematicSource) applyLean() {
 	lean := o.lean.Load()
 	if lean == o.leanApplied {
 		return
@@ -218,56 +273,24 @@ func (o *objectSource) applyLean() {
 	}
 }
 
-func (o *objectSource) Info() SessionInfo {
-	return SessionInfo{
-		Params:   o.obj.Params,
-		Segments: len(o.obj.Segments),
-		Length:   int64(o.obj.Length),
-		Mode:     o.mode,
-	}
-}
+func (o *systematicSource) Info() SessionInfo { return objectInfo(o.obj, ModeSystematic) }
 
-// Records implements RecordSource.
-func (o *objectSource) Records(seg, batch int, alloc func(int) []byte) [][]byte {
+// Records implements RecordSource with repair only: the sessions the pump
+// feeds have had the sweep and asked for more. The per-segment encoder cycles
+// XOR repair → dense tail; binary blocks go out in the compact GF(2)
+// encoding. RepairBlock is a non-retaining emit — the record is marshaled
+// before the next call reuses its storage.
+func (o *systematicSource) Records(seg, batch int, alloc func(int) []byte) [][]byte {
+	o.applyLean()
 	recs := o.recs[:0]
-	if o.mode == ModeSystematic {
-		// Repair only: the sessions the pump feeds have had the sweep and
-		// asked for more. The per-segment encoder cycles XOR repair → dense
-		// tail; binary blocks go out in the compact GF(2) encoding.
-		// RepairBlock is a non-retaining emit — the record is marshaled
-		// before the next call reuses its storage.
-		o.applyLean()
-		se := o.sysEncs[seg]
-		for i := 0; i < batch; i++ {
-			rec, err := FrameRecordInto(se.RepairBlock(), ModeSystematic, alloc)
-			if err != nil {
-				continue
-			}
-			recs = append(recs, rec)
-		}
-		o.recs = recs
-		return recs
-	}
-	// The XNC1 record is a [C | x] row between a header and a CRC: lay the
-	// batch's frames out, draw each C where it will travel, let one batch
-	// multiply write every x where it will travel, seal.
-	p := o.obj.Params
-	segment := o.obj.Segments[seg]
-	coeffs, payloads := o.coeffs[:0], o.payloads[:0]
+	se := o.sysEncs[seg]
 	for i := 0; i < batch; i++ {
-		rec, row := LayDenseRecord(segment.ID(), p, alloc)
-		rlnc.DrawCoeffs(row[:p.BlockCount], o.rng)
+		rec, err := FrameRecordInto(se.RepairBlock(), ModeSystematic, alloc)
+		if err != nil {
+			continue
+		}
 		recs = append(recs, rec)
-		coeffs = append(coeffs, row[:p.BlockCount])
-		payloads = append(payloads, row[p.BlockCount:])
 	}
-	o.recs, o.coeffs, o.payloads = recs, coeffs, payloads
-	if err := o.penc.EncodeBatchInto(payloads, segment, coeffs); err != nil {
-		// Unreachable: the rows were cut to the segment's own shape.
-		return nil
-	}
-	for _, rec := range recs {
-		SealDenseRecord(rec)
-	}
+	o.recs = recs
 	return recs
 }

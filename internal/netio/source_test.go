@@ -2,16 +2,19 @@ package netio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"runtime/debug"
+	"sync/atomic"
 	"testing"
 
 	"extremenc/internal/rlnc"
 )
 
-// denseSource builds the origin's dense record source over a fresh object.
-func denseSource(t testing.TB, p rlnc.Params, segments, workers int, seed int64) *objectSource {
+// denseSource builds the origin's dense record source over a fresh object:
+// one shard's counterSource, with segments index counters of its own.
+func denseSource(t testing.TB, p rlnc.Params, segments, workers int, key uint64) *counterSource {
 	t.Helper()
 	obj, err := rlnc.Split(testMedia(t, segments*p.SegmentSize()-1, 7), p)
 	if err != nil {
@@ -21,22 +24,23 @@ func denseSource(t testing.TB, p rlnc.Params, segments, workers int, seed int64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newObjectSource(obj, ModeDense, penc, seed)
+	return &counterSource{obj: obj, key: key, next: make([]atomic.Uint32, len(obj.Segments)), penc: penc}
 }
 
 // TestDenseRecordsDifferential: a frame the origin encoded in place is the
-// frame the CodedBlock route would have built — it parses, its payload is the
-// reference encode of its own coefficients, and marshaling the parsed block
-// again reproduces it byte for byte — at every batch size and worker split.
+// counter record rlnc.CounterRecord builds for its segment and index, byte for
+// byte — its payload the encode of F(key, segment, index), its indices
+// consecutive per segment — at every batch size and worker split.
 func TestDenseRecordsDifferential(t *testing.T) {
+	const key = 5
 	for _, p := range []rlnc.Params{
 		{BlockCount: 4, BlockSize: 32},
 		{BlockCount: 32, BlockSize: 256},
 		{BlockCount: 128, BlockSize: 4096},
 	} {
 		for _, workers := range []int{1, 3} {
-			src := denseSource(t, p, 2, workers, 5)
-			want := make([]byte, p.BlockSize)
+			src := denseSource(t, p, 2, workers, key)
+			next := [2]uint32{}
 			for round, batch := range []int{1, 2, 7, 32} {
 				seg := src.obj.Segments[round%2]
 				recs := src.Records(round%2, batch, heapAlloc)
@@ -44,20 +48,13 @@ func TestDenseRecordsDifferential(t *testing.T) {
 					t.Fatalf("%+v workers %d: %d records for a batch of %d", p, workers, len(recs), batch)
 				}
 				for i, rec := range recs {
-					var b rlnc.CodedBlock
-					if err := b.UnmarshalBinary(rec[recordLenLen:]); err != nil {
-						t.Fatalf("%+v workers %d batch %d record %d does not parse: %v", p, workers, batch, i, err)
+					if got := int(binary.BigEndian.Uint32(rec)); got != rlnc.CounterWireSize(p) {
+						t.Fatalf("length prefix %d, want %d", got, rlnc.CounterWireSize(p))
 					}
-					if b.SegmentID != seg.ID() || bytes.IndexByte(b.Coeffs, 0) >= 0 {
-						t.Fatalf("record of segment %d, coefficients % x", b.SegmentID, b.Coeffs)
-					}
-					rlnc.EncodeInto(want, seg, b.Coeffs)
-					if !bytes.Equal(b.Payload, want) {
-						t.Fatalf("%+v workers %d batch %d record %d: payload is not the encode of its coefficients", p, workers, batch, i)
-					}
-					again, err := FrameRecord(&b, ModeDense)
-					if err != nil || !bytes.Equal(again, rec) {
-						t.Fatalf("%+v workers %d batch %d record %d: FrameRecord of the parsed block differs (%v)", p, workers, batch, i, err)
+					want := rlnc.CounterRecord(seg, key, next[round%2])
+					next[round%2]++
+					if !bytes.Equal(rec[recordLenLen:], want) {
+						t.Fatalf("%+v workers %d batch %d record %d is not the counter record of its index", p, workers, batch, i)
 					}
 				}
 			}
@@ -65,26 +62,31 @@ func TestDenseRecordsDifferential(t *testing.T) {
 	}
 }
 
-// TestServerSeedFixesTheStream: the coefficient stream belongs to the source
-// and is seeded once, so what a seed promises is the whole record sequence —
-// the same on two servers and under any encoder worker count — and each shard
-// of a sharded server draws from a lane of its own.
+// TestServerSeedFixesTheStream: what a seed promises is the whole record
+// sequence — the key is the seed, indices count from zero — the same on two
+// servers and under any encoder worker count. The shards of a sharded server
+// share the key and one index counter per segment, so no two of them ever
+// frame the same (segment, index).
 func TestServerSeedFixesTheStream(t *testing.T) {
 	p := rlnc.Params{BlockCount: 8, BlockSize: 64}
 	media := testMedia(t, 3*p.SegmentSize(), 12)
-	first64 := func(workers int) []byte {
+	newServer := func(workers, shards int) *Server {
 		cfg := DefaultServerConfig()
 		cfg.Seed = 99
 		cfg.EncoderWorkers = workers
+		cfg.PumpShards = shards
 		srv, err := NewServerFromConfig(media, p, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		conn := startPipeServer(t, srv).Dial()
+		return srv
+	}
+	first64 := func(workers int) []byte {
+		conn := startPipeServer(t, newServer(workers, 1)).Dial()
 		defer conn.Close()
 		// The first QueueDepth (64) records offered to a session all fit its
 		// queue: none is shed, so they are the pump's first 64.
-		head := make([]byte, protoHeaderLen+64*(recordLenLen+rlnc.WireSize(p)))
+		head := make([]byte, protoHeaderLen+tlvLen+64*(recordLenLen+rlnc.CounterWireSize(p)))
 		if _, err := io.ReadFull(conn, head); err != nil {
 			t.Fatal(err)
 		}
@@ -97,19 +99,33 @@ func TestServerSeedFixesTheStream(t *testing.T) {
 	if !bytes.Equal(one, first64(3)) {
 		t.Fatal("the first 64 records depend on the encoder worker count")
 	}
+	hs, err := readHandshake(bytes.NewReader(one))
+	if err != nil || !hs.counter() || hs.key != 99 {
+		t.Fatalf("handshake %+v, %v: want a counter session under key 99", hs, err)
+	}
 
-	lane0 := denseSource(t, p, 1, 1, shardSeed(99, 0)).Records(0, 8, heapAlloc)
-	lane1 := denseSource(t, p, 1, 1, shardSeed(99, 1)).Records(0, 8, heapAlloc)
-	for i := range lane0 {
-		if bytes.Equal(lane0[i], lane1[i]) {
-			t.Fatalf("shard lanes 0 and 1 drew the same record %d", i)
+	// Four shards interleave rounds on one segment: between them they frame
+	// indices 0 … 4·batch−1 of it, each exactly once.
+	srv := newServer(1, 4)
+	defer srv.Shutdown()
+	seen := make(map[uint32]bool)
+	for round := range 8 {
+		sh := srv.shards[round%4]
+		for _, rec := range sh.src.Records(0, 8, heapAlloc) {
+			index := binary.BigEndian.Uint32(rec[recordLenLen+16:])
+			if seen[index] {
+				t.Fatalf("shard %d framed index %d of segment 0 again", sh.id, index)
+			}
+			seen[index] = true
 		}
+	}
+	if len(seen) != 64 || !seen[0] || !seen[63] {
+		t.Fatalf("8 rounds of 8 framed %d distinct indices, want 0 … 63", len(seen))
 	}
 }
 
 // TestDenseSendPathDoesNotAllocate: in the steady state the origin's dense
-// round — frames from the pool, coefficients drawn and payloads encoded in
-// them, wrapped, released — allocates nothing per record when the encode runs
+// round — frames from the pool, coefficients written and payloads encoded — allocates nothing per record when the encode runs
 // on the caller, and at most twice per batch through the worker dispatch.
 func TestDenseSendPathDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
@@ -153,8 +169,9 @@ func TestDenseSendPathDoesNotAllocate(t *testing.T) {
 }
 
 // BenchmarkDenseRecords: one pump round of the origin's dense path — batch
-// records laid out, drawn, encoded and sealed in pooled frames, then released
-// — per record, at the small-record and the streaming shape.
+// counter records laid out, their vectors written, encoded and sealed in
+// pooled frames, then released — per record, at the small-record and the
+// streaming shape.
 func BenchmarkDenseRecords(b *testing.B) {
 	for _, p := range []rlnc.Params{{BlockCount: 32, BlockSize: 256}, {BlockCount: 128, BlockSize: 4096}} {
 		b.Run(fmt.Sprintf("origin/n=%d/k=%d", p.BlockCount, p.BlockSize), func(b *testing.B) {

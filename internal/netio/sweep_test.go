@@ -563,19 +563,24 @@ func TestSweepLossyFetchRepairs(t *testing.T) {
 	t.Logf("deficit %d, %d records read, %d dependent, %d corrupt; pump encoded %d", deficit, res.Stats.Records, res.Stats.Dependent, res.Stats.Corrupt, snap.BlocksEncoded)
 }
 
-// TestPushSessionsUnchanged: dense-mode and source-backed servers set no new
-// flag and put the bytes on the wire they always did — the digests are of the
-// first KiB after the handshake — and neither client writes a byte to them.
-// The source-backed server declares ModeSystematic: it is the object source,
-// not the mode, that makes a sweep.
+// TestPushSessionsUnchanged: pushing servers put the bytes on the wire they
+// are meant to — the digests are of the first KiB after the handshake — and
+// neither client writes a byte to them.
 //
-// Both digests were taken at f2b4679, the last protocol-v3 commit: protocol v4
-// moved the handshake onto the control-record codec (a body length field, 40 →
-// 44 bytes) and changed nothing after it. The handshake is pinned field by
-// field instead — it is the plain session header — and so that a digest cannot
-// hide a format change, what it stands for is asserted too: every record after
-// the handshake is a dense XNC1 record of the declared shape with no zero
-// coefficient and a valid CRC.
+// The source-backed servers — a relay's shape — are unchanged: no flag, and
+// XNC1 records, in either declared mode (it is the object source, not the
+// mode, that makes a sweep). Their digests were taken at f2b4679, the last
+// protocol-v3 commit (the "source-dense" one at 4885229, from the same
+// bytes — the declared mode does not enter them): protocol v4 moved the handshake onto the control-record codec (a
+// body length field, 40 → 44 bytes) and changed nothing after it.
+//
+// The media-backed dense server is a counter session: hsFlagCounter and its
+// key (the seed) in the header, XNC3 records after it. That digest was
+// re-pinned when XNC3 replaced its XNC1 records. So that a digest cannot hide
+// a format change, the handshake is pinned field by field and what each
+// digest stands for is asserted too: every record after the handshake is of
+// its session's encoding and declared shape, with a valid CRC, an in-range
+// segment and — read or regenerated — no zero coefficient.
 func TestPushSessionsUnchanged(t *testing.T) {
 	p := rlnc.Params{BlockCount: 4, BlockSize: 32}
 	media := testMedia(t, 2*p.SegmentSize()-5, 91)
@@ -585,17 +590,21 @@ func TestPushSessionsUnchanged(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name, digest string
+		hs           handshake // flags and key; the header is the server's
 		server       func() (*Server, error)
 	}{
-		{"dense", "0c588286b6ab0156d37376eee7b51e4a2e5e8086f75f1d9a995b38b2ce51da26", func() (*Server, error) {
+		{"dense", "eb14099d7afd89602175a893a2c3832d4eeafa7dc2b82d35acfd23e9424ad0ad", handshake{flags: hsFlagCounter, key: 17}, func() (*Server, error) {
 			cfg := DefaultServerConfig()
 			cfg.Seed = 17
 			return NewServerFromConfig(media, p, cfg)
 		}},
-		{"source", "c7053344ab93e6e4642e67de313f7aeb3f79fedb65ba5c9f4f14fd2582baa15f", func() (*Server, error) {
+		{"source", "c7053344ab93e6e4642e67de313f7aeb3f79fedb65ba5c9f4f14fd2582baa15f", handshake{}, func() (*Server, error) {
 			src := newPoolSource(t, obj, 2*p.BlockCount)
 			src.info.Mode = ModeSystematic
 			return NewSourceServerFromConfig(src, DefaultServerConfig())
+		}},
+		{"source-dense", "c7053344ab93e6e4642e67de313f7aeb3f79fedb65ba5c9f4f14fd2582baa15f", handshake{}, func() (*Server, error) {
+			return NewSourceServerFromConfig(newPoolSource(t, obj, 2*p.BlockCount), DefaultServerConfig())
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -607,29 +616,39 @@ func TestPushSessionsUnchanged(t *testing.T) {
 			serveOn(t, srv, counted)
 			pl := counted.Listener.(*pipeListener)
 
+			want := tc.hs
+			want.hdr = srv.Info().header()
+			opening := appendSessionHeader(nil, want)
 			conn := pl.Dial()
-			head := make([]byte, protoHeaderLen+1024)
+			head := make([]byte, len(opening)+1024)
 			if _, err := io.ReadFull(conn, head); err != nil {
 				t.Fatal(err)
 			}
 			conn.Close()
-			if hs, err := readHandshake(bytes.NewReader(head)); err != nil || hs.flags != 0 || hs.tctx != (traceContext{}) {
-				t.Fatalf("handshake flags %#x, trace %+v, %v", hs.flags, hs.tctx, err)
+			if hs, err := readHandshake(bytes.NewReader(head)); err != nil || hs.flags != want.flags || hs.key != want.key || hs.tctx != (traceContext{}) {
+				t.Fatalf("handshake flags %#x, key %#x, trace %+v, %v", hs.flags, hs.key, hs.tctx, err)
 			}
-			rest, ok := bytes.CutPrefix(head, appendSessionHeader(nil, srv.Info().header(), 0, traceContext{}))
+			rest, ok := bytes.CutPrefix(head, opening)
 			if !ok {
-				t.Fatalf("the stream does not open with the plain session header: % x", head[:protoHeaderLen])
+				t.Fatalf("the stream does not open with the session header: % x", head[:len(opening)])
 			}
 			if sum := sha256.Sum256(rest); hex.EncodeToString(sum[:]) != tc.digest {
 				t.Fatalf("first KiB after the handshake changed: digest %x", sum)
 			}
-			for recLen := recordLenLen + rlnc.WireSize(p); len(rest) >= recLen; rest = rest[recLen:] {
+			size, _ := want.recordSizes()
+			for recLen := recordLenLen + int(size); len(rest) >= recLen; rest = rest[recLen:] {
 				var b rlnc.CodedBlock
-				if got := int(binary.BigEndian.Uint32(rest)); got != rlnc.WireSize(p) {
-					t.Fatalf("record length prefix %d, want %d", got, rlnc.WireSize(p))
+				if got := binary.BigEndian.Uint32(rest); got != size {
+					t.Fatalf("record length prefix %d, want %d", got, size)
 				}
-				if err := b.UnmarshalBinary(rest[recordLenLen:recLen]); err != nil || b.Params() != p {
-					t.Fatalf("record is not an XNC1 block at %+v: %v (% x)", p, err, rest[:recLen])
+				rec := rest[recordLenLen:recLen]
+				if want.counter() {
+					_, err = b.UnmarshalCounter(rec, want.key, p)
+				} else {
+					err = b.UnmarshalBinary(rec)
+				}
+				if err != nil || b.Params() != p {
+					t.Fatalf("record is not a block of its session's encoding at %+v: %v (% x)", p, err, rec)
 				}
 				if int(b.SegmentID) >= len(obj.Segments) || bytes.IndexByte(b.Coeffs, 0) >= 0 {
 					t.Fatalf("record of segment %d with coefficients % x", b.SegmentID, b.Coeffs)

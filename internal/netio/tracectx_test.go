@@ -35,7 +35,7 @@ func TestRecordPreludeRoundTrip(t *testing.T) {
 func TestUnknownHeaderFlagsRejected(t *testing.T) {
 	h := sessionHeader{params: rlnc.Params{BlockCount: 4, BlockSize: 64}, segments: 1, length: 100}
 	var buf bytes.Buffer
-	if _, err := buf.Write(appendSessionHeader(nil, h, hsFlagTrace|1<<9, traceContext{})); err != nil {
+	if _, err := buf.Write(appendSessionHeader(nil, handshake{hdr: h, flags: hsFlagTrace | 1<<9})); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := readHandshake(&buf); !errors.Is(err, ErrBadHandshake) {

@@ -123,10 +123,10 @@ func (b *CodedBlock) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// openWire checks what the XNC1 and XNC2 records share — magic, header shape,
-// total length and checksum — and returns the record's segment ID, shape and
-// [C | x] row, C being n coefficient bytes (XNC1) or a ceil(n/8)-byte bitmask
-// (XNC2).
+// openWire checks what the XNC1, XNC2 and XNC3 records share — magic, header
+// shape, total length and checksum — and returns the record's segment ID,
+// shape and [C | x] row, C being n coefficient bytes (XNC1), a ceil(n/8)-byte
+// bitmask (XNC2) or a 4-byte record index (XNC3).
 func openWire(data []byte, magic string) (seg uint32, p Params, row []byte, err error) {
 	if len(data) < wireHeaderLen+wireTrailerLen {
 		return 0, p, nil, ErrTruncated
@@ -142,8 +142,11 @@ func openWire(data []byte, magic string) (seg uint32, p Params, row []byte, err 
 		return 0, p, nil, err
 	}
 	c := p.BlockCount
-	if magic == xorWireMagic {
+	switch magic {
+	case xorWireMagic:
 		c = BitmaskLen(c)
+	case counterWireMagic:
+		c = counterIndexLen
 	}
 	if want := wireHeaderLen + c + p.BlockSize + wireTrailerLen; len(data) != want {
 		return 0, p, nil, fmt.Errorf("%w: have %d bytes, want %d", ErrTruncated, len(data), want)

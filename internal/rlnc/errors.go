@@ -33,7 +33,4 @@ var (
 	// ErrParamsMismatch reports segments whose coding parameters disagree
 	// with the reassembly configuration.
 	ErrParamsMismatch = errors.New("rlnc: segment params mismatch")
-	// ErrSeededDense reports a seeded-block request on a sparse encoder
-	// (seeded coefficient streams are defined only for density 1).
-	ErrSeededDense = errors.New("rlnc: seeded blocks require dense coefficients")
 )

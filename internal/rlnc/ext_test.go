@@ -6,76 +6,61 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
+// TestSeededBlockRoundTrip: a seeded block is an XNC3 counter record. It
+// carries a 4-byte index where XNC1 carries n coefficient bytes, its payload is
+// the encode of CounterCoeffs(key, segment, index), and reading it regenerates
+// exactly that vector — into the reader's block, reusing its storage.
 func TestSeededBlockRoundTrip(t *testing.T) {
 	p := Params{BlockCount: 16, BlockSize: 128}
 	seg := randomSegment(t, 5, p, 100)
-	rng := rand.New(rand.NewSource(101))
-	enc := NewEncoder(seg, rng)
-
-	sb, err := enc.NextSeededBlock()
+	const key = 0x0123456789ABCDEF
+	data := CounterRecord(seg, key, 77)
+	if len(data) != CounterWireSize(p) || CounterWireSize(p) != WireSize(p)-p.BlockCount+4 {
+		t.Fatalf("wire size %d, CounterWireSize %d, XNC1 %d", len(data), CounterWireSize(p), WireSize(p))
+	}
+	var got CodedBlock
+	index, err := got.UnmarshalCounter(data, key, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The expanded block must be the true combination for its seed.
-	plain := sb.Expand()
-	want, err := enc.BlockFor(plain.Coeffs)
-	if err != nil {
+	want := make([]byte, p.BlockCount)
+	CounterCoeffs(want, key, 5, 77)
+	if index != 77 || got.SegmentID != 5 || !bytes.Equal(got.Coeffs, want) || !consistentWithSource(seg, &got) {
+		t.Fatalf("index %d, segment %d, coefficients % x: not the record that was written", index, got.SegmentID, got.Coeffs)
+	}
+	coeffs, payload := &got.Coeffs[0], &got.Payload[0]
+	if _, err := got.UnmarshalCounter(CounterRecord(seg, key, 78), key, p); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(plain.Payload, want.Payload) {
-		t.Fatal("seeded payload does not match its coefficient vector")
+	if &got.Coeffs[0] != coeffs || &got.Payload[0] != payload {
+		t.Fatal("a second read did not reuse the block's storage")
 	}
-
-	// Wire round trip.
-	data, err := sb.MarshalBinary()
-	if err != nil {
+	// The same index under another key is another vector.
+	var other CodedBlock
+	if _, err := other.UnmarshalCounter(data, key+1, p); err != nil {
 		t.Fatal(err)
 	}
-	if len(data) != sb.WireSize() {
-		t.Fatalf("wire size %d != %d", len(data), sb.WireSize())
-	}
-	var got SeededBlock
-	if err := got.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
-	if got.Seed != sb.Seed || got.SegmentID != sb.SegmentID || !bytes.Equal(got.Payload, sb.Payload) {
-		t.Fatal("seeded wire round trip altered the block")
-	}
-
-	// Header is 8 bytes instead of n.
-	seeded, plainOverhead := sb.HeaderOverhead()
-	if seeded != 8 || plainOverhead != p.BlockCount {
-		t.Fatalf("overhead = (%d, %d)", seeded, plainOverhead)
+	if bytes.Equal(other.Coeffs, want) {
+		t.Fatal("the key does not enter the coefficients")
 	}
 }
 
 func TestSeededBlocksDecode(t *testing.T) {
 	p := Params{BlockCount: 12, BlockSize: 64}
 	seg := randomSegment(t, 1, p, 102)
-	rng := rand.New(rand.NewSource(103))
-	enc := NewEncoder(seg, rng)
 	dec, err := NewDecoder(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for !dec.Ready() {
-		sb, err := enc.NextSeededBlock()
-		if err != nil {
-			t.Fatal(err)
-		}
+	var rx CodedBlock
+	for index := uint32(0); !dec.Ready(); index++ {
 		// Receiver side: wire → regenerate coefficients → decode.
-		data, err := sb.MarshalBinary()
-		if err != nil {
+		if _, err := rx.UnmarshalCounter(CounterRecord(seg, 103, index), 103, p); err != nil {
 			t.Fatal(err)
 		}
-		var rx SeededBlock
-		if err := rx.UnmarshalBinary(data); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := dec.AddBlock(rx.Expand()); err != nil {
+		if _, err := dec.AddBlock(&rx); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -91,63 +76,36 @@ func TestSeededBlocksDecode(t *testing.T) {
 func TestSeededBlockCorruption(t *testing.T) {
 	p := Params{BlockCount: 8, BlockSize: 32}
 	seg := randomSegment(t, 1, p, 104)
-	enc := NewEncoder(seg, rand.New(rand.NewSource(105)))
-	sb, err := enc.NextSeededBlock()
-	if err != nil {
-		t.Fatal(err)
-	}
-	good, err := sb.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
+	good := CounterRecord(seg, 105, 3)
+	read := func(data []byte, want Params) error {
+		_, err := new(CodedBlock).UnmarshalCounter(data, 105, want)
+		return err
 	}
 	bad := append([]byte(nil), good...)
 	bad[0] = 'Z'
-	if err := new(SeededBlock).UnmarshalBinary(bad); !errors.Is(err, ErrNotSeeded) {
+	if err := read(bad, p); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("bad magic err = %v", err)
 	}
 	bad = append([]byte(nil), good...)
-	bad[seededHeaderLen] ^= 1
-	if err := new(SeededBlock).UnmarshalBinary(bad); !errors.Is(err, ErrBadChecksum) {
-		t.Fatalf("flipped byte err = %v", err)
+	bad[wireHeaderLen] ^= 1 // the index
+	if err := read(bad, p); !errors.Is(err, ErrBadChecksum) {
+		t.Fatalf("flipped index err = %v", err)
 	}
-	if err := new(SeededBlock).UnmarshalBinary(good[:5]); !errors.Is(err, ErrTruncated) {
+	if err := read(good[:5], p); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("truncated err = %v", err)
 	}
 	// A plain coded block's magic must be rejected too.
-	plainWire, err := sb.Expand().MarshalBinary()
+	plainWire, err := NewEncoder(seg, rand.New(rand.NewSource(106))).NextBlock().MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := new(SeededBlock).UnmarshalBinary(plainWire); !errors.Is(err, ErrNotSeeded) {
+	if err := read(plainWire, p); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("plain magic err = %v", err)
 	}
-}
-
-func TestSeededRequiresDense(t *testing.T) {
-	p := Params{BlockCount: 8, BlockSize: 32}
-	seg := randomSegment(t, 1, p, 106)
-	enc := NewEncoder(seg, rand.New(rand.NewSource(107)), WithDensity(0.5))
-	if _, err := enc.NextSeededBlock(); err == nil {
-		t.Fatal("sparse encoder produced a seeded block")
-	}
-}
-
-func TestCoeffsFromSeedDeterministic(t *testing.T) {
-	f := func(seed int64) bool {
-		a := CoeffsFromSeed(seed, 32)
-		b := CoeffsFromSeed(seed, 32)
-		if !bytes.Equal(a, b) {
-			return false
-		}
-		for _, c := range a {
-			if c == 0 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
+	// A checksummed record of another shape sizes nothing: the key belongs to
+	// the session that declared p.
+	if err := read(good, Params{BlockCount: 9, BlockSize: 32}); !errors.Is(err, ErrBlockShape) {
+		t.Fatalf("shape mismatch err = %v", err)
 	}
 }
 
@@ -286,12 +244,8 @@ func TestWireFormatGolden(t *testing.T) {
 		t.Errorf("plain wire bytes changed:\n got %s\nwant %s", got, wantPlain)
 	}
 
-	sb := &SeededBlock{SegmentID: 0x01020304, BlockCount: 2, Seed: 7, Payload: []byte{1, 2, 3}}
-	sw, err := sb.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	const wantSeeded = "584e533101020304000000020000000300000000000000070102031b892138"
+	sw := CounterRecord(seg, 7, 0x05060708)
+	const wantSeeded = "584e433301020304000000020000000305060708cc9df266048b0d"
 	if got := fmt.Sprintf("%x", sw); got != wantSeeded {
 		t.Errorf("seeded wire bytes changed:\n got %s\nwant %s", got, wantSeeded)
 	}

@@ -2,6 +2,7 @@ package rlnc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 )
@@ -10,7 +11,7 @@ import (
 // corpus; `go test -fuzz=FuzzCodedBlockUnmarshal ./internal/rlnc` explores
 // further.
 
-func seedWire(f *testing.F, seeded bool) {
+func seedWire(f *testing.F) {
 	f.Helper()
 	p := Params{BlockCount: 8, BlockSize: 64}
 	rng := rand.New(rand.NewSource(1))
@@ -20,31 +21,18 @@ func seedWire(f *testing.F, seeded bool) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	enc := NewEncoder(seg, rng)
-	if seeded {
-		sb, err := enc.NextSeededBlock()
-		if err != nil {
-			f.Fatal(err)
-		}
-		wire, err := sb.MarshalBinary()
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(wire)
-	} else {
-		wire, err := enc.NextBlock().MarshalBinary()
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(wire)
+	wire, err := NewEncoder(seg, rng).NextBlock().MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
 	}
+	f.Add(wire)
 	f.Add([]byte{})
 	f.Add([]byte("XNC1"))
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
 }
 
 func FuzzCodedBlockUnmarshal(f *testing.F) {
-	seedWire(f, false)
+	seedWire(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var blk CodedBlock
 		if err := blk.UnmarshalBinary(data); err != nil {
@@ -156,11 +144,15 @@ func FuzzXorBlockUnmarshal(f *testing.F) {
 	})
 }
 
-// FuzzRecordDispatch drives the magic-dispatching record parser with both
-// encodings' seeds: whatever it accepts must re-marshal, under the matching
-// encoding, to the input bytes.
+// FuzzRecordDispatch drives every record reader with every encoding's seeds:
+// UnmarshalRecord for XNC1/XNC2, and UnmarshalCounter under a fixed key for
+// XNC3 — the fetcher's dispatch on a counter session. Whatever a reader
+// accepts must re-marshal, under the matching encoding, to the input bytes,
+// and an accepted counter record's regenerated vector is the key's, with no
+// zero in it.
 func FuzzRecordDispatch(f *testing.F) {
-	seedWire(f, false)
+	const key = 0xC0FFEE
+	seedWire(f)
 	p := Params{BlockCount: 8, BlockSize: 64}
 	rng := rand.New(rand.NewSource(4))
 	data := make([]byte, p.SegmentSize())
@@ -176,8 +168,29 @@ func FuzzRecordDispatch(f *testing.F) {
 	}
 	f.Add(wire)
 	f.Add([]byte("XNC2"))
+	f.Add(CounterRecord(seg, key, 9))
+	f.Add([]byte("XNC3"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var blk CodedBlock
+		if len(data) >= wireHeaderLen && string(data[:4]) == counterWireMagic {
+			p := Params{BlockCount: int(binary.BigEndian.Uint32(data[8:])), BlockSize: int(binary.BigEndian.Uint32(data[12:]))}
+			index, err := blk.UnmarshalCounter(data, key, p)
+			if err != nil {
+				return
+			}
+			want := make([]byte, p.BlockCount)
+			CounterCoeffs(want, key, blk.SegmentID, index)
+			if !bytes.Equal(blk.Coeffs, want) || bytes.IndexByte(blk.Coeffs, 0) >= 0 {
+				t.Fatalf("index %d regenerated % x", index, blk.Coeffs)
+			}
+			out := make([]byte, CounterWireSize(p))
+			copy(PutCounterHeader(out, blk.SegmentID, index, p), blk.Payload)
+			SealWire(out)
+			if !bytes.Equal(out, data) {
+				t.Fatal("counter unmarshal/marshal not idempotent")
+			}
+			return
+		}
 		if err := blk.UnmarshalRecord(data); err != nil {
 			return
 		}
@@ -193,28 +206,6 @@ func FuzzRecordDispatch(f *testing.F) {
 		}
 		if !bytes.Equal(out, data) {
 			t.Fatal("record dispatch unmarshal/marshal not idempotent")
-		}
-	})
-}
-
-func FuzzSeededBlockUnmarshal(f *testing.F) {
-	seedWire(f, true)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var sb SeededBlock
-		if err := sb.UnmarshalBinary(data); err != nil {
-			return
-		}
-		out, err := sb.MarshalBinary()
-		if err != nil {
-			t.Fatalf("accepted seeded block fails to marshal: %v", err)
-		}
-		if !bytes.Equal(out, data) {
-			t.Fatal("seeded unmarshal/marshal not idempotent")
-		}
-		// Expansion must always produce a shape-consistent block.
-		blk := sb.Expand()
-		if len(blk.Coeffs) != sb.BlockCount || len(blk.Payload) != len(sb.Payload) {
-			t.Fatal("expanded block has inconsistent shape")
 		}
 	})
 }

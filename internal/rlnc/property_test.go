@@ -159,7 +159,7 @@ func TestDecoderRankMonotone(t *testing.T) {
 	}
 }
 
-// TestMixedBlockKindsDecode: systematic, dense coded, sparse coded, seeded
+// TestMixedBlockKindsDecode: systematic, dense coded, sparse coded, counter
 // and recoded blocks interoperate in a single decoder.
 func TestMixedBlockKindsDecode(t *testing.T) {
 	p := Params{BlockCount: 12, BlockSize: 48}
@@ -215,16 +215,16 @@ func TestMixedBlockKindsDecode(t *testing.T) {
 		}
 	}
 
+	var index uint32
 	sources := []func() (*CodedBlock, error){
 		se.NextBlock,
 		func() (*CodedBlock, error) { return dense.NextBlock(), nil },
 		func() (*CodedBlock, error) { return sparse.NextBlock(), nil },
 		func() (*CodedBlock, error) {
-			sb, err := dense.NextSeededBlock()
-			if err != nil {
-				return nil, err
-			}
-			return sb.Expand(), nil
+			var b CodedBlock
+			index++
+			_, err := b.UnmarshalCounter(CounterRecord(seg, 132, index), 132, p)
+			return &b, err
 		},
 		func() (*CodedBlock, error) { return rec.NextBlock(rng) },
 	}
