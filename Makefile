@@ -44,8 +44,8 @@ test:
 	GOARCH=arm64 $(GO) build ./...
 	$(GO) vet -C benchmark . && $(GO) test -C benchmark .
 
-# Size report: non-test Go lines per top-level directory (internal/ also per
-# package; the root package's own files are "(root)") and the number of
+# Size report: non-test Go lines per top-level directory (internal/ and cmd/
+# also per package; the root package's own files are "(root)") and the number of
 # exported identifiers of package extremenc — the two numbers a subtraction
 # PR is judged by.
 loc:
@@ -53,7 +53,7 @@ loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './.*' -exec wc -l {} + | awk ' \
 		$$2 == "total" { next } \
 		{ n = split($$2, p, "/"); top = (n == 2) ? "(root)" : p[2]; lines[top] += $$1; \
-		  if (top == "internal") lines["internal/" p[3]] += $$1; \
+		  if (top == "internal" || top == "cmd") lines[top "/" p[3]] += $$1; \
 		  if (top != "benchmark") sum += $$1 } \
 		END { for (d in lines) printf "  %-24s %6d\n", d, lines[d]; \
 		      printf "  %-24s %6d\n", "total outside benchmark/", sum }' | sort
@@ -101,15 +101,15 @@ staticcheck:
 # accounting — once pushing dense blocks, once in systematic mode, where every
 # session is written its own sweep.
 serve-smoke:
-	$(GO) run ./cmd/ncserve smoke -clients 4
-	$(GO) run ./cmd/ncserve smoke -clients 4 -mode systematic
+	$(GO) run ./cmd/nc smoke serve -clients 4
+	$(GO) run ./cmd/nc smoke serve -clients 4 -mode systematic
 
 # Observability end-to-end gate: serve with the metrics endpoint on, fetch
 # over loopback with a registry-attached client, scrape /metrics over HTTP,
 # and validate the exposition with the in-repo parser — core series nonzero,
 # stage histograms populated, /metrics.json and /debug/pprof/ routed.
 metrics-smoke:
-	$(GO) run ./cmd/ncserve metrics-smoke
+	$(GO) run ./cmd/nc smoke metrics
 
 # Systematic + XOR fast-path end-to-end gate: a systematic-mode server and a
 # client fetch over loopback (clean, then through a lossy faultnet link). The
@@ -118,7 +118,7 @@ metrics-smoke:
 # rejected unless the rlnc.xor_absorb stage histogram recorded spans — the
 # observable proof that the GF(2) XOR-only decode path actually engaged.
 xor-smoke:
-	$(GO) run ./cmd/ncserve xor-smoke
+	$(GO) run ./cmd/nc smoke xor
 
 # Relay-mesh end-to-end gate, entirely under the race detector: origin →
 # recoding relays → leaves over loopback TCP with faultnet chaos between the
@@ -143,24 +143,24 @@ drain-chaos:
 
 # Randomized chaos soak, CI slice: a fixed-seed schedule of leaf waves,
 # drain-restarts, kills, and slow-client brownout pressure against a
-# chaos-wrapped mesh. ncsoak exits non-zero unless every transfer is
+# chaos-wrapped mesh. `nc mesh -soak` exits non-zero unless every transfer is
 # byte-identical, rank never regresses, every relay ledger balances exactly,
 # the brownout ladder engaged and stepped back down, and no goroutine
 # outlives teardown.
 soak-smoke:
-	$(GO) run -race ./cmd/ncsoak -smoke -summary soak-summary.json
+	$(GO) run -race ./cmd/nc mesh -soak -smoke -summary soak-summary.json
 
 # Serving-capacity CI gate: one scaled-down 1k-session saturation wave under
-# the race detector. ncload exits non-zero unless the ramp completes, every
+# the race detector. `nc load` exits non-zero unless the ramp completes, every
 # canary fetch is byte-identical, the windowed p99 record latency stays under
 # its bound, and offered == sent + shed holds exactly in a scraped
 # Prometheus exposition.
 load-smoke:
-	$(GO) run -race ./cmd/ncload -smoke -summary load-summary.json
+	$(GO) run -race ./cmd/nc load -smoke -summary load-summary.json
 
 # Distributed-tracing end-to-end gate, under the race detector: a traced
 # chaos mesh run (origin → relays → leaves with faultnet corruption/resets
-# and a brownout stall wave), then nctrace reassembles the flight-recorder
+# and a brownout stall wave), then `nc mesh -trace` reassembles the flight-recorder
 # dump into per-generation latency breakdowns. The run fails unless every
 # span parents cleanly (zero orphans), the encode/absorb/recode stages all
 # appear, at least one histogram exemplar links back to a recorded trace,
@@ -169,14 +169,14 @@ load-smoke:
 # within tolerance of the committed BENCH_host.json. On failure the raw
 # flight dump lands in flight-trace.json for CI to upload.
 trace-smoke:
-	$(GO) run -race ./cmd/nctrace -smoke
+	$(GO) run -race ./cmd/nc mesh -trace
 
 # Full serving-capacity ladder, committed as BENCH_serve.json: ramped waves
 # to 5120 concurrent sessions at 1/2/4 pump shards (plus one systematic-wire
 # wave at peak), with aggregate MB/s and windowed p50/p99 record latency per
 # wave. Takes tens of minutes at full depth.
 loadtest:
-	$(GO) run ./cmd/ncload -sessions 5120 -steps 3 -shards 1,2,4 \
+	$(GO) run ./cmd/nc load -sessions 5120 -steps 3 -shards 1,2,4 \
 		-window 3s -settle 1s -canaries 4 \
 		| $(GO) run ./cmd/benchjson > BENCH_serve.json
 	@cat BENCH_serve.json

@@ -4,7 +4,7 @@
 // host-codec ratios — most importantly the tiled batch encoder's speedup
 // over the single-block path — when the relevant benchmarks are present,
 // and the serving-capacity peak (best aggregate throughput at the deepest
-// session count) from ncload's BenchmarkServeLoad ladder.
+// session count) from `nc load`'s BenchmarkServeLoad ladder.
 //
 // A benchmark name that appears more than once on stdin (-count N, or several
 // runs concatenated) keeps its fastest run.
@@ -262,7 +262,7 @@ func derive(doc *Document) {
 	deriveServe(set, byName)
 }
 
-// deriveServe records the serving-capacity peak from ncload's ladder: the
+// deriveServe records the serving-capacity peak from `nc load`'s ladder: the
 // best dense wave's aggregate MB/s at the deepest session count measured,
 // with its depth and p99 record latency. All three are absolutes, so none is
 // gated by -check; they ride along for the docs.

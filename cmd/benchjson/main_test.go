@@ -88,7 +88,7 @@ func TestParseAndDerive(t *testing.T) {
 }
 
 const serveText = `goos: linux
-pkg: extremenc/cmd/ncload
+pkg: extremenc/cmd/nc
 BenchmarkServeLoad/shards=1/sessions=1024     1  800000 ns/op  190.00 MB/s  30000 p50-ns  700000 p99-ns  0.50 shed-pct
 BenchmarkServeLoad/shards=2/sessions=4096     1  700000 ns/op  150.00 MB/s  35000 p50-ns  750000 p99-ns  0.75 shed-pct
 BenchmarkServeLoad/shards=4/sessions=4096     1  600000 ns/op  176.00 MB/s  30000 p50-ns  650000 p99-ns  0.60 shed-pct

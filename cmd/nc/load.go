@@ -1,22 +1,3 @@
-// Command ncload is the serving-capacity saturation harness: it boots the
-// push server in-process, drives thousands of concurrent raw wire-speed
-// sessions (plus a few fully-decoding canary fetchers) against it, and
-// records the saturation curve — sessions vs aggregate MB/s vs p50/p99
-// record latency scraped from the obs stage histograms — as go-bench result
-// lines on stdout, ready for `cmd/benchjson`.
-//
-// The ladder ramps session depth in doubling waves and, at every depth,
-// measures the server at each configured pump-shard count. Every wave gets a
-// fresh server, listener, and metrics registry; MB/s comes from the
-// BytesSent delta over a settled measurement window, latency quantiles from
-// the windowed difference of two netio.record_send histogram snapshots.
-//
-//	go run ./cmd/ncload -sessions 5120 | go run ./cmd/benchjson > BENCH_serve.json
-//
-// With -smoke it runs one scaled-down 1k-session wave fit for `-race` CI and
-// gates it hard: ramp and canary failures, the windowed p99 record latency
-// (-max-p99), and exact offered == sent + shed accounting re-checked from
-// one scraped Prometheus exposition all exit non-zero.
 package main
 
 import (
@@ -82,15 +63,8 @@ type waveResult struct {
 	shedPct float64
 }
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintf(os.Stderr, "ncload: %v\n", err)
-		os.Exit(1)
-	}
-}
-
-func run(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("ncload", flag.ContinueOnError)
+func runLoad(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("nc load", flag.ContinueOnError)
 	var (
 		sessions   = fs.Int("sessions", 5120, "peak concurrent raw sessions per wave")
 		steps      = fs.Int("steps", 3, "ramp depths per shard count (each doubling up to -sessions)")
@@ -104,12 +78,12 @@ func run(args []string, out io.Writer) error {
 		blockSize  = fs.Int("block-size", 1024, "block size in bytes (k)")
 		segments   = fs.Int("segments", 4, "segments in the served object")
 		queueDepth = fs.Int("queue-depth", 64, "per-session send queue depth in records")
-		seed       = fs.Int64("seed", 1, "base seed for media and coefficient streams")
 		rampChunk  = fs.Int("ramp-chunk", 256, "sessions dialed per ramp chunk")
 		smoke      = fs.Bool("smoke", false, "one gated 1k-session wave (CI mode, -race friendly)")
 		maxP99     = fs.Duration("max-p99", 2*time.Second, "smoke gate: max windowed p99 record latency")
-		summary    = fs.String("summary", "", "write a machine-readable JSON run summary to this path")
 	)
+	c := common{seed: 1}
+	c.register(fs, "seed", "summary")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -122,7 +96,7 @@ func run(args []string, out io.Writer) error {
 		systematic: *systematic, window: *window, settle: *settle,
 		canaries: *canaries, chaos: *chaos,
 		blockCount: *blockCount, blockSize: *blockSize, segments: *segments,
-		queueDepth: *queueDepth, seed: *seed, rampChunk: *rampChunk,
+		queueDepth: *queueDepth, seed: c.seed, rampChunk: *rampChunk,
 		smoke: *smoke, maxP99: *maxP99,
 	}
 	if opt.smoke {
@@ -137,13 +111,13 @@ func run(args []string, out io.Writer) error {
 	}
 	raiseFDLimit()
 
-	lg := log.New(os.Stderr, "ncload: ", log.Ltime)
+	lg := log.New(os.Stderr, "nc load: ", log.Ltime)
 	sum := &loadSummary{Smoke: opt.smoke}
-	verdict := harness.Verdict{Seed: opt.seed, Fields: sum, Invariants: map[string]bool{}, SummaryPath: *summary}
+	verdict := harness.Verdict{Seed: opt.seed, Fields: sum, Invariants: map[string]bool{}, SummaryPath: c.summary}
 	return verdict.Finish(runLadder(opt, out, lg, sum, verdict.Invariants), os.Stderr)
 }
 
-// loadSummary is what one ncload run adds to its -summary verdict: every
+// loadSummary is what one load run adds to its -summary verdict: every
 // measured saturation point.
 type loadSummary struct {
 	Smoke bool          `json:"smoke"`
@@ -162,7 +136,7 @@ type waveSummary struct {
 
 // runLadder drives the ramp ladder and emits the go-bench result lines.
 func runLadder(opt options, out io.Writer, lg *log.Logger, sum *loadSummary, invariants map[string]bool) error {
-	fmt.Fprintf(out, "goos: %s\ngoarch: %s\npkg: extremenc/cmd/ncload\n", runtime.GOOS, runtime.GOARCH)
+	fmt.Fprintf(out, "goos: %s\ngoarch: %s\npkg: extremenc/cmd/nc\n", runtime.GOOS, runtime.GOARCH)
 	for _, wave := range buildWaves(opt) {
 		lg.Printf("wave %s: ramping %d sessions", wave.benchName(), wave.sessions)
 		start := time.Now()

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"io"
 	"reflect"
 	"testing"
 
@@ -61,18 +60,5 @@ func TestBuildWaves(t *testing.T) {
 	}
 	if !reflect.DeepEqual(depths, []int{1, 2, 4}) {
 		t.Fatalf("depths = %v, want [1 2 4]", depths)
-	}
-}
-
-func TestRunRejectsBadFlags(t *testing.T) {
-	for _, args := range [][]string{
-		{"-shards", "0"},
-		{"-sessions", "0"},
-		{"-ramp-chunk", "0"},
-		{"-brownout"}, // the unrun brownout mode is gone, flag included
-	} {
-		if err := run(args, io.Discard); err == nil {
-			t.Errorf("run(%v) accepted", args)
-		}
 	}
 }

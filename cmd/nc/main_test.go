@@ -3,10 +3,12 @@ package main
 import (
 	"bytes"
 	"context"
+	"io"
 	"math/rand"
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,34 +17,38 @@ import (
 	"extremenc/internal/rlnc"
 )
 
+// TestUsageErrors: every subcommand refuses a bad invocation before it
+// serves, dials or brings a mesh up.
 func TestUsageErrors(t *testing.T) {
-	if err := run(nil); err == nil {
-		t.Fatal("no subcommand accepted")
-	}
-	if err := run([]string{"bogus"}); err == nil {
-		t.Fatal("unknown subcommand accepted")
-	}
-	if err := run([]string{"serve"}); err == nil {
-		t.Fatal("serve without -in accepted")
-	}
-	if err := run([]string{"fetch"}); err == nil {
-		t.Fatal("fetch without -out accepted")
-	}
-	if err := run([]string{"smoke", "-bogus"}); err == nil {
-		t.Fatal("bad smoke flag accepted")
-	}
-	if err := run([]string{"serve", "-in", "/nonexistent"}); err == nil {
-		t.Fatal("missing media accepted")
-	}
-	if err := run([]string{"smoke", "-mode", "turbo"}); err == nil {
-		t.Fatal("unknown wire mode accepted")
+	for _, args := range [][]string{
+		nil,
+		{"bogus"},
+		{"serve"},                              // no -in
+		{"serve", "-in", "/nonexistent"},       // missing media
+		{"fetch"},                              // no -out
+		{"smoke", "-bogus"},                    // unknown flag
+		{"smoke", "-mode", "turbo"},            // unknown wire mode
+		{"smoke", "sideways"},                  // unknown gate
+		{"load", "-shards", "0"},               // no shard count
+		{"load", "-sessions", "0"},             // no sessions
+		{"load", "-ramp-chunk", "0"},           // no ramp
+		{"load", "-brownout"},                  // the unrun brownout mode is gone, flag included
+		{"mesh", "-mode", "bogus"},             // unknown wire mode
+		{"mesh", "-relays", "2", "-kill", "2"}, // killing every relay
+		{"mesh", "-soak", "-trace"},            // two presets
+		{"mesh", "-soak", "-kill", "1"},        // a default-preset flag under -soak
+		{"mesh", "-events", "3"},               // a soak flag without -soak
+	} {
+		if err := run(args, io.Discard); err == nil {
+			t.Errorf("run(%q) accepted", args)
+		}
 	}
 }
 
 // TestXorSmokeSubcommand runs the systematic + XOR end-to-end gate
 // in-process (the same path as `make xor-smoke`).
 func TestXorSmokeSubcommand(t *testing.T) {
-	if err := run([]string{"xor-smoke", "-size", "60000"}); err != nil {
+	if err := run([]string{"smoke", "xor", "-size", "60000"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -70,7 +76,7 @@ func TestFetchAgainstInProcessServer(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "out.bin")
 	done := make(chan error, 1)
 	go func() {
-		done <- run([]string{"fetch", "-addr", l.Addr().String(), "-out", out})
+		done <- run([]string{"fetch", "-addr", l.Addr().String(), "-out", out}, io.Discard)
 	}()
 	select {
 	case err := <-done:
@@ -117,7 +123,7 @@ func TestFetchResumeFlow(t *testing.T) {
 	out := filepath.Join(dir, "out.bin")
 	state := filepath.Join(dir, "fetch.state")
 	err = run([]string{"fetch", "-addr", inner.Addr().String(), "-out", out,
-		"-attempts", "1", "-resume", state})
+		"-attempts", "1", "-resume", state}, io.Discard)
 	if err == nil {
 		t.Fatal("one-attempt fetch through a resetting link succeeded")
 	}
@@ -128,7 +134,7 @@ func TestFetchResumeFlow(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		done <- run([]string{"fetch", "-addr", inner.Addr().String(), "-out", out,
-			"-attempts", "0", "-backoff", "1ms", "-resume", state})
+			"-attempts", "0", "-backoff", "1ms", "-resume", state}, io.Discard)
 	}()
 	select {
 	case err := <-done:
@@ -150,9 +156,16 @@ func TestFetchResumeFlow(t *testing.T) {
 	}
 }
 
-// TestSmokeSubcommand runs the CI smoke gate end to end in-process.
+// TestSmokeSubcommand runs the serve and metrics gates end to end in-process,
+// two gates on one invocation as `make serve-smoke metrics-smoke` would.
 func TestSmokeSubcommand(t *testing.T) {
-	if err := run([]string{"smoke", "-clients", "3", "-size", "60000"}); err != nil {
-		t.Fatal(err)
+	var out bytes.Buffer
+	if err := run([]string{"smoke", "serve", "metrics", "-clients", "3", "-size", "60000"}, &out); err != nil {
+		t.Fatalf("%v\noutput:\n%s", err, out.String())
+	}
+	for _, want := range []string{"smoke ok: 3 clients", "metrics-smoke ok"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("no %q in output:\n%s", want, out.String())
+		}
 	}
 }

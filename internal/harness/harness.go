@@ -1,5 +1,5 @@
-// Package harness is what the gate binaries (ncserve's smoke modes, ncload,
-// ncsoak, nctrace, ncmesh) share: seeded media, an observed process, a loopback
+// Package harness is what the gates of cmd/nc (nc smoke, nc load and the
+// nc mesh presets) share: seeded media, an observed process, a loopback
 // server behind one stop, raw-client fleets, the brownout stall wave, scraping,
 // byte verification and the -summary verdict. Each function owns a bring-up or
 // teardown order its callers used to spell out.

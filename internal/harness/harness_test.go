@@ -400,8 +400,8 @@ func TestVerifyLeaves(t *testing.T) {
 	}
 }
 
-// soakFields and loadFields mirror what ncsoak and ncload put between "seed"
-// and "invariants".
+// soakFields and loadFields mirror what `nc mesh -soak` and `nc load` put
+// between "seed" and "invariants".
 type soakFields struct {
 	Events     int     `json:"events"`
 	ElapsedS   float64 `json:"elapsed_s"`
@@ -427,10 +427,10 @@ type loadFields struct {
 	Waves []loadWave `json:"waves,omitempty"`
 }
 
-// TestVerdictGolden: the summary files are byte-identical to what ncsoak and
-// ncload wrote before the verdict moved here. testdata/soak.golden.json and
-// testdata/load.golden.json are the soak-summary.json and load-summary.json
-// those binaries wrote at the parent commit (`make soak-smoke load-smoke`);
+// TestVerdictGolden: the summary files are byte-identical to what the soak and
+// load commands wrote before the verdict moved here. testdata/soak.golden.json
+// and testdata/load.golden.json are the soak-summary.json and load-summary.json
+// those commands wrote at the parent commit (`make soak-smoke load-smoke`);
 // the failed-run documents are the old structs marshalled with an error set.
 func TestVerdictGolden(t *testing.T) {
 	soak := soakFields{Events: 12, ElapsedS: 3.9519309099999997, LeavesDone: 20, Drains: 2, Kills: 1, Stalls: 5, Redirects: 1, PeakRung: 1}

@@ -582,7 +582,7 @@ type LeafView struct {
 }
 
 // MeshSnapshot is a point-in-time copy of the whole mesh, JSON-encodable
-// for the ncmesh CLI.
+// for `nc mesh -snapshot`.
 type MeshSnapshot struct {
 	Origin       netio.Snapshot `json:"origin"`
 	Members      []MemberView   `json:"members"`

@@ -308,7 +308,7 @@ func (r *Relay) Restart(ctx context.Context, redirectAddr string) (string, error
 	r.mu.Lock()
 	// Fold and swap in one critical section so a concurrent Ledger never
 	// double-counts the drained server or misses it.
-	r.retired = addCounterViews(r.retired, drained)
+	r.retired = r.retired.Add(drained)
 	r.srv, r.ln = srv, ln
 	ctx = r.serveCtx
 	r.mu.Unlock()
@@ -330,21 +330,7 @@ func (r *Relay) Ledger() netio.CounterView {
 	if srv == nil {
 		return retired
 	}
-	return addCounterViews(retired, srv.Snapshot().CounterView)
-}
-
-// addCounterViews merges two traffic ledgers: counters add, the stall
-// high-water mark takes the max.
-func addCounterViews(a, b netio.CounterView) netio.CounterView {
-	return netio.CounterView{
-		BlocksEncoded:  a.BlocksEncoded + b.BlocksEncoded,
-		BlocksOffered:  a.BlocksOffered + b.BlocksOffered,
-		BlocksSent:     a.BlocksSent + b.BlocksSent,
-		BlocksShed:     a.BlocksShed + b.BlocksShed,
-		BytesSent:      a.BytesSent + b.BytesSent,
-		EncodeStall:    a.EncodeStall + b.EncodeStall,
-		MaxEncodeStall: max(a.MaxEncodeStall, b.MaxEncodeStall),
-	}
+	return retired.Add(srv.Snapshot().CounterView)
 }
 
 // Close tears the relay down: upstream fetch cancelled, downstream server

@@ -50,9 +50,6 @@ type ServerConfig struct {
 	// beyond the cap are closed immediately and counted in
 	// Snapshot.SessionsRejected. Zero means unlimited.
 	MaxSessions int
-	// EncoderWorkers is the worker count of each shard's parallel encoder
-	// (0 → the SharedPool's worker count). Media-backed dense servers only.
-	EncoderWorkers int
 	// Seed fixes what a media-backed server sends (0 → 1). In ModeDense it
 	// is the key of the counter records every shard frames, declared in each
 	// session header; in ModeSystematic shard i derives its repair stream
@@ -159,9 +156,6 @@ func (c ServerConfig) normalized(blockCount int) ServerConfig {
 		// wait at most a short interleave for every segment, but at least 4
 		// to amortize dispatch.
 		c.EncodeBatch = max(4, blockCount/4)
-	}
-	if c.EncoderWorkers <= 0 {
-		c.EncoderWorkers = rlnc.SharedPool().Workers()
 	}
 	if c.Seed == 0 {
 		c.Seed = 1

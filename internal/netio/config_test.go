@@ -70,9 +70,6 @@ func TestServerConfigNormalized(t *testing.T) {
 	if got.PumpShards != 1 {
 		t.Fatalf("PumpShards 0 -> %d, want 1", got.PumpShards)
 	}
-	if got.EncoderWorkers <= 0 {
-		t.Fatalf("EncoderWorkers 0 -> %d, want > 0", got.EncoderWorkers)
-	}
 	if (ServerConfig{QueueDepth: -3}).normalized(16).QueueDepth != 1 {
 		t.Fatal("negative QueueDepth must clamp to 1")
 	}

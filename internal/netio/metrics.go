@@ -99,6 +99,20 @@ func (c *Counters) View() CounterView {
 	}
 }
 
+// Add merges two traffic ledgers, as a relay folds in the servers a restart
+// retired: counters add, the stall high-water mark takes the max.
+func (v CounterView) Add(o CounterView) CounterView {
+	return CounterView{
+		BlocksEncoded:  v.BlocksEncoded + o.BlocksEncoded,
+		BlocksOffered:  v.BlocksOffered + o.BlocksOffered,
+		BlocksSent:     v.BlocksSent + o.BlocksSent,
+		BlocksShed:     v.BlocksShed + o.BlocksShed,
+		BytesSent:      v.BytesSent + o.BytesSent,
+		EncodeStall:    v.EncodeStall + o.EncodeStall,
+		MaxEncodeStall: max(v.MaxEncodeStall, o.MaxEncodeStall),
+	}
+}
+
 // Consistent reports whether the offered-block ledger balances:
 // Offered == Sent + Shed.
 //

@@ -3,6 +3,7 @@ package netio
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"extremenc/internal/obs"
 )
@@ -26,6 +27,22 @@ func TestCounterViewConsistent(t *testing.T) {
 	c.AddShed(1)
 	if v := c.View(); !v.Consistent() {
 		t.Fatalf("post-teardown view %+v must be consistent", v)
+	}
+
+	// Two settled ledgers merge into a settled one: counters add, the stall
+	// high-water mark is the larger of the two.
+	var d Counters
+	d.AddEncoded(4)
+	d.AddOffered(4)
+	d.AddShed(4)
+	c.AddEncodeStall(3 * time.Millisecond)
+	d.AddEncodeStall(5 * time.Millisecond)
+	d.AddEncodeStall(time.Millisecond)
+	got := c.View().Add(d.View())
+	want := CounterView{BlocksEncoded: 4, BlocksOffered: 7, BlocksSent: 2, BlocksShed: 5, BytesSent: 192,
+		EncodeStall: 9 * time.Millisecond, MaxEncodeStall: 5 * time.Millisecond}
+	if got != want || !got.Consistent() {
+		t.Fatalf("merged ledger %+v, want %+v", got, want)
 	}
 }
 

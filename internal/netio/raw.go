@@ -12,7 +12,7 @@ import (
 
 // RawClient consumes a serving session at wire speed without decoding: it
 // validates the handshake, then reads length-prefixed records and discards
-// their payloads. It exists for capacity measurement — the ncload harness
+// their payloads. It exists for capacity measurement — the `nc load` harness
 // drives thousands of these against one server so the saturation curve
 // reflects server-side coding and framing cost, not client decode speed.
 // Records are framing-checked only (the length prefix must be one of the

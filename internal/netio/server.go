@@ -136,38 +136,10 @@ type pumpShard struct {
 	wake     chan struct{} // a session arrived
 	consumed chan struct{} // a session drained a record
 
-	c shardCounters
-}
-
-// shardCounters is a shard's slice of the traffic ledger, kept as plain
-// atomics (the obs-registered aggregate counters stay server-wide so metric
-// cardinality does not scale with the shard count).
-type shardCounters struct {
-	encoded, offered, sent, shed, bytes atomic.Int64
-	stallNs, maxStallNs                 atomic.Int64
-}
-
-func (c *shardCounters) addStall(d time.Duration) {
-	ns := d.Nanoseconds()
-	c.stallNs.Add(ns)
-	for {
-		cur := c.maxStallNs.Load()
-		if ns <= cur || c.maxStallNs.CompareAndSwap(cur, ns) {
-			return
-		}
-	}
-}
-
-func (c *shardCounters) view() CounterView {
-	return CounterView{
-		BlocksEncoded:  c.encoded.Load(),
-		BlocksOffered:  c.offered.Load(),
-		BlocksSent:     c.sent.Load(),
-		BlocksShed:     c.shed.Load(),
-		BytesSent:      c.bytes.Load(),
-		EncodeStall:    time.Duration(c.stallNs.Load()),
-		MaxEncodeStall: time.Duration(c.maxStallNs.Load()),
-	}
+	// c is the shard's slice of the traffic ledger, unregistered: the
+	// obs-registered counters stay server-wide so metric cardinality does not
+	// scale with the shard count.
+	c Counters
 }
 
 // NewServerFromConfig builds a media-backed server over media split at p:
@@ -193,7 +165,7 @@ func NewServerFromConfig(media []byte, p rlnc.Params, cfg ServerConfig) (*Server
 			srcs[i] = newSystematicSource(obj, shardSeed(cfg.Seed, i))
 			continue
 		}
-		penc, err := rlnc.NewParallelEncoder(cfg.EncoderWorkers, rlnc.FullBlock)
+		penc, err := rlnc.NewParallelEncoder(rlnc.SharedPool().Workers(), rlnc.FullBlock)
 		if err != nil {
 			return nil, err
 		}
@@ -633,7 +605,7 @@ func (s *Server) writeSweep(ss *session) error {
 		offered := int64(len(batch))
 		ss.offered.Add(offered)
 		s.counters.AddOffered(offered)
-		ss.shard.c.offered.Add(offered)
+		ss.shard.c.AddOffered(offered)
 		if err := s.flush(ss, batch, &bufs, preludes); err != nil {
 			return err
 		}
@@ -673,7 +645,7 @@ func (s *Server) shedResidue(ss *session) {
 	ss.shed.Add(n)
 	s.counters.AddShed(n)
 	if ss.shard != nil {
-		ss.shard.c.shed.Add(n)
+		ss.shard.c.AddShed(n)
 	}
 	trace.Emit(trace.KindShed, s.traceNodeName(), "teardown", -1, n)
 	for _, fr := range rest {
@@ -738,13 +710,12 @@ func (s *Server) flush(ss *session, batch []*frameRef, bufs *net.Buffers, prelud
 		ss.sent.Add(int64(sentN))
 		ss.bytes.Add(sentBytes)
 		s.counters.AddSent(int64(sentN), sentBytes)
-		ss.shard.c.sent.Add(int64(sentN))
-		ss.shard.c.bytes.Add(sentBytes)
+		ss.shard.c.AddSent(int64(sentN), sentBytes)
 	}
 	if dropped := int64(len(batch) - sentN); dropped > 0 {
 		ss.shed.Add(dropped)
 		s.counters.AddShed(dropped)
-		ss.shard.c.shed.Add(dropped)
+		ss.shard.c.AddShed(dropped)
 		trace.Emit(trace.KindShed, s.traceNodeName(), "write_failed", -1, dropped)
 	}
 	return err
@@ -922,7 +893,7 @@ func (sh *pumpShard) run() {
 		}
 		enc.End()
 		s.counters.AddEncoded(int64(len(frames)))
-		sh.c.encoded.Add(int64(len(frames)))
+		sh.c.AddEncoded(int64(len(frames)))
 
 		for _, fr := range frames {
 			fr.round = uint64(round.ID())
@@ -955,7 +926,7 @@ func (sh *pumpShard) run() {
 			}
 			d := time.Since(t0)
 			s.counters.AddEncodeStall(d)
-			sh.c.addStall(d)
+			sh.c.AddEncodeStall(d)
 			if stopped {
 				return
 			}
@@ -1029,8 +1000,8 @@ func (sh *pumpShard) fanOut(frames []*frameRef, live []*session) bool {
 	osp.End()
 	s.counters.AddOffered(roundOffered)
 	s.counters.AddShed(roundShed)
-	sh.c.offered.Add(roundOffered)
-	sh.c.shed.Add(roundShed)
+	sh.c.AddOffered(roundOffered)
+	sh.c.AddShed(roundShed)
 	if roundShed > 0 {
 		trace.Emit(trace.KindShed, s.traceNodeName(), "queue_full", -1, roundShed)
 	}
@@ -1080,7 +1051,7 @@ func (s *Server) Snapshot() Snapshot {
 		snap.Shards[i] = ShardSnapshot{
 			Shard:       sh.id,
 			Sessions:    len(sh.sessions),
-			CounterView: sh.c.view(),
+			CounterView: sh.c.View(),
 		}
 		for ss := range sh.sessions {
 			snap.PerSession = append(snap.PerSession, SessionSnapshot{

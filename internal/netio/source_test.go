@@ -27,6 +27,20 @@ func denseSource(t testing.TB, p rlnc.Params, segments, workers int, key uint64)
 	return &counterSource{obj: obj, key: key, next: make([]atomic.Uint32, len(obj.Segments)), penc: penc}
 }
 
+// encodeWith gives every dense shard of srv, before it serves, a parallel
+// encoder of its own with the given worker count.
+func encodeWith(t testing.TB, srv *Server, workers int) *Server {
+	t.Helper()
+	for _, sh := range srv.shards {
+		penc, err := rlnc.NewParallelEncoder(workers, rlnc.FullBlock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh.src.(*counterSource).penc = penc
+	}
+	return srv
+}
+
 // TestDenseRecordsDifferential: a frame the origin encoded in place is the
 // counter record rlnc.CounterRecord builds for its segment and index, byte for
 // byte — its payload the encode of F(key, segment, index), its indices
@@ -73,13 +87,12 @@ func TestServerSeedFixesTheStream(t *testing.T) {
 	newServer := func(workers, shards int) *Server {
 		cfg := DefaultServerConfig()
 		cfg.Seed = 99
-		cfg.EncoderWorkers = workers
 		cfg.PumpShards = shards
 		srv, err := NewServerFromConfig(media, p, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return srv
+		return encodeWith(t, srv, workers)
 	}
 	first64 := func(workers int) []byte {
 		conn := startPipeServer(t, newServer(workers, 1)).Dial()
@@ -139,13 +152,12 @@ func TestDenseSendPathDoesNotAllocate(t *testing.T) {
 		workers  int
 		perBatch float64
 	}{{1, 0}, {3, 2}} {
-		cfg := DefaultServerConfig()
-		cfg.EncoderWorkers = tc.workers
-		srv, err := NewServerFromConfig(media, p, cfg)
+		srv, err := NewServerFromConfig(media, p, DefaultServerConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer srv.Shutdown()
+		encodeWith(t, srv, tc.workers)
 		sh := srv.shards[0] // no Serve: the pump is not running
 		alloc := sh.alloc
 		batch := srv.cfg.EncodeBatch

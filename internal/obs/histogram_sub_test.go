@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// TestSubEmptyWindow covers ncload's windowed-quantile path when nothing
+// TestSubEmptyWindow covers `nc load`'s windowed-quantile path when nothing
 // was observed between the two snapshots.
 func TestSubEmptyWindow(t *testing.T) {
 	var h Histogram

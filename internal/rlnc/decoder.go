@@ -11,7 +11,7 @@ import (
 var (
 	// stageXorAbsorb times one XOR-only (GF(2) fast path) absorb. Free when no
 	// obs sink is installed; its sample count is how operators confirm the
-	// fast path is actually running (see cmd/ncserve xor-smoke).
+	// fast path is actually running (see `nc smoke xor`).
 	stageXorAbsorb = obs.StageOf("rlnc.xor_absorb")
 
 	// stageAbsorb times the payload work of one dense decode — the inversion's
