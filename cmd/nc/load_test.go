@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"reflect"
 	"testing"
 
@@ -60,5 +61,18 @@ func TestBuildWaves(t *testing.T) {
 	}
 	if !reflect.DeepEqual(depths, []int{1, 2, 4}) {
 		t.Fatalf("depths = %v, want [1 2 4]", depths)
+	}
+}
+
+func TestRunRejectsBadFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"load", "-shards", "0"},
+		{"load", "-sessions", "0"},
+		{"load", "-ramp-chunk", "0"},
+		{"load", "-brownout"}, // the unrun brownout mode is gone, flag included
+	} {
+		if err := run(args, io.Discard); err == nil {
+			t.Errorf("run(%q) accepted", args)
+		}
 	}
 }

@@ -17,27 +17,19 @@ import (
 	"extremenc/internal/rlnc"
 )
 
-// TestUsageErrors: every subcommand refuses a bad invocation before it
-// serves, dials or brings a mesh up.
+// TestUsageErrors: serve, fetch and smoke refuse a bad invocation before
+// they serve or dial (load and mesh have TestRunRejectsBadFlags and
+// TestRunErrors).
 func TestUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		nil,
 		{"bogus"},
-		{"serve"},                              // no -in
-		{"serve", "-in", "/nonexistent"},       // missing media
-		{"fetch"},                              // no -out
-		{"smoke", "-bogus"},                    // unknown flag
-		{"smoke", "-mode", "turbo"},            // unknown wire mode
-		{"smoke", "sideways"},                  // unknown gate
-		{"load", "-shards", "0"},               // no shard count
-		{"load", "-sessions", "0"},             // no sessions
-		{"load", "-ramp-chunk", "0"},           // no ramp
-		{"load", "-brownout"},                  // the unrun brownout mode is gone, flag included
-		{"mesh", "-mode", "bogus"},             // unknown wire mode
-		{"mesh", "-relays", "2", "-kill", "2"}, // killing every relay
-		{"mesh", "-soak", "-trace"},            // two presets
-		{"mesh", "-soak", "-kill", "1"},        // a default-preset flag under -soak
-		{"mesh", "-events", "3"},               // a soak flag without -soak
+		{"serve"},                        // no -in
+		{"serve", "-in", "/nonexistent"}, // missing media
+		{"fetch"},                        // no -out
+		{"smoke", "-bogus"},              // unknown flag
+		{"smoke", "-mode", "turbo"},      // unknown wire mode
+		{"smoke", "sideways"},            // unknown gate
 	} {
 		if err := run(args, io.Discard); err == nil {
 			t.Errorf("run(%q) accepted", args)

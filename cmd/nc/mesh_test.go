@@ -139,6 +139,21 @@ func TestMeshPresetSchedules(t *testing.T) {
 	}
 }
 
+// TestRunErrors: mesh refuses a bad invocation before it brings a mesh up.
+func TestRunErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"mesh", "-mode", "bogus"},             // unknown wire mode
+		{"mesh", "-relays", "2", "-kill", "2"}, // killing every relay
+		{"mesh", "-soak", "-trace"},            // two presets
+		{"mesh", "-soak", "-kill", "1"},        // a default-preset flag under -soak
+		{"mesh", "-events", "3"},               // a soak flag without -soak
+	} {
+		if err := run(args, io.Discard); err == nil {
+			t.Errorf("run(%q) accepted", args)
+		}
+	}
+}
+
 func TestRunRejectsTooFewRelays(t *testing.T) {
 	if err := run([]string{"mesh", "-soak", "-relays", "2"}, io.Discard); err == nil {
 		t.Fatal("a two-relay soak was accepted: a drain has no survivor to redirect to")
