@@ -62,8 +62,11 @@ func (h Header) validate() error {
 	if err := h.Params.Validate(); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadHeader, err)
 	}
-	if h.Segments <= 0 {
-		return fmt.Errorf("%w: segment count %d", ErrBadHeader, h.Segments)
+	// The segment count is the one rlnc.Split makes of Length bytes: the
+	// decoded object is that many segments, padding cut off.
+	seg := int64(h.Params.SegmentSize())
+	if want := max(1, h.Length/seg+min(1, h.Length%seg)); int64(h.Segments) != want {
+		return fmt.Errorf("%w: %d bytes are %d segments of %v, not %d", ErrBadHeader, h.Length, want, h.Params, h.Segments)
 	}
 	return nil
 }
@@ -134,8 +137,9 @@ func writeRecord(w io.Writer, rec []byte) error {
 	return err
 }
 
-// readRecord returns the next raw record, or io.EOF at a clean end.
-func readRecord(r io.Reader) ([]byte, error) {
+// readRecord returns the next raw record, read into buf's storage when it
+// fits, or io.EOF at a clean end.
+func readRecord(r io.Reader, buf []byte) ([]byte, error) {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
 		if errors.Is(err, io.EOF) {
@@ -147,7 +151,10 @@ func readRecord(r io.Reader) ([]byte, error) {
 	if n == 0 || n > 64<<20 {
 		return nil, fmt.Errorf("ncfile: implausible record length %d", n)
 	}
-	rec := make([]byte, n)
+	if cap(buf) < int(n) {
+		buf = make([]byte, n)
+	}
+	rec := buf[:n]
 	if _, err := io.ReadFull(r, rec); err != nil {
 		return nil, fmt.Errorf("ncfile: record body: %w", err)
 	}
@@ -229,19 +236,25 @@ type DecodeSummary struct {
 }
 
 // Decode reads a coded container from r and writes the recovered payload to
-// w. Corrupt records (failed checksums) are skipped; recovery succeeds as
-// long as every segment reaches full rank.
+// w. Corrupt records (failed checksums, another shape, a segment the header
+// does not declare) are skipped; recovery succeeds as long as every segment
+// reaches full rank. Every segment decodes in place into its window of one
+// object buffer, which the first intact record allocates and w receives.
 func Decode(w io.Writer, r io.Reader) (*DecodeSummary, error) {
 	h, err := readHeader(r)
 	if err != nil {
 		return nil, err
 	}
-	decoders := make(map[uint32]*rlnc.Decoder, h.Segments)
+	p, size := h.Params, h.Params.SegmentSize()
+	format := rlnc.RecordFormat{Params: p, Counter: h.Seeded, Key: h.Key}
+	decoders := make(map[uint32]*rlnc.Decoder)
+	var obj []byte
 	sum := &DecodeSummary{Header: h}
 	var blk rlnc.CodedBlock
+	var rec []byte
 
 	for {
-		rec, err := readRecord(r)
+		rec, err = readRecord(r, rec)
 		if errors.Is(err, io.EOF) {
 			break
 		}
@@ -249,13 +262,20 @@ func Decode(w io.Writer, r io.Reader) (*DecodeSummary, error) {
 			return nil, err
 		}
 		sum.Records++
-		if !parseRecord(&blk, rec, h) {
+		if blk.ParseView(rec, format) != nil || blk.SegmentID >= uint32(h.Segments) {
 			sum.CorruptRecords++
 			continue
 		}
 		dec := decoders[blk.SegmentID]
 		if dec == nil {
-			if dec, err = rlnc.NewDecoder(h.Params); err != nil {
+			if obj == nil {
+				obj = make([]byte, h.Segments*size)
+			}
+			if dec, err = rlnc.NewDecoder(p); err != nil {
+				return nil, err
+			}
+			s := int(blk.SegmentID) * size
+			if err := dec.DecodeInto(obj[s : s+size]); err != nil {
 				return nil, err
 			}
 			decoders[blk.SegmentID] = dec
@@ -272,33 +292,19 @@ func Decode(w io.Writer, r io.Reader) (*DecodeSummary, error) {
 		}
 	}
 
-	segs := make([]*rlnc.Segment, 0, h.Segments)
-	for id, dec := range decoders {
-		seg, err := dec.Segment()
-		if err != nil {
-			return nil, fmt.Errorf("%w: segment %d at rank %d/%d",
-				ErrUnrecoverable, id, dec.Rank(), h.Params.BlockCount)
+	for id := range uint32(h.Segments) {
+		if dec := decoders[id]; dec == nil || !dec.Ready() {
+			rank := 0
+			if dec != nil {
+				rank = dec.Rank()
+			}
+			return nil, fmt.Errorf("%w: segment %d at rank %d/%d", ErrUnrecoverable, id, rank, p.BlockCount)
 		}
-		segs = append(segs, seg)
 	}
-	payload, err := rlnc.ReassembleSegments(segs, int(h.Length), h.Params)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrUnrecoverable, err)
-	}
-	if _, err := w.Write(payload); err != nil {
+	if _, err := w.Write(obj[:h.Length]); err != nil {
 		return nil, err
 	}
 	return sum, nil
-}
-
-// parseRecord decodes one record of the container h into blk, reporting false
-// for corrupt, unrecognized or mis-shaped bytes.
-func parseRecord(blk *rlnc.CodedBlock, rec []byte, h Header) bool {
-	if h.Seeded {
-		_, err := blk.UnmarshalCounter(rec, h.Key, h.Params)
-		return err == nil
-	}
-	return blk.UnmarshalBinary(rec) == nil && blk.Validate(h.Params) == nil
 }
 
 // CorruptOptions tunes Corrupt.
@@ -330,8 +336,9 @@ func Corrupt(w io.Writer, r io.Reader, opts CorruptOptions) (*CorruptSummary, er
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	sum := &CorruptSummary{}
+	var rec []byte
 	for {
-		rec, err := readRecord(r)
+		rec, err = readRecord(r, rec)
 		if errors.Is(err, io.EOF) {
 			break
 		}

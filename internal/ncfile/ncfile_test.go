@@ -5,7 +5,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
+	"io"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"extremenc/internal/rlnc"
@@ -131,6 +133,44 @@ func TestDecodeUnrecoverable(t *testing.T) {
 	var out bytes.Buffer
 	if _, err := Decode(&out, bytes.NewReader(damaged.Bytes())); !errors.Is(err, ErrUnrecoverable) {
 		t.Fatalf("err = %v, want ErrUnrecoverable", err)
+	}
+
+	// Segments 1 to 3 of five each lose one record: the error names segment
+	// 1, the lowest one that cannot be recovered, every time.
+	payload = testPayload(t, 5*p.SegmentSize(), 15)
+	container.Reset()
+	if _, err := Encode(&container, bytes.NewReader(payload), p, EncodeOptions{Redundancy: 1.0, Seed: 16}); err != nil {
+		t.Fatal(err)
+	}
+	r := bytes.NewReader(container.Bytes())
+	h, err := readHeader(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	damaged.Reset()
+	if err := writeHeader(&damaged, h); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; ; i++ {
+		rec, err := readRecord(r, nil)
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seg := i / p.BlockCount; seg >= 1 && seg <= 3 && i%p.BlockCount == 0 {
+			continue
+		}
+		if err := writeRecord(&damaged, rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 10 {
+		_, err := Decode(&out, bytes.NewReader(damaged.Bytes()))
+		if !errors.Is(err, ErrUnrecoverable) || !strings.Contains(err.Error(), "segment 1 at rank 15/16") {
+			t.Fatalf("err = %v, want ErrUnrecoverable naming segment 1 at rank 15/16", err)
+		}
 	}
 }
 

@@ -228,7 +228,8 @@ type FetcherConfig struct {
 	// checks, and after the sink (or the fetcher's own decoder) has absorbed
 	// it, so Fetcher.Ranks already counts the block in hand. It also sees
 	// blocks that were linearly dependent. The block is the session's reused
-	// one, valid only during the call: a tap that keeps it must Clone it. The
+	// one, its payload a view of the session's read buffer, valid only during
+	// the call: a tap that keeps it must Clone it. The
 	// fetch blocks until the tap returns. Use WithRecordTap to add one to a
 	// config that may already carry another.
 	RecordTap func(*rlnc.CodedBlock)

@@ -11,6 +11,7 @@ import (
 	"net"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -51,7 +52,7 @@ func stateFetcher(tb testing.TB, p rlnc.Params, segs int) *Fetcher {
 		tb.Fatal(err)
 	}
 	f := newFetcher(nil, DefaultFetcherConfig())
-	f.decoders = make(map[uint32]*rlnc.Decoder, segs)
+	f.leaf = &leaf{decs: make(map[uint32]*rlnc.Decoder, segs)}
 	for i, seg := range obj.Segments {
 		dec, err := rlnc.NewDecoder(p)
 		if err != nil {
@@ -63,7 +64,7 @@ func stateFetcher(tb testing.TB, p rlnc.Params, segs int) *Fetcher {
 				tb.Fatal(err)
 			}
 		}
-		f.decoders[uint32(i)] = dec
+		f.leaf.decs[uint32(i)] = dec
 	}
 	return f
 }
@@ -260,5 +261,57 @@ func TestFetchRefusesHostileLength(t *testing.T) {
 	_, stats, err := Fetch(context.Background(), client)
 	if !errors.Is(err, ErrBadHandshake) || stats.Records != 0 {
 		t.Fatalf("Fetch = %v after %d records, want ErrBadHandshake before any", err, stats.Records)
+	}
+}
+
+// TestFetchHostileLengthPinsNothing: a checksummed header may declare a
+// multi-GiB object the segment count agrees with. The leaf sizes its object
+// buffer from it only once a record has passed the checksum, shape and
+// segment-range checks, so a header followed by nothing but damaged records
+// costs a few KiB, not the declared length.
+func TestFetchHostileLengthPinsNothing(t *testing.T) {
+	p := rlnc.Params{BlockCount: 16, BlockSize: 1024}
+	const length = 6 << 30
+	h := sessionHeader{params: p, segments: length / p.SegmentSize(), length: length}
+	obj, err := rlnc.Split(testMedia(t, p.SegmentSize(), 10), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire := appendSessionHeader(nil, handshake{hdr: h})
+	enc := rlnc.NewEncoder(obj.Segments[0], rand.New(rand.NewSource(11)))
+	const records = 40
+	for range records {
+		rec, err := FrameRecord(enc.NextBlock(), ModeDense)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec[len(rec)-1] ^= 0x5A // the CRC no longer matches
+		wire = append(wire, rec...)
+	}
+	fetch := func() *FetchStats {
+		conn := &streamConn{}
+		conn.r.Reset(wire)
+		cfg := DefaultFetcherConfig()
+		cfg.MaxAttempts = 1
+		res, err := newTestFetcher(t, func(context.Context) (net.Conn, error) { return conn, nil }, cfg).Fetch(context.Background())
+		if !errors.Is(err, ErrStreamTruncated) || res.Payload != nil {
+			t.Fatalf("fetch: %v, %d-byte payload; want a truncated stream and none", err, len(res.Payload))
+		}
+		return res.Stats
+	}
+	fetch() // warms the pooled session reader
+	if raceEnabled {
+		return // the race detector's sync.Pool drops the warmed reader at random
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	stats := fetch()
+	runtime.ReadMemStats(&after)
+	if stats.Corrupt != records {
+		t.Fatalf("%d corrupt records of %d", stats.Corrupt, records)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 64<<10 {
+		t.Fatalf("a %d-byte header and %d damaged records allocated %d bytes, want < 64 KiB", int64(length), records, alloc)
 	}
 }

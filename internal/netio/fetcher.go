@@ -68,18 +68,32 @@ type Sink interface {
 	Rank(seg uint32) int
 }
 
-// decoders is the leaf's sink: one rlnc.Decoder per segment, built at the
-// segment's first record.
-type decoders map[uint32]*rlnc.Decoder
+// leaf is a leaf fetch's sink: one rlnc.Decoder per segment, built at the
+// segment's first record, decoding in place into the segment's window of one
+// object buffer — segment s at [s·n·k, (s+1)·n·k) — which becomes
+// FetchResult.Payload.
+type leaf struct {
+	decs     map[uint32]*rlnc.Decoder
+	params   rlnc.Params
+	segments int
+	// obj is the object buffer. The first record that passed the checksum,
+	// shape and segment-range checks allocates it, so a header alone pins
+	// nothing; a resumed fetch allocates it at its first handshake, where the
+	// restored decoders move in.
+	obj []byte
+}
 
-func (d decoders) Absorb(b *rlnc.CodedBlock) (bool, error) {
-	dec := d[b.SegmentID]
+func (l *leaf) Absorb(b *rlnc.CodedBlock) (bool, error) {
+	dec := l.decs[b.SegmentID]
 	if dec == nil {
 		var err error
-		if dec, err = rlnc.NewDecoder(b.Params()); err != nil {
+		if dec, err = rlnc.NewDecoder(l.params); err != nil {
 			return false, err
 		}
-		d[b.SegmentID] = dec
+		if err := l.bind(b.SegmentID, dec); err != nil {
+			return false, err
+		}
+		l.decs[b.SegmentID] = dec
 	}
 	if dec.Ready() {
 		// Round-robin overshoot for an already-finished segment.
@@ -88,19 +102,31 @@ func (d decoders) Absorb(b *rlnc.CodedBlock) (bool, error) {
 	return dec.AddBlock(b)
 }
 
-func (d decoders) Rank(seg uint32) int {
-	if dec := d[seg]; dec != nil {
+func (l *leaf) Rank(seg uint32) int {
+	if dec := l.decs[seg]; dec != nil {
 		return dec.Rank()
 	}
 	return 0
 }
 
+// bind points segment seg's decoder at its window of the object buffer,
+// allocating the buffer if this is the first segment to need it.
+func (l *leaf) bind(seg uint32, dec *rlnc.Decoder) error {
+	size := l.params.SegmentSize()
+	if l.obj == nil {
+		l.obj = make([]byte, l.segments*size)
+	}
+	return dec.DecodeInto(l.obj[int(seg)*size : (int(seg)+1)*size])
+}
+
 // sessionReaders recycles the per-session read buffers. A session reads its
 // handshake and every record through one buffered reader, so a record costs at
 // most one read call on the connection (several records per call once the
-// socket runs ahead of the decoder) instead of one per framing field. 64 KiB
-// is a few records of the paper's streaming shape (k = 4 KiB) and a few
-// hundred of the smallest.
+// socket runs ahead of the decoder) instead of one per framing field, and a
+// record is parsed and absorbed where it lies in the buffer. 64 KiB is a few
+// records of the paper's streaming shape (k = 4 KiB) and a few hundred of the
+// smallest; a session whose records are longer reads through a reader sized
+// to its record instead.
 var sessionReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 64<<10) }}
 
 // DialFunc opens one connection to the serving peer. The Fetcher calls it
@@ -110,11 +136,12 @@ type DialFunc func(ctx context.Context) (net.Conn, error)
 // FetchResult is everything a fetch produced, returned even when the fetch
 // failed: RLNC progress is rank, and rank is never worth discarding.
 type FetchResult struct {
-	// Payload is the complete reassembled object, nil unless every segment
-	// reached full rank — and always nil on a sink fetch.
+	// Payload is the complete object, nil unless every segment reached full
+	// rank — and always nil on a sink fetch. It is the buffer the segments
+	// were decoded into, not a copy.
 	Payload []byte
-	// Segments holds the segments that reached full rank, keyed by ID; empty
-	// on a sink fetch.
+	// Segments holds the segments that reached full rank, keyed by ID, as
+	// views of the object buffer; empty on a sink fetch.
 	Segments map[uint32]*rlnc.Segment
 	// Ranks maps every segment with at least one innovative block to its
 	// rank, including partial ones.
@@ -133,9 +160,9 @@ type FetchResult struct {
 // accumulated rank — the property that makes a coded transport need no
 // retransmission protocol (paper Sec. 5.1).
 //
-// A leaf's rank lives in the fetcher's own per-segment decoders, which
-// reassemble the object. A relay's lives in the Sink it configures: records
-// go straight into its recoders and nothing is decoded (paper Sec. 2).
+// A leaf's rank lives in the fetcher's own per-segment decoders, which decode
+// the object in place. A relay's lives in the Sink it configures: records go
+// straight into its recoders and nothing is decoded (paper Sec. 2).
 //
 // A Fetcher is single-use and not safe for concurrent use: construct, call
 // Fetch once, then optionally State.
@@ -146,18 +173,17 @@ type Fetcher struct {
 
 	hdr         *sessionHeader
 	established bool
-	// sink absorbs every record: cfg.Sink, or decoders (a leaf's), set at the
-	// first handshake. ready counts the segments at full rank in it.
-	sink     Sink
-	decoders decoders
-	ready    int
-	stats    fetcherMetrics
+	// sink absorbs every record: cfg.Sink, or leaf (a leaf's decoders), set
+	// at the first handshake. ready counts the segments at full rank in it.
+	sink  Sink
+	leaf  *leaf
+	ready int
+	stats fetcherMetrics
 
-	// counter and key: the current session's records are XNC3 counter
-	// records, their coefficients regenerated under key. Per session — a
+	// format is the current session's: its records may be XNC3 counter
+	// records, their coefficients regenerated under its key. Per session — a
 	// reconnect may land on a relay, or on an origin with another key.
-	counter bool
-	key     uint64
+	format rlnc.RecordFormat
 
 	// Admission-decision carry-over between attempts: busyHint floors the
 	// next backoff sleep at a BUSY decision's retry-after, promptRetry skips
@@ -381,18 +407,12 @@ func (f *Fetcher) fetch(ctx context.Context) (*FetchResult, error) {
 	}
 
 	res := f.result()
-	if f.cfg.Sink != nil {
-		return res, nil
+	if f.cfg.Sink == nil {
+		// Every segment decoded into its window: the buffer is the object,
+		// padding cut off.
+		n := int(f.hdr.length)
+		res.Payload = f.leaf.obj[:n:n]
 	}
-	segs := make([]*rlnc.Segment, 0, len(res.Segments))
-	for _, seg := range res.Segments {
-		segs = append(segs, seg)
-	}
-	payload, err := rlnc.ReassembleSegments(segs, int(f.hdr.length), f.hdr.params)
-	if err != nil {
-		return res, err
-	}
-	res.Payload = payload
 	return res, nil
 }
 
@@ -442,9 +462,11 @@ func (f *Fetcher) Stats() *FetchStats {
 // concurrently with Fetch; a SessionHook or RecordTap may call it.
 func (f *Fetcher) Ranks() map[uint32]int {
 	if f.cfg.Sink == nil {
-		ranks := make(map[uint32]int, len(f.decoders))
-		for id, dec := range f.decoders {
-			ranks[id] = dec.Rank()
+		ranks := make(map[uint32]int)
+		if f.leaf != nil {
+			for id, dec := range f.leaf.decs {
+				ranks[id] = dec.Rank()
+			}
 		}
 		return ranks
 	}
@@ -469,12 +491,11 @@ func (f *Fetcher) result() *FetchResult {
 	if f.hdr != nil {
 		res.Mode = f.hdr.mode
 	}
-	for id, dec := range f.decoders {
-		if !dec.Ready() {
-			continue
-		}
-		if seg, err := dec.Segment(); err == nil {
-			res.Segments[id] = seg
+	if f.leaf != nil {
+		for id, dec := range f.leaf.decs {
+			if seg, err := dec.Segment(); err == nil {
+				res.Segments[id] = seg
+			}
 		}
 	}
 	return res
@@ -532,12 +553,14 @@ func (f *Fetcher) session(ctx context.Context, conn net.Conn) (done, fatal bool,
 		hh := h
 		f.hdr = &hh
 		if f.sink = f.cfg.Sink; f.sink == nil {
-			if f.decoders == nil {
-				f.decoders = make(decoders, h.segments)
-			} else if err := f.validateResumed(); err != nil {
+			if f.leaf == nil {
+				f.leaf = &leaf{decs: make(map[uint32]*rlnc.Decoder)}
+			}
+			f.leaf.params, f.leaf.segments = h.params, h.segments
+			if err := f.resumeInto(); err != nil {
 				return false, true, err
 			}
-			f.sink = f.decoders
+			f.sink = f.leaf
 		}
 		for _, r := range f.Ranks() {
 			if r == h.params.BlockCount {
@@ -573,15 +596,19 @@ func (f *Fetcher) session(ctx context.Context, conn net.Conn) (done, fatal bool,
 	// beyond it is unparseable; the fetcher resynchronizes by reconnecting,
 	// keeping all rank.
 	expect, expectXor := hs.recordSizes()
-	f.counter, f.key = hs.counter(), hs.key
+	f.format = rlnc.RecordFormat{Params: h.params, Counter: hs.counter(), Key: hs.key}
 	var lenBuf [4]byte
 	var preBuf [recordPreludeLen]byte
 	var curRound trace.SpanID
-	// One record buffer and one CodedBlock per session: the unmarshalers copy
-	// coefficients and payload out of the buffer into the block, and the sink
-	// copies what it keeps out of the block, so nothing refers to either once
-	// absorb returns.
-	recBuf := make([]byte, max(expect, expectXor))
+	// Records are read in place: each one is peeked whole in the reader's
+	// buffer, parsed there into one CodedBlock per session whose payload
+	// views it, absorbed — the sink copies what it keeps — and only then
+	// discarded. A record longer than the pooled reader's buffer gets a reader
+	// sized to it, which first drains what the pooled one already holds.
+	rd := br
+	if size := int(max(expect, expectXor)); size > br.Size() {
+		rd = bufio.NewReaderSize(io.MultiReader(io.LimitReader(br, int64(br.Buffered())), conn), size)
+	}
 	var blk rlnc.CodedBlock
 	// On a sweep session the server falls silent after n × segments records —
 	// one of every source block — until asked for more. A fetch still short of
@@ -598,7 +625,7 @@ func (f *Fetcher) session(ctx context.Context, conn net.Conn) (done, fatal bool,
 			// length prefix. A damaged prelude is framing loss exactly like a
 			// damaged length — resynchronize by reconnecting, keeping rank —
 			// rather than a license to attribute records to a phantom round.
-			if _, err := io.ReadFull(br, preBuf[:]); err != nil {
+			if _, err := io.ReadFull(rd, preBuf[:]); err != nil {
 				return f.streamErr(ctx, fmt.Errorf("%w: %v", ErrStreamTruncated, err))
 			}
 			round, perr := parseRecordPrelude(preBuf[:])
@@ -611,7 +638,7 @@ func (f *Fetcher) session(ctx context.Context, conn net.Conn) (done, fatal bool,
 			f.lastRound.Store(uint64(round))
 			f.stats.bytes.Add(recordPreludeLen)
 		}
-		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
+		if _, err := io.ReadFull(rd, lenBuf[:]); err != nil {
 			return f.streamErr(ctx, fmt.Errorf("%w: %v", ErrStreamTruncated, err))
 		}
 		n := binary.BigEndian.Uint32(lenBuf[:])
@@ -620,15 +647,15 @@ func (f *Fetcher) session(ctx context.Context, conn net.Conn) (done, fatal bool,
 			f.stats.bytesDiscarded.Add(4)
 			return f.streamErr(ctx, fmt.Errorf("%w: %d, want %d: resynchronizing", ErrRecordLength, n, expect))
 		}
-		rec := recBuf[:n]
-		if m, err := io.ReadFull(br, rec); err != nil {
-			f.stats.bytesDiscarded.Add(int64(m) + 4)
+		rec, err := rd.Peek(int(n))
+		if err != nil {
+			f.stats.bytesDiscarded.Add(int64(len(rec)) + 4)
 			return f.streamErr(ctx, fmt.Errorf("%w: truncated record: %v", ErrStreamTruncated, err))
 		}
 		f.stats.records.Inc()
 		f.stats.bytes.Add(int64(n) + 4)
 		asp := stageFetchDecode.Start()
-		err := f.absorb(&blk, rec, tr, curRound)
+		err = f.absorb(&blk, rec, tr, curRound)
 		if traced {
 			asp.EndTraced(uint64(tr), uint64(curRound))
 		} else {
@@ -637,6 +664,7 @@ func (f *Fetcher) session(ctx context.Context, conn net.Conn) (done, fatal bool,
 		if err != nil {
 			return false, true, err
 		}
+		rd.Discard(int(n)) //nolint:errcheck // the n bytes are buffered: Peek returned them
 		if sweepLeft--; sweepLeft == 0 && f.remaining() > 0 {
 			if _, err := conn.Write(needRecord); err != nil {
 				return f.streamErr(ctx, fmt.Errorf("%w: need record: %v", ErrStreamTruncated, err))
@@ -655,42 +683,26 @@ func (f *Fetcher) streamErr(ctx context.Context, err error) (bool, bool, error) 
 	return false, false, err
 }
 
-// absorb parses one record into blk and feeds it to the sink, classifying
-// rejects: Corrupt (bit damage caught by magic or checksum), Malformed
-// (checksummed but the wrong shape for the session — a server bug, not line
-// noise), BadSegment (checksummed but an out-of-range segment ID — rejected
-// before it can reach the sink). Only a sink failure is an error. The record
-// tap runs last, on every record the sink was offered. On a traced session tr
-// names the transfer and round the pump-round span this record rode in on;
-// the absorb span parents under the round, linking origin encode work to leaf
-// decode.
+// absorb parses one record into blk, in place — blk's payload views rec — and
+// feeds it to the sink, classifying rejects: Corrupt (bit damage caught by
+// magic or checksum), Malformed (checksummed but the wrong shape for the
+// session — a server bug, not line noise), BadSegment (checksummed but an
+// out-of-range segment ID — rejected before it can reach the sink). Only a
+// sink failure is an error. The record tap runs last, on every record the sink
+// was offered. On a traced session tr names the transfer and round the
+// pump-round span this record rode in on; the absorb span parents under the
+// round, linking origin encode work to leaf decode.
 func (f *Fetcher) absorb(blk *rlnc.CodedBlock, rec []byte, tr trace.TraceID, round trace.SpanID) error {
 	discard := func() { f.stats.bytesDiscarded.Add(int64(len(rec)) + 4) }
-	var err error
-	switch {
-	case f.counter:
-		// The vector is regenerated into blk; a record of another shape is
-		// refused before it can size one.
-		_, err = blk.UnmarshalCounter(rec, f.key, f.hdr.params)
-	case f.hdr.mode == ModeSystematic:
-		// Systematic sessions interleave both encodings; dispatch on the
-		// record magic. Dense sessions stay strict: a record of another
-		// encoding there is a server bug, rejected below as bad magic.
-		err = blk.UnmarshalRecord(rec)
-	default:
-		err = blk.UnmarshalBinary(rec)
-	}
-	if err != nil {
+	// The session's format says which encodings it carries; on a counter
+	// session the vector is regenerated into blk, and a record of another
+	// shape is refused before it can size one.
+	if err := blk.ParseView(rec, f.format); err != nil {
 		if errors.Is(err, rlnc.ErrBadChecksum) || errors.Is(err, rlnc.ErrBadMagic) {
 			f.stats.corrupt.Inc()
 		} else {
 			f.stats.malformed.Inc()
 		}
-		discard()
-		return nil
-	}
-	if blk.Validate(f.hdr.params) != nil {
-		f.stats.malformed.Inc()
 		discard()
 		return nil
 	}
@@ -801,11 +813,15 @@ func (f *Fetcher) State() ([]byte, error) {
 	if f.cfg.Sink != nil {
 		return nil, errSinkState
 	}
-	ids := slices.Sorted(maps.Keys(f.decoders))
+	var decs map[uint32]*rlnc.Decoder
+	if f.leaf != nil {
+		decs = f.leaf.decs
+	}
+	ids := slices.Sorted(maps.Keys(decs))
 	body := binary.BigEndian.AppendUint32(nil, stateVersion)
 	body = binary.BigEndian.AppendUint32(body, uint32(len(ids)))
 	for _, id := range ids {
-		dec, err := f.decoders[id].MarshalBinary()
+		dec, err := decs[id].MarshalBinary()
 		if err != nil {
 			return nil, err
 		}
@@ -817,8 +833,8 @@ func (f *Fetcher) State() ([]byte, error) {
 }
 
 // restoreState rebuilds the decoder map from a State blob. The header is
-// not known yet, so cross-checks against the session happen at the first
-// handshake (validateResumed).
+// not known yet, so cross-checks against the session, and the decoders' move
+// into the object buffer, happen at the first handshake (resumeInto).
 func (f *Fetcher) restoreState(data []byte) error {
 	rd := bytes.NewReader(data)
 	magic, body, err := readControl(rd, make([]byte, max(len(data), controlOverhead)))
@@ -837,7 +853,7 @@ func (f *Fetcher) restoreState(data []byte) error {
 	}
 	count := int(binary.BigEndian.Uint32(body[4:]))
 	// Every entry takes at least 8 bytes: the count cannot size the map.
-	decs := make(decoders, min(count, len(body)/8))
+	decs := make(map[uint32]*rlnc.Decoder, min(count, len(body)/8))
 	off := 8
 	for i := 0; i < count; i++ {
 		if off+8 > len(body) {
@@ -862,14 +878,16 @@ func (f *Fetcher) restoreState(data []byte) error {
 	if off != len(body) {
 		return fmt.Errorf("%w: %d trailing bytes", ErrBadResumeState, len(body)-off)
 	}
-	f.decoders = decs
+	f.leaf = &leaf{decs: decs}
 	return nil
 }
 
-// validateResumed cross-checks restored decoders against the first session
-// header: resumed rank must belong to the object actually being served.
-func (f *Fetcher) validateResumed() error {
-	for id, dec := range f.decoders {
+// resumeInto cross-checks restored decoders against the first session header
+// — resumed rank must belong to the object actually being served — and then
+// moves each into its window of the object buffer, which a resumed fetch
+// allocates here. A fetch that restored nothing allocates nothing.
+func (f *Fetcher) resumeInto() error {
+	for id, dec := range f.leaf.decs {
 		if dec.Params() != f.hdr.params {
 			return fmt.Errorf("%w: segment %d resumed with %v, server serves %v",
 				ErrBadResumeState, id, dec.Params(), f.hdr.params)
@@ -877,6 +895,11 @@ func (f *Fetcher) validateResumed() error {
 		if id >= uint32(f.hdr.segments) {
 			return fmt.Errorf("%w: resumed segment %d out of range (%d segments)",
 				ErrBadResumeState, id, f.hdr.segments)
+		}
+	}
+	for id, dec := range f.leaf.decs {
+		if err := f.leaf.bind(id, dec); err != nil {
+			return err
 		}
 	}
 	return nil

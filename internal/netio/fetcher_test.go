@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"runtime"
 	"runtime/debug"
 	"testing"
 	"time"
@@ -182,8 +183,8 @@ func TestSinkFetch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Payload != nil || len(res.Segments) != 0 || f.decoders != nil {
-		t.Fatalf("a sink fetch built a %d-byte payload, %d segments or decoders (%v)", len(res.Payload), len(res.Segments), f.decoders)
+	if res.Payload != nil || len(res.Segments) != 0 || f.leaf != nil {
+		t.Fatalf("a sink fetch built a %d-byte payload, %d segments or decoders (%v)", len(res.Payload), len(res.Segments), f.leaf)
 	}
 	for seg := range uint32(3) {
 		if bank.Rank(seg) != p.BlockCount || res.Ranks[seg] != p.BlockCount {
@@ -342,6 +343,62 @@ func TestFetcherResumeState(t *testing.T) {
 	}
 	if res3 == nil || res3.Stats == nil {
 		t.Fatal("no stats with resume-state error")
+	}
+
+	// A blob holding one complete and one partial segment. The resumed fetch
+	// allocates its object buffer at the first handshake, and the complete
+	// segment moves into its window there, in the one copy it costs: it is
+	// whole by the time the session hook runs, no record is offered to it
+	// afterwards, and the result's segment is a view of the payload.
+	media2 := testMedia(t, 2*p.SegmentSize()-9, 25)
+	obj2, err := rlnc.Split(media2, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := newFetcher(nil, DefaultFetcherConfig())
+	saved.leaf = &leaf{decs: map[uint32]*rlnc.Decoder{}}
+	for i, rank := range []int{p.BlockCount, 3} {
+		dec, err := rlnc.NewDecoder(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc := rlnc.NewEncoder(obj2.Segments[i], rand.New(rand.NewSource(int64(60+i))))
+		for dec.Rank() < rank {
+			if _, err := dec.AddBlock(enc.NextBlock()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		saved.leaf.decs[uint32(i)] = dec
+	}
+	blob, err := saved.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	l2 := newPipeListener()
+	defer l2.Close()
+	flakyServer(t, l2, media2, p, 4*p.BlockCount, nil)
+	var resumed *Fetcher
+	var atHandshake []byte
+	fcfg = DefaultFetcherConfig()
+	fcfg.ResumeState = blob
+	fcfg.MaxAttempts = 1
+	fcfg.SessionHook = func(SessionInfo) { atHandshake = bytes.Clone(resumed.leaf.obj[:p.SegmentSize()]) }
+	resumed = newTestFetcher(t, func(context.Context) (net.Conn, error) { return l2.Dial(), nil }, fcfg)
+	res4, err := resumed.Fetch(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(res4.Payload, media2) {
+		t.Fatal("resumed two-segment fetch payload differs")
+	}
+	if !bytes.Equal(atHandshake, media2[:p.SegmentSize()]) {
+		t.Fatal("the complete segment was not in its window at the first handshake")
+	}
+	if got := resumed.leaf.decs[0].Received(); got != p.BlockCount {
+		t.Fatalf("the complete segment's decoder was offered %d records, want the %d it was saved with", got, p.BlockCount)
+	}
+	if seg := res4.Segments[0]; &seg.Data()[0] != &res4.Payload[0] {
+		t.Fatal("segment 0 of the result is not a view of the payload")
 	}
 }
 
@@ -886,5 +943,91 @@ func TestFetcherRecordPathDoesNotAllocate(t *testing.T) {
 	}
 	if tapped == 0 {
 		t.Fatal("the record tap never ran")
+	}
+
+	// Per fetch: every segment decodes in place into one object buffer, which
+	// is the payload, so a two-segment fetch allocates that buffer and little
+	// else — not a segment per decoder and a reassembled copy besides. The
+	// race detector's sync.Pool drops Puts at random, and a dropped decoder
+	// scratch is half a segment: the bound is measured without it.
+	if raceEnabled {
+		return
+	}
+	p2 := rlnc.Params{BlockCount: 32, BlockSize: 4096}
+	media2 := testMedia(t, 2*p2.SegmentSize()-100, 47)
+	obj2, err := rlnc.Split(media2, p2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streams := map[string]func() []byte{
+		"dense": func() []byte {
+			h := sessionHeader{params: p2, segments: 2, length: int64(len(media2))}
+			wire := appendSessionHeader(nil, handshake{hdr: h})
+			rng := rand.New(rand.NewSource(48))
+			for _, seg := range obj2.Segments {
+				enc := rlnc.NewEncoder(seg, rng)
+				for range p2.BlockCount + 2 {
+					rec, err := FrameRecord(enc.NextBlock(), ModeDense)
+					if err != nil {
+						t.Fatal(err)
+					}
+					wire = append(wire, rec...)
+				}
+			}
+			return wire
+		},
+		"systematic": func() []byte {
+			h := sessionHeader{params: p2, segments: 2, length: int64(len(media2)), mode: ModeSystematic}
+			wire := appendSessionHeader(nil, handshake{hdr: h})
+			for _, seg := range obj2.Segments {
+				se := rlnc.NewSystematicEncoder(seg, rand.New(rand.NewSource(49)))
+				for range p2.BlockCount {
+					rec, err := FrameRecord(se.Block(), ModeSystematic)
+					if err != nil {
+						t.Fatal(err)
+					}
+					wire = append(wire, rec...)
+				}
+			}
+			return wire
+		},
+		"counter": func() []byte {
+			h := sessionHeader{params: p2, segments: 2, length: int64(len(media2))}
+			wire := appendSessionHeader(nil, handshake{hdr: h, flags: hsFlagCounter, key: 0xBEEF})
+			for _, seg := range obj2.Segments {
+				for index := range uint32(p2.BlockCount) {
+					rec := rlnc.CounterRecord(seg, 0xBEEF, index)
+					wire = binary.BigEndian.AppendUint32(wire, uint32(len(rec)))
+					wire = append(wire, rec...)
+				}
+			}
+			return wire
+		},
+	}
+	for _, name := range []string{"dense", "systematic", "counter"} {
+		wire := streams[name]()
+		conn := &streamConn{}
+		fetch := func() {
+			conn.r.Reset(wire)
+			fcfg := DefaultFetcherConfig()
+			fcfg.MaxAttempts = 1
+			res, err := newTestFetcher(t, func(context.Context) (net.Conn, error) { return conn, nil }, fcfg).Fetch(context.Background())
+			if err != nil || !bytes.Equal(res.Payload, media2) {
+				t.Fatalf("%s: fetch: %v", name, err)
+			}
+		}
+		fetch() // warms the pools: session reader, decoder scratch
+		const runs = 5
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			fetch()
+		}
+		runtime.ReadMemStats(&after)
+		perFetch := float64(after.TotalAlloc-before.TotalAlloc) / runs
+		if perFetch > 1.1*float64(len(media2)) {
+			t.Fatalf("%s: a %d-byte two-segment fetch allocates %.0f bytes, want <= 1.1x its length", name, len(media2), perFetch)
+		}
+		t.Logf("%s: %.0f bytes allocated per %d-byte fetch (%.3fx)", name, perFetch, len(media2), perFetch/float64(len(media2)))
 	}
 }

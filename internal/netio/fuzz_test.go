@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"extremenc/internal/gf256"
 	"extremenc/internal/rlnc"
 )
 
@@ -44,6 +45,93 @@ func fuzzSession(f *testing.F, mutate func(stream []byte) []byte) []byte {
 		stream = mutate(append([]byte(nil), stream...))
 	}
 	return stream
+}
+
+// inPlaceSessions are healthy sessions, and their objects, that exercise the
+// in-place record path, where records are parsed where they lie in the
+// session reader: a record straddling the pooled reader's 64 KiB buffer (five
+// segments of ~4 KiB records, round robin), a record longer than that buffer
+// (k = 64 KiB, read through a reader sized to it), and a systematic session
+// whose source blocks arrive after XOR repair rows that already hold their
+// columns.
+func inPlaceSessions(tb testing.TB) (streams, objects [][]byte) {
+	dense := func(records int) func(*rlnc.Segment, *rand.Rand) []*rlnc.CodedBlock {
+		return func(seg *rlnc.Segment, rng *rand.Rand) []*rlnc.CodedBlock {
+			enc := rlnc.NewEncoder(seg, rng)
+			blocks := make([]*rlnc.CodedBlock, records)
+			for i := range blocks {
+				blocks[i] = enc.NextBlock()
+			}
+			return blocks
+		}
+	}
+	repairFirst := func(seg *rlnc.Segment, _ *rand.Rand) []*rlnc.CodedBlock {
+		xor := func(cols ...int) *rlnc.CodedBlock {
+			b := &rlnc.CodedBlock{SegmentID: seg.ID(), Coeffs: make([]byte, 4), Payload: make([]byte, 16)}
+			for _, c := range cols {
+				b.Coeffs[c] = 1
+				gf256.XorSlice(b.Payload, seg.Block(c))
+			}
+			return b
+		}
+		return []*rlnc.CodedBlock{xor(0, 1), xor(1, 2, 3), xor(0), xor(2), xor(1), xor(3)}
+	}
+	for _, s := range []struct {
+		p      rlnc.Params
+		segs   int
+		mode   WireMode
+		blocks func(*rlnc.Segment, *rand.Rand) []*rlnc.CodedBlock
+	}{
+		{rlnc.Params{BlockCount: 4, BlockSize: 4000}, 5, ModeDense, dense(4)},
+		{rlnc.Params{BlockCount: 1, BlockSize: 64 << 10}, 1, ModeDense, dense(1)},
+		{rlnc.Params{BlockCount: 4, BlockSize: 16}, 1, ModeSystematic, repairFirst},
+	} {
+		stream, object := sessionOf(tb, s.p, s.segs, s.mode, s.blocks)
+		streams, objects = append(streams, stream), append(objects, object)
+	}
+	return streams, objects
+}
+
+// TestInPlaceSessionsDecode: the in-place fuzz seeds are healthy sessions —
+// each decodes to its object.
+func TestInPlaceSessionsDecode(t *testing.T) {
+	streams, objects := inPlaceSessions(t)
+	for i, s := range streams {
+		res, err := pipeFetch(t, s, DefaultFetcherConfig())
+		if err != nil || !bytes.Equal(res.Payload, objects[i]) {
+			t.Fatalf("session %d: %v, payload intact %v", i, err, bytes.Equal(res.Payload, objects[i]))
+		}
+	}
+}
+
+// sessionOf builds a session stream of a segs-segment object of p in mode —
+// the header, then the records blocks makes of each segment, interleaved
+// round robin — and returns it with the object.
+func sessionOf(tb testing.TB, p rlnc.Params, segs int, mode WireMode, blocks func(seg *rlnc.Segment, rng *rand.Rand) []*rlnc.CodedBlock) (stream, media []byte) {
+	tb.Helper()
+	media = make([]byte, segs*p.SegmentSize())
+	rng := rand.New(rand.NewSource(6))
+	rng.Read(media)
+	obj, err := rlnc.Split(media, p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	h := sessionHeader{params: p, segments: segs, length: int64(len(media)), mode: mode}
+	stream = appendSessionHeader(nil, handshake{hdr: h})
+	var perSeg [][]*rlnc.CodedBlock
+	for _, seg := range obj.Segments {
+		perSeg = append(perSeg, blocks(seg, rng))
+	}
+	for i := range perSeg[0] {
+		for _, bs := range perSeg {
+			rec, err := FrameRecord(bs[i], mode)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			stream = append(stream, rec...)
+		}
+	}
+	return stream, media
 }
 
 // pipeFetch runs a single-attempt fetch of data, written into a net.Pipe.
@@ -110,6 +198,11 @@ func FuzzFetchRecords(f *testing.F) {
 	damaged := bytes.Clone(counter)
 	damaged[protoHeaderLen+tlvLen+4+16] ^= 0x01
 	f.Add(damaged)
+
+	streams, _ := inPlaceSessions(f)
+	for _, s := range streams {
+		f.Add(s)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ledger := func(stats *FetchStats) {

@@ -123,6 +123,65 @@ func (b *CodedBlock) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
+// RecordFormat is what reading one stream's records takes: the shape every
+// record has and, on a stream of XNC3 counter records, the key their
+// coefficient vectors are regenerated under.
+type RecordFormat struct {
+	Params Params
+	// Counter marks a stream of XNC3 records under Key, and of those only;
+	// any other stream carries XNC1 and XNC2 records.
+	Counter bool
+	Key     uint64
+}
+
+// ParseView parses one record of a stream of format f into b without copying
+// its payload: b.Payload aliases data and is valid only as long as data is —
+// a reader parses a record where it was read, hands the block on and moves
+// past the record. The coefficient vector is copied — from an XNC1 record,
+// expanded from an XNC2 bitmask, or regenerated from an XNC3 index — into
+// b.Coeffs, reusing its capacity, so nothing else of b aliases data and a
+// reader that keeps one block allocates nothing per record. The checks are the
+// unmarshalers': magic, lengths, checksum, the bitmask's trailing bits, and a
+// checksummed record of another shape than f.Params is ErrBlockShape. A block
+// ParseView filled must not be handed to an unmarshaler, which would copy into
+// the aliased payload.
+func (b *CodedBlock) ParseView(data []byte, f RecordFormat) error {
+	magic := wireMagic
+	switch {
+	case f.Counter:
+		magic = counterWireMagic
+	case len(data) >= 4 && string(data[:4]) == xorWireMagic:
+		magic = xorWireMagic
+	}
+	seg, p, row, err := openWire(data, magic)
+	if err != nil {
+		return err
+	}
+	if p != f.Params {
+		return fmt.Errorf("%w: record %v, want %v", ErrBlockShape, p, f.Params)
+	}
+	n := p.BlockCount
+	if cap(b.Coeffs) < n {
+		b.Coeffs = make([]byte, n)
+	}
+	coeffs := b.Coeffs[:n]
+	switch magic {
+	case counterWireMagic:
+		CounterCoeffs(coeffs, f.Key, seg, binary.BigEndian.Uint32(row))
+		row = row[counterIndexLen:]
+	case xorWireMagic:
+		m := BitmaskLen(n)
+		if err := expandBitmask(coeffs, row[:m]); err != nil {
+			return err
+		}
+		row = row[m:]
+	default:
+		row = row[copy(coeffs, row):]
+	}
+	b.SegmentID, b.Coeffs, b.Payload = seg, coeffs, row[:len(row):len(row)]
+	return nil
+}
+
 // openWire checks what the XNC1, XNC2 and XNC3 records share — magic, header
 // shape, total length and checksum — and returns the record's segment ID,
 // shape and [C | x] row, C being n coefficient bytes (XNC1), a ceil(n/8)-byte

@@ -102,16 +102,13 @@ func handoverArrivals(t *testing.T, rng *rand.Rand, seg *Segment, r int) []*Code
 }
 
 // heldBytes is the storage a decoder pins: GF(2) rows, plane and slab, and
-// the decoded segment.
+// the output the segment decodes into.
 func heldBytes(d *Decoder) int {
-	held := len(d.plane) + len(d.slab)
+	held := len(d.plane) + len(d.slab) + len(d.out)
 	if d.xorOnly {
 		for _, row := range d.rowForPivot {
 			held += len(row)
 		}
-	}
-	if d.seg != nil {
-		held += len(d.seg.data)
 	}
 	return held
 }

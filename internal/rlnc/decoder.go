@@ -1,6 +1,7 @@
 package rlnc
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -36,16 +37,19 @@ const planeStep = 32
 // Decoder recovers a segment from coded blocks. Decoding *is* encoding (paper
 // Sec. 5.2): the dense path inverts the n×n coefficient matrix on rows of 2n
 // bytes and recovers the payload with one encode-shaped multiply, so the
-// k-byte payloads are touched exactly once. The decoder moves through three
+// k-byte payloads are touched exactly once. The segment is decoded in place,
+// into its output: n·k bytes, block c at [c·k, (c+1)·k) — the caller's
+// (DecodeInto), or else the decoder's own. The decoder moves through three
 // states:
 //
 //  1. GF(2) rows. While every arrival has a 0/1 coefficient vector (a
 //     systematic sweep, XOR repair blocks) the decoder keeps [C | x] rows in
-//     reduced row-echelon form by pure XOR elimination (addBlockXor), in a
-//     slab drawn from the scratch pool at the first arrival. Source blocks
-//     whose row has collapsed to a unit vector are deliverable early through
-//     Block; at rank n the rows are copied out as the segment and the slab
-//     goes back to the pool.
+//     reduced row-echelon form by pure XOR elimination (addBlockXor): the
+//     n-byte C of each row in a slab drawn from the scratch pool at the first
+//     arrival, its payload x in the output window of its pivot column. A
+//     source block whose pivot is free is one copy, into its own window;
+//     source blocks whose row is a unit vector are deliverable early through
+//     Block, and at rank n the windows hold the segment.
 //  2. [C | T] plane + payload slab. From the first dense arrival on, each
 //     arrival's coefficients are forward-reduced against the pivots held —
 //     on a 2n-byte row [C | T], where T records the combination of accepted
@@ -56,7 +60,7 @@ const planeStep = 32
 //     enter the plane as such.
 //  3. Segment. The arrival that reaches rank n back-substitutes the plane to
 //     [I | C⁻¹] and multiplies C⁻¹ into the slab with the tiled batch-encode
-//     kernel, straight into the segment Segment returns; plane and slab go
+//     kernel, straight into the output, which it overwrites; plane and slab go
 //     back to the scratch pool.
 //
 // A Decoder is not safe for concurrent use.
@@ -77,22 +81,36 @@ type Decoder struct {
 	xorOnly bool
 
 	// rowForPivot[c] is the row whose pivot is column c, or nil. In state 1
-	// it is an n+k byte [C | x] row of xorRows in reduced row-echelon form; in
-	// state 2 a 2n-byte [C | T] row of plane in echelon form only — zero left
-	// of c, 1 at c, not yet eliminated from the other rows.
+	// it is the n-byte C of an xorRows row in reduced row-echelon form — zero
+	// left of c, 1 at c, 0 at every other pivot — whose payload is window c;
+	// in state 2 a 2n-byte [C | T] row of plane in echelon form only — zero
+	// left of c, 1 at c, not yet eliminated from the other rows.
 	rowForPivot [][]byte
 
+	// State 1's pivot lists, carved from scr. mixed holds the pivots whose row
+	// is not the unit vector: a unit row is 0 at every other pivot, so only
+	// these can need a new pivot back-substituted out, and a systematic sweep
+	// keeps the list empty. used collects, during one forward reduction, the
+	// pivots whose rows were added to the arrival: its payload is reduced by
+	// their windows once its own pivot, hence its window, is known.
+	mixed, used []int
+
 	// Row storage, carved from scr, which the decoder holds from its first
-	// arrival until rank n. State 1: xorRows holds the i-th accepted arrival's
-	// row at [i·(n+k), (i+1)·(n+k)). State 2: plane holds the [C | T] row of
-	// the i-th accepted arrival at [i·2n, (i+1)·2n), slab its payload at
+	// arrival until rank n. State 1: xorRows holds the C of the i-th accepted
+	// arrival at [i·n, (i+1)·n). State 2: plane holds the [C | T] row of the
+	// i-th accepted arrival at [i·2n, (i+1)·2n), slab its payload at
 	// [i·k, (i+1)·k).
 	scr     *Scratch
 	xorRows []byte
 	plane   []byte
 	slab    []byte
 
-	// seg is the decoded segment, set by the AddBlock that reaches rank n.
+	// out is the segment's storage: DecodeInto's, or one the decoder allocates
+	// when it first needs it.
+	out []byte
+
+	// seg is the decoded segment, a view of out, set by the AddBlock that
+	// reaches rank n.
 	seg *Segment
 }
 
@@ -112,6 +130,42 @@ func NewDecoder(p Params, opts ...DecoderOption) (*Decoder, error) {
 
 // Params returns the coding configuration.
 func (d *Decoder) Params() Params { return d.params }
+
+// DecodeInto makes dst, SegmentSize bytes, the storage the segment decodes
+// into, block c at [c·k, (c+1)·k): it is where Segment and Block point from
+// then on. What the decoder already holds there — GF(2) rows' payloads, or the
+// decoded segment of a restored decoder — moves over in one copy, so a
+// decoder can be given its window after progress was made. Until rank n dst
+// is the decoder's working storage: the caller must leave it alone.
+func (d *Decoder) DecodeInto(dst []byte) error {
+	if len(dst) != d.params.SegmentSize() {
+		return fmt.Errorf("%w: %d-byte output for segments of %v", ErrBlockShape, len(dst), d.params)
+	}
+	dst = dst[:len(dst):len(dst)]
+	if d.out != nil {
+		copy(dst, d.out)
+	}
+	d.out = dst
+	if d.seg != nil {
+		d.seg = segmentView(d.segID, d.params, dst)
+	}
+	return nil
+}
+
+// output returns the segment's storage, allocating the decoder's own when no
+// DecodeInto supplied it.
+func (d *Decoder) output() []byte {
+	if d.out == nil {
+		d.out = make([]byte, d.params.SegmentSize())
+	}
+	return d.out
+}
+
+// window returns block c's window of the output.
+func (d *Decoder) window(c int) []byte {
+	k := d.params.BlockSize
+	return d.out[c*k : (c+1)*k : (c+1)*k]
+}
 
 func wrongSegmentError(have, got uint32) error {
 	return fmt.Errorf("%w: have %d, got %d", ErrWrongSegment, have, got)
@@ -165,7 +219,7 @@ func (d *Decoder) absorb(b *CodedBlock) (innovative bool) {
 		// First dense arrival: leave the GF(2) fast path for good. The rows
 		// it holds are coded blocks like any other.
 		d.xorOnly = false
-		d.enterDense(d.rowForPivot)
+		d.enterDense(d.rowForPivot, d.window)
 	}
 	return d.addBlockDense(b)
 }
@@ -197,36 +251,48 @@ func (d *Decoder) AddBlocks(blocks []*CodedBlock) (innovative int, err error) {
 	return innovative, nil
 }
 
+// nextOne returns the first column at or after from where the binary row has
+// a 1, or -1. It skips zeros a SIMD stride at a time, so walking a sparse row
+// costs its ones, not its width.
+func nextOne(row []byte, from int) int {
+	if i := bytes.IndexByte(row[from:], 1); i >= 0 {
+		return from + i
+	}
+	return -1
+}
+
+// unitRow reports whether the GF(2) row with pivot c, zero left of c, is the
+// unit vector e_c.
+func unitRow(row []byte, c int) bool { return nextOne(row, c+1) < 0 }
+
 // addBlockXor is the GF(2) elimination fast path: the arriving block and
 // every stored row are binary (xorOnly invariant), so every elimination
 // factor is 1 and the whole absorb is pure wide-word XOR — no product tables,
 // no multiply kernel, no pivot normalization (a binary pivot entry is already
 // 1). Rows are kept in full reduced row-echelon form, so once rank reaches n
-// the payload columns hold the source blocks. The caller has already
-// validated the block and counted it received.
+// the windows hold the source blocks. The payload is touched only by an
+// innovative arrival, once its pivot is known: a source block whose pivot is
+// free goes into its window in one copy and, with no mixed rows held, is done.
+// The caller has already validated the block and counted it received.
 func (d *Decoder) addBlockXor(b *CodedBlock) (innovative bool) {
 	defer stageXorAbsorb.Start().End()
-	n := d.params.BlockCount
-	// Stage the arrival in the first free slot; a dependent arrival is simply
-	// staged over by the next one.
-	row := d.stageXorRow(d.rank, b.Coeffs, b.Payload)
+	// Stage C in the first free slot; a dependent arrival is simply staged
+	// over by the next one.
+	row := d.stageXorRow(d.rank, b.Coeffs)
 
 	// Forward-reduce against every existing pivot and find this row's pivot
-	// (the first non-zero entry in a pivot-free column). The sweep continues
-	// past the pivot: with out-of-order pivots (sparse vectors) the row can
-	// still hold entries in later columns that are already pivoted, and full
-	// RREF requires those eliminated too. Any non-zero entry is 1, so the row
-	// operation is a plain XOR of the stored pivot row.
+	// (the first 1 in a pivot-free column). The walk continues past the pivot:
+	// with out-of-order pivots (sparse vectors) the row can still hold entries
+	// in later columns that are already pivoted, and full RREF requires those
+	// eliminated too. A stored row is zero left of its pivot, so adding it
+	// changes nothing the walk has passed.
 	pivot := -1
-	for c := 0; c < n; c++ {
-		if row[c] == 0 {
-			continue
-		}
+	d.used = d.used[:0]
+	for c := nextOne(row, 0); c >= 0; c = nextOne(row, c+1) {
 		if pr := d.rowForPivot[c]; pr != nil {
 			gf256.XorSlice(row, pr)
-			continue
-		}
-		if pivot < 0 {
+			d.used = append(d.used, c)
+		} else if pivot < 0 {
 			pivot = c
 		}
 	}
@@ -235,60 +301,72 @@ func (d *Decoder) addBlockXor(b *CodedBlock) (innovative bool) {
 		d.dependent++
 		return false
 	}
-	// Back-substitute the new pivot out of every stored row; stored entries
-	// at the pivot column are 0 or 1, so again each operation is one XOR.
-	for c := 0; c < n; c++ {
-		pr := d.rowForPivot[c]
-		if pr == nil {
-			continue
-		}
-		if pr[pivot] != 0 {
+	d.output()
+	win := d.window(pivot)
+	copy(win, b.Payload)
+	for _, c := range d.used {
+		gf256.XorSlice(win, d.window(c))
+	}
+	// Back-substitute the new pivot out of every stored row: only a mixed row
+	// can hold a 1 at it, and each operation is one XOR of C and one of x.
+	for j := 0; j < len(d.mixed); {
+		c := d.mixed[j]
+		if pr := d.rowForPivot[c]; pr[pivot] != 0 {
 			gf256.XorSlice(pr, row)
+			gf256.XorSlice(d.window(c), win)
+			if unitRow(pr, c) {
+				d.mixed[j] = d.mixed[len(d.mixed)-1]
+				d.mixed = d.mixed[:len(d.mixed)-1]
+				continue
+			}
 		}
+		j++
+	}
+	if !unitRow(row, pivot) {
+		d.mixed = append(d.mixed, pivot)
 	}
 	d.rowForPivot[pivot] = row
 	d.rank++
-	if d.rank == n {
+	if d.rank == d.params.BlockCount {
 		d.finishXor()
 	}
 	return true
 }
 
-// stageXorRow writes [coeffs | payload] into slot i of the GF(2) row slab,
-// drawing the slab from the scratch pool on first use, and returns the row.
-func (d *Decoder) stageXorRow(i int, coeffs, payload []byte) []byte {
-	n, k := d.params.BlockCount, d.params.BlockSize
+// stageXorRow writes coeffs into slot i of the GF(2) row slab, drawing the
+// slab and the pivot lists from the scratch pool on first use, and returns
+// the row.
+func (d *Decoder) stageXorRow(i int, coeffs []byte) []byte {
+	n := d.params.BlockCount
 	if d.xorRows == nil {
 		d.scr = GetScratch()
-		d.xorRows = d.scr.Bytes(n * (n + k))
+		d.xorRows = d.scr.Bytes(n * n)
+		idx := d.scr.indices(2 * n)
+		d.mixed, d.used = idx[:0:n], idx[n:n:2*n]
 	}
-	row := d.xorRows[i*(n+k) : (i+1)*(n+k) : (i+1)*(n+k)]
+	row := d.xorRows[i*n : (i+1)*n : (i+1)*n]
 	copy(row, coeffs)
-	copy(row[n:], payload)
 	return row
 }
 
-// finishXor ends state 1 at rank n: the reduced rows are [eᵢ | bᵢ], so the
-// segment is their payload halves, and the row slab goes back to the pool.
+// finishXor ends state 1 at rank n: the reduced rows are the unit vectors, so
+// every window already holds its source block, and the row slab goes back to
+// the pool.
 func (d *Decoder) finishXor() {
-	n := d.params.BlockCount
-	seg := newSegment(d.segID, d.params)
-	for i, row := range d.rowForPivot {
-		copy(seg.Block(i), row[n:])
-	}
-	d.seg = seg
+	d.seg = segmentView(d.segID, d.params, d.out)
 	clear(d.rowForPivot) // the rows live in the slab, which goes back to the pool
 	d.releaseScratch()
 }
 
 // enterDense draws the plane and the slab from the scratch pool and installs
-// rows — [C | x] rows in reduced row-echelon form, indexed by pivot column —
-// as the arrivals accepted so far: row c becomes the plane row [C | eᵢ] and
-// the slab payload x of arrival i, counting in ascending pivot order. A
-// reduced row is in particular an echelon row, so nothing needs reducing.
-// rows may be d.rowForPivot itself, in which case they live in state 1's row
-// slab: that goes back to the pool once they are copied out.
-func (d *Decoder) enterDense(rows [][]byte) {
+// GF(2)-reduced rows as the arrivals accepted so far: rows[c] leads with the n
+// coefficient bytes of the row whose pivot is c, or is nil, and payload(c) is
+// that row's payload. Row c becomes the plane row [C | eᵢ] and the slab
+// payload of arrival i, counting in ascending pivot order. A reduced row is in
+// particular an echelon row, so nothing needs reducing. rows may be
+// d.rowForPivot itself, in which case they live in state 1's row slab: that
+// goes back to the pool once they are copied out.
+func (d *Decoder) enterDense(rows [][]byte, payload func(c int) []byte) {
 	n, k := d.params.BlockCount, d.params.BlockSize
 	w := 2 * n
 	xorScr := d.scr
@@ -300,13 +378,13 @@ func (d *Decoder) enterDense(rows [][]byte) {
 		if row == nil {
 			continue
 		}
+		copy(d.slab[i*k:(i+1)*k], payload(c)) // before row c is restaged
 		d.rowForPivot[c] = d.stageRow(i, row[:n])
-		copy(d.slab[i*k:(i+1)*k], row[n:])
 		i++
 	}
 	if xorScr != nil {
 		PutScratch(xorScr)
-		d.xorRows = nil
+		d.xorRows, d.mixed, d.used = nil, nil, nil
 	}
 }
 
@@ -371,16 +449,20 @@ func (d *Decoder) addBlockDense(b *CodedBlock) (innovative bool) {
 
 // finish is stage 2, run by the AddBlock that reaches rank n: reduce the plane
 // to [I | C⁻¹], then recover every source block with one encode-shaped
-// multiply b = C⁻¹·x over the slab, and hand plane and slab back to the pool.
-// It runs here rather than lazily in Segment so that Ready means decoded: a
-// caller that feeds AddBlock until Ready has paid for the whole decode, and
-// the rlnc.absorb stage times it.
+// multiply b = C⁻¹·x over the slab, straight into the output windows, and
+// hand plane and slab back to the pool. The multiply accumulates, so the
+// output is cleared first: state 1 may have left payloads there. It runs here
+// rather than lazily in Segment so that Ready means decoded: a caller that
+// feeds AddBlock until Ready has paid for the whole decode, and the
+// rlnc.absorb stage times it.
 func (d *Decoder) finish() {
 	defer stageAbsorb.Start().End()
 	n, k := d.params.BlockCount, d.params.BlockSize
 	jordanReduce(d.rowForPivot)
 
-	seg := newSegment(d.segID, d.params)
+	out := d.output()
+	clear(out)
+	seg := segmentView(d.segID, d.params, out)
 	payloads, inv := d.scr.rowViews(n)
 	for i := range payloads {
 		payloads[i] = d.slab[i*k : (i+1)*k : (i+1)*k]
@@ -399,6 +481,7 @@ func (d *Decoder) releaseScratch() {
 		PutScratch(d.scr)
 	}
 	d.scr, d.xorRows, d.plane, d.slab = nil, nil, nil, nil
+	d.mixed, d.used = nil, nil
 }
 
 // jordanReduce turns echelon rows into reduced ones. rows[c] is the row with
@@ -437,9 +520,10 @@ func jordanReduce(rows [][]byte) {
 	}
 }
 
-// Segment returns the recovered segment. It fails with ErrNotReady until
-// rank n is reached. Every call returns the same *Segment; the decoder keeps
-// no other copy of the data.
+// Segment returns the recovered segment, a view of the decoder's output. It
+// fails with ErrNotReady until rank n is reached. Every call returns the same
+// *Segment until a DecodeInto moves the output; the decoder keeps no other
+// copy of the data.
 func (d *Decoder) Segment() (*Segment, error) {
 	if !d.Ready() {
 		return nil, fmt.Errorf("%w: rank %d of %d", ErrNotReady, d.rank, d.params.BlockCount)
@@ -464,18 +548,8 @@ func (d *Decoder) Block(i int) ([]byte, bool) {
 	if !d.xorOnly {
 		return nil, false
 	}
-	row := d.rowForPivot[i]
-	if row == nil {
+	if row := d.rowForPivot[i]; row == nil || !unitRow(row, i) {
 		return nil, false
 	}
-	for c := 0; c < n; c++ {
-		want := byte(0)
-		if c == i {
-			want = 1
-		}
-		if row[c] != want {
-			return nil, false
-		}
-	}
-	return row[n : n+d.params.BlockSize], true
+	return d.window(i), true
 }

@@ -76,13 +76,15 @@ func (d *Decoder) MarshalBinary() ([]byte, error) {
 			copy(row[n:], d.seg.Block(c))
 		}
 	case d.xorOnly:
+		// Row c is its C and the payload in window c.
 		i := 0
 		for c, row := range d.rowForPivot {
 			if row == nil {
 				continue
 			}
 			bitmap[c/8] |= 1 << (c % 8)
-			copy(rows[i*(n+k):], row)
+			out := rows[i*(n+k) : (i+1)*(n+k)]
+			copy(out[copy(out, row):], d.window(c))
 			i++
 		}
 	default:
@@ -219,16 +221,23 @@ func (d *Decoder) UnmarshalBinary(data []byte) error {
 		xorOnly:     binaryRows,
 		rowForPivot: rows,
 	}
-	if binaryRows {
-		// The GF(2) path owns its rows: into the slab, ascending pivot order.
+	switch {
+	case !binaryRows:
+		d.enterDense(rows, func(c int) []byte { return rows[c][n:] })
+	case rank > 0:
+		// The GF(2) path owns its rows: C into the slab, ascending pivot
+		// order, and each payload into the window of its pivot.
+		d.output()
 		for i, c := range pivots {
-			rows[c] = d.stageXorRow(i, rows[c][:n], rows[c][n:])
+			copy(d.window(c), rows[c][n:])
+			rows[c] = d.stageXorRow(i, rows[c][:n])
+			if !unitRow(rows[c], c) {
+				d.mixed = append(d.mixed, c)
+			}
 		}
 		if rank == n {
 			d.finishXor()
 		}
-	} else {
-		d.enterDense(rows)
 	}
 	return nil
 }

@@ -144,12 +144,45 @@ func FuzzXorBlockUnmarshal(f *testing.F) {
 	})
 }
 
+// checkView holds ParseView to the copying readers on data, read as a record
+// of the shape its header declares, under key if it is an XNC3 record: it
+// accepts exactly what they accept, yields the same block, and its payload is
+// the record's own bytes.
+func checkView(t *testing.T, data []byte, key uint64) {
+	var f RecordFormat
+	if len(data) >= wireHeaderLen {
+		f.Params = Params{BlockCount: int(binary.BigEndian.Uint32(data[8:])), BlockSize: int(binary.BigEndian.Uint32(data[12:]))}
+		f.Counter, f.Key = string(data[:4]) == counterWireMagic, key
+	}
+	var view, copied CodedBlock
+	verr := view.ParseView(data, f)
+	var cerr error
+	if f.Counter {
+		_, cerr = copied.UnmarshalCounter(data, key, f.Params)
+	} else {
+		cerr = copied.UnmarshalRecord(data)
+	}
+	if (verr == nil) != (cerr == nil) {
+		t.Fatalf("ParseView: %v, the copying reader: %v", verr, cerr)
+	}
+	if verr != nil {
+		return
+	}
+	if view.SegmentID != copied.SegmentID || !bytes.Equal(view.Coeffs, copied.Coeffs) || !bytes.Equal(view.Payload, copied.Payload) {
+		t.Fatal("ParseView and the copying reader parse different blocks")
+	}
+	if &view.Payload[len(view.Payload)-1] != &data[len(data)-wireTrailerLen-1] {
+		t.Fatal("ParseView's payload is not a view of the record")
+	}
+}
+
 // FuzzRecordDispatch drives every record reader with every encoding's seeds:
 // UnmarshalRecord for XNC1/XNC2, and UnmarshalCounter under a fixed key for
 // XNC3 — the fetcher's dispatch on a counter session. Whatever a reader
 // accepts must re-marshal, under the matching encoding, to the input bytes,
 // and an accepted counter record's regenerated vector is the key's, with no
-// zero in it.
+// zero in it. ParseView, the fetcher's in-place reader, must agree with them
+// on every input (checkView).
 func FuzzRecordDispatch(f *testing.F) {
 	const key = 0xC0FFEE
 	seedWire(f)
@@ -171,6 +204,7 @@ func FuzzRecordDispatch(f *testing.F) {
 	f.Add(CounterRecord(seg, key, 9))
 	f.Add([]byte("XNC3"))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkView(t, data, key)
 		var blk CodedBlock
 		if len(data) >= wireHeaderLen && string(data[:4]) == counterWireMagic {
 			p := Params{BlockCount: int(binary.BigEndian.Uint32(data[8:])), BlockSize: int(binary.BigEndian.Uint32(data[12:]))}

@@ -34,6 +34,7 @@ type Scratch struct {
 	buf    []byte
 	dsts   [][]byte
 	coeffs [][]byte
+	ints   []int
 }
 
 // Bytes returns an n-byte workspace, growing the backing array as needed.
@@ -43,6 +44,15 @@ func (s *Scratch) Bytes(n int) []byte {
 		s.buf = make([]byte, n)
 	}
 	return s.buf[:n]
+}
+
+// indices returns an n-int workspace, growing it as needed; the GF(2) decode
+// path keeps its pivot lists there. Contents are unspecified.
+func (s *Scratch) indices(n int) []int {
+	if cap(s.ints) < n {
+		s.ints = make([]int, n)
+	}
+	return s.ints[:n]
 }
 
 // rowViews returns two reusable row-header slices of length n, used by the

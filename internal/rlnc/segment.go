@@ -24,7 +24,13 @@ func NewSegment(id uint32, p Params) (*Segment, error) {
 
 // newSegment is NewSegment for parameters already validated.
 func newSegment(id uint32, p Params) *Segment {
-	s := &Segment{id: id, params: p, data: make([]byte, p.SegmentSize())}
+	return segmentView(id, p, make([]byte, p.SegmentSize()))
+}
+
+// segmentView returns a segment whose storage is data, SegmentSize bytes the
+// caller owns: a decoder's output window.
+func segmentView(id uint32, p Params, data []byte) *Segment {
+	s := &Segment{id: id, params: p, data: data}
 	s.blockRows()
 	return s
 }

@@ -1,6 +1,7 @@
 package rlnc
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -50,8 +51,14 @@ func XorWireSize(p Params) int {
 // elimination fast path. Systematic source blocks (unit vectors) and XOR
 // repair blocks are binary; dense-tail blocks are not.
 func (b *CodedBlock) IsBinary() bool {
-	for _, c := range b.Coeffs {
-		if c > 1 {
+	c := b.Coeffs
+	for ; len(c) >= 8; c = c[8:] {
+		if binary.LittleEndian.Uint64(c)&0xFEFEFEFEFEFEFEFE != 0 {
+			return false
+		}
+	}
+	for _, v := range c {
+		if v > 1 {
 			return false
 		}
 	}
@@ -92,21 +99,46 @@ func (b *CodedBlock) UnmarshalBinaryXor(data []byte) error {
 		return err
 	}
 	n, m := p.BlockCount, BitmaskLen(p.BlockCount)
-	mask := row[:m]
-	if n%8 != 0 && mask[m-1]>>(n%8) != 0 {
-		return fmt.Errorf("%w: %d blocks, trailing byte %#x", ErrBadBitmask, n, mask[m-1])
-	}
-	b.SegmentID = seg
 	if cap(b.Coeffs) < n {
 		b.Coeffs = make([]byte, n)
 	}
-	b.Coeffs = b.Coeffs[:n]
-	for i := range b.Coeffs {
-		b.Coeffs[i] = (mask[i/8] >> (i % 8)) & 1
+	if err := expandBitmask(b.Coeffs[:n], row[:m]); err != nil {
+		return err
 	}
+	b.SegmentID = seg
+	b.Coeffs = b.Coeffs[:n]
 	b.Payload = append(b.Payload[:0], row[m:]...)
 	return nil
 }
+
+// expandBitmask writes the 0/1 coefficient vector a GF(2) bitmask denotes into
+// coeffs, one byte per bit, after refusing a mask with bits set beyond
+// len(coeffs). Whole mask bytes expand eight coefficients at a time.
+func expandBitmask(coeffs, mask []byte) error {
+	n, m := len(coeffs), len(mask)
+	if n%8 != 0 && mask[m-1]>>(n%8) != 0 {
+		return fmt.Errorf("%w: %d blocks, trailing byte %#x", ErrBadBitmask, n, mask[m-1])
+	}
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		binary.LittleEndian.PutUint64(coeffs[i:], maskBytes[mask[i/8]])
+	}
+	for ; i < n; i++ {
+		coeffs[i] = (mask[i/8] >> (i % 8)) & 1
+	}
+	return nil
+}
+
+// maskBytes[b] is mask byte b expanded: byte i of the little-endian word is
+// bit i of b.
+var maskBytes = func() (t [256]uint64) {
+	for b := range t {
+		for i := range 8 {
+			t[b] |= uint64(b>>i&1) << (8 * i)
+		}
+	}
+	return t
+}()
 
 // UnmarshalRecord decodes either wire encoding, dispatching on the magic:
 // "XNC1" dense, "XNC2" GF(2). It is the record parser of netio's systematic
