@@ -65,8 +65,12 @@ loc:
 		/^(const|var|type) [A-Z]/ { print $$2; next } \
 		/^func [A-Z]/ { n = $$2; sub(/\(.*/, "", n); print n }' | sort -u | wc -l
 
+# The second line repeats the credit, park and stall tests ten times: a lost
+# pump wake-up (a grant the pump never sees) parks a session forever, and one
+# pass cannot show that none is left.
 race:
 	$(GO) test -race -count=1 $(RACE_PKGS)
+	$(GO) test -race -count=10 -run 'TestCredit|TestSatisfiedServerParks|TestDependentGrantCostsAReask|TestStall$$' ./internal/netio/ ./internal/harness/
 
 # Replay the committed fuzz seed corpora as regression tests (every F.Add
 # case plus any checked-in corpus files), then spend a short, time-boxed live

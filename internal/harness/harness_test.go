@@ -202,14 +202,21 @@ func TestAwaitRung(t *testing.T) {
 
 // TestStall: the one stall wave, against a shallow-queue server — the ladder
 // engages under the slow readers, and Stall returns only once it is back at
-// off, with the transitions on the server's own ledger.
+// off, with the transitions on the server's own ledger. A server sends a
+// session only what it asked for, so its queues back up only once a slow
+// reader's asks have outrun its socket buffers: the records are 32 KiB, so
+// that four readers asking at 20 records a second do that within a second.
 func TestStall(t *testing.T) {
 	base := baseline()
-	srv := newServer(t, Media(testParams.SegmentSize(), 5), func(c *netio.ServerConfig) {
-		c.QueueDepth = 2
-		c.WriteDeadline = 0 // never drop a staller: the pressure stays pinned
-		c.Brownout = netio.BrownoutConfig{Interval: 10 * time.Millisecond, StepUp: 0.5, StepDown: 0.05, Hold: 2}
-	})
+	p := rlnc.Params{BlockCount: testParams.BlockCount, BlockSize: 32 << 10}
+	cfg := netio.DefaultServerConfig()
+	cfg.QueueDepth = 2
+	cfg.WriteDeadline = 0 // never drop a staller: the pressure stays pinned
+	cfg.Brownout = netio.BrownoutConfig{Interval: 10 * time.Millisecond, StepUp: 0.5, StepDown: 0.05, Hold: 2}
+	srv, err := netio.NewServerFromConfig(Media(p.SegmentSize(), 5), p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	addr, stop := serve(t, srv)
 	defer stop()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)

@@ -200,6 +200,37 @@ func TestCoordinatorBalancesAndReroutes(t *testing.T) {
 	}
 }
 
+// TestCoordinatorFollowsMovedRelay: a restarted relay serves at a new address,
+// and every leaf routed to it is re-pointed there — those routed elsewhere are
+// not touched.
+func TestCoordinatorFollowsMovedRelay(t *testing.T) {
+	p := NewPool()
+	for _, id := range []string{"r1", "r2"} {
+		if err := p.Add(id, "addr-"+id, nil, 8); err != nil {
+			t.Fatal(err)
+		}
+		p.Heartbeat(id)
+	}
+	c := NewCoordinator(p)
+	rds := make([]*netio.Redirector, 4)
+	for i := range rds {
+		rds[i] = netio.NewRedirector("")
+		if _, err := c.Assign(i, rds[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Moved("r1", "addr-r1-restarted")
+	for i, rd := range rds {
+		want := "addr-r2"
+		if id, _ := c.RouteOf(i); id == "r1" {
+			want = "addr-r1-restarted"
+		}
+		if rd.Target() != want {
+			t.Fatalf("leaf %d dials %q, want %q", i, rd.Target(), want)
+		}
+	}
+}
+
 func TestRemediatorMovesLeavesOffDeadRelay(t *testing.T) {
 	p := NewPool()
 	clock := newFakeClock(p)

@@ -90,6 +90,21 @@ func (c *Coordinator) Reroute(leafID int, exclude string) (bool, error) {
 	return true, nil
 }
 
+// Moved re-points every leaf routed to relay id at addr, the relay's serving
+// address after a restart. A leaf whose session ended just as the drain
+// finished redials the old, closed address; remediation moves leaves only off
+// relays that are not active, so once the relay is active again nothing else
+// would.
+func (c *Coordinator) Moved(id, addr string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, rt := range c.routes {
+		if rt.relayID == id {
+			rt.rd.SetTarget(addr)
+		}
+	}
+}
+
 // Release drops leafID from the routing table — called when its fetch
 // finishes, so load counts and remediation only consider live leaves.
 func (c *Coordinator) Release(leafID int) {

@@ -545,6 +545,7 @@ func (m *Mesh) RestartRelay(ctx context.Context, id string) error {
 	if !m.pool.Rejoin(id, addr) {
 		return fmt.Errorf("mesh: relay %q could not rejoin the pool", id)
 	}
+	m.coord.Moved(id, addr)
 	return nil
 }
 

@@ -255,6 +255,53 @@ func TestRelayXorRecode(t *testing.T) {
 	}
 }
 
+// TestXorRelayLeafReasks: a leaf that dials an XOR-recode relay while the
+// relay still fills from a slow origin is granted GF(2) recombinations of a
+// partial basis — dependent records — and asks again for what it lacks until
+// it decodes byte-identical: each shortfall costs a round trip, never a hang.
+func TestXorRelayLeafReasks(t *testing.T) {
+	p := rlnc.Params{BlockCount: 8, BlockSize: 128}
+	media := testMedia(t, 2*p.SegmentSize()-7, 32)
+	ocfg := netio.DefaultServerConfig()
+	ocfg.Seed = 4
+	ocfg.Pace, ocfg.EncodeBatch = 5*time.Millisecond, 1 // fills the relay over ~80 ms
+	_, ol := startOrigin(t, media, p, ocfg)
+
+	rln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	reg := obs.NewRegistry()
+	relay, err := StartRelay(ctx, RelayConfig{
+		ID: "rx", Upstream: tcpDial(ol.Addr().String()), Listener: rln,
+		Seed: 14, XorRecode: true,
+		ServerOpts: []netio.ServerOption{func(c *netio.ServerConfig) { c.Metrics = reg }},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer relay.Close()
+	if full := 2 * p.BlockCount; relay.TotalRank() >= full {
+		t.Skipf("relay already full (rank %d) when the leaf dialed", relay.TotalRank())
+	}
+
+	f, err := netio.NewFetcherFromConfig(tcpDial(relay.Addr()), netio.DefaultFetcherConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := f.Fetch(ctx)
+	if err != nil || !bytes.Equal(res.Payload, media) {
+		t.Fatalf("fetch through a filling xor relay: %v (stats %+v)", err, res.Stats)
+	}
+	asks, _ := reg.CounterValue("netio.need_records")
+	if res.Stats.Dependent == 0 || asks == 0 {
+		t.Fatalf("dependent %d, need records %d: the leaf never asked again", res.Stats.Dependent, asks)
+	}
+	t.Logf("%d records, %d dependent, %d need records", res.Stats.Records, res.Stats.Dependent, asks)
+}
+
 // tapConn records every byte read from the connection it wraps.
 type tapConn struct {
 	net.Conn

@@ -148,8 +148,8 @@ func (s *Server) sampleBrownout() brownoutSample {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		for ss := range sh.sessions {
-			if !ss.pumped.Load() {
-				continue // sweeping or waiting: it has no queue to fill
+			if ss.owedNothing() && ss.q.len() == 0 {
+				continue // sweeping, or satisfied: it has no queue to fill
 			}
 			smp.queueLen += ss.q.len()
 			smp.queueCap += ss.q.cap()

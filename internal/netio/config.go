@@ -24,16 +24,17 @@ type ServerConfig struct {
 	// negative → 1). When a client drains slower than the pump produces,
 	// records beyond the bound are shed instead of stalling the pump — RLNC
 	// makes the loss harmless, the peer only needs enough blocks, not
-	// specific ones. A systematic session's sweep passes through no queue;
-	// the bound applies to the repair records of a session that asked for
-	// them.
+	// specific ones; the session is owed a shed record again. A systematic
+	// session's sweep passes through no queue; the bound applies to the
+	// repair records of a session that asked for them.
 	QueueDepth int
 	// WriteDeadline bounds every record flush; a flush that misses it is
 	// retried (resuming at the byte where it stopped) WriteRetries times and
 	// the session is then dropped. Zero disables deadlines
 	// (DefaultServerConfig sets 5s). The same budget, WriteDeadline ×
-	// (1 + WriteRetries), bounds how long a systematic session may stay
-	// silent after its sweep before it is dropped.
+	// (1 + WriteRetries), bounds how long a session owed nothing, with
+	// nothing queued, may stay silent — neither hanging up nor writing a
+	// need record — before it is dropped; zero never drops it.
 	WriteDeadline time.Duration
 	// WriteRetries is how many extra deadline windows a timed-out flush gets
 	// before the session is dropped (negative → 0; DefaultServerConfig
@@ -43,8 +44,9 @@ type ServerConfig struct {
 	// per round (0 → max(4, blockCount/4)); for a source-backed server it
 	// sizes the per-round Records request. Larger batches amortize encoder
 	// dispatch; smaller ones tighten the round-robin interleave across
-	// segments. On a media-backed systematic server these are repair blocks,
-	// generated only while some session has asked for repair.
+	// segments. A round is never larger than what some session is owed and
+	// has queue room for. On a media-backed systematic server these are
+	// repair blocks, generated only while some session has asked for repair.
 	EncodeBatch int
 	// MaxSessions caps concurrent sessions across all shards; connections
 	// beyond the cap are closed immediately and counted in
@@ -60,14 +62,14 @@ type ServerConfig struct {
 	// (default ModeDense). In ModeSystematic every session is first written
 	// one sweep — each source block once, in the compact XNC2 encoding, from
 	// a table all sessions share, at the pace its connection takes them —
-	// and the server then waits to hear whether the client needs more: a
-	// client that decoded from the sweep hangs up, one that lost records
-	// sends a need record and is fed the GF(2) XOR repair + dense tail part
-	// of rlnc.SystematicEncoder's schedule by the pumps, with queueing,
-	// shedding and deadlines as in ModeDense (see Server). Pace and the
-	// brownout ladder govern the pumps, so they govern repair, not sweeps.
-	// NewSourceServerFromConfig overrides Mode with the source's declared
-	// mode, and a source-backed server always pushes.
+	// and the session is then owed nothing: a client that decoded from the
+	// sweep hangs up, one that lost records sends a need record and is fed
+	// the GF(2) XOR repair + dense tail part of rlnc.SystematicEncoder's
+	// schedule by the pumps, with credit, queueing, shedding and deadlines
+	// as in ModeDense (see Server). Pace and the brownout ladder govern the
+	// pumps, so they govern repair, not sweeps. NewSourceServerFromConfig
+	// overrides Mode with the source's declared mode, and a source-backed
+	// server's sessions are owed a grant from the handshake on.
 	Mode WireMode
 	// Pace floors the interval between pump rounds, bounding each shard's
 	// emission rate at EncodeBatch records per Pace regardless of CPU

@@ -20,9 +20,19 @@ const controlOverhead = 4 + 4 + 4
 // appendControl appends one control record carrying body to dst.
 func appendControl(dst []byte, magic string, body []byte) []byte {
 	start := len(dst)
+	dst = append(openControl(dst, magic, len(body)), body...)
+	return sealControl(dst, start)
+}
+
+// openControl appends a control record's magic and body length; the caller
+// appends bodyLen body bytes and then seals the record from where it started.
+func openControl(dst []byte, magic string, bodyLen int) []byte {
 	dst = append(dst, magic...)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(body)))
-	dst = append(dst, body...)
+	return binary.BigEndian.AppendUint32(dst, uint32(bodyLen))
+}
+
+// sealControl appends the CRC of the control record that starts at dst[start].
+func sealControl(dst []byte, start int) []byte {
 	return binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
 }
 

@@ -69,14 +69,20 @@ func stateFetcher(tb testing.TB, p rlnc.Params, segs int) *Fetcher {
 	return f
 }
 
-// readAny hands rec to the reader its magic names: the need record and the
-// resume state to theirs, anything else to readHandshake. It returns what
-// the reader parsed, and how many bytes of rec it consumed.
+// needSegments is the segment count of the session whose need records the
+// control-record tests read: a server reads them for its own count.
+const needSegments = 2
+
+// readAny hands rec to the reader its magic names: the need record (of a
+// needSegments-segment session) and the resume state to theirs, anything else
+// to readHandshake. It returns what the reader parsed, and how many bytes of
+// rec it consumed.
 func readAny(rec []byte) (got any, read int, err error) {
 	cr := &countReader{r: bytes.NewReader(rec)}
 	switch {
 	case bytes.HasPrefix(rec, []byte(needMagic)):
-		got, err = "need", readNeedRecord(cr)
+		deficits := make([]uint32, needSegments)
+		got, err = deficits, readNeed(cr, make([]byte, needLen(needSegments)), deficits)
 	case bytes.HasPrefix(rec, []byte(stateMagic)):
 		var f Fetcher
 		if err = f.restoreState(rec); err == nil {
@@ -128,6 +134,7 @@ func TestControlRecords(t *testing.T) {
 	over := func(magic string) []byte { // declares a body of ~4 GiB
 		return append(binary.BigEndian.AppendUint32([]byte(magic), 0xFFFFFFF0), make([]byte, 64)...)
 	}
+	need := appendNeed(nil, []uint32{3, 0})
 
 	for _, c := range []struct {
 		name string
@@ -164,11 +171,16 @@ func TestControlRecords(t *testing.T) {
 		{"redirect", decision(redirect), handshake{dec: &redirect}, nil},
 		{"v3 explicit accept", rebody(decision(busy), func(b []byte) []byte { b[0] = 0; return b }), nil, ErrBadHandshake},
 		{"decision truncated", rebody(decision(busy), func(b []byte) []byte { return b[:4] }), nil, ErrBadHandshake},
-		{"need", needRecord, "need", nil},
-		{"need reserved word", setU32(needRecord, 0, 1), nil, ErrBadNeedRecord},
-		{"need body short", appendControl(nil, needMagic, make([]byte, 3)), nil, ErrBadNeedRecord},
-		{"need body long", appendControl(nil, needMagic, make([]byte, 5)), nil, ErrBadNeedRecord},
-		{"need checksum", append(bytes.Clone(needRecord[:needRecordLen-1]), needRecord[needRecordLen-1]^1), nil, ErrBadNeedRecord},
+		{"need", need, []uint32{3, 0}, nil},
+		// Deficits above the generation size parse; the grant clamps them
+		// (TestCreditFloodNeverRaisesCredit).
+		{"need deficits over n", appendNeed(nil, []uint32{5, 1 << 31}), []uint32{5, 1 << 31}, nil},
+		{"need wrong segment count", appendNeed(nil, []uint32{3}), nil, ErrBadNeedRecord},
+		// Protocol v4's need record: a zero reserved word, no deficits.
+		{"need reserved word", appendControl(nil, needMagic, make([]byte, 4)), nil, ErrBadNeedRecord},
+		{"need body short", rebody(need, func(b []byte) []byte { return b[:len(b)-1] }), nil, ErrBadNeedRecord},
+		{"need body long", appendNeed(nil, []uint32{3, 0, 0}), nil, ErrBadNeedRecord},
+		{"need checksum", append(bytes.Clone(need[:len(need)-1]), need[len(need)-1]^1), nil, ErrBadNeedRecord},
 		{"need body over bound", over(needMagic), nil, ErrBadNeedRecord},
 		{"state", state, sf.Ranks(), nil},
 		{"state trailing byte", append(bytes.Clone(state), 0), nil, ErrBadResumeState},

@@ -153,7 +153,7 @@ type FetchResult struct {
 	Stats *FetchStats
 }
 
-// Fetcher is a resilient download client for the push protocol. Unlike the
+// Fetcher is a resilient download client for the session protocol. Unlike the
 // one-shot Fetch it owns a dial function rather than a connection, and it
 // carries its per-segment rank across reconnects: a connection reset, a
 // framing loss, or a server restart costs only the bytes in flight, never
@@ -184,6 +184,11 @@ type Fetcher struct {
 	// records, their coefficients regenerated under its key. Per session — a
 	// reconnect may land on a relay, or on an origin with another key.
 	format rlnc.RecordFormat
+
+	// deficits and needBuf are ask's scratch: the per-segment deficits and the
+	// need record carrying them.
+	deficits []uint32
+	needBuf  []byte
 
 	// Admission-decision carry-over between attempts: busyHint floors the
 	// next backoff sleep at a BUSY decision's retry-after, promptRetry skips
@@ -507,10 +512,10 @@ func (f *Fetcher) result() *FetchResult {
 func (f *Fetcher) session(ctx context.Context, conn net.Conn) (done, fatal bool, err error) {
 	defer conn.Close()
 
-	// A cancelled context forces every blocked and future read to fail
-	// immediately by moving the read deadline into the past.
+	// A cancelled context forces every blocked and future read — and need
+	// record write — to fail immediately by moving the deadline into the past.
 	unhook := context.AfterFunc(ctx, func() {
-		conn.SetReadDeadline(time.Unix(1, 0))
+		conn.SetDeadline(time.Unix(1, 0))
 	})
 	defer unhook()
 
@@ -610,15 +615,15 @@ func (f *Fetcher) session(ctx context.Context, conn net.Conn) (done, fatal bool,
 		rd = bufio.NewReaderSize(io.MultiReader(io.LimitReader(br, int64(br.Buffered())), conn), size)
 	}
 	var blk rlnc.CodedBlock
-	// On a sweep session the server falls silent after n × segments records —
-	// one of every source block — until asked for more. A fetch still short of
-	// rank after reading that many here (some arrived damaged, or repeated what
-	// earlier sessions had brought) asks, once. The server is in its read by
-	// then, so the write cannot wait on it. Zero: no sweep, never ask.
-	sweepLeft := 0
-	if hs.flags&hsFlagSweep != 0 {
-		sweepLeft = h.params.BlockCount * h.segments
-	}
+	// The server owes a session n + margin records of every segment, or one
+	// sweep of n × segments, and then falls silent until asked. left counts
+	// down the records of the last ask — n per segment until there is one —
+	// every record read, damaged ones included; a fetch still short of rank
+	// when it reaches zero (records arrived damaged, dependent, or repeating
+	// what earlier sessions brought) asks again for its deficits. The grant
+	// covers at least the ask, so the count always reaches zero or the fetch
+	// completes.
+	left := h.params.BlockCount * h.segments
 	for f.remaining() > 0 {
 		if traced {
 			// Traced framing: a CRC-guarded round prelude precedes every
@@ -665,13 +670,29 @@ func (f *Fetcher) session(ctx context.Context, conn net.Conn) (done, fatal bool,
 			return false, true, err
 		}
 		rd.Discard(int(n)) //nolint:errcheck // the n bytes are buffered: Peek returned them
-		if sweepLeft--; sweepLeft == 0 && f.remaining() > 0 {
-			if _, err := conn.Write(needRecord); err != nil {
+		if left--; left <= 0 && f.remaining() > 0 {
+			if left, err = f.ask(conn); err != nil {
 				return f.streamErr(ctx, fmt.Errorf("%w: need record: %v", ErrStreamTruncated, err))
 			}
 		}
 	}
 	return true, false, nil
+}
+
+// ask writes a need record carrying every segment's rank deficit and returns
+// their sum: the records the next ask waits for.
+func (f *Fetcher) ask(w io.Writer) (int, error) {
+	n := f.hdr.params.BlockCount
+	f.deficits = f.deficits[:0]
+	sum := 0
+	for seg := range uint32(f.hdr.segments) {
+		d := n - f.sink.Rank(seg)
+		f.deficits = append(f.deficits, uint32(d))
+		sum += d
+	}
+	f.needBuf = appendNeed(f.needBuf[:0], f.deficits)
+	_, err := w.Write(f.needBuf)
+	return sum, err
 }
 
 // streamErr classifies a mid-stream failure: fatal if the context ended,

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"runtime"
@@ -34,6 +35,9 @@ func flakyServer(t *testing.T, l *pipeListener, media []byte, p rlnc.Params, rec
 			if err != nil {
 				return
 			}
+			// It pushes its records regardless, and takes the fetcher's need
+			// records only so that writing one never blocks the pipe.
+			go io.Copy(io.Discard, conn) //nolint:errcheck // ends with the session
 			h := sessionHeader{params: p, segments: len(obj.Segments), length: int64(obj.Length)}
 			if _, err := conn.Write(appendSessionHeader(nil, handshake{hdr: h})); err != nil {
 				conn.Close()
@@ -618,6 +622,7 @@ func TestFetcherTwoStageUnderFaults(t *testing.T) {
 			if err != nil {
 				return
 			}
+			go io.Copy(io.Discard, conn) //nolint:errcheck // need records, ignored
 			h := sessionHeader{params: p, segments: len(obj.Segments), length: int64(obj.Length)}
 			if _, err := conn.Write(appendSessionHeader(nil, handshake{hdr: h})); err != nil {
 				conn.Close()
@@ -724,14 +729,16 @@ func TestFetcherTwoStageUnderFaults(t *testing.T) {
 	}
 }
 
-// streamConn is a connection whose read side replays a byte stream; the
-// record path's allocation test has no use for a peer.
+// streamConn is a connection whose read side replays a byte stream and whose
+// write side takes the fetcher's need records and drops them; the record
+// path's allocation test has no use for a peer.
 type streamConn struct {
 	net.Conn // nil: only the methods below are called
 	r        bytes.Reader
 }
 
 func (c *streamConn) Read(p []byte) (int, error)      { return c.r.Read(p) }
+func (c *streamConn) Write(p []byte) (int, error)     { return len(p), nil }
 func (c *streamConn) Close() error                    { return nil }
 func (c *streamConn) SetReadDeadline(time.Time) error { return nil }
 
@@ -1016,7 +1023,11 @@ func TestFetcherRecordPathDoesNotAllocate(t *testing.T) {
 				t.Fatalf("%s: fetch: %v", name, err)
 			}
 		}
-		fetch() // warms the pools: session reader, decoder scratch
+		// A collection still running from an earlier test would empty the
+		// pools mid-measurement (2 package runs in 12 failed so): finish it,
+		// then warm them: session reader, decoder scratch.
+		runtime.GC()
+		fetch()
 		const runs = 5
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

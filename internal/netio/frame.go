@@ -144,6 +144,17 @@ func (q *frameQueue) drain() []*frameRef {
 	return rest
 }
 
+// free reports how many more frames the queue would accept now: none once it
+// drains.
+func (q *frameQueue) free() int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.draining {
+		return 0
+	}
+	return len(q.ring) - q.n
+}
+
 func (q *frameQueue) len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()

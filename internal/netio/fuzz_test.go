@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"io"
 	"math/rand"
 	"net"
 	"reflect"
@@ -134,9 +135,11 @@ func sessionOf(tb testing.TB, p rlnc.Params, segs int, mode WireMode, blocks fun
 	return stream, media
 }
 
-// pipeFetch runs a single-attempt fetch of data, written into a net.Pipe.
+// pipeFetch runs a single-attempt fetch of data, written into a net.Pipe
+// whose far end also takes whatever need records the fetcher writes.
 func pipeFetch(t *testing.T, data []byte, cfg FetcherConfig) (*FetchResult, error) {
 	a, b := net.Pipe()
+	go io.Copy(io.Discard, b) //nolint:errcheck // ends when b closes
 	go func() {
 		b.Write(data)
 		b.Close()
@@ -203,6 +206,19 @@ func FuzzFetchRecords(f *testing.F) {
 	for _, s := range streams {
 		f.Add(s)
 	}
+
+	// Sessions that make the fetcher ask: the first n records hold a damaged
+	// one, or repeat a record, so the grant's count runs out short of rank
+	// and the rest of the stream is read after a need record.
+	f.Add(fuzzSession(f, func(s []byte) []byte {
+		s[protoHeaderLen+4+8] ^= 0x01 // a byte of the first record: its CRC fails
+		return s
+	}))
+	f.Add(fuzzSession(f, func(s []byte) []byte {
+		size := recordLenLen + int(binary.BigEndian.Uint32(s[protoHeaderLen:]))
+		first := s[protoHeaderLen : protoHeaderLen+size]
+		return append(append(bytes.Clone(s[:protoHeaderLen+size]), first...), s[protoHeaderLen+size:]...)
+	}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ledger := func(stats *FetchStats) {
@@ -289,25 +305,32 @@ func decisionSeeds(f *testing.F) {
 	f.Add([]byte{})
 }
 
-// needSeeds are the one valid need record and its near misses.
+// fuzzNeed is a valid need record of a needSegments-segment session.
+var fuzzNeed = appendNeed(nil, []uint32{3, 0})
+
+// needSeeds are valid need records and their near misses.
 func needSeeds(f *testing.F) {
 	need := func(mutate func(rec []byte), reseal bool) []byte {
-		rec := bytes.Clone(needRecord)
+		rec := bytes.Clone(fuzzNeed)
 		mutate(rec)
 		if reseal {
 			resealControl(rec)
 		}
 		return rec
 	}
-	f.Add(bytes.Clone(needRecord))
+	f.Add(bytes.Clone(fuzzNeed))
 	f.Add(need(func(rec []byte) { copy(rec, decisionMagic) }, true)) // another record's magic
-	f.Add(need(func(rec []byte) { rec[11] = 1 }, true))              // reserved word set, checksum good
-	f.Add(need(func(rec []byte) { rec[11] = 1 }, false))             // reserved word set, checksum stale
-	f.Add(need(func(rec []byte) { rec[15] ^= 0x80 }, false))         // flipped checksum bit
-	for _, cut := range []int{0, 3, 4, 8, needRecordLen - 1} {
-		f.Add(bytes.Clone(needRecord[:cut]))
+	f.Add(need(func(rec []byte) { rec[11] = 1 }, true))              // segment count 1, checksum good
+	f.Add(need(func(rec []byte) { rec[11] = 3 }, false))             // segment count 3, checksum stale
+	f.Add(need(func(rec []byte) { rec[len(rec)-1] ^= 0x80 }, false)) // flipped checksum bit
+	for _, cut := range []int{0, 3, 4, 8, len(fuzzNeed) - 1} {
+		f.Add(bytes.Clone(fuzzNeed[:cut]))
 	}
-	f.Add(append(bytes.Clone(needRecord), 0)) // one byte too many
+	f.Add(append(bytes.Clone(fuzzNeed), 0))                        // one byte too many
+	f.Add(appendNeed(nil, []uint32{1 << 31, 7}))                   // deficits over any n
+	f.Add(appendNeed(nil, []uint32{3, 0, 0}))                      // a body over the bound
+	f.Add(appendControl(nil, needMagic, make([]byte, 4)))          // protocol v4's record
+	f.Add(append(bytes.Clone(fuzzNeed), bytes.Clone(fuzzNeed)...)) // two in a row
 }
 
 // headerSeeds are session headers: TLVs, and fields the reader must refuse.
@@ -380,12 +403,17 @@ func fuzzControl(f *testing.F, families ...func(*testing.F)) {
 		}
 
 		cr = &countReader{r: bytes.NewReader(data)}
-		err = readNeedRecord(cr)
-		if cr.n > needRecordLen {
+		deficits := make([]uint32, needSegments)
+		err = readNeed(cr, make([]byte, needLen(needSegments)), deficits)
+		switch {
+		case declared > needLen(needSegments)-controlOverhead && (err == nil || cr.n != 8):
+			t.Fatalf("%d-byte need body over the bound: %v after %d bytes", declared, err, cr.n)
+		case cr.n > needLen(needSegments):
 			t.Fatalf("need reader took %d bytes", cr.n)
-		}
-		if (err == nil) != bytes.HasPrefix(data, needRecord) || (err != nil && !errors.Is(err, ErrBadNeedRecord)) {
-			t.Fatalf("readNeedRecord(%x) = %v, the one valid record is %x", data, err, needRecord)
+		case err != nil && !errors.Is(err, ErrBadNeedRecord):
+			t.Fatalf("readNeed failed with %v, want ErrBadNeedRecord", err)
+		case err == nil && !bytes.HasPrefix(data, appendNeed(nil, deficits)):
+			t.Fatalf("readNeed(%x) accepted deficits %v, which marshal to %x", data, deficits, appendNeed(nil, deficits))
 		}
 
 		var st Fetcher

@@ -1,12 +1,14 @@
 // Package netio streams network-coded content over real connections (TCP
 // or any net.Conn): the deployment path of the paper's streaming-server
-// scenario (Sec. 5.1). A server pushes an endless stream of coded blocks
-// for every segment of an object; a client decodes progressively and hangs
-// up as soon as it holds full rank for everything — no acknowledgements,
-// retransmissions, or block scheduling needed, because any blocks work.
-// The one exception is the cheapest stream: a media-backed systematic server
-// writes each session the source blocks once and then stops until the client
-// says it still lacks rank (the need record below).
+// scenario (Sec. 5.1). A server sends coded blocks for every segment of an
+// object; a client decodes progressively and hangs up as soon as it holds
+// full rank for everything — no acknowledgements, retransmissions, or block
+// scheduling needed, because any blocks work. The server does not push
+// without end: each session is owed a bounded credit per segment — the
+// generation size plus a small margin — and a client still short of rank
+// when its credit is read says by how much (the need record below), which
+// buys it more. Feedback only trims what is sent; which records travel is
+// never a client's choice.
 //
 // The Server (server.go) multiplexes many concurrent sessions over one
 // shared encoder with bounded per-client queues, write deadlines, and a
@@ -32,8 +34,32 @@ import (
 //	                  u64 payload length | u32 wire mode | u32 flags | TLV fields
 //	  or a decision   XNCD body (admission.go): BUSY or REDIRECT, then close
 //	then records:     u32 length | coded block (XNC1, XNC2 or XNC3, package
-//	                  rlnc), round-robin across segments, until the client
-//	                  closes.
+//	                  rlnc), round-robin across segments, as far as the
+//	                  session's credit goes, until the client closes.
+//
+// The client writes only need records (XNCN, a control record), and only after
+// the handshake:
+//
+//	XNCN body:        u32 segment count | per segment, u32 rank deficit
+//
+// Credit. From the handshake on, a session is owed n + margin records of every
+// segment, without writing anything. A need record sets — never adds to —
+// segment s's credit to min(deficit_s, n) + margin, or 0 where the deficit is
+// 0. The pump offers a session no more than it is owed and its queue has room
+// for, and takes what it offers from the credit. margin is a constant of the
+// session's coding field (grantMargin): 2 for dense GF(2^8) records, 8 where
+// records are GF(2) combinations (ModeSystematic). A client counts every
+// record it reads, damaged ones included; once it has read as many as its
+// last ask named — n per segment until it has asked — and is still short, it
+// writes a need record with its current deficits, and asks for their sum.
+// Every ask is met with at least what it named, so a client that lacks rank
+// never waits on a silent server: dependent or damaged records cost it one
+// round trip. The server reads need
+// records into a buffer sized by its own segment count, so a record declaring
+// another count, a body of the wrong length, or anything that is not a need
+// record ends the session after at most one record's bytes. A session owed
+// nothing with nothing queued waits WriteDeadline × (1 + WriteRetries) for a
+// need record before it is dropped.
 //
 // A TLV field is u8 type | u8 length | value: type 1 is the transfer's 8-byte
 // trace ID, type 2 the server's 8-byte root span, type 3 the 8-byte key of a
@@ -56,16 +82,11 @@ import (
 //
 // With hsFlagSweep set, the records after the handshake are one systematic
 // sweep — every source block of every segment exactly once, as XNC2 records,
-// n × segments of them — and then nothing: the server sends no more until the
-// client writes the protocol's one client→server record, the need record
-// (XNCN, body u32 reserved = 0), after which repair records (XNC2 XOR repair,
-// XNC1 dense) follow until the client closes, as on any other session. A
-// client that decoded everything from the sweep just closes. The server reads
-// nothing before its sweep is written and at most needRecordLen bytes after
-// it; a peer that sends anything else, or stays silent past the server's
-// write-deadline budget, is dropped. The reserved word is where a client will
-// one day say what it already holds. Without the flag the client must send
-// nothing, ever.
+// n × segments of them — and then nothing: the sweep is the session's first
+// grant, and it starts its pump phase owed nothing. A client that decoded
+// everything from the sweep just closes; one that did not writes a need
+// record, which buys repair records (XNC2 XOR repair, XNC1 dense) like any
+// other grant. The server reads nothing before its sweep is written.
 //
 // The wire mode is the server's declaration of the coding discipline for the
 // whole session; the client adapts its record parser to it. In ModeDense
@@ -76,7 +97,7 @@ import (
 // record arrives.
 const (
 	protoMagic     = "XNCP"
-	protoVersion   = 4
+	protoVersion   = 5
 	headerFixedLen = 4 + 4 + 4 + 4 + 8 + 4 + 4
 	// protoHeaderLen is a session header without TLV fields on the wire.
 	protoHeaderLen = controlOverhead + headerFixedLen
@@ -95,8 +116,8 @@ const (
 	// hsFlagTrace: every record carries a round-span prelude.
 	hsFlagTrace uint32 = 1 << 0
 
-	// hsFlagSweep: the session opens with one systematic sweep and then waits
-	// for the client's need record before sending repair.
+	// hsFlagSweep: the session opens with one systematic sweep and then owes
+	// nothing until the client's need record asks for repair.
 	hsFlagSweep uint32 = 1 << 1
 
 	// hsFlagCounter: every record is an XNC3 counter record under the key of
@@ -107,34 +128,65 @@ const (
 	hsFlagKnown = hsFlagTrace | hsFlagSweep | hsFlagCounter
 )
 
-// The need record: what a client on an hsFlagSweep session writes, once, when
-// the sweep left it short of rank.
+// The need record: a client's per-segment rank deficits, the one thing it
+// ever writes.
+const needMagic = "XNCN"
+
+// Grant margins: the records a grant adds to a segment's deficit, so that a
+// few dependent records do not cost a round trip. n + m random GF(2^8) records
+// miss rank n with probability about 256^−(m+1), n + m GF(2) combinations with
+// about 2^−(m+1), so GF(2) sessions get the larger margin.
 const (
-	needMagic     = "XNCN"
-	needRecordLen = controlOverhead + 4
+	marginDense  = 2
+	marginBinary = 8
 )
+
+// grantMargin is the margin of a session whose records are in mode's field:
+// dense GF(2^8) records in ModeDense, GF(2) combinations in ModeSystematic.
+func grantMargin(mode WireMode) int {
+	if mode == ModeSystematic {
+		return marginBinary
+	}
+	return marginDense
+}
 
 // ErrBadNeedRecord reports client→server bytes that are not a need record.
 var ErrBadNeedRecord = errors.New("netio: bad need record")
 
-// needRecord is the one need record there is: the reserved word is zero.
-var needRecord = appendControl(nil, needMagic, make([]byte, 4))
+// needLen is the wire length of a need record of a segments-segment session.
+func needLen(segments int) int { return controlOverhead + 4 + 4*segments }
 
-// readNeedRecord reads and validates a need record, reading at most
-// needRecordLen bytes. A non-zero reserved word is refused, like an unknown
-// handshake flag: it will mean something one day, and a server that does not
-// know what must not guess.
-func readNeedRecord(r io.Reader) error {
-	magic, body, err := readControl(r, make([]byte, needRecordLen))
+// appendNeed appends the need record carrying deficits, one per segment; it
+// allocates nothing when dst has room.
+func appendNeed(dst []byte, deficits []uint32) []byte {
+	start := len(dst)
+	dst = openControl(dst, needMagic, 4+4*len(deficits))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(deficits)))
+	for _, d := range deficits {
+		dst = binary.BigEndian.AppendUint32(dst, d)
+	}
+	return sealControl(dst, start)
+}
+
+// readNeed reads one need record of a len(deficits)-segment session through
+// buf, which must be needLen(len(deficits)) bytes, into deficits. A record
+// declaring another segment count, or a body that does not hold exactly one
+// deficit per segment, is refused; so is a longer declared body, after its
+// 8-byte prefix. Deficits above the generation size are the grant's to clamp.
+func readNeed(r io.Reader, buf []byte, deficits []uint32) error {
+	magic, body, err := readControl(r, buf)
 	switch {
 	case err != nil:
 		return fmt.Errorf("%w: %v", ErrBadNeedRecord, err)
 	case magic != needMagic:
 		return fmt.Errorf("%w: magic %q", ErrBadNeedRecord, magic)
-	case len(body) != 4:
-		return fmt.Errorf("%w: %d-byte body", ErrBadNeedRecord, len(body))
-	case binary.BigEndian.Uint32(body) != 0:
-		return fmt.Errorf("%w: reserved word %#x", ErrBadNeedRecord, binary.BigEndian.Uint32(body))
+	case len(body) < 4 || binary.BigEndian.Uint32(body) != uint32(len(deficits)):
+		return fmt.Errorf("%w: segment count of a %d-byte body, want %d", ErrBadNeedRecord, len(body), len(deficits))
+	case len(body) != 4+4*len(deficits):
+		return fmt.Errorf("%w: %d-byte body for %d segments", ErrBadNeedRecord, len(body), len(deficits))
+	}
+	for i := range deficits {
+		deficits[i] = binary.BigEndian.Uint32(body[4+4*i:])
 	}
 	return nil
 }
@@ -152,7 +204,7 @@ const (
 	// and a dense GF(2^8) tail — the wire-speed discipline for lightly-lossy
 	// links. A media-backed server sends each session the source blocks once
 	// and repair only on request (hsFlagSweep); a relay has no source blocks
-	// to sweep and pushes its GF(2) recombinations as in ModeDense.
+	// to sweep and sends its GF(2) recombinations as in ModeDense.
 	ModeSystematic WireMode = 1
 )
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"io"
 	"math/rand"
 	"net"
 	"sync"
@@ -130,7 +131,9 @@ func TestFetchSkipsCorruptRecords(t *testing.T) {
 	client, mangler := net.Pipe()
 	upstreamClient := startPipeServer(t, srv).Dial()
 
-	// A relay that corrupts every third record's payload region.
+	// A relay that corrupts every third record's payload region, and passes
+	// the client's need records up unchanged.
+	go io.Copy(upstreamClient, mangler) //nolint:errcheck // ends with either pipe
 	go func() {
 		defer mangler.Close()
 		defer upstreamClient.Close()

@@ -19,10 +19,14 @@ import (
 // session's record sizes); checksum and shape validation are the decoding
 // client's job.
 //
-// A drain client wants every record a server can produce, so on a sweep
-// session (a media-backed systematic server, which otherwise falls silent
-// after one pass over the source blocks) it asks for repair up front: the
-// stream it reads is the sweep followed by the pump's output, without end.
+// A drain client wants every record a server can produce, but a server sends
+// a session only what it is owed — n + margin records of each segment, or one
+// sweep. So once it has read that first grant's n records a segment, every
+// Next first asks for a fresh one: a need record declaring every segment n
+// short, which resets the server's credit to a full grant. A fast reader is
+// thus never starved by a round trip, and a slow one is owed more than it
+// reads — it backs the server's queues up, as a pushing server's slow reader
+// did. The stream it reads is without end.
 //
 // A RawClient is not safe for concurrent use. Close unblocks a pending Next.
 type RawClient struct {
@@ -33,15 +37,18 @@ type RawClient struct {
 	expect, expectXor uint32 // handshake.recordSizes
 	records           int64
 	bytes             int64
+
+	// left counts down the records of the first grant; need is the need
+	// record that asks for a fresh one.
+	left int
+	need []byte
 }
 
 // NewRawClient performs the client side of the handshake on conn and returns
 // a reader positioned at the first record. A BUSY or REDIRECT admission
 // decision is returned as its sentinel error (ErrAdmissionBusy,
 // ErrAdmissionRedirect); on any handshake failure the connection is closed.
-// On a sweep session it writes the need record before returning; the server
-// reads it when its sweep is written, so conn must buffer those needRecordLen
-// bytes, as any socket does.
+// It writes nothing: the first records are owed from the handshake on.
 func NewRawClient(conn net.Conn) (*RawClient, error) {
 	br := bufio.NewReaderSize(conn, 32<<10)
 	hs, err := readHandshake(br)
@@ -53,13 +60,12 @@ func NewRawClient(conn net.Conn) (*RawClient, error) {
 		conn.Close()
 		return nil, hs.dec.Err()
 	}
-	if hs.flags&hsFlagSweep != 0 {
-		if _, err := conn.Write(needRecord); err != nil {
-			conn.Close()
-			return nil, fmt.Errorf("netio: need record: %w", err)
-		}
+	n := hs.hdr.params.BlockCount
+	full := make([]uint32, hs.hdr.segments)
+	for i := range full {
+		full[i] = uint32(n)
 	}
-	c := &RawClient{conn: conn, br: br, hdr: hs.hdr, traced: hs.traced()}
+	c := &RawClient{conn: conn, br: br, hdr: hs.hdr, traced: hs.traced(), left: n * len(full), need: appendNeed(nil, full)}
 	c.expect, c.expectXor = hs.recordSizes()
 	return c, nil
 }
@@ -81,6 +87,13 @@ func (c *RawClient) Length() int64 { return c.hdr.length }
 // closes, or Close is called; stream errors (including io.EOF at hang-up)
 // are returned verbatim.
 func (c *RawClient) Next() (int, error) {
+	if c.left == 0 {
+		if _, err := c.conn.Write(c.need); err != nil {
+			return 0, fmt.Errorf("netio: need record: %w", err)
+		}
+	} else {
+		c.left--
+	}
 	pre := 0
 	if c.traced {
 		// A traced session prefixes each record with a round prelude; the

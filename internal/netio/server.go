@@ -38,31 +38,39 @@ var (
 // writerBatch caps how many queued records one vectored flush covers.
 const writerBatch = 16
 
-// Server pushes coded blocks for one object to every connection. Sessions
+// Server sends coded blocks for one object to every connection. Sessions
 // are partitioned across one or more encoder-pump shards: each shard owns a
 // record source, a pump goroutine, and its sessions' queues, and new
 // sessions join the least-loaded shard. Within a shard the pump frames each
 // record once and fans the same refcounted buffer out to every session's
-// bounded queue without blocking; a full queue sheds the record for that
-// session only, and per-connection write deadlines with retry-then-drop
-// semantics bound the cost of a stuck peer. Metrics accumulate both in the
-// aggregate counters and per shard, exposed via Snapshot.
+// bounded queue without blocking, and per-connection write deadlines with
+// retry-then-drop semantics bound the cost of a stuck peer. Metrics
+// accumulate both in the aggregate counters and per shard, exposed via
+// Snapshot.
+//
+// Every session holds a credit per segment: how many more records of it the
+// session is owed (n + margin from the handshake on; netio.go has the rules).
+// The pump encodes only what some session is owed and has queue room for, so a
+// client that hangs up at full rank leaves at most the margin unsent, and a
+// satisfied server parks instead of filling socket buffers. Each session has
+// one reader of client→server records, which turns need records into fresh
+// credit and ends the session at end of stream, on any other bytes, or — once
+// the session is owed nothing and has nothing queued — after the
+// write-deadline budget of silence.
 //
 // A media-backed ModeDense server sends XNC3 counter records: each carries a
 // record index instead of its coefficient vector, which the client derives
 // from the index and the key in the session header (hsFlagCounter).
 //
 // A media-backed ModeSystematic server does not push its source blocks. Each
-// session moves through three states on its own goroutine: sweep — it writes
-// every source block of the object once, from a table of framed records all
-// sessions share, as fast as its connection takes them, through no queue;
-// wait — it blocks in one read, which ends when the peer hangs up (it decoded
-// from the sweep: the common case, and the pump never woke), sends a need
-// record, sends anything else, or outlasts the write-deadline budget; repair
-// — only a session that sent the need record joins the pump's fan-out above,
-// whose source emits XOR repair and dense blocks. The session is in its
-// shard's set from the handshake on, so the session cap, Snapshot, Drain and
-// Shutdown see it in every state.
+// session first writes every source block of the object once — the sweep —
+// from a table of framed records all sessions share, as fast as its connection
+// takes them, through no queue, reading nothing meanwhile. Then it starts its
+// reader owed nothing: a peer that decoded from the sweep hangs up (the common
+// case, and the pump never woke), and one that asks is fed the XOR repair and
+// dense blocks of the pump's source, as far as its credit goes. The session is
+// in its shard's set from the handshake on, so the session cap, Snapshot,
+// Drain and Shutdown see it in every state.
 type Server struct {
 	cfg  ServerConfig // normalized
 	info SessionInfo
@@ -76,10 +84,14 @@ type Server struct {
 	counter bool
 	key     uint64
 
+	// grantCap is a full grant, n + margin: a session's credit in any segment
+	// never exceeds it.
+	grantCap int32
+
 	counters         Counters
 	sessionsTotal    obs.Counter
 	sessionsRejected obs.Counter
-	needRecords      obs.Counter  // sessions that asked for repair after their sweep
+	needRecords      obs.Counter  // need records read from clients
 	sessionSecs      atomic.Int64 // summed finished-session durations, in ns
 
 	// Admission and degradation surface: decisions written to rejected
@@ -127,13 +139,16 @@ type pumpShard struct {
 	src RecordSource
 
 	// laid is the frames whose buffers alloc has handed the source this round,
-	// in order; wrap matches the records the source returns against it.
+	// in order; wrap matches the records the source returns against it. room
+	// is each live session's free queue slots this round. Both are the pump
+	// goroutine's.
 	laid []*frameRef
+	room []int
 
 	mu       sync.Mutex
 	sessions map[*session]struct{}
 
-	wake     chan struct{} // a session arrived
+	wake     chan struct{} // a session arrived or was granted credit
 	consumed chan struct{} // a session drained a record
 
 	// c is the shard's slice of the traffic ledger, unregistered: the
@@ -220,6 +235,7 @@ func newServer(info SessionInfo, cfg ServerConfig, srcs []RecordSource) (*Server
 	s := &Server{
 		cfg:       cfg,
 		info:      info,
+		grantCap:  int32(info.Params.BlockCount + grantMargin(info.Mode)),
 		frames:    &framePool{},
 		stop:      make(chan struct{}),
 		listeners: make(map[net.Listener]struct{}),
@@ -270,7 +286,7 @@ func (s *Server) registerMetrics(reg *obs.Registry) error {
 		return err
 	}
 	if err := reg.RegisterCounter("netio.need_records",
-		"systematic sessions that asked for repair after their sweep: the leaves that saw loss", &s.needRecords); err != nil {
+		"need records read from clients, each one resetting its session's credit: asks for records past a grant", &s.needRecords); err != nil {
 		return err
 	}
 	if err := reg.RegisterCounter("netio.admission_busy",
@@ -338,12 +354,30 @@ type session struct {
 	shed    atomic.Int64
 	bytes   atomic.Int64
 
-	// pumped marks a session the shard's pump feeds: every session of a
-	// pushing server from the moment it joins, a sweep session only once it
-	// has asked for repair.
-	pumped atomic.Bool
+	// credit[s] is how many more records of segment s the session is owed.
+	// The reader sets it from a need record; the pump takes from it what a
+	// round offers the session.
+	credit []atomic.Int32
 
-	stop chan struct{} // closed on server shutdown
+	// idleMu orders the writer's arming of the idle read deadline (the
+	// session is owed nothing and has nothing queued) against a grant, which
+	// disarms it: a grant the writer did not see never leaves the deadline
+	// armed. idle is whether it is armed.
+	idleMu sync.Mutex
+	idle   bool
+
+	stop   chan struct{} // closed on server shutdown
+	hangup chan struct{} // closed when the session's reader has ended
+}
+
+// owedNothing reports whether the session has no credit left in any segment.
+func (ss *session) owedNothing() bool {
+	for i := range ss.credit {
+		if ss.credit[i].Load() > 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Serve accepts connections from l until ctx is cancelled, the listener
@@ -432,7 +466,17 @@ func (s *Server) startSession(conn net.Conn) bool {
 		conn:    conn,
 		q:       newFrameQueue(s.cfg.QueueDepth),
 		started: time.Now(),
+		credit:  make([]atomic.Int32, s.info.Segments),
 		stop:    s.stop,
+		hangup:  make(chan struct{}),
+	}
+	if s.sweep == nil {
+		// The default grant: owed without asking, so nothing waits on the
+		// client before the first record. A sweep session's first grant is
+		// its sweep.
+		for i := range ss.credit {
+			ss.credit[i].Store(s.grantCap)
+		}
 	}
 	s.wg.Add(1)
 	s.mu.Unlock()
@@ -480,9 +524,10 @@ func (s *Server) rejectSession(conn net.Conn, d admissionDecision) {
 }
 
 // runSession writes the handshake, joins the least-loaded shard's session
-// set, and streams records — the sweep first on a sweep server, then, for a
-// session the pump feeds, whatever the pump queues — until the peer hangs up,
-// a write fails its deadline budget, or the server shuts down.
+// set, and streams records — the sweep first on a sweep server, then whatever
+// the pump queues — with the session's reader beside it, until the peer hangs
+// up, asks wrongly or idles out, a write fails its deadline budget, or the
+// server shuts down.
 func (s *Server) runSession(ss *session) {
 	defer s.wg.Done()
 	defer ss.conn.Close()
@@ -513,7 +558,6 @@ func (s *Server) runSession(ss *session) {
 		if joined {
 			sh := s.leastLoadedShard()
 			ss.shard = sh
-			ss.pumped.Store(s.sweep == nil)
 			sh.mu.Lock()
 			sh.sessions[ss] = struct{}{}
 			sh.mu.Unlock()
@@ -521,9 +565,12 @@ func (s *Server) runSession(ss *session) {
 		}
 		s.mu.Unlock()
 		if joined {
-			if s.sweep == nil || s.sweepSession(ss) {
+			if s.sweep == nil || s.writeSweep(ss) == nil {
+				go s.readNeeds(ss)
 				ss.shard.signalWake()
 				s.writeLoop(ss)
+				ss.conn.Close() // ends the reader, if the writer ended first
+				<-ss.hangup
 			}
 			s.mu.Lock()
 			ss.shard.mu.Lock()
@@ -551,26 +598,62 @@ func sweepStart(id int64, total int) int {
 	return int(hi)
 }
 
-// sweepSession runs the sweep and wait states of a systematic session and
-// reports whether the peer asked for repair, in which case the session is the
-// pump's from here on. Nothing is read during the sweep, so what a peer writes
-// meanwhile costs nothing. The wait is a single read of at most one need
-// record under a deadline of the whole write budget: end of stream is a peer
-// that has what it came for, and anything but a need record — garbage, a
-// flood, silence — ends the session.
-func (s *Server) sweepSession(ss *session) (repair bool) {
-	if s.writeSweep(ss) != nil {
-		return false
+// readNeeds is the session's one reader of client→server records. Each need
+// record resets the session's credit (grant); end of stream is a peer that has
+// what it came for, and anything but a need record — garbage, a record for
+// another segment count, silence past an armed idle deadline — is a peer to
+// drop. Either way the reader ends the session: it closes the connection,
+// which fails any write in flight, and the writer sees hangup. A need record
+// is read through a buffer sized by the server's own segment count, so no
+// peer's bytes size a read or an allocation.
+func (s *Server) readNeeds(ss *session) {
+	defer close(ss.hangup)
+	defer ss.conn.Close()
+	deficits := make([]uint32, len(ss.credit))
+	buf := make([]byte, needLen(len(deficits)))
+	for readNeed(ss.conn, buf, deficits) == nil {
+		s.needRecords.Inc()
+		s.grant(ss, deficits)
 	}
-	if s.cfg.WriteDeadline > 0 {
+}
+
+// grant sets the session's credit from a need record's deficits — min(d, n) +
+// margin for a segment short by d, 0 for a complete one — disarms the idle
+// deadline, and wakes the pump. It sets, never adds: however many need records
+// a peer sends, no segment is owed more than grantCap.
+func (s *Server) grant(ss *session, deficits []uint32) {
+	n := uint32(s.info.Params.BlockCount)
+	margin := s.grantCap - int32(n)
+	ss.idleMu.Lock()
+	if ss.idle {
+		ss.conn.SetReadDeadline(time.Time{})
+		ss.idle = false
+	}
+	for i, d := range deficits {
+		c := int32(0)
+		if d > 0 {
+			c = int32(min(d, n)) + margin
+		}
+		ss.credit[i].Store(c)
+	}
+	ss.idleMu.Unlock()
+	ss.shard.signalWake()
+}
+
+// awaitAsk arms the idle read deadline of a session owed nothing whose queue
+// the writer has just emptied: the peer has the write-deadline budget,
+// WriteDeadline × (1 + WriteRetries), to hang up or ask before its reader gives
+// up on it. A zero WriteDeadline never drops an idle session.
+func (s *Server) awaitAsk(ss *session) {
+	if s.cfg.WriteDeadline <= 0 {
+		return
+	}
+	ss.idleMu.Lock()
+	if !ss.idle && ss.owedNothing() {
 		ss.conn.SetReadDeadline(time.Now().Add(s.cfg.WriteDeadline * time.Duration(1+s.cfg.WriteRetries)))
+		ss.idle = true
 	}
-	if readNeedRecord(ss.conn) != nil {
-		return false
-	}
-	s.needRecords.Inc()
-	ss.pumped.Store(true)
-	return true
+	ss.idleMu.Unlock()
 }
 
 // writeSweep writes the shared table's records straight to the connection, at
@@ -654,7 +737,8 @@ func (s *Server) shedResidue(ss *session) {
 }
 
 // writeLoop drains the session queue onto the connection, flushing up to
-// writerBatch records per vectored write.
+// writerBatch records per vectored write, until a flush fails, the reader ends
+// the session, or the server shuts down.
 func (s *Server) writeLoop(ss *session) {
 	batchCap := min(writerBatch, s.cfg.QueueDepth)
 	batch := make([]*frameRef, batchCap)
@@ -668,9 +752,12 @@ func (s *Server) writeLoop(ss *session) {
 	for {
 		n := ss.q.popBatch(batch)
 		if n == 0 {
+			s.awaitAsk(ss)
 			select {
 			case <-ss.q.bell:
 				continue
+			case <-ss.hangup:
+				return
 			case <-ss.stop:
 				return
 			}
@@ -827,15 +914,15 @@ func (s *Server) effectivePace() time.Duration {
 	return pace
 }
 
-// run is one shard's record loop: it pulls a batch from the shard's source
-// for each segment in turn and fans the framed records out to the queue of
-// every shard session it feeds (on a sweep server, the ones that asked for
-// repair) without ever blocking on a client. When no session can take a
-// block (every queue full) the pump parks briefly and the wait is charged to
-// the encode-stall counters; when there is no session to feed it sleeps until
-// one arrives, with nothing charged. A dry source (a relay
-// whose recoders have no rank yet) parks the pump briefly without charging
-// a stall.
+// run is one shard's record loop: each round it picks the next segment, in
+// round-robin order, that some session is owed and has queue room for, pulls a
+// batch of it from the shard's source and fans the framed records out to the
+// sessions owed them, without ever blocking on a client. When sessions are
+// owed records but every one of their queues is full, the pump parks briefly
+// and the wait is charged to the encode-stall counters; when no session is
+// owed anything it sleeps, with nothing charged, until a session joins, asks
+// or drains. A dry source (a relay whose recoders have no rank yet) parks the
+// pump briefly without charging a stall.
 func (sh *pumpShard) run() {
 	s := sh.s
 	defer s.pumpWG.Done()
@@ -854,15 +941,12 @@ func (sh *pumpShard) run() {
 		sh.mu.Lock()
 		live = live[:0]
 		for ss := range sh.sessions {
-			if ss.pumped.Load() {
-				live = append(live, ss)
-			}
+			live = append(live, ss)
 		}
 		sh.mu.Unlock()
-		if len(live) == 0 {
-			select {
-			case <-sh.wake:
-			case <-s.stop:
+		seg, batch, owed := sh.next(live, segIdx, segments)
+		if batch == 0 {
+			if !sh.park(owed) {
 				return
 			}
 			continue
@@ -872,14 +956,13 @@ func (sh *pumpShard) run() {
 		// wire prelude of every record it produced and the parent of the
 		// encode and queue-offer child spans. Spans of dry rounds are simply
 		// never ended, so idle parking does not flood the ring.
-		seg := segIdx
 		var round, enc trace.Span
 		if s.traced {
 			round = trace.Begin(s.cfg.TraceNode, "round", s.traceID, s.rootSpan.ID(), int32(seg))
 			enc = trace.Begin(s.cfg.TraceNode, "encode", s.traceID, round.ID(), int32(seg))
 		}
-		frames = sh.wrap(frames[:0], sh.src.Records(seg, s.cfg.EncodeBatch, alloc))
-		segIdx = (segIdx + 1) % segments
+		frames = sh.wrap(frames[:0], sh.src.Records(seg, batch, alloc))
+		segIdx = (seg + 1) % segments
 		if len(frames) == 0 {
 			// Nothing to say for this segment yet. Park briefly — this is
 			// source starvation, not client backpressure, so no stall is
@@ -903,7 +986,7 @@ func (sh *pumpShard) run() {
 		if s.traced {
 			offer = trace.Begin(s.cfg.TraceNode, "queue_offer", s.traceID, round.ID(), int32(seg))
 		}
-		delivered := sh.fanOut(frames, live)
+		sh.fanOut(frames, live, seg)
 		offer.End()
 		round.End()
 		// Drop the pump's own reference; queued copies keep the frames
@@ -911,25 +994,6 @@ func (sh *pumpShard) run() {
 		for i := range frames {
 			frames[i].release()
 			frames[i] = nil
-		}
-		if !delivered {
-			// Backpressure: every queue is full. Park until a writer drains
-			// a record (or briefly, as a backstop) and charge the wait as
-			// encoder stall time.
-			t0 := time.Now()
-			stopped := false
-			select {
-			case <-sh.consumed:
-			case <-s.stop:
-				stopped = true
-			case <-time.After(2 * time.Millisecond):
-			}
-			d := time.Since(t0)
-			s.counters.AddEncodeStall(d)
-			sh.c.AddEncodeStall(d)
-			if stopped {
-				return
-			}
 		}
 		if pace := s.effectivePace(); pace > 0 {
 			select {
@@ -976,26 +1040,89 @@ func (sh *pumpShard) wrap(frames []*frameRef, recs [][]byte) []*frameRef {
 	return frames
 }
 
-// fanOut offers the round's frames to every live session and reports whether
-// any session accepted at least one record: one bulk offer (one lock, one
-// batched counter update) per session per round.
-func (sh *pumpShard) fanOut(frames []*frameRef, live []*session) bool {
+// next picks the round's segment and batch size: the first segment from
+// cursor, in round-robin order, that a live session is owed and has queue room
+// for, and min(EncodeBatch, max over sessions of min(credit, free slots)).
+// owed reports whether any session is owed anything at all, so a zero batch
+// with owed set means every owed session's queue is full.
+func (sh *pumpShard) next(live []*session, cursor, segments int) (seg, batch int, owed bool) {
+	sh.room = sh.room[:0]
+	for _, ss := range live {
+		sh.room = append(sh.room, ss.q.free())
+	}
+	for i := range segments {
+		seg = (cursor + i) % segments
+		for j, ss := range live {
+			c := int(ss.credit[seg].Load())
+			if c <= 0 {
+				continue
+			}
+			owed = true
+			batch = max(batch, min(c, sh.room[j]))
+		}
+		if batch > 0 {
+			return seg, min(batch, sh.s.cfg.EncodeBatch), true
+		}
+	}
+	return 0, 0, owed
+}
+
+// park waits out a round with nothing to encode. Sessions owed records behind
+// full queues are backpressure: park until a writer drains a record (or
+// briefly, as a backstop) and charge the wait as encoder stall time. Sessions
+// owed nothing — or none at all — cost nothing: sleep until one joins, asks or
+// drains. It reports false once the server is stopping.
+func (sh *pumpShard) park(owed bool) bool {
 	s := sh.s
-	delivered := false
-	nf := int64(len(frames))
+	if !owed {
+		select {
+		case <-sh.wake:
+		case <-sh.consumed:
+		case <-s.stop:
+			return false
+		}
+		return true
+	}
+	t0 := time.Now()
+	stopped := false
+	select {
+	case <-sh.consumed:
+	case <-s.stop:
+		stopped = true
+	case <-time.After(2 * time.Millisecond):
+	}
+	d := time.Since(t0)
+	s.counters.AddEncodeStall(d)
+	sh.c.AddEncodeStall(d)
+	return !stopped
+}
+
+// fanOut offers each live session as many of the round's frames of segment seg
+// as it is owed and its queue had room for when next sized the round: one bulk
+// offer (one lock, one batched counter update) per owed session per round.
+// The offer is taken from the session's credit before its writer can see the
+// records — a writer that empties its queue never finds credit for records
+// already queued. Only this pump fills the queue, so the room can only have
+// grown since: a queue refuses records only once its session is tearing down,
+// and those are shed with the rest of its queue.
+func (sh *pumpShard) fanOut(frames []*frameRef, live []*session, seg int) {
+	s := sh.s
 	var roundOffered, roundShed int64
 	osp := stageQueueOffer.Start()
-	for _, ss := range live {
-		acc := int64(ss.q.offerBatch(frames))
-		ss.offered.Add(nf)
-		if acc < nf {
-			ss.shed.Add(nf - acc)
-			roundShed += nf - acc
+	for j, ss := range live {
+		credit := &ss.credit[seg]
+		k := min(int(credit.Load()), len(frames), sh.room[j])
+		if k <= 0 {
+			continue
 		}
-		if acc > 0 {
-			delivered = true
+		credit.Add(int32(-k))
+		acc := ss.q.offerBatch(frames[:k])
+		ss.offered.Add(int64(k))
+		if acc < k {
+			ss.shed.Add(int64(k - acc))
+			roundShed += int64(k - acc)
 		}
-		roundOffered += nf
+		roundOffered += int64(k)
 	}
 	osp.End()
 	s.counters.AddOffered(roundOffered)
@@ -1005,7 +1132,6 @@ func (sh *pumpShard) fanOut(frames []*frameRef, live []*session) bool {
 	if roundShed > 0 {
 		trace.Emit(trace.KindShed, s.traceNodeName(), "queue_full", -1, roundShed)
 	}
-	return delivered
 }
 
 // recordLenLen is the length prefix every wire record starts with.

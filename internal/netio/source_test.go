@@ -94,23 +94,23 @@ func TestServerSeedFixesTheStream(t *testing.T) {
 		}
 		return encodeWith(t, srv, workers)
 	}
-	first64 := func(workers int) []byte {
+	grant := func(workers int) []byte {
 		conn := startPipeServer(t, newServer(workers, 1)).Dial()
 		defer conn.Close()
-		// The first QueueDepth (64) records offered to a session all fit its
-		// queue: none is shed, so they are the pump's first 64.
-		head := make([]byte, protoHeaderLen+tlvLen+64*(recordLenLen+rlnc.CounterWireSize(p)))
+		// A session's first grant, 3 × (n + margin) = 30 records, fits its
+		// queue of 64: none is shed, so they are the pump's first 30.
+		head := make([]byte, protoHeaderLen+tlvLen+3*(p.BlockCount+marginDense)*(recordLenLen+rlnc.CounterWireSize(p)))
 		if _, err := io.ReadFull(conn, head); err != nil {
 			t.Fatal(err)
 		}
 		return head
 	}
-	one := first64(1)
-	if !bytes.Equal(one, first64(1)) {
-		t.Fatal("two servers with one seed served different first 64 records")
+	one := grant(1)
+	if !bytes.Equal(one, grant(1)) {
+		t.Fatal("two servers with one seed served different first grants")
 	}
-	if !bytes.Equal(one, first64(3)) {
-		t.Fatal("the first 64 records depend on the encoder worker count")
+	if !bytes.Equal(one, grant(3)) {
+		t.Fatal("the first grant depends on the encoder worker count")
 	}
 	hs, err := readHandshake(bytes.NewReader(one))
 	if err != nil || !hs.counter() || hs.key != 99 {

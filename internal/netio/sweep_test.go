@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"net"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -506,9 +507,10 @@ func TestSweepResetMidSweep(t *testing.T) {
 }
 
 // TestSweepLossyFetchRepairs: corruption without resets. The leaf reads the
-// whole sweep, is short by the records that arrived damaged, asks once, and
-// finishes on repair records — with about as many dependent ones as a GF(2)
-// repair code must cost, not a second sweep's worth.
+// whole sweep, is short by the records that arrived damaged, asks for its
+// deficits — again if the repair grant arrived damaged too — and finishes on
+// repair records, with about as many dependent ones as a GF(2) repair code
+// must cost, not a second sweep's worth.
 func TestSweepLossyFetchRepairs(t *testing.T) {
 	p := rlnc.Params{BlockCount: 32, BlockSize: 256}
 	const segments = 2
@@ -547,8 +549,8 @@ func TestSweepLossyFetchRepairs(t *testing.T) {
 	if res.Stats.Reconnects != 0 || res.Stats.FramingResyncs != 0 {
 		t.Fatalf("the session did not survive to repair: %+v", res.Stats)
 	}
-	if got := srv.needRecords.Load(); got != 1 {
-		t.Fatalf("need_records = %d, want 1", got)
+	if got := srv.needRecords.Load(); got == 0 {
+		t.Fatal("need_records = 0: repair came without an ask")
 	}
 	if limit := deficit + 4*segments; res.Stats.Dependent > limit {
 		t.Fatalf("%d dependent records to repair a deficit of %d, want at most %d", res.Stats.Dependent, deficit, limit)
@@ -560,27 +562,27 @@ func TestSweepLossyFetchRepairs(t *testing.T) {
 	if snap.BlocksEncoded == 0 {
 		t.Fatal("repair came from nowhere: the pump encoded nothing")
 	}
-	t.Logf("deficit %d, %d records read, %d dependent, %d corrupt; pump encoded %d", deficit, res.Stats.Records, res.Stats.Dependent, res.Stats.Corrupt, snap.BlocksEncoded)
+	t.Logf("deficit %d, %d records read, %d dependent, %d corrupt, %d need records; pump encoded %d", deficit, res.Stats.Records, res.Stats.Dependent, res.Stats.Corrupt, srv.needRecords.Load(), snap.BlocksEncoded)
 }
 
-// TestPushSessionsUnchanged: pushing servers put the bytes on the wire they
-// are meant to — the digests are of the first KiB after the handshake — and
-// neither client writes a byte to them.
+// TestPushSessionsUnchanged: servers without a sweep put the bytes on the
+// wire they are meant to — the digests are of a full grant after the
+// handshake, segments × (n + margin) records, which is all a client that
+// writes nothing is sent.
 //
-// The source-backed servers — a relay's shape — are unchanged: no flag, and
-// XNC1 records, in either declared mode (it is the object source, not the
-// mode, that makes a sweep). Their digests were taken at f2b4679, the last
-// protocol-v3 commit (the "source-dense" one at 4885229, from the same
-// bytes — the declared mode does not enter them): protocol v4 moved the handshake onto the control-record codec (a
-// body length field, 40 → 44 bytes) and changed nothing after it.
-//
-// The media-backed dense server is a counter session: hsFlagCounter and its
-// key (the seed) in the header, XNC3 records after it. That digest was
-// re-pinned when XNC3 replaced its XNC1 records. So that a digest cannot hide
-// a format change, the handshake is pinned field by field and what each
+// The source-backed servers — a relay's shape — send no flag and XNC1
+// records, in either declared mode (it is the object source, not the mode,
+// that makes a sweep); the declared mode sets their margin, and so how many
+// records the grant holds. The media-backed dense server is a counter
+// session: hsFlagCounter and its key (the seed) in the header, XNC3 records
+// after it, their indices claimed a round at a time, round robin across
+// segments. The digests were re-pinned when protocol v5 bounded a session by
+// its credit; the records themselves did not change. So that a digest cannot
+// hide a format change, the handshake is pinned field by field and what each
 // digest stands for is asserted too: every record after the handshake is of
 // its session's encoding and declared shape, with a valid CRC, an in-range
-// segment and — read or regenerated — no zero coefficient.
+// segment and — read or regenerated — no zero coefficient, and a counter
+// session's indices run as its rounds claimed them.
 func TestPushSessionsUnchanged(t *testing.T) {
 	p := rlnc.Params{BlockCount: 4, BlockSize: 32}
 	media := testMedia(t, 2*p.SegmentSize()-5, 91)
@@ -593,17 +595,17 @@ func TestPushSessionsUnchanged(t *testing.T) {
 		hs           handshake // flags and key; the header is the server's
 		server       func() (*Server, error)
 	}{
-		{"dense", "eb14099d7afd89602175a893a2c3832d4eeafa7dc2b82d35acfd23e9424ad0ad", handshake{flags: hsFlagCounter, key: 17}, func() (*Server, error) {
+		{"dense", "85c45080e28c62a029299af74e44eb67d3752bbb14b1c07e364156bbf28a7fff", handshake{flags: hsFlagCounter, key: 17}, func() (*Server, error) {
 			cfg := DefaultServerConfig()
 			cfg.Seed = 17
 			return NewServerFromConfig(media, p, cfg)
 		}},
-		{"source", "c7053344ab93e6e4642e67de313f7aeb3f79fedb65ba5c9f4f14fd2582baa15f", handshake{}, func() (*Server, error) {
+		{"source", "e79283df5cc8f473d349a4675bc627f3adda98f86bca069338c69ee0aa75b116", handshake{}, func() (*Server, error) {
 			src := newPoolSource(t, obj, 2*p.BlockCount)
 			src.info.Mode = ModeSystematic
 			return NewSourceServerFromConfig(src, DefaultServerConfig())
 		}},
-		{"source-dense", "c7053344ab93e6e4642e67de313f7aeb3f79fedb65ba5c9f4f14fd2582baa15f", handshake{}, func() (*Server, error) {
+		{"source-dense", "1e70f0e36fc6b854eaacb95910bd3abba10125124d1f5b5e654438b775999807", handshake{}, func() (*Server, error) {
 			return NewSourceServerFromConfig(newPoolSource(t, obj, 2*p.BlockCount), DefaultServerConfig())
 		}},
 	} {
@@ -619,8 +621,11 @@ func TestPushSessionsUnchanged(t *testing.T) {
 			want := tc.hs
 			want.hdr = srv.Info().header()
 			opening := appendSessionHeader(nil, want)
+			size, _ := want.recordSizes()
+			recLen := recordLenLen + int(size)
+			grant := len(obj.Segments) * (p.BlockCount + grantMargin(want.hdr.mode))
 			conn := pl.Dial()
-			head := make([]byte, len(opening)+1024)
+			head := make([]byte, len(opening)+grant*recLen)
 			if _, err := io.ReadFull(conn, head); err != nil {
 				t.Fatal(err)
 			}
@@ -633,17 +638,20 @@ func TestPushSessionsUnchanged(t *testing.T) {
 				t.Fatalf("the stream does not open with the session header: % x", head[:len(opening)])
 			}
 			if sum := sha256.Sum256(rest); hex.EncodeToString(sum[:]) != tc.digest {
-				t.Fatalf("first KiB after the handshake changed: digest %x", sum)
+				t.Fatalf("the grant after the handshake changed: digest %x", sum)
 			}
-			size, _ := want.recordSizes()
-			for recLen := recordLenLen + int(size); len(rest) >= recLen; rest = rest[recLen:] {
+			var segs []uint32
+			var indices []uint32
+			for ; len(rest) >= recLen; rest = rest[recLen:] {
 				var b rlnc.CodedBlock
 				if got := binary.BigEndian.Uint32(rest); got != size {
 					t.Fatalf("record length prefix %d, want %d", got, size)
 				}
 				rec := rest[recordLenLen:recLen]
 				if want.counter() {
-					_, err = b.UnmarshalCounter(rec, want.key, p)
+					var index uint32
+					index, err = b.UnmarshalCounter(rec, want.key, p)
+					indices = append(indices, index)
 				} else {
 					err = b.UnmarshalBinary(rec)
 				}
@@ -653,36 +661,62 @@ func TestPushSessionsUnchanged(t *testing.T) {
 				if int(b.SegmentID) >= len(obj.Segments) || bytes.IndexByte(b.Coeffs, 0) >= 0 {
 					t.Fatalf("record of segment %d with coefficients % x", b.SegmentID, b.Coeffs)
 				}
+				segs = append(segs, b.SegmentID)
+			}
+			// Rounds of up to EncodeBatch (4 here) records, segment after
+			// segment, each as many as the segment's credit still allows.
+			n := p.BlockCount
+			credit := make([]int, len(obj.Segments))
+			for i := range credit {
+				credit[i] = n + grantMargin(want.hdr.mode)
+			}
+			var wantSegs, wantIdx []uint32
+			for len(wantSegs) < grant {
+				for seg := range credit {
+					for range min(4, credit[seg]) {
+						wantSegs = append(wantSegs, uint32(seg))
+						wantIdx = append(wantIdx, uint32(n+grantMargin(want.hdr.mode)-credit[seg]))
+						credit[seg]--
+					}
+				}
+			}
+			if !slices.Equal(segs, wantSegs) || (want.counter() && !slices.Equal(indices, wantIdx)) {
+				t.Fatalf("segments %v, indices %v: want %v and %v", segs, indices, wantSegs, wantIdx)
 			}
 
+			// A fetch reads n records a segment, and asks only if they left it
+			// short; a drain client asks for a fresh grant once it has read
+			// its first.
 			fetchConn := &writeCountConn{Conn: pl.Dial()}
-			if payload, _, err := Fetch(context.Background(), fetchConn); err != nil || !bytes.Equal(payload, media) {
+			payload, stats, err := Fetch(context.Background(), fetchConn)
+			if err != nil || !bytes.Equal(payload, media) {
 				t.Fatalf("fetch: %v", err)
+			}
+			if asked := fetchConn.bytes.Load() != 0; asked != (stats.Records > len(obj.Segments)*n) {
+				t.Fatalf("fetch read %d records and wrote %d bytes", stats.Records, fetchConn.bytes.Load())
 			}
 			rawConn := &writeCountConn{Conn: pl.Dial()}
 			rc, err := NewRawClient(rawConn)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := 0; i < 3*p.BlockCount; i++ {
+			for i := 0; i < 3*grant; i++ {
 				if _, err := rc.Next(); err != nil {
 					t.Fatal(err)
 				}
 			}
 			rc.Close()
-			if fetchConn.bytes.Load() != 0 || rawConn.bytes.Load() != 0 {
-				t.Fatalf("clients wrote %d and %d bytes to a server that announced no sweep", fetchConn.bytes.Load(), rawConn.bytes.Load())
-			}
-			if counted.calls.Load() != 0 {
-				t.Fatalf("a pushing server read from its peers %d times", counted.calls.Load())
+			if w := rawConn.bytes.Load(); w == 0 || w%int64(needLen(len(obj.Segments))) != 0 {
+				t.Fatalf("drain client wrote %d bytes, want whole need records", w)
 			}
 		})
 	}
 }
 
-// TestRawClientAsksUpFront: a drain client on a sweep session gets the sweep
-// and then the pump's repair stream, without end.
-func TestRawClientAsksUpFront(t *testing.T) {
+// TestRawClientKeepsAsking: a drain client on a sweep session reads the sweep,
+// then keeps a fresh grant owed — it asks again with every record it reads —
+// so the pump's repair stream never runs dry under it.
+func TestRawClientKeepsAsking(t *testing.T) {
 	p := rlnc.Params{BlockCount: 8, BlockSize: 64}
 	media := testMedia(t, 2*p.SegmentSize(), 67)
 	srv := newSweepServer(t, media, p, nil)
@@ -700,29 +734,36 @@ func TestRawClientAsksUpFront(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rc.Close()
-	for i := 0; i < 5*2*p.BlockCount; i++ {
+	const records = 5 * 2 * 8
+	for i := 0; i < records; i++ {
 		if _, err := rc.Next(); err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
 	}
-	if got := srv.needRecords.Load(); got != 1 {
-		t.Fatalf("need_records = %d, want 1", got)
+	// The asks of the last records may still be in flight.
+	asks := int64(records - 2*p.BlockCount)
+	for deadline := time.Now().Add(10 * time.Second); srv.needRecords.Load() < asks-1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("need_records = %d, want about %d", srv.needRecords.Load(), asks)
+		}
 	}
 	if srv.Snapshot().BlocksEncoded == 0 {
 		t.Fatal("records past the sweep did not come from the pump")
 	}
 }
 
-// What a peer can cost a sweep server: one sweep, at most needRecordLen bytes
-// read, and one goroutine until the write-deadline budget runs out.
+// What a peer can cost a sweep server: one sweep, at most one need record's
+// bytes read, and one goroutine until the write-deadline budget runs out.
 
 // TestSweepPeerWritesGarbage: anything but a need record after the sweep ends
-// the session, after at most needRecordLen bytes read, without waking the pump.
+// the session, after at most one need record's bytes read, without waking the
+// pump.
 func TestSweepPeerWritesGarbage(t *testing.T) {
 	p := rlnc.Params{BlockCount: 8, BlockSize: 64}
 	media := testMedia(t, 2*p.SegmentSize(), 68)
-	bad := bytes.Clone(needRecord)
-	bad[9] = 1 // reserved word set, checksum stale
+	bound := needLen(2)
+	bad := appendNeed(nil, []uint32{1, 0})
+	bad[13] = 1 // a deficit changed, checksum stale
 	for name, junk := range map[string][]byte{
 		"junk":       bytes.Repeat([]byte{0xA5}, 64),
 		"short":      []byte("XNC"),
@@ -738,16 +779,16 @@ func TestSweepPeerWritesGarbage(t *testing.T) {
 			c.read(c.total())
 			go func() {
 				c.conn.Write(junk) //nolint:errcheck // cut short by the server's close
-				if len(junk) < needRecordLen {
+				if len(junk) < bound {
 					c.conn.Close() // a short record only ends with the stream
 				}
 			}()
-			if len(junk) >= needRecordLen {
+			if len(junk) >= bound {
 				c.awaitClosed(10 * time.Second)
 			}
 			awaitSessions(t, srv, 0)
-			if got := counted.bytes.Load(); got > needRecordLen {
-				t.Fatalf("server read %d bytes of garbage, want at most %d", got, needRecordLen)
+			if got := counted.bytes.Load(); got > int64(bound) {
+				t.Fatalf("server read %d bytes of garbage, want at most %d", got, bound)
 			}
 			if srv.needRecords.Load() != 0 || srv.Snapshot().BlocksEncoded != 0 {
 				t.Fatalf("garbage woke the pump: need_records %d, encoded %d", srv.needRecords.Load(), srv.Snapshot().BlocksEncoded)
@@ -794,8 +835,8 @@ func TestSweepPeerGoesSilent(t *testing.T) {
 }
 
 // TestSweepPeerFloods: the server reads nothing while it sweeps, so a peer that
-// writes throughout is heard only at the one post-sweep read — which finds no
-// need record and ends the session.
+// writes throughout is heard only once its reader starts after the sweep —
+// which finds no need record and ends the session.
 func TestSweepPeerFloods(t *testing.T) {
 	p := rlnc.Params{BlockCount: 8, BlockSize: 64}
 	media := testMedia(t, 2*p.SegmentSize(), 70)
@@ -823,8 +864,8 @@ func TestSweepPeerFloods(t *testing.T) {
 	c.read(1)
 	c.awaitClosed(10 * time.Second)
 	awaitSessions(t, srv, 0)
-	if got, sent := counted.bytes.Load(), <-flooded; got > needRecordLen || sent > needRecordLen {
-		t.Fatalf("server read %d bytes of a flood (peer got %d through), want at most %d", got, sent, needRecordLen)
+	if got, sent := counted.bytes.Load(), <-flooded; got > int64(needLen(2)) || sent > int64(needLen(2)) {
+		t.Fatalf("server read %d bytes of a flood (peer got %d through), want at most %d", got, sent, needLen(2))
 	}
 	snap := srv.Snapshot()
 	if snap.BlocksEncoded != 0 || snap.BlocksSent != int64(c.total()) || srv.needRecords.Load() != 0 {
