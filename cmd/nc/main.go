@@ -39,22 +39,21 @@
 // -smoke runs one gated 1k-session wave.
 //
 // mesh runs one seeded schedule of events — leaf waves, drain-restarts, relay
-// kills, brownout stall waves — against an in-process recoding mesh (origin →
-// relays → leaves on loopback TCP), byte-verifies every leaf, and then checks
-// that rank never regressed, every relay ledger balances, the brownout ladder
-// engaged if a relay was stalled, and no goroutine outlived teardown. The
-// presets fix the schedule:
+// kills, leaf waves beside slow readers — against an in-process recoding mesh
+// (origin → relays → leaves on loopback TCP), byte-verifies every leaf, and
+// then checks that rank never regressed, every relay ledger balances, and no
+// goroutine outlived teardown. The presets fix the schedule:
 //
 //   - default: one leaf wave; -chaos adds faultnet corruption and resets
 //     between the tiers, -kill relays die mid-transfer once the leaves hold
 //     -kill-at records and remediation must reroute their leaves.
 //   - -soak: the randomized chaos soak, a schedule drawn from -seed; -smoke
 //     pins seed, length and relay count to the CI slice.
-//   - -trace: a stall wave then a leaf wave through a traced chaos mesh,
+//   - -trace: a slow-reader wave then a leaf wave through a traced chaos mesh,
 //     reassembled from the flight ring into per-generation latency and gated
-//     on zero orphan spans, a linked exemplar, brownout/admission/reconnect
-//     flight events, an allocation-free disabled path and the encode-batch
-//     ratio of BENCH_host.json.
+//     on zero orphan spans, a linked exemplar, admission and reconnect flight
+//     events, an allocation-free disabled path and the encode-batch ratio of
+//     BENCH_host.json.
 //
 // A failed gate writes its flight dump (-flight-out) and, with -summary, a
 // JSON verdict naming the seed and every invariant checked.

@@ -26,6 +26,7 @@ func TestUsageErrors(t *testing.T) {
 		{"bogus"},
 		{"serve"},                        // no -in
 		{"serve", "-in", "/nonexistent"}, // missing media
+		{"serve", "-brownout", "10ms"},   // the retired ladder's flag is unknown
 		{"fetch"},                        // no -out
 		{"smoke", "-bogus"},              // unknown flag
 		{"smoke", "-mode", "turbo"},      // unknown wire mode

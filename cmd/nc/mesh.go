@@ -27,14 +27,14 @@ import (
 type event int
 
 const (
-	evLeafWave event = iota // a wave of leaves fetches to completion
-	evDrain                 // graceful drain-restart of one relay mid-wave
-	evStall                 // slow clients pin a relay until brownout engages
-	evKill                  // abrupt relay kill mid-wave (remediation reroutes)
+	evLeafWave    event = iota // a wave of leaves fetches to completion
+	evDrain                    // graceful drain-restart of one relay mid-wave
+	evSlowReaders              // a leaf wave beside slow readers on one relay
+	evKill                     // abrupt relay kill mid-wave (remediation reroutes)
 )
 
 func (e event) String() string {
-	return [...]string{"leaf-wave", "drain-restart", "brownout-stall", "kill"}[e]
+	return [...]string{"leaf-wave", "drain-restart", "slow-readers", "kill"}[e]
 }
 
 // meshRun is one nc mesh invocation: its preset's flags, then the mesh and
@@ -67,9 +67,8 @@ type meshSummary struct {
 	LeavesDone int     `json:"leaves_done"`
 	Drains     int     `json:"drains"`
 	Kills      int     `json:"kills"`
-	Stalls     int     `json:"stall_waves"`
+	Stalls     int     `json:"stall_waves"` // slow-reader waves
 	Redirects  int     `json:"redirects_honored"`
-	PeakRung   int     `json:"brownout_peak_rung"`
 }
 
 // meshPreset returns the defaults of the preset the two flags select.
@@ -95,7 +94,7 @@ func meshPreset(soak, trace bool) meshRun {
 func (r *meshRun) flags(all bool) *flag.FlagSet {
 	fs := flag.NewFlagSet("nc mesh", flag.ContinueOnError)
 	fs.BoolVar(&r.soak, "soak", r.soak, "preset: the randomized chaos soak, its schedule drawn from -seed")
-	fs.BoolVar(&r.trace, "trace", r.trace, "preset: a stall wave then a leaf wave through a traced chaos mesh, then the tracing gates")
+	fs.BoolVar(&r.trace, "trace", r.trace, "preset: a slow-reader wave then a leaf wave through a traced chaos mesh, then the tracing gates")
 	r.register(fs, "seed", "n", "k", "size", "timeout", "summary", "flight", "metrics", "v")
 	fs.IntVar(&r.relays, "relays", r.relays, "relay count")
 	fs.StringVar(&r.flightOut, "flight-out", r.flightOut, "write the flight-recorder dump here when the run fails")
@@ -173,15 +172,15 @@ func (r *meshRun) schedule(rng *rand.Rand) []event {
 	case r.soak:
 		return makeSchedule(rng, r.events)
 	case r.trace:
-		return []event{evStall, evLeafWave}
+		return []event{evSlowReaders, evLeafWave}
 	}
 	return []event{evLeafWave}
 }
 
-// makeSchedule draws the event sequence from rng, then guarantees coverage:
-// a soak that happened to roll no drain or no stall wave would gate nothing,
-// so any missing mandatory event type is appended (deterministically — the
-// append depends only on the draw).
+// makeSchedule draws the event sequence from rng, then guarantees coverage: a
+// soak that happened to roll no drain or no slow-reader wave would gate
+// nothing, so any missing mandatory event type is appended (deterministically
+// — the append depends only on the draw).
 func makeSchedule(rng *rand.Rand, events int) []event {
 	schedule := make([]event, 0, events+3)
 	for i := 0; i < events; i++ {
@@ -191,12 +190,12 @@ func makeSchedule(rng *rand.Rand, events int) []event {
 		case roll < 7:
 			schedule = append(schedule, evDrain)
 		case roll < 9:
-			schedule = append(schedule, evStall)
+			schedule = append(schedule, evSlowReaders)
 		default:
 			schedule = append(schedule, evKill)
 		}
 	}
-	for _, must := range []event{evLeafWave, evDrain, evStall} {
+	for _, must := range []event{evLeafWave, evDrain, evSlowReaders} {
 		if !slices.Contains(schedule, must) {
 			schedule = append(schedule, must)
 		}
@@ -207,8 +206,8 @@ func makeSchedule(rng *rand.Rand, events int) []event {
 // topology is the mesh every preset runs. With -chaos both tiers pass through
 // faultnet corruption and resets, under heartbeat and health thresholds wide
 // enough that a starved heartbeat never buries a live relay; a schedule with
-// stall waves runs twitchy relays, whose ladder engages in milliseconds.
-func (r *meshRun) topology(reg *obs.Registry, stalls bool) mesh.Topology {
+// slow-reader waves runs twitchy relays.
+func (r *meshRun) topology(reg *obs.Registry, twitchy bool) mesh.Topology {
 	mode, _ := netio.ParseWireMode(r.mode) // checked by runMesh
 	topo := mesh.Topology{
 		Media:             r.media,
@@ -228,17 +227,9 @@ func (r *meshRun) topology(reg *obs.Registry, stalls bool) mesh.Topology {
 		topo.Heartbeat, topo.Sweep = 10*time.Millisecond, 25*time.Millisecond
 		topo.Health = mesh.HealthConfig{SuspectAfter: 500 * time.Millisecond, DeadAfter: 2 * time.Second}
 	}
-	if stalls {
+	if twitchy {
 		// Every relay, and every replacement server a drain installs.
-		topo.RelayServerOpts = func(relay int) []netio.ServerOption {
-			return []netio.ServerOption{harness.Twitchy, func(c *netio.ServerConfig) {
-				if r.verbose {
-					c.Brownout.OnTransition = func(from, to netio.BrownoutRung, p float64) {
-						fmt.Fprintf(r.out, "  brownout relay-%d: %s -> %s (pressure %.2f)\n", relay, from, to, p)
-					}
-				}
-			}}
-		}
+		topo.RelayServerOpts = func(int) []netio.ServerOption { return []netio.ServerOption{harness.Twitchy} }
 	}
 	if r.kill > 0 {
 		// Once the leaves have received -kill-at records in total —
@@ -288,7 +279,7 @@ func (r *meshRun) run(tg traceGates, invariants map[string]bool) error {
 	}
 
 	var err error
-	if r.m, err = mesh.New(r.topology(reg, slices.Contains(schedule, evStall))); err != nil {
+	if r.m, err = mesh.New(r.topology(reg, slices.Contains(schedule, evSlowReaders))); err != nil {
 		return err
 	}
 	if err := r.m.Start(ctx); err != nil {
@@ -340,9 +331,9 @@ func (r *meshRun) run(tg traceGates, invariants map[string]bool) error {
 	invariants["no_goroutine_leak"] = true
 
 	fmt.Fprintf(r.out,
-		"%s ok (seed %d): %d events in %v — %d leaves byte-identical, %d drains, %d kills, %d stall waves, %d redirects honored, brownout peak rung %d, %d records tapped, %d blocks recoded, %d remediations\n",
+		"%s ok (seed %d): %d events in %v — %d leaves byte-identical, %d drains, %d kills, %d slow-reader waves, %d redirects honored, %d records tapped, %d blocks recoded, %d remediations\n",
 		r.name(), r.seed, len(schedule), elapsed.Round(time.Millisecond),
-		r.sum.LeavesDone, r.sum.Drains, r.sum.Kills, r.sum.Stalls, r.sum.Redirects, r.sum.PeakRung,
+		r.sum.LeavesDone, r.sum.Drains, r.sum.Kills, r.sum.Stalls, r.sum.Redirects,
 		snap.Tapped, snap.Emitted, snap.Remediations)
 	if r.snapshot == "" {
 		return nil
@@ -395,9 +386,9 @@ func (r *meshRun) step(ctx context.Context, ev event) error {
 		}
 		r.sum.Drains++
 		return r.leafWave(ctx, 2, ev, id)
-	case evStall:
+	case evSlowReaders:
 		r.sum.Stalls++
-		return r.stallRelay(ctx)
+		return r.slowReaderWave(ctx)
 	case evKill:
 		if r.sum.Kills >= r.relays-2 {
 			return r.leafWave(ctx, 2, ev, "") // kill budget spent; keep going
@@ -474,38 +465,38 @@ func (r *meshRun) leafWave(ctx context.Context, count int, ev event, id string) 
 	return nil
 }
 
-// stallRelay runs the harness stall wave against one random active relay:
-// slow readers until its brownout ladder climbs, release, wait for off.
-func (r *meshRun) stallRelay(ctx context.Context) error {
-	id, ok := r.pickRelay()
-	if !ok {
-		return errors.New("no active relay to stall")
+// slowReaderWave parks the harness's slow readers on the relay the wave's
+// first leaf is routed to — no leaf holds a route between waves, so the
+// coordinator picks the first usable relay — and runs a two-leaf wave beside
+// them. The leaves must finish byte-identical, and one of them must have been
+// served by that relay: credit keeps what the readers are owed from starving it.
+func (r *meshRun) slowReaderWave(ctx context.Context) error {
+	usable := r.m.Pool().Usable("")
+	if len(usable) == 0 {
+		return errors.New("no usable relay for the slow readers")
 	}
-	i := slices.IndexFunc(r.m.Relays(), func(rl *mesh.Relay) bool { return rl.ID() == id })
-	target := r.m.Relays()[i]
-	peak, err := harness.Stall(ctx, target.Server(), target.Addr())
-	r.sum.PeakRung = max(r.sum.PeakRung, int(peak))
-	if err != nil {
+	id := usable[0]
+	target := r.m.Relays()[slices.IndexFunc(r.m.Relays(), func(rl *mesh.Relay) bool { return rl.ID() == id })]
+	before := target.Server().Snapshot().SessionsTotal
+	if err := harness.SlowReaders(target.Addr(), func() error { return r.leafWave(ctx, 2, evSlowReaders, "") }); err != nil {
 		return fmt.Errorf("%s: %w", id, err)
 	}
-	r.logf("  stalled %s: peak rung %d, transitions %d, back to off\n",
-		id, r.sum.PeakRung, target.Server().Snapshot().BrownoutTransitions)
+	leafSessions := target.Server().Snapshot().SessionsTotal - before - 4
+	if leafSessions < 1 {
+		return fmt.Errorf("%s: no leaf of the wave was served beside the slow readers", id)
+	}
+	r.logf("  slow readers on %s: %d leaf sessions served beside them\n", id, leafSessions)
 	return nil
 }
 
 // checkInvariants asserts the degradation promises once the schedule is
-// done: rank never regressed, the ladder engaged if a relay was stalled, the
-// -kill victims were buried and their leaves moved, and every relay's ledger —
-// across drains, kills and survivors — balances once its sessions settle.
+// done: rank never regressed, the -kill victims were buried and their leaves
+// moved, and every relay's ledger — across drains, kills and survivors —
+// balances once its sessions settle.
 func (r *meshRun) checkInvariants(ctx context.Context, reg *obs.Registry, invariants map[string]bool) error {
 	v, _ := reg.CounterValue("mesh.rank_regressions_total")
 	if invariants["rank_monotone"] = v == 0; v != 0 {
 		return fmt.Errorf("rank regressed %d times", v)
-	}
-	if r.sum.Stalls > 0 {
-		if invariants["brownout_engaged"] = r.sum.PeakRung > 0; r.sum.PeakRung == 0 {
-			return errors.New("brownout ladder never engaged")
-		}
 	}
 	if r.kill > 0 {
 		// Leaves can finish before the failure detector's DeadAfter window

@@ -41,8 +41,7 @@ func TestRunCleanMesh(t *testing.T) {
 			t.Fatalf("snapshot missing %q:\n%s", key, raw)
 		}
 	}
-	// A run without a stall wave checks no brownout; the rest of the soak's
-	// promises hold for every preset.
+	// The soak's promises hold for every preset.
 	var verdict struct {
 		OK         bool            `json:"ok"`
 		LeavesDone int             `json:"leaves_done"`
@@ -79,8 +78,8 @@ func TestRunChaosKill(t *testing.T) {
 }
 
 // TestMakeSchedule: the schedule is a function of the seed alone, and every
-// schedule — even an empty draw — carries a leaf wave, a drain and a stall,
-// or the soak would gate nothing.
+// schedule — even an empty draw — carries a leaf wave, a drain and a
+// slow-reader wave, or the soak would gate nothing.
 func TestMakeSchedule(t *testing.T) {
 	for seed := int64(1); seed <= 50; seed++ {
 		for _, events := range []int{0, 1, 12, 40} {
@@ -96,7 +95,7 @@ func TestMakeSchedule(t *testing.T) {
 			for _, ev := range a {
 				seen[ev] = true
 			}
-			for _, must := range []event{evLeafWave, evDrain, evStall} {
+			for _, must := range []event{evLeafWave, evDrain, evSlowReaders} {
 				if !seen[must] {
 					t.Fatalf("seed %d, %d events: no %s in %v", seed, events, must, a)
 				}
@@ -106,7 +105,7 @@ func TestMakeSchedule(t *testing.T) {
 	if a, b := makeSchedule(rand.New(rand.NewSource(1)), 12), makeSchedule(rand.New(rand.NewSource(2)), 12); reflect.DeepEqual(a, b) {
 		t.Fatalf("seeds 1 and 2 drew the same schedule: %v", a)
 	}
-	for ev, want := range map[event]string{evLeafWave: "leaf-wave", evDrain: "drain-restart", evStall: "brownout-stall", evKill: "kill"} {
+	for ev, want := range map[event]string{evLeafWave: "leaf-wave", evDrain: "drain-restart", evSlowReaders: "slow-readers", evKill: "kill"} {
 		if ev.String() != want {
 			t.Errorf("event %d prints %q, want %q", ev, ev, want)
 		}
@@ -115,7 +114,7 @@ func TestMakeSchedule(t *testing.T) {
 
 // TestMeshPresetSchedules: each preset plays the schedule of the command it
 // replaced — the soak's seeded draw (after the media, from the same stream),
-// the tracing gate's stall then leaf wave, and the plain mesh's one leaf wave.
+// the tracing gate's slow-reader wave then leaf wave, and the plain mesh's one leaf wave.
 func TestMeshPresetSchedules(t *testing.T) {
 	soakRNG := func(seed int64, size int) *rand.Rand {
 		rng := rand.New(rand.NewSource(seed))
@@ -129,7 +128,7 @@ func TestMeshPresetSchedules(t *testing.T) {
 		want   []event
 	}{
 		{"mesh", false, false, []event{evLeafWave}},
-		{"trace", false, true, []event{evStall, evLeafWave}},
+		{"trace", false, true, []event{evSlowReaders, evLeafWave}},
 		{"soak", true, false, makeSchedule(soakRNG(1, 28_000), 20)},
 	} {
 		r := meshPreset(tc.soak, tc.trace)

@@ -68,8 +68,6 @@ func runServe(args []string, out io.Writer) error {
 		"graceful drain deadline on SIGINT/SIGTERM: in-flight sessions run to rank completion while new connections get a structured refusal (0 = immediate shutdown)")
 	drainRedirect := fs.String("drain-redirect", "",
 		"address carried in REDIRECT admission decisions while draining (empty = refuse with BUSY)")
-	brownout := fs.Duration("brownout", 0,
-		"brownout controller sampling interval (0 = off): under sustained pressure the server paces its pumps, leans the systematic schedule, then refuses new sessions, stepping back down as pressure lifts")
 	c := common{n: 32, k: 4096, flight: 16384}
 	c.register(fs, "n", "k", "metrics", "flight")
 	var sf serveFlags
@@ -97,14 +95,6 @@ func runServe(args []string, out io.Writer) error {
 		// server — the classic in-flight postmortem signal.
 		defer harness.Flight(c.flight, os.Stderr)()
 		cfg.TraceNode = "serve"
-	}
-	if *brownout > 0 {
-		cfg.Brownout = netio.BrownoutConfig{
-			Interval: *brownout,
-			OnTransition: func(from, to netio.BrownoutRung, pressure float64) {
-				fmt.Fprintf(os.Stderr, "nc serve: brownout %s -> %s (pressure %.2f)\n", from, to, pressure)
-			},
-		}
 	}
 	srv, err := netio.NewServerFromConfig(media, rlnc.Params{BlockCount: c.n, BlockSize: c.k}, cfg)
 	if err != nil {
@@ -210,8 +200,6 @@ func snapshotJSON(s netio.Snapshot) map[string]any {
 		"session_seconds":      s.SessionSeconds,
 		"admission_busy":       s.AdmissionBusy,
 		"admission_redirected": s.AdmissionRedirected,
-		"brownout_rung":        s.BrownoutRung,
-		"brownout_transitions": s.BrownoutTransitions,
 		"draining":             s.Draining,
 		"blocks_encoded":       s.BlocksEncoded,
 		"blocks_offered":       s.BlocksOffered,

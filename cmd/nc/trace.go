@@ -34,7 +34,7 @@ type traceGates struct {
 // per-generation latency (encode, queue offer, writev flush, relay recode,
 // leaf absorb) and gates it: zero orphan spans across all three tiers, no ring
 // wrap, every codec stage present, a histogram exemplar whose trace is in the
-// dump, brownout, admission and reconnect events in the ring, plus the two
+// dump, admission and reconnect events in the ring, plus the two
 // measurements taken up front.
 func (tg traceGates) check(r *meshRun, reg *obs.Registry, invariants map[string]bool) error {
 	dump := trace.Dump()
@@ -79,7 +79,7 @@ func (tg traceGates) check(r *meshRun, reg *obs.Registry, invariants map[string]
 		gate("stage_"+stage, found, "no generation carries stage %q", stage)
 	}
 	gate("exemplar_linked", linked, "no histogram exemplar links to a trace in the dump")
-	for _, kind := range []string{"brownout", "admission", "reconnect"} {
+	for _, kind := range []string{"admission", "reconnect"} {
 		gate("flight_"+kind, kinds[kind] > 0, "flight ring holds no %s events", kind)
 	}
 	gate("disabled_path_alloc_free", tg.allocs == 0, "disabled path allocates (%.1f allocs/op, want 0)", tg.allocs)

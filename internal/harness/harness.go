@@ -1,6 +1,6 @@
 // Package harness is what the gates of cmd/nc (nc smoke, nc load and the
 // nc mesh presets) share: seeded media, an observed process, a loopback
-// server behind one stop, raw-client fleets, the brownout stall wave, scraping,
+// server behind one stop, raw-client fleets, the slow-reader wave, scraping,
 // byte verification and the -summary verdict. Each function owns a bring-up or
 // teardown order its callers used to spell out.
 package harness
@@ -219,57 +219,24 @@ func (f *Fleet) Close() {
 	f.readers.Wait()
 }
 
-// AwaitRung polls srv's brownout rung until pred accepts it and returns the
-// highest rung seen; if ctx ends first the error names the rung and the counters.
-func AwaitRung(ctx context.Context, srv *netio.Server, pred func(netio.BrownoutRung) bool) (peak netio.BrownoutRung, err error) {
-	for {
-		r := srv.Rung()
-		peak = max(peak, r)
-		if pred(r) {
-			return peak, nil
-		}
-		select {
-		case <-ctx.Done():
-			return peak, fmt.Errorf("rung %s, peak %s, counters %+v: %w", r, peak, srv.Snapshot().CounterView, ctx.Err())
-		case <-time.After(time.Millisecond):
-		}
-	}
-}
-
-// Stall pins the server at addr until its brownout ladder leaves off, holds
-// the pressure 100 ms (the ladder may climb further), releases it and waits
-// for the ladder to step all the way back down; it returns the peak rung. The
-// pressure is four readers that take a record, then sleep: sessions stay live
-// while their queues back up, which the controller samples. ctx is the deadline.
-// The wave starts from off: a ladder still at reject from earlier load would
-// answer the readers BUSY.
-func Stall(ctx context.Context, srv *netio.Server, addr string) (peak netio.BrownoutRung, err error) {
-	if _, err := AwaitRung(ctx, srv, func(r netio.BrownoutRung) bool { return r == netio.BrownoutOff }); err != nil {
-		return 0, fmt.Errorf("brownout never settled before the stall: %w", err)
-	}
+// SlowReaders runs wave while four readers that nap 50 ms after every record
+// sit on the server at addr, then hangs them up. A credit server owes a slow
+// reader records it cannot take; wave's sessions must be served all the same.
+func SlowReaders(addr string, wave func() error) error {
 	fleet, err := RampFleet(addr, 4, 4, 50*time.Millisecond)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	defer fleet.Close()
-	if peak, err = AwaitRung(ctx, srv, func(r netio.BrownoutRung) bool { return r > netio.BrownoutOff }); err != nil {
-		return peak, fmt.Errorf("brownout never engaged under stall: %w", err)
-	}
-	time.Sleep(100 * time.Millisecond)
-	peak = max(peak, srv.Rung())
-	fleet.Close()
-	if _, err = AwaitRung(ctx, srv, func(r netio.BrownoutRung) bool { return r == netio.BrownoutOff }); err != nil {
-		return peak, fmt.Errorf("brownout never stepped back down after release: %w", err)
-	}
-	return peak, nil
+	return wave()
 }
 
-// Twitchy is the relay tuning stall waves rely on, a netio.ServerOption: small
-// queues, tiny batches, a 10 ms brownout controller, a pace that lands drains mid-transfer.
+// Twitchy is the relay tuning of a mesh schedule with slow-reader waves, a
+// netio.ServerOption: small queues, tiny batches, a pace that lands drains
+// mid-transfer.
 func Twitchy(c *netio.ServerConfig) {
 	c.Pace, c.RetryAfter = 2*time.Millisecond, 5*time.Millisecond
 	c.EncodeBatch, c.QueueDepth = 2, 4
-	c.Brownout = netio.BrownoutConfig{Interval: 10 * time.Millisecond, StepUp: 0.5, StepDown: 0.05, Hold: 2}
 }
 
 // Verdict is the outcome of one gate run, its binary's -summary file: {"ok",

@@ -172,48 +172,22 @@ func TestFleetRamp(t *testing.T) {
 	settleGoroutines(t, base)
 }
 
-// TestAwaitRung: a ladder that never moves costs the caller its context, not
-// a private deadline, and the error says what the server was doing.
-func TestAwaitRung(t *testing.T) {
-	srv := newServer(t, Media(testParams.SegmentSize(), 4), nil) // no brownout controller: the rung stays off
-	_, stop := serve(t, srv)
-	defer stop()
-
-	peak, err := AwaitRung(context.Background(), srv, func(r netio.BrownoutRung) bool { return r == netio.BrownoutOff })
-	if err != nil || peak != netio.BrownoutOff {
-		t.Fatalf("accepted at once: peak %v, err %v", peak, err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err = AwaitRung(ctx, srv, func(r netio.BrownoutRung) bool { return r > netio.BrownoutOff })
-	if took := time.Since(start); took > time.Second {
-		t.Fatalf("returned %v after a 30ms context", took)
-	}
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want the context's", err)
-	}
-	for _, want := range []string{"rung off", "BlocksOffered:", "BlocksShed:"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("error %q does not name %q", err, want)
-		}
-	}
-}
-
-// TestStall: the one stall wave, against a shallow-queue server — the ladder
-// engages under the slow readers, and Stall returns only once it is back at
-// off, with the transitions on the server's own ledger. A server sends a
-// session only what it asked for, so its queues back up only once a slow
-// reader's asks have outrun its socket buffers: the records are 32 KiB, so
-// that four readers asking at 20 records a second do that within a second.
-func TestStall(t *testing.T) {
+// TestSlowReaders: the slow-reader wave, against a shallow-queue server that
+// never drops a session. The wave waits until the four readers have backed
+// the server up — every queue full, the pump parked, 200 ms of encode stall
+// charged — and two fetches must still finish byte-identical beside them,
+// admitted without a BUSY. A server sends a session only what it asked for,
+// so its queues back up only once a slow reader's asks have outrun its socket
+// buffers: the records are 32 KiB, so that four readers asking at 20 records
+// a second do that within about a second. A ramp that fails runs no wave.
+func TestSlowReaders(t *testing.T) {
 	base := baseline()
 	p := rlnc.Params{BlockCount: testParams.BlockCount, BlockSize: 32 << 10}
+	media := Media(p.SegmentSize(), 5)
 	cfg := netio.DefaultServerConfig()
 	cfg.QueueDepth = 2
-	cfg.WriteDeadline = 0 // never drop a staller: the pressure stays pinned
-	cfg.Brownout = netio.BrownoutConfig{Interval: 10 * time.Millisecond, StepUp: 0.5, StepDown: 0.05, Hold: 2}
-	srv, err := netio.NewServerFromConfig(Media(p.SegmentSize(), 5), p, cfg)
+	cfg.WriteDeadline = 0 // never drop a slow reader
+	srv, err := netio.NewServerFromConfig(media, p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,60 +195,49 @@ func TestStall(t *testing.T) {
 	defer stop()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	peak, err := Stall(ctx, srv, addr)
+	err = SlowReaders(addr, func() error {
+		for srv.Snapshot().EncodeStall < 200*time.Millisecond {
+			select {
+			case <-ctx.Done():
+				return fmt.Errorf("the readers never backed the server up: %+v", srv.Snapshot().CounterView)
+			case <-time.After(time.Millisecond):
+			}
+		}
+		errc := make(chan error, 2)
+		for range 2 {
+			go func() {
+				_, err := Fetch(ctx, Dial(addr), netio.DefaultFetcherConfig(), media)
+				errc <- err
+			}()
+		}
+		return errors.Join(<-errc, <-errc)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if peak < netio.BrownoutPaced {
-		t.Fatalf("peak rung %v, want at least paced", peak)
-	}
-	if r := srv.Rung(); r != netio.BrownoutOff {
-		t.Fatalf("Stall returned at rung %v, want off", r)
+	if snap := stop(); !snap.Consistent() || snap.Sessions != 0 || snap.SessionsTotal < 6 || snap.AdmissionBusy != 0 {
+		t.Fatalf("after the wave: consistent=%v, %d live of %d sessions, %d BUSY", snap.Consistent(), snap.Sessions, snap.SessionsTotal, snap.AdmissionBusy)
 	}
 
-	// A wave begun while earlier load holds the ladder at reject waits for
-	// off: ramped at once, its readers would be answered BUSY.
-	earlier, err := RampFleet(addr, 4, 4, 50*time.Millisecond)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer earlier.Close()
-	if _, err := AwaitRung(ctx, srv, func(r netio.BrownoutRung) bool { return r == netio.BrownoutReject }); err != nil {
-		t.Fatal(err)
+	dead := l.Addr().String()
+	l.Close()
+	if err := SlowReaders(dead, func() error { t.Error("wave ran without its readers"); return nil }); err == nil {
+		t.Fatal("slow readers ramped against a closed port")
 	}
-	release := time.AfterFunc(50*time.Millisecond, earlier.Close)
-	defer release.Stop()
-	if _, err := Stall(ctx, srv, addr); err != nil {
-		t.Fatalf("stall begun at reject: %v", err)
-	}
-	snap := stop()
-	if snap.BrownoutTransitions < 2 || !snap.Consistent() || snap.Sessions != 0 {
-		t.Fatalf("after the wave: %d transitions, consistent=%v, %d live sessions", snap.BrownoutTransitions, snap.Consistent(), snap.Sessions)
-	}
-
-	// A cancelled context ends the wave with the context's error and the counters.
-	srv2 := newServer(t, Media(testParams.SegmentSize(), 5), nil)
-	addr2, stop2 := serve(t, srv2)
-	defer stop2()
-	short, cancelShort := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancelShort()
-	if _, err := Stall(short, srv2, addr2); !errors.Is(err, context.DeadlineExceeded) || !strings.Contains(err.Error(), "never engaged") {
-		t.Fatalf("stall on a server with no controller: %v", err)
-	}
-	stop2()
 	settleGoroutines(t, base)
 }
 
-// TestTwitchy pins the relay tuning both stall-wave binaries share.
+// TestTwitchy pins the relay tuning of mesh schedules with slow-reader waves.
 func TestTwitchy(t *testing.T) {
 	var opt netio.ServerOption = Twitchy
 	cfg := netio.DefaultServerConfig()
 	opt(&cfg)
 	if cfg.QueueDepth != 4 || cfg.EncodeBatch != 2 || cfg.Pace != 2*time.Millisecond || cfg.RetryAfter != 5*time.Millisecond {
 		t.Fatalf("queue/batch/pace/retry = %d/%d/%v/%v", cfg.QueueDepth, cfg.EncodeBatch, cfg.Pace, cfg.RetryAfter)
-	}
-	if bo := cfg.Brownout; bo.Interval != 10*time.Millisecond || bo.StepUp != 0.5 || bo.StepDown != 0.05 || bo.Hold != 2 || bo.OnTransition != nil {
-		t.Fatalf("brownout = %+v", bo)
 	}
 }
 
@@ -417,7 +380,6 @@ type soakFields struct {
 	Kills      int     `json:"kills"`
 	Stalls     int     `json:"stall_waves"`
 	Redirects  int     `json:"redirects_honored"`
-	PeakRung   int     `json:"brownout_peak_rung"`
 }
 
 type loadWave struct {
@@ -440,8 +402,8 @@ type loadFields struct {
 // those commands wrote at the parent commit (`make soak-smoke load-smoke`);
 // the failed-run documents are the old structs marshalled with an error set.
 func TestVerdictGolden(t *testing.T) {
-	soak := soakFields{Events: 12, ElapsedS: 3.9519309099999997, LeavesDone: 20, Drains: 2, Kills: 1, Stalls: 5, Redirects: 1, PeakRung: 1}
-	soakInv := map[string]bool{"brownout_engaged": true, "ledgers_balanced": true, "no_goroutine_leak": true, "payloads_identical": true, "rank_monotone": true}
+	soak := soakFields{Events: 12, ElapsedS: 3.9519309099999997, LeavesDone: 20, Drains: 2, Kills: 1, Stalls: 5, Redirects: 1}
+	soakInv := map[string]bool{"ledgers_balanced": true, "no_goroutine_leak": true, "payloads_identical": true, "rank_monotone": true}
 	load := loadFields{Smoke: true, Waves: []loadWave{{
 		Name: "BenchmarkServeLoad/shards=4/sessions=1024", Sessions: 1024,
 		MBps: 196.5278377083812, P50Ns: 16384, P99Ns: 262144, ShedPct: 6.493129073774235,

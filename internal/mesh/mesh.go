@@ -75,7 +75,7 @@ type Topology struct {
 	LeafFetchOpts func(leaf int) []netio.FetcherOption
 
 	// RelayServerOpts, when non-nil, returns mutations applied to each
-	// relay's downstream server config (queue tuning, brownout, retry-after
+	// relay's downstream server config (queue tuning, pacing, retry-after
 	// hints). The resulting config is reused for every replacement server a
 	// Restart builds, so it must not bind single-use resources like a
 	// metrics registry.
@@ -320,7 +320,7 @@ func (m *Mesh) Start(ctx context.Context) error {
 					func(v netio.CounterView) int64 { return v.BlocksOffered }},
 				{"blocks_sent", "blocks fully written to peers across restarts",
 					func(v netio.CounterView) int64 { return v.BlocksSent }},
-				{"blocks_shed", "blocks dropped by backpressure or teardown across restarts",
+				{"blocks_shed", "blocks dropped by a failed write or at teardown across restarts",
 					func(v netio.CounterView) int64 { return v.BlocksShed }},
 			} {
 				g := g

@@ -9,9 +9,9 @@ import (
 )
 
 // Admission decision record: the structured answer a server gives a new
-// connection instead of the session header, making session-cap rejects,
-// brownout sheds, and drains protocol events rather than silent hang-ups. It
-// is a control record (control.go) with magic "XNCD" and body
+// connection instead of the session header, making session-cap rejects and
+// drains protocol events rather than silent hang-ups. It is a control record
+// (control.go) with magic "XNCD" and body
 //
 //	u8 code | u32 retry-after ms | addr bytes (the rest of the body)
 //
@@ -37,7 +37,7 @@ const (
 // the fetcher's Redirector (when one is configured) before the next dial.
 var (
 	// ErrAdmissionBusy reports a handshake answered with a BUSY decision:
-	// the server is at its session cap or shedding load under brownout.
+	// the server is at its session cap or draining with no survivor to name.
 	ErrAdmissionBusy = errors.New("netio: server busy")
 	// ErrAdmissionRedirect reports a handshake answered with a REDIRECT
 	// decision: the server is draining and named a survivor to dial instead.

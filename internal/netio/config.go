@@ -21,12 +21,13 @@ import (
 // DefaultServerConfig rather than a bare literal.
 type ServerConfig struct {
 	// QueueDepth bounds each session's send queue, in records (0 → 64,
-	// negative → 1). When a client drains slower than the pump produces,
-	// records beyond the bound are shed instead of stalling the pump — RLNC
-	// makes the loss harmless, the peer only needs enough blocks, not
-	// specific ones; the session is owed a shed record again. A systematic
-	// session's sweep passes through no queue; the bound applies to the
-	// repair records of a session that asked for them.
+	// negative → 1). The pump offers a session no more than its queue has
+	// room for, so a client that drains slower than the pump produces only
+	// leaves its queue full: when every owed session's queue is full the pump
+	// parks and the wait is charged as encode stall. Records are shed only
+	// when a write fails or a session ends with records still queued. A
+	// systematic session's sweep passes through no queue; the bound applies
+	// to the repair records of a session that asked for them.
 	QueueDepth int
 	// WriteDeadline bounds every record flush; a flush that misses it is
 	// retried (resuming at the byte where it stopped) WriteRetries times and
@@ -66,10 +67,10 @@ type ServerConfig struct {
 	// sweep hangs up, one that lost records sends a need record and is fed
 	// the GF(2) XOR repair + dense tail part of rlnc.SystematicEncoder's
 	// schedule by the pumps, with credit, queueing, shedding and deadlines
-	// as in ModeDense (see Server). Pace and the brownout ladder govern the
-	// pumps, so they govern repair, not sweeps. NewSourceServerFromConfig
-	// overrides Mode with the source's declared mode, and a source-backed
-	// server's sessions are owed a grant from the handshake on.
+	// as in ModeDense (see Server). Pace governs the pumps, so it governs
+	// repair, not sweeps. NewSourceServerFromConfig overrides Mode with the
+	// source's declared mode, and a source-backed server's sessions are owed
+	// a grant from the handshake on.
 	Mode WireMode
 	// Pace floors the interval between pump rounds, bounding each shard's
 	// emission rate at EncodeBatch records per Pace regardless of CPU
@@ -85,17 +86,10 @@ type ServerConfig struct {
 	// accounting, rolled up in Snapshot.
 	PumpShards int
 	// RetryAfter is the hint carried in BUSY admission decisions (session
-	// cap, brownout reject, address-less drain): how long the client should
-	// wait before redialing (0 → 250ms). The resilient Fetcher floors its
-	// next backoff sleep at this hint.
+	// cap, address-less drain): how long the client should wait before
+	// redialing (0 → 250ms). The resilient Fetcher floors its next backoff
+	// sleep at this hint.
 	RetryAfter time.Duration
-	// Brownout enables the overload controller when Interval > 0: every
-	// Interval the server samples its pressure signal (pump stall fraction,
-	// aggregate queue occupancy, shed fraction) and walks the degradation
-	// ladder — pace the pumps, thin the systematic schedule, reject new
-	// sessions with BUSY — with hysteresis on the way down. See
-	// BrownoutConfig and BrownoutRung. Zero disables brownout entirely.
-	Brownout BrownoutConfig
 	// Metrics, when non-nil, registers the server's counters and session
 	// gauges under the "netio" prefix, so the server scrapes alongside every
 	// other obs surface. Each registry admits one server: construction fails
@@ -167,9 +161,6 @@ func (c ServerConfig) normalized(blockCount int) ServerConfig {
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = 250 * time.Millisecond
-	}
-	if c.Brownout.Interval > 0 {
-		c.Brownout = c.Brownout.withDefaults()
 	}
 	return c
 }

@@ -368,101 +368,42 @@ func TestShutdownDrainRace(t *testing.T) {
 	checkAccounting(t, srv.Snapshot())
 }
 
-// TestBrownoutControllerHysteresis pins the ladder state machine: climb one
-// rung per hot interval, require Hold consecutive calm intervals per step
-// down, and reset the calm streak in the dead band.
-func TestBrownoutControllerHysteresis(t *testing.T) {
-	ctl := &brownoutController{cfg: BrownoutConfig{Interval: time.Second}.withDefaults()}
-	steps := []struct {
-		pressure float64
-		want     BrownoutRung
-	}{
-		{1.0, BrownoutPaced},  // hot: climb
-		{0.80, BrownoutLean},  // ≥ StepUp: climb
-		{0.50, BrownoutLean},  // dead band: hold
-		{0.10, BrownoutLean},  // calm 1 of 3
-		{0.10, BrownoutLean},  // calm 2 of 3
-		{0.50, BrownoutLean},  // dead band resets the calm streak
-		{0.10, BrownoutLean},  // calm 1 of 3 again
-		{0.10, BrownoutLean},  // calm 2 of 3
-		{0.10, BrownoutPaced}, // calm 3 of 3: step down
-		{1.0, BrownoutLean},   // hot again: climb, calm reset
-		{1.0, BrownoutReject}, // climb
-		{1.0, BrownoutReject}, // saturates at the top rung
-		{0.10, BrownoutReject},
-		{0.10, BrownoutReject},
-		{0.10, BrownoutLean}, // three calm: down
-		{0.10, BrownoutLean},
-		{0.10, BrownoutLean},
-		{0.10, BrownoutPaced},
-		{0.10, BrownoutPaced},
-		{0.10, BrownoutPaced},
-		{0.10, BrownoutOff},
-		{0.10, BrownoutOff}, // floors at off
-	}
-	for i, s := range steps {
-		if got := ctl.observe(s.pressure); got != s.want {
-			t.Fatalf("step %d (pressure %.2f): rung %v, want %v", i, s.pressure, got, s.want)
-		}
-	}
-}
-
-// TestBrownoutLadderEngages drives a real server past saturation: a client
-// that never drains its queue pins occupancy and stall at 1.0, the ladder
-// must climb to BrownoutReject (new handshakes get BUSY), and once the load
-// disappears it must walk all the way back down to BrownoutOff.
-func TestBrownoutLadderEngages(t *testing.T) {
+// TestStalledPeerRefusesNoOne: a peer that never reads, on a server that
+// never drops it, parks the pump with its queue full — the wait is charged as
+// encode stall — but costs nobody else anything: the next fetch is admitted
+// and completes, and no BUSY is written.
+func TestStalledPeerRefusesNoOne(t *testing.T) {
 	p := rlnc.Params{BlockCount: 8, BlockSize: 256}
 	media := testMedia(t, p.SegmentSize(), 25)
 	cfg := DefaultServerConfig()
 	cfg.QueueDepth = 2
-	cfg.WriteDeadline = 0 // never drop the staller: pressure stays pinned
-	cfg.Brownout = BrownoutConfig{
-		Interval: 10 * time.Millisecond,
-		StepUp:   0.5,
-		StepDown: 0.05,
-		Hold:     2,
-	}
+	cfg.WriteDeadline = 0 // never drop the staller
 	srv, err := NewServerFromConfig(media, p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	l := startPipeServer(t, srv)
 
-	// The overload: a session whose queue never drains.
 	staller := l.Dial()
 	if _, err := readHandshake(staller); err != nil {
 		t.Fatal(err)
 	}
-
-	waitRung := func(want BrownoutRung) {
-		t.Helper()
-		for deadline := time.Now().Add(15 * time.Second); srv.Rung() != want; {
-			if time.Now().After(deadline) {
-				t.Fatalf("rung stuck at %v, want %v", srv.Rung(), want)
-			}
-			time.Sleep(time.Millisecond)
+	for deadline := time.Now().Add(15 * time.Second); srv.Snapshot().EncodeStall == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the pump never parked on the staller's full queue: %+v", srv.Snapshot().CounterView)
 		}
 	}
-	waitRung(BrownoutReject)
 
-	// At the top rung new handshakes are shed with BUSY.
-	if _, _, err := Fetch(context.Background(), l.Dial()); !errors.Is(err, ErrAdmissionBusy) {
-		t.Fatalf("fetch at BrownoutReject: %v, want ErrAdmissionBusy", err)
+	payload, _, err := Fetch(context.Background(), l.Dial())
+	if err != nil || !bytes.Equal(payload, media) {
+		t.Fatalf("fetch beside a staller: %v (payload equal %v)", err, bytes.Equal(payload, media))
 	}
-
-	// Load gone: the ladder must recover rung by rung to off.
+	if snap := srv.Snapshot(); snap.AdmissionBusy != 0 || snap.SessionsRejected != 0 {
+		t.Fatalf("busy %d, rejected %d with one staller", snap.AdmissionBusy, snap.SessionsRejected)
+	}
 	staller.Close()
-	waitRung(BrownoutOff)
-
-	snap := srv.Snapshot()
-	if snap.BrownoutTransitions < 6 {
-		t.Fatalf("brownout_transitions = %d, want ≥ 6 (3 up + 3 down)", snap.BrownoutTransitions)
-	}
-	if snap.AdmissionBusy == 0 || snap.SessionsRejected == 0 {
-		t.Fatalf("reject rung wrote no BUSY: admission_busy=%d sessions_rejected=%d",
-			snap.AdmissionBusy, snap.SessionsRejected)
-	}
+	srv.Shutdown()
+	checkAccounting(t, srv.Snapshot())
 }
 
 // TestFetchTimeoutPartialResult: the overall wall-clock budget expires on a

@@ -37,7 +37,7 @@ func (c *Counters) Register(reg *obs.Registry, prefix string) error {
 		{"blocks_encoded", "coded blocks produced by the encoder", &c.blocksEncoded},
 		{"blocks_offered", "blocks offered to delivery queues", &c.blocksOffered},
 		{"blocks_sent", "blocks fully written to peers", &c.blocksSent},
-		{"blocks_shed", "blocks dropped by backpressure, failed writes, or teardown", &c.blocksShed},
+		{"blocks_shed", "blocks dropped by a failed write or left queued at session teardown", &c.blocksShed},
 		{"bytes_sent", "wire bytes fully written to peers", &c.bytesSent},
 		{"encode_stall_ns", "total nanoseconds the encoder pump spent blocked", &c.encodeStallNs},
 	} {
@@ -61,10 +61,10 @@ func (c *Counters) AddSent(n, bytes int64) {
 	c.bytesSent.Add(bytes)
 }
 
-// AddShed records n blocks dropped instead of delivered — a full queue, a
-// failed write, or a queue residue at session teardown. Shedding is the
-// backpressure mechanism, not an error: RLNC streams lose nothing but time
-// when blocks vanish.
+// AddShed records n blocks dropped instead of delivered: a failed write, or a
+// queue residue at session teardown. A full queue sheds nothing — the pump
+// parks, and the wait is charged by AddEncodeStall — and RLNC streams lose
+// nothing but time when blocks vanish.
 func (c *Counters) AddShed(n int64) { c.blocksShed.Add(n) }
 
 // AddEncodeStall records one interval the encoder pump spent blocked because
@@ -157,16 +157,17 @@ type ShardSnapshot struct {
 // SnapshotVersion is the schema version of the Snapshot struct. Version 2
 // added the version field itself, the per-shard ledger (Shards), and
 // SessionSnapshot.Shard. Version 3 added the graceful-degradation surface:
-// admission-decision counters, the brownout rung and transition count, and
-// the draining flag.
-const SnapshotVersion = 3
+// admission-decision counters, the overload ladder's rung and transition
+// count, and the draining flag. Version 4 dropped the rung and the transition
+// count with the ladder they reported: credit bounds what the pumps encode.
+const SnapshotVersion = 4
 
 // Snapshot is the server-wide observability surface: aggregate counters,
 // each pump shard's slice of them, and one entry per live session. Counters
 // for finished sessions remain in the aggregates. Once every session has
 // ended, CounterView.Consistent holds exactly — each offered block was
-// either fully written or explicitly shed (full queue, failed write, or
-// teardown residue) — per shard and in aggregate, which the serving tests
+// either fully written or explicitly shed (failed write or teardown
+// residue) — per shard and in aggregate, which the serving tests
 // assert block-for-block; while sessions are live, queued blocks make the
 // ledger lag and only Offered >= Sent + Shed is guaranteed.
 type Snapshot struct {
@@ -178,12 +179,9 @@ type Snapshot struct {
 	SessionSeconds   float64 // summed wall-clock duration of finished sessions
 
 	// Graceful-degradation surface (version 3): structured rejections
-	// written to new connections, the brownout ladder position, and whether
-	// a Drain is in progress.
+	// written to new connections, and whether a Drain is in progress.
 	AdmissionBusy       int64
 	AdmissionRedirected int64
-	BrownoutRung        int
-	BrownoutTransitions int64
 	Draining            bool
 
 	CounterView

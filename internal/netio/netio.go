@@ -10,9 +10,10 @@
 // buys it more. Feedback only trims what is sent; which records travel is
 // never a client's choice.
 //
-// The Server (server.go) multiplexes many concurrent sessions over one
-// shared encoder with bounded per-client queues, write deadlines, and a
-// metrics snapshot; this file holds the wire protocol and the client side.
+// The Server (server.go) multiplexes many concurrent sessions over one or
+// more encoder pumps (shards), each fanning its records out to the bounded
+// queues of the sessions it feeds, with write deadlines and a metrics
+// snapshot; this file holds the wire protocol and the client side.
 package netio
 
 import (

@@ -94,14 +94,9 @@ type Server struct {
 	needRecords      obs.Counter  // need records read from clients
 	sessionSecs      atomic.Int64 // summed finished-session durations, in ns
 
-	// Admission and degradation surface: decisions written to rejected
-	// connections, the brownout ladder position, and the sources that can
-	// thin their schedule at BrownoutLean.
+	// Admission decisions written to rejected connections.
 	admissionBusy       obs.Counter
 	admissionRedirected obs.Counter
-	brownoutRung        atomic.Int32 // BrownoutRung, written by the controller
-	brownoutTransitions obs.Counter
-	degradable          []DegradableSource
 
 	mu        sync.Mutex
 	joined    int // sessions currently past handshake, across all shards
@@ -250,9 +245,6 @@ func newServer(info SessionInfo, cfg ServerConfig, srcs []RecordSource) (*Server
 			wake:     make(chan struct{}, 1),
 			consumed: make(chan struct{}, 1),
 		}
-		if deg, ok := src.(DegradableSource); ok {
-			s.degradable = append(s.degradable, deg)
-		}
 	}
 	if cfg.Metrics != nil {
 		if err := s.registerMetrics(cfg.Metrics); err != nil {
@@ -282,7 +274,7 @@ func (s *Server) registerMetrics(reg *obs.Registry) error {
 		return err
 	}
 	if err := reg.RegisterCounter("netio.sessions_rejected",
-		"connections refused by the session cap or brownout", &s.sessionsRejected); err != nil {
+		"connections refused by the session cap", &s.sessionsRejected); err != nil {
 		return err
 	}
 	if err := reg.RegisterCounter("netio.need_records",
@@ -295,16 +287,6 @@ func (s *Server) registerMetrics(reg *obs.Registry) error {
 	}
 	if err := reg.RegisterCounter("netio.admission_redirected",
 		"REDIRECT admission decisions written to new connections", &s.admissionRedirected); err != nil {
-		return err
-	}
-	if err := reg.RegisterCounter("netio.brownout_transitions",
-		"brownout ladder rung changes, both directions", &s.brownoutTransitions); err != nil {
-		return err
-	}
-	if err := reg.RegisterFunc("netio.brownout_rung",
-		"current brownout ladder rung (0 off, 1 paced, 2 lean, 3 reject)", func() float64 {
-			return float64(s.brownoutRung.Load())
-		}); err != nil {
 		return err
 	}
 	if err := reg.RegisterFunc("netio.sessions_live",
@@ -436,8 +418,8 @@ func (s *Server) Serve(ctx context.Context, l net.Listener) error {
 }
 
 // startSession decides admission for conn: an admitted connection gets a
-// session goroutine; a rejected one (session cap, brownout shed, drain) gets
-// a short-lived decision writer that answers BUSY or REDIRECT and closes it.
+// session goroutine; a rejected one (session cap, drain) gets a short-lived
+// decision writer that answers BUSY or REDIRECT and closes it.
 // It reports false only when the server is closed — the caller then owns the
 // connection.
 func (s *Server) startSession(conn net.Conn) bool {
@@ -454,8 +436,7 @@ func (s *Server) startSession(conn net.Conn) bool {
 		s.rejectSession(conn, d)
 		return true
 	}
-	atCap := s.cfg.MaxSessions > 0 && s.joined >= s.cfg.MaxSessions
-	if atCap || BrownoutRung(s.brownoutRung.Load()) >= BrownoutReject {
+	if s.cfg.MaxSessions > 0 && s.joined >= s.cfg.MaxSessions {
 		s.sessionsRejected.Add(1)
 		s.rejectSession(conn, admissionDecision{code: admissionBusy, retryAfter: s.cfg.RetryAfter})
 		return true
@@ -897,21 +878,7 @@ func (s *Server) startPumps() {
 			s.pumpWG.Add(1)
 			go sh.run()
 		}
-		if s.cfg.Brownout.Interval > 0 {
-			s.pumpWG.Add(1)
-			go s.runBrownout()
-		}
 	})
-}
-
-// effectivePace is the pump-round floor after brownout: the configured Pace,
-// raised to the brownout PacedDelay from BrownoutPaced up.
-func (s *Server) effectivePace() time.Duration {
-	pace := s.cfg.Pace
-	if BrownoutRung(s.brownoutRung.Load()) >= BrownoutPaced && s.cfg.Brownout.PacedDelay > pace {
-		pace = s.cfg.Brownout.PacedDelay
-	}
-	return pace
 }
 
 // run is one shard's record loop: each round it picks the next segment, in
@@ -995,11 +962,11 @@ func (sh *pumpShard) run() {
 			frames[i].release()
 			frames[i] = nil
 		}
-		if pace := s.effectivePace(); pace > 0 {
+		if s.cfg.Pace > 0 {
 			select {
 			case <-s.stop:
 				return
-			case <-time.After(pace):
+			case <-time.After(s.cfg.Pace):
 			}
 		}
 	}
@@ -1130,7 +1097,7 @@ func (sh *pumpShard) fanOut(frames []*frameRef, live []*session, seg int) {
 	sh.c.AddOffered(roundOffered)
 	sh.c.AddShed(roundShed)
 	if roundShed > 0 {
-		trace.Emit(trace.KindShed, s.traceNodeName(), "queue_full", -1, roundShed)
+		trace.Emit(trace.KindShed, s.traceNodeName(), "teardown", -1, roundShed)
 	}
 }
 
@@ -1165,8 +1132,6 @@ func (s *Server) Snapshot() Snapshot {
 		SessionSeconds:      time.Duration(s.sessionSecs.Load()).Seconds(),
 		AdmissionBusy:       s.admissionBusy.Load(),
 		AdmissionRedirected: s.admissionRedirected.Load(),
-		BrownoutRung:        int(s.brownoutRung.Load()),
-		BrownoutTransitions: s.brownoutTransitions.Load(),
 		Draining:            draining,
 		CounterView:         s.counters.View(),
 	}

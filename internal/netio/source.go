@@ -62,21 +62,6 @@ type RecordSource interface {
 	Records(seg, batch int, alloc func(int) []byte) [][]byte
 }
 
-// DegradableSource is a RecordSource with a cheaper degraded schedule the
-// brownout controller can toggle. Lean semantics are the source's own; the
-// contract is only that lean output stays protocol-valid and that SetLean is
-// safe to call concurrently with Records (the server calls it from the
-// brownout goroutine while the pumps run). The media-backed systematic
-// source drops its dense tail and halves its XOR repair per cycle when lean;
-// dense sources have no cheaper schedule and treat SetLean as a no-op.
-type DegradableSource interface {
-	RecordSource
-
-	// SetLean switches between the full (false) and degraded (true)
-	// schedule. Redundant calls are cheap and idempotent.
-	SetLean(bool)
-}
-
 // FrameRecord marshals one coded block as a length-prefixed wire record in
 // the given mode's encoding: ModeSystematic frames binary blocks in the
 // compact XNC2 format and dense blocks as XNC1; ModeDense frames everything
@@ -224,18 +209,8 @@ type systematicSource struct {
 	// same records for the same sequence of Records calls.
 	rng *rand.Rand
 
-	// One cycling schedule encoder per segment, plus the brownout lever: lean
-	// is flipped by the controller goroutine, observed by the pump, and
-	// applied to the encoders lazily (they are not safe to retune from
-	// another goroutine). defXor/defTail remember the configured schedule so
-	// leaving lean restores it exactly.
-	sysEncs     []*rlnc.SystematicEncoder
-	lean        atomic.Bool
-	leanApplied bool // pump-goroutine local
-	defXor      int
-	defTail     int
-
-	recs [][]byte // as counterSource.recs
+	sysEncs []*rlnc.SystematicEncoder // one cycling schedule encoder per segment
+	recs    [][]byte                  // as counterSource.recs
 }
 
 func newSystematicSource(obj *rlnc.Object, seed int64) *systematicSource {
@@ -244,33 +219,7 @@ func newSystematicSource(obj *rlnc.Object, seed int64) *systematicSource {
 	for i, seg := range obj.Segments {
 		src.sysEncs[i] = rlnc.NewSystematicEncoder(seg, src.rng)
 	}
-	src.defXor = src.sysEncs[0].XorRepair()
-	src.defTail = src.sysEncs[0].DenseTail()
 	return src
-}
-
-// SetLean flips the systematic schedule between the configured full cycle and
-// a degraded one — half the XOR repair rate (floor 2), no dense tail — that
-// trades repair margin for encode CPU under brownout. Safe to call from the
-// controller goroutine while the pump runs.
-func (o *systematicSource) SetLean(lean bool) { o.lean.Store(lean) }
-
-// applyLean retunes the segment encoders when the lean flag changed since the
-// last pump round. Runs only on the pump goroutine, which is the sole caller
-// of the encoders.
-func (o *systematicSource) applyLean() {
-	lean := o.lean.Load()
-	if lean == o.leanApplied {
-		return
-	}
-	o.leanApplied = lean
-	xor, tail := o.defXor, o.defTail
-	if lean {
-		xor, tail = max(o.defXor/2, 2), 0
-	}
-	for _, se := range o.sysEncs {
-		se.SetSchedule(xor, tail)
-	}
 }
 
 func (o *systematicSource) Info() SessionInfo { return objectInfo(o.obj, ModeSystematic) }
@@ -281,7 +230,6 @@ func (o *systematicSource) Info() SessionInfo { return objectInfo(o.obj, ModeSys
 // encoding. RepairBlock is a non-retaining emit — the record is marshaled
 // before the next call reuses its storage.
 func (o *systematicSource) Records(seg, batch int, alloc func(int) []byte) [][]byte {
-	o.applyLean()
 	recs := o.recs[:0]
 	se := o.sysEncs[seg]
 	for i := 0; i < batch; i++ {

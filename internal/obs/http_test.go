@@ -53,7 +53,7 @@ func TestHandlerMethodNotAllowedSetsAllow(t *testing.T) {
 func TestHandlerFlightRoute(t *testing.T) {
 	r := trace.Enable(64)
 	defer trace.Disable()
-	trace.Emit(trace.KindBrownout, "origin", "paced", -1, 1)
+	trace.Emit(trace.KindDrain, "origin", "relay-1:9000", -1, 1)
 	_ = r
 
 	h := Handler(NewRegistry(), nil)
@@ -69,7 +69,7 @@ func TestHandlerFlightRoute(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
 		t.Fatalf("flight dump not valid JSON: %v", err)
 	}
-	if !doc.Enabled || len(doc.Events) != 1 || doc.Events[0].Kind != trace.KindBrownout {
+	if !doc.Enabled || len(doc.Events) != 1 || doc.Events[0].Kind != trace.KindDrain {
 		t.Fatalf("unexpected dump: %+v", doc)
 	}
 }

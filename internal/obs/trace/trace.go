@@ -9,9 +9,9 @@
 //     record absorb) linked into a causal tree by (Trace, Span, Parent) IDs.
 //     IDs are process-local uint64s; the wire layer carries them across nodes
 //     so one generation's records stay linkable origin → relay → leaf.
-//   - Flight events: point-in-time facts (admission decisions, brownout rung
-//     transitions, sheds, reconnects, redirects, rank milestones, fault
-//     injections) recorded for postmortems when a chaos gate fails.
+//   - Flight events: point-in-time facts (admission decisions, sheds,
+//     reconnects, redirects, rank milestones, drains, fault injections)
+//     recorded for postmortems when a chaos gate fails.
 //
 // The recorder is lock-free: a slice of atomic event pointers indexed by a
 // monotonically increasing sequence counter. Writers allocate one immutable
@@ -43,9 +43,8 @@ const (
 	KindSpan Kind = iota
 	// KindAdmission is a server admission decision (accept/busy/redirect).
 	KindAdmission
-	// KindBrownout is a brownout-ladder rung transition.
-	KindBrownout
-	// KindShed is a batch of frames dropped under backpressure.
+	// KindShed is a batch of frames dropped by a failed write or left queued
+	// at session teardown.
 	KindShed
 	// KindReconnect is a fetcher re-establishing a session.
 	KindReconnect
@@ -62,7 +61,6 @@ const (
 var kindNames = [...]string{
 	KindSpan:      "span",
 	KindAdmission: "admission",
-	KindBrownout:  "brownout",
 	KindShed:      "shed",
 	KindReconnect: "reconnect",
 	KindRedirect:  "redirect",

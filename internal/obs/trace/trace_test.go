@@ -51,7 +51,7 @@ func TestDisabledPathZeroAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(200, func() {
 		sp := Begin("node", "stage", 7, 9, 3)
 		sp.End()
-		Emit(KindBrownout, "node", "paced", -1, 1)
+		Emit(KindDrain, "node", "relay-1:9000", -1, 1)
 		_ = NewTrace()
 	}); n != 0 {
 		t.Fatalf("disabled path allocates %.1f/op, want 0", n)

@@ -98,18 +98,6 @@ func (s *SystematicEncoder) XorRepair() int { return s.xorRepair }
 // DenseTail returns the per-cycle dense-fallback block count.
 func (s *SystematicEncoder) DenseTail() int { return s.denseTail }
 
-// SetSchedule retunes the per-cycle repair schedule mid-stream — the brownout
-// lever: a server under pressure thins the schedule (fewer XOR repairs, no
-// dense tail) to trade repair margin for encode CPU, and restores it when the
-// pressure clears. Negative values clamp to zero, matching the WithXorRepair
-// and WithDenseTail options. The change takes effect within the current
-// cycle: the phase counters are compared against the new schedule on the very
-// next Block call. Not safe to call concurrently with Block.
-func (s *SystematicEncoder) SetSchedule(xorRepair, denseTail int) {
-	s.xorRepair = max(xorRepair, 0)
-	s.denseTail = max(denseTail, 0)
-}
-
 // Block emits the next block of the cycle without allocating: the returned
 // block is a view over the encoder's reusable storage (and, for systematic
 // blocks, over the segment itself) and is valid only until the next Block,
@@ -117,9 +105,8 @@ func (s *SystematicEncoder) SetSchedule(xorRepair, denseTail int) {
 // NextBlock.
 func (s *SystematicEncoder) Block() *CodedBlock {
 	// Cycle-complete check up front rather than after the last repair emit,
-	// so a schedule with a zero dense tail (or one shrunk mid-cycle by
-	// SetSchedule) rolls straight into the next sweep without emitting a
-	// stray dense block.
+	// so a schedule with a zero dense tail rolls straight into the next sweep
+	// without emitting a stray dense block.
 	if s.next >= s.enc.seg.params.BlockCount && s.repair >= s.xorRepair+s.denseTail {
 		s.next, s.repair = 0, 0
 	}

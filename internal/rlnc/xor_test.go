@@ -456,7 +456,7 @@ func TestSystematicRepairBlock(t *testing.T) {
 		t.Fatal("Block after a repair cycle did not start a sweep")
 	}
 
-	se.SetSchedule(0, 0)
+	se = NewSystematicEncoder(seg, rand.New(rand.NewSource(152)), WithXorRepair(0), WithDenseTail(0))
 	for i := 0; i < 4; i++ {
 		b := se.RepairBlock()
 		if b.IsBinary() || !consistentWithSource(seg, b) {
