@@ -179,11 +179,11 @@ trace-smoke:
 	$(GO) run -race ./cmd/nc mesh -trace
 
 # Full serving-capacity ladder, committed as BENCH_serve.json: ramped waves
-# to 5120 concurrent sessions at 1/2/4 pump shards (plus one systematic-wire
-# wave at peak), with aggregate MB/s and windowed p50/p99 record latency per
-# wave. Takes tens of minutes at full depth.
+# of 1280, 2560 and 5120 concurrent sessions (plus one systematic-wire wave at
+# peak), with aggregate MB/s and windowed p50/p99 record latency per wave.
+# Takes a few minutes.
 loadtest:
-	$(GO) run ./cmd/nc load -sessions 5120 -steps 3 -shards 1,2,4 \
+	$(GO) run ./cmd/nc load -sessions 5120 -steps 3 \
 		-window 3s -settle 1s -canaries 4 \
 		| $(GO) run ./cmd/benchjson > BENCH_serve.json
 	@cat BENCH_serve.json

@@ -263,9 +263,9 @@ func derive(doc *Document) {
 }
 
 // deriveServe records the serving-capacity peak from `nc load`'s ladder: the
-// best dense wave's aggregate MB/s at the deepest session count measured,
-// with its depth and p99 record latency. All three are absolutes, so none is
-// gated by -check; they ride along for the docs.
+// deepest dense wave's aggregate MB/s, with its depth and p99 record latency.
+// All three are absolutes, so none is gated by -check; they ride along for the
+// docs.
 func deriveServe(set func(string, float64), byName map[string]Benchmark) {
 	deepest := 0
 	var best Benchmark
@@ -274,16 +274,16 @@ func deriveServe(set func(string, float64), byName map[string]Benchmark) {
 		if !ok {
 			continue
 		}
-		// Dense waves are named shards=N/sessions=M; the systematic-wire wave
-		// carries a third element and is not part of the peak.
-		var shards, sessions int
-		if strings.Count(rest, "/") != 1 {
+		// Dense waves are named sessions=N; the systematic-wire wave carries a
+		// second element and is not part of the peak.
+		var sessions int
+		if strings.Contains(rest, "/") {
 			continue
 		}
-		if _, err := fmt.Sscanf(rest, "shards=%d/sessions=%d", &shards, &sessions); err != nil {
+		if _, err := fmt.Sscanf(rest, "sessions=%d", &sessions); err != nil {
 			continue
 		}
-		if sessions > deepest || (sessions == deepest && b.MBPerS > best.MBPerS) {
+		if sessions > deepest {
 			deepest, best = sessions, b
 		}
 	}

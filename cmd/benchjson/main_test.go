@@ -89,16 +89,16 @@ func TestParseAndDerive(t *testing.T) {
 
 const serveText = `goos: linux
 pkg: extremenc/cmd/nc
-BenchmarkServeLoad/shards=1/sessions=1024     1  800000 ns/op  190.00 MB/s  30000 p50-ns  700000 p99-ns  0.50 shed-pct
-BenchmarkServeLoad/shards=2/sessions=4096     1  700000 ns/op  150.00 MB/s  35000 p50-ns  750000 p99-ns  0.75 shed-pct
-BenchmarkServeLoad/shards=4/sessions=4096     1  600000 ns/op  176.00 MB/s  30000 p50-ns  650000 p99-ns  0.60 shed-pct
-BenchmarkServeLoad/shards=4/sessions=4096/wire=systematic  1  600000 ns/op  200.00 MB/s  30000 p50-ns  640000 p99-ns  0.60 shed-pct
+BenchmarkServeLoad/sessions=1024     1  800000 ns/op  190.00 MB/s  30000 p50-ns  700000 p99-ns  0.50 shed-pct
+BenchmarkServeLoad/sessions=2048     1  700000 ns/op  150.00 MB/s  35000 p50-ns  750000 p99-ns  0.75 shed-pct
+BenchmarkServeLoad/sessions=4096     1  600000 ns/op  176.00 MB/s  30000 p50-ns  650000 p99-ns  0.60 shed-pct
+BenchmarkServeLoad/sessions=4096/wire=systematic  1  600000 ns/op  200.00 MB/s  30000 p50-ns  640000 p99-ns  0.60 shed-pct
 `
 
 // TestDeriveServe pins the serving-ladder schema: extra value/unit columns
-// land in Extra, and the peak keys describe the best dense wave at the
-// deepest session count (4096 here — neither the faster but shallower
-// 1024-session wave nor the systematic-wire wave may be taken for the peak).
+// land in Extra, and the peak keys describe the dense wave at the deepest
+// session count (4096 here — neither the faster but shallower 1024-session
+// wave nor the systematic-wire wave may be taken for the peak).
 func TestDeriveServe(t *testing.T) {
 	doc := parseText(t, serveText)
 	if len(doc.Benchmarks) != 4 {
@@ -126,7 +126,7 @@ func TestDeriveServe(t *testing.T) {
 	}
 
 	// No dense serve wave, no serve keys.
-	none := parseText(t, strings.ReplaceAll(serveText, "BenchmarkServeLoad/shards", "BenchmarkSomethingElse/shards"))
+	none := parseText(t, strings.ReplaceAll(serveText, "BenchmarkServeLoad/", "BenchmarkSomethingElse/"))
 	derive(none)
 	if _, ok := none.Derived["serve_peak_agg_mb_s"]; ok {
 		t.Fatal("serve peak derived without a dense serve wave")

@@ -8,9 +8,6 @@ import (
 	"log"
 	"os"
 	"runtime"
-	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"extremenc/internal/faultnet"
@@ -23,7 +20,6 @@ import (
 type options struct {
 	sessions   int
 	steps      int
-	shards     []int
 	systematic bool
 	window     time.Duration
 	settle     time.Duration
@@ -39,15 +35,14 @@ type options struct {
 	maxP99     time.Duration
 }
 
-// waveCfg is one shard-count × depth point of the ladder.
+// waveCfg is one point of the ladder: a session depth in one wire mode.
 type waveCfg struct {
 	wire     netio.WireMode
-	shards   int
 	sessions int
 }
 
 func (w waveCfg) benchName() string {
-	name := fmt.Sprintf("BenchmarkServeLoad/shards=%d/sessions=%d", w.shards, w.sessions)
+	name := fmt.Sprintf("BenchmarkServeLoad/sessions=%d", w.sessions)
 	if w.wire != netio.ModeDense {
 		name += "/wire=" + w.wire.String()
 	}
@@ -67,8 +62,7 @@ func runLoad(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("nc load", flag.ContinueOnError)
 	var (
 		sessions   = fs.Int("sessions", 5120, "peak concurrent raw sessions per wave")
-		steps      = fs.Int("steps", 3, "ramp depths per shard count (each doubling up to -sessions)")
-		shardsFlag = fs.String("shards", "1,2,4", "comma-separated pump shard counts")
+		steps      = fs.Int("steps", 3, "ramp depths (each doubling up to -sessions)")
 		systematic = fs.Bool("systematic", true, "add one systematic-wire wave at peak depth")
 		window     = fs.Duration("window", 3*time.Second, "measurement window per wave")
 		settle     = fs.Duration("settle", 500*time.Millisecond, "post-ramp settle before the window opens")
@@ -87,12 +81,8 @@ func runLoad(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	shardList, err := parseShards(*shardsFlag)
-	if err != nil {
-		return err
-	}
 	opt := options{
-		sessions: *sessions, steps: *steps, shards: shardList,
+		sessions: *sessions, steps: *steps,
 		systematic: *systematic, window: *window, settle: *settle,
 		canaries: *canaries, chaos: *chaos,
 		blockCount: *blockCount, blockSize: *blockSize, segments: *segments,
@@ -102,7 +92,6 @@ func runLoad(args []string, out io.Writer) error {
 	if opt.smoke {
 		// The CI gate: one wave, scaled to finish quickly under -race.
 		opt.sessions, opt.steps = 1024, 1
-		opt.shards = []int{4}
 		opt.window, opt.settle = time.Second, 300*time.Millisecond
 		opt.canaries, opt.systematic = 2, false
 	}
@@ -165,29 +154,8 @@ func runLadder(opt options, out io.Writer, lg *log.Logger, sum *loadSummary, inv
 	return nil
 }
 
-func parseShards(s string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		n, err := strconv.Atoi(f)
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad shard count %q", f)
-		}
-		out = append(out, n)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty shard list")
-	}
-	sort.Ints(out)
-	return out, nil
-}
-
-// buildWaves lays out the ladder: every depth at each shard count, then one
-// systematic-wire wave at peak depth and max shards so the curve records the
-// XOR fast path's serving profile too.
+// buildWaves lays out the ladder: every depth, then one systematic-wire wave
+// at peak depth so the curve records the XOR fast path's serving profile too.
 func buildWaves(opt options) []waveCfg {
 	depths := make([]int, 0, opt.steps)
 	for i := opt.steps - 1; i >= 0; i-- {
@@ -199,14 +167,10 @@ func buildWaves(opt options) []waveCfg {
 	}
 	var waves []waveCfg
 	for _, d := range depths {
-		for _, s := range opt.shards {
-			waves = append(waves, waveCfg{netio.ModeDense, s, d})
-		}
+		waves = append(waves, waveCfg{netio.ModeDense, d})
 	}
 	if opt.systematic {
-		peak := depths[len(depths)-1]
-		maxShards := opt.shards[len(opt.shards)-1]
-		waves = append(waves, waveCfg{netio.ModeSystematic, maxShards, peak})
+		waves = append(waves, waveCfg{netio.ModeSystematic, depths[len(depths)-1]})
 	}
 	return waves
 }
@@ -228,7 +192,6 @@ func runWave(wave waveCfg, opt options) (waveResult, error) {
 	// the fleet mid-wave.
 	scfg.WriteDeadline = 30 * time.Second
 	scfg.WriteRetries = 4
-	scfg.PumpShards = wave.shards
 	scfg.Mode = wave.wire
 	scfg.Metrics = reg
 	srv, err := netio.NewServerFromConfig(media, p, scfg)
@@ -304,18 +267,12 @@ func runWave(wave waveCfg, opt options) (waveResult, error) {
 	}
 
 	// Teardown, then the exactness gates: the fleet hangs up, the server
-	// drains, and the ledger must balance per shard and in aggregate.
+	// drains, and the ledger must balance.
 	fleet.Close()
 	final := stop()
-	if final.BlocksOffered != final.BlocksSent+final.BlocksShed {
-		return res, fmt.Errorf("aggregate ledger: offered %d != sent %d + shed %d",
+	if !final.Consistent() {
+		return res, fmt.Errorf("ledger: offered %d != sent %d + shed %d",
 			final.BlocksOffered, final.BlocksSent, final.BlocksShed)
-	}
-	for _, sh := range final.Shards {
-		if !sh.Consistent() {
-			return res, fmt.Errorf("shard %d ledger: offered %d != sent %d + shed %d",
-				sh.Shard, sh.BlocksOffered, sh.BlocksSent, sh.BlocksShed)
-		}
 	}
 
 	d := h1.Sub(h0)
@@ -330,7 +287,7 @@ func runWave(wave waveCfg, opt options) (waveResult, error) {
 	}
 
 	if opt.smoke {
-		if err := smokeGates(reg, wave, d, opt.maxP99); err != nil {
+		if err := smokeGates(reg, d, opt.maxP99); err != nil {
 			return res, err
 		}
 	}
@@ -340,7 +297,7 @@ func runWave(wave waveCfg, opt options) (waveResult, error) {
 // smokeGates re-checks the wave from the outside: the windowed p99 bound and
 // exact accounting read back from one scraped Prometheus exposition, so the
 // CI gate exercises the full metrics path rather than trusting Snapshot.
-func smokeGates(reg *obs.Registry, wave waveCfg, window obs.HistogramView, maxP99 time.Duration) error {
+func smokeGates(reg *obs.Registry, window obs.HistogramView, maxP99 time.Duration) error {
 	if window.P99 > maxP99 {
 		return fmt.Errorf("windowed p99 record latency %v exceeds gate %v", window.P99, maxP99)
 	}
@@ -348,7 +305,7 @@ func smokeGates(reg *obs.Registry, wave waveCfg, window obs.HistogramView, maxP9
 	if err != nil {
 		return err
 	}
-	for _, key := range []string{"netio_blocks_offered", "netio_blocks_sent", "netio_blocks_shed", "netio_pump_shards"} {
+	for _, key := range []string{"netio_blocks_offered", "netio_blocks_sent", "netio_blocks_shed"} {
 		if _, ok := vals[key]; !ok {
 			return fmt.Errorf("%s missing from the scraped exposition", key)
 		}
@@ -356,9 +313,6 @@ func smokeGates(reg *obs.Registry, wave waveCfg, window obs.HistogramView, maxP9
 	if vals["netio_blocks_offered"] != vals["netio_blocks_sent"]+vals["netio_blocks_shed"] {
 		return fmt.Errorf("scraped ledger: offered %.0f != sent %.0f + shed %.0f",
 			vals["netio_blocks_offered"], vals["netio_blocks_sent"], vals["netio_blocks_shed"])
-	}
-	if got := int(vals["netio_pump_shards"]); got != wave.shards {
-		return fmt.Errorf("scraped netio_pump_shards = %d, want %d", got, wave.shards)
 	}
 	return nil
 }

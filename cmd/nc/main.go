@@ -9,7 +9,7 @@
 //	nc fetch -addr 127.0.0.1:9099 -out media-copy.bin -timeout 30s \
 //	    -attempts 10 -backoff 50ms -backoff-max 2s -resume fetch.state
 //	nc smoke [serve|metrics|xor ...] [-clients 4 -mode systematic]
-//	nc load -sessions 5120 -shards 1,2,4 | go run ./cmd/benchjson
+//	nc load -sessions 5120 | go run ./cmd/benchjson
 //	nc mesh -relays 3 -leaves 4 -chaos -kill 1 -snapshot mesh.json
 //	nc mesh -soak -smoke -summary soak-summary.json
 //	nc mesh -trace

@@ -26,14 +26,12 @@ type serveFlags struct {
 	retries  int
 	maxSess  int
 	mode     string
-	shards   int
 }
 
 func (sf *serveFlags) register(fs *flag.FlagSet) {
 	fs.DurationVar(&sf.deadline, "deadline", 5*time.Second, "per-record write deadline (0 disables)")
 	fs.IntVar(&sf.retries, "retries", 1, "extra deadline windows before a timed-out session is dropped")
 	fs.IntVar(&sf.maxSess, "max-sessions", 0, "concurrent session cap (0 = unlimited)")
-	fs.IntVar(&sf.shards, "shards", 1, "independent encoder-pump shards")
 	sf.registerSmoke(fs)
 }
 
@@ -53,9 +51,6 @@ func (sf *serveFlags) config() (netio.ServerConfig, error) {
 	cfg.WriteRetries = sf.retries
 	cfg.MaxSessions = sf.maxSess
 	cfg.Mode = mode
-	if sf.shards > 0 {
-		cfg.PumpShards = sf.shards
-	}
 	return cfg, nil
 }
 
@@ -176,19 +171,10 @@ func snapshotJSON(s netio.Snapshot) map[string]any {
 	per := make([]map[string]any, 0, len(s.PerSession))
 	for _, ss := range s.PerSession {
 		per = append(per, map[string]any{
-			"id": ss.ID, "shard": ss.Shard, "addr": ss.Addr,
+			"id": ss.ID, "addr": ss.Addr,
 			"queue_len": ss.QueueLen, "queue_cap": ss.QueueCap,
 			"offered": ss.Offered, "sent": ss.Sent, "shed": ss.Shed,
 			"bytes": ss.Bytes, "duration_s": ss.Duration.Seconds(),
-		})
-	}
-	shards := make([]map[string]any, 0, len(s.Shards))
-	for _, sh := range s.Shards {
-		shards = append(shards, map[string]any{
-			"shard": sh.Shard, "sessions": sh.Sessions,
-			"blocks_encoded": sh.BlocksEncoded, "blocks_offered": sh.BlocksOffered,
-			"blocks_sent": sh.BlocksSent, "blocks_shed": sh.BlocksShed,
-			"bytes_sent": sh.BytesSent, "encode_stall_s": sh.EncodeStall.Seconds(),
 		})
 	}
 	return map[string]any{
@@ -208,7 +194,6 @@ func snapshotJSON(s netio.Snapshot) map[string]any {
 		"bytes_sent":           s.BytesSent,
 		"encode_stall_s":       s.EncodeStall.Seconds(),
 		"max_stall_s":          s.MaxEncodeStall.Seconds(),
-		"shards":               shards,
 		"per_session":          per,
 	}
 }

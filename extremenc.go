@@ -243,7 +243,7 @@ func WithDenseTail(t int) rlnc.SystematicOption { return rlnc.WithDenseTail(t) }
 // differ, and hand it to the FromConfig constructor.
 type (
 	// NetServer streams coded blocks to TCP (or any net.Conn) clients:
-	// concurrent sessions fed from sharded encoder pumps, bounded per-client
+	// concurrent sessions fed from one encoder pump, bounded per-client
 	// queues with shedding, write deadlines, and a metrics snapshot.
 	NetServer = netio.Server
 	// NetServerConfig is the complete serving configuration.

@@ -560,16 +560,15 @@ func TestServingFacade(t *testing.T) {
 }
 
 // TestConfigAPIFacade exercises the config-struct construction surface
-// through the facade: a sharded server and a fetcher built from config
-// structs, the versioned shard-aware snapshot, and Validate failures
-// surfacing through the constructors.
+// through the facade: a server and a fetcher built from config structs, the
+// versioned snapshot, and Validate failures surfacing through the
+// constructors.
 func TestConfigAPIFacade(t *testing.T) {
 	p := extremenc.Params{BlockCount: 8, BlockSize: 256}
 	payload := make([]byte, 2*p.SegmentSize()-19)
 	rand.New(rand.NewSource(41)).Read(payload)
 
 	scfg := extremenc.DefaultNetServerConfig()
-	scfg.PumpShards = 2
 	scfg.Seed = 7
 	scfg.WriteDeadline = 2 * time.Second
 	if err := scfg.Validate(); err != nil {
@@ -604,23 +603,15 @@ func TestConfigAPIFacade(t *testing.T) {
 	if snap.Version != extremenc.NetSnapshotVersion {
 		t.Fatalf("snapshot version = %d, want %d", snap.Version, extremenc.NetSnapshotVersion)
 	}
-	var shardSum int64
-	for _, sh := range snap.Shards {
-		if !sh.Consistent() {
-			t.Fatalf("shard %d ledger: offered %d != sent %d + shed %d",
-				sh.Shard, sh.BlocksOffered, sh.BlocksSent, sh.BlocksShed)
-		}
-		shardSum += sh.BlocksOffered
-	}
-	if len(snap.Shards) != 2 || shardSum != snap.BlocksOffered {
-		t.Fatalf("shard rollup: %d shards, offered sum %d vs aggregate %d",
-			len(snap.Shards), shardSum, snap.BlocksOffered)
+	if !snap.Consistent() || snap.BlocksOffered == 0 {
+		t.Fatalf("ledger: offered %d != sent %d + shed %d",
+			snap.BlocksOffered, snap.BlocksSent, snap.BlocksShed)
 	}
 
 	// Validate failures surface through the FromConfig constructors.
 	if _, err := extremenc.NewNetServerFromConfig(payload, p,
-		extremenc.NetServerConfig{PumpShards: -1}); err == nil {
-		t.Fatal("NewNetServerFromConfig accepted negative shards")
+		extremenc.NetServerConfig{Mode: 9}); err == nil {
+		t.Fatal("NewNetServerFromConfig accepted an unknown wire mode")
 	}
 	if _, err := extremenc.NewFetcherFromConfig(
 		func(context.Context) (net.Conn, error) { return nil, context.Canceled },

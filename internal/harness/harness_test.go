@@ -125,7 +125,6 @@ func TestFleetRamp(t *testing.T) {
 		t.Run(fmt.Sprint("nap=", nap), func(t *testing.T) {
 			srv := newServer(t, Media(2*testParams.SegmentSize(), 3), func(c *netio.ServerConfig) {
 				c.QueueDepth = 8
-				c.PumpShards = 2
 			})
 			addr, stop := serve(t, srv)
 			defer stop()
@@ -405,7 +404,7 @@ func TestVerdictGolden(t *testing.T) {
 	soak := soakFields{Events: 12, ElapsedS: 3.9519309099999997, LeavesDone: 20, Drains: 2, Kills: 1, Stalls: 5, Redirects: 1}
 	soakInv := map[string]bool{"ledgers_balanced": true, "no_goroutine_leak": true, "payloads_identical": true, "rank_monotone": true}
 	load := loadFields{Smoke: true, Waves: []loadWave{{
-		Name: "BenchmarkServeLoad/shards=4/sessions=1024", Sessions: 1024,
+		Name: "BenchmarkServeLoad/sessions=1024", Sessions: 1024,
 		MBps: 196.5278377083812, P50Ns: 16384, P99Ns: 262144, ShedPct: 6.493129073774235,
 	}}}
 	loadInv := map[string]bool{"canaries_identical": true, "ledgers_balanced": true, "p99_within_gate": true}

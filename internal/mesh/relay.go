@@ -325,8 +325,8 @@ func (r *Relay) Ledger() netio.CounterView {
 	retired, srv := r.retired, r.srv
 	r.mu.Unlock()
 	// Snapshot outside r.mu: the server's pump may be blocked in
-	// relaySource.Records, which holds r.mu while the snapshot walks the
-	// shard locks.
+	// relaySource.Records, which holds r.mu, and a ledger read need not wait
+	// out a round.
 	if srv == nil {
 		return retired
 	}

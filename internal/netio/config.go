@@ -49,15 +49,14 @@ type ServerConfig struct {
 	// has queue room for. On a media-backed systematic server these are
 	// repair blocks, generated only while some session has asked for repair.
 	EncodeBatch int
-	// MaxSessions caps concurrent sessions across all shards; connections
-	// beyond the cap are closed immediately and counted in
-	// Snapshot.SessionsRejected. Zero means unlimited.
+	// MaxSessions caps concurrent sessions; connections beyond the cap are
+	// answered BUSY and counted in Snapshot.SessionsRejected. Zero means
+	// unlimited.
 	MaxSessions int
 	// Seed fixes what a media-backed server sends (0 → 1). In ModeDense it
-	// is the key of the counter records every shard frames, declared in each
-	// session header; in ModeSystematic shard i derives its repair stream
-	// from Seed and i. Either way a fixed Seed makes the served block
-	// sequence reproducible.
+	// is the key of the counter records the pump frames, declared in each
+	// session header; in ModeSystematic it seeds the repair stream. Either
+	// way a fixed Seed makes the served block sequence reproducible.
 	Seed int64
 	// Mode is the session coding discipline declared in every handshake
 	// (default ModeDense). In ModeSystematic every session is first written
@@ -66,25 +65,20 @@ type ServerConfig struct {
 	// and the session is then owed nothing: a client that decoded from the
 	// sweep hangs up, one that lost records sends a need record and is fed
 	// the GF(2) XOR repair + dense tail part of rlnc.SystematicEncoder's
-	// schedule by the pumps, with credit, queueing, shedding and deadlines
-	// as in ModeDense (see Server). Pace governs the pumps, so it governs
+	// schedule by the pump, with credit, queueing, shedding and deadlines
+	// as in ModeDense (see Server). Pace governs the pump, so it governs
 	// repair, not sweeps. NewSourceServerFromConfig overrides Mode with the
 	// source's declared mode, and a source-backed server's sessions are owed
 	// a grant from the handshake on.
 	Mode WireMode
-	// Pace floors the interval between pump rounds, bounding each shard's
+	// Pace floors the interval between pump rounds, bounding the server's
 	// emission rate at EncodeBatch records per Pace regardless of CPU
 	// headroom. It models a capacity-constrained coding engine or origin
 	// uplink — the regime where a recoding relay tier multiplies effective
 	// serving capacity — and keeps capacity comparisons meaningful on
-	// machines where every tier is otherwise compute-bound; with S shards
-	// the server models S engines. Zero leaves pumps unpaced.
+	// machines where every tier is otherwise compute-bound. Zero leaves the
+	// pump unpaced.
 	Pace time.Duration
-	// PumpShards is the number of independent encoder pumps; sessions are
-	// assigned to the least-loaded shard at handshake (0 → 1). Each shard
-	// owns its sessions, its record source, and its slice of the
-	// accounting, rolled up in Snapshot.
-	PumpShards int
 	// RetryAfter is the hint carried in BUSY admission decisions (session
 	// cap, address-less drain): how long the client should wait before
 	// redialing (0 → 250ms). The resilient Fetcher floors its next backoff
@@ -111,26 +105,22 @@ type ServerConfig struct {
 }
 
 // DefaultServerConfig returns the serving defaults: queue depth 64, a 5s
-// write deadline with one retry, base seed 1, dense mode, one pump shard.
+// write deadline with one retry, base seed 1, dense mode.
 func DefaultServerConfig() ServerConfig {
 	return ServerConfig{
 		QueueDepth:    64,
 		WriteDeadline: 5 * time.Second,
 		WriteRetries:  1,
 		Seed:          1,
-		PumpShards:    1,
 	}
 }
 
 // Validate rejects a configuration the constructors refuse: an unknown wire
-// mode or a negative shard count. Out-of-range numeric fields are not errors
-// — normalization clamps or defaults them.
+// mode. Out-of-range numeric fields are not errors — normalization clamps or
+// defaults them.
 func (c *ServerConfig) Validate() error {
 	if c.Mode > ModeSystematic {
 		return fmt.Errorf("netio: unknown wire mode %d", c.Mode)
-	}
-	if c.PumpShards < 0 {
-		return fmt.Errorf("netio: negative pump shards %d", c.PumpShards)
 	}
 	return nil
 }
@@ -155,9 +145,6 @@ func (c ServerConfig) normalized(blockCount int) ServerConfig {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.PumpShards == 0 {
-		c.PumpShards = 1
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = 250 * time.Millisecond

@@ -12,8 +12,8 @@ import (
 )
 
 // TestServerConfigValidate pins exactly what validation rejects — unknown
-// wire modes and negative shard counts; numeric fields outside their range
-// are normalization's job, not errors — and that NewServerFromConfig gives
+// wire modes; numeric fields outside their range are normalization's job,
+// not errors — and that NewServerFromConfig gives
 // the same verdict as Validate.
 func TestServerConfigValidate(t *testing.T) {
 	p := rlnc.Params{BlockCount: 8, BlockSize: 128}
@@ -26,7 +26,6 @@ func TestServerConfigValidate(t *testing.T) {
 		{"default", func(c *ServerConfig) {}, ""},
 		{"zero value", func(c *ServerConfig) { *c = ServerConfig{} }, ""},
 		{"bad wire mode", func(c *ServerConfig) { c.Mode = WireMode(9) }, "wire mode"},
-		{"negative shards", func(c *ServerConfig) { c.PumpShards = -1 }, "pump shards"},
 		{"negative queue ok", func(c *ServerConfig) { c.QueueDepth = -5 }, ""},
 		{"negative retries ok", func(c *ServerConfig) { c.WriteRetries = -1 }, ""},
 	}
@@ -66,9 +65,6 @@ func TestServerConfigNormalized(t *testing.T) {
 	}
 	if got.Seed != 1 {
 		t.Fatalf("Seed 0 -> %d, want 1", got.Seed)
-	}
-	if got.PumpShards != 1 {
-		t.Fatalf("PumpShards 0 -> %d, want 1", got.PumpShards)
 	}
 	if (ServerConfig{QueueDepth: -3}).normalized(16).QueueDepth != 1 {
 		t.Fatal("negative QueueDepth must clamp to 1")

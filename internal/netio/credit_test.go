@@ -182,12 +182,11 @@ func TestCreditFloodNeverRaisesCredit(t *testing.T) {
 	read := drainRecords(conn, rlnc.CounterWireSize(p))
 	awaitSessions(t, srv, 1)
 	var ss *session
-	sh := srv.shards[0]
-	sh.mu.Lock()
-	for s := range sh.sessions {
+	srv.mu.Lock()
+	for s := range srv.sessions {
 		ss = s
 	}
-	sh.mu.Unlock()
+	srv.mu.Unlock()
 	const asks = 300
 	flooded := make(chan error, 1)
 	go func() {
@@ -286,7 +285,7 @@ type repeatSource struct{ *counterSource }
 
 func (r repeatSource) Records(seg, batch int, alloc func(int) []byte) [][]byte {
 	recs := r.counterSource.Records(seg, batch, alloc)
-	r.next[seg].Add(-uint32(batch / 2))
+	r.next[seg] -= uint32(batch / 2)
 	return recs
 }
 
@@ -300,8 +299,7 @@ func TestDependentGrantCostsAReask(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := srv.shards[0]
-	sh.src = repeatSource{sh.src.(*counterSource)}
+	srv.src = repeatSource{srv.src.(*counterSource)}
 	l := startPipeServer(t, srv)
 	fcfg := DefaultFetcherConfig()
 	fcfg.MaxAttempts = 1

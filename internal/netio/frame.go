@@ -7,7 +7,7 @@ import (
 
 // frameRef is one framed record on its way through the fan-out: the pump
 // hands the source a recycled frame's buffer to build the record in, and offers
-// that one frame — holding one reference — to every session in the shard:
+// that one frame — holding one reference — to every session owed it:
 // zero-copy fan-out. Each successful enqueue retains the frame; writers (and
 // teardown drains) release after the wire write or the shed. When the count
 // hits zero the frame, buffer and all, returns to the server's frame pool, so

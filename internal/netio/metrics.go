@@ -131,7 +131,6 @@ func (v CounterView) Consistent() bool {
 // SessionSnapshot describes one live session.
 type SessionSnapshot struct {
 	ID       int64
-	Shard    int // encoder-pump shard feeding this session
 	Addr     string
 	QueueLen int
 	QueueCap int
@@ -142,33 +141,22 @@ type SessionSnapshot struct {
 	Duration time.Duration
 }
 
-// ShardSnapshot is one encoder-pump shard's slice of the traffic ledger:
-// its live session count and its own CounterView. Summed over every shard,
-// the counter fields equal the aggregate CounterView of the Snapshot they
-// arrived in (modulo in-flight increments when taken live), and the
-// offered == sent + shed ledger holds per shard after teardown exactly as
-// it does in aggregate.
-type ShardSnapshot struct {
-	Shard    int
-	Sessions int
-	CounterView
-}
-
 // SnapshotVersion is the schema version of the Snapshot struct. Version 2
-// added the version field itself, the per-shard ledger (Shards), and
-// SessionSnapshot.Shard. Version 3 added the graceful-degradation surface:
+// added the version field itself, a ledger per encoder pump, and the pump
+// feeding each session. Version 3 added the graceful-degradation surface:
 // admission-decision counters, the overload ladder's rung and transition
 // count, and the draining flag. Version 4 dropped the rung and the transition
 // count with the ladder they reported: credit bounds what the pumps encode.
-const SnapshotVersion = 4
+// Version 5 dropped the per-pump ledger and the session's pump again: a server
+// runs one pump.
+const SnapshotVersion = 5
 
-// Snapshot is the server-wide observability surface: aggregate counters,
-// each pump shard's slice of them, and one entry per live session. Counters
-// for finished sessions remain in the aggregates. Once every session has
-// ended, CounterView.Consistent holds exactly — each offered block was
-// either fully written or explicitly shed (failed write or teardown
-// residue) — per shard and in aggregate, which the serving tests
-// assert block-for-block; while sessions are live, queued blocks make the
+// Snapshot is the server-wide observability surface: the server's counters
+// and one entry per live session. Counters for finished sessions remain in
+// the aggregates. Once every session has ended, CounterView.Consistent holds
+// exactly — each offered block was either fully written or explicitly shed
+// (failed write or teardown residue) — which the serving tests assert
+// block-for-block; while sessions are live, queued blocks make the
 // ledger lag and only Offered >= Sent + Shed is guaranteed.
 type Snapshot struct {
 	Version          int      // SnapshotVersion of the producing server
@@ -186,6 +174,5 @@ type Snapshot struct {
 
 	CounterView
 
-	Shards     []ShardSnapshot
 	PerSession []SessionSnapshot
 }

@@ -541,3 +541,38 @@ func TestSnapshotDuringTraffic(t *testing.T) {
 	<-serveDone
 	checkAccounting(t, srv.Snapshot())
 }
+
+// TestFanoutDifferential serves the same media at the default queue depth and
+// at QueueDepth 1 — where writeLoop's batch capacity min(writerBatch,
+// QueueDepth) is 1, so every flush carries a single record — and demands
+// byte-identical recovery with an exact ledger from each: batching is an
+// optimization of the hand-off cost, never of the bytes or the accounting.
+func TestFanoutDifferential(t *testing.T) {
+	p := rlnc.Params{BlockCount: 16, BlockSize: 256}
+	media := testMedia(t, 3*p.SegmentSize()-41, 56)
+	for _, tc := range []struct {
+		name  string
+		depth int
+	}{{"amortized", 64}, {"queue_depth_1", 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultServerConfig()
+			cfg.QueueDepth = tc.depth
+			cfg.Seed = 5
+			cfg.WriteDeadline = 2 * time.Second
+			srv, err := NewServerFromConfig(media, p, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l := startPipeServer(t, srv)
+			payload, stats, err := Fetch(context.Background(), l.Dial())
+			if err != nil {
+				t.Fatalf("fetch at queue depth %d: %v (stats %+v)", tc.depth, err, stats)
+			}
+			if !bytes.Equal(payload, media) {
+				t.Fatalf("payload differs at queue depth %d", tc.depth)
+			}
+			srv.Shutdown()
+			checkAccounting(t, srv.Snapshot())
+		})
+	}
+}

@@ -38,15 +38,13 @@ var (
 // writerBatch caps how many queued records one vectored flush covers.
 const writerBatch = 16
 
-// Server sends coded blocks for one object to every connection. Sessions
-// are partitioned across one or more encoder-pump shards: each shard owns a
-// record source, a pump goroutine, and its sessions' queues, and new
-// sessions join the least-loaded shard. Within a shard the pump frames each
+// Server sends coded blocks for one object to every connection. One pump
+// goroutine draws records from the server's one record source, frames each
 // record once and fans the same refcounted buffer out to every session's
-// bounded queue without blocking, and per-connection write deadlines with
-// retry-then-drop semantics bound the cost of a stuck peer. Metrics
-// accumulate both in the aggregate counters and per shard, exposed via
-// Snapshot.
+// bounded queue without blocking; the encode itself runs in parallel on the
+// shared worker pool (rlnc.SharedPool). Per-connection write deadlines with
+// retry-then-drop semantics bound the cost of a stuck peer, and the traffic
+// ledger is exposed via Snapshot.
 //
 // Every session holds a credit per segment: how many more records of it the
 // session is owed (n + margin from the handshake on; netio.go has the rules).
@@ -69,15 +67,15 @@ const writerBatch = 16
 // reader owed nothing: a peer that decoded from the sweep hangs up (the common
 // case, and the pump never woke), and one that asks is fed the XOR repair and
 // dense blocks of the pump's source, as far as its credit goes. The session is
-// in its shard's set from the handshake on, so the session cap, Snapshot,
-// Drain and Shutdown see it in every state.
+// in the server's session set from the handshake on, so the session cap,
+// Snapshot, Drain and Shutdown see it in every state.
 type Server struct {
 	cfg  ServerConfig // normalized
 	info SessionInfo
 
 	frames *framePool
-	shards []*pumpShard
-	sweep  *sweepTable // media-backed ModeSystematic only; shared by every shard
+	src    RecordSource
+	sweep  *sweepTable // media-backed ModeSystematic only
 
 	// counter marks a media-backed ModeDense server: its records are XNC3
 	// counter records under key, which every session header declares.
@@ -98,8 +96,10 @@ type Server struct {
 	admissionBusy       obs.Counter
 	admissionRedirected obs.Counter
 
+	// mu guards the session set and the server's lifecycle. sessions holds
+	// every session past its handshake: its size is the live session count.
 	mu        sync.Mutex
-	joined    int // sessions currently past handshake, across all shards
+	sessions  map[*session]struct{}
 	closed    bool
 	draining  bool
 	drainAddr string        // REDIRECT target while draining ("" → BUSY)
@@ -108,10 +108,19 @@ type Server struct {
 	nextID    int64
 
 	stop     chan struct{} // closed by Shutdown
+	wake     chan struct{} // a session arrived or was granted credit
+	consumed chan struct{} // a session drained a record
 	pumpOnce sync.Once
 	pumpWG   sync.WaitGroup
 	wg       sync.WaitGroup // session goroutines
 	auxWG    sync.WaitGroup // decision-writer goroutines
+
+	// laid is the frames whose buffers alloc has handed the source this round,
+	// in order; wrap matches the records the source returns against it. room
+	// is each live session's free queue slots this round. Both are the pump
+	// goroutine's.
+	laid []*frameRef
+	room []int
 
 	// Distributed tracing (tracectx.go). traced is latched at construction —
 	// cfg.TraceNode set AND the process-global recorder enabled — so every
@@ -122,34 +131,6 @@ type Server struct {
 	traced   bool
 	traceID  trace.TraceID
 	rootSpan trace.Span
-}
-
-// pumpShard is one encoder pump and the sessions it feeds. Every shard runs
-// the same loop as the original single shared pump; sharding multiplies the
-// number of independent fan-out loops, and the per-shard counters make the
-// offered == sent + shed ledger checkable shard by shard.
-type pumpShard struct {
-	id  int
-	s   *Server
-	src RecordSource
-
-	// laid is the frames whose buffers alloc has handed the source this round,
-	// in order; wrap matches the records the source returns against it. room
-	// is each live session's free queue slots this round. Both are the pump
-	// goroutine's.
-	laid []*frameRef
-	room []int
-
-	mu       sync.Mutex
-	sessions map[*session]struct{}
-
-	wake     chan struct{} // a session arrived or was granted credit
-	consumed chan struct{} // a session drained a record
-
-	// c is the shard's slice of the traffic ledger, unregistered: the
-	// obs-registered counters stay server-wide so metric cardinality does not
-	// scale with the shard count.
-	c Counters
 }
 
 // NewServerFromConfig builds a media-backed server over media split at p:
@@ -164,24 +145,18 @@ func NewServerFromConfig(media []byte, p rlnc.Params, cfg ServerConfig) (*Server
 		return nil, err
 	}
 	cfg = cfg.normalized(p.BlockCount)
-	// The dense shards share one key and one record index per segment, so no
-	// two of them ever frame the same (segment, index): a record is unique
-	// server-wide until a segment has sent 2^32 of them.
 	key := uint64(cfg.Seed)
-	next := make([]atomic.Uint32, len(obj.Segments))
-	srcs := make([]RecordSource, cfg.PumpShards)
-	for i := range srcs {
-		if cfg.Mode == ModeSystematic {
-			srcs[i] = newSystematicSource(obj, shardSeed(cfg.Seed, i))
-			continue
-		}
+	var src RecordSource
+	if cfg.Mode == ModeSystematic {
+		src = newSystematicSource(obj, cfg.Seed)
+	} else {
 		penc, err := rlnc.NewParallelEncoder(rlnc.SharedPool().Workers(), rlnc.FullBlock)
 		if err != nil {
 			return nil, err
 		}
-		srcs[i] = &counterSource{obj: obj, key: key, next: next, penc: penc}
+		src = &counterSource{obj: obj, key: key, next: make([]uint32, len(obj.Segments)), penc: penc}
 	}
-	s, err := newServer(srcs[0].Info(), cfg, srcs)
+	s, err := newServer(cfg, src)
 	if err != nil {
 		return nil, err
 	}
@@ -199,15 +174,10 @@ func NewServerFromConfig(media []byte, p rlnc.Params, cfg ServerConfig) (*Server
 // fan-out, bounded queues with shed-don't-stall, write deadlines, session
 // caps, metrics — is identical to a media-backed server; only where records
 // come from differs. The handshake is declared by src.Info(), so cfg.Mode is
-// ignored here; cfg.EncodeBatch sizes the per-round Records request. A source
-// is one stream of records, so such a server runs one pump: PumpShards > 1 is
-// refused.
+// ignored here; cfg.EncodeBatch sizes the per-round Records request.
 func NewSourceServerFromConfig(src RecordSource, cfg ServerConfig) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.PumpShards > 1 {
-		return nil, fmt.Errorf("netio: %d pump shards: source-backed servers run one pump", cfg.PumpShards)
 	}
 	info := src.Info()
 	if err := info.Validate(); err != nil {
@@ -215,36 +185,23 @@ func NewSourceServerFromConfig(src RecordSource, cfg ServerConfig) (*Server, err
 	}
 	cfg = cfg.normalized(info.Params.BlockCount)
 	cfg.Mode = info.Mode
-	return newServer(info, cfg, []RecordSource{src})
+	return newServer(cfg, src)
 }
 
-// shardSeed derives shard i's coefficient-stream seed. Shard 0 keeps the
-// base seed unchanged.
-func shardSeed(seed int64, i int) int64 {
-	const lane = int64(0x5851F42D4C957F2D) // odd multiplier: distinct lanes per shard
-	return seed + int64(i)*lane
-}
-
-// newServer builds the server over one source per pump shard.
-func newServer(info SessionInfo, cfg ServerConfig, srcs []RecordSource) (*Server, error) {
+// newServer builds the server over its record source.
+func newServer(cfg ServerConfig, src RecordSource) (*Server, error) {
+	info := src.Info()
 	s := &Server{
 		cfg:       cfg,
 		info:      info,
 		grantCap:  int32(info.Params.BlockCount + grantMargin(info.Mode)),
 		frames:    &framePool{},
+		src:       src,
+		sessions:  make(map[*session]struct{}),
 		stop:      make(chan struct{}),
+		wake:      make(chan struct{}, 1),
+		consumed:  make(chan struct{}, 1),
 		listeners: make(map[net.Listener]struct{}),
-	}
-	s.shards = make([]*pumpShard, len(srcs))
-	for i, src := range srcs {
-		s.shards[i] = &pumpShard{
-			id:       i,
-			s:        s,
-			src:      src,
-			sessions: make(map[*session]struct{}),
-			wake:     make(chan struct{}, 1),
-			consumed: make(chan struct{}, 1),
-		}
 	}
 	if cfg.Metrics != nil {
 		if err := s.registerMetrics(cfg.Metrics); err != nil {
@@ -292,15 +249,9 @@ func (s *Server) registerMetrics(reg *obs.Registry) error {
 	if err := reg.RegisterFunc("netio.sessions_live",
 		"sessions currently connected", func() float64 {
 			s.mu.Lock()
-			n := s.joined
+			n := len(s.sessions)
 			s.mu.Unlock()
 			return float64(n)
-		}); err != nil {
-		return err
-	}
-	if err := reg.RegisterFunc("netio.pump_shards",
-		"independent encoder pumps serving sessions", func() float64 {
-			return float64(len(s.shards))
 		}); err != nil {
 		return err
 	}
@@ -320,14 +271,10 @@ func (s *Server) Mode() WireMode { return s.info.Mode }
 // Info returns the session handshake the server declares.
 func (s *Server) Info() SessionInfo { return s.info }
 
-// Shards returns the number of encoder-pump shards.
-func (s *Server) Shards() int { return len(s.shards) }
-
 // session is one connected client.
 type session struct {
 	id      int64
 	conn    net.Conn
-	shard   *pumpShard // set at join; nil for sessions that never joined
 	q       *frameQueue
 	started time.Time
 
@@ -364,7 +311,7 @@ func (ss *session) owedNothing() bool {
 
 // Serve accepts connections from l until ctx is cancelled, the listener
 // fails, or the server is shut down. Every accepted connection becomes a
-// session fed from a shard's encoder pump. It returns nil after a clean
+// session fed from the server's pump. It returns nil after a clean
 // Shutdown and ctx.Err() after cancellation (which also shuts the server
 // down).
 func (s *Server) Serve(ctx context.Context, l net.Listener) error {
@@ -383,7 +330,7 @@ func (s *Server) Serve(ctx context.Context, l net.Listener) error {
 		delete(s.listeners, l)
 		s.mu.Unlock()
 	}()
-	s.startPumps()
+	s.startPump()
 
 	unhook := context.AfterFunc(ctx, func() { l.Close() })
 	defer unhook()
@@ -405,14 +352,7 @@ func (s *Server) Serve(ctx context.Context, l net.Listener) error {
 		}
 		if !s.startSession(conn) {
 			conn.Close()
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				return nil
-			}
-			// Unreachable today (every live-server reject writes a
-			// decision instead), kept as the accept-loop backstop.
+			return nil
 		}
 	}
 }
@@ -436,7 +376,7 @@ func (s *Server) startSession(conn net.Conn) bool {
 		s.rejectSession(conn, d)
 		return true
 	}
-	if s.cfg.MaxSessions > 0 && s.joined >= s.cfg.MaxSessions {
+	if s.cfg.MaxSessions > 0 && len(s.sessions) >= s.cfg.MaxSessions {
 		s.sessionsRejected.Add(1)
 		s.rejectSession(conn, admissionDecision{code: admissionBusy, retryAfter: s.cfg.RetryAfter})
 		return true
@@ -504,8 +444,8 @@ func (s *Server) rejectSession(conn net.Conn, d admissionDecision) {
 	}()
 }
 
-// runSession writes the handshake, joins the least-loaded shard's session
-// set, and streams records — the sweep first on a sweep server, then whatever
+// runSession writes the handshake, joins the server's session set, and
+// streams records — the sweep first on a sweep server, then whatever
 // the pump queues — with the session's reader beside it, until the peer hangs
 // up, asks wrongly or idles out, a write fails its deadline budget, or the
 // server shuts down.
@@ -537,27 +477,19 @@ func (s *Server) runSession(ss *session) {
 		s.mu.Lock()
 		joined := !s.closed
 		if joined {
-			sh := s.leastLoadedShard()
-			ss.shard = sh
-			sh.mu.Lock()
-			sh.sessions[ss] = struct{}{}
-			sh.mu.Unlock()
-			s.joined++
+			s.sessions[ss] = struct{}{}
 		}
 		s.mu.Unlock()
 		if joined {
 			if s.sweep == nil || s.writeSweep(ss) == nil {
 				go s.readNeeds(ss)
-				ss.shard.signalWake()
+				s.signalWake()
 				s.writeLoop(ss)
 				ss.conn.Close() // ends the reader, if the writer ended first
 				<-ss.hangup
 			}
 			s.mu.Lock()
-			ss.shard.mu.Lock()
-			delete(ss.shard.sessions, ss)
-			ss.shard.mu.Unlock()
-			s.joined--
+			delete(s.sessions, ss)
 			s.mu.Unlock()
 		}
 	}
@@ -618,7 +550,7 @@ func (s *Server) grant(ss *session, deficits []uint32) {
 		ss.credit[i].Store(c)
 	}
 	ss.idleMu.Unlock()
-	ss.shard.signalWake()
+	s.signalWake()
 }
 
 // awaitAsk arms the idle read deadline of a session owed nothing whose queue
@@ -669,33 +601,11 @@ func (s *Server) writeSweep(ss *session) error {
 		offered := int64(len(batch))
 		ss.offered.Add(offered)
 		s.counters.AddOffered(offered)
-		ss.shard.c.AddOffered(offered)
 		if err := s.flush(ss, batch, &bufs, preludes); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// leastLoadedShard picks the shard with the fewest sessions (ties go to the
-// lowest id). Called with s.mu held.
-func (s *Server) leastLoadedShard() *pumpShard {
-	best := s.shards[0]
-	if len(s.shards) == 1 {
-		return best
-	}
-	best.mu.Lock()
-	bestN := len(best.sessions)
-	best.mu.Unlock()
-	for _, sh := range s.shards[1:] {
-		sh.mu.Lock()
-		n := len(sh.sessions)
-		sh.mu.Unlock()
-		if n < bestN {
-			best, bestN = sh, n
-		}
-	}
-	return best
 }
 
 // shedResidue empties the session queue at teardown, shedding and releasing
@@ -708,9 +618,6 @@ func (s *Server) shedResidue(ss *session) {
 	n := int64(len(rest))
 	ss.shed.Add(n)
 	s.counters.AddShed(n)
-	if ss.shard != nil {
-		ss.shard.c.AddShed(n)
-	}
 	trace.Emit(trace.KindShed, s.traceNodeName(), "teardown", -1, n)
 	for _, fr := range rest {
 		fr.release()
@@ -743,7 +650,7 @@ func (s *Server) writeLoop(ss *session) {
 				return
 			}
 		}
-		ss.shard.signalConsumed()
+		s.signalConsumed()
 		err := s.flush(ss, batch[:n], &bufs, preludes)
 		for i := 0; i < n; i++ {
 			batch[i].release()
@@ -778,12 +685,10 @@ func (s *Server) flush(ss *session, batch []*frameRef, bufs *net.Buffers, prelud
 		ss.sent.Add(int64(sentN))
 		ss.bytes.Add(sentBytes)
 		s.counters.AddSent(int64(sentN), sentBytes)
-		ss.shard.c.AddSent(int64(sentN), sentBytes)
 	}
 	if dropped := int64(len(batch) - sentN); dropped > 0 {
 		ss.shed.Add(dropped)
 		s.counters.AddShed(dropped)
-		ss.shard.c.AddShed(dropped)
 		trace.Emit(trace.KindShed, s.traceNodeName(), "write_failed", -1, dropped)
 	}
 	return err
@@ -858,46 +763,43 @@ func framesDone(frs []*frameRef, written, preludeLen int) (int, int64, bool) {
 	return k, bytes, false
 }
 
-func (sh *pumpShard) signalWake() {
+func (s *Server) signalWake() {
 	select {
-	case sh.wake <- struct{}{}:
+	case s.wake <- struct{}{}:
 	default:
 	}
 }
 
-func (sh *pumpShard) signalConsumed() {
+func (s *Server) signalConsumed() {
 	select {
-	case sh.consumed <- struct{}{}:
+	case s.consumed <- struct{}{}:
 	default:
 	}
 }
 
-func (s *Server) startPumps() {
+func (s *Server) startPump() {
 	s.pumpOnce.Do(func() {
-		for _, sh := range s.shards {
-			s.pumpWG.Add(1)
-			go sh.run()
-		}
+		s.pumpWG.Add(1)
+		go s.pump()
 	})
 }
 
-// run is one shard's record loop: each round it picks the next segment, in
+// pump is the server's record loop: each round it picks the next segment, in
 // round-robin order, that some session is owed and has queue room for, pulls a
-// batch of it from the shard's source and fans the framed records out to the
+// batch of it from the source and fans the framed records out to the
 // sessions owed them, without ever blocking on a client. When sessions are
 // owed records but every one of their queues is full, the pump parks briefly
 // and the wait is charged to the encode-stall counters; when no session is
 // owed anything it sleeps, with nothing charged, until a session joins, asks
 // or drains. A dry source (a relay whose recoders have no rank yet) parks the
 // pump briefly without charging a stall.
-func (sh *pumpShard) run() {
-	s := sh.s
+func (s *Server) pump() {
 	defer s.pumpWG.Done()
-	segments := sh.src.Info().Segments
-	segIdx := sh.id % segments // stagger shards across segments
+	segments := s.info.Segments
+	segIdx := 0
 	live := make([]*session, 0, 16)
 	frames := make([]*frameRef, 0, s.cfg.EncodeBatch)
-	alloc := sh.alloc // bound once: evaluating a method value allocates
+	alloc := s.alloc // bound once: evaluating a method value allocates
 	for {
 		select {
 		case <-s.stop:
@@ -905,15 +807,15 @@ func (sh *pumpShard) run() {
 		default:
 		}
 
-		sh.mu.Lock()
+		s.mu.Lock()
 		live = live[:0]
-		for ss := range sh.sessions {
+		for ss := range s.sessions {
 			live = append(live, ss)
 		}
-		sh.mu.Unlock()
-		seg, batch, owed := sh.next(live, segIdx, segments)
+		s.mu.Unlock()
+		seg, batch, owed := s.nextRound(live, segIdx, segments)
 		if batch == 0 {
-			if !sh.park(owed) {
+			if !s.park(owed) {
 				return
 			}
 			continue
@@ -928,7 +830,7 @@ func (sh *pumpShard) run() {
 			round = trace.Begin(s.cfg.TraceNode, "round", s.traceID, s.rootSpan.ID(), int32(seg))
 			enc = trace.Begin(s.cfg.TraceNode, "encode", s.traceID, round.ID(), int32(seg))
 		}
-		frames = sh.wrap(frames[:0], sh.src.Records(seg, batch, alloc))
+		frames = s.wrap(frames[:0], s.src.Records(seg, batch, alloc))
 		segIdx = (seg + 1) % segments
 		if len(frames) == 0 {
 			// Nothing to say for this segment yet. Park briefly — this is
@@ -943,7 +845,6 @@ func (sh *pumpShard) run() {
 		}
 		enc.End()
 		s.counters.AddEncoded(int64(len(frames)))
-		sh.c.AddEncoded(int64(len(frames)))
 
 		for _, fr := range frames {
 			fr.round = uint64(round.ID())
@@ -953,7 +854,7 @@ func (sh *pumpShard) run() {
 		if s.traced {
 			offer = trace.Begin(s.cfg.TraceNode, "queue_offer", s.traceID, round.ID(), int32(seg))
 		}
-		sh.fanOut(frames, live, seg)
+		s.fanOut(frames, live, seg)
 		offer.End()
 		round.End()
 		// Drop the pump's own reference; queued copies keep the frames
@@ -972,11 +873,11 @@ func (sh *pumpShard) run() {
 	}
 }
 
-// alloc is the allocator the shard's source builds its records in: the buffer
-// of a frame from the pool, which wrap finds again when the record comes back.
-func (sh *pumpShard) alloc(n int) []byte {
-	fr := sh.s.frames.get(n)
-	sh.laid = append(sh.laid, fr)
+// alloc is the allocator the source builds its records in: the buffer of a
+// frame from the pool, which wrap finds again when the record comes back.
+func (s *Server) alloc(n int) []byte {
+	fr := s.frames.get(n)
+	s.laid = append(s.laid, fr)
 	return fr.buf
 }
 
@@ -984,38 +885,38 @@ func (sh *pumpShard) alloc(n int) []byte {
 // in buffers from this round's alloc calls and returns in that order; a buffer
 // it took and did not return is recycled. Anything else in recs is a bug in
 // the source — the server would recycle memory it does not own — and panics.
-func (sh *pumpShard) wrap(frames []*frameRef, recs [][]byte) []*frameRef {
+func (s *Server) wrap(frames []*frameRef, recs [][]byte) []*frameRef {
 	next := 0
 	for _, rec := range recs {
 		// Frames are never empty: the smallest record is a header and a CRC.
-		for ; next < len(sh.laid) && (len(rec) == 0 || &sh.laid[next].buf[0] != &rec[0]); next++ {
-			sh.laid[next].release()
+		for ; next < len(s.laid) && (len(rec) == 0 || &s.laid[next].buf[0] != &rec[0]); next++ {
+			s.laid[next].release()
 		}
-		if next == len(sh.laid) {
+		if next == len(s.laid) {
 			panic("netio: RecordSource returned a record it did not build in a buffer from alloc")
 		}
-		fr := sh.laid[next]
+		fr := s.laid[next]
 		next++
 		fr.buf = rec
 		frames = append(frames, fr)
 	}
-	for _, fr := range sh.laid[next:] {
+	for _, fr := range s.laid[next:] {
 		fr.release()
 	}
-	clear(sh.laid)
-	sh.laid = sh.laid[:0]
+	clear(s.laid)
+	s.laid = s.laid[:0]
 	return frames
 }
 
-// next picks the round's segment and batch size: the first segment from
+// nextRound picks the round's segment and batch size: the first segment from
 // cursor, in round-robin order, that a live session is owed and has queue room
 // for, and min(EncodeBatch, max over sessions of min(credit, free slots)).
 // owed reports whether any session is owed anything at all, so a zero batch
 // with owed set means every owed session's queue is full.
-func (sh *pumpShard) next(live []*session, cursor, segments int) (seg, batch int, owed bool) {
-	sh.room = sh.room[:0]
+func (s *Server) nextRound(live []*session, cursor, segments int) (seg, batch int, owed bool) {
+	s.room = s.room[:0]
 	for _, ss := range live {
-		sh.room = append(sh.room, ss.q.free())
+		s.room = append(s.room, ss.q.free())
 	}
 	for i := range segments {
 		seg = (cursor + i) % segments
@@ -1025,10 +926,10 @@ func (sh *pumpShard) next(live []*session, cursor, segments int) (seg, batch int
 				continue
 			}
 			owed = true
-			batch = max(batch, min(c, sh.room[j]))
+			batch = max(batch, min(c, s.room[j]))
 		}
 		if batch > 0 {
-			return seg, min(batch, sh.s.cfg.EncodeBatch), true
+			return seg, min(batch, s.cfg.EncodeBatch), true
 		}
 	}
 	return 0, 0, owed
@@ -1039,12 +940,11 @@ func (sh *pumpShard) next(live []*session, cursor, segments int) (seg, batch int
 // briefly, as a backstop) and charge the wait as encoder stall time. Sessions
 // owed nothing — or none at all — cost nothing: sleep until one joins, asks or
 // drains. It reports false once the server is stopping.
-func (sh *pumpShard) park(owed bool) bool {
-	s := sh.s
+func (s *Server) park(owed bool) bool {
 	if !owed {
 		select {
-		case <-sh.wake:
-		case <-sh.consumed:
+		case <-s.wake:
+		case <-s.consumed:
 		case <-s.stop:
 			return false
 		}
@@ -1053,32 +953,29 @@ func (sh *pumpShard) park(owed bool) bool {
 	t0 := time.Now()
 	stopped := false
 	select {
-	case <-sh.consumed:
+	case <-s.consumed:
 	case <-s.stop:
 		stopped = true
 	case <-time.After(2 * time.Millisecond):
 	}
-	d := time.Since(t0)
-	s.counters.AddEncodeStall(d)
-	sh.c.AddEncodeStall(d)
+	s.counters.AddEncodeStall(time.Since(t0))
 	return !stopped
 }
 
 // fanOut offers each live session as many of the round's frames of segment seg
-// as it is owed and its queue had room for when next sized the round: one bulk
+// as it is owed and its queue had room for when nextRound sized the round: one bulk
 // offer (one lock, one batched counter update) per owed session per round.
 // The offer is taken from the session's credit before its writer can see the
 // records — a writer that empties its queue never finds credit for records
 // already queued. Only this pump fills the queue, so the room can only have
 // grown since: a queue refuses records only once its session is tearing down,
 // and those are shed with the rest of its queue.
-func (sh *pumpShard) fanOut(frames []*frameRef, live []*session, seg int) {
-	s := sh.s
+func (s *Server) fanOut(frames []*frameRef, live []*session, seg int) {
 	var roundOffered, roundShed int64
 	osp := stageQueueOffer.Start()
 	for j, ss := range live {
 		credit := &ss.credit[seg]
-		k := min(int(credit.Load()), len(frames), sh.room[j])
+		k := min(int(credit.Load()), len(frames), s.room[j])
 		if k <= 0 {
 			continue
 		}
@@ -1094,8 +991,6 @@ func (sh *pumpShard) fanOut(frames []*frameRef, live []*session, seg int) {
 	osp.End()
 	s.counters.AddOffered(roundOffered)
 	s.counters.AddShed(roundShed)
-	sh.c.AddOffered(roundOffered)
-	sh.c.AddShed(roundShed)
 	if roundShed > 0 {
 		trace.Emit(trace.KindShed, s.traceNodeName(), "teardown", -1, roundShed)
 	}
@@ -1118,12 +1013,8 @@ func LayDenseRecord(segID uint32, p rlnc.Params, alloc func(int) []byte) (rec, r
 // SealDenseRecord writes the checksum of a record from LayDenseRecord.
 func SealDenseRecord(rec []byte) { rlnc.SealWire(rec[recordLenLen:]) }
 
-// Snapshot copies the server's aggregate counters, each shard's slice of
-// them, and the state of every live session.
+// Snapshot copies the server's counters and the state of every live session.
 func (s *Server) Snapshot() Snapshot {
-	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
 	snap := Snapshot{
 		Version:             SnapshotVersion,
 		Mode:                s.Mode(),
@@ -1132,34 +1023,25 @@ func (s *Server) Snapshot() Snapshot {
 		SessionSeconds:      time.Duration(s.sessionSecs.Load()).Seconds(),
 		AdmissionBusy:       s.admissionBusy.Load(),
 		AdmissionRedirected: s.admissionRedirected.Load(),
-		Draining:            draining,
 		CounterView:         s.counters.View(),
 	}
-	snap.Shards = make([]ShardSnapshot, len(s.shards))
-	snap.PerSession = make([]SessionSnapshot, 0, 16)
-	for i, sh := range s.shards {
-		sh.mu.Lock()
-		snap.Shards[i] = ShardSnapshot{
-			Shard:       sh.id,
-			Sessions:    len(sh.sessions),
-			CounterView: sh.c.View(),
-		}
-		for ss := range sh.sessions {
-			snap.PerSession = append(snap.PerSession, SessionSnapshot{
-				ID:       ss.id,
-				Shard:    sh.id,
-				Addr:     remoteAddr(ss.conn),
-				QueueLen: ss.q.len(),
-				QueueCap: ss.q.cap(),
-				Offered:  ss.offered.Load(),
-				Sent:     ss.sent.Load(),
-				Shed:     ss.shed.Load(),
-				Bytes:    ss.bytes.Load(),
-				Duration: time.Since(ss.started),
-			})
-		}
-		sh.mu.Unlock()
-		snap.Sessions += snap.Shards[i].Sessions
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	snap.Draining = s.draining
+	snap.Sessions = len(s.sessions)
+	snap.PerSession = make([]SessionSnapshot, 0, len(s.sessions))
+	for ss := range s.sessions {
+		snap.PerSession = append(snap.PerSession, SessionSnapshot{
+			ID:       ss.id,
+			Addr:     remoteAddr(ss.conn),
+			QueueLen: ss.q.len(),
+			QueueCap: ss.q.cap(),
+			Offered:  ss.offered.Load(),
+			Sent:     ss.sent.Load(),
+			Shed:     ss.shed.Load(),
+			Bytes:    ss.bytes.Load(),
+			Duration: time.Since(ss.started),
+		})
 	}
 	return snap
 }
@@ -1183,14 +1065,9 @@ func (s *Server) Shutdown() {
 	for l := range s.listeners {
 		l.Close()
 	}
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		for ss := range sh.sessions {
-			ss.conn.Close()
-		}
-		sh.mu.Unlock()
-	}
 	s.mu.Unlock()
+	// No session joins once closed is set, so this reaches every one.
+	s.closeSessions()
 	if !alreadyClosed {
 		close(s.stop)
 	}
@@ -1205,16 +1082,12 @@ func (s *Server) Shutdown() {
 	}
 }
 
-// closeSessions force-closes every live session connection without marking
-// the server closed — the drain-deadline hammer.
+// closeSessions force-closes every live session connection: Shutdown's
+// teardown, and the drain-deadline hammer.
 func (s *Server) closeSessions() {
 	s.mu.Lock()
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		for ss := range sh.sessions {
-			ss.conn.Close()
-		}
-		sh.mu.Unlock()
+	for ss := range s.sessions {
+		ss.conn.Close()
 	}
 	s.mu.Unlock()
 }
@@ -1250,10 +1123,10 @@ func (s *Server) Drain(ctx context.Context, redirectAddr string) error {
 	s.drainAddr = redirectAddr
 	done := make(chan struct{})
 	s.drainDone = done
-	joined := s.joined
+	live := len(s.sessions)
 	s.mu.Unlock()
 	defer close(done)
-	trace.Emit(trace.KindDrain, s.traceNodeName(), redirectAddr, -1, int64(joined))
+	trace.Emit(trace.KindDrain, s.traceNodeName(), redirectAddr, -1, int64(live))
 
 	// No session wg.Add can happen once draining is set (the admission path
 	// rejects under the same mutex), so waiting here cannot race a late Add.

@@ -97,8 +97,7 @@ func heapAlloc(n int) []byte { return make([]byte, n) }
 // server, framed: entry seg·n + i is the XNC2 record of source block i of
 // segment seg, length prefix included. The record is a constant, so it is
 // framed once — two k-byte copies, an allocation and a CRC that the pump used
-// to repeat every cycle — and every session of every shard writes the same
-// bytes. Entries are built on first use: server bring-up is a gated metric, and
+// to repeat every cycle — and every session writes the same bytes. Entries are built on first use: server bring-up is a gated metric, and
 // a server nobody has fetched from yet should not have paid to frame its object.
 type sweepTable struct {
 	obj     *rlnc.Object
@@ -132,14 +131,14 @@ func (t *sweepTable) record(idx int) []byte {
 
 // counterSource is the media-backed ModeDense RecordSource behind
 // NewServerFromConfig: batches of XNC3 counter records encoded straight into
-// wire frames by the shard's parallel encoder. A record's coefficients are
+// wire frames by the parallel encoder. A record's coefficients are
 // rlnc.CounterCoeffs(key, segment, index), so nothing random is drawn and
-// nothing but the index travels. Every shard of a server has its own
-// counterSource over one shared key and one shared index counter per segment.
+// nothing but the index travels. Indices count from zero per segment, so a
+// record is unique server-wide until a segment has sent 2^32 of them.
 type counterSource struct {
 	obj  *rlnc.Object
 	key  uint64
-	next []atomic.Uint32 // per segment, shared by every shard of the server
+	next []uint32 // per segment: the index of the next record to frame
 
 	// penc encodes a batch; coeffBuf holds its coefficient vectors, coeffs
 	// views them, and payloads views the payloads of the frames under
@@ -165,9 +164,8 @@ func (c *counterSource) Records(seg, batch int, alloc func(int) []byte) [][]byte
 	if len(c.coeffBuf) < batch*n {
 		c.coeffBuf = make([]byte, batch*n)
 	}
-	// One atomic add claims the whole batch: no other shard frames these
-	// (segment, index) pairs until the counter wraps at 2^32.
-	first := c.next[seg].Add(uint32(batch)) - uint32(batch)
+	first := c.next[seg]
+	c.next[seg] += uint32(batch)
 	recs, coeffs, payloads := c.recs[:0], c.coeffs[:0], c.payloads[:0]
 	for i := range batch {
 		index := first + uint32(i)
@@ -198,15 +196,14 @@ func objectInfo(obj *rlnc.Object, mode WireMode) SessionInfo {
 // systematicSource is the media-backed ModeSystematic RecordSource behind
 // NewServerFromConfig: the XOR repair → dense tail part of the systematic
 // schedule per segment — the sweep reaches each session from the server's
-// sweepTable, not from here. A sharded server builds one per shard, each
-// with its own seed lane.
+// sweepTable, not from here.
 type systematicSource struct {
 	obj *rlnc.Object
 
-	// rng is the source's one coefficient stream, seeded once from the shard's
-	// seed lane and drawn from for as long as the source lives (each pump is
-	// single-goroutine, so it needs no lock): two sources built alike emit the
-	// same records for the same sequence of Records calls.
+	// rng is the source's one coefficient stream, seeded once from the
+	// server's seed and drawn from for as long as the source lives (the pump
+	// is single-goroutine, so it needs no lock): two sources built alike emit
+	// the same records for the same sequence of Records calls.
 	rng *rand.Rand
 
 	sysEncs []*rlnc.SystematicEncoder // one cycling schedule encoder per segment

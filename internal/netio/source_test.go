@@ -6,14 +6,13 @@ import (
 	"fmt"
 	"io"
 	"runtime/debug"
-	"sync/atomic"
 	"testing"
 
 	"extremenc/internal/rlnc"
 )
 
 // denseSource builds the origin's dense record source over a fresh object:
-// one shard's counterSource, with segments index counters of its own.
+// the server's counterSource, with segments index counters.
 func denseSource(t testing.TB, p rlnc.Params, segments, workers int, key uint64) *counterSource {
 	t.Helper()
 	obj, err := rlnc.Split(testMedia(t, segments*p.SegmentSize()-1, 7), p)
@@ -24,20 +23,18 @@ func denseSource(t testing.TB, p rlnc.Params, segments, workers int, key uint64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &counterSource{obj: obj, key: key, next: make([]atomic.Uint32, len(obj.Segments)), penc: penc}
+	return &counterSource{obj: obj, key: key, next: make([]uint32, len(obj.Segments)), penc: penc}
 }
 
-// encodeWith gives every dense shard of srv, before it serves, a parallel
+// encodeWith gives the dense source of srv, before it serves, a parallel
 // encoder of its own with the given worker count.
 func encodeWith(t testing.TB, srv *Server, workers int) *Server {
 	t.Helper()
-	for _, sh := range srv.shards {
-		penc, err := rlnc.NewParallelEncoder(workers, rlnc.FullBlock)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sh.src.(*counterSource).penc = penc
+	penc, err := rlnc.NewParallelEncoder(workers, rlnc.FullBlock)
+	if err != nil {
+		t.Fatal(err)
 	}
+	srv.src.(*counterSource).penc = penc
 	return srv
 }
 
@@ -78,16 +75,13 @@ func TestDenseRecordsDifferential(t *testing.T) {
 
 // TestServerSeedFixesTheStream: what a seed promises is the whole record
 // sequence — the key is the seed, indices count from zero — the same on two
-// servers and under any encoder worker count. The shards of a sharded server
-// share the key and one index counter per segment, so no two of them ever
-// frame the same (segment, index).
+// servers and under any encoder worker count.
 func TestServerSeedFixesTheStream(t *testing.T) {
 	p := rlnc.Params{BlockCount: 8, BlockSize: 64}
 	media := testMedia(t, 3*p.SegmentSize(), 12)
-	newServer := func(workers, shards int) *Server {
+	newServer := func(workers int) *Server {
 		cfg := DefaultServerConfig()
 		cfg.Seed = 99
-		cfg.PumpShards = shards
 		srv, err := NewServerFromConfig(media, p, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -95,7 +89,7 @@ func TestServerSeedFixesTheStream(t *testing.T) {
 		return encodeWith(t, srv, workers)
 	}
 	grant := func(workers int) []byte {
-		conn := startPipeServer(t, newServer(workers, 1)).Dial()
+		conn := startPipeServer(t, newServer(workers)).Dial()
 		defer conn.Close()
 		// A session's first grant, 3 × (n + margin) = 30 records, fits its
 		// queue of 64: none is shed, so they are the pump's first 30.
@@ -115,25 +109,6 @@ func TestServerSeedFixesTheStream(t *testing.T) {
 	hs, err := readHandshake(bytes.NewReader(one))
 	if err != nil || !hs.counter() || hs.key != 99 {
 		t.Fatalf("handshake %+v, %v: want a counter session under key 99", hs, err)
-	}
-
-	// Four shards interleave rounds on one segment: between them they frame
-	// indices 0 … 4·batch−1 of it, each exactly once.
-	srv := newServer(1, 4)
-	defer srv.Shutdown()
-	seen := make(map[uint32]bool)
-	for round := range 8 {
-		sh := srv.shards[round%4]
-		for _, rec := range sh.src.Records(0, 8, heapAlloc) {
-			index := binary.BigEndian.Uint32(rec[recordLenLen+16:])
-			if seen[index] {
-				t.Fatalf("shard %d framed index %d of segment 0 again", sh.id, index)
-			}
-			seen[index] = true
-		}
-	}
-	if len(seen) != 64 || !seen[0] || !seen[63] {
-		t.Fatalf("8 rounds of 8 framed %d distinct indices, want 0 … 63", len(seen))
 	}
 }
 
@@ -158,13 +133,12 @@ func TestDenseSendPathDoesNotAllocate(t *testing.T) {
 		}
 		defer srv.Shutdown()
 		encodeWith(t, srv, tc.workers)
-		sh := srv.shards[0] // no Serve: the pump is not running
-		alloc := sh.alloc
+		alloc := srv.alloc // no Serve: the pump is not running
 		batch := srv.cfg.EncodeBatch
 		frames := make([]*frameRef, 0, batch)
 		seg := 0
 		round := func() {
-			frames = sh.wrap(frames[:0], sh.src.Records(seg, batch, alloc))
+			frames = srv.wrap(frames[:0], srv.src.Records(seg, batch, alloc))
 			if len(frames) != batch {
 				t.Fatalf("round produced %d frames, want %d", len(frames), batch)
 			}
@@ -192,15 +166,14 @@ func BenchmarkDenseRecords(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer srv.Shutdown()
-			sh := srv.shards[0]
-			alloc := sh.alloc
+			alloc := srv.alloc
 			batch := srv.cfg.EncodeBatch
 			frames := make([]*frameRef, 0, batch)
 			b.SetBytes(int64(p.BlockSize))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for done, seg := 0, 0; done < b.N; done, seg = done+len(frames), (seg+1)%srv.Segments() {
-				frames = sh.wrap(frames[:0], sh.src.Records(seg, batch, alloc))
+				frames = srv.wrap(frames[:0], srv.src.Records(seg, batch, alloc))
 				for _, fr := range frames {
 					fr.release()
 				}

@@ -241,16 +241,12 @@ func TestSweepStartSpreads(t *testing.T) {
 
 // TestSweepLosslessFetch: on a clean link a leaf reads exactly n × segments
 // records and hangs up; the server encodes nothing, sheds nothing, hears no
-// need record, and its ledger balances — on every shard, which all write from
-// the one table.
+// need record, and its ledger balances.
 func TestSweepLosslessFetch(t *testing.T) {
 	p := rlnc.Params{BlockCount: 16, BlockSize: 256}
 	media := testMedia(t, 3*p.SegmentSize()-11, 62)
 	reg := obs.NewRegistry()
-	srv := newSweepServer(t, media, p, func(c *ServerConfig) {
-		c.PumpShards = 2
-		c.Metrics = reg
-	})
+	srv := newSweepServer(t, media, p, func(c *ServerConfig) { c.Metrics = reg })
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Skipf("loopback listen unavailable: %v", err)
@@ -259,7 +255,7 @@ func TestSweepLosslessFetch(t *testing.T) {
 
 	total := 3 * p.BlockCount
 	// Two hand-driven peers first, held open until both have joined, so the
-	// least-loaded rule has put one on each shard.
+	// table serves two sessions at once.
 	var held []*sweepClient
 	for i := 0; i < 2; i++ {
 		conn, err := net.Dial("tcp", l.Addr().String())
@@ -305,11 +301,6 @@ func TestSweepLosslessFetch(t *testing.T) {
 	}
 	if got := srv.needRecords.Load(); got != 0 {
 		t.Fatalf("need_records = %d on a clean link", got)
-	}
-	for _, sh := range snap.Shards {
-		if sh.BlocksSent == 0 || !sh.Consistent() {
-			t.Fatalf("shard %d: %+v", sh.Shard, sh.CounterView)
-		}
 	}
 	for i := range srv.sweep.records {
 		if srv.sweep.records[i].Load() == nil {
