@@ -138,14 +138,17 @@ mesh-smoke:
 	$(GO) test -race -count=1 -skip 'TestMeshSmoke|TestMeshRollingRestart' ./internal/mesh/
 
 # Graceful-degradation drain gate, under the race detector: rolling relay
-# restarts while leaves fetch through faultnet chaos. Each drained relay must
-# REDIRECT its connected leaves to a survivor (rank carried over, redirects
-# observed in leaf fetch stats), rejoin the rotation at a fresh address, and
-# finish with zero failed leaves, byte-identical payloads, zero rank
-# regressions, and exact offered == sent + shed ledgers for drained AND
-# surviving relays in one scraped exposition.
+# restarts while leaves fetch through faultnet chaos. Each restart must move
+# the drained relay's leaves onto a survivor itself (the remediation sweep is
+# too slow to do it in time) — a moved leaf reaches its survivor with rank
+# carried over while the drain is held open — rejoin the rotation at a fresh
+# address, and finish with zero failed leaves, byte-identical payloads, zero
+# rank regressions, and exact offered == sent + shed ledgers for drained AND
+# surviving relays in one scraped exposition. The TestRestartRelay cases run
+# beside it: a restart before the survivors' first heartbeat, and a drain that
+# outlives its deadline yet still ends with the relay back in the rotation.
 drain-chaos:
-	$(GO) test -race -count=1 -v -run 'TestMeshRollingRestart' ./internal/mesh/
+	$(GO) test -race -count=1 -v -run 'TestMeshRollingRestart|TestRestartRelay' ./internal/mesh/
 
 # Randomized chaos soak, CI slice: a fixed-seed schedule of leaf waves,
 # drain-restarts, kills, and leaf waves beside four slow readers on one relay,

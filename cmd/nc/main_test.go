@@ -24,13 +24,14 @@ func TestUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		nil,
 		{"bogus"},
-		{"serve"},                        // no -in
-		{"serve", "-in", "/nonexistent"}, // missing media
-		{"serve", "-brownout", "10ms"},   // the retired ladder's flag is unknown
-		{"fetch"},                        // no -out
-		{"smoke", "-bogus"},              // unknown flag
-		{"smoke", "-mode", "turbo"},      // unknown wire mode
-		{"smoke", "sideways"},            // unknown gate
+		{"serve"},                         // no -in
+		{"serve", "-in", "/nonexistent"},  // missing media
+		{"serve", "-brownout", "10ms"},    // the retired ladder's flag is unknown
+		{"serve", "-drain-redirect", "x"}, // a draining server answers BUSY: the flag is unknown
+		{"fetch"},                         // no -out
+		{"smoke", "-bogus"},               // unknown flag
+		{"smoke", "-mode", "turbo"},       // unknown wire mode
+		{"smoke", "sideways"},             // unknown gate
 	} {
 		if err := run(args, io.Discard); err == nil {
 			t.Errorf("run(%q) accepted", args)

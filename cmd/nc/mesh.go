@@ -68,7 +68,7 @@ type meshSummary struct {
 	Drains     int     `json:"drains"`
 	Kills      int     `json:"kills"`
 	Stalls     int     `json:"stall_waves"` // slow-reader waves
-	Redirects  int     `json:"redirects_honored"`
+	Reroutes   int64   `json:"reroutes"`    // mesh.reroutes_total: leaves the coordinator moved to another relay
 }
 
 // meshPreset returns the defaults of the preset the two flags select.
@@ -140,7 +140,7 @@ func runMesh(args []string, out io.Writer) error {
 		r.seed, r.events, r.relays = 1, 12, 3
 	}
 	if r.soak && r.relays < 3 {
-		return fmt.Errorf("-relays %d: the soak needs at least 3 (drains redirect to a survivor)", r.relays)
+		return fmt.Errorf("-relays %d: the soak needs at least 3 (a drain moves its leaves to a survivor)", r.relays)
 	}
 	if r.kill >= r.relays {
 		return fmt.Errorf("-kill %d would leave no relay for %d relays", r.kill, r.relays)
@@ -307,6 +307,7 @@ func (r *meshRun) run(tg traceGates, invariants map[string]bool) error {
 	}
 	elapsed := time.Since(start)
 	r.sum.ElapsedS = elapsed.Seconds()
+	r.sum.Reroutes, _ = reg.CounterValue("mesh.reroutes_total")
 	invariants["payloads_identical"] = true // every wave byte-verified in step
 	if err := r.checkInvariants(ctx, reg, invariants); err != nil {
 		return fmt.Errorf("invariant (seed %d): %w", r.seed, err)
@@ -331,9 +332,9 @@ func (r *meshRun) run(tg traceGates, invariants map[string]bool) error {
 	invariants["no_goroutine_leak"] = true
 
 	fmt.Fprintf(r.out,
-		"%s ok (seed %d): %d events in %v — %d leaves byte-identical, %d drains, %d kills, %d slow-reader waves, %d redirects honored, %d records tapped, %d blocks recoded, %d remediations\n",
+		"%s ok (seed %d): %d events in %v — %d leaves byte-identical, %d drains, %d kills, %d slow-reader waves, %d reroutes, %d records tapped, %d blocks recoded, %d remediations\n",
 		r.name(), r.seed, len(schedule), elapsed.Round(time.Millisecond),
-		r.sum.LeavesDone, r.sum.Drains, r.sum.Kills, r.sum.Stalls, r.sum.Redirects,
+		r.sum.LeavesDone, r.sum.Drains, r.sum.Kills, r.sum.Stalls, r.sum.Reroutes,
 		snap.Tapped, snap.Emitted, snap.Remediations)
 	if r.snapshot == "" {
 		return nil
@@ -416,8 +417,9 @@ func (r *meshRun) pickRelay() (string, bool) {
 
 // leafWave runs count leaves to completion and byte-verifies each. With a
 // relay id, ev (a drain-restart or a kill) hits that relay once every leaf of
-// the wave has records in hand; its leaves must follow the REDIRECT or be
-// remediated and still finish intact.
+// the wave has records in hand; its leaves are moved to a survivor — by the
+// restart itself, or by remediation after a kill — and must still finish
+// intact.
 func (r *meshRun) leafWave(ctx context.Context, count int, ev event, id string) error {
 	wave := make([]*mesh.Leaf, 0, count)
 	for range count {
@@ -456,10 +458,10 @@ func (r *meshRun) leafWave(ctx context.Context, count int, ev event, id string) 
 	if err := harness.VerifyLeaves(r.media, wave...); err != nil {
 		return err
 	}
+	views := r.m.Snapshot().Leaves
 	for _, leaf := range wave {
-		r.sum.Redirects += leaf.FetchStats().AdmissionRedirected
-		r.logf("  leaf %d ok: %d records, %d reconnects, %d redirects, %v\n",
-			leaf.ID, leaf.Records(), leaf.Reconnects(), leaf.Redirector().Redirects(), leaf.Duration())
+		r.logf("  leaf %d ok: %d records, %d reconnects, %d moves, %v\n",
+			leaf.ID, leaf.Records(), leaf.Reconnects(), views[leaf.ID].Moves, leaf.Duration())
 	}
 	r.sum.LeavesDone += len(wave)
 	return nil

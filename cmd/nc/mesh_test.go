@@ -155,7 +155,7 @@ func TestRunErrors(t *testing.T) {
 
 func TestRunRejectsTooFewRelays(t *testing.T) {
 	if err := run([]string{"mesh", "-soak", "-relays", "2"}, io.Discard); err == nil {
-		t.Fatal("a two-relay soak was accepted: a drain has no survivor to redirect to")
+		t.Fatal("a two-relay soak was accepted: a drain has no survivor to move its leaves to")
 	}
 }
 

@@ -60,9 +60,7 @@ func runServe(args []string, out io.Writer) error {
 	inPath := fs.String("in", "", "media file to serve")
 	logEvery := fs.Duration("log-every", 0, "interval between structured progress lines on stderr (0 = off)")
 	drain := fs.Duration("drain", 10*time.Second,
-		"graceful drain deadline on SIGINT/SIGTERM: in-flight sessions run to rank completion while new connections get a structured refusal (0 = immediate shutdown)")
-	drainRedirect := fs.String("drain-redirect", "",
-		"address carried in REDIRECT admission decisions while draining (empty = refuse with BUSY)")
+		"graceful drain deadline on SIGINT/SIGTERM: in-flight sessions run to rank completion while new connections get BUSY (0 = immediate shutdown)")
 	c := common{n: 32, k: 4096, flight: 16384}
 	c.register(fs, "n", "k", "metrics", "flight")
 	var sf serveFlags
@@ -118,8 +116,8 @@ func runServe(args []string, out io.Writer) error {
 				cancel()
 				return
 			}
-			fmt.Fprintf(os.Stderr, "nc serve: %v: draining for up to %v (redirect %q); signal again to shut down now\n",
-				sig, *drain, *drainRedirect)
+			fmt.Fprintf(os.Stderr, "nc serve: %v: draining for up to %v; signal again to shut down now\n",
+				sig, *drain)
 			dctx, dcancel := context.WithTimeout(ctx, *drain)
 			defer dcancel()
 			go func() {
@@ -129,7 +127,7 @@ func runServe(args []string, out io.Writer) error {
 				case <-dctx.Done():
 				}
 			}()
-			if err := srv.Drain(dctx, *drainRedirect); err != nil {
+			if err := srv.Drain(dctx); err != nil {
 				fmt.Fprintf(os.Stderr, "nc serve: drain: %v\n", err)
 			}
 			cancel()
@@ -153,9 +151,9 @@ func runServe(args []string, out io.Writer) error {
 		// drain ran. The exit ledger must balance exactly: every offered
 		// block was either fully written or explicitly shed.
 		if snap.Draining {
-			fmt.Fprintf(out, "drain ledger: offered %d = sent %d + shed %d (consistent=%v), %d sessions served, %d busy, %d redirected, %d bytes\n",
+			fmt.Fprintf(out, "drain ledger: offered %d = sent %d + shed %d (consistent=%v), %d sessions served, %d busy, %d bytes\n",
 				snap.BlocksOffered, snap.BlocksSent, snap.BlocksShed, snap.Consistent(),
-				snap.SessionsTotal, snap.AdmissionBusy, snap.AdmissionRedirected, snap.BytesSent)
+				snap.SessionsTotal, snap.AdmissionBusy, snap.BytesSent)
 			return nil
 		}
 		fmt.Fprintf(out, "shutdown: %d sessions served, %d blocks sent, %d shed, %d bytes\n",
@@ -178,23 +176,22 @@ func snapshotJSON(s netio.Snapshot) map[string]any {
 		})
 	}
 	return map[string]any{
-		"version":              s.Version,
-		"mode":                 s.Mode.String(),
-		"sessions":             s.Sessions,
-		"sessions_total":       s.SessionsTotal,
-		"sessions_rejected":    s.SessionsRejected,
-		"session_seconds":      s.SessionSeconds,
-		"admission_busy":       s.AdmissionBusy,
-		"admission_redirected": s.AdmissionRedirected,
-		"draining":             s.Draining,
-		"blocks_encoded":       s.BlocksEncoded,
-		"blocks_offered":       s.BlocksOffered,
-		"blocks_sent":          s.BlocksSent,
-		"blocks_shed":          s.BlocksShed,
-		"bytes_sent":           s.BytesSent,
-		"encode_stall_s":       s.EncodeStall.Seconds(),
-		"max_stall_s":          s.MaxEncodeStall.Seconds(),
-		"per_session":          per,
+		"version":           s.Version,
+		"mode":              s.Mode.String(),
+		"sessions":          s.Sessions,
+		"sessions_total":    s.SessionsTotal,
+		"sessions_rejected": s.SessionsRejected,
+		"session_seconds":   s.SessionSeconds,
+		"admission_busy":    s.AdmissionBusy,
+		"draining":          s.Draining,
+		"blocks_encoded":    s.BlocksEncoded,
+		"blocks_offered":    s.BlocksOffered,
+		"blocks_sent":       s.BlocksSent,
+		"blocks_shed":       s.BlocksShed,
+		"bytes_sent":        s.BytesSent,
+		"encode_stall_s":    s.EncodeStall.Seconds(),
+		"max_stall_s":       s.MaxEncodeStall.Seconds(),
+		"per_session":       per,
 	}
 }
 

@@ -378,7 +378,7 @@ type soakFields struct {
 	Drains     int     `json:"drains"`
 	Kills      int     `json:"kills"`
 	Stalls     int     `json:"stall_waves"`
-	Redirects  int     `json:"redirects_honored"`
+	Reroutes   int64   `json:"reroutes"`
 }
 
 type loadWave struct {
@@ -401,7 +401,7 @@ type loadFields struct {
 // those commands wrote at the parent commit (`make soak-smoke load-smoke`);
 // the failed-run documents are the old structs marshalled with an error set.
 func TestVerdictGolden(t *testing.T) {
-	soak := soakFields{Events: 12, ElapsedS: 3.9519309099999997, LeavesDone: 20, Drains: 2, Kills: 1, Stalls: 5, Redirects: 1}
+	soak := soakFields{Events: 12, ElapsedS: 3.9519309099999997, LeavesDone: 20, Drains: 2, Kills: 1, Stalls: 5, Reroutes: 3}
 	soakInv := map[string]bool{"ledgers_balanced": true, "no_goroutine_leak": true, "payloads_identical": true, "rank_monotone": true}
 	load := loadFields{Smoke: true, Waves: []loadWave{{
 		Name: "BenchmarkServeLoad/sessions=1024", Sessions: 1024,

@@ -1,12 +1,14 @@
 package mesh
 
 import (
+	"context"
 	"errors"
+	"net"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
-
-	"extremenc/internal/netio"
 )
 
 // fakeClock gives the pool a hand-cranked time source so health thresholds
@@ -140,6 +142,18 @@ func TestHealthSweepTransitions(t *testing.T) {
 	}
 }
 
+// targetOf returns where leaf's route points and how many times it has moved.
+func targetOf(t *testing.T, c *Coordinator, leaf int) (string, int64) {
+	t.Helper()
+	c.mu.Lock()
+	rt := c.routes[leaf]
+	c.mu.Unlock()
+	if rt == nil {
+		t.Fatalf("leaf %d has no route", leaf)
+	}
+	return c.target(rt)
+}
+
 func TestCoordinatorBalancesAndReroutes(t *testing.T) {
 	p := NewPool()
 	for _, id := range []string{"r1", "r2"} {
@@ -150,17 +164,16 @@ func TestCoordinatorBalancesAndReroutes(t *testing.T) {
 	}
 	c := NewCoordinator(p)
 
-	rds := make([]*netio.Redirector, 4)
 	byRelay := map[string]int{}
-	for i := range rds {
-		rds[i] = netio.NewRedirector("")
-		id, err := c.Assign(i, rds[i])
+	for i := 0; i < 4; i++ {
+		_, id, err := c.assign(i)
 		if err != nil {
 			t.Fatal(err)
 		}
 		byRelay[id]++
-		if got, _ := p.Addr(id); rds[i].Target() != got {
-			t.Fatalf("leaf %d target %q, relay addr %q", i, rds[i].Target(), got)
+		want, _ := p.Addr(id)
+		if addr, _ := targetOf(t, c, i); addr != want {
+			t.Fatalf("leaf %d dials %q, relay %s serves at %q", i, addr, id, want)
 		}
 	}
 	if byRelay["r1"] != 2 || byRelay["r2"] != 2 {
@@ -177,9 +190,9 @@ func TestCoordinatorBalancesAndReroutes(t *testing.T) {
 	if to == from {
 		t.Fatal("reroute kept the excluded relay")
 	}
-	// Two target changes so far: the initial assignment and the reroute.
-	if rds[0].Redirects() != 2 {
-		t.Fatalf("redirects = %d, want 2", rds[0].Redirects())
+	// One move so far: the assignment is not one.
+	if addr, moves := targetOf(t, c, 0); moves != 1 || addr != "addr-"+to {
+		t.Fatalf("after the reroute: target %q, moves %d; want addr-%s, 1", addr, moves, to)
 	}
 
 	// With every alternative excluded the reroute reports ErrNoRelays.
@@ -212,22 +225,109 @@ func TestCoordinatorFollowsMovedRelay(t *testing.T) {
 		p.Heartbeat(id)
 	}
 	c := NewCoordinator(p)
-	rds := make([]*netio.Redirector, 4)
-	for i := range rds {
-		rds[i] = netio.NewRedirector("")
-		if _, err := c.Assign(i, rds[i]); err != nil {
+	for i := 0; i < 4; i++ {
+		if _, _, err := c.assign(i); err != nil {
 			t.Fatal(err)
 		}
 	}
 	c.Moved("r1", "addr-r1-restarted")
-	for i, rd := range rds {
-		want := "addr-r2"
+	for i := 0; i < 4; i++ {
+		want, wantMoves := "addr-r2", int64(0)
 		if id, _ := c.RouteOf(i); id == "r1" {
-			want = "addr-r1-restarted"
+			want, wantMoves = "addr-r1-restarted", 1
 		}
-		if rd.Target() != want {
-			t.Fatalf("leaf %d dials %q, want %q", i, rd.Target(), want)
+		if addr, moves := targetOf(t, c, i); addr != want || moves != wantMoves {
+			t.Fatalf("leaf %d dials %q after %d moves, want %q after %d", i, addr, moves, want, wantMoves)
 		}
+	}
+}
+
+// TestCoordinatorConcurrentRerouteAndDial dials one leaf's route from many
+// goroutines while the coordinator flips it between two live relays: every
+// dial connects to one of the two whole addresses, the move count equals the
+// reroutes that reported a change, and once the route is released a dial
+// fails instead of connecting. Run under -race this also proves a reroute
+// never races a dial's read of the address.
+func TestCoordinatorConcurrentRerouteAndDial(t *testing.T) {
+	accepting := func() net.Listener {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Skipf("loopback listen unavailable: %v", err)
+		}
+		go func() {
+			for {
+				conn, err := l.Accept()
+				if err != nil {
+					return
+				}
+				conn.Close()
+			}
+		}()
+		return l
+	}
+	la, lb := accepting(), accepting()
+	defer la.Close()
+	defer lb.Close()
+	p := NewPool()
+	addrs := map[string]bool{}
+	for id, l := range map[string]net.Listener{"r1": la, "r2": lb} {
+		if err := p.Add(id, l.Addr().String(), nil, 8); err != nil {
+			t.Fatal(err)
+		}
+		p.Heartbeat(id)
+		addrs[l.Addr().String()] = true
+	}
+	c := NewCoordinator(p)
+	rt, _, err := c.assign(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dial := c.dial(rt)
+
+	const dialers, dialsPer, reroutes = 8, 25, 200
+	var (
+		wg      sync.WaitGroup
+		changes atomic.Int64
+	)
+	for i := 0; i < dialers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < dialsPer; j++ {
+				conn, err := dial(context.Background())
+				if err != nil {
+					t.Errorf("dial: %v", err)
+					return
+				}
+				if remote := conn.RemoteAddr().String(); !addrs[remote] {
+					t.Errorf("dialed %q, which is neither relay", remote)
+				}
+				conn.Close()
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for j := 0; j < reroutes; j++ {
+			from, _ := c.RouteOf(0)
+			if changed, err := c.Reroute(0, from); err != nil {
+				t.Errorf("reroute: %v", err)
+				return
+			} else if changed {
+				changes.Add(1)
+			}
+		}
+	}()
+	wg.Wait()
+
+	if _, moves := targetOf(t, c, 0); moves != changes.Load() || moves != reroutes {
+		t.Fatalf("moves = %d, reroutes that changed the route = %d, want both %d", moves, changes.Load(), reroutes)
+	}
+	c.Release(0)
+	if conn, err := dial(context.Background()); err == nil {
+		conn.Close()
+		t.Fatal("a released route still dials")
 	}
 }
 
@@ -244,8 +344,7 @@ func TestRemediatorMovesLeavesOffDeadRelay(t *testing.T) {
 	h := NewHealth(p, HealthConfig{SuspectAfter: 100 * time.Millisecond, DeadAfter: 300 * time.Millisecond})
 	rem := NewRemediator(h, c, time.Millisecond)
 
-	rd := netio.NewRedirector("")
-	relayID, err := c.Assign(0, rd)
+	_, relayID, err := c.assign(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,8 +362,9 @@ func TestRemediatorMovesLeavesOffDeadRelay(t *testing.T) {
 	if got, _ := c.RouteOf(0); got != other {
 		t.Fatalf("leaf routed to %q, want %q", got, other)
 	}
-	if wantAddr, _ := p.Addr(other); rd.Target() != wantAddr {
-		t.Fatalf("redirector target %q, want %q", rd.Target(), wantAddr)
+	want, _ := p.Addr(other)
+	if addr, _ := targetOf(t, c, 0); addr != want {
+		t.Fatalf("leaf dials %q, want %q", addr, want)
 	}
 	if rem.Remediations() != 1 {
 		t.Fatalf("remediations = %d, want 1", rem.Remediations())

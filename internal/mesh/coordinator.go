@@ -1,7 +1,9 @@
 package mesh
 
 import (
+	"context"
 	"errors"
+	"net"
 	"sort"
 	"sync"
 
@@ -13,18 +15,37 @@ import (
 // pool.
 var ErrNoRelays = errors.New("mesh: no usable relay in the pool")
 
-// route is one leaf's current assignment.
+// errReleased reports a dial through the route of a leaf whose fetch has
+// finished.
+var errReleased = errors.New("mesh: dial on a released route")
+
+// route is one leaf's current assignment: the relay it is routed to, the
+// address its dials connect to, and how many times the coordinator has moved
+// it since assigning it. Every field is guarded by Coordinator.mu.
 type route struct {
-	relayID string
-	rd      *netio.Redirector
+	relayID  string
+	addr     string
+	moves    int64
+	released bool
 }
 
-// Coordinator assigns leaves to relays and re-points them when health says
-// their relay is gone. Assignment is least-loaded-first over active members
-// (joining members are used only when nothing is active yet — mesh
-// startup); re-routing hands the leaf's Redirector a fresh dial target, and
-// the leaf's resilient fetcher does the rest — its next reconnect lands on
-// the new relay carrying all accumulated rank.
+// point re-points rt at relay id serving at addr, counting a changed address
+// as a move. Callers hold Coordinator.mu.
+func (rt *route) point(id, addr string) {
+	if addr != rt.addr {
+		rt.moves++
+	}
+	rt.relayID, rt.addr = id, addr
+}
+
+// Coordinator is the one thing that points a leaf at a relay. Assignment is
+// least-loaded-first over active members (joining members are used only when
+// nothing is active yet — mesh startup); re-routing — remediation moving a
+// leaf off a failed relay, or a restart moving it off a draining one — changes
+// the address the leaf's dial function connects to, and the leaf's resilient
+// fetcher does the rest: its next reconnect lands on the new relay carrying
+// all accumulated rank. Servers never name a relay: a draining one answers
+// BUSY.
 type Coordinator struct {
 	pool *Pool
 
@@ -51,19 +72,42 @@ func (c *Coordinator) Instrument(reg *obs.Registry) error {
 		"leaves re-pointed at a different relay", &c.reroutes)
 }
 
-// Assign picks a relay for leafID, points rd at it, and records the route.
-// It returns the chosen relay's ID.
-func (c *Coordinator) Assign(leafID int, rd *netio.Redirector) (string, error) {
+// assign picks a relay for leafID and records the route, returning it and
+// the chosen relay's ID. The leaf dials through c.dial(route).
+func (c *Coordinator) assign(leafID int) (*route, string, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	id, addr, err := c.pick("")
 	if err != nil {
-		return "", err
+		return nil, "", err
 	}
-	rd.SetTarget(addr)
-	c.routes[leafID] = &route{relayID: id, rd: rd}
+	rt := &route{relayID: id, addr: addr}
+	c.routes[leafID] = rt
 	c.assigns.Inc()
-	return id, nil
+	return rt, id, nil
+}
+
+// dial returns rt's dial function. The address is read under c.mu, so a move
+// racing a dial lands entirely before it (the dial connects to the new
+// address) or entirely after; once rt is released every dial fails.
+func (c *Coordinator) dial(rt *route) netio.DialFunc {
+	return func(ctx context.Context) (net.Conn, error) {
+		c.mu.Lock()
+		addr, released := rt.addr, rt.released
+		c.mu.Unlock()
+		if released {
+			return nil, errReleased
+		}
+		return tcpDial(addr)(ctx)
+	}
+}
+
+// target returns where rt points and how many times it has moved; it stays
+// readable after the route is released.
+func (c *Coordinator) target(rt *route) (string, int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return rt.addr, rt.moves
 }
 
 // Reroute re-points leafID at a usable relay other than exclude (typically
@@ -84,32 +128,35 @@ func (c *Coordinator) Reroute(leafID int, exclude string) (bool, error) {
 	if id == rt.relayID {
 		return false, nil
 	}
-	rt.relayID = id
-	rt.rd.SetTarget(addr)
+	rt.point(id, addr)
 	c.reroutes.Inc()
 	return true, nil
 }
 
 // Moved re-points every leaf routed to relay id at addr, the relay's serving
-// address after a restart. A leaf whose session ended just as the drain
-// finished redials the old, closed address; remediation moves leaves only off
-// relays that are not active, so once the relay is active again nothing else
-// would.
+// address after a restart. A restart moves leaves off the relay before it
+// drains, so the ones still routed to it are those that had no survivor to
+// go to; remediation moves leaves only off relays that are not active, so
+// once the relay is active again nothing else would.
 func (c *Coordinator) Moved(id, addr string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, rt := range c.routes {
 		if rt.relayID == id {
-			rt.rd.SetTarget(addr)
+			rt.point(id, addr)
 		}
 	}
 }
 
 // Release drops leafID from the routing table — called when its fetch
-// finishes, so load counts and remediation only consider live leaves.
+// finishes, so load counts and remediation only consider live leaves — and
+// fails every later dial through its route.
 func (c *Coordinator) Release(leafID int) {
 	c.mu.Lock()
-	delete(c.routes, leafID)
+	if rt := c.routes[leafID]; rt != nil {
+		rt.released = true
+		delete(c.routes, leafID)
+	}
 	c.mu.Unlock()
 }
 

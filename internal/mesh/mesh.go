@@ -99,12 +99,12 @@ func (t Topology) withDefaults() Topology {
 	return t
 }
 
-// Leaf is one downstream fetcher: a Redirector the coordinator owns plus
-// the resilient fetch running over it.
+// Leaf is one downstream fetcher: the resilient fetch, dialing through the
+// route the coordinator owns.
 type Leaf struct {
 	ID int
 
-	rd *netio.Redirector
+	rt *route
 	f  *netio.Fetcher
 
 	done chan struct{}
@@ -128,11 +128,8 @@ func (l *Leaf) Records() int64 { return int64(l.f.Stats().Records) }
 // Reconnects returns how many reconnects the leaf's fetch has performed.
 func (l *Leaf) Reconnects() int64 { return int64(l.f.Stats().Reconnects) }
 
-// Redirector exposes the leaf's dial target for inspection.
-func (l *Leaf) Redirector() *netio.Redirector { return l.rd }
-
-// FetchStats snapshots the leaf's fetch ledger — including the admission
-// counters that record BUSY and REDIRECT decisions — safe during the fetch.
+// FetchStats snapshots the leaf's fetch ledger — including the count of BUSY
+// admission decisions — safe during the fetch.
 func (l *Leaf) FetchStats() *netio.FetchStats { return l.f.Stats() }
 
 // Duration returns the leaf's fetch wall-clock time; valid after Done.
@@ -378,10 +375,12 @@ func (m *Mesh) StartLeaves(ctx context.Context) error {
 // returning the leaf. Not safe to call concurrently with Snapshot or other
 // AddLeaf calls — the driver (a test or the CLI) sequences leaf waves.
 func (m *Mesh) AddLeaf(ctx context.Context) (*Leaf, error) {
-	leaf := &Leaf{ID: len(m.leaves), rd: netio.NewRedirector(""), done: make(chan struct{})}
-	if _, err := m.coord.Assign(leaf.ID, leaf.rd); err != nil {
+	leaf := &Leaf{ID: len(m.leaves), done: make(chan struct{})}
+	rt, _, err := m.coord.assign(leaf.ID)
+	if err != nil {
 		return nil, err
 	}
+	leaf.rt = rt
 	if err := m.startLeafFetch(ctx, leaf); err != nil {
 		m.coord.Release(leaf.ID)
 		return nil, err
@@ -399,11 +398,6 @@ func (m *Mesh) startLeafFetch(ctx context.Context, leaf *Leaf) error {
 	cfg := netio.DefaultFetcherConfig()
 	cfg.BackoffBase, cfg.BackoffMax = 2*time.Millisecond, 50*time.Millisecond
 	cfg.Seed = m.topo.Seed + int64(1000+leaf.ID)
-	// A draining relay's REDIRECT decision walks the leaf straight to the
-	// named survivor — the protocol-level fast path; remediation's route
-	// sweep remains the control-plane backstop for leaves that were not
-	// connected during the drain window.
-	cfg.Redirector = leaf.rd
 	cfg.TraceNode = fmt.Sprintf("leaf-%d", leaf.ID)
 	cfg.SessionHook = func(netio.SessionInfo) {
 		// The hook runs in the fetch goroutine, so Ranks is safe and prev
@@ -420,7 +414,7 @@ func (m *Mesh) startLeafFetch(ctx context.Context, leaf *Leaf) error {
 			opt(&cfg)
 		}
 	}
-	dial := leaf.rd.Dial
+	dial := m.coord.dial(leaf.rt)
 	if m.topo.DownstreamFaults != nil {
 		dial = chaosDial(*m.topo.DownstreamFaults, m.downCtr, &m.downSeq, dial)
 	}
@@ -509,14 +503,16 @@ func (m *Mesh) KillRelay(id string) error {
 	return fmt.Errorf("mesh: no relay %q", id)
 }
 
-// RestartRelay gracefully cycles relay id with zero loss: the pool marks it
-// draining (the coordinator stops assigning to it and remediation walks
-// routed leaves off), the relay's server drains — REDIRECT pointing
-// connected leaves at a surviving relay, in-flight sessions running
-// to completion within ctx — and a fresh server over the same recoders
-// rejoins the rotation at a new address. Rank never regresses: the recoders
-// survive, and every redirected leaf carries its decoder state to the
-// survivor.
+// RestartRelay gracefully cycles relay id with zero loss. The pool marks it
+// draining, so the coordinator stops assigning to it, and the coordinator
+// moves every leaf routed to it onto a usable survivor at once — the same
+// Reroute remediation uses, without waiting for a sweep. The relay's server
+// then drains: late dialers get BUSY, in-flight sessions run to full rank
+// within ctx. A fresh server over the same recoders rejoins the rotation at a
+// new address, and leaves that had no survivor to move to follow it there.
+// Rank never regresses: the recoders survive, and every moved leaf carries
+// its decoder state to its new relay. A drain that outlives ctx still
+// finishes the restart; its error is returned after the relay has rejoined.
 func (m *Mesh) RestartRelay(ctx context.Context, id string) error {
 	var target *Relay
 	for _, r := range m.relays {
@@ -531,22 +527,20 @@ func (m *Mesh) RestartRelay(ctx context.Context, id string) error {
 	if !m.pool.SetDraining(id) {
 		return fmt.Errorf("mesh: relay %q is not eligible to drain", id)
 	}
-	// The redirect target is a survivor the coordinator would assign to — an
-	// active one, or a warm one whose first heartbeat is still due; with none
-	// the drain answers BUSY and leaves fall back on remediation.
-	redirect := ""
-	if survivors := m.pool.Usable(id); len(survivors) > 0 {
-		redirect, _ = m.pool.Addr(survivors[0])
+	for leaf, relayID := range m.coord.Routes() {
+		if relayID == id {
+			m.coord.Reroute(leaf, id) //nolint:errcheck — with no survivor, Moved re-points the leaf after the restart
+		}
 	}
-	addr, err := target.Restart(ctx, redirect)
-	if err != nil {
+	addr, err := target.Restart(ctx)
+	if addr == "" {
 		return err
 	}
 	if !m.pool.Rejoin(id, addr) {
 		return fmt.Errorf("mesh: relay %q could not rejoin the pool", id)
 	}
 	m.coord.Moved(id, addr)
-	return nil
+	return err
 }
 
 // Relays returns the mesh's relays in start order.
@@ -570,14 +564,16 @@ func (m *Mesh) OriginAddr() string { return m.originLn.Addr().String() }
 // Origin returns the origin server.
 func (m *Mesh) Origin() *netio.Server { return m.origin }
 
-// LeafView is one leaf's state for snapshots.
+// LeafView is one leaf's state for snapshots. Relay is empty once the leaf
+// has finished; Target and Moves — the address its dials last went to and how
+// many times the coordinator changed it after the assignment — stay.
 type LeafView struct {
 	ID         int    `json:"id"`
 	Relay      string `json:"relay"`
 	Target     string `json:"target"`
 	Records    int64  `json:"records"`
 	Reconnects int64  `json:"reconnects"`
-	Redirects  int64  `json:"redirects"`
+	Moves      int64  `json:"moves"`
 	Done       bool   `json:"done"`
 	Error      string `json:"error,omitempty"`
 }
@@ -607,11 +603,10 @@ func (m *Mesh) Snapshot() MeshSnapshot {
 		lv := LeafView{
 			ID:         leaf.ID,
 			Relay:      routes[leaf.ID],
-			Target:     leaf.rd.Target(),
 			Records:    leaf.Records(),
 			Reconnects: leaf.Reconnects(),
-			Redirects:  leaf.rd.Redirects(),
 		}
+		lv.Target, lv.Moves = m.coord.target(leaf.rt)
 		select {
 		case <-leaf.Done():
 			lv.Done = true

@@ -595,7 +595,7 @@ func TestRelayRestartKeepsOwnTrace(t *testing.T) {
 		t.Fatal("the two origins minted the same trace ID")
 	}
 
-	addr, err := relays[0].Restart(ctx, "")
+	addr, err := relays[0].Restart(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -894,17 +894,29 @@ type errDiff struct{}
 
 func (errDiff) Error() string { return "payload differs" }
 
-// TestRestartRelayRedirectsBeforeFirstHeartbeat: a drain that starts in the
+// TestRestartRelayReroutesBeforeFirstHeartbeat: a restart that starts in the
 // beat between the survivors reaching full rank and their first heartbeat —
-// they are still joining — must name one of them in its REDIRECT, as the
-// coordinator would assign to it, not answer BUSY until remediation notices.
-// The heartbeat here never fires, so the window stays open.
-func TestRestartRelayRedirectsBeforeFirstHeartbeat(t *testing.T) {
+// they are still joining — must move the drained relay's leaf onto one of
+// them, as the coordinator would assign to it, not leave it for remediation.
+// The heartbeat and the sweep never fire here, so the window stays open.
+func TestRestartRelayReroutesBeforeFirstHeartbeat(t *testing.T) {
 	p := rlnc.Params{BlockCount: 8, BlockSize: 128}
+	media := testMedia(t, 2*p.SegmentSize(), 93)
+	// The leaf parks in its first handshake until released, so it is still
+	// routed — and its session on relay-0 holds the drain open — while the
+	// restart runs.
+	entered, hold := make(chan struct{}), make(chan struct{})
+	var enterOnce sync.Once
 	m, err := New(Topology{
-		Media: testMedia(t, 2*p.SegmentSize(), 93), Params: p, Relays: 2, Seed: 23,
+		Media: media, Params: p, Relays: 2, Seed: 23,
 		Heartbeat: time.Hour, Sweep: time.Hour,
 		Health: HealthConfig{SuspectAfter: time.Hour, DeadAfter: 2 * time.Hour},
+		LeafFetchOpts: func(int) []netio.FetcherOption {
+			return []netio.FetcherOption{netio.WithSessionHook(func(netio.SessionInfo) {
+				enterOnce.Do(func() { close(entered) })
+				<-hold
+			})}
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -929,27 +941,32 @@ func TestRestartRelayRedirectsBeforeFirstHeartbeat(t *testing.T) {
 	oldAddr := m.Relays()[0].Addr()
 	survivor := m.Relays()[1].Addr()
 
-	// A pinned session holds the drain window open.
-	pinConn, err := net.Dial("tcp", oldAddr)
+	leaf, err := m.AddLeaf(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pinned, err := netio.NewRawClient(pinConn)
-	if err != nil {
-		t.Fatal(err)
+	if id, _ := m.Coordinator().RouteOf(leaf.ID); id != "relay-0" {
+		t.Fatalf("leaf assigned to %s, want relay-0 (the first warm member)", id)
 	}
-	go func() {
-		for {
-			if _, err := pinned.Next(); err != nil {
-				return
-			}
-		}
-	}()
+	<-entered
 	restartDone := make(chan error, 1)
 	go func() { restartDone <- m.RestartRelay(ctx, "relay-0") }()
 
+	// The route lands on the joining survivor while relay-0 drains.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if id, _ := m.Coordinator().RouteOf(leaf.ID); id == "relay-1" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("leaf never moved off draining relay-0 (pool %+v)", m.Pool().Snapshot())
+		}
+	}
+	if lv := m.Snapshot().Leaves[0]; lv.Target != survivor || lv.Moves != 1 {
+		t.Fatalf("leaf view %+v, want target %s after 1 move", lv, survivor)
+	}
+
 	// Dials that beat the drain are ordinary sessions; the first one refused
-	// must be redirected to the survivor.
+	// must be a BUSY with the relay's retry hint.
 	for {
 		conn, err := net.Dial("tcp", oldAddr)
 		if err != nil {
@@ -961,31 +978,116 @@ func TestRestartRelayRedirectsBeforeFirstHeartbeat(t *testing.T) {
 			time.Sleep(time.Millisecond)
 			continue
 		}
-		if !errors.Is(err, netio.ErrAdmissionRedirect) || !strings.Contains(err.Error(), survivor) {
-			t.Fatalf("draining relay-0 answered %q, want a REDIRECT to %s (pool %+v)", err, survivor, m.Pool().Snapshot())
+		if !errors.Is(err, netio.ErrAdmissionBusy) {
+			t.Fatalf("draining relay-0 answered %q, want BUSY (pool %+v)", err, m.Pool().Snapshot())
 		}
 		break
 	}
-	pinned.Close()
+	if st, _ := m.Pool().StateOf("relay-0"); st != StateDraining {
+		t.Fatalf("relay-0 is %v mid-drain, want draining", st)
+	}
+
+	// Released, the leaf reads its session on relay-0 to full rank, which
+	// lets the drain finish.
+	close(hold)
 	if err := <-restartDone; err != nil {
 		t.Fatal(err)
+	}
+	if err := m.WaitLeaves(ctx, leaf); err != nil {
+		t.Fatal(err)
+	}
+	if res, _ := leaf.Result(); !bytes.Equal(res.Payload, media) {
+		t.Fatal("leaf payload differs")
+	}
+	if addr, _ := m.Pool().Addr("relay-0"); addr == oldAddr || addr != m.Relays()[0].Addr() {
+		t.Fatalf("relay-0 rejoined at %q (was %q, serves at %q)", addr, oldAddr, m.Relays()[0].Addr())
+	}
+}
+
+// TestRestartRelayFinishesAfterDrainTimeout: a drain that outlives its ctx —
+// a pinned peer that never reads holds it open — still ends in a restarted
+// relay: back in the rotation at a new address that admits sessions, its
+// ledger balanced across the cut, and the drain's error returned.
+func TestRestartRelayFinishesAfterDrainTimeout(t *testing.T) {
+	p := rlnc.Params{BlockCount: 8, BlockSize: 128}
+	m, err := New(Topology{Media: testMedia(t, 2*p.SegmentSize(), 95), Params: p, Relays: 2, Seed: 29})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := m.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if err := m.WaitWarm(ctx); err != nil {
+		t.Fatal(err)
+	}
+	relay := m.Relays()[0]
+	oldAddr := relay.Addr()
+	conn, err := net.Dial("tcp", oldAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned, err := netio.NewRawClient(conn) // never reads a record
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pinned.Close()
+
+	dctx, dcancel := context.WithTimeout(ctx, 100*time.Millisecond)
+	err = m.RestartRelay(dctx, relay.ID())
+	dcancel()
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("RestartRelay past its drain deadline = %v, want DeadlineExceeded", err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if st, _ := m.Pool().StateOf(relay.ID()); st == StateActive {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s never rejoined the rotation: %+v", relay.ID(), m.Pool().Snapshot())
+		}
+	}
+	addr, _ := m.Pool().Addr(relay.ID())
+	if addr == oldAddr || addr != relay.Addr() {
+		t.Fatalf("pool addr %q, relay addr %q, old addr %q", addr, relay.Addr(), oldAddr)
+	}
+	conn, err = net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc, err := netio.NewRawClient(conn)
+	if err != nil {
+		t.Fatalf("restarted relay refused a session: %v", err)
+	}
+	rc.Close()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if v := relay.Ledger(); v.BlocksOffered == v.BlocksSent+v.BlocksShed {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("ledger never balanced: %+v", relay.Ledger())
+		}
 	}
 }
 
 // TestMeshRollingRestart is the drain gate: relays are restarted in sequence
 // under faultnet chaos while leaves fetch through them, and nothing may be
-// lost. Each restart drains — new handshakes on the draining relay get a
-// REDIRECT naming an active survivor, which connected leaves must follow with
-// all their rank — then rejoins the rotation at a fresh address. Afterwards:
-// zero failed leaves, every payload byte-identical, zero rank regressions,
-// at least one REDIRECT honored per drain, and the per-relay ledgers —
-// drained and surviving alike, accumulated across restarts — balance exactly
-// in one scraped exposition.
+// lost. Each restart moves the draining relay's leaves onto a survivor — which
+// they must reach with all their rank on their next reconnect — drains, and
+// rejoins the rotation at a fresh address. Afterwards: zero failed leaves,
+// every payload byte-identical, zero rank regressions, a moved leaf's
+// handshake with a survivor inside each drain window, no remediation, and the
+// per-relay ledgers — drained and surviving alike, accumulated across
+// restarts — balance exactly in one scraped exposition.
 func TestMeshRollingRestart(t *testing.T) {
 	flightDumpOnFailure(t)
 	p := rlnc.Params{BlockCount: 16, BlockSize: 256}
 	media := testMedia(t, 4*p.SegmentSize()-13, 91)
 
+	// handshakes counts each leaf's sessions (two waves of three leaves).
+	var handshakes [6]atomic.Int64
 	reg := obs.NewRegistry()
 	topo := Topology{
 		Media:      media,
@@ -997,9 +1099,9 @@ func TestMeshRollingRestart(t *testing.T) {
 		Seed:       19,
 		Registry:   reg,
 		Heartbeat:  10 * time.Millisecond,
-		// Remediation swept rarely on purpose: the REDIRECT protocol path,
-		// not the control-plane route sweep, must be what walks leaves off
-		// the draining relays.
+		// Remediation swept rarely on purpose: RestartRelay's own reroute,
+		// not the health sweep, must be what moves leaves off the draining
+		// relays.
 		Sweep: 5 * time.Second,
 		Health: HealthConfig{
 			SuspectAfter: 2 * time.Second,
@@ -1010,7 +1112,7 @@ func TestMeshRollingRestart(t *testing.T) {
 		},
 		// Reset-heavy downstream chaos: every leaf connection dies within
 		// ~8KB — well short of the ~20KB object — so every leaf reconnects
-		// through admission repeatedly and a drain is guaranteed to be seen.
+		// repeatedly and a moved leaf soon dials its new relay.
 		DownstreamFaults: &faultnet.Config{
 			Seed: 43, CorruptEvery: 9000, ResetEvery: 4000, MaxReadChunk: 2048,
 		},
@@ -1023,6 +1125,11 @@ func TestMeshRollingRestart(t *testing.T) {
 				c.EncodeBatch = 1
 				c.RetryAfter = 5 * time.Millisecond
 			}}
+		},
+		LeafFetchOpts: func(leaf int) []netio.FetcherOption {
+			return []netio.FetcherOption{netio.WithSessionHook(func(netio.SessionInfo) {
+				handshakes[leaf].Add(1)
+			})}
 		},
 	}
 	m, err := New(topo)
@@ -1044,17 +1151,10 @@ func TestMeshRollingRestart(t *testing.T) {
 		t.Fatalf("%v: %+v", err, m.Pool().Snapshot())
 	}
 
-	redirected := func(leaves []*Leaf) int {
-		total := 0
-		for _, leaf := range leaves {
-			total += leaf.FetchStats().AdmissionRedirected
-		}
-		return total
-	}
-
-	// rollRestart drains relayID mid-wave and verifies the drain was followed:
-	// a pinned raw session holds the drain window open until at least one leaf
-	// has been walked to a survivor by a REDIRECT decision.
+	// rollRestart restarts relayID mid-wave and verifies its leaves moved: a
+	// pinned raw session holds the drain window open until a leaf that was
+	// routed to relayID has been rerouted and has handshaken again — with the
+	// survivor its route now names.
 	rollRestart := func(relayID string, relay *Relay, leaves []*Leaf) {
 		t.Helper()
 		pinConn, err := net.Dial("tcp", relay.Addr())
@@ -1092,22 +1192,46 @@ func TestMeshRollingRestart(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 
-		before := redirected(leaves)
+		var routed []*Leaf
+		for _, leaf := range leaves {
+			if id, _ := m.Coordinator().RouteOf(leaf.ID); id == relayID {
+				routed = append(routed, leaf)
+			}
+		}
+		if len(routed) == 0 {
+			t.Fatalf("no wave leaf routed to %s: %v", relayID, m.Coordinator().Routes())
+		}
 		restartDone := make(chan error, 1)
 		go func() { restartDone <- m.RestartRelay(ctx, relayID) }()
 
-		// The pool must report the drain, and some leaf must follow the
-		// REDIRECT to a survivor while the pinned session holds the drain open.
+		// The pool must report the drain, and a leaf routed to relayID must be
+		// moved and handshake again while the pinned session holds the drain
+		// open. Its handshake count is taken once its route has moved, so the
+		// next handshake is a dial of the survivor.
 		sawDraining := false
-		for deadline := time.Now().Add(30 * time.Second); redirected(leaves) == before; {
+		movedAt := map[int]int64{}
+		for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
 			if st, ok := m.Pool().StateOf(relayID); ok && st == StateDraining {
 				sawDraining = true
 			}
-			if time.Now().After(deadline) {
-				t.Fatalf("no leaf followed a REDIRECT off draining %s (pool %+v)",
-					relayID, m.Pool().Snapshot())
+			arrived := false
+			for _, leaf := range routed {
+				base, moved := movedAt[leaf.ID]
+				if !moved {
+					if id, ok := m.Coordinator().RouteOf(leaf.ID); ok && id != relayID {
+						movedAt[leaf.ID] = handshakes[leaf.ID].Load()
+					}
+					continue
+				}
+				arrived = arrived || handshakes[leaf.ID].Load() > base
 			}
-			time.Sleep(time.Millisecond)
+			if arrived {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("no leaf routed to draining %s reached a survivor (moved %v, pool %+v)",
+					relayID, movedAt, m.Pool().Snapshot())
+			}
 		}
 		if !sawDraining {
 			if st, ok := m.Pool().StateOf(relayID); !ok || st != StateDraining {
@@ -1166,9 +1290,13 @@ func TestMeshRollingRestart(t *testing.T) {
 		}
 	}
 
-	// Monotone rank across every reconnect, redirects included.
+	// Monotone rank across every reconnect, moves included.
 	if v, _ := reg.CounterValue("mesh.rank_regressions_total"); v != 0 {
 		t.Fatalf("rank regressed %d times across reconnects", v)
+	}
+	// The restarts moved the leaves; remediation had nothing to do.
+	if n := m.Remediator().Remediations(); n != 0 {
+		t.Fatalf("remediation moved %d leaves", n)
 	}
 
 	// The per-relay ledgers — drained relays across their restarts and the

@@ -33,8 +33,8 @@ const (
 	// returns to the rotation.
 	StateDead
 	// StateDraining: deliberately leaving the rotation for a graceful
-	// restart — the relay itself redirects new handshakes while in-flight
-	// sessions run to completion. Unlike dead, draining is temporary: Rejoin
+	// restart — the coordinator has moved its leaves and the relay answers new
+	// handshakes BUSY while in-flight sessions run to completion. Unlike dead, draining is temporary: Rejoin
 	// returns the member to the rotation. Appended after StateDead so the
 	// numeric values of the original states are stable.
 	StateDraining
@@ -153,9 +153,9 @@ func (p *Pool) Heartbeat(id string) {
 }
 
 // SetDraining marks member id as gracefully leaving the rotation: the
-// coordinator stops assigning leaves to it and remediation walks existing
-// leaves off it, while the relay's own drain redirects new handshakes. It
-// reports whether the member was eligible (registered and not dead).
+// coordinator stops assigning leaves to it, and a restart (or remediation)
+// moves existing leaves off it. It reports whether the member was eligible
+// (registered and not dead).
 func (p *Pool) SetDraining(id string) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -278,20 +278,23 @@ func (r *Relay) Server() *netio.Server {
 }
 
 // Restart gracefully cycles the relay's downstream server: the serving side
-// drains — new handshakes are answered with a REDIRECT to redirectAddr (BUSY
-// when empty), in-flight sessions run to rank completion, bounded by ctx —
-// then a fresh listener and server over the same recoders take its place.
-// The recoders, and therefore all accumulated rank, survive the restart; the
-// serving address changes, so the caller re-registers the relay with the
-// control plane (Pool.Rejoin). The drained server's traffic ledger is folded
-// into Ledger before the swap, keeping offered == sent + shed exact across
-// the relay's whole history. Returns the new serving address.
-func (r *Relay) Restart(ctx context.Context, redirectAddr string) (string, error) {
+// drains — new handshakes are answered BUSY, in-flight sessions run to rank
+// completion, bounded by ctx — then a fresh listener and server over the same
+// recoders take its place. The recoders, and therefore all accumulated rank,
+// survive the restart; the serving address changes, so the caller
+// re-registers the relay with the control plane (Pool.Rejoin). The drained
+// server's traffic ledger is folded into Ledger before the swap, keeping
+// offered == sent + shed exact across the relay's whole history. Returns the
+// new serving address. A drain cut short by ctx has still shut the old server
+// down, so the restart goes on and returns the new address with the drain's
+// error; the address is empty only when no new server could start.
+func (r *Relay) Restart(ctx context.Context) (string, error) {
 	r.mu.Lock()
 	oldSrv, oldLn := r.srv, r.ln
 	r.mu.Unlock()
-	if err := oldSrv.Drain(ctx, redirectAddr); err != nil {
-		return "", fmt.Errorf("mesh: relay %q drain: %w", r.id, err)
+	drainErr := oldSrv.Drain(ctx)
+	if drainErr != nil {
+		drainErr = fmt.Errorf("mesh: relay %q drain: %w", r.id, drainErr)
 	}
 	oldLn.Close()
 	drained := oldSrv.Snapshot().CounterView
@@ -313,7 +316,7 @@ func (r *Relay) Restart(ctx context.Context, redirectAddr string) (string, error
 	ctx = r.serveCtx
 	r.mu.Unlock()
 	go srv.Serve(ctx, ln)
-	return ln.Addr().String(), nil
+	return ln.Addr().String(), drainErr
 }
 
 // Ledger returns the relay's downstream traffic totals accumulated across

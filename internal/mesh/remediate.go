@@ -11,7 +11,7 @@ import (
 // then walks the leaf routing table and re-routes every leaf whose relay is
 // no longer active. The leaf itself never learns any of this happened — its
 // fetcher was already reconnect-looping against the dead address with
-// backoff, and the Redirector swap simply makes the next attempt land
+// backoff, and the re-pointed route simply makes the next attempt land
 // somewhere alive, rank intact.
 type Remediator struct {
 	health *Health

@@ -13,97 +13,54 @@ import (
 // drains protocol events rather than silent hang-ups. It is a control record
 // (control.go) with magic "XNCD" and body
 //
-//	u8 code | u32 retry-after ms | addr bytes (the rest of the body)
+//	u8 code | u32 retry-after ms
 //
-// Codes: 1 BUSY (retry-after hint, no addr), 2 REDIRECT (addr of a surviving
-// server, no hint). The server closes the connection after it; a server that
-// admits a session writes the session header instead.
+// Code 1, BUSY, is the only decision: the server is at its session cap or
+// draining, and the client should dial again after the hint. Which server a
+// client dials next is not the server's to say — in a mesh the coordinator
+// routes every leaf. Protocol v4's code 2, REDIRECT (an address after the
+// hint), and any other code or trailing byte are refused. The server closes
+// the connection after it; a server that admits a session writes the session
+// header instead.
 const (
 	decisionMagic = "XNCD"
-	// maxRedirectAddr bounds a redirect target.
-	maxRedirectAddr = 255
+	decisionBusy  = 1
+	decisionLen   = 1 + 4
 )
 
-// admissionCode is the decision discriminator on the wire.
-type admissionCode uint8
+// ErrAdmissionBusy reports a handshake answered with a BUSY decision: the
+// server is at its session cap or draining. The resilient Fetcher's retry
+// loop floors its next backoff at the server's hint.
+var ErrAdmissionBusy = errors.New("netio: server busy")
 
-const (
-	admissionBusy admissionCode = iota + 1
-	admissionRedirect
-)
-
-// Admission errors. Both are delivered through the resilient Fetcher's retry
-// loop: BUSY floors the next backoff at the server's hint, REDIRECT re-points
-// the fetcher's Redirector (when one is configured) before the next dial.
-var (
-	// ErrAdmissionBusy reports a handshake answered with a BUSY decision:
-	// the server is at its session cap or draining with no survivor to name.
-	ErrAdmissionBusy = errors.New("netio: server busy")
-	// ErrAdmissionRedirect reports a handshake answered with a REDIRECT
-	// decision: the server is draining and named a survivor to dial instead.
-	ErrAdmissionRedirect = errors.New("netio: session redirected")
-)
-
-// admissionDecision is the parsed decision record.
+// admissionDecision is the parsed BUSY decision.
 type admissionDecision struct {
-	code       admissionCode
-	retryAfter time.Duration // BUSY only
-	addr       string        // REDIRECT only
+	retryAfter time.Duration
 }
 
-// Err maps the decision onto its sentinel.
+// Err maps the decision onto ErrAdmissionBusy.
 func (d admissionDecision) Err() error {
-	if d.code == admissionBusy {
-		return fmt.Errorf("%w (retry after %v)", ErrAdmissionBusy, d.retryAfter)
-	}
-	return fmt.Errorf("%w to %s", ErrAdmissionRedirect, d.addr)
-}
-
-// validate rejects a decision no server would write.
-func (d admissionDecision) validate() error {
-	switch d.code {
-	case admissionBusy:
-		if d.addr != "" {
-			return fmt.Errorf("%w: BUSY carries an address", ErrBadHandshake)
-		}
-	case admissionRedirect:
-		if d.addr == "" || len(d.addr) > maxRedirectAddr {
-			return fmt.Errorf("%w: REDIRECT to a %d-byte address", ErrBadHandshake, len(d.addr))
-		}
-		if d.retryAfter != 0 {
-			return fmt.Errorf("%w: REDIRECT carries a retry hint", ErrBadHandshake)
-		}
-	default:
-		return fmt.Errorf("%w: unknown decision code %d", ErrBadHandshake, d.code)
-	}
-	return nil
+	return fmt.Errorf("%w (retry after %v)", ErrAdmissionBusy, d.retryAfter)
 }
 
 // appendDecision marshals d onto dst.
-func appendDecision(dst []byte, d admissionDecision) ([]byte, error) {
-	if err := d.validate(); err != nil {
-		return nil, err
-	}
+func appendDecision(dst []byte, d admissionDecision) []byte {
 	ms := min(max(d.retryAfter.Milliseconds(), 0), int64(^uint32(0)))
-	var b [1 + 4 + maxRedirectAddr]byte
-	body := binary.BigEndian.AppendUint32(append(b[:0], byte(d.code)), uint32(ms))
-	return appendControl(dst, decisionMagic, append(body, d.addr...)), nil
+	var b [decisionLen]byte
+	b[0] = decisionBusy
+	binary.BigEndian.PutUint32(b[1:], uint32(ms))
+	return appendControl(dst, decisionMagic, b[:])
 }
 
 // parseDecision parses an XNCD body.
 func parseDecision(body []byte) (admissionDecision, error) {
-	if len(body) < 1+4 {
+	switch {
+	case len(body) > 0 && body[0] != decisionBusy:
+		return admissionDecision{}, fmt.Errorf("%w: unknown decision code %d", ErrBadHandshake, body[0])
+	case len(body) != decisionLen:
 		return admissionDecision{}, fmt.Errorf("%w: %d-byte decision", ErrBadHandshake, len(body))
 	}
-	d := admissionDecision{
-		code:       admissionCode(body[0]),
-		retryAfter: time.Duration(binary.BigEndian.Uint32(body[1:])) * time.Millisecond,
-		addr:       string(body[5:]),
-	}
-	if err := d.validate(); err != nil {
-		return admissionDecision{}, err
-	}
-	return d, nil
+	return admissionDecision{retryAfter: time.Duration(binary.BigEndian.Uint32(body[1:])) * time.Millisecond}, nil
 }
 
 // handshake is everything a server's opening declares: the session header,
@@ -114,7 +71,7 @@ type handshake struct {
 	flags uint32
 	tctx  traceContext
 	key   uint64             // a counter session's coefficient key (TLV type 3)
-	dec   *admissionDecision // non-nil: BUSY or REDIRECT, and no session
+	dec   *admissionDecision // non-nil: BUSY, and no session
 }
 
 // traced reports whether the session negotiated round preludes.
@@ -124,8 +81,7 @@ func (hs *handshake) traced() bool { return hs.flags&hsFlagTrace != 0 }
 func (hs *handshake) counter() bool { return hs.flags&hsFlagCounter != 0 }
 
 // readHandshake reads the server's opening — exactly one control record —
-// and dispatches on its magic: a session header, or a BUSY or REDIRECT
-// decision.
+// and dispatches on its magic: a session header, or a BUSY decision.
 func readHandshake(r io.Reader) (handshake, error) {
 	magic, body, err := readControl(r, make([]byte, controlOverhead+handshakeBodyMax))
 	if err != nil {

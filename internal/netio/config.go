@@ -175,12 +175,6 @@ type FetcherConfig struct {
 	// ErrFetchTimeout instead of discarding rank. Zero means no overall
 	// timeout.
 	FetchTimeout time.Duration
-	// Redirector, when non-nil, is re-pointed at the address carried in
-	// every REDIRECT admission decision the fetch receives, so a drain
-	// walks the fetcher to the named survivor on its next dial. The
-	// Redirector is typically also the fetcher's DialFunc, but any
-	// control-plane target works.
-	Redirector *Redirector
 	// BackoffBase and BackoffMax shape the reconnect schedule: the delay
 	// before retry r doubles from BackoffBase (0 → 50ms), is capped at
 	// BackoffMax (0 → 2s), and is then jittered. The schedule resets after

@@ -114,15 +114,8 @@ func TestControlRecords(t *testing.T) {
 	tlv := func(fields ...byte) []byte {
 		return rebody(plain, func(b []byte) []byte { return append(b, fields...) })
 	}
-	busy := admissionDecision{code: admissionBusy, retryAfter: 1500 * time.Millisecond}
-	redirect := admissionDecision{code: admissionRedirect, addr: "10.0.0.7:9000"}
-	decision := func(d admissionDecision) []byte {
-		rec, err := appendDecision(nil, d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rec
-	}
+	busy := admissionDecision{retryAfter: 1500 * time.Millisecond}
+	decision := func(d admissionDecision) []byte { return appendDecision(nil, d) }
 	sf := stateFetcher(t, p, 6)
 	state, err := sf.State()
 	if err != nil {
@@ -168,7 +161,8 @@ func TestControlRecords(t *testing.T) {
 		{"length of 2^50 in one segment", appendSessionHeader(nil, handshake{hdr: sessionHeader{params: p, segments: 1, length: 1 << 50}}), nil, ErrBadHandshake},
 		{"header body over bound", over(protoMagic), nil, ErrBadHandshake},
 		{"busy", decision(busy), handshake{dec: &busy}, nil},
-		{"redirect", decision(redirect), handshake{dec: &redirect}, nil},
+		// Protocol v4's REDIRECT: the coordinator routes leaves now.
+		{"redirect", legacyRedirect("10.0.0.7:9000"), nil, ErrBadHandshake},
 		{"v3 explicit accept", rebody(decision(busy), func(b []byte) []byte { b[0] = 0; return b }), nil, ErrBadHandshake},
 		{"decision truncated", rebody(decision(busy), func(b []byte) []byte { return b[:4] }), nil, ErrBadHandshake},
 		{"need", need, []uint32{3, 0}, nil},

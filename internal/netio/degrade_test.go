@@ -9,32 +9,19 @@ import (
 	"testing"
 	"time"
 
-	"extremenc/internal/faultnet"
 	"extremenc/internal/rlnc"
 )
 
-// TestDecisionRoundTrip: the admission decision codec round-trips every legal
-// decision form and rejects every illegal one.
+// TestDecisionRoundTrip: the admission decision codec round-trips a BUSY
+// decision and its retry hint.
 func TestDecisionRoundTrip(t *testing.T) {
-	for _, d := range []admissionDecision{
-		{code: admissionBusy, retryAfter: 750 * time.Millisecond},
-		{code: admissionBusy},
-		{code: admissionRedirect, addr: "10.1.2.3:9999"},
-	} {
-		rec, err := appendDecision(nil, d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hs, err := readHandshake(bytes.NewReader(rec))
+	for _, d := range []admissionDecision{{retryAfter: 750 * time.Millisecond}, {}} {
+		hs, err := readHandshake(bytes.NewReader(appendDecision(nil, d)))
 		if err != nil || hs.dec == nil || *hs.dec != d {
 			t.Fatalf("round trip of %+v: dec=%+v err=%v", d, hs.dec, err)
 		}
-		want := ErrAdmissionBusy
-		if d.code == admissionRedirect {
-			want = ErrAdmissionRedirect
-		}
-		if !errors.Is(hs.dec.Err(), want) {
-			t.Fatalf("%+v: Err() = %v, want %v", d, hs.dec.Err(), want)
+		if !errors.Is(hs.dec.Err(), ErrAdmissionBusy) {
+			t.Fatalf("%+v: Err() = %v, want ErrAdmissionBusy", d, hs.dec.Err())
 		}
 	}
 
@@ -44,33 +31,23 @@ func TestDecisionRoundTrip(t *testing.T) {
 	if err != nil || hs.dec != nil || hs.hdr != hdr {
 		t.Fatalf("accept: h=%+v dec=%v err=%v", hs.hdr, hs.dec, err)
 	}
-
-	// Decisions no server writes are rejected at marshal time.
-	for _, bad := range []admissionDecision{
-		{code: 0}, // the explicit ACCEPT of protocol v3
-		{code: admissionBusy, addr: "x"},
-		{code: admissionRedirect},
-		{code: admissionRedirect, addr: "x", retryAfter: time.Second},
-		{code: admissionRedirect, addr: string(make([]byte, maxRedirectAddr+1))},
-		{code: 9},
-	} {
-		if _, err := appendDecision(nil, bad); !errors.Is(err, ErrBadHandshake) {
-			t.Fatalf("appendDecision(%+v) = %v, want ErrBadHandshake", bad, err)
-		}
-	}
 }
 
-// TestDecisionRejectsForged: an unknown decision code — the v3 explicit
-// ACCEPT among them, even followed by a session header — and a bad CRC are
-// all ErrBadHandshake, even when the rest of the record is plausible.
+// legacyRedirect is protocol v4's REDIRECT decision to addr: code 2, a zero
+// retry hint, then the address. No server writes it any more.
+func legacyRedirect(addr string) []byte {
+	return appendControl(nil, decisionMagic, append([]byte{2, 0, 0, 0, 0}, addr...))
+}
+
+// TestDecisionRejectsForged: a decision code other than BUSY — the v3
+// explicit ACCEPT, even followed by a session header, and the retired
+// REDIRECT among them — a BUSY with trailing bytes, and a bad CRC are all
+// ErrBadHandshake, even when the rest of the record is plausible.
 func TestDecisionRejectsForged(t *testing.T) {
-	rec, err := appendDecision(nil, admissionDecision{code: admissionBusy, retryAfter: time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rec := appendDecision(nil, admissionDecision{retryAfter: time.Second})
 
 	// Unknown code with a correct CRC: structurally sound, semantically not.
-	for _, code := range []byte{0, 3} {
+	for _, code := range []byte{0, 2, 3} {
 		forged := bytes.Clone(rec)
 		forged[8] = code
 		resealControl(forged)
@@ -78,6 +55,15 @@ func TestDecisionRejectsForged(t *testing.T) {
 		forged = appendSessionHeader(forged, handshake{hdr: hdr})
 		if _, err := readHandshake(bytes.NewReader(forged)); !errors.Is(err, ErrBadHandshake) {
 			t.Fatalf("code %d: %v, want ErrBadHandshake", code, err)
+		}
+	}
+
+	// The retired REDIRECT as protocol v4 wrote it, and a BUSY that carries
+	// an address the same way.
+	busyWithAddr := appendControl(nil, decisionMagic, append([]byte{decisionBusy, 0, 0, 0, 5}, "10.0.0.7:9000"...))
+	for name, forged := range map[string][]byte{"redirect": legacyRedirect("10.0.0.7:9000"), "busy with an address": busyWithAddr} {
+		if _, err := readHandshake(bytes.NewReader(forged)); !errors.Is(err, ErrBadHandshake) {
+			t.Fatalf("%s: %v, want ErrBadHandshake", name, err)
 		}
 	}
 
@@ -180,139 +166,6 @@ func TestServeBusyHonoredByFetcher(t *testing.T) {
 	}
 }
 
-// TestDrainRedirectFollowed is the drain gate at netio scope: a fetcher
-// mid-download on a draining server is walked — by a REDIRECT decision, not
-// out-of-band control — to the named survivor, keeps all accumulated rank,
-// and finishes a byte-identical transfer; both servers' ledgers balance.
-func TestDrainRedirectFollowed(t *testing.T) {
-	p := rlnc.Params{BlockCount: 16, BlockSize: 2048}
-	media := testMedia(t, 4*p.SegmentSize(), 22)
-	newTCPServer := func(seed int64) (*Server, net.Listener, chan error) {
-		t.Helper()
-		cfg := DefaultServerConfig()
-		cfg.WriteDeadline = time.Second
-		cfg.Seed = seed
-		srv, err := NewServerFromConfig(media, p, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Skipf("loopback listen unavailable: %v", err)
-		}
-		done := make(chan error, 1)
-		go func() { done <- srv.Serve(context.Background(), l) }()
-		return srv, l, done
-	}
-	srvA, lA, doneA := newTCPServer(100)
-	srvB, lB, doneB := newTCPServer(200)
-	defer func() {
-		srvB.Shutdown()
-		lB.Close()
-		<-doneB
-	}()
-
-	// A pinned consuming session holds the drain window open: Drain waits for
-	// it, so REDIRECT stays on offer until the fetcher has walked off.
-	pinConn, err := net.Dial("tcp", lA.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pinned, err := NewRawClient(pinConn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pinDone := make(chan struct{})
-	go func() {
-		defer close(pinDone)
-		for {
-			if _, err := pinned.Next(); err != nil {
-				return
-			}
-		}
-	}()
-
-	// The fetcher dials through a Redirector wrapped in chaos resets, so its
-	// connection to the draining server keeps getting cut mid-stream and each
-	// reconnect passes through admission again.
-	rd := NewRedirector(lA.Addr().String())
-	dial, _ := faultnet.Dialer(faultnet.Config{Seed: 23, ResetEvery: 24 << 10}, rd.Dial)
-	fcfg := DefaultFetcherConfig()
-	fcfg.Redirector = rd
-	fcfg.BackoffBase = time.Millisecond
-	fcfg.BackoffMax = 50 * time.Millisecond
-	fcfg.Seed = 2
-	f := newTestFetcher(t, dial, fcfg)
-
-	fetchDone := make(chan error, 1)
-	var res *FetchResult
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-		defer cancel()
-		var err error
-		res, err = f.Fetch(ctx)
-		fetchDone <- err
-	}()
-
-	// Let the fetcher accumulate rank on the doomed server first, then drain.
-	for deadline := time.Now().Add(10 * time.Second); f.Stats().Records == 0; {
-		if time.Now().After(deadline) {
-			t.Fatal("fetch never started on the draining server")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	drainDone := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		drainDone <- srvA.Drain(ctx, lB.Addr().String())
-	}()
-
-	if err := <-fetchDone; err != nil {
-		t.Fatalf("fetch across drain: %v", err)
-	}
-	if !bytes.Equal(res.Payload, media) {
-		t.Fatal("payload differs after redirect")
-	}
-	stats := res.Stats
-	if stats.AdmissionRedirected == 0 {
-		t.Fatal("fetcher never saw the REDIRECT decision")
-	}
-	if rd.Redirects() == 0 || rd.Target() != lB.Addr().String() {
-		t.Fatalf("redirector not walked to the survivor: redirects=%d target=%q",
-			rd.Redirects(), rd.Target())
-	}
-	if stats.ResumedRank == 0 {
-		t.Fatal("no rank carried across the redirect reconnects")
-	}
-
-	// Release the pinned session; the drain must now complete cleanly.
-	pinned.Close()
-	<-pinDone
-	if err := <-drainDone; err != nil {
-		t.Fatalf("Drain: %v", err)
-	}
-	lA.Close()
-	<-doneA
-
-	snapA := srvA.Snapshot()
-	if snapA.AdmissionRedirected == 0 {
-		t.Fatal("drained server wrote no REDIRECT decisions")
-	}
-	if !snapA.Draining {
-		t.Fatal("drained server snapshot does not report draining")
-	}
-	if !snapA.Consistent() {
-		t.Fatalf("drained ledger: offered %d != sent %d + shed %d",
-			snapA.BlocksOffered, snapA.BlocksSent, snapA.BlocksShed)
-	}
-	srvB.Shutdown()
-	if snapB := srvB.Snapshot(); !snapB.Consistent() {
-		t.Fatalf("survivor ledger: offered %d != sent %d + shed %d",
-			snapB.BlocksOffered, snapB.BlocksSent, snapB.BlocksShed)
-	}
-}
-
 // TestShutdownDrainRace: Shutdown and Drain are idempotent and safe to race
 // with each other and with Serve; every call returns, and follow-up calls are
 // no-ops. Run under -race this is the regression net for the teardown
@@ -349,7 +202,7 @@ func TestShutdownDrainRace(t *testing.T) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
-			srv.Drain(ctx, "") //nolint:errcheck — racing Shutdown may pre-empt it
+			srv.Drain(ctx) //nolint:errcheck — racing Shutdown may pre-empt it
 		}()
 	}
 	wg.Wait()
@@ -361,7 +214,7 @@ func TestShutdownDrainRace(t *testing.T) {
 	<-fetchDone
 
 	// Every follow-up is a fast no-op.
-	if err := srv.Drain(context.Background(), "nowhere:1"); err != nil {
+	if err := srv.Drain(context.Background()); err != nil {
 		t.Fatalf("Drain after Shutdown: %v", err)
 	}
 	srv.Shutdown()

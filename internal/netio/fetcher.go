@@ -190,12 +190,9 @@ type Fetcher struct {
 	deficits []uint32
 	needBuf  []byte
 
-	// Admission-decision carry-over between attempts: busyHint floors the
-	// next backoff sleep at a BUSY decision's retry-after, promptRetry skips
-	// the backoff entirely after a REDIRECT (the new target deserves an
-	// immediate dial).
-	busyHint    time.Duration
-	promptRetry bool
+	// busyHint floors the next backoff sleep at a BUSY decision's
+	// retry-after.
+	busyHint time.Duration
 
 	// reconnSpan times dial-through-handshake on reconnect attempts. Started
 	// in Fetch before redialing, ended in session once the handshake lands; a
@@ -252,8 +249,7 @@ type fetcherMetrics struct {
 	bytes          obs.Counter
 	bytesDiscarded obs.Counter
 
-	admissionBusy       obs.Counter
-	admissionRedirected obs.Counter
+	admissionBusy obs.Counter
 }
 
 // view snapshots the ledger as the public FetchStats shape.
@@ -271,8 +267,7 @@ func (m *fetcherMetrics) view() *FetchStats {
 		Bytes:          m.bytes.Load(),
 		BytesDiscarded: m.bytesDiscarded.Load(),
 
-		AdmissionBusy:       int(m.admissionBusy.Load()),
-		AdmissionRedirected: int(m.admissionRedirected.Load()),
+		AdmissionBusy: int(m.admissionBusy.Load()),
 	}
 }
 
@@ -294,7 +289,6 @@ func (m *fetcherMetrics) register(reg *obs.Registry, prefix string) error {
 		{"bytes", "wire bytes consumed in complete records", &m.bytes},
 		{"bytes_discarded", "bytes thrown away: rejects, bad prefixes, partials", &m.bytesDiscarded},
 		{"admission_busy", "handshakes answered with a BUSY admission decision", &m.admissionBusy},
-		{"admission_redirected", "handshakes answered with a REDIRECT admission decision", &m.admissionRedirected},
 	} {
 		if err := reg.RegisterCounter(prefix+"."+e.name, e.help, e.c); err != nil {
 			return err
@@ -402,11 +396,9 @@ func (f *Fetcher) fetch(ctx context.Context) (*FetchResult, error) {
 		if fatal {
 			return f.result(), err
 		}
-		if f.stats.records.Load() > before || f.promptRetry {
-			// A productive session, or a REDIRECT naming a new target:
-			// either way the next dial should be prompt.
+		if f.stats.records.Load() > before {
+			// A productive session: the next dial should be prompt.
 			retry = 0
-			f.promptRetry = false
 		}
 		lastErr = err
 	}
@@ -538,18 +530,8 @@ func (f *Fetcher) session(ctx context.Context, conn net.Conn) (done, fatal bool,
 	if hs.dec != nil {
 		// A structured rejection, not a stream failure: non-fatal, so the
 		// retry loop keeps going, shaped by the server's own guidance.
-		switch hs.dec.code {
-		case admissionBusy:
-			f.stats.admissionBusy.Inc()
-			f.busyHint = hs.dec.retryAfter
-		case admissionRedirect:
-			f.stats.admissionRedirected.Inc()
-			trace.Emit(trace.KindRedirect, f.traceNode(), hs.dec.addr, -1, 0)
-			if f.cfg.Redirector != nil {
-				f.cfg.Redirector.SetTarget(hs.dec.addr)
-				f.promptRetry = true
-			}
-		}
+		f.stats.admissionBusy.Inc()
+		f.busyHint = hs.dec.retryAfter
 		return false, false, hs.dec.Err()
 	}
 	h := hs.hdr

@@ -271,31 +271,27 @@ var fuzzHeader = sessionHeader{params: rlnc.Params{BlockCount: 4, BlockSize: 16}
 // decisionSeeds are admission decisions, and what used to precede a header.
 func decisionSeeds(f *testing.F) {
 	decision := func(d admissionDecision, mutate func([]byte) []byte) []byte {
-		rec, err := appendDecision(nil, d)
-		if err != nil {
-			f.Fatal(err)
-		}
+		rec := appendDecision(nil, d)
 		if mutate != nil {
 			rec = mutate(rec)
 		}
 		return rec
 	}
 	plain := appendSessionHeader(nil, handshake{hdr: fuzzHeader})
-	f.Add(decision(admissionDecision{code: admissionBusy, retryAfter: 250 * time.Millisecond}, nil))
-	f.Add(decision(admissionDecision{code: admissionRedirect, addr: "127.0.0.1:9999"}, nil))
-	f.Add(decision(admissionDecision{code: admissionBusy}, func(rec []byte) []byte {
+	f.Add(decision(admissionDecision{retryAfter: 250 * time.Millisecond}, nil))
+	// Protocol v4's REDIRECT, which the property check requires refused.
+	f.Add(legacyRedirect("127.0.0.1:9999"))
+	f.Add(decision(admissionDecision{}, func(rec []byte) []byte {
 		rec[len(rec)-1] ^= 0x01 // flipped CRC bit
 		return rec
 	}))
-	f.Add(decision(admissionDecision{code: admissionBusy}, func(rec []byte) []byte {
+	f.Add(decision(admissionDecision{}, func(rec []byte) []byte {
 		rec[8] = 7 // unknown code, CRC refreshed
 		resealControl(rec)
 		return rec
 	}))
-	f.Add(decision(admissionDecision{code: admissionRedirect, addr: "x"}, func(rec []byte) []byte {
-		return rec[:6] // truncated mid-record
-	}))
-	f.Add(decision(admissionDecision{code: admissionBusy}, func(rec []byte) []byte {
+	f.Add(legacyRedirect("x")[:6]) // truncated mid-record
+	f.Add(decision(admissionDecision{}, func(rec []byte) []byte {
 		rec[8] = 0 // the v3 explicit ACCEPT, then a header
 		resealControl(rec)
 		return append(rec, plain...)
@@ -393,9 +389,10 @@ func fuzzControl(f *testing.F, families ...func(*testing.F)) {
 			}
 			rec := appendSessionHeader(nil, hs)
 			if hs.dec != nil {
-				if rec, err = appendDecision(nil, *hs.dec); err != nil {
-					t.Fatalf("accepted a decision no server writes: %+v: %v", *hs.dec, err)
+				if declared != decisionLen || data[8] != decisionBusy {
+					t.Fatalf("accepted a decision no server writes: %x", data[:controlOverhead+declared])
 				}
+				rec = appendDecision(nil, *hs.dec)
 			}
 			if again, err := readHandshake(bytes.NewReader(rec)); err != nil || !reflect.DeepEqual(again, hs) {
 				t.Fatalf("re-marshaled %+v parses as %+v, %v", hs, again, err)

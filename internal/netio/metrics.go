@@ -148,8 +148,9 @@ type SessionSnapshot struct {
 // count, and the draining flag. Version 4 dropped the rung and the transition
 // count with the ladder they reported: credit bounds what the pumps encode.
 // Version 5 dropped the per-pump ledger and the session's pump again: a server
-// runs one pump.
-const SnapshotVersion = 5
+// runs one pump. Version 6 dropped the REDIRECT decision count with the
+// decision: a draining server answers BUSY.
+const SnapshotVersion = 6
 
 // Snapshot is the server-wide observability surface: the server's counters
 // and one entry per live session. Counters for finished sessions remain in
@@ -166,11 +167,10 @@ type Snapshot struct {
 	SessionsRejected int64
 	SessionSeconds   float64 // summed wall-clock duration of finished sessions
 
-	// Graceful-degradation surface (version 3): structured rejections
-	// written to new connections, and whether a Drain is in progress.
-	AdmissionBusy       int64
-	AdmissionRedirected int64
-	Draining            bool
+	// Graceful-degradation surface (version 3): BUSY decisions written to
+	// new connections, and whether a Drain is in progress.
+	AdmissionBusy int64
+	Draining      bool
 
 	CounterView
 

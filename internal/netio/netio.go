@@ -33,7 +33,7 @@ import (
 //	the server opens with exactly one control record (control.go):
 //	  session header  XNCP body: u32 version | u32 n | u32 k | u32 segment count |
 //	                  u64 payload length | u32 wire mode | u32 flags | TLV fields
-//	  or a decision   XNCD body (admission.go): BUSY or REDIRECT, then close
+//	  or a decision   XNCD body (admission.go): BUSY, then close
 //	then records:     u32 length | coded block (XNC1, XNC2 or XNC3, package
 //	                  rlnc), round-robin across segments, as far as the
 //	                  session's credit goes, until the client closes.
@@ -282,7 +282,7 @@ type traceContext struct {
 // appendSessionHeader marshals hs onto dst: the header, its feature flags,
 // and as TLV fields the trace context (omitted when zero) and, on a counter
 // session, the coefficient key. The flags word is deliberately NOT part of
-// sessionHeader: feature negotiation is per-connection (a redirect may land on
+// sessionHeader: feature negotiation is per-connection (a reconnect may land on
 // a server with different features, or another key), while sessionHeader
 // identity gates reconnect safety.
 func appendSessionHeader(dst []byte, hs handshake) []byte {
@@ -422,11 +422,9 @@ type FetchStats struct {
 	Bytes          int64 // wire bytes consumed in complete records
 	BytesDiscarded int64 // bytes thrown away: rejected records, bad prefixes, partials
 
-	// AdmissionBusy and AdmissionRedirected count handshakes answered with
-	// a structured rejection instead of a session: the server was shedding
-	// load (BUSY) or draining toward a named survivor (REDIRECT).
-	AdmissionBusy       int
-	AdmissionRedirected int
+	// AdmissionBusy counts handshakes answered with a BUSY decision instead
+	// of a session: the server was at its session cap or draining.
+	AdmissionBusy int
 }
 
 // Fetch downloads and decodes the served object from conn, closing it once

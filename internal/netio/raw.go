@@ -45,9 +45,9 @@ type RawClient struct {
 }
 
 // NewRawClient performs the client side of the handshake on conn and returns
-// a reader positioned at the first record. A BUSY or REDIRECT admission
-// decision is returned as its sentinel error (ErrAdmissionBusy,
-// ErrAdmissionRedirect); on any handshake failure the connection is closed.
+// a reader positioned at the first record. A BUSY admission decision is
+// returned as ErrAdmissionBusy; on any handshake failure the connection is
+// closed.
 // It writes nothing: the first records are owed from the handshake on.
 func NewRawClient(conn net.Conn) (*RawClient, error) {
 	br := bufio.NewReaderSize(conn, 32<<10)

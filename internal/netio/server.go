@@ -93,8 +93,7 @@ type Server struct {
 	sessionSecs      atomic.Int64 // summed finished-session durations, in ns
 
 	// Admission decisions written to rejected connections.
-	admissionBusy       obs.Counter
-	admissionRedirected obs.Counter
+	admissionBusy obs.Counter
 
 	// mu guards the session set and the server's lifecycle. sessions holds
 	// every session past its handshake: its size is the live session count.
@@ -102,7 +101,6 @@ type Server struct {
 	sessions  map[*session]struct{}
 	closed    bool
 	draining  bool
-	drainAddr string        // REDIRECT target while draining ("" → BUSY)
 	drainDone chan struct{} // closed when the active Drain finishes
 	listeners map[net.Listener]struct{}
 	nextID    int64
@@ -242,10 +240,6 @@ func (s *Server) registerMetrics(reg *obs.Registry) error {
 		"BUSY admission decisions written to new connections", &s.admissionBusy); err != nil {
 		return err
 	}
-	if err := reg.RegisterCounter("netio.admission_redirected",
-		"REDIRECT admission decisions written to new connections", &s.admissionRedirected); err != nil {
-		return err
-	}
 	if err := reg.RegisterFunc("netio.sessions_live",
 		"sessions currently connected", func() float64 {
 			s.mu.Lock()
@@ -359,7 +353,7 @@ func (s *Server) Serve(ctx context.Context, l net.Listener) error {
 
 // startSession decides admission for conn: an admitted connection gets a
 // session goroutine; a rejected one (session cap, drain) gets a short-lived
-// decision writer that answers BUSY or REDIRECT and closes it.
+// decision writer that answers BUSY and closes it.
 // It reports false only when the server is closed — the caller then owns the
 // connection.
 func (s *Server) startSession(conn net.Conn) bool {
@@ -369,16 +363,12 @@ func (s *Server) startSession(conn net.Conn) bool {
 		return false
 	}
 	if s.draining {
-		d := admissionDecision{code: admissionRedirect, addr: s.drainAddr}
-		if d.addr == "" {
-			d = admissionDecision{code: admissionBusy, retryAfter: s.cfg.RetryAfter}
-		}
-		s.rejectSession(conn, d)
+		s.rejectSession(conn)
 		return true
 	}
 	if s.cfg.MaxSessions > 0 && len(s.sessions) >= s.cfg.MaxSessions {
 		s.sessionsRejected.Add(1)
-		s.rejectSession(conn, admissionDecision{code: admissionBusy, retryAfter: s.cfg.RetryAfter})
+		s.rejectSession(conn)
 		return true
 	}
 	s.nextID++
@@ -417,19 +407,14 @@ func (s *Server) traceNodeName() string {
 	return "netio"
 }
 
-// rejectSession hands conn to a decision-writer goroutine and releases s.mu,
-// which the caller must hold: the auxWG.Add has to be ordered before
-// Shutdown's closed flip (also under s.mu) so Shutdown's auxWG.Wait covers
-// every writer.
-func (s *Server) rejectSession(conn net.Conn, d admissionDecision) {
-	switch d.code {
-	case admissionBusy:
-		s.admissionBusy.Add(1)
-		trace.Emit(trace.KindAdmission, s.traceNodeName(), "busy", -1, d.retryAfter.Milliseconds())
-	case admissionRedirect:
-		s.admissionRedirected.Add(1)
-		trace.Emit(trace.KindAdmission, s.traceNodeName(), "redirect:"+d.addr, -1, 0)
-	}
+// rejectSession hands conn to a goroutine that writes it a BUSY decision, and
+// releases s.mu, which the caller must hold: the auxWG.Add has to be ordered
+// before Shutdown's closed flip (also under s.mu) so Shutdown's auxWG.Wait
+// covers every writer.
+func (s *Server) rejectSession(conn net.Conn) {
+	d := admissionDecision{retryAfter: s.cfg.RetryAfter}
+	s.admissionBusy.Add(1)
+	trace.Emit(trace.KindAdmission, s.traceNodeName(), "busy", -1, d.retryAfter.Milliseconds())
 	s.auxWG.Add(1)
 	s.mu.Unlock()
 	go func() {
@@ -438,9 +423,7 @@ func (s *Server) rejectSession(conn net.Conn, d admissionDecision) {
 		if s.cfg.WriteDeadline > 0 {
 			conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteDeadline))
 		}
-		if rec, err := appendDecision(nil, d); err == nil {
-			conn.Write(rec) //nolint:errcheck — best effort; the peer may already be gone
-		}
+		conn.Write(appendDecision(nil, d)) //nolint:errcheck — best effort; the peer may already be gone
 	}()
 }
 
@@ -1016,14 +999,13 @@ func SealDenseRecord(rec []byte) { rlnc.SealWire(rec[recordLenLen:]) }
 // Snapshot copies the server's counters and the state of every live session.
 func (s *Server) Snapshot() Snapshot {
 	snap := Snapshot{
-		Version:             SnapshotVersion,
-		Mode:                s.Mode(),
-		SessionsTotal:       s.sessionsTotal.Load(),
-		SessionsRejected:    s.sessionsRejected.Load(),
-		SessionSeconds:      time.Duration(s.sessionSecs.Load()).Seconds(),
-		AdmissionBusy:       s.admissionBusy.Load(),
-		AdmissionRedirected: s.admissionRedirected.Load(),
-		CounterView:         s.counters.View(),
+		Version:          SnapshotVersion,
+		Mode:             s.Mode(),
+		SessionsTotal:    s.sessionsTotal.Load(),
+		SessionsRejected: s.sessionsRejected.Load(),
+		SessionSeconds:   time.Duration(s.sessionSecs.Load()).Seconds(),
+		AdmissionBusy:    s.admissionBusy.Load(),
+		CounterView:      s.counters.View(),
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1093,17 +1075,17 @@ func (s *Server) closeSessions() {
 }
 
 // Drain gracefully retires the server: it keeps accepting connections but
-// answers every new handshake with REDIRECT to redirectAddr (BUSY when
-// redirectAddr is empty), lets in-flight sessions run to completion — an
-// RLNC client hangs up on its own at full rank — and then shuts down. If ctx
-// ends first the remaining sessions are force-closed, the shutdown still
+// answers every new handshake with BUSY (a mesh coordinator has already routed
+// its leaves elsewhere), lets in-flight sessions run to completion — an RLNC
+// client hangs up on its own at full rank — and then shuts down. If ctx ends
+// first the remaining sessions are force-closed, the shutdown still
 // completes, and ctx.Err() is returned; the shed-at-teardown accounting
 // keeps the offered == sent + shed ledger exact either way.
 //
 // Drain is idempotent and safe to race with Shutdown, Serve, and itself: a
 // concurrent Drain waits for the first one to finish, and Drain on a
 // shut-down server is a no-op.
-func (s *Server) Drain(ctx context.Context, redirectAddr string) error {
+func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -1120,13 +1102,12 @@ func (s *Server) Drain(ctx context.Context, redirectAddr string) error {
 		}
 	}
 	s.draining = true
-	s.drainAddr = redirectAddr
 	done := make(chan struct{})
 	s.drainDone = done
 	live := len(s.sessions)
 	s.mu.Unlock()
 	defer close(done)
-	trace.Emit(trace.KindDrain, s.traceNodeName(), redirectAddr, -1, int64(live))
+	trace.Emit(trace.KindDrain, s.traceNodeName(), "", -1, int64(live))
 
 	// No session wg.Add can happen once draining is set (the admission path
 	// rejects under the same mutex), so waiting here cannot race a late Add.

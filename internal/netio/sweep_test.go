@@ -391,7 +391,7 @@ func TestSweepSessionLifecycle(t *testing.T) {
 		awaitSessions(t, srv, 2)
 
 		hs, err := readHandshake(l.Dial())
-		if err != nil || hs.dec == nil || hs.dec.code != admissionBusy {
+		if err != nil || hs.dec == nil || hs.dec.retryAfter != srv.cfg.RetryAfter {
 			t.Fatalf("third connection past a cap of 2: %+v, %v", hs.dec, err)
 		}
 		snap := srv.Snapshot()
@@ -426,15 +426,27 @@ func TestSweepSessionLifecycle(t *testing.T) {
 		srv, _, mid, waiting := hold(t)
 		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 		defer cancel()
-		if err := srv.Drain(ctx, ""); !errors.Is(err, context.DeadlineExceeded) {
+		if err := srv.Drain(ctx); !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("Drain past its deadline = %v", err)
 		}
 		settled(t, srv, mid, waiting)
 	})
 	t.Run("drain waits", func(t *testing.T) {
-		srv, _, mid, waiting := hold(t)
+		srv, l, mid, waiting := hold(t)
 		drained := make(chan error, 1)
-		go func() { drained <- srv.Drain(context.Background(), "") }()
+		go func() { drained <- srv.Drain(context.Background()) }()
+		// A draining server answers a new connection BUSY with its retry
+		// hint, not counted as a session-cap rejection.
+		for !srv.Snapshot().Draining {
+			time.Sleep(time.Millisecond)
+		}
+		hs, err := readHandshake(l.Dial())
+		if err != nil || hs.dec == nil || hs.dec.retryAfter != srv.cfg.RetryAfter {
+			t.Fatalf("connection to a draining server: %+v, %v", hs.dec, err)
+		}
+		if snap := srv.Snapshot(); snap.AdmissionBusy != 2 || snap.SessionsRejected != 1 {
+			t.Fatalf("busy %d, rejected %d: want the cap's BUSY and the drain's", snap.AdmissionBusy, snap.SessionsRejected)
+		}
 		// The waiting peer hangs up: done. The mid-sweep peer reads on to the
 		// end and hangs up too.
 		waiting.conn.Close()

@@ -10,7 +10,7 @@
 //     IDs are process-local uint64s; the wire layer carries them across nodes
 //     so one generation's records stay linkable origin → relay → leaf.
 //   - Flight events: point-in-time facts (admission decisions, sheds,
-//     reconnects, redirects, rank milestones, drains, fault injections)
+//     reconnects, rank milestones, drains, fault injections)
 //     recorded for postmortems when a chaos gate fails.
 //
 // The recorder is lock-free: a slice of atomic event pointers indexed by a
@@ -41,15 +41,13 @@ type Kind uint8
 const (
 	// KindSpan is a completed timed span.
 	KindSpan Kind = iota
-	// KindAdmission is a server admission decision (accept/busy/redirect).
+	// KindAdmission is a server admission decision (accept/busy).
 	KindAdmission
 	// KindShed is a batch of frames dropped by a failed write or left queued
 	// at session teardown.
 	KindShed
 	// KindReconnect is a fetcher re-establishing a session.
 	KindReconnect
-	// KindRedirect is a fetcher retargeted by an admission REDIRECT.
-	KindRedirect
 	// KindRank is a decoder rank milestone (a segment reaching full rank).
 	KindRank
 	// KindDrain is a server entering its drain window.
@@ -63,7 +61,6 @@ var kindNames = [...]string{
 	KindAdmission: "admission",
 	KindShed:      "shed",
 	KindReconnect: "reconnect",
-	KindRedirect:  "redirect",
 	KindRank:      "rank",
 	KindDrain:     "drain",
 	KindFault:     "fault",
