@@ -132,10 +132,14 @@ xor-smoke:
 # with monotone per-segment rank, remediation counters nonzero in a scraped
 # exposition, and the relay tier beating a capped origin on aggregate
 # throughput. The whole package runs here (control-plane unit tests
-# included), so ./internal/mesh/ needs no separate RACE_PKGS entry.
+# included), so ./internal/mesh/ needs no separate RACE_PKGS entry. The third
+# line repeats the control-plane tests ten times: members and routes share one
+# lock, and one race pass cannot show that no dial, reroute or remediation
+# step reads a route outside it.
 mesh-smoke:
 	$(GO) test -race -count=1 -v -run 'TestMeshSmoke' ./internal/mesh/
 	$(GO) test -race -count=1 -skip 'TestMeshSmoke|TestMeshRollingRestart' ./internal/mesh/
+	$(GO) test -race -count=10 -run 'TestControl' ./internal/mesh/
 
 # Graceful-degradation drain gate, under the race detector: rolling relay
 # restarts while leaves fetch through faultnet chaos. Each restart must move

@@ -407,7 +407,7 @@ func (r *meshRun) step(ctx context.Context, ev event) error {
 // pickRelay draws a uniformly random active relay. The draw consumes rng even
 // when it fails, keeping the schedule deterministic.
 func (r *meshRun) pickRelay() (string, bool) {
-	ids := r.m.Pool().InState(mesh.StateActive)
+	ids := r.m.Control().InState(mesh.StateActive)
 	if len(ids) == 0 {
 		r.rng.Intn(1)
 		return "", false
@@ -448,7 +448,7 @@ func (r *meshRun) leafWave(ctx context.Context, count int, ev event, id string) 
 			if err != nil {
 				return fmt.Errorf("drain-restart %s: %w", id, err)
 			}
-			addr, _ := r.m.Pool().Addr(id)
+			addr, _ := r.m.Control().Addr(id)
 			r.logf("  drained %s -> back at %s\n", id, addr)
 		}
 	}
@@ -473,7 +473,7 @@ func (r *meshRun) leafWave(ctx context.Context, count int, ev event, id string) 
 // them. The leaves must finish byte-identical, and one of them must have been
 // served by that relay: credit keeps what the readers are owed from starving it.
 func (r *meshRun) slowReaderWave(ctx context.Context) error {
-	usable := r.m.Pool().Usable("")
+	usable := r.m.Control().Usable("")
 	if len(usable) == 0 {
 		return errors.New("no usable relay for the slow readers")
 	}
@@ -503,11 +503,11 @@ func (r *meshRun) checkInvariants(ctx context.Context, reg *obs.Registry, invari
 	if r.kill > 0 {
 		// Leaves can finish before the failure detector's DeadAfter window
 		// closes; give the health sweeps time to bury the victims.
-		if err := poll(ctx, 10*time.Millisecond, func() bool { return len(r.m.Pool().InState(mesh.StateDead)) >= r.kill }); err != nil {
-			return fmt.Errorf("killed %d relays but the pool buried only %d: %w", r.kill, len(r.m.Pool().InState(mesh.StateDead)), err)
+		if err := poll(ctx, 10*time.Millisecond, func() bool { return len(r.m.Control().InState(mesh.StateDead)) >= r.kill }); err != nil {
+			return fmt.Errorf("killed %d relays but the pool buried only %d: %w", r.kill, len(r.m.Control().InState(mesh.StateDead)), err)
 		}
 		r.sum.Kills = r.kill
-		if invariants["remediated"] = r.m.Remediator().Remediations() > 0; !invariants["remediated"] {
+		if invariants["remediated"] = r.m.Control().Remediations() > 0; !invariants["remediated"] {
 			return errors.New("relays died but the remediator moved no leaves")
 		}
 	}

@@ -16,7 +16,7 @@ import (
 
 // Topology describes a mesh run: one origin serving media, a tier of
 // recoding relays fetching from it, and a tier of leaf fetchers assigned to
-// relays by the coordinator. Zero-valued durations get fast-sweep defaults
+// relays by the control plane. Zero-valued durations get fast-sweep defaults
 // sized for in-process loopback runs.
 type Topology struct {
 	// Media and Params define the object the origin serves.
@@ -96,11 +96,14 @@ func (t Topology) withDefaults() Topology {
 	if t.Health.DeadAfter <= 0 {
 		t.Health.DeadAfter = 8 * t.Heartbeat
 	}
+	if t.Health.DeadAfter <= t.Health.SuspectAfter {
+		t.Health.DeadAfter = 2 * t.Health.SuspectAfter
+	}
 	return t
 }
 
 // Leaf is one downstream fetcher: the resilient fetch, dialing through the
-// route the coordinator owns.
+// route the control plane owns.
 type Leaf struct {
 	ID int
 
@@ -142,10 +145,7 @@ type Mesh struct {
 	origin   *netio.Server
 	originLn net.Listener
 
-	pool   *Pool
-	coord  *Coordinator
-	health *Health
-	rem    *Remediator
+	ctl *Control
 
 	relays  []*Relay
 	hbStops map[string]chan struct{}
@@ -190,20 +190,15 @@ func New(topo Topology) (*Mesh, error) {
 	m := &Mesh{
 		topo:    topo,
 		origin:  origin,
-		pool:    NewPool(),
+		ctl:     NewControl(topo.Health),
 		hbStops: make(map[string]chan struct{}),
 		upCtr:   &faultnet.Counters{},
 		downCtr: &faultnet.Counters{},
 	}
-	m.coord = NewCoordinator(m.pool)
-	m.health = NewHealth(m.pool, topo.Health)
-	m.rem = NewRemediator(m.health, m.coord, topo.Sweep)
 
 	if reg := topo.Registry; reg != nil {
 		for _, err := range []error{
-			m.pool.Instrument(reg),
-			m.coord.Instrument(reg),
-			m.rem.Instrument(reg),
+			m.ctl.Instrument(reg),
 			reg.RegisterCounter("mesh.records_tapped_total",
 				"upstream records absorbed into relay recoders", &m.tapped),
 			reg.RegisterCounter("mesh.blocks_recoded_total",
@@ -256,8 +251,8 @@ func tcpDial(addr string) netio.DialFunc {
 // Start brings the mesh up: origin serving on loopback, every relay
 // fetching (through upstream chaos, if configured) and serving, heartbeats
 // flowing, and the remediation loop sweeping. It returns once every relay
-// has completed its first upstream handshake and registered with the pool.
-// The mesh runs until ctx ends or Close is called.
+// has completed its first upstream handshake and registered with the control
+// plane. The mesh runs until ctx ends or Close is called.
 func (m *Mesh) Start(ctx context.Context) error {
 	m.ctx, m.cancel = context.WithCancel(ctx)
 
@@ -330,7 +325,7 @@ func (m *Mesh) Start(ctx context.Context) error {
 				}
 			}
 		}
-		if err := m.pool.Add(id, relay.Addr(), relay.TotalRank, fullRank); err != nil {
+		if err := m.ctl.Add(id, relay.Addr(), relay.TotalRank, fullRank); err != nil {
 			m.Close()
 			return err
 		}
@@ -339,7 +334,7 @@ func (m *Mesh) Start(ctx context.Context) error {
 		go m.heartbeatLoop(id, stop)
 	}
 
-	go m.rem.Run(m.ctx)
+	go m.ctl.Run(m.ctx, m.topo.Sweep)
 	return nil
 }
 
@@ -355,7 +350,7 @@ func (m *Mesh) heartbeatLoop(id string, stop chan struct{}) {
 		case <-m.ctx.Done():
 			return
 		case <-t.C:
-			m.pool.Heartbeat(id)
+			m.ctl.Heartbeat(id)
 		}
 	}
 }
@@ -376,13 +371,13 @@ func (m *Mesh) StartLeaves(ctx context.Context) error {
 // AddLeaf calls — the driver (a test or the CLI) sequences leaf waves.
 func (m *Mesh) AddLeaf(ctx context.Context) (*Leaf, error) {
 	leaf := &Leaf{ID: len(m.leaves), done: make(chan struct{})}
-	rt, _, err := m.coord.assign(leaf.ID)
+	rt, _, err := m.ctl.assign(leaf.ID)
 	if err != nil {
 		return nil, err
 	}
 	leaf.rt = rt
 	if err := m.startLeafFetch(ctx, leaf); err != nil {
-		m.coord.Release(leaf.ID)
+		m.ctl.Release(leaf.ID)
 		return nil, err
 	}
 	m.leaves = append(m.leaves, leaf)
@@ -414,7 +409,7 @@ func (m *Mesh) startLeafFetch(ctx context.Context, leaf *Leaf) error {
 			opt(&cfg)
 		}
 	}
-	dial := m.coord.dial(leaf.rt)
+	dial := m.ctl.dial(leaf.rt)
 	if m.topo.DownstreamFaults != nil {
 		dial = chaosDial(*m.topo.DownstreamFaults, m.downCtr, &m.downSeq, dial)
 	}
@@ -428,7 +423,7 @@ func (m *Mesh) startLeafFetch(ctx context.Context, leaf *Leaf) error {
 		res, err := f.Fetch(ctx)
 		leaf.res, leaf.err = res, err
 		leaf.finished = time.Now()
-		m.coord.Release(leaf.ID)
+		m.ctl.Release(leaf.ID)
 		m.leafCompletions.Inc()
 		close(leaf.done)
 	}()
@@ -466,7 +461,7 @@ func (m *Mesh) WaitWarm(ctx context.Context) error {
 	for {
 		warm := 0
 		for _, r := range m.relays {
-			if st, _ := m.pool.StateOf(r.ID()); st == StateActive && r.TotalRank() == full {
+			if st, _ := m.ctl.StateOf(r.ID()); st == StateActive && r.TotalRank() == full {
 				warm++
 			}
 		}
@@ -503,13 +498,12 @@ func (m *Mesh) KillRelay(id string) error {
 	return fmt.Errorf("mesh: no relay %q", id)
 }
 
-// RestartRelay gracefully cycles relay id with zero loss. The pool marks it
-// draining, so the coordinator stops assigning to it, and the coordinator
-// moves every leaf routed to it onto a usable survivor at once — the same
-// Reroute remediation uses, without waiting for a sweep. The relay's server
-// then drains: late dialers get BUSY, in-flight sessions run to full rank
-// within ctx. A fresh server over the same recoders rejoins the rotation at a
-// new address, and leaves that had no survivor to move to follow it there.
+// RestartRelay gracefully cycles relay id with zero loss: SetDraining takes
+// it out of the rotation and moves every leaf routed to it onto a usable
+// survivor at once, without waiting for a sweep. The relay's server then
+// drains: late dialers get BUSY, in-flight sessions run to full rank within
+// ctx. A fresh server over the same recoders rejoins the rotation at a new
+// address, and Rejoin points the leaves that had no survivor to move to there.
 // Rank never regresses: the recoders survive, and every moved leaf carries
 // its decoder state to its new relay. A drain that outlives ctx still
 // finishes the restart; its error is returned after the relay has rejoined.
@@ -524,22 +518,16 @@ func (m *Mesh) RestartRelay(ctx context.Context, id string) error {
 	if target == nil {
 		return fmt.Errorf("mesh: no relay %q", id)
 	}
-	if !m.pool.SetDraining(id) {
+	if !m.ctl.SetDraining(id) {
 		return fmt.Errorf("mesh: relay %q is not eligible to drain", id)
-	}
-	for leaf, relayID := range m.coord.Routes() {
-		if relayID == id {
-			m.coord.Reroute(leaf, id) //nolint:errcheck — with no survivor, Moved re-points the leaf after the restart
-		}
 	}
 	addr, err := target.Restart(ctx)
 	if addr == "" {
 		return err
 	}
-	if !m.pool.Rejoin(id, addr) {
-		return fmt.Errorf("mesh: relay %q could not rejoin the pool", id)
+	if !m.ctl.Rejoin(id, addr) {
+		return fmt.Errorf("mesh: relay %q could not rejoin the rotation", id)
 	}
-	m.coord.Moved(id, addr)
 	return err
 }
 
@@ -549,14 +537,8 @@ func (m *Mesh) Relays() []*Relay { return m.relays }
 // Leaves returns the mesh's leaves in start order.
 func (m *Mesh) Leaves() []*Leaf { return m.leaves }
 
-// Pool returns the membership registry.
-func (m *Mesh) Pool() *Pool { return m.pool }
-
-// Coordinator returns the assignment plane.
-func (m *Mesh) Coordinator() *Coordinator { return m.coord }
-
-// Remediator returns the remediation loop.
-func (m *Mesh) Remediator() *Remediator { return m.rem }
+// Control returns the control plane: members, health and leaf routes.
+func (m *Mesh) Control() *Control { return m.ctl }
 
 // OriginAddr returns the origin's loopback address; valid after Start.
 func (m *Mesh) OriginAddr() string { return m.originLn.Addr().String() }
@@ -566,7 +548,7 @@ func (m *Mesh) Origin() *netio.Server { return m.origin }
 
 // LeafView is one leaf's state for snapshots. Relay is empty once the leaf
 // has finished; Target and Moves — the address its dials last went to and how
-// many times the coordinator changed it after the assignment — stay.
+// many times the control plane changed it after the assignment — stay.
 type LeafView struct {
 	ID         int    `json:"id"`
 	Relay      string `json:"relay"`
@@ -593,12 +575,12 @@ type MeshSnapshot struct {
 func (m *Mesh) Snapshot() MeshSnapshot {
 	snap := MeshSnapshot{
 		Origin:       m.origin.Snapshot(),
-		Members:      m.pool.Snapshot(),
-		Remediations: m.rem.Remediations(),
+		Members:      m.ctl.Snapshot(),
+		Remediations: m.ctl.Remediations(),
 		Tapped:       m.tapped.Load(),
 		Emitted:      m.emitted.Load(),
 	}
-	routes := m.coord.Routes()
+	routes := m.ctl.Routes()
 	for _, leaf := range m.leaves {
 		lv := LeafView{
 			ID:         leaf.ID,
@@ -606,7 +588,7 @@ func (m *Mesh) Snapshot() MeshSnapshot {
 			Records:    leaf.Records(),
 			Reconnects: leaf.Reconnects(),
 		}
-		lv.Target, lv.Moves = m.coord.target(leaf.rt)
+		lv.Target, lv.Moves = m.ctl.target(leaf.rt)
 		select {
 		case <-leaf.Done():
 			lv.Done = true

@@ -734,7 +734,7 @@ func TestMeshSmoke(t *testing.T) {
 	err = m.WaitWarm(warmCtx)
 	warmCancel()
 	if err != nil {
-		t.Fatalf("%v: %+v", err, m.Pool().Snapshot())
+		t.Fatalf("%v: %+v", err, m.Control().Snapshot())
 	}
 
 	// Leg 1a: the mesh wave.
@@ -838,7 +838,7 @@ func TestMeshSmoke(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("health detector declared %d deaths, want 2 (pool %+v)",
 				func() int64 { v, _ := reg.CounterValue("mesh.relay_deaths_total"); return v }(),
-				m.Pool().Snapshot())
+				m.Control().Snapshot())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -897,7 +897,7 @@ func (errDiff) Error() string { return "payload differs" }
 // TestRestartRelayReroutesBeforeFirstHeartbeat: a restart that starts in the
 // beat between the survivors reaching full rank and their first heartbeat —
 // they are still joining — must move the drained relay's leaf onto one of
-// them, as the coordinator would assign to it, not leave it for remediation.
+// them, as the control plane would assign to it, not leave it for remediation.
 // The heartbeat and the sweep never fire here, so the window stays open.
 func TestRestartRelayReroutesBeforeFirstHeartbeat(t *testing.T) {
 	p := rlnc.Params{BlockCount: 8, BlockSize: 128}
@@ -932,10 +932,10 @@ func TestRestartRelayReroutesBeforeFirstHeartbeat(t *testing.T) {
 			break
 		}
 		if ctx.Err() != nil {
-			t.Fatalf("relays never reached full rank: %+v", m.Pool().Snapshot())
+			t.Fatalf("relays never reached full rank: %+v", m.Control().Snapshot())
 		}
 	}
-	if st, _ := m.Pool().StateOf("relay-1"); st != StateJoining {
+	if st, _ := m.Control().StateOf("relay-1"); st != StateJoining {
 		t.Fatalf("relay-1 is %v without a heartbeat, want joining", st)
 	}
 	oldAddr := m.Relays()[0].Addr()
@@ -945,7 +945,7 @@ func TestRestartRelayReroutesBeforeFirstHeartbeat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id, _ := m.Coordinator().RouteOf(leaf.ID); id != "relay-0" {
+	if id, _ := m.Control().RouteOf(leaf.ID); id != "relay-0" {
 		t.Fatalf("leaf assigned to %s, want relay-0 (the first warm member)", id)
 	}
 	<-entered
@@ -954,11 +954,11 @@ func TestRestartRelayReroutesBeforeFirstHeartbeat(t *testing.T) {
 
 	// The route lands on the joining survivor while relay-0 drains.
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		if id, _ := m.Coordinator().RouteOf(leaf.ID); id == "relay-1" {
+		if id, _ := m.Control().RouteOf(leaf.ID); id == "relay-1" {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("leaf never moved off draining relay-0 (pool %+v)", m.Pool().Snapshot())
+			t.Fatalf("leaf never moved off draining relay-0 (pool %+v)", m.Control().Snapshot())
 		}
 	}
 	if lv := m.Snapshot().Leaves[0]; lv.Target != survivor || lv.Moves != 1 {
@@ -979,11 +979,11 @@ func TestRestartRelayReroutesBeforeFirstHeartbeat(t *testing.T) {
 			continue
 		}
 		if !errors.Is(err, netio.ErrAdmissionBusy) {
-			t.Fatalf("draining relay-0 answered %q, want BUSY (pool %+v)", err, m.Pool().Snapshot())
+			t.Fatalf("draining relay-0 answered %q, want BUSY (pool %+v)", err, m.Control().Snapshot())
 		}
 		break
 	}
-	if st, _ := m.Pool().StateOf("relay-0"); st != StateDraining {
+	if st, _ := m.Control().StateOf("relay-0"); st != StateDraining {
 		t.Fatalf("relay-0 is %v mid-drain, want draining", st)
 	}
 
@@ -999,7 +999,7 @@ func TestRestartRelayReroutesBeforeFirstHeartbeat(t *testing.T) {
 	if res, _ := leaf.Result(); !bytes.Equal(res.Payload, media) {
 		t.Fatal("leaf payload differs")
 	}
-	if addr, _ := m.Pool().Addr("relay-0"); addr == oldAddr || addr != m.Relays()[0].Addr() {
+	if addr, _ := m.Control().Addr("relay-0"); addr == oldAddr || addr != m.Relays()[0].Addr() {
 		t.Fatalf("relay-0 rejoined at %q (was %q, serves at %q)", addr, oldAddr, m.Relays()[0].Addr())
 	}
 }
@@ -1042,14 +1042,14 @@ func TestRestartRelayFinishesAfterDrainTimeout(t *testing.T) {
 		t.Fatalf("RestartRelay past its drain deadline = %v, want DeadlineExceeded", err)
 	}
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		if st, _ := m.Pool().StateOf(relay.ID()); st == StateActive {
+		if st, _ := m.Control().StateOf(relay.ID()); st == StateActive {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%s never rejoined the rotation: %+v", relay.ID(), m.Pool().Snapshot())
+			t.Fatalf("%s never rejoined the rotation: %+v", relay.ID(), m.Control().Snapshot())
 		}
 	}
-	addr, _ := m.Pool().Addr(relay.ID())
+	addr, _ := m.Control().Addr(relay.ID())
 	if addr == oldAddr || addr != relay.Addr() {
 		t.Fatalf("pool addr %q, relay addr %q, old addr %q", addr, relay.Addr(), oldAddr)
 	}
@@ -1148,7 +1148,7 @@ func TestMeshRollingRestart(t *testing.T) {
 	err = m.WaitWarm(warmCtx)
 	warmCancel()
 	if err != nil {
-		t.Fatalf("%v: %+v", err, m.Pool().Snapshot())
+		t.Fatalf("%v: %+v", err, m.Control().Snapshot())
 	}
 
 	// rollRestart restarts relayID mid-wave and verifies its leaves moved: a
@@ -1194,12 +1194,12 @@ func TestMeshRollingRestart(t *testing.T) {
 
 		var routed []*Leaf
 		for _, leaf := range leaves {
-			if id, _ := m.Coordinator().RouteOf(leaf.ID); id == relayID {
+			if id, _ := m.Control().RouteOf(leaf.ID); id == relayID {
 				routed = append(routed, leaf)
 			}
 		}
 		if len(routed) == 0 {
-			t.Fatalf("no wave leaf routed to %s: %v", relayID, m.Coordinator().Routes())
+			t.Fatalf("no wave leaf routed to %s: %v", relayID, m.Control().Routes())
 		}
 		restartDone := make(chan error, 1)
 		go func() { restartDone <- m.RestartRelay(ctx, relayID) }()
@@ -1211,14 +1211,14 @@ func TestMeshRollingRestart(t *testing.T) {
 		sawDraining := false
 		movedAt := map[int]int64{}
 		for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
-			if st, ok := m.Pool().StateOf(relayID); ok && st == StateDraining {
+			if st, ok := m.Control().StateOf(relayID); ok && st == StateDraining {
 				sawDraining = true
 			}
 			arrived := false
 			for _, leaf := range routed {
 				base, moved := movedAt[leaf.ID]
 				if !moved {
-					if id, ok := m.Coordinator().RouteOf(leaf.ID); ok && id != relayID {
+					if id, ok := m.Control().RouteOf(leaf.ID); ok && id != relayID {
 						movedAt[leaf.ID] = handshakes[leaf.ID].Load()
 					}
 					continue
@@ -1230,11 +1230,11 @@ func TestMeshRollingRestart(t *testing.T) {
 			}
 			if time.Now().After(deadline) {
 				t.Fatalf("no leaf routed to draining %s reached a survivor (moved %v, pool %+v)",
-					relayID, movedAt, m.Pool().Snapshot())
+					relayID, movedAt, m.Control().Snapshot())
 			}
 		}
 		if !sawDraining {
-			if st, ok := m.Pool().StateOf(relayID); !ok || st != StateDraining {
+			if st, ok := m.Control().StateOf(relayID); !ok || st != StateDraining {
 				t.Fatalf("pool never reported %s draining (now %v)", relayID, st)
 			}
 		}
@@ -1247,16 +1247,16 @@ func TestMeshRollingRestart(t *testing.T) {
 			t.Fatalf("RestartRelay(%s): %v", relayID, err)
 		}
 		for deadline := time.Now().Add(10 * time.Second); ; {
-			if st, _ := m.Pool().StateOf(relayID); st == StateActive {
+			if st, _ := m.Control().StateOf(relayID); st == StateActive {
 				break
 			}
 			if time.Now().After(deadline) {
-				st, _ := m.Pool().StateOf(relayID)
+				st, _ := m.Control().StateOf(relayID)
 				t.Fatalf("%s never rejoined the rotation (state %v)", relayID, st)
 			}
 			time.Sleep(time.Millisecond)
 		}
-		addr, _ := m.Pool().Addr(relayID)
+		addr, _ := m.Control().Addr(relayID)
 		if addr != relay.Addr() {
 			t.Fatalf("pool addr %q disagrees with relay addr %q after restart", addr, relay.Addr())
 		}
@@ -1295,7 +1295,7 @@ func TestMeshRollingRestart(t *testing.T) {
 		t.Fatalf("rank regressed %d times across reconnects", v)
 	}
 	// The restarts moved the leaves; remediation had nothing to do.
-	if n := m.Remediator().Remediations(); n != 0 {
+	if n := m.Control().Remediations(); n != 0 {
 		t.Fatalf("remediation moved %d leaves", n)
 	}
 
