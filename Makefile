@@ -69,10 +69,12 @@ loc:
 
 # The second line repeats the credit, park and slow-reader tests ten times: a
 # lost pump wake-up (a grant the pump never sees) parks a session forever, and
-# one pass cannot show that none is left.
+# one pass cannot show that none is left. It repeats the dispatch-floor
+# byte-identity tests too: a pooled batch shares its encoder's or recoder's
+# operand fields with the pool workers.
 race:
 	$(GO) test -race -count=1 $(RACE_PKGS)
-	$(GO) test -race -count=10 -run 'TestCredit|TestSatisfiedServerParks|TestDependentGrantCostsAReask|TestSlowReaders$$' ./internal/netio/ ./internal/harness/
+	$(GO) test -race -count=10 -run 'TestCredit|TestSatisfiedServerParks|TestDependentGrantCostsAReask|TestSlowReaders$$|AcrossDispatchFloor$$' ./internal/netio/ ./internal/harness/ ./internal/rlnc/
 
 # Replay the committed fuzz seed corpora as regression tests (every F.Add
 # case plus any checked-in corpus files), then spend a short, time-boxed live
@@ -236,7 +238,9 @@ bench-host:
 # of the dense send path at origin and relay, per record — gets enough
 # iterations to fill its pools, so every run also prints that path's ns and
 # allocations per record (benchjson passes the names through; nothing gates
-# them).
+# them). The BenchmarkEncodeBatch pattern also runs BenchmarkEncodeBatchSpans
+# and BenchmarkEncodeBatchDispatch (serial against pooled batch multiplies,
+# which sized rlnc's dispatch floor).
 bench-smoke:
 	{ $(GO) test -run '^$$' -bench 'BenchmarkMulAddLadder|BenchmarkXorLadder|BenchmarkEncodeBatch|BenchmarkDecodeLadder' \
 		-benchtime 1x -count 1 ./internal/gf256/ ./internal/rlnc/ ; \

@@ -164,29 +164,37 @@ func (s *frameStock) alloc(n int) []byte {
 // TestRelayRecordsDoNotAllocate: a warm dense relay's Records — frames laid
 // out, one batch recombination written into them, sealed — allocates nothing
 // once its scratch has seen a batch, and every record it returns is a valid
-// dense block of the segment asked for.
+// dense block of the segment asked for. At n=16, k=256 the recode runs on the
+// caller; a batch of 32 at n=128, k=4096 is split across the shared pool.
 func TestRelayRecordsDoNotAllocate(t *testing.T) {
-	p := rlnc.Params{BlockCount: 16, BlockSize: 256}
-	relay := warmDenseRelay(t, p, 2)
-	src := (*relaySource)(relay)
-	const batch = 8
-	stock := &frameStock{bufs: make([][]byte, batch)}
-	alloc := stock.alloc
-	seg := 0
-	round := func() {
-		recs := src.Records(seg, batch, alloc)
-		if len(recs) != batch {
-			t.Fatalf("%d records for a batch of %d", len(recs), batch)
+	for _, tc := range []struct {
+		p     rlnc.Params
+		batch int
+	}{
+		{rlnc.Params{BlockCount: 16, BlockSize: 256}, 8},
+		{rlnc.Params{BlockCount: 128, BlockSize: 4096}, 32},
+	} {
+		p, batch := tc.p, tc.batch
+		relay := warmDenseRelay(t, p, 2)
+		src := (*relaySource)(relay)
+		stock := &frameStock{bufs: make([][]byte, batch)}
+		alloc := stock.alloc
+		seg := 0
+		round := func() {
+			recs := src.Records(seg, batch, alloc)
+			if len(recs) != batch {
+				t.Fatalf("%d records for a batch of %d", len(recs), batch)
+			}
+			seg = 1 - seg
 		}
-		seg = 1 - seg
-	}
-	if got := testing.AllocsPerRun(100, round); got != 0 {
-		t.Errorf("%.2f allocations per batch of %d recoded records, want 0", got, batch)
-	}
-	for _, rec := range src.Records(1, batch, alloc) {
-		var b rlnc.CodedBlock
-		if err := b.UnmarshalBinary(rec[4:]); err != nil || b.SegmentID != 1 || b.Params() != p {
-			t.Fatalf("recoded record: %v (segment %d, %+v)", err, b.SegmentID, b.Params())
+		if got := testing.AllocsPerRun(100, round); got != 0 {
+			t.Errorf("n=%d k=%d: %.2f allocations per batch of %d recoded records, want 0", p.BlockCount, p.BlockSize, got, batch)
+		}
+		for _, rec := range src.Records(1, batch, alloc) {
+			var b rlnc.CodedBlock
+			if err := b.UnmarshalBinary(rec[4:]); err != nil || b.SegmentID != 1 || b.Params() != p {
+				t.Fatalf("recoded record: %v (segment %d, %+v)", err, b.SegmentID, b.Params())
+			}
 		}
 	}
 }

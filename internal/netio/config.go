@@ -43,10 +43,13 @@ type ServerConfig struct {
 	WriteRetries int
 	// EncodeBatch is how many coded blocks each pump generates per segment
 	// per round (0 → max(4, blockCount/4)); for a source-backed server it
-	// sizes the per-round Records request. Larger batches amortize encoder
-	// dispatch; smaller ones tighten the round-robin interleave across
-	// segments. A round is never larger than what some session is owed and
-	// has queue room for. On a media-backed systematic server these are
+	// sizes the per-round Records request. Larger batches amortize a
+	// round's fixed cost, and a batch of at least 1 MiB of multiply-add
+	// (batch × n × k: two records at n=128, k=4096) is split across the
+	// shared worker pool while a smaller one encodes on the pump; smaller
+	// batches tighten the round-robin interleave across segments. A round
+	// is never larger than what some session is owed and has queue room
+	// for. On a media-backed systematic server these are
 	// repair blocks, generated only while some session has asked for repair.
 	EncodeBatch int
 	// MaxSessions caps concurrent sessions; connections beyond the cap are
@@ -140,7 +143,7 @@ func (c ServerConfig) normalized(blockCount int) ServerConfig {
 	if c.EncodeBatch <= 0 {
 		// Default: a quarter generation per round, so late-joining clients
 		// wait at most a short interleave for every segment, but at least 4
-		// to amortize dispatch.
+		// to amortize a round's fixed cost.
 		c.EncodeBatch = max(4, blockCount/4)
 	}
 	if c.Seed == 0 {

@@ -318,3 +318,25 @@ func TestDependentGrantCostsAReask(t *testing.T) {
 	checkAccounting(t, srv.Snapshot())
 	t.Logf("%d records, %d dependent, %d need records", res.Stats.Records, res.Stats.Dependent, srv.needRecords.Load())
 }
+
+// TestPumpParkDoesNotAllocate: a timed park — behind full queues, where the
+// wait is charged as stall, or on a dry source — reuses the pump's one timer,
+// so a pump that outpaces its writers parks without making garbage.
+func TestPumpParkDoesNotAllocate(t *testing.T) {
+	p := rlnc.Params{BlockCount: 8, BlockSize: 64}
+	srv, err := NewServerFromConfig(testMedia(t, p.SegmentSize(), 72), p, DefaultServerConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown()
+	if got := testing.AllocsPerRun(20, func() {
+		if !srv.park(true) || !srv.nap(time.Millisecond, nil) {
+			t.Fatal("a live server's park reported it stopping")
+		}
+	}); got != 0 {
+		t.Errorf("%.2f allocations per park cycle, want 0", got)
+	}
+	if stall := srv.Snapshot().EncodeStall; stall < 20*2*time.Millisecond {
+		t.Errorf("%v of encode stall after 21 parks behind full queues, want ≥ 40ms", stall)
+	}
+}

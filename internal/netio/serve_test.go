@@ -543,7 +543,7 @@ func TestSnapshotDuringTraffic(t *testing.T) {
 }
 
 // TestFanoutDifferential serves the same media at the default queue depth and
-// at QueueDepth 1 — where writeLoop's batch capacity min(writerBatch,
+// at QueueDepth 1 — where writeLoop's batch capacity flushRecords(p,
 // QueueDepth) is 1, so every flush carries a single record — and demands
 // byte-identical recovery with an exact ledger from each: batching is an
 // optimization of the hand-off cost, never of the bytes or the accounting.

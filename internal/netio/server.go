@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/bits"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,14 +36,26 @@ var (
 	ErrShortWrite = errors.New("netio: short record write")
 )
 
-// writerBatch caps how many queued records one vectored flush covers.
-const writerBatch = 16
+// flushBytes is how many bytes one vectored flush covers: a flush takes
+// records until their bytes reach it. At n=128, k=4096 that is 16 records; at
+// n=32, k=256 it is a whole 64-record queue (18 KiB) where a 16-record cap
+// flushed 4.5 KiB, and every flush is a writev.
+const flushBytes = 64 << 10
+
+// flushRecords is how many records one flush covers on a server of p: enough
+// dense records — the longest a server frames — to reach flushBytes, and no
+// more than a session queue holds.
+func flushRecords(p rlnc.Params, queueDepth int) int {
+	rec := recordLenLen + rlnc.WireSize(p)
+	return min(queueDepth, (flushBytes+rec-1)/rec)
+}
 
 // Server sends coded blocks for one object to every connection. One pump
 // goroutine draws records from the server's one record source, frames each
 // record once and fans the same refcounted buffer out to every session's
-// bounded queue without blocking; the encode itself runs in parallel on the
-// shared worker pool (rlnc.SharedPool). Per-connection write deadlines with
+// bounded queue without blocking; a batch big enough to pay for the hand-off
+// is encoded in parallel on the shared worker pool (rlnc.SharedPool), a
+// smaller one on the pump. Per-connection write deadlines with
 // retry-then-drop semantics bound the cost of a stuck peer, and the traffic
 // ledger is exposed via Snapshot.
 //
@@ -86,6 +99,10 @@ type Server struct {
 	// never exceeds it.
 	grantCap int32
 
+	// flushRecs is flushRecords for this server: what one writeLoop or
+	// writeSweep flush covers.
+	flushRecs int
+
 	counters         Counters
 	sessionsTotal    obs.Counter
 	sessionsRejected obs.Counter
@@ -119,6 +136,9 @@ type Server struct {
 	// goroutine's.
 	laid []*frameRef
 	room []int
+
+	// napTimer is the pump's one timer: every timed park reuses it (see nap).
+	napTimer *time.Timer
 
 	// Distributed tracing (tracectx.go). traced is latched at construction —
 	// cfg.TraceNode set AND the process-global recorder enabled — so every
@@ -193,6 +213,7 @@ func newServer(cfg ServerConfig, src RecordSource) (*Server, error) {
 		cfg:       cfg,
 		info:      info,
 		grantCap:  int32(info.Params.BlockCount + grantMargin(info.Mode)),
+		flushRecs: flushRecords(info.Params, cfg.QueueDepth),
 		frames:    &framePool{},
 		src:       src,
 		sessions:  make(map[*session]struct{}),
@@ -200,7 +221,9 @@ func newServer(cfg ServerConfig, src RecordSource) (*Server, error) {
 		wake:      make(chan struct{}, 1),
 		consumed:  make(chan struct{}, 1),
 		listeners: make(map[net.Listener]struct{}),
+		napTimer:  time.NewTimer(time.Hour),
 	}
+	s.napTimer.Stop()
 	if cfg.Metrics != nil {
 		if err := s.registerMetrics(cfg.Metrics); err != nil {
 			return nil, err
@@ -553,7 +576,7 @@ func (s *Server) awaitAsk(ss *session) {
 }
 
 // writeSweep writes the shared table's records straight to the connection, at
-// most writerBatch per vectored write, under the same deadline, retry and
+// most flushRecs per vectored write, under the same deadline, retry and
 // short-write rules as any flush. Every record is offered, and then sent or
 // shed, in the session's ledger; none is encoded — that counter is the pump's.
 func (s *Server) writeSweep(ss *session) error {
@@ -562,18 +585,18 @@ func (s *Server) writeSweep(ss *session) error {
 	start := sweepStart(ss.id, total)
 	// Private headers over the shared records, so the batch goes through the
 	// same flush as a queued one; nothing retains or releases them.
-	var refs [writerBatch]frameRef
-	batch := make([]*frameRef, 0, writerBatch)
-	bufs := make(net.Buffers, 0, 2*writerBatch)
+	refs := make([]frameRef, s.flushRecs)
+	batch := make([]*frameRef, 0, s.flushRecs)
+	bufs := make(net.Buffers, 0, 2*s.flushRecs)
 	var preludes []byte
 	var sp trace.Span
 	if s.traced {
-		preludes = make([]byte, writerBatch*recordPreludeLen)
+		preludes = make([]byte, s.flushRecs*recordPreludeLen)
 		sp = trace.Begin(s.cfg.TraceNode, "sweep", s.traceID, s.rootSpan.ID(), -1)
 		defer sp.End()
 	}
 	for done := 0; done < total; done += len(batch) {
-		batch = batch[:min(writerBatch, total-done)]
+		batch = batch[:min(s.flushRecs, total-done)]
 		for i := range batch {
 			idx := (start + done + i) % total
 			refs[i].buf = s.sweep.record(idx)
@@ -608,10 +631,10 @@ func (s *Server) shedResidue(ss *session) {
 }
 
 // writeLoop drains the session queue onto the connection, flushing up to
-// writerBatch records per vectored write, until a flush fails, the reader ends
+// flushRecs records per vectored write, until a flush fails, the reader ends
 // the session, or the server shuts down.
 func (s *Server) writeLoop(ss *session) {
-	batchCap := min(writerBatch, s.cfg.QueueDepth)
+	batchCap := s.flushRecs
 	batch := make([]*frameRef, batchCap)
 	// Traced sessions interleave a 12-byte prelude buffer before every frame
 	// in the vectored write, so bufs holds two entries per record.
@@ -783,6 +806,7 @@ func (s *Server) pump() {
 	live := make([]*session, 0, 16)
 	frames := make([]*frameRef, 0, s.cfg.EncodeBatch)
 	alloc := s.alloc // bound once: evaluating a method value allocates
+	idle := true     // no round since start or since nobody was owed anything
 	for {
 		select {
 		case <-s.stop:
@@ -801,6 +825,7 @@ func (s *Server) pump() {
 			if !s.park(owed) {
 				return
 			}
+			idle = idle || !owed
 			continue
 		}
 
@@ -819,10 +844,8 @@ func (s *Server) pump() {
 			// Nothing to say for this segment yet. Park briefly — this is
 			// source starvation, not client backpressure, so no stall is
 			// charged.
-			select {
-			case <-s.stop:
+			if !s.nap(2*time.Millisecond, nil) {
 				return
-			case <-time.After(2 * time.Millisecond):
 			}
 			continue
 		}
@@ -846,12 +869,19 @@ func (s *Server) pump() {
 			frames[i].release()
 			frames[i] = nil
 		}
-		if s.cfg.Pace > 0 {
-			select {
-			case <-s.stop:
-				return
-			case <-time.After(s.cfg.Pace):
-			}
+		if idle {
+			// The writers this round woke are queued on the pump's CPU. The
+			// other CPUs slept while the server idled, and waking one to take
+			// them costs about 100 µs on a VM — what a fresh server's first
+			// record would wait while the pump, no longer parked in a pool
+			// dispatch, encodes its next rounds. So the first round after an
+			// idle park hands them this CPU; a busy pump does not yield, and
+			// its writers batch what it encodes meanwhile.
+			idle = false
+			runtime.Gosched()
+		}
+		if s.cfg.Pace > 0 && !s.nap(s.cfg.Pace, nil) {
+			return
 		}
 	}
 }
@@ -934,15 +964,25 @@ func (s *Server) park(owed bool) bool {
 		return true
 	}
 	t0 := time.Now()
-	stopped := false
-	select {
-	case <-s.consumed:
-	case <-s.stop:
-		stopped = true
-	case <-time.After(2 * time.Millisecond):
-	}
+	ok := s.nap(2*time.Millisecond, s.consumed)
 	s.counters.AddEncodeStall(time.Since(t0))
-	return !stopped
+	return ok
+}
+
+// nap parks the pump for d, or until wake (nil: never) fires or the server
+// stops, on the pump's one timer: the pump outpaces its writers often enough
+// that a timer per park is garbage worth avoiding. Since Go 1.23 a Reset
+// discards any expiry nobody received, so the timer needs no draining. It
+// reports false once the server is stopping.
+func (s *Server) nap(d time.Duration, wake <-chan struct{}) bool {
+	s.napTimer.Reset(d)
+	select {
+	case <-wake:
+	case <-s.napTimer.C:
+	case <-s.stop:
+		return false
+	}
+	return true
 }
 
 // fanOut offers each live session as many of the round's frames of segment seg

@@ -899,3 +899,51 @@ func TestSweepCoversAcrossCutSessions(t *testing.T) {
 	}
 	t.Logf("%d blocks covered in %d sessions of %d records", len(seen), sessions, perSession)
 }
+
+// TestFlushRecords: one flush covers flushBytes of dense records, capped by
+// the queue depth — 16 records at n=128, k=4096, the whole 64-record queue at
+// n=32, k=256 — and a systematic session's sweep goes out in flushes of the
+// same size: one netio.record_send span per flush.
+func TestFlushRecords(t *testing.T) {
+	for _, tc := range []struct {
+		p           rlnc.Params
+		depth, want int
+	}{
+		{rlnc.Params{BlockCount: 128, BlockSize: 4096}, 64, 16},
+		{rlnc.Params{BlockCount: 32, BlockSize: 256}, 64, 64},
+		{rlnc.Params{BlockCount: 32, BlockSize: 256}, 24, 24},
+		{rlnc.Params{BlockCount: 128, BlockSize: 4096}, 1, 1},
+	} {
+		if got := flushRecords(tc.p, tc.depth); got != tc.want {
+			t.Errorf("n=%d k=%d QueueDepth %d: %d records per flush, want %d", tc.p.BlockCount, tc.p.BlockSize, tc.depth, got, tc.want)
+		}
+		const segments = 3
+		media := testMedia(t, segments*tc.p.SegmentSize(), 71)
+		srv := newSweepServer(t, media, tc.p, func(c *ServerConfig) { c.QueueDepth = tc.depth })
+		if srv.flushRecs != tc.want {
+			t.Fatalf("n=%d k=%d QueueDepth %d: server flushes %d records, want %d", tc.p.BlockCount, tc.p.BlockSize, tc.depth, srv.flushRecs, tc.want)
+		}
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Skipf("loopback listen unavailable: %v", err)
+		}
+		serveOn(t, srv, l)
+		reg := obs.NewRegistry()
+		obs.SetSink(reg)
+		conn, err := net.Dial("tcp", l.Addr().String())
+		if err != nil {
+			obs.SetSink(nil)
+			t.Fatal(err)
+		}
+		c := dialSweep(t, conn)
+		total := c.total()
+		c.read(total)
+		conn.Close()
+		awaitSessions(t, srv, 0)
+		obs.SetSink(nil)
+		flushes, _ := reg.HistogramView("netio.record_send")
+		if want := (total + tc.want - 1) / tc.want; flushes.Count != int64(want) {
+			t.Errorf("n=%d k=%d QueueDepth %d: a %d-record sweep took %d flushes, want %d", tc.p.BlockCount, tc.p.BlockSize, tc.depth, total, flushes.Count, want)
+		}
+	}
+}

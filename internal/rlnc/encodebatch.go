@@ -46,7 +46,7 @@ func EncodeBatchInto(dsts [][]byte, seg *Segment, coeffs [][]byte) error {
 }
 
 // serialEncoder encodes on its caller: a single worker dispatches nothing.
-var serialEncoder = &ParallelEncoder{workers: 1}
+var serialEncoder = &ParallelEncoder{mul: batchMul{workers: 1}}
 
 // encodeBatchRange sets the [lo, hi) column range of every destination to
 // Σ_j coeffs[b][j]·srcs[j].

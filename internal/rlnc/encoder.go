@@ -141,6 +141,9 @@ type Recoder struct {
 	// emission, and mixRows its per-emission views; both are reused.
 	mix     []byte
 	mixRows [][]byte
+
+	// mul decides where a dense batch's multiply runs.
+	mul batchMul
 }
 
 // NewRecoder returns a recoder for the given configuration. WithSeed gives
@@ -159,6 +162,7 @@ func NewRecoder(p Params, opts ...Option) (*Recoder, error) {
 		scratch:   make([]byte, p.BlockCount),
 		rng:       cfg.rng,
 		xorRecode: cfg.xorRecode,
+		mul:       batchMul{workers: SharedPool().Workers()},
 	}, nil
 }
 
@@ -212,7 +216,10 @@ func (r *Recoder) reduce(coeffs []byte) int {
 			continue
 		}
 		if pr := r.probe[c]; pr != nil {
-			gf256.MulAddSlice(row, pr, f)
+			// A probe row is zero left of its pivot; widening the span to
+			// whole SIMD steps, as the decoder does, adds only zeros.
+			lo := c &^ (planeStep - 1)
+			gf256.MulAddSlice(row[lo:], pr[lo:], f)
 			continue
 		}
 		if pivot < 0 {
@@ -220,7 +227,7 @@ func (r *Recoder) reduce(coeffs []byte) int {
 		}
 	}
 	if pivot >= 0 && row[pivot] != 1 {
-		gf256.ScaleSlice(row, gf256.Inv(row[pivot]))
+		gf256.ScaleSlice(row[pivot&^(planeStep-1):], gf256.Inv(row[pivot]))
 	}
 	return pivot
 }
@@ -245,6 +252,10 @@ func (r *Recoder) Emit() (*CodedBlock, error) { return r.NextBlock(r.rng) }
 // Coefficients are drawn emission by emission, so a batch of B is byte for
 // byte B successive Emits; one tiled batch multiply over the held rows then
 // writes them all, allocating nothing once a batch this large has been seen.
+// That multiply runs on the caller below dispatchFloor and is split by whole
+// emissions across SharedPool at or above it (32 emissions at n=128, k=4096
+// are ~17 MiB of multiply-add), so the recoder must not be used from a pool
+// task.
 // Errors are Emit's, plus ErrBatchShape for a short destination; all leave
 // the recoder and its random source unchanged.
 func (r *Recoder) EmitInto(dsts [][]byte) error { return r.emitInto(dsts, r.rng) }
@@ -288,7 +299,7 @@ func (r *Recoder) emitInto(dsts [][]byte, rng *rand.Rand) error {
 	for _, cs := range mix {
 		DrawCoeffs(cs, rng)
 	}
-	encodeBatchRange(dsts, r.rows, mix, 0, width)
+	r.mul.run(dsts, r.rows, mix, width)
 	return nil
 }
 

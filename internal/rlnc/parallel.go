@@ -34,42 +34,29 @@ func (m EncodeMode) String() string {
 	}
 }
 
-// ParallelEncoder produces batches of coded blocks with the persistent
-// worker pool. Output is deterministic for a given seed regardless of worker
+// ParallelEncoder produces batches of coded blocks on the process-wide
+// SharedPool. Output is deterministic for a given seed regardless of worker
 // count or scheduling: the coefficient matrix is drawn up front and workers
-// write disjoint regions. It is safe for concurrent use; batches run one at a
-// time.
+// write disjoint regions. A FullBlock batch runs where batchMul's rule puts
+// it — below dispatchFloor on the caller, which is where a pump round of small
+// records belongs — while PartitionedBlock, the paper's Fig. 10 ablation,
+// always splits its columns across the workers. It is safe for concurrent
+// use; dispatched batches run one at a time.
 type ParallelEncoder struct {
-	workers int
-	pool    *Pool
-
-	// The batch in flight and what its dispatch needs, kept on the encoder so
-	// that a steady-state batch allocates nothing: task is bound once and wg
-	// is the dispatch's group. mu makes a batch exclusive.
-	mu           sync.Mutex
-	wg           sync.WaitGroup
-	task         func(w int, s *Scratch)
-	dsts, coeffs [][]byte
-	seg          *Segment
+	mul batchMul
 }
 
 // NewParallelEncoder returns an encoder with the given worker count and
 // partitioning mode. Work executes on the process-wide SharedPool; workers
-// only bounds how many concurrent stripes this encoder dispatches.
+// only bounds how many concurrent parts this encoder dispatches.
 func NewParallelEncoder(workers int, mode EncodeMode) (*ParallelEncoder, error) {
 	if workers <= 0 {
 		return nil, fmt.Errorf("%w: got %d", ErrWorkerCount, workers)
 	}
-	pe := &ParallelEncoder{workers: workers, pool: SharedPool()}
-	switch mode {
-	case FullBlock:
-		pe.task = pe.fullBlockTask
-	case PartitionedBlock:
-		pe.task = pe.partitionedTask
-	default:
+	if mode != FullBlock && mode != PartitionedBlock {
 		return nil, fmt.Errorf("%w: %d", ErrEncodeMode, int(mode))
 	}
-	return pe, nil
+	return &ParallelEncoder{mul: batchMul{workers: workers, stripes: mode == PartitionedBlock}}, nil
 }
 
 // Encode produces count coded blocks from seg using coefficients drawn from
@@ -101,8 +88,8 @@ func (pe *ParallelEncoder) Encode(seg *Segment, count int, seed int64) ([]*Coded
 // EncodeBatchInto computes dsts[b] = Σ_i coeffs[b][i]·seg.Block(i) through the
 // encoder's workers and partitioning mode. The caller supplies (and owns) the
 // destinations — a wire frame's payload bytes, say — so the multiply is the
-// only thing that touches them. Nothing is allocated; the single-worker case
-// runs on the caller.
+// only thing that touches them. Nothing is allocated. A single-worker encoder,
+// and a FullBlock batch below dispatchFloor, run on the caller.
 func (pe *ParallelEncoder) EncodeBatchInto(dsts [][]byte, seg *Segment, coeffs [][]byte) error {
 	// One span per batch: the workers call encodeBatchRange directly.
 	defer stageEncodeBatch.Start().End()
@@ -118,44 +105,83 @@ func (pe *ParallelEncoder) EncodeBatchInto(dsts [][]byte, seg *Segment, coeffs [
 			return fmt.Errorf("%w: batch row %d destination %d bytes, want ≥ %d", ErrBatchShape, b, len(dsts[b]), p.BlockSize)
 		}
 	}
-	if pe.workers == 1 {
-		encodeBatchRange(dsts, seg.Blocks(), coeffs, 0, p.BlockSize)
-		return nil
-	}
-	pe.mu.Lock()
-	pe.dsts, pe.coeffs, pe.seg = dsts, coeffs, seg
-	pe.pool.dispatch(&pe.wg, pe.workers, pe.task)
-	pe.dsts, pe.coeffs, pe.seg = nil, nil, nil
-	pe.mu.Unlock()
+	pe.mul.run(dsts, seg.Blocks(), coeffs, p.BlockSize)
 	return nil
 }
 
-// fullBlockTask is worker w's share of a FullBlock batch: whole coded blocks,
-// dealt round-robin, batch-encoded in one tiled pass through the worker's
-// scratch row views.
-func (pe *ParallelEncoder) fullBlockTask(w int, s *Scratch) {
-	stride := pe.workers
-	if w >= len(pe.dsts) {
-		return
-	}
-	dsts, coeffs := s.rowViews((len(pe.dsts) - w + stride - 1) / stride)
-	for i, j := w, 0; i < len(pe.dsts); i, j = i+stride, j+1 {
-		dsts[j], coeffs[j] = pe.dsts[i], pe.coeffs[i]
-	}
-	encodeBatchRange(dsts, pe.seg.Blocks(), coeffs, 0, pe.seg.params.BlockSize)
+// dispatchFloor is the multiply-add work, in bytes (batch × rows × row
+// width), below which batchMul runs a batch on its caller. Handing a batch to
+// the pool costs channel sends, worker wake-ups and a WaitGroup park — about
+// 15 µs a batch on a 2-vCPU host — which a batch under ~1 MiB of kernel work
+// does not earn back. n=128, k=4096 batches of two or more records reach it; a
+// pump round of n=32, k=256 records does not (DESIGN.md §8 has the numbers).
+const dispatchFloor = 1 << 20
+
+// batchMul decides where a batch multiply dsts[b] = Σ_j coeffs[b][j]·srcs[j],
+// over the first width columns, runs: below dispatchFloor on its caller, at
+// or above it split by whole rows across SharedPool. A stripes multiply (the
+// PartitionedBlock ablation) is split by columns whatever its size. A
+// dispatched batch's operands live here for its workers, the task is bound
+// once and the group reused, so a steady-state batch allocates nothing; mu
+// makes a dispatch exclusive, and a batch run on its caller touches none of
+// it.
+type batchMul struct {
+	workers int
+	stripes bool
+
+	mu                 sync.Mutex
+	wg                 sync.WaitGroup
+	task               func(w int, s *Scratch) // part, bound on first dispatch
+	parts              int
+	dsts, srcs, coeffs [][]byte
+	width              int
 }
 
-// partitionedTask is worker w's share of a PartitionedBlock batch: a
-// contiguous column stripe of every coded block. Unlike the seed
-// implementation — which launched a fresh goroutine set per coded block — the
-// whole batch runs under one dispatch: worker w clears and accumulates columns
-// [w·stripe, (w+1)·stripe) of every payload in a single tiled pass.
-func (pe *ParallelEncoder) partitionedTask(w int, _ *Scratch) {
-	k := pe.seg.params.BlockSize
-	stripe := (k + pe.workers - 1) / pe.workers
-	if lo := w * stripe; lo < k {
-		encodeBatchRange(pe.dsts, pe.seg.Blocks(), pe.coeffs, lo, min(lo+stripe, k))
+// run computes the batch where the rule says it belongs.
+func (m *batchMul) run(dsts, srcs, coeffs [][]byte, width int) {
+	switch {
+	case m.stripes && m.workers > 1:
+		m.dispatch(m.workers, dsts, srcs, coeffs, width)
+	case !m.stripes && m.pooled(len(dsts), len(srcs), width):
+		m.dispatch(min(m.workers, len(dsts)), dsts, srcs, coeffs, width)
+	default:
+		encodeBatchRange(dsts, srcs, coeffs, 0, width)
 	}
+}
+
+// pooled is the rule for a row split: a batch of batch destinations over
+// rows sources of width bytes goes to the pool when it has two parts to split
+// and at least dispatchFloor bytes of multiply-add to split.
+func (m *batchMul) pooled(batch, rows, width int) bool {
+	return min(m.workers, batch) > 1 && batch*rows*width >= dispatchFloor
+}
+
+// dispatch runs the batch as parts pool tasks and returns when every part is
+// done.
+func (m *batchMul) dispatch(parts int, dsts, srcs, coeffs [][]byte, width int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.task == nil {
+		m.task = m.part
+	}
+	m.parts, m.dsts, m.srcs, m.coeffs, m.width = parts, dsts, srcs, coeffs, width
+	SharedPool().dispatch(&m.wg, parts, m.task)
+	m.dsts, m.srcs, m.coeffs = nil, nil, nil
+}
+
+// part is part w of a dispatched batch. A row split gives it a contiguous run
+// of whole destinations; a stripes split gives it columns [w·stripe,
+// (w+1)·stripe) of every destination. Either way it is one tiled pass.
+func (m *batchMul) part(w int, _ *Scratch) {
+	if m.stripes {
+		stripe := (m.width + m.parts - 1) / m.parts
+		if lo := w * stripe; lo < m.width {
+			encodeBatchRange(m.dsts, m.srcs, m.coeffs, lo, min(lo+stripe, m.width))
+		}
+		return
+	}
+	lo, hi := w*len(m.dsts)/m.parts, (w+1)*len(m.dsts)/m.parts
+	encodeBatchRange(m.dsts[lo:hi], m.srcs, m.coeffs[lo:hi], 0, m.width)
 }
 
 // DecodeSegmentsParallel batch-decodes independent segments with the given
