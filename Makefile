@@ -79,9 +79,9 @@ race:
 # Replay the committed fuzz seed corpora as regression tests (every F.Add
 # case plus any checked-in corpus files), then spend a short, time-boxed live
 # budget on every reader of what a peer or a disk hands the code unchecked: the
-# control records (handshake, need record, resume state), the XNC1/XNC2/XNC3
-# record readers, and the fetcher's record loop into decoders and into a
-# recoder sink.
+# control records (handshake, need record, resume state), the one XNC1/XNC2/XNC3
+# record reader (held to the one writer), and the fetcher's record loop into
+# decoders and into a recoder sink.
 fuzz-regress:
 	$(GO) test -run 'Fuzz' -count=1 ./internal/gf256/ ./internal/rlnc/ ./internal/netio/
 	$(GO) test -run '^$$' -fuzz=FuzzControlRecord -fuzztime=10s ./internal/netio/
@@ -235,10 +235,10 @@ bench-host:
 # One-iteration pass over the ladder benchmarks, piped through benchjson: a
 # cheap CI check that every rung still runs and parses. The parsed artifact
 # is kept (untracked) so CI can upload it. BenchmarkDenseRecords — a pump round
-# of the dense send path at origin and relay, per record — gets enough
-# iterations to fill its pools, so every run also prints that path's ns and
-# allocations per record (benchjson passes the names through; nothing gates
-# them). The BenchmarkEncodeBatch pattern also runs BenchmarkEncodeBatchSpans
+# of every record producer, per record: the dense origin, the systematic
+# repair path, and the dense and XOR-recode relay — gets enough iterations to
+# fill its pools, so every run also prints each producer's ns and allocations
+# per record (benchjson passes the names through; nothing gates them). The BenchmarkEncodeBatch pattern also runs BenchmarkEncodeBatchSpans
 # and BenchmarkEncodeBatchDispatch (serial against pooled batch multiplies,
 # which sized rlnc's dispatch floor).
 bench-smoke:

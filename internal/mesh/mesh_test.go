@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"net"
 	"os"
@@ -115,13 +116,17 @@ func TestRelayServesRecodedBlocks(t *testing.T) {
 	}
 }
 
-// warmDenseRelay starts a dense origin and one relay over it and returns the
-// relay once it holds full rank for every segment. Nobody dials the relay, so
-// its own pump never runs and the caller may drive its record source.
-func warmDenseRelay(t testing.TB, p rlnc.Params, segments int) *Relay {
+// warmRelay starts an origin and one relay over it and returns the relay once
+// it holds full rank in every segment: a dense origin and relay, or with xor a
+// systematic origin — whose sweep alone fills the relay — and an XorRecode
+// relay.
+func warmRelay(t testing.TB, p rlnc.Params, segments int, xor bool) *Relay {
 	t.Helper()
 	ocfg := netio.DefaultServerConfig()
 	ocfg.Seed = 3
+	if xor {
+		ocfg.Mode = netio.ModeSystematic
+	}
 	_, ol := startOrigin(t, testMedia(t, segments*p.SegmentSize(), 6), p, ocfg)
 	rln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -129,7 +134,7 @@ func warmDenseRelay(t testing.TB, p rlnc.Params, segments int) *Relay {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	t.Cleanup(cancel)
-	relay, err := StartRelay(ctx, RelayConfig{ID: "r0", Upstream: tcpDial(ol.Addr().String()), Listener: rln, Seed: 9})
+	relay, err := StartRelay(ctx, RelayConfig{ID: "r0", Upstream: tcpDial(ol.Addr().String()), Listener: rln, Seed: 9, XorRecode: xor})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,21 +166,26 @@ func (s *frameStock) alloc(n int) []byte {
 	return s.bufs[s.next-1][:n]
 }
 
-// TestRelayRecordsDoNotAllocate: a warm dense relay's Records — frames laid
-// out, one batch recombination written into them, sealed — allocates nothing
-// once its scratch has seen a batch, and every record it returns is a valid
-// dense block of the segment asked for. At n=16, k=256 the recode runs on the
-// caller; a batch of 32 at n=128, k=4096 is split across the shared pool.
+// TestRelayRecordsDoNotAllocate: a warm relay's Records — frames laid out,
+// one batch recombination written into them, sealed — allocates nothing once
+// its scratch has seen a batch, and every record it returns is a valid block
+// of the segment asked for: dense XNC1 from a dense relay, XNC2 from an
+// XorRecode relay over binary input (each emission narrowed in its frame). At
+// n=16, k=256 the dense recode runs on the caller; a batch of 32 at n=128,
+// k=4096 is split across the shared pool.
 func TestRelayRecordsDoNotAllocate(t *testing.T) {
 	for _, tc := range []struct {
 		p     rlnc.Params
 		batch int
+		xor   bool
 	}{
-		{rlnc.Params{BlockCount: 16, BlockSize: 256}, 8},
-		{rlnc.Params{BlockCount: 128, BlockSize: 4096}, 32},
+		{rlnc.Params{BlockCount: 16, BlockSize: 256}, 8, false},
+		{rlnc.Params{BlockCount: 128, BlockSize: 4096}, 32, false},
+		{rlnc.Params{BlockCount: 16, BlockSize: 256}, 8, true},
+		{rlnc.Params{BlockCount: 128, BlockSize: 4096}, 32, true},
 	} {
 		p, batch := tc.p, tc.batch
-		relay := warmDenseRelay(t, p, 2)
+		relay := warmRelay(t, p, 2, tc.xor)
 		src := (*relaySource)(relay)
 		stock := &frameStock{bufs: make([][]byte, batch)}
 		alloc := stock.alloc
@@ -188,36 +198,179 @@ func TestRelayRecordsDoNotAllocate(t *testing.T) {
 			seg = 1 - seg
 		}
 		if got := testing.AllocsPerRun(100, round); got != 0 {
-			t.Errorf("n=%d k=%d: %.2f allocations per batch of %d recoded records, want 0", p.BlockCount, p.BlockSize, got, batch)
+			t.Errorf("n=%d k=%d xor=%v: %.2f allocations per batch of %d recoded records, want 0", p.BlockCount, p.BlockSize, tc.xor, got, batch)
+		}
+		magic := "XNC1"
+		if tc.xor {
+			magic = "XNC2"
 		}
 		for _, rec := range src.Records(1, batch, alloc) {
 			var b rlnc.CodedBlock
-			if err := b.UnmarshalBinary(rec[4:]); err != nil || b.SegmentID != 1 || b.Params() != p {
-				t.Fatalf("recoded record: %v (segment %d, %+v)", err, b.SegmentID, b.Params())
+			if err := b.UnmarshalRecord(rec[4:]); err != nil || string(rec[4:8]) != magic || b.SegmentID != 1 || b.Params() != p {
+				t.Fatalf("recoded record: %v (%q, segment %d, %+v), want %s", err, rec[4:8], b.SegmentID, b.Params(), magic)
 			}
 		}
 	}
 }
 
 // BenchmarkDenseRecords: one pump round of a relay at full rank — a batch of
-// recombinations recoded straight into frames — per record.
+// recombinations recoded straight into frames — per record: dense, and
+// XorRecode over binary input, whose emissions are narrowed to XNC2.
 func BenchmarkDenseRecords(b *testing.B) {
 	p := rlnc.Params{BlockCount: 128, BlockSize: 4096}
-	b.Run(fmt.Sprintf("relay/n=%d/k=%d", p.BlockCount, p.BlockSize), func(b *testing.B) {
-		relay := warmDenseRelay(b, p, 2)
-		src := (*relaySource)(relay)
-		batch := p.BlockCount / 4 // the pump's default EncodeBatch
-		stock := &frameStock{bufs: make([][]byte, batch)}
-		alloc := stock.alloc
-		b.SetBytes(int64(p.BlockSize))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for done, seg := 0, 0; done < b.N; done, seg = done+batch, 1-seg {
-			if len(src.Records(seg, batch, alloc)) != batch {
-				b.Fatal("short batch from a warm relay")
+	for _, xor := range []bool{false, true} {
+		name := "relay"
+		if xor {
+			name = "relay-xor"
+		}
+		b.Run(fmt.Sprintf("%s/n=%d/k=%d", name, p.BlockCount, p.BlockSize), func(b *testing.B) {
+			relay := warmRelay(b, p, 2, xor)
+			src := (*relaySource)(relay)
+			batch := p.BlockCount / 4 // the pump's default EncodeBatch
+			stock := &frameStock{bufs: make([][]byte, batch)}
+			alloc := stock.alloc
+			b.SetBytes(int64(p.BlockSize))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for done, seg := 0, 0; done < b.N; done, seg = done+batch, 1-seg {
+				if len(src.Records(seg, batch, alloc)) != batch {
+					b.Fatal("short batch from a warm relay")
+				}
+			}
+		})
+	}
+}
+
+// TestXorRelayRecordsMatchEmit: an XorRecode relay's Records — the batch laid
+// out as XNC1, one EmitInto, each binary emission narrowed to XNC2 — writes
+// byte for byte the records of successive Emits framed one at a time
+// (netio.FrameRecord) by a twin recoder on the same seed and input: over
+// binary input, where every record is XNC2, and over input with a dense tail,
+// where XNC1 and XNC2 records interleave.
+func TestXorRelayRecordsMatchEmit(t *testing.T) {
+	p := rlnc.Params{BlockCount: 12, BlockSize: 96}
+	seg, err := rlnc.SegmentFromData(0, p, testMedia(t, p.SegmentSize(), 41))
+	if err != nil {
+		t.Fatal(err)
+	}
+	up, err := netio.NewFetcherFromConfig(tcpDial("127.0.0.1:1"), netio.DefaultFetcherConfig()) // never dialed
+	if err != nil {
+		t.Fatal(err)
+	}
+	heap := func(n int) []byte { return make([]byte, n) }
+	for _, denseTail := range []bool{false, true} {
+		recoder := func() *rlnc.Recoder {
+			rec, err := rlnc.NewRecoder(p, rlnc.WithSeed(77), rlnc.WithXorRecode())
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Half the sweep, then the XOR repair and the dense tail of one
+			// cycle; the dense tail only when asked for.
+			se := rlnc.NewSystematicEncoder(seg, rand.New(rand.NewSource(42)), rlnc.WithXorRepair(3), rlnc.WithDenseTail(2))
+			for i := range p.BlockCount + 5 {
+				b := se.Block()
+				if (i >= p.BlockCount/2 && i < p.BlockCount) || (!denseTail && !b.IsBinary()) {
+					continue
+				}
+				if err := rec.Add(b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return rec
+		}
+		twin := recoder()
+		r := &Relay{
+			cfg:      RelayConfig{XorRecode: true},
+			info:     netio.SessionInfo{Params: p, Segments: 1, Length: int64(p.SegmentSize()), Mode: netio.ModeSystematic},
+			recoders: []*rlnc.Recoder{recoder()},
+			upFetch:  up,
+		}
+		kinds := map[string]int{}
+		for _, batch := range []int{1, 3, 8, 16} {
+			recs := (*relaySource)(r).Records(0, batch, heap)
+			if len(recs) != batch {
+				t.Fatalf("dense tail %v: %d records for a batch of %d", denseTail, len(recs), batch)
+			}
+			for i, rec := range recs {
+				blk, err := twin.Emit()
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := netio.FrameRecord(blk, netio.ModeSystematic)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(rec, want) {
+					t.Fatalf("dense tail %v: record %d of a batch of %d differs from Emit + FrameRecord", denseTail, i, batch)
+				}
+				kinds[string(rec[4:8])]++
 			}
 		}
+		if kinds["XNC2"] == 0 || (kinds["XNC1"] != 0) != denseTail {
+			t.Fatalf("dense tail %v: records %v", denseTail, kinds)
+		}
+		t.Logf("dense tail %v: records %v", denseTail, kinds)
+	}
+}
+
+// TestRelayRefusesHostileSegmentCount: an upstream whose CRC-valid header
+// declares 2^16 + 1 segments — with a length that agrees — fails every
+// handshake. The relay never learns a session, so it builds no recoder (the
+// hook its own session hook runs before never fires), StartRelay gives up when
+// its context ends, and the fetch ledger counts the attempts.
+func TestRelayRefusesHostileSegmentCount(t *testing.T) {
+	const n, k, segments = 4, 64, 1<<16 + 1
+	body := binary.BigEndian.AppendUint32(nil, 5) // protocol version
+	for _, v := range []uint32{n, k, segments} {
+		body = binary.BigEndian.AppendUint32(body, v)
+	}
+	body = binary.BigEndian.AppendUint64(body, segments*n*k)
+	body = binary.BigEndian.AppendUint64(body, 0) // dense mode, no flags
+	hdr := binary.BigEndian.AppendUint32([]byte("XNCP"), uint32(len(body)))
+	hdr = append(hdr, body...)
+	hdr = binary.BigEndian.AppendUint32(hdr, crc32.ChecksumIEEE(hdr))
+
+	ol, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ol.Close()
+	var served atomic.Int32
+	go func() {
+		for {
+			c, err := ol.Accept()
+			if err != nil {
+				return
+			}
+			served.Add(1)
+			c.Write(hdr)
+			c.Close()
+		}
+	}()
+	rln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	var sessions atomic.Int32
+	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
+	defer cancel()
+	relay, err := StartRelay(ctx, RelayConfig{
+		ID: "rh", Upstream: tcpDial(ol.Addr().String()), Listener: rln,
+		FetchOpts: []netio.FetcherOption{
+			netio.WithSessionHook(func(netio.SessionInfo) { sessions.Add(1) }),
+			func(c *netio.FetcherConfig) { c.Metrics = reg },
+		},
 	})
+	if err == nil {
+		relay.Close()
+		t.Fatal("a relay started over an upstream declaring 2^16 + 1 segments")
+	}
+	attempts, _ := reg.CounterValue("fetch.attempts")
+	if sessions.Load() != 0 || attempts == 0 || served.Load() == 0 {
+		t.Fatalf("%d sessions, %d attempts, %d headers served: want handshakes failed and no session", sessions.Load(), attempts, served.Load())
+	}
+	t.Logf("%v after %d refused handshakes", err, attempts)
 }
 
 // TestRelayXorRecode: a systematic origin feeding an XOR-recode relay. The

@@ -353,9 +353,9 @@ func (r *Relay) Close() {
 }
 
 // relaySource adapts a Relay to netio.RecordSource: each Records call draws
-// fresh recombinations from the segment's recoder, straight into the server's
-// frames. A segment with no rank yet returns nothing and the server pump backs
-// off briefly.
+// fresh recombinations, dense or GF(2), from the segment's recoder straight
+// into the server's frames. A segment with no rank yet returns nothing and the
+// server pump backs off briefly.
 type relaySource Relay
 
 func (rs *relaySource) Info() netio.SessionInfo { return (*Relay)(rs).Info() }
@@ -377,38 +377,23 @@ func (rs *relaySource) Records(seg, batch int, alloc func(int) []byte) [][]byte 
 		tsp := trace.Begin(r.id, "recode", tr, r.upFetch.LastRoundSpan(), int32(seg))
 		defer tsp.End()
 	}
-	rec := r.recoders[seg]
-	recs := r.recs[:0]
-	if r.cfg.XorRecode {
-		// GF(2) emissions travel in the compact XNC2 encoding when binary,
-		// which is decided block by block.
-		for i := 0; i < batch; i++ {
-			blk, err := rec.Emit()
-			if err != nil {
-				break
-			}
-			framed, err := netio.FrameRecordInto(blk, r.info.Mode, alloc)
-			if err != nil {
-				continue
-			}
-			recs = append(recs, framed)
-		}
-	} else {
-		// A dense record is a [C | x] row, and so is every input the recoder
-		// holds: the batch is one multiply from its rows into the frames'.
-		rows := r.rows[:0]
-		for i := 0; i < batch; i++ {
-			framed, row := netio.LayDenseRecord(uint32(seg), r.info.Params, alloc)
-			recs = append(recs, framed)
-			rows = append(rows, row)
-		}
-		r.rows = rows
-		if err := rec.EmitInto(rows); err != nil {
-			recs = recs[:0]
-		}
-		for _, framed := range recs {
-			netio.SealDenseRecord(framed)
-		}
+	// A record is a [C | x] row, and so is every input the recoder holds:
+	// the batch is laid out as XNC1, recoded from the held rows into the
+	// frames' by one EmitInto, then sealed — under XorRecode (ModeSystematic
+	// downstream) each binary emission narrowed to XNC2 on the way.
+	p, mode := r.info.Params, r.info.Mode
+	recs, rows := r.recs[:0], r.rows[:0]
+	for range batch {
+		framed, row := netio.LayDenseRecord(uint32(seg), p, alloc)
+		recs = append(recs, framed)
+		rows = append(rows, row)
+	}
+	r.rows = rows
+	if err := r.recoders[seg].EmitInto(rows); err != nil {
+		recs = recs[:0]
+	}
+	for i, framed := range recs {
+		recs[i] = netio.SealRecord(framed, p, mode)
 	}
 	r.recs = recs
 	if r.cfg.Emitted != nil {

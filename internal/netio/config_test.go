@@ -51,6 +51,25 @@ func TestServerConfigValidate(t *testing.T) {
 	}
 }
 
+// TestServerRefusesTooManySegments: media that would split into more segments
+// than a session header may declare is refused at construction, in either
+// mode, and media at the bound is served.
+func TestServerRefusesTooManySegments(t *testing.T) {
+	p := rlnc.Params{BlockCount: 1, BlockSize: 1}
+	for _, mode := range []WireMode{ModeDense, ModeSystematic} {
+		cfg := DefaultServerConfig()
+		cfg.Mode = mode
+		if _, err := NewServerFromConfig(make([]byte, maxSegments+1), p, cfg); err == nil || !strings.Contains(err.Error(), "segments") {
+			t.Fatalf("%v: %d segments: %v, want a refusal", mode, maxSegments+1, err)
+		}
+		srv, err := NewServerFromConfig(make([]byte, maxSegments), p, cfg)
+		if err != nil {
+			t.Fatalf("%v: %d segments: %v", mode, maxSegments, err)
+		}
+		srv.Shutdown()
+	}
+}
+
 // TestServerConfigNormalized pins the zero-to-default resolution.
 func TestServerConfigNormalized(t *testing.T) {
 	got := (ServerConfig{QueueDepth: 0, WriteRetries: -2, Seed: 0}).normalized(16)

@@ -159,6 +159,8 @@ func TestControlRecords(t *testing.T) {
 		{"protocol v3", setU32(plain, 0, 3), nil, ErrBadHandshake},
 		{"unknown flag", appendSessionHeader(nil, handshake{hdr: hdr, flags: 1 << 9}), nil, ErrBadHandshake},
 		{"length of 2^50 in one segment", appendSessionHeader(nil, handshake{hdr: sessionHeader{params: p, segments: 1, length: 1 << 50}}), nil, ErrBadHandshake},
+		{"segments over the bound", appendSessionHeader(nil, handshake{hdr: sessionHeader{params: p, segments: maxSegments + 1, length: (maxSegments + 1) * 256}}), nil, ErrBadHandshake},
+		{"segments at the bound", appendSessionHeader(nil, handshake{hdr: sessionHeader{params: p, segments: maxSegments, length: maxSegments * 256}}), handshake{hdr: sessionHeader{params: p, segments: maxSegments, length: maxSegments * 256}}, nil},
 		{"header body over bound", over(protoMagic), nil, ErrBadHandshake},
 		{"busy", decision(busy), handshake{dec: &busy}, nil},
 		// Protocol v4's REDIRECT: the coordinator routes leaves now.
@@ -274,9 +276,10 @@ func TestFetchRefusesHostileLength(t *testing.T) {
 // multi-GiB object the segment count agrees with. The leaf sizes its object
 // buffer from it only once a record has passed the checksum, shape and
 // segment-range checks, so a header followed by nothing but damaged records
-// costs a few KiB, not the declared length.
+// costs a few KiB, not the declared length. (6 GiB is 49,152 segments at this
+// shape, under maxSegments; at n=16, k=1024 the header itself is refused.)
 func TestFetchHostileLengthPinsNothing(t *testing.T) {
-	p := rlnc.Params{BlockCount: 16, BlockSize: 1024}
+	p := rlnc.Params{BlockCount: 32, BlockSize: 4096}
 	const length = 6 << 30
 	h := sessionHeader{params: p, segments: length / p.SegmentSize(), length: length}
 	obj, err := rlnc.Split(testMedia(t, p.SegmentSize(), 10), p)

@@ -305,16 +305,25 @@ func appendSessionHeader(dst []byte, hs handshake) []byte {
 	return appendControl(dst, protoMagic, body)
 }
 
+// maxSegments bounds the segment count a session may declare (8 GiB at n=32,
+// k=4096): a relay builds a recoder per segment at the handshake, a session
+// holds a credit per segment, and a sink fetch's Ranks walks them all.
+const maxSegments = 1 << 16
+
 // validate rejects a header no handshake would accept; SessionInfo.Validate
 // and the handshake parser share it. The segment count must be the one
-// rlnc.Split makes of length bytes — at least one — or a client would size
-// the reassembled object from a length its segments cannot hold.
+// rlnc.Split makes of length bytes — at least one, at most maxSegments — or a
+// client would size the reassembled object from a length its segments cannot
+// hold.
 func (h sessionHeader) validate() error {
 	if err := h.params.Validate(); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadHandshake, err)
 	}
 	if h.segments <= 0 || h.length < 0 {
 		return fmt.Errorf("%w: shape", ErrBadHandshake)
+	}
+	if h.segments > maxSegments {
+		return fmt.Errorf("%w: %d segments, at most %d", ErrBadHandshake, h.segments, maxSegments)
 	}
 	seg := int64(h.params.SegmentSize())
 	if want := max(1, h.length/seg+min(1, h.length%seg)); int64(h.segments) != want {

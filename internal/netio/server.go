@@ -2,7 +2,6 @@ package netio
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -161,6 +160,9 @@ func NewServerFromConfig(media []byte, p rlnc.Params, cfg ServerConfig) (*Server
 	obj, err := rlnc.Split(media, p)
 	if err != nil {
 		return nil, err
+	}
+	if len(obj.Segments) > maxSegments {
+		return nil, fmt.Errorf("netio: %d bytes are %d segments of %v, over the %d a session may declare", len(media), len(obj.Segments), p, maxSegments)
 	}
 	cfg = cfg.normalized(p.BlockCount)
 	key := uint64(cfg.Seed)
@@ -1021,20 +1023,6 @@ func (s *Server) fanOut(frames []*frameRef, live []*session, seg int) {
 
 // recordLenLen is the length prefix every wire record starts with.
 const recordLenLen = 4
-
-// LayDenseRecord lays out one dense (XNC1) wire record of segment segID at p
-// in a buffer from alloc — length prefix and block header written — and
-// returns the record with its [C | x] row: BlockCount coefficient bytes, then
-// BlockSize payload bytes, for the producer to fill in place. SealDenseRecord
-// finishes the record once the row is final.
-func LayDenseRecord(segID uint32, p rlnc.Params, alloc func(int) []byte) (rec, row []byte) {
-	rec = alloc(recordLenLen + rlnc.WireSize(p))
-	binary.BigEndian.PutUint32(rec, uint32(len(rec)-recordLenLen))
-	return rec, rlnc.PutWireHeader(rec[recordLenLen:], segID, p)
-}
-
-// SealDenseRecord writes the checksum of a record from LayDenseRecord.
-func SealDenseRecord(rec []byte) { rlnc.SealWire(rec[recordLenLen:]) }
 
 // Snapshot copies the server's counters and the state of every live session.
 func (s *Server) Snapshot() Snapshot {

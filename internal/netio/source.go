@@ -62,32 +62,57 @@ type RecordSource interface {
 	Records(seg, batch int, alloc func(int) []byte) [][]byte
 }
 
-// FrameRecord marshals one coded block as a length-prefixed wire record in
-// the given mode's encoding: ModeSystematic frames binary blocks in the
-// compact XNC2 format and dense blocks as XNC1; ModeDense frames everything
-// as XNC1. This is the framing of every block a source holds as a CodedBlock
-// — systematic repair, a GF(2) relay's recombinations — exported so code
-// outside this package produces bit-identical records. (A media-backed dense
-// origin lays XNC3 counter records out in place instead.)
+// FrameRecord frames one coded block as a length-prefixed wire record in the
+// given mode's encoding — ModeSystematic narrows a binary block to the compact
+// XNC2 format, everything else travels as XNC1 — so code outside this package
+// produces bit-identical records. Pumps lay theirs out in place instead
+// (LayDenseRecord, SealRecord).
 func FrameRecord(b *rlnc.CodedBlock, mode WireMode) ([]byte, error) {
-	return FrameRecordInto(b, mode, heapAlloc)
-}
-
-// FrameRecordInto is FrameRecord into a buffer from alloc: how a RecordSource
-// frames a block it holds as a CodedBlock into the server's frame pool.
-func FrameRecordInto(b *rlnc.CodedBlock, mode WireMode, alloc func(int) []byte) ([]byte, error) {
-	marshal := b.MarshalBinary
-	if mode == ModeSystematic && b.IsBinary() {
-		marshal = b.MarshalBinaryXor
-	}
-	body, err := marshal()
-	if err != nil {
+	p := b.Params()
+	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	rec := alloc(recordLenLen + len(body))
-	binary.BigEndian.PutUint32(rec, uint32(len(body)))
-	copy(rec[recordLenLen:], body)
-	return rec, nil
+	return frameBlock(b, p, mode, heapAlloc), nil
+}
+
+// frameBlock copies b, of shape p, into a record laid out in a frame from
+// alloc and seals it in mode's encoding.
+func frameBlock(b *rlnc.CodedBlock, p rlnc.Params, mode WireMode, alloc func(int) []byte) []byte {
+	rec, row := LayDenseRecord(b.SegmentID, p, alloc)
+	copy(row[copy(row, b.Coeffs):], b.Payload)
+	return SealRecord(rec, p, mode)
+}
+
+// LayDenseRecord lays out one dense (XNC1) wire record of segment segID at p
+// in a buffer from alloc — length prefix and block header written — and
+// returns the record with its [C | x] row: BlockCount coefficient bytes, then
+// BlockSize payload bytes, for the producer to fill in place. SealRecord
+// finishes the record once the row is final.
+func LayDenseRecord(segID uint32, p rlnc.Params, alloc func(int) []byte) (rec, row []byte) {
+	rec, body := layFrame(rlnc.WireSize(p), alloc)
+	return rec, rlnc.PutWireHeader(body, segID, p)
+}
+
+// SealRecord finishes a record of shape p laid out in a frame for a session in
+// mode — in ModeSystematic a binary XNC1 row is narrowed to XNC2 and its length
+// prefix shortened — and returns it sealed: rec, or a prefix of it.
+func SealRecord(rec []byte, p rlnc.Params, mode WireMode) []byte {
+	if mode == ModeSystematic {
+		if x, ok := rlnc.NarrowWire(rec[recordLenLen:], p); ok {
+			rec = rec[:recordLenLen+len(x)]
+			binary.BigEndian.PutUint32(rec, uint32(len(x)))
+		}
+	}
+	rlnc.SealWire(rec[recordLenLen:])
+	return rec
+}
+
+// layFrame takes a frame for one size-byte record from alloc and writes its
+// length prefix, the layout every producer shares; body is the record's part.
+func layFrame(size int, alloc func(int) []byte) (rec, body []byte) {
+	rec = alloc(recordLenLen + size)
+	binary.BigEndian.PutUint32(rec, uint32(size))
+	return rec, rec[recordLenLen:]
 }
 
 // heapAlloc is the record allocator of framing done outside a pump.
@@ -96,9 +121,9 @@ func heapAlloc(n int) []byte { return make([]byte, n) }
 // sweepTable holds the systematic sweep of a media-backed ModeSystematic
 // server, framed: entry seg·n + i is the XNC2 record of source block i of
 // segment seg, length prefix included. The record is a constant, so it is
-// framed once — two k-byte copies, an allocation and a CRC that the pump used
-// to repeat every cycle — and every session writes the same bytes. Entries are built on first use: server bring-up is a gated metric, and
-// a server nobody has fetched from yet should not have paid to frame its object.
+// framed once and every session writes the same bytes. Entries are built on
+// first use: server bring-up is a gated metric, and a server nobody has
+// fetched from yet should not have paid to frame its object.
 type sweepTable struct {
 	obj     *rlnc.Object
 	records []atomic.Pointer[[]byte]
@@ -118,11 +143,7 @@ func (t *sweepTable) record(idx int) []byte {
 	seg := t.obj.Segments[idx/n]
 	coeffs := make([]byte, n)
 	coeffs[idx%n] = 1
-	rec, err := FrameRecord(&rlnc.CodedBlock{SegmentID: seg.ID(), Coeffs: coeffs, Payload: seg.Block(idx % n)}, ModeSystematic)
-	if err != nil {
-		// A unit vector over a validated segment marshals.
-		panic("netio: framing a source block: " + err.Error())
-	}
+	rec := frameBlock(&rlnc.CodedBlock{SegmentID: seg.ID(), Coeffs: coeffs, Payload: seg.Block(idx % n)}, t.obj.Params, ModeSystematic, heapAlloc)
 	if !t.records[idx].CompareAndSwap(nil, &rec) {
 		return *t.records[idx].Load()
 	}
@@ -169,13 +190,12 @@ func (c *counterSource) Records(seg, batch int, alloc func(int) []byte) [][]byte
 	recs, coeffs, payloads := c.recs[:0], c.coeffs[:0], c.payloads[:0]
 	for i := range batch {
 		index := first + uint32(i)
-		rec := alloc(recordLenLen + rlnc.CounterWireSize(p))
-		binary.BigEndian.PutUint32(rec, uint32(len(rec)-recordLenLen))
+		rec, body := layFrame(rlnc.CounterWireSize(p), alloc)
 		cs := c.coeffBuf[i*n : (i+1)*n]
 		rlnc.CounterCoeffs(cs, c.key, id, index)
 		recs = append(recs, rec)
 		coeffs = append(coeffs, cs)
-		payloads = append(payloads, rlnc.PutCounterHeader(rec[recordLenLen:], id, index, p))
+		payloads = append(payloads, rlnc.PutCounterHeader(body, id, index, p))
 	}
 	c.recs, c.coeffs, c.payloads = recs, coeffs, payloads
 	if err := c.penc.EncodeBatchInto(payloads, segment, coeffs); err != nil {
@@ -183,7 +203,7 @@ func (c *counterSource) Records(seg, batch int, alloc func(int) []byte) [][]byte
 		return nil
 	}
 	for _, rec := range recs {
-		SealDenseRecord(rec)
+		SealRecord(rec, p, ModeDense)
 	}
 	return recs
 }
@@ -223,18 +243,14 @@ func (o *systematicSource) Info() SessionInfo { return objectInfo(o.obj, ModeSys
 
 // Records implements RecordSource with repair only: the sessions the pump
 // feeds have had the sweep and asked for more. The per-segment encoder cycles
-// XOR repair → dense tail; binary blocks go out in the compact GF(2)
-// encoding. RepairBlock is a non-retaining emit — the record is marshaled
-// before the next call reuses its storage.
+// XOR repair → dense tail, and each block is copied straight into its frame —
+// binary blocks narrowed to the compact GF(2) encoding — before the next
+// RepairBlock call reuses its storage.
 func (o *systematicSource) Records(seg, batch int, alloc func(int) []byte) [][]byte {
 	recs := o.recs[:0]
 	se := o.sysEncs[seg]
-	for i := 0; i < batch; i++ {
-		rec, err := FrameRecordInto(se.RepairBlock(), ModeSystematic, alloc)
-		if err != nil {
-			continue
-		}
-		recs = append(recs, rec)
+	for range batch {
+		recs = append(recs, frameBlock(se.RepairBlock(), o.obj.Params, ModeSystematic, alloc))
 	}
 	o.recs = recs
 	return recs

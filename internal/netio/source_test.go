@@ -112,9 +112,29 @@ func TestServerSeedFixesTheStream(t *testing.T) {
 	}
 }
 
+// roundOf returns one pump round of srv's record source, run without
+// serving: batch records of the next segment in turn, laid out in frames from
+// the server's pool, wrapped and released, as the pump would.
+func roundOf(tb testing.TB, srv *Server, batch int) func() {
+	alloc := srv.alloc
+	frames := make([]*frameRef, 0, batch)
+	seg := 0
+	return func() {
+		frames = srv.wrap(frames[:0], srv.src.Records(seg, batch, alloc))
+		if len(frames) != batch {
+			tb.Fatalf("round produced %d frames, want %d", len(frames), batch)
+		}
+		for _, fr := range frames {
+			fr.release()
+		}
+		seg = (seg + 1) % srv.Segments()
+	}
+}
+
 // TestDenseSendPathDoesNotAllocate: in the steady state the origin's dense
-// round — frames from the pool, coefficients written and payloads encoded — allocates nothing per record when the encode runs
-// on the caller, and at most twice per batch through the worker dispatch.
+// round — frames from the pool, coefficients written and payloads encoded —
+// allocates nothing per record when the encode runs on the caller, and at
+// most twice per batch through the worker dispatch.
 func TestDenseSendPathDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops Puts at random")
@@ -133,31 +153,70 @@ func TestDenseSendPathDoesNotAllocate(t *testing.T) {
 		}
 		defer srv.Shutdown()
 		encodeWith(t, srv, tc.workers)
-		alloc := srv.alloc // no Serve: the pump is not running
 		batch := srv.cfg.EncodeBatch
-		frames := make([]*frameRef, 0, batch)
-		seg := 0
-		round := func() {
-			frames = srv.wrap(frames[:0], srv.src.Records(seg, batch, alloc))
-			if len(frames) != batch {
-				t.Fatalf("round produced %d frames, want %d", len(frames), batch)
-			}
-			for _, fr := range frames {
-				fr.release()
-			}
-			seg = (seg + 1) % srv.Segments()
-		}
-		if got := testing.AllocsPerRun(200, round); got > tc.perBatch {
+		if got := testing.AllocsPerRun(200, roundOf(t, srv, batch)); got > tc.perBatch {
 			t.Errorf("%d encoder workers: %.2f allocations per batch of %d records, want ≤ %v",
 				tc.workers, got, batch, tc.perBatch)
 		}
 	}
 }
 
-// BenchmarkDenseRecords: one pump round of the origin's dense path — batch
-// counter records laid out, their vectors written, encoded and sealed in
-// pooled frames, then released — per record, at the small-record and the
-// streaming shape.
+// repairServer is a media-backed ModeSystematic server of two segments at p,
+// not serving: its source is the repair schedule.
+func repairServer(tb testing.TB, p rlnc.Params) *Server {
+	tb.Helper()
+	cfg := DefaultServerConfig()
+	cfg.Mode = ModeSystematic
+	srv, err := NewServerFromConfig(testMedia(tb, 2*p.SegmentSize(), 15), p, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(srv.Shutdown)
+	return srv
+}
+
+// TestRepairRoundsDoNotAllocate: a systematic server's repair round — XOR
+// repair and dense-tail blocks copied straight into pooled frames, the binary
+// ones narrowed there to XNC2 — allocates no record body: at most once per
+// batch of 8. Every record is framed in its session's encoding, XNC2 exactly
+// when the block is binary.
+func TestRepairRoundsDoNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops Puts at random")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const batch = 8
+	for _, p := range []rlnc.Params{{BlockCount: 32, BlockSize: 256}, {BlockCount: 128, BlockSize: 4096}} {
+		srv := repairServer(t, p)
+		if got := testing.AllocsPerRun(100, roundOf(t, srv, batch)); got > 1 {
+			t.Errorf("%v: %.2f allocations per repair round of %d records, want ≤ 1", p, got, batch)
+		}
+		kinds := map[string]int{}
+		for _, rec := range srv.src.Records(1, 2*batch, heapAlloc) {
+			var b rlnc.CodedBlock
+			if err := b.UnmarshalRecord(rec[recordLenLen:]); err != nil || b.SegmentID != 1 || b.Params() != p {
+				t.Fatalf("%v: repair record: %v (segment %d, %v)", p, err, b.SegmentID, b.Params())
+			}
+			want := rlnc.WireSize(p)
+			if b.IsBinary() {
+				want = rlnc.XorWireSize(p)
+			}
+			if got := binary.BigEndian.Uint32(rec); int(got) != want || len(rec) != recordLenLen+want {
+				t.Fatalf("%v: %d-byte record with prefix %d, want %d", p, len(rec), got, want)
+			}
+			kinds[string(rec[recordLenLen:recordLenLen+4])]++
+		}
+		if kinds["XNC1"] == 0 || kinds["XNC2"] == 0 {
+			t.Fatalf("%v: repair rounds framed %v, want both XOR repair and dense tail", p, kinds)
+		}
+	}
+}
+
+// BenchmarkDenseRecords: one pump round per record — the origin's dense path
+// (batch counter records laid out, their vectors written, encoded and sealed
+// in pooled frames, then released) at the small-record and the streaming
+// shape, and a systematic server's repair path (each block copied into its
+// frame, narrowed to XNC2 when binary) at the same shapes.
 func BenchmarkDenseRecords(b *testing.B) {
 	for _, p := range []rlnc.Params{{BlockCount: 32, BlockSize: 256}, {BlockCount: 128, BlockSize: 4096}} {
 		b.Run(fmt.Sprintf("origin/n=%d/k=%d", p.BlockCount, p.BlockSize), func(b *testing.B) {
@@ -166,18 +225,24 @@ func BenchmarkDenseRecords(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer srv.Shutdown()
-			alloc := srv.alloc
-			batch := srv.cfg.EncodeBatch
-			frames := make([]*frameRef, 0, batch)
-			b.SetBytes(int64(p.BlockSize))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for done, seg := 0, 0; done < b.N; done, seg = done+len(frames), (seg+1)%srv.Segments() {
-				frames = srv.wrap(frames[:0], srv.src.Records(seg, batch, alloc))
-				for _, fr := range frames {
-					fr.release()
-				}
-			}
+			benchRounds(b, p, roundOf(b, srv, srv.cfg.EncodeBatch), srv.cfg.EncodeBatch)
 		})
+	}
+	for _, p := range []rlnc.Params{{BlockCount: 32, BlockSize: 256}, {BlockCount: 128, BlockSize: 4096}} {
+		b.Run(fmt.Sprintf("repair/n=%d/k=%d", p.BlockCount, p.BlockSize), func(b *testing.B) {
+			srv := repairServer(b, p)
+			benchRounds(b, p, roundOf(b, srv, srv.cfg.EncodeBatch), srv.cfg.EncodeBatch)
+		})
+	}
+}
+
+// benchRounds runs round, batch records at a time, until b.N records are
+// done.
+func benchRounds(b *testing.B, p rlnc.Params, round func(), batch int) {
+	b.SetBytes(int64(p.BlockSize))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for done := 0; done < b.N; done += batch {
+		round()
 	}
 }

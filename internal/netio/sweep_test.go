@@ -114,7 +114,10 @@ func (c *sweepClient) read(r int) []int {
 		if _, err := io.ReadFull(c.conn, rec); err != nil {
 			c.t.Fatalf("sweep record %d: %v", i, err)
 		}
-		if err := blk.UnmarshalBinaryXor(rec[4:]); err != nil {
+		if string(rec[4:8]) != "XNC2" {
+			c.t.Fatalf("sweep record %d is not an XNC2 record: % x", i, rec[4:8])
+		}
+		if err := blk.ParseView(rec[4:], rlnc.RecordFormat{Params: c.hs.hdr.params}); err != nil {
 			c.t.Fatalf("sweep record %d: %v", i, err)
 		}
 		at := bytes.IndexByte(blk.Coeffs, 1)
@@ -652,9 +655,8 @@ func TestPushSessionsUnchanged(t *testing.T) {
 				}
 				rec := rest[recordLenLen:recLen]
 				if want.counter() {
-					var index uint32
-					index, err = b.UnmarshalCounter(rec, want.key, p)
-					indices = append(indices, index)
+					err = b.ParseView(rec, rlnc.RecordFormat{Params: p, Counter: true, Key: want.key})
+					indices = append(indices, binary.BigEndian.Uint32(rec[16:]))
 				} else {
 					err = b.UnmarshalBinary(rec)
 				}

@@ -77,22 +77,31 @@ func WireSize(p Params) int {
 	return wireHeaderLen + p.BlockCount + p.BlockSize + wireTrailerLen
 }
 
-// PutWireHeader writes the 16-byte header of a segment-segID record at p into
-// rec, which must be WireSize(p) long, and returns the record's [C | x] row:
-// its n coefficient bytes and k payload bytes, contiguous. A producer fills
-// the row in place — an encoder multiplies straight into it — and then calls
-// SealWire; nothing is staged anywhere else. MarshalBinaryXor lays XNC2
-// records out with it too: the same header but for the magic, a bitmask for C.
+// PutWireHeader writes the 16-byte header of a segment-segID XNC1 record at p
+// into rec, which must be WireSize(p) long, and returns the record's [C | x]
+// row: its n coefficient bytes and k payload bytes, contiguous. A producer
+// fills the row in place — an encoder multiplies straight into it — and then
+// calls SealWire, or NarrowWire first to send a binary row as XNC2; nothing is
+// staged anywhere else.
 func PutWireHeader(rec []byte, segID uint32, p Params) (row []byte) {
-	copy(rec, wireMagic)
+	return putHeader(rec, wireMagic, segID, p)
+}
+
+// putHeader writes the header every record layout starts with — magic,
+// segment ID, n, k — into rec and returns what lies between it and the CRC.
+// It is the one place a header is written: XNC1 is it (PutWireHeader), XNC3 is
+// it plus the index (PutCounterHeader), and XNC2 is an XNC1 record narrowed in
+// place (NarrowWire).
+func putHeader(rec []byte, magic string, segID uint32, p Params) []byte {
+	copy(rec, magic)
 	binary.BigEndian.PutUint32(rec[4:], segID)
 	binary.BigEndian.PutUint32(rec[8:], uint32(p.BlockCount))
 	binary.BigEndian.PutUint32(rec[12:], uint32(p.BlockSize))
 	return rec[wireHeaderLen : len(rec)-wireTrailerLen]
 }
 
-// SealWire writes the trailing CRC of a record laid out by PutWireHeader, over
-// everything before it.
+// SealWire writes the trailing CRC of a laid-out record, over everything
+// before it.
 func SealWire(rec []byte) {
 	body := rec[:len(rec)-wireTrailerLen]
 	binary.BigEndian.PutUint32(rec[len(body):], crc32.ChecksumIEEE(body))
@@ -110,16 +119,30 @@ func (b *CodedBlock) MarshalBinary() ([]byte, error) {
 	return out, nil
 }
 
-// UnmarshalBinary decodes a block from the wire format, validating magic,
-// lengths and checksum.
+// UnmarshalBinary decodes an XNC1 record of the shape its own header declares,
+// validating magic, lengths and checksum: UnmarshalRecord, refusing the XNC2
+// magic as it refuses XNC3's.
 func (b *CodedBlock) UnmarshalBinary(data []byte) error {
-	seg, p, row, err := openWire(data, wireMagic)
-	if err != nil {
+	if hasMagic(data, xorWireMagic) {
+		return ErrBadMagic
+	}
+	return b.UnmarshalRecord(data)
+}
+
+// UnmarshalRecord decodes an XNC1 or XNC2 record — the two encodings that
+// interleave on a systematic stream — of the shape its own header declares:
+// ParseView, then a copy of the payload into b's own storage, so the block
+// outlives data.
+func (b *CodedBlock) UnmarshalRecord(data []byte) error {
+	var f RecordFormat
+	if len(data) >= wireHeaderLen {
+		f.Params = headerParams(data)
+	}
+	payload := b.Payload
+	if err := b.ParseView(data, f); err != nil {
 		return err
 	}
-	b.SegmentID = seg
-	b.Coeffs = append(b.Coeffs[:0], row[:p.BlockCount]...)
-	b.Payload = append(b.Payload[:0], row[p.BlockCount:]...)
+	b.Payload = append(payload[:0], b.Payload...)
 	return nil
 }
 
@@ -140,17 +163,18 @@ type RecordFormat struct {
 // past the record. The coefficient vector is copied — from an XNC1 record,
 // expanded from an XNC2 bitmask, or regenerated from an XNC3 index — into
 // b.Coeffs, reusing its capacity, so nothing else of b aliases data and a
-// reader that keeps one block allocates nothing per record. The checks are the
-// unmarshalers': magic, lengths, checksum, the bitmask's trailing bits, and a
-// checksummed record of another shape than f.Params is ErrBlockShape. A block
-// ParseView filled must not be handed to an unmarshaler, which would copy into
-// the aliased payload.
+// reader that keeps one block allocates nothing per record. The checks are
+// magic, lengths, checksum, the bitmask's trailing bits, and a checksummed
+// record of another shape than f.Params is ErrBlockShape. ParseView is the one
+// reader of record bytes; the unmarshalers are it plus a payload copy, so a
+// block ParseView filled must not be handed to one, which would copy into the
+// aliased payload.
 func (b *CodedBlock) ParseView(data []byte, f RecordFormat) error {
 	magic := wireMagic
 	switch {
 	case f.Counter:
 		magic = counterWireMagic
-	case len(data) >= 4 && string(data[:4]) == xorWireMagic:
+	case hasMagic(data, xorWireMagic):
 		magic = xorWireMagic
 	}
 	seg, p, row, err := openWire(data, magic)
@@ -193,10 +217,7 @@ func openWire(data []byte, magic string) (seg uint32, p Params, row []byte, err 
 	if string(data[:4]) != magic {
 		return 0, p, nil, ErrBadMagic
 	}
-	p = Params{
-		BlockCount: int(binary.BigEndian.Uint32(data[8:])),
-		BlockSize:  int(binary.BigEndian.Uint32(data[12:])),
-	}
+	p = headerParams(data)
 	if err := p.Validate(); err != nil {
 		return 0, p, nil, err
 	}
@@ -215,4 +236,16 @@ func openWire(data []byte, magic string) (seg uint32, p Params, row []byte, err 
 		return 0, p, nil, ErrBadChecksum
 	}
 	return binary.BigEndian.Uint32(data[4:]), p, body[wireHeaderLen:], nil
+}
+
+// headerParams is the shape a record header declares, unchecked.
+func headerParams(hdr []byte) Params {
+	return Params{
+		BlockCount: int(binary.BigEndian.Uint32(hdr[8:])),
+		BlockSize:  int(binary.BigEndian.Uint32(hdr[12:])),
+	}
+}
+
+func hasMagic(data []byte, magic string) bool {
+	return len(data) >= len(magic) && string(data[:len(magic)]) == magic
 }

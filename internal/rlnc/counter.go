@@ -1,9 +1,6 @@
 package rlnc
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "encoding/binary"
 
 // Counter records: the coefficient-overhead fix of Sec. 4.3 on the wire. A
 // dense coefficient vector costs n bytes per packet (n/k of the link — 12.5 %
@@ -82,36 +79,9 @@ func lane(z uint64) byte { return byte(1 + uint32(uint16(z))*255>>16) }
 // and returns the record's k payload bytes for the producer to fill in place
 // — the encode of CounterCoeffs(key, segID, index) — before SealWire.
 func PutCounterHeader(rec []byte, segID, index uint32, p Params) (payload []byte) {
-	row := PutWireHeader(rec, segID, p)
-	copy(rec, counterWireMagic) // the XNC1 header but for its magic
+	row := putHeader(rec, counterWireMagic, segID, p)
 	binary.BigEndian.PutUint32(row, index)
 	return row[counterIndexLen:]
-}
-
-// UnmarshalCounter decodes a counter record of a session or container that
-// declared key and shape want, validating magic, lengths and checksum, and
-// returns its index. A record of another shape is ErrBlockShape: the key means
-// nothing outside what declared it, and a hostile n must not size the vector.
-// The coefficient vector is regenerated straight into b.Coeffs and the payload
-// copied into b.Payload, both reusing their capacity, so a reader that keeps
-// one block allocates nothing per record.
-func (b *CodedBlock) UnmarshalCounter(data []byte, key uint64, want Params) (index uint32, err error) {
-	seg, p, row, err := openWire(data, counterWireMagic)
-	if err != nil {
-		return 0, err
-	}
-	if p != want {
-		return 0, fmt.Errorf("%w: counter record %v, want %v", ErrBlockShape, p, want)
-	}
-	index = binary.BigEndian.Uint32(row)
-	b.SegmentID = seg
-	if cap(b.Coeffs) < p.BlockCount {
-		b.Coeffs = make([]byte, p.BlockCount)
-	}
-	b.Coeffs = b.Coeffs[:p.BlockCount]
-	CounterCoeffs(b.Coeffs, key, seg, index)
-	b.Payload = append(b.Payload[:0], row[counterIndexLen:]...)
-	return index, nil
 }
 
 // CounterRecord builds one whole counter record of seg under key: the file

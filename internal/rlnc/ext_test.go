@@ -2,6 +2,7 @@ package rlnc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -11,35 +12,38 @@ import (
 // TestSeededBlockRoundTrip: a seeded block is an XNC3 counter record. It
 // carries a 4-byte index where XNC1 carries n coefficient bytes, its payload is
 // the encode of CounterCoeffs(key, segment, index), and reading it regenerates
-// exactly that vector — into the reader's block, reusing its storage.
+// exactly that vector — into the reader's block, reusing its storage, with the
+// payload read where it lies.
 func TestSeededBlockRoundTrip(t *testing.T) {
 	p := Params{BlockCount: 16, BlockSize: 128}
 	seg := randomSegment(t, 5, p, 100)
 	const key = 0x0123456789ABCDEF
+	f := RecordFormat{Params: p, Counter: true, Key: key}
 	data := CounterRecord(seg, key, 77)
 	if len(data) != CounterWireSize(p) || CounterWireSize(p) != WireSize(p)-p.BlockCount+4 {
 		t.Fatalf("wire size %d, CounterWireSize %d, XNC1 %d", len(data), CounterWireSize(p), WireSize(p))
 	}
 	var got CodedBlock
-	index, err := got.UnmarshalCounter(data, key, p)
-	if err != nil {
+	if err := got.ParseView(data, f); err != nil {
 		t.Fatal(err)
 	}
+	index := binary.BigEndian.Uint32(data[wireHeaderLen:])
 	want := make([]byte, p.BlockCount)
 	CounterCoeffs(want, key, 5, 77)
 	if index != 77 || got.SegmentID != 5 || !bytes.Equal(got.Coeffs, want) || !consistentWithSource(seg, &got) {
 		t.Fatalf("index %d, segment %d, coefficients % x: not the record that was written", index, got.SegmentID, got.Coeffs)
 	}
-	coeffs, payload := &got.Coeffs[0], &got.Payload[0]
-	if _, err := got.UnmarshalCounter(CounterRecord(seg, key, 78), key, p); err != nil {
+	coeffs := &got.Coeffs[0]
+	next := CounterRecord(seg, key, 78)
+	if err := got.ParseView(next, f); err != nil {
 		t.Fatal(err)
 	}
-	if &got.Coeffs[0] != coeffs || &got.Payload[0] != payload {
-		t.Fatal("a second read did not reuse the block's storage")
+	if &got.Coeffs[0] != coeffs || &got.Payload[0] != &next[wireHeaderLen+counterIndexLen] {
+		t.Fatal("a second read did not reuse the block's storage and view the record's payload")
 	}
 	// The same index under another key is another vector.
 	var other CodedBlock
-	if _, err := other.UnmarshalCounter(data, key+1, p); err != nil {
+	if err := other.ParseView(data, RecordFormat{Params: p, Counter: true, Key: key + 1}); err != nil {
 		t.Fatal(err)
 	}
 	if bytes.Equal(other.Coeffs, want) {
@@ -57,7 +61,7 @@ func TestSeededBlocksDecode(t *testing.T) {
 	var rx CodedBlock
 	for index := uint32(0); !dec.Ready(); index++ {
 		// Receiver side: wire → regenerate coefficients → decode.
-		if _, err := rx.UnmarshalCounter(CounterRecord(seg, 103, index), 103, p); err != nil {
+		if err := rx.ParseView(CounterRecord(seg, 103, index), RecordFormat{Params: p, Counter: true, Key: 103}); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := dec.AddBlock(&rx); err != nil {
@@ -78,8 +82,7 @@ func TestSeededBlockCorruption(t *testing.T) {
 	seg := randomSegment(t, 1, p, 104)
 	good := CounterRecord(seg, 105, 3)
 	read := func(data []byte, want Params) error {
-		_, err := new(CodedBlock).UnmarshalCounter(data, 105, want)
-		return err
+		return new(CodedBlock).ParseView(data, RecordFormat{Params: want, Counter: true, Key: 105})
 	}
 	bad := append([]byte(nil), good...)
 	bad[0] = 'Z'

@@ -102,10 +102,10 @@ func abs(v int) int {
 	return v
 }
 
-// FuzzXorBlockUnmarshal explores the GF(2) wire decoder: accepted input must
-// expand to a binary block and re-marshal byte-identically — any mask byte
-// with trailing bits, bad length, or checksum mismatch must be rejected, never
-// mis-parsed.
+// FuzzXorBlockUnmarshal explores the GF(2) wire reading: an accepted XNC2
+// record must expand to a binary block and re-lay byte-identically through
+// narrowing — any mask byte with trailing bits, bad length, or checksum
+// mismatch must be rejected, never mis-parsed.
 func FuzzXorBlockUnmarshal(f *testing.F) {
 	p := Params{BlockCount: 12, BlockSize: 48} // ragged mask: 4 trailing bits
 	rng := rand.New(rand.NewSource(2))
@@ -117,72 +117,56 @@ func FuzzXorBlockUnmarshal(f *testing.F) {
 	}
 	se := NewSystematicEncoder(seg, rng)
 	for i := 0; i < 3; i++ {
-		wire, err := se.Block().MarshalBinaryXor()
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(wire)
+		f.Add(xorWire(f, se.Block()))
 	}
 	f.Add([]byte{})
 	f.Add([]byte("XNC2"))
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var blk CodedBlock
-		if err := blk.UnmarshalBinaryXor(data); err != nil {
+		if !hasMagic(data, xorWireMagic) || blk.UnmarshalRecord(data) != nil {
 			return
 		}
 		if !blk.IsBinary() {
 			t.Fatal("accepted XNC2 record expanded to non-binary coefficients")
 		}
-		out, err := blk.MarshalBinaryXor()
-		if err != nil {
-			t.Fatalf("accepted xor block fails to marshal: %v", err)
-		}
-		if !bytes.Equal(out, data) {
-			t.Fatal("xor unmarshal/marshal not idempotent")
+		if !bytes.Equal(xorWire(t, &blk), data) {
+			t.Fatal("xor unmarshal/narrow not idempotent")
 		}
 	})
 }
 
-// checkView holds ParseView to the copying readers on data, read as a record
-// of the shape its header declares, under key if it is an XNC3 record: it
-// accepts exactly what they accept, yields the same block, and its payload is
-// the record's own bytes.
-func checkView(t *testing.T, data []byte, key uint64) {
-	var f RecordFormat
-	if len(data) >= wireHeaderLen {
-		f.Params = Params{BlockCount: int(binary.BigEndian.Uint32(data[8:])), BlockSize: int(binary.BigEndian.Uint32(data[12:]))}
-		f.Counter, f.Key = string(data[:4]) == counterWireMagic, key
-	}
-	var view, copied CodedBlock
-	verr := view.ParseView(data, f)
-	var cerr error
+// relay lays b out again as a record of format f through the one writer —
+// XNC3 with the given index under a counter format, else XNC1, narrowed to
+// XNC2 when xor is set — and seals it. It reports false if narrowing refuses.
+func relay(b *CodedBlock, f RecordFormat, index uint32, xor bool) ([]byte, bool) {
+	p := f.Params
 	if f.Counter {
-		_, cerr = copied.UnmarshalCounter(data, key, f.Params)
-	} else {
-		cerr = copied.UnmarshalRecord(data)
+		out := make([]byte, CounterWireSize(p))
+		copy(PutCounterHeader(out, b.SegmentID, index, p), b.Payload)
+		SealWire(out)
+		return out, true
 	}
-	if (verr == nil) != (cerr == nil) {
-		t.Fatalf("ParseView: %v, the copying reader: %v", verr, cerr)
+	out := make([]byte, WireSize(p))
+	row := PutWireHeader(out, b.SegmentID, p)
+	copy(row[copy(row, b.Coeffs):], b.Payload)
+	if xor {
+		var ok bool
+		if out, ok = NarrowWire(out, p); !ok {
+			return nil, false
+		}
 	}
-	if verr != nil {
-		return
-	}
-	if view.SegmentID != copied.SegmentID || !bytes.Equal(view.Coeffs, copied.Coeffs) || !bytes.Equal(view.Payload, copied.Payload) {
-		t.Fatal("ParseView and the copying reader parse different blocks")
-	}
-	if &view.Payload[len(view.Payload)-1] != &data[len(data)-wireTrailerLen-1] {
-		t.Fatal("ParseView's payload is not a view of the record")
-	}
+	SealWire(out)
+	return out, true
 }
 
-// FuzzRecordDispatch drives every record reader with every encoding's seeds:
-// UnmarshalRecord for XNC1/XNC2, and UnmarshalCounter under a fixed key for
-// XNC3 — the fetcher's dispatch on a counter session. Whatever a reader
-// accepts must re-marshal, under the matching encoding, to the input bytes,
-// and an accepted counter record's regenerated vector is the key's, with no
-// zero in it. ParseView, the fetcher's in-place reader, must agree with them
-// on every input (checkView).
+// FuzzRecordDispatch drives the one record reader, ParseView, with every
+// encoding's seeds under both formats a stream can have — XNC1/XNC2 at the
+// shape the header declares, and XNC3 under a fixed key, the fetcher's read of
+// a counter session. Whatever it accepts re-lays byte-identically through the
+// one writer (XNC2 by narrowing), with the payload read where it lies, and an
+// accepted counter record's regenerated vector is the key's, with no zero in
+// it.
 func FuzzRecordDispatch(f *testing.F) {
 	const key = 0xC0FFEE
 	seedWire(f)
@@ -195,51 +179,40 @@ func FuzzRecordDispatch(f *testing.F) {
 		f.Fatal(err)
 	}
 	se := NewSystematicEncoder(seg, rng)
-	wire, err := se.Block().MarshalBinaryXor()
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(wire)
+	f.Add(xorWire(f, se.Block()))
 	f.Add([]byte("XNC2"))
 	f.Add(CounterRecord(seg, key, 9))
 	f.Add([]byte("XNC3"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		checkView(t, data, key)
-		var blk CodedBlock
-		if len(data) >= wireHeaderLen && string(data[:4]) == counterWireMagic {
-			p := Params{BlockCount: int(binary.BigEndian.Uint32(data[8:])), BlockSize: int(binary.BigEndian.Uint32(data[12:]))}
-			index, err := blk.UnmarshalCounter(data, key, p)
-			if err != nil {
-				return
+		var format RecordFormat
+		if len(data) >= wireHeaderLen {
+			format.Params = headerParams(data)
+		}
+		for _, counter := range []bool{false, true} {
+			format.Counter, format.Key = counter, key
+			var blk CodedBlock
+			if blk.ParseView(data, format) != nil {
+				continue
 			}
-			want := make([]byte, p.BlockCount)
-			CounterCoeffs(want, key, blk.SegmentID, index)
-			if !bytes.Equal(blk.Coeffs, want) || bytes.IndexByte(blk.Coeffs, 0) >= 0 {
-				t.Fatalf("index %d regenerated % x", index, blk.Coeffs)
+			if &blk.Payload[len(blk.Payload)-1] != &data[len(data)-wireTrailerLen-1] {
+				t.Fatal("ParseView's payload is not a view of the record")
 			}
-			out := make([]byte, CounterWireSize(p))
-			copy(PutCounterHeader(out, blk.SegmentID, index, p), blk.Payload)
-			SealWire(out)
+			var index uint32
+			if counter {
+				index = binary.BigEndian.Uint32(data[wireHeaderLen:])
+				want := make([]byte, format.Params.BlockCount)
+				CounterCoeffs(want, key, blk.SegmentID, index)
+				if !bytes.Equal(blk.Coeffs, want) || bytes.IndexByte(blk.Coeffs, 0) >= 0 {
+					t.Fatalf("index %d regenerated % x", index, blk.Coeffs)
+				}
+			}
+			out, ok := relay(&blk, format, index, !counter && hasMagic(data, xorWireMagic))
+			if !ok {
+				t.Fatal("accepted XNC2 record expanded to non-binary coefficients")
+			}
 			if !bytes.Equal(out, data) {
-				t.Fatal("counter unmarshal/marshal not idempotent")
+				t.Fatalf("counter=%v: an accepted record does not re-lay to its bytes", counter)
 			}
-			return
-		}
-		if err := blk.UnmarshalRecord(data); err != nil {
-			return
-		}
-		var out []byte
-		var merr error
-		if len(data) >= 4 && string(data[:4]) == xorWireMagic {
-			out, merr = blk.MarshalBinaryXor()
-		} else {
-			out, merr = blk.MarshalBinary()
-		}
-		if merr != nil {
-			t.Fatalf("accepted record fails to marshal: %v", merr)
-		}
-		if !bytes.Equal(out, data) {
-			t.Fatal("record dispatch unmarshal/marshal not idempotent")
 		}
 	})
 }

@@ -24,15 +24,15 @@ func TestCodecBytesGolden(t *testing.T) {
 	}
 	h := sha256.New()
 	absorb := func(dec *Decoder, b *CodedBlock) {
-		marshal := b.MarshalBinary
 		if b.IsBinary() {
-			marshal = b.MarshalBinaryXor
+			h.Write(xorWire(t, b))
+		} else {
+			wire, err := b.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Write(wire)
 		}
-		wire, err := marshal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		h.Write(wire)
 		if _, err := dec.AddBlock(b); err != nil {
 			t.Fatal(err)
 		}

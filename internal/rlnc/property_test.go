@@ -223,7 +223,7 @@ func TestMixedBlockKindsDecode(t *testing.T) {
 		func() (*CodedBlock, error) {
 			var b CodedBlock
 			index++
-			_, err := b.UnmarshalCounter(CounterRecord(seg, 132, index), 132, p)
+			err := b.ParseView(CounterRecord(seg, 132, index), RecordFormat{Params: p, Counter: true, Key: 132})
 			return &b, err
 		},
 		func() (*CodedBlock, error) { return rec.NextBlock(rng) },

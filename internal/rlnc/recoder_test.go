@@ -189,12 +189,8 @@ func TestRecoderSystematicInputs(t *testing.T) {
 	for i := 0; i < total; i++ {
 		b := se.Block()
 		if b.IsBinary() {
-			wire, err := b.MarshalBinaryXor()
-			if err != nil {
-				t.Fatal(err)
-			}
 			var rt CodedBlock
-			if err := rt.UnmarshalRecord(wire); err != nil {
+			if err := rt.UnmarshalRecord(xorWire(t, b)); err != nil {
 				t.Fatal(err)
 			}
 			b = &rt
@@ -263,9 +259,7 @@ func TestRecoderXorRecode(t *testing.T) {
 			t.Fatal("XOR recode over binary input emitted a non-binary block")
 		}
 		// Binary emissions must survive the compact wire encoding.
-		if wire, err := b.MarshalBinaryXor(); err != nil {
-			t.Fatalf("XNC2 marshal of XOR emission: %v", err)
-		} else if len(wire) != XorWireSize(p) {
+		if wire := xorWire(t, b); len(wire) != XorWireSize(p) {
 			t.Fatalf("XNC2 emission wire size = %d, want %d", len(wire), XorWireSize(p))
 		}
 		if _, err := dec.AddBlock(b); err != nil {

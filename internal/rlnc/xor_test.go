@@ -2,9 +2,7 @@ package rlnc
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"math/rand"
 	"testing"
 )
@@ -104,8 +102,25 @@ func TestSystematicBlockZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestXorWireRoundTrip: MarshalBinaryXor/UnmarshalBinaryXor round-trips
-// systematic and repair blocks across byte-aligned and ragged block counts.
+// xorWire is b's XNC2 record, made the one way the product makes one: b laid
+// out as XNC1, narrowed in place, sealed. b must be binary.
+func xorWire(t testing.TB, b *CodedBlock) []byte {
+	t.Helper()
+	wire, err := b.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, ok := NarrowWire(wire, b.Params())
+	if !ok {
+		t.Fatalf("narrowing a block that is not binary: % x", b.Coeffs)
+	}
+	SealWire(x)
+	return x
+}
+
+// TestXorWireRoundTrip: narrowed records read back — copied and in place —
+// as the systematic and repair blocks they were made from, across
+// byte-aligned and ragged block counts.
 func TestXorWireRoundTrip(t *testing.T) {
 	for _, n := range []int{1, 7, 8, 9, 12, 64, 65} {
 		p := Params{BlockCount: n, BlockSize: 48}
@@ -113,33 +128,31 @@ func TestXorWireRoundTrip(t *testing.T) {
 		se := NewSystematicEncoder(seg, rand.New(rand.NewSource(int64(151+n))), WithXorRepair(3), WithDenseTail(0))
 		for i := 0; i < n+3; i++ {
 			b := se.Block()
-			wire, err := b.MarshalBinaryXor()
-			if err != nil {
-				t.Fatalf("n=%d block %d: %v", n, i, err)
-			}
+			wire := xorWire(t, b)
 			if len(wire) != XorWireSize(p) {
 				t.Fatalf("n=%d: wire is %d bytes, XorWireSize says %d", n, len(wire), XorWireSize(p))
 			}
 			var back CodedBlock
-			if err := back.UnmarshalBinaryXor(wire); err != nil {
+			if err := back.UnmarshalRecord(wire); err != nil {
 				t.Fatalf("n=%d block %d: %v", n, i, err)
 			}
 			if back.SegmentID != b.SegmentID || !bytes.Equal(back.Coeffs, b.Coeffs) || !bytes.Equal(back.Payload, b.Payload) {
 				t.Fatalf("n=%d block %d: round trip differs", n, i)
 			}
-			// The dispatcher must route XNC2 records identically.
-			var disp CodedBlock
-			if err := disp.UnmarshalRecord(wire); err != nil {
-				t.Fatalf("n=%d UnmarshalRecord: %v", n, err)
+			// Read in place, under the session's format, the same block.
+			var view CodedBlock
+			if err := view.ParseView(wire, RecordFormat{Params: p}); err != nil {
+				t.Fatalf("n=%d ParseView: %v", n, err)
 			}
-			if !bytes.Equal(disp.Coeffs, b.Coeffs) {
-				t.Fatalf("n=%d: UnmarshalRecord dispatch differs", n)
+			if !bytes.Equal(view.Coeffs, b.Coeffs) || !bytes.Equal(view.Payload, b.Payload) {
+				t.Fatalf("n=%d: ParseView reads another block", n)
 			}
 		}
 	}
 }
 
-// TestXorWireRejectsDense: the GF(2) encoding refuses non-binary blocks.
+// TestXorWireRejectsDense: narrowing refuses a non-binary block and leaves its
+// XNC1 record as it was.
 func TestXorWireRejectsDense(t *testing.T) {
 	p := Params{BlockCount: 8, BlockSize: 32}
 	seg := testSegment(t, 1, p, 160)
@@ -148,8 +161,13 @@ func TestXorWireRejectsDense(t *testing.T) {
 	if b.IsBinary() {
 		t.Skip("dense draw happened to be binary")
 	}
-	if _, err := b.MarshalBinaryXor(); !errors.Is(err, ErrNotBinary) {
-		t.Fatalf("MarshalBinaryXor on dense block: %v, want ErrNotBinary", err)
+	wire, err := b.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := bytes.Clone(wire)
+	if out, ok := NarrowWire(wire, p); ok || !bytes.Equal(out, before) || !bytes.Equal(wire, before) {
+		t.Fatalf("narrowing a dense block: ok=%v, record changed=%v", ok, !bytes.Equal(wire, before))
 	}
 }
 
@@ -160,29 +178,33 @@ func TestXorWireHostileBitmask(t *testing.T) {
 	p := Params{BlockCount: 12, BlockSize: 48} // n%8 != 0 → 4 trailing bits
 	seg := testSegment(t, 5, p, 162)
 	se := NewSystematicEncoder(seg, rand.New(rand.NewSource(163)))
-	wire, err := se.Block().MarshalBinaryXor()
-	if err != nil {
-		t.Fatal(err)
-	}
+	wire := xorWire(t, se.Block())
 	hostile := rehashXorWire(append([]byte(nil), wire...), func(w []byte) {
 		m := BitmaskLen(p.BlockCount)
 		w[wireHeaderLen+m-1] |= 1 << 7 // bit 15 of a 12-block mask
 	})
 	var blk CodedBlock
-	if err := blk.UnmarshalBinaryXor(hostile); !errors.Is(err, ErrBadBitmask) {
+	if err := blk.UnmarshalRecord(hostile); !errors.Is(err, ErrBadBitmask) {
 		t.Fatalf("hostile trailing bit: %v, want ErrBadBitmask", err)
+	}
+	if err := blk.ParseView(hostile, RecordFormat{Params: p}); !errors.Is(err, ErrBadBitmask) {
+		t.Fatalf("hostile trailing bit read in place: %v, want ErrBadBitmask", err)
 	}
 
 	// Corruption without rehashing fails the checksum first.
 	flipped := append([]byte(nil), wire...)
 	flipped[wireHeaderLen] ^= 0xFF
-	if err := blk.UnmarshalBinaryXor(flipped); !errors.Is(err, ErrBadChecksum) {
+	if err := blk.UnmarshalRecord(flipped); !errors.Is(err, ErrBadChecksum) {
 		t.Fatalf("bit flip: %v, want ErrBadChecksum", err)
 	}
 
 	// Truncation is detected before any field is trusted.
-	if err := blk.UnmarshalBinaryXor(wire[:len(wire)-5]); !errors.Is(err, ErrTruncated) {
+	if err := blk.UnmarshalRecord(wire[:len(wire)-5]); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("truncated record: %v, want ErrTruncated", err)
+	}
+	// And an XNC1-only reader refuses the encoding outright.
+	if err := blk.UnmarshalBinary(wire); !errors.Is(err, ErrBadMagic) {
+		t.Fatalf("UnmarshalBinary of an XNC2 record: %v, want ErrBadMagic", err)
 	}
 }
 
@@ -190,8 +212,7 @@ func TestXorWireHostileBitmask(t *testing.T) {
 // is checksum-valid but semantically hostile.
 func rehashXorWire(w []byte, mutate func([]byte)) []byte {
 	mutate(w)
-	sum := crc32.ChecksumIEEE(w[:len(w)-wireTrailerLen])
-	binary.BigEndian.PutUint32(w[len(w)-wireTrailerLen:], sum)
+	SealWire(w)
 	return w
 }
 
@@ -479,10 +500,7 @@ func TestWireSizes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		xor, err := b.MarshalBinaryXor()
-		if err != nil {
-			t.Fatal(err)
-		}
+		xor := xorWire(t, b)
 		if WireSize(p) != len(dense) || b.WireSize() != len(dense) || XorWireSize(p) != len(xor) {
 			t.Fatalf("%v: WireSize %d / %d, XorWireSize %d; marshaled %d and %d",
 				p, WireSize(p), b.WireSize(), XorWireSize(p), len(dense), len(xor))

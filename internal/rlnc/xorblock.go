@@ -29,14 +29,8 @@ import (
 // two distinct wire records can never alias one logical block.
 const xorWireMagic = "XNC2"
 
-// Errors of the GF(2) wire encoding.
-var (
-	// ErrNotBinary reports a MarshalBinaryXor call on a block whose
-	// coefficients are not all 0 or 1.
-	ErrNotBinary = errors.New("rlnc: coefficients are not GF(2)")
-	// ErrBadBitmask reports a bitmask with bits set beyond the block count.
-	ErrBadBitmask = errors.New("rlnc: xor-block bitmask has bits beyond block count")
-)
+// ErrBadBitmask reports a bitmask with bits set beyond the block count.
+var ErrBadBitmask = errors.New("rlnc: xor-block bitmask has bits beyond block count")
 
 // BitmaskLen returns ceil(n/8), the wire size of a GF(2) coefficient vector.
 func BitmaskLen(n int) int { return (n + 7) / 8 }
@@ -50,8 +44,9 @@ func XorWireSize(p Params) int {
 // block is eligible for the GF(2) wire encoding and the decoder's XOR-only
 // elimination fast path. Systematic source blocks (unit vectors) and XOR
 // repair blocks are binary; dense-tail blocks are not.
-func (b *CodedBlock) IsBinary() bool {
-	c := b.Coeffs
+func (b *CodedBlock) IsBinary() bool { return isBinary(b.Coeffs) }
+
+func isBinary(c []byte) bool {
 	for ; len(c) >= 8; c = c[8:] {
 		if binary.LittleEndian.Uint64(c)&0xFEFEFEFEFEFEFEFE != 0 {
 			return false
@@ -65,50 +60,32 @@ func (b *CodedBlock) IsBinary() bool {
 	return true
 }
 
-// MarshalBinaryXor encodes the block in the GF(2) wire format above. It
-// fails with ErrNotBinary when any coefficient exceeds 1 — the caller
-// chooses the encoding per block (see netio's systematic mode).
-func (b *CodedBlock) MarshalBinaryXor() ([]byte, error) {
-	if err := b.Params().Validate(); err != nil {
-		return nil, err
-	}
-	if !b.IsBinary() {
-		return nil, ErrNotBinary
-	}
-	out := make([]byte, XorWireSize(b.Params()))
-	row := PutWireHeader(out, b.SegmentID, b.Params())
-	copy(out, xorWireMagic) // the XNC1 header but for its magic
-	mask := row[:BitmaskLen(len(b.Coeffs))]
-	for i, c := range b.Coeffs {
-		if c != 0 {
-			mask[i/8] |= 1 << (i % 8)
-		}
-	}
-	copy(row[len(mask):], b.Payload)
-	SealWire(out)
-	return out, nil
-}
-
-// UnmarshalBinaryXor decodes a GF(2) coded block, validating magic, lengths,
-// checksum, and the trailing-bit invariant, expanding the bitmask back into
-// a byte coefficient vector so the decoded block is interchangeable with a
-// dense one.
-func (b *CodedBlock) UnmarshalBinaryXor(data []byte) error {
-	seg, p, row, err := openWire(data, xorWireMagic)
-	if err != nil {
-		return err
-	}
+// NarrowWire is how an XNC2 record is made: it turns rec, an XNC1 record of
+// shape p laid out by PutWireHeader with its row filled, into the XNC2 record
+// of the same block when every coefficient is 0 or 1. In place, it writes the
+// bitmask over the coefficients, moves the payload left behind it and changes
+// the magic, and returns the XorWireSize(p)-byte prefix of rec that now holds
+// the record, for the caller to seal (and to re-prefix, if it framed rec). A
+// row with a coefficient above 1 is left as it is and reported false: it
+// travels as XNC1.
+func NarrowWire(rec []byte, p Params) (narrowed []byte, ok bool) {
 	n, m := p.BlockCount, BitmaskLen(p.BlockCount)
-	if cap(b.Coeffs) < n {
-		b.Coeffs = make([]byte, n)
+	row := rec[wireHeaderLen : len(rec)-wireTrailerLen]
+	if !isBinary(row[:n]) {
+		return rec, false
 	}
-	if err := expandBitmask(b.Coeffs[:n], row[:m]); err != nil {
-		return err
+	// Mask byte j is gathered from coefficients 8j… and stored at j ≤ 8j, so
+	// it overwrites only coefficients already gathered.
+	for j := range m {
+		var bits byte
+		for i, c := range row[8*j : min(8*j+8, n)] {
+			bits |= c << i
+		}
+		row[j] = bits
 	}
-	b.SegmentID = seg
-	b.Coeffs = b.Coeffs[:n]
-	b.Payload = append(b.Payload[:0], row[m:]...)
-	return nil
+	copy(row[m:], row[n:])
+	copy(rec, xorWireMagic)
+	return rec[:XorWireSize(p)], true
 }
 
 // expandBitmask writes the 0/1 coefficient vector a GF(2) bitmask denotes into
@@ -139,13 +116,3 @@ var maskBytes = func() (t [256]uint64) {
 	}
 	return t
 }()
-
-// UnmarshalRecord decodes either wire encoding, dispatching on the magic:
-// "XNC1" dense, "XNC2" GF(2). It is the record parser of netio's systematic
-// sessions, where both encodings interleave on one stream.
-func (b *CodedBlock) UnmarshalRecord(data []byte) error {
-	if len(data) >= 4 && string(data[:4]) == xorWireMagic {
-		return b.UnmarshalBinaryXor(data)
-	}
-	return b.UnmarshalBinary(data)
-}
