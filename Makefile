@@ -137,11 +137,12 @@ xor-smoke:
 # included), so ./internal/mesh/ needs no separate RACE_PKGS entry. The third
 # line repeats the control-plane tests ten times: members and routes share one
 # lock, and one race pass cannot show that no dial, reroute or remediation
-# step reads a route outside it.
+# step reads a route outside it. It repeats TestSnapshotDuringAddLeaf with
+# them: a metrics scrape snapshots the leaf list while leaf waves grow it.
 mesh-smoke:
 	$(GO) test -race -count=1 -v -run 'TestMeshSmoke' ./internal/mesh/
 	$(GO) test -race -count=1 -skip 'TestMeshSmoke|TestMeshRollingRestart' ./internal/mesh/
-	$(GO) test -race -count=10 -run 'TestControl' ./internal/mesh/
+	$(GO) test -race -count=10 -run 'TestControl|TestSnapshotDuringAddLeaf' ./internal/mesh/
 
 # Graceful-degradation drain gate, under the race detector: rolling relay
 # restarts while leaves fetch through faultnet chaos. Each restart must move

@@ -615,8 +615,8 @@ func TestConfigAPIFacade(t *testing.T) {
 	}
 	if _, err := extremenc.NewFetcherFromConfig(
 		func(context.Context) (net.Conn, error) { return nil, context.Canceled },
-		extremenc.NetFetcherConfig{Jitter: 3}); err == nil {
-		t.Fatal("NewFetcherFromConfig accepted out-of-range jitter")
+		extremenc.NetFetcherConfig{MaxAttempts: -1}); err == nil {
+		t.Fatal("NewFetcherFromConfig accepted a negative attempt budget")
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -149,7 +151,11 @@ type Mesh struct {
 
 	relays  []*Relay
 	hbStops map[string]chan struct{}
-	leaves  []*Leaf
+
+	// leavesMu guards leaves: AddLeaf appends while Snapshot may be serving
+	// a metrics scrape.
+	leavesMu sync.Mutex
+	leaves   []*Leaf
 
 	upCtr, downCtr *faultnet.Counters
 	upSeq, downSeq atomic.Int64
@@ -367,9 +373,11 @@ func (m *Mesh) StartLeaves(ctx context.Context) error {
 }
 
 // AddLeaf assigns one more leaf to a relay and launches its fetch,
-// returning the leaf. Not safe to call concurrently with Snapshot or other
-// AddLeaf calls — the driver (a test or the CLI) sequences leaf waves.
+// returning the leaf. Safe to call concurrently with Snapshot and with other
+// AddLeaf calls.
 func (m *Mesh) AddLeaf(ctx context.Context) (*Leaf, error) {
+	m.leavesMu.Lock()
+	defer m.leavesMu.Unlock()
 	leaf := &Leaf{ID: len(m.leaves), done: make(chan struct{})}
 	rt, _, err := m.ctl.assign(leaf.ID)
 	if err != nil {
@@ -435,7 +443,7 @@ func (m *Mesh) startLeafFetch(ctx context.Context, leaf *Leaf) error {
 // leaf error, if any.
 func (m *Mesh) WaitLeaves(ctx context.Context, leaves ...*Leaf) error {
 	if len(leaves) == 0 {
-		leaves = m.leaves
+		leaves = m.Leaves()
 	}
 	for _, leaf := range leaves {
 		select {
@@ -535,7 +543,11 @@ func (m *Mesh) RestartRelay(ctx context.Context, id string) error {
 func (m *Mesh) Relays() []*Relay { return m.relays }
 
 // Leaves returns the mesh's leaves in start order.
-func (m *Mesh) Leaves() []*Leaf { return m.leaves }
+func (m *Mesh) Leaves() []*Leaf {
+	m.leavesMu.Lock()
+	defer m.leavesMu.Unlock()
+	return slices.Clone(m.leaves)
+}
 
 // Control returns the control plane: members, health and leaf routes.
 func (m *Mesh) Control() *Control { return m.ctl }
@@ -581,7 +593,7 @@ func (m *Mesh) Snapshot() MeshSnapshot {
 		Emitted:      m.emitted.Load(),
 	}
 	routes := m.ctl.Routes()
-	for _, leaf := range m.leaves {
+	for _, leaf := range m.Leaves() {
 		lv := LeafView{
 			ID:         leaf.ID,
 			Relay:      routes[leaf.ID],

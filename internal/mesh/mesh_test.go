@@ -1233,6 +1233,59 @@ func TestRestartRelayFinishesAfterDrainTimeout(t *testing.T) {
 	}
 }
 
+// TestSnapshotDuringAddLeaf: a metrics scrape may snapshot the mesh while a
+// leaf wave adds leaves (`nc mesh -metrics` does), so Snapshot and AddLeaf
+// share the leaf list under a lock. Run under -race.
+func TestSnapshotDuringAddLeaf(t *testing.T) {
+	p := rlnc.Params{BlockCount: 8, BlockSize: 128}
+	media := testMedia(t, 2*p.SegmentSize(), 97)
+	m, err := New(Topology{Media: media, Params: p, Relays: 1, Seed: 31})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := m.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if err := m.WaitWarm(ctx); err != nil {
+		t.Fatal(err)
+	}
+	stop, scraped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(scraped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				m.Snapshot()
+			}
+		}
+	}()
+	const leaves = 8
+	for range leaves {
+		if _, err := m.AddLeaf(ctx); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(stop)
+	<-scraped
+	if err := m.WaitLeaves(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, leaf := range m.Leaves() {
+		if res, _ := leaf.Result(); !bytes.Equal(res.Payload, media) {
+			t.Fatalf("leaf %d payload differs", leaf.ID)
+		}
+	}
+	if n := len(m.Snapshot().Leaves); n != leaves {
+		t.Fatalf("snapshot holds %d leaves, want %d", n, leaves)
+	}
+}
+
 // TestMeshRollingRestart is the drain gate: relays are restarted in sequence
 // under faultnet chaos while leaves fetch through them, and nothing may be
 // lost. Each restart moves the draining relay's leaves onto a survivor — which

@@ -67,15 +67,12 @@ func parseDecision(body []byte) (admissionDecision, error) {
 // its feature flags, trace context and coefficient key — or, instead, the
 // admission decision.
 type handshake struct {
-	hdr   sessionHeader
+	hdr   SessionInfo
 	flags uint32
 	tctx  traceContext
 	key   uint64             // a counter session's coefficient key (TLV type 3)
 	dec   *admissionDecision // non-nil: BUSY, and no session
 }
-
-// traced reports whether the session negotiated round preludes.
-func (hs *handshake) traced() bool { return hs.flags&hsFlagTrace != 0 }
 
 // counter reports whether the session's records are XNC3 counter records.
 func (hs *handshake) counter() bool { return hs.flags&hsFlagCounter != 0 }

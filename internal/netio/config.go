@@ -163,32 +163,24 @@ type ServerOption func(*ServerConfig)
 
 // FetcherConfig is the complete download-client configuration, and the only
 // way to configure a Fetcher: start from DefaultFetcherConfig, assign the
-// fields that differ, and pass the value to NewFetcherFromConfig.
+// fields that differ, and pass the value to NewFetcherFromConfig. Zero
+// backoff fields default during normalization.
 //
-// Zero backoff fields default during normalization; a zero Jitter is taken
-// literally (no jitter), which is why callers start from
-// DefaultFetcherConfig rather than a bare literal.
+// A fetch's wall-clock budget is its context: Fetch under a context deadline
+// returns what it decoded so far, with an error wrapping
+// context.DeadlineExceeded.
 type FetcherConfig struct {
 	// MaxAttempts caps total connection attempts (dials), counting the
 	// first. Zero means unlimited: the fetch is bounded only by its context.
 	MaxAttempts int
-	// FetchTimeout bounds the whole fetch in wall-clock time, independent
-	// of the attempt budget (MaxAttempts bounds dials, this bounds elapsed
-	// time): when it expires the fetch degrades to a partial FetchResult and
-	// ErrFetchTimeout instead of discarding rank. Zero means no overall
-	// timeout.
-	FetchTimeout time.Duration
 	// BackoffBase and BackoffMax shape the reconnect schedule: the delay
 	// before retry r doubles from BackoffBase (0 → 50ms), is capped at
-	// BackoffMax (0 → 2s), and is then jittered. The schedule resets after
-	// any session that delivered records.
+	// BackoffMax (0 → 2s), and is then jittered by half of itself either way
+	// (still capped at BackoffMax), so a fleet of clients that lost the same
+	// server does not reconnect in lockstep. The schedule resets after any
+	// session that delivered records.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// Jitter is the backoff jitter fraction in [0, 1]: each delay d is drawn
-	// uniformly from [d·(1−Jitter), d·(1+Jitter)], still capped at
-	// BackoffMax. Jitter keeps a fleet of clients that lost the same server
-	// from reconnecting in lockstep. DefaultFetcherConfig sets 0.5.
-	Jitter float64
 	// Seed fixes the jitter's random source for reproducible schedules
 	// (0 → a random seed).
 	Seed int64
@@ -231,18 +223,17 @@ type FetcherConfig struct {
 }
 
 // DefaultFetcherConfig returns the fetch defaults: unlimited attempts, 50ms
-// backoff doubling to a 2s cap with 0.5 jitter.
+// backoff doubling to a 2s cap.
 func DefaultFetcherConfig() FetcherConfig {
 	return FetcherConfig{
 		BackoffBase: 50 * time.Millisecond,
 		BackoffMax:  2 * time.Second,
-		Jitter:      0.5,
 	}
 }
 
 // Validate rejects a configuration NewFetcherFromConfig would refuse:
-// negative attempt budget, negative backoff, an inverted backoff range,
-// jitter outside [0, 1], or a resume state for a sink fetch.
+// negative attempt budget, negative backoff, an inverted backoff range, or a
+// resume state for a sink fetch.
 func (c *FetcherConfig) Validate() error {
 	if c.Sink != nil && c.ResumeState != nil {
 		return errSinkState
@@ -250,17 +241,11 @@ func (c *FetcherConfig) Validate() error {
 	if c.MaxAttempts < 0 {
 		return fmt.Errorf("netio: negative attempt budget %d", c.MaxAttempts)
 	}
-	if c.FetchTimeout < 0 {
-		return fmt.Errorf("netio: negative fetch timeout %v", c.FetchTimeout)
-	}
 	if c.BackoffBase < 0 || c.BackoffMax < 0 {
 		return fmt.Errorf("netio: negative backoff (base %v, max %v)", c.BackoffBase, c.BackoffMax)
 	}
 	if c.BackoffBase > 0 && c.BackoffMax > 0 && c.BackoffBase > c.BackoffMax {
 		return fmt.Errorf("netio: backoff base %v exceeds max %v", c.BackoffBase, c.BackoffMax)
-	}
-	if c.Jitter < 0 || c.Jitter > 1 {
-		return fmt.Errorf("netio: jitter %v outside [0, 1]", c.Jitter)
 	}
 	return nil
 }

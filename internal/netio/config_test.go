@@ -98,10 +98,9 @@ func TestServerConfigNormalized(t *testing.T) {
 	}
 }
 
-// TestFetcherConfigValidate pins the fetcher-side rejections — jitter
-// outside [0, 1] included: nothing clamps it — and that NewFetcherFromConfig
-// gives the same verdict as Validate: a rejected config builds no fetcher, an
-// accepted one fetches end to end.
+// TestFetcherConfigValidate pins the fetcher-side rejections, and that
+// NewFetcherFromConfig gives the same verdict as Validate: a rejected config
+// builds no fetcher, an accepted one fetches end to end.
 func TestFetcherConfigValidate(t *testing.T) {
 	p := rlnc.Params{BlockCount: 8, BlockSize: 128}
 	media := testMedia(t, 2*p.SegmentSize()-7, 61)
@@ -124,8 +123,6 @@ func TestFetcherConfigValidate(t *testing.T) {
 			c.BackoffBase = 3 * time.Second
 			c.BackoffMax = time.Second
 		}, "exceeds max"},
-		{"jitter too big", func(c *FetcherConfig) { c.Jitter = 1.5 }, "jitter"},
-		{"jitter negative", func(c *FetcherConfig) { c.Jitter = -0.1 }, "jitter"},
 		{"sink with resume state", func(c *FetcherConfig) {
 			c.Sink = recoderBank{}
 			c.ResumeState = []byte(stateMagic)

@@ -106,7 +106,7 @@ func readAny(rec []byte) (got any, read int, err error) {
 // codec or the body parser checks.
 func TestControlRecords(t *testing.T) {
 	p := rlnc.Params{BlockCount: 4, BlockSize: 64}
-	hdr := sessionHeader{params: p, segments: 1, length: 100}
+	hdr := SessionInfo{Params: p, Segments: 1, Length: 100}
 	plain := appendSessionHeader(nil, handshake{hdr: hdr})
 	tc := traceContext{trace: 0xDEADBEEFCAFE, root: 42}
 	traced := appendSessionHeader(nil, handshake{hdr: hdr, flags: hsFlagTrace, tctx: tc})
@@ -147,7 +147,7 @@ func TestControlRecords(t *testing.T) {
 		{"key without the counter flag is dropped", tlv(tlvCoeffKey, 8, 0, 0, 0, 0, 0, 0, 0, 5), handshake{hdr: hdr}, nil},
 		{"counter flag without a key", setU32(plain, 28, hsFlagCounter), nil, ErrBadHandshake},
 		{"counter key of 4 bytes", rebody(setU32(plain, 28, hsFlagCounter), func(b []byte) []byte { return append(b, tlvCoeffKey, 4, 0, 0, 0, 5) }), nil, ErrBadHandshake},
-		{"counter flag in systematic mode", appendSessionHeader(nil, handshake{hdr: sessionHeader{params: p, segments: 1, length: 100, mode: ModeSystematic}, flags: hsFlagCounter, key: 1}), nil, ErrBadHandshake},
+		{"counter flag in systematic mode", appendSessionHeader(nil, handshake{hdr: SessionInfo{Params: p, Segments: 1, Length: 100, Mode: ModeSystematic}, flags: hsFlagCounter, key: 1}), nil, ErrBadHandshake},
 		{"TLV overruns the header", tlv(tlvTrace, 200, 1, 2), nil, ErrBadHandshake},
 		{"TLV truncated to its type", tlv(tlvTrace), nil, ErrBadHandshake},
 		{"trace TLV of 4 bytes", tlv(tlvTrace, 4, 0, 0, 0, 7), nil, ErrBadHandshake},
@@ -158,9 +158,9 @@ func TestControlRecords(t *testing.T) {
 		{"header body short", rebody(plain, func(b []byte) []byte { return b[:headerFixedLen-1] }), nil, ErrBadHandshake},
 		{"protocol v3", setU32(plain, 0, 3), nil, ErrBadHandshake},
 		{"unknown flag", appendSessionHeader(nil, handshake{hdr: hdr, flags: 1 << 9}), nil, ErrBadHandshake},
-		{"length of 2^50 in one segment", appendSessionHeader(nil, handshake{hdr: sessionHeader{params: p, segments: 1, length: 1 << 50}}), nil, ErrBadHandshake},
-		{"segments over the bound", appendSessionHeader(nil, handshake{hdr: sessionHeader{params: p, segments: maxSegments + 1, length: (maxSegments + 1) * 256}}), nil, ErrBadHandshake},
-		{"segments at the bound", appendSessionHeader(nil, handshake{hdr: sessionHeader{params: p, segments: maxSegments, length: maxSegments * 256}}), handshake{hdr: sessionHeader{params: p, segments: maxSegments, length: maxSegments * 256}}, nil},
+		{"length of 2^50 in one segment", appendSessionHeader(nil, handshake{hdr: SessionInfo{Params: p, Segments: 1, Length: 1 << 50}}), nil, ErrBadHandshake},
+		{"segments over the bound", appendSessionHeader(nil, handshake{hdr: SessionInfo{Params: p, Segments: maxSegments + 1, Length: (maxSegments + 1) * 256}}), nil, ErrBadHandshake},
+		{"segments at the bound", appendSessionHeader(nil, handshake{hdr: SessionInfo{Params: p, Segments: maxSegments, Length: maxSegments * 256}}), handshake{hdr: SessionInfo{Params: p, Segments: maxSegments, Length: maxSegments * 256}}, nil},
 		{"header body over bound", over(protoMagic), nil, ErrBadHandshake},
 		{"busy", decision(busy), handshake{dec: &busy}, nil},
 		// Protocol v4's REDIRECT: the coordinator routes leaves now.
@@ -254,7 +254,7 @@ func TestFetchRefusesHostileLength(t *testing.T) {
 	client, server := net.Pipe()
 	go func() {
 		defer server.Close()
-		h := sessionHeader{params: p, segments: 1, length: 1 << 50}
+		h := SessionInfo{Params: p, Segments: 1, Length: 1 << 50}
 		if _, err := server.Write(appendSessionHeader(nil, handshake{hdr: h})); err != nil {
 			return
 		}
@@ -281,7 +281,7 @@ func TestFetchRefusesHostileLength(t *testing.T) {
 func TestFetchHostileLengthPinsNothing(t *testing.T) {
 	p := rlnc.Params{BlockCount: 32, BlockSize: 4096}
 	const length = 6 << 30
-	h := sessionHeader{params: p, segments: length / p.SegmentSize(), length: length}
+	h := SessionInfo{Params: p, Segments: length / p.SegmentSize(), Length: length}
 	obj, err := rlnc.Split(testMedia(t, p.SegmentSize(), 10), p)
 	if err != nil {
 		t.Fatal(err)

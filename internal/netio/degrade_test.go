@@ -26,7 +26,7 @@ func TestDecisionRoundTrip(t *testing.T) {
 	}
 
 	// A session header is the only ACCEPT: no decision.
-	hdr := sessionHeader{params: rlnc.Params{BlockCount: 4, BlockSize: 64}, segments: 2, length: 512}
+	hdr := SessionInfo{Params: rlnc.Params{BlockCount: 4, BlockSize: 64}, Segments: 2, Length: 512}
 	hs, err := readHandshake(bytes.NewReader(appendSessionHeader(nil, handshake{hdr: hdr})))
 	if err != nil || hs.dec != nil || hs.hdr != hdr {
 		t.Fatalf("accept: h=%+v dec=%v err=%v", hs.hdr, hs.dec, err)
@@ -51,7 +51,7 @@ func TestDecisionRejectsForged(t *testing.T) {
 		forged := bytes.Clone(rec)
 		forged[8] = code
 		resealControl(forged)
-		hdr := sessionHeader{params: rlnc.Params{BlockCount: 4, BlockSize: 64}, segments: 1, length: 256}
+		hdr := SessionInfo{Params: rlnc.Params{BlockCount: 4, BlockSize: 64}, Segments: 1, Length: 256}
 		forged = appendSessionHeader(forged, handshake{hdr: hdr})
 		if _, err := readHandshake(bytes.NewReader(forged)); !errors.Is(err, ErrBadHandshake) {
 			t.Fatalf("code %d: %v, want ErrBadHandshake", code, err)
@@ -124,7 +124,6 @@ func TestServeBusyHonoredByFetcher(t *testing.T) {
 	fcfg := DefaultFetcherConfig()
 	fcfg.BackoffBase = time.Millisecond
 	fcfg.BackoffMax = 20 * time.Millisecond
-	fcfg.Jitter = 0
 	fcfg.Seed = 1
 	f := newTestFetcher(t, func(ctx context.Context) (net.Conn, error) {
 		return l.Dial(), nil
@@ -259,9 +258,9 @@ func TestStalledPeerRefusesNoOne(t *testing.T) {
 	checkAccounting(t, srv.Snapshot())
 }
 
-// TestFetchTimeoutPartialResult: the overall wall-clock budget expires on a
-// deliberately slow server and the fetch degrades to a partial result — rank
-// preserved, ErrFetchTimeout, no payload.
+// TestFetchTimeoutPartialResult: a fetch's wall-clock budget is its context's
+// deadline. It expires on a deliberately slow server and the fetch degrades to
+// a partial result — rank preserved, context.DeadlineExceeded, no payload.
 func TestFetchTimeoutPartialResult(t *testing.T) {
 	p := rlnc.Params{BlockCount: 64, BlockSize: 1024}
 	media := testMedia(t, p.SegmentSize(), 26)
@@ -277,14 +276,14 @@ func TestFetchTimeoutPartialResult(t *testing.T) {
 	}
 	l := startPipeServer(t, srv)
 
-	fcfg := DefaultFetcherConfig()
-	fcfg.FetchTimeout = 250 * time.Millisecond
 	f := newTestFetcher(t, func(ctx context.Context) (net.Conn, error) {
 		return l.Dial(), nil
-	}, fcfg)
-	res, err := f.Fetch(context.Background())
-	if !errors.Is(err, ErrFetchTimeout) {
-		t.Fatalf("err = %v, want ErrFetchTimeout", err)
+	}, DefaultFetcherConfig())
+	ctx, cancel := context.WithTimeout(context.Background(), 250*time.Millisecond)
+	defer cancel()
+	res, err := f.Fetch(ctx)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 	if res == nil || res.Stats == nil {
 		t.Fatal("timed-out fetch returned no result")
@@ -299,16 +298,6 @@ func TestFetchTimeoutPartialResult(t *testing.T) {
 	if total == 0 {
 		t.Fatal("no partial rank survived the timeout")
 	}
-	// The caller's own cancellation must NOT be rebranded as ErrFetchTimeout.
-	fcfg.FetchTimeout = time.Hour
-	f2 := newTestFetcher(t, func(ctx context.Context) (net.Conn, error) {
-		return l.Dial(), nil
-	}, fcfg)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := f2.Fetch(ctx); errors.Is(err, ErrFetchTimeout) || !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled fetch: %v, want context.Canceled without ErrFetchTimeout", err)
-	}
 }
 
 // TestBackoffCtxInterruptible: a fetcher parked in a long backoff sleep wakes
@@ -318,7 +307,6 @@ func TestBackoffCtxInterruptible(t *testing.T) {
 	fcfg := DefaultFetcherConfig()
 	fcfg.BackoffBase = time.Hour
 	fcfg.BackoffMax = time.Hour
-	fcfg.Jitter = 0
 	f := newTestFetcher(t, func(ctx context.Context) (net.Conn, error) {
 		return nil, dialErr
 	}, fcfg)

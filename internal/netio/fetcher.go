@@ -7,7 +7,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"maps"
 	"math/rand"
 	"net"
@@ -43,11 +42,6 @@ var (
 	ErrHeaderMismatch = errors.New("netio: session header changed across reconnects")
 	// ErrBadResumeState reports an unusable FetcherConfig.ResumeState blob.
 	ErrBadResumeState = errors.New("netio: bad fetch resume state")
-	// ErrFetchTimeout reports a fetch that ran out of its
-	// FetcherConfig.FetchTimeout wall-clock budget before every segment
-	// reached full rank. Like ErrFetchBudget, the FetchResult returned
-	// alongside it still carries all accumulated progress.
-	ErrFetchTimeout = errors.New("netio: fetch timeout")
 )
 
 // errSinkState refuses State and ResumeState on a sink fetch: its rank lives
@@ -171,8 +165,7 @@ type Fetcher struct {
 	cfg  FetcherConfig // normalized
 	rng  *rand.Rand    // jitter source
 
-	hdr         *sessionHeader
-	established bool
+	hdr *SessionInfo
 	// sink absorbs every record: cfg.Sink, or leaf (a leaf's decoders), set
 	// at the first handshake. ready counts the segments at full rank in it.
 	sink  Sink
@@ -180,12 +173,7 @@ type Fetcher struct {
 	ready int
 	stats fetcherMetrics
 
-	// format is the current session's: its records may be XNC3 counter
-	// records, their coefficients regenerated under its key. Per session — a
-	// reconnect may land on a relay, or on an origin with another key.
-	format rlnc.RecordFormat
-
-	// deficits and needBuf are ask's scratch: the per-segment deficits and the
+	// deficits and needBuf are need's scratch: the per-segment deficits and the
 	// need record carrying them.
 	deficits []uint32
 	needBuf  []byte
@@ -319,29 +307,12 @@ func newFetcher(dial DialFunc, cfg FetcherConfig) *Fetcher {
 }
 
 // Fetch runs the download until every segment reaches full rank, the
-// attempt budget runs out, the FetcherConfig.FetchTimeout wall-clock budget
-// expires, or ctx ends. The FetchResult is never nil and always carries the
+// attempt budget runs out, or ctx ends — a fetch's wall-clock budget is its
+// context's deadline. The FetchResult is never nil and always carries the
 // stats plus whatever segments and ranks were decoded, even alongside an
-// error — a budget-exhausted or timed-out fetch degrades to a partial result
-// instead of discarding progress.
+// error: a budget-exhausted, timed-out or cancelled fetch degrades to a
+// partial result instead of discarding progress.
 func (f *Fetcher) Fetch(ctx context.Context) (*FetchResult, error) {
-	outer := ctx
-	if f.cfg.FetchTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, f.cfg.FetchTimeout)
-		defer cancel()
-	}
-	res, err := f.fetch(ctx)
-	// A deadline that fired on the fetch's own timer — not on the caller's
-	// context — is the wall-clock budget running out, not a cancellation.
-	if err != nil && f.cfg.FetchTimeout > 0 && outer.Err() == nil &&
-		errors.Is(err, context.DeadlineExceeded) {
-		err = fmt.Errorf("%w: %v elapsed: %v", ErrFetchTimeout, f.cfg.FetchTimeout, err)
-	}
-	return res, err
-}
-
-func (f *Fetcher) fetch(ctx context.Context) (*FetchResult, error) {
 	if f.cfg.ResumeState != nil {
 		if err := f.restoreState(f.cfg.ResumeState); err != nil {
 			return f.result(), err
@@ -370,7 +341,7 @@ func (f *Fetcher) fetch(ctx context.Context) (*FetchResult, error) {
 		}
 		retry++
 		f.stats.attempts.Inc()
-		if f.established {
+		if f.hdr != nil {
 			f.reconnSpan = stageFetchReconn.Start()
 		}
 		dsp := stageFetchDial.Start()
@@ -407,7 +378,7 @@ func (f *Fetcher) fetch(ctx context.Context) (*FetchResult, error) {
 	if f.cfg.Sink == nil {
 		// Every segment decoded into its window: the buffer is the object,
 		// padding cut off.
-		n := int(f.hdr.length)
+		n := int(f.hdr.Length)
 		res.Payload = f.leaf.obj[:n:n]
 	}
 	return res, nil
@@ -435,7 +406,7 @@ func (f *Fetcher) remaining() int {
 	if f.hdr == nil {
 		return 1
 	}
-	return f.hdr.segments - f.ready
+	return f.hdr.Segments - f.ready
 }
 
 // totalRank sums the ranks across all segments.
@@ -469,7 +440,7 @@ func (f *Fetcher) Ranks() map[uint32]int {
 	}
 	ranks := make(map[uint32]int)
 	if f.hdr != nil {
-		for seg := range uint32(f.hdr.segments) {
+		for seg := range uint32(f.hdr.Segments) {
 			if r := f.cfg.Sink.Rank(seg); r > 0 {
 				ranks[seg] = r
 			}
@@ -486,7 +457,7 @@ func (f *Fetcher) result() *FetchResult {
 		Stats:    f.stats.view(),
 	}
 	if f.hdr != nil {
-		res.Mode = f.hdr.mode
+		res.Mode = f.hdr.Mode
 	}
 	if f.leaf != nil {
 		for id, dec := range f.leaf.decs {
@@ -520,187 +491,135 @@ func (f *Fetcher) session(ctx context.Context, conn net.Conn) (done, fatal bool,
 		sessionReaders.Put(br)
 	}()
 
-	hs, err := readHandshake(br)
-	if err != nil {
-		if ctx.Err() != nil {
-			return false, true, cancelErr(ctx)
+	// A failure that ends the session is not fatal: a cancelled ctx ends the
+	// fetch at the top of Fetch's loop, anything else costs a reconnect.
+	var cs clientSession
+	if err := cs.open(conn, br); err != nil {
+		if d := cs.hs.dec; d != nil {
+			// A structured rejection, not a stream failure: non-fatal, so the
+			// retry loop keeps going, shaped by the server's own guidance.
+			f.stats.admissionBusy.Inc()
+			f.busyHint = d.retryAfter
 		}
 		return false, false, err
 	}
-	if hs.dec != nil {
-		// A structured rejection, not a stream failure: non-fatal, so the
-		// retry loop keeps going, shaped by the server's own guidance.
-		f.stats.admissionBusy.Inc()
-		f.busyHint = hs.dec.retryAfter
-		return false, false, hs.dec.Err()
-	}
-	h := hs.hdr
+	h, first := cs.hs.hdr, f.hdr == nil
 	switch {
-	case f.hdr == nil:
-		hh := h
-		f.hdr = &hh
+	case first:
+		f.hdr = &h
 		if f.sink = f.cfg.Sink; f.sink == nil {
 			if f.leaf == nil {
 				f.leaf = &leaf{decs: make(map[uint32]*rlnc.Decoder)}
 			}
-			f.leaf.params, f.leaf.segments = h.params, h.segments
+			f.leaf.params, f.leaf.segments = h.Params, h.Segments
 			if err := f.resumeInto(); err != nil {
 				return false, true, err
 			}
 			f.sink = f.leaf
 		}
 		for _, r := range f.Ranks() {
-			if r == h.params.BlockCount {
+			if r == h.Params.BlockCount {
 				f.ready++
 			}
 		}
 	case h != *f.hdr:
 		return false, true, fmt.Errorf("%w: had %v/%d segments/%d bytes, got %v/%d segments/%d bytes",
-			ErrHeaderMismatch, f.hdr.params, f.hdr.segments, f.hdr.length, h.params, h.segments, h.length)
+			ErrHeaderMismatch, f.hdr.Params, f.hdr.Segments, f.hdr.Length, h.Params, h.Segments, h.Length)
 	}
-	if f.established {
+	if !first {
 		f.stats.reconnects.Inc()
 		f.stats.resumedRank.Add(int64(f.totalRank()))
 		f.reconnSpan.End()
 		f.reconnSpan = obs.Span{}
 		trace.Emit(trace.KindReconnect, f.traceNode(), "resumed", -1, int64(f.totalRank()))
 	}
-	f.established = true
-	traced := hs.traced()
 	var tr trace.TraceID
-	if traced && hs.tctx != (traceContext{}) {
-		tr = hs.tctx.trace
-		f.trTrace.Store(uint64(hs.tctx.trace))
-		f.trRoot.Store(uint64(hs.tctx.root))
+	if cs.traced && cs.hs.tctx != (traceContext{}) {
+		tr = cs.hs.tctx.trace
+		f.trTrace.Store(uint64(cs.hs.tctx.trace))
+		f.trRoot.Store(uint64(cs.hs.tctx.root))
 		f.trOK.Store(true)
 	}
 	if f.cfg.SessionHook != nil {
-		f.cfg.SessionHook(h.info())
+		f.cfg.SessionHook(h)
 	}
 
-	// A prefix that matches neither of the session's record sizes is framing
-	// loss — a corrupted length, not a record to allocate — and the stream
-	// beyond it is unparseable; the fetcher resynchronizes by reconnecting,
-	// keeping all rank.
-	expect, expectXor := hs.recordSizes()
-	f.format = rlnc.RecordFormat{Params: h.params, Counter: hs.counter(), Key: hs.key}
-	var lenBuf [4]byte
-	var preBuf [recordPreludeLen]byte
-	var curRound trace.SpanID
-	// Records are read in place: each one is peeked whole in the reader's
-	// buffer, parsed there into one CodedBlock per session whose payload
-	// views it, absorbed — the sink copies what it keeps — and only then
-	// discarded. A record longer than the pooled reader's buffer gets a reader
-	// sized to it, which first drains what the pooled one already holds.
-	rd := br
-	if size := int(max(expect, expectXor)); size > br.Size() {
-		rd = bufio.NewReaderSize(io.MultiReader(io.LimitReader(br, int64(br.Buffered())), conn), size)
-	}
+	// The records may be XNC3 counter records under the session's key: per
+	// session, as a reconnect may land on a relay, or on another origin.
+	format := rlnc.RecordFormat{Params: h.Params, Counter: cs.hs.counter(), Key: cs.hs.key}
+	// Each record is parsed where it lies in the session's reader, into one
+	// CodedBlock per session whose payload views it, and absorbed — the sink
+	// copies what it keeps. Framing loss or a cut stream ends the session; the
+	// fetcher resynchronizes by reconnecting, keeping all rank. The server owes
+	// a session n + margin records of every segment, or one sweep of
+	// n × segments, and then falls silent until asked: a fetch still short of
+	// rank once it has read its last ask's worth (records arrived damaged,
+	// dependent, or repeating what earlier sessions brought) asks again for
+	// its deficits. The grant covers at least the ask, so the count always
+	// runs out or the fetch completes.
 	var blk rlnc.CodedBlock
-	// The server owes a session n + margin records of every segment, or one
-	// sweep of n × segments, and then falls silent until asked. left counts
-	// down the records of the last ask — n per segment until there is one —
-	// every record read, damaged ones included; a fetch still short of rank
-	// when it reaches zero (records arrived damaged, dependent, or repeating
-	// what earlier sessions brought) asks again for its deficits. The grant
-	// covers at least the ask, so the count always reaches zero or the fetch
-	// completes.
-	left := h.params.BlockCount * h.segments
 	for f.remaining() > 0 {
-		if traced {
-			// Traced framing: a CRC-guarded round prelude precedes every
-			// length prefix. A damaged prelude is framing loss exactly like a
-			// damaged length — resynchronize by reconnecting, keeping rank —
-			// rather than a license to attribute records to a phantom round.
-			if _, err := io.ReadFull(rd, preBuf[:]); err != nil {
-				return f.streamErr(ctx, fmt.Errorf("%w: %v", ErrStreamTruncated, err))
+		if cs.spent() {
+			if err := cs.ask(f.need()); err != nil {
+				return false, false, fmt.Errorf("%w: need record: %v", ErrStreamTruncated, err)
 			}
-			round, perr := parseRecordPrelude(preBuf[:])
-			if perr != nil {
-				f.stats.framingResyncs.Inc()
-				f.stats.bytesDiscarded.Add(recordPreludeLen)
-				return f.streamErr(ctx, fmt.Errorf("%v: resynchronizing", perr))
-			}
-			curRound = round
-			f.lastRound.Store(uint64(round))
-			f.stats.bytes.Add(recordPreludeLen)
 		}
-		if _, err := io.ReadFull(rd, lenBuf[:]); err != nil {
-			return f.streamErr(ctx, fmt.Errorf("%w: %v", ErrStreamTruncated, err))
-		}
-		n := binary.BigEndian.Uint32(lenBuf[:])
-		if n != expect && n != expectXor {
-			f.stats.framingResyncs.Inc()
-			f.stats.bytesDiscarded.Add(4)
-			return f.streamErr(ctx, fmt.Errorf("%w: %d, want %d: resynchronizing", ErrRecordLength, n, expect))
-		}
-		rec, err := rd.Peek(int(n))
+		rec, wire, err := cs.next()
 		if err != nil {
-			f.stats.bytesDiscarded.Add(int64(len(rec)) + 4)
-			return f.streamErr(ctx, fmt.Errorf("%w: truncated record: %v", ErrStreamTruncated, err))
+			if cs.lost {
+				f.stats.framingResyncs.Inc()
+			}
+			f.stats.bytesDiscarded.Add(int64(wire))
+			return false, false, err
+		}
+		if cs.traced {
+			f.lastRound.Store(uint64(cs.round))
 		}
 		f.stats.records.Inc()
-		f.stats.bytes.Add(int64(n) + 4)
+		f.stats.bytes.Add(int64(wire))
 		asp := stageFetchDecode.Start()
-		err = f.absorb(&blk, rec, tr, curRound)
-		if traced {
-			asp.EndTraced(uint64(tr), uint64(curRound))
+		err = f.absorb(&blk, rec, format, tr, cs.round)
+		if cs.traced {
+			asp.EndTraced(uint64(tr), uint64(cs.round))
 		} else {
 			asp.End()
 		}
 		if err != nil {
 			return false, true, err
 		}
-		rd.Discard(int(n)) //nolint:errcheck // the n bytes are buffered: Peek returned them
-		if left--; left <= 0 && f.remaining() > 0 {
-			if left, err = f.ask(conn); err != nil {
-				return f.streamErr(ctx, fmt.Errorf("%w: need record: %v", ErrStreamTruncated, err))
-			}
-		}
 	}
 	return true, false, nil
 }
 
-// ask writes a need record carrying every segment's rank deficit and returns
-// their sum: the records the next ask waits for.
-func (f *Fetcher) ask(w io.Writer) (int, error) {
-	n := f.hdr.params.BlockCount
+// need lays out the need record carrying every segment's rank deficit and
+// returns it with their sum: the records the next ask waits for.
+func (f *Fetcher) need() ([]byte, int) {
+	n := f.hdr.Params.BlockCount
 	f.deficits = f.deficits[:0]
 	sum := 0
-	for seg := range uint32(f.hdr.segments) {
+	for seg := range uint32(f.hdr.Segments) {
 		d := n - f.sink.Rank(seg)
 		f.deficits = append(f.deficits, uint32(d))
 		sum += d
 	}
 	f.needBuf = appendNeed(f.needBuf[:0], f.deficits)
-	_, err := w.Write(f.needBuf)
-	return sum, err
+	return f.needBuf, sum
 }
 
-// streamErr classifies a mid-stream failure: fatal if the context ended,
-// otherwise a reconnectable stream error.
-func (f *Fetcher) streamErr(ctx context.Context, err error) (bool, bool, error) {
-	if ctx.Err() != nil {
-		return false, true, cancelErr(ctx)
-	}
-	return false, false, err
-}
-
-// absorb parses one record into blk, in place — blk's payload views rec — and
-// feeds it to the sink, classifying rejects: Corrupt (bit damage caught by
-// magic or checksum), Malformed (checksummed but the wrong shape for the
-// session — a server bug, not line noise), BadSegment (checksummed but an
-// out-of-range segment ID — rejected before it can reach the sink). Only a
-// sink failure is an error. The record tap runs last, on every record the sink
+// absorb parses one record of the session's format into blk, in place — blk's
+// payload views rec — and feeds it to the sink, classifying rejects: Corrupt
+// (bit damage caught by magic or checksum), Malformed (checksummed but the
+// wrong shape for the session — a server bug, not line noise), BadSegment
+// (checksummed but an out-of-range segment ID — rejected before it can reach
+// the sink). Only a sink failure is an error. The record tap runs last, on every record the sink
 // was offered. On a traced session tr names the transfer and round the
 // pump-round span this record rode in on; the absorb span parents under the
 // round, linking origin encode work to leaf decode.
-func (f *Fetcher) absorb(blk *rlnc.CodedBlock, rec []byte, tr trace.TraceID, round trace.SpanID) error {
+func (f *Fetcher) absorb(blk *rlnc.CodedBlock, rec []byte, format rlnc.RecordFormat, tr trace.TraceID, round trace.SpanID) error {
 	discard := func() { f.stats.bytesDiscarded.Add(int64(len(rec)) + 4) }
-	// The session's format says which encodings it carries; on a counter
-	// session the vector is regenerated into blk, and a record of another
-	// shape is refused before it can size one.
-	if err := blk.ParseView(rec, f.format); err != nil {
+	// On a counter session the vector is regenerated into blk, and a record
+	// of another shape is refused before it can size one.
+	if err := blk.ParseView(rec, format); err != nil {
 		if errors.Is(err, rlnc.ErrBadChecksum) || errors.Is(err, rlnc.ErrBadMagic) {
 			f.stats.corrupt.Inc()
 		} else {
@@ -709,14 +628,14 @@ func (f *Fetcher) absorb(blk *rlnc.CodedBlock, rec []byte, tr trace.TraceID, rou
 		discard()
 		return nil
 	}
-	if blk.SegmentID >= uint32(f.hdr.segments) {
+	if blk.SegmentID >= uint32(f.hdr.Segments) {
 		f.stats.badSegment.Inc()
 		discard()
 		return nil
 	}
 	// A record for a segment already at full rank is overshoot, not a
 	// dependent record, and opens no absorb span.
-	n := f.hdr.params.BlockCount
+	n := f.hdr.Params.BlockCount
 	before := f.sink.Rank(blk.SegmentID)
 	var sp trace.Span
 	if tr != 0 && before < n {
@@ -740,11 +659,15 @@ func (f *Fetcher) absorb(blk *rlnc.CodedBlock, rec []byte, tr trace.TraceID, rou
 	return nil
 }
 
+// backoffJitter is the fraction of itself a backoff delay is jittered by,
+// either way.
+const backoffJitter = 0.5
+
 // sleepBackoff waits out the backoff before retry r (1-based), returning
 // early with the context error if ctx ends mid-backoff. A pending BUSY
 // retry-after hint floors the delay once and is then consumed.
 func (f *Fetcher) sleepBackoff(ctx context.Context, retry int) error {
-	d := backoffDelay(retry, f.cfg.BackoffBase, f.cfg.BackoffMax, f.cfg.Jitter, f.rng)
+	d := backoffDelay(retry, f.cfg.BackoffBase, f.cfg.BackoffMax, backoffJitter, f.rng)
 	if hint := f.busyHint; hint > 0 {
 		f.busyHint = 0
 		if hint > d {
@@ -891,13 +814,13 @@ func (f *Fetcher) restoreState(data []byte) error {
 // allocates here. A fetch that restored nothing allocates nothing.
 func (f *Fetcher) resumeInto() error {
 	for id, dec := range f.leaf.decs {
-		if dec.Params() != f.hdr.params {
+		if dec.Params() != f.hdr.Params {
 			return fmt.Errorf("%w: segment %d resumed with %v, server serves %v",
-				ErrBadResumeState, id, dec.Params(), f.hdr.params)
+				ErrBadResumeState, id, dec.Params(), f.hdr.Params)
 		}
-		if id >= uint32(f.hdr.segments) {
+		if id >= uint32(f.hdr.Segments) {
 			return fmt.Errorf("%w: resumed segment %d out of range (%d segments)",
-				ErrBadResumeState, id, f.hdr.segments)
+				ErrBadResumeState, id, f.hdr.Segments)
 		}
 	}
 	for id, dec := range f.leaf.decs {

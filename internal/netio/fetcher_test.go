@@ -38,7 +38,7 @@ func flakyServer(t *testing.T, l *pipeListener, media []byte, p rlnc.Params, rec
 			// It pushes its records regardless, and takes the fetcher's need
 			// records only so that writing one never blocks the pipe.
 			go io.Copy(io.Discard, conn) //nolint:errcheck // ends with the session
-			h := sessionHeader{params: p, segments: len(obj.Segments), length: int64(obj.Length)}
+			h := SessionInfo{Params: p, Segments: len(obj.Segments), Length: int64(obj.Length)}
 			if _, err := conn.Write(appendSessionHeader(nil, handshake{hdr: h})); err != nil {
 				conn.Close()
 				continue
@@ -490,10 +490,10 @@ func TestFetcherHeaderMismatch(t *testing.T) {
 			if err != nil {
 				return
 			}
-			h := sessionHeader{params: rlnc.Params{BlockCount: 4, BlockSize: 64}, segments: 1, length: 256}
+			h := SessionInfo{Params: rlnc.Params{BlockCount: 4, BlockSize: 64}, Segments: 1, Length: 256}
 			if i > 0 {
-				h.segments = 2
-				h.length = 512
+				h.Segments = 2
+				h.Length = 512
 			}
 			conn.Write(appendSessionHeader(nil, handshake{hdr: h}))
 			conn.Close() // truncate: force a reconnect
@@ -623,7 +623,7 @@ func TestFetcherTwoStageUnderFaults(t *testing.T) {
 				return
 			}
 			go io.Copy(io.Discard, conn) //nolint:errcheck // need records, ignored
-			h := sessionHeader{params: p, segments: len(obj.Segments), length: int64(obj.Length)}
+			h := SessionInfo{Params: p, Segments: len(obj.Segments), Length: int64(obj.Length)}
 			if _, err := conn.Write(appendSessionHeader(nil, handshake{hdr: h})); err != nil {
 				conn.Close()
 				continue
@@ -749,7 +749,7 @@ func (c *streamConn) SetReadDeadline(time.Time) error { return nil }
 func counterStream(t testing.TB, obj *rlnc.Object, key uint64, extra int) []byte {
 	t.Helper()
 	p, seg := obj.Params, obj.Segments[0]
-	h := sessionHeader{params: p, segments: 1, length: int64(obj.Length)}
+	h := SessionInfo{Params: p, Segments: 1, Length: int64(obj.Length)}
 	buf := appendSessionHeader(nil, handshake{hdr: h, flags: hsFlagCounter, key: key})
 	frame := func(rec []byte) {
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(rec)))
@@ -839,7 +839,7 @@ func TestFetcherRecordPathDoesNotAllocate(t *testing.T) {
 		rng := rand.New(rand.NewSource(42))
 		enc := rlnc.NewEncoder(seg, rng)
 		var buf bytes.Buffer
-		if _, err := buf.Write(appendSessionHeader(nil, handshake{hdr: sessionHeader{params: p, segments: 1, length: int64(obj.Length)}})); err != nil {
+		if _, err := buf.Write(appendSessionHeader(nil, handshake{hdr: SessionInfo{Params: p, Segments: 1, Length: int64(obj.Length)}})); err != nil {
 			t.Fatal(err)
 		}
 		held := make([]*rlnc.CodedBlock, 0, p.BlockCount)
@@ -879,7 +879,7 @@ func TestFetcherRecordPathDoesNotAllocate(t *testing.T) {
 	// and dependent — then the last source block.
 	systematic := func(extra int) []byte {
 		var buf bytes.Buffer
-		if _, err := buf.Write(appendSessionHeader(nil, handshake{hdr: sessionHeader{params: p, segments: 1, length: int64(obj.Length), mode: ModeSystematic}})); err != nil {
+		if _, err := buf.Write(appendSessionHeader(nil, handshake{hdr: SessionInfo{Params: p, Segments: 1, Length: int64(obj.Length), Mode: ModeSystematic}})); err != nil {
 			t.Fatal(err)
 		}
 		emit := func(b *rlnc.CodedBlock) {
@@ -968,7 +968,7 @@ func TestFetcherRecordPathDoesNotAllocate(t *testing.T) {
 	}
 	streams := map[string]func() []byte{
 		"dense": func() []byte {
-			h := sessionHeader{params: p2, segments: 2, length: int64(len(media2))}
+			h := SessionInfo{Params: p2, Segments: 2, Length: int64(len(media2))}
 			wire := appendSessionHeader(nil, handshake{hdr: h})
 			rng := rand.New(rand.NewSource(48))
 			for _, seg := range obj2.Segments {
@@ -984,7 +984,7 @@ func TestFetcherRecordPathDoesNotAllocate(t *testing.T) {
 			return wire
 		},
 		"systematic": func() []byte {
-			h := sessionHeader{params: p2, segments: 2, length: int64(len(media2)), mode: ModeSystematic}
+			h := SessionInfo{Params: p2, Segments: 2, Length: int64(len(media2)), Mode: ModeSystematic}
 			wire := appendSessionHeader(nil, handshake{hdr: h})
 			for _, seg := range obj2.Segments {
 				se := rlnc.NewSystematicEncoder(seg, rand.New(rand.NewSource(49)))
@@ -999,7 +999,7 @@ func TestFetcherRecordPathDoesNotAllocate(t *testing.T) {
 			return wire
 		},
 		"counter": func() []byte {
-			h := sessionHeader{params: p2, segments: 2, length: int64(len(media2))}
+			h := SessionInfo{Params: p2, Segments: 2, Length: int64(len(media2))}
 			wire := appendSessionHeader(nil, handshake{hdr: h, flags: hsFlagCounter, key: 0xBEEF})
 			for _, seg := range obj2.Segments {
 				for index := range uint32(p2.BlockCount) {

@@ -29,7 +29,7 @@ func fuzzSession(f *testing.F, mutate func(stream []byte) []byte) []byte {
 		f.Fatal(err)
 	}
 	var buf bytes.Buffer
-	h := sessionHeader{params: p, segments: 1, length: int64(len(media))}
+	h := SessionInfo{Params: p, Segments: 1, Length: int64(len(media))}
 	if _, err := buf.Write(appendSessionHeader(nil, handshake{hdr: h})); err != nil {
 		f.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func sessionOf(tb testing.TB, p rlnc.Params, segs int, mode WireMode, blocks fun
 	if err != nil {
 		tb.Fatal(err)
 	}
-	h := sessionHeader{params: p, segments: segs, length: int64(len(media)), mode: mode}
+	h := SessionInfo{Params: p, Segments: segs, Length: int64(len(media)), Mode: mode}
 	stream = appendSessionHeader(nil, handshake{hdr: h})
 	var perSeg [][]*rlnc.CodedBlock
 	for _, seg := range obj.Segments {
@@ -153,11 +153,13 @@ func pipeFetch(t *testing.T, data []byte, cfg FetcherConfig) (*FetchResult, erro
 
 // FuzzFetchRecords feeds arbitrary bytes to the client record loop through
 // a real net.Pipe, once into the fetcher's decoders and once into a recoder
-// bank sink. Whatever the stream claims — hostile length prefixes, truncated
-// records, out-of-range segment IDs, corrupted handshakes — the client must
-// neither panic nor over-allocate, must always produce stats, must only
-// report success with an intact payload, and a sink fetch must never report a
-// payload or a rank above the generation size.
+// bank sink, and drains them through a RawClient. Whatever the stream claims
+// — hostile length prefixes, truncated records, out-of-range segment IDs,
+// corrupted handshakes — no client may panic or over-allocate; the fetch must
+// always produce stats and only report success with an intact payload; a sink
+// fetch must never report a payload or a rank above the generation size; and
+// the drain must count no more complete records, or bytes, than the input
+// holds after the handshake.
 func FuzzFetchRecords(f *testing.F) {
 	// A complete healthy session (the only seed that decodes), then
 	// targeted damage to each protocol layer.
@@ -184,7 +186,7 @@ func FuzzFetchRecords(f *testing.F) {
 	f.Add([]byte(protoMagic))
 	f.Add(bytes.Repeat([]byte{0xFF}, protoHeaderLen+8))
 	f.Add(fuzzSession(f, func(s []byte) []byte { // a length of 2^50 bytes in the one segment
-		h := sessionHeader{params: rlnc.Params{BlockCount: 4, BlockSize: 16}, segments: 1, length: 1 << 50}
+		h := SessionInfo{Params: rlnc.Params{BlockCount: 4, BlockSize: 16}, Segments: 1, Length: 1 << 50}
 		return append(appendSessionHeader(nil, handshake{hdr: h}), s[protoHeaderLen:]...)
 	}))
 
@@ -252,6 +254,23 @@ func FuzzFetchRecords(f *testing.F) {
 				t.Fatalf("segment %d: bank rank %d, result rank %d, generation size %d", seg, rec.Rank(), res.Ranks[seg], n)
 			}
 		}
+
+		conn := &streamConn{}
+		conn.r.Reset(data)
+		rc, err := NewRawClient(conn)
+		if err != nil {
+			return
+		}
+		for {
+			if _, err := rc.Next(); err != nil {
+				break
+			}
+		}
+		p := rc.Params()
+		smallest := recordLenLen + min(rlnc.WireSize(p), rlnc.XorWireSize(p), rlnc.CounterWireSize(p))
+		if after := int64(len(data) - protoHeaderLen); rc.Bytes() > after || rc.Records()*int64(smallest) > after {
+			t.Fatalf("drained %d records, %d bytes from %d bytes after the handshake", rc.Records(), rc.Bytes(), after)
+		}
 	})
 }
 
@@ -266,7 +285,7 @@ func FuzzControlRecord(f *testing.F) {
 	fuzzControl(f, decisionSeeds, needSeeds, headerSeeds, stateSeeds)
 }
 
-var fuzzHeader = sessionHeader{params: rlnc.Params{BlockCount: 4, BlockSize: 16}, segments: 1, length: 64}
+var fuzzHeader = SessionInfo{Params: rlnc.Params{BlockCount: 4, BlockSize: 16}, Segments: 1, Length: 64}
 
 // decisionSeeds are admission decisions, and what used to precede a header.
 func decisionSeeds(f *testing.F) {
@@ -341,7 +360,7 @@ func headerSeeds(f *testing.F) {
 	f.Add(tlv(tlvRootSpan))                                                         // field truncated to its type
 	f.Add(tlv(tlvTrace, 4, 0, 0, 0, 7))                                             // known field, wrong size
 	f.Add(append(binary.BigEndian.AppendUint32([]byte(protoMagic), 0xFFFFFFF0), plain[8:]...))
-	f.Add(appendSessionHeader(nil, handshake{hdr: sessionHeader{params: fuzzHeader.params, segments: 1, length: 1 << 50}}))
+	f.Add(appendSessionHeader(nil, handshake{hdr: SessionInfo{Params: fuzzHeader.Params, Segments: 1, Length: 1 << 50}}))
 	counter := appendSessionHeader(nil, handshake{hdr: fuzzHeader, flags: hsFlagCounter, key: 0xC0FFEE})
 	f.Add(counter)
 	f.Add(rebody(counter, func(b []byte) []byte { return b[:headerFixedLen] })) // the flag without its key
@@ -349,7 +368,7 @@ func headerSeeds(f *testing.F) {
 
 // stateSeeds are resume-state blobs.
 func stateSeeds(f *testing.F) {
-	state, err := stateFetcher(f, fuzzHeader.params, 5).State()
+	state, err := stateFetcher(f, fuzzHeader.Params, 5).State()
 	if err != nil {
 		f.Fatal(err)
 	}

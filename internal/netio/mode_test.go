@@ -29,7 +29,7 @@ func TestHandshakeCarriesMode(t *testing.T) {
 	p := rlnc.Params{BlockCount: 8, BlockSize: 64}
 	for _, m := range []WireMode{ModeDense, ModeSystematic} {
 		var buf bytes.Buffer
-		h := sessionHeader{params: p, segments: 2, length: 999, mode: m}
+		h := SessionInfo{Params: p, Segments: 2, Length: 999, Mode: m}
 		if _, err := buf.Write(appendSessionHeader(nil, handshake{hdr: h})); err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +42,7 @@ func TestHandshakeCarriesMode(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if _, err := buf.Write(appendSessionHeader(nil, handshake{hdr: sessionHeader{params: p, segments: 1, mode: WireMode(7)}})); err != nil {
+	if _, err := buf.Write(appendSessionHeader(nil, handshake{hdr: SessionInfo{Params: p, Segments: 1, Mode: WireMode(7)}})); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := readHandshake(&buf); err == nil {
@@ -150,8 +150,8 @@ func TestModeDifferentialSessionPath(t *testing.T) {
 	}
 }
 
-// TestSessionInfoValidate: Validate rejects what the handshake parser would,
-// through the same sessionHeader.validate — including a negative segment
+// TestSessionInfoValidate: Validate rejects what the handshake parser would —
+// the parser calls it — including a negative segment
 // count, which the old marshal-and-reparse check let through as 2^32 − 1, and
 // a segment count that is not the one rlnc.Split makes of the length.
 func TestSessionInfoValidate(t *testing.T) {

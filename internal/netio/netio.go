@@ -17,6 +17,7 @@
 package netio
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -244,12 +245,16 @@ var (
 	ErrStreamTruncated = errors.New("netio: stream ended early")
 )
 
-// sessionHeader describes the stream.
-type sessionHeader struct {
-	params   rlnc.Params
-	segments int
-	length   int64
-	mode     WireMode
+// SessionInfo describes the object a server declares in its session
+// handshake: the coding parameters, segment count, reassembled byte length,
+// and wire mode. It is the session header as the wire carries it — a relay
+// that fetches upstream learns the SessionInfo from its fetcher's session hook
+// and re-declares the same object (possibly in a different mode) downstream.
+type SessionInfo struct {
+	Params   rlnc.Params
+	Segments int
+	Length   int64
+	Mode     WireMode
 }
 
 // recordSizes returns the marshaled record lengths a session of hs can
@@ -259,13 +264,13 @@ type sessionHeader struct {
 // GF(2) records interleaving with XNC1 dense ones. A length prefix that
 // matches neither is framing loss.
 func (hs handshake) recordSizes() (dense, xor uint32) {
-	p := hs.hdr.params
+	p := hs.hdr.Params
 	if hs.counter() {
 		dense = uint32(rlnc.CounterWireSize(p))
 		return dense, dense
 	}
 	dense = uint32(rlnc.WireSize(p))
-	if hs.hdr.mode == ModeSystematic {
+	if hs.hdr.Mode == ModeSystematic {
 		return dense, uint32(rlnc.XorWireSize(p))
 	}
 	return dense, dense
@@ -282,18 +287,18 @@ type traceContext struct {
 // appendSessionHeader marshals hs onto dst: the header, its feature flags,
 // and as TLV fields the trace context (omitted when zero) and, on a counter
 // session, the coefficient key. The flags word is deliberately NOT part of
-// sessionHeader: feature negotiation is per-connection (a reconnect may land on
-// a server with different features, or another key), while sessionHeader
+// SessionInfo: feature negotiation is per-connection (a reconnect may land on
+// a server with different features, or another key), while SessionInfo
 // identity gates reconnect safety.
 func appendSessionHeader(dst []byte, hs handshake) []byte {
 	h := hs.hdr
 	var b [headerFixedLen + 3*tlvLen]byte
 	body := binary.BigEndian.AppendUint32(b[:0], protoVersion)
-	body = binary.BigEndian.AppendUint32(body, uint32(h.params.BlockCount))
-	body = binary.BigEndian.AppendUint32(body, uint32(h.params.BlockSize))
-	body = binary.BigEndian.AppendUint32(body, uint32(h.segments))
-	body = binary.BigEndian.AppendUint64(body, uint64(h.length))
-	body = binary.BigEndian.AppendUint32(body, uint32(h.mode))
+	body = binary.BigEndian.AppendUint32(body, uint32(h.Params.BlockCount))
+	body = binary.BigEndian.AppendUint32(body, uint32(h.Params.BlockSize))
+	body = binary.BigEndian.AppendUint32(body, uint32(h.Segments))
+	body = binary.BigEndian.AppendUint64(body, uint64(h.Length))
+	body = binary.BigEndian.AppendUint32(body, uint32(h.Mode))
 	body = binary.BigEndian.AppendUint32(body, hs.flags)
 	if hs.tctx != (traceContext{}) {
 		body = binary.BigEndian.AppendUint64(append(body, tlvTrace, 8), uint64(hs.tctx.trace))
@@ -310,27 +315,27 @@ func appendSessionHeader(dst []byte, hs handshake) []byte {
 // holds a credit per segment, and a sink fetch's Ranks walks them all.
 const maxSegments = 1 << 16
 
-// validate rejects a header no handshake would accept; SessionInfo.Validate
-// and the handshake parser share it. The segment count must be the one
-// rlnc.Split makes of length bytes — at least one, at most maxSegments — or a
-// client would size the reassembled object from a length its segments cannot
-// hold.
-func (h sessionHeader) validate() error {
-	if err := h.params.Validate(); err != nil {
+// Validate rejects a SessionInfo no handshake would accept; the handshake
+// parser and a source server's constructor both call it. The segment count
+// must be the one rlnc.Split makes of length bytes — at least one, at most
+// maxSegments — or a client would size the reassembled object from a length
+// its segments cannot hold.
+func (si SessionInfo) Validate() error {
+	if err := si.Params.Validate(); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadHandshake, err)
 	}
-	if h.segments <= 0 || h.length < 0 {
+	if si.Segments <= 0 || si.Length < 0 {
 		return fmt.Errorf("%w: shape", ErrBadHandshake)
 	}
-	if h.segments > maxSegments {
-		return fmt.Errorf("%w: %d segments, at most %d", ErrBadHandshake, h.segments, maxSegments)
+	if si.Segments > maxSegments {
+		return fmt.Errorf("%w: %d segments, at most %d", ErrBadHandshake, si.Segments, maxSegments)
 	}
-	seg := int64(h.params.SegmentSize())
-	if want := max(1, h.length/seg+min(1, h.length%seg)); int64(h.segments) != want {
-		return fmt.Errorf("%w: %d bytes are %d segments of %v, not %d", ErrBadHandshake, h.length, want, h.params, h.segments)
+	seg := int64(si.Params.SegmentSize())
+	if want := max(1, si.Length/seg+min(1, si.Length%seg)); int64(si.Segments) != want {
+		return fmt.Errorf("%w: %d bytes are %d segments of %v, not %d", ErrBadHandshake, si.Length, want, si.Params, si.Segments)
 	}
-	if h.mode > ModeSystematic {
-		return fmt.Errorf("%w: %v", ErrBadHandshake, h.mode)
+	if si.Mode > ModeSystematic {
+		return fmt.Errorf("%w: %v", ErrBadHandshake, si.Mode)
 	}
 	return nil
 }
@@ -345,18 +350,18 @@ func parseSessionHeader(body []byte) (handshake, error) {
 		return handshake{}, fmt.Errorf("%w: version %d", ErrBadHandshake, v)
 	}
 	hs := handshake{
-		hdr: sessionHeader{
-			params: rlnc.Params{
+		hdr: SessionInfo{
+			Params: rlnc.Params{
 				BlockCount: int(binary.BigEndian.Uint32(body[4:])),
 				BlockSize:  int(binary.BigEndian.Uint32(body[8:])),
 			},
-			segments: int(binary.BigEndian.Uint32(body[12:])),
-			length:   int64(binary.BigEndian.Uint64(body[16:])),
-			mode:     WireMode(binary.BigEndian.Uint32(body[24:])),
+			Segments: int(binary.BigEndian.Uint32(body[12:])),
+			Length:   int64(binary.BigEndian.Uint64(body[16:])),
+			Mode:     WireMode(binary.BigEndian.Uint32(body[24:])),
 		},
 		flags: binary.BigEndian.Uint32(body[28:]),
 	}
-	if err := hs.hdr.validate(); err != nil {
+	if err := hs.hdr.Validate(); err != nil {
 		return handshake{}, err
 	}
 	if unknown := hs.flags &^ hsFlagKnown; unknown != 0 {
@@ -394,12 +399,110 @@ func parseSessionHeader(body []byte) (handshake, error) {
 		if !keyed {
 			return handshake{}, fmt.Errorf("%w: counter session without a key", ErrBadHandshake)
 		}
-		if hs.hdr.mode != ModeDense {
-			return handshake{}, fmt.Errorf("%w: counter records in %v mode", ErrBadHandshake, hs.hdr.mode)
+		if hs.hdr.Mode != ModeDense {
+			return handshake{}, fmt.Errorf("%w: counter records in %v mode", ErrBadHandshake, hs.hdr.Mode)
 		}
 		hs.key = key
 	}
 	return hs, nil
+}
+
+// clientSession is the client side of one session, the one reader of a
+// server's stream that the Fetcher (which decodes) and RawClient (which
+// drains) share. open reads the server's opening; next yields the records
+// after it, framing-checked and peeked whole where they lie in the reader;
+// spent and ask keep the grant's count — the records of the last ask, n per
+// segment until the first — and write the need record that renews it. What a
+// client asks for, and what it does with a record, are its own.
+type clientSession struct {
+	hs         handshake
+	traced     bool // a round prelude precedes every record
+	conn       net.Conn
+	rd         *bufio.Reader
+	dense, xor uint32       // the session's record sizes (recordSizes)
+	round      trace.SpanID // the round the last record's prelude named
+	held       int          // the last record's length: it is still in rd
+	left       int          // records of the last ask not yet read
+	lost       bool         // next stopped at framing loss
+}
+
+// open reads the server's opening from conn through rd. A BUSY decision is
+// its ErrAdmissionBusy error, the decision left in s.hs.dec for its
+// retry-after hint. Records are read through rd, or, when one is longer than
+// rd's buffer, through a reader sized to it that first drains what rd
+// already holds.
+func (s *clientSession) open(conn net.Conn, rd *bufio.Reader) error {
+	hs, err := readHandshake(rd)
+	s.hs = hs
+	if err != nil {
+		return err
+	}
+	if hs.dec != nil {
+		return hs.dec.Err()
+	}
+	s.traced, s.conn, s.rd = hs.flags&hsFlagTrace != 0, conn, rd
+	s.dense, s.xor = hs.recordSizes()
+	if size := int(max(s.dense, s.xor)); size > rd.Size() {
+		s.rd = bufio.NewReaderSize(io.MultiReader(io.LimitReader(rd, int64(rd.Buffered())), conn), size)
+	}
+	s.left = hs.hdr.Params.BlockCount * hs.hdr.Segments
+	return nil
+}
+
+// spent reports whether the records of the last ask have all been read, so
+// the next one must be asked for.
+func (s *clientSession) spent() bool { return s.left <= 0 }
+
+// ask writes need, a need record, and counts down want records from here.
+func (s *clientSession) ask(need []byte, want int) error {
+	s.left = want
+	_, err := s.conn.Write(need)
+	return err
+}
+
+// next reads one record — its round prelude on a traced session, its length
+// prefix and the record — and returns the record, peeked whole in the reader
+// and valid until the next call, with the wire bytes it took; on failure,
+// wire is what was thrown away. A prelude that fails its CRC, or a prefix
+// that is neither of the session's record sizes, is framing loss
+// (ErrRecordLength, and s.lost): the stream beyond it cannot be parsed. A
+// stream that ends first is ErrStreamTruncated.
+func (s *clientSession) next() (rec []byte, wire int, err error) {
+	s.rd.Discard(s.held) //nolint:errcheck // Peek returned the held bytes
+	s.held = 0
+	pre := 0
+	if s.traced {
+		b, err := s.rd.Peek(recordPreludeLen)
+		if err != nil {
+			return nil, 0, fmt.Errorf("%w: %w", ErrStreamTruncated, err)
+		}
+		if s.round, err = parseRecordPrelude(b); err != nil {
+			s.lost = true
+			return nil, recordPreludeLen, err
+		}
+		pre = recordPreludeLen
+	}
+	b, err := s.rd.Peek(pre + recordLenLen)
+	if err != nil {
+		return nil, pre, fmt.Errorf("%w: %w", ErrStreamTruncated, err)
+	}
+	wire = pre + recordLenLen
+	n := binary.BigEndian.Uint32(b[pre:])
+	if n != s.dense && n != s.xor {
+		s.lost = true
+		return nil, wire, fmt.Errorf("%w: %d, want %d", ErrRecordLength, n, s.dense)
+	}
+	// The framing goes before the record is peeked, so a refill slides the
+	// record itself to the buffer's start and the payload a decoder copies out
+	// keeps its alignment: with the prefix in front, a fetch of 4 KiB XOR
+	// records ran 8% slower (2-vCPU Xeon, 2.1 GHz).
+	s.rd.Discard(wire) //nolint:errcheck // Peek returned the prelude and prefix
+	if rec, err = s.rd.Peek(int(n)); err != nil {
+		return nil, wire + len(rec), fmt.Errorf("%w: truncated record: %w", ErrStreamTruncated, err)
+	}
+	s.held = len(rec)
+	s.left--
+	return rec, wire + len(rec), nil
 }
 
 // FetchStats reports a client download, including its fault history. The

@@ -2,10 +2,9 @@ package netio
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
-	"io"
 	"net"
+	"slices"
 
 	"extremenc/internal/rlnc"
 )
@@ -17,7 +16,9 @@ import (
 // reflects server-side coding and framing cost, not client decode speed.
 // Records are framing-checked only (the length prefix must be one of the
 // session's record sizes); checksum and shape validation are the decoding
-// client's job.
+// client's job. It reads its session through the same clientSession as the
+// Fetcher, with a reader of its own, not a pooled one: Close may race a
+// pending Next.
 //
 // A drain client wants every record a server can produce, but a server sends
 // a session only what it is owed — n + margin records of each segment, or one
@@ -30,18 +31,9 @@ import (
 //
 // A RawClient is not safe for concurrent use. Close unblocks a pending Next.
 type RawClient struct {
-	conn              net.Conn
-	br                *bufio.Reader
-	hdr               sessionHeader
-	traced            bool   // session negotiated round preludes before every record
-	expect, expectXor uint32 // handshake.recordSizes
-	records           int64
-	bytes             int64
-
-	// left counts down the records of the first grant; need is the need
-	// record that asks for a fresh one.
-	left int
-	need []byte
+	clientSession
+	records, bytes int64  // complete records and their wire bytes
+	need           []byte // asks for a full grant: every segment n short
 }
 
 // NewRawClient performs the client side of the handshake on conn and returns
@@ -50,77 +42,45 @@ type RawClient struct {
 // closed.
 // It writes nothing: the first records are owed from the handshake on.
 func NewRawClient(conn net.Conn) (*RawClient, error) {
-	br := bufio.NewReaderSize(conn, 32<<10)
-	hs, err := readHandshake(br)
-	if err != nil {
+	c := &RawClient{}
+	if err := c.open(conn, bufio.NewReaderSize(conn, 32<<10)); err != nil {
 		conn.Close()
 		return nil, err
 	}
-	if hs.dec != nil {
-		conn.Close()
-		return nil, hs.dec.Err()
-	}
-	n := hs.hdr.params.BlockCount
-	full := make([]uint32, hs.hdr.segments)
-	for i := range full {
-		full[i] = uint32(n)
-	}
-	c := &RawClient{conn: conn, br: br, hdr: hs.hdr, traced: hs.traced(), left: n * len(full), need: appendNeed(nil, full)}
-	c.expect, c.expectXor = hs.recordSizes()
+	c.need = appendNeed(nil, slices.Repeat([]uint32{uint32(c.hs.hdr.Params.BlockCount)}, c.hs.hdr.Segments))
 	return c, nil
 }
 
 // Params returns the coding parameters declared in the handshake.
-func (c *RawClient) Params() rlnc.Params { return c.hdr.params }
+func (c *RawClient) Params() rlnc.Params { return c.hs.hdr.Params }
 
 // Mode returns the wire mode declared in the handshake.
-func (c *RawClient) Mode() WireMode { return c.hdr.mode }
+func (c *RawClient) Mode() WireMode { return c.hs.hdr.Mode }
 
 // Segments returns the segment count declared in the handshake.
-func (c *RawClient) Segments() int { return c.hdr.segments }
+func (c *RawClient) Segments() int { return c.hs.hdr.Segments }
 
 // Length returns the payload length declared in the handshake.
-func (c *RawClient) Length() int64 { return c.hdr.length }
+func (c *RawClient) Length() int64 { return c.hs.hdr.Length }
 
-// Next reads and discards one record, returning its wire size (payload plus
-// the 4-byte length prefix). It blocks until a record arrives, the peer
-// closes, or Close is called; stream errors (including io.EOF at hang-up)
-// are returned verbatim.
+// Next reads and discards one record, returning its wire size (the record
+// with its length prefix and, on a traced session, its round prelude). It
+// blocks until a record arrives, the peer closes, or Close is called. A
+// stream that ends is ErrStreamTruncated, wrapping the read's own error
+// (io.EOF at hang-up); framing loss is ErrRecordLength.
 func (c *RawClient) Next() (int, error) {
-	if c.left == 0 {
-		if _, err := c.conn.Write(c.need); err != nil {
+	if c.spent() {
+		if err := c.ask(c.need, 0); err != nil {
 			return 0, fmt.Errorf("netio: need record: %w", err)
 		}
-	} else {
-		c.left--
 	}
-	pre := 0
-	if c.traced {
-		// A traced session prefixes each record with a round prelude; the
-		// raw client validates its CRC (framing) and discards the ID.
-		var preBuf [recordPreludeLen]byte
-		if _, err := io.ReadFull(c.br, preBuf[:]); err != nil {
-			return 0, err
-		}
-		if _, err := parseRecordPrelude(preBuf[:]); err != nil {
-			return 0, err
-		}
-		pre = recordPreludeLen
-	}
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(c.br, lenBuf[:]); err != nil {
-		return 0, err
-	}
-	n := binary.BigEndian.Uint32(lenBuf[:])
-	if n != c.expect && n != c.expectXor {
-		return 0, fmt.Errorf("%w: %d, want %d", ErrRecordLength, n, c.expect)
-	}
-	if _, err := c.br.Discard(int(n)); err != nil {
+	_, wire, err := c.next()
+	if err != nil {
 		return 0, err
 	}
 	c.records++
-	c.bytes += int64(n) + 4 + int64(pre)
-	return int(n) + 4 + pre, nil
+	c.bytes += int64(wire)
+	return wire, nil
 }
 
 // Records returns how many complete records Next has consumed.

@@ -24,7 +24,7 @@ func dribbleServer(t *testing.T, l net.Listener, obj *rlnc.Object, recordsPerSes
 			if err != nil {
 				return
 			}
-			h := sessionHeader{params: obj.Params, segments: len(obj.Segments), length: int64(obj.Length)}
+			h := SessionInfo{Params: obj.Params, Segments: len(obj.Segments), Length: int64(obj.Length)}
 			if _, err := conn.Write(appendSessionHeader(nil, handshake{hdr: h})); err != nil {
 				conn.Close()
 				continue

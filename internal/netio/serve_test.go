@@ -443,10 +443,10 @@ func TestFetchSentinels(t *testing.T) {
 	// Implausible record length after a valid header.
 	client1, server1 := net.Pipe()
 	go func() {
-		server1.Write(appendSessionHeader(nil, handshake{hdr: sessionHeader{
-			params:   rlnc.Params{BlockCount: 4, BlockSize: 64},
-			segments: 1,
-			length:   256,
+		server1.Write(appendSessionHeader(nil, handshake{hdr: SessionInfo{
+			Params:   rlnc.Params{BlockCount: 4, BlockSize: 64},
+			Segments: 1,
+			Length:   256,
 		}}))
 		var lenBuf [4]byte
 		binary.BigEndian.PutUint32(lenBuf[:], 64<<20+1)
@@ -460,10 +460,10 @@ func TestFetchSentinels(t *testing.T) {
 	// Stream cut before full rank.
 	client2, server2 := net.Pipe()
 	go func() {
-		server2.Write(appendSessionHeader(nil, handshake{hdr: sessionHeader{
-			params:   rlnc.Params{BlockCount: 4, BlockSize: 64},
-			segments: 1,
-			length:   256,
+		server2.Write(appendSessionHeader(nil, handshake{hdr: SessionInfo{
+			Params:   rlnc.Params{BlockCount: 4, BlockSize: 64},
+			Segments: 1,
+			Length:   256,
 		}}))
 		server2.Close()
 	}()

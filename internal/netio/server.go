@@ -461,7 +461,7 @@ func (s *Server) runSession(ss *session) {
 	defer s.wg.Done()
 	defer ss.conn.Close()
 
-	hs := handshake{hdr: s.info.header(), key: s.key}
+	hs := handshake{hdr: s.info, key: s.key}
 	if s.traced {
 		hs.flags |= hsFlagTrace
 		hs.tctx = traceContext{trace: s.traceID, root: s.rootSpan.ID()}

@@ -8,31 +8,6 @@ import (
 	"extremenc/internal/rlnc"
 )
 
-// SessionInfo describes the object a server declares in its session
-// handshake: the coding parameters, segment count, reassembled byte length,
-// and wire mode. It is the exported face of the wire header — a relay that
-// fetches upstream learns the SessionInfo from its fetcher's session hook
-// and re-declares the same object (possibly in a different mode) downstream.
-type SessionInfo struct {
-	Params   rlnc.Params
-	Segments int
-	Length   int64
-	Mode     WireMode
-}
-
-// header converts to the wire-protocol form.
-func (si SessionInfo) header() sessionHeader {
-	return sessionHeader{params: si.Params, segments: si.Segments, length: si.Length, mode: si.Mode}
-}
-
-// info converts a parsed wire header to the exported form.
-func (h sessionHeader) info() SessionInfo {
-	return SessionInfo{Params: h.params, Segments: h.segments, Length: h.length, Mode: h.mode}
-}
-
-// Validate rejects a SessionInfo no handshake would accept.
-func (si SessionInfo) Validate() error { return si.header().validate() }
-
 // RecordSource produces the framed records a Server's pump fans out. It
 // abstracts where coded blocks come from: a media-backed server encodes
 // fresh blocks from source segments (NewServerFromConfig), while a mesh relay

@@ -99,14 +99,14 @@ func dialSweep(t testing.TB, conn net.Conn) *sweepClient {
 	if hs.dec != nil || hs.flags&hsFlagSweep == 0 {
 		t.Fatalf("not a sweep session: decision %+v, flags %#x", hs.dec, hs.flags)
 	}
-	return &sweepClient{t: t, conn: conn, hs: hs, size: 4 + rlnc.XorWireSize(hs.hdr.params)}
+	return &sweepClient{t: t, conn: conn, hs: hs, size: 4 + rlnc.XorWireSize(hs.hdr.Params)}
 }
 
 // read consumes r sweep records and returns the source-block index each one
 // carries, flattened as segment·n + block.
 func (c *sweepClient) read(r int) []int {
 	c.t.Helper()
-	n := c.hs.hdr.params.BlockCount
+	n := c.hs.hdr.Params.BlockCount
 	idx := make([]int, 0, r)
 	rec := make([]byte, c.size)
 	var blk rlnc.CodedBlock
@@ -117,7 +117,7 @@ func (c *sweepClient) read(r int) []int {
 		if string(rec[4:8]) != "XNC2" {
 			c.t.Fatalf("sweep record %d is not an XNC2 record: % x", i, rec[4:8])
 		}
-		if err := blk.ParseView(rec[4:], rlnc.RecordFormat{Params: c.hs.hdr.params}); err != nil {
+		if err := blk.ParseView(rec[4:], rlnc.RecordFormat{Params: c.hs.hdr.Params}); err != nil {
 			c.t.Fatalf("sweep record %d: %v", i, err)
 		}
 		at := bytes.IndexByte(blk.Coeffs, 1)
@@ -129,7 +129,7 @@ func (c *sweepClient) read(r int) []int {
 	return idx
 }
 
-func (c *sweepClient) total() int { return c.hs.hdr.params.BlockCount * c.hs.hdr.segments }
+func (c *sweepClient) total() int { return c.hs.hdr.Params.BlockCount * c.hs.hdr.Segments }
 
 // awaitClosed fails unless the server ends the session within the limit, and
 // reports how long it took.
@@ -625,11 +625,11 @@ func TestPushSessionsUnchanged(t *testing.T) {
 			pl := counted.Listener.(*pipeListener)
 
 			want := tc.hs
-			want.hdr = srv.Info().header()
+			want.hdr = srv.Info()
 			opening := appendSessionHeader(nil, want)
 			size, _ := want.recordSizes()
 			recLen := recordLenLen + int(size)
-			grant := len(obj.Segments) * (p.BlockCount + grantMargin(want.hdr.mode))
+			grant := len(obj.Segments) * (p.BlockCount + grantMargin(want.hdr.Mode))
 			conn := pl.Dial()
 			head := make([]byte, len(opening)+grant*recLen)
 			if _, err := io.ReadFull(conn, head); err != nil {
@@ -673,14 +673,14 @@ func TestPushSessionsUnchanged(t *testing.T) {
 			n := p.BlockCount
 			credit := make([]int, len(obj.Segments))
 			for i := range credit {
-				credit[i] = n + grantMargin(want.hdr.mode)
+				credit[i] = n + grantMargin(want.hdr.Mode)
 			}
 			var wantSegs, wantIdx []uint32
 			for len(wantSegs) < grant {
 				for seg := range credit {
 					for range min(4, credit[seg]) {
 						wantSegs = append(wantSegs, uint32(seg))
-						wantIdx = append(wantIdx, uint32(n+grantMargin(want.hdr.mode)-credit[seg]))
+						wantIdx = append(wantIdx, uint32(n+grantMargin(want.hdr.Mode)-credit[seg]))
 						credit[seg]--
 					}
 				}

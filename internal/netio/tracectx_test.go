@@ -33,7 +33,7 @@ func TestRecordPreludeRoundTrip(t *testing.T) {
 // implementation does not know must be rejected — the feature may change
 // record framing, so parsing on is stream corruption.
 func TestUnknownHeaderFlagsRejected(t *testing.T) {
-	h := sessionHeader{params: rlnc.Params{BlockCount: 4, BlockSize: 64}, segments: 1, length: 100}
+	h := SessionInfo{Params: rlnc.Params{BlockCount: 4, BlockSize: 64}, Segments: 1, Length: 100}
 	var buf bytes.Buffer
 	if _, err := buf.Write(appendSessionHeader(nil, handshake{hdr: h, flags: hsFlagTrace | 1<<9})); err != nil {
 		t.Fatal(err)
