@@ -26,8 +26,8 @@ type ServerConfig struct {
 	// leaves its queue full: when every owed session's queue is full the pump
 	// parks and the wait is charged as encode stall. Records are shed only
 	// when a write fails or a session ends with records still queued. A
-	// systematic session's sweep passes through no queue; the bound applies
-	// to the repair records of a session that asked for them.
+	// session's sweep passes through no queue; the bound applies to the
+	// records the pump offers it.
 	QueueDepth int
 	// WriteDeadline bounds every record flush; a flush that misses it is
 	// retried (resuming at the byte where it stopped) WriteRetries times and
@@ -71,8 +71,8 @@ type ServerConfig struct {
 	// schedule by the pump, with credit, queueing, shedding and deadlines
 	// as in ModeDense (see Server). Pace governs the pump, so it governs
 	// repair, not sweeps. NewSourceServerFromConfig overrides Mode with the
-	// source's declared mode, and a source-backed server's sessions are owed
-	// a grant from the handshake on.
+	// source's declared mode; its sessions are swept the segments the source
+	// holds whole and owed a grant of the rest from the handshake on.
 	Mode WireMode
 	// Pace floors the interval between pump rounds, bounding the server's
 	// emission rate at EncodeBatch records per Pace regardless of CPU

@@ -308,11 +308,16 @@ func TestFetchHostileLengthPinsNothing(t *testing.T) {
 		}
 		return res.Stats
 	}
+	// The measured fetch must get the warm-up's pooled session reader back. A
+	// sync.Pool keeps one slot per P and a GC empties it, so the warm-up and
+	// the fetch run on one P with the collector off: otherwise about one run
+	// in twelve reads another P's empty slot and allocates a fresh reader.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	fetch() // warms the pooled session reader
 	if raceEnabled {
 		return // the race detector's sync.Pool drops the warmed reader at random
 	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	stats := fetch()

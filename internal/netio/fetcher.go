@@ -551,12 +551,12 @@ func (f *Fetcher) session(ctx context.Context, conn net.Conn) (done, fatal bool,
 	// CodedBlock per session whose payload views it, and absorbed — the sink
 	// copies what it keeps. Framing loss or a cut stream ends the session; the
 	// fetcher resynchronizes by reconnecting, keeping all rank. The server owes
-	// a session n + margin records of every segment, or one sweep of
-	// n × segments, and then falls silent until asked: a fetch still short of
-	// rank once it has read its last ask's worth (records arrived damaged,
-	// dependent, or repeating what earlier sessions brought) asks again for
-	// its deficits. The grant covers at least the ask, so the count always
-	// runs out or the fetch completes.
+	// a session n records of each segment it holds whole (its sweep) and
+	// n + margin of every other one, and then falls silent until asked: a
+	// fetch still short of rank once it has read its last ask's worth (records
+	// arrived damaged, dependent, or repeating what earlier sessions brought)
+	// asks again for its deficits. The grant covers at least the ask, so the
+	// count always runs out or the fetch completes.
 	var blk rlnc.CodedBlock
 	for f.remaining() > 0 {
 		if cs.spent() {

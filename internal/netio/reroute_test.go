@@ -209,6 +209,9 @@ func newPoolSource(t *testing.T, obj *rlnc.Object, perSeg int) *poolSource {
 
 func (s *poolSource) Info() SessionInfo { return s.info }
 
+// Sweep: a pool of recombinations holds no segment whole.
+func (s *poolSource) Sweep(seg, i int) []byte { return nil }
+
 func (s *poolSource) Records(seg, batch int, alloc func(int) []byte) [][]byte {
 	out := make([][]byte, 0, batch)
 	for i := 0; i < batch; i++ {

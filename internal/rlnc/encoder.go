@@ -239,6 +239,12 @@ func (r *Recoder) Count() int { return len(r.rows) }
 // innovative blocks are held, so it is their count.
 func (r *Recoder) Rank() int { return len(r.rows) }
 
+// Row returns held input i < Rank as its [coeffs | payload] row, the middle of
+// the record it arrived in. A held row never changes once added, so the bytes
+// may be read after the call while the recoder takes more input; they must not
+// be written.
+func (r *Recoder) Row(i int) []byte { return r.rows[i] }
+
 // Emit is NextBlock against the recoder's own random source (set with
 // WithSeed). It fails with ErrNoBlocks when nothing has been received (a
 // rank-0 recoder has no subspace to emit from — callers poll Rank and hold
