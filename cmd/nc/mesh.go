@@ -31,10 +31,11 @@ const (
 	evDrain                    // graceful drain-restart of one relay mid-wave
 	evSlowReaders              // a leaf wave beside slow readers on one relay
 	evKill                     // abrupt relay kill mid-wave (remediation reroutes)
+	evAsk                      // one leaf whose damaged sweep makes it ask for recodes
 )
 
 func (e event) String() string {
-	return [...]string{"leaf-wave", "drain-restart", "slow-readers", "kill"}[e]
+	return [...]string{"leaf-wave", "drain-restart", "slow-readers", "kill", "ask"}[e]
 }
 
 // meshRun is one nc mesh invocation: its preset's flags, then the mesh and
@@ -94,7 +95,7 @@ func meshPreset(soak, trace bool) meshRun {
 func (r *meshRun) flags(all bool) *flag.FlagSet {
 	fs := flag.NewFlagSet("nc mesh", flag.ContinueOnError)
 	fs.BoolVar(&r.soak, "soak", r.soak, "preset: the randomized chaos soak, its schedule drawn from -seed")
-	fs.BoolVar(&r.trace, "trace", r.trace, "preset: a slow-reader wave then a leaf wave through a traced chaos mesh, then the tracing gates")
+	fs.BoolVar(&r.trace, "trace", r.trace, "preset: a slow-reader wave, a leaf wave and an asking leaf through a traced chaos mesh, then the tracing gates")
 	r.register(fs, "seed", "n", "k", "size", "timeout", "summary", "flight", "metrics", "v")
 	fs.IntVar(&r.relays, "relays", r.relays, "relay count")
 	fs.StringVar(&r.flightOut, "flight-out", r.flightOut, "write the flight-recorder dump here when the run fails")
@@ -172,7 +173,7 @@ func (r *meshRun) schedule(rng *rand.Rand) []event {
 	case r.soak:
 		return makeSchedule(rng, r.events)
 	case r.trace:
-		return []event{evSlowReaders, evLeafWave}
+		return []event{evSlowReaders, evLeafWave, evAsk}
 	}
 	return []event{evLeafWave}
 }
@@ -400,6 +401,8 @@ func (r *meshRun) step(ctx context.Context, ev event) error {
 		}
 		r.sum.Kills++
 		return r.leafWave(ctx, 2, ev, id)
+	case evAsk:
+		return r.askLeaf(ctx)
 	}
 	return fmt.Errorf("unknown event %d", ev)
 }
@@ -488,6 +491,32 @@ func (r *meshRun) slowReaderWave(ctx context.Context) error {
 		return fmt.Errorf("%s: no leaf of the wave was served beside the slow readers", id)
 	}
 	r.logf("  slow readers on %s: %d leaf sessions served beside them\n", id, leafSessions)
+	return nil
+}
+
+// askLeaf fetches the object once from the first usable relay over a link
+// that damages records but never resets. A warm relay sweeps a fresh leaf its
+// held rows and owes it nothing more, so this leaf reads the sweep short and
+// must ask: the relay recodes for it, however warm the tier is.
+func (r *meshRun) askLeaf(ctx context.Context) error {
+	usable := r.m.Control().Usable("")
+	if len(usable) == 0 {
+		return errors.New("no usable relay for the asking leaf")
+	}
+	addr, _ := r.m.Control().Addr(usable[0])
+	dial, ctr := faultnet.Dialer(faultnet.Config{Seed: r.seed + 3, CorruptEvery: 4000}, harness.Dial(addr))
+	cfg := netio.DefaultFetcherConfig()
+	cfg.BackoffBase, cfg.BackoffMax, cfg.TraceNode = 2*time.Millisecond, 50*time.Millisecond, "leaf-ask"
+	before := r.m.Snapshot().Emitted
+	if _, err := harness.Fetch(ctx, dial, cfg, r.media); err != nil {
+		return fmt.Errorf("asking leaf on %s: %w", usable[0], err)
+	}
+	recoded := r.m.Snapshot().Emitted - before
+	if recoded == 0 {
+		return fmt.Errorf("%s recoded nothing for a leaf that read %d damaged bytes", usable[0], ctr.View().Corruptions)
+	}
+	r.logf("  asking leaf on %s ok: %d recoded for it\n", usable[0], recoded)
+	r.sum.LeavesDone++
 	return nil
 }
 

@@ -105,7 +105,7 @@ func TestMakeSchedule(t *testing.T) {
 	if a, b := makeSchedule(rand.New(rand.NewSource(1)), 12), makeSchedule(rand.New(rand.NewSource(2)), 12); reflect.DeepEqual(a, b) {
 		t.Fatalf("seeds 1 and 2 drew the same schedule: %v", a)
 	}
-	for ev, want := range map[event]string{evLeafWave: "leaf-wave", evDrain: "drain-restart", evSlowReaders: "slow-readers", evKill: "kill"} {
+	for ev, want := range map[event]string{evLeafWave: "leaf-wave", evDrain: "drain-restart", evSlowReaders: "slow-readers", evKill: "kill", evAsk: "ask"} {
 		if ev.String() != want {
 			t.Errorf("event %d prints %q, want %q", ev, ev, want)
 		}
@@ -114,7 +114,9 @@ func TestMakeSchedule(t *testing.T) {
 
 // TestMeshPresetSchedules: each preset plays the schedule of the command it
 // replaced — the soak's seeded draw (after the media, from the same stream),
-// the tracing gate's slow-reader wave then leaf wave, and the plain mesh's one leaf wave.
+// the tracing gate's slow-reader wave then leaf wave (and, since relays sweep
+// what they hold whole, one asking leaf that makes a relay recode), and the
+// plain mesh's one leaf wave.
 func TestMeshPresetSchedules(t *testing.T) {
 	soakRNG := func(seed int64, size int) *rand.Rand {
 		rng := rand.New(rand.NewSource(seed))
@@ -128,7 +130,7 @@ func TestMeshPresetSchedules(t *testing.T) {
 		want   []event
 	}{
 		{"mesh", false, false, []event{evLeafWave}},
-		{"trace", false, true, []event{evSlowReaders, evLeafWave}},
+		{"trace", false, true, []event{evSlowReaders, evLeafWave, evAsk}},
 		{"soak", true, false, makeSchedule(soakRNG(1, 28_000), 20)},
 	} {
 		r := meshPreset(tc.soak, tc.trace)
