@@ -45,7 +45,7 @@ type meshRun struct {
 	soak, trace, smoke     bool
 	events, relays, leaves int
 	mode                   string
-	xor, chaos, warm       bool
+	chaos, warm            bool
 	originSessions         int
 	originPace             time.Duration
 	kill                   int
@@ -78,7 +78,7 @@ func meshPreset(soak, trace bool) meshRun {
 	switch {
 	case soak:
 		shared.seed, shared.timeout, shared.flight = 1, 4*time.Minute, 1<<16
-		return meshRun{common: shared, soak: true, events: 20, relays: 3, mode: "systematic", xor: true,
+		return meshRun{common: shared, soak: true, events: 20, relays: 3, mode: "systematic",
 			chaos: true, warm: true, flightOut: "flight-soak.json"}
 	case trace:
 		shared.seed, shared.timeout, shared.flight = 7, 3*time.Minute, 1<<18
@@ -86,7 +86,7 @@ func meshPreset(soak, trace bool) meshRun {
 			chaos: true, warm: true, flightOut: "flight-trace.json", bench: "BENCH_host.json"}
 	}
 	shared.seed, shared.k, shared.size, shared.timeout = 7, 1024, 200_000, 2*time.Minute
-	return meshRun{common: shared, relays: 3, leaves: 4, mode: "systematic", xor: true,
+	return meshRun{common: shared, relays: 3, leaves: 4, mode: "systematic",
 		originSessions: 1, killAt: 30, warm: true, flightOut: "flight-mesh.json"}
 }
 
@@ -110,8 +110,7 @@ func (r *meshRun) flags(all bool) *flag.FlagSet {
 		fs.IntVar(&r.leaves, "leaves", r.leaves, "leaf fetchers per wave")
 	}
 	if all || !r.soak && !r.trace {
-		fs.StringVar(&r.mode, "mode", r.mode, "origin wire mode: dense or systematic")
-		fs.BoolVar(&r.xor, "xor", r.xor, "relays recombine on the GF(2) XOR fast path (XNC2 downstream framing)")
+		fs.StringVar(&r.mode, "mode", r.mode, "origin wire mode: dense or systematic (relays recode in its field)")
 		fs.IntVar(&r.originSessions, "origin-sessions", r.originSessions, "origin concurrent-session cap (0 = unlimited)")
 		fs.DurationVar(&r.originPace, "origin-pace", 0, "origin pump-round floor, modeling a constrained uplink (0 = unpaced)")
 		fs.BoolVar(&r.chaos, "chaos", false, "wrap inter-tier links in faultnet corruption + resets")
@@ -215,7 +214,6 @@ func (r *meshRun) topology(reg *obs.Registry, twitchy bool) mesh.Topology {
 		Params:            rlnc.Params{BlockCount: r.n, BlockSize: r.k},
 		Relays:            r.relays,
 		OriginMode:        mode,
-		XorRecode:         r.xor,
 		OriginMaxSessions: r.originSessions,
 		OriginPace:        r.originPace,
 		Seed:              r.seed,

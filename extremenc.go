@@ -85,8 +85,8 @@ func SegmentFromData(id uint32, p Params, data []byte) (*Segment, error) {
 }
 
 // NewEncoder returns a random linear encoder over seg.
-func NewEncoder(seg *Segment, rng *rand.Rand, opts ...rlnc.EncoderOption) *rlnc.Encoder {
-	return rlnc.NewEncoder(seg, rng, opts...)
+func NewEncoder(seg *Segment, rng *rand.Rand) *rlnc.Encoder {
+	return rlnc.NewEncoder(seg, rng)
 }
 
 // WithSeed gives a codec a private deterministic random source (Recoder.Emit).

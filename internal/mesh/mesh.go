@@ -29,11 +29,10 @@ type Topology struct {
 	Relays int
 	Leaves int
 
-	// OriginMode is the origin's wire mode (default ModeDense).
+	// OriginMode is the origin's wire mode (default ModeDense). Relays
+	// recode in its field: a ModeSystematic origin's relays recombine on the
+	// GF(2) XOR path and frame XNC2 downstream.
 	OriginMode netio.WireMode
-	// XorRecode switches every relay to GF(2) XOR recombination with
-	// ModeSystematic downstream framing.
-	XorRecode bool
 	// OriginMaxSessions caps concurrent origin sessions (0 = unlimited) —
 	// the knob that makes a relay tier pay off: relays warm up, release
 	// their origin slots, and fan out in parallel.
@@ -286,11 +285,10 @@ func (m *Mesh) Start(ctx context.Context) error {
 			srvOpts = m.topo.RelayServerOpts(i)
 		}
 		relay, err := StartRelay(m.ctx, RelayConfig{
-			ID:        id,
-			Upstream:  up,
-			Listener:  rln,
-			XorRecode: m.topo.XorRecode,
-			Seed:      m.topo.Seed + int64(i+1)*104729,
+			ID:       id,
+			Upstream: up,
+			Listener: rln,
+			Seed:     m.topo.Seed + int64(i+1)*104729,
 			FetchOpts: []netio.FetcherOption{func(c *netio.FetcherConfig) {
 				c.BackoffBase, c.BackoffMax = 2*time.Millisecond, 50*time.Millisecond
 				c.Seed = m.topo.Seed + int64(i)

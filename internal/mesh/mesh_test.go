@@ -123,8 +123,9 @@ func warmMedia(t testing.TB, p rlnc.Params, segments int) []byte {
 
 // warmRelay starts an origin and one relay over it and returns the relay once
 // it holds full rank in every segment: a dense origin and relay, or with xor a
-// systematic origin — whose sweep alone fills the relay — and an XorRecode
-// relay. opts adjust the relay's config before it starts.
+// systematic origin — whose sweep alone fills the relay — and so a relay that
+// recodes on the GF(2) XOR path. opts adjust the relay's config before it
+// starts.
 func warmRelay(t testing.TB, p rlnc.Params, segments int, xor bool, opts ...func(*RelayConfig)) *Relay {
 	t.Helper()
 	ocfg := netio.DefaultServerConfig()
@@ -139,7 +140,7 @@ func warmRelay(t testing.TB, p rlnc.Params, segments int, xor bool, opts ...func
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	t.Cleanup(cancel)
-	cfg := RelayConfig{ID: "r0", Upstream: tcpDial(ol.Addr().String()), Listener: rln, Seed: 9, XorRecode: xor}
+	cfg := RelayConfig{ID: "r0", Upstream: tcpDial(ol.Addr().String()), Listener: rln, Seed: 9}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
@@ -160,29 +161,29 @@ func warmRelay(t testing.TB, p rlnc.Params, segments int, xor bool, opts ...func
 	return relay
 }
 
-// frameStock stands in for the server's frame pool: a fixed stock of buffers
-// handed out round-robin, each long recycled by the time it comes round again.
-type frameStock struct {
-	bufs [][]byte
-	next int
+// frameStock stands in for the server's frame pool: a fixed stock of frames
+// of the length a server of p hands its source, handed out whole every round.
+type frameStock struct{ whole, frames [][]byte }
+
+func newFrameStock(p rlnc.Params, batch int) *frameStock {
+	s := &frameStock{whole: make([][]byte, batch), frames: make([][]byte, batch)}
+	for i := range s.whole {
+		s.whole[i] = make([]byte, 4+rlnc.WireSize(p))
+	}
+	return s
 }
 
-func (s *frameStock) alloc(n int) []byte {
-	if s.next == len(s.bufs) {
-		s.next = 0
-	}
-	if s.bufs[s.next] == nil {
-		s.bufs[s.next] = make([]byte, n)
-	}
-	s.next++
-	return s.bufs[s.next-1][:n]
+// round returns the stock's frames, whole again.
+func (s *frameStock) round() [][]byte {
+	copy(s.frames, s.whole)
+	return s.frames
 }
 
 // TestRelayRecordsDoNotAllocate: a warm relay's Records — frames laid out,
 // one batch recombination written into them, sealed — allocates nothing once
-// its scratch has seen a batch, and every record it returns is a valid block
-// of the segment asked for: dense XNC1 from a dense relay, XNC2 from an
-// XorRecode relay over binary input (each emission narrowed in its frame). At
+// its scratch has seen a batch, and every record it lays is a valid block of
+// the segment asked for: dense XNC1 from a dense relay, XNC2 from an XOR
+// relay over binary input (each emission narrowed in its frame). At
 // n=16, k=256 the dense recode runs on the caller; a batch of 32 at n=128,
 // k=4096 is split across the shared pool.
 func TestRelayRecordsDoNotAllocate(t *testing.T) {
@@ -199,13 +200,11 @@ func TestRelayRecordsDoNotAllocate(t *testing.T) {
 		p, batch := tc.p, tc.batch
 		relay := warmRelay(t, p, 2, tc.xor)
 		src := (*relaySource)(relay)
-		stock := &frameStock{bufs: make([][]byte, batch)}
-		alloc := stock.alloc
+		stock := newFrameStock(p, batch)
 		seg := 0
 		round := func() {
-			recs := src.Records(seg, batch, alloc)
-			if len(recs) != batch {
-				t.Fatalf("%d records for a batch of %d", len(recs), batch)
+			if k := src.Records(seg, stock.round()); k != batch {
+				t.Fatalf("%d records for a batch of %d", k, batch)
 			}
 			seg = 1 - seg
 		}
@@ -216,7 +215,8 @@ func TestRelayRecordsDoNotAllocate(t *testing.T) {
 		if tc.xor {
 			magic = "XNC2"
 		}
-		for _, rec := range src.Records(1, batch, alloc) {
+		recs := stock.round()
+		for _, rec := range recs[:src.Records(1, recs)] {
 			var b rlnc.CodedBlock
 			if err := b.UnmarshalRecord(rec[4:]); err != nil || string(rec[4:8]) != magic || b.SegmentID != 1 || b.Params() != p {
 				t.Fatalf("recoded record: %v (%q, segment %d, %+v), want %s", err, rec[4:8], b.SegmentID, b.Params(), magic)
@@ -226,8 +226,8 @@ func TestRelayRecordsDoNotAllocate(t *testing.T) {
 }
 
 // BenchmarkDenseRecords: one pump round of a relay at full rank — a batch of
-// recombinations recoded straight into frames — per record: dense, and
-// XorRecode over binary input, whose emissions are narrowed to XNC2.
+// recombinations recoded straight into frames — per record: dense, and XOR
+// over binary input, whose emissions are narrowed to XNC2.
 func BenchmarkDenseRecords(b *testing.B) {
 	p := rlnc.Params{BlockCount: 128, BlockSize: 4096}
 	for _, xor := range []bool{false, true} {
@@ -239,13 +239,12 @@ func BenchmarkDenseRecords(b *testing.B) {
 			relay := warmRelay(b, p, 2, xor)
 			src := (*relaySource)(relay)
 			batch := p.BlockCount / 4 // the pump's default EncodeBatch
-			stock := &frameStock{bufs: make([][]byte, batch)}
-			alloc := stock.alloc
+			stock := newFrameStock(p, batch)
 			b.SetBytes(int64(p.BlockSize))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for done, seg := 0, 0; done < b.N; done, seg = done+batch, 1-seg {
-				if len(src.Records(seg, batch, alloc)) != batch {
+				if src.Records(seg, stock.round()) != batch {
 					b.Fatal("short batch from a warm relay")
 				}
 			}
@@ -253,7 +252,7 @@ func BenchmarkDenseRecords(b *testing.B) {
 	}
 }
 
-// TestXorRelayRecordsMatchEmit: an XorRecode relay's Records — the batch laid
+// TestXorRelayRecordsMatchEmit: an XOR relay's Records — the batch laid
 // out as XNC1, one EmitInto, each binary emission narrowed to XNC2 — writes
 // byte for byte the records of successive Emits framed one at a time
 // (netio.FrameRecord) by a twin recoder on the same seed and input: over
@@ -269,7 +268,6 @@ func TestXorRelayRecordsMatchEmit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	heap := func(n int) []byte { return make([]byte, n) }
 	for _, denseTail := range []bool{false, true} {
 		recoder := func() *rlnc.Recoder {
 			rec, err := rlnc.NewRecoder(p, rlnc.WithSeed(77), rlnc.WithXorRecode())
@@ -292,16 +290,15 @@ func TestXorRelayRecordsMatchEmit(t *testing.T) {
 		}
 		twin := recoder()
 		r := &Relay{
-			cfg:      RelayConfig{XorRecode: true},
 			info:     netio.SessionInfo{Params: p, Segments: 1, Length: int64(p.SegmentSize()), Mode: netio.ModeSystematic},
 			recoders: []*rlnc.Recoder{recoder()},
 			upFetch:  up,
 		}
 		kinds := map[string]int{}
 		for _, batch := range []int{1, 3, 8, 16} {
-			recs := (*relaySource)(r).Records(0, batch, heap)
-			if len(recs) != batch {
-				t.Fatalf("dense tail %v: %d records for a batch of %d", denseTail, len(recs), batch)
+			recs := newFrameStock(p, batch).round()
+			if k := (*relaySource)(r).Records(0, recs); k != batch {
+				t.Fatalf("dense tail %v: %d records for a batch of %d", denseTail, k, batch)
 			}
 			for i, rec := range recs {
 				blk, err := twin.Emit()
@@ -385,10 +382,10 @@ func TestRelayRefusesHostileSegmentCount(t *testing.T) {
 	t.Logf("%v after %d refused handshakes", err, attempts)
 }
 
-// TestRelayXorRecode: a systematic origin feeding an XOR-recode relay. The
-// relay re-declares ModeSystematic downstream so its binary recombinations
-// travel in the compact XNC2 encoding, and the leaf must still reassemble
-// the object exactly.
+// TestRelayXorRecode: a systematic origin feeding a relay, which recodes in
+// its upstream's field: it re-declares ModeSystematic downstream so its binary
+// recombinations travel in the compact XNC2 encoding, and the leaf must still
+// reassemble the object exactly.
 func TestRelayXorRecode(t *testing.T) {
 	p := rlnc.Params{BlockCount: 8, BlockSize: 128}
 	media := testMedia(t, 2*p.SegmentSize()-7, 31)
@@ -405,7 +402,7 @@ func TestRelayXorRecode(t *testing.T) {
 	defer cancel()
 	relay, err := StartRelay(ctx, RelayConfig{
 		ID: "rx", Upstream: tcpDial(ol.Addr().String()), Listener: rln,
-		Seed: 13, XorRecode: true,
+		Seed: 13,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -428,17 +425,20 @@ func TestRelayXorRecode(t *testing.T) {
 	}
 }
 
-// TestXorRelayLeafReasks: a leaf that dials an XOR-recode relay while the
-// relay still fills from a slow origin is granted GF(2) recombinations of a
-// partial basis — dependent records — and asks again for what it lacks until
-// it decodes byte-identical: each shortfall costs a round trip, never a hang.
+// TestXorRelayLeafReasks: a leaf that dials an XOR relay while the relay
+// still fills over a slow link from a systematic origin is granted GF(2)
+// recombinations of a partial basis — dependent records — and asks again for
+// what it lacks until it decodes byte-identical: each shortfall costs a round
+// trip, never a hang.
 func TestXorRelayLeafReasks(t *testing.T) {
 	p := rlnc.Params{BlockCount: 8, BlockSize: 128}
 	media := testMedia(t, 2*p.SegmentSize()-7, 32)
 	ocfg := netio.DefaultServerConfig()
 	ocfg.Seed = 4
-	ocfg.Pace, ocfg.EncodeBatch = 5*time.Millisecond, 1 // fills the relay over ~80 ms
+	ocfg.Mode = netio.ModeSystematic
 	_, ol := startOrigin(t, media, p, ocfg)
+	// A 5 ms stall every ~256 bytes read fills the relay over ~60 ms.
+	up, _ := faultnet.Dialer(faultnet.Config{Seed: 4, StallEvery: 256, Stall: 5 * time.Millisecond, MaxReadChunk: 256}, tcpDial(ol.Addr().String()))
 
 	rln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -448,8 +448,8 @@ func TestXorRelayLeafReasks(t *testing.T) {
 	defer cancel()
 	reg := obs.NewRegistry()
 	relay, err := StartRelay(ctx, RelayConfig{
-		ID: "rx", Upstream: tcpDial(ol.Addr().String()), Listener: rln,
-		Seed: 14, XorRecode: true,
+		ID: "rx", Upstream: up, Listener: rln,
+		Seed:       14,
 		ServerOpts: []netio.ServerOption{func(c *netio.ServerConfig) { c.Metrics = reg }},
 	})
 	if err != nil {
@@ -619,7 +619,7 @@ func TestRelayKeepsOneBasis(t *testing.T) {
 			var tapped obs.Counter
 			relay, err := StartRelay(ctx, RelayConfig{
 				ID: "r0", Upstream: tcpDial(ol.Addr().String()), Listener: rln, Seed: 5,
-				XorRecode: tc.mode == netio.ModeSystematic, Tapped: &tapped,
+				Tapped: &tapped,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -853,7 +853,6 @@ func TestMeshSmoke(t *testing.T) {
 		// Systematic origin + GF(2) XOR relays: the cheap-relay fast path,
 		// end to end — binary recombinations travel as compact XNC2 records.
 		OriginMode: netio.ModeSystematic,
-		XorRecode:  true,
 		Seed:       7,
 		Registry:   reg,
 		// Failure-detector thresholds sized for -race CI machines: a starved
@@ -1345,7 +1344,6 @@ func TestMeshRollingRestart(t *testing.T) {
 		Relays:     3,
 		Leaves:     0, // leaves start per wave below
 		OriginMode: netio.ModeSystematic,
-		XorRecode:  true,
 		Seed:       19,
 		Registry:   reg,
 		Heartbeat:  10 * time.Millisecond,

@@ -30,11 +30,6 @@ type RelayConfig struct {
 	// Listener is where the relay serves downstream. The relay takes
 	// ownership and closes it on Close.
 	Listener net.Listener
-	// XorRecode constrains the relay to GF(2) recombinations through the
-	// XOR kernels (rlnc.WithXorRecode) and re-declares the downstream
-	// session in ModeSystematic so binary emissions travel in the compact
-	// XNC2 encoding. Default: dense GF(2^8) recombinations in ModeDense.
-	XorRecode bool
 	// Seed drives the relay's recombination coefficient streams.
 	Seed int64
 	// FetchOpts / ServerOpts are mutations StartRelay applies, once, to the
@@ -54,7 +49,11 @@ type RelayConfig struct {
 // Relay is one recoding node: a resilient upstream fetch whose sink is a bank
 // of per-segment rlnc.Recoders, and a downstream netio source server that
 // sweeps each session the held rows of every segment the relay holds whole,
-// and otherwise sends fresh recombinations drawn from the recoders. The
+// and otherwise sends fresh recombinations drawn from the recoders. It recodes
+// in its upstream's field and re-declares the upstream's mode downstream: over
+// a ModeSystematic upstream, GF(2) recombinations through the XOR kernels
+// (rlnc.WithXorRecode), whose binary emissions travel in the compact XNC2
+// encoding; over a ModeDense one, dense GF(2^8) recombinations. The
 // recoder is the relay's one basis for a segment: each upstream record is
 // reduced and kept once, and the relay never decodes — coefficients are in
 // terms of the original source blocks, so leaves are oblivious to the hop
@@ -76,9 +75,9 @@ type Relay struct {
 	recoders []*rlnc.Recoder
 	// whole[seg] is set for good at full rank; its rows are then read without mu.
 	whole []atomic.Bool
-	// recs and rows are the downstream pump's batch — the records Records
-	// returns and their [C | x] rows — reused round after round under mu.
-	recs, rows [][]byte
+	// rows is the [C | x] rows of the downstream pump's batch, reused round
+	// after round under mu.
+	rows [][]byte
 
 	// serveCtx bounds every downstream server the relay ever starts,
 	// including post-Restart replacements.
@@ -162,25 +161,20 @@ func StartRelay(ctx context.Context, cfg RelayConfig) (*Relay, error) {
 	return r, nil
 }
 
-// onSession captures the upstream session shape on the first handshake and
-// builds the per-segment recoders. Later handshakes are reconnects of the
-// same session (the fetcher enforces header identity) and are ignored.
+// onSession captures the upstream session shape on the first handshake — the
+// relay re-declares it downstream — and builds the per-segment recoders in
+// its field. Later handshakes are reconnects of the same session (the fetcher
+// enforces header identity) and are ignored.
 func (r *Relay) onSession(si netio.SessionInfo) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.recoders != nil {
 		return
 	}
-	downstream := si
-	if r.cfg.XorRecode {
-		downstream.Mode = netio.ModeSystematic
-	} else {
-		downstream.Mode = netio.ModeDense
-	}
 	recs := make([]*rlnc.Recoder, si.Segments)
 	for i := range recs {
 		opts := []rlnc.Option{rlnc.WithSeed(r.cfg.Seed + int64(i)*7919)}
-		if r.cfg.XorRecode {
+		if si.Mode == netio.ModeSystematic {
 			opts = append(opts, rlnc.WithXorRecode())
 		}
 		rec, err := rlnc.NewRecoder(si.Params, opts...)
@@ -190,7 +184,7 @@ func (r *Relay) onSession(si netio.SessionInfo) {
 		}
 		recs[i] = rec
 	}
-	r.info = downstream
+	r.info = si
 	r.recoders = recs
 	r.whole = make([]atomic.Bool, si.Segments)
 	close(r.ready)
@@ -362,34 +356,36 @@ func (r *Relay) Close() {
 
 // relaySource adapts a Relay to netio.RecordSource: each Records call draws
 // fresh recombinations, dense or GF(2), from the segment's recoder straight
-// into the server's frames; a whole segment is swept its held rows. A segment
-// with no rank yet returns nothing and the server pump backs off briefly.
+// into the frames the server hands it; a whole segment is swept its held
+// rows. A segment with no rank yet fills nothing and the server pump backs
+// off briefly.
 type relaySource Relay
 
 func (rs *relaySource) Info() netio.SessionInfo { return (*Relay)(rs).Info() }
 
 // Sweep frames held row i of a segment at full rank, sealed in the downstream
-// mode: an XorRecode relay's binary rows travel as XNC2, as the origin's do.
-// A segment not yet whole costs one atomic load; every handshake asks.
+// mode: over a systematic upstream the binary rows travel as XNC2, as the
+// origin's do. A segment not yet whole costs one atomic load; every handshake
+// asks.
 func (rs *relaySource) Sweep(seg, i int) []byte {
 	r := (*Relay)(rs)
 	if !r.whole[seg].Load() {
 		return nil
 	}
-	row := r.recoders[seg].Row(i)
-	framed, dst := netio.LayDenseRecord(uint32(seg), r.info.Params, func(n int) []byte { return make([]byte, n) })
-	copy(dst, row)
-	return netio.SealRecord(framed, r.info.Params, r.info.Mode)
+	row, n := r.recoders[seg].Row(i), r.info.Params.BlockCount
+	// The params came from a handshake the fetcher validated.
+	rec, _ := netio.FrameRecord(&rlnc.CodedBlock{SegmentID: uint32(seg), Coeffs: row[:n], Payload: row[n:]}, r.info.Mode)
+	return rec
 }
 
-func (rs *relaySource) Records(seg, batch int, alloc func(int) []byte) [][]byte {
+func (rs *relaySource) Records(seg int, frames [][]byte) int {
 	r := (*Relay)(rs)
 	sp := stageRelayRecode.Start()
 	defer sp.End()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if seg >= len(r.recoders) || r.recoders[seg].Rank() == 0 {
-		return nil
+		return 0
 	}
 	// The recode span parents under the upstream pump round that most
 	// recently fed the recoders: the causal link tying a relay's emissions
@@ -401,25 +397,23 @@ func (rs *relaySource) Records(seg, batch int, alloc func(int) []byte) [][]byte 
 	}
 	// A record is a [C | x] row, and so is every input the recoder holds:
 	// the batch is laid out as XNC1, recoded from the held rows into the
-	// frames' by one EmitInto, then sealed — under XorRecode (ModeSystematic
-	// downstream) each binary emission narrowed to XNC2 on the way.
+	// frames' by one EmitInto, then sealed — over a systematic upstream each
+	// binary emission narrowed to XNC2 on the way.
 	p, mode := r.info.Params, r.info.Mode
-	recs, rows := r.recs[:0], r.rows[:0]
-	for range batch {
-		framed, row := netio.LayDenseRecord(uint32(seg), p, alloc)
-		recs = append(recs, framed)
-		rows = append(rows, row)
+	rows := r.rows[:0]
+	for i, frame := range frames {
+		rec, row := netio.LayDenseRecord(frame, uint32(seg), p)
+		frames[i], rows = rec, append(rows, row)
 	}
 	r.rows = rows
 	if err := r.recoders[seg].EmitInto(rows); err != nil {
-		recs = recs[:0]
+		return 0
 	}
-	for i, framed := range recs {
-		recs[i] = netio.SealRecord(framed, p, mode)
+	for i, rec := range frames {
+		frames[i] = netio.SealRecord(rec, p, mode)
 	}
-	r.recs = recs
 	if r.cfg.Emitted != nil {
-		r.cfg.Emitted.Add(int64(len(recs)))
+		r.cfg.Emitted.Add(int64(len(frames)))
 	}
-	return recs
+	return len(frames)
 }

@@ -76,8 +76,8 @@ func awaitIdle(t *testing.T, relay *Relay) {
 // whole reads exactly n × segments records — the relay's held rows, each once,
 // byte for byte as the relay frames them — and decodes byte-identical
 // with nothing recoded: the session header carries the sweep flag and the
-// ledger balances. A dense relay sweeps XNC1 rows; an XorRecode relay over a
-// systematic origin holds source blocks and sweeps them as XNC2.
+// ledger balances. A dense relay sweeps XNC1 rows; a relay over a systematic
+// origin holds source blocks and sweeps them as XNC2.
 func TestRelaySweepServesHeldRows(t *testing.T) {
 	p := rlnc.Params{BlockCount: 16, BlockSize: 256}
 	const segments = 3

@@ -283,10 +283,10 @@ func TestCreditBadNeedEndsSession(t *testing.T) {
 // again in its next batch: a grant of it carries dependent records.
 type repeatSource struct{ *counterSource }
 
-func (r repeatSource) Records(seg, batch int, alloc func(int) []byte) [][]byte {
-	recs := r.counterSource.Records(seg, batch, alloc)
-	r.next[seg] -= uint32(batch / 2)
-	return recs
+func (r repeatSource) Records(seg int, frames [][]byte) int {
+	k := r.counterSource.Records(seg, frames)
+	r.next[seg] -= uint32(k / 2)
+	return k
 }
 
 // TestDependentGrantCostsAReask: a counter session whose records repeat

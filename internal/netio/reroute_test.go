@@ -212,14 +212,12 @@ func (s *poolSource) Info() SessionInfo { return s.info }
 // Sweep: a pool of recombinations holds no segment whole.
 func (s *poolSource) Sweep(seg, i int) []byte { return nil }
 
-func (s *poolSource) Records(seg, batch int, alloc func(int) []byte) [][]byte {
-	out := make([][]byte, 0, batch)
-	for i := 0; i < batch; i++ {
-		rec := s.recs[seg][s.next[seg]%len(s.recs[seg])]
-		out = append(out, append(alloc(len(rec))[:0], rec...))
+func (s *poolSource) Records(seg int, frames [][]byte) int {
+	for i, frame := range frames {
+		frames[i] = frame[:copy(frame, s.recs[seg][s.next[seg]%len(s.recs[seg])])]
 		s.next[seg]++
 	}
-	return out
+	return len(frames)
 }
 
 // TestSourceServer: a server over an arbitrary RecordSource must drive a

@@ -58,11 +58,11 @@ func ladderArrivals(rng *rand.Rand, seg *Segment, extra, dependents int) []*Code
 // arrivals on their own.
 func sparseArrivals(t *testing.T, rng *rand.Rand, seg *Segment) []*CodedBlock {
 	t.Helper()
-	enc := NewEncoder(seg, rng, WithDensity(0.25))
+	enc := NewEncoder(seg, rng)
 	probe := newRefDecoder(seg.Params())
 	var blocks []*CodedBlock
 	for !probe.Ready() {
-		b := enc.NextBlock()
+		b := sparseBlock(enc, 0.25)
 		if _, err := probe.AddBlock(b); err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +71,7 @@ func sparseArrivals(t *testing.T, rng *rand.Rand, seg *Segment) []*CodedBlock {
 			t.Fatal("sparse stream failed to reach full rank")
 		}
 	}
-	return append(blocks, enc.NextBlock())
+	return append(blocks, sparseBlock(enc, 0.25))
 }
 
 // handoverArrivals is a stream that stays binary for its first r arrivals —

@@ -8,53 +8,25 @@ import (
 )
 
 // Encoder produces coded blocks from one source segment using independently
-// and randomly chosen coefficients (paper Sec. 3). The paper's evaluation
-// uses fully dense matrices with non-zero coefficients; a Density option
-// below 1 produces sparse vectors for the sparse-coding ablation.
+// and randomly chosen coefficients (paper Sec. 3): fully dense vectors, every
+// coefficient non-zero, as in the paper's benchmark matrices.
 type Encoder struct {
-	seg     *Segment
-	rng     *rand.Rand
-	density float64
-}
-
-// EncoderOption configures an Encoder.
-type EncoderOption func(*Encoder)
-
-// WithDensity sets the probability that each coefficient is non-zero.
-// Density 1 (the default) draws every coefficient uniformly from [1, 255],
-// matching the paper's fully dense benchmark matrices.
-func WithDensity(d float64) EncoderOption {
-	return func(e *Encoder) { e.density = d }
+	seg *Segment
+	rng *rand.Rand
 }
 
 // NewEncoder returns an encoder over seg driven by rng (which determines the
 // coefficient stream; pass a seeded source for reproducibility).
-func NewEncoder(seg *Segment, rng *rand.Rand, opts ...EncoderOption) *Encoder {
-	e := &Encoder{seg: seg, rng: rng, density: 1}
-	for _, opt := range opts {
-		opt(e)
-	}
-	return e
+func NewEncoder(seg *Segment, rng *rand.Rand) *Encoder {
+	return &Encoder{seg: seg, rng: rng}
 }
 
-// NextCoeffs draws a fresh coefficient vector.
+// NextCoeffs draws a fresh coefficient vector: DrawCoeffs over BlockCount
+// bytes.
 func (e *Encoder) NextCoeffs() []byte {
-	n := e.seg.params.BlockCount
-	coeffs := make([]byte, n)
-	for {
-		nonZero := false
-		for i := range coeffs {
-			if e.density >= 1 || e.rng.Float64() < e.density {
-				coeffs[i] = byte(1 + e.rng.Intn(255))
-				nonZero = true
-			} else {
-				coeffs[i] = 0
-			}
-		}
-		if nonZero {
-			return coeffs
-		}
-	}
+	coeffs := make([]byte, e.seg.params.BlockCount)
+	DrawCoeffs(coeffs, e.rng)
+	return coeffs
 }
 
 // NextBlock draws random coefficients and returns the corresponding coded
@@ -95,8 +67,7 @@ func EncodeInto(dst []byte, seg *Segment, coeffs []byte) {
 }
 
 // DrawCoeffs fills dst with dense coefficients from rng: each byte uniform on
-// [1, 255], one Intn draw per byte — the stream Encoder.NextCoeffs produces at
-// density 1.
+// [1, 255], one Intn draw per byte — the stream Encoder.NextCoeffs produces.
 func DrawCoeffs(dst []byte, rng *rand.Rand) {
 	for i := range dst {
 		dst[i] = byte(1 + rng.Intn(255))

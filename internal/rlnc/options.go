@@ -3,8 +3,7 @@ package rlnc
 import "math/rand"
 
 // Option configures the codec constructors that consume blocks — NewDecoder
-// and NewRecoder — mirroring the variadic EncoderOption shape NewEncoder
-// already has. Zero-option calls are unchanged, so existing code keeps
+// and NewRecoder. Zero-option calls are unchanged, so existing code keeps
 // compiling; options that do not apply to a constructor are ignored (e.g. a
 // seed on the deterministic progressive decoder).
 type Option func(*config)

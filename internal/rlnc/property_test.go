@@ -133,14 +133,14 @@ func TestDecoderRankMonotone(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		enc := NewEncoder(seg, rng, WithDensity(0.4))
+		enc := NewEncoder(seg, rng)
 		dec, err := NewDecoder(p)
 		if err != nil {
 			return false
 		}
 		prev := 0
 		for i := 0; i < 4*p.BlockCount; i++ {
-			if _, err := dec.AddBlock(enc.NextBlock()); err != nil {
+			if _, err := dec.AddBlock(sparseBlock(enc, 0.4)); err != nil {
 				return false
 			}
 			r := dec.Rank()
@@ -173,7 +173,7 @@ func TestMixedBlockKindsDecode(t *testing.T) {
 
 	se := NewSystematicEncoder(seg, rng)
 	dense := NewEncoder(seg, rng)
-	sparse := NewEncoder(seg, rng, WithDensity(0.3))
+	sparse := NewEncoder(seg, rng)
 	rec, err := NewRecoder(p)
 	if err != nil {
 		t.Fatal(err)
@@ -219,7 +219,7 @@ func TestMixedBlockKindsDecode(t *testing.T) {
 	sources := []func() (*CodedBlock, error){
 		se.NextBlock,
 		func() (*CodedBlock, error) { return dense.NextBlock(), nil },
-		func() (*CodedBlock, error) { return sparse.NextBlock(), nil },
+		func() (*CodedBlock, error) { return sparseBlock(sparse, 0.3), nil },
 		func() (*CodedBlock, error) {
 			var b CodedBlock
 			index++

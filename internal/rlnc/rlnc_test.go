@@ -394,17 +394,40 @@ func TestWireRoundTripProperty(t *testing.T) {
 	}
 }
 
+// sparseBlock draws the sparse-coding ablation's next block from enc: each
+// coefficient is non-zero with probability d, then uniform on [1, 255], and a
+// vector that came out all zero is drawn again — one Float64, and one Intn per
+// non-zero coefficient, from enc's random source — and Encoder.BlockFor codes
+// it.
+func sparseBlock(enc *Encoder, d float64) *CodedBlock {
+	coeffs := make([]byte, enc.seg.params.BlockCount)
+	for nonZero := false; !nonZero; {
+		for i := range coeffs {
+			coeffs[i] = 0
+			if enc.rng.Float64() < d {
+				coeffs[i] = byte(1 + enc.rng.Intn(255))
+				nonZero = true
+			}
+		}
+	}
+	b, err := enc.BlockFor(coeffs)
+	if err != nil {
+		panic(err) // the vector is BlockCount long
+	}
+	return b
+}
+
 func TestSparseEncoderStillDecodes(t *testing.T) {
 	p := Params{BlockCount: 16, BlockSize: 32}
 	seg := randomSegment(t, 0, p, 26)
 	rng := rand.New(rand.NewSource(27))
-	enc := NewEncoder(seg, rng, WithDensity(0.25))
+	enc := NewEncoder(seg, rng)
 	dec, err := NewDecoder(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for !dec.Ready() {
-		if _, err := dec.AddBlock(enc.NextBlock()); err != nil {
+		if _, err := dec.AddBlock(sparseBlock(enc, 0.25)); err != nil {
 			t.Fatal(err)
 		}
 		if dec.Received() > 50*p.BlockCount {
