@@ -250,7 +250,7 @@ var (
 // handshake: the coding parameters, segment count, reassembled byte length,
 // and wire mode. It is the session header as the wire carries it — a relay
 // that fetches upstream learns the SessionInfo from its fetcher's session hook
-// and re-declares the same object (possibly in a different mode) downstream.
+// and re-declares the same object, in the same mode, downstream.
 type SessionInfo struct {
 	Params   rlnc.Params
 	Segments int

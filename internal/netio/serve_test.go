@@ -576,3 +576,35 @@ func TestFanoutDifferential(t *testing.T) {
 		})
 	}
 }
+
+// TestServeEveryBlockCount serves and fetches a media-backed object at small
+// and odd block counts in both modes. Below n = 4 a dense origin's XNC3
+// counter record (a 4-byte index) is longer than an XNC1 record (n coefficient
+// bytes), so the frames the pump hands its source must fit either.
+func TestServeEveryBlockCount(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 4, 5} {
+		for _, mode := range []WireMode{ModeDense, ModeSystematic} {
+			t.Run(fmt.Sprintf("n=%d/%v", n, mode), func(t *testing.T) {
+				p := rlnc.Params{BlockCount: n, BlockSize: 64}
+				media := testMedia(t, 3*p.SegmentSize()-5, int64(60+n))
+				cfg := DefaultServerConfig()
+				cfg.Mode = mode
+				cfg.WriteDeadline = 2 * time.Second
+				srv, err := NewServerFromConfig(media, p, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				l := startPipeServer(t, srv)
+				payload, stats, err := Fetch(context.Background(), l.Dial())
+				if err != nil {
+					t.Fatalf("fetch: %v (stats %+v)", err, stats)
+				}
+				if !bytes.Equal(payload, media) {
+					t.Fatal("payload differs")
+				}
+				srv.Shutdown()
+				checkAccounting(t, srv.Snapshot())
+			})
+		}
+	}
+}
