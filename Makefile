@@ -187,7 +187,10 @@ load-smoke:
 # chaos mesh run (origin → relays → leaves with faultnet corruption/resets,
 # a slow-reader wave, and a leaf whose damaged sweep makes it ask its relay
 # for recodes), then `nc mesh -trace` reassembles the flight-recorder
-# dump into per-generation latency breakdowns. The run fails unless every
+# dump into per-generation latency breakdowns. Spans link across tiers
+# through the trace context in each session header alone — no record carries
+# a trace byte, so leaf absorbs and relay recodes parent under their
+# upstream's root span. The run fails unless every
 # span parents cleanly (zero orphans), the encode/absorb/recode stages all
 # appear, at least one histogram exemplar links back to a recorded trace,
 # the flight ring holds admission + reconnect events, the

@@ -134,7 +134,7 @@ func runServe(args []string, out io.Writer) error {
 		}
 	}()
 
-	stopMetrics, err := c.serveMetrics(reg, func() map[string]any { return snapshotJSON(srv.Snapshot()) }, out)
+	stopMetrics, err := c.serveMetrics(reg, func() map[string]any { return map[string]any{"server": srv.Snapshot()} }, out)
 	if err != nil {
 		return err
 	}
@@ -161,38 +161,6 @@ func runServe(args []string, out io.Writer) error {
 		return nil
 	}
 	return err
-}
-
-// snapshotJSON flattens a netio.Snapshot for stable JSON field names; it is
-// merged into the /metrics.json document alongside the registry metrics.
-func snapshotJSON(s netio.Snapshot) map[string]any {
-	per := make([]map[string]any, 0, len(s.PerSession))
-	for _, ss := range s.PerSession {
-		per = append(per, map[string]any{
-			"id": ss.ID, "addr": ss.Addr,
-			"queue_len": ss.QueueLen, "queue_cap": ss.QueueCap,
-			"offered": ss.Offered, "sent": ss.Sent, "shed": ss.Shed,
-			"bytes": ss.Bytes, "duration_s": ss.Duration.Seconds(),
-		})
-	}
-	return map[string]any{
-		"version":           s.Version,
-		"mode":              s.Mode.String(),
-		"sessions":          s.Sessions,
-		"sessions_total":    s.SessionsTotal,
-		"sessions_rejected": s.SessionsRejected,
-		"session_seconds":   s.SessionSeconds,
-		"admission_busy":    s.AdmissionBusy,
-		"draining":          s.Draining,
-		"blocks_encoded":    s.BlocksEncoded,
-		"blocks_offered":    s.BlocksOffered,
-		"blocks_sent":       s.BlocksSent,
-		"blocks_shed":       s.BlocksShed,
-		"bytes_sent":        s.BytesSent,
-		"encode_stall_s":    s.EncodeStall.Seconds(),
-		"max_stall_s":       s.MaxEncodeStall.Seconds(),
-		"per_session":       per,
-	}
 }
 
 func runFetch(args []string, out io.Writer) error {

@@ -99,7 +99,7 @@ func (c *common) bringUp(g smokeGate, out io.Writer) error {
 	}
 	defer e.stop()
 	bound, stopMetrics, err := harness.ServeMetrics("127.0.0.1:0", reg, func() map[string]any {
-		return snapshotJSON(srv.Snapshot())
+		return map[string]any{"server": srv.Snapshot()}
 	})
 	if err != nil {
 		return err

@@ -159,8 +159,6 @@ type Mesh struct {
 	upCtr, downCtr *faultnet.Counters
 	upSeq, downSeq atomic.Int64
 
-	tapped          obs.Counter
-	emitted         obs.Counter
 	leafCompletions obs.Counter
 	rankRegressions obs.Counter
 
@@ -204,10 +202,10 @@ func New(topo Topology) (*Mesh, error) {
 	if reg := topo.Registry; reg != nil {
 		for _, err := range []error{
 			m.ctl.Instrument(reg),
-			reg.RegisterCounter("mesh.records_tapped_total",
-				"upstream records absorbed into relay recoders", &m.tapped),
-			reg.RegisterCounter("mesh.blocks_recoded_total",
-				"recoded blocks emitted by relays", &m.emitted),
+			reg.RegisterFunc("mesh.records_tapped_total",
+				"upstream records absorbed into relay recoders", func() float64 { return float64(m.tapped()) }),
+			reg.RegisterFunc("mesh.blocks_recoded_total",
+				"recoded blocks emitted by relays", func() float64 { return float64(m.emitted()) }),
 			reg.RegisterCounter("mesh.leaf_completions_total",
 				"leaf fetches finished", &m.leafCompletions),
 			reg.RegisterCounter("mesh.rank_regressions_total",
@@ -294,8 +292,6 @@ func (m *Mesh) Start(ctx context.Context) error {
 				c.Seed = m.topo.Seed + int64(i)
 			}},
 			ServerOpts: srvOpts,
-			Tapped:     &m.tapped,
-			Emitted:    &m.emitted,
 		})
 		if err != nil {
 			rln.Close()
@@ -577,8 +573,11 @@ type MeshSnapshot struct {
 	Members      []MemberView   `json:"members"`
 	Leaves       []LeafView     `json:"leaves"`
 	Remediations int64          `json:"remediations"`
-	Tapped       int64          `json:"records_tapped"`
-	Emitted      int64          `json:"blocks_recoded"`
+	// Tapped is the upstream records the relays absorbed: their fetches'
+	// records, less the corrupt, malformed and out-of-range ones. Emitted is
+	// the blocks they recoded, their servers' BlocksEncoded across restarts.
+	Tapped  int64 `json:"records_tapped"`
+	Emitted int64 `json:"blocks_recoded"`
 }
 
 // Snapshot copies the mesh state.
@@ -587,8 +586,8 @@ func (m *Mesh) Snapshot() MeshSnapshot {
 		Origin:       m.origin.Snapshot(),
 		Members:      m.ctl.Snapshot(),
 		Remediations: m.ctl.Remediations(),
-		Tapped:       m.tapped.Load(),
-		Emitted:      m.emitted.Load(),
+		Tapped:       m.tapped(),
+		Emitted:      m.emitted(),
 	}
 	routes := m.ctl.Routes()
 	for _, leaf := range m.Leaves() {
@@ -610,6 +609,19 @@ func (m *Mesh) Snapshot() MeshSnapshot {
 		snap.Leaves = append(snap.Leaves, lv)
 	}
 	return snap
+}
+
+// tapped sums the upstream records absorbed into relay recoders, and emitted
+// the blocks relays recoded, across their restarts.
+func (m *Mesh) tapped() int64  { return m.relaySum((*Relay).tapped) }
+func (m *Mesh) emitted() int64 { return m.relaySum((*Relay).recoded) }
+
+func (m *Mesh) relaySum(count func(*Relay) int64) int64 {
+	var n int64
+	for _, r := range m.relays {
+		n += count(r)
+	}
+	return n
 }
 
 // Close tears the whole mesh down. Idempotent.

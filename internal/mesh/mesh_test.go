@@ -11,6 +11,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -429,7 +430,10 @@ func TestRelayXorRecode(t *testing.T) {
 // still fills over a slow link from a systematic origin is granted GF(2)
 // recombinations of a partial basis — dependent records — and asks again for
 // what it lacks until it decodes byte-identical: each shortfall costs a round
-// trip, never a hang.
+// trip, never a hang. An ask answered only with dependent records holds the
+// next one back on the backoff schedule, so the leaf waits for the relay to
+// fill instead of spinning: it writes a handful of need records, not one per
+// few records read (over a thousand in ~50 ms before the hold).
 func TestXorRelayLeafReasks(t *testing.T) {
 	p := rlnc.Params{BlockCount: 8, BlockSize: 128}
 	media := testMedia(t, 2*p.SegmentSize()-7, 32)
@@ -471,6 +475,9 @@ func TestXorRelayLeafReasks(t *testing.T) {
 	asks, _ := reg.CounterValue("netio.need_records")
 	if res.Stats.Dependent == 0 || asks == 0 {
 		t.Fatalf("dependent %d, need records %d: the leaf never asked again", res.Stats.Dependent, asks)
+	}
+	if asks > 100 {
+		t.Fatalf("%d need records over %d records (%d dependent): the leaf spins on a filling relay", asks, res.Stats.Records, res.Stats.Dependent)
 	}
 	t.Logf("%d records, %d dependent, %d need records", res.Stats.Records, res.Stats.Dependent, asks)
 }
@@ -530,8 +537,8 @@ func hopRecords(t *testing.T, wire []byte) (flags uint32, magics map[string]int)
 // The origin→relay hop is a counter session — the flag set and every record
 // an XNC3 counter record, absorbed by the relay's recoders — and the
 // relay→leaf hop, dialed once the relay holds every segment whole, is a
-// dense sweep session of XNC1 records: the relay's held rows, framed with
-// their coefficients. The leaf decodes byte for byte.
+// dense session, no flag set, of XNC1 records: the relay's held rows, framed
+// with their coefficients. The leaf decodes byte for byte.
 func TestRelayHopsCarryTheirRecords(t *testing.T) {
 	p := rlnc.Params{BlockCount: 8, BlockSize: 128}
 	media := testMedia(t, 3*p.SegmentSize()-11, 21)
@@ -571,7 +578,7 @@ func TestRelayHopsCarryTheirRecords(t *testing.T) {
 		taps  []*tapConn
 		flag  uint32
 		magic string
-	}{{"origin→relay", up, 1 << 2, "XNC3"}, {"relay→leaf", down, hsFlagSweep, "XNC1"}} {
+	}{{"origin→relay", up, 1 << 2, "XNC3"}, {"relay→leaf", down, 0, "XNC1"}} {
 		if len(hop.taps) == 0 {
 			t.Fatalf("%s: no connection was tapped", hop.name)
 		}
@@ -587,6 +594,107 @@ func TestRelayHopsCarryTheirRecords(t *testing.T) {
 	}
 	if st := relay.fetched.Stats; st.Corrupt+st.Malformed+st.BadSegment != 0 {
 		t.Fatalf("the relay rejected upstream records: %+v", st)
+	}
+}
+
+// TestTracingWritesNoRecordByte: tracing rides the session header alone. A
+// traced and an untraced server over the same media, params, mode and seed
+// write the same bytes after their headers — a dense counter session's first
+// grant, a systematic sweep, and one hop on, a relay's sweep of the rows it
+// holds — and RawClient.Next reports the same wire size for every record.
+// The traced header is longer by exactly its two trace-context TLV fields.
+func TestTracingWritesNoRecordByte(t *testing.T) {
+	trace.Enable(1 << 14)
+	defer trace.Disable()
+	p := rlnc.Params{BlockCount: 8, BlockSize: 128}
+	const segments = 2
+	n := p.BlockCount
+	media := testMedia(t, segments*p.SegmentSize()-5, 51)
+	// session reads records records from addr through a RawClient and returns
+	// the header's length, the bytes the records took after it, and the wire
+	// size Next reported for each.
+	session := func(t *testing.T, addr string, records int) (header int, wire []byte, sizes []int) {
+		t.Helper()
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc := &tapConn{Conn: conn}
+		rc, err := netio.NewRawClient(tc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total := 0
+		for range records {
+			size, err := rc.Next()
+			if err != nil {
+				t.Fatalf("record %d of %d: %v", len(sizes), records, err)
+			}
+			sizes = append(sizes, size)
+			total += size
+		}
+		rc.Close()
+		tc.mu.Lock()
+		defer tc.mu.Unlock()
+		header = 8 + int(binary.BigEndian.Uint32(tc.buf[4:])) + 4
+		return header, tc.buf[header : header+total], sizes
+	}
+	for _, tc := range []struct {
+		name    string
+		mode    netio.WireMode
+		relay   bool
+		records int
+	}{
+		{"dense", netio.ModeDense, false, segments * (n + 2)},
+		{"systematic", netio.ModeSystematic, false, segments * n},
+		{"relay", netio.ModeDense, true, segments * n},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var headers []int
+			var wires [][]byte
+			var sizes [][]int
+			for _, node := range []string{"", "origin"} {
+				cfg := netio.DefaultServerConfig()
+				cfg.Seed, cfg.Mode, cfg.TraceNode = 7, tc.mode, node
+				_, ol := startOrigin(t, media, p, cfg)
+				addr := ol.Addr().String()
+				if tc.relay {
+					rln, err := net.Listen("tcp", "127.0.0.1:0")
+					if err != nil {
+						t.Fatal(err)
+					}
+					ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+					defer cancel()
+					relay, err := StartRelay(ctx, RelayConfig{ID: "r0", Upstream: tcpDial(addr), Listener: rln, Seed: 9})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer relay.Close()
+					for relay.TotalRank() < segments*n {
+						if ctx.Err() != nil {
+							t.Fatalf("relay stuck at rank %d", relay.TotalRank())
+						}
+						time.Sleep(time.Millisecond)
+					}
+					if _, _, traced := relay.upFetch.TraceContext(); traced != (node != "") {
+						t.Fatalf("relay over origin %q: traced upstream %v", node, traced)
+					}
+					addr = relay.Addr()
+				}
+				header, wire, size := session(t, addr, tc.records)
+				headers, wires, sizes = append(headers, header), append(wires, wire), append(sizes, size)
+			}
+			if headers[1]-headers[0] != 2*(2+8) {
+				t.Fatalf("header %d bytes traced, %d untraced: want the two 10-byte trace TLVs apart", headers[1], headers[0])
+			}
+			if !slices.Equal(sizes[0], sizes[1]) {
+				t.Fatalf("RawClient wire sizes differ: untraced %v, traced %v", sizes[0], sizes[1])
+			}
+			if !bytes.Equal(wires[0], wires[1]) {
+				t.Fatalf("the %d records after the header differ between untraced and traced servers", tc.records)
+			}
+			t.Logf("%d records, %d bytes after headers of %d and %d bytes", tc.records, len(wires[0]), headers[0], headers[1])
+		})
 	}
 }
 
@@ -616,10 +724,8 @@ func TestRelayKeepsOneBasis(t *testing.T) {
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 			defer cancel()
-			var tapped obs.Counter
 			relay, err := StartRelay(ctx, RelayConfig{
 				ID: "r0", Upstream: tcpDial(ol.Addr().String()), Listener: rln, Seed: 5,
-				Tapped: &tapped,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -649,8 +755,8 @@ func TestRelayKeepsOneBasis(t *testing.T) {
 			}
 			st := res.Stats
 			valid := int64(st.Records - st.Corrupt - st.Malformed - st.BadSegment)
-			if got := count("mesh.relay_absorb"); got != valid || tapped.Load() != valid || valid < segments*int64(p.BlockCount) {
-				t.Fatalf("mesh.relay_absorb %d samples, %d tapped, for %d valid upstream records", got, tapped.Load(), valid)
+			if got := count("mesh.relay_absorb"); got != valid || relay.tapped() != valid || valid < segments*int64(p.BlockCount) {
+				t.Fatalf("mesh.relay_absorb %d samples, %d tapped, for %d valid upstream records", got, relay.tapped(), valid)
 			}
 		})
 	}
@@ -1360,13 +1466,16 @@ func TestMeshRollingRestart(t *testing.T) {
 		},
 		// Reset-heavy downstream chaos: every leaf connection dies within
 		// ~8KB — well short of the ~20KB object — so every leaf reconnects
-		// repeatedly and a moved leaf soon dials its new relay.
+		// repeatedly and a moved leaf soon dials its new relay. A 20 ms stall
+		// every ~1KB a leaf reads holds each wave mid-transfer for hundreds of
+		// milliseconds: warm relays sweep, and a sweep is not paced, so
+		// without it a wave can finish before RestartRelay moves it.
 		DownstreamFaults: &faultnet.Config{
 			Seed: 43, CorruptEvery: 9000, ResetEvery: 4000, MaxReadChunk: 2048,
+			StallEvery: 1024, Stall: 20 * time.Millisecond,
 		},
-		// Paced relay serving keeps each wave in flight long enough to drain
-		// a relay mid-transfer; the retry-after hint exercises the
-		// RelayServerOpts plumbing end to end.
+		// Paced relay serving paces what relays recode; the retry-after hint
+		// exercises the RelayServerOpts plumbing end to end.
 		RelayServerOpts: func(relay int) []netio.ServerOption {
 			return []netio.ServerOption{func(c *netio.ServerConfig) {
 				c.Pace = 3 * time.Millisecond

@@ -41,9 +41,6 @@ type RelayConfig struct {
 	// are only read.
 	FetchOpts  []netio.FetcherOption
 	ServerOpts []netio.ServerOption
-	// Tapped / Emitted, when non-nil, accumulate structurally valid upstream
-	// records and downstream blocks recoded — shared mesh-wide counters.
-	Tapped, Emitted *obs.Counter
 }
 
 // Relay is one recoding node: a resilient upstream fetch whose sink is a bank
@@ -212,9 +209,6 @@ func (rb *relayBank) Absorb(b *rlnc.CodedBlock) (bool, error) {
 	}
 	r.mu.Unlock()
 	sp.End()
-	if r.cfg.Tapped != nil {
-		r.cfg.Tapped.Inc()
-	}
 	return innovative, err
 }
 
@@ -338,6 +332,16 @@ func (r *Relay) Ledger() netio.CounterView {
 	return retired.Add(srv.Snapshot().CounterView)
 }
 
+// tapped counts the upstream records that reached the recoders: every one the
+// fetch read whole and found well formed, for a segment in range.
+func (r *Relay) tapped() int64 {
+	st := r.upFetch.Stats()
+	return int64(st.Records - st.Corrupt - st.Malformed - st.BadSegment)
+}
+
+// recoded counts the blocks the relay recoded across its restarts.
+func (r *Relay) recoded() int64 { return r.Ledger().BlocksEncoded }
+
 // Close tears the relay down: upstream fetch cancelled, downstream server
 // shut down, listener closed. Idempotent.
 func (r *Relay) Close() {
@@ -387,12 +391,12 @@ func (rs *relaySource) Records(seg int, frames [][]byte) int {
 	if seg >= len(r.recoders) || r.recoders[seg].Rank() == 0 {
 		return 0
 	}
-	// The recode span parents under the upstream pump round that most
-	// recently fed the recoders: the causal link tying a relay's emissions
-	// back to origin encode work across the tier boundary. Dry polls above
-	// never open a span, so an idle relay does not flood the ring.
-	if tr, _, ok := r.upFetch.TraceContext(); ok {
-		tsp := trace.Begin(r.id, "recode", tr, r.upFetch.LastRoundSpan(), int32(seg))
+	// The recode span parents under the upstream server's root span, as the
+	// relay's absorb spans do, and counts toward the generation (trace,
+	// segment) across the tier boundary. Dry polls above never open a span,
+	// so an idle relay does not flood the ring.
+	if tr, root, ok := r.upFetch.TraceContext(); ok {
+		tsp := trace.Begin(r.id, "recode", tr, root, int32(seg))
 		defer tsp.End()
 	}
 	// A record is a [C | x] row, and so is every input the recoder holds:
@@ -411,9 +415,6 @@ func (rs *relaySource) Records(seg int, frames [][]byte) int {
 	}
 	for i, rec := range frames {
 		frames[i] = netio.SealRecord(rec, p, mode)
-	}
-	if r.cfg.Emitted != nil {
-		r.cfg.Emitted.Add(int64(len(frames)))
 	}
 	return len(frames)
 }

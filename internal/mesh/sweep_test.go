@@ -16,12 +16,8 @@ import (
 	"time"
 
 	"extremenc/internal/netio"
-	"extremenc/internal/obs"
 	"extremenc/internal/rlnc"
 )
-
-// hsFlagSweep is netio's session flag for a session that opens with a sweep.
-const hsFlagSweep = 1 << 1
 
 // readSession reads a session header and then count records off conn, each
 // with its length prefix, and returns the header's flags word and the records.
@@ -75,7 +71,7 @@ func awaitIdle(t *testing.T, relay *Relay) {
 // TestRelaySweepServesHeldRows: a fresh leaf on a relay holding every segment
 // whole reads exactly n × segments records — the relay's held rows, each once,
 // byte for byte as the relay frames them — and decodes byte-identical
-// with nothing recoded: the session header carries the sweep flag and the
+// with nothing recoded: the header sets no flag, nothing is encoded and the
 // ledger balances. A dense relay sweeps XNC1 rows; a relay over a systematic
 // origin holds source blocks and sweeps them as XNC2.
 func TestRelaySweepServesHeldRows(t *testing.T) {
@@ -88,8 +84,7 @@ func TestRelaySweepServesHeldRows(t *testing.T) {
 		magic string
 	}{{"dense", false, "XNC1"}, {"xor", true, "XNC2"}} {
 		t.Run(tc.name, func(t *testing.T) {
-			var emitted obs.Counter
-			relay := warmRelay(t, p, segments, tc.xor, func(c *RelayConfig) { c.Emitted = &emitted })
+			relay := warmRelay(t, p, segments, tc.xor)
 			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 			defer cancel()
 			var mu sync.Mutex
@@ -115,8 +110,8 @@ func TestRelaySweepServesHeldRows(t *testing.T) {
 			wire := taps[0].buf
 			taps[0].mu.Unlock()
 			flags, magics := hopRecords(t, wire)
-			if flags != hsFlagSweep || magics[tc.magic] != total || len(magics) != 1 {
-				t.Fatalf("flags %#x and records %v, want flags %#x and %d %s records", flags, magics, hsFlagSweep, total, tc.magic)
+			if flags != 0 || magics[tc.magic] != total || len(magics) != 1 {
+				t.Fatalf("flags %#x and records %v, want no flag and %d %s records", flags, magics, total, tc.magic)
 			}
 			for rest := wire[8+binary.BigEndian.Uint32(wire[4:])+4:]; len(rest) > 0; {
 				rec := rest[:4+binary.BigEndian.Uint32(rest)]
@@ -128,8 +123,8 @@ func TestRelaySweepServesHeldRows(t *testing.T) {
 			}
 			awaitIdle(t, relay)
 			ledger := relay.Ledger()
-			if emitted.Load() != 0 || !ledger.Consistent() || ledger.BlocksSent != int64(total) || ledger.BlocksEncoded != 0 {
-				t.Fatalf("emitted %d, ledger %+v: want 0 recoded, %d sent and none encoded", emitted.Load(), ledger, total)
+			if !ledger.Consistent() || ledger.BlocksSent != int64(total) || ledger.BlocksEncoded != 0 {
+				t.Fatalf("ledger %+v: want %d sent and none encoded", ledger, total)
 			}
 		})
 	}
@@ -138,7 +133,7 @@ func TestRelaySweepServesHeldRows(t *testing.T) {
 // partialRelay is a relay over one dense recoder per segment, each filled to
 // ranks[seg] with blocks of media, serving on a loopback listener; it has no
 // upstream.
-func partialRelay(t *testing.T, p rlnc.Params, media []byte, ranks []int, emitted *obs.Counter) *Relay {
+func partialRelay(t *testing.T, p rlnc.Params, media []byte, ranks []int) *Relay {
 	t.Helper()
 	obj, err := rlnc.Split(media, p)
 	if err != nil {
@@ -149,7 +144,6 @@ func partialRelay(t *testing.T, p rlnc.Params, media []byte, ranks []int, emitte
 		t.Fatal(err)
 	}
 	r := &Relay{
-		cfg:     RelayConfig{Emitted: emitted},
 		info:    netio.SessionInfo{Params: p, Segments: len(ranks), Length: int64(len(media)), Mode: netio.ModeDense},
 		upFetch: up,
 		whole:   make([]atomic.Bool, len(ranks)),
@@ -189,14 +183,13 @@ func partialRelay(t *testing.T, p rlnc.Params, media []byte, ranks []int, emitte
 // TestRelaySweepPartialSegments: a relay whole in segments 0 and 2 and at half
 // rank in segment 1 sweeps only the whole ones — their held rows, before
 // anything else — and pushes a default grant of recodes, n + 2, for the
-// partial one, and then nothing. Every recode is counted as emitted and
-// encoded; no swept record is.
+// partial one, and then nothing. Every recode is counted as encoded; no swept
+// record is.
 func TestRelaySweepPartialSegments(t *testing.T) {
 	p := rlnc.Params{BlockCount: 16, BlockSize: 128}
 	n := p.BlockCount
 	media := testMedia(t, 3*p.SegmentSize(), 44)
-	var emitted obs.Counter
-	relay := partialRelay(t, p, media, []int{n, n / 2, n}, &emitted)
+	relay := partialRelay(t, p, media, []int{n, n / 2, n})
 	conn, err := net.Dial("tcp", relay.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -204,8 +197,8 @@ func TestRelaySweepPartialSegments(t *testing.T) {
 	defer conn.Close()
 	swept, grant := 2*n, n+2
 	flags, recs := readSession(t, conn, swept+grant)
-	if flags != hsFlagSweep {
-		t.Fatalf("flags %#x, want the sweep flag", flags)
+	if flags != 0 {
+		t.Fatalf("flags %#x, want none", flags)
 	}
 	table := map[string]bool{}
 	for _, seg := range []int{0, 2} {
@@ -235,8 +228,8 @@ func TestRelaySweepPartialSegments(t *testing.T) {
 	conn.Close()
 	awaitIdle(t, relay)
 	ledger := relay.Ledger()
-	if emitted.Load() != int64(grant) || !ledger.Consistent() || ledger.BlocksEncoded != int64(grant) || ledger.BlocksSent != int64(swept+grant) {
-		t.Fatalf("emitted %d, ledger %+v: want %d recoded and encoded, %d sent", emitted.Load(), ledger, grant, swept+grant)
+	if !ledger.Consistent() || ledger.BlocksEncoded != int64(grant) || ledger.BlocksSent != int64(swept+grant) {
+		t.Fatalf("ledger %+v: want %d recoded and encoded, %d sent", ledger, grant, swept+grant)
 	}
 }
 

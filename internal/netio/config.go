@@ -94,9 +94,10 @@ type ServerConfig struct {
 	Metrics *obs.Registry
 	// TraceNode, when non-empty, labels this server's spans and flight
 	// events and — if the process-global trace recorder is enabled at
-	// construction — turns on trace propagation: the handshake negotiates
-	// hsFlagTrace, the session header declares the transfer's trace
-	// context, and every record carries its pump round's span ID.
+	// construction — turns on trace propagation: every session header
+	// declares the transfer's trace context (TLV types 1 and 2), under whose
+	// root span the client parents its own spans. The records after the
+	// header are the bytes an untraced server writes.
 	TraceNode string
 	// TraceID is the transfer trace to join (0 → mint a fresh one). A relay
 	// sets this to its upstream's trace so spans link across tiers.
@@ -178,7 +179,9 @@ type FetcherConfig struct {
 	// BackoffMax (0 → 2s), and is then jittered by half of itself either way
 	// (still capped at BackoffMax), so a fleet of clients that lost the same
 	// server does not reconnect in lockstep. The schedule resets after any
-	// session that delivered records.
+	// session that delivered records. The same schedule spaces a session's
+	// need records while their grants raise no rank (see Fetcher), and
+	// resets once one does.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
 	// Seed fixes the jitter's random source for reproducible schedules
@@ -217,8 +220,8 @@ type FetcherConfig struct {
 	// dropped (the typed stats still work).
 	Metrics *obs.Registry
 	// TraceNode labels this fetcher's spans and flight events ("" → the
-	// generic "fetch"). Spans are emitted only on sessions whose handshake
-	// negotiated tracing and while the trace recorder is enabled.
+	// generic "fetch"). Spans are emitted only on sessions whose header
+	// declares a trace context and while the trace recorder is enabled.
 	TraceNode string
 }
 

@@ -13,8 +13,8 @@ import (
 //
 //	magic[4] | u32 body length | body | u32 CRC-32 (IEEE) over everything before it
 //
-// Coded blocks (XNC1/XNC2, package rlnc) and the traced round prelude are not
-// control records; DESIGN.md §23 tabulates every record on the wire.
+// Coded blocks (XNC1/XNC2/XNC3, package rlnc) are not control records;
+// DESIGN.md §23 tabulates every record on the wire.
 const controlOverhead = 4 + 4 + 4
 
 // appendControl appends one control record carrying body to dst.

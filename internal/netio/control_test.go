@@ -109,7 +109,7 @@ func TestControlRecords(t *testing.T) {
 	hdr := SessionInfo{Params: p, Segments: 1, Length: 100}
 	plain := appendSessionHeader(nil, handshake{hdr: hdr})
 	tc := traceContext{trace: 0xDEADBEEFCAFE, root: 42}
-	traced := appendSessionHeader(nil, handshake{hdr: hdr, flags: hsFlagTrace, tctx: tc})
+	traced := appendSessionHeader(nil, handshake{hdr: hdr, tctx: tc})
 	counter := appendSessionHeader(nil, handshake{hdr: hdr, flags: hsFlagCounter, key: 0xC0FFEE})
 	tlv := func(fields ...byte) []byte {
 		return rebody(plain, func(b []byte) []byte { return append(b, fields...) })
@@ -136,7 +136,7 @@ func TestControlRecords(t *testing.T) {
 		err  error // or the error class it refused with
 	}{
 		{"plain header", plain, handshake{hdr: hdr}, nil},
-		{"traced header", traced, handshake{hdr: hdr, flags: hsFlagTrace, tctx: tc}, nil},
+		{"traced header", traced, handshake{hdr: hdr, tctx: tc}, nil},
 		{"unknown TLVs are skipped", tlv(
 			9, 3, 0xAA, 0xBB, 0xCC,
 			tlvTrace, 8, 0, 0, 0, 0, 0, 0, 0, 7,

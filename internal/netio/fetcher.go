@@ -10,6 +10,7 @@ import (
 	"maps"
 	"math/rand"
 	"net"
+	"os"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -187,14 +188,16 @@ type Fetcher struct {
 	// failed attempt's span is simply dropped when the next one starts.
 	reconnSpan obs.Span
 
-	// Inherited trace context from the server's session header, and the round
-	// span named by the latest record prelude. Atomics: the fetch loop is
-	// single-goroutine, but a relay's serving side reads these concurrently
-	// (TraceContext, LastRoundSpan) to parent its own spans.
-	trOK      atomic.Bool
-	trTrace   atomic.Uint64
-	trRoot    atomic.Uint64
-	lastRound atomic.Uint64
+	// rank is the sum of every segment's rank in the sink, kept as records
+	// are absorbed: what a barren ask is measured against.
+	rank int
+
+	// Inherited trace context from the server's session header. Atomics: the
+	// fetch loop is single-goroutine, but a relay's serving side reads these
+	// concurrently (TraceContext) to parent its own spans.
+	trOK    atomic.Bool
+	trTrace atomic.Uint64
+	trRoot  atomic.Uint64
 }
 
 // traceNode labels this fetcher's spans and flight events.
@@ -213,12 +216,6 @@ func (f *Fetcher) TraceContext() (trace.TraceID, trace.SpanID, bool) {
 		return 0, 0, false
 	}
 	return trace.TraceID(f.trTrace.Load()), trace.SpanID(f.trRoot.Load()), true
-}
-
-// LastRoundSpan returns the upstream pump-round span named by the most recent
-// record prelude (0 before any traced record). Safe for concurrent use.
-func (f *Fetcher) LastRoundSpan() trace.SpanID {
-	return trace.SpanID(f.lastRound.Load())
 }
 
 // fetcherMetrics is the fetch ledger as registry-attachable counters: the
@@ -518,6 +515,7 @@ func (f *Fetcher) session(ctx context.Context, conn net.Conn) (done, fatal bool,
 			f.sink = f.leaf
 		}
 		for _, r := range f.Ranks() {
+			f.rank += r
 			if r == h.Params.BlockCount {
 				f.ready++
 			}
@@ -533,11 +531,10 @@ func (f *Fetcher) session(ctx context.Context, conn net.Conn) (done, fatal bool,
 		f.reconnSpan = obs.Span{}
 		trace.Emit(trace.KindReconnect, f.traceNode(), "resumed", -1, int64(f.totalRank()))
 	}
-	var tr trace.TraceID
-	if cs.traced && cs.hs.tctx != (traceContext{}) {
-		tr = cs.hs.tctx.trace
-		f.trTrace.Store(uint64(cs.hs.tctx.trace))
-		f.trRoot.Store(uint64(cs.hs.tctx.root))
+	tctx := cs.hs.tctx
+	if tctx != (traceContext{}) {
+		f.trTrace.Store(uint64(tctx.trace))
+		f.trRoot.Store(uint64(tctx.root))
 		f.trOK.Store(true)
 	}
 	if f.cfg.SessionHook != nil {
@@ -557,14 +554,56 @@ func (f *Fetcher) session(ctx context.Context, conn net.Conn) (done, fatal bool,
 	// arrived damaged, dependent, or repeating what earlier sessions brought)
 	// asks again for its deficits. The grant covers at least the ask, so the
 	// count always runs out or the fetch completes.
+	//
+	// An ask whose records raised no rank — a relay still filling recodes a
+	// basis the fetch already spans — is barren, and the next one is held back
+	// for the backoff schedule's next delay, longer while they stay barren:
+	// the fetch reads on meanwhile, under a read deadline at which it asks,
+	// and asks at once if a record it reads raises rank after all. So fetch
+	// and server do not spin on dependent records, and records already on
+	// their way are never waited for.
 	var blk rlnc.CodedBlock
+	askedAt, barren := f.rank, 0
+	held, wait := false, obs.Span{} // an ask is held back, and its wait
+	ask := func() error {
+		askedAt = f.rank
+		if err := cs.ask(f.need()); err != nil {
+			return fmt.Errorf("%w: need record: %v", ErrStreamTruncated, err)
+		}
+		return nil
+	}
+	unhold := func() error {
+		held = false
+		wait.End()
+		return readBy(ctx, conn, time.Time{})
+	}
 	for f.remaining() > 0 {
-		if cs.spent() {
-			if err := cs.ask(f.need()); err != nil {
-				return false, false, fmt.Errorf("%w: need record: %v", ErrStreamTruncated, err)
+		if cs.spent() && !held {
+			if f.rank == askedAt {
+				barren++
+				held, wait = true, stageFetchBackoff.Start()
+				d := backoffDelay(barren, f.cfg.BackoffBase, f.cfg.BackoffMax, backoffJitter, f.rng)
+				if err := readBy(ctx, conn, time.Now().Add(d)); err != nil {
+					return false, false, err
+				}
+			} else {
+				barren = 0
+				if err := ask(); err != nil {
+					return false, false, err
+				}
 			}
 		}
 		rec, wire, err := cs.next()
+		if err != nil && held && errors.Is(err, os.ErrDeadlineExceeded) && ctx.Err() == nil {
+			// Nothing raised rank before the deadline: ask now.
+			if err := unhold(); err != nil {
+				return false, false, err
+			}
+			if err := ask(); err != nil {
+				return false, false, err
+			}
+			continue
+		}
 		if err != nil {
 			if cs.lost {
 				f.stats.framingResyncs.Inc()
@@ -572,23 +611,36 @@ func (f *Fetcher) session(ctx context.Context, conn net.Conn) (done, fatal bool,
 			f.stats.bytesDiscarded.Add(int64(wire))
 			return false, false, err
 		}
-		if cs.traced {
-			f.lastRound.Store(uint64(cs.round))
-		}
 		f.stats.records.Inc()
 		f.stats.bytes.Add(int64(wire))
 		asp := stageFetchDecode.Start()
-		err = f.absorb(&blk, rec, format, tr, cs.round)
-		if cs.traced {
-			asp.EndTraced(uint64(tr), uint64(cs.round))
+		err = f.absorb(&blk, rec, format, tctx)
+		if tctx.trace != 0 {
+			asp.EndTraced(uint64(tctx.trace), uint64(tctx.root))
 		} else {
 			asp.End()
 		}
 		if err != nil {
 			return false, true, err
 		}
+		if held && f.rank > askedAt {
+			// The last ask's records raised rank after all: the next ask
+			// need not wait.
+			barren = 0
+			if err := unhold(); err != nil {
+				return false, false, err
+			}
+		}
 	}
 	return true, false, nil
+}
+
+// readBy sets conn's read deadline to t (zero: none) and returns ctx's error:
+// a cancelled ctx has moved the deadline into the past, and one set after
+// that must not leave a read blocked.
+func readBy(ctx context.Context, conn net.Conn, t time.Time) error {
+	conn.SetReadDeadline(t)
+	return ctx.Err()
 }
 
 // need lays out the need record carrying every segment's rank deficit and
@@ -612,10 +664,10 @@ func (f *Fetcher) need() ([]byte, int) {
 // wrong shape for the session — a server bug, not line noise), BadSegment
 // (checksummed but an out-of-range segment ID — rejected before it can reach
 // the sink). Only a sink failure is an error. The record tap runs last, on every record the sink
-// was offered. On a traced session tr names the transfer and round the
-// pump-round span this record rode in on; the absorb span parents under the
-// round, linking origin encode work to leaf decode.
-func (f *Fetcher) absorb(blk *rlnc.CodedBlock, rec []byte, format rlnc.RecordFormat, tr trace.TraceID, round trace.SpanID) error {
+// was offered. On a traced session tctx is the trace context its header
+// declared: the absorb span parents under the server's root span, and counts
+// toward the generation (trace, the record's segment).
+func (f *Fetcher) absorb(blk *rlnc.CodedBlock, rec []byte, format rlnc.RecordFormat, tctx traceContext) error {
 	discard := func() { f.stats.bytesDiscarded.Add(int64(len(rec)) + 4) }
 	// On a counter session the vector is regenerated into blk, and a record
 	// of another shape is refused before it can size one.
@@ -638,13 +690,16 @@ func (f *Fetcher) absorb(blk *rlnc.CodedBlock, rec []byte, format rlnc.RecordFor
 	n := f.hdr.Params.BlockCount
 	before := f.sink.Rank(blk.SegmentID)
 	var sp trace.Span
-	if tr != 0 && before < n {
-		sp = trace.Begin(f.traceNode(), "absorb", tr, round, int32(blk.SegmentID))
+	if tctx.trace != 0 && before < n {
+		sp = trace.Begin(f.traceNode(), "absorb", tctx.trace, tctx.root, int32(blk.SegmentID))
 	}
 	innovative, err := f.sink.Absorb(blk)
 	sp.End()
 	if err != nil {
 		return err
+	}
+	if innovative {
+		f.rank++
 	}
 	switch {
 	case innovative && before+1 == n:

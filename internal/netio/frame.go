@@ -19,7 +19,8 @@ type frameRef struct {
 	pool *framePool
 
 	// Trace attribution, stamped by a traced pump: the round span that
-	// encoded this record (written as the wire prelude) and its segment.
+	// encoded this record and its segment, the parent of the flush that
+	// writes it. Neither goes on the wire.
 	round uint64
 	seg   int32
 }

@@ -354,7 +354,7 @@ func headerSeeds(f *testing.F) {
 	tlv := func(fields ...byte) []byte {
 		return rebody(plain, func(b []byte) []byte { return append(b, fields...) })
 	}
-	f.Add(appendSessionHeader(nil, handshake{hdr: fuzzHeader, flags: hsFlagTrace, tctx: traceContext{trace: 0xDEADBEEFCAFE, root: 42}}))
+	f.Add(appendSessionHeader(nil, handshake{hdr: fuzzHeader, tctx: traceContext{trace: 0xDEADBEEFCAFE, root: 42}}))
 	f.Add(tlv(9, 3, 0xAA, 0xBB, 0xCC, tlvTrace, 8, 0, 0, 0, 0, 0, 0, 0, 7, 250, 0)) // unknown fields skipped
 	f.Add(tlv(tlvTrace, 200, 1, 2))                                                 // field overruns the header
 	f.Add(tlv(tlvRootSpan))                                                         // field truncated to its type

@@ -75,15 +75,16 @@ func (c *Counters) AddEncodeStall(d time.Duration) {
 	c.maxStallNs.SetMax(ns)
 }
 
-// CounterView is a point-in-time copy of a Counters.
+// CounterView is a point-in-time copy of a Counters. Its JSON keys are the
+// registry's series names without the prefix.
 type CounterView struct {
-	BlocksEncoded  int64
-	BlocksOffered  int64
-	BlocksSent     int64
-	BlocksShed     int64
-	BytesSent      int64
-	EncodeStall    time.Duration
-	MaxEncodeStall time.Duration
+	BlocksEncoded  int64         `json:"blocks_encoded"`
+	BlocksOffered  int64         `json:"blocks_offered"`
+	BlocksSent     int64         `json:"blocks_sent"`
+	BlocksShed     int64         `json:"blocks_shed"`
+	BytesSent      int64         `json:"bytes_sent"`
+	EncodeStall    time.Duration `json:"encode_stall_ns"`
+	MaxEncodeStall time.Duration `json:"encode_stall_max_ns"`
 }
 
 // View copies the counters.
@@ -130,15 +131,15 @@ func (v CounterView) Consistent() bool {
 
 // SessionSnapshot describes one live session.
 type SessionSnapshot struct {
-	ID       int64
-	Addr     string
-	QueueLen int
-	QueueCap int
-	Offered  int64
-	Sent     int64
-	Shed     int64
-	Bytes    int64
-	Duration time.Duration
+	ID       int64         `json:"id"`
+	Addr     string        `json:"addr"`
+	QueueLen int           `json:"queue_len"`
+	QueueCap int           `json:"queue_cap"`
+	Offered  int64         `json:"offered"`
+	Sent     int64         `json:"sent"`
+	Shed     int64         `json:"shed"`
+	Bytes    int64         `json:"bytes"`
+	Duration time.Duration `json:"duration_ns"`
 }
 
 // SnapshotVersion is the schema version of the Snapshot struct. Version 2
@@ -160,19 +161,19 @@ const SnapshotVersion = 6
 // block-for-block; while sessions are live, queued blocks make the
 // ledger lag and only Offered >= Sent + Shed is guaranteed.
 type Snapshot struct {
-	Version          int      // SnapshotVersion of the producing server
-	Mode             WireMode // session coding discipline declared in handshakes
-	Sessions         int
-	SessionsTotal    int64
-	SessionsRejected int64
-	SessionSeconds   float64 // summed wall-clock duration of finished sessions
+	Version          int      `json:"version"` // SnapshotVersion of the producing server
+	Mode             WireMode `json:"mode"`    // session coding discipline declared in handshakes
+	Sessions         int      `json:"sessions"`
+	SessionsTotal    int64    `json:"sessions_total"`
+	SessionsRejected int64    `json:"sessions_rejected"`
+	SessionSeconds   float64  `json:"session_seconds"` // summed wall-clock duration of finished sessions
 
 	// Graceful-degradation surface (version 3): BUSY decisions written to
 	// new connections, and whether a Drain is in progress.
-	AdmissionBusy int64
-	Draining      bool
+	AdmissionBusy int64 `json:"admission_busy"`
+	Draining      bool  `json:"draining"`
 
 	CounterView
 
-	PerSession []SessionSnapshot
+	PerSession []SessionSnapshot `json:"per_session"`
 }

@@ -56,7 +56,12 @@ import (
 // writes a need record with its current deficits, and asks for their sum.
 // Every ask is met with at least what it named, so a client that lacks rank
 // never waits on a silent server: dependent or damaged records cost it one
-// round trip. The server reads need
+// round trip. An ask whose records raised no rank is barren — a relay still
+// filling can only recode the basis it has — and the Fetcher holds its next
+// ask back for its reconnect backoff's next delay (BackoffBase doubling to
+// BackoffMax, timed as fetch.backoff), longer while asks stay barren and
+// reset once rank grows; it reads on meanwhile and asks at once if a record
+// raises rank. The server reads need
 // records into a buffer sized by its own segment count, so a record declaring
 // another count, a body of the wrong length, or anything that is not a need
 // record ends the session after at most one record's bytes. A session owed
@@ -66,14 +71,15 @@ import (
 // A TLV field is u8 type | u8 length | value: type 1 is the transfer's 8-byte
 // trace ID, type 2 the server's 8-byte root span, type 3 the 8-byte key of a
 // counter session's coefficients. Unknown types are skipped, so a server may
-// add context an older client ignores.
+// add context an older client ignores. A session is traced exactly when its
+// header carries types 1 and 2: a client's spans parent under the root span
+// it names, and not one byte after the header differs from an untraced
+// session's — a record needs nothing on the wire but itself, and its segment
+// is in it.
 //
-// The flags word declares optional stream features. With hsFlagTrace set,
-// every record is preceded by a CRC-guarded 12-byte prelude naming the pump
-// round (span ID) that encoded it (tracectx.go) — the causal link that lets
-// one generation's records be attributed across mesh tiers. Unknown flag bits
-// are rejected: a client that cannot parse a feature's framing must not guess
-// at record boundaries.
+// The flags word declares optional stream features; the one defined is
+// hsFlagCounter. Unknown flag bits are rejected: a client that cannot parse a
+// feature's framing must not guess at record boundaries.
 //
 // With hsFlagCounter set — a media-backed ModeDense server sets it — every
 // record is an XNC3 counter record (rlnc/counter.go): a u32 index where XNC1
@@ -82,15 +88,16 @@ import (
 // the record's segment and its index. The flag is refused on a ModeSystematic
 // header: sweep, repair and dense-tail records keep their own encodings.
 //
-// With hsFlagSweep set, the records after the handshake open with one sweep:
-// n independent records of every segment the server holds whole (the source
-// blocks of a media-backed ModeSystematic server as XNC2, a relay's held
-// basis), each once. It is the session's first grant in those segments, owed
-// nothing more of them; other segments are owed a default grant, written
-// after it. A client that decoded everything just closes; one that did not
-// writes a need record, which buys records of its short segments like any
-// other grant. The server reads nothing before its sweep is written, and the
-// client's countdown is n records a segment either way.
+// A session opens with one sweep of every segment the server holds whole: n
+// independent records of it (the source blocks of a media-backed
+// ModeSystematic server as XNC2, a relay's held basis), each once. It is the
+// session's first grant in those segments, owed nothing more of them; other
+// segments are owed a default grant, written after it. A client that decoded
+// everything just closes; one that did not writes a need record, which buys
+// records of its short segments like any other grant. The server reads
+// nothing before its sweep is written, and the client's countdown is n
+// records a segment either way, so the header does not say which segments
+// are swept.
 //
 // The wire mode is the server's declaration of the coding discipline for the
 // whole session; the client adapts its record parser to it. In ModeDense
@@ -115,21 +122,15 @@ const (
 	tlvLen      = 2 + 8 // every TLV field this implementation writes
 )
 
-// Session flag bits (the u32 flags word of the session header).
+// Session flag bits (the u32 flags word of the session header). Bits 0 and 1
+// are unassigned, and refused like any other unknown bit.
 const (
-	// hsFlagTrace: every record carries a round-span prelude.
-	hsFlagTrace uint32 = 1 << 0
-
-	// hsFlagSweep: the session opens with a sweep of the segments the server
-	// holds whole and owes nothing more of them until a need record asks.
-	hsFlagSweep uint32 = 1 << 1
-
 	// hsFlagCounter: every record is an XNC3 counter record under the key of
 	// TLV type 3.
 	hsFlagCounter uint32 = 1 << 2
 
 	// hsFlagKnown masks the bits this implementation understands.
-	hsFlagKnown = hsFlagTrace | hsFlagSweep | hsFlagCounter
+	hsFlagKnown = hsFlagCounter
 )
 
 // The need record: a client's per-segment rank deficits, the one thing it
@@ -207,7 +208,7 @@ const (
 	// ModeSystematic streams source blocks verbatim, GF(2) XOR repair blocks
 	// and a dense GF(2^8) tail — the wire-speed discipline for lightly-lossy
 	// links. A media-backed server sends each session the source blocks once
-	// and repair only on request (hsFlagSweep).
+	// and repair only on request.
 	ModeSystematic WireMode = 1
 )
 
@@ -222,6 +223,10 @@ func (m WireMode) String() string {
 		return fmt.Sprintf("mode(%d)", uint32(m))
 	}
 }
+
+// MarshalText renders the mode as String does, so JSON carries "dense" or
+// "systematic".
+func (m WireMode) MarshalText() ([]byte, error) { return []byte(m.String()), nil }
 
 // ParseWireMode parses the flag-value spelling ("dense" or "systematic").
 func ParseWireMode(s string) (WireMode, error) {
@@ -417,14 +422,13 @@ func parseSessionHeader(body []byte) (handshake, error) {
 // client asks for, and what it does with a record, are its own.
 type clientSession struct {
 	hs         handshake
-	traced     bool // a round prelude precedes every record
 	conn       net.Conn
 	rd         *bufio.Reader
-	dense, xor uint32       // the session's record sizes (recordSizes)
-	round      trace.SpanID // the round the last record's prelude named
-	held       int          // the last record's length: it is still in rd
-	left       int          // records of the last ask not yet read
-	lost       bool         // next stopped at framing loss
+	dense, xor uint32 // the session's record sizes (recordSizes)
+	held       int    // the last record's length: it is still in rd
+	body       int    // a record whose prefix next took, its body not yet read
+	left       int    // records of the last ask not yet read
+	lost       bool   // next stopped at framing loss
 }
 
 // open reads the server's opening from conn through rd. A BUSY decision is
@@ -441,7 +445,7 @@ func (s *clientSession) open(conn net.Conn, rd *bufio.Reader) error {
 	if hs.dec != nil {
 		return hs.dec.Err()
 	}
-	s.traced, s.conn, s.rd = hs.flags&hsFlagTrace != 0, conn, rd
+	s.conn, s.rd = conn, rd
 	s.dense, s.xor = hs.recordSizes()
 	if size := int(max(s.dense, s.xor)); size > rd.Size() {
 		s.rd = bufio.NewReaderSize(io.MultiReader(io.LimitReader(rd, int64(rd.Buffered())), conn), size)
@@ -461,47 +465,39 @@ func (s *clientSession) ask(need []byte, want int) error {
 	return err
 }
 
-// next reads one record — its round prelude on a traced session, its length
-// prefix and the record — and returns the record, peeked whole in the reader
-// and valid until the next call, with the wire bytes it took; on failure,
-// wire is what was thrown away. A prelude that fails its CRC, or a prefix
-// that is neither of the session's record sizes, is framing loss
-// (ErrRecordLength, and s.lost): the stream beyond it cannot be parsed. A
-// stream that ends first is ErrStreamTruncated.
+// next reads one record — its length prefix and the record — and returns the
+// record, peeked whole in the reader and valid until the next call, with the
+// wire bytes it took; on failure, wire is what was thrown away. A prefix that
+// is neither of the session's record sizes is framing loss (ErrRecordLength,
+// and s.lost): the stream beyond it cannot be parsed. A stream that ends
+// first is ErrStreamTruncated. A read that failed on the connection's read
+// deadline loses nothing: the next call resumes where it stopped, and counts
+// the whole record.
 func (s *clientSession) next() (rec []byte, wire int, err error) {
 	s.rd.Discard(s.held) //nolint:errcheck // Peek returned the held bytes
 	s.held = 0
-	pre := 0
-	if s.traced {
-		b, err := s.rd.Peek(recordPreludeLen)
+	if s.body == 0 {
+		b, err := s.rd.Peek(recordLenLen)
 		if err != nil {
 			return nil, 0, fmt.Errorf("%w: %w", ErrStreamTruncated, err)
 		}
-		if s.round, err = parseRecordPrelude(b); err != nil {
+		n := binary.BigEndian.Uint32(b)
+		if n != s.dense && n != s.xor {
 			s.lost = true
-			return nil, recordPreludeLen, err
+			return nil, recordLenLen, fmt.Errorf("%w: %d, want %d", ErrRecordLength, n, s.dense)
 		}
-		pre = recordPreludeLen
+		// The framing goes before the record is peeked, so a refill slides
+		// the record itself to the buffer's start and the payload a decoder
+		// copies out keeps its alignment: with the prefix in front, a fetch of
+		// 4 KiB XOR records ran 8% slower (2-vCPU Xeon, 2.1 GHz).
+		s.rd.Discard(recordLenLen) //nolint:errcheck // Peek returned the prefix
+		s.body = int(n)
 	}
-	b, err := s.rd.Peek(pre + recordLenLen)
-	if err != nil {
-		return nil, pre, fmt.Errorf("%w: %w", ErrStreamTruncated, err)
-	}
-	wire = pre + recordLenLen
-	n := binary.BigEndian.Uint32(b[pre:])
-	if n != s.dense && n != s.xor {
-		s.lost = true
-		return nil, wire, fmt.Errorf("%w: %d, want %d", ErrRecordLength, n, s.dense)
-	}
-	// The framing goes before the record is peeked, so a refill slides the
-	// record itself to the buffer's start and the payload a decoder copies out
-	// keeps its alignment: with the prefix in front, a fetch of 4 KiB XOR
-	// records ran 8% slower (2-vCPU Xeon, 2.1 GHz).
-	s.rd.Discard(wire) //nolint:errcheck // Peek returned the prelude and prefix
-	if rec, err = s.rd.Peek(int(n)); err != nil {
+	wire = recordLenLen
+	if rec, err = s.rd.Peek(s.body); err != nil {
 		return nil, wire + len(rec), fmt.Errorf("%w: truncated record: %w", ErrStreamTruncated, err)
 	}
-	s.held = len(rec)
+	s.held, s.body = len(rec), 0
 	s.left--
 	return rec, wire + len(rec), nil
 }

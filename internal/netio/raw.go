@@ -64,7 +64,7 @@ func (c *RawClient) Segments() int { return c.hs.hdr.Segments }
 func (c *RawClient) Length() int64 { return c.hs.hdr.Length }
 
 // Next reads and discards one record, returning its wire size (the record
-// with its length prefix and, on a traced session, its round prelude). It
+// with its length prefix). It
 // blocks until a record arrives, the peer closes, or Close is called. A
 // stream that ends is ErrStreamTruncated, wrapping the read's own error
 // (io.EOF at hang-up); framing loss is ErrRecordLength.

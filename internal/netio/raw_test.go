@@ -73,8 +73,8 @@ func TestRawClientRejectsBadHandshake(t *testing.T) {
 
 // TestClientsReadDamagedStreams: the Fetcher and RawClient read a session
 // through one reader, so the same damage after one good record ends both the
-// same way — framing loss (a length prefix of neither record size, a round
-// prelude that fails its CRC) is ErrRecordLength, a record cut short is
+// same way — framing loss (a length prefix of neither record size) is
+// ErrRecordLength, a record cut short is
 // ErrStreamTruncated — and both count the one complete record and its wire
 // bytes. The Fetcher's ledger also files the damage: a framing resync and the
 // bytes thrown away.
@@ -89,15 +89,9 @@ func TestClientsReadDamagedStreams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opening := func(flags uint32) []byte {
-		return appendSessionHeader(nil, handshake{hdr: SessionInfo{Params: p, Segments: 1, Length: int64(len(media))}, flags: flags})
-	}
+	opening := appendSessionHeader(nil, handshake{hdr: SessionInfo{Params: p, Segments: 1, Length: int64(len(media))}})
 	badPrefix := bytes.Clone(rec)
 	badPrefix[3]++
-	var pre [recordPreludeLen]byte
-	putRecordPrelude(pre[:], 0x5EED)
-	badPre := pre
-	badPre[2] ^= 0x10
 	cut := len(rec) - 7
 
 	for _, tc := range []struct {
@@ -108,9 +102,8 @@ func TestClientsReadDamagedStreams(t *testing.T) {
 		discarded int64 // what the Fetcher throws away
 		resyncs   int
 	}{
-		{"bad length prefix", bytes.Join([][]byte{opening(0), rec, badPrefix}, nil), ErrRecordLength, len(rec), 4, 1},
-		{"damaged prelude", bytes.Join([][]byte{opening(hsFlagTrace), pre[:], rec, badPre[:], rec}, nil), ErrRecordLength, recordPreludeLen + len(rec), recordPreludeLen, 1},
-		{"record cut short", bytes.Join([][]byte{opening(0), rec, rec[:cut]}, nil), ErrStreamTruncated, len(rec), int64(cut), 0},
+		{"bad length prefix", bytes.Join([][]byte{opening, rec, badPrefix}, nil), ErrRecordLength, len(rec), 4, 1},
+		{"record cut short", bytes.Join([][]byte{opening, rec, rec[:cut]}, nil), ErrStreamTruncated, len(rec), int64(cut), 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			conn := &streamConn{}

@@ -139,12 +139,12 @@ type Server struct {
 	// napTimer is the pump's one timer: every timed park reuses it (see nap).
 	napTimer *time.Timer
 
-	// Distributed tracing (tracectx.go). traced is latched at construction —
-	// cfg.TraceNode set AND the process-global recorder enabled — so every
-	// session of one server negotiates the same framing. rootSpan opens at
-	// construction and closes in Shutdown; pump rounds and flushes parent
-	// under it, and its (traceID, ID) pair is the trace context every
-	// client's session header carries.
+	// Distributed tracing. traced is latched at construction — cfg.TraceNode
+	// set AND the process-global recorder enabled — so every session of one
+	// server declares the same context. rootSpan opens at construction and
+	// closes in Shutdown; pump rounds and sweeps parent under it, and its
+	// (traceID, ID) pair is the trace context every client's session header
+	// carries, and all it carries: the records are an untraced session's.
 	traced   bool
 	traceID  trace.TraceID
 	rootSpan trace.Span
@@ -458,11 +458,7 @@ func (s *Server) runSession(ss *session) {
 	swept := s.firstGrant(ss)
 	hs := handshake{hdr: s.info, key: s.key}
 	if s.traced {
-		hs.flags |= hsFlagTrace
 		hs.tctx = traceContext{trace: s.traceID, root: s.rootSpan.ID()}
-	}
-	if len(swept) > 0 {
-		hs.flags |= hsFlagSweep
 	}
 	if s.counter {
 		hs.flags |= hsFlagCounter
@@ -599,11 +595,9 @@ func (s *Server) writeSweep(ss *session, swept []int) error {
 	// same flush as a queued one; nothing retains or releases them.
 	refs := make([]frameRef, s.flushRecs)
 	batch := make([]*frameRef, 0, s.flushRecs)
-	bufs := make(net.Buffers, 0, 2*s.flushRecs)
-	var preludes []byte
+	bufs := make(net.Buffers, 0, s.flushRecs)
 	var sp trace.Span
 	if s.traced {
-		preludes = make([]byte, s.flushRecs*recordPreludeLen)
 		sp = trace.Begin(s.cfg.TraceNode, "sweep", s.traceID, s.rootSpan.ID(), -1)
 		defer sp.End()
 	}
@@ -620,7 +614,7 @@ func (s *Server) writeSweep(ss *session, swept []int) error {
 		offered := int64(len(batch))
 		ss.offered.Add(offered)
 		s.counters.AddOffered(offered)
-		if err := s.flush(ss, batch, &bufs, preludes); err != nil {
+		if err := s.flush(ss, batch, &bufs); err != nil {
 			return err
 		}
 	}
@@ -649,13 +643,7 @@ func (s *Server) shedResidue(ss *session) {
 func (s *Server) writeLoop(ss *session) {
 	batchCap := s.flushRecs
 	batch := make([]*frameRef, batchCap)
-	// Traced sessions interleave a 12-byte prelude buffer before every frame
-	// in the vectored write, so bufs holds two entries per record.
-	bufs := make(net.Buffers, 0, 2*batchCap)
-	var preludes []byte
-	if s.traced {
-		preludes = make([]byte, batchCap*recordPreludeLen)
-	}
+	bufs := make(net.Buffers, 0, batchCap)
 	for {
 		n := ss.q.popBatch(batch)
 		if n == 0 {
@@ -670,7 +658,7 @@ func (s *Server) writeLoop(ss *session) {
 			}
 		}
 		s.signalConsumed()
-		err := s.flush(ss, batch[:n], &bufs, preludes)
+		err := s.flush(ss, batch[:n], &bufs)
 		for i := 0; i < n; i++ {
 			batch[i].release()
 			batch[i] = nil
@@ -684,7 +672,7 @@ func (s *Server) writeLoop(ss *session) {
 // flush writes batch to the session's connection and settles the ledger for
 // it: what reached the wire whole is sent, the rest — on a failed write — is
 // shed.
-func (s *Server) flush(ss *session, batch []*frameRef, bufs *net.Buffers, preludes []byte) error {
+func (s *Server) flush(ss *session, batch []*frameRef, bufs *net.Buffers) error {
 	wsp := stageRecordSend.Start()
 	var fsp trace.Span
 	if s.traced {
@@ -693,7 +681,7 @@ func (s *Server) flush(ss *session, batch []*frameRef, bufs *net.Buffers, prelud
 		// most one round boundary per flush.
 		fsp = trace.Begin(s.cfg.TraceNode, "flush", s.traceID, trace.SpanID(batch[0].round), batch[0].seg)
 	}
-	sentN, sentBytes, err := s.writeFrames(ss, batch, bufs, preludes)
+	sentN, sentBytes, err := s.writeFrames(ss, batch, bufs)
 	fsp.End()
 	if s.traced {
 		wsp.EndTraced(uint64(s.traceID), uint64(fsp.ID()))
@@ -719,21 +707,12 @@ func (s *Server) flush(ss *session, batch []*frameRef, bufs *net.Buffers, prelud
 // windows (retry-then-drop); any other error, or exhausting the budget,
 // fails the session. It returns how many frames were fully written and
 // their byte count — on failure the remainder is the caller's to shed.
-func (s *Server) writeFrames(ss *session, frs []*frameRef, scratch *net.Buffers, preludes []byte) (int, int64, error) {
+func (s *Server) writeFrames(ss *session, frs []*frameRef, scratch *net.Buffers) (int, int64, error) {
 	bufs := (*scratch)[:0]
 	total := 0
-	preludeLen := 0
-	if s.traced {
-		preludeLen = recordPreludeLen
-	}
-	for i, fr := range frs {
-		if preludeLen > 0 {
-			p := preludes[i*recordPreludeLen : (i+1)*recordPreludeLen]
-			putRecordPrelude(p, trace.SpanID(fr.round))
-			bufs = append(bufs, p)
-		}
+	for _, fr := range frs {
 		bufs = append(bufs, fr.buf)
-		total += preludeLen + len(fr.buf)
+		total += len(fr.buf)
 	}
 	// Written through the caller's header (a local one would escape on every
 	// flush), which WriteTo consumes: hand the backing array back.
@@ -755,7 +734,7 @@ func (s *Server) writeFrames(ss *session, frs []*frameRef, scratch *net.Buffers,
 			retries--
 			continue
 		}
-		sentN, sentBytes, partial := framesDone(frs, written, preludeLen)
+		sentN, sentBytes, partial := framesDone(frs, written)
 		if partial {
 			err = fmt.Errorf("%w: %d of %d bytes: %v", ErrShortWrite, written, total, err)
 		}
@@ -765,13 +744,13 @@ func (s *Server) writeFrames(ss *session, frs []*frameRef, scratch *net.Buffers,
 }
 
 // framesDone maps a written byte count onto the frame sequence: how many
-// frames the bytes fully cover, their summed wire length (preludes included),
-// and whether the count ends inside a frame.
-func framesDone(frs []*frameRef, written, preludeLen int) (int, int64, bool) {
+// frames the bytes fully cover, their summed wire length, and whether the
+// count ends inside a frame.
+func framesDone(frs []*frameRef, written int) (int, int64, bool) {
 	var k int
 	var bytes int64
 	for _, fr := range frs {
-		l := preludeLen + len(fr.buf)
+		l := len(fr.buf)
 		if written < l {
 			return k, bytes, written > 0
 		}
@@ -841,10 +820,10 @@ func (s *Server) pump() {
 			continue
 		}
 
-		// A traced pump opens a round span per non-empty batch: its ID is the
-		// wire prelude of every record it produced and the parent of the
-		// encode and queue-offer child spans. Spans of dry rounds are simply
-		// never ended, so idle parking does not flood the ring.
+		// A traced pump opens a round span per non-empty batch: the parent of
+		// its encode and queue-offer child spans and of the flushes that write
+		// its records. Spans of dry rounds are simply never ended, so idle
+		// parking does not flood the ring.
 		var round, enc trace.Span
 		if s.traced {
 			round = trace.Begin(s.cfg.TraceNode, "round", s.traceID, s.rootSpan.ID(), int32(seg))

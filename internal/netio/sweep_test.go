@@ -96,8 +96,8 @@ func dialSweep(t testing.TB, conn net.Conn) *sweepClient {
 	if err != nil {
 		t.Fatalf("handshake: %v", err)
 	}
-	if hs.dec != nil || hs.flags&hsFlagSweep == 0 {
-		t.Fatalf("not a sweep session: decision %+v, flags %#x", hs.dec, hs.flags)
+	if hs.dec != nil || hs.flags != 0 {
+		t.Fatalf("not a systematic session: decision %+v, flags %#x", hs.dec, hs.flags)
 	}
 	return &sweepClient{t: t, conn: conn, hs: hs, size: 4 + rlnc.XorWireSize(hs.hdr.Params)}
 }
@@ -319,8 +319,9 @@ func TestSweepLosslessFetch(t *testing.T) {
 	}
 }
 
-// TestSweepTracedSession: on a traced server every sweep record's prelude
-// names that session's own "sweep" span, a child of the server's root.
+// TestSweepTracedSession: on a traced server every session's sweep is one
+// "sweep" span, a child of the server's root, and the sweep's records are the
+// bare n × segments records of an untraced one.
 func TestSweepTracedSession(t *testing.T) {
 	trace.Enable(1 << 12)
 	defer trace.Disable()
@@ -330,8 +331,8 @@ func TestSweepTracedSession(t *testing.T) {
 	srv := newSweepServer(t, media, p, func(c *ServerConfig) { c.TraceNode = "origin" })
 	l := startPipeServer(t, srv)
 
-	var rounds []trace.SpanID
-	for i := 0; i < 2; i++ {
+	const sessions = 2
+	for i := 0; i < sessions; i++ {
 		fcfg := DefaultFetcherConfig()
 		fcfg.TraceNode = "leaf"
 		fcfg.MaxAttempts = 1
@@ -340,32 +341,28 @@ func TestSweepTracedSession(t *testing.T) {
 		if err != nil || !bytes.Equal(res.Payload, media) {
 			t.Fatalf("traced fetch %d: %v", i, err)
 		}
-		if res.Stats.Records != 2*p.BlockCount {
-			t.Fatalf("traced fetch %d read %d records", i, res.Stats.Records)
+		want := int64(2 * p.BlockCount)
+		if st := res.Stats; st.Records != int(want) || st.Bytes != want*int64(recordLenLen+rlnc.XorWireSize(p)) {
+			t.Fatalf("traced fetch %d read %d records in %d bytes", i, st.Records, st.Bytes)
 		}
-		rounds = append(rounds, f.LastRoundSpan())
-	}
-	if rounds[0] == 0 || rounds[0] == rounds[1] {
-		t.Fatalf("sessions share a sweep span: %v", rounds)
 	}
 	awaitSessions(t, srv, 0)
 	root := srv.rootSpan.ID()
 	srv.Shutdown()
 
 	events := trace.Dump()
-	for _, round := range rounds {
-		found := false
-		for _, e := range events {
-			if e.Kind == trace.KindSpan && e.Span == round {
-				found = true
-				if e.Stage != "sweep" || e.Node != "origin" || e.Parent != root || e.Trace != srv.traceID {
-					t.Fatalf("prelude names span %+v, want origin's sweep under root %d", e, root)
-				}
-			}
+	sweeps := map[trace.SpanID]bool{}
+	for _, e := range events {
+		if e.Kind != trace.KindSpan || e.Stage != "sweep" {
+			continue
 		}
-		if !found {
-			t.Fatalf("prelude span %d is not in the dump", round)
+		if e.Node != "origin" || e.Parent != root || e.Trace != srv.traceID || sweeps[e.Span] {
+			t.Fatalf("sweep span %+v, want one of origin's under root %d", e, root)
 		}
+		sweeps[e.Span] = true
+	}
+	if len(sweeps) != sessions {
+		t.Fatalf("%d sweep spans for %d sessions", len(sweeps), sessions)
 	}
 	if asm := trace.Assemble(events); asm.Orphans != 0 {
 		t.Fatalf("%d orphan spans", asm.Orphans)
