@@ -75,12 +75,14 @@ loc:
 
 # The second line repeats the credit, park and slow-reader tests ten times: a
 # lost pump wake-up (a grant the pump never sees) parks a session forever, and
-# one pass cannot show that none is left. It repeats the dispatch-floor
-# byte-identity tests too: a pooled batch shares its encoder's or recoder's
-# operand fields with the pool workers.
+# one pass cannot show that none is left. It repeats the dense sweep-table
+# count too: concurrent sessions race on the CAS of the table's shared
+# entries, and one of them must publish each exactly once. And it repeats the
+# dispatch-floor byte-identity tests: a pooled batch shares its encoder's or
+# recoder's operand fields with the pool workers.
 race:
 	$(GO) test -race -count=1 $(RACE_PKGS)
-	$(GO) test -race -count=10 -run 'TestCredit|TestSatisfiedServerParks|TestDependentGrantCostsAReask|TestSlowReaders$$|AcrossDispatchFloor$$' ./internal/netio/ ./internal/harness/ ./internal/rlnc/
+	$(GO) test -race -count=10 -run 'TestCredit|TestSatisfiedServerParks|TestDependentGrantCostsAReask|TestDenseTableOncePerServer|TestSlowReaders$$|AcrossDispatchFloor$$' ./internal/netio/ ./internal/harness/ ./internal/rlnc/
 
 # Replay the committed fuzz seed corpora as regression tests (every F.Add
 # case plus any checked-in corpus files), then spend a short, time-boxed live
@@ -112,8 +114,11 @@ staticcheck:
 
 # End-to-end serving gate: boot the session server against a loopback
 # listener, fetch with concurrent clients, and check payloads and metrics
-# accounting — once pushing dense blocks, once in systematic mode, where every
-# session is written its own sweep.
+# accounting — once in dense mode, once in systematic mode. In both, every
+# session is written one sweep and nothing else on this clean link: each
+# client reads exactly n × segments records, none is shed, and the pump
+# encodes nothing (a dense server's only encodes are its sweep table's, built
+# once for all clients).
 serve-smoke:
 	$(GO) run ./cmd/nc smoke serve -clients 4
 	$(GO) run ./cmd/nc smoke serve -clients 4 -mode systematic

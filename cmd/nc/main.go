@@ -14,11 +14,12 @@
 //	nc mesh -soak -smoke -summary soak-summary.json
 //	nc mesh -trace
 //
-// serve streams a media file to every client: dense GF(2^8) blocks pushed
-// round-robin across segments (-mode dense), or one sweep of the source blocks
-// per session followed by GF(2) XOR repair and a dense tail only for a client
-// that says it still lacks rank (-mode systematic). Slow clients shed records
-// instead of stalling the encoder. -metrics serves Prometheus text on
+// serve streams a media file to every client: one sweep per session — n dense
+// GF(2^8) counter records of each segment, encoded once per server (-mode
+// dense), or the source blocks (-mode systematic) — followed, only for a
+// client that says it still lacks rank, by fresh dense records or by GF(2) XOR
+// repair and a dense tail. Slow clients shed records instead of stalling the
+// encoder. -metrics serves Prometheus text on
 // /metrics, a JSON snapshot on /metrics.json, the flight ring on /debug/flight
 // and the profiles under /debug/pprof/; SIGQUIT dumps the flight ring to
 // stderr; the first SIGINT/SIGTERM drains gracefully.

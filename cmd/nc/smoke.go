@@ -110,18 +110,27 @@ func (c *common) bringUp(g smokeGate, out io.Writer) error {
 }
 
 // serveGate fetches the object back with several concurrent one-shot
-// clients and checks the payloads and the accounting (`make serve-smoke`).
+// clients and checks the payloads and the accounting (`make serve-smoke`). On
+// this clean link, in either mode, every client must read exactly one sweep —
+// n × segments records — and nothing may be shed; the pump encodes nothing,
+// so what the server encoded is its dense sweep table, n × segments records
+// once however many clients read it (a systematic sweep encodes nothing).
 func serveGate(ctx context.Context, e *smokeEnv, clients int, out io.Writer) error {
 	// One-shot clients: a stream failure is final, as with netio.Fetch.
 	fcfg := netio.DefaultFetcherConfig()
 	fcfg.MaxAttempts = 1
+	sweep := e.p.BlockCount * e.srv.Segments()
 	var wg sync.WaitGroup
 	errs := make([]error, clients)
 	for i := range errs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := harness.Fetch(ctx, harness.Dial(e.addr), fcfg, e.media); err != nil {
+			res, err := harness.Fetch(ctx, harness.Dial(e.addr), fcfg, e.media)
+			if err == nil && res.Stats.Records != sweep {
+				err = fmt.Errorf("read %d records, want one sweep of %d", res.Stats.Records, sweep)
+			}
+			if err != nil {
 				errs[i] = fmt.Errorf("client %d: %w", i, err)
 			}
 		}()
@@ -140,8 +149,16 @@ func serveGate(ctx context.Context, e *smokeEnv, clients int, out io.Writer) err
 	if snap.SessionsTotal != int64(clients) {
 		return fmt.Errorf("sessions_total = %d, want %d", snap.SessionsTotal, clients)
 	}
-	fmt.Fprintf(out, "smoke ok: %d clients, mode %s, %d blocks sent, %d shed, %d bytes, stall %s\n",
-		clients, snap.Mode, snap.BlocksSent, snap.BlocksShed, snap.BytesSent, snap.EncodeStall)
+	table := 0
+	if snap.Mode == netio.ModeDense {
+		table = sweep
+	}
+	if snap.BlocksEncoded != int64(table) || snap.BlocksShed != 0 {
+		return fmt.Errorf("%s clients on a clean link cost %d encoded and %d shed blocks, want %d and none",
+			snap.Mode, snap.BlocksEncoded, snap.BlocksShed, table)
+	}
+	fmt.Fprintf(out, "smoke ok: %d clients, mode %s, %d records each, %d blocks encoded, %d sent, %d shed, %d bytes, stall %s\n",
+		clients, snap.Mode, sweep, snap.BlocksEncoded, snap.BlocksSent, snap.BlocksShed, snap.BytesSent, snap.EncodeStall)
 	return nil
 }
 
@@ -149,14 +166,15 @@ func serveGate(ctx context.Context, e *smokeEnv, clients int, out io.Writer) err
 // fetch with a registry-attached resilient client, then a scrape of /metrics
 // over real HTTP parsed with the in-repo parser. It fails unless the core
 // series are present and nonzero — server blocks, fetcher records, live
-// histograms — and every route answers with the right status and type.
+// histograms — the scraped netio_blocks_encoded is the server's own count, and
+// every route answers with the right status and type.
 func metricsGate(ctx context.Context, e *smokeEnv, out io.Writer) error {
 	fcfg := netio.DefaultFetcherConfig()
 	fcfg.Metrics = e.reg
 	if _, err := harness.Fetch(ctx, harness.Dial(e.addr), fcfg, e.media); err != nil {
 		return fmt.Errorf("loopback fetch: %w", err)
 	}
-	e.stop()
+	snap := e.stop()
 
 	// The scrape itself: 200, text/plain, and a body the in-repo parser takes.
 	series, err := harness.Series(func(w io.Writer) error {
@@ -173,6 +191,11 @@ func metricsGate(ctx context.Context, e *smokeEnv, out io.Writer) error {
 		if series[name] <= 0 {
 			return fmt.Errorf("scrape: series %s = %v, want > 0", name, series[name])
 		}
+	}
+	// One counter covers every record the origin encodes, its sweep table's
+	// included: the scrape reads what the server counted.
+	if got := series["netio_blocks_encoded"]; got != float64(snap.BlocksEncoded) {
+		return fmt.Errorf("scrape: netio_blocks_encoded = %v, the server counted %d", got, snap.BlocksEncoded)
 	}
 	histograms := 0
 	for _, name := range e.reg.Names() {

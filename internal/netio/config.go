@@ -57,30 +57,36 @@ type ServerConfig struct {
 	// unlimited.
 	MaxSessions int
 	// Seed fixes what a media-backed server sends (0 → 1). In ModeDense it
-	// is the key of the counter records the pump frames, declared in each
+	// is the key of the counter records the server frames, declared in each
 	// session header; in ModeSystematic it seeds the repair stream. Either
 	// way a fixed Seed makes the served block sequence reproducible.
 	Seed int64
 	// Mode is the session coding discipline declared in every handshake
-	// (default ModeDense). In ModeSystematic every session is first written
-	// one sweep — each source block once, in the compact XNC2 encoding, from
-	// a table all sessions share, at the pace its connection takes them —
-	// and the session is then owed nothing: a client that decoded from the
-	// sweep hangs up, one that lost records sends a need record and is fed
-	// the GF(2) XOR repair + dense tail part of rlnc.SystematicEncoder's
-	// schedule by the pump, with credit, queueing, shedding and deadlines
-	// as in ModeDense (see Server). Pace governs the pump, so it governs
-	// repair, not sweeps. NewSourceServerFromConfig overrides Mode with the
-	// source's declared mode; its sessions are swept the segments the source
-	// holds whole and owed a grant of the rest from the handshake on.
+	// (default ModeDense). Either way every session is first written one
+	// sweep — a basis of each segment once, from a table all sessions share,
+	// at the pace its connection takes them — and is then owed nothing: a
+	// client that decoded from the sweep hangs up, one that lost records (or,
+	// in ModeDense, was swept a rank-deficient basis) sends a need record and
+	// is fed repair by the pump, with credit, queueing, shedding and
+	// deadlines (see Server). In ModeDense the sweep is XNC3 counter records
+	// 0…n−1, each encoded once per server, and repair is counter records from
+	// index n on. In ModeSystematic the sweep is the source blocks, in the
+	// compact XNC2 encoding, and repair is the GF(2) XOR repair + dense tail
+	// part of rlnc.SystematicEncoder's schedule. Pace governs the pump, so in
+	// both modes it governs repair, not sweeps. NewSourceServerFromConfig
+	// overrides Mode with the source's declared mode; its sessions are swept
+	// the segments the source holds whole and owed a grant of the rest from
+	// the handshake on.
 	Mode WireMode
 	// Pace floors the interval between pump rounds, bounding the server's
-	// emission rate at EncodeBatch records per Pace regardless of CPU
-	// headroom. It models a capacity-constrained coding engine or origin
-	// uplink — the regime where a recoding relay tier multiplies effective
-	// serving capacity — and keeps capacity comparisons meaningful on
-	// machines where every tier is otherwise compute-bound. Zero leaves the
-	// pump unpaced.
+	// repair rate at EncodeBatch records per Pace regardless of CPU
+	// headroom. It models a capacity-constrained coding engine — the regime
+	// where a recoding relay tier multiplies effective serving capacity — for
+	// what the pump encodes: grants of segments the source does not hold
+	// whole (a filling relay's) and repair after a sweep. It does not bound a
+	// sweep, which the table encodes once per server and every session then
+	// writes as fast as its connection takes it. Zero leaves the pump
+	// unpaced.
 	Pace time.Duration
 	// RetryAfter is the hint carried in BUSY admission decisions (session
 	// cap, address-less drain): how long the client should wait before

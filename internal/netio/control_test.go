@@ -272,6 +272,62 @@ func TestFetchRefusesHostileLength(t *testing.T) {
 	}
 }
 
+// TestHeaderParamsBounded: what a checksummed header may declare is bounded
+// by what the stack serves, n ≤ rlnc.MaxBlockCount = 1024 and k ≤
+// rlnc.MaxBlockSize = 32 KiB. A 44-byte header declaring n = 2^16 and k = 2^26
+// (which once made the session reader allocate a 64 MiB record buffer) is
+// refused; one at the bound, followed by nothing, declares records of about
+// 33 KiB, which the fetcher's pooled 64 KiB reader holds. Either fetch
+// allocates under 16 KiB and leaves no goroutine behind.
+func TestHeaderParamsBounded(t *testing.T) {
+	huge := rlnc.Params{BlockCount: 1 << 16, BlockSize: 1 << 26}
+	top := rlnc.Params{BlockCount: rlnc.MaxBlockCount, BlockSize: rlnc.MaxBlockSize}
+	for _, tc := range []struct {
+		name  string
+		p     rlnc.Params
+		want  error
+		bytes uint64
+	}{
+		{"over the bound", huge, ErrBadHandshake, 16 << 10},
+		{"at the bound", top, ErrStreamTruncated, 16 << 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			wire := appendSessionHeader(nil, handshake{hdr: SessionInfo{Params: tc.p, Segments: 1, Length: int64(tc.p.SegmentSize())}})
+			fetch := func() {
+				conn := &streamConn{}
+				conn.r.Reset(wire)
+				cfg := DefaultFetcherConfig()
+				cfg.MaxAttempts = 1
+				_, err := newTestFetcher(t, func(context.Context) (net.Conn, error) { return conn, nil }, cfg).Fetch(context.Background())
+				if !errors.Is(err, tc.want) {
+					t.Fatalf("a %d-byte header declaring %v: %v, want %v", len(wire), tc.p, err, tc.want)
+				}
+			}
+			// As in TestFetchHostileLengthPinsNothing: one P, no collector,
+			// so the measured fetch gets the warm-up's pooled reader back.
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			fetch()
+			goroutines := runtime.NumGoroutine()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			fetch()
+			runtime.ReadMemStats(&after)
+			if g := runtime.NumGoroutine(); g > goroutines {
+				t.Fatalf("%d goroutines after the fetch, %d before", g, goroutines)
+			}
+			if raceEnabled {
+				return // the race detector's sync.Pool drops the warmed reader at random
+			}
+			alloc := after.TotalAlloc - before.TotalAlloc
+			if alloc >= tc.bytes {
+				t.Fatalf("a %d-byte header declaring %v allocated %d bytes, want < %d", len(wire), tc.p, alloc, tc.bytes)
+			}
+			t.Logf("a %d-byte header declaring %v allocated %d bytes", len(wire), tc.p, alloc)
+		})
+	}
+}
+
 // TestFetchHostileLengthPinsNothing: a checksummed header may declare a
 // multi-GiB object the segment count agrees with. The leaf sizes its object
 // buffer from it only once a record has passed the checksum, shape and

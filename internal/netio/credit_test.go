@@ -16,8 +16,8 @@ import (
 // costs, and what a silent, flooding or lying peer can buy. These tests run
 // over net.Pipe, where the server's reads are counted at the connection.
 
-// creditServer is a media-backed dense server over a two-segment object of p,
-// served on a counting pipe listener for the lifetime of the test.
+// creditServer is a dense push server (newPushServer) over a two-segment
+// object of p, served on a counting pipe listener for the lifetime of the test.
 func creditServer(t *testing.T, p rlnc.Params, mutate func(*ServerConfig)) (*Server, *readCountListener) {
 	t.Helper()
 	media := testMedia(t, 2*p.SegmentSize(), 81)
@@ -26,10 +26,7 @@ func creditServer(t *testing.T, p rlnc.Params, mutate func(*ServerConfig)) (*Ser
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	srv, err := NewServerFromConfig(media, p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newPushServer(t, media, p, cfg)
 	counted := &readCountListener{Listener: newPipeListener()}
 	serveOn(t, srv, counted)
 	return srv, counted
@@ -99,7 +96,7 @@ func TestSatisfiedServerParks(t *testing.T) {
 		if _, err := readHandshake(conn); err != nil {
 			t.Fatal(err)
 		}
-		drainRecords(conn, rlnc.CounterWireSize(p))
+		drainRecords(conn, rlnc.WireSize(p))
 	}
 	before := awaitSent(t, srv, 2*grant)
 	time.Sleep(100 * time.Millisecond)
@@ -116,7 +113,7 @@ func TestSatisfiedServerParks(t *testing.T) {
 	exactLedger(t, after)
 }
 
-// TestCreditSilentPeer: a dense session that reads everything and neither
+// TestCreditSilentPeer: a push session that reads everything and neither
 // closes nor asks is sent exactly segments × (n + margin) records, and the
 // server reads nothing from it.
 func TestCreditSilentPeer(t *testing.T) {
@@ -126,7 +123,7 @@ func TestCreditSilentPeer(t *testing.T) {
 	if _, err := readHandshake(conn); err != nil {
 		t.Fatal(err)
 	}
-	read := drainRecords(conn, rlnc.CounterWireSize(p))
+	read := drainRecords(conn, rlnc.WireSize(p))
 	grant := int64(2 * (p.BlockCount + marginDense))
 	exactLedger(t, awaitSent(t, srv, grant))
 	time.Sleep(50 * time.Millisecond)
@@ -157,7 +154,7 @@ func TestCreditSilentPeerIdlesOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	t0 := time.Now()
-	read := drainRecords(conn, rlnc.CounterWireSize(p))
+	read := drainRecords(conn, rlnc.WireSize(p))
 	if got := <-read; got != 2*(p.BlockCount+marginDense) {
 		t.Fatalf("peer read %d records before the server hung up", got)
 	}
@@ -179,7 +176,7 @@ func TestCreditFloodNeverRaisesCredit(t *testing.T) {
 	if _, err := readHandshake(conn); err != nil {
 		t.Fatal(err)
 	}
-	read := drainRecords(conn, rlnc.CounterWireSize(p))
+	read := drainRecords(conn, rlnc.WireSize(p))
 	awaitSessions(t, srv, 1)
 	var ss *session
 	srv.mu.Lock()
@@ -258,7 +255,7 @@ func TestCreditBadNeedEndsSession(t *testing.T) {
 			if _, err := readHandshake(conn); err != nil {
 				t.Fatal(err)
 			}
-			read := drainRecords(conn, rlnc.CounterWireSize(p))
+			read := drainRecords(conn, rlnc.WireSize(p))
 			go func() {
 				conn.Write(junk) //nolint:errcheck // cut short by the server's close
 				if name == "truncated" {
@@ -279,9 +276,12 @@ func TestCreditBadNeedEndsSession(t *testing.T) {
 	}
 }
 
-// repeatSource is a counter source that claims half of every batch's indices
-// again in its next batch: a grant of it carries dependent records.
+// repeatSource is a counter source that sweeps nothing — so it is pushed from
+// the handshake on — and claims half of every batch's indices again in its
+// next batch: a grant of it carries dependent records.
 type repeatSource struct{ *counterSource }
+
+func (repeatSource) Sweep(seg, i int) []byte { return nil }
 
 func (r repeatSource) Records(seg int, frames [][]byte) int {
 	k := r.counterSource.Records(seg, frames)

@@ -220,7 +220,7 @@ func TestShutdownDrainRace(t *testing.T) {
 	checkAccounting(t, srv.Snapshot())
 }
 
-// TestStalledPeerRefusesNoOne: a peer that never reads, on a server that
+// TestStalledPeerRefusesNoOne: a peer that never reads, on a push server that
 // never drops it, parks the pump with its queue full — the wait is charged as
 // encode stall — but costs nobody else anything: the next fetch is admitted
 // and completes, and no BUSY is written.
@@ -230,10 +230,7 @@ func TestStalledPeerRefusesNoOne(t *testing.T) {
 	cfg := DefaultServerConfig()
 	cfg.QueueDepth = 2
 	cfg.WriteDeadline = 0 // never drop the staller
-	srv, err := NewServerFromConfig(media, p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newPushServer(t, media, p, cfg)
 	l := startPipeServer(t, srv)
 
 	staller := l.Dial()
@@ -264,16 +261,14 @@ func TestStalledPeerRefusesNoOne(t *testing.T) {
 func TestFetchTimeoutPartialResult(t *testing.T) {
 	p := rlnc.Params{BlockCount: 64, BlockSize: 1024}
 	media := testMedia(t, p.SegmentSize(), 26)
-	// One record per 20ms: full rank needs ≥ 1.28s, far past the 250ms budget,
-	// but the first records land well inside it.
+	// One record per 20ms from a paced push server: full rank needs ≥ 1.28s,
+	// far past the 250ms budget, but the first records land well inside it.
+	// (Pace bounds the pump, not a sweep.)
 	cfg := DefaultServerConfig()
 	cfg.EncodeBatch = 1
 	cfg.Pace = 20 * time.Millisecond
 	cfg.WriteDeadline = time.Second
-	srv, err := NewServerFromConfig(media, p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newPushServer(t, media, p, cfg)
 	l := startPipeServer(t, srv)
 
 	f := newTestFetcher(t, func(ctx context.Context) (net.Conn, error) {

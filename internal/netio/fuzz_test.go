@@ -51,10 +51,11 @@ func fuzzSession(f *testing.F, mutate func(stream []byte) []byte) []byte {
 // inPlaceSessions are healthy sessions, and their objects, that exercise the
 // in-place record path, where records are parsed where they lie in the
 // session reader: a record straddling the pooled reader's 64 KiB buffer (five
-// segments of ~4 KiB records, round robin), a record longer than that buffer
-// (k = 64 KiB, read through a reader sized to it), and a systematic session
-// whose source blocks arrive after XOR repair rows that already hold their
-// columns.
+// segments of ~4 KiB records, round robin), the longest records the params
+// bound allows at n = 1 (k = 32 KiB, the second straddling that buffer, and
+// each longer than a RawClient's 32 KiB reader, so it reads them through a
+// reader sized to them), and a systematic session whose source blocks arrive
+// after XOR repair rows that already hold their columns.
 func inPlaceSessions(tb testing.TB) (streams, objects [][]byte) {
 	dense := func(records int) func(*rlnc.Segment, *rand.Rand) []*rlnc.CodedBlock {
 		return func(seg *rlnc.Segment, rng *rand.Rand) []*rlnc.CodedBlock {
@@ -84,7 +85,7 @@ func inPlaceSessions(tb testing.TB) (streams, objects [][]byte) {
 		blocks func(*rlnc.Segment, *rand.Rand) []*rlnc.CodedBlock
 	}{
 		{rlnc.Params{BlockCount: 4, BlockSize: 4000}, 5, ModeDense, dense(4)},
-		{rlnc.Params{BlockCount: 1, BlockSize: 64 << 10}, 1, ModeDense, dense(1)},
+		{rlnc.Params{BlockCount: 1, BlockSize: rlnc.MaxBlockSize}, 2, ModeDense, dense(1)},
 		{rlnc.Params{BlockCount: 4, BlockSize: 16}, 1, ModeSystematic, repairFirst},
 	} {
 		stream, object := sessionOf(tb, s.p, s.segs, s.mode, s.blocks)
@@ -94,13 +95,29 @@ func inPlaceSessions(tb testing.TB) (streams, objects [][]byte) {
 }
 
 // TestInPlaceSessionsDecode: the in-place fuzz seeds are healthy sessions —
-// each decodes to its object.
+// each decodes to its object, and a drain client reads every record of it.
 func TestInPlaceSessionsDecode(t *testing.T) {
 	streams, objects := inPlaceSessions(t)
 	for i, s := range streams {
 		res, err := pipeFetch(t, s, DefaultFetcherConfig())
 		if err != nil || !bytes.Equal(res.Payload, objects[i]) {
 			t.Fatalf("session %d: %v, payload intact %v", i, err, bytes.Equal(res.Payload, objects[i]))
+		}
+		conn := &streamConn{}
+		conn.r.Reset(s)
+		rc, err := NewRawClient(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for err == nil {
+			_, err = rc.Next()
+		}
+		opening := &countReader{r: bytes.NewReader(s)}
+		if _, err := readHandshake(opening); err != nil {
+			t.Fatal(err)
+		}
+		if rc.Bytes() != int64(len(s)-opening.n) {
+			t.Fatalf("session %d: drain client read %d records, %d of %d bytes: %v", i, rc.Records(), rc.Bytes(), len(s)-opening.n, err)
 		}
 	}
 }

@@ -89,12 +89,14 @@ import (
 // header: sweep, repair and dense-tail records keep their own encodings.
 //
 // A session opens with one sweep of every segment the server holds whole: n
-// independent records of it (the source blocks of a media-backed
-// ModeSystematic server as XNC2, a relay's held basis), each once. It is the
-// session's first grant in those segments, owed nothing more of them; other
-// segments are owed a default grant, written after it. A client that decoded
-// everything just closes; one that did not writes a need record, which buys
-// records of its short segments like any other grant. The server reads
+// records of a basis of it (counter records 0…n−1 of a media-backed ModeDense
+// server as XNC3, the source blocks of a ModeSystematic one as XNC2, a relay's
+// held basis), each once. It is the session's first grant in those segments,
+// owed nothing more of them; other segments are owed a default grant, written
+// after it. A client that decoded everything just closes; one that did not
+// writes a need record, which buys records of its short segments like any
+// other grant — after loss, or, for about one (key, segment) pair in 255,
+// because a dense origin's counter vectors 0…n−1 fall short of rank n. The server reads
 // nothing before its sweep is written, and the client's countdown is n
 // records a segment either way, so the header does not say which segments
 // are swept.

@@ -207,6 +207,24 @@ func newPoolSource(t *testing.T, obj *rlnc.Object, perSeg int) *poolSource {
 	return src
 }
 
+// newPushServer is a server over a poolSource of media split at p, 2n records
+// a segment: a source that holds no segment whole, so each session is owed a
+// grant of every segment from the handshake on and the pump encodes it — the
+// shape the credit, park and pacing tests need, which a media-backed server,
+// sweeping every segment, never takes on a clean link.
+func newPushServer(t *testing.T, media []byte, p rlnc.Params, cfg ServerConfig) *Server {
+	t.Helper()
+	obj, err := rlnc.Split(media, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewSourceServerFromConfig(newPoolSource(t, obj, 2*p.BlockCount), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv
+}
+
 func (s *poolSource) Info() SessionInfo { return s.info }
 
 // Sweep: a pool of recombinations holds no segment whole.

@@ -72,10 +72,11 @@ func flushRecords(frameLen, queueDepth int) int {
 // from the index and the key in the session header (hsFlagCounter).
 //
 // A segment the source holds whole is not pushed. Each session first writes,
-// of every such segment, the n records of the source's basis for it (the
-// source blocks of a media-backed ModeSystematic server, a relay's held rows)
-// once — the sweep — from a table of framed records all sessions share, as
-// fast as its connection takes them, through no queue, reading nothing
+// of every such segment, the n records of the source's basis for it (counter
+// records 0…n−1 of a media-backed ModeDense server, the source blocks of a
+// ModeSystematic one, a relay's held rows) once — the sweep — from a table of
+// framed records all sessions share, each encoded or framed once per server,
+// as fast as its connection takes them, through no queue, reading nothing
 // meanwhile. Then it starts its reader owed nothing of those segments: a peer
 // that decoded from the sweep hangs up (the common case, and the pump never
 // woke), and one that asks is fed the pump's records, as far as its credit
@@ -90,7 +91,8 @@ type Server struct {
 	sweep  *sweepTable // src's sweep records, framed on first use
 
 	// counter marks a media-backed ModeDense server: its records are XNC3
-	// counter records under key, which every session header declares.
+	// counter records under key, which every session header declares, and
+	// its sweep entries are encoded, not merely framed (sweepRecord).
 	counter bool
 	key     uint64
 
@@ -174,7 +176,7 @@ func NewServerFromConfig(media []byte, p rlnc.Params, cfg ServerConfig) (*Server
 		if err != nil {
 			return nil, err
 		}
-		src = &counterSource{obj: obj, key: key, next: make([]uint32, len(obj.Segments)), penc: penc}
+		src = newCounterSource(obj, key, penc)
 	}
 	s, err := newServer(cfg, src)
 	if err != nil {
@@ -219,7 +221,7 @@ func newServer(cfg ServerConfig, src RecordSource) (*Server, error) {
 		bufs:      make([][]byte, cfg.EncodeBatch),
 		frames:    &framePool{},
 		src:       src,
-		sweep:     &sweepTable{src: src, n: info.Params.BlockCount, records: make([]atomic.Pointer[[]byte], info.Segments*info.Params.BlockCount)},
+		sweep:     &sweepTable{n: info.Params.BlockCount, records: make([]atomic.Pointer[[]byte], info.Segments*info.Params.BlockCount)},
 		sessions:  make(map[*session]struct{}),
 		stop:      make(chan struct{}),
 		wake:      make(chan struct{}, 1),
@@ -501,13 +503,43 @@ func (s *Server) runSession(ss *session) {
 // grant, so nothing waits on the client before the first record.
 func (s *Server) firstGrant(ss *session) (swept []int) {
 	for seg := range ss.credit {
-		if s.sweep.record(seg, 0) != nil {
+		if s.sweepRecord(seg, 0, s.rootSpan.ID()) != nil {
 			swept = append(swept, seg)
 		} else {
 			ss.credit[seg].Store(s.grantCap)
 		}
 	}
 	return swept
+}
+
+// sweepRecord returns sweep-table entry (seg, i), having the source frame it
+// if no session has yet, or nil while the source does not hold seg whole. Two
+// sessions racing for one entry frame identical bytes; the first to publish
+// wins. A counter server's source encodes the entry, so each one it publishes
+// counts in BlocksEncoded — the table's encodes and the pump's are one count —
+// and a traced server spans the encode under parent: the session's sweep, or
+// the server's root where firstGrant asks whether the source holds seg whole.
+func (s *Server) sweepRecord(seg, i int, parent trace.SpanID) []byte {
+	slot := &s.sweep.records[seg*s.sweep.n+i]
+	if rec := slot.Load(); rec != nil {
+		return *rec
+	}
+	var enc trace.Span
+	if s.traced && s.counter {
+		enc = trace.Begin(s.cfg.TraceNode, "encode", s.traceID, parent, int32(seg))
+	}
+	rec := s.src.Sweep(seg, i)
+	enc.End()
+	if rec == nil {
+		return nil
+	}
+	if !slot.CompareAndSwap(nil, &rec) {
+		return *slot.Load()
+	}
+	if s.counter {
+		s.counters.AddEncoded(1)
+	}
+	return rec
 }
 
 // sweepStart is where session id's sweep begins in the flattened (segment,
@@ -606,7 +638,7 @@ func (s *Server) writeSweep(ss *session, swept []int) error {
 		for i := range batch {
 			idx := (start + done + i) % total
 			seg := swept[idx/n]
-			refs[i].buf = s.sweep.record(seg, idx%n)
+			refs[i].buf = s.sweepRecord(seg, idx%n, sp.ID())
 			refs[i].round = uint64(sp.ID())
 			refs[i].seg = int32(seg)
 			batch[i] = &refs[i]

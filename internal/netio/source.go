@@ -40,9 +40,11 @@ type RecordSource interface {
 	// Sweep frames record i < n of a basis of segment seg, length prefix
 	// included, in a buffer of its own when the source holds seg whole, and
 	// returns nil when it does not; once whole, seg keeps that basis for the
-	// source's lifetime. The server frames each record once, on first use
+	// source's lifetime. Every media-backed source holds every segment whole:
+	// a dense origin's basis is its counter records 0…n−1, a systematic one's
+	// the source blocks. The server frames each record once, on first use
 	// (sweepTable). Session goroutines call Sweep concurrently, with each
-	// other and with the pump's Records.
+	// other and with the pump's Records, so Sweep shares no scratch.
 	Sweep(seg, i int) []byte
 }
 
@@ -112,56 +114,62 @@ func layFrame(frame []byte, size int) (rec, body []byte) {
 // the basis its source sweeps segment seg with, length prefix included. A
 // swept record is a constant — the source frames one basis for as long as it
 // holds the segment whole — so it is framed once and every session writes the
-// same bytes; the table never recycles them. Entries are built on first use:
-// server bring-up is a gated metric, and a server nobody has fetched from yet
-// should not have paid to frame its object.
+// same bytes; the table never recycles them. Entries are built on first use
+// (Server.sweepRecord): server bring-up is a gated metric, and a server nobody
+// has fetched from yet should not have paid to frame its object.
 type sweepTable struct {
-	src     RecordSource
 	n       int
 	records []atomic.Pointer[[]byte]
 }
 
-// record returns entry (seg, i), having the source frame it if no session has
-// yet, or nil while the source does not hold seg whole. Two sessions racing
-// for one entry frame identical bytes; the first to publish wins.
-func (t *sweepTable) record(seg, i int) []byte {
-	slot := &t.records[seg*t.n+i]
-	if rec := slot.Load(); rec != nil {
-		return *rec
-	}
-	rec := t.src.Sweep(seg, i)
-	if rec == nil {
-		return nil
-	}
-	if !slot.CompareAndSwap(nil, &rec) {
-		return *slot.Load()
-	}
-	return rec
-}
-
 // counterSource is the media-backed ModeDense RecordSource behind
-// NewServerFromConfig: batches of XNC3 counter records encoded straight into
-// wire frames by the parallel encoder. A record's coefficients are
+// NewServerFromConfig: XNC3 counter records, whose coefficients are
 // rlnc.CounterCoeffs(key, segment, index), so nothing random is drawn and
-// nothing but the index travels. Indices count from zero per segment, so a
-// record is unique server-wide until a segment has sent 2^32 of them.
+// nothing but the index travels. Indices 0…n−1 of a segment are its sweep,
+// each encoded once per server into a record of its own (Sweep); the pump's
+// repair records, batches encoded straight into wire frames by the parallel
+// encoder, count from n (Records). No index is framed twice until a segment
+// has sent 2^32 records.
 type counterSource struct {
 	obj  *rlnc.Object
 	key  uint64
-	next []uint32 // per segment: the index of the next record to frame
+	next []uint32 // per segment: the index of the next repair record to frame
 
 	// penc encodes a batch; coeffBuf holds its coefficient vectors, coeffs
 	// views them, and payloads views the payloads of the frames under
-	// construction.
+	// construction. All of it is the pump's.
 	penc             *rlnc.ParallelEncoder
 	coeffBuf         []byte
 	coeffs, payloads [][]byte
 }
 
+// newCounterSource is the dense source of obj under key, its repair indices
+// counting from n, past the sweep's.
+func newCounterSource(obj *rlnc.Object, key uint64, penc *rlnc.ParallelEncoder) *counterSource {
+	next := make([]uint32, len(obj.Segments))
+	for i := range next {
+		next[i] = uint32(obj.Params.BlockCount)
+	}
+	return &counterSource{obj: obj, key: key, next: next, penc: penc}
+}
+
 func (c *counterSource) Info() SessionInfo { return objectInfo(c.obj, ModeDense) }
 
-// Sweep implements RecordSource: a dense origin sends no source blocks.
-func (c *counterSource) Sweep(seg, i int) []byte { return nil }
+// Sweep implements RecordSource: counter record i of segment seg, encoded in
+// a frame of its own. The media holds every segment whole. About 0.4 % of
+// (key, segment) pairs give vectors 0…n−1 short of full rank; a session swept
+// one asks, and the pump repairs it from index n on.
+func (c *counterSource) Sweep(seg, i int) []byte {
+	p := c.obj.Params
+	segment := c.obj.Segments[seg]
+	id, index := segment.ID(), uint32(i)
+	size := rlnc.CounterWireSize(p)
+	rec, body := layFrame(make([]byte, recordLenLen+size), size)
+	coeffs := make([]byte, p.BlockCount)
+	rlnc.CounterCoeffs(coeffs, c.key, id, index)
+	rlnc.EncodeInto(rlnc.PutCounterHeader(body, id, index, p), segment, coeffs)
+	return SealRecord(rec, p, ModeDense)
+}
 
 // Records implements RecordSource: claim an index of seg for every frame, lay
 // the records out, write each vector F(key, seg, index) once into scratch, let

@@ -2,12 +2,17 @@ package netio
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"runtime/debug"
+	"slices"
+	"sync"
 	"testing"
 
+	"extremenc/internal/matrix"
 	"extremenc/internal/rlnc"
 )
 
@@ -23,7 +28,7 @@ func denseSource(t testing.TB, p rlnc.Params, segments, workers int, key uint64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &counterSource{obj: obj, key: key, next: make([]uint32, len(obj.Segments)), penc: penc}
+	return newCounterSource(obj, key, penc)
 }
 
 // encodeWith gives the dense source of srv, before it serves, a parallel
@@ -41,7 +46,8 @@ func encodeWith(t testing.TB, srv *Server, workers int) *Server {
 // TestDenseRecordsDifferential: a frame the origin encoded in place is the
 // counter record rlnc.CounterRecord builds for its segment and index, byte for
 // byte — its payload the encode of F(key, segment, index), its indices
-// consecutive per segment — at every batch size and worker split.
+// consecutive per segment from n, past the sweep's — at every batch size and
+// worker split.
 func TestDenseRecordsDifferential(t *testing.T) {
 	const key = 5
 	for _, p := range []rlnc.Params{
@@ -51,7 +57,7 @@ func TestDenseRecordsDifferential(t *testing.T) {
 	} {
 		for _, workers := range []int{1, 3} {
 			src := denseSource(t, p, 2, workers, key)
-			next := [2]uint32{}
+			next := [2]uint32{uint32(p.BlockCount), uint32(p.BlockCount)}
 			for round, batch := range []int{1, 2, 7, 32} {
 				seg := src.obj.Segments[round%2]
 				recs := heapFrames(batch, p)
@@ -74,8 +80,8 @@ func TestDenseRecordsDifferential(t *testing.T) {
 }
 
 // TestServerSeedFixesTheStream: what a seed promises is the whole record
-// sequence — the key is the seed, indices count from zero — the same on two
-// servers and under any encoder worker count.
+// sequence — the key is the seed, the sweep is indices 0…n−1 and repair counts
+// from n — the same on two servers and under any encoder worker count.
 func TestServerSeedFixesTheStream(t *testing.T) {
 	p := rlnc.Params{BlockCount: 8, BlockSize: 64}
 	media := testMedia(t, 3*p.SegmentSize(), 12)
@@ -88,28 +94,195 @@ func TestServerSeedFixesTheStream(t *testing.T) {
 		}
 		return encodeWith(t, srv, workers)
 	}
-	grant := func(workers int) []byte {
+	recLen := recordLenLen + rlnc.CounterWireSize(p)
+	sweepLen := protoHeaderLen + tlvLen + 3*p.BlockCount*recLen
+	stream := func(workers int) []byte {
 		conn := startPipeServer(t, newServer(workers)).Dial()
 		defer conn.Close()
-		// A session's first grant, 3 × (n + margin) = 30 records, fits its
-		// queue of 64: none is shed, so they are the pump's first 30.
-		head := make([]byte, protoHeaderLen+tlvLen+3*(p.BlockCount+marginDense)*(recordLenLen+rlnc.CounterWireSize(p)))
-		if _, err := io.ReadFull(conn, head); err != nil {
+		// The sweep, 3 × n records; then, asked for every segment whole, a
+		// first repair grant, 3 × (n + margin) = 30 records, which fits the
+		// session's queue of 64: none is shed, so they are the pump's first 30.
+		head := make([]byte, sweepLen+3*(p.BlockCount+marginDense)*recLen)
+		if _, err := io.ReadFull(conn, head[:sweepLen]); err != nil {
+			t.Fatal(err)
+		}
+		n := uint32(p.BlockCount)
+		if _, err := conn.Write(appendNeed(nil, []uint32{n, n, n})); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(conn, head[sweepLen:]); err != nil {
 			t.Fatal(err)
 		}
 		return head
 	}
-	one := grant(1)
-	if !bytes.Equal(one, grant(1)) {
-		t.Fatal("two servers with one seed served different first grants")
+	one := stream(1)
+	if !bytes.Equal(one, stream(1)) {
+		t.Fatal("two servers with one seed served different streams")
 	}
-	if !bytes.Equal(one, grant(3)) {
-		t.Fatal("the first grant depends on the encoder worker count")
+	if !bytes.Equal(one, stream(3)) {
+		t.Fatal("the stream depends on the encoder worker count")
 	}
 	hs, err := readHandshake(bytes.NewReader(one))
 	if err != nil || !hs.counter() || hs.key != 99 {
 		t.Fatalf("handshake %+v, %v: want a counter session under key 99", hs, err)
 	}
+	for i, rec := 0, one[protoHeaderLen+tlvLen:]; len(rec) > 0; i, rec = i+1, rec[recLen:] {
+		index := binary.BigEndian.Uint32(rec[recordLenLen+16:])
+		if swept := i < 3*p.BlockCount; swept != (index < uint32(p.BlockCount)) {
+			t.Fatalf("record %d carries index %d: the sweep is 0…n−1, repair from n", i, index)
+		}
+	}
+}
+
+// counterBasisRank is the rank of the counter vectors 0…n−1 of segment segID
+// under key: the basis a dense origin sweeps that segment with.
+func counterBasisRank(t testing.TB, key uint64, segID uint32, n int) int {
+	t.Helper()
+	rows := make([][]byte, n)
+	for i := range rows {
+		rows[i] = make([]byte, n)
+		rlnc.CounterCoeffs(rows[i], key, segID, uint32(i))
+	}
+	m, err := matrix.FromRows(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.Rank()
+}
+
+// TestDenseTableOncePerServer: a dense origin encodes each record of its sweep
+// once over its life, however many sessions read it — concurrent ones racing
+// for the table's entries, later ones finding them built — and its pump
+// encodes nothing for a clean session: each reads exactly one sweep, n ×
+// segments records, asks for nothing, and no record is shed.
+func TestDenseTableOncePerServer(t *testing.T) {
+	p := rlnc.Params{BlockCount: 16, BlockSize: 256}
+	const segments, concurrent, serial = 3, 3, 2
+	media := testMedia(t, segments*p.SegmentSize()-9, 83)
+	cfg := DefaultServerConfig()
+	cfg.Seed = 3
+	srv, err := NewServerFromConfig(media, p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seg := range srv.src.(*counterSource).obj.Segments {
+		if r := counterBasisRank(t, uint64(cfg.Seed), seg.ID(), p.BlockCount); r != p.BlockCount {
+			t.Fatalf("segment %d: the key's basis has rank %d, so a clean session would ask", seg.ID(), r)
+		}
+	}
+	l := startPipeServer(t, srv)
+	sweep := segments * p.BlockCount
+	fetch := func() error {
+		payload, stats, err := Fetch(context.Background(), l.Dial())
+		if err == nil && !bytes.Equal(payload, media) {
+			err = errors.New("payload differs")
+		}
+		if err == nil && stats.Records != sweep {
+			err = fmt.Errorf("read %d records, want one sweep of %d", stats.Records, sweep)
+		}
+		return err
+	}
+	errs := make([]error, concurrent+serial)
+	var wg sync.WaitGroup
+	for i := range concurrent {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = fetch()
+		}()
+	}
+	wg.Wait()
+	for i := concurrent; i < len(errs); i++ {
+		errs[i] = fetch()
+	}
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+	awaitSessions(t, srv, 0)
+	srv.Shutdown()
+	snap := srv.Snapshot()
+	checkAccounting(t, snap)
+	if snap.BlocksEncoded != int64(sweep) || snap.BlocksSent != int64(len(errs)*sweep) || snap.BlocksShed != 0 {
+		t.Fatalf("encoded %d, sent %d, shed %d: want %d (the table, once), %d and 0",
+			snap.BlocksEncoded, snap.BlocksSent, snap.BlocksShed, sweep, len(errs)*sweep)
+	}
+	if srv.needRecords.Load() != 0 {
+		t.Fatalf("%d need records from clean sessions", srv.needRecords.Load())
+	}
+}
+
+// indexTap is a dense origin's source that notes the segment and index of
+// every record its pump frames.
+type indexTap struct {
+	*counterSource
+	segs, indices []uint32
+}
+
+func (x *indexTap) Records(seg int, frames [][]byte) int {
+	k := x.counterSource.Records(seg, frames)
+	for _, rec := range frames[:k] {
+		x.segs = append(x.segs, binary.BigEndian.Uint32(rec[recordLenLen+4:]))
+		x.indices = append(x.indices, binary.BigEndian.Uint32(rec[recordLenLen+16:]))
+	}
+	return k
+}
+
+// TestDenseDeficientBasisRepairs: under a key whose counter vectors 0…n−1 of
+// some segment fall short of full rank, a session's sweep leaves that segment
+// short. The fetch asks once, for the short segments alone, is repaired from
+// index n on — no swept index is framed twice — and finishes byte-identical.
+func TestDenseDeficientBasisRepairs(t *testing.T) {
+	p := rlnc.Params{BlockCount: 4, BlockSize: 64}
+	media := testMedia(t, 2*p.SegmentSize(), 84)
+	obj, err := rlnc.Split(media, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var key uint64
+	var short []uint32 // the segments the key's basis leaves short
+	for key = 1; len(short) == 0; key++ {
+		if key > 1e5 {
+			t.Fatal("no key below 1e5 gives a rank-deficient basis")
+		}
+		for _, seg := range obj.Segments {
+			if counterBasisRank(t, key, seg.ID(), p.BlockCount) < p.BlockCount {
+				short = append(short, seg.ID())
+			}
+		}
+	}
+	key--
+	cfg := DefaultServerConfig()
+	cfg.Seed = int64(key)
+	srv, err := NewServerFromConfig(media, p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tap := &indexTap{counterSource: srv.src.(*counterSource)}
+	srv.src = tap
+	l := startPipeServer(t, srv)
+	payload, stats, err := Fetch(context.Background(), l.Dial())
+	if err != nil || !bytes.Equal(payload, media) {
+		t.Fatalf("fetch under key %d: %v", key, err)
+	}
+	awaitSessions(t, srv, 0)
+	srv.Shutdown() // the pump has stopped: the tap is ours to read
+	checkAccounting(t, srv.Snapshot())
+	if asks := srv.needRecords.Load(); asks != 1 {
+		t.Fatalf("%d need records, want 1 (segments %v short)", asks, short)
+	}
+	if len(tap.indices) == 0 {
+		t.Fatal("the pump framed no repair")
+	}
+	framed := map[[2]uint32]bool{}
+	for i, index := range tap.indices {
+		seg := tap.segs[i]
+		if index < uint32(p.BlockCount) || !slices.Contains(short, seg) || framed[[2]uint32{seg, index}] {
+			t.Fatalf("repair record %d of segment %d, index %d: want a short segment %v, an index ≥ %d, never twice",
+				i, seg, index, short, p.BlockCount)
+		}
+		framed[[2]uint32{seg, index}] = true
+	}
+	t.Logf("key %d leaves segments %v short: %d records read, %d repair records framed", key, short, stats.Records, len(tap.indices))
 }
 
 // heapFrames is count frames of the length a server of p hands its source.

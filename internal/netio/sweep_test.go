@@ -160,8 +160,9 @@ func awaitSessions(t testing.TB, srv *Server, want int) {
 
 // TestSweepTableMatchesEncoder: every table entry is, byte for byte, the
 // record the systematic encoder's sweep phase produces for that block through
-// FrameRecord — what the pump used to put on the wire — and nothing is framed
-// before a session wants it.
+// FrameRecord — what the pump used to put on the wire — or, on a dense origin,
+// the counter record of its index; and nothing is framed before a session
+// wants it.
 func TestSweepTableMatchesEncoder(t *testing.T) {
 	p := rlnc.Params{BlockCount: 12, BlockSize: 100}
 	media := testMedia(t, 2*p.SegmentSize()-7, 61)
@@ -185,22 +186,38 @@ func TestSweepTableMatchesEncoder(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := srv.sweep.record(s, i)
+			got := srv.sweepRecord(s, i, 0)
 			if !bytes.Equal(got, want) {
 				t.Fatalf("segment %d block %d: table record differs from the encoder's", s, i)
 			}
-			if again := srv.sweep.record(s, i); &again[0] != &got[0] {
+			if again := srv.sweepRecord(s, i, 0); &again[0] != &got[0] {
 				t.Fatalf("segment %d block %d framed twice", s, i)
 			}
 		}
 	}
-	// A dense origin sweeps nothing.
-	dense, err := NewServerFromConfig(media, p, DefaultServerConfig())
+	// A dense origin sweeps counter records 0…n−1 of each segment, each the
+	// record rlnc.CounterRecord builds for its index under the server's key,
+	// encoded once and counted as encoded; its pump encodes nothing for them.
+	cfg := DefaultServerConfig()
+	cfg.Seed = 5
+	dense, err := NewServerFromConfig(media, p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dense.sweep.record(0, 0) != nil {
-		t.Fatal("dense server swept a record")
+	for s, seg := range obj.Segments {
+		for i := 0; i < p.BlockCount; i++ {
+			got := dense.sweepRecord(s, i, 0)
+			if len(got) < recordLenLen || int(binary.BigEndian.Uint32(got)) != len(got)-recordLenLen ||
+				!bytes.Equal(got[recordLenLen:], rlnc.CounterRecord(seg, 5, uint32(i))) {
+				t.Fatalf("dense segment %d record %d is not counter record %d under the key", s, i, i)
+			}
+			if again := dense.sweepRecord(s, i, 0); &again[0] != &got[0] {
+				t.Fatalf("dense segment %d record %d encoded twice", s, i)
+			}
+		}
+	}
+	if got := dense.Snapshot().BlocksEncoded; got != int64(2*p.BlockCount) {
+		t.Fatalf("dense table encoded %d records, want %d", got, 2*p.BlockCount)
 	}
 }
 
@@ -568,24 +585,29 @@ func TestSweepLossyFetchRepairs(t *testing.T) {
 	t.Logf("deficit %d, %d records read, %d dependent, %d corrupt, %d need records; pump encoded %d", deficit, res.Stats.Records, res.Stats.Dependent, res.Stats.Corrupt, srv.needRecords.Load(), snap.BlocksEncoded)
 }
 
-// TestPushSessionsUnchanged: servers without a sweep put the bytes on the
-// wire they are meant to — the digests are of a full grant after the
-// handshake, segments × (n + margin) records, which is all a client that
-// writes nothing is sent.
+// TestPushSessionsUnchanged: servers put the bytes on the wire they are meant
+// to — the digests are of what follows the handshake for a client that writes
+// nothing but, where it is swept, one ask: a push session's first grant,
+// segments × (n + margin) records, which is all a client that writes nothing
+// is sent; a dense origin's sweep, segments × n records, and the grant its ask
+// for every segment whole buys.
 //
 // The source-backed servers — a relay's shape — send no flag and XNC1
 // records, in either declared mode (it is the object source, not the mode,
 // that makes a sweep); the declared mode sets their margin, and so how many
 // records the grant holds. The media-backed dense server is a counter
 // session: hsFlagCounter and its key (the seed) in the header, XNC3 records
-// after it, their indices claimed a round at a time, round robin across
-// segments. The digests were re-pinned when protocol v5 bounded a session by
-// its credit; the records themselves did not change. So that a digest cannot
-// hide a format change, the handshake is pinned field by field and what each
-// digest stands for is asserted too: every record after the handshake is of
-// its session's encoding and declared shape, with a valid CRC, an in-range
-// segment and — read or regenerated — no zero coefficient, and a counter
-// session's indices run as its rounds claimed them.
+// after it — its sweep, indices 0…n−1 of every segment in the table's order
+// from the session's sweepStart, then repair indices from n, claimed a round
+// at a time, round robin across segments. The digests were re-pinned when
+// protocol v5 bounded a session by its credit, and the dense one again when
+// the dense origin came to sweep; the records' encoding did not change. So
+// that a digest cannot hide a format change, the handshake is pinned field by
+// field and what each digest stands for is asserted too: every record after
+// the handshake is of its session's encoding and declared shape, with a valid
+// CRC, an in-range segment and — read or regenerated — no zero coefficient,
+// and a counter session's indices run as its sweep and its rounds claimed
+// them.
 func TestPushSessionsUnchanged(t *testing.T) {
 	p := rlnc.Params{BlockCount: 4, BlockSize: 32}
 	media := testMedia(t, 2*p.SegmentSize()-5, 91)
@@ -596,19 +618,20 @@ func TestPushSessionsUnchanged(t *testing.T) {
 	for _, tc := range []struct {
 		name, digest string
 		hs           handshake // flags and key; the header is the server's
+		swept        bool      // the session is swept every segment, then asks
 		server       func() (*Server, error)
 	}{
-		{"dense", "85c45080e28c62a029299af74e44eb67d3752bbb14b1c07e364156bbf28a7fff", handshake{flags: hsFlagCounter, key: 17}, func() (*Server, error) {
+		{"dense", "99a68c1d95673c214619d2e3533089f1d39e3b4ede7c34630c174cc76be3ae13", handshake{flags: hsFlagCounter, key: 17}, true, func() (*Server, error) {
 			cfg := DefaultServerConfig()
 			cfg.Seed = 17
 			return NewServerFromConfig(media, p, cfg)
 		}},
-		{"source", "e79283df5cc8f473d349a4675bc627f3adda98f86bca069338c69ee0aa75b116", handshake{}, func() (*Server, error) {
+		{"source", "e79283df5cc8f473d349a4675bc627f3adda98f86bca069338c69ee0aa75b116", handshake{}, false, func() (*Server, error) {
 			src := newPoolSource(t, obj, 2*p.BlockCount)
 			src.info.Mode = ModeSystematic
 			return NewSourceServerFromConfig(src, DefaultServerConfig())
 		}},
-		{"source-dense", "1e70f0e36fc6b854eaacb95910bd3abba10125124d1f5b5e654438b775999807", handshake{}, func() (*Server, error) {
+		{"source-dense", "1e70f0e36fc6b854eaacb95910bd3abba10125124d1f5b5e654438b775999807", handshake{}, false, func() (*Server, error) {
 			return NewSourceServerFromConfig(newPoolSource(t, obj, 2*p.BlockCount), DefaultServerConfig())
 		}},
 	} {
@@ -626,10 +649,24 @@ func TestPushSessionsUnchanged(t *testing.T) {
 			opening := appendSessionHeader(nil, want)
 			size, _ := want.recordSizes()
 			recLen := recordLenLen + int(size)
-			grant := len(obj.Segments) * (p.BlockCount + grantMargin(want.hdr.Mode))
+			n := p.BlockCount
+			grant := len(obj.Segments) * (n + grantMargin(want.hdr.Mode))
+			sweep := 0
+			if tc.swept {
+				sweep = len(obj.Segments) * n
+			}
 			conn := pl.Dial()
-			head := make([]byte, len(opening)+grant*recLen)
-			if _, err := io.ReadFull(conn, head); err != nil {
+			head := make([]byte, len(opening)+(sweep+grant)*recLen)
+			swept := len(opening) + sweep*recLen
+			if _, err := io.ReadFull(conn, head[:swept]); err != nil {
+				t.Fatal(err)
+			}
+			if tc.swept {
+				if _, err := conn.Write(appendNeed(nil, []uint32{uint32(n), uint32(n)})); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := io.ReadFull(conn, head[swept:]); err != nil {
 				t.Fatal(err)
 			}
 			conn.Close()
@@ -641,7 +678,7 @@ func TestPushSessionsUnchanged(t *testing.T) {
 				t.Fatalf("the stream does not open with the session header: % x", head[:len(opening)])
 			}
 			if sum := sha256.Sum256(rest); hex.EncodeToString(sum[:]) != tc.digest {
-				t.Fatalf("the grant after the handshake changed: digest %x", sum)
+				t.Fatalf("the records after the handshake changed: digest %x", sum)
 			}
 			var segs []uint32
 			var indices []uint32
@@ -665,19 +702,30 @@ func TestPushSessionsUnchanged(t *testing.T) {
 				}
 				segs = append(segs, b.SegmentID)
 			}
-			// Rounds of up to EncodeBatch (4 here) records, segment after
-			// segment, each as many as the segment's credit still allows.
-			n := p.BlockCount
+			// The sweep: the table's entries from the first session's
+			// sweepStart on, wrapping. Then rounds of up to EncodeBatch (4
+			// here) records, segment after segment, each as many as the
+			// segment's credit still allows, indices from n on a swept
+			// session.
+			var wantSegs, wantIdx []uint32
+			for i := range sweep {
+				idx := (sweepStart(1, sweep) + i) % sweep
+				wantSegs = append(wantSegs, uint32(idx/n))
+				wantIdx = append(wantIdx, uint32(idx%n))
+			}
+			first := 0
+			if tc.swept {
+				first = n
+			}
 			credit := make([]int, len(obj.Segments))
 			for i := range credit {
 				credit[i] = n + grantMargin(want.hdr.Mode)
 			}
-			var wantSegs, wantIdx []uint32
-			for len(wantSegs) < grant {
+			for len(wantSegs) < sweep+grant {
 				for seg := range credit {
 					for range min(4, credit[seg]) {
 						wantSegs = append(wantSegs, uint32(seg))
-						wantIdx = append(wantIdx, uint32(n+grantMargin(want.hdr.Mode)-credit[seg]))
+						wantIdx = append(wantIdx, uint32(first+n+grantMargin(want.hdr.Mode)-credit[seg]))
 						credit[seg]--
 					}
 				}

@@ -29,7 +29,9 @@ func TestUnknownHeaderFlagsRejected(t *testing.T) {
 // a traced fetcher over an in-memory pipe must produce a span dump in which
 // every absorb span parents under the server's root span — zero orphans — and
 // the generations carry both the origin's encode and the leaf's absorb; the
-// fetcher inherits the server's trace context.
+// fetcher inherits the server's trace context. The origin's encodes are its
+// sweep table's, one span per entry, under the session's sweep span (or the
+// root, for the entries the session's first grant probes).
 func TestTracedSessionEndToEnd(t *testing.T) {
 	trace.Enable(1 << 14)
 	defer trace.Disable()
@@ -65,14 +67,29 @@ func TestTracedSessionEndToEnd(t *testing.T) {
 	}
 	srv.Shutdown() // ends the root span so the dump holds the full tree
 	events := trace.Dump()
-	absorbs := 0
+	absorbs, encodes := 0, 0
+	sweeps := map[trace.SpanID]bool{}
 	for _, e := range events {
+		if e.Kind == trace.KindSpan && e.Stage == "sweep" {
+			sweeps[e.Span] = true
+		}
+	}
+	for _, e := range events {
+		if e.Kind == trace.KindSpan && e.Stage == "encode" {
+			encodes++
+			if e.Node != "origin" || (!sweeps[e.Parent] && e.Parent != root) {
+				t.Fatalf("encode span %+v, want the origin's under a sweep span or root %d", e, root)
+			}
+		}
 		if e.Kind == trace.KindSpan && e.Stage == "absorb" {
 			absorbs++
 			if e.Node != "leaf" || e.Trace != tr || e.Parent != root {
 				t.Fatalf("absorb span %+v, want the leaf's under root %d of trace %d", e, root, tr)
 			}
 		}
+	}
+	if encodes != 2*p.BlockCount {
+		t.Fatalf("%d encode spans, want one per sweep-table entry (%d)", encodes, 2*p.BlockCount)
 	}
 	if absorbs < 2*p.BlockCount {
 		t.Fatalf("%d absorb spans, want one per record below full rank (≥ %d)", absorbs, 2*p.BlockCount)

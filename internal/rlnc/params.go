@@ -17,11 +17,15 @@ import (
 	"fmt"
 )
 
-// Limits for wire-format sanity checking. They comfortably cover the paper's
-// evaluated range (n up to 1024, k up to 32 KiB).
+// Limits for wire-format sanity checking: the paper's evaluated range (n up
+// to 1024, k up to 32 KiB), which is every shape the stack serves. Whatever
+// a peer's header or record declares is sized by them, so they bound what a
+// few checksummed bytes can make a reader allocate: a record buffer of at
+// most about 33 KiB where limits of 2^16 and 2^26 let a 60-byte header pin
+// 64 MiB.
 const (
-	MaxBlockCount = 1 << 16
-	MaxBlockSize  = 1 << 26
+	MaxBlockCount = 1024
+	MaxBlockSize  = 32 << 10
 )
 
 // ErrInvalidParams reports an unusable coding configuration.
