@@ -150,8 +150,9 @@ xor-smoke:
 # lock, and one race pass cannot show that no dial, reroute or remediation
 # step reads a route outside it. It repeats TestSnapshotDuringAddLeaf with
 # them: a metrics scrape snapshots the leaf list while leaf waves grow it. And
-# it repeats the relay sweep tests: a sweep reads the recoders from session
-# goroutines while the upstream absorb writes them.
+# it repeats the relay sweep tests: session goroutines read a whole segment's
+# held frames without the relay's lock while the upstream absorb appends
+# other segments' frames under it.
 mesh-smoke:
 	$(GO) test -race -count=1 -v -run 'TestMeshSmoke' ./internal/mesh/
 	$(GO) test -race -count=1 -skip 'TestMeshSmoke|TestMeshRollingRestart' ./internal/mesh/

@@ -7,10 +7,12 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math/rand"
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -96,8 +98,8 @@ func TestRelayServesRecodedBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer relay.Close()
-	if relay.Info().Mode != netio.ModeDense {
-		t.Fatalf("dense relay declares mode %v", relay.Info().Mode)
+	if (*relaySource)(relay).Info().Mode != netio.ModeDense {
+		t.Fatalf("dense relay declares mode %v", (*relaySource)(relay).Info().Mode)
 	}
 
 	f, err := netio.NewFetcherFromConfig(tcpDial(relay.Addr()), netio.DefaultFetcherConfig())
@@ -383,6 +385,85 @@ func TestRelayRefusesHostileSegmentCount(t *testing.T) {
 	t.Logf("%v after %d refused handshakes", err, attempts)
 }
 
+// TestRelayDeclaredSegmentsHoldNothing: an upstream whose CRC-valid header
+// declares as many segments as a header may — 2^16 at n = 1024, k = 32 KiB,
+// a 2 TiB object — and then sends no record costs the relay a few words per
+// segment and nothing more. StartRelay plus one downstream handshake keep at
+// most 16 MiB and 16 goroutines more than before them; a segment's basis
+// waits for its first record, and the sweep table's entries for a record to
+// sweep. Built at the handshake, the recoders would keep ~3.7 GiB (60 KiB
+// each) and a sweep table of segments × n entries 512 MiB.
+func TestRelayDeclaredSegmentsHoldNothing(t *testing.T) {
+	const n, k, segments = 1024, 32 << 10, 1 << 16
+	const heapBound, goroutineBound = 16 << 20, 16
+	body := binary.BigEndian.AppendUint32(nil, 5) // protocol version
+	for _, v := range []uint32{n, k, segments} {
+		body = binary.BigEndian.AppendUint32(body, v)
+	}
+	body = binary.BigEndian.AppendUint64(body, segments*n*k)
+	body = binary.BigEndian.AppendUint64(body, 0) // dense mode, no flags
+	hdr := binary.BigEndian.AppendUint32([]byte("XNCP"), uint32(len(body)))
+	hdr = append(hdr, body...)
+	hdr = binary.BigEndian.AppendUint32(hdr, crc32.ChecksumIEEE(hdr))
+
+	// The upstream answers every dial with the header, then reads whatever
+	// the relay writes and sends nothing.
+	ol, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ol.Close()
+	var mu sync.Mutex
+	var upConns []net.Conn
+	defer func() {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range upConns {
+			c.Close()
+		}
+	}()
+	go func() {
+		for {
+			c, err := ol.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			upConns = append(upConns, c)
+			mu.Unlock()
+			c.Write(hdr)
+			go io.Copy(io.Discard, c)
+		}
+	}()
+	rln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	heap, goroutines := heapAfterGC(), runtime.NumGoroutine()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	relay, err := StartRelay(ctx, RelayConfig{ID: "rd", Upstream: tcpDial(ol.Addr().String()), Listener: rln})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer relay.Close()
+	conn, err := net.Dial("tcp", relay.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	readSession(t, conn, 0)
+	if info := (*relaySource)(relay).Info(); info.Segments != segments || info.Params.BlockCount != n || relay.TotalRank() != 0 {
+		t.Fatalf("relay declares %+v at rank %d", info, relay.TotalRank())
+	}
+	kept, more := int64(heapAfterGC())-int64(heap), runtime.NumGoroutine()-goroutines
+	t.Logf("StartRelay and a downstream handshake at %d declared segments: %d B and %d goroutines kept", segments, kept, more)
+	if kept > heapBound || more > goroutineBound {
+		t.Fatalf("%d B and %d goroutines kept for %d declared segments, want ≤ %d B and ≤ %d", kept, more, segments, heapBound, goroutineBound)
+	}
+}
+
 // TestRelayXorRecode: a systematic origin feeding a relay, which recodes in
 // its upstream's field: it re-declares ModeSystematic downstream so its binary
 // recombinations travel in the compact XNC2 encoding, and the leaf must still
@@ -409,8 +490,8 @@ func TestRelayXorRecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer relay.Close()
-	if relay.Info().Mode != netio.ModeSystematic {
-		t.Fatalf("xor relay declares mode %v, want systematic", relay.Info().Mode)
+	if (*relaySource)(relay).Info().Mode != netio.ModeSystematic {
+		t.Fatalf("xor relay declares mode %v, want systematic", (*relaySource)(relay).Info().Mode)
 	}
 
 	f, err := netio.NewFetcherFromConfig(tcpDial(relay.Addr()), netio.DefaultFetcherConfig())
@@ -791,7 +872,10 @@ func TestRelayRankMonotoneUnderUpstreamChaos(t *testing.T) {
 		if r == nil {
 			return
 		}
-		ranks := r.SegmentRanks()
+		ranks := make([]int, (*relaySource)(r).Info().Segments)
+		for seg := range ranks {
+			ranks[seg] = (*relayBank)(r).Rank(uint32(seg))
+		}
 		for seg := range prev {
 			if ranks[seg] < prev[seg] {
 				t.Errorf("segment %d rank fell %d -> %d", seg, prev[seg], ranks[seg])

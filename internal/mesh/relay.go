@@ -1,6 +1,7 @@
 package mesh
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net"
@@ -44,19 +45,17 @@ type RelayConfig struct {
 }
 
 // Relay is one recoding node: a resilient upstream fetch whose sink is a bank
-// of per-segment rlnc.Recoders, and a downstream netio source server that
-// sweeps each session the held rows of every segment the relay holds whole,
-// and otherwise sends fresh recombinations drawn from the recoders. It recodes
-// in its upstream's field and re-declares the upstream's mode downstream: over
-// a ModeSystematic upstream, GF(2) recombinations through the XOR kernels
-// (rlnc.WithXorRecode), whose binary emissions travel in the compact XNC2
-// encoding; over a ModeDense one, dense GF(2^8) recombinations. The
-// recoder is the relay's one basis for a segment: each upstream record is
-// reduced and kept once, and the relay never decodes — coefficients are in
-// terms of the original source blocks, so leaves are oblivious to the hop
-// (paper Sec. 2). It starts serving a segment after the very first upstream
-// record for it lands, and keeps serving from accumulated rank even if its
-// upstream dies.
+// of per-segment bases, and a downstream netio source server that sweeps each
+// session the held records of every segment the relay holds whole, and
+// otherwise sends fresh recombinations drawn from the bases. A segment's basis,
+// built on its first record, is its held records — each innovative upstream
+// block, laid once as a sealed XNC1 record — and an rlnc.Recoder over their
+// rows. It recodes in its upstream's field and re-declares the upstream's mode:
+// over a ModeSystematic upstream, GF(2) recombinations (rlnc.WithXorRecode)
+// that travel as XNC2 when binary; over a ModeDense one, dense GF(2^8) ones.
+// It never decodes — coefficients are in terms of the original source blocks,
+// so leaves are oblivious to the hop (paper Sec. 2) — and serves a segment
+// from its first record on, even after its upstream dies.
 type Relay struct {
 	id  string
 	cfg RelayConfig
@@ -64,14 +63,18 @@ type Relay struct {
 	// ServerOpts applied once in StartRelay, plus the inherited trace context.
 	srvCfg netio.ServerConfig
 
-	mu       sync.Mutex
-	ln       net.Listener  // current downstream listener; swapped by Restart
-	srv      *netio.Server // current downstream server; swapped by Restart
-	retired  netio.CounterView
-	info     netio.SessionInfo // learned from the upstream handshake
+	mu      sync.Mutex
+	ln      net.Listener  // current downstream listener; swapped by Restart
+	srv     *netio.Server // current downstream server; swapped by Restart
+	retired netio.CounterView
+	info    netio.SessionInfo // learned from the upstream handshake
+	// Segment seg's basis, nil until its first record: recoders[seg] holds the
+	// rows of held[seg], which is read without mu once whole[seg] is set, after
+	// the n-th append. spare is the frame the next upstream record is laid in.
 	recoders []*rlnc.Recoder
-	// whole[seg] is set for good at full rank; its rows are then read without mu.
-	whole []atomic.Bool
+	held     [][][]byte
+	whole    []atomic.Bool
+	spare    []byte
 	// rows is the [C | x] rows of the downstream pump's batch, reused round
 	// after round under mu.
 	rows [][]byte
@@ -80,7 +83,7 @@ type Relay struct {
 	// including post-Restart replacements.
 	serveCtx context.Context
 
-	ready       chan struct{} // closed once info and recoders exist
+	ready       chan struct{} // closed once info and the per-segment slices exist
 	upFetch     *netio.Fetcher
 	fetchCancel context.CancelFunc
 	fetchDone   chan struct{}
@@ -159,68 +162,76 @@ func StartRelay(ctx context.Context, cfg RelayConfig) (*Relay, error) {
 }
 
 // onSession captures the upstream session shape on the first handshake — the
-// relay re-declares it downstream — and builds the per-segment recoders in
-// its field. Later handshakes are reconnects of the same session (the fetcher
-// enforces header identity) and are ignored.
+// relay re-declares it downstream — and sizes the per-segment slices. Later
+// handshakes are reconnects of the same session (the fetcher enforces header
+// identity) and are ignored.
 func (r *Relay) onSession(si netio.SessionInfo) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.recoders != nil {
 		return
 	}
-	recs := make([]*rlnc.Recoder, si.Segments)
-	for i := range recs {
-		opts := []rlnc.Option{rlnc.WithSeed(r.cfg.Seed + int64(i)*7919)}
-		if si.Mode == netio.ModeSystematic {
-			opts = append(opts, rlnc.WithXorRecode())
-		}
-		rec, err := rlnc.NewRecoder(si.Params, opts...)
-		if err != nil {
-			// The params came from a handshake the fetcher validated.
-			panic(fmt.Sprintf("mesh: recoder for handshake params: %v", err))
-		}
-		recs[i] = rec
-	}
 	r.info = si
-	r.recoders = recs
+	r.recoders = make([]*rlnc.Recoder, si.Segments)
+	r.held = make([][][]byte, si.Segments)
 	r.whole = make([]atomic.Bool, si.Segments)
 	close(r.ready)
 }
 
-// relayBank adapts a Relay to netio.Sink: the upstream fetch absorbs straight
-// into the recoders onSession built. Dependent blocks are dropped at the
-// recoder's door, and one for a segment at full rank is not reduced at all;
-// Add copies what it keeps, so the fetcher reuses the block.
+// relayBank adapts a Relay to netio.Sink: each upstream block is copied once,
+// into the spare frame as an XNC1 record, whose row the segment's recoder holds
+// (the record is sealed and kept, for sweeps) or drops (the frame stays spare).
+// A block for a segment already whole is not reduced at all.
 type relayBank Relay
 
 func (rb *relayBank) Absorb(b *rlnc.CodedBlock) (bool, error) {
 	r := (*Relay)(rb)
 	sp := stageRelayAbsorb.Start()
+	defer sp.End()
+	p, seg := r.info.Params, b.SegmentID
 	r.mu.Lock()
-	rec := r.recoders[b.SegmentID]
-	before := rec.Rank()
-	var err error
-	if before < r.info.Params.BlockCount {
-		err = rec.Add(b)
+	defer r.mu.Unlock()
+	if r.whole[seg].Load() {
+		return false, nil
 	}
-	innovative := rec.Rank() > before
-	if innovative && rec.Rank() == r.info.Params.BlockCount {
-		r.whole[b.SegmentID].Store(true)
+	rec := r.recoders[seg]
+	if rec == nil { // the segment's first record: its recoder, in the upstream's field
+		opts := []rlnc.Option{rlnc.WithSeed(r.cfg.Seed + int64(seg)*7919)}
+		if r.info.Mode == netio.ModeSystematic {
+			opts = append(opts, rlnc.WithXorRecode())
+		}
+		var err error
+		if rec, err = rlnc.NewRecoder(p, opts...); err != nil {
+			return false, err
+		}
+		r.recoders[seg], r.held[seg] = rec, make([][]byte, 0, p.BlockCount)
 	}
-	r.mu.Unlock()
-	sp.End()
-	return innovative, err
+	if r.spare == nil {
+		r.spare = make([]byte, 4+rlnc.WireSize(p)) // a length prefix, then the record
+	}
+	frame, row := netio.LayDenseRecord(r.spare, seg, p)
+	copy(row[copy(row, b.Coeffs):], b.Payload)
+	held, err := rec.Hold(seg, row)
+	if !held {
+		return false, err
+	}
+	r.spare = nil
+	r.held[seg] = append(r.held[seg], netio.SealRecord(frame, p, netio.ModeDense))
+	if len(r.held[seg]) == p.BlockCount {
+		r.whole[seg].Store(true)
+	}
+	return true, nil
 }
 
-// Rank is 0 for every segment until onSession has built the recoders.
+// Rank is a segment's held record count, 0 before its first record.
 func (rb *relayBank) Rank(seg uint32) int {
 	r := (*Relay)(rb)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if int(seg) >= len(r.recoders) {
+	if int(seg) >= len(r.held) {
 		return 0
 	}
-	return r.recoders[seg].Rank()
+	return len(r.held[seg])
 }
 
 // ID returns the relay's control-plane name.
@@ -234,35 +245,16 @@ func (r *Relay) Addr() string {
 	return r.ln.Addr().String()
 }
 
-// Info returns the session the relay declares downstream (valid once
-// StartRelay has returned).
-func (r *Relay) Info() netio.SessionInfo {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.info
-}
-
-// TotalRank sums the relay's recoder ranks across segments — the health
-// checker's progress probe.
+// TotalRank sums the relay's ranks — its held records — across segments: the
+// health checker's progress probe.
 func (r *Relay) TotalRank() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	total := 0
-	for _, rec := range r.recoders {
-		total += rec.Rank()
+	for _, held := range r.held {
+		total += len(held)
 	}
 	return total
-}
-
-// SegmentRanks returns the per-segment recoder ranks.
-func (r *Relay) SegmentRanks() []int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	ranks := make([]int, len(r.recoders))
-	for i, rec := range r.recoders {
-		ranks[i] = rec.Rank()
-	}
-	return ranks
 }
 
 // Server exposes the current downstream server for snapshots; nil until
@@ -361,24 +353,26 @@ func (r *Relay) Close() {
 // relaySource adapts a Relay to netio.RecordSource: each Records call draws
 // fresh recombinations, dense or GF(2), from the segment's recoder straight
 // into the frames the server hands it; a whole segment is swept its held
-// rows. A segment with no rank yet fills nothing and the server pump backs
+// records. A segment with no rank yet fills nothing and the server pump backs
 // off briefly.
 type relaySource Relay
 
-func (rs *relaySource) Info() netio.SessionInfo { return (*Relay)(rs).Info() }
+// Info is the session the relay learned upstream, set before any server exists.
+func (rs *relaySource) Info() netio.SessionInfo { return rs.info }
 
-// Sweep frames held row i of a segment at full rank, sealed in the downstream
-// mode: over a systematic upstream the binary rows travel as XNC2, as the
-// origin's do. A segment not yet whole costs one atomic load; every handshake
-// asks.
+// Sweep returns held record i of a segment the relay holds whole: the record
+// itself, or over a systematic upstream a copy narrowed to XNC2 when binary,
+// as the origin's are. A segment not yet whole costs one atomic load; every
+// handshake asks.
 func (rs *relaySource) Sweep(seg, i int) []byte {
 	r := (*Relay)(rs)
 	if !r.whole[seg].Load() {
 		return nil
 	}
-	row, n := r.recoders[seg].Row(i), r.info.Params.BlockCount
-	// The params came from a handshake the fetcher validated.
-	rec, _ := netio.FrameRecord(&rlnc.CodedBlock{SegmentID: uint32(seg), Coeffs: row[:n], Payload: row[n:]}, r.info.Mode)
+	rec := r.held[seg][i]
+	if r.info.Mode == netio.ModeSystematic {
+		return netio.SealRecord(bytes.Clone(rec), r.info.Params, netio.ModeSystematic)
+	}
 	return rec
 }
 
@@ -388,7 +382,7 @@ func (rs *relaySource) Records(seg int, frames [][]byte) int {
 	defer sp.End()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if seg >= len(r.recoders) || r.recoders[seg].Rank() == 0 {
+	if rec := r.recoders[seg]; rec == nil || rec.Rank() == 0 {
 		return 0
 	}
 	// The recode span parents under the upstream server's root span, as the
@@ -399,10 +393,10 @@ func (rs *relaySource) Records(seg int, frames [][]byte) int {
 		tsp := trace.Begin(r.id, "recode", tr, root, int32(seg))
 		defer tsp.End()
 	}
-	// A record is a [C | x] row, and so is every input the recoder holds:
-	// the batch is laid out as XNC1, recoded from the held rows into the
-	// frames' by one EmitInto, then sealed — over a systematic upstream each
-	// binary emission narrowed to XNC2 on the way.
+	// A record is a [C | x] row, and every input the recoder holds is the row
+	// of a held record: the batch is laid out as XNC1, recoded from the held
+	// rows into the frames' by one EmitInto, then sealed — over a systematic
+	// upstream each binary emission narrowed to XNC2 on the way.
 	p, mode := r.info.Params, r.info.Mode
 	rows := r.rows[:0]
 	for i, frame := range frames {

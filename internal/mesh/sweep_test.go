@@ -7,9 +7,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"math/rand"
 	"net"
 	"os"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -130,38 +133,41 @@ func TestRelaySweepServesHeldRows(t *testing.T) {
 	}
 }
 
-// partialRelay is a relay over one dense recoder per segment, each filled to
-// ranks[seg] with blocks of media, serving on a loopback listener; it has no
-// upstream.
+// handRelay is a relay with no upstream — its fetcher is never dialed — that
+// has learned a dense session of media at p in segments segments, as its first
+// upstream handshake would have told it.
+func handRelay(t *testing.T, p rlnc.Params, media []byte, segments int) *Relay {
+	t.Helper()
+	up, err := netio.NewFetcherFromConfig(tcpDial("127.0.0.1:1"), netio.DefaultFetcherConfig()) // never dialed
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &Relay{upFetch: up, ready: make(chan struct{})}
+	r.onSession(netio.SessionInfo{Params: p, Segments: segments, Length: int64(len(media)), Mode: netio.ModeDense})
+	return r
+}
+
+// partialRelay is a hand relay whose segment seg is filled to ranks[seg] by
+// absorbing dense blocks of media, as its upstream fetch would, serving on a
+// loopback listener.
 func partialRelay(t *testing.T, p rlnc.Params, media []byte, ranks []int) *Relay {
 	t.Helper()
 	obj, err := rlnc.Split(media, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	up, err := netio.NewFetcherFromConfig(tcpDial("127.0.0.1:1"), netio.DefaultFetcherConfig()) // never dialed
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := &Relay{
-		info:    netio.SessionInfo{Params: p, Segments: len(ranks), Length: int64(len(media)), Mode: netio.ModeDense},
-		upFetch: up,
-		whole:   make([]atomic.Bool, len(ranks)),
-	}
+	r := handRelay(t, p, media, len(ranks))
 	rng := rand.New(rand.NewSource(43))
 	for seg, rank := range ranks {
-		rec, err := rlnc.NewRecoder(p, rlnc.WithSeed(int64(seg)))
-		if err != nil {
-			t.Fatal(err)
-		}
 		enc := rlnc.NewEncoder(obj.Segments[seg], rng)
-		for rec.Rank() < rank {
-			if err := rec.Add(enc.NextBlock()); err != nil {
+		for (*relayBank)(r).Rank(uint32(seg)) < rank {
+			if _, err := (*relayBank)(r).Absorb(enc.NextBlock()); err != nil {
 				t.Fatal(err)
 			}
 		}
-		r.recoders = append(r.recoders, rec)
-		r.whole[seg].Store(rank == p.BlockCount)
+		if r.whole[seg].Load() != (rank == p.BlockCount) {
+			t.Fatalf("segment %d at rank %d: whole %v", seg, rank, r.whole[seg].Load())
+		}
 	}
 	srv, err := netio.NewSourceServerFromConfig((*relaySource)(r), netio.DefaultServerConfig())
 	if err != nil {
@@ -386,4 +392,167 @@ func TestRelaySweepHangupMidSweep(t *testing.T) {
 		t.Fatalf("ledger %+v after a hang-up mid-sweep", ledger)
 	}
 	t.Logf("ledger %+v", ledger)
+}
+
+// heapAfterGC is the live heap once two collections have run — the second
+// empties what the first moved to sync.Pool victim caches.
+func heapAfterGC() uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// allocated is the process's allocation count and bytes so far.
+func allocated() (count, bytes uint64) {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.Mallocs, ms.TotalAlloc
+}
+
+// TestRelaySweepHoldsEachRecordOnce: a relay filled to full rank holds each
+// innovative upstream record in exactly one buffer, and sweeps that buffer.
+// Past a segment's first record it allocates one frame per record its
+// recoder holds (and one spare), beside the probe's few slabs, and nothing
+// for a dependent one; the record
+// Sweep returns is the held frame itself, pointer for pointer; two leaves
+// swept by it decode byte-identical; and everything the relay and its server
+// keep for a whole segment — the sweep table included, which points at the
+// held frames — is at most its n held frames (4 + WireSize bytes each), the
+// recoder's n×n probe bytes and a fixed allowance. A relay that framed a second copy of
+// each held row for the table would keep twice the frames.
+func TestRelaySweepHoldsEachRecordOnce(t *testing.T) {
+	// A frame, 4 + WireSize = 16 KiB here, is one of the allocator's size
+	// classes, so a held frame costs its length.
+	p := rlnc.Params{BlockCount: 32, BlockSize: 16<<10 - 56}
+	const segments = 4
+	n := p.BlockCount
+	if frame := 4 + rlnc.WireSize(p); frame != 16<<10 {
+		t.Fatalf("a %d-byte frame", frame)
+	}
+	media := testMedia(t, segments*p.SegmentSize(), 47)
+	obj, err := rlnc.Split(media, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each segment's stream: n + 2 dense blocks, every third one followed by
+	// a duplicate, which is dependent on arrival.
+	rng := rand.New(rand.NewSource(48))
+	streams := make([][]*rlnc.CodedBlock, segments)
+	for seg := range streams {
+		enc := rlnc.NewEncoder(obj.Segments[seg], rng)
+		for i := range n + 2 {
+			b := enc.NextBlock()
+			streams[seg] = append(streams[seg], b)
+			if i%3 == 1 {
+				streams[seg] = append(streams[seg], b.Clone())
+			}
+		}
+	}
+
+	r := handRelay(t, p, media, segments)
+	bank := (*relayBank)(r)
+	for seg := range streams { // each segment's first record builds its basis
+		if held, err := bank.Absorb(streams[seg][0]); !held || err != nil {
+			t.Fatalf("segment %d's first record: held %v, %v", seg, held, err)
+		}
+	}
+	// The collector is off while the allocations are counted: a cycle
+	// starting mid-loop counts allocations of its own.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	count, size := allocated()
+	kept := 0
+	for seg := range streams {
+		for _, b := range streams[seg][1:] {
+			held, err := bank.Absorb(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if held {
+				kept++
+			}
+		}
+	}
+	count2, size2 := allocated()
+	debug.SetGCPercent(100)
+	// Beside the frames, the recoder's probe grows by slabs: log2(n) of them
+	// and under n² bytes a segment past its first record. The test binary's
+	// other goroutines allocate meanwhile, a few small objects at most; a
+	// second buffer per held record would be 124 more.
+	const slackCount, slackBytes = 16, 8 << 10
+	frame, probe := uint64(4+rlnc.WireSize(p)), uint64(segments*n*n)
+	slabs := uint64(segments * bits.Len(uint(n-1)))
+	if allocs, heldBytes := count2-count, size2-size; kept != segments*(n-1) ||
+		allocs > uint64(kept)+slabs+slackCount || heldBytes > uint64(kept+1)*frame+probe+slackBytes {
+		t.Fatalf("%d allocations of %d B for %d held records past each segment's first (want %d held): want one %d-byte frame each and the probe's slabs", allocs, heldBytes, kept, segments*(n-1), frame)
+	}
+	t.Logf("%d held records past each segment's first: %d allocations, %d B", kept, count2-count, size2-size)
+
+	for seg := range segments {
+		if !r.whole[seg].Load() || len(r.held[seg]) != n {
+			t.Fatalf("segment %d: whole %v with %d held records", seg, r.whole[seg].Load(), len(r.held[seg]))
+		}
+		for i, frame := range r.held[seg] {
+			if rec := (*relaySource)(r).Sweep(seg, i); len(rec) != len(frame) || &rec[0] != &frame[0] {
+				t.Fatalf("segment %d: swept record %d is not the held frame", seg, i)
+			}
+		}
+	}
+
+	srv, err := netio.NewSourceServerFromConfig((*relaySource)(r), netio.DefaultServerConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		srv.Serve(context.Background(), ln)
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f, err := netio.NewFetcherFromConfig(tcpDial(ln.Addr().String()), netio.DefaultFetcherConfig())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			res, err := f.Fetch(ctx)
+			if err != nil || !bytes.Equal(res.Payload, media) || res.Stats.Records != segments*n {
+				t.Errorf("leaf of a whole relay: %v, %d records, want %d and the media", err, res.Stats.Records, segments*n)
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	for srv.Snapshot().Sessions != 0 {
+		time.Sleep(time.Millisecond)
+	}
+	if snap := srv.Snapshot(); snap.BlocksEncoded != 0 || snap.BlocksSent != 2*segments*int64(n) {
+		t.Fatalf("%d records sent, %d recoded: want %d swept and none recoded", snap.BlocksSent, snap.BlocksEncoded, 2*segments*n)
+	}
+
+	// What the relay keeps is what its teardown frees.
+	holding := heapAfterGC()
+	srv.Shutdown()
+	ln.Close()
+	<-served
+	r, bank, srv = nil, nil, nil
+	freed := int64(holding) - int64(heapAfterGC())
+	const allowance = 128 << 10
+	bound := int64(segments*(n*(4+rlnc.WireSize(p))+n*n) + allowance)
+	t.Logf("a whole relay of %d segments kept %d B: bound %d B (held frames %d B a segment)", segments, freed, bound, n*(4+rlnc.WireSize(p)))
+	if freed > bound {
+		t.Fatalf("the relay and its server kept %d B for %d whole segments, want ≤ %d B: n held frames and n×n probe bytes a segment, plus %d B", freed, segments, bound, allowance)
+	}
 }

@@ -74,8 +74,8 @@ func flushRecords(frameLen, queueDepth int) int {
 // A segment the source holds whole is not pushed. Each session first writes,
 // of every such segment, the n records of the source's basis for it (counter
 // records 0…n−1 of a media-backed ModeDense server, the source blocks of a
-// ModeSystematic one, a relay's held rows) once — the sweep — from a table of
-// framed records all sessions share, each encoded or framed once per server,
+// ModeSystematic one, a relay's held records) once — the sweep — from a table
+// of framed records all sessions share, each asked of the source once,
 // as fast as its connection takes them, through no queue, reading nothing
 // meanwhile. Then it starts its reader owed nothing of those segments: a peer
 // that decoded from the sweep hangs up (the common case, and the pump never
@@ -221,7 +221,7 @@ func newServer(cfg ServerConfig, src RecordSource) (*Server, error) {
 		bufs:      make([][]byte, cfg.EncodeBatch),
 		frames:    &framePool{},
 		src:       src,
-		sweep:     &sweepTable{n: info.Params.BlockCount, records: make([]atomic.Pointer[[]byte], info.Segments*info.Params.BlockCount)},
+		sweep:     &sweepTable{n: info.Params.BlockCount, segs: make([]atomic.Pointer[[]atomic.Pointer[[]byte]], info.Segments)},
 		sessions:  make(map[*session]struct{}),
 		stop:      make(chan struct{}),
 		wake:      make(chan struct{}, 1),
@@ -512,17 +512,18 @@ func (s *Server) firstGrant(ss *session) (swept []int) {
 	return swept
 }
 
-// sweepRecord returns sweep-table entry (seg, i), having the source frame it
-// if no session has yet, or nil while the source does not hold seg whole. Two
-// sessions racing for one entry frame identical bytes; the first to publish
-// wins. A counter server's source encodes the entry, so each one it publishes
-// counts in BlocksEncoded — the table's encodes and the pump's are one count —
-// and a traced server spans the encode under parent: the session's sweep, or
-// the server's root where firstGrant asks whether the source holds seg whole.
+// sweepRecord returns sweep-table entry (seg, i), asking the source if no
+// session has yet, or nil while the source does not hold seg whole; racing
+// sessions get identical bytes, and the first to publish wins. A counter
+// server's source encodes the entry, so each one it publishes counts in
+// BlocksEncoded, and a traced server spans the encode under parent: the
+// session's sweep, or the server's root (firstGrant).
 func (s *Server) sweepRecord(seg, i int, parent trace.SpanID) []byte {
-	slot := &s.sweep.records[seg*s.sweep.n+i]
-	if rec := slot.Load(); rec != nil {
-		return *rec
+	entries := s.sweep.segs[seg].Load()
+	if entries != nil {
+		if rec := (*entries)[i].Load(); rec != nil {
+			return *rec
+		}
 	}
 	var enc trace.Span
 	if s.traced && s.counter {
@@ -533,7 +534,13 @@ func (s *Server) sweepRecord(seg, i int, parent trace.SpanID) []byte {
 	if rec == nil {
 		return nil
 	}
-	if !slot.CompareAndSwap(nil, &rec) {
+	if entries == nil { // racing sessions keep the first allocation
+		fresh := make([]atomic.Pointer[[]byte], s.sweep.n)
+		s.sweep.segs[seg].CompareAndSwap(nil, &fresh)
+		entries = s.sweep.segs[seg].Load()
+	}
+	kept := rec // only a record the table keeps moves to the heap
+	if slot := &(*entries)[i]; !slot.CompareAndSwap(nil, &kept) {
 		return *slot.Load()
 	}
 	if s.counter {

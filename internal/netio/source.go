@@ -37,14 +37,14 @@ type RecordSource interface {
 	// back at once.
 	Records(seg int, frames [][]byte) int
 
-	// Sweep frames record i < n of a basis of segment seg, length prefix
-	// included, in a buffer of its own when the source holds seg whole, and
-	// returns nil when it does not; once whole, seg keeps that basis for the
-	// source's lifetime. Every media-backed source holds every segment whole:
-	// a dense origin's basis is its counter records 0…n−1, a systematic one's
-	// the source blocks. The server frames each record once, on first use
-	// (sweepTable). Session goroutines call Sweep concurrently, with each
-	// other and with the pump's Records, so Sweep shares no scratch.
+	// Sweep returns record i < n of a basis of segment seg, length prefix
+	// included — a buffer of its own or one the source holds for its lifetime,
+	// never written again — when the source holds seg whole, and nil when it
+	// does not; once whole, seg keeps that basis for the source's lifetime.
+	// Every media-backed source holds every segment whole: a dense origin's
+	// basis is its counter records 0…n−1, a systematic one's the source blocks.
+	// The server asks once per record (sweepTable). Session goroutines call
+	// Sweep concurrently, with each other and with Records: it shares no scratch.
 	Sweep(seg, i int) []byte
 }
 
@@ -110,16 +110,15 @@ func layFrame(frame []byte, size int) (rec, body []byte) {
 	return rec, rec[recordLenLen:]
 }
 
-// sweepTable holds a server's sweep, framed: entry seg·n + i is record i of
-// the basis its source sweeps segment seg with, length prefix included. A
-// swept record is a constant — the source frames one basis for as long as it
-// holds the segment whole — so it is framed once and every session writes the
-// same bytes; the table never recycles them. Entries are built on first use
-// (Server.sweepRecord): server bring-up is a gated metric, and a server nobody
-// has fetched from yet should not have paid to frame its object.
+// sweepTable holds a server's sweep: entry i of segment seg is record i of the
+// basis its source sweeps seg with. A swept record is a constant, so it is
+// asked for once and every session writes the same bytes; the table never
+// recycles them. Entries are filled on first use (Server.sweepRecord): a server
+// nobody has fetched from should not have paid to frame its object, nor one
+// whose source holds a segment not whole for its n entries (nil until then).
 type sweepTable struct {
-	n       int
-	records []atomic.Pointer[[]byte]
+	n    int
+	segs []atomic.Pointer[[]atomic.Pointer[[]byte]]
 }
 
 // counterSource is the media-backed ModeDense RecordSource behind

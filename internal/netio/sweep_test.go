@@ -158,6 +158,29 @@ func awaitSessions(t testing.TB, srv *Server, want int) {
 	}
 }
 
+// TestSweepRecordNotWholeDoesNotAllocate: asking the table for a segment its
+// source does not hold whole — what every handshake does for every segment of
+// a relay still filling — allocates nothing and leaves the segment's entries
+// unallocated.
+func TestSweepRecordNotWholeDoesNotAllocate(t *testing.T) {
+	p := rlnc.Params{BlockCount: 8, BlockSize: 64}
+	srv := newPushServer(t, testMedia(t, 3*p.SegmentSize(), 62), p, DefaultServerConfig())
+	if got := testing.AllocsPerRun(20, func() {
+		for seg := range 3 {
+			if srv.sweepRecord(seg, 0, 0) != nil {
+				t.Fatal("a pool source swept a segment")
+			}
+		}
+	}); got != 0 {
+		t.Fatalf("%.1f allocations to ask about 3 segments not whole, want 0", got)
+	}
+	for seg := range srv.sweep.segs {
+		if srv.sweep.segs[seg].Load() != nil {
+			t.Fatalf("segment %d's entries allocated with nothing to keep", seg)
+		}
+	}
+}
+
 // TestSweepTableMatchesEncoder: every table entry is, byte for byte, the
 // record the systematic encoder's sweep phase produces for that block through
 // FrameRecord — what the pump used to put on the wire — or, on a dense origin,
@@ -167,12 +190,12 @@ func TestSweepTableMatchesEncoder(t *testing.T) {
 	p := rlnc.Params{BlockCount: 12, BlockSize: 100}
 	media := testMedia(t, 2*p.SegmentSize()-7, 61)
 	srv := newSweepServer(t, media, p, nil)
-	if len(srv.sweep.records) != 2*p.BlockCount {
-		t.Fatalf("sweep table of %d entries", len(srv.sweep.records))
+	if len(srv.sweep.segs) != 2 || srv.sweep.n != p.BlockCount {
+		t.Fatalf("sweep table of %d segments of %d entries", len(srv.sweep.segs), srv.sweep.n)
 	}
-	for i := range srv.sweep.records {
-		if srv.sweep.records[i].Load() != nil {
-			t.Fatalf("entry %d framed at construction", i)
+	for seg := range srv.sweep.segs {
+		if srv.sweep.segs[seg].Load() != nil {
+			t.Fatalf("segment %d's entries allocated at construction", seg)
 		}
 	}
 	obj, err := rlnc.Split(media, p)
@@ -322,9 +345,12 @@ func TestSweepLosslessFetch(t *testing.T) {
 	if got := srv.needRecords.Load(); got != 0 {
 		t.Fatalf("need_records = %d on a clean link", got)
 	}
-	for i := range srv.sweep.records {
-		if srv.sweep.records[i].Load() == nil {
-			t.Fatalf("entry %d never framed", i)
+	for seg := range srv.sweep.segs {
+		entries := srv.sweep.segs[seg].Load()
+		for i := range p.BlockCount {
+			if entries == nil || (*entries)[i].Load() == nil {
+				t.Fatalf("entry %d of segment %d never framed", i, seg)
+			}
 		}
 	}
 	found := false

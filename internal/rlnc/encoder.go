@@ -87,17 +87,22 @@ type Recoder struct {
 	// rows holds each innovative input as one [coeffs | payload] row of n+k
 	// bytes — the shape of the record it arrived in and of every record
 	// emitted from it, so a recombination is one batch multiply over whole
-	// rows. Linearly dependent input is dropped at the door (it would cost
-	// memory and recombination work without enlarging the span), so at most
-	// BlockCount rows are ever held and a relay's memory is bounded no matter
-	// how long the upstream stream runs.
+	// rows. A row is the caller's storage (Hold) or the recoder's own (Add);
+	// either way it is read, never written. Linearly dependent input is
+	// dropped at the door (it would cost memory and recombination work
+	// without enlarging the span), so at most BlockCount rows are ever held
+	// and a relay's memory is bounded no matter how long the upstream stream
+	// runs.
 	rows [][]byte
 
 	// probe is the reduced basis that decides innovation: probe[c] is the
-	// vector with pivot c, kept in the tail of its input's row allocation.
-	// scratch is where an arrival is reduced before it has earned a row.
-	probe   [][]byte
-	scratch []byte
+	// vector with pivot c, cut from the front of probeBuf, what is left of the
+	// probe's current slab. scratch is where an arrival is reduced before it
+	// has earned a row; spare is the row Add copies its next block into.
+	probe    [][]byte
+	probeBuf []byte
+	scratch  []byte
+	spare    []byte
 
 	// rng, when set via WithSeed, drives Emit so the caller does not have
 	// to thread a random source through every recombination.
@@ -137,12 +142,11 @@ func NewRecoder(p Params, opts ...Option) (*Recoder, error) {
 	}, nil
 }
 
-// Add registers a received coded block as recoding input. Blocks that are
-// linearly dependent with input already held are discarded (they cannot
-// change any recombination) at no allocation; Rank reports the span. An
-// innovative block is copied into one row of its own, so the caller may keep
+// Add registers a received coded block as recoding input: Hold over a row
+// of the recoder's own, into which b is copied, so the caller may keep
 // mutating or reusing b — a relay can feed Add straight from a receive loop
-// that recycles its record storage.
+// that recycles its record storage. A dependent block costs no allocation
+// (the row waits for the next Add); Rank reports the span.
 //
 // Binary blocks — a systematic sweep or GF(2) XOR repair stream, including
 // records parsed from the compact XNC2 encoding — are ordinary input: their
@@ -154,24 +158,48 @@ func (r *Recoder) Add(b *CodedBlock) error {
 	if err := b.Validate(r.params); err != nil {
 		return err
 	}
-	if len(r.rows) > 0 && b.SegmentID != r.segID {
-		return wrongSegmentError(r.segID, b.SegmentID)
+	if r.spare == nil {
+		r.spare = make([]byte, r.params.BlockCount+r.params.BlockSize)
 	}
-	pivot := r.reduce(b.Coeffs)
+	copy(r.spare[copy(r.spare, b.Coeffs):], b.Payload)
+	held, err := r.Hold(b.SegmentID, r.spare)
+	if held {
+		r.spare = nil
+	}
+	return err
+}
+
+// Hold reduces a [coeffs | payload] row of segment segID against the input
+// held — n+k bytes the caller laid, such as the middle of a wire record
+// (see PutWireHeader) — and keeps the row itself, not a copy, when it is
+// innovative, reporting whether it did. A held row is read by every later
+// emission, so the caller must not write it again; a row not held is the
+// caller's to reuse. Only the first n bytes are read here. Hold fails with
+// ErrBlockShape for a row of another length and with ErrWrongSegment for a
+// row of another segment than the rows held.
+func (r *Recoder) Hold(segID uint32, row []byte) (bool, error) {
+	n, width := r.params.BlockCount, r.params.BlockCount+r.params.BlockSize
+	if len(row) != width {
+		return false, fmt.Errorf("%w: %d-byte row, want %d", ErrBlockShape, len(row), width)
+	}
+	if len(r.rows) > 0 && segID != r.segID {
+		return false, wrongSegmentError(r.segID, segID)
+	}
+	pivot := r.reduce(row[:n])
 	if pivot < 0 {
-		return nil
+		return false, nil
 	}
-	// One allocation per innovative input: the [coeffs | payload] row, then
-	// its reduced coefficient vector for the probe.
-	n, k := r.params.BlockCount, r.params.BlockSize
-	buf := make([]byte, n+k+n)
-	copy(buf, b.Coeffs)
-	copy(buf[n:], b.Payload)
-	copy(buf[n+k:], r.scratch)
-	r.probe[pivot] = buf[n+k:]
-	r.rows = append(r.rows, buf[:n+k:n+k])
-	r.segID = b.SegmentID
-	return nil
+	if len(r.probeBuf) == 0 {
+		// Each slab holds as many vectors as are held already, so the probe
+		// pins n bytes per rank — n² at full rank — in log2(n) + 1 allocations.
+		held := len(r.rows)
+		r.probeBuf = make([]byte, n*max(1, min(held, n-held)))
+	}
+	r.probe[pivot], r.probeBuf = r.probeBuf[:n:n], r.probeBuf[n:]
+	copy(r.probe[pivot], r.scratch)
+	r.rows = append(r.rows, row[:width:width])
+	r.segID = segID
+	return true, nil
 }
 
 // reduce eliminates coeffs against the probe basis in r.scratch, normalised
@@ -203,18 +231,9 @@ func (r *Recoder) reduce(coeffs []byte) int {
 	return pivot
 }
 
-// Count returns the number of innovative blocks held for recombination.
-func (r *Recoder) Count() int { return len(r.rows) }
-
 // Rank returns the dimension of the subspace the recoder can emit from: only
 // innovative blocks are held, so it is their count.
 func (r *Recoder) Rank() int { return len(r.rows) }
-
-// Row returns held input i < Rank as its [coeffs | payload] row, the middle of
-// the record it arrived in. A held row never changes once added, so the bytes
-// may be read after the call while the recoder takes more input; they must not
-// be written.
-func (r *Recoder) Row(i int) []byte { return r.rows[i] }
 
 // Emit is NextBlock against the recoder's own random source (set with
 // WithSeed). It fails with ErrNoBlocks when nothing has been received (a

@@ -213,16 +213,16 @@ func TestRecoderDropsDependentInput(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if r.Count() != 1 || r.Rank() != 1 {
-		t.Fatalf("count=%d rank=%d after 5 duplicates", r.Count(), r.Rank())
+	if r.Rank() != 1 || len(r.rows) != 1 {
+		t.Fatalf("%d rows at rank %d after 5 duplicates", len(r.rows), r.Rank())
 	}
 	for i := 0; i < p.BlockCount+4; i++ {
 		if err := r.Add(enc.NextBlock()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if r.Rank() != p.BlockCount || r.Count() != p.BlockCount {
-		t.Fatalf("count=%d rank=%d, want %d (full rank, pruned)", r.Count(), r.Rank(), p.BlockCount)
+	if r.Rank() != p.BlockCount || len(r.rows) != p.BlockCount {
+		t.Fatalf("%d rows at rank %d, want %d (full rank, pruned)", len(r.rows), r.Rank(), p.BlockCount)
 	}
 }
 

@@ -103,8 +103,8 @@ func TestRecoderRankPreservation(t *testing.T) {
 	if rec.Rank() != partial {
 		t.Fatalf("recoder rank = %d, want %d (dependent input must not count)", rec.Rank(), partial)
 	}
-	if rec.Count() != partial {
-		t.Fatalf("recoder holds %d blocks, want %d (dependent input must not be stored)", rec.Count(), partial)
+	if len(rec.rows) != partial {
+		t.Fatalf("recoder holds %d rows, want %d (dependent input must not be stored)", len(rec.rows), partial)
 	}
 
 	// Emissions span exactly the partial subspace: the downstream decoder
@@ -478,7 +478,8 @@ func TestRecoderEmitIntoErrors(t *testing.T) {
 }
 
 // TestRecoderAddAllocations: a dependent arrival costs nothing, an innovative
-// one exactly its row — and a full batch emit, once sized, nothing either.
+// one its row (and at ranks 0, 1, 2, 4, … the probe's next slab, fewer than
+// one per Add over a fill) — and a full batch emit, once sized, nothing either.
 func TestRecoderAddAllocations(t *testing.T) {
 	p := Params{BlockCount: 16, BlockSize: 64}
 	seg := randomSegment(t, 0, p, 621)
@@ -507,8 +508,8 @@ func TestRecoderAddAllocations(t *testing.T) {
 		if err := rec.Add(dependent); err != nil {
 			t.Fatal(err)
 		}
-	}); got != 0 || rec.Count() != p.BlockCount {
-		t.Fatalf("%.2f allocations per dependent Add (count %d), want 0", got, rec.Count())
+	}); got != 0 || rec.Rank() != p.BlockCount {
+		t.Fatalf("%.2f allocations per dependent Add (rank %d), want 0", got, rec.Rank())
 	}
 	rows := make([][]byte, 8)
 	for i := range rows {
@@ -520,6 +521,56 @@ func TestRecoderAddAllocations(t *testing.T) {
 		}
 	}); got != 0 {
 		t.Fatalf("%.2f allocations per batch emit, want 0", got)
+	}
+}
+
+// TestRecoderHoldKeepsCallerRows: Hold keeps the row it is handed — the
+// recoder's held row is the caller's storage, not a copy — drops a dependent
+// row, and refuses a row of the wrong length or segment; a recoder fed by
+// Hold emits byte for byte what a twin on the same seed fed the same blocks
+// by Add emits.
+func TestRecoderHoldKeepsCallerRows(t *testing.T) {
+	p := Params{BlockCount: 8, BlockSize: 48}
+	n := p.BlockCount
+	seg := randomSegment(t, 3, p, 631)
+	enc := NewEncoder(seg, rand.New(rand.NewSource(632)))
+	held, err := NewRecoder(p, WithSeed(633))
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, _ := NewRecoder(p, WithSeed(633))
+	for held.Rank() < n {
+		b := enc.NextBlock()
+		row := append(append(make([]byte, 0, n+p.BlockSize), b.Coeffs...), b.Payload...)
+		ok, err := held.Hold(seg.ID(), row)
+		if err != nil || !ok {
+			t.Fatalf("innovative row at rank %d: held %v, %v", held.Rank(), ok, err)
+		}
+		if last := held.rows[held.Rank()-1]; &last[0] != &row[0] {
+			t.Fatal("the held row is a copy of the caller's")
+		}
+		if ok, err := held.Hold(seg.ID(), bytes.Clone(row)); ok || err != nil {
+			t.Fatalf("a dependent row: held %v, %v", ok, err)
+		}
+		if err := twin.Add(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := held.Hold(seg.ID(), make([]byte, n+p.BlockSize-1)); !errors.Is(err, ErrBlockShape) {
+		t.Fatalf("short row: %v, want ErrBlockShape", err)
+	}
+	if _, err := held.Hold(seg.ID()+1, make([]byte, n+p.BlockSize)); !errors.Is(err, ErrWrongSegment) {
+		t.Fatalf("row of another segment: %v, want ErrWrongSegment", err)
+	}
+	for i := range 4 {
+		got, err := held.Emit()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := twin.Emit()
+		if !bytes.Equal(got.Coeffs, want.Coeffs) || !bytes.Equal(got.Payload, want.Payload) {
+			t.Fatalf("emission %d over held rows differs from its twin's over added blocks", i)
+		}
 	}
 }
 
@@ -577,12 +628,13 @@ func FuzzRecoder(f *testing.F) {
 				Payload:   next(p.BlockSize),
 			}
 			for _, r := range []*Recoder{rec, dense} {
+				before := r.Rank()
 				err := r.Add(b)
 				if r.Rank() > p.BlockCount {
 					t.Fatalf("rank %d exceeds block count %d", r.Rank(), p.BlockCount)
 				}
-				if r.Count() != r.Rank() {
-					t.Fatalf("held %d blocks at rank %d: dependent input stored", r.Count(), r.Rank())
+				if len(r.rows) != r.Rank() || r.Rank() > before+1 {
+					t.Fatalf("held %d rows at rank %d after rank %d: dependent input stored", len(r.rows), r.Rank(), before)
 				}
 				out, eerr := r.Emit()
 				if err == nil && r.Rank() > 0 && eerr != nil {

@@ -298,8 +298,8 @@ func TestRecoderValidation(t *testing.T) {
 	if err := r.Add(NewEncoder(other, rng).NextBlock()); err == nil {
 		t.Fatal("cross-segment block accepted by recoder")
 	}
-	if r.Count() != 1 {
-		t.Fatalf("Count = %d", r.Count())
+	if r.Rank() != 1 {
+		t.Fatalf("Rank = %d", r.Rank())
 	}
 }
 
