@@ -190,8 +190,7 @@ func runWave(wave waveCfg, opt options) (waveResult, error) {
 	// individual readers for whole scheduler rotations; a wide deadline
 	// budget keeps the default hostile-peer eviction profile from shrinking
 	// the fleet mid-wave.
-	scfg.WriteDeadline = 30 * time.Second
-	scfg.WriteRetries = 4
+	scfg.WriteDeadline = 150 * time.Second
 	scfg.Mode = wave.wire
 	scfg.Metrics = reg
 	srv, err := netio.NewServerFromConfig(media, p, scfg)

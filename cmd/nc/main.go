@@ -5,7 +5,7 @@
 // Usage:
 //
 //	nc serve -listen 127.0.0.1:9099 -in media.bin -n 32 -k 4096 \
-//	    -queue 64 -deadline 5s -metrics 127.0.0.1:9100 -log-every 10s
+//	    -queue 64 -deadline 10s -metrics 127.0.0.1:9100 -log-every 10s
 //	nc fetch -addr 127.0.0.1:9099 -out media-copy.bin -timeout 30s \
 //	    -attempts 10 -backoff 50ms -backoff-max 2s -resume fetch.state
 //	nc smoke [serve|metrics|xor ...] [-clients 4 -mode systematic]

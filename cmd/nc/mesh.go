@@ -47,11 +47,9 @@ type meshRun struct {
 	mode                   string
 	chaos, warm            bool
 	originSessions         int
-	originPace             time.Duration
 	kill                   int
 	killAt                 int64
 	snapshot, flightOut    string
-	bench                  string
 
 	m     *mesh.Mesh
 	media []byte
@@ -83,7 +81,7 @@ func meshPreset(soak, trace bool) meshRun {
 	case trace:
 		shared.seed, shared.timeout, shared.flight = 7, 3*time.Minute, 1<<18
 		return meshRun{common: shared, trace: true, relays: 2, leaves: 4, mode: "dense",
-			chaos: true, warm: true, flightOut: "flight-trace.json", bench: "BENCH_host.json"}
+			chaos: true, warm: true, flightOut: "flight-trace.json"}
 	}
 	shared.seed, shared.k, shared.size, shared.timeout = 7, 1024, 200_000, 2*time.Minute
 	return meshRun{common: shared, relays: 3, leaves: 4, mode: "systematic",
@@ -103,16 +101,12 @@ func (r *meshRun) flags(all bool) *flag.FlagSet {
 		fs.BoolVar(&r.smoke, "smoke", false, "fixed seed, event count and relay count: the deterministic CI slice")
 		fs.IntVar(&r.events, "events", r.events, "schedule length (at most relays-2 kills)")
 	}
-	if all || r.trace {
-		fs.StringVar(&r.bench, "bench", r.bench, "committed benchmark baseline for the encode-batch gate")
-	}
 	if all || !r.soak {
 		fs.IntVar(&r.leaves, "leaves", r.leaves, "leaf fetchers per wave")
 	}
 	if all || !r.soak && !r.trace {
 		fs.StringVar(&r.mode, "mode", r.mode, "origin wire mode: dense or systematic (relays recode in its field)")
 		fs.IntVar(&r.originSessions, "origin-sessions", r.originSessions, "origin concurrent-session cap (0 = unlimited)")
-		fs.DurationVar(&r.originPace, "origin-pace", 0, "origin pump-round floor, modeling a constrained uplink (0 = unpaced)")
 		fs.BoolVar(&r.chaos, "chaos", false, "wrap inter-tier links in faultnet corruption + resets")
 		fs.IntVar(&r.kill, "kill", 0, "relays to kill mid-transfer (remediation must reroute their leaves)")
 		fs.Int64Var(&r.killAt, "kill-at", r.killAt, "total leaf records received before the kill fires")
@@ -150,11 +144,11 @@ func runMesh(args []string, out io.Writer) error {
 	}
 	r.out = out
 
-	// The trace gates on the disabled path and the codec run first: the
-	// recorder and the span sink are still off, as in every untraced process.
-	var tg traceGates
+	// The trace gate on the disabled path runs first: the recorder and the
+	// span sink are still off, as in every untraced process.
+	var allocs float64
 	if r.trace {
-		tg.allocs, tg.bench = disabledPathAllocs(), benchGate(r.bench, benchTol, out)
+		allocs = disabledPathAllocs()
 	}
 	if r.flight > 0 {
 		defer harness.Flight(r.flight, os.Stderr)()
@@ -163,7 +157,7 @@ func runMesh(args []string, out io.Writer) error {
 		Seed: r.seed, Fields: &r.sum, Invariants: map[string]bool{},
 		SummaryPath: r.summary, FlightPath: r.flightOut,
 	}
-	return verdict.Finish(r.run(tg, verdict.Invariants), out)
+	return verdict.Finish(r.run(allocs, verdict.Invariants), out)
 }
 
 // schedule is the preset's event sequence.
@@ -215,7 +209,6 @@ func (r *meshRun) topology(reg *obs.Registry, twitchy bool) mesh.Topology {
 		Relays:            r.relays,
 		OriginMode:        mode,
 		OriginMaxSessions: r.originSessions,
-		OriginPace:        r.originPace,
 		Seed:              r.seed,
 		Traced:            r.flight > 0 && !r.soak,
 		Registry:          reg,
@@ -252,8 +245,9 @@ func (r *meshRun) topology(reg *obs.Registry, twitchy bool) mesh.Topology {
 }
 
 // run brings the mesh up, plays the schedule, checks the invariants and tears
-// down, recording each verdict in invariants.
-func (r *meshRun) run(tg traceGates, invariants map[string]bool) error {
+// down, recording each verdict in invariants. allocs is the disabled tracing
+// path's allocations per operation, which the -trace gates check.
+func (r *meshRun) run(allocs float64, invariants map[string]bool) error {
 	ctx, cancel := context.WithTimeout(context.Background(), r.timeout)
 	defer cancel()
 
@@ -318,7 +312,7 @@ func (r *meshRun) run(tg traceGates, invariants map[string]bool) error {
 	// before the leak check, so no closure pins the mesh.
 	r.m.Close()
 	if r.trace {
-		if err := tg.check(r, reg, invariants); err != nil {
+		if err := checkTrace(r, reg, invariants, allocs); err != nil {
 			return err
 		}
 	}

@@ -23,14 +23,12 @@ import (
 type serveFlags struct {
 	queue    int
 	deadline time.Duration
-	retries  int
 	maxSess  int
 	mode     string
 }
 
 func (sf *serveFlags) register(fs *flag.FlagSet) {
-	fs.DurationVar(&sf.deadline, "deadline", 5*time.Second, "per-record write deadline (0 disables)")
-	fs.IntVar(&sf.retries, "retries", 1, "extra deadline windows before a timed-out session is dropped")
+	fs.DurationVar(&sf.deadline, "deadline", 10*time.Second, "write deadline per flush, and a session's idle budget (0 disables)")
 	fs.IntVar(&sf.maxSess, "max-sessions", 0, "concurrent session cap (0 = unlimited)")
 	sf.registerSmoke(fs)
 }
@@ -48,7 +46,6 @@ func (sf *serveFlags) config() (netio.ServerConfig, error) {
 	}
 	cfg.QueueDepth = sf.queue
 	cfg.WriteDeadline = sf.deadline
-	cfg.WriteRetries = sf.retries
 	cfg.MaxSessions = sf.maxSess
 	cfg.Mode = mode
 	return cfg, nil

@@ -46,7 +46,7 @@ func runSmoke(args []string, out io.Writer) error {
 	}
 	fs := flag.NewFlagSet("nc smoke", flag.ContinueOnError)
 	clients := fs.Int("clients", 4, "serve gate: concurrent fetchers")
-	sf := serveFlags{deadline: 2 * time.Second, retries: 1}
+	sf := serveFlags{deadline: 4 * time.Second}
 	sf.registerSmoke(fs)
 	c := common{size: 200_000, timeout: 60 * time.Second}
 	c.register(fs, "size", "timeout")

@@ -232,11 +232,10 @@ func SlowReaders(addr string, wave func() error) error {
 }
 
 // Twitchy is the relay tuning of a mesh schedule with slow-reader waves, a
-// netio.ServerOption: small queues, tiny batches, a pace that lands drains
-// mid-transfer.
+// netio.ServerOption: small queues, so a slow reader backs its relay up
+// within a few records, and a short BUSY retry-after hint.
 func Twitchy(c *netio.ServerConfig) {
-	c.Pace, c.RetryAfter = 2*time.Millisecond, 5*time.Millisecond
-	c.EncodeBatch, c.QueueDepth = 2, 4
+	c.QueueDepth, c.RetryAfter = 4, 5*time.Millisecond
 }
 
 // Verdict is the outcome of one gate run, its binary's -summary file: {"ok",

@@ -235,8 +235,8 @@ func TestTwitchy(t *testing.T) {
 	var opt netio.ServerOption = Twitchy
 	cfg := netio.DefaultServerConfig()
 	opt(&cfg)
-	if cfg.QueueDepth != 4 || cfg.EncodeBatch != 2 || cfg.Pace != 2*time.Millisecond || cfg.RetryAfter != 5*time.Millisecond {
-		t.Fatalf("queue/batch/pace/retry = %d/%d/%v/%v", cfg.QueueDepth, cfg.EncodeBatch, cfg.Pace, cfg.RetryAfter)
+	if cfg.QueueDepth != 4 || cfg.RetryAfter != 5*time.Millisecond {
+		t.Fatalf("queue/retry = %d/%v", cfg.QueueDepth, cfg.RetryAfter)
 	}
 }
 

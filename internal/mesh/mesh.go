@@ -37,11 +37,6 @@ type Topology struct {
 	// the knob that makes a relay tier pay off: relays warm up, release
 	// their origin slots, and fan out in parallel.
 	OriginMaxSessions int
-	// OriginPace floors the origin's pump-round interval, modeling a
-	// capacity-constrained origin uplink (see netio.ServerConfig.Pace). Warm
-	// relays serve unpaced, so this is the constraint a relay tier
-	// overcomes.
-	OriginPace time.Duration
 
 	// Seed drives every deterministic choice in the mesh.
 	Seed int64
@@ -76,10 +71,10 @@ type Topology struct {
 	LeafFetchOpts func(leaf int) []netio.FetcherOption
 
 	// RelayServerOpts, when non-nil, returns mutations applied to each
-	// relay's downstream server config (queue tuning, pacing, retry-after
-	// hints). The resulting config is reused for every replacement server a
-	// Restart builds, so it must not bind single-use resources like a
-	// metrics registry.
+	// relay's downstream server config (queue tuning, retry-after hints). The
+	// resulting config is reused for every replacement server a Restart
+	// builds, so it must not bind single-use resources like a metrics
+	// registry.
 	RelayServerOpts func(relay int) []netio.ServerOption
 }
 
@@ -180,7 +175,6 @@ func New(topo Topology) (*Mesh, error) {
 	ocfg.Seed = topo.Seed
 	ocfg.Mode = topo.OriginMode
 	ocfg.MaxSessions = topo.OriginMaxSessions
-	ocfg.Pace = topo.OriginPace
 	ocfg.Metrics = topo.Registry
 	if topo.Traced {
 		ocfg.TraceNode = "origin"

@@ -241,7 +241,7 @@ func BenchmarkDenseRecords(b *testing.B) {
 		b.Run(fmt.Sprintf("%s/n=%d/k=%d", name, p.BlockCount, p.BlockSize), func(b *testing.B) {
 			relay := warmRelay(b, p, 2, xor)
 			src := (*relaySource)(relay)
-			batch := p.BlockCount / 4 // the pump's default EncodeBatch
+			batch := p.BlockCount / 4 // the pump's round size, max(4, n/4)
 			stock := newFrameStock(p, batch)
 			b.SetBytes(int64(p.BlockSize))
 			b.ReportAllocs()
@@ -1029,17 +1029,14 @@ func TestMeshSmoke(t *testing.T) {
 	var killOnce sync.Once
 	killed := make(chan struct{})
 	topo := Topology{
-		Media:             media,
-		Params:            p,
-		Relays:            3,
-		Leaves:            4,
+		Media:  media,
+		Params: p,
+		Relays: 3,
+		Leaves: 4,
+		// One origin session at a time: the throughput leg's baseline rests on
+		// this cap, not on a slow origin — every reset sends a direct fetcher
+		// back through it, behind three rivals and its own backoff.
 		OriginMaxSessions: 1,
-		// The origin models a capacity-constrained uplink: one session at a
-		// time, pump rounds floored at 40ms (~100 records/s). That is the
-		// regime a relay tier exists for — and it keeps the mesh-vs-baseline
-		// comparison meaningful on single-core CI runners, where parallelism
-		// alone cannot shorten wall clock but idle serving capacity can.
-		OriginPace: 40 * time.Millisecond,
 		// Systematic origin + GF(2) XOR relays: the cheap-relay fast path,
 		// end to end — binary recombinations travel as compact XNC2 records.
 		OriginMode: netio.ModeSystematic,
@@ -1552,18 +1549,16 @@ func TestMeshRollingRestart(t *testing.T) {
 		// ~8KB — well short of the ~20KB object — so every leaf reconnects
 		// repeatedly and a moved leaf soon dials its new relay. A 20 ms stall
 		// every ~1KB a leaf reads holds each wave mid-transfer for hundreds of
-		// milliseconds: warm relays sweep, and a sweep is not paced, so
+		// milliseconds: warm relays sweep as fast as the link takes it, so
 		// without it a wave can finish before RestartRelay moves it.
 		DownstreamFaults: &faultnet.Config{
 			Seed: 43, CorruptEvery: 9000, ResetEvery: 4000, MaxReadChunk: 2048,
 			StallEvery: 1024, Stall: 20 * time.Millisecond,
 		},
-		// Paced relay serving paces what relays recode; the retry-after hint
-		// exercises the RelayServerOpts plumbing end to end.
+		// The retry-after hint exercises the RelayServerOpts plumbing end to
+		// end.
 		RelayServerOpts: func(relay int) []netio.ServerOption {
 			return []netio.ServerOption{func(c *netio.ServerConfig) {
-				c.Pace = 3 * time.Millisecond
-				c.EncodeBatch = 1
 				c.RetryAfter = 5 * time.Millisecond
 			}}
 		},

@@ -204,7 +204,7 @@ func (rb *relayBank) Absorb(b *rlnc.CodedBlock) (bool, error) {
 		if rec, err = rlnc.NewRecoder(p, opts...); err != nil {
 			return false, err
 		}
-		r.recoders[seg], r.held[seg] = rec, make([][]byte, 0, p.BlockCount)
+		r.recoders[seg] = rec
 	}
 	if r.spare == nil {
 		r.spare = make([]byte, 4+rlnc.WireSize(p)) // a length prefix, then the record

@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"extremenc/internal/netio"
 	"extremenc/internal/rlnc"
@@ -414,8 +415,8 @@ func allocated() (count, bytes uint64) {
 // TestRelaySweepHoldsEachRecordOnce: a relay filled to full rank holds each
 // innovative upstream record in exactly one buffer, and sweeps that buffer.
 // Past a segment's first record it allocates one frame per record its
-// recoder holds (and one spare), beside the probe's few slabs, and nothing
-// for a dependent one; the record
+// recoder holds (and one spare), beside the probe's few slabs and the growth
+// of two slices, and nothing for a dependent one; the record
 // Sweep returns is the held frame itself, pointer for pointer; two leaves
 // swept by it decode byte-identical; and everything the relay and its server
 // keep for a whole segment — the sweep table included, which points at the
@@ -476,16 +477,19 @@ func TestRelaySweepHoldsEachRecordOnce(t *testing.T) {
 	}
 	count2, size2 := allocated()
 	debug.SetGCPercent(100)
-	// Beside the frames, the recoder's probe grows by slabs: log2(n) of them
-	// and under n² bytes a segment past its first record. The test binary's
-	// other goroutines allocate meanwhile, a few small objects at most; a
-	// second buffer per held record would be 124 more.
+	// Beside the frames, the recoder's probe grows by slabs — log2(n) of them
+	// and under n² bytes a segment past its first record — and the recoder's
+	// rows and the relay's held records, slices that grow with the rank, by
+	// doubling: log2(n) allocations each and under 2n entries a segment. The
+	// test binary's other goroutines allocate meanwhile, a few small objects
+	// at most; a second buffer per held record would be 124 more.
 	const slackCount, slackBytes = 16, 8 << 10
 	frame, probe := uint64(4+rlnc.WireSize(p)), uint64(segments*n*n)
 	slabs := uint64(segments * bits.Len(uint(n-1)))
+	growth := uint64(2 * segments * 2 * n * int(unsafe.Sizeof([]byte(nil))))
 	if allocs, heldBytes := count2-count, size2-size; kept != segments*(n-1) ||
-		allocs > uint64(kept)+slabs+slackCount || heldBytes > uint64(kept+1)*frame+probe+slackBytes {
-		t.Fatalf("%d allocations of %d B for %d held records past each segment's first (want %d held): want one %d-byte frame each and the probe's slabs", allocs, heldBytes, kept, segments*(n-1), frame)
+		allocs > uint64(kept)+3*slabs+slackCount || heldBytes > uint64(kept+1)*frame+probe+growth+slackBytes {
+		t.Fatalf("%d allocations of %d B for %d held records past each segment's first (want %d held): want one %d-byte frame each, the probe's slabs and the slices' growth", allocs, heldBytes, kept, segments*(n-1), frame)
 	}
 	t.Logf("%d held records past each segment's first: %d allocations, %d B", kept, count2-count, size2-size)
 
@@ -555,4 +559,48 @@ func TestRelaySweepHoldsEachRecordOnce(t *testing.T) {
 	if freed > bound {
 		t.Fatalf("the relay and its server kept %d B for %d whole segments, want ≤ %d B: n held frames and n×n probe bytes a segment, plus %d B", freed, segments, bound, allowance)
 	}
+}
+
+// TestRelaySegmentNamedOncePinsItsRank: a sender that names a segment once —
+// one innovative record — makes a relay keep what rank 1 needs there, not a
+// basis sized for n. At n = 1024, k = 32 KiB, one record into each of 8
+// segments keeps at most a bound a segment: the held frame (4 + WireSize
+// bytes, which the allocator rounds up to whole 8 KiB pages), the recoder's n
+// probe pointers, and 16 KiB for its scratch, its first probe slab, its seeded
+// random source and the headers. A recoder row slice and a held slice sized
+// for n would add 48 KiB a segment.
+func TestRelaySegmentNamedOncePinsItsRank(t *testing.T) {
+	p := rlnc.Params{BlockCount: 1024, BlockSize: 32 << 10}
+	const segments = 8
+	n := p.BlockCount
+	rng := rand.New(rand.NewSource(49))
+	blocks := make([]*rlnc.CodedBlock, segments)
+	for seg := range blocks {
+		blocks[seg] = &rlnc.CodedBlock{SegmentID: uint32(seg), Coeffs: make([]byte, n), Payload: make([]byte, p.BlockSize)}
+		rng.Read(blocks[seg].Coeffs)
+		rng.Read(blocks[seg].Payload)
+	}
+	// No media: a 256 MiB object would only fill the header's length field,
+	// and absorbing reads nothing but a record's shape and bytes.
+	r := handRelay(t, p, nil, segments)
+	bank := (*relayBank)(r)
+
+	before := heapAfterGC()
+	for seg, b := range blocks {
+		if held, err := bank.Absorb(b); !held || err != nil {
+			t.Fatalf("segment %d's first record: held %v, %v", seg, held, err)
+		}
+	}
+	kept := int64(heapAfterGC()) - int64(before)
+	const page = 8 << 10
+	frame := (4 + rlnc.WireSize(p) + page - 1) &^ (page - 1)
+	bound := int64(frame + n*int(unsafe.Sizeof([]byte(nil))) + 16<<10)
+	t.Logf("one record into each of %d segments at %v: %d B kept, %d B a segment (bound %d B)", segments, p, kept, kept/segments, bound)
+	if kept > segments*bound {
+		t.Fatalf("%d B kept for %d segments at rank 1, want ≤ %d B a segment", kept, segments, bound)
+	}
+	if r.TotalRank() != segments {
+		t.Fatalf("relay at total rank %d, want %d", r.TotalRank(), segments)
+	}
+	runtime.KeepAlive(blocks)
 }

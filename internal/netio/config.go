@@ -16,9 +16,9 @@ import (
 // NewSourceServerFromConfig.
 //
 // Zero fields marked "0 → default" are replaced during normalization; the
-// other zero values are meaningful (no write deadline, no session cap, no
-// pacing) and taken literally, which is why callers start from
-// DefaultServerConfig rather than a bare literal.
+// other zero values are meaningful (no write deadline, no session cap) and
+// taken literally, which is why callers start from DefaultServerConfig rather
+// than a bare literal.
 type ServerConfig struct {
 	// QueueDepth bounds each session's send queue, in records (0 → 64,
 	// negative → 1). The pump offers a session no more than its queue has
@@ -29,29 +29,14 @@ type ServerConfig struct {
 	// session's sweep passes through no queue; the bound applies to the
 	// records the pump offers it.
 	QueueDepth int
-	// WriteDeadline bounds every record flush; a flush that misses it is
-	// retried (resuming at the byte where it stopped) WriteRetries times and
-	// the session is then dropped. Zero disables deadlines
-	// (DefaultServerConfig sets 5s). The same budget, WriteDeadline ×
-	// (1 + WriteRetries), bounds how long a session owed nothing, with
-	// nothing queued, may stay silent — neither hanging up nor writing a
-	// need record — before it is dropped; zero never drops it.
+	// WriteDeadline bounds every write the server makes: a session's
+	// handshake, each record flush (a flush that misses it drops the session,
+	// and what it did not write whole is shed), and a BUSY decision. Zero disables
+	// deadlines (DefaultServerConfig sets 10s). The same budget bounds how
+	// long a session owed nothing, with nothing queued, may stay silent —
+	// neither hanging up nor writing a need record — before it is dropped;
+	// zero never drops it.
 	WriteDeadline time.Duration
-	// WriteRetries is how many extra deadline windows a timed-out flush gets
-	// before the session is dropped (negative → 0; DefaultServerConfig
-	// sets 1).
-	WriteRetries int
-	// EncodeBatch is how many coded blocks each pump generates per segment
-	// per round (0 → max(4, blockCount/4)); for a source-backed server it
-	// sizes the per-round Records request. Larger batches amortize a
-	// round's fixed cost, and a batch of at least 1 MiB of multiply-add
-	// (batch × n × k: two records at n=128, k=4096) is split across the
-	// shared worker pool while a smaller one encodes on the pump; smaller
-	// batches tighten the round-robin interleave across segments. A round
-	// is never larger than what some session is owed and has queue room
-	// for. On a media-backed systematic server these are
-	// repair blocks, generated only while some session has asked for repair.
-	EncodeBatch int
 	// MaxSessions caps concurrent sessions; connections beyond the cap are
 	// answered BUSY and counted in Snapshot.SessionsRejected. Zero means
 	// unlimited.
@@ -72,22 +57,11 @@ type ServerConfig struct {
 	// 0…n−1, each encoded once per server, and repair is counter records from
 	// index n on. In ModeSystematic the sweep is the source blocks, in the
 	// compact XNC2 encoding, and repair is the GF(2) XOR repair + dense tail
-	// part of rlnc.SystematicEncoder's schedule. Pace governs the pump, so in
-	// both modes it governs repair, not sweeps. NewSourceServerFromConfig
+	// part of rlnc.SystematicEncoder's schedule. NewSourceServerFromConfig
 	// overrides Mode with the source's declared mode; its sessions are swept
 	// the segments the source holds whole and owed a grant of the rest from
 	// the handshake on.
 	Mode WireMode
-	// Pace floors the interval between pump rounds, bounding the server's
-	// repair rate at EncodeBatch records per Pace regardless of CPU
-	// headroom. It models a capacity-constrained coding engine — the regime
-	// where a recoding relay tier multiplies effective serving capacity — for
-	// what the pump encodes: grants of segments the source does not hold
-	// whole (a filling relay's) and repair after a sweep. It does not bound a
-	// sweep, which the table encodes once per server and every session then
-	// writes as fast as its connection takes it. Zero leaves the pump
-	// unpaced.
-	Pace time.Duration
 	// RetryAfter is the hint carried in BUSY admission decisions (session
 	// cap, address-less drain): how long the client should wait before
 	// redialing (0 → 250ms). The resilient Fetcher floors its next backoff
@@ -114,13 +88,12 @@ type ServerConfig struct {
 	TraceParent trace.SpanID
 }
 
-// DefaultServerConfig returns the serving defaults: queue depth 64, a 5s
-// write deadline with one retry, base seed 1, dense mode.
+// DefaultServerConfig returns the serving defaults: queue depth 64, a 10s
+// write deadline, base seed 1, dense mode.
 func DefaultServerConfig() ServerConfig {
 	return ServerConfig{
 		QueueDepth:    64,
-		WriteDeadline: 5 * time.Second,
-		WriteRetries:  1,
+		WriteDeadline: 10 * time.Second,
 		Seed:          1,
 	}
 }
@@ -135,23 +108,14 @@ func (c *ServerConfig) Validate() error {
 	return nil
 }
 
-// normalized returns a copy with every "0 → default" field resolved, using
-// blockCount for the batch default. Both constructors call Validate first.
-func (c ServerConfig) normalized(blockCount int) ServerConfig {
+// normalized returns a copy with every "0 → default" field resolved. Both
+// constructors call Validate first.
+func (c ServerConfig) normalized() ServerConfig {
 	if c.QueueDepth == 0 {
 		c.QueueDepth = 64
 	}
 	if c.QueueDepth < 0 {
 		c.QueueDepth = 1
-	}
-	if c.WriteRetries < 0 {
-		c.WriteRetries = 0
-	}
-	if c.EncodeBatch <= 0 {
-		// Default: a quarter generation per round, so late-joining clients
-		// wait at most a short interleave for every segment, but at least 4
-		// to amortize a round's fixed cost.
-		c.EncodeBatch = max(4, blockCount/4)
 	}
 	if c.Seed == 0 {
 		c.Seed = 1

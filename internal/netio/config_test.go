@@ -27,7 +27,6 @@ func TestServerConfigValidate(t *testing.T) {
 		{"zero value", func(c *ServerConfig) { *c = ServerConfig{} }, ""},
 		{"bad wire mode", func(c *ServerConfig) { c.Mode = WireMode(9) }, "wire mode"},
 		{"negative queue ok", func(c *ServerConfig) { c.QueueDepth = -5 }, ""},
-		{"negative retries ok", func(c *ServerConfig) { c.WriteRetries = -1 }, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -70,31 +69,34 @@ func TestServerRefusesTooManySegments(t *testing.T) {
 	}
 }
 
-// TestServerConfigNormalized pins the zero-to-default resolution.
+// TestServerConfigNormalized pins the zero-to-default resolution, and the
+// pump's round size, which no field sets: a quarter generation, at least 4.
 func TestServerConfigNormalized(t *testing.T) {
-	got := (ServerConfig{QueueDepth: 0, WriteRetries: -2, Seed: 0}).normalized(16)
+	got := (ServerConfig{QueueDepth: 0, Seed: 0}).normalized()
 	if got.QueueDepth != 64 {
 		t.Fatalf("QueueDepth 0 -> %d, want 64", got.QueueDepth)
-	}
-	if got.WriteRetries != 0 {
-		t.Fatalf("WriteRetries -2 -> %d, want 0", got.WriteRetries)
-	}
-	if got.EncodeBatch != 4 { // max(4, 16/4)
-		t.Fatalf("EncodeBatch 0 -> %d, want 4", got.EncodeBatch)
 	}
 	if got.Seed != 1 {
 		t.Fatalf("Seed 0 -> %d, want 1", got.Seed)
 	}
-	if (ServerConfig{QueueDepth: -3}).normalized(16).QueueDepth != 1 {
+	if (ServerConfig{QueueDepth: -3}).normalized().QueueDepth != 1 {
 		t.Fatal("negative QueueDepth must clamp to 1")
 	}
-	if (ServerConfig{EncodeBatch: 0}).normalized(64).EncodeBatch != 16 {
-		t.Fatal("EncodeBatch default must scale with block count")
-	}
 	// Meaningful zeros survive normalization untouched.
-	z := (ServerConfig{}).normalized(16)
-	if z.WriteDeadline != 0 || z.MaxSessions != 0 || z.Pace != 0 {
+	z := (ServerConfig{}).normalized()
+	if z.WriteDeadline != 0 || z.MaxSessions != 0 {
 		t.Fatalf("meaningful zeros were defaulted: %+v", z)
+	}
+	for n, want := range map[int]int{8: 4, 16: 4, 64: 16} {
+		p := rlnc.Params{BlockCount: n, BlockSize: 64}
+		srv, err := NewServerFromConfig(testMedia(t, p.SegmentSize(), 62), p, DefaultServerConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if srv.batch != want {
+			t.Errorf("n=%d: rounds of %d records, want %d", n, srv.batch, want)
+		}
+		srv.Shutdown()
 	}
 }
 

@@ -145,9 +145,9 @@ func TestCreditSilentPeer(t *testing.T) {
 // dropped once it stays silent past the write-deadline budget.
 func TestCreditSilentPeerIdlesOut(t *testing.T) {
 	p := rlnc.Params{BlockCount: 8, BlockSize: 64}
-	const deadline, retries = 30 * time.Millisecond, 1
+	const deadline = 60 * time.Millisecond
 	srv, counted := creditServer(t, p, func(c *ServerConfig) {
-		c.WriteDeadline, c.WriteRetries = deadline, retries
+		c.WriteDeadline = deadline
 	})
 	conn := counted.Listener.(*pipeListener).Dial()
 	if _, err := readHandshake(conn); err != nil {
@@ -158,7 +158,7 @@ func TestCreditSilentPeerIdlesOut(t *testing.T) {
 	if got := <-read; got != 2*(p.BlockCount+marginDense) {
 		t.Fatalf("peer read %d records before the server hung up", got)
 	}
-	if took := time.Since(t0); took < deadline*(1+retries)/2 {
+	if took := time.Since(t0); took < deadline/2 {
 		t.Fatalf("silent peer dropped after %v", took)
 	}
 	awaitSessions(t, srv, 0)

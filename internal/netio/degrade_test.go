@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"extremenc/internal/faultnet"
 	"extremenc/internal/rlnc"
 )
 
@@ -256,23 +257,23 @@ func TestStalledPeerRefusesNoOne(t *testing.T) {
 }
 
 // TestFetchTimeoutPartialResult: a fetch's wall-clock budget is its context's
-// deadline. It expires on a deliberately slow server and the fetch degrades to
+// deadline. It expires on a deliberately slow link and the fetch degrades to
 // a partial result — rank preserved, context.DeadlineExceeded, no payload.
 func TestFetchTimeoutPartialResult(t *testing.T) {
 	p := rlnc.Params{BlockCount: 64, BlockSize: 1024}
 	media := testMedia(t, p.SegmentSize(), 26)
-	// One record per 20ms from a paced push server: full rank needs ≥ 1.28s,
-	// far past the 250ms budget, but the first records land well inside it.
-	// (Pace bounds the pump, not a sweep.)
-	cfg := DefaultServerConfig()
-	cfg.EncodeBatch = 1
-	cfg.Pace = 20 * time.Millisecond
-	cfg.WriteDeadline = time.Second
-	srv := newPushServer(t, media, p, cfg)
+	// A 20ms stall about every record the client reads (~1.1 KB): the sweep
+	// of 64 records needs over a second, far past the 250ms budget, but the
+	// first records land well inside it.
+	srv, err := NewServerFromConfig(media, p, DefaultServerConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
 	l := startPipeServer(t, srv)
+	slow := faultnet.Config{Seed: 26, StallEvery: 1024, Stall: 20 * time.Millisecond}
 
 	f := newTestFetcher(t, func(ctx context.Context) (net.Conn, error) {
-		return l.Dial(), nil
+		return faultnet.Wrap(l.Dial(), slow), nil
 	}, DefaultFetcherConfig())
 	ctx, cancel := context.WithTimeout(context.Background(), 250*time.Millisecond)
 	defer cancel()

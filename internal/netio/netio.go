@@ -65,8 +65,8 @@ import (
 // records into a buffer sized by its own segment count, so a record declaring
 // another count, a body of the wrong length, or anything that is not a need
 // record ends the session after at most one record's bytes. A session owed
-// nothing with nothing queued waits WriteDeadline × (1 + WriteRetries) for a
-// need record before it is dropped.
+// nothing with nothing queued waits WriteDeadline for a need record before it
+// is dropped.
 //
 // A TLV field is u8 type | u8 length | value: type 1 is the transfer's 8-byte
 // trace ID, type 2 the server's 8-byte root span, type 3 the 8-byte key of a

@@ -210,7 +210,7 @@ func newPoolSource(t *testing.T, obj *rlnc.Object, perSeg int) *poolSource {
 // newPushServer is a server over a poolSource of media split at p, 2n records
 // a segment: a source that holds no segment whole, so each session is owed a
 // grant of every segment from the handshake on and the pump encodes it — the
-// shape the credit, park and pacing tests need, which a media-backed server,
+// shape the credit and park tests need, which a media-backed server,
 // sweeping every segment, never takes on a clean link.
 func newPushServer(t *testing.T, media []byte, p rlnc.Params, cfg ServerConfig) *Server {
 	t.Helper()

@@ -119,8 +119,7 @@ func TestServeSlowAndFailingClients(t *testing.T) {
 	media := testMedia(t, 2*p.SegmentSize()-17, 7)
 	cfg := DefaultServerConfig()
 	cfg.QueueDepth = 8
-	cfg.WriteDeadline = 50 * time.Millisecond
-	cfg.WriteRetries = 1
+	cfg.WriteDeadline = 100 * time.Millisecond
 	cfg.Seed = 1234
 	srv, err := NewServerFromConfig(media, p, cfg)
 	if err != nil {
@@ -228,8 +227,7 @@ func TestServeAcceptance64Clients(t *testing.T) {
 	media := testMedia(t, 2*p.SegmentSize(), 8)
 	cfg := DefaultServerConfig()
 	cfg.QueueDepth = 32
-	cfg.WriteDeadline = 200 * time.Millisecond
-	cfg.WriteRetries = 1
+	cfg.WriteDeadline = 400 * time.Millisecond
 	srv, err := NewServerFromConfig(media, p, cfg)
 	if err != nil {
 		t.Fatal(err)

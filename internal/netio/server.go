@@ -54,8 +54,8 @@ func flushRecords(frameLen, queueDepth int) int {
 // refcounted buffer — out to every session's bounded queue without blocking;
 // a batch big enough to pay for the hand-off is encoded in parallel on the
 // shared worker pool (rlnc.SharedPool), a smaller one on the pump.
-// Per-connection write deadlines with retry-then-drop semantics bound the
-// cost of a stuck peer, and the traffic ledger is exposed via Snapshot.
+// A per-flush write deadline bounds the cost of a stuck peer, and the traffic
+// ledger is exposed via Snapshot.
 //
 // Every session holds a credit per segment: how many more records of it the
 // session is owed (n + margin from the handshake on; netio.go has the rules).
@@ -99,6 +99,11 @@ type Server struct {
 	// grantCap is a full grant, n + margin: a session's credit in any segment
 	// never exceeds it.
 	grantCap int32
+
+	// batch caps a pump round: a quarter generation, so a segment waits at
+	// most a short interleave behind the others, but at least 4 records to
+	// amortize a round's fixed cost.
+	batch int
 
 	// frameLen is the length of every frame the pump hands its source,
 	// frameSize of the server's params. flushRecs is flushRecords for it:
@@ -166,7 +171,7 @@ func NewServerFromConfig(media []byte, p rlnc.Params, cfg ServerConfig) (*Server
 	if len(obj.Segments) > maxSegments {
 		return nil, fmt.Errorf("netio: %d bytes are %d segments of %v, over the %d a session may declare", len(media), len(obj.Segments), p, maxSegments)
 	}
-	cfg = cfg.normalized(p.BlockCount)
+	cfg = cfg.normalized()
 	key := uint64(cfg.Seed)
 	var src RecordSource
 	if cfg.Mode == ModeSystematic {
@@ -194,7 +199,7 @@ func NewServerFromConfig(media []byte, p rlnc.Params, cfg ServerConfig) (*Server
 // fan-out, bounded queues with shed-don't-stall, write deadlines, session
 // caps, metrics — is identical to a media-backed server; only where records
 // come from differs. The handshake is declared by src.Info(), so cfg.Mode is
-// ignored here; cfg.EncodeBatch sizes the per-round Records request.
+// ignored here.
 func NewSourceServerFromConfig(src RecordSource, cfg ServerConfig) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -203,7 +208,7 @@ func NewSourceServerFromConfig(src RecordSource, cfg ServerConfig) (*Server, err
 	if err := info.Validate(); err != nil {
 		return nil, fmt.Errorf("netio: bad source session info: %w", err)
 	}
-	cfg = cfg.normalized(info.Params.BlockCount)
+	cfg = cfg.normalized()
 	cfg.Mode = info.Mode
 	return newServer(cfg, src)
 }
@@ -211,17 +216,20 @@ func NewSourceServerFromConfig(src RecordSource, cfg ServerConfig) (*Server, err
 // newServer builds the server over its record source.
 func newServer(cfg ServerConfig, src RecordSource) (*Server, error) {
 	info := src.Info()
+	n := info.Params.BlockCount
+	batch := max(4, n/4)
 	frameLen := frameSize(info.Params)
 	s := &Server{
 		cfg:       cfg,
 		info:      info,
-		grantCap:  int32(info.Params.BlockCount + grantMargin(info.Mode)),
+		grantCap:  int32(n + grantMargin(info.Mode)),
+		batch:     batch,
 		frameLen:  frameLen,
 		flushRecs: flushRecords(frameLen, cfg.QueueDepth),
-		bufs:      make([][]byte, cfg.EncodeBatch),
+		bufs:      make([][]byte, batch),
 		frames:    &framePool{},
 		src:       src,
-		sweep:     &sweepTable{n: info.Params.BlockCount, segs: make([]atomic.Pointer[[]atomic.Pointer[[]byte]], info.Segments)},
+		sweep:     &sweepTable{n: n, segs: make([]atomic.Pointer[[]atomic.Pointer[[]byte]], info.Segments)},
 		sessions:  make(map[*session]struct{}),
 		stop:      make(chan struct{}),
 		wake:      make(chan struct{}, 1),
@@ -606,16 +614,16 @@ func (s *Server) grant(ss *session, deficits []uint32) {
 }
 
 // awaitAsk arms the idle read deadline of a session owed nothing whose queue
-// the writer has just emptied: the peer has the write-deadline budget,
-// WriteDeadline × (1 + WriteRetries), to hang up or ask before its reader gives
-// up on it. A zero WriteDeadline never drops an idle session.
+// the writer has just emptied: the peer has WriteDeadline to hang up or ask
+// before its reader gives up on it. A zero WriteDeadline never drops an idle
+// session.
 func (s *Server) awaitAsk(ss *session) {
 	if s.cfg.WriteDeadline <= 0 {
 		return
 	}
 	ss.idleMu.Lock()
 	if !ss.idle && ss.owedNothing() {
-		ss.conn.SetReadDeadline(time.Now().Add(s.cfg.WriteDeadline * time.Duration(1+s.cfg.WriteRetries)))
+		ss.conn.SetReadDeadline(time.Now().Add(s.cfg.WriteDeadline))
 		ss.idle = true
 	}
 	ss.idleMu.Unlock()
@@ -623,7 +631,7 @@ func (s *Server) awaitAsk(ss *session) {
 
 // writeSweep writes the sweep table's records of the swept segments straight
 // to the connection, at most flushRecs per vectored write, under the same
-// deadline, retry and short-write rules as any flush. Every record is offered,
+// deadline and short-write rules as any flush. Every record is offered,
 // and then sent or shed, in the session's ledger; none is encoded — that
 // counter is the pump's.
 func (s *Server) writeSweep(ss *session, swept []int) error {
@@ -740,12 +748,10 @@ func (s *Server) flush(ss *session, batch []*frameRef, bufs *net.Buffers) error 
 	return err
 }
 
-// writeFrames flushes frs in one vectored write (TCP connections use a
-// single writev per attempt) under the session's write deadline, resuming
-// partial writes. A flush that times out gets WriteRetries extra deadline
-// windows (retry-then-drop); any other error, or exhausting the budget,
-// fails the session. It returns how many frames were fully written and
-// their byte count — on failure the remainder is the caller's to shed.
+// writeFrames flushes frs in one vectored write (writev on a TCP connection)
+// under one WriteDeadline: a write that misses it, or fails any other way,
+// fails the session. It returns how many frames were fully written and their
+// byte count — on failure the remainder is the caller's to shed.
 func (s *Server) writeFrames(ss *session, frs []*frameRef, scratch *net.Buffers) (int, int64, error) {
 	bufs := (*scratch)[:0]
 	total := 0
@@ -757,29 +763,18 @@ func (s *Server) writeFrames(ss *session, frs []*frameRef, scratch *net.Buffers)
 	// flush), which WriteTo consumes: hand the backing array back.
 	*scratch = bufs
 	defer func() { *scratch = bufs[:0] }()
-	written := 0
-	retries := s.cfg.WriteRetries
-	for written < total {
-		if s.cfg.WriteDeadline > 0 {
-			ss.conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteDeadline))
-		}
-		n, err := scratch.WriteTo(ss.conn)
-		written += int(n)
-		if err == nil {
-			continue
-		}
-		var ne net.Error
-		if errors.As(err, &ne) && ne.Timeout() && retries > 0 {
-			retries--
-			continue
-		}
-		sentN, sentBytes, partial := framesDone(frs, written)
-		if partial {
-			err = fmt.Errorf("%w: %d of %d bytes: %v", ErrShortWrite, written, total, err)
-		}
-		return sentN, sentBytes, err
+	if s.cfg.WriteDeadline > 0 {
+		ss.conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteDeadline))
 	}
-	return len(frs), int64(total), nil
+	written, err := scratch.WriteTo(ss.conn)
+	if err == nil {
+		return len(frs), int64(total), nil
+	}
+	sentN, sentBytes, partial := framesDone(frs, int(written))
+	if partial {
+		err = fmt.Errorf("%w: %d of %d bytes: %v", ErrShortWrite, written, total, err)
+	}
+	return sentN, sentBytes, err
 }
 
 // framesDone maps a written byte count onto the frame sequence: how many
@@ -835,7 +830,14 @@ func (s *Server) pump() {
 	segments := s.info.Segments
 	segIdx := 0
 	live := make([]*session, 0, 16)
-	frames := make([]*frameRef, s.cfg.EncodeBatch)
+	frames := make([]*frameRef, s.batch)
+	// fed[seg] is whether the source filled the last round of seg. A round of
+	// a segment not fed — no round yet, or nothing filled last time — asks
+	// for one record first, and for the rest of its batch once that one is
+	// filled: a source with nothing to say there (a relay that holds no rank
+	// yet) costs the pool one frame a round, not a batch, and every round
+	// puts the same records on the wire.
+	fed := make([]bool, segments)
 	idle := true // no round since start or since nobody was owed anything
 	for {
 		select {
@@ -868,9 +870,17 @@ func (s *Server) pump() {
 			round = trace.Begin(s.cfg.TraceNode, "round", s.traceID, s.rootSpan.ID(), int32(seg))
 			enc = trace.Begin(s.cfg.TraceNode, "encode", s.traceID, round.ID(), int32(seg))
 		}
-		filled := frames[:s.fill(seg, frames[:batch])]
+		k := 0
+		if !fed[seg] {
+			k = s.fill(seg, frames[:1])
+		}
+		if k < batch && (k > 0 || fed[seg]) {
+			k += s.fill(seg, frames[k:batch])
+		}
+		filled := frames[:k]
 		segIdx = (seg + 1) % segments
-		if len(filled) == 0 {
+		fed[seg] = k > 0
+		if k == 0 {
 			// Nothing to say for this segment yet. Park briefly — this is
 			// source starvation, not client backpressure, so no stall is
 			// charged.
@@ -910,9 +920,6 @@ func (s *Server) pump() {
 			idle = false
 			runtime.Gosched()
 		}
-		if s.cfg.Pace > 0 && !s.nap(s.cfg.Pace, nil) {
-			return
-		}
 	}
 }
 
@@ -947,7 +954,7 @@ func (s *Server) fill(seg int, frames []*frameRef) int {
 
 // nextRound picks the round's segment and batch size: the first segment from
 // cursor, in round-robin order, that a live session is owed and has queue room
-// for, and min(EncodeBatch, max over sessions of min(credit, free slots)).
+// for, and min(s.batch, max over sessions of min(credit, free slots)).
 // owed reports whether any session is owed anything at all, so a zero batch
 // with owed set means every owed session's queue is full.
 func (s *Server) nextRound(live []*session, cursor, segments int) (seg, batch int, owed bool) {
@@ -966,7 +973,7 @@ func (s *Server) nextRound(live []*session, cursor, segments int) (seg, batch in
 			batch = max(batch, min(c, s.room[j]))
 		}
 		if batch > 0 {
-			return seg, min(batch, s.cfg.EncodeBatch), true
+			return seg, min(batch, s.batch), true
 		}
 	}
 	return 0, 0, owed

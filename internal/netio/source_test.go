@@ -7,10 +7,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"runtime/debug"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"extremenc/internal/matrix"
 	"extremenc/internal/rlnc"
@@ -362,7 +365,7 @@ func TestRecordSourceContract(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			frames := make([]*frameRef, srv.cfg.EncodeBatch)
+			frames := make([]*frameRef, srv.batch)
 			k := srv.fill(0, frames)
 			if want := tc.fill(0, len(frames)); k != want || len(src.laid) != k {
 				t.Fatalf("a round filled %d frames, the source laid %d, want %d", k, len(src.laid), want)
@@ -422,8 +425,69 @@ func TestRecordSourceContract(t *testing.T) {
 				t.Fatal("a record outside its frame did not panic the round")
 			}
 		}()
-		srv.fill(0, make([]*frameRef, srv.cfg.EncodeBatch))
+		srv.fill(0, make([]*frameRef, srv.batch))
 	})
+}
+
+// drySource is a relay that holds no rank yet: it declares a dense session at
+// its params and fills nothing. It counts the pump's rounds, and the most
+// frames one round handed it.
+type drySource struct {
+	info   SessionInfo
+	rounds atomic.Int64
+	most   atomic.Int64
+}
+
+func (s *drySource) Info() SessionInfo       { return s.info }
+func (s *drySource) Sweep(seg, i int) []byte { return nil }
+
+func (s *drySource) Records(seg int, frames [][]byte) int {
+	s.most.Store(max(s.most.Load(), int64(len(frames)))) // the pump is one goroutine
+	s.rounds.Add(1)
+	return 0
+}
+
+// TestDryRoundTakesOneFrame: a source with nothing to say is asked for one
+// record a round, not a round's worth. At n = 1024, k = 32 KiB a round may
+// take a batch of 256 frames, as many as some owed session's queue has room
+// for: 64 by default, 2.2 MB. Over at least 100 dry rounds for a session owed
+// every segment, the source is handed one frame a round, and the server
+// allocates at most two frames' worth beside the session's own few KiB.
+func TestDryRoundTakesOneFrame(t *testing.T) {
+	p := rlnc.Params{BlockCount: 1024, BlockSize: 32 << 10}
+	const segments, rounds = 2, 100
+	src := &drySource{info: SessionInfo{Params: p, Segments: segments, Length: segments * int64(p.SegmentSize())}}
+	srv, err := NewSourceServerFromConfig(src, DefaultServerConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := startPipeServer(t, srv)
+	// A collection would empty the frame pool and count its refills.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	conn := l.Dial()
+	if _, err := readHandshake(conn); err != nil {
+		t.Fatal(err)
+	}
+	for src.rounds.Load() < rounds {
+		time.Sleep(5 * time.Millisecond)
+	}
+	runtime.ReadMemStats(&ms)
+	after := ms.TotalAlloc
+	conn.Close()
+	awaitSessions(t, srv, 0)
+	frame := uint64(srv.frameLen)
+	t.Logf("%d dry rounds: at most %d frames a round, %d B allocated (a frame is %d B)", src.rounds.Load(), src.most.Load(), after-before, frame)
+	if most := src.most.Load(); most != 1 {
+		t.Fatalf("a dry round was handed %d frames, want 1", most)
+	}
+	// The race detector's sync.Pool drops Puts at random, so a frame may be
+	// allocated afresh any round.
+	if slack := uint64(64 << 10); !raceEnabled && after-before > 2*frame+slack {
+		t.Fatalf("%d dry rounds allocated %d B, want ≤ 2 frames (%d B) + %d B", src.rounds.Load(), after-before, 2*frame, slack)
+	}
 }
 
 // TestDenseSendPathDoesNotAllocate: in the steady state the origin's dense
@@ -448,7 +512,7 @@ func TestDenseSendPathDoesNotAllocate(t *testing.T) {
 		}
 		defer srv.Shutdown()
 		encodeWith(t, srv, tc.workers)
-		batch := srv.cfg.EncodeBatch
+		batch := srv.batch
 		if got := testing.AllocsPerRun(200, roundOf(t, srv, batch)); got > tc.perBatch {
 			t.Errorf("%d encoder workers: %.2f allocations per batch of %d records, want ≤ %v",
 				tc.workers, got, batch, tc.perBatch)
@@ -521,13 +585,13 @@ func BenchmarkDenseRecords(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer srv.Shutdown()
-			benchRounds(b, p, roundOf(b, srv, srv.cfg.EncodeBatch), srv.cfg.EncodeBatch)
+			benchRounds(b, p, roundOf(b, srv, srv.batch), srv.batch)
 		})
 	}
 	for _, p := range []rlnc.Params{{BlockCount: 32, BlockSize: 256}, {BlockCount: 128, BlockSize: 4096}} {
 		b.Run(fmt.Sprintf("repair/n=%d/k=%d", p.BlockCount, p.BlockSize), func(b *testing.B) {
 			srv := repairServer(b, p)
-			benchRounds(b, p, roundOf(b, srv, srv.cfg.EncodeBatch), srv.cfg.EncodeBatch)
+			benchRounds(b, p, roundOf(b, srv, srv.batch), srv.batch)
 		})
 	}
 }

@@ -729,7 +729,7 @@ func TestPushSessionsUnchanged(t *testing.T) {
 				segs = append(segs, b.SegmentID)
 			}
 			// The sweep: the table's entries from the first session's
-			// sweepStart on, wrapping. Then rounds of up to EncodeBatch (4
+			// sweepStart on, wrapping. Then rounds of up to max(4, n/4) (4
 			// here) records, segment after segment, each as many as the
 			// segment's credit still allows, indices from n on a swept
 			// session.
@@ -878,12 +878,10 @@ func TestSweepPeerWritesGarbage(t *testing.T) {
 func TestSweepPeerGoesSilent(t *testing.T) {
 	p := rlnc.Params{BlockCount: 8, BlockSize: 64}
 	media := testMedia(t, 2*p.SegmentSize(), 69)
-	const deadline, retries = 40 * time.Millisecond, 2
-	budget := deadline * (1 + retries)
+	const budget = 120 * time.Millisecond
 	srv := newSweepServer(t, media, p, func(c *ServerConfig) {
 		c.MaxSessions = 1
-		c.WriteDeadline = deadline
-		c.WriteRetries = retries
+		c.WriteDeadline = budget
 	})
 	counted := &readCountListener{Listener: newPipeListener()}
 	serveOn(t, srv, counted)

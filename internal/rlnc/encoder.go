@@ -92,7 +92,8 @@ type Recoder struct {
 	// dropped at the door (it would cost memory and recombination work
 	// without enlarging the span), so at most BlockCount rows are ever held
 	// and a relay's memory is bounded no matter how long the upstream stream
-	// runs.
+	// runs. The slice grows with the rank, so a segment named once pins one
+	// entry, not n.
 	rows [][]byte
 
 	// probe is the reduced basis that decides innovation: probe[c] is the
@@ -133,7 +134,6 @@ func NewRecoder(p Params, opts ...Option) (*Recoder, error) {
 	cfg := applyOptions(opts)
 	return &Recoder{
 		params:    p,
-		rows:      make([][]byte, 0, p.BlockCount),
 		probe:     make([][]byte, p.BlockCount),
 		scratch:   make([]byte, p.BlockCount),
 		rng:       cfg.rng,
