@@ -166,8 +166,9 @@ mesh-smoke:
 # address, and finish with zero failed leaves, byte-identical payloads, zero
 # rank regressions, and exact offered == sent + shed ledgers for drained AND
 # surviving relays in one scraped exposition. The TestRestartRelay cases run
-# beside it: a restart before the survivors' first heartbeat, and a drain that
-# outlives its deadline yet still ends with the relay back in the rotation.
+# beside it: a restart that must move its leaf with no health sweep to help,
+# and a drain that outlives its deadline yet still ends with the relay back in
+# the rotation.
 drain-chaos:
 	$(GO) test -race -count=1 -v -run 'TestMeshRollingRestart|TestRestartRelay' ./internal/mesh/
 
@@ -199,9 +200,10 @@ load-smoke:
 # upstream's root span. The run fails unless every
 # span parents cleanly (zero orphans), the encode/absorb/recode stages all
 # appear, at least one histogram exemplar links back to a recorded trace,
-# the flight ring holds admission + reconnect events, and the
-# disabled-tracing path allocates nothing. (The encode-batch ratio is
-# bench-check's to gate.) On failure the raw flight dump lands in
+# the flight ring holds admission + reconnect events. (That the disabled
+# tracing path allocates nothing is TestDisabledPathZeroAlloc's and
+# TestSpanDisabledIsFree's to gate, in `test` and `race`; the encode-batch
+# ratio is bench-check's.) On failure the raw flight dump lands in
 # flight-trace.json for CI to upload.
 trace-smoke:
 	$(GO) run -race ./cmd/nc mesh -trace

@@ -50,11 +50,10 @@
 //     -kill-at records and remediation must reroute their leaves.
 //   - -soak: the randomized chaos soak, a schedule drawn from -seed; -smoke
 //     pins seed, length and relay count to the CI slice.
-//   - -trace: a slow-reader wave then a leaf wave through a traced chaos mesh,
-//     reassembled from the flight ring into per-generation latency and gated
-//     on zero orphan spans, a linked exemplar, admission and reconnect flight
-//     events, an allocation-free disabled path and the encode-batch ratio of
-//     BENCH_host.json.
+//   - -trace: a slow-reader wave, a leaf wave and an asking leaf through a
+//     traced chaos mesh, reassembled from the flight ring into per-generation
+//     latency and gated on zero orphan spans, every codec stage, a linked
+//     exemplar, and admission and reconnect flight events.
 //
 // A failed gate writes its flight dump (-flight-out) and, with -summary, a
 // JSON verdict naming the seed and every invariant checked.

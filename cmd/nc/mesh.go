@@ -144,12 +144,6 @@ func runMesh(args []string, out io.Writer) error {
 	}
 	r.out = out
 
-	// The trace gate on the disabled path runs first: the recorder and the
-	// span sink are still off, as in every untraced process.
-	var allocs float64
-	if r.trace {
-		allocs = disabledPathAllocs()
-	}
 	if r.flight > 0 {
 		defer harness.Flight(r.flight, os.Stderr)()
 	}
@@ -157,7 +151,7 @@ func runMesh(args []string, out io.Writer) error {
 		Seed: r.seed, Fields: &r.sum, Invariants: map[string]bool{},
 		SummaryPath: r.summary, FlightPath: r.flightOut,
 	}
-	return verdict.Finish(r.run(allocs, verdict.Invariants), out)
+	return verdict.Finish(r.run(verdict.Invariants), out)
 }
 
 // schedule is the preset's event sequence.
@@ -198,9 +192,8 @@ func makeSchedule(rng *rand.Rand, events int) []event {
 }
 
 // topology is the mesh every preset runs. With -chaos both tiers pass through
-// faultnet corruption and resets, under heartbeat and health thresholds wide
-// enough that a starved heartbeat never buries a live relay; a schedule with
-// slow-reader waves runs twitchy relays.
+// faultnet corruption and resets, and a relay's rank may stall for 2 s before
+// it is suspect; a schedule with slow-reader waves runs twitchy relays.
 func (r *meshRun) topology(reg *obs.Registry, twitchy bool) mesh.Topology {
 	mode, _ := netio.ParseWireMode(r.mode) // checked by runMesh
 	topo := mesh.Topology{
@@ -216,8 +209,7 @@ func (r *meshRun) topology(reg *obs.Registry, twitchy bool) mesh.Topology {
 	if r.chaos {
 		topo.UpstreamFaults = &faultnet.Config{Seed: r.seed + 1, CorruptEvery: 9000, ResetEvery: 6000, MaxReadChunk: 2048}
 		topo.DownstreamFaults = &faultnet.Config{Seed: r.seed + 2, CorruptEvery: 9000, ResetEvery: 5000, MaxReadChunk: 2048}
-		topo.Heartbeat, topo.Sweep = 10*time.Millisecond, 25*time.Millisecond
-		topo.Health = mesh.HealthConfig{SuspectAfter: 500 * time.Millisecond, DeadAfter: 2 * time.Second}
+		topo.Sweep, topo.StallAfter = 25*time.Millisecond, 2*time.Second
 	}
 	if twitchy {
 		// Every relay, and every replacement server a drain installs.
@@ -245,9 +237,8 @@ func (r *meshRun) topology(reg *obs.Registry, twitchy bool) mesh.Topology {
 }
 
 // run brings the mesh up, plays the schedule, checks the invariants and tears
-// down, recording each verdict in invariants. allocs is the disabled tracing
-// path's allocations per operation, which the -trace gates check.
-func (r *meshRun) run(allocs float64, invariants map[string]bool) error {
+// down, recording each verdict in invariants.
+func (r *meshRun) run(invariants map[string]bool) error {
 	ctx, cancel := context.WithTimeout(context.Background(), r.timeout)
 	defer cancel()
 
@@ -312,7 +303,7 @@ func (r *meshRun) run(allocs float64, invariants map[string]bool) error {
 	// before the leak check, so no closure pins the mesh.
 	r.m.Close()
 	if r.trace {
-		if err := checkTrace(r, reg, invariants, allocs); err != nil {
+		if err := checkTrace(r, reg, invariants); err != nil {
 			return err
 		}
 	}
@@ -435,6 +426,9 @@ func (r *meshRun) leafWave(ctx context.Context, count int, ev event, id string) 
 			if err := r.m.KillRelay(id); err != nil {
 				return err
 			}
+			// Read the kill at once: the next event must not pick the dead
+			// relay for a drain or a kill.
+			r.m.Control().Step()
 			r.logf("  killed %s\n", id)
 		} else {
 			dctx, dcancel := context.WithTimeout(ctx, 30*time.Second)
@@ -522,10 +516,11 @@ func (r *meshRun) checkInvariants(ctx context.Context, reg *obs.Registry, invari
 		return fmt.Errorf("rank regressed %d times", v)
 	}
 	if r.kill > 0 {
-		// Leaves can finish before the failure detector's DeadAfter window
-		// closes; give the health sweeps time to bury the victims.
-		if err := poll(ctx, 10*time.Millisecond, func() bool { return len(r.m.Control().InState(mesh.StateDead)) >= r.kill }); err != nil {
-			return fmt.Errorf("killed %d relays but the pool buried only %d: %w", r.kill, len(r.m.Control().InState(mesh.StateDead)), err)
+		// A killed relay is closed: one sweep buries it if the remediation
+		// loop has not yet.
+		r.m.Control().Step()
+		if dead := len(r.m.Control().InState(mesh.StateDead)); dead != r.kill {
+			return fmt.Errorf("killed %d relays but the control plane buried %d", r.kill, dead)
 		}
 		r.sum.Kills = r.kill
 		if invariants["remediated"] = r.m.Control().Remediations() > 0; !invariants["remediated"] {

@@ -159,11 +159,3 @@ func TestRunRejectsTooFewRelays(t *testing.T) {
 		t.Fatal("a two-relay soak was accepted: a drain has no survivor to move its leaves to")
 	}
 }
-
-// TestDisabledPathAllocFree: the trace preset's disabled-path probe — every
-// tracing entry point with the recorder and span sink off — allocates nothing.
-func TestDisabledPathAllocFree(t *testing.T) {
-	if allocs := disabledPathAllocs(); allocs != 0 {
-		t.Errorf("disabled tracing path allocates %.1f per op", allocs)
-	}
-}

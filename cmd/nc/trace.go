@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"strings"
-	"testing"
 
 	"extremenc/internal/obs"
 	"extremenc/internal/obs/trace"
@@ -17,9 +16,8 @@ var exemplarStages = []string{"netio.record_send", "fetch.record_decode"}
 // per-generation latency (encode, queue offer, writev flush, relay recode,
 // leaf absorb) and gates it: zero orphan spans across all three tiers, no ring
 // wrap, every codec stage present, a histogram exemplar whose trace is in the
-// dump, admission and reconnect events in the ring, plus allocs, the disabled
-// path's allocations per operation, measured before the mesh came up.
-func checkTrace(r *meshRun, reg *obs.Registry, invariants map[string]bool, allocs float64) error {
+// dump, and admission and reconnect events in the ring.
+func checkTrace(r *meshRun, reg *obs.Registry, invariants map[string]bool) error {
 	dump := trace.Dump()
 	asm := trace.Assemble(dump)
 	traces := make(map[trace.TraceID]bool)
@@ -65,25 +63,10 @@ func checkTrace(r *meshRun, reg *obs.Registry, invariants map[string]bool, alloc
 	for _, kind := range []string{"admission", "reconnect"} {
 		gate("flight_"+kind, kinds[kind] > 0, "flight ring holds no %s events", kind)
 	}
-	gate("disabled_path_alloc_free", allocs == 0, "disabled path allocates (%.1f allocs/op, want 0)", allocs)
 	if len(fails) > 0 {
 		return fmt.Errorf("trace smoke failed (seed %d):\n  - %s", r.seed, strings.Join(fails, "\n  - "))
 	}
 	fmt.Fprintf(r.out, "trace smoke ok (seed %d): %d generations, %d spans, 0 orphans, %d exemplars, flight %v\n",
 		r.seed, len(asm.Generations), asm.Spans, exemplars, kinds)
 	return nil
-}
-
-// disabledPathAllocs measures the per-operation allocation count of every
-// tracing entry point with the recorder and span sink off — the state all
-// untraced production binaries run in. The budget is zero.
-func disabledPathAllocs() float64 {
-	st := obs.StageOf("nc.disabled_probe")
-	return testing.AllocsPerRun(1000, func() {
-		sp := trace.Begin("probe", "probe", 1, 0, -1)
-		sp.End()
-		trace.Emit(trace.KindShed, "probe", "probe", -1, 0)
-		ssp := st.Start()
-		ssp.End()
-	})
 }

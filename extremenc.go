@@ -322,16 +322,17 @@ func FaultyDialer(cfg FaultConfig, dial netio.DialFunc) (netio.DialFunc, *faultn
 
 // Recoding relay mesh (see internal/mesh): an origin server feeding a tier
 // of relays that recombine received blocks without decoding and re-serve
-// them to a wave of leaf fetchers, with a control plane — membership pool,
-// heartbeat/rank health detection, least-loaded coordinator, remediator —
+// them to leaf fetchers, with one control plane — membership, health read off
+// each relay's rank and open flag, least-loaded leaf routes, remediation —
 // that re-points leaves off dead relays mid-transfer.
 
-// MeshTopology describes an in-process mesh: media, coding params,
-// relay/leaf counts, wire mode, chaos configs, and health cadence.
+// MeshTopology describes an in-process mesh: media, coding params, relay
+// count, wire mode, chaos configs, sweep period and rank-stall window.
 type MeshTopology = mesh.Topology
 
-// NewMesh builds (but does not start) a mesh — a running origin + relay tier
-// + leaf wave with its control plane — for the topology.
+// NewMesh builds (but does not start) a mesh — an origin and a relay tier
+// under one control plane, to which Mesh.AddLeaf adds leaves — for the
+// topology.
 func NewMesh(topo MeshTopology) (*mesh.Mesh, error) { return mesh.New(topo) }
 
 // FileEncodeOptions tunes EncodeFile (coded file containers; see

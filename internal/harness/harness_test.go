@@ -345,7 +345,7 @@ func TestVerifyLeaves(t *testing.T) {
 	reg, stopObserve := Observe()
 	defer stopObserve()
 	media := Media(2*testParams.SegmentSize()-5, 6)
-	m, err := mesh.New(mesh.Topology{Media: media, Params: testParams, Relays: 1, Leaves: 2, Seed: 6, Registry: reg})
+	m, err := mesh.New(mesh.Topology{Media: media, Params: testParams, Relays: 1, Seed: 6, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,8 +355,10 @@ func TestVerifyLeaves(t *testing.T) {
 		t.Skipf("mesh bring-up unavailable: %v", err)
 	}
 	defer m.Close()
-	if err := m.StartLeaves(ctx); err != nil {
-		t.Fatal(err)
+	for range 2 {
+		if _, err := m.AddLeaf(ctx); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := m.WaitLeaves(ctx); err != nil {
 		t.Fatal(err)

@@ -2,9 +2,9 @@
 // observability layers into a multi-node recoding relay mesh: an origin
 // server feeds a tier of relays that recode upstream blocks (never
 // decoding) and re-serve them to leaf fetchers, under one control plane —
-// membership, heartbeat + rank-progress health, leaf→relay routes, and
-// remediation that moves leaves off relays a leaf may no longer use. The
-// whole mesh runs in-process over loopback: the relay property being
+// membership, health read off each relay's rank and open flag, leaf→relay
+// routes, and remediation that moves leaves off relays a leaf may no longer
+// use. The whole mesh runs in-process over loopback: the relay property being
 // exercised (recombinations of recombinations still decode, paper Sec. 2)
 // is end-to-end, not placement-dependent.
 package mesh
@@ -27,29 +27,25 @@ import (
 type State int
 
 const (
-	// StateJoining: registered but no heartbeat seen yet.
-	StateJoining State = iota
-	// StateActive: heartbeating and making (or done with) rank progress.
-	StateActive
-	// StateSuspect: heartbeat overdue or rank stalled; no new leaves are
-	// assigned, existing leaves are moved by remediation.
+	// StateActive: open and gaining rank, or done gaining it. A member is
+	// Active from Add and from Rejoin.
+	StateActive State = iota
+	// StateSuspect: open, but its rank has stalled below full; no new leaves
+	// are assigned, existing leaves are moved by remediation. It is Active
+	// again once its rank grows.
 	StateSuspect
-	// StateDead: heartbeat long overdue. Terminal — a dead member never
-	// returns to the rotation.
+	// StateDead: closed. Terminal — a dead member never returns to the
+	// rotation.
 	StateDead
 	// StateDraining: deliberately leaving the rotation for a graceful
 	// restart — its leaves have been moved and the relay answers new
 	// handshakes BUSY while in-flight sessions run to completion. Unlike
 	// dead, draining is temporary: Rejoin returns the member to the rotation.
-	// Appended after StateDead so the numeric values of the original states
-	// are stable.
 	StateDraining
 )
 
 func (s State) String() string {
 	switch s {
-	case StateJoining:
-		return "joining"
 	case StateActive:
 		return "active"
 	case StateSuspect:
@@ -60,18 +56,6 @@ func (s State) String() string {
 		return "draining"
 	}
 	return fmt.Sprintf("state(%d)", int(s))
-}
-
-// HealthConfig sets the failure-detector thresholds.
-type HealthConfig struct {
-	// SuspectAfter is how long a heartbeat may be overdue — or, for a
-	// not-yet-warm relay, how long its rank may stall — before the member
-	// is marked suspect and taken out of the assignment rotation.
-	SuspectAfter time.Duration
-	// DeadAfter is how long a heartbeat may be overdue before the member is
-	// declared dead (terminal). Must exceed SuspectAfter; Topology's defaults
-	// make it twice SuspectAfter when it does not.
-	DeadAfter time.Duration
 }
 
 // ErrNoRelays reports an assignment request with no usable relay.
@@ -86,14 +70,13 @@ type member struct {
 	id   string
 	addr string
 
-	// rankFn probes the relay's summed recoder rank; fullRank is the value
-	// at which the relay is warm (holds the whole object) and further
-	// progress is no longer expected.
-	rankFn   func() int
+	// probe reads the relay's total rank and whether it is still open;
+	// fullRank is the rank at which the relay is warm (holds the whole
+	// object) and further progress is no longer expected.
+	probe    func() (rank int, open bool)
 	fullRank int
 
 	state          State
-	lastBeat       time.Time
 	lastRank       int
 	lastRankChange time.Time
 }
@@ -134,22 +117,18 @@ func (rt *route) point(id, addr string) {
 // new relay carrying all accumulated rank. Servers never name a relay: a
 // draining one answers BUSY.
 //
-// Health combines two signals. Heartbeats are pure liveness — a relay whose
-// beats stop is suspect, then dead. Rank progress is usefulness — a relay
-// that heartbeats dutifully but whose recoders stop gaining rank before
-// reaching full is stuck (an upstream partition, a wedged fetch) and is
-// marked suspect so no new leaves land on it, without being killed.
-//
-// Lock order: Control.mu, then Relay.mu (the rank probe).
+// Health is read off each relay by its probe, which takes no lock: a closed
+// relay is dead, and an open one whose rank stops growing before it is full is
+// stuck (an upstream partition, a wedged fetch) and is marked suspect so no
+// new leaves land on it, without being buried.
 type Control struct {
-	cfg HealthConfig
-	now func() time.Time
+	stallAfter time.Duration
+	now        func() time.Time
 
 	mu      sync.Mutex
 	members map[string]*member
 	routes  map[int]*route
 
-	heartbeats   obs.Counter
 	deaths       obs.Counter
 	assigns      obs.Counter
 	reroutes     obs.Counter
@@ -157,10 +136,11 @@ type Control struct {
 	sweeps       obs.Counter
 }
 
-// NewControl returns an empty control plane judging health by cfg.
-func NewControl(cfg HealthConfig) *Control {
+// NewControl returns an empty control plane that marks a member suspect once
+// its rank has stalled below full for stallAfter.
+func NewControl(stallAfter time.Duration) *Control {
 	return &Control{
-		cfg: cfg, now: time.Now,
+		stallAfter: stallAfter, now: time.Now,
 		members: make(map[string]*member), routes: make(map[int]*route),
 	}
 }
@@ -172,8 +152,7 @@ func (c *Control) Instrument(reg *obs.Registry) error {
 		name, help string
 		ctr        *obs.Counter
 	}{
-		{"mesh.heartbeats_total", "relay heartbeats received by the control plane", &c.heartbeats},
-		{"mesh.relay_deaths_total", "relays declared dead by the health checker", &c.deaths},
+		{"mesh.relay_deaths_total", "closed relays declared dead by a health sweep", &c.deaths},
 		{"mesh.assignments_total", "leaf-to-relay assignments made", &c.assigns},
 		{"mesh.reroutes_total", "leaves re-pointed at a different relay", &c.reroutes},
 		{"mesh.remediations_total", "leaves moved off unhealthy relays", &c.remediations},
@@ -189,40 +168,20 @@ func (c *Control) Instrument(reg *obs.Registry) error {
 		})
 }
 
-// Add registers a relay in StateJoining. rankFn is the health checker's
-// rank-progress probe; fullRank is the rank at which the relay is warm.
-func (c *Control) Add(id, addr string, rankFn func() int, fullRank int) error {
+// Add registers a relay in StateActive. probe reports the relay's total rank
+// and whether it is still open, and takes no lock; fullRank is the rank at
+// which the relay is warm.
+func (c *Control) Add(id, addr string, probe func() (rank int, open bool), fullRank int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, dup := c.members[id]; dup {
 		return fmt.Errorf("mesh: relay %q already registered", id)
 	}
-	now := c.now()
 	c.members[id] = &member{
-		id: id, addr: addr, rankFn: rankFn, fullRank: fullRank,
-		state: StateJoining, lastBeat: now, lastRankChange: now,
+		id: id, addr: addr, probe: probe, fullRank: fullRank,
+		state: StateActive, lastRankChange: c.now(),
 	}
 	return nil
-}
-
-// Heartbeat records a liveness beat from id. The first beat promotes a
-// joining member to active; a suspect member that beats again is also
-// restored (it was slow, not gone). Beats from a dead member are ignored —
-// death is terminal, remediation has already moved its leaves. A draining
-// member's beats refresh its liveness but never promote it: only Rejoin ends
-// a drain.
-func (c *Control) Heartbeat(id string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	m := c.members[id]
-	if m == nil || m.state == StateDead {
-		return
-	}
-	m.lastBeat = c.now()
-	if m.state == StateJoining || m.state == StateSuspect {
-		m.state = StateActive
-	}
-	c.heartbeats.Inc()
 }
 
 // SetDraining takes member id out of the rotation for a graceful restart and
@@ -247,10 +206,9 @@ func (c *Control) SetDraining(id string) bool {
 
 // Rejoin returns a draining member to the rotation at a (possibly new)
 // serving address, and re-points the leaves still routed to it there. It
-// re-enters as joining — the next heartbeat promotes it to active — with its
-// liveness and rank-progress clocks reset so the restart window is not
-// misread as a stall. It reports whether the member was eligible (registered
-// and not dead).
+// re-enters as active, with its rank-progress clock reset so the restart
+// window is not misread as a stall. It reports whether the member was
+// eligible (registered and not dead).
 func (c *Control) Rejoin(id, addr string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -258,11 +216,9 @@ func (c *Control) Rejoin(id, addr string) bool {
 	if m == nil || m.state == StateDead {
 		return false
 	}
-	now := c.now()
 	m.addr = addr
-	m.state = StateJoining
-	m.lastBeat = now
-	m.lastRankChange = now
+	m.state = StateActive
+	m.lastRankChange = c.now()
 	for _, rt := range c.routes {
 		if rt.relayID == id {
 			rt.point(id, addr)
@@ -316,35 +272,17 @@ func (c *Control) Usable(exclude string) []string {
 	return c.usable(exclude)
 }
 
-// usable is the one rule for where a leaf may be: the active members, or,
-// when none is active — mesh start-up, or the beat between a relay's
-// registration and its first heartbeat — the joining ones, those already at
-// full rank first. Each group is sorted by ID; exclude is never among them.
-// Callers hold c.mu.
+// usable is the one rule for where a leaf may be: the active members, sorted
+// by ID, exclude never among them. Callers hold c.mu.
 func (c *Control) usable(exclude string) []string {
-	var active, warm, cold []string
+	var ids []string
 	for id, m := range c.members {
-		if id == exclude {
-			continue
-		}
-		switch m.state {
-		case StateActive:
-			active = append(active, id)
-		case StateJoining:
-			if m.rankFn != nil && m.rankFn() >= m.fullRank {
-				warm = append(warm, id)
-			} else {
-				cold = append(cold, id)
-			}
+		if m.state == StateActive && id != exclude {
+			ids = append(ids, id)
 		}
 	}
-	if len(active) > 0 {
-		sort.Strings(active)
-		return active
-	}
-	sort.Strings(warm)
-	sort.Strings(cold)
-	return append(warm, cold...)
+	sort.Strings(ids)
+	return ids
 }
 
 // Snapshot copies every member, sorted by ID.
@@ -353,10 +291,7 @@ func (c *Control) Snapshot() []MemberView {
 	defer c.mu.Unlock()
 	views := make([]MemberView, 0, len(c.members))
 	for _, m := range c.members {
-		rank := m.lastRank
-		if m.rankFn != nil {
-			rank = m.rankFn()
-		}
+		rank, _ := m.probe()
 		views = append(views, MemberView{
 			ID: m.id, Addr: m.addr, State: m.state.String(),
 			Rank: rank, Full: m.fullRank,
@@ -366,34 +301,26 @@ func (c *Control) Snapshot() []MemberView {
 	return views
 }
 
-// sweep probes every member once and applies state transitions. Dead is
-// terminal; joining members are given until DeadAfter for their first beat.
-// Callers hold c.mu.
+// sweep probes every member once and applies state transitions: a closed
+// member is dead, an open one active while its rank grows and suspect once it
+// has stalled below full for stallAfter. Callers hold c.mu.
 func (c *Control) sweep() {
 	now := c.now()
 	for _, m := range c.members {
 		// Dead is terminal; draining is a deliberate absence the drain's own
 		// deadline bounds — judging either would only misfire (a drained
-		// member must not be buried mid-restart, Rejoin resets its clocks).
+		// member must not be buried mid-restart, Rejoin resets its clock).
 		if m.state == StateDead || m.state == StateDraining {
 			continue
 		}
-		if m.rankFn != nil {
-			if rank := m.rankFn(); rank > m.lastRank {
-				m.lastRank = rank
-				m.lastRankChange = now
-			}
-		}
-		beatAge := now.Sub(m.lastBeat)
-		switch {
-		case beatAge > c.cfg.DeadAfter:
+		switch rank, open := m.probe(); {
+		case !open:
 			m.state = StateDead
 			c.deaths.Inc()
-		case beatAge > c.cfg.SuspectAfter:
-			m.state = StateSuspect
-		case m.state == StateActive && m.lastRank < m.fullRank &&
-			now.Sub(m.lastRankChange) > c.cfg.DeadAfter:
-			// Alive but stuck below full rank: quarantine, don't bury.
+		case rank > m.lastRank:
+			m.state, m.lastRank, m.lastRankChange = StateActive, rank, now
+		case rank < m.fullRank && now.Sub(m.lastRankChange) > c.stallAfter:
+			// Open but stuck below full rank: quarantine, don't bury.
 			m.state = StateSuspect
 		}
 	}

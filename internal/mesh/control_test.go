@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"extremenc/internal/obs"
 )
 
 // fakeClock gives the control plane a hand-cranked time source so health
@@ -23,38 +25,46 @@ func newFakeClock(ctl *Control) *fakeClock {
 	return c
 }
 
-// testHealth is the failure-detector setting of the hand-cranked tests.
-var testHealth = HealthConfig{SuspectAfter: 100 * time.Millisecond, DeadAfter: 300 * time.Millisecond}
+// testStall is the rank-stall window of the hand-cranked tests.
+const testStall = 300 * time.Millisecond
+
+// fakeRelay is what a hand-cranked test's member probe reads: a rank and an
+// open flag the test sets between Steps.
+type fakeRelay struct {
+	rank   int
+	closed bool
+}
+
+func (f *fakeRelay) probe() (int, bool) { return f.rank, !f.closed }
 
 // activeControl returns a control plane on a fake clock with the given
-// relays registered (at addr-<id>, no rank probe, full rank 8) and active.
-func activeControl(t *testing.T, ids ...string) (*Control, *fakeClock) {
+// relays registered at addr-<id>, each at full rank 8 (so none ever stalls),
+// and the fakes their probes read.
+func activeControl(t *testing.T, ids ...string) (*Control, *fakeClock, map[string]*fakeRelay) {
 	t.Helper()
-	c := NewControl(testHealth)
+	c := NewControl(testStall)
 	clock := newFakeClock(c)
+	relays := map[string]*fakeRelay{}
 	for _, id := range ids {
-		if err := c.Add(id, "addr-"+id, nil, 8); err != nil {
+		relays[id] = &fakeRelay{rank: 8}
+		if err := c.Add(id, "addr-"+id, relays[id].probe, 8); err != nil {
 			t.Fatal(err)
 		}
-		c.Heartbeat(id)
 	}
-	return c, clock
+	return c, clock, relays
 }
 
 func TestControlLifecycle(t *testing.T) {
-	c := NewControl(testHealth)
-	if err := c.Add("r1", "addr1", nil, 8); err != nil {
+	c := NewControl(testStall)
+	r1 := &fakeRelay{}
+	if err := c.Add("r1", "addr1", r1.probe, 8); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Add("r1", "addr1", nil, 8); err == nil {
+	if err := c.Add("r1", "addr1", r1.probe, 8); err == nil {
 		t.Fatal("duplicate registration accepted")
 	}
-	if s, _ := c.StateOf("r1"); s != StateJoining {
-		t.Fatalf("fresh member state %v, want joining", s)
-	}
-	c.Heartbeat("r1")
 	if s, _ := c.StateOf("r1"); s != StateActive {
-		t.Fatalf("heartbeated member state %v, want active", s)
+		t.Fatalf("fresh member state %v, want active", s)
 	}
 	if got := c.InState(StateActive); len(got) != 1 || got[0] != "r1" {
 		t.Fatalf("InState(active) = %v", got)
@@ -67,95 +77,160 @@ func TestControlLifecycle(t *testing.T) {
 	}
 }
 
-// TestControlUsable: the one rule for where a leaf may be pointed — active
-// members, else joining ones with the warm first, never the excluded one.
+// TestControlUsable: the one rule for where a leaf may be pointed — the
+// active members, never the excluded one, never a suspect, draining or dead
+// one.
 func TestControlUsable(t *testing.T) {
-	c := NewControl(testHealth)
-	rank := map[string]int{"a": 0, "b": 8, "c": 8, "d": 8}
-	for _, id := range []string{"a", "b", "c", "d"} {
-		id := id
-		if err := c.Add(id, id+":1", func() int { return rank[id] }, 8); err != nil {
-			t.Fatal(err)
+	c, clock, relays := activeControl(t, "a", "b", "c", "d", "e")
+	relays["c"].rank = 2 // stalls below full
+	relays["e"].closed = true
+	c.SetDraining("d")
+	c.Step() // records c's rank-2 progress point
+	clock.advance(testStall + time.Millisecond)
+	c.Step()
+	for id, want := range map[string]State{"a": StateActive, "b": StateActive, "c": StateSuspect, "d": StateDraining, "e": StateDead} {
+		if s, _ := c.StateOf(id); s != want {
+			t.Fatalf("%s is %v, want %v", id, s, want)
 		}
 	}
-	c.SetDraining("d")
-	if got := c.Usable("c"); !reflect.DeepEqual(got, []string{"b", "a"}) {
-		t.Fatalf("nothing active: usable = %v, want the warm joiner before the cold one, c excluded, d draining", got)
+	if got := c.Usable(""); !reflect.DeepEqual(got, []string{"a", "b"}) {
+		t.Fatalf("usable = %v, want the active members", got)
 	}
-	c.Heartbeat("a")
-	if got := c.Usable(""); !reflect.DeepEqual(got, []string{"a"}) {
-		t.Fatalf("one active: usable = %v, want only it", got)
-	}
-	if got := c.Usable("a"); !reflect.DeepEqual(got, []string{"b", "c"}) {
-		t.Fatalf("the only active member excluded: usable = %v, want the joiners", got)
+	if got := c.Usable("a"); !reflect.DeepEqual(got, []string{"b"}) {
+		t.Fatalf("usable excluding a = %v, want [b]", got)
 	}
 }
 
+// TestControlSweepTransitions: rank progress is all an open member is judged
+// by — suspect while it stalls below full, active once it grows, never
+// suspect at full rank — and a closed one is dead for good.
 func TestControlSweepTransitions(t *testing.T) {
-	c := NewControl(testHealth)
+	c := NewControl(testStall)
 	clock := newFakeClock(c)
-	rank := 0
-	if err := c.Add("r", "a", func() int { return rank }, 4); err != nil {
+	r := &fakeRelay{}
+	if err := c.Add("r", "a", r.probe, 4); err != nil {
 		t.Fatal(err)
 	}
-	c.Heartbeat("r")
+	state := func() State { s, _ := c.StateOf("r"); return s }
 
-	// Overdue heartbeat: active → suspect, then a late beat restores it.
-	clock.advance(150 * time.Millisecond)
-	c.Step()
-	if s, _ := c.StateOf("r"); s != StateSuspect {
-		t.Fatalf("overdue member state %v, want suspect", s)
-	}
-	c.Heartbeat("r")
-	if s, _ := c.StateOf("r"); s != StateActive {
-		t.Fatalf("late beat left state %v, want active", s)
-	}
-
-	// Rank stall: beats keep flowing but rank is stuck below full — the
-	// member is quarantined as suspect, never buried.
-	rank = 2
-	c.Step() // record the rank-2 progress point
+	// Rank stall: the member is quarantined as suspect, never buried.
 	for i := 0; i < 10; i++ {
 		clock.advance(50 * time.Millisecond)
-		c.Heartbeat("r")
 		c.Step()
 	}
-	if s, _ := c.StateOf("r"); s != StateSuspect {
+	if s := state(); s != StateSuspect {
 		t.Fatalf("rank-stalled member state %v, want suspect", s)
 	}
 	if c.deaths.Load() != 0 {
 		t.Fatal("rank stall counted as a death")
 	}
 
-	// Progress resumes: the next beat reactivates, and a warm relay
-	// (rank == full) never re-trips the stall detector.
-	rank = 4
-	c.Heartbeat("r")
+	// Progress: active again at once, and suspect again once it stalls.
+	r.rank = 2
 	c.Step()
-	if s, _ := c.StateOf("r"); s != StateActive {
-		t.Fatalf("recovered member state %v, want active", s)
+	if s := state(); s != StateActive {
+		t.Fatalf("member whose rank grew is %v, want active", s)
 	}
+	clock.advance(testStall + time.Millisecond)
+	c.Step()
+	if s := state(); s != StateSuspect {
+		t.Fatalf("member stalled at rank 2 is %v, want suspect", s)
+	}
+
+	// A warm relay (rank == full) never re-trips the stall detector.
+	r.rank = 4
 	for i := 0; i < 10; i++ {
-		clock.advance(50 * time.Millisecond)
-		c.Heartbeat("r")
 		c.Step()
+		clock.advance(testStall)
 	}
-	if s, _ := c.StateOf("r"); s != StateActive {
+	if s := state(); s != StateActive {
 		t.Fatalf("warm member state %v, want active", s)
 	}
 
-	// Beats stop entirely: suspect, then dead, and death is terminal.
-	clock.advance(350 * time.Millisecond)
+	// Closed: dead at the next sweep, and death is terminal.
+	r.closed = true
 	c.Step()
-	if s, _ := c.StateOf("r"); s != StateDead {
-		t.Fatalf("silent member state %v, want dead", s)
+	if s := state(); s != StateDead || c.deaths.Load() != 1 {
+		t.Fatalf("closed member state %v after %d deaths, want dead after 1", s, c.deaths.Load())
 	}
-	if c.deaths.Load() != 1 {
-		t.Fatalf("deaths = %d, want 1", c.deaths.Load())
+	r.closed, r.rank = false, 5
+	c.Step()
+	if s := state(); s != StateDead || c.deaths.Load() != 1 {
+		t.Fatalf("reopened member state %v after %d deaths, want dead after 1", s, c.deaths.Load())
 	}
-	c.Heartbeat("r")
-	if s, _ := c.StateOf("r"); s != StateDead {
-		t.Fatal("a beat resurrected a dead member")
+}
+
+// TestControlReadsItsRelays: on a frozen clock, a member whose probe reports
+// closed is dead after exactly one Step, with its leaves on the survivor and
+// relay_deaths_total at 1; more Steps change nothing; a draining member that
+// closes is not buried; and a rank-stalled member stays suspect and
+// unassignable across Steps until its rank grows.
+func TestControlReadsItsRelays(t *testing.T) {
+	c, clock, relays := activeControl(t, "dies", "lives", "drains")
+	reg := obs.NewRegistry()
+	if err := c.Instrument(reg); err != nil {
+		t.Fatal(err)
+	}
+	deaths := func() int64 { v, _ := reg.CounterValue("mesh.relay_deaths_total"); return v }
+	for i := 0; i < 6; i++ {
+		if _, _, err := c.assign(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.SetDraining("drains") // its leaves go to the other two
+	onDies := 0
+	for i := 0; i < 6; i++ {
+		if id, _ := c.RouteOf(i); id == "dies" {
+			onDies++
+		}
+	}
+
+	relays["dies"].closed = true
+	relays["drains"].closed = true
+	if moved := c.Step(); moved != onDies || onDies == 0 {
+		t.Fatalf("one step moved %d leaves, want the %d on the closed relay", moved, onDies)
+	}
+	for step := 0; step < 4; step++ {
+		if st, _ := c.StateOf("dies"); st != StateDead || deaths() != 1 {
+			t.Fatalf("step %d: closed relay %v after %d deaths, want dead after 1", step, st, deaths())
+		}
+		if st, _ := c.StateOf("drains"); st != StateDraining {
+			t.Fatalf("step %d: closed draining relay is %v, want draining", step, st)
+		}
+		for i := 0; i < 6; i++ {
+			if id, _ := c.RouteOf(i); id != "lives" {
+				t.Fatalf("step %d: leaf %d on %s, want the survivor", step, i, id)
+			}
+		}
+		if moved := c.Step(); moved != 0 {
+			t.Fatalf("step %d moved %d leaves, want 0", step, moved)
+		}
+	}
+
+	// A stalled member: suspect once, then for as many sweeps as its rank
+	// stays put, and never assigned a leaf meanwhile.
+	stalled := &fakeRelay{rank: 3}
+	if err := c.Add("stalled", "addr-stalled", stalled.probe, 8); err != nil {
+		t.Fatal(err)
+	}
+	c.Step()
+	clock.advance(testStall + time.Millisecond)
+	for i := 0; i < 4; i++ {
+		c.Step()
+		if st, _ := c.StateOf("stalled"); st != StateSuspect {
+			t.Fatalf("sweep %d: stalled relay is %v, want suspect", i, st)
+		}
+		if _, id, err := c.assign(10 + i); err != nil || id != "lives" {
+			t.Fatalf("sweep %d: leaf assigned to %q (%v), want lives", i, id, err)
+		}
+	}
+	stalled.rank++
+	c.Step()
+	if st, _ := c.StateOf("stalled"); st != StateActive {
+		t.Fatalf("relay whose rank grew is %v, want active", st)
+	}
+	if _, id, err := c.assign(20); err != nil || id != "stalled" {
+		t.Fatalf("leaf assigned to %q (%v), want the least-loaded stalled-then-active relay", id, err)
 	}
 }
 
@@ -172,7 +247,7 @@ func targetOf(t *testing.T, c *Control, leaf int) (string, int64) {
 }
 
 func TestControlBalancesAndReroutes(t *testing.T) {
-	c, _ := activeControl(t, "r1", "r2")
+	c, _, _ := activeControl(t, "r1", "r2")
 
 	byRelay := map[string]int{}
 	for i := 0; i < 4; i++ {
@@ -226,7 +301,7 @@ func TestControlBalancesAndReroutes(t *testing.T) {
 // TestControlStaleRerouteMovesNothing: a reroute decided from routes read
 // before a drain moved the leaf must not move it a second time.
 func TestControlStaleRerouteMovesNothing(t *testing.T) {
-	c, _ := activeControl(t, "a", "b", "c")
+	c, _, _ := activeControl(t, "a", "b", "c")
 	if _, _, err := c.assign(0); err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +322,7 @@ func TestControlStaleRerouteMovesNothing(t *testing.T) {
 // survivor; a leaf that had no survivor to go to stays, and follows the relay
 // to the new address it rejoins at — those routed elsewhere are not touched.
 func TestControlFollowsRejoinedRelay(t *testing.T) {
-	c, _ := activeControl(t, "r1", "r2")
+	c, _, _ := activeControl(t, "r1", "r2")
 	for i := 0; i < 4; i++ {
 		if _, _, err := c.assign(i); err != nil {
 			t.Fatal(err)
@@ -281,7 +356,7 @@ func TestControlFollowsRejoinedRelay(t *testing.T) {
 
 	// With a survivor, the drain itself moves the leaves and the rejoin
 	// leaves them where they went.
-	c, _ = activeControl(t, "r1", "r2")
+	c, _, _ = activeControl(t, "r1", "r2")
 	for i := 0; i < 4; i++ {
 		if _, _, err := c.assign(i); err != nil {
 			t.Fatal(err)
@@ -323,14 +398,14 @@ func TestControlConcurrentRerouteAndDial(t *testing.T) {
 	la, lb := accepting(), accepting()
 	defer la.Close()
 	defer lb.Close()
-	c := NewControl(testHealth)
+	c := NewControl(testStall)
 	newFakeClock(c)
 	addrs := map[string]bool{}
+	warm := &fakeRelay{rank: 8} // only read, by every Step
 	for id, l := range map[string]net.Listener{"r1": la, "r2": lb} {
-		if err := c.Add(id, l.Addr().String(), nil, 8); err != nil {
+		if err := c.Add(id, l.Addr().String(), warm.probe, 8); err != nil {
 			t.Fatal(err)
 		}
-		c.Heartbeat(id)
 		addrs[l.Addr().String()] = true
 	}
 	rt, _, err := c.assign(0)
@@ -405,19 +480,18 @@ func TestControlConcurrentRerouteAndDial(t *testing.T) {
 }
 
 func TestControlStepMovesLeavesOffDeadRelay(t *testing.T) {
-	c, clock := activeControl(t, "r1", "r2")
+	c, _, relays := activeControl(t, "r1", "r2")
 	_, relayID, err := c.assign(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Only the other relay keeps beating; the assigned one goes silent.
+	// The assigned relay closes; the other stays open.
 	other := "r1"
 	if relayID == "r1" {
 		other = "r2"
 	}
-	clock.advance(150 * time.Millisecond)
-	c.Heartbeat(other)
+	relays[relayID].closed = true
 	if moved := c.Step(); moved != 1 {
 		t.Fatalf("step moved %d leaves, want 1", moved)
 	}
@@ -432,20 +506,20 @@ func TestControlStepMovesLeavesOffDeadRelay(t *testing.T) {
 		t.Fatalf("remediations = %d, want 1", c.Remediations())
 	}
 	// A healthy steady state moves nothing.
-	c.Heartbeat(other)
 	if moved := c.Step(); moved != 0 {
 		t.Fatalf("steady-state step moved %d leaves", moved)
 	}
 }
 
-// TestControlStepLeavesJoiningRelaysAlone: before any heartbeat every relay
-// is joining and a leaf routed to one is where it may be — remediation must
-// not bounce it between them.
-func TestControlStepLeavesJoiningRelaysAlone(t *testing.T) {
-	c := NewControl(testHealth)
+// TestControlStepLeavesLiveRelaysAlone: a leaf routed to one of two open
+// relays, both still filling, is where it may be — remediation must not
+// bounce it between them.
+func TestControlStepLeavesLiveRelaysAlone(t *testing.T) {
+	c := NewControl(testStall)
 	newFakeClock(c)
 	for _, id := range []string{"r1", "r2"} {
-		if err := c.Add(id, "addr-"+id, nil, 8); err != nil {
+		filling := &fakeRelay{rank: 2}
+		if err := c.Add(id, "addr-"+id, filling.probe, 8); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -457,33 +531,27 @@ func TestControlStepLeavesJoiningRelaysAlone(t *testing.T) {
 		moved += c.Step()
 	}
 	if _, moves := targetOf(t, c, 0); moved != 0 || moves != 0 || c.Remediations() != 0 {
-		t.Fatalf("steps moved %d (route moves %d, remediations %d) between joining relays, want 0",
+		t.Fatalf("steps moved %d (route moves %d, remediations %d) between live relays, want 0",
 			moved, moves, c.Remediations())
 	}
 }
 
-// TestTopologyDefaults: zero durations get the fast-sweep defaults, and a
-// DeadAfter that does not exceed SuspectAfter becomes twice SuspectAfter.
+// TestTopologyDefaults: zero durations get the fast-sweep defaults.
 func TestTopologyDefaults(t *testing.T) {
 	ms := time.Millisecond
 	for _, tc := range []struct {
-		name string
-		in   Topology
-		hb   time.Duration
-		sw   time.Duration
-		h    HealthConfig
+		name  string
+		in    Topology
+		sw    time.Duration
+		stall time.Duration
 	}{
-		{"zero", Topology{}, 15 * ms, 20 * ms, HealthConfig{60 * ms, 120 * ms}},
-		{"heartbeat scales health", Topology{Heartbeat: 100 * ms}, 100 * ms, 20 * ms, HealthConfig{400 * ms, 800 * ms}},
-		{"suspect only, above the dead default", Topology{Health: HealthConfig{SuspectAfter: time.Second}}, 15 * ms, 20 * ms, HealthConfig{time.Second, 2 * time.Second}},
-		{"suspect only, below the dead default", Topology{Health: HealthConfig{SuspectAfter: 100 * ms}}, 15 * ms, 20 * ms, HealthConfig{100 * ms, 120 * ms}},
-		{"dead equal to suspect", Topology{Health: HealthConfig{SuspectAfter: 50 * ms, DeadAfter: 50 * ms}}, 15 * ms, 20 * ms, HealthConfig{50 * ms, 100 * ms}},
-		{"explicit", Topology{Heartbeat: ms, Sweep: 2 * ms, Health: HealthConfig{3 * ms, 9 * ms}}, ms, 2 * ms, HealthConfig{3 * ms, 9 * ms}},
+		{"zero", Topology{}, 20 * ms, 120 * ms},
+		{"stall only", Topology{StallAfter: time.Second}, 20 * ms, time.Second},
+		{"explicit", Topology{Sweep: 2 * ms, StallAfter: 9 * ms}, 2 * ms, 9 * ms},
 	} {
 		got := tc.in.withDefaults()
-		if got.Heartbeat != tc.hb || got.Sweep != tc.sw || got.Health != tc.h {
-			t.Errorf("%s: heartbeat %v, sweep %v, health %+v; want %v, %v, %+v",
-				tc.name, got.Heartbeat, got.Sweep, got.Health, tc.hb, tc.sw, tc.h)
+		if got.Sweep != tc.sw || got.StallAfter != tc.stall {
+			t.Errorf("%s: sweep %v, stall %v; want %v, %v", tc.name, got.Sweep, got.StallAfter, tc.sw, tc.stall)
 		}
 	}
 }

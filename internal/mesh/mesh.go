@@ -18,16 +18,15 @@ import (
 
 // Topology describes a mesh run: one origin serving media, a tier of
 // recoding relays fetching from it, and a tier of leaf fetchers assigned to
-// relays by the control plane. Zero-valued durations get fast-sweep defaults
-// sized for in-process loopback runs.
+// relays by the control plane (Mesh.AddLeaf). Zero-valued durations get
+// fast-sweep defaults sized for in-process loopback runs.
 type Topology struct {
 	// Media and Params define the object the origin serves.
 	Media  []byte
 	Params rlnc.Params
 
-	// Relays and Leaves size the two tiers.
+	// Relays sizes the relay tier.
 	Relays int
-	Leaves int
 
 	// OriginMode is the origin's wire mode (default ModeDense). Relays
 	// recode in its field: a ModeSystematic origin's relays recombine on the
@@ -53,11 +52,11 @@ type Topology struct {
 	UpstreamFaults   *faultnet.Config
 	DownstreamFaults *faultnet.Config
 
-	// Heartbeat is the relay heartbeat period; Sweep the remediation
-	// period; Health the failure-detector thresholds.
-	Heartbeat time.Duration
-	Sweep     time.Duration
-	Health    HealthConfig
+	// Sweep is the remediation period; StallAfter how long an open relay's
+	// rank may stay below full without growing before it is marked suspect.
+	// A closed relay is dead at the next sweep, whatever these say.
+	Sweep      time.Duration
+	StallAfter time.Duration
 
 	// Registry, when non-nil, receives the full mesh observability surface:
 	// origin server counters, control-plane counters, relay stage spans
@@ -80,20 +79,11 @@ type Topology struct {
 
 // withDefaults fills in the fast-sweep defaults.
 func (t Topology) withDefaults() Topology {
-	if t.Heartbeat <= 0 {
-		t.Heartbeat = 15 * time.Millisecond
-	}
 	if t.Sweep <= 0 {
 		t.Sweep = 20 * time.Millisecond
 	}
-	if t.Health.SuspectAfter <= 0 {
-		t.Health.SuspectAfter = 4 * t.Heartbeat
-	}
-	if t.Health.DeadAfter <= 0 {
-		t.Health.DeadAfter = 8 * t.Heartbeat
-	}
-	if t.Health.DeadAfter <= t.Health.SuspectAfter {
-		t.Health.DeadAfter = 2 * t.Health.SuspectAfter
+	if t.StallAfter <= 0 {
+		t.StallAfter = 120 * time.Millisecond
 	}
 	return t
 }
@@ -143,8 +133,7 @@ type Mesh struct {
 
 	ctl *Control
 
-	relays  []*Relay
-	hbStops map[string]chan struct{}
+	relays []*Relay
 
 	// leavesMu guards leaves: AddLeaf appends while Snapshot may be serving
 	// a metrics scrape.
@@ -168,9 +157,6 @@ func New(topo Topology) (*Mesh, error) {
 	if topo.Relays < 1 {
 		return nil, errors.New("mesh: need at least one relay")
 	}
-	if topo.Leaves < 0 {
-		return nil, errors.New("mesh: negative leaf count")
-	}
 	ocfg := netio.DefaultServerConfig()
 	ocfg.Seed = topo.Seed
 	ocfg.Mode = topo.OriginMode
@@ -187,8 +173,7 @@ func New(topo Topology) (*Mesh, error) {
 	m := &Mesh{
 		topo:    topo,
 		origin:  origin,
-		ctl:     NewControl(topo.Health),
-		hbStops: make(map[string]chan struct{}),
+		ctl:     NewControl(topo.StallAfter),
 		upCtr:   &faultnet.Counters{},
 		downCtr: &faultnet.Counters{},
 	}
@@ -246,10 +231,10 @@ func tcpDial(addr string) netio.DialFunc {
 }
 
 // Start brings the mesh up: origin serving on loopback, every relay
-// fetching (through upstream chaos, if configured) and serving, heartbeats
-// flowing, and the remediation loop sweeping. It returns once every relay
-// has completed its first upstream handshake and registered with the control
-// plane. The mesh runs until ctx ends or Close is called.
+// fetching (through upstream chaos, if configured) and serving, and the
+// remediation loop sweeping. It returns once every relay has completed its
+// first upstream handshake and registered with the control plane. The mesh
+// runs until ctx ends or Close is called.
 func (m *Mesh) Start(ctx context.Context) error {
 	m.ctx, m.cancel = context.WithCancel(ctx)
 
@@ -319,44 +304,13 @@ func (m *Mesh) Start(ctx context.Context) error {
 				}
 			}
 		}
-		if err := m.ctl.Add(id, relay.Addr(), relay.TotalRank, fullRank); err != nil {
+		if err := m.ctl.Add(id, relay.Addr(), relay.probe, fullRank); err != nil {
 			m.Close()
 			return err
 		}
-		stop := make(chan struct{})
-		m.hbStops[id] = stop
-		go m.heartbeatLoop(id, stop)
 	}
 
 	go m.ctl.Run(m.ctx, m.topo.Sweep)
-	return nil
-}
-
-// heartbeatLoop beats for relay id until its stop channel closes (relay
-// killed) or the mesh shuts down.
-func (m *Mesh) heartbeatLoop(id string, stop chan struct{}) {
-	t := time.NewTicker(m.topo.Heartbeat)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-m.ctx.Done():
-			return
-		case <-t.C:
-			m.ctl.Heartbeat(id)
-		}
-	}
-}
-
-// StartLeaves assigns every topology leaf a relay and launches its fetch.
-// Call after Start.
-func (m *Mesh) StartLeaves(ctx context.Context) error {
-	for i := 0; i < m.topo.Leaves; i++ {
-		if _, err := m.AddLeaf(ctx); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -448,50 +402,47 @@ func (m *Mesh) WaitLeaves(ctx context.Context, leaves ...*Leaf) error {
 	return nil
 }
 
-// WaitWarm blocks until every relay holds full upstream rank for every
-// segment — from then on leaves never depend on the origin — and its first
-// heartbeat has put it in the active rotation, or ctx ends; the error says how
-// many relays got there.
+// WaitWarm blocks until every relay's upstream fetch has returned — a
+// relay's fetch returns exactly when it holds full rank for every segment,
+// and from then on leaves never depend on the origin — or ctx ends. A relay
+// whose fetch failed (it was closed before it warmed) is an error at once.
+// It ends with a health sweep, so a relay that stalled while it filled is
+// back in the active rotation when WaitWarm returns.
 func (m *Mesh) WaitWarm(ctx context.Context) error {
-	full := m.origin.Segments() * m.topo.Params.BlockCount
-	for {
-		warm := 0
-		for _, r := range m.relays {
-			if st, _ := m.ctl.StateOf(r.ID()); st == StateActive && r.TotalRank() == full {
-				warm++
-			}
-		}
-		if warm == len(m.relays) {
-			return nil
-		}
+	for i, r := range m.relays {
 		select {
+		case <-r.fetchDone:
 		case <-ctx.Done():
-			return fmt.Errorf("mesh: relays never warmed (%d/%d active at full rank): %w", warm, len(m.relays), ctx.Err())
-		case <-time.After(2 * time.Millisecond):
+			return fmt.Errorf("mesh: relays never warmed (%d/%d at full rank): %w", i, len(m.relays), ctx.Err())
+		}
+		if r.fetchErr != nil {
+			return fmt.Errorf("mesh: %s never warmed: %w", r.ID(), r.fetchErr)
 		}
 	}
+	m.ctl.Step()
+	return nil
 }
 
-// KillRelay simulates the abrupt death of relay id: heartbeats stop and the
-// relay's listener, server, and upstream fetch are torn down. Leaves routed
-// to it are left to the remediation loop.
-func (m *Mesh) KillRelay(id string) error {
-	stop, ok := m.hbStops[id]
-	if !ok {
-		return fmt.Errorf("mesh: no relay %q", id)
-	}
-	select {
-	case <-stop:
-	default:
-		close(stop)
-	}
+// relay returns the relay named id.
+func (m *Mesh) relay(id string) (*Relay, error) {
 	for _, r := range m.relays {
 		if r.ID() == id {
-			r.Close()
-			return nil
+			return r, nil
 		}
 	}
-	return fmt.Errorf("mesh: no relay %q", id)
+	return nil, fmt.Errorf("mesh: no relay %q", id)
+}
+
+// KillRelay simulates the abrupt death of relay id: the relay's listener,
+// server, and upstream fetch are torn down. The next health sweep reads it
+// closed and buries it, and remediation moves the leaves routed to it.
+func (m *Mesh) KillRelay(id string) error {
+	r, err := m.relay(id)
+	if err != nil {
+		return err
+	}
+	r.Close()
+	return nil
 }
 
 // RestartRelay gracefully cycles relay id with zero loss: SetDraining takes
@@ -504,15 +455,9 @@ func (m *Mesh) KillRelay(id string) error {
 // its decoder state to its new relay. A drain that outlives ctx still
 // finishes the restart; its error is returned after the relay has rejoined.
 func (m *Mesh) RestartRelay(ctx context.Context, id string) error {
-	var target *Relay
-	for _, r := range m.relays {
-		if r.ID() == id {
-			target = r
-			break
-		}
-	}
-	if target == nil {
-		return fmt.Errorf("mesh: no relay %q", id)
+	target, err := m.relay(id)
+	if err != nil {
+		return err
 	}
 	if !m.ctl.SetDraining(id) {
 		return fmt.Errorf("mesh: relay %q is not eligible to drain", id)

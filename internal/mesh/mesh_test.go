@@ -1006,12 +1006,12 @@ func TestRelayRestartKeepsOwnTrace(t *testing.T) {
 //     anyone away — the relay tier must move the aggregate faster, which
 //     is the fan-out claim of the relay architecture.
 //  2. Kill: 4 more leaves start, and once they are demonstrably
-//     mid-transfer, 2 of the 3 relays are killed abruptly (heartbeats and
-//     sockets). Every leaf must still complete byte-identical, with zero
+//     mid-transfer, 2 of the 3 relays are killed abruptly (closed, sockets
+//     and all). Every leaf must still complete byte-identical, with zero
 //     rank regression across all its reconnects.
-//  3. Control plane: the health detector must declare both kills dead and
-//     remediation must have moved leaves, all visible in one Prometheus
-//     text exposition scraped through the in-repo parser.
+//  3. Control plane: one health sweep must declare exactly the two kills
+//     dead, and remediation must have moved leaves, all visible in one
+//     Prometheus text exposition scraped through the in-repo parser.
 func TestMeshSmoke(t *testing.T) {
 	flightDumpOnFailure(t)
 	p := rlnc.Params{BlockCount: 16, BlockSize: 256}
@@ -1032,7 +1032,6 @@ func TestMeshSmoke(t *testing.T) {
 		Media:  media,
 		Params: p,
 		Relays: 3,
-		Leaves: 4,
 		// One origin session at a time: the throughput leg's baseline rests on
 		// this cap, not on a slow origin — every reset sends a direct fetcher
 		// back through it, behind three rivals and its own backoff.
@@ -1042,14 +1041,8 @@ func TestMeshSmoke(t *testing.T) {
 		OriginMode: netio.ModeSystematic,
 		Seed:       7,
 		Registry:   reg,
-		// Failure-detector thresholds sized for -race CI machines: a starved
-		// heartbeat ticker must not bury a live relay (death is terminal).
-		Heartbeat: 10 * time.Millisecond,
-		Sweep:     25 * time.Millisecond,
-		Health: HealthConfig{
-			SuspectAfter: 250 * time.Millisecond,
-			DeadAfter:    time.Second,
-		},
+		Sweep:      25 * time.Millisecond,
+		StallAfter: time.Second,
 		UpstreamFaults: &faultnet.Config{
 			Seed: 11, CorruptEvery: 9000, ResetEvery: 6000, MaxReadChunk: 2048,
 		},
@@ -1099,8 +1092,10 @@ func TestMeshSmoke(t *testing.T) {
 
 	// Leg 1a: the mesh wave.
 	meshStart := time.Now()
-	if err := m.StartLeaves(ctx); err != nil {
-		t.Fatal(err)
+	for range 4 {
+		if _, err := m.AddLeaf(ctx); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := m.WaitLeaves(ctx); err != nil {
 		t.Fatalf("mesh wave: %v", err)
@@ -1206,19 +1201,11 @@ func TestMeshSmoke(t *testing.T) {
 		t.Fatalf("rank regressed %d times across reconnects", v)
 	}
 
-	// Leg 3: the control plane saw it all. Death declaration lags the kill
-	// by the detector thresholds, so poll briefly.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if v, _ := reg.CounterValue("mesh.relay_deaths_total"); v >= 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("health detector declared %d deaths, want 2 (pool %+v)",
-				func() int64 { v, _ := reg.CounterValue("mesh.relay_deaths_total"); return v }(),
-				m.Control().Snapshot())
-		}
-		time.Sleep(5 * time.Millisecond)
+	// Leg 3: the control plane saw it all. A killed relay is closed, so one
+	// more sweep buries it if the remediation loop has not yet.
+	m.Control().Step()
+	if v, _ := reg.CounterValue("mesh.relay_deaths_total"); v != 2 {
+		t.Fatalf("health sweeps declared %d deaths, want 2 (members %+v)", v, m.Control().Snapshot())
 	}
 
 	var sb strings.Builder
@@ -1239,7 +1226,7 @@ func TestMeshSmoke(t *testing.T) {
 	}{
 		{"mesh_remediations_total", 1},
 		{"mesh_relay_deaths_total", 2},
-		{"mesh_heartbeats_total", 1},
+		{"mesh_health_sweeps_total", 1},
 		{"mesh_records_tapped_total", float64(3 * 4 * p.BlockCount)}, // 3 relays warmed fully
 		{"mesh_blocks_recoded_total", 1},
 		{"mesh_assignments_total", 8},
@@ -1277,12 +1264,11 @@ type errDiff struct{}
 
 func (errDiff) Error() string { return "payload differs" }
 
-// TestRestartRelayReroutesBeforeFirstHeartbeat: a restart that starts in the
-// beat between the survivors reaching full rank and their first heartbeat —
-// they are still joining — must move the drained relay's leaf onto one of
-// them, as the control plane would assign to it, not leave it for remediation.
-// The heartbeat and the sweep never fire here, so the window stays open.
-func TestRestartRelayReroutesBeforeFirstHeartbeat(t *testing.T) {
+// TestRestartRelayReroutesWithoutASweep: a restart must move the drained
+// relay's leaf onto the survivor itself, as the control plane would assign
+// to it, not leave it for remediation. The sweep never fires here, so the
+// restart alone can move the leaf.
+func TestRestartRelayReroutesWithoutASweep(t *testing.T) {
 	p := rlnc.Params{BlockCount: 8, BlockSize: 128}
 	media := testMedia(t, 2*p.SegmentSize(), 93)
 	// The leaf parks in its first handshake until released, so it is still
@@ -1292,8 +1278,7 @@ func TestRestartRelayReroutesBeforeFirstHeartbeat(t *testing.T) {
 	var enterOnce sync.Once
 	m, err := New(Topology{
 		Media: media, Params: p, Relays: 2, Seed: 23,
-		Heartbeat: time.Hour, Sweep: time.Hour,
-		Health: HealthConfig{SuspectAfter: time.Hour, DeadAfter: 2 * time.Hour},
+		Sweep: time.Hour, StallAfter: 2 * time.Hour,
 		LeafFetchOpts: func(int) []netio.FetcherOption {
 			return []netio.FetcherOption{netio.WithSessionHook(func(netio.SessionInfo) {
 				enterOnce.Do(func() { close(entered) })
@@ -1310,16 +1295,8 @@ func TestRestartRelayReroutesBeforeFirstHeartbeat(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	for full := 2 * p.BlockCount; ; time.Sleep(time.Millisecond) {
-		if m.Relays()[0].TotalRank() == full && m.Relays()[1].TotalRank() == full {
-			break
-		}
-		if ctx.Err() != nil {
-			t.Fatalf("relays never reached full rank: %+v", m.Control().Snapshot())
-		}
-	}
-	if st, _ := m.Control().StateOf("relay-1"); st != StateJoining {
-		t.Fatalf("relay-1 is %v without a heartbeat, want joining", st)
+	if err := m.WaitWarm(ctx); err != nil {
+		t.Fatal(err)
 	}
 	oldAddr := m.Relays()[0].Addr()
 	survivor := m.Relays()[1].Addr()
@@ -1329,13 +1306,13 @@ func TestRestartRelayReroutesBeforeFirstHeartbeat(t *testing.T) {
 		t.Fatal(err)
 	}
 	if id, _ := m.Control().RouteOf(leaf.ID); id != "relay-0" {
-		t.Fatalf("leaf assigned to %s, want relay-0 (the first warm member)", id)
+		t.Fatalf("leaf assigned to %s, want relay-0 (the first active member)", id)
 	}
 	<-entered
 	restartDone := make(chan error, 1)
 	go func() { restartDone <- m.RestartRelay(ctx, "relay-0") }()
 
-	// The route lands on the joining survivor while relay-0 drains.
+	// The route lands on the survivor while relay-0 drains.
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
 		if id, _ := m.Control().RouteOf(leaf.ID); id == "relay-1" {
 			break
@@ -1424,13 +1401,8 @@ func TestRestartRelayFinishesAfterDrainTimeout(t *testing.T) {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("RestartRelay past its drain deadline = %v, want DeadlineExceeded", err)
 	}
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		if st, _ := m.Control().StateOf(relay.ID()); st == StateActive {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%s never rejoined the rotation: %+v", relay.ID(), m.Control().Snapshot())
-		}
+	if st, _ := m.Control().StateOf(relay.ID()); st != StateActive {
+		t.Fatalf("%s is %v after its restart, want active: %+v", relay.ID(), st, m.Control().Snapshot())
 	}
 	addr, _ := m.Control().Addr(relay.ID())
 	if addr == oldAddr || addr != relay.Addr() {
@@ -1529,19 +1501,14 @@ func TestMeshRollingRestart(t *testing.T) {
 		Media:      media,
 		Params:     p,
 		Relays:     3,
-		Leaves:     0, // leaves start per wave below
 		OriginMode: netio.ModeSystematic,
 		Seed:       19,
 		Registry:   reg,
-		Heartbeat:  10 * time.Millisecond,
 		// Remediation swept rarely on purpose: RestartRelay's own reroute,
 		// not the health sweep, must be what moves leaves off the draining
 		// relays.
-		Sweep: 5 * time.Second,
-		Health: HealthConfig{
-			SuspectAfter: 2 * time.Second,
-			DeadAfter:    10 * time.Second,
-		},
+		Sweep:      5 * time.Second,
+		StallAfter: 10 * time.Second,
 		UpstreamFaults: &faultnet.Config{
 			Seed: 41, CorruptEvery: 9000, ResetEvery: 6000, MaxReadChunk: 2048,
 		},
@@ -1682,15 +1649,8 @@ func TestMeshRollingRestart(t *testing.T) {
 		if err := <-restartDone; err != nil {
 			t.Fatalf("RestartRelay(%s): %v", relayID, err)
 		}
-		for deadline := time.Now().Add(10 * time.Second); ; {
-			if st, _ := m.Control().StateOf(relayID); st == StateActive {
-				break
-			}
-			if time.Now().After(deadline) {
-				st, _ := m.Control().StateOf(relayID)
-				t.Fatalf("%s never rejoined the rotation (state %v)", relayID, st)
-			}
-			time.Sleep(time.Millisecond)
+		if st, _ := m.Control().StateOf(relayID); st != StateActive {
+			t.Fatalf("%s is %v after its restart, want active", relayID, st)
 		}
 		addr, _ := m.Control().Addr(relayID)
 		if addr != relay.Addr() {

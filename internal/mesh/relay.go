@@ -78,6 +78,10 @@ type Relay struct {
 	// rows is the [C | x] rows of the downstream pump's batch, reused round
 	// after round under mu.
 	rows [][]byte
+	// rank counts the held records across segments, and closed is set by
+	// Close: the control plane's probe reads both without mu.
+	rank   atomic.Int64
+	closed atomic.Bool
 
 	// serveCtx bounds every downstream server the relay ever starts,
 	// including post-Restart replacements.
@@ -217,6 +221,7 @@ func (rb *relayBank) Absorb(b *rlnc.CodedBlock) (bool, error) {
 	}
 	r.spare = nil
 	r.held[seg] = append(r.held[seg], netio.SealRecord(frame, p, netio.ModeDense))
+	r.rank.Add(1)
 	if len(r.held[seg]) == p.BlockCount {
 		r.whole[seg].Store(true)
 	}
@@ -245,17 +250,12 @@ func (r *Relay) Addr() string {
 	return r.ln.Addr().String()
 }
 
-// TotalRank sums the relay's ranks — its held records — across segments: the
-// health checker's progress probe.
-func (r *Relay) TotalRank() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	total := 0
-	for _, held := range r.held {
-		total += len(held)
-	}
-	return total
-}
+// TotalRank is the relay's rank summed across segments: its held records.
+func (r *Relay) TotalRank() int { return int(r.rank.Load()) }
+
+// probe is what the control plane reads of the relay: its total rank and
+// whether it is still open. It takes no lock.
+func (r *Relay) probe() (rank int, open bool) { return r.TotalRank(), !r.closed.Load() }
 
 // Server exposes the current downstream server for snapshots; nil until
 // StartRelay returns.
@@ -270,7 +270,7 @@ func (r *Relay) Server() *netio.Server {
 // completion, bounded by ctx — then a fresh listener and server over the same
 // recoders take its place. The recoders, and therefore all accumulated rank,
 // survive the restart; the serving address changes, so the caller
-// re-registers the relay with the control plane (Pool.Rejoin). The drained
+// re-registers the relay with the control plane (Control.Rejoin). The drained
 // server's traffic ledger is folded into Ledger before the swap, keeping
 // offered == sent + shed exact across the relay's whole history. Returns the
 // new serving address. A drain cut short by ctx has still shut the old server
@@ -334,10 +334,11 @@ func (r *Relay) tapped() int64 {
 // recoded counts the blocks the relay recoded across its restarts.
 func (r *Relay) recoded() int64 { return r.Ledger().BlocksEncoded }
 
-// Close tears the relay down: upstream fetch cancelled, downstream server
-// shut down, listener closed. Idempotent.
+// Close tears the relay down: marked closed for the control plane, upstream
+// fetch cancelled, downstream server shut down, listener closed. Idempotent.
 func (r *Relay) Close() {
 	r.closeOnce.Do(func() {
+		r.closed.Store(true)
 		r.fetchCancel()
 		r.mu.Lock()
 		srv, ln := r.srv, r.ln
