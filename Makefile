@@ -77,12 +77,14 @@ loc:
 # lost pump wake-up (a grant the pump never sees) parks a session forever, and
 # one pass cannot show that none is left. It repeats the dense sweep-table
 # count too: concurrent sessions race on the CAS of the table's shared
-# entries, and one of them must publish each exactly once. And it repeats the
-# dispatch-floor byte-identity tests: a pooled batch shares its encoder's or
-# recoder's operand fields with the pool workers.
+# entries, and one of them must publish each exactly once. It repeats the
+# media tests: sessions read the caller's media, not a copy, concurrently with
+# the pump, and a session's first flush races the table's next encode. And it
+# repeats the dispatch-floor byte-identity tests: a pooled batch shares its
+# encoder's or recoder's operand fields with the pool workers.
 race:
 	$(GO) test -race -count=1 $(RACE_PKGS)
-	$(GO) test -race -count=10 -run 'TestCredit|TestSatisfiedServerParks|TestDependentGrantCostsAReask|TestDenseTableOncePerServer|TestSlowReaders$$|AcrossDispatchFloor$$' ./internal/netio/ ./internal/harness/ ./internal/rlnc/
+	$(GO) test -race -count=10 -run 'TestCredit|TestSatisfiedServerParks|TestDependentGrantCostsAReask|TestDenseTableOncePerServer|TestServerHoldsMediaOnce|TestColdSweepFirstRecordAfterOneEncode|TestSlowReaders$$|AcrossDispatchFloor$$' ./internal/netio/ ./internal/harness/ ./internal/rlnc/
 
 # Replay the committed fuzz seed corpora as regression tests (every F.Add
 # case plus any checked-in corpus files), then spend a short, time-boxed live
@@ -118,7 +120,9 @@ staticcheck:
 # session is written one sweep and nothing else on this clean link: each
 # client reads exactly n × segments records, none is shed, and the pump
 # encodes nothing (a dense server's only encodes are its sweep table's, built
-# once for all clients).
+# once for all clients). Building the server must grow the heap by under 1/8
+# of the media beside one padded last segment and 8 KiB: it serves the media,
+# not a copy.
 serve-smoke:
 	$(GO) run ./cmd/nc smoke serve -clients 4
 	$(GO) run ./cmd/nc smoke serve -clients 4 -mode systematic

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -89,10 +90,23 @@ func (c *common) bringUp(g smokeGate, out io.Writer) error {
 	defer stopObserve()
 	e := &smokeEnv{reg: reg, media: harness.Media(c.size, g.seed), p: rlnc.Params{BlockCount: 16, BlockSize: 1024}}
 	g.cfg.Metrics = reg
+	// The server serves the media in place: building it grows the heap by a
+	// padded last segment, 8 KiB of its own and under 1/8 of the media.
+	var before, after runtime.MemStats
+	rlnc.SharedPool() // built once per process, on first use: not the server's
+	runtime.GC()
+	runtime.ReadMemStats(&before)
 	srv, err := netio.NewServerFromConfig(e.media, e.p, g.cfg)
+	runtime.ReadMemStats(&after)
 	if err != nil {
 		return err
 	}
+	grew, limit := int64(after.HeapAlloc)-int64(before.HeapAlloc), int64(len(e.media)/8+e.p.SegmentSize()+8<<10)
+	if grew >= limit {
+		srv.Shutdown()
+		return fmt.Errorf("building the server over %d B of media grew the heap by %d B, want < %d B: 1/8 of the media, one segment and 8 KiB", len(e.media), grew, limit)
+	}
+	fmt.Fprintf(out, "server built over %d B of media: heap +%d B (limit %d B)\n", len(e.media), grew, limit)
 	e.srv = srv
 	if e.addr, e.stop, err = harness.Serve(srv); err != nil {
 		return err

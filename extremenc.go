@@ -104,7 +104,9 @@ func NewRecoder(p Params, opts ...rlnc.Option) (*Recoder, error) {
 	return rlnc.NewRecoder(p, opts...)
 }
 
-// Split divides data into coding segments.
+// Split divides data into coding segments; every whole segment is a view of
+// data, only a short last one a padded copy. data is retained and read for as
+// long as the segments are used; do not modify it.
 func Split(data []byte, p Params) (*rlnc.Object, error) { return rlnc.Split(data, p) }
 
 // ReassembleSegments rebuilds a payload from decoded segments.
@@ -262,7 +264,9 @@ func DefaultNetServerConfig() NetServerConfig { return netio.DefaultServerConfig
 func DefaultNetFetcherConfig() NetFetcherConfig { return netio.DefaultFetcherConfig() }
 
 // NewNetServerFromConfig builds a push-streaming server over media split at
-// p; cfg.Validate failures are returned.
+// p; cfg.Validate failures are returned. The server serves media itself, not
+// a copy: media is retained and read for as long as the server lives; do not
+// modify it.
 func NewNetServerFromConfig(media []byte, p Params, cfg NetServerConfig) (*NetServer, error) {
 	return netio.NewServerFromConfig(media, p, cfg)
 }

@@ -564,11 +564,12 @@ func TestRelaySweepHoldsEachRecordOnce(t *testing.T) {
 // TestRelaySegmentNamedOncePinsItsRank: a sender that names a segment once —
 // one innovative record — makes a relay keep what rank 1 needs there, not a
 // basis sized for n. At n = 1024, k = 32 KiB, one record into each of 8
-// segments keeps at most a bound a segment: the held frame (4 + WireSize
-// bytes, which the allocator rounds up to whole 8 KiB pages), the recoder's n
-// probe pointers, and 16 KiB for its scratch, its first probe slab, its seeded
-// random source and the headers. A recoder row slice and a held slice sized
-// for n would add 48 KiB a segment.
+// segments keeps at most 56 KiB a segment: the held frame (4 + WireSize
+// bytes, which the allocator rounds up to whole 8 KiB pages) and 16 KiB for
+// the recoder's scratch, its 2n-byte pivot index, its first probe vector and
+// the headers. Its seeded random source is built on its first emission, so a
+// relay that only absorbs has none. A recoder row slice and a held slice
+// sized for n would add 48 KiB a segment, n probe pointers 24 KiB.
 func TestRelaySegmentNamedOncePinsItsRank(t *testing.T) {
 	p := rlnc.Params{BlockCount: 1024, BlockSize: 32 << 10}
 	const segments = 8
@@ -594,7 +595,7 @@ func TestRelaySegmentNamedOncePinsItsRank(t *testing.T) {
 	kept := int64(heapAfterGC()) - int64(before)
 	const page = 8 << 10
 	frame := (4 + rlnc.WireSize(p) + page - 1) &^ (page - 1)
-	bound := int64(frame + n*int(unsafe.Sizeof([]byte(nil))) + 16<<10)
+	bound := int64(frame + 16<<10)
 	t.Logf("one record into each of %d segments at %v: %d B kept, %d B a segment (bound %d B)", segments, p, kept, kept/segments, bound)
 	if kept > segments*bound {
 		t.Fatalf("%d B kept for %d segments at rank 1, want ≤ %d B a segment", kept, segments, bound)

@@ -158,18 +158,19 @@ type Server struct {
 }
 
 // NewServerFromConfig builds a media-backed server over media split at p:
-// the server encodes fresh coded blocks from the source segments. See
-// ServerConfig for the zero-value semantics.
+// the server encodes fresh coded blocks from the source segments, views of
+// media (rlnc.Split): media is retained and read for as long as the server
+// lives; do not modify it. See ServerConfig for the zero-value semantics.
 func NewServerFromConfig(media []byte, p rlnc.Params, cfg ServerConfig) (*Server, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := errors.Join(cfg.Validate(), p.Validate()); err != nil {
 		return nil, err
+	}
+	if segs := (len(media) + p.SegmentSize() - 1) / p.SegmentSize(); segs > maxSegments {
+		return nil, fmt.Errorf("netio: %d bytes are %d segments of %v, over the %d a session may declare", len(media), segs, p, maxSegments)
 	}
 	obj, err := rlnc.Split(media, p)
 	if err != nil {
 		return nil, err
-	}
-	if len(obj.Segments) > maxSegments {
-		return nil, fmt.Errorf("netio: %d bytes are %d segments of %v, over the %d a session may declare", len(media), len(obj.Segments), p, maxSegments)
 	}
 	cfg = cfg.normalized()
 	key := uint64(cfg.Seed)
@@ -508,10 +509,14 @@ func (s *Server) runSession(ss *session) {
 
 // firstGrant returns the segments the session is swept, in order — those the
 // source holds whole, owed nothing more — and owes every other one the default
-// grant, so nothing waits on the client before the first record.
+// grant, so nothing waits on the client before the first record. It asks each
+// segment for its record at the index the sweep starts at when every segment
+// is swept, so an origin's first swept record is one the table already holds.
 func (s *Server) firstGrant(ss *session) (swept []int) {
+	n := s.info.Params.BlockCount
+	i := sweepStart(ss.id, len(ss.credit)*n) % n
 	for seg := range ss.credit {
-		if s.sweepRecord(seg, 0, s.rootSpan.ID()) != nil {
+		if s.sweepRecord(seg, i, s.rootSpan.ID(), true) != nil {
 			swept = append(swept, seg)
 		} else {
 			ss.credit[seg].Store(s.grantCap)
@@ -521,17 +526,20 @@ func (s *Server) firstGrant(ss *session) (swept []int) {
 }
 
 // sweepRecord returns sweep-table entry (seg, i), asking the source if no
-// session has yet, or nil while the source does not hold seg whole; racing
-// sessions get identical bytes, and the first to publish wins. A counter
-// server's source encodes the entry, so each one it publishes counts in
-// BlocksEncoded, and a traced server spans the encode under parent: the
-// session's sweep, or the server's root (firstGrant).
-func (s *Server) sweepRecord(seg, i int, parent trace.SpanID) []byte {
+// session has yet and ask is set, or nil (the source's while it does not hold
+// seg whole); racing sessions get identical bytes, the first to publish wins.
+// A counter server's source encodes the entry, so each one it publishes
+// counts in BlocksEncoded, and a traced server spans the encode under parent:
+// the session's sweep, or the server's root (firstGrant).
+func (s *Server) sweepRecord(seg, i int, parent trace.SpanID, ask bool) []byte {
 	entries := s.sweep.segs[seg].Load()
 	if entries != nil {
 		if rec := (*entries)[i].Load(); rec != nil {
 			return *rec
 		}
+	}
+	if !ask {
+		return nil
 	}
 	var enc trace.Span
 	if s.traced && s.counter {
@@ -631,9 +639,9 @@ func (s *Server) awaitAsk(ss *session) {
 
 // writeSweep writes the sweep table's records of the swept segments straight
 // to the connection, at most flushRecs per vectored write, under the same
-// deadline and short-write rules as any flush. Every record is offered,
-// and then sent or shed, in the session's ledger; none is encoded — that
-// counter is the pump's.
+// deadline and short-write rules as any flush; the first stops before a
+// record the table does not hold yet, so a cold table's first record waits
+// for no other. Every record is offered, then sent or shed, in the ledger.
 func (s *Server) writeSweep(ss *session, swept []int) error {
 	n := s.info.Params.BlockCount
 	total := len(swept) * n
@@ -653,7 +661,10 @@ func (s *Server) writeSweep(ss *session, swept []int) error {
 		for i := range batch {
 			idx := (start + done + i) % total
 			seg := swept[idx/n]
-			refs[i].buf = s.sweepRecord(seg, idx%n, sp.ID())
+			if refs[i].buf = s.sweepRecord(seg, idx%n, sp.ID(), done > 0 || i == 0); refs[i].buf == nil {
+				batch = batch[:i]
+				break
+			}
 			refs[i].round = uint64(sp.ID())
 			refs[i].seg = int32(seg)
 			batch[i] = &refs[i]

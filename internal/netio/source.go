@@ -219,18 +219,16 @@ type systematicSource struct {
 	// server's seed and drawn from for as long as the source lives (the pump
 	// is single-goroutine, so it needs no lock): two sources built alike emit
 	// the same records for the same sequence of Records calls.
-	rng *rand.Rand
+	seed int64
+	rng  *rand.Rand
 
-	sysEncs []*rlnc.SystematicEncoder // one cycling schedule encoder per segment
+	// sysEncs holds one cycling schedule encoder per segment, built, like rng,
+	// on the first repair record that needs it: neither draws before it emits.
+	sysEncs []*rlnc.SystematicEncoder
 }
 
 func newSystematicSource(obj *rlnc.Object, seed int64) *systematicSource {
-	src := &systematicSource{obj: obj, rng: rand.New(rand.NewSource(seed))}
-	src.sysEncs = make([]*rlnc.SystematicEncoder, len(obj.Segments))
-	for i, seg := range obj.Segments {
-		src.sysEncs[i] = rlnc.NewSystematicEncoder(seg, src.rng)
-	}
-	return src
+	return &systematicSource{obj: obj, seed: seed, sysEncs: make([]*rlnc.SystematicEncoder, len(obj.Segments))}
 }
 
 func (o *systematicSource) Info() SessionInfo { return objectInfo(o.obj, ModeSystematic) }
@@ -253,6 +251,13 @@ func (o *systematicSource) Sweep(seg, i int) []byte {
 // RepairBlock call reuses its storage.
 func (o *systematicSource) Records(seg int, frames [][]byte) int {
 	se := o.sysEncs[seg]
+	if se == nil {
+		if o.rng == nil {
+			o.rng = rand.New(rand.NewSource(o.seed))
+		}
+		se = rlnc.NewSystematicEncoder(o.obj.Segments[seg], o.rng)
+		o.sysEncs[seg] = se
+	}
 	for i, frame := range frames {
 		frames[i] = frameBlock(frame, se.RepairBlock(), o.obj.Params, ModeSystematic)
 	}

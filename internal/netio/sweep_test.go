@@ -167,7 +167,7 @@ func TestSweepRecordNotWholeDoesNotAllocate(t *testing.T) {
 	srv := newPushServer(t, testMedia(t, 3*p.SegmentSize(), 62), p, DefaultServerConfig())
 	if got := testing.AllocsPerRun(20, func() {
 		for seg := range 3 {
-			if srv.sweepRecord(seg, 0, 0) != nil {
+			if srv.sweepRecord(seg, 0, 0, true) != nil {
 				t.Fatal("a pool source swept a segment")
 			}
 		}
@@ -209,11 +209,11 @@ func TestSweepTableMatchesEncoder(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := srv.sweepRecord(s, i, 0)
+			got := srv.sweepRecord(s, i, 0, true)
 			if !bytes.Equal(got, want) {
 				t.Fatalf("segment %d block %d: table record differs from the encoder's", s, i)
 			}
-			if again := srv.sweepRecord(s, i, 0); &again[0] != &got[0] {
+			if again := srv.sweepRecord(s, i, 0, true); &again[0] != &got[0] {
 				t.Fatalf("segment %d block %d framed twice", s, i)
 			}
 		}
@@ -229,12 +229,12 @@ func TestSweepTableMatchesEncoder(t *testing.T) {
 	}
 	for s, seg := range obj.Segments {
 		for i := 0; i < p.BlockCount; i++ {
-			got := dense.sweepRecord(s, i, 0)
+			got := dense.sweepRecord(s, i, 0, true)
 			if len(got) < recordLenLen || int(binary.BigEndian.Uint32(got)) != len(got)-recordLenLen ||
 				!bytes.Equal(got[recordLenLen:], rlnc.CounterRecord(seg, 5, uint32(i))) {
 				t.Fatalf("dense segment %d record %d is not counter record %d under the key", s, i, i)
 			}
-			if again := dense.sweepRecord(s, i, 0); &again[0] != &got[0] {
+			if again := dense.sweepRecord(s, i, 0, true); &again[0] != &got[0] {
 				t.Fatalf("dense segment %d record %d encoded twice", s, i)
 			}
 		}
@@ -973,8 +973,9 @@ func TestSweepCoversAcrossCutSessions(t *testing.T) {
 
 // TestFlushRecords: one flush covers flushBytes of dense records, capped by
 // the queue depth — 16 records at n=128, k=4096, the whole 64-record queue at
-// n=32, k=256 — and a systematic session's sweep goes out in flushes of the
-// same size: one netio.record_send span per flush.
+// n=32, k=256 — and a systematic session's sweep goes out in flushes of that
+// size, one netio.record_send span per flush; the first session's, from a
+// table still cold, sends the record its handshake framed alone first.
 func TestFlushRecords(t *testing.T) {
 	for _, tc := range []struct {
 		p           rlnc.Params
@@ -999,22 +1000,28 @@ func TestFlushRecords(t *testing.T) {
 			t.Skipf("loopback listen unavailable: %v", err)
 		}
 		serveOn(t, srv, l)
-		reg := obs.NewRegistry()
-		obs.SetSink(reg)
-		conn, err := net.Dial("tcp", l.Addr().String())
-		if err != nil {
+		for _, table := range []string{"cold", "warm"} {
+			reg := obs.NewRegistry()
+			obs.SetSink(reg)
+			conn, err := net.Dial("tcp", l.Addr().String())
+			if err != nil {
+				obs.SetSink(nil)
+				t.Fatal(err)
+			}
+			c := dialSweep(t, conn)
+			total := c.total()
+			c.read(total)
+			conn.Close()
+			awaitSessions(t, srv, 0)
 			obs.SetSink(nil)
-			t.Fatal(err)
-		}
-		c := dialSweep(t, conn)
-		total := c.total()
-		c.read(total)
-		conn.Close()
-		awaitSessions(t, srv, 0)
-		obs.SetSink(nil)
-		flushes, _ := reg.HistogramView("netio.record_send")
-		if want := (total + tc.want - 1) / tc.want; flushes.Count != int64(want) {
-			t.Errorf("n=%d k=%d QueueDepth %d: a %d-record sweep took %d flushes, want %d", tc.p.BlockCount, tc.p.BlockSize, tc.depth, total, flushes.Count, want)
+			flushes, _ := reg.HistogramView("netio.record_send")
+			want := (total + tc.want - 1) / tc.want
+			if table == "cold" {
+				want = 1 + (total-1+tc.want-1)/tc.want
+			}
+			if flushes.Count != int64(want) {
+				t.Errorf("n=%d k=%d QueueDepth %d: a %d-record sweep from a %s table took %d flushes, want %d", tc.p.BlockCount, tc.p.BlockSize, tc.depth, total, table, flushes.Count, want)
+			}
 		}
 	}
 }

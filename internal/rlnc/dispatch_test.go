@@ -100,7 +100,7 @@ func reduceFullWidth(r *Recoder, coeffs []byte) int {
 		if f == 0 {
 			continue
 		}
-		if pr := r.probe[c]; pr != nil {
+		if pr := probeAt(r, c); pr != nil {
 			gf256.MulAddSlice(row, pr, f)
 			continue
 		}
@@ -112,6 +112,15 @@ func reduceFullWidth(r *Recoder, coeffs []byte) int {
 		gf256.ScaleSlice(row, gf256.Inv(row[pivot]))
 	}
 	return pivot
+}
+
+// probeAt is r's probe vector with pivot c, or nil when it has none.
+func probeAt(r *Recoder, c int) []byte {
+	if j := int(r.pivots[c]); j != 0 {
+		n := len(r.pivots)
+		return r.probe[(j-1)*n : j*n]
+	}
+	return nil
 }
 
 // TestRecoderReduceMatchesFullWidth: starting each elimination at the probe
@@ -153,15 +162,16 @@ func TestRecoderReduceMatchesFullWidth(t *testing.T) {
 					t.Fatal(err)
 				}
 				if pivot := reduceFullWidth(ref, c); pivot >= 0 {
-					ref.probe[pivot] = bytes.Clone(ref.scratch)
+					ref.probe = append(ref.probe, ref.scratch...)
+					ref.pivots[pivot] = uint16(len(ref.probe) / n)
 					ref.rows = append(ref.rows, nil)
 					held = append(held, c)
 				}
 				if !bytes.Equal(fast.scratch, ref.scratch) || fast.Rank() != ref.Rank() {
 					t.Fatalf("n=%d %s arrival %d: reduced %x rank %d, full width %x rank %d", n, kind, i, fast.scratch, fast.Rank(), ref.scratch, ref.Rank())
 				}
-				for col := range ref.probe {
-					if !bytes.Equal(fast.probe[col], ref.probe[col]) {
+				for col := range n {
+					if !bytes.Equal(probeAt(fast, col), probeAt(ref, col)) {
 						t.Fatalf("n=%d %s arrival %d: probe row %d differs", n, kind, i, col)
 					}
 				}

@@ -96,18 +96,22 @@ type Recoder struct {
 	// entry, not n.
 	rows [][]byte
 
-	// probe is the reduced basis that decides innovation: probe[c] is the
-	// vector with pivot c, cut from the front of probeBuf, what is left of the
-	// probe's current slab. scratch is where an arrival is reduced before it
-	// has earned a row; spare is the row Add copies its next block into.
-	probe    [][]byte
-	probeBuf []byte
-	scratch  []byte
-	spare    []byte
+	// probe is the reduced basis that decides innovation: vector j of it,
+	// the reduction of the j-th row held, is probe[j·n:(j+1)·n], and
+	// pivots[c] is one past the index of the vector with pivot c, 0 for none
+	// (2n bytes). scratch is where an arrival is reduced before it has earned
+	// a row; spare is the row Add copies its next block into.
+	probe   []byte
+	pivots  []uint16
+	scratch []byte
+	spare   []byte
 
-	// rng, when set via WithSeed, drives Emit so the caller does not have
-	// to thread a random source through every recombination.
-	rng *rand.Rand
+	// rng, built from seed on the first emission of a recoder made WithSeed,
+	// drives Emit so the caller does not have to thread a random source
+	// through every recombination.
+	rng    *rand.Rand
+	seed   int64
+	seeded bool
 
 	// xorRecode (WithXorRecode) constrains emissions to GF(2)
 	// recombinations through the XOR kernels: binary coefficients, no
@@ -134,9 +138,10 @@ func NewRecoder(p Params, opts ...Option) (*Recoder, error) {
 	cfg := applyOptions(opts)
 	return &Recoder{
 		params:    p,
-		probe:     make([][]byte, p.BlockCount),
+		pivots:    make([]uint16, p.BlockCount),
 		scratch:   make([]byte, p.BlockCount),
-		rng:       cfg.rng,
+		seed:      cfg.seed,
+		seeded:    cfg.seeded,
 		xorRecode: cfg.xorRecode,
 		mul:       batchMul{workers: SharedPool().Workers()},
 	}, nil
@@ -189,14 +194,16 @@ func (r *Recoder) Hold(segID uint32, row []byte) (bool, error) {
 	if pivot < 0 {
 		return false, nil
 	}
-	if len(r.probeBuf) == 0 {
-		// Each slab holds as many vectors as are held already, so the probe
-		// pins n bytes per rank — n² at full rank — in log2(n) + 1 allocations.
-		held := len(r.rows)
-		r.probeBuf = make([]byte, n*max(1, min(held, n-held)))
+	held := len(r.rows)
+	if len(r.probe) == cap(r.probe) {
+		// Doubling, capped at n vectors: the probe pins n bytes per rank — n²
+		// at full rank — after log2(n) + 1 allocations.
+		grown := make([]byte, held*n, n*min(n, max(1, 2*held)))
+		copy(grown, r.probe)
+		r.probe = grown
 	}
-	r.probe[pivot], r.probeBuf = r.probeBuf[:n:n], r.probeBuf[n:]
-	copy(r.probe[pivot], r.scratch)
+	r.probe = append(r.probe, r.scratch...)
+	r.pivots[pivot] = uint16(held + 1) // n ≤ MaxBlockCount fits
 	r.rows = append(r.rows, row[:width:width])
 	r.segID = segID
 	return true, nil
@@ -214,11 +221,11 @@ func (r *Recoder) reduce(coeffs []byte) int {
 		if f == 0 {
 			continue
 		}
-		if pr := r.probe[c]; pr != nil {
+		if j := r.pivots[c]; j != 0 {
 			// A probe row is zero left of its pivot; widening the span to
 			// whole SIMD steps, as the decoder does, adds only zeros.
 			lo := c &^ (planeStep - 1)
-			gf256.MulAddSlice(row[lo:], pr[lo:], f)
+			gf256.MulAddSlice(row[lo:], r.probe[int(j-1)*len(row)+lo:int(j)*len(row)], f)
 			continue
 		}
 		if pivot < 0 {
@@ -240,7 +247,7 @@ func (r *Recoder) Rank() int { return len(r.rows) }
 // rank-0 recoder has no subspace to emit from — callers poll Rank and hold
 // off until input arrives) and with ErrNoSeed when the recoder was built
 // without one. Both failures leave the recoder unchanged and usable.
-func (r *Recoder) Emit() (*CodedBlock, error) { return r.NextBlock(r.rng) }
+func (r *Recoder) Emit() (*CodedBlock, error) { return r.NextBlock(r.source()) }
 
 // EmitInto is a batch of Emits written where the caller wants them: each
 // dsts[i], at least BlockCount+BlockSize bytes, receives one recombination
@@ -254,7 +261,16 @@ func (r *Recoder) Emit() (*CodedBlock, error) { return r.NextBlock(r.rng) }
 // task.
 // Errors are Emit's, plus ErrBatchShape for a short destination; all leave
 // the recoder and its random source unchanged.
-func (r *Recoder) EmitInto(dsts [][]byte) error { return r.emitInto(dsts, r.rng) }
+func (r *Recoder) EmitInto(dsts [][]byte) error { return r.emitInto(dsts, r.source()) }
+
+// source is the recoder's own random source, built from its seed on first
+// use, or nil for a recoder made without WithSeed.
+func (r *Recoder) source() *rand.Rand {
+	if r.rng == nil && r.seeded {
+		r.rng = rand.New(rand.NewSource(r.seed))
+	}
+	return r.rng
+}
 
 func (r *Recoder) emitInto(dsts [][]byte, rng *rand.Rand) error {
 	if rng == nil {

@@ -20,30 +20,27 @@ type Object struct {
 	Segments []*Segment
 }
 
-// Split divides data into segments of p.SegmentSize() bytes, zero-padding
-// the last. Segment IDs are assigned sequentially from 0.
+// Split divides data into segments of p.SegmentSize() bytes. Segment IDs are
+// assigned sequentially from 0. Every whole segment is a view of data, cut
+// so that nothing past it is reachable; only a short final segment is a
+// zero-padded copy. data is retained and read for as long as the segments
+// are used, so the caller must not modify it meanwhile.
 func Split(data []byte, p Params) (*Object, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	segSize := p.SegmentSize()
-	count := (len(data) + segSize - 1) / segSize
-	if count == 0 {
-		count = 1
-	}
-	obj := &Object{Length: len(data), Params: p, Segments: make([]*Segment, 0, count)}
-	for i := 0; i < count; i++ {
+	count := max(1, (len(data)+segSize-1)/segSize)
+	obj := &Object{Length: len(data), Params: p, Segments: make([]*Segment, count)}
+	for i := range obj.Segments {
 		lo := i * segSize
-		hi := min(lo+segSize, len(data))
-		var chunk []byte
-		if lo < len(data) {
-			chunk = data[lo:hi]
+		if hi := lo + segSize; hi <= len(data) {
+			obj.Segments[i] = segmentView(uint32(i), p, data[lo:hi:hi])
+			continue
 		}
-		seg, err := SegmentFromData(uint32(i), p, chunk)
-		if err != nil {
-			return nil, err
-		}
-		obj.Segments = append(obj.Segments, seg)
+		seg := newSegment(uint32(i), p)
+		copy(seg.data, data[lo:])
+		obj.Segments[i] = seg
 	}
 	return obj, nil
 }

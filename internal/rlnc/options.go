@@ -1,7 +1,5 @@
 package rlnc
 
-import "math/rand"
-
 // Option configures the codec constructors that consume blocks — NewDecoder
 // and NewRecoder. Zero-option calls are unchanged, so existing code keeps
 // compiling; options that do not apply to a constructor are ignored (e.g. a
@@ -13,7 +11,8 @@ type DecoderOption = Option
 
 // config collects the settings an Option can carry.
 type config struct {
-	rng       *rand.Rand
+	seed      int64
+	seeded    bool
 	xorRecode bool
 }
 
@@ -28,9 +27,10 @@ func applyOptions(opts []Option) config {
 // WithSeed gives the constructed codec a private deterministic random source.
 // A Recoder built with a seed can emit recombinations via Emit without the
 // caller threading an rng through every call; decoders, which are fully
-// deterministic, ignore it.
+// deterministic, ignore it. The source is built on the recoder's first
+// emission, so one that never emits never pays for it.
 func WithSeed(seed int64) Option {
-	return func(c *config) { c.rng = rand.New(rand.NewSource(seed)) }
+	return func(c *config) { c.seed, c.seeded = seed, true }
 }
 
 // WithXorRecode constrains a Recoder to GF(2) recombinations: Emit and

@@ -472,6 +472,52 @@ func TestSplitReassemble(t *testing.T) {
 	}
 }
 
+// TestSplitAliasesWholeSegments: every whole segment Split makes is a view of
+// the data it is handed, capped at its own end, and a short final segment is a
+// zero-padded copy. Nothing past len(data) is reachable through a segment, its
+// data or its blocks: appending to each of them leaves sentinel bytes in
+// data's spare capacity untouched.
+func TestSplitAliasesWholeSegments(t *testing.T) {
+	p := Params{BlockCount: 4, BlockSize: 16}
+	size := p.SegmentSize()
+	const sentinel = 0xA5
+	for _, length := range []int{1, size, 3 * size, 3*size - 5} {
+		buf := make([]byte, length+size)
+		rand.New(rand.NewSource(int64(length))).Read(buf[:length])
+		for i := length; i < len(buf); i++ {
+			buf[i] = sentinel
+		}
+		data := buf[:length]
+		obj, err := Split(data, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var grown [][]byte
+		for i, seg := range obj.Segments {
+			lo, got := i*size, seg.Data()
+			if len(got) != size || cap(got) != size {
+				t.Fatalf("length %d: segment %d is %d bytes of capacity %d, want %d", length, i, len(got), cap(got), size)
+			}
+			if whole := lo+size <= length; whole != (&got[0] == &data[lo]) {
+				t.Fatalf("length %d: segment %d aliases data %v, want %v", length, i, !whole, whole)
+			}
+			tail := min(size, length-lo)
+			if !bytes.Equal(got[:tail], data[lo:lo+tail]) || !bytes.Equal(got[tail:], make([]byte, size-tail)) {
+				t.Fatalf("length %d: segment %d is not data[%d:] zero-padded", length, i, lo)
+			}
+			grown = append(grown, append(got, 0xFF))
+			for _, b := range seg.Blocks() {
+				grown = append(grown, append(b, 0xFF))
+			}
+		}
+		for i, b := range buf[length:] {
+			if b != sentinel {
+				t.Fatalf("length %d: data[%d] past the end was written (%#x) through %d appends", length, length+i, b, len(grown))
+			}
+		}
+	}
+}
+
 func TestReassembleMissingSegment(t *testing.T) {
 	p := Params{BlockCount: 2, BlockSize: 8}
 	data := make([]byte, 40)

@@ -28,7 +28,8 @@ func newSegment(id uint32, p Params) *Segment {
 }
 
 // segmentView returns a segment whose storage is data, SegmentSize bytes the
-// caller owns: a decoder's output window.
+// caller owns: a decoder's output window, or a whole segment Split cuts from
+// the caller's data.
 func segmentView(id uint32, p Params, data []byte) *Segment {
 	s := &Segment{id: id, params: p, data: data}
 	s.blockRows()
