@@ -81,17 +81,22 @@ loc:
 # media tests: sessions read the caller's media, not a copy, concurrently with
 # the pump, and a session's first flush races the table's next encode. And it
 # repeats the dispatch-floor byte-identity tests: a pooled batch shares its
-# encoder's or recoder's operand fields with the pool workers.
+# encoder's or recoder's operand fields with the pool workers. And it repeats
+# the relay's held-record tests: a relay's sessions sweep the upstream records
+# it holds while its fetch copies in others, and a reconnect to an origin of
+# another key races the downstream sessions reading the held records.
 race:
 	$(GO) test -race -count=1 $(RACE_PKGS)
-	$(GO) test -race -count=10 -run 'TestCredit|TestSatisfiedServerParks|TestDependentGrantCostsAReask|TestDenseTableOncePerServer|TestServerHoldsMediaOnce|TestColdSweepFirstRecordAfterOneEncode|TestSlowReaders$$|AcrossDispatchFloor$$' ./internal/netio/ ./internal/harness/ ./internal/rlnc/
+	$(GO) test -race -count=10 -run 'TestCredit|TestSatisfiedServerParks|TestDependentGrantCostsAReask|TestDenseTableOncePerServer|TestServerHoldsMediaOnce|TestColdSweepFirstRecordAfterOneEncode|TestSlowReaders$$|AcrossDispatchFloor$$|TestRelayRekeyedUpstream|TestRelayHoldsCounterRecordsOnce|TestRelayHopsCarryTheirRecords|TestCounterSessionAdmitsRecodes' ./internal/netio/ ./internal/harness/ ./internal/rlnc/ ./internal/mesh/
 
 # Replay the committed fuzz seed corpora as regression tests (every F.Add
 # case plus any checked-in corpus files), then spend a short, time-boxed live
 # budget on every reader of what a peer or a disk hands the code unchecked: the
 # control records (handshake, need record, resume state), the one XNC1/XNC2/XNC3
 # record reader (held to the one writer), and the fetcher's record loop into
-# decoders and into a recoder sink.
+# decoders and into a recoder sink. The seeds include a relay's counter
+# session — XNC3 records and XNC1 recodes — and one with an XNC2 record of
+# the counter size, which must be refused.
 fuzz-regress:
 	$(GO) test -run 'Fuzz' -count=1 ./internal/gf256/ ./internal/rlnc/ ./internal/netio/
 	$(GO) test -run '^$$' -fuzz=FuzzControlRecord -fuzztime=10s ./internal/netio/

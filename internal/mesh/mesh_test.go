@@ -124,6 +124,9 @@ func warmMedia(t testing.TB, p rlnc.Params, segments int) []byte {
 	return testMedia(t, segments*p.SegmentSize(), 6)
 }
 
+// warmSeed is the seed of warmRelay's origin, the key of a dense one.
+const warmSeed = 3
+
 // warmRelay starts an origin and one relay over it and returns the relay once
 // it holds full rank in every segment: a dense origin and relay, or with xor a
 // systematic origin — whose sweep alone fills the relay — and so a relay that
@@ -132,7 +135,7 @@ func warmMedia(t testing.TB, p rlnc.Params, segments int) []byte {
 func warmRelay(t testing.TB, p rlnc.Params, segments int, xor bool, opts ...func(*RelayConfig)) *Relay {
 	t.Helper()
 	ocfg := netio.DefaultServerConfig()
-	ocfg.Seed = 3
+	ocfg.Seed = warmSeed
 	if xor {
 		ocfg.Mode = netio.ModeSystematic
 	}
@@ -332,7 +335,7 @@ func TestXorRelayRecordsMatchEmit(t *testing.T) {
 // its context ends, and the fetch ledger counts the attempts.
 func TestRelayRefusesHostileSegmentCount(t *testing.T) {
 	const n, k, segments = 4, 64, 1<<16 + 1
-	body := binary.BigEndian.AppendUint32(nil, 5) // protocol version
+	body := binary.BigEndian.AppendUint32(nil, 6) // protocol version
 	for _, v := range []uint32{n, k, segments} {
 		body = binary.BigEndian.AppendUint32(body, v)
 	}
@@ -396,7 +399,7 @@ func TestRelayRefusesHostileSegmentCount(t *testing.T) {
 func TestRelayDeclaredSegmentsHoldNothing(t *testing.T) {
 	const n, k, segments = 1024, 32 << 10, 1 << 16
 	const heapBound, goroutineBound = 16 << 20, 16
-	body := binary.BigEndian.AppendUint32(nil, 5) // protocol version
+	body := binary.BigEndian.AppendUint32(nil, 6) // protocol version
 	for _, v := range []uint32{n, k, segments} {
 		body = binary.BigEndian.AppendUint32(body, v)
 	}
@@ -616,10 +619,10 @@ func hopRecords(t *testing.T, wire []byte) (flags uint32, magics map[string]int)
 
 // TestRelayHopsCarryTheirRecords: origin → relay → leaf, tapped on both hops.
 // The origin→relay hop is a counter session — the flag set and every record
-// an XNC3 counter record, absorbed by the relay's recoders — and the
-// relay→leaf hop, dialed once the relay holds every segment whole, is a
-// dense session, no flag set, of XNC1 records: the relay's held rows, framed
-// with their coefficients. The leaf decodes byte for byte.
+// an XNC3 counter record, absorbed by the relay's recoders — and so is the
+// relay→leaf hop, dialed once the relay holds every segment whole: the
+// relay's held records, forwarded as they arrived, under the key it
+// re-declared. The leaf decodes byte for byte.
 func TestRelayHopsCarryTheirRecords(t *testing.T) {
 	p := rlnc.Params{BlockCount: 8, BlockSize: 128}
 	media := testMedia(t, 3*p.SegmentSize()-11, 21)
@@ -659,7 +662,7 @@ func TestRelayHopsCarryTheirRecords(t *testing.T) {
 		taps  []*tapConn
 		flag  uint32
 		magic string
-	}{{"origin→relay", up, 1 << 2, "XNC3"}, {"relay→leaf", down, 0, "XNC1"}} {
+	}{{"origin→relay", up, 1 << 2, "XNC3"}, {"relay→leaf", down, 1 << 2, "XNC3"}} {
 		if len(hop.taps) == 0 {
 			t.Fatalf("%s: no connection was tapped", hop.name)
 		}

@@ -1,8 +1,8 @@
 package mesh
 
 import (
-	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
@@ -49,13 +49,12 @@ type RelayConfig struct {
 // session the held records of every segment the relay holds whole, and
 // otherwise sends fresh recombinations drawn from the bases. A segment's basis,
 // built on its first record, is its held records — each innovative upstream
-// block, laid once as a sealed XNC1 record — and an rlnc.Recoder over their
-// rows. It recodes in its upstream's field and re-declares the upstream's mode:
-// over a ModeSystematic upstream, GF(2) recombinations (rlnc.WithXorRecode)
-// that travel as XNC2 when binary; over a ModeDense one, dense GF(2^8) ones.
-// It never decodes — coefficients are in terms of the original source blocks,
-// so leaves are oblivious to the hop (paper Sec. 2) — and serves a segment
-// from its first record on, even after its upstream dies.
+// record as it arrived — and an rlnc.Recoder over them. It re-declares its
+// first upstream session, key included, and recodes in its field: in GF(2)
+// (rlnc.WithXorRecode; XNC2 when binary) over ModeSystematic, else GF(2^8).
+// It never decodes — coefficients are in terms of the original source
+// blocks, so leaves are oblivious to the hop (paper Sec. 2) — and serves a
+// segment from its first record on, even after its upstream dies.
 type Relay struct {
 	id  string
 	cfg RelayConfig
@@ -68,9 +67,11 @@ type Relay struct {
 	srv     *netio.Server // current downstream server; swapped by Restart
 	retired netio.CounterView
 	info    netio.SessionInfo // learned from the upstream handshake
+	key     uint64            // of the relay's counter session, when counter
+	counter bool
 	// Segment seg's basis, nil until its first record: recoders[seg] holds the
-	// rows of held[seg], which is read without mu once whole[seg] is set, after
-	// the n-th append. spare is the frame the next upstream record is laid in.
+	// payloads of held[seg], which is read without mu once whole[seg] is set,
+	// after the n-th append. spare is the next upstream record's frame.
 	recoders []*rlnc.Recoder
 	held     [][][]byte
 	whole    []atomic.Bool
@@ -165,10 +166,10 @@ func StartRelay(ctx context.Context, cfg RelayConfig) (*Relay, error) {
 	return r, nil
 }
 
-// onSession captures the upstream session shape on the first handshake — the
-// relay re-declares it downstream — and sizes the per-segment slices. Later
-// handshakes are reconnects of the same session (the fetcher enforces header
-// identity) and are ignored.
+// onSession captures the upstream session shape and key on the first
+// handshake — the relay re-declares them downstream — and sizes the
+// per-segment slices. Later handshakes are reconnects of the same session (the
+// fetcher enforces header identity) and are ignored.
 func (r *Relay) onSession(si netio.SessionInfo) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -176,19 +177,20 @@ func (r *Relay) onSession(si netio.SessionInfo) {
 		return
 	}
 	r.info = si
+	r.key, r.counter = r.upFetch.CounterKey()
 	r.recoders = make([]*rlnc.Recoder, si.Segments)
 	r.held = make([][][]byte, si.Segments)
 	r.whole = make([]atomic.Bool, si.Segments)
 	close(r.ready)
 }
 
-// relayBank adapts a Relay to netio.Sink: each upstream block is copied once,
-// into the spare frame as an XNC1 record, whose row the segment's recoder holds
-// (the record is sealed and kept, for sweeps) or drops (the frame stays spare).
-// A block for a segment already whole is not reduced at all.
+// relayBank adapts a Relay to netio.Sink: each upstream record is copied once
+// into the spare frame, whose payload the segment's recoder holds (the record
+// is kept, for sweeps) or drops (the frame stays spare). A record for a
+// segment already whole is not reduced at all.
 type relayBank Relay
 
-func (rb *relayBank) Absorb(b *rlnc.CodedBlock) (bool, error) {
+func (rb *relayBank) Absorb(b *rlnc.CodedBlock, wire []byte) (bool, error) {
 	r := (*Relay)(rb)
 	sp := stageRelayAbsorb.Start()
 	defer sp.End()
@@ -210,17 +212,21 @@ func (rb *relayBank) Absorb(b *rlnc.CodedBlock) (bool, error) {
 		}
 		r.recoders[seg] = rec
 	}
-	if r.spare == nil {
-		r.spare = make([]byte, 4+rlnc.WireSize(p)) // a length prefix, then the record
+	if key, counter := r.upFetch.CounterKey(); counter && (!r.counter || key != r.key) {
+		wire, _ = b.MarshalBinary() // another origin's key: XNC1 (b's shape is valid)
 	}
-	frame, row := netio.LayDenseRecord(r.spare, seg, p)
-	copy(row[copy(row, b.Coeffs):], b.Payload)
-	held, err := rec.Hold(seg, row)
+	if len(r.spare) != 4+len(wire) {
+		r.spare = make([]byte, 4+len(wire)) // a length prefix, then the record
+	}
+	frame := r.spare
+	binary.BigEndian.PutUint32(frame, uint32(len(wire)))
+	copy(frame[4:], wire)
+	held, err := rec.Hold(seg, b.Coeffs, frame[len(frame)-4-p.BlockSize:len(frame)-4]) // payload, then CRC
 	if !held {
 		return false, err
 	}
 	r.spare = nil
-	r.held[seg] = append(r.held[seg], netio.SealRecord(frame, p, netio.ModeDense))
+	r.held[seg] = append(r.held[seg], frame)
 	r.rank.Add(1)
 	if len(r.held[seg]) == p.BlockCount {
 		r.whole[seg].Store(true)
@@ -361,20 +367,16 @@ type relaySource Relay
 // Info is the session the relay learned upstream, set before any server exists.
 func (rs *relaySource) Info() netio.SessionInfo { return rs.info }
 
-// Sweep returns held record i of a segment the relay holds whole: the record
-// itself, or over a systematic upstream a copy narrowed to XNC2 when binary,
-// as the origin's are. A segment not yet whole costs one atomic load; every
-// handshake asks.
+func (rs *relaySource) CounterKey() (uint64, bool) { return rs.key, rs.counter }
+
+// Sweep returns held record i of a segment the relay holds whole. A segment
+// not yet whole costs one atomic load; every handshake asks.
 func (rs *relaySource) Sweep(seg, i int) []byte {
 	r := (*Relay)(rs)
 	if !r.whole[seg].Load() {
 		return nil
 	}
-	rec := r.held[seg][i]
-	if r.info.Mode == netio.ModeSystematic {
-		return netio.SealRecord(bytes.Clone(rec), r.info.Params, netio.ModeSystematic)
-	}
-	return rec
+	return r.held[seg][i]
 }
 
 func (rs *relaySource) Records(seg int, frames [][]byte) int {
@@ -394,10 +396,9 @@ func (rs *relaySource) Records(seg int, frames [][]byte) int {
 		tsp := trace.Begin(r.id, "recode", tr, root, int32(seg))
 		defer tsp.End()
 	}
-	// A record is a [C | x] row, and every input the recoder holds is the row
-	// of a held record: the batch is laid out as XNC1, recoded from the held
-	// rows into the frames' by one EmitInto, then sealed — over a systematic
-	// upstream each binary emission narrowed to XNC2 on the way.
+	// A recombination has no index: the batch is laid out as XNC1, recoded
+	// into the frames' [C | x] rows by one EmitInto, then sealed — over a
+	// systematic upstream each binary emission narrowed to XNC2 on the way.
 	p, mode := r.info.Params, r.info.Mode
 	rows := r.rows[:0]
 	for i, frame := range frames {

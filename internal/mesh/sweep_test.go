@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math/bits"
 	"math/rand"
 	"net"
@@ -73,11 +74,12 @@ func awaitIdle(t *testing.T, relay *Relay) {
 }
 
 // TestRelaySweepServesHeldRows: a fresh leaf on a relay holding every segment
-// whole reads exactly n × segments records — the relay's held rows, each once,
-// byte for byte as the relay frames them — and decodes byte-identical
-// with nothing recoded: the header sets no flag, nothing is encoded and the
-// ledger balances. A dense relay sweeps XNC1 rows; a relay over a systematic
-// origin holds source blocks and sweeps them as XNC2.
+// whole reads exactly n × segments records — the relay's held records, each
+// once — and decodes byte-identical with nothing recoded: nothing is encoded
+// and the ledger balances. The held records are the origin's sweep byte for
+// byte, as it arrived: over a dense origin its counter records 0…n−1, under
+// the key the relay re-declares (hsFlagCounter set); over a systematic origin
+// its source blocks as XNC2, with no flag.
 func TestRelaySweepServesHeldRows(t *testing.T) {
 	p := rlnc.Params{BlockCount: 16, BlockSize: 256}
 	const segments = 3
@@ -85,10 +87,12 @@ func TestRelaySweepServesHeldRows(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		xor   bool
+		flags uint32
 		magic string
-	}{{"dense", false, "XNC1"}, {"xor", true, "XNC2"}} {
+	}{{"dense", false, 1 << 2, "XNC3"}, {"xor", true, 0, "XNC2"}} {
 		t.Run(tc.name, func(t *testing.T) {
 			relay := warmRelay(t, p, segments, tc.xor)
+			media := warmMedia(t, p, segments)
 			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 			defer cancel()
 			var mu sync.Mutex
@@ -98,7 +102,7 @@ func TestRelaySweepServesHeldRows(t *testing.T) {
 				t.Fatal(err)
 			}
 			res, err := f.Fetch(ctx)
-			if err != nil || !bytes.Equal(res.Payload, warmMedia(t, p, segments)) {
+			if err != nil || !bytes.Equal(res.Payload, media) {
 				t.Fatalf("fetch through a whole relay: %v (stats %+v)", err, res.Stats)
 			}
 			if res.Stats.Records != total || res.Stats.Dependent != 0 || len(taps) != 1 {
@@ -110,17 +114,20 @@ func TestRelaySweepServesHeldRows(t *testing.T) {
 					table[string((*relaySource)(relay).Sweep(seg, i))] = true
 				}
 			}
+			if origin := originSweep(t, p, media, warmSeed, tc.xor); !maps.Equal(table, origin) {
+				t.Fatal("the relay's held records are not the origin's sweep, byte for byte")
+			}
 			taps[0].mu.Lock()
 			wire := taps[0].buf
 			taps[0].mu.Unlock()
 			flags, magics := hopRecords(t, wire)
-			if flags != 0 || magics[tc.magic] != total || len(magics) != 1 {
-				t.Fatalf("flags %#x and records %v, want no flag and %d %s records", flags, magics, total, tc.magic)
+			if flags != tc.flags || magics[tc.magic] != total || len(magics) != 1 {
+				t.Fatalf("flags %#x and records %v, want flags %#x and %d %s records", flags, magics, tc.flags, total, tc.magic)
 			}
 			for rest := wire[8+binary.BigEndian.Uint32(wire[4:])+4:]; len(rest) > 0; {
 				rec := rest[:4+binary.BigEndian.Uint32(rest)]
 				if !table[string(rec)] {
-					t.Fatal("a record on the wire is not a held row of the relay's")
+					t.Fatal("a record on the wire is not a held record of the relay's")
 				}
 				delete(table, string(rec))
 				rest = rest[len(rec):]
@@ -134,10 +141,40 @@ func TestRelaySweepServesHeldRows(t *testing.T) {
 	}
 }
 
+// originSweep is the sweep of an origin of media at p under seed, framed as it
+// travels: counter records 0…n−1 of every segment under the seed as key, or
+// over a systematic origin the source blocks as XNC2.
+func originSweep(t testing.TB, p rlnc.Params, media []byte, seed int64, xor bool) map[string]bool {
+	t.Helper()
+	obj, err := rlnc.Split(media, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep := map[string]bool{}
+	for _, seg := range obj.Segments {
+		for i := range p.BlockCount {
+			var rec []byte
+			if xor {
+				coeffs := make([]byte, p.BlockCount)
+				coeffs[i] = 1
+				if rec, err = netio.FrameRecord(&rlnc.CodedBlock{SegmentID: seg.ID(), Coeffs: coeffs, Payload: seg.Block(i)}, netio.ModeSystematic); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				body := rlnc.CounterRecord(seg, uint64(seed), uint32(i))
+				rec = append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
+			}
+			sweep[string(rec)] = true
+		}
+	}
+	return sweep
+}
+
 // handRelay is a relay with no upstream — its fetcher is never dialed — that
 // has learned a dense session of media at p in segments segments, as its first
-// upstream handshake would have told it.
-func handRelay(t *testing.T, p rlnc.Params, media []byte, segments int) *Relay {
+// upstream handshake would have told it: a counter session under key when
+// counter is set.
+func handRelay(t *testing.T, p rlnc.Params, media []byte, segments int, key uint64, counter bool) *Relay {
 	t.Helper()
 	up, err := netio.NewFetcherFromConfig(tcpDial("127.0.0.1:1"), netio.DefaultFetcherConfig()) // never dialed
 	if err != nil {
@@ -145,30 +182,39 @@ func handRelay(t *testing.T, p rlnc.Params, media []byte, segments int) *Relay {
 	}
 	r := &Relay{upFetch: up, ready: make(chan struct{})}
 	r.onSession(netio.SessionInfo{Params: p, Segments: segments, Length: int64(len(media)), Mode: netio.ModeDense})
+	r.key, r.counter = key, counter
 	return r
 }
 
-// partialRelay is a hand relay whose segment seg is filled to ranks[seg] by
-// absorbing dense blocks of media, as its upstream fetch would, serving on a
-// loopback listener.
+// absorbRecord feeds the relay one upstream record, rec without its length
+// prefix, parsed into b as its fetch would parse it under format.
+func absorbRecord(r *Relay, b *rlnc.CodedBlock, rec []byte, format rlnc.RecordFormat) (bool, error) {
+	if err := b.ParseView(rec, format); err != nil {
+		return false, err
+	}
+	return (*relayBank)(r).Absorb(b, rec)
+}
+
+// absorbBlock feeds the relay b as an upstream XNC1 record.
+func absorbBlock(r *Relay, b *rlnc.CodedBlock) (bool, error) {
+	rec, err := b.MarshalBinary()
+	if err != nil {
+		return false, err
+	}
+	return (*relayBank)(r).Absorb(b, rec)
+}
+
+// partialKey is the key of partialRelay's counter session.
+const partialKey = 0xFEED
+
+// partialRelay is a hand relay of a counter session under partialKey whose
+// segment seg is filled to ranks[seg] by absorbing its counter records, as
+// its upstream fetch would, serving on a loopback listener.
 func partialRelay(t *testing.T, p rlnc.Params, media []byte, ranks []int) *Relay {
 	t.Helper()
-	obj, err := rlnc.Split(media, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := handRelay(t, p, media, len(ranks))
-	rng := rand.New(rand.NewSource(43))
+	r := handRelay(t, p, media, len(ranks), partialKey, true)
 	for seg, rank := range ranks {
-		enc := rlnc.NewEncoder(obj.Segments[seg], rng)
-		for (*relayBank)(r).Rank(uint32(seg)) < rank {
-			if _, err := (*relayBank)(r).Absorb(enc.NextBlock()); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if r.whole[seg].Load() != (rank == p.BlockCount) {
-			t.Fatalf("segment %d at rank %d: whole %v", seg, rank, r.whole[seg].Load())
-		}
+		fillSegment(t, r, media, seg, rank)
 	}
 	srv, err := netio.NewSourceServerFromConfig((*relaySource)(r), netio.DefaultServerConfig())
 	if err != nil {
@@ -178,7 +224,9 @@ func partialRelay(t *testing.T, p rlnc.Params, media []byte, ranks []int) *Relay
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.mu.Lock()
 	r.srv, r.ln = srv, ln
+	r.mu.Unlock()
 	go srv.Serve(context.Background(), ln)
 	t.Cleanup(func() {
 		srv.Shutdown()
@@ -187,11 +235,36 @@ func partialRelay(t *testing.T, p rlnc.Params, media []byte, ranks []int) *Relay
 	return r
 }
 
-// TestRelaySweepPartialSegments: a relay whole in segments 0 and 2 and at half
-// rank in segment 1 sweeps only the whole ones — their held rows, before
-// anything else — and pushes a default grant of recodes, n + 2, for the
-// partial one, and then nothing. Every recode is counted as encoded; no swept
-// record is.
+// fillSegment absorbs counter records of segment seg of media under
+// partialKey into a partialRelay until it holds rank of them, the segment's
+// records from index 0 on — each at most once, whatever the relay held.
+func fillSegment(t *testing.T, r *Relay, media []byte, seg, rank int) {
+	t.Helper()
+	p := r.info.Params
+	obj, err := rlnc.Split(media, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	format := rlnc.RecordFormat{Params: p, Counter: true, Key: partialKey}
+	var b rlnc.CodedBlock
+	for index := uint32(0); (*relayBank)(r).Rank(uint32(seg)) < rank; index++ {
+		if _, err := absorbRecord(r, &b, rlnc.CounterRecord(obj.Segments[seg], partialKey, index), format); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if r.whole[seg].Load() != (rank == p.BlockCount) {
+		t.Fatalf("segment %d at rank %d: whole %v", seg, rank, r.whole[seg].Load())
+	}
+}
+
+// TestRelaySweepPartialSegments: a relay of a counter session, whole in
+// segments 0 and 2 and at half rank in segment 1, sweeps only the whole ones —
+// their held counter records, before anything else — and pushes a default
+// grant of recodes, n + 2 XNC1 records, for the partial one, and then nothing.
+// Every recode is counted as encoded; no swept record is. A leaf that dials
+// the relay while segment 1 still fills reads the sweep and the recodes on
+// the counter session, asks until the relay holds the segment whole, and
+// decodes byte-identical.
 func TestRelaySweepPartialSegments(t *testing.T) {
 	p := rlnc.Params{BlockCount: 16, BlockSize: 128}
 	n := p.BlockCount
@@ -204,8 +277,8 @@ func TestRelaySweepPartialSegments(t *testing.T) {
 	defer conn.Close()
 	swept, grant := 2*n, n+2
 	flags, recs := readSession(t, conn, swept+grant)
-	if flags != 0 {
-		t.Fatalf("flags %#x, want none", flags)
+	if flags != 1<<2 {
+		t.Fatalf("flags %#x, want the counter flag", flags)
 	}
 	table := map[string]bool{}
 	for _, seg := range []int{0, 2} {
@@ -216,15 +289,19 @@ func TestRelaySweepPartialSegments(t *testing.T) {
 	if (*relaySource)(relay).Sweep(1, 0) != nil {
 		t.Fatal("a partial segment was swept")
 	}
+	format := rlnc.RecordFormat{Params: p, Counter: true, Key: partialKey}
 	for i, rec := range recs {
-		seg := recordSegment(t, rec)
+		var b rlnc.CodedBlock
+		if err := b.ParseView(rec[4:], format); err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
 		if i < swept {
-			if !table[string(rec)] {
-				t.Fatalf("sweep record %d (segment %d) is not a held row of a whole segment", i, seg)
+			if !table[string(rec)] || string(rec[4:8]) != "XNC3" {
+				t.Fatalf("sweep record %d (segment %d, %q) is not a held counter record of a whole segment", i, b.SegmentID, rec[4:8])
 			}
 			delete(table, string(rec))
-		} else if seg != 1 {
-			t.Fatalf("record %d after the sweep is of segment %d, want the partial segment 1", i, seg)
+		} else if b.SegmentID != 1 || string(rec[4:8]) != "XNC1" {
+			t.Fatalf("record %d after the sweep is a %q record of segment %d, want XNC1 recodes of the partial segment 1", i, rec[4:8], b.SegmentID)
 		}
 	}
 	// Owed nothing more: the next read waits.
@@ -237,6 +314,48 @@ func TestRelaySweepPartialSegments(t *testing.T) {
 	ledger := relay.Ledger()
 	if !ledger.Consistent() || ledger.BlocksEncoded != int64(grant) || ledger.BlocksSent != int64(swept+grant) {
 		t.Fatalf("ledger %+v: want %d recoded and encoded, %d sent", ledger, grant, swept+grant)
+	}
+
+	// A leaf on the still-filling relay: once it has been sent its first
+	// grant, segment 1 fills.
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	var mu sync.Mutex
+	var taps []*tapConn
+	f, err := netio.NewFetcherFromConfig(tapDial(tcpDial(relay.Addr()), &taps, &mu), netio.DefaultFetcherConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	type fetched struct {
+		res *netio.FetchResult
+		err error
+	}
+	done := make(chan fetched, 1)
+	go func() {
+		res, err := f.Fetch(ctx)
+		done <- fetched{res, err}
+	}()
+	for relay.Ledger().BlocksSent < 2*int64(swept+grant) {
+		if ctx.Err() != nil {
+			t.Fatal("the leaf was never sent its first grant")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	fillSegment(t, relay, media, 1, n)
+	leaf := <-done
+	if leaf.err != nil || !bytes.Equal(leaf.res.Payload, media) {
+		t.Fatalf("leaf of a filling relay: %v (stats %+v)", leaf.err, leaf.res.Stats)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, tc := range taps {
+		tc.mu.Lock()
+		flags, magics := hopRecords(t, tc.buf)
+		tc.mu.Unlock()
+		if flags != 1<<2 || magics["XNC3"] == 0 || magics["XNC1"] == 0 || len(magics) != 2 {
+			t.Fatalf("flags %#x and records %v, want the counter flag and XNC3 and XNC1 records", flags, magics)
+		}
+		t.Logf("leaf of a filling relay: %v over %d connections, %d dependent", magics, len(taps), leaf.res.Stats.Dependent)
 	}
 }
 
@@ -415,14 +534,15 @@ func allocated() (count, bytes uint64) {
 // TestRelaySweepHoldsEachRecordOnce: a relay filled to full rank holds each
 // innovative upstream record in exactly one buffer, and sweeps that buffer.
 // Past a segment's first record it allocates one frame per record its
-// recoder holds (and one spare), beside the probe's few slabs and the growth
-// of two slices, and nothing for a dependent one; the record
-// Sweep returns is the held frame itself, pointer for pointer; two leaves
-// swept by it decode byte-identical; and everything the relay and its server
-// keep for a whole segment — the sweep table included, which points at the
-// held frames — is at most its n held frames (4 + WireSize bytes each), the
-// recoder's n×n probe bytes and a fixed allowance. A relay that framed a second copy of
-// each held row for the table would keep twice the frames.
+// recoder holds (and one spare), beside the few slabs of the probe and of the
+// coefficient matrix and the growth of two slices, and nothing for a
+// dependent one; the record Sweep returns is the held frame itself, pointer
+// for pointer; two leaves swept by it decode byte-identical; and everything
+// the relay and its server keep for a whole segment — the sweep table
+// included, which points at the held frames — is at most its n held frames
+// (4 + WireSize bytes each of these XNC1 records), the recoder's n×n probe
+// and n×n coefficient bytes and a fixed allowance. A relay that framed a
+// second copy of each held record for the table would keep twice the frames.
 func TestRelaySweepHoldsEachRecordOnce(t *testing.T) {
 	// A frame, 4 + WireSize = 16 KiB here, is one of the allocator's size
 	// classes, so a held frame costs its length.
@@ -437,25 +557,29 @@ func TestRelaySweepHoldsEachRecordOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Each segment's stream: n + 2 dense blocks, every third one followed by
+	// Each segment's stream: n + 2 XNC1 records, every third one followed by
 	// a duplicate, which is dependent on arrival.
 	rng := rand.New(rand.NewSource(48))
-	streams := make([][]*rlnc.CodedBlock, segments)
+	streams := make([][][]byte, segments)
 	for seg := range streams {
 		enc := rlnc.NewEncoder(obj.Segments[seg], rng)
 		for i := range n + 2 {
-			b := enc.NextBlock()
-			streams[seg] = append(streams[seg], b)
+			rec, err := enc.NextBlock().MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			streams[seg] = append(streams[seg], rec)
 			if i%3 == 1 {
-				streams[seg] = append(streams[seg], b.Clone())
+				streams[seg] = append(streams[seg], bytes.Clone(rec))
 			}
 		}
 	}
 
-	r := handRelay(t, p, media, segments)
-	bank := (*relayBank)(r)
+	r := handRelay(t, p, media, segments, 0, false)
+	format := rlnc.RecordFormat{Params: p}
+	var b rlnc.CodedBlock      // the fetch's one reused block
 	for seg := range streams { // each segment's first record builds its basis
-		if held, err := bank.Absorb(streams[seg][0]); !held || err != nil {
+		if held, err := absorbRecord(r, &b, streams[seg][0], format); !held || err != nil {
 			t.Fatalf("segment %d's first record: held %v, %v", seg, held, err)
 		}
 	}
@@ -465,8 +589,8 @@ func TestRelaySweepHoldsEachRecordOnce(t *testing.T) {
 	count, size := allocated()
 	kept := 0
 	for seg := range streams {
-		for _, b := range streams[seg][1:] {
-			held, err := bank.Absorb(b)
+		for _, rec := range streams[seg][1:] {
+			held, err := absorbRecord(r, &b, rec, format)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -477,19 +601,20 @@ func TestRelaySweepHoldsEachRecordOnce(t *testing.T) {
 	}
 	count2, size2 := allocated()
 	debug.SetGCPercent(100)
-	// Beside the frames, the recoder's probe grows by slabs — log2(n) of them
-	// and under n² bytes a segment past its first record — and the recoder's
-	// rows and the relay's held records, slices that grow with the rank, by
-	// doubling: log2(n) allocations each and under 2n entries a segment. The
-	// test binary's other goroutines allocate meanwhile, a few small objects
-	// at most; a second buffer per held record would be 124 more.
+	// Beside the frames, the recoder's probe and coefficient matrix grow by
+	// slabs — log2(n) of them each and under 2n² bytes a segment past its
+	// first record — and the recoder's payloads and the relay's held records,
+	// slices that grow with the rank, by doubling: log2(n) allocations each
+	// and under 2n entries a segment. The test binary's other goroutines
+	// allocate meanwhile, a few small objects at most; a second buffer per
+	// held record would be 124 more.
 	const slackCount, slackBytes = 16, 8 << 10
-	frame, probe := uint64(4+rlnc.WireSize(p)), uint64(segments*n*n)
+	frame, matrices := uint64(4+rlnc.WireSize(p)), uint64(2*segments*2*n*n)
 	slabs := uint64(segments * bits.Len(uint(n-1)))
 	growth := uint64(2 * segments * 2 * n * int(unsafe.Sizeof([]byte(nil))))
 	if allocs, heldBytes := count2-count, size2-size; kept != segments*(n-1) ||
-		allocs > uint64(kept)+3*slabs+slackCount || heldBytes > uint64(kept+1)*frame+probe+growth+slackBytes {
-		t.Fatalf("%d allocations of %d B for %d held records past each segment's first (want %d held): want one %d-byte frame each, the probe's slabs and the slices' growth", allocs, heldBytes, kept, segments*(n-1), frame)
+		allocs > uint64(kept)+4*slabs+slackCount || heldBytes > uint64(kept+1)*frame+matrices+growth+slackBytes {
+		t.Fatalf("%d allocations of %d B for %d held records past each segment's first (want %d held): want one %d-byte frame each, the matrices' slabs and the slices' growth", allocs, heldBytes, kept, segments*(n-1), frame)
 	}
 	t.Logf("%d held records past each segment's first: %d allocations, %d B", kept, count2-count, size2-size)
 
@@ -551,13 +676,13 @@ func TestRelaySweepHoldsEachRecordOnce(t *testing.T) {
 	srv.Shutdown()
 	ln.Close()
 	<-served
-	r, bank, srv = nil, nil, nil
+	r, srv = nil, nil
 	freed := int64(holding) - int64(heapAfterGC())
 	const allowance = 128 << 10
-	bound := int64(segments*(n*(4+rlnc.WireSize(p))+n*n) + allowance)
+	bound := int64(segments*(n*(4+rlnc.WireSize(p))+2*n*n) + allowance)
 	t.Logf("a whole relay of %d segments kept %d B: bound %d B (held frames %d B a segment)", segments, freed, bound, n*(4+rlnc.WireSize(p)))
 	if freed > bound {
-		t.Fatalf("the relay and its server kept %d B for %d whole segments, want ≤ %d B: n held frames and n×n probe bytes a segment, plus %d B", freed, segments, bound, allowance)
+		t.Fatalf("the relay and its server kept %d B for %d whole segments, want ≤ %d B: n held frames, n×n probe and n×n coefficient bytes a segment, plus %d B", freed, segments, bound, allowance)
 	}
 }
 
@@ -566,9 +691,9 @@ func TestRelaySweepHoldsEachRecordOnce(t *testing.T) {
 // basis sized for n. At n = 1024, k = 32 KiB, one record into each of 8
 // segments keeps at most 56 KiB a segment: the held frame (4 + WireSize
 // bytes, which the allocator rounds up to whole 8 KiB pages) and 16 KiB for
-// the recoder's scratch, its 2n-byte pivot index, its first probe vector and
-// the headers. Its seeded random source is built on its first emission, so a
-// relay that only absorbs has none. A recoder row slice and a held slice
+// the recoder's scratch, its 2n-byte pivot index, its first probe and
+// coefficient vectors and the headers. Its seeded random source is built on its first emission, so a
+// relay that only absorbs has none. A recoder payload slice and a held slice
 // sized for n would add 48 KiB a segment, n probe pointers 24 KiB.
 func TestRelaySegmentNamedOncePinsItsRank(t *testing.T) {
 	p := rlnc.Params{BlockCount: 1024, BlockSize: 32 << 10}
@@ -576,19 +701,24 @@ func TestRelaySegmentNamedOncePinsItsRank(t *testing.T) {
 	n := p.BlockCount
 	rng := rand.New(rand.NewSource(49))
 	blocks := make([]*rlnc.CodedBlock, segments)
+	recs := make([][]byte, segments)
 	for seg := range blocks {
 		blocks[seg] = &rlnc.CodedBlock{SegmentID: uint32(seg), Coeffs: make([]byte, n), Payload: make([]byte, p.BlockSize)}
 		rng.Read(blocks[seg].Coeffs)
 		rng.Read(blocks[seg].Payload)
+		var err error
+		if recs[seg], err = blocks[seg].MarshalBinary(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// No media: a 256 MiB object would only fill the header's length field,
 	// and absorbing reads nothing but a record's shape and bytes.
-	r := handRelay(t, p, nil, segments)
+	r := handRelay(t, p, nil, segments, 0, false)
 	bank := (*relayBank)(r)
 
 	before := heapAfterGC()
 	for seg, b := range blocks {
-		if held, err := bank.Absorb(b); !held || err != nil {
+		if held, err := bank.Absorb(b, recs[seg]); !held || err != nil {
 			t.Fatalf("segment %d's first record: held %v, %v", seg, held, err)
 		}
 	}
@@ -604,4 +734,198 @@ func TestRelaySegmentNamedOncePinsItsRank(t *testing.T) {
 		t.Fatalf("relay at total rank %d, want %d", r.TotalRank(), segments)
 	}
 	runtime.KeepAlive(blocks)
+	runtime.KeepAlive(recs)
+}
+
+// TestRelayRekeyedUpstream: a relay whose upstream fetch is cut mid-fill and
+// reconnects to a second origin of the same media under another seed — so
+// another key — keeps the key it declared. It holds the first origin's XNC3
+// records as they arrived and the second's laid out as XNC1, so every record
+// it sweeps is either an XNC3 record whose payload is the media encoded under
+// its index's vector under the declared key (rlnc.CounterCoeffs), or an XNC1
+// record whose payload is the media encoded under its own coefficients. Its
+// leaves read a counter session of both and decode byte-identical.
+func TestRelayRekeyedUpstream(t *testing.T) {
+	p := rlnc.Params{BlockCount: 16, BlockSize: 256}
+	const segments, declared = 3, 5
+	media := testMedia(t, segments*p.SegmentSize(), 52)
+	obj, err := rlnc.Split(media, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var addrs []string
+	for _, seed := range []int64{declared, declared + 1} {
+		cfg := netio.DefaultServerConfig()
+		cfg.Seed = seed
+		_, ol := startOrigin(t, media, p, cfg)
+		addrs = append(addrs, ol.Addr().String())
+	}
+	// The first dial goes to the first origin and is cut after 6 KiB, some
+	// 21 records of 284 bytes; every later one goes to the second.
+	var dials atomic.Int32
+	up := func(ctx context.Context) (net.Conn, error) {
+		if dials.Add(1) > 1 {
+			return tcpDial(addrs[1])(ctx)
+		}
+		conn, err := tcpDial(addrs[0])(ctx)
+		return &cutConn{Conn: conn, left: 6 << 10}, err
+	}
+	rln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	relay, err := StartRelay(ctx, RelayConfig{
+		ID: "rk", Upstream: up, Listener: rln, Seed: 9,
+		FetchOpts: []netio.FetcherOption{func(c *netio.FetcherConfig) { c.BackoffBase, c.BackoffMax = time.Millisecond, 10*time.Millisecond }},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer relay.Close()
+	select {
+	case <-relay.fetchDone:
+	case <-ctx.Done():
+		t.Fatalf("relay stuck at rank %d", relay.TotalRank())
+	}
+	if relay.fetchErr != nil || relay.TotalRank() != segments*p.BlockCount || dials.Load() < 2 {
+		t.Fatalf("relay fetch: %v at rank %d over %d dials", relay.fetchErr, relay.TotalRank(), dials.Load())
+	}
+	if key, ok := (*relaySource)(relay).CounterKey(); !ok || key != declared {
+		t.Fatalf("relay declares key %d (%v), want the first origin's, %d", key, ok, declared)
+	}
+
+	format := rlnc.RecordFormat{Params: p, Counter: true, Key: declared}
+	kinds := map[string]int{}
+	want := make([]byte, p.BlockSize)
+	for seg := range segments {
+		for i := range p.BlockCount {
+			rec := (*relaySource)(relay).Sweep(seg, i)
+			var b rlnc.CodedBlock
+			if err := b.ParseView(rec[4:], format); err != nil {
+				t.Fatalf("segment %d held record %d: %v", seg, i, err)
+			}
+			kinds[string(rec[4:8])]++
+			rlnc.EncodeInto(want, obj.Segments[seg], b.Coeffs)
+			if !bytes.Equal(b.Payload, want) {
+				t.Fatalf("segment %d held %q record %d: its payload is not the media under its vector", seg, rec[4:8], i)
+			}
+		}
+	}
+	if kinds["XNC3"] == 0 || kinds["XNC1"] == 0 || len(kinds) != 2 {
+		t.Fatalf("held records %v, want the first origin's XNC3 and the second's as XNC1", kinds)
+	}
+	t.Logf("held records %v over %d upstream dials", kinds, dials.Load())
+
+	var mu sync.Mutex
+	var taps []*tapConn
+	for range 2 {
+		f, err := netio.NewFetcherFromConfig(tapDial(tcpDial(relay.Addr()), &taps, &mu), netio.DefaultFetcherConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := f.Fetch(ctx)
+		if err != nil || !bytes.Equal(res.Payload, media) {
+			t.Fatalf("leaf of a re-keyed relay: %v (stats %+v)", err, res.Stats)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, tc := range taps {
+		tc.mu.Lock()
+		flags, magics := hopRecords(t, tc.buf)
+		tc.mu.Unlock()
+		if flags != 1<<2 || magics["XNC3"] != kinds["XNC3"] || magics["XNC1"] != kinds["XNC1"] {
+			t.Fatalf("leaf session: flags %#x and records %v, want the counter flag and the held records %v", flags, magics, kinds)
+		}
+	}
+}
+
+// TestRelayHoldsCounterRecordsOnce: a relay of a counter session that holds
+// segments whole keeps, a segment, its n upstream records as they arrived —
+// n × (4 + CounterWireSize) bytes — its recoder's n² coefficient bytes, n²
+// probe bytes and 2n pivot bytes, two slices of n entries and a fixed
+// allowance: the live heap grows by no more across filling it. A relay that
+// laid each record out again as XNC1 would keep n − 4 more bytes a record,
+// here a larger size class. And
+// sweeping a held record allocates nothing, over a dense upstream and over a
+// systematic one.
+func TestRelayHoldsCounterRecordsOnce(t *testing.T) {
+	// A frame, 4 + CounterWireSize = 16 KiB here, is one of the allocator's
+	// size classes, so a held frame costs its length.
+	p := rlnc.Params{BlockCount: 32, BlockSize: 16<<10 - 28}
+	const segments = 4
+	n := p.BlockCount
+	frame := 4 + rlnc.CounterWireSize(p)
+	if frame != 16<<10 {
+		t.Fatalf("a %d-byte frame", frame)
+	}
+	media := testMedia(t, segments*p.SegmentSize(), 53)
+	obj, err := rlnc.Split(media, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each segment's counter records from index 0, a few past n in case its
+	// first n vectors fall short of rank n.
+	recs := make([][][]byte, segments)
+	for seg := range recs {
+		for index := range uint32(n + 4) {
+			recs[seg] = append(recs[seg], rlnc.CounterRecord(obj.Segments[seg], partialKey, index))
+		}
+	}
+	format := rlnc.RecordFormat{Params: p, Counter: true, Key: partialKey}
+	b := rlnc.CodedBlock{Coeffs: make([]byte, n)}
+	r := handRelay(t, p, media, segments, partialKey, true)
+
+	before := heapAfterGC()
+	for seg := range recs {
+		for _, rec := range recs[seg] {
+			if r.whole[seg].Load() {
+				break
+			}
+			if _, err := absorbRecord(r, &b, rec, format); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	kept := int64(heapAfterGC()) - int64(before)
+	// Beside those, a segment pins the recoder's fixed fields and two slices
+	// of n entries, the recoder's payloads and the relay's held records; the
+	// test binary allocates a few KiB meanwhile. A relay that laid each
+	// record out again as XNC1 would keep 256 KiB more here.
+	const allowance = 32 << 10
+	perSegment := n*frame + 2*n*n + 2*n + 2*n*int(unsafe.Sizeof([]byte(nil)))
+	bound := int64(segments*perSegment + allowance)
+	t.Logf("%d whole segments at %v: %d B kept, bound %d B (%d B of held records a segment)", segments, p, kept, bound, n*frame)
+	if kept > bound {
+		t.Fatalf("%d B kept for %d whole segments, want ≤ %d B: n records as they arrived, n² coefficient, n² probe and 2n pivot bytes a segment, plus %d B", kept, segments, bound, allowance)
+	}
+	for seg := range segments {
+		if !r.whole[seg].Load() {
+			t.Fatalf("segment %d not whole", seg)
+		}
+		for i := range n {
+			if rec := (*relaySource)(r).Sweep(seg, i); len(rec) != frame || string(rec[4:8]) != "XNC3" {
+				t.Fatalf("segment %d: held record %d is a %d-byte %q record", seg, i, len(rec), rec[4:8])
+			}
+		}
+	}
+	runtime.KeepAlive(recs)
+
+	for _, xor := range []bool{false, true} {
+		small := rlnc.Params{BlockCount: 16, BlockSize: 256}
+		src := (*relaySource)(warmRelay(t, small, 2, xor))
+		if got := testing.AllocsPerRun(100, func() {
+			for seg := range 2 {
+				for i := range small.BlockCount {
+					if src.Sweep(seg, i) == nil {
+						t.Fatal("a whole segment swept nothing")
+					}
+				}
+			}
+		}); got != 0 {
+			t.Fatalf("xor %v: %.2f allocations sweeping a whole relay, want 0", xor, got)
+		}
+	}
 }

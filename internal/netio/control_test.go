@@ -157,6 +157,8 @@ func TestControlRecords(t *testing.T) {
 		{"header truncated", plain[:len(plain)-1], nil, ErrBadHandshake},
 		{"header body short", rebody(plain, func(b []byte) []byte { return b[:headerFixedLen-1] }), nil, ErrBadHandshake},
 		{"protocol v3", setU32(plain, 0, 3), nil, ErrBadHandshake},
+		// Protocol v5: a counter session of XNC3 records alone.
+		{"protocol v5", setU32(plain, 0, 5), nil, ErrBadHandshake},
 		{"unknown flag", appendSessionHeader(nil, handshake{hdr: hdr, flags: 1 << 9}), nil, ErrBadHandshake},
 		{"length of 2^50 in one segment", appendSessionHeader(nil, handshake{hdr: SessionInfo{Params: p, Segments: 1, Length: 1 << 50}}), nil, ErrBadHandshake},
 		{"segments over the bound", appendSessionHeader(nil, handshake{hdr: SessionInfo{Params: p, Segments: maxSegments + 1, Length: (maxSegments + 1) * 256}}), nil, ErrBadHandshake},

@@ -56,9 +56,9 @@ var errSinkState = errors.New("netio: a sink fetch keeps no decoder state to sav
 type Sink interface {
 	// Absorb takes one block that passed the checksum, shape and
 	// segment-range checks, and reports whether it raised its segment's
-	// rank — by exactly one. b is the session's reused block, valid only
-	// during the call. An error ends the fetch.
-	Absorb(b *rlnc.CodedBlock) (innovative bool, err error)
+	// rank — by exactly one. b is the session's reused block, parsed from
+	// rec; both are valid only during the call. An error ends the fetch.
+	Absorb(b *rlnc.CodedBlock, rec []byte) (innovative bool, err error)
 	// Rank reports segment seg's rank.
 	Rank(seg uint32) int
 }
@@ -78,7 +78,7 @@ type leaf struct {
 	obj []byte
 }
 
-func (l *leaf) Absorb(b *rlnc.CodedBlock) (bool, error) {
+func (l *leaf) Absorb(b *rlnc.CodedBlock, _ []byte) (bool, error) {
 	dec := l.decs[b.SegmentID]
 	if dec == nil {
 		var err error
@@ -166,7 +166,8 @@ type Fetcher struct {
 	cfg  FetcherConfig // normalized
 	rng  *rand.Rand    // jitter source
 
-	hdr *SessionInfo
+	hdr    *SessionInfo
+	format rlnc.RecordFormat // the current session's records
 	// sink absorbs every record: cfg.Sink, or leaf (a leaf's decoders), set
 	// at the first handshake. ready counts the segments at full rank in it.
 	sink  Sink
@@ -422,6 +423,9 @@ func (f *Fetcher) Stats() *FetchStats {
 	return f.stats.view()
 }
 
+// CounterKey returns the current session's key, if it is a counter session.
+func (f *Fetcher) CounterKey() (key uint64, ok bool) { return f.format.Key, f.format.Counter }
+
 // Ranks returns the current per-segment ranks — the decoders', or on a sink
 // fetch the sink's for every segment above rank 0. Not safe to call
 // concurrently with Fetch; a SessionHook or RecordTap may call it.
@@ -531,6 +535,9 @@ func (f *Fetcher) session(ctx context.Context, conn net.Conn) (done, fatal bool,
 		f.reconnSpan = obs.Span{}
 		trace.Emit(trace.KindReconnect, f.traceNode(), "resumed", -1, int64(f.totalRank()))
 	}
+	// The records may be XNC3 counter records under the session's key: per
+	// session, as a reconnect may land on a relay, or on another origin.
+	f.format = rlnc.RecordFormat{Params: h.Params, Counter: cs.hs.counter(), Key: cs.hs.key}
 	tctx := cs.hs.tctx
 	if tctx != (traceContext{}) {
 		f.trTrace.Store(uint64(tctx.trace))
@@ -541,9 +548,6 @@ func (f *Fetcher) session(ctx context.Context, conn net.Conn) (done, fatal bool,
 		f.cfg.SessionHook(h)
 	}
 
-	// The records may be XNC3 counter records under the session's key: per
-	// session, as a reconnect may land on a relay, or on another origin.
-	format := rlnc.RecordFormat{Params: h.Params, Counter: cs.hs.counter(), Key: cs.hs.key}
 	// Each record is parsed where it lies in the session's reader, into one
 	// CodedBlock per session whose payload views it, and absorbed — the sink
 	// copies what it keeps. Framing loss or a cut stream ends the session; the
@@ -614,7 +618,7 @@ func (f *Fetcher) session(ctx context.Context, conn net.Conn) (done, fatal bool,
 		f.stats.records.Inc()
 		f.stats.bytes.Add(int64(wire))
 		asp := stageFetchDecode.Start()
-		err = f.absorb(&blk, rec, format, tctx)
+		err = f.absorb(&blk, rec, tctx)
 		if tctx.trace != 0 {
 			asp.EndTraced(uint64(tctx.trace), uint64(tctx.root))
 		} else {
@@ -667,11 +671,11 @@ func (f *Fetcher) need() ([]byte, int) {
 // was offered. On a traced session tctx is the trace context its header
 // declared: the absorb span parents under the server's root span, and counts
 // toward the generation (trace, the record's segment).
-func (f *Fetcher) absorb(blk *rlnc.CodedBlock, rec []byte, format rlnc.RecordFormat, tctx traceContext) error {
+func (f *Fetcher) absorb(blk *rlnc.CodedBlock, rec []byte, tctx traceContext) error {
 	discard := func() { f.stats.bytesDiscarded.Add(int64(len(rec)) + 4) }
 	// On a counter session the vector is regenerated into blk, and a record
 	// of another shape is refused before it can size one.
-	if err := blk.ParseView(rec, format); err != nil {
+	if err := blk.ParseView(rec, f.format); err != nil {
 		if errors.Is(err, rlnc.ErrBadChecksum) || errors.Is(err, rlnc.ErrBadMagic) {
 			f.stats.corrupt.Inc()
 		} else {
@@ -693,7 +697,7 @@ func (f *Fetcher) absorb(blk *rlnc.CodedBlock, rec []byte, format rlnc.RecordFor
 	if tctx.trace != 0 && before < n {
 		sp = trace.Begin(f.traceNode(), "absorb", tctx.trace, tctx.root, int32(blk.SegmentID))
 	}
-	innovative, err := f.sink.Absorb(blk)
+	innovative, err := f.sink.Absorb(blk, rec)
 	sp.End()
 	if err != nil {
 		return err

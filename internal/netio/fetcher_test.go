@@ -132,7 +132,7 @@ func TestFetcherSurvivesServerRestarts(t *testing.T) {
 // its rank.
 type recoderBank map[uint32]*rlnc.Recoder
 
-func (b recoderBank) Absorb(blk *rlnc.CodedBlock) (bool, error) {
+func (b recoderBank) Absorb(blk *rlnc.CodedBlock, _ []byte) (bool, error) {
 	rec := b[blk.SegmentID]
 	if rec == nil {
 		var err error
@@ -772,6 +772,105 @@ func counterStream(t testing.TB, obj *rlnc.Object, key uint64, extra int) []byte
 	}
 	frame(rlnc.CounterRecord(seg, key, n-1))
 	return buf
+}
+
+// recodedCounterStream is a one-segment counter session under key at n = 32,
+// as a relay over a counter origin sends it: counter records 0…n/2−1 as they
+// arrived, then XNC1 recombinations of the whole segment, n/2 + 2 of them.
+// With xnc2 set, the second record after the counter ones is an XNC2 record
+// of a source block instead: at n = 32 its bitmask is as long as an index, so
+// its length prefix is a counter session's, and only its magic tells.
+func recodedCounterStream(tb testing.TB, key uint64, xnc2 bool) (stream, media []byte) {
+	tb.Helper()
+	p := rlnc.Params{BlockCount: 32, BlockSize: 64}
+	media = testMedia(tb, p.SegmentSize(), 47)
+	obj, err := rlnc.Split(media, p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	seg, n := obj.Segments[0], p.BlockCount
+	format := rlnc.RecordFormat{Params: p, Counter: true, Key: key}
+	stream = appendSessionHeader(nil, handshake{hdr: SessionInfo{Params: p, Segments: 1, Length: int64(len(media))}, flags: hsFlagCounter, key: key})
+	frame := func(rec []byte) {
+		stream = binary.BigEndian.AppendUint32(stream, uint32(len(rec)))
+		stream = append(stream, rec...)
+	}
+	recoder, err := rlnc.NewRecoder(p, rlnc.WithSeed(48))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for index := range uint32(n) {
+		rec := rlnc.CounterRecord(seg, key, index)
+		var b rlnc.CodedBlock
+		if err := b.ParseView(rec, format); err != nil {
+			tb.Fatal(err)
+		}
+		if err := recoder.Add(&b); err != nil {
+			tb.Fatal(err)
+		}
+		if int(index) < n/2 {
+			frame(rec)
+		}
+	}
+	for i := range n/2 + 2 {
+		if xnc2 && i == 1 {
+			coeffs := make([]byte, n)
+			coeffs[0] = 1
+			rec, err := FrameRecord(&rlnc.CodedBlock{SegmentID: seg.ID(), Coeffs: coeffs, Payload: seg.Block(0)}, ModeSystematic)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			frame(rec[recordLenLen:])
+			continue
+		}
+		b, err := recoder.Emit()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		rec, err := b.MarshalBinary()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		frame(rec)
+	}
+	return stream, media
+}
+
+// TestCounterSessionAdmitsRecodes: a counter session carries XNC3 records and
+// XNC1 ones — a relay's recodes, their coefficients read off the record —
+// and a leaf and a recoder sink both reach full rank from the mix with
+// nothing refused; an XNC2 record, though its length prefix is a counter
+// session's, is refused as damage and costs the fetch nothing else.
+func TestCounterSessionAdmitsRecodes(t *testing.T) {
+	const key = 0xC0FFEE
+	// The stream's reader takes the need record a refused record makes the
+	// fetch write, and hangs up only once read to its end.
+	fetch := func(stream []byte, cfg FetcherConfig) (*FetchResult, error) {
+		conn := &streamConn{}
+		conn.r.Reset(stream)
+		cfg.MaxAttempts = 1
+		return newTestFetcher(t, func(context.Context) (net.Conn, error) { return conn, nil }, cfg).Fetch(context.Background())
+	}
+	for _, xnc2 := range []bool{false, true} {
+		stream, media := recodedCounterStream(t, key, xnc2)
+		res, err := fetch(stream, DefaultFetcherConfig())
+		if err != nil || !bytes.Equal(res.Payload, media) {
+			t.Fatalf("xnc2 %v: leaf fetch of a recoded counter session: %v", xnc2, err)
+		}
+		want := 0
+		if xnc2 {
+			want = 1
+		}
+		if st := res.Stats; st.Corrupt != want || st.Malformed+st.BadSegment+st.FramingResyncs != 0 {
+			t.Fatalf("xnc2 %v: %d corrupt, %d malformed, %d bad segment, %d resyncs: want %d corrupt and nothing else refused", xnc2, st.Corrupt, st.Malformed, st.BadSegment, st.FramingResyncs, want)
+		}
+		bank := recoderBank{}
+		cfg := DefaultFetcherConfig()
+		cfg.Sink = bank
+		if res, err := fetch(stream, cfg); err != nil || bank[0].Rank() != 32 || res.Stats.Corrupt != want {
+			t.Fatalf("xnc2 %v: sink fetch: %v, rank %d, %d corrupt", xnc2, err, bank[0].Rank(), res.Stats.Corrupt)
+		}
+	}
 }
 
 // TestCounterSessionRepeatedIndex: what a repeated or forged index costs a

@@ -239,6 +239,15 @@ func FuzzFetchRecords(f *testing.F) {
 		return append(append(bytes.Clone(s[:protoHeaderLen+size]), first...), s[protoHeaderLen+size:]...)
 	}))
 
+	// A counter session as a relay sends it — XNC3 records, then XNC1
+	// recodes, admitted with their coefficients copied — and the same with
+	// an XNC2 record of the counter size among them, refused
+	// (TestCounterSessionAdmitsRecodes).
+	for _, xnc2 := range []bool{false, true} {
+		stream, _ := recodedCounterStream(f, 0xC0FFEE, xnc2)
+		f.Add(stream)
+	}
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ledger := func(stats *FetchStats) {
 			if stats == nil {

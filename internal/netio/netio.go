@@ -81,36 +81,36 @@ import (
 // hsFlagCounter. Unknown flag bits are rejected: a client that cannot parse a
 // feature's framing must not guess at record boundaries.
 //
-// With hsFlagCounter set — a media-backed ModeDense server sets it — every
-// record is an XNC3 counter record (rlnc/counter.go): a u32 index where XNC1
-// carries the n-byte coefficient vector, which the client regenerates as
-// rlnc.CounterCoeffs of the header's key (TLV type 3, required with the flag),
-// the record's segment and its index. The flag is refused on a ModeSystematic
-// header: sweep, repair and dense-tail records keep their own encodings.
+// With hsFlagCounter set, records are XNC3 counter records (rlnc/counter.go) —
+// a u32 index where XNC1 carries the n-byte coefficient vector, which the
+// client regenerates as rlnc.CounterCoeffs of the header's key (TLV type 3,
+// required with the flag), the record's segment and its index — and, since
+// v6, XNC1: a relay of a counter session forwards its XNC3 records under its
+// key, but its recombinations have no index. Systematic headers refuse it.
 //
 // A session opens with one sweep of every segment the server holds whole: n
 // records of a basis of it (counter records 0…n−1 of a media-backed ModeDense
 // server as XNC3, the source blocks of a ModeSystematic one as XNC2, a relay's
-// held basis), each once. It is the session's first grant in those segments,
-// owed nothing more of them; other segments are owed a default grant, written
-// after it. A client that decoded everything just closes; one that did not
-// writes a need record, which buys records of its short segments like any
-// other grant — after loss, or, for about one (key, segment) pair in 255,
-// because a dense origin's counter vectors 0…n−1 fall short of rank n. The server reads
-// nothing before its sweep is written, and the client's countdown is n
-// records a segment either way, so the header does not say which segments
-// are swept.
+// held records as they arrived), each once. It is the session's first grant
+// in those segments, owed nothing more of them; other segments are owed a
+// default grant, written after it. A client that decoded everything just
+// closes; one that did not writes a need record, which buys records of its
+// short segments like any other grant — after loss, or, for about one (key,
+// segment) pair in 255, because a dense origin's counter vectors 0…n−1 fall
+// short of rank n. The server reads nothing before its sweep is written, and
+// the client's countdown is n records a segment either way, so the header
+// does not say which segments are swept.
 //
 // The wire mode is the server's declaration of the coding discipline for the
 // whole session; the client adapts its record parser to it. In ModeDense
-// every record is a dense block — XNC3 from a media-backed origin, XNC1 from
-// a recoding relay. In ModeSystematic records interleave XNC2 GF(2) blocks
+// every record is a dense block: XNC3 and XNC1 on a counter session, XNC1 on
+// any other. In ModeSystematic records interleave XNC2 GF(2) blocks
 // (systematic sweep + XOR repair) with XNC1 dense-tail blocks, and the
 // receiver's decoder rides its XOR-only fast path until the first dense
 // record arrives.
 const (
 	protoMagic     = "XNCP"
-	protoVersion   = 5
+	protoVersion   = 6
 	headerFixedLen = 4 + 4 + 4 + 4 + 8 + 4 + 4
 	// protoHeaderLen is a session header without TLV fields on the wire.
 	protoHeaderLen = controlOverhead + headerFixedLen
@@ -266,19 +266,17 @@ type SessionInfo struct {
 }
 
 // recordSizes returns the marshaled record lengths a session of hs can
-// carry. Every record is a block of the handshake's (n, k), so its framed
-// length is a constant: the XNC3 size on a counter session, the XNC1 size on
-// any other dense one, and in systematic mode two constants, compact XNC2
-// GF(2) records interleaving with XNC1 dense ones. A length prefix that
-// matches neither is framing loss.
-func (hs handshake) recordSizes() (dense, xor uint32) {
+// carry: every record is a block of the handshake's (n, k) in one of two
+// encodings — XNC3 and XNC1 on a counter session, XNC1 and compact XNC2 in
+// systematic mode, XNC1 alone otherwise. A length prefix that matches neither
+// is framing loss.
+func (hs handshake) recordSizes() (first, second uint32) {
 	p := hs.hdr.Params
-	if hs.counter() {
-		dense = uint32(rlnc.CounterWireSize(p))
-		return dense, dense
-	}
-	dense = uint32(rlnc.WireSize(p))
-	if hs.hdr.Mode == ModeSystematic {
+	dense := uint32(rlnc.WireSize(p))
+	switch {
+	case hs.counter():
+		return uint32(rlnc.CounterWireSize(p)), dense
+	case hs.hdr.Mode == ModeSystematic:
 		return dense, uint32(rlnc.XorWireSize(p))
 	}
 	return dense, dense
@@ -423,14 +421,14 @@ func parseSessionHeader(body []byte) (handshake, error) {
 // segment until the first — and write the need record that renews it. What a
 // client asks for, and what it does with a record, are its own.
 type clientSession struct {
-	hs         handshake
-	conn       net.Conn
-	rd         *bufio.Reader
-	dense, xor uint32 // the session's record sizes (recordSizes)
-	held       int    // the last record's length: it is still in rd
-	body       int    // a record whose prefix next took, its body not yet read
-	left       int    // records of the last ask not yet read
-	lost       bool   // next stopped at framing loss
+	hs    handshake
+	conn  net.Conn
+	rd    *bufio.Reader
+	sizes [2]uint32 // the session's record sizes (recordSizes)
+	held  int       // the last record's length: it is still in rd
+	body  int       // a record whose prefix next took, its body not yet read
+	left  int       // records of the last ask not yet read
+	lost  bool      // next stopped at framing loss
 }
 
 // open reads the server's opening from conn through rd. A BUSY decision is
@@ -448,8 +446,8 @@ func (s *clientSession) open(conn net.Conn, rd *bufio.Reader) error {
 		return hs.dec.Err()
 	}
 	s.conn, s.rd = conn, rd
-	s.dense, s.xor = hs.recordSizes()
-	if size := int(max(s.dense, s.xor)); size > rd.Size() {
+	s.sizes[0], s.sizes[1] = hs.recordSizes()
+	if size := int(max(s.sizes[0], s.sizes[1])); size > rd.Size() {
 		s.rd = bufio.NewReaderSize(io.MultiReader(io.LimitReader(rd, int64(rd.Buffered())), conn), size)
 	}
 	s.left = hs.hdr.Params.BlockCount * hs.hdr.Segments
@@ -484,9 +482,9 @@ func (s *clientSession) next() (rec []byte, wire int, err error) {
 			return nil, 0, fmt.Errorf("%w: %w", ErrStreamTruncated, err)
 		}
 		n := binary.BigEndian.Uint32(b)
-		if n != s.dense && n != s.xor {
+		if n != s.sizes[0] && n != s.sizes[1] {
 			s.lost = true
-			return nil, recordLenLen, fmt.Errorf("%w: %d, want %d", ErrRecordLength, n, s.dense)
+			return nil, recordLenLen, fmt.Errorf("%w: %d, want %d or %d", ErrRecordLength, n, s.sizes[0], s.sizes[1])
 		}
 		// The framing goes before the record is peeked, so a refill slides
 		// the record itself to the buffer's start and the payload a decoder

@@ -227,6 +227,8 @@ func newPushServer(t *testing.T, media []byte, p rlnc.Params, cfg ServerConfig) 
 
 func (s *poolSource) Info() SessionInfo { return s.info }
 
+func (s *poolSource) CounterKey() (uint64, bool) { return 0, false }
+
 // Sweep: a pool of recombinations holds no segment whole.
 func (s *poolSource) Sweep(seg, i int) []byte { return nil }
 

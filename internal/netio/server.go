@@ -67,9 +67,9 @@ func flushRecords(frameLen, queueDepth int) int {
 // the session is owed nothing and has nothing queued — after the
 // write-deadline budget of silence.
 //
-// A media-backed ModeDense server sends XNC3 counter records: each carries a
-// record index instead of its coefficient vector, which the client derives
-// from the index and the key in the session header (hsFlagCounter).
+// A media-backed ModeDense server, and a relay of one, send XNC3 counter
+// records: each carries a record index instead of its coefficient vector,
+// which the client derives from it and the header's key (hsFlagCounter).
 //
 // A segment the source holds whole is not pushed. Each session first writes,
 // of every such segment, the n records of the source's basis for it (counter
@@ -90,11 +90,9 @@ type Server struct {
 	src    RecordSource
 	sweep  *sweepTable // src's sweep records, framed on first use
 
-	// counter marks a media-backed ModeDense server: its records are XNC3
-	// counter records under key, which every session header declares, and
-	// its sweep entries are encoded, not merely framed (sweepRecord).
-	counter bool
-	key     uint64
+	// sweepEncodes marks a media-backed dense server, whose source encodes
+	// its sweep entries (sweepRecord).
+	sweepEncodes bool
 
 	// grantCap is a full grant, n + margin: a session's credit in any segment
 	// never exceeds it.
@@ -173,7 +171,6 @@ func NewServerFromConfig(media []byte, p rlnc.Params, cfg ServerConfig) (*Server
 		return nil, err
 	}
 	cfg = cfg.normalized()
-	key := uint64(cfg.Seed)
 	var src RecordSource
 	if cfg.Mode == ModeSystematic {
 		src = newSystematicSource(obj, cfg.Seed)
@@ -182,16 +179,9 @@ func NewServerFromConfig(media []byte, p rlnc.Params, cfg ServerConfig) (*Server
 		if err != nil {
 			return nil, err
 		}
-		src = newCounterSource(obj, key, penc)
+		src = newCounterSource(obj, uint64(cfg.Seed), penc)
 	}
-	s, err := newServer(cfg, src)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Mode != ModeSystematic {
-		s.counter, s.key = true, key
-	}
-	return s, nil
+	return newServer(cfg, src)
 }
 
 // NewSourceServerFromConfig builds a server over an arbitrary RecordSource:
@@ -199,8 +189,8 @@ func NewServerFromConfig(media []byte, p rlnc.Params, cfg ServerConfig) (*Server
 // encoding source media it does not have. The session machinery — pump
 // fan-out, bounded queues with shed-don't-stall, write deadlines, session
 // caps, metrics — is identical to a media-backed server; only where records
-// come from differs. The handshake is declared by src.Info(), so cfg.Mode is
-// ignored here.
+// come from differs. The handshake is declared by src.Info() and
+// src.CounterKey(), so cfg.Mode is ignored here.
 func NewSourceServerFromConfig(src RecordSource, cfg ServerConfig) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -239,6 +229,7 @@ func newServer(cfg ServerConfig, src RecordSource) (*Server, error) {
 		napTimer:  time.NewTimer(time.Hour),
 	}
 	s.napTimer.Stop()
+	_, s.sweepEncodes = src.(*counterSource)
 	if cfg.Metrics != nil {
 		if err := s.registerMetrics(cfg.Metrics); err != nil {
 			return nil, err
@@ -467,12 +458,12 @@ func (s *Server) runSession(ss *session) {
 	defer ss.conn.Close()
 
 	swept := s.firstGrant(ss)
-	hs := handshake{hdr: s.info, key: s.key}
+	hs := handshake{hdr: s.info}
 	if s.traced {
 		hs.tctx = traceContext{trace: s.traceID, root: s.rootSpan.ID()}
 	}
-	if s.counter {
-		hs.flags |= hsFlagCounter
+	if key, ok := s.src.CounterKey(); ok {
+		hs.flags, hs.key = hsFlagCounter, key
 	}
 	buf := appendSessionHeader(nil, hs)
 	// The handshake gets one deadline window and no retry: a peer that
@@ -528,9 +519,9 @@ func (s *Server) firstGrant(ss *session) (swept []int) {
 // sweepRecord returns sweep-table entry (seg, i), asking the source if no
 // session has yet and ask is set, or nil (the source's while it does not hold
 // seg whole); racing sessions get identical bytes, the first to publish wins.
-// A counter server's source encodes the entry, so each one it publishes
-// counts in BlocksEncoded, and a traced server spans the encode under parent:
-// the session's sweep, or the server's root (firstGrant).
+// A media-backed dense server's source encodes the entry, so each one it
+// publishes counts in BlocksEncoded, and a traced server spans the encode
+// under parent: the session's sweep, or the server's root (firstGrant).
 func (s *Server) sweepRecord(seg, i int, parent trace.SpanID, ask bool) []byte {
 	entries := s.sweep.segs[seg].Load()
 	if entries != nil {
@@ -542,7 +533,7 @@ func (s *Server) sweepRecord(seg, i int, parent trace.SpanID, ask bool) []byte {
 		return nil
 	}
 	var enc trace.Span
-	if s.traced && s.counter {
+	if s.traced && s.sweepEncodes {
 		enc = trace.Begin(s.cfg.TraceNode, "encode", s.traceID, parent, int32(seg))
 	}
 	rec := s.src.Sweep(seg, i)
@@ -559,7 +550,7 @@ func (s *Server) sweepRecord(seg, i int, parent trace.SpanID, ask bool) []byte {
 	if slot := &(*entries)[i]; !slot.CompareAndSwap(nil, &kept) {
 		return *slot.Load()
 	}
-	if s.counter {
+	if s.sweepEncodes {
 		s.counters.AddEncoded(1)
 	}
 	return rec

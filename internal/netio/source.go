@@ -11,7 +11,7 @@ import (
 // RecordSource produces the framed records a Server's pump fans out. It
 // abstracts where coded blocks come from: a media-backed server encodes
 // fresh blocks from source segments (NewServerFromConfig), while a mesh relay
-// emits recombinations of blocks it received upstream without ever decoding
+// forwards and recombines blocks it received upstream without ever decoding
 // (NewSourceServerFromConfig). The pump is a single goroutine, so Records is never
 // called concurrently by one server; a source shared across servers must
 // synchronize internally.
@@ -30,12 +30,14 @@ type RecordSource interface {
 	//
 	// Every frame is as long as the longest record a server of Info's params
 	// frames (an XNC1 record, or an XNC3 counter record when n < 4), and its
-	// content is unspecified. The
-	// frames are the server's: a filled one is written to every session that
-	// takes it and goes back to the pool when the last of them has sent or
-	// shed it, so the source must not touch it after the call, and the rest go
-	// back at once.
+	// content is unspecified. The frames are the server's: a filled one is
+	// written to every session that takes it and goes back to the pool when
+	// the last of them has sent or shed it, so the source must not touch it
+	// after the call, and the rest go back at once.
 	Records(seg int, frames [][]byte) int
+
+	// CounterKey, if ok, makes every (ModeDense) session a counter one under key.
+	CounterKey() (key uint64, ok bool)
 
 	// Sweep returns record i < n of a basis of segment seg, length prefix
 	// included — a buffer of its own or one the source holds for its lifetime,
@@ -154,6 +156,8 @@ func newCounterSource(obj *rlnc.Object, key uint64, penc *rlnc.ParallelEncoder) 
 
 func (c *counterSource) Info() SessionInfo { return objectInfo(c.obj, ModeDense) }
 
+func (c *counterSource) CounterKey() (uint64, bool) { return c.key, true }
+
 // Sweep implements RecordSource: counter record i of segment seg, encoded in
 // a frame of its own. The media holds every segment whole. About 0.4 % of
 // (key, segment) pairs give vectors 0…n−1 short of full rank; a session swept
@@ -232,6 +236,8 @@ func newSystematicSource(obj *rlnc.Object, seed int64) *systematicSource {
 }
 
 func (o *systematicSource) Info() SessionInfo { return objectInfo(o.obj, ModeSystematic) }
+
+func (o *systematicSource) CounterKey() (uint64, bool) { return 0, false }
 
 // Sweep implements RecordSource: source block i of segment seg, narrowed to
 // XNC2. The media holds every segment whole.

@@ -438,8 +438,9 @@ type drySource struct {
 	most   atomic.Int64
 }
 
-func (s *drySource) Info() SessionInfo       { return s.info }
-func (s *drySource) Sweep(seg, i int) []byte { return nil }
+func (s *drySource) Info() SessionInfo          { return s.info }
+func (s *drySource) CounterKey() (uint64, bool) { return 0, false }
+func (s *drySource) Sweep(seg, i int) []byte    { return nil }
 
 func (s *drySource) Records(seg int, frames [][]byte) int {
 	s.most.Store(max(s.most.Load(), int64(len(frames)))) // the pump is one goroutine

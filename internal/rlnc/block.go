@@ -147,12 +147,14 @@ func (b *CodedBlock) UnmarshalRecord(data []byte) error {
 }
 
 // RecordFormat is what reading one stream's records takes: the shape every
-// record has and, on a stream of XNC3 counter records, the key their
-// coefficient vectors are regenerated under.
+// record has and, on a counter stream, the key its XNC3 records' coefficient
+// vectors are regenerated under.
 type RecordFormat struct {
 	Params Params
-	// Counter marks a stream of XNC3 records under Key, and of those only;
-	// any other stream carries XNC1 and XNC2 records.
+	// Counter marks a stream of XNC3 records under Key and XNC1 records — a
+	// dense origin's counter records, and a relay's recombinations of them,
+	// which no index can name. Any other stream carries XNC1 and XNC2
+	// records.
 	Counter bool
 	Key     uint64
 }
@@ -160,7 +162,9 @@ type RecordFormat struct {
 // ParseView parses one record of a stream of format f into b without copying
 // its payload: b.Payload aliases data and is valid only as long as data is —
 // a reader parses a record where it was read, hands the block on and moves
-// past the record. The coefficient vector is copied — from an XNC1 record,
+// past the record. It dispatches on the record's magic among the two
+// encodings f admits: XNC3 or XNC1 on a counter stream, XNC2 or XNC1 on any
+// other. The coefficient vector is copied — from an XNC1 record,
 // expanded from an XNC2 bitmask, or regenerated from an XNC3 index — into
 // b.Coeffs, reusing its capacity, so nothing else of b aliases data and a
 // reader that keeps one block allocates nothing per record. The checks are
@@ -172,9 +176,9 @@ type RecordFormat struct {
 func (b *CodedBlock) ParseView(data []byte, f RecordFormat) error {
 	magic := wireMagic
 	switch {
-	case f.Counter:
+	case f.Counter && hasMagic(data, counterWireMagic):
 		magic = counterWireMagic
-	case hasMagic(data, xorWireMagic):
+	case !f.Counter && hasMagic(data, xorWireMagic):
 		magic = xorWireMagic
 	}
 	seg, p, row, err := openWire(data, magic)

@@ -8,7 +8,8 @@ import "encoding/binary"
 // stateless function F(key, segment, index) of a key the session declares
 // once and a u32 index the record carries, so the receiver regenerates it and
 // the record carries 4 bytes instead of n. A recombination is data-dependent
-// and cannot be written as an index, so recoded blocks stay XNC1.
+// and cannot be written as an index, so recoded blocks stay XNC1, which a
+// counter stream admits beside XNC3 (RecordFormat).
 //
 // Wire format (all integers big-endian):
 //

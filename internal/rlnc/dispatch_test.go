@@ -164,7 +164,7 @@ func TestRecoderReduceMatchesFullWidth(t *testing.T) {
 				if pivot := reduceFullWidth(ref, c); pivot >= 0 {
 					ref.probe = append(ref.probe, ref.scratch...)
 					ref.pivots[pivot] = uint16(len(ref.probe) / n)
-					ref.rows = append(ref.rows, nil)
+					ref.payloads = append(ref.payloads, nil)
 					held = append(held, c)
 				}
 				if !bytes.Equal(fast.scratch, ref.scratch) || fast.Rank() != ref.Rank() {

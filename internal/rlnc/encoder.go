@@ -84,23 +84,24 @@ type Recoder struct {
 	params Params
 	segID  uint32
 
-	// rows holds each innovative input as one [coeffs | payload] row of n+k
-	// bytes — the shape of the record it arrived in and of every record
-	// emitted from it, so a recombination is one batch multiply over whole
-	// rows. A row is the caller's storage (Hold) or the recoder's own (Add);
-	// either way it is read, never written. Linearly dependent input is
-	// dropped at the door (it would cost memory and recombination work
-	// without enlarging the span), so at most BlockCount rows are ever held
-	// and a relay's memory is bounded no matter how long the upstream stream
-	// runs. The slice grows with the rank, so a segment named once pins one
-	// entry, not n.
-	rows [][]byte
+	// Each innovative input is held as its coefficient vector and its
+	// payload. coeffs is the recoder's own copy of the vectors, vector j at
+	// coeffs[j·n:(j+1)·n], grown by doubling like probe: n bytes per rank.
+	// payloads[j] is input j's k payload bytes — the caller's storage (Hold),
+	// such as the payload of a record it keeps whole, or the recoder's own
+	// (Add) — read, never written. Linearly dependent input is dropped at the
+	// door (it would cost memory and recombination work without enlarging
+	// the span), so at most BlockCount inputs are ever held and a relay's
+	// memory is bounded no matter how long the upstream stream runs. Both
+	// grow with the rank, so a segment named once pins one entry, not n.
+	coeffs   []byte
+	payloads [][]byte
 
 	// probe is the reduced basis that decides innovation: vector j of it,
-	// the reduction of the j-th row held, is probe[j·n:(j+1)·n], and
+	// the reduction of the j-th input held, is probe[j·n:(j+1)·n], and
 	// pivots[c] is one past the index of the vector with pivot c, 0 for none
 	// (2n bytes). scratch is where an arrival is reduced before it has earned
-	// a row; spare is the row Add copies its next block into.
+	// a place; spare is the payload Add copies its next block into.
 	probe   []byte
 	pivots  []uint16
 	scratch []byte
@@ -118,12 +119,17 @@ type Recoder struct {
 	// table multiplies.
 	xorRecode bool
 
-	// mix is a batch's recombination coefficients, one len(rows) vector per
-	// emission, and mixRows its per-emission views; both are reused.
-	mix     []byte
-	mixRows [][]byte
+	// mix is a batch's recombination coefficients, one len(payloads) vector
+	// per emission, and mixRows its per-emission views; vectors views coeffs
+	// by input, and heads and tails split a batch's destinations into their
+	// coefficient and payload parts. All are reused, and built on the first
+	// emission, so a recoder that only holds has none.
+	mix          []byte
+	mixRows      [][]byte
+	vectors      [][]byte
+	heads, tails [][]byte
 
-	// mul decides where a dense batch's multiply runs.
+	// mul decides where a dense batch's multiplies run.
 	mul batchMul
 }
 
@@ -147,11 +153,11 @@ func NewRecoder(p Params, opts ...Option) (*Recoder, error) {
 	}, nil
 }
 
-// Add registers a received coded block as recoding input: Hold over a row
-// of the recoder's own, into which b is copied, so the caller may keep
-// mutating or reusing b — a relay can feed Add straight from a receive loop
-// that recycles its record storage. A dependent block costs no allocation
-// (the row waits for the next Add); Rank reports the span.
+// Add registers a received coded block as recoding input: Hold over a
+// payload of the recoder's own, into which b's is copied, so the caller may
+// keep mutating or reusing b — a relay can feed Add straight from a receive
+// loop that recycles its record storage. A dependent block costs no
+// allocation (the payload waits for the next Add); Rank reports the span.
 //
 // Binary blocks — a systematic sweep or GF(2) XOR repair stream, including
 // records parsed from the compact XNC2 encoding — are ordinary input: their
@@ -164,49 +170,57 @@ func (r *Recoder) Add(b *CodedBlock) error {
 		return err
 	}
 	if r.spare == nil {
-		r.spare = make([]byte, r.params.BlockCount+r.params.BlockSize)
+		r.spare = make([]byte, r.params.BlockSize)
 	}
-	copy(r.spare[copy(r.spare, b.Coeffs):], b.Payload)
-	held, err := r.Hold(b.SegmentID, r.spare)
+	copy(r.spare, b.Payload)
+	held, err := r.Hold(b.SegmentID, b.Coeffs, r.spare)
 	if held {
 		r.spare = nil
 	}
 	return err
 }
 
-// Hold reduces a [coeffs | payload] row of segment segID against the input
-// held — n+k bytes the caller laid, such as the middle of a wire record
-// (see PutWireHeader) — and keeps the row itself, not a copy, when it is
-// innovative, reporting whether it did. A held row is read by every later
-// emission, so the caller must not write it again; a row not held is the
-// caller's to reuse. Only the first n bytes are read here. Hold fails with
-// ErrBlockShape for a row of another length and with ErrWrongSegment for a
-// row of another segment than the rows held.
-func (r *Recoder) Hold(segID uint32, row []byte) (bool, error) {
-	n, width := r.params.BlockCount, r.params.BlockCount+r.params.BlockSize
-	if len(row) != width {
-		return false, fmt.Errorf("%w: %d-byte row, want %d", ErrBlockShape, len(row), width)
+// Hold reduces coeffs, the coefficient vector of an input of segment segID,
+// against the input held, and when it is innovative keeps a copy of it and
+// payload itself — a view, not a copy — reporting whether it did. payload is
+// the input's k bytes wherever the caller laid them, such as the middle of a
+// wire record it keeps whole (see PutWireHeader, PutCounterHeader): every
+// later emission reads it, so the caller must not write it again, while a
+// payload not held is the caller's to reuse. Hold reads only coeffs. It fails
+// with ErrBlockShape for a vector or payload of another length and with
+// ErrWrongSegment for an input of another segment than the input held.
+func (r *Recoder) Hold(segID uint32, coeffs, payload []byte) (bool, error) {
+	n, k := r.params.BlockCount, r.params.BlockSize
+	if len(coeffs) != n || len(payload) != k {
+		return false, fmt.Errorf("%w: %d coefficients and %d payload bytes, want %d and %d", ErrBlockShape, len(coeffs), len(payload), n, k)
 	}
-	if len(r.rows) > 0 && segID != r.segID {
+	held := len(r.payloads)
+	if held > 0 && segID != r.segID {
 		return false, wrongSegmentError(r.segID, segID)
 	}
-	pivot := r.reduce(row[:n])
+	pivot := r.reduce(coeffs)
 	if pivot < 0 {
 		return false, nil
 	}
-	held := len(r.rows)
-	if len(r.probe) == cap(r.probe) {
-		// Doubling, capped at n vectors: the probe pins n bytes per rank — n²
-		// at full rank — after log2(n) + 1 allocations.
-		grown := make([]byte, held*n, n*min(n, max(1, 2*held)))
-		copy(grown, r.probe)
-		r.probe = grown
-	}
-	r.probe = append(r.probe, r.scratch...)
+	r.probe = appendVector(r.probe, r.scratch, held)
+	r.coeffs = appendVector(r.coeffs, coeffs, held)
 	r.pivots[pivot] = uint16(held + 1) // n ≤ MaxBlockCount fits
-	r.rows = append(r.rows, row[:width:width])
+	r.payloads = append(r.payloads, payload[:k:k])
 	r.segID = segID
 	return true, nil
+}
+
+// appendVector appends v, an n-byte vector, to m, a matrix of held such
+// vectors. It grows m by doubling, capped at n vectors, so m pins n bytes per
+// rank — n² at full rank — after log2(n) + 1 allocations.
+func appendVector(m, v []byte, held int) []byte {
+	if len(m) == cap(m) {
+		n := len(v)
+		grown := make([]byte, held*n, n*min(n, max(1, 2*held)))
+		copy(grown, m)
+		m = grown
+	}
+	return append(m, v...)
 }
 
 // reduce eliminates coeffs against the probe basis in r.scratch, normalised
@@ -240,7 +254,7 @@ func (r *Recoder) reduce(coeffs []byte) int {
 
 // Rank returns the dimension of the subspace the recoder can emit from: only
 // innovative blocks are held, so it is their count.
-func (r *Recoder) Rank() int { return len(r.rows) }
+func (r *Recoder) Rank() int { return len(r.payloads) }
 
 // Emit is NextBlock against the recoder's own random source (set with
 // WithSeed). It fails with ErrNoBlocks when nothing has been received (a
@@ -253,12 +267,13 @@ func (r *Recoder) Emit() (*CodedBlock, error) { return r.NextBlock(r.source()) }
 // dsts[i], at least BlockCount+BlockSize bytes, receives one recombination
 // as a [coeffs | payload] row — a wire record's middle, see PutWireHeader.
 // Coefficients are drawn emission by emission, so a batch of B is byte for
-// byte B successive Emits; one tiled batch multiply over the held rows then
-// writes them all, allocating nothing once a batch this large has been seen.
-// That multiply runs on the caller below dispatchFloor and is split by whole
-// emissions across SharedPool at or above it (32 emissions at n=128, k=4096
-// are ~17 MiB of multiply-add), so the recoder must not be used from a pool
-// task.
+// byte B successive Emits; two tiled batch multiplies over the held input
+// then write them all — an n-wide one over the coefficient vectors, a k-wide
+// one over the payloads — allocating nothing once a batch this large has
+// been seen. Each multiply runs on the caller below dispatchFloor and is
+// split by whole emissions across SharedPool at or above it (the payloads of
+// 32 emissions at n=128, k=4096 are 16 MiB of multiply-add), so the recoder
+// must not be used from a pool task.
 // Errors are Emit's, plus ErrBatchShape for a short destination; all leave
 // the recoder and its random source unchanged.
 func (r *Recoder) EmitInto(dsts [][]byte) error { return r.emitInto(dsts, r.source()) }
@@ -276,13 +291,13 @@ func (r *Recoder) emitInto(dsts [][]byte, rng *rand.Rand) error {
 	if rng == nil {
 		return fmt.Errorf("%w: build the recoder with WithSeed or call NextBlock", ErrNoSeed)
 	}
-	if len(r.rows) == 0 {
+	if len(r.payloads) == 0 {
 		return fmt.Errorf("%w: recoder received nothing", ErrNoBlocks)
 	}
-	width := r.params.BlockCount + r.params.BlockSize
+	n, k := r.params.BlockCount, r.params.BlockSize
 	for i, d := range dsts {
-		if len(d) < width {
-			return fmt.Errorf("%w: emission %d destination %d bytes, want ≥ %d", ErrBatchShape, i, len(d), width)
+		if len(d) < n+k {
+			return fmt.Errorf("%w: emission %d destination %d bytes, want ≥ %d", ErrBatchShape, i, len(d), n+k)
 		}
 	}
 	if r.xorRecode {
@@ -298,10 +313,11 @@ func (r *Recoder) emitInto(dsts [][]byte, rng *rand.Rand) error {
 					any = any || sel[i] == 1
 				}
 			}
-			clear(d[:width])
-			for i, row := range r.rows {
+			clear(d[:n+k])
+			for i, payload := range r.payloads {
 				if sel[i] == 1 {
-					gf256.XorSlice(d[:width], row)
+					gf256.XorSlice(d[:n], r.coeffs[i*n:(i+1)*n])
+					gf256.XorSlice(d[n:n+k], payload)
 				}
 			}
 		}
@@ -311,13 +327,33 @@ func (r *Recoder) emitInto(dsts [][]byte, rng *rand.Rand) error {
 	for _, cs := range mix {
 		DrawCoeffs(cs, rng)
 	}
-	r.mul.run(dsts, r.rows, mix, width)
+	heads, tails := r.heads[:0], r.tails[:0]
+	for _, d := range dsts {
+		heads, tails = append(heads, d[:n]), append(tails, d[n:n+k])
+	}
+	r.heads, r.tails = heads, tails
+	r.mul.run(heads, r.vectorRows(), mix, n)
+	r.mul.run(tails, r.payloads, mix, k)
 	return nil
 }
 
-// mixFor returns count reusable coefficient vectors, one entry per held row.
+// vectorRows returns the held coefficient vectors as one view each.
+func (r *Recoder) vectorRows() [][]byte {
+	n := r.params.BlockCount
+	if cap(r.vectors) < len(r.payloads) {
+		r.vectors = make([][]byte, 0, n)
+	}
+	rows := r.vectors[:0]
+	for j := range r.payloads {
+		rows = append(rows, r.coeffs[j*n:(j+1)*n])
+	}
+	r.vectors = rows
+	return rows
+}
+
+// mixFor returns count reusable coefficient vectors, one entry per held input.
 func (r *Recoder) mixFor(count int) [][]byte {
-	held := len(r.rows)
+	held := len(r.payloads)
 	if cap(r.mix) < count*held {
 		r.mix = make([]byte, count*r.params.BlockCount)
 	}

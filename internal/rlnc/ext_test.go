@@ -97,13 +97,22 @@ func TestSeededBlockCorruption(t *testing.T) {
 	if err := read(good[:5], p); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("truncated err = %v", err)
 	}
-	// A plain coded block's magic must be rejected too.
-	plainWire, err := NewEncoder(seg, rand.New(rand.NewSource(106))).NextBlock().MarshalBinary()
+	// A plain coded block is the counter stream's other encoding — a relay's
+	// recode — read with its own coefficients; an XNC2 record's magic is
+	// rejected.
+	plain := NewEncoder(seg, rand.New(rand.NewSource(106))).NextBlock()
+	plainWire, err := plain.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := read(plainWire, p); !errors.Is(err, ErrBadMagic) {
-		t.Fatalf("plain magic err = %v", err)
+	var blk CodedBlock
+	if err := blk.ParseView(plainWire, RecordFormat{Params: p, Counter: true, Key: 105}); err != nil || !bytes.Equal(blk.Coeffs, plain.Coeffs) {
+		t.Fatalf("plain record on a counter stream: %v, coefficients % x, want % x", err, blk.Coeffs, plain.Coeffs)
+	}
+	unit := &CodedBlock{SegmentID: seg.ID(), Coeffs: make([]byte, p.BlockCount), Payload: seg.Block(2)}
+	unit.Coeffs[2] = 1
+	if err := read(xorWire(t, unit), p); !errors.Is(err, ErrBadMagic) {
+		t.Fatalf("XNC2 magic err = %v", err)
 	}
 	// A checksummed record of another shape sizes nothing: the key belongs to
 	// the session that declared p.
@@ -213,16 +222,16 @@ func TestRecoderDropsDependentInput(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if r.Rank() != 1 || len(r.rows) != 1 {
-		t.Fatalf("%d rows at rank %d after 5 duplicates", len(r.rows), r.Rank())
+	if r.Rank() != 1 || len(r.payloads) != 1 {
+		t.Fatalf("%d rows at rank %d after 5 duplicates", len(r.payloads), r.Rank())
 	}
 	for i := 0; i < p.BlockCount+4; i++ {
 		if err := r.Add(enc.NextBlock()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if r.Rank() != p.BlockCount || len(r.rows) != p.BlockCount {
-		t.Fatalf("%d rows at rank %d, want %d (full rank, pruned)", len(r.rows), r.Rank(), p.BlockCount)
+	if r.Rank() != p.BlockCount || len(r.payloads) != p.BlockCount {
+		t.Fatalf("%d rows at rank %d, want %d (full rank, pruned)", len(r.payloads), r.Rank(), p.BlockCount)
 	}
 }
 

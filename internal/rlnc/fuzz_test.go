@@ -137,11 +137,11 @@ func FuzzXorBlockUnmarshal(f *testing.F) {
 }
 
 // relay lays b out again as a record of format f through the one writer —
-// XNC3 with the given index under a counter format, else XNC1, narrowed to
-// XNC2 when xor is set — and seals it. It reports false if narrowing refuses.
-func relay(b *CodedBlock, f RecordFormat, index uint32, xor bool) ([]byte, bool) {
+// XNC3 with the given index when counter is set, else XNC1, narrowed to XNC2
+// when xor is set — and seals it. It reports false if narrowing refuses.
+func relay(b *CodedBlock, f RecordFormat, index uint32, counter, xor bool) ([]byte, bool) {
 	p := f.Params
-	if f.Counter {
+	if counter {
 		out := make([]byte, CounterWireSize(p))
 		copy(PutCounterHeader(out, b.SegmentID, index, p), b.Payload)
 		SealWire(out)
@@ -162,11 +162,14 @@ func relay(b *CodedBlock, f RecordFormat, index uint32, xor bool) ([]byte, bool)
 
 // FuzzRecordDispatch drives the one record reader, ParseView, with every
 // encoding's seeds under both formats a stream can have — XNC1/XNC2 at the
-// shape the header declares, and XNC3 under a fixed key, the fetcher's read of
-// a counter session. Whatever it accepts re-lays byte-identically through the
-// one writer (XNC2 by narrowing), with the payload read where it lies, and an
-// accepted counter record's regenerated vector is the key's, with no zero in
-// it.
+// shape the header declares, and XNC3/XNC1 under a fixed key, the fetcher's
+// read of a counter session, where a relay's recodes travel as XNC1. Whatever
+// it accepts re-lays byte-identically through the one writer (XNC2 by
+// narrowing), with the payload read where it lies — so an XNC1 record's
+// coefficients were copied, on either stream — and an accepted counter
+// record's regenerated vector is the key's, with no zero in it. Neither
+// stream admits the other's second encoding: XNC2 on a counter stream, XNC3
+// on any other.
 func FuzzRecordDispatch(f *testing.F) {
 	const key = 0xC0FFEE
 	seedWire(f)
@@ -183,6 +186,29 @@ func FuzzRecordDispatch(f *testing.F) {
 	f.Add([]byte("XNC2"))
 	f.Add(CounterRecord(seg, key, 9))
 	f.Add([]byte("XNC3"))
+	// A relay's recode of counter records: XNC1, with its coefficients.
+	rec, err := NewRecoder(p, WithSeed(5))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for index := range uint32(p.BlockCount) {
+		var b CodedBlock
+		if err := b.ParseView(CounterRecord(seg, key, index), RecordFormat{Params: p, Counter: true, Key: key}); err != nil {
+			f.Fatal(err)
+		}
+		if err := rec.Add(&b); err != nil {
+			f.Fatal(err)
+		}
+	}
+	recode, err := rec.Emit()
+	if err != nil {
+		f.Fatal(err)
+	}
+	wire, err := recode.MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(wire)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var format RecordFormat
 		if len(data) >= wireHeaderLen {
@@ -197,8 +223,12 @@ func FuzzRecordDispatch(f *testing.F) {
 			if &blk.Payload[len(blk.Payload)-1] != &data[len(data)-wireTrailerLen-1] {
 				t.Fatal("ParseView's payload is not a view of the record")
 			}
+			indexed, xor := hasMagic(data, counterWireMagic), hasMagic(data, xorWireMagic)
+			if (counter && xor) || (!counter && indexed) {
+				t.Fatalf("counter=%v: accepted a %q record", counter, data[:4])
+			}
 			var index uint32
-			if counter {
+			if indexed {
 				index = binary.BigEndian.Uint32(data[wireHeaderLen:])
 				want := make([]byte, format.Params.BlockCount)
 				CounterCoeffs(want, key, blk.SegmentID, index)
@@ -206,7 +236,7 @@ func FuzzRecordDispatch(f *testing.F) {
 					t.Fatalf("index %d regenerated % x", index, blk.Coeffs)
 				}
 			}
-			out, ok := relay(&blk, format, index, !counter && hasMagic(data, xorWireMagic))
+			out, ok := relay(&blk, format, index, indexed, xor)
 			if !ok {
 				t.Fatal("accepted XNC2 record expanded to non-binary coefficients")
 			}

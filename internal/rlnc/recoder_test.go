@@ -103,8 +103,8 @@ func TestRecoderRankPreservation(t *testing.T) {
 	if rec.Rank() != partial {
 		t.Fatalf("recoder rank = %d, want %d (dependent input must not count)", rec.Rank(), partial)
 	}
-	if len(rec.rows) != partial {
-		t.Fatalf("recoder holds %d rows, want %d (dependent input must not be stored)", len(rec.rows), partial)
+	if len(rec.payloads) != partial {
+		t.Fatalf("recoder holds %d rows, want %d (dependent input must not be stored)", len(rec.payloads), partial)
 	}
 
 	// Emissions span exactly the partial subspace: the downstream decoder
@@ -524,52 +524,72 @@ func TestRecoderAddAllocations(t *testing.T) {
 	}
 }
 
-// TestRecoderHoldKeepsCallerRows: Hold keeps the row it is handed — the
-// recoder's held row is the caller's storage, not a copy — drops a dependent
-// row, and refuses a row of the wrong length or segment; a recoder fed by
-// Hold emits byte for byte what a twin on the same seed fed the same blocks
-// by Add emits.
+// TestRecoderHoldKeepsCallerRows: Hold keeps the payload it is handed — the
+// recoder's held payload is the caller's storage, not a copy — and a copy of
+// the coefficient vector, so the caller may reuse the vector at once; it drops
+// a dependent input, and refuses a vector or payload of the wrong length or an
+// input of another segment. A recoder fed by Hold emits byte for byte what a
+// twin on the same seed fed the same blocks by Add emits, one at a time and in
+// a batch, dense and GF(2).
 func TestRecoderHoldKeepsCallerRows(t *testing.T) {
 	p := Params{BlockCount: 8, BlockSize: 48}
 	n := p.BlockCount
 	seg := randomSegment(t, 3, p, 631)
-	enc := NewEncoder(seg, rand.New(rand.NewSource(632)))
-	held, err := NewRecoder(p, WithSeed(633))
-	if err != nil {
-		t.Fatal(err)
-	}
-	twin, _ := NewRecoder(p, WithSeed(633))
-	for held.Rank() < n {
-		b := enc.NextBlock()
-		row := append(append(make([]byte, 0, n+p.BlockSize), b.Coeffs...), b.Payload...)
-		ok, err := held.Hold(seg.ID(), row)
-		if err != nil || !ok {
-			t.Fatalf("innovative row at rank %d: held %v, %v", held.Rank(), ok, err)
-		}
-		if last := held.rows[held.Rank()-1]; &last[0] != &row[0] {
-			t.Fatal("the held row is a copy of the caller's")
-		}
-		if ok, err := held.Hold(seg.ID(), bytes.Clone(row)); ok || err != nil {
-			t.Fatalf("a dependent row: held %v, %v", ok, err)
-		}
-		if err := twin.Add(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := held.Hold(seg.ID(), make([]byte, n+p.BlockSize-1)); !errors.Is(err, ErrBlockShape) {
-		t.Fatalf("short row: %v, want ErrBlockShape", err)
-	}
-	if _, err := held.Hold(seg.ID()+1, make([]byte, n+p.BlockSize)); !errors.Is(err, ErrWrongSegment) {
-		t.Fatalf("row of another segment: %v, want ErrWrongSegment", err)
-	}
-	for i := range 4 {
-		got, err := held.Emit()
+	for _, opts := range [][]Option{nil, {WithXorRecode()}} {
+		enc := NewEncoder(seg, rand.New(rand.NewSource(632)))
+		held, err := NewRecoder(p, append([]Option{WithSeed(633)}, opts...)...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _ := twin.Emit()
-		if !bytes.Equal(got.Coeffs, want.Coeffs) || !bytes.Equal(got.Payload, want.Payload) {
-			t.Fatalf("emission %d over held rows differs from its twin's over added blocks", i)
+		twin, _ := NewRecoder(p, append([]Option{WithSeed(633)}, opts...)...)
+		vector := make([]byte, n)
+		for held.Rank() < n {
+			b := enc.NextBlock()
+			payload := bytes.Clone(b.Payload)
+			copy(vector, b.Coeffs)
+			ok, err := held.Hold(seg.ID(), vector, payload)
+			if err != nil || !ok {
+				t.Fatalf("innovative input at rank %d: held %v, %v", held.Rank(), ok, err)
+			}
+			if last := held.payloads[held.Rank()-1]; &last[0] != &payload[0] {
+				t.Fatal("the held payload is a copy of the caller's")
+			}
+			clear(vector) // the caller's to reuse: the recoder kept a copy
+			if ok, err := held.Hold(seg.ID(), b.Coeffs, bytes.Clone(b.Payload)); ok || err != nil {
+				t.Fatalf("a dependent input: held %v, %v", ok, err)
+			}
+			if err := twin.Add(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := held.Hold(seg.ID(), vector, make([]byte, p.BlockSize-1)); !errors.Is(err, ErrBlockShape) {
+			t.Fatalf("short payload: %v, want ErrBlockShape", err)
+		}
+		if _, err := held.Hold(seg.ID(), vector[:n-1], make([]byte, p.BlockSize)); !errors.Is(err, ErrBlockShape) {
+			t.Fatalf("short vector: %v, want ErrBlockShape", err)
+		}
+		if _, err := held.Hold(seg.ID()+1, vector, make([]byte, p.BlockSize)); !errors.Is(err, ErrWrongSegment) {
+			t.Fatalf("input of another segment: %v, want ErrWrongSegment", err)
+		}
+		for i := range 4 {
+			got, err := held.Emit()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := twin.Emit()
+			if !bytes.Equal(got.Coeffs, want.Coeffs) || !bytes.Equal(got.Payload, want.Payload) {
+				t.Fatalf("emission %d over held input differs from its twin's over added blocks", i)
+			}
+		}
+		got, want := [][]byte{make([]byte, n+p.BlockSize), make([]byte, n+p.BlockSize)}, [][]byte{make([]byte, n+p.BlockSize), make([]byte, n+p.BlockSize)}
+		if err := held.EmitInto(got); err != nil {
+			t.Fatal(err)
+		}
+		if err := twin.EmitInto(want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got[0], want[0]) || !bytes.Equal(got[1], want[1]) {
+			t.Fatal("a batch over held input differs from its twin's over added blocks")
 		}
 	}
 }
@@ -633,8 +653,8 @@ func FuzzRecoder(f *testing.F) {
 				if r.Rank() > p.BlockCount {
 					t.Fatalf("rank %d exceeds block count %d", r.Rank(), p.BlockCount)
 				}
-				if len(r.rows) != r.Rank() || r.Rank() > before+1 {
-					t.Fatalf("held %d rows at rank %d after rank %d: dependent input stored", len(r.rows), r.Rank(), before)
+				if len(r.payloads) != r.Rank() || r.Rank() > before+1 {
+					t.Fatalf("held %d rows at rank %d after rank %d: dependent input stored", len(r.payloads), r.Rank(), before)
 				}
 				out, eerr := r.Emit()
 				if err == nil && r.Rank() > 0 && eerr != nil {
