@@ -84,10 +84,14 @@ loc:
 # encoder's or recoder's operand fields with the pool workers. And it repeats
 # the relay's held-record tests: a relay's sessions sweep the upstream records
 # it holds while its fetch copies in others, and a reconnect to an origin of
-# another key races the downstream sessions reading the held records.
+# another key races the downstream sessions reading the held records. And it
+# repeats the counting tests of a sweep that waits for its source: a sweep
+# parks on the source's next record while the source lets records in, and a
+# stalled one must end on the write deadline with no goroutine left behind; a
+# fetch fed only spanned rows must write one need record a grant, never spin.
 race:
 	$(GO) test -race -count=1 $(RACE_PKGS)
-	$(GO) test -race -count=10 -run 'TestCredit|TestSatisfiedServerParks|TestDependentGrantCostsAReask|TestDenseTableOncePerServer|TestServerHoldsMediaOnce|TestColdSweepFirstRecordAfterOneEncode|TestSlowReaders$$|AcrossDispatchFloor$$|TestRelayRekeyedUpstream|TestRelayHoldsCounterRecordsOnce|TestRelayHopsCarryTheirRecords|TestCounterSessionAdmitsRecodes' ./internal/netio/ ./internal/harness/ ./internal/rlnc/ ./internal/mesh/
+	$(GO) test -race -count=10 -run 'TestCredit|TestSatisfiedServerParks|TestDependentGrantCostsAReask|TestDenseTableOncePerServer|TestServerHoldsMediaOnce|TestColdSweepFirstRecordAfterOneEncode|TestSlowReaders$$|AcrossDispatchFloor$$|TestRelayRekeyedUpstream|TestRelayHoldsCounterRecordsOnce|TestRelayHopsCarryTheirRecords|TestCounterSessionAdmitsRecodes|TestSweepWaitsForItsSource|TestSweepStalledSourceEndsSession|TestLyingSourceAsksOncePerGrant' ./internal/netio/ ./internal/harness/ ./internal/rlnc/ ./internal/mesh/
 
 # Replay the committed fuzz seed corpora as regression tests (every F.Add
 # case plus any checked-in corpus files), then spend a short, time-boxed live
@@ -159,9 +163,9 @@ xor-smoke:
 # lock, and one race pass cannot show that no dial, reroute or remediation
 # step reads a route outside it. It repeats TestSnapshotDuringAddLeaf with
 # them: a metrics scrape snapshots the leaf list while leaf waves grow it. And
-# it repeats the relay sweep tests: session goroutines read a whole segment's
-# held frames without the relay's lock while the upstream absorb appends
-# other segments' frames under it.
+# it repeats the relay sweep tests: session goroutines read held frames
+# without the relay's lock while the upstream absorb appends frames under it,
+# and leaves dial a relay still filling (TestRelaySweepLeavesDialWhileFilling).
 mesh-smoke:
 	$(GO) test -race -count=1 -v -run 'TestMeshSmoke' ./internal/mesh/
 	$(GO) test -race -count=1 -skip 'TestMeshSmoke|TestMeshRollingRestart' ./internal/mesh/

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"runtime"
@@ -93,7 +94,9 @@ func (c *common) bringUp(g smokeGate, out io.Writer) error {
 	// The server serves the media in place: building it grows the heap by a
 	// padded last segment, 8 KiB of its own and under 1/8 of the media.
 	var before, after runtime.MemStats
-	rlnc.SharedPool() // built once per process, on first use: not the server's
+	// Built once per process, on first use: not the server's.
+	rlnc.SharedPool()
+	crc32.ChecksumIEEE(nil) // the IEEE table
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	srv, err := netio.NewServerFromConfig(e.media, e.p, g.cfg)

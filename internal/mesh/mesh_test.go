@@ -328,22 +328,42 @@ func TestXorRelayRecordsMatchEmit(t *testing.T) {
 	}
 }
 
-// TestRelayRefusesHostileSegmentCount: an upstream whose CRC-valid header
-// declares 2^16 + 1 segments — with a length that agrees — fails every
-// handshake. The relay never learns a session, so it builds no recoder (the
-// hook its own session hook runs before never fires), StartRelay gives up when
-// its context ends, and the fetch ledger counts the attempts.
-func TestRelayRefusesHostileSegmentCount(t *testing.T) {
-	const n, k, segments = 4, 64, 1<<16 + 1
-	body := binary.BigEndian.AppendUint32(nil, 6) // protocol version
+// declaredHeader is a CRC-valid session header declaring segments segments
+// of n blocks of k bytes in dense mode, with a length that agrees and no
+// flags, under the protocol version a live origin's header carries.
+func declaredHeader(t *testing.T, n, k, segments uint32) []byte {
+	t.Helper()
+	p := rlnc.Params{BlockCount: 4, BlockSize: 16}
+	_, ol := startOrigin(t, testMedia(t, p.SegmentSize(), 1), p, netio.DefaultServerConfig())
+	conn, err := net.Dial("tcp", ol.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	live := make([]byte, 12) // magic, body length, version
+	if _, err := io.ReadFull(conn, live); err != nil || string(live[:4]) != "XNCP" {
+		t.Fatalf("a live origin opened with % x: %v", live, err)
+	}
+	body := slices.Clone(live[8:12])
 	for _, v := range []uint32{n, k, segments} {
 		body = binary.BigEndian.AppendUint32(body, v)
 	}
-	body = binary.BigEndian.AppendUint64(body, segments*n*k)
+	body = binary.BigEndian.AppendUint64(body, uint64(segments)*uint64(n)*uint64(k))
 	body = binary.BigEndian.AppendUint64(body, 0) // dense mode, no flags
 	hdr := binary.BigEndian.AppendUint32([]byte("XNCP"), uint32(len(body)))
 	hdr = append(hdr, body...)
-	hdr = binary.BigEndian.AppendUint32(hdr, crc32.ChecksumIEEE(hdr))
+	return binary.BigEndian.AppendUint32(hdr, crc32.ChecksumIEEE(hdr))
+}
+
+// TestRelayRefusesHostileSegmentCount: an upstream whose CRC-valid header
+// declares 2^16 + 1 segments — with a length that agrees, under the protocol
+// version — fails every handshake on the segment bound. The relay never
+// learns a session, so it builds no recoder (the hook its own session hook
+// runs before never fires), StartRelay gives up when its context ends, and
+// the fetch ledger counts the attempts.
+func TestRelayRefusesHostileSegmentCount(t *testing.T) {
+	const n, k, segments = 4, 64, 1<<16 + 1
+	hdr := declaredHeader(t, n, k, segments)
 
 	ol, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -386,6 +406,15 @@ func TestRelayRefusesHostileSegmentCount(t *testing.T) {
 		t.Fatalf("%d sessions, %d attempts, %d headers served: want handshakes failed and no session", sessions.Load(), attempts, served.Load())
 	}
 	t.Logf("%v after %d refused handshakes", err, attempts)
+	// The refusal is the segment bound's, not the version's.
+	conn, err := net.Dial("tcp", ol.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = netio.Fetch(context.Background(), conn)
+	if !errors.Is(err, netio.ErrBadHandshake) || !strings.Contains(err.Error(), fmt.Sprintf("%d segments, at most %d", segments, 1<<16)) {
+		t.Fatalf("the header was refused with %v, want the segment bound", err)
+	}
 }
 
 // TestRelayDeclaredSegmentsHoldNothing: an upstream whose CRC-valid header
@@ -399,15 +428,7 @@ func TestRelayRefusesHostileSegmentCount(t *testing.T) {
 func TestRelayDeclaredSegmentsHoldNothing(t *testing.T) {
 	const n, k, segments = 1024, 32 << 10, 1 << 16
 	const heapBound, goroutineBound = 16 << 20, 16
-	body := binary.BigEndian.AppendUint32(nil, 6) // protocol version
-	for _, v := range []uint32{n, k, segments} {
-		body = binary.BigEndian.AppendUint32(body, v)
-	}
-	body = binary.BigEndian.AppendUint64(body, segments*n*k)
-	body = binary.BigEndian.AppendUint64(body, 0) // dense mode, no flags
-	hdr := binary.BigEndian.AppendUint32([]byte("XNCP"), uint32(len(body)))
-	hdr = append(hdr, body...)
-	hdr = binary.BigEndian.AppendUint32(hdr, crc32.ChecksumIEEE(hdr))
+	hdr := declaredHeader(t, n, k, segments)
 
 	// The upstream answers every dial with the header, then reads whatever
 	// the relay writes and sends nothing.
@@ -510,15 +531,12 @@ func TestRelayXorRecode(t *testing.T) {
 	}
 }
 
-// TestXorRelayLeafReasks: a leaf that dials an XOR relay while the relay
-// still fills over a slow link from a systematic origin is granted GF(2)
-// recombinations of a partial basis — dependent records — and asks again for
-// what it lacks until it decodes byte-identical: each shortfall costs a round
-// trip, never a hang. An ask answered only with dependent records holds the
-// next one back on the backoff schedule, so the leaf waits for the relay to
-// fill instead of spinning: it writes a handful of need records, not one per
-// few records read (over a thousand in ~50 ms before the hold).
-func TestXorRelayLeafReasks(t *testing.T) {
+// TestXorRelayLeafSweptWhileFilling: a leaf that dials an XOR relay while the
+// relay still fills over a slow link from a systematic origin is swept the
+// relay's held records as they arrive — the origin's source blocks, as XNC2
+// — and decodes byte-identical from them alone: n × segments records, none
+// dependent, no need record.
+func TestXorRelayLeafSweptWhileFilling(t *testing.T) {
 	p := rlnc.Params{BlockCount: 8, BlockSize: 128}
 	media := testMedia(t, 2*p.SegmentSize()-7, 32)
 	ocfg := netio.DefaultServerConfig()
@@ -557,13 +575,9 @@ func TestXorRelayLeafReasks(t *testing.T) {
 		t.Fatalf("fetch through a filling xor relay: %v (stats %+v)", err, res.Stats)
 	}
 	asks, _ := reg.CounterValue("netio.need_records")
-	if res.Stats.Dependent == 0 || asks == 0 {
-		t.Fatalf("dependent %d, need records %d: the leaf never asked again", res.Stats.Dependent, asks)
+	if res.Stats.Records != 2*p.BlockCount || res.Stats.Dependent != 0 || asks != 0 || relay.recoded() != 0 {
+		t.Fatalf("%d records, %d dependent, %d need records, %d recoded: want %d, none, none and none", res.Stats.Records, res.Stats.Dependent, asks, relay.recoded(), 2*p.BlockCount)
 	}
-	if asks > 100 {
-		t.Fatalf("%d need records over %d records (%d dependent): the leaf spins on a filling relay", asks, res.Stats.Records, res.Stats.Dependent)
-	}
-	t.Logf("%d records, %d dependent, %d need records", res.Stats.Records, res.Stats.Dependent, asks)
 }
 
 // tapConn records every byte read from the connection it wraps.

@@ -7,6 +7,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"extremenc/internal/netio"
 	"extremenc/internal/obs"
@@ -45,16 +46,18 @@ type RelayConfig struct {
 }
 
 // Relay is one recoding node: a resilient upstream fetch whose sink is a bank
-// of per-segment bases, and a downstream netio source server that sweeps each
-// session the held records of every segment the relay holds whole, and
-// otherwise sends fresh recombinations drawn from the bases. A segment's basis,
-// built on its first record, is its held records — each innovative upstream
-// record as it arrived — and an rlnc.Recoder over them. It re-declares its
-// first upstream session, key included, and recodes in its field: in GF(2)
-// (rlnc.WithXorRecode; XNC2 when binary) over ModeSystematic, else GF(2^8).
-// It never decodes — coefficients are in terms of the original source
-// blocks, so leaves are oblivious to the hop (paper Sec. 2) — and serves a
-// segment from its first record on, even after its upstream dies.
+// of per-segment bases, and a downstream netio source server. A segment's
+// basis, built on its first record, is its held records — each innovative
+// upstream record as it arrived — and an rlnc.Recoder over them. Each
+// downstream session is swept the held records of every segment, each as soon
+// as the relay holds it, so a leaf that dials a relay still filling reads
+// what the relay is sent as it arrives; only a leaf that asks for more is
+// sent fresh recombinations drawn from the bases, which are whole by then. It
+// re-declares its first upstream session, key included, and recodes in its
+// field: in GF(2) (rlnc.WithXorRecode; XNC2 when binary) over
+// ModeSystematic, else GF(2^8). It never decodes — coefficients are in terms
+// of the original source blocks, so leaves are oblivious to the hop (paper
+// Sec. 2) — and serves what it holds even after its upstream dies.
 type Relay struct {
 	id  string
 	cfg RelayConfig
@@ -70,12 +73,16 @@ type Relay struct {
 	key     uint64            // of the relay's counter session, when counter
 	counter bool
 	// Segment seg's basis, nil until its first record: recoders[seg] holds the
-	// payloads of held[seg], which is read without mu once whole[seg] is set,
-	// after the n-th append. spare is the next upstream record's frame.
+	// payloads of held[seg], both appended under mu; whole[seg] publishes the
+	// held records to sweeps, which read them without mu. spare is the next
+	// upstream record's frame.
 	recoders []*rlnc.Recoder
 	held     [][][]byte
-	whole    []atomic.Bool
+	whole    []heldCount
 	spare    []byte
+	// arrived is closed, and cleared, by the next record Absorb holds; a sweep
+	// that waits for one makes it (relaySource.Arrived).
+	arrived atomic.Pointer[chan struct{}]
 	// rows is the [C | x] rows of the downstream pump's batch, reused round
 	// after round under mu.
 	rows [][]byte
@@ -180,9 +187,26 @@ func (r *Relay) onSession(si netio.SessionInfo) {
 	r.key, r.counter = r.upFetch.CounterKey()
 	r.recoders = make([]*rlnc.Recoder, si.Segments)
 	r.held = make([][][]byte, si.Segments)
-	r.whole = make([]atomic.Bool, si.Segments)
+	r.whole = make([]heldCount, si.Segments)
+	for i := range r.whole {
+		r.whole[i].n = int32(si.Params.BlockCount)
+	}
 	close(r.ready)
 }
+
+// heldCount publishes a segment's held records to the sweeps that read them
+// without the relay's lock: Absorb stores the first entry of the slice they
+// are in, then the new count, so every record below a count a sweep loads is
+// in the array it loads after it. (A slice header published each time the
+// slice grows would cost an allocation a growth.)
+type heldCount struct {
+	count atomic.Int32
+	first atomic.Pointer[[]byte]
+	n     int32 // the generation size
+}
+
+// Load reports whether the segment is whole: all n records held.
+func (h *heldCount) Load() bool { return h.count.Load() == h.n }
 
 // relayBank adapts a Relay to netio.Sink: each upstream record is copied once
 // into the spare frame, whose payload the segment's recoder holds (the record
@@ -226,10 +250,13 @@ func (rb *relayBank) Absorb(b *rlnc.CodedBlock, wire []byte) (bool, error) {
 		return false, err
 	}
 	r.spare = nil
-	r.held[seg] = append(r.held[seg], frame)
+	recs := append(r.held[seg], frame)
+	r.held[seg] = recs
+	r.whole[seg].first.Store(&recs[0])
+	r.whole[seg].count.Store(int32(len(recs)))
 	r.rank.Add(1)
-	if len(r.held[seg]) == p.BlockCount {
-		r.whole[seg].Store(true)
+	if ch := r.arrived.Swap(nil); ch != nil {
+		close(*ch)
 	}
 	return true, nil
 }
@@ -357,11 +384,11 @@ func (r *Relay) Close() {
 	})
 }
 
-// relaySource adapts a Relay to netio.RecordSource: each Records call draws
-// fresh recombinations, dense or GF(2), from the segment's recoder straight
-// into the frames the server hands it; a whole segment is swept its held
-// records. A segment with no rank yet fills nothing and the server pump backs
-// off briefly.
+// relaySource adapts a Relay to netio.RecordSource: a session is swept the
+// held records, each as soon as the relay holds it, and each Records call —
+// made only for a session that was swept, so over a whole basis — draws fresh
+// recombinations, dense or GF(2), from the segment's recoder straight into
+// the frames the server hands it.
 type relaySource Relay
 
 // Info is the session the relay learned upstream, set before any server exists.
@@ -369,14 +396,28 @@ func (rs *relaySource) Info() netio.SessionInfo { return rs.info }
 
 func (rs *relaySource) CounterKey() (uint64, bool) { return rs.key, rs.counter }
 
-// Sweep returns held record i of a segment the relay holds whole. A segment
-// not yet whole costs one atomic load; every handshake asks.
+// Sweep returns held record i of segment seg as soon as the relay holds it,
+// without the relay's lock: one atomic load while it does not.
 func (rs *relaySource) Sweep(seg, i int) []byte {
-	r := (*Relay)(rs)
-	if !r.whole[seg].Load() {
+	h := &rs.whole[seg]
+	if int32(i) >= h.count.Load() {
 		return nil
 	}
-	return r.held[seg][i]
+	return unsafe.Slice(h.first.Load(), i+1)[i]
+}
+
+// Arrived returns a channel closed once the relay holds a record it does not
+// hold now: what a sweep that found nothing to write waits on.
+func (rs *relaySource) Arrived() <-chan struct{} {
+	for {
+		if ch := rs.arrived.Load(); ch != nil {
+			return *ch
+		}
+		ch := make(chan struct{})
+		if rs.arrived.CompareAndSwap(nil, &ch) {
+			return ch
+		}
+	}
 }
 
 func (rs *relaySource) Records(seg int, frames [][]byte) int {
@@ -385,13 +426,9 @@ func (rs *relaySource) Records(seg int, frames [][]byte) int {
 	defer sp.End()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if rec := r.recoders[seg]; rec == nil || rec.Rank() == 0 {
-		return 0
-	}
 	// The recode span parents under the upstream server's root span, as the
 	// relay's absorb spans do, and counts toward the generation (trace,
-	// segment) across the tier boundary. Dry polls above never open a span,
-	// so an idle relay does not flood the ring.
+	// segment) across the tier boundary.
 	if tr, root, ok := r.upFetch.TraceContext(); ok {
 		tsp := trace.Begin(r.id, "recode", tr, root, int32(seg))
 		defer tsp.End()

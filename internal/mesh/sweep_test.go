@@ -14,12 +14,14 @@ import (
 	"os"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
 
+	"extremenc/internal/faultnet"
 	"extremenc/internal/netio"
 	"extremenc/internal/rlnc"
 )
@@ -38,6 +40,13 @@ func readSession(t *testing.T, conn net.Conn, count int) (flags uint32, recs [][
 		t.Fatalf("session header: %v", err)
 	}
 	flags = binary.BigEndian.Uint32(body[28:])
+	return flags, readRecords(t, conn, count)
+}
+
+// readRecords reads count records off conn, each with its length prefix.
+func readRecords(t *testing.T, conn net.Conn, count int) (recs [][]byte) {
+	t.Helper()
+	conn.SetReadDeadline(time.Now().Add(30 * time.Second))
 	for range count {
 		rec := make([]byte, 4)
 		if _, err := io.ReadFull(conn, rec); err != nil {
@@ -49,7 +58,7 @@ func readSession(t *testing.T, conn net.Conn, count int) (flags uint32, recs [][
 		}
 		recs = append(recs, rec)
 	}
-	return flags, recs
+	return recs
 }
 
 // recordSegment parses a framed record's segment.
@@ -258,13 +267,11 @@ func fillSegment(t *testing.T, r *Relay, media []byte, seg, rank int) {
 }
 
 // TestRelaySweepPartialSegments: a relay of a counter session, whole in
-// segments 0 and 2 and at half rank in segment 1, sweeps only the whole ones —
-// their held counter records, before anything else — and pushes a default
-// grant of recodes, n + 2 XNC1 records, for the partial one, and then nothing.
-// Every recode is counted as encoded; no swept record is. A leaf that dials
-// the relay while segment 1 still fills reads the sweep and the recodes on
-// the counter session, asks until the relay holds the segment whole, and
-// decodes byte-identical.
+// segments 0 and 2 and at half rank in segment 1, sweeps a session every
+// record it holds — its held counter records, as they arrived — and then
+// writes nothing until segment 1 fills; then the rest of segment 1. The
+// session reads 3n held records, each once, and nothing is recoded. A leaf
+// that dials the relay then decodes byte-identical from its sweep alone.
 func TestRelaySweepPartialSegments(t *testing.T) {
 	p := rlnc.Params{BlockCount: 16, BlockSize: 128}
 	n := p.BlockCount
@@ -275,19 +282,25 @@ func TestRelaySweepPartialSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	swept, grant := 2*n, n+2
-	flags, recs := readSession(t, conn, swept+grant)
+	flags, recs := readSession(t, conn, 2*n+n/2)
 	if flags != 1<<2 {
 		t.Fatalf("flags %#x, want the counter flag", flags)
 	}
+	// Nothing more is held: the next read waits.
+	conn.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+	if k, err := conn.Read(make([]byte, 1)); k != 0 || !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("read %d bytes (%v) past the held records", k, err)
+	}
+	if (*relaySource)(relay).Sweep(1, n/2) != nil {
+		t.Fatal("a record the relay does not hold was swept")
+	}
+	fillSegment(t, relay, media, 1, n)
+	recs = append(recs, readRecords(t, conn, n/2)...)
 	table := map[string]bool{}
-	for _, seg := range []int{0, 2} {
+	for seg := range 3 {
 		for i := range n {
 			table[string((*relaySource)(relay).Sweep(seg, i))] = true
 		}
-	}
-	if (*relaySource)(relay).Sweep(1, 0) != nil {
-		t.Fatal("a partial segment was swept")
 	}
 	format := rlnc.RecordFormat{Params: p, Counter: true, Key: partialKey}
 	for i, rec := range recs {
@@ -295,67 +308,27 @@ func TestRelaySweepPartialSegments(t *testing.T) {
 		if err := b.ParseView(rec[4:], format); err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
-		if i < swept {
-			if !table[string(rec)] || string(rec[4:8]) != "XNC3" {
-				t.Fatalf("sweep record %d (segment %d, %q) is not a held counter record of a whole segment", i, b.SegmentID, rec[4:8])
-			}
-			delete(table, string(rec))
-		} else if b.SegmentID != 1 || string(rec[4:8]) != "XNC1" {
-			t.Fatalf("record %d after the sweep is a %q record of segment %d, want XNC1 recodes of the partial segment 1", i, rec[4:8], b.SegmentID)
+		if !table[string(rec)] || string(rec[4:8]) != "XNC3" {
+			t.Fatalf("sweep record %d (segment %d, %q) is not a held counter record, or was written twice", i, b.SegmentID, rec[4:8])
 		}
-	}
-	// Owed nothing more: the next read waits.
-	conn.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
-	if k, err := conn.Read(make([]byte, 1)); k != 0 || !errors.Is(err, os.ErrDeadlineExceeded) {
-		t.Fatalf("read %d bytes (%v) past the first grant", k, err)
+		delete(table, string(rec))
 	}
 	conn.Close()
 	awaitIdle(t, relay)
 	ledger := relay.Ledger()
-	if !ledger.Consistent() || ledger.BlocksEncoded != int64(grant) || ledger.BlocksSent != int64(swept+grant) {
-		t.Fatalf("ledger %+v: want %d recoded and encoded, %d sent", ledger, grant, swept+grant)
+	if !ledger.Consistent() || ledger.BlocksEncoded != 0 || ledger.BlocksSent != int64(3*n) {
+		t.Fatalf("ledger %+v: want %d sent and none recoded", ledger, 3*n)
 	}
 
-	// A leaf on the still-filling relay: once it has been sent its first
-	// grant, segment 1 fills.
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	var mu sync.Mutex
-	var taps []*tapConn
-	f, err := netio.NewFetcherFromConfig(tapDial(tcpDial(relay.Addr()), &taps, &mu), netio.DefaultFetcherConfig())
+	f, err := netio.NewFetcherFromConfig(tcpDial(relay.Addr()), netio.DefaultFetcherConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	type fetched struct {
-		res *netio.FetchResult
-		err error
-	}
-	done := make(chan fetched, 1)
-	go func() {
-		res, err := f.Fetch(ctx)
-		done <- fetched{res, err}
-	}()
-	for relay.Ledger().BlocksSent < 2*int64(swept+grant) {
-		if ctx.Err() != nil {
-			t.Fatal("the leaf was never sent its first grant")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	fillSegment(t, relay, media, 1, n)
-	leaf := <-done
-	if leaf.err != nil || !bytes.Equal(leaf.res.Payload, media) {
-		t.Fatalf("leaf of a filling relay: %v (stats %+v)", leaf.err, leaf.res.Stats)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	for _, tc := range taps {
-		tc.mu.Lock()
-		flags, magics := hopRecords(t, tc.buf)
-		tc.mu.Unlock()
-		if flags != 1<<2 || magics["XNC3"] == 0 || magics["XNC1"] == 0 || len(magics) != 2 {
-			t.Fatalf("flags %#x and records %v, want the counter flag and XNC3 and XNC1 records", flags, magics)
-		}
-		t.Logf("leaf of a filling relay: %v over %d connections, %d dependent", magics, len(taps), leaf.res.Stats.Dependent)
+	res, err := f.Fetch(ctx)
+	if err != nil || !bytes.Equal(res.Payload, media) || res.Stats.Records != 3*n || res.Stats.Dependent != 0 {
+		t.Fatalf("leaf of a relay filled mid-session: %v (stats %+v)", err, res.Stats)
 	}
 }
 
@@ -927,5 +900,102 @@ func TestRelayHoldsCounterRecordsOnce(t *testing.T) {
 		}); got != 0 {
 			t.Fatalf("xor %v: %.2f allocations sweeping a whole relay, want 0", xor, got)
 		}
+	}
+}
+
+// TestRelaySweepLeavesDialWhileFilling is the gate of a relay that sweeps as
+// it fills: leaves that dial a relay as soon as StartRelay returns, while the
+// relay still fills over a slow upstream, are swept its held records as they
+// arrive. Each reads at most n × segments + margin records, at most a tenth of
+// them dependent, and the last of them finishes — median over the runs — no
+// later than the last leaf of a relay that fills first and then serves. Both
+// hops read through the same slow link, a 2 ms stall about every KiB.
+func TestRelaySweepLeavesDialWhileFilling(t *testing.T) {
+	p := rlnc.Params{BlockCount: 16, BlockSize: 256}
+	const segments, leaves, runs, margin = 4, 3, 3, 2
+	media := testMedia(t, segments*p.SegmentSize(), 54)
+	_, ol := startOrigin(t, media, p, netio.DefaultServerConfig())
+	slow := func(seed int64, base netio.DialFunc) netio.DialFunc {
+		d, _ := faultnet.Dialer(faultnet.Config{Seed: seed, StallEvery: 1 << 10, Stall: 2 * time.Millisecond, MaxReadChunk: 1 << 10}, base)
+		return d
+	}
+	// leg starts a relay, has leaves fetch through it — once it is full when
+	// fillFirst — and returns the time from StartRelay to the last leaf's
+	// completion, with what the leaves read.
+	leg := func(run int64, fillFirst bool) (last time.Duration, records []int, dependent int) {
+		rln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		t0 := time.Now()
+		relay, err := StartRelay(ctx, RelayConfig{ID: "rf", Upstream: slow(run, tcpDial(ol.Addr().String())), Listener: rln, Seed: run})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer relay.Close()
+		if fillFirst {
+			select {
+			case <-relay.fetchDone:
+			case <-ctx.Done():
+				t.Fatalf("relay stuck at rank %d", relay.TotalRank())
+			}
+		}
+		results := make([]*netio.FetchResult, leaves)
+		errs := make([]error, leaves)
+		var wg sync.WaitGroup
+		for i := range leaves {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				f, err := netio.NewFetcherFromConfig(slow(100*run+int64(i), tcpDial(relay.Addr())), netio.DefaultFetcherConfig())
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				results[i], errs[i] = f.Fetch(ctx)
+				if errs[i] == nil && !bytes.Equal(results[i].Payload, media) {
+					errs[i] = errors.New("payload differs")
+				}
+			}()
+		}
+		wg.Wait()
+		last = time.Since(t0)
+		if err := errors.Join(errs...); err != nil {
+			t.Fatalf("leaves of relay run %d (fill first %v): %v", run, fillFirst, err)
+		}
+		for _, res := range results {
+			records = append(records, res.Stats.Records)
+			dependent += res.Stats.Dependent
+		}
+		return last, records, dependent
+	}
+	median := func(d []time.Duration) time.Duration {
+		d = slices.Clone(d)
+		slices.Sort(d)
+		return d[len(d)/2]
+	}
+	var swept, filled []time.Duration
+	for run := range int64(runs) {
+		last, records, dependent := leg(run, false)
+		t.Logf("run %d: leaves dialing at once read %v records (%d dependent), the last done after %v", run, records, dependent, last)
+		total := 0
+		for _, r := range records {
+			total += r
+			if r > segments*p.BlockCount+margin {
+				t.Errorf("run %d: a leaf read %d records, want at most %d", run, r, segments*p.BlockCount+margin)
+			}
+		}
+		if 10*dependent > total {
+			t.Errorf("run %d: %d of %d records dependent, want at most a tenth", run, dependent, total)
+		}
+		swept = append(swept, last)
+		last, _, _ = leg(run, true)
+		filled = append(filled, last)
+	}
+	t.Logf("last leaf, median of %d runs: %v dialing at once, %v filling first", runs, median(swept), median(filled))
+	if median(swept) > median(filled) {
+		t.Fatalf("leaves dialing at once finished after %v, leaves of a relay that filled first after %v", median(swept), median(filled))
 	}
 }

@@ -59,8 +59,7 @@ type ServerConfig struct {
 	// compact XNC2 encoding, and repair is the GF(2) XOR repair + dense tail
 	// part of rlnc.SystematicEncoder's schedule. NewSourceServerFromConfig
 	// overrides Mode with the source's declared mode; its sessions are swept
-	// the segments the source holds whole and owed a grant of the rest from
-	// the handshake on.
+	// the same way, each record as soon as the source holds it.
 	Mode WireMode
 	// RetryAfter is the hint carried in BUSY admission decisions (session
 	// cap, address-less drain): how long the client should wait before
@@ -149,9 +148,7 @@ type FetcherConfig struct {
 	// BackoffMax (0 → 2s), and is then jittered by half of itself either way
 	// (still capped at BackoffMax), so a fleet of clients that lost the same
 	// server does not reconnect in lockstep. The schedule resets after any
-	// session that delivered records. The same schedule spaces a session's
-	// need records while their grants raise no rank (see Fetcher), and
-	// resets once one does.
+	// session that delivered records.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
 	// Seed fixes the jitter's random source for reproducible schedules

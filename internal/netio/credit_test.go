@@ -16,7 +16,7 @@ import (
 // costs, and what a silent, flooding or lying peer can buy. These tests run
 // over net.Pipe, where the server's reads are counted at the connection.
 
-// creditServer is a dense push server (newPushServer) over a two-segment
+// creditServer is a dense pool server (newPoolServer) over a two-segment
 // object of p, served on a counting pipe listener for the lifetime of the test.
 func creditServer(t *testing.T, p rlnc.Params, mutate func(*ServerConfig)) (*Server, *readCountListener) {
 	t.Helper()
@@ -26,7 +26,7 @@ func creditServer(t *testing.T, p rlnc.Params, mutate func(*ServerConfig)) (*Ser
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	srv := newPushServer(t, media, p, cfg)
+	srv := newPoolServer(t, media, p, cfg)
 	counted := &readCountListener{Listener: newPipeListener()}
 	serveOn(t, srv, counted)
 	return srv, counted
@@ -48,6 +48,24 @@ func drainRecords(conn net.Conn, size int) <-chan int {
 		}
 	}()
 	return done
+}
+
+// readSweep reads the handshake and the sweep of a creditServer session, two
+// segments of n records, and then writes need unless it is nil.
+func readSweep(t *testing.T, conn net.Conn, p rlnc.Params, need []byte) {
+	t.Helper()
+	if _, err := readHandshake(conn); err != nil {
+		t.Fatal(err)
+	}
+	sweep := make([]byte, 2*p.BlockCount*(recordLenLen+rlnc.WireSize(p)))
+	if _, err := io.ReadFull(conn, sweep); err != nil {
+		t.Fatal(err)
+	}
+	if need != nil {
+		if _, err := conn.Write(need); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // awaitSent polls until the server has sent want records, failing if it sends
@@ -81,27 +99,25 @@ func exactLedger(t *testing.T, snap Snapshot) {
 	}
 }
 
-// TestSatisfiedServerParks: once every live session has read its grant and
-// asked for nothing more, the pump parks — nothing encoded, no stall charged —
-// however long the sessions stay. A pushing server encodes on until every
-// queue is full, then charges stall.
+// TestSatisfiedServerParks: once every live session has read its sweep and
+// the grant of its one ask, and asked for nothing more, the pump parks —
+// nothing encoded, no stall charged — however long the sessions stay.
 func TestSatisfiedServerParks(t *testing.T) {
 	p := rlnc.Params{BlockCount: 8, BlockSize: 64}
 	srv, counted := creditServer(t, p, nil)
 	pl := counted.Listener.(*pipeListener)
-	grant := int64(2 * (p.BlockCount + marginDense))
+	n := uint32(p.BlockCount)
+	sweep, grant := int64(2*p.BlockCount), int64(2*(p.BlockCount+marginDense))
 	for i := 0; i < 2; i++ {
 		conn := pl.Dial()
 		defer conn.Close()
-		if _, err := readHandshake(conn); err != nil {
-			t.Fatal(err)
-		}
+		readSweep(t, conn, p, appendNeed(nil, []uint32{n, n}))
 		drainRecords(conn, rlnc.WireSize(p))
 	}
-	before := awaitSent(t, srv, 2*grant)
+	before := awaitSent(t, srv, 2*(sweep+grant))
 	time.Sleep(100 * time.Millisecond)
 	after := srv.Snapshot()
-	if after.BlocksEncoded != before.BlocksEncoded || after.BlocksSent != 2*grant {
+	if after.BlocksEncoded != before.BlocksEncoded || after.BlocksSent != 2*(sweep+grant) {
 		t.Fatalf("a satisfied server went on: encoded %d → %d, sent %d", before.BlocksEncoded, after.BlocksEncoded, after.BlocksSent)
 	}
 	if after.EncodeStall != 0 {
@@ -113,36 +129,37 @@ func TestSatisfiedServerParks(t *testing.T) {
 	exactLedger(t, after)
 }
 
-// TestCreditSilentPeer: a push session that reads everything and neither
-// closes nor asks is sent exactly segments × (n + margin) records, and the
-// server reads nothing from it.
+// TestCreditSilentPeer: a session that reads its sweep, asks once for every
+// segment whole and then neither closes nor asks again is sent exactly the
+// sweep and segments × (n + margin) records, and the server reads nothing
+// from it but the one need record.
 func TestCreditSilentPeer(t *testing.T) {
 	p := rlnc.Params{BlockCount: 8, BlockSize: 64}
 	srv, counted := creditServer(t, p, nil)
 	conn := counted.Listener.(*pipeListener).Dial()
-	if _, err := readHandshake(conn); err != nil {
-		t.Fatal(err)
-	}
+	n := uint32(p.BlockCount)
+	readSweep(t, conn, p, appendNeed(nil, []uint32{n, n}))
 	read := drainRecords(conn, rlnc.WireSize(p))
-	grant := int64(2 * (p.BlockCount + marginDense))
-	exactLedger(t, awaitSent(t, srv, grant))
+	sweep, grant := int64(2*p.BlockCount), int64(2*(p.BlockCount+marginDense))
+	exactLedger(t, awaitSent(t, srv, sweep+grant))
 	time.Sleep(50 * time.Millisecond)
-	exactLedger(t, awaitSent(t, srv, grant))
+	exactLedger(t, awaitSent(t, srv, sweep+grant))
 	conn.Close()
 	if got := <-read; int64(got) != grant {
-		t.Fatalf("peer read %d records, want %d", got, grant)
+		t.Fatalf("peer read %d records past its sweep, want %d", got, grant)
 	}
 	awaitSessions(t, srv, 0)
 	srv.Shutdown() // waits for the sessions' teardown sheds
 	snap := srv.Snapshot()
 	checkAccounting(t, snap)
-	if snap.BlocksSent != grant || counted.bytes.Load() != 0 {
-		t.Fatalf("sent %d records, read %d bytes: want %d and 0", snap.BlocksSent, counted.bytes.Load(), grant)
+	if snap.BlocksSent != sweep+grant || counted.bytes.Load() != int64(needLen(2)) {
+		t.Fatalf("sent %d records, read %d bytes: want %d and one need record's %d", snap.BlocksSent, counted.bytes.Load(), sweep+grant, needLen(2))
 	}
 }
 
 // TestCreditSilentPeerIdlesOut: a session owed nothing with nothing queued is
-// dropped once it stays silent past the write-deadline budget.
+// dropped once it stays silent past the write-deadline budget: one that reads
+// its sweep and never asks.
 func TestCreditSilentPeerIdlesOut(t *testing.T) {
 	p := rlnc.Params{BlockCount: 8, BlockSize: 64}
 	const deadline = 60 * time.Millisecond
@@ -155,8 +172,8 @@ func TestCreditSilentPeerIdlesOut(t *testing.T) {
 	}
 	t0 := time.Now()
 	read := drainRecords(conn, rlnc.WireSize(p))
-	if got := <-read; got != 2*(p.BlockCount+marginDense) {
-		t.Fatalf("peer read %d records before the server hung up", got)
+	if got := <-read; got != 2*p.BlockCount {
+		t.Fatalf("peer read %d records before the server hung up, want its sweep of %d", got, 2*p.BlockCount)
 	}
 	if took := time.Since(t0); took < deadline/2 {
 		t.Fatalf("silent peer dropped after %v", took)
@@ -173,9 +190,7 @@ func TestCreditFloodNeverRaisesCredit(t *testing.T) {
 	p := rlnc.Params{BlockCount: 8, BlockSize: 64}
 	srv, counted := creditServer(t, p, nil)
 	conn := counted.Listener.(*pipeListener).Dial()
-	if _, err := readHandshake(conn); err != nil {
-		t.Fatal(err)
-	}
+	readSweep(t, conn, p, nil)
 	read := drainRecords(conn, rlnc.WireSize(p))
 	awaitSessions(t, srv, 1)
 	var ss *session
@@ -224,8 +239,8 @@ func TestCreditFloodNeverRaisesCredit(t *testing.T) {
 	srv.Shutdown() // waits for the sessions' teardown sheds
 	snap := srv.Snapshot()
 	checkAccounting(t, snap)
-	// Each ask bought at most one grant.
-	if limit := int64(asks+1) * int64(srv.grantCap) * 2; snap.BlocksOffered > limit || int64(got) > snap.BlocksSent {
+	// The sweep, and at most one grant an ask.
+	if limit := int64(2*p.BlockCount) + int64(asks)*int64(srv.grantCap)*2; snap.BlocksOffered > limit || int64(got) > snap.BlocksSent {
 		t.Fatalf("offered %d (limit %d), peer read %d of %d sent", snap.BlocksOffered, limit, got, snap.BlocksSent)
 	}
 	if counted.bytes.Load() != int64(asks*needLen(2)) {
@@ -276,12 +291,13 @@ func TestCreditBadNeedEndsSession(t *testing.T) {
 	}
 }
 
-// repeatSource is a counter source that sweeps nothing — so it is pushed from
-// the handshake on — and claims half of every batch's indices again in its
+// repeatSource is a counter source whose sweep repeats each even index in
+// place of the odd one after it — so a session is swept half of every
+// segment's rank — and that claims half of every batch's indices again in its
 // next batch: a grant of it carries dependent records.
 type repeatSource struct{ *counterSource }
 
-func (repeatSource) Sweep(seg, i int) []byte { return nil }
+func (r repeatSource) Sweep(seg, i int) []byte { return r.counterSource.Sweep(seg, i&^1) }
 
 func (r repeatSource) Records(seg int, frames [][]byte) int {
 	k := r.counterSource.Records(seg, frames)
@@ -290,8 +306,8 @@ func (r repeatSource) Records(seg int, frames [][]byte) int {
 }
 
 // TestDependentGrantCostsAReask: a counter session whose records repeat
-// indices leaves a fetch short when its grant is read; it asks for its
-// deficits, and finishes byte-identical.
+// indices leaves a fetch short when its sweep, and then its grant, is read; it
+// asks for its deficits again, and finishes byte-identical.
 func TestDependentGrantCostsAReask(t *testing.T) {
 	p := rlnc.Params{BlockCount: 16, BlockSize: 64}
 	media := testMedia(t, 2*p.SegmentSize(), 82)
@@ -310,7 +326,7 @@ func TestDependentGrantCostsAReask(t *testing.T) {
 	if err != nil || !bytes.Equal(res.Payload, media) {
 		t.Fatalf("fetch: %v (stats %+v)", err, res.Stats)
 	}
-	if res.Stats.Dependent == 0 || srv.needRecords.Load() == 0 {
+	if res.Stats.Dependent == 0 || srv.needRecords.Load() < 2 {
 		t.Fatalf("dependent %d, need records %d: the grant never fell short", res.Stats.Dependent, srv.needRecords.Load())
 	}
 	awaitSessions(t, srv, 0)
@@ -320,8 +336,8 @@ func TestDependentGrantCostsAReask(t *testing.T) {
 }
 
 // TestPumpParkDoesNotAllocate: a timed park — behind full queues, where the
-// wait is charged as stall, or on a dry source — reuses the pump's one timer,
-// so a pump that outpaces its writers parks without making garbage.
+// wait is charged as stall — reuses the pump's one timer, so a pump that
+// outpaces its writers parks without making garbage.
 func TestPumpParkDoesNotAllocate(t *testing.T) {
 	p := rlnc.Params{BlockCount: 8, BlockSize: 64}
 	srv, err := NewServerFromConfig(testMedia(t, p.SegmentSize(), 72), p, DefaultServerConfig())
@@ -330,7 +346,7 @@ func TestPumpParkDoesNotAllocate(t *testing.T) {
 	}
 	defer srv.Shutdown()
 	if got := testing.AllocsPerRun(20, func() {
-		if !srv.park(true) || !srv.nap(time.Millisecond, nil) {
+		if !srv.park(true) {
 			t.Fatal("a live server's park reported it stopping")
 		}
 	}); got != 0 {

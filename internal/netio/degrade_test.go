@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -221,21 +222,27 @@ func TestShutdownDrainRace(t *testing.T) {
 	checkAccounting(t, srv.Snapshot())
 }
 
-// TestStalledPeerRefusesNoOne: a peer that never reads, on a push server that
-// never drops it, parks the pump with its queue full — the wait is charged as
-// encode stall — but costs nobody else anything: the next fetch is admitted
-// and completes, and no BUSY is written.
+// TestStalledPeerRefusesNoOne: a peer that asks past its sweep and then never
+// reads, on a server that never drops it, parks the pump with its queue full
+// — the wait is charged as encode stall — but costs nobody else anything: the
+// next fetch is admitted and completes, and no BUSY is written.
 func TestStalledPeerRefusesNoOne(t *testing.T) {
 	p := rlnc.Params{BlockCount: 8, BlockSize: 256}
 	media := testMedia(t, p.SegmentSize(), 25)
 	cfg := DefaultServerConfig()
 	cfg.QueueDepth = 2
 	cfg.WriteDeadline = 0 // never drop the staller
-	srv := newPushServer(t, media, p, cfg)
+	srv := newPoolServer(t, media, p, cfg)
 	l := startPipeServer(t, srv)
 
 	staller := l.Dial()
 	if _, err := readHandshake(staller); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadFull(staller, make([]byte, p.BlockCount*(recordLenLen+rlnc.WireSize(p)))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := staller.Write(appendNeed(nil, []uint32{uint32(p.BlockCount)})); err != nil {
 		t.Fatal(err)
 	}
 	for deadline := time.Now().Add(15 * time.Second); srv.Snapshot().EncodeStall == 0; time.Sleep(time.Millisecond) {

@@ -10,7 +10,6 @@ import (
 	"maps"
 	"math/rand"
 	"net"
-	"os"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -189,10 +188,6 @@ type Fetcher struct {
 	// failed attempt's span is simply dropped when the next one starts.
 	reconnSpan obs.Span
 
-	// rank is the sum of every segment's rank in the sink, kept as records
-	// are absorbed: what a barren ask is measured against.
-	rank int
-
 	// Inherited trace context from the server's session header. Atomics: the
 	// fetch loop is single-goroutine, but a relay's serving side reads these
 	// concurrently (TraceContext) to parent its own spans.
@@ -322,7 +317,7 @@ func (f *Fetcher) Fetch(ctx context.Context) (*FetchResult, error) {
 	// absorbs at least one record: a server that streamed data and then
 	// dropped us is healthy, so the next reconnect should be prompt, not
 	// pay for every disconnect since the fetch began. Only consecutive
-	// barren attempts escalate the delay. attempt keeps counting every
+	// unproductive attempts escalate the delay. attempt keeps counting every
 	// dial for the maxAttempts budget.
 	retry := 0
 	for attempt := 0; ; attempt++ {
@@ -519,7 +514,6 @@ func (f *Fetcher) session(ctx context.Context, conn net.Conn) (done, fatal bool,
 			f.sink = f.leaf
 		}
 		for _, r := range f.Ranks() {
-			f.rank += r
 			if r == h.Params.BlockCount {
 				f.ready++
 			}
@@ -551,63 +545,21 @@ func (f *Fetcher) session(ctx context.Context, conn net.Conn) (done, fatal bool,
 	// Each record is parsed where it lies in the session's reader, into one
 	// CodedBlock per session whose payload views it, and absorbed — the sink
 	// copies what it keeps. Framing loss or a cut stream ends the session; the
-	// fetcher resynchronizes by reconnecting, keeping all rank. The server owes
-	// a session n records of each segment it holds whole (its sweep) and
-	// n + margin of every other one, and then falls silent until asked: a
-	// fetch still short of rank once it has read its last ask's worth (records
-	// arrived damaged, dependent, or repeating what earlier sessions brought)
-	// asks again for its deficits. The grant covers at least the ask, so the
-	// count always runs out or the fetch completes.
-	//
-	// An ask whose records raised no rank — a relay still filling recodes a
-	// basis the fetch already spans — is barren, and the next one is held back
-	// for the backoff schedule's next delay, longer while they stay barren:
-	// the fetch reads on meanwhile, under a read deadline at which it asks,
-	// and asks at once if a record it reads raises rank after all. So fetch
-	// and server do not spin on dependent records, and records already on
-	// their way are never waited for.
+	// fetcher resynchronizes by reconnecting, keeping all rank. The server
+	// sweeps a session n records of every segment and then falls silent until
+	// asked: a fetch still short of rank once it has read what its last ask
+	// bought (records arrived damaged, dependent, or repeating what earlier
+	// sessions brought) asks again for its deficits. The grant is what the ask
+	// counts down, so the count always runs out or the fetch completes, and a
+	// fetch whose records raise no rank writes one need record per grant read.
 	var blk rlnc.CodedBlock
-	askedAt, barren := f.rank, 0
-	held, wait := false, obs.Span{} // an ask is held back, and its wait
-	ask := func() error {
-		askedAt = f.rank
-		if err := cs.ask(f.need()); err != nil {
-			return fmt.Errorf("%w: need record: %v", ErrStreamTruncated, err)
-		}
-		return nil
-	}
-	unhold := func() error {
-		held = false
-		wait.End()
-		return readBy(ctx, conn, time.Time{})
-	}
 	for f.remaining() > 0 {
-		if cs.spent() && !held {
-			if f.rank == askedAt {
-				barren++
-				held, wait = true, stageFetchBackoff.Start()
-				d := backoffDelay(barren, f.cfg.BackoffBase, f.cfg.BackoffMax, backoffJitter, f.rng)
-				if err := readBy(ctx, conn, time.Now().Add(d)); err != nil {
-					return false, false, err
-				}
-			} else {
-				barren = 0
-				if err := ask(); err != nil {
-					return false, false, err
-				}
+		if cs.spent() {
+			if err := cs.ask(f.need()); err != nil {
+				return false, false, fmt.Errorf("%w: need record: %v", ErrStreamTruncated, err)
 			}
 		}
 		rec, wire, err := cs.next()
-		if err != nil && held && errors.Is(err, os.ErrDeadlineExceeded) && ctx.Err() == nil {
-			// Nothing raised rank before the deadline: ask now.
-			if err := unhold(); err != nil {
-				return false, false, err
-			}
-			if err := ask(); err != nil {
-				return false, false, err
-			}
-			continue
-		}
 		if err != nil {
 			if cs.lost {
 				f.stats.framingResyncs.Inc()
@@ -627,36 +579,23 @@ func (f *Fetcher) session(ctx context.Context, conn net.Conn) (done, fatal bool,
 		if err != nil {
 			return false, true, err
 		}
-		if held && f.rank > askedAt {
-			// The last ask's records raised rank after all: the next ask
-			// need not wait.
-			barren = 0
-			if err := unhold(); err != nil {
-				return false, false, err
-			}
-		}
 	}
 	return true, false, nil
 }
 
-// readBy sets conn's read deadline to t (zero: none) and returns ctx's error:
-// a cancelled ctx has moved the deadline into the past, and one set after
-// that must not leave a read blocked.
-func readBy(ctx context.Context, conn net.Conn, t time.Time) error {
-	conn.SetReadDeadline(t)
-	return ctx.Err()
-}
-
 // need lays out the need record carrying every segment's rank deficit and
-// returns it with their sum: the records the next ask waits for.
+// returns it with the grant it buys — deficit plus margin for every short
+// segment: the records the next ask waits for.
 func (f *Fetcher) need() ([]byte, int) {
-	n := f.hdr.Params.BlockCount
+	n, margin := f.hdr.Params.BlockCount, grantMargin(f.hdr.Mode)
 	f.deficits = f.deficits[:0]
 	sum := 0
 	for seg := range uint32(f.hdr.Segments) {
 		d := n - f.sink.Rank(seg)
 		f.deficits = append(f.deficits, uint32(d))
-		sum += d
+		if d > 0 {
+			sum += d + margin
+		}
 	}
 	f.needBuf = appendNeed(f.needBuf[:0], f.deficits)
 	return f.needBuf, sum
@@ -701,9 +640,6 @@ func (f *Fetcher) absorb(blk *rlnc.CodedBlock, rec []byte, tctx traceContext) er
 	sp.End()
 	if err != nil {
 		return err
-	}
-	if innovative {
-		f.rank++
 	}
 	switch {
 	case innovative && before+1 == n:

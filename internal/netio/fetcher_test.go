@@ -774,9 +774,10 @@ func counterStream(t testing.TB, obj *rlnc.Object, key uint64, extra int) []byte
 	return buf
 }
 
-// recodedCounterStream is a one-segment counter session under key at n = 32,
-// as a relay over a counter origin sends it: counter records 0…n/2−1 as they
-// arrived, then XNC1 recombinations of the whole segment, n/2 + 2 of them.
+// recodedCounterStream is a one-segment counter session under key at n = 32
+// with both kinds of record a relay over a counter origin sends: counter
+// records 0…n/2−1 as they arrived, then XNC1 recombinations of the whole
+// segment, n/2 + 2 of them.
 // With xnc2 set, the second record after the counter ones is an XNC2 record
 // of a source block instead: at n = 32 its bitmask is as long as an index, so
 // its length prefix is a counter session's, and only its magic tells.

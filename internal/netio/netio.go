@@ -4,11 +4,11 @@
 // object; a client decodes progressively and hangs up as soon as it holds
 // full rank for everything — no acknowledgements, retransmissions, or block
 // scheduling needed, because any blocks work. The server does not push
-// without end: each session is owed a bounded credit per segment — the
-// generation size plus a small margin — and a client still short of rank
-// when its credit is read says by how much (the need record below), which
-// buys it more. Feedback only trims what is sent; which records travel is
-// never a client's choice.
+// without end: each session is written one basis of every segment — the
+// sweep — and a client still short of rank once it has read it says by how
+// much (the need record below), which buys it a bounded credit of more.
+// Feedback only trims what is sent; which records travel is never a client's
+// choice.
 //
 // The Server (server.go) multiplexes many concurrent sessions over one
 // encoder pump, which fans its records out to the bounded queues of the
@@ -36,37 +36,32 @@ import (
 //	                  u64 payload length | u32 wire mode | u32 flags | TLV fields
 //	  or a decision   XNCD body (admission.go): BUSY, then close
 //	then records:     u32 length | coded block (XNC1, XNC2 or XNC3, package
-//	                  rlnc), round-robin across segments, as far as the
-//	                  session's credit goes, until the client closes.
+//	                  rlnc): the sweep, then what the client's need records
+//	                  buy, round-robin across segments, until it closes.
 //
 // The client writes only need records (XNCN, a control record), and only after
 // the handshake:
 //
 //	XNCN body:        u32 segment count | per segment, u32 rank deficit
 //
-// Credit. From the handshake on, a session is owed n + margin records of every
-// segment, without writing anything. A need record sets — never adds to —
-// segment s's credit to min(deficit_s, n) + margin, or 0 where the deficit is
-// 0. The pump offers a session no more than it is owed and its queue has room
-// for, and takes what it offers from the credit. margin is a constant of the
-// session's coding field (grantMargin): 2 for dense GF(2^8) records, 8 where
-// records are GF(2) combinations (ModeSystematic). A client counts every
-// record it reads, damaged ones included; once it has read as many as its
-// last ask named — n per segment until it has asked — and is still short, it
-// writes a need record with its current deficits, and asks for their sum.
-// Every ask is met with at least what it named, so a client that lacks rank
-// never waits on a silent server: dependent or damaged records cost it one
-// round trip. An ask whose records raised no rank is barren — a relay still
-// filling can only recode the basis it has — and the Fetcher holds its next
-// ask back for its reconnect backoff's next delay (BackoffBase doubling to
-// BackoffMax, timed as fetch.backoff), longer while asks stay barren and
-// reset once rank grows; it reads on meanwhile and asks at once if a record
-// raises rank. The server reads need
-// records into a buffer sized by its own segment count, so a record declaring
-// another count, a body of the wrong length, or anything that is not a need
-// record ends the session after at most one record's bytes. A session owed
-// nothing with nothing queued waits WriteDeadline for a need record before it
-// is dropped.
+// Credit. A session opens owed nothing but its sweep (below). A need record
+// sets — never adds to — segment s's credit to min(deficit_s, n) + margin, or
+// 0 where the deficit is 0. The pump offers a session no more than it is owed
+// and its queue has room for, and takes what it offers from the credit.
+// margin is a constant of the session's coding field (grantMargin): 2 for
+// dense GF(2^8) records, 8 where records are GF(2) combinations
+// (ModeSystematic). A client counts every record it reads, damaged ones
+// included; once it has read what it was last owed — n per segment until it
+// has asked, then the grant its last ask bought — and is still short, it
+// writes a need record with its current deficits. Every ask is met with what
+// it bought, so a client that lacks rank never waits on a silent server:
+// dependent or damaged records cost it one round trip, and however many a
+// server sends, a client writes at most one need record per margin's worth
+// of records read. The server reads need records into a buffer sized by its
+// own segment count, so a record declaring another count, a body of the
+// wrong length, or anything that is not a need record ends the session after
+// at most one record's bytes. A session owed nothing with nothing queued
+// waits WriteDeadline for a need record before it is dropped.
 //
 // A TLV field is u8 type | u8 length | value: type 1 is the transfer's 8-byte
 // trace ID, type 2 the server's 8-byte root span, type 3 the 8-byte key of a
@@ -88,18 +83,16 @@ import (
 // v6, XNC1: a relay of a counter session forwards its XNC3 records under its
 // key, but its recombinations have no index. Systematic headers refuse it.
 //
-// A session opens with one sweep of every segment the server holds whole: n
-// records of a basis of it (counter records 0…n−1 of a media-backed ModeDense
-// server as XNC3, the source blocks of a ModeSystematic one as XNC2, a relay's
-// held records as they arrived), each once. It is the session's first grant
-// in those segments, owed nothing more of them; other segments are owed a
-// default grant, written after it. A client that decoded everything just
-// closes; one that did not writes a need record, which buys records of its
-// short segments like any other grant — after loss, or, for about one (key,
+// Every session opens with one sweep: n records of a basis of every segment
+// (counter records 0…n−1 of a media-backed ModeDense server as XNC3, the
+// source blocks of a ModeSystematic one as XNC2, a relay's held records as
+// they arrived), each once, each as soon as the server holds it — a relay
+// still filling writes each record as it arrives. A client that decoded
+// everything just closes; one that did not writes a need record, which buys
+// records of its short segments — after loss, or, for about one (key,
 // segment) pair in 255, because a dense origin's counter vectors 0…n−1 fall
-// short of rank n. The server reads nothing before its sweep is written, and
-// the client's countdown is n records a segment either way, so the header
-// does not say which segments are swept.
+// short of rank n. The server reads nothing before its sweep is written, so
+// an ask always meets a whole basis.
 //
 // The wire mode is the server's declaration of the coding discipline for the
 // whole session; the client adapts its record parser to it. In ModeDense

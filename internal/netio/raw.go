@@ -21,10 +21,10 @@ import (
 // pending Next.
 //
 // A drain client wants every record a server can produce, but a server sends
-// a session only what it is owed — n + margin records of each segment, or n
-// of a segment it sweeps. So once it has read that first grant's n records a
-// segment, every Next first asks for a fresh one: a need record declaring
-// every segment n short, which resets the server's credit to a full grant. A
+// a session only what it is owed — its sweep, n records of each segment, and
+// then what it asks for. So once it has read the sweep, every Next first asks
+// for a fresh grant: a need record declaring every segment n short, which
+// resets the server's credit to a full grant. A
 // fast reader is thus never starved by a round trip, and a slow one is owed
 // more than it reads — it backs the server's queues up, as a pushing server's
 // slow reader did. The stream it reads is without end.

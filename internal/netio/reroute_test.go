@@ -5,6 +5,7 @@ import (
 	"context"
 	"math/rand"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -179,7 +180,8 @@ func TestSessionHookSeesDeclaredInfo(t *testing.T) {
 }
 
 // poolSource is a minimal out-of-package-style RecordSource: a fixed
-// pre-encoded pool of dense records per segment, handed out cyclically.
+// pre-encoded pool of dense records per segment. Its sweep is each segment's
+// first n records, and Records hands out the rest cyclically, from the n-th.
 type poolSource struct {
 	info SessionInfo
 	recs [][][]byte // [segment][record]
@@ -203,16 +205,15 @@ func newPoolSource(t *testing.T, obj *rlnc.Object, perSeg int) *poolSource {
 			}
 			src.recs[i] = append(src.recs[i], rec)
 		}
+		src.next[i] = obj.Params.BlockCount
 	}
 	return src
 }
 
-// newPushServer is a server over a poolSource of media split at p, 2n records
-// a segment: a source that holds no segment whole, so each session is owed a
-// grant of every segment from the handshake on and the pump encodes it — the
-// shape the credit and park tests need, which a media-backed server,
-// sweeping every segment, never takes on a clean link.
-func newPushServer(t *testing.T, media []byte, p rlnc.Params, cfg ServerConfig) *Server {
+// newPoolServer is a server over a poolSource of media split at p, 2n records
+// a segment: a session reads its sweep, n XNC1 records a segment, and what it
+// asks for then is the pump's — the shape the credit and park tests need.
+func newPoolServer(t *testing.T, media []byte, p rlnc.Params, cfg ServerConfig) *Server {
 	t.Helper()
 	obj, err := rlnc.Split(media, p)
 	if err != nil {
@@ -229,8 +230,8 @@ func (s *poolSource) Info() SessionInfo { return s.info }
 
 func (s *poolSource) CounterKey() (uint64, bool) { return 0, false }
 
-// Sweep: a pool of recombinations holds no segment whole.
-func (s *poolSource) Sweep(seg, i int) []byte { return nil }
+// Sweep: the pool's first n records of the segment.
+func (s *poolSource) Sweep(seg, i int) []byte { return s.recs[seg][i] }
 
 func (s *poolSource) Records(seg int, frames [][]byte) int {
 	for i, frame := range frames {
@@ -238,6 +239,45 @@ func (s *poolSource) Records(seg int, frames [][]byte) int {
 		s.next[seg]++
 	}
 	return len(frames)
+}
+
+// fillingSource is a poolSource that holds, for its sweep, only the first held
+// records of every segment until a test lets more in: a relay still filling.
+// Arrived's channel is closed by the next let.
+type fillingSource struct {
+	*poolSource
+	mu      sync.Mutex
+	held    int
+	arrived chan struct{}
+}
+
+func (s *fillingSource) Sweep(seg, i int) []byte {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if i >= s.held {
+		return nil
+	}
+	return s.poolSource.Sweep(seg, i)
+}
+
+func (s *fillingSource) Arrived() <-chan struct{} {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.arrived == nil {
+		s.arrived = make(chan struct{})
+	}
+	return s.arrived
+}
+
+// let has the source hold k more records of every segment.
+func (s *fillingSource) let(k int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.held += k
+	if s.arrived != nil {
+		close(s.arrived)
+		s.arrived = nil
+	}
 }
 
 // TestSourceServer: a server over an arbitrary RecordSource must drive a

@@ -57,31 +57,31 @@ func flushRecords(frameLen, queueDepth int) int {
 // A per-flush write deadline bounds the cost of a stuck peer, and the traffic
 // ledger is exposed via Snapshot.
 //
-// Every session holds a credit per segment: how many more records of it the
-// session is owed (n + margin from the handshake on; netio.go has the rules).
-// The pump encodes only what some session is owed and has queue room for, so a
-// client that hangs up at full rank leaves at most the margin unsent, and a
-// satisfied server parks instead of filling socket buffers. Each session has
-// one reader of client→server records, which turns need records into fresh
-// credit and ends the session at end of stream, on any other bytes, or — once
-// the session is owed nothing and has nothing queued — after the
-// write-deadline budget of silence.
+// Every session opens with one sweep: of every segment, the n records of the
+// source's basis for it (counter records 0…n−1 of a media-backed ModeDense
+// server, the source blocks of a ModeSystematic one, a relay's held records),
+// each once, as soon as the source holds it, from a table of framed records
+// all sessions share, each asked of the source once, as fast as its
+// connection takes them, through no queue, reading nothing meanwhile. Then it
+// starts its reader, owed nothing: a peer that decoded from the sweep hangs
+// up (the common case, and the pump never woke), and one that asks is fed the
+// pump's records, as far as its credit goes. The session is in the server's
+// session set from the handshake on, so the session cap, Snapshot, Drain and
+// Shutdown see it in every state.
+//
+// Credit is per segment: how many more records of it the session is owed,
+// set from each need record (netio.go has the rules). The pump encodes only
+// what some session is owed and has queue room for, so a client that hangs
+// up at full rank leaves at most the margin unsent, and a satisfied server
+// parks instead of filling socket buffers. The session's one reader of
+// client→server records turns need records into credit and ends the session
+// at end of stream, on any other bytes, or — once the session is owed
+// nothing and has nothing queued — after the write-deadline budget of
+// silence.
 //
 // A media-backed ModeDense server, and a relay of one, send XNC3 counter
 // records: each carries a record index instead of its coefficient vector,
 // which the client derives from it and the header's key (hsFlagCounter).
-//
-// A segment the source holds whole is not pushed. Each session first writes,
-// of every such segment, the n records of the source's basis for it (counter
-// records 0…n−1 of a media-backed ModeDense server, the source blocks of a
-// ModeSystematic one, a relay's held records) once — the sweep — from a table
-// of framed records all sessions share, each asked of the source once,
-// as fast as its connection takes them, through no queue, reading nothing
-// meanwhile. Then it starts its reader owed nothing of those segments: a peer
-// that decoded from the sweep hangs up (the common case, and the pump never
-// woke), and one that asks is fed the pump's records, as far as its credit
-// goes. The session is in the server's session set from the handshake on, so
-// the session cap, Snapshot, Drain and Shutdown see it in every state.
 type Server struct {
 	cfg  ServerConfig // normalized
 	info SessionInfo
@@ -141,7 +141,7 @@ type Server struct {
 	bufs [][]byte
 	room []int
 
-	// napTimer is the pump's one timer: every timed park reuses it (see nap).
+	// napTimer is the pump's one timer: every timed park reuses it (see park).
 	napTimer *time.Timer
 
 	// Distributed tracing. traced is latched at construction — cfg.TraceNode
@@ -449,15 +449,14 @@ func (s *Server) rejectSession(conn net.Conn) {
 }
 
 // runSession writes the handshake, joins the server's session set, and
-// streams records — the sweep first, if the source holds any segment whole,
-// then whatever the pump queues — with the session's reader beside it, until
-// the peer hangs up, asks wrongly or idles out, a write fails its deadline
-// budget, or the server shuts down.
+// streams records — the sweep first, then whatever the pump queues — with the
+// session's reader beside it from the sweep's end, until the peer hangs up,
+// asks wrongly or idles out, a write fails its deadline budget, the source
+// holds no new record for the sweep within it, or the server shuts down.
 func (s *Server) runSession(ss *session) {
 	defer s.wg.Done()
 	defer ss.conn.Close()
 
-	swept := s.firstGrant(ss)
 	hs := handshake{hdr: s.info}
 	if s.traced {
 		hs.tctx = traceContext{trace: s.traceID, root: s.rootSpan.ID()}
@@ -466,6 +465,12 @@ func (s *Server) runSession(ss *session) {
 		hs.flags, hs.key = hsFlagCounter, key
 	}
 	buf := appendSessionHeader(nil, hs)
+	// The sweep's first record is asked of the source before the handshake
+	// goes out, so the two leave together: a peer that reads the handshake
+	// alone waits a second wake-up for the record.
+	n := s.info.Params.BlockCount
+	start := sweepStart(ss.id, s.info.Segments*n)
+	s.sweepRecord(start/n, start%n, s.rootSpan.ID(), true)
 	// The handshake gets one deadline window and no retry: a peer that
 	// connects and never reads must not pin the session goroutine.
 	if s.cfg.WriteDeadline > 0 {
@@ -482,9 +487,8 @@ func (s *Server) runSession(ss *session) {
 		}
 		s.mu.Unlock()
 		if joined {
-			if len(swept) == 0 || s.writeSweep(ss, swept) == nil {
+			if s.writeSweep(ss) == nil {
 				go s.readNeeds(ss)
-				s.signalWake()
 				s.writeLoop(ss)
 				ss.conn.Close() // ends the reader, if the writer ended first
 				<-ss.hangup
@@ -498,30 +502,13 @@ func (s *Server) runSession(ss *session) {
 	s.sessionSecs.Add(int64(time.Since(ss.started)))
 }
 
-// firstGrant returns the segments the session is swept, in order — those the
-// source holds whole, owed nothing more — and owes every other one the default
-// grant, so nothing waits on the client before the first record. It asks each
-// segment for its record at the index the sweep starts at when every segment
-// is swept, so an origin's first swept record is one the table already holds.
-func (s *Server) firstGrant(ss *session) (swept []int) {
-	n := s.info.Params.BlockCount
-	i := sweepStart(ss.id, len(ss.credit)*n) % n
-	for seg := range ss.credit {
-		if s.sweepRecord(seg, i, s.rootSpan.ID(), true) != nil {
-			swept = append(swept, seg)
-		} else {
-			ss.credit[seg].Store(s.grantCap)
-		}
-	}
-	return swept
-}
-
 // sweepRecord returns sweep-table entry (seg, i), asking the source if no
-// session has yet and ask is set, or nil (the source's while it does not hold
-// seg whole); racing sessions get identical bytes, the first to publish wins.
-// A media-backed dense server's source encodes the entry, so each one it
+// session has yet and ask is set, or nil (also while the source does not hold
+// the record yet); racing sessions get identical bytes, the first to publish
+// wins. A media-backed dense server's source encodes the entry, so each one it
 // publishes counts in BlocksEncoded, and a traced server spans the encode
-// under parent: the session's sweep, or the server's root (firstGrant).
+// under parent: the session's sweep, or the server's root for the record a
+// session asks for before its handshake.
 func (s *Server) sweepRecord(seg, i int, parent trace.SpanID, ask bool) []byte {
 	entries := s.sweep.segs[seg].Load()
 	if entries != nil {
@@ -628,15 +615,34 @@ func (s *Server) awaitAsk(ss *session) {
 	ss.idleMu.Unlock()
 }
 
-// writeSweep writes the sweep table's records of the swept segments straight
-// to the connection, at most flushRecs per vectored write, under the same
-// deadline and short-write rules as any flush; the first stops before a
-// record the table does not hold yet, so a cold table's first record waits
-// for no other. Every record is offered, then sent or shed, in the ledger.
-func (s *Server) writeSweep(ss *session, swept []int) error {
-	n := s.info.Params.BlockCount
-	total := len(swept) * n
-	start := sweepStart(ss.id, total)
+// writeSweep writes the session its sweep — of every segment, the n records of
+// the source's basis for it, each once — straight to the connection from the
+// sweep table, at most flushRecs per vectored write, under the same deadline
+// and short-write rules as any flush. Every record is offered, then sent or
+// shed, in the ledger.
+//
+// The walk starts at the session's sweepStart and wraps: each segment's
+// records in index order, the start segment's from the walk's start and its
+// first ones last, as a turn of their own. A record the source does not hold
+// yet ends its turn, and the next pass takes the turn up there; a pass that
+// finds nothing to write waits for the source's next record (arrivals), and a
+// source that holds none within WriteDeadline ends the session. An origin
+// holds every record, so its walk is one pass. A cold table's first flush
+// stops before a record the table does not hold, so the first record waits
+// for no other encode.
+func (s *Server) writeSweep(ss *session) error {
+	n, segments := s.info.Params.BlockCount, s.info.Segments
+	start := sweepStart(ss.id, segments*n)
+	first, startSeg := start%n, start/n
+	// The walk's turns: the start segment from first on, every other segment,
+	// then the start segment's first records. written[t] counts the records
+	// turn t has written.
+	turns := segments
+	if first > 0 {
+		turns++
+	}
+	written := make([]int32, turns)
+	left := segments * n
 	// Private headers over the shared records, so the batch goes through the
 	// same flush as a queued one; nothing retains or releases them.
 	refs := make([]frameRef, s.flushRecs)
@@ -647,27 +653,94 @@ func (s *Server) writeSweep(ss *session, swept []int) error {
 		sp = trace.Begin(s.cfg.TraceNode, "sweep", s.traceID, s.rootSpan.ID(), -1)
 		defer sp.End()
 	}
-	for done := 0; done < total; done += len(batch) {
-		batch = batch[:min(s.flushRecs, total-done)]
-		for i := range batch {
-			idx := (start + done + i) % total
-			seg := swept[idx/n]
-			if refs[i].buf = s.sweepRecord(seg, idx%n, sp.ID(), done > 0 || i == 0); refs[i].buf == nil {
-				batch = batch[:i]
-				break
-			}
-			refs[i].round = uint64(sp.ID())
-			refs[i].seg = int32(seg)
-			batch[i] = &refs[i]
-		}
+	flushes := 0
+	send := func() error {
 		offered := int64(len(batch))
 		ss.offered.Add(offered)
 		s.counters.AddOffered(offered)
-		if err := s.flush(ss, batch, &bufs); err != nil {
-			return err
+		err := s.flush(ss, batch, &bufs)
+		batch = batch[:0]
+		flushes++
+		return err
+	}
+	for left > 0 {
+		// The wake-up is taken before the pass, so a record the pass misses
+		// fires it.
+		var arrived <-chan struct{}
+		if a, ok := s.src.(arrivals); ok {
+			arrived = a.Arrived()
+		}
+		wrote := false
+		for t := range turns {
+			seg := (startSeg + t) % segments
+			lo, hi := 0, n // the turn's records of seg
+			if t == 0 {
+				lo = first
+			} else if t == segments {
+				hi = first
+			}
+			for i := lo + int(written[t]); i < hi; i = lo + int(written[t]) {
+				ask := flushes > 0 || len(batch) == 0
+				rec := s.sweepRecord(seg, i, sp.ID(), ask)
+				if rec == nil && ask {
+					break // not held yet
+				}
+				if rec == nil { // a cold table: the first flush goes now
+					if err := send(); err != nil {
+						return err
+					}
+					continue
+				}
+				ref := &refs[len(batch)]
+				ref.buf, ref.round, ref.seg = rec, uint64(sp.ID()), int32(seg)
+				batch = append(batch, ref)
+				written[t]++
+				left--
+				wrote = true
+				if len(batch) == s.flushRecs {
+					if err := send(); err != nil {
+						return err
+					}
+				}
+			}
+		}
+		if len(batch) > 0 {
+			if err := send(); err != nil {
+				return err
+			}
+		}
+		if !wrote {
+			if err := s.awaitArrival(arrived); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
+}
+
+// arrivals is a RecordSource that comes to hold its records while it serves —
+// a relay still filling: Arrived returns a channel closed once the source
+// holds a record it did not hold at the call. A source that is not one holds
+// every record it sweeps from the start.
+type arrivals interface{ Arrived() <-chan struct{} }
+
+// awaitArrival parks a sweep that found nothing to write until arrived fires
+// (nil: never), and fails it once the server stops or WriteDeadline passes.
+func (s *Server) awaitArrival(arrived <-chan struct{}) error {
+	var expired <-chan time.Time
+	if s.cfg.WriteDeadline > 0 {
+		t := time.NewTimer(s.cfg.WriteDeadline)
+		defer t.Stop()
+		expired = t.C
+	}
+	select {
+	case <-arrived:
+		return nil
+	case <-s.stop:
+		return ErrServerClosed
+	case <-expired:
+		return errors.New("netio: the source held no new record for the sweep within the write deadline")
+	}
 }
 
 // shedResidue empties the session queue at teardown, shedding and releasing
@@ -825,21 +898,13 @@ func (s *Server) startPump() {
 // owed records but every one of their queues is full, the pump parks briefly
 // and the wait is charged to the encode-stall counters; when no session is
 // owed anything it sleeps, with nothing charged, until a session joins, asks
-// or drains. A dry source (a relay whose recoders have no rank yet) parks the
-// pump briefly without charging a stall.
+// or drains.
 func (s *Server) pump() {
 	defer s.pumpWG.Done()
 	segments := s.info.Segments
 	segIdx := 0
 	live := make([]*session, 0, 16)
 	frames := make([]*frameRef, s.batch)
-	// fed[seg] is whether the source filled the last round of seg. A round of
-	// a segment not fed — no round yet, or nothing filled last time — asks
-	// for one record first, and for the rest of its batch once that one is
-	// filled: a source with nothing to say there (a relay that holds no rank
-	// yet) costs the pool one frame a round, not a batch, and every round
-	// puts the same records on the wire.
-	fed := make([]bool, segments)
 	idle := true // no round since start or since nobody was owed anything
 	for {
 		select {
@@ -865,32 +930,15 @@ func (s *Server) pump() {
 
 		// A traced pump opens a round span per non-empty batch: the parent of
 		// its encode and queue-offer child spans and of the flushes that write
-		// its records. Spans of dry rounds are simply never ended, so idle
-		// parking does not flood the ring.
+		// its records.
 		var round, enc trace.Span
 		if s.traced {
 			round = trace.Begin(s.cfg.TraceNode, "round", s.traceID, s.rootSpan.ID(), int32(seg))
 			enc = trace.Begin(s.cfg.TraceNode, "encode", s.traceID, round.ID(), int32(seg))
 		}
-		k := 0
-		if !fed[seg] {
-			k = s.fill(seg, frames[:1])
-		}
-		if k < batch && (k > 0 || fed[seg]) {
-			k += s.fill(seg, frames[k:batch])
-		}
-		filled := frames[:k]
+		filled := frames[:batch]
+		s.fill(seg, filled)
 		segIdx = (seg + 1) % segments
-		fed[seg] = k > 0
-		if k == 0 {
-			// Nothing to say for this segment yet. Park briefly — this is
-			// source starvation, not client backpressure, so no stall is
-			// charged.
-			if !s.nap(2*time.Millisecond, nil) {
-				return
-			}
-			continue
-		}
 		enc.End()
 		s.counters.AddEncoded(int64(len(filled)))
 
@@ -912,46 +960,38 @@ func (s *Server) pump() {
 			filled[i] = nil
 		}
 		if idle {
-			// The writers this round woke are queued on the pump's CPU. The
-			// other CPUs slept while the server idled, and waking one to take
-			// them costs about 100 µs on a VM — what a fresh server's first
-			// record would wait while the pump, no longer parked in a pool
-			// dispatch, encodes its next rounds. So the first round after an
-			// idle park hands them this CPU; a busy pump does not yield, and
-			// its writers batch what it encodes meanwhile.
+			// The writers this round woke are queued on the pump's CPU, and
+			// waking a CPU that slept while the server idled costs about
+			// 100 µs on a VM. So the first round after an idle park hands
+			// them this CPU; a busy pump does not yield, and its writers
+			// batch what it encodes meanwhile.
 			idle = false
 			runtime.Gosched()
 		}
 	}
 }
 
-// fill takes a frame from the pool for each of frames, has the source lay
-// records of segment seg in their buffers, and returns how many it filled:
-// frames[:k] hold the records, the rest are back in the pool. A record that
-// does not start at its frame's first byte is a bug in the source — the server
-// would recycle memory it does not own — and panics.
-func (s *Server) fill(seg int, frames []*frameRef) int {
+// fill takes a frame from the pool for each of frames and has the source lay
+// records of segment seg in their buffers. A source that fills fewer than it
+// was handed, or hands back a record that does not start at its frame's first
+// byte — the server would recycle memory it does not own — is a bug, and
+// panics.
+func (s *Server) fill(seg int, frames []*frameRef) {
 	bufs := s.bufs[:len(frames)]
 	for i := range frames {
 		frames[i] = s.frames.get(s.frameLen)
 		bufs[i] = frames[i].buf
 	}
-	k := s.src.Records(seg, bufs)
-	if k < 0 || k > len(frames) {
+	if k := s.src.Records(seg, bufs); k != len(frames) {
 		panic(fmt.Sprintf("netio: RecordSource filled %d of %d frames", k, len(frames)))
 	}
 	for i, fr := range frames {
-		if i >= k {
-			fr.release()
-			continue
-		}
 		// Frames are never empty: the smallest record is a header and a CRC.
 		if len(bufs[i]) == 0 || &bufs[i][0] != &fr.buf[0] {
 			panic("netio: RecordSource returned a record outside the frame it was handed")
 		}
 		fr.buf = bufs[i]
 	}
-	return k
 }
 
 // nextRound picks the round's segment and batch size: the first segment from
@@ -982,36 +1022,24 @@ func (s *Server) nextRound(live []*session, cursor, segments int) (seg, batch in
 }
 
 // park waits out a round with nothing to encode. Sessions owed records behind
-// full queues are backpressure: park until a writer drains a record (or
-// briefly, as a backstop) and charge the wait as encoder stall time. Sessions
-// owed nothing — or none at all — cost nothing: sleep until one joins, asks or
-// drains. It reports false once the server is stopping.
+// full queues are backpressure: park until a writer drains a record, or for
+// 2 ms as a backstop, and charge the wait as encoder stall time. The timed
+// park reuses the pump's one timer — the pump outpaces its writers often
+// enough that a timer per park is garbage worth avoiding; since Go 1.23 a
+// Reset discards any expiry nobody received, so it needs no draining.
+// Sessions owed nothing — or none at all — cost nothing: sleep until one
+// joins, asks or drains. It reports false once the server is stopping.
 func (s *Server) park(owed bool) bool {
-	if !owed {
-		select {
-		case <-s.wake:
-		case <-s.consumed:
-		case <-s.stop:
-			return false
-		}
-		return true
+	wake, expired := s.wake, (<-chan time.Time)(nil)
+	if owed {
+		defer func(t0 time.Time) { s.counters.AddEncodeStall(time.Since(t0)) }(time.Now())
+		s.napTimer.Reset(2 * time.Millisecond)
+		wake, expired = nil, s.napTimer.C
 	}
-	t0 := time.Now()
-	ok := s.nap(2*time.Millisecond, s.consumed)
-	s.counters.AddEncodeStall(time.Since(t0))
-	return ok
-}
-
-// nap parks the pump for d, or until wake (nil: never) fires or the server
-// stops, on the pump's one timer: the pump outpaces its writers often enough
-// that a timer per park is garbage worth avoiding. Since Go 1.23 a Reset
-// discards any expiry nobody received, so the timer needs no draining. It
-// reports false once the server is stopping.
-func (s *Server) nap(d time.Duration, wake <-chan struct{}) bool {
-	s.napTimer.Reset(d)
 	select {
 	case <-wake:
-	case <-s.napTimer.C:
+	case <-s.consumed:
+	case <-expired:
 	case <-s.stop:
 		return false
 	}
@@ -1106,9 +1134,11 @@ func (s *Server) Shutdown() {
 	for l := range s.listeners {
 		l.Close()
 	}
-	s.mu.Unlock()
 	// No session joins once closed is set, so this reaches every one.
-	s.closeSessions()
+	for ss := range s.sessions {
+		ss.conn.Close()
+	}
+	s.mu.Unlock()
 	if !alreadyClosed {
 		close(s.stop)
 	}
@@ -1121,16 +1151,6 @@ func (s *Server) Shutdown() {
 	if !alreadyClosed {
 		s.rootSpan.End()
 	}
-}
-
-// closeSessions force-closes every live session connection: Shutdown's
-// teardown, and the drain-deadline hammer.
-func (s *Server) closeSessions() {
-	s.mu.Lock()
-	for ss := range s.sessions {
-		ss.conn.Close()
-	}
-	s.mu.Unlock()
 }
 
 // Drain gracefully retires the server: it keeps accepting connections but
@@ -1175,14 +1195,15 @@ func (s *Server) Drain(ctx context.Context) error {
 		s.wg.Wait()
 		close(waited)
 	}()
+	// Once ctx ends, Shutdown force-closes the sessions and stops a sweep
+	// that waits for its source.
 	var err error
 	select {
 	case <-waited:
 	case <-ctx.Done():
 		err = ctx.Err()
-		s.closeSessions()
-		<-waited
 	}
 	s.Shutdown()
+	<-waited
 	return err
 }

@@ -23,17 +23,17 @@ type RecordSource interface {
 
 	// Records lays framed records (length prefix included) of segment seg in
 	// the frames it is handed — record i at the start of frames[i], which it
-	// re-slices to that record — and returns how many it filled: frames[:k],
-	// k ≤ len(frames). Filling fewer, or none, is allowed: a relay that has
-	// not yet accumulated rank for seg simply has nothing to say, and the pump
-	// backs off briefly instead of treating it as an error.
+	// re-slices to that record — and returns how many it filled: every one.
+	// The server asks only for the records of a session that was swept and
+	// asked for more, so a source holds every segment whole by then (a relay
+	// recodes its full basis).
 	//
 	// Every frame is as long as the longest record a server of Info's params
 	// frames (an XNC1 record, or an XNC3 counter record when n < 4), and its
 	// content is unspecified. The frames are the server's: a filled one is
 	// written to every session that takes it and goes back to the pool when
 	// the last of them has sent or shed it, so the source must not touch it
-	// after the call, and the rest go back at once.
+	// after the call.
 	Records(seg int, frames [][]byte) int
 
 	// CounterKey, if ok, makes every (ModeDense) session a counter one under key.
@@ -41,12 +41,16 @@ type RecordSource interface {
 
 	// Sweep returns record i < n of a basis of segment seg, length prefix
 	// included — a buffer of its own or one the source holds for its lifetime,
-	// never written again — when the source holds seg whole, and nil when it
-	// does not; once whole, seg keeps that basis for the source's lifetime.
-	// Every media-backed source holds every segment whole: a dense origin's
-	// basis is its counter records 0…n−1, a systematic one's the source blocks.
-	// The server asks once per record (sweepTable). Session goroutines call
-	// Sweep concurrently, with each other and with Records: it shares no scratch.
+	// never written again — as soon as the source holds it, and nil while it
+	// does not; a record once returned is the source's for good. Every
+	// media-backed source holds every record from the start: a dense origin's
+	// basis is its counter records 0…n−1, a systematic one's the source
+	// blocks. A source that comes to hold them while it serves — a relay
+	// still filling — has a method Arrived() <-chan struct{}, whose channel
+	// is closed once the source holds a record it did not hold at the call,
+	// so a sweep that waits for one does not poll. The server asks once per record
+	// (sweepTable). Session goroutines call Sweep concurrently, with each
+	// other and with Records: it shares no scratch.
 	Sweep(seg, i int) []byte
 }
 
@@ -117,7 +121,8 @@ func layFrame(frame []byte, size int) (rec, body []byte) {
 // asked for once and every session writes the same bytes; the table never
 // recycles them. Entries are filled on first use (Server.sweepRecord): a server
 // nobody has fetched from should not have paid to frame its object, nor one
-// whose source holds a segment not whole for its n entries (nil until then).
+// whose source holds no record of a segment yet for its n entries (nil until
+// then).
 type sweepTable struct {
 	n    int
 	segs []atomic.Pointer[[]atomic.Pointer[[]byte]]
@@ -159,7 +164,7 @@ func (c *counterSource) Info() SessionInfo { return objectInfo(c.obj, ModeDense)
 func (c *counterSource) CounterKey() (uint64, bool) { return c.key, true }
 
 // Sweep implements RecordSource: counter record i of segment seg, encoded in
-// a frame of its own. The media holds every segment whole. About 0.4 % of
+// a frame of its own. The media holds every record. About 0.4 % of
 // (key, segment) pairs give vectors 0…n−1 short of full rank; a session swept
 // one asks, and the pump repairs it from index n on.
 func (c *counterSource) Sweep(seg, i int) []byte {
@@ -240,7 +245,7 @@ func (o *systematicSource) Info() SessionInfo { return objectInfo(o.obj, ModeSys
 func (o *systematicSource) CounterKey() (uint64, bool) { return 0, false }
 
 // Sweep implements RecordSource: source block i of segment seg, narrowed to
-// XNC2. The media holds every segment whole.
+// XNC2. The media holds every record.
 func (o *systematicSource) Sweep(seg, i int) []byte {
 	coeffs := make([]byte, o.obj.Params.BlockCount)
 	coeffs[i] = 1

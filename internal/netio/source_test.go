@@ -7,13 +7,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"runtime/debug"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"extremenc/internal/matrix"
 	"extremenc/internal/rlnc"
@@ -304,9 +301,7 @@ func roundOf(tb testing.TB, srv *Server, batch int) func() {
 	frames := make([]*frameRef, batch)
 	seg := 0
 	return func() {
-		if k := srv.fill(seg, frames); k != batch {
-			tb.Fatalf("round filled %d frames, want %d", k, batch)
-		}
+		srv.fill(seg, frames)
 		for _, fr := range frames {
 			fr.release()
 		}
@@ -338,156 +333,102 @@ func (s *fillSource) Records(seg int, frames [][]byte) int {
 	return k
 }
 
-// TestRecordSourceContract: the pump keeps the frames its source filled and
-// puts the rest back in the pool, whether the source fills all, some or none
-// of them — a round leaves each filled frame held once, holding its record,
-// and every other one released — and a session reads exactly the records the
-// source laid, byte for byte and in order, under an exact ledger. A source
-// that hands back a record outside the frame it was handed panics the round.
+// TestRecordSourceContract: a source fills every frame the pump hands it. A
+// round that it filled leaves each frame held once, holding its record, and a
+// session that asks past its sweep reads exactly the records the source laid,
+// byte for byte and in order, under an exact ledger. A source that fills some
+// or none of them, or hands back a record outside the frame it was handed,
+// panics the round.
 func TestRecordSourceContract(t *testing.T) {
 	p := rlnc.Params{BlockCount: 8, BlockSize: 64}
 	obj, err := rlnc.Split(testMedia(t, 2*p.SegmentSize()-5, 24), p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		name string
-		fill func(call, frames int) int
-	}{
-		{"all", func(_, n int) int { return n }},
-		{"some", func(_, n int) int { return (n + 1) / 2 }},
-		// Dry on every even call, so the pump naps between full rounds.
-		{"none", func(call, n int) int { return call % 2 * n }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			src := &fillSource{poolSource: newPoolSource(t, obj, 2*p.BlockCount), fill: tc.fill}
-			srv, err := NewSourceServerFromConfig(src, DefaultServerConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			frames := make([]*frameRef, srv.batch)
-			k := srv.fill(0, frames)
-			if want := tc.fill(0, len(frames)); k != want || len(src.laid) != k {
-				t.Fatalf("a round filled %d frames, the source laid %d, want %d", k, len(src.laid), want)
-			}
-			for i, fr := range frames {
-				if held := fr.refs.Load(); (i < k) != (held == 1) || held > 1 {
-					t.Fatalf("frame %d of a round that filled %d holds %d references", i, k, held)
-				}
-				if i < k && !bytes.Equal(fr.buf, src.laid[i]) {
-					t.Fatalf("frame %d is not the record the source laid in it", i)
-				}
-			}
-			for _, fr := range frames[:k] {
-				fr.release()
-			}
-
-			src.laid = nil
-			conn := startPipeServer(t, srv).Dial()
-			if _, err := readHandshake(conn); err != nil {
-				t.Fatal(err)
-			}
-			var wire [][]byte
-			for range len(obj.Segments) * (p.BlockCount + marginDense) {
-				head := make([]byte, recordLenLen)
-				if _, err := io.ReadFull(conn, head); err != nil {
-					t.Fatal(err)
-				}
-				rec := append(head, make([]byte, binary.BigEndian.Uint32(head))...)
-				if _, err := io.ReadFull(conn, rec[recordLenLen:]); err != nil {
-					t.Fatal(err)
-				}
-				wire = append(wire, rec)
-			}
-			conn.Close()
-			awaitSessions(t, srv, 0)
-			srv.Shutdown()
-			snap := srv.Snapshot()
-			checkAccounting(t, snap)
-			if snap.BlocksEncoded != int64(len(src.laid)) || snap.BlocksSent != int64(len(wire)) || snap.BlocksShed != 0 {
-				t.Fatalf("ledger %+v: want %d encoded, %d sent, none shed", snap.CounterView, len(src.laid), len(wire))
-			}
-			for i, rec := range wire {
-				if !bytes.Equal(rec, src.laid[i]) {
-					t.Fatalf("record %d on the wire is not record %d the source laid", i, i)
-				}
-			}
-		})
-	}
-	t.Run("foreign", func(t *testing.T) {
-		src := &fillSource{poolSource: newPoolSource(t, obj, p.BlockCount), fill: func(_, n int) int { return n }, foreign: true}
+	t.Run("all", func(t *testing.T) {
+		src := &fillSource{poolSource: newPoolSource(t, obj, 2*p.BlockCount), fill: func(_, n int) int { return n }}
 		srv, err := NewSourceServerFromConfig(src, DefaultServerConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer func() {
-			if recover() == nil {
-				t.Fatal("a record outside its frame did not panic the round")
+		frames := make([]*frameRef, srv.batch)
+		srv.fill(0, frames)
+		if len(src.laid) != len(frames) {
+			t.Fatalf("a round of %d frames, the source laid %d", len(frames), len(src.laid))
+		}
+		for i, fr := range frames {
+			if held := fr.refs.Load(); held != 1 {
+				t.Fatalf("frame %d of a filled round holds %d references", i, held)
 			}
-		}()
-		srv.fill(0, make([]*frameRef, srv.batch))
+			if !bytes.Equal(fr.buf, src.laid[i]) {
+				t.Fatalf("frame %d is not the record the source laid in it", i)
+			}
+			fr.release()
+		}
+
+		src.laid = nil
+		conn := startPipeServer(t, srv).Dial()
+		if _, err := readHandshake(conn); err != nil {
+			t.Fatal(err)
+		}
+		readRecord := func() []byte {
+			head := make([]byte, recordLenLen)
+			if _, err := io.ReadFull(conn, head); err != nil {
+				t.Fatal(err)
+			}
+			rec := append(head, make([]byte, binary.BigEndian.Uint32(head))...)
+			if _, err := io.ReadFull(conn, rec[recordLenLen:]); err != nil {
+				t.Fatal(err)
+			}
+			return rec
+		}
+		for range len(obj.Segments) * p.BlockCount {
+			readRecord()
+		}
+		n := uint32(p.BlockCount)
+		if _, err := conn.Write(appendNeed(nil, []uint32{n, n})); err != nil {
+			t.Fatal(err)
+		}
+		var wire [][]byte
+		for range len(obj.Segments) * (p.BlockCount + marginDense) {
+			wire = append(wire, readRecord())
+		}
+		conn.Close()
+		awaitSessions(t, srv, 0)
+		srv.Shutdown()
+		snap := srv.Snapshot()
+		checkAccounting(t, snap)
+		if sweep := int64(len(obj.Segments) * p.BlockCount); snap.BlocksEncoded != int64(len(src.laid)) || snap.BlocksSent != sweep+int64(len(wire)) || snap.BlocksShed != 0 {
+			t.Fatalf("ledger %+v: want %d encoded, %d sent past the sweep, none shed", snap.CounterView, len(src.laid), len(wire))
+		}
+		for i, rec := range wire {
+			if !bytes.Equal(rec, src.laid[i]) {
+				t.Fatalf("record %d on the wire is not record %d the source laid", i, i)
+			}
+		}
 	})
-}
-
-// drySource is a relay that holds no rank yet: it declares a dense session at
-// its params and fills nothing. It counts the pump's rounds, and the most
-// frames one round handed it.
-type drySource struct {
-	info   SessionInfo
-	rounds atomic.Int64
-	most   atomic.Int64
-}
-
-func (s *drySource) Info() SessionInfo          { return s.info }
-func (s *drySource) CounterKey() (uint64, bool) { return 0, false }
-func (s *drySource) Sweep(seg, i int) []byte    { return nil }
-
-func (s *drySource) Records(seg int, frames [][]byte) int {
-	s.most.Store(max(s.most.Load(), int64(len(frames)))) // the pump is one goroutine
-	s.rounds.Add(1)
-	return 0
-}
-
-// TestDryRoundTakesOneFrame: a source with nothing to say is asked for one
-// record a round, not a round's worth. At n = 1024, k = 32 KiB a round may
-// take a batch of 256 frames, as many as some owed session's queue has room
-// for: 64 by default, 2.2 MB. Over at least 100 dry rounds for a session owed
-// every segment, the source is handed one frame a round, and the server
-// allocates at most two frames' worth beside the session's own few KiB.
-func TestDryRoundTakesOneFrame(t *testing.T) {
-	p := rlnc.Params{BlockCount: 1024, BlockSize: 32 << 10}
-	const segments, rounds = 2, 100
-	src := &drySource{info: SessionInfo{Params: p, Segments: segments, Length: segments * int64(p.SegmentSize())}}
-	srv, err := NewSourceServerFromConfig(src, DefaultServerConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := startPipeServer(t, srv)
-	// A collection would empty the frame pool and count its refills.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	before := ms.TotalAlloc
-	conn := l.Dial()
-	if _, err := readHandshake(conn); err != nil {
-		t.Fatal(err)
-	}
-	for src.rounds.Load() < rounds {
-		time.Sleep(5 * time.Millisecond)
-	}
-	runtime.ReadMemStats(&ms)
-	after := ms.TotalAlloc
-	conn.Close()
-	awaitSessions(t, srv, 0)
-	frame := uint64(srv.frameLen)
-	t.Logf("%d dry rounds: at most %d frames a round, %d B allocated (a frame is %d B)", src.rounds.Load(), src.most.Load(), after-before, frame)
-	if most := src.most.Load(); most != 1 {
-		t.Fatalf("a dry round was handed %d frames, want 1", most)
-	}
-	// The race detector's sync.Pool drops Puts at random, so a frame may be
-	// allocated afresh any round.
-	if slack := uint64(64 << 10); !raceEnabled && after-before > 2*frame+slack {
-		t.Fatalf("%d dry rounds allocated %d B, want ≤ 2 frames (%d B) + %d B", src.rounds.Load(), after-before, 2*frame, slack)
+	for _, tc := range []struct {
+		name    string
+		fill    func(call, frames int) int
+		foreign bool
+	}{
+		{"some", func(_, n int) int { return (n + 1) / 2 }, false},
+		{"none", func(int, int) int { return 0 }, false},
+		{"foreign", func(_, n int) int { return n }, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := &fillSource{poolSource: newPoolSource(t, obj, p.BlockCount), fill: tc.fill, foreign: tc.foreign}
+			srv, err := NewSourceServerFromConfig(src, DefaultServerConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				if recover() == nil {
+					t.Fatal("the round did not panic")
+				}
+			}()
+			srv.fill(0, make([]*frameRef, srv.batch))
+		})
 	}
 }
 

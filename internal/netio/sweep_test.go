@@ -158,21 +158,28 @@ func awaitSessions(t testing.TB, srv *Server, want int) {
 	}
 }
 
-// TestSweepRecordNotWholeDoesNotAllocate: asking the table for a segment its
-// source does not hold whole — what every handshake does for every segment of
-// a relay still filling — allocates nothing and leaves the segment's entries
+// TestSweepRecordNotWholeDoesNotAllocate: asking the table for a record its
+// source does not hold yet — what a sweep does for every segment of a relay
+// still filling — allocates nothing and leaves the segment's entries
 // unallocated.
 func TestSweepRecordNotWholeDoesNotAllocate(t *testing.T) {
 	p := rlnc.Params{BlockCount: 8, BlockSize: 64}
-	srv := newPushServer(t, testMedia(t, 3*p.SegmentSize(), 62), p, DefaultServerConfig())
+	obj, err := rlnc.Split(testMedia(t, 3*p.SegmentSize(), 62), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewSourceServerFromConfig(&fillingSource{poolSource: newPoolSource(t, obj, p.BlockCount)}, DefaultServerConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got := testing.AllocsPerRun(20, func() {
 		for seg := range 3 {
 			if srv.sweepRecord(seg, 0, 0, true) != nil {
-				t.Fatal("a pool source swept a segment")
+				t.Fatal("a source holding nothing swept a record")
 			}
 		}
 	}); got != 0 {
-		t.Fatalf("%.1f allocations to ask about 3 segments not whole, want 0", got)
+		t.Fatalf("%.1f allocations to ask about 3 segments held nowhere, want 0", got)
 	}
 	for seg := range srv.sweep.segs {
 		if srv.sweep.segs[seg].Load() != nil {
@@ -613,21 +620,22 @@ func TestSweepLossyFetchRepairs(t *testing.T) {
 
 // TestPushSessionsUnchanged: servers put the bytes on the wire they are meant
 // to — the digests are of what follows the handshake for a client that writes
-// nothing but, where it is swept, one ask: a push session's first grant,
-// segments × (n + margin) records, which is all a client that writes nothing
-// is sent; a dense origin's sweep, segments × n records, and the grant its ask
-// for every segment whole buys.
+// nothing but one ask: its sweep, segments × n records, and the grant its ask
+// for every segment whole buys, segments × (n + margin) records.
 //
 // The source-backed servers — a relay's shape — send no flag and XNC1
-// records, in either declared mode (it is the object source, not the mode,
-// that makes a sweep); the declared mode sets their margin, and so how many
-// records the grant holds. The media-backed dense server is a counter
-// session: hsFlagCounter and its key (the seed) in the header, XNC3 records
-// after it — its sweep, indices 0…n−1 of every segment in the table's order
-// from the session's sweepStart, then repair indices from n, claimed a round
-// at a time, round robin across segments. The digests were re-pinned when
-// protocol v5 bounded a session by its credit, and the dense one again when
-// the dense origin came to sweep; the records' encoding did not change. So
+// records, in either declared mode: their sweep is the pool's first n records
+// of each segment, their grant the pool's records from n on; the declared
+// mode sets their margin, and so how many records the grant holds. The
+// media-backed dense server is a counter session: hsFlagCounter and its key
+// (the seed) in the header, XNC3 records after it — its sweep, indices 0…n−1
+// of every segment in the table's order from the session's sweepStart, then
+// repair indices from n, claimed a round at a time, round robin across
+// segments. The digests were re-pinned when protocol v5 bounded a session by
+// its credit, the dense one again when the dense origin came to sweep, and
+// the source ones when every session came to open with a sweep — a source
+// that held no record was pushed a grant from the handshake on before; the
+// records' encoding did not change. So
 // that a digest cannot hide a format change, the handshake is pinned field by
 // field and what each digest stands for is asserted too: every record after
 // the handshake is of its session's encoding and declared shape, with a valid
@@ -644,20 +652,19 @@ func TestPushSessionsUnchanged(t *testing.T) {
 	for _, tc := range []struct {
 		name, digest string
 		hs           handshake // flags and key; the header is the server's
-		swept        bool      // the session is swept every segment, then asks
 		server       func() (*Server, error)
 	}{
-		{"dense", "99a68c1d95673c214619d2e3533089f1d39e3b4ede7c34630c174cc76be3ae13", handshake{flags: hsFlagCounter, key: 17}, true, func() (*Server, error) {
+		{"dense", "99a68c1d95673c214619d2e3533089f1d39e3b4ede7c34630c174cc76be3ae13", handshake{flags: hsFlagCounter, key: 17}, func() (*Server, error) {
 			cfg := DefaultServerConfig()
 			cfg.Seed = 17
 			return NewServerFromConfig(media, p, cfg)
 		}},
-		{"source", "e79283df5cc8f473d349a4675bc627f3adda98f86bca069338c69ee0aa75b116", handshake{}, false, func() (*Server, error) {
+		{"source", "c92967f0c5cb7ca7663eee567f206dbb5ebef4e4cb50ff87698c009904e54cc9", handshake{}, func() (*Server, error) {
 			src := newPoolSource(t, obj, 2*p.BlockCount)
 			src.info.Mode = ModeSystematic
 			return NewSourceServerFromConfig(src, DefaultServerConfig())
 		}},
-		{"source-dense", "1e70f0e36fc6b854eaacb95910bd3abba10125124d1f5b5e654438b775999807", handshake{}, false, func() (*Server, error) {
+		{"source-dense", "5880f9e57c2cec9bb3e687ca4ef6ef3e4e4a24017bcce19f1b50362db622d227", handshake{}, func() (*Server, error) {
 			return NewSourceServerFromConfig(newPoolSource(t, obj, 2*p.BlockCount), DefaultServerConfig())
 		}},
 	} {
@@ -677,20 +684,15 @@ func TestPushSessionsUnchanged(t *testing.T) {
 			recLen := recordLenLen + int(size)
 			n := p.BlockCount
 			grant := len(obj.Segments) * (n + grantMargin(want.hdr.Mode))
-			sweep := 0
-			if tc.swept {
-				sweep = len(obj.Segments) * n
-			}
+			sweep := len(obj.Segments) * n
 			conn := pl.Dial()
 			head := make([]byte, len(opening)+(sweep+grant)*recLen)
 			swept := len(opening) + sweep*recLen
 			if _, err := io.ReadFull(conn, head[:swept]); err != nil {
 				t.Fatal(err)
 			}
-			if tc.swept {
-				if _, err := conn.Write(appendNeed(nil, []uint32{uint32(n), uint32(n)})); err != nil {
-					t.Fatal(err)
-				}
+			if _, err := conn.Write(appendNeed(nil, []uint32{uint32(n), uint32(n)})); err != nil {
+				t.Fatal(err)
 			}
 			if _, err := io.ReadFull(conn, head[swept:]); err != nil {
 				t.Fatal(err)
@@ -731,17 +733,12 @@ func TestPushSessionsUnchanged(t *testing.T) {
 			// The sweep: the table's entries from the first session's
 			// sweepStart on, wrapping. Then rounds of up to max(4, n/4) (4
 			// here) records, segment after segment, each as many as the
-			// segment's credit still allows, indices from n on a swept
-			// session.
+			// segment's credit still allows, indices from n.
 			var wantSegs, wantIdx []uint32
 			for i := range sweep {
 				idx := (sweepStart(1, sweep) + i) % sweep
 				wantSegs = append(wantSegs, uint32(idx/n))
 				wantIdx = append(wantIdx, uint32(idx%n))
-			}
-			first := 0
-			if tc.swept {
-				first = n
 			}
 			credit := make([]int, len(obj.Segments))
 			for i := range credit {
@@ -751,7 +748,7 @@ func TestPushSessionsUnchanged(t *testing.T) {
 				for seg := range credit {
 					for range min(4, credit[seg]) {
 						wantSegs = append(wantSegs, uint32(seg))
-						wantIdx = append(wantIdx, uint32(first+n+grantMargin(want.hdr.Mode)-credit[seg]))
+						wantIdx = append(wantIdx, uint32(2*n+grantMargin(want.hdr.Mode)-credit[seg]))
 						credit[seg]--
 					}
 				}
@@ -1023,5 +1020,172 @@ func TestFlushRecords(t *testing.T) {
 				t.Errorf("n=%d k=%d QueueDepth %d: a %d-record sweep from a %s table took %d flushes, want %d", tc.p.BlockCount, tc.p.BlockSize, tc.depth, total, table, flushes.Count, want)
 			}
 		}
+	}
+}
+
+// What a source that fills while it serves costs: a sweep that waits for it
+// neither polls nor outlives its budget, and an ask meets a whole basis.
+
+// TestSweepWaitsForItsSource: a session on a source that holds none of its
+// records yet is written each one as the source comes to hold it, a record a
+// segment at a time, and the client decodes byte-identical from that sweep
+// alone — n × segments records, no ask, nothing encoded.
+func TestSweepWaitsForItsSource(t *testing.T) {
+	p := rlnc.Params{BlockCount: 8, BlockSize: 64}
+	media := testMedia(t, 3*p.SegmentSize()-7, 72)
+	obj, err := rlnc.Split(media, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &fillingSource{poolSource: newPoolSource(t, obj, p.BlockCount)}
+	srv, err := NewSourceServerFromConfig(src, DefaultServerConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := startPipeServer(t, srv)
+	type fetched struct {
+		payload []byte
+		stats   *FetchStats
+		err     error
+	}
+	done := make(chan fetched, 1)
+	go func() {
+		payload, stats, err := Fetch(context.Background(), l.Dial())
+		done <- fetched{payload, stats, err}
+	}()
+	for i := 1; i <= p.BlockCount; i++ {
+		// Every segment's records up to the one let in are on the wire
+		// before the next is.
+		awaitSent(t, srv, int64((i-1)*len(obj.Segments)))
+		src.let(1)
+	}
+	res := <-done
+	if res.err != nil || !bytes.Equal(res.payload, media) {
+		t.Fatalf("fetch from a filling source: %v", res.err)
+	}
+	if res.stats.Records != len(obj.Segments)*p.BlockCount || srv.needRecords.Load() != 0 {
+		t.Fatalf("%d records, %d need records: want one sweep of %d and no ask", res.stats.Records, srv.needRecords.Load(), len(obj.Segments)*p.BlockCount)
+	}
+	awaitSessions(t, srv, 0)
+	srv.Shutdown()
+	if snap := srv.Snapshot(); snap.BlocksEncoded != 0 {
+		t.Fatalf("the pump encoded %d records for a swept session", snap.BlocksEncoded)
+	}
+	checkAccounting(t, srv.Snapshot())
+}
+
+// TestSweepStalledSourceEndsSession: a peer that dials a source server whose
+// source stalls mid-fill — a relay whose upstream went quiet — and then reads
+// nothing holds a session for the write-deadline budget and no longer: it is
+// written the records the source holds, waits WriteDeadline for another, and
+// ends, and the server's goroutines return to their baseline. Shutdown with a
+// sweep parked returns at once.
+func TestSweepStalledSourceEndsSession(t *testing.T) {
+	p := rlnc.Params{BlockCount: 8, BlockSize: 64}
+	obj, err := rlnc.Split(testMedia(t, 2*p.SegmentSize(), 73), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const budget, slack = 100 * time.Millisecond, time.Second
+	baseline := runtime.NumGoroutine()
+	for _, parked := range []string{"deadline", "shutdown"} {
+		src := &fillingSource{poolSource: newPoolSource(t, obj, p.BlockCount), held: p.BlockCount / 2}
+		cfg := DefaultServerConfig()
+		cfg.WriteDeadline = budget
+		if parked == "shutdown" {
+			cfg.WriteDeadline = time.Minute
+		}
+		srv, err := NewSourceServerFromConfig(src, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Skipf("loopback listen unavailable: %v", err)
+		}
+		served := make(chan struct{})
+		go func() {
+			defer close(served)
+			srv.Serve(context.Background(), l)
+		}()
+		conn, err := net.Dial("tcp", l.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The held records fit the socket buffers: the sweep writes them and
+		// parks for the next.
+		awaitSent(t, srv, int64(len(obj.Segments)*src.held))
+		t0 := time.Now()
+		if parked == "deadline" {
+			awaitSessions(t, srv, 0)
+			if took := time.Since(t0); took < budget/2 || took > budget+slack {
+				t.Fatalf("a session waiting on a stalled source ended after %v, budget %v", took, budget)
+			}
+		}
+		srv.Shutdown()
+		if took := time.Since(t0); parked == "shutdown" && took > slack {
+			t.Fatalf("Shutdown with a sweep parked took %v", took)
+		}
+		l.Close()
+		<-served
+		conn.Close()
+		checkAccounting(t, srv.Snapshot())
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after both servers shut down, %d before", runtime.NumGoroutine(), baseline)
+		}
+	}
+}
+
+// lyingSource is a poolSource whose sweep leaves segment 0 one short — its
+// last swept record repeats its first — and which answers every ask with that
+// first record again: rows the fetch already spans.
+type lyingSource struct{ *poolSource }
+
+func (s lyingSource) Sweep(seg, i int) []byte {
+	if seg == 0 && i == s.info.Params.BlockCount-1 {
+		i = 0
+	}
+	return s.poolSource.Sweep(seg, i)
+}
+
+func (s lyingSource) Records(seg int, frames [][]byte) int {
+	for i, frame := range frames {
+		frames[i] = frame[:copy(frame, s.recs[seg][0])]
+	}
+	return len(frames)
+}
+
+// TestLyingSourceAsksOncePerGrant: a fetch whose asks are answered only with
+// rows it already spans never completes, but it does not spin either: it
+// reads each grant whole before it asks again, so it writes at most one need
+// record per margin's worth of records read, plus one.
+func TestLyingSourceAsksOncePerGrant(t *testing.T) {
+	p := rlnc.Params{BlockCount: 8, BlockSize: 64}
+	obj, err := rlnc.Split(testMedia(t, 2*p.SegmentSize(), 74), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewSourceServerFromConfig(lyingSource{newPoolSource(t, obj, p.BlockCount)}, DefaultServerConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := startPipeServer(t, srv)
+	conn := &writeCountConn{Conn: l.Dial()}
+	fcfg := DefaultFetcherConfig()
+	fcfg.MaxAttempts = 1
+	f := newTestFetcher(t, func(context.Context) (net.Conn, error) { return conn, nil }, fcfg)
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	res, err := f.Fetch(ctx)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("a fetch fed only spanned rows ended with %v", err)
+	}
+	asks := int(conn.bytes.Load()) / needLen(len(obj.Segments))
+	records := res.Stats.Records
+	t.Logf("%d records read, %d dependent, %d need records written", records, res.Stats.Dependent, asks)
+	if asks < 2 || asks > records/marginDense+1 {
+		t.Fatalf("%d need records over %d records read: want at least 2 and at most one per %d records, plus one", asks, records, marginDense)
 	}
 }

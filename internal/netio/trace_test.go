@@ -31,7 +31,7 @@ func TestUnknownHeaderFlagsRejected(t *testing.T) {
 // the generations carry both the origin's encode and the leaf's absorb; the
 // fetcher inherits the server's trace context. The origin's encodes are its
 // sweep table's, one span per entry, under the session's sweep span (or the
-// root, for the entries the session's first grant probes).
+// root, for the entry the session asks for before its handshake).
 func TestTracedSessionEndToEnd(t *testing.T) {
 	trace.Enable(1 << 14)
 	defer trace.Disable()
